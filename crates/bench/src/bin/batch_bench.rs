@@ -1,6 +1,6 @@
-//! Batch + serve + sharding + kernel benchmark — emits `BENCH_batch.json`.
+//! Batch + serve + sharding benchmark — emits `BENCH_batch.json`.
 //!
-//! Four measurements, all on VGG-16-shaped workloads:
+//! Three measurements, all on VGG-16-shaped workloads:
 //!
 //! 1. **Batch engine**: a batch of scaled VGG-16 inferences through the
 //!    parallel work-stealing pool vs. the same inputs run sequentially —
@@ -19,15 +19,8 @@
 //!    cost model's device and derated clock per point, and the
 //!    layer-pipelined placement's single-image latency and hidden
 //!    weight-staging against image-parallel at N = 4.
-//! 4. **Compute kernels**: the seed's naive kernels (dense per-pixel
-//!    quantized conv scan, naive GEMM) vs. the optimized ones
-//!    (packed-nonzero span conv, register-blocked GEMM) on three
-//!    VGG-16-shaped layers at deep-compression densities. All pairs are
-//!    property-tested bit-identical; this bin just measures the speed.
 //!
-//! The headline `speedup` field is total naive time over total optimized
-//! time for the quantized conv kernels — the path every functional
-//! inference (golden model, driver verification, batch engine) runs on.
+//! Kernel-level timings live in `kernel_bench` / `BENCH_kernels.json`.
 //!
 //! ```sh
 //! cargo run --release --bin batch_bench            # full benchmark
@@ -43,22 +36,20 @@
 //! simulated time, so they are deterministic and strict. This is the
 //! guard wired into `scripts/verify.sh`.
 //!
-//! Writes `BENCH_batch.json` at the repository root plus the usual
-//! `experiments/batch_bench.{txt,json}` artifacts.
+//! Writes `BENCH_batch.json` at the repository root plus the
+//! `experiments/batch_bench.txt` rendering.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use zskip_bench::{make_conv_layer, write_artifacts};
+use zskip_bench::write_bench_artifacts;
 use zskip_core::{
     run_batch, run_sharded, AccelConfig, BackendKind, CostModel, Driver, Placement, ServeEngine,
     ServeReply, Session,
 };
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
-use zskip_nn::conv::{conv2d_quant, conv2d_quant_dense};
 use zskip_nn::eval::synthetic_inputs;
-use zskip_nn::gemm::{conv2d_gemm_quant, conv2d_gemm_quant_naive};
 use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
 use zskip_nn::vgg16::vgg16_scaled_spec;
 use zskip_quant::DensityProfile;
@@ -216,47 +207,10 @@ impl ToJson for ShardingResult {
     }
 }
 
-struct KernelRow {
-    layer: String,
-    out_c: usize,
-    in_c: usize,
-    hw: usize,
-    density: f64,
-    quant_dense_ms: f64,
-    quant_packed_ms: f64,
-    quant_speedup: f64,
-    gemm_naive_ms: f64,
-    gemm_blocked_ms: f64,
-    gemm_speedup: f64,
-}
-
-impl ToJson for KernelRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("layer", self.layer.to_json()),
-            ("out_c", self.out_c.to_json()),
-            ("in_c", self.in_c.to_json()),
-            ("hw", self.hw.to_json()),
-            ("density", self.density.to_json()),
-            ("quant_dense_ms", self.quant_dense_ms.to_json()),
-            ("quant_packed_ms", self.quant_packed_ms.to_json()),
-            ("quant_speedup", self.quant_speedup.to_json()),
-            ("gemm_naive_ms", self.gemm_naive_ms.to_json()),
-            ("gemm_blocked_ms", self.gemm_blocked_ms.to_json()),
-            ("gemm_speedup", self.gemm_speedup.to_json()),
-        ])
-    }
-}
-
 struct Bench {
     batch: BatchResult,
     serve: ServeResult,
     sharding: ShardingResult,
-    kernels: Vec<KernelRow>,
-    /// Total naive over total optimized time, quantized conv kernels.
-    speedup: f64,
-    /// Same ratio for the f32/quant GEMM pairs.
-    gemm_speedup: f64,
 }
 
 impl ToJson for Bench {
@@ -265,24 +219,8 @@ impl ToJson for Bench {
             ("batch", self.batch.to_json()),
             ("serve", self.serve.to_json()),
             ("sharding", self.sharding.to_json()),
-            ("kernels", self.kernels.to_json()),
-            ("speedup", self.speedup.to_json()),
-            ("gemm_speedup", self.gemm_speedup.to_json()),
         ])
     }
-}
-
-/// Best-of-3 wall time of `f`, in seconds.
-fn time_best<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        result = Some(r);
-    }
-    (best, result.expect("ran at least once"))
 }
 
 /// The shared VGG-16-shaped workload: a quantized scaled network and a
@@ -545,42 +483,6 @@ fn check() -> ! {
     std::process::exit(0);
 }
 
-fn bench_kernels() -> Vec<KernelRow> {
-    // VGG-16-shaped layers at deep-compression densities, spatially
-    // scaled so the suite stays fast.
-    let layers: [(&str, usize, usize, usize, f64); 3] = [
-        ("conv1_1-like", 64, 3, 32, 0.58),
-        ("conv2_2-like", 128, 128, 16, 0.36),
-        ("conv3_2-like", 256, 256, 8, 0.29),
-    ];
-    layers
-        .into_iter()
-        .map(|(name, out_c, in_c, hw, density)| {
-            let (qw, tiled, _) = make_conv_layer(out_c, in_c, hw, density, 7);
-            let input = tiled.to_tensor();
-            let (quant_dense_ms, a) = time_best(|| conv2d_quant_dense(&input, &qw, 1, 0));
-            let (quant_packed_ms, b) = time_best(|| conv2d_quant(&input, &qw, 1, 0));
-            assert_eq!(a, b, "packed conv must be bit-identical");
-            let (gemm_naive_ms, c) = time_best(|| conv2d_gemm_quant_naive(&input, &qw, 1, 0));
-            let (gemm_blocked_ms, d) = time_best(|| conv2d_gemm_quant(&input, &qw, 1, 0));
-            assert_eq!(c, d, "blocked GEMM must be bit-identical");
-            KernelRow {
-                layer: name.to_string(),
-                out_c,
-                in_c,
-                hw,
-                density,
-                quant_dense_ms: quant_dense_ms * 1e3,
-                quant_packed_ms: quant_packed_ms * 1e3,
-                quant_speedup: quant_dense_ms / quant_packed_ms,
-                gemm_naive_ms: gemm_naive_ms * 1e3,
-                gemm_blocked_ms: gemm_blocked_ms * 1e3,
-                gemm_speedup: gemm_naive_ms / gemm_blocked_ms,
-            }
-        })
-        .collect()
-}
-
 fn main() {
     if std::env::args().any(|a| a == "--check") {
         check();
@@ -590,22 +492,10 @@ fn main() {
     let batch = bench_batch(&qnet, &inputs);
     let serve = bench_serve(&qnet, &inputs, batch.images_per_s);
     let sharding = bench_sharding(&qnet, &inputs);
-    let kernels = bench_kernels();
-    let quant_naive: f64 = kernels.iter().map(|k| k.quant_dense_ms).sum();
-    let quant_opt: f64 = kernels.iter().map(|k| k.quant_packed_ms).sum();
-    let gemm_naive: f64 = kernels.iter().map(|k| k.gemm_naive_ms).sum();
-    let gemm_opt: f64 = kernels.iter().map(|k| k.gemm_blocked_ms).sum();
-    let bench = Bench {
-        batch,
-        serve,
-        sharding,
-        kernels,
-        speedup: quant_naive / quant_opt,
-        gemm_speedup: gemm_naive / gemm_opt,
-    };
+    let bench = Bench { batch, serve, sharding };
 
     let mut text = String::new();
-    text.push_str("Batch + serve + sharding + kernel throughput (naive = seed implementation)\n\n");
+    text.push_str("Batch + serve + sharding throughput\n\n");
     let b = &bench.batch;
     text.push_str(&format!(
         "batch: {} x vgg16-32, {} worker(s): {:.2} images/s, {:.1}M sim cycles/s, {} steals\n",
@@ -653,34 +543,10 @@ fn main() {
         s.pipeline_latency_cycles, s.image_latency_cycles, s.latency_gain
     ));
     text.push_str(&format!(
-        "       pipelined batch weight staging: {} cycles hidden, {} exposed\n\n",
+        "       pipelined batch weight staging: {} cycles hidden, {} exposed\n",
         s.staging_hidden_cycles, s.staging_exposed_cycles
-    ));
-    text.push_str(&format!(
-        "{:<14} {:>8} {:>11} {:>12} {:>8} {:>11} {:>12} {:>8}\n",
-        "layer", "density", "dense ms", "packed ms", "speedup", "naive ms", "blocked ms", "speedup"
-    ));
-    for k in &bench.kernels {
-        text.push_str(&format!(
-            "{:<14} {:>8.2} {:>11.1} {:>12.1} {:>7.2}x {:>11.1} {:>12.1} {:>7.2}x\n",
-            k.layer,
-            k.density,
-            k.quant_dense_ms,
-            k.quant_packed_ms,
-            k.quant_speedup,
-            k.gemm_naive_ms,
-            k.gemm_blocked_ms,
-            k.gemm_speedup
-        ));
-    }
-    text.push_str(&format!(
-        "\nquantized conv speedup (total): {:.2}x   GEMM speedup (total): {:.2}x\n",
-        bench.speedup, bench.gemm_speedup
     ));
     print!("{text}");
 
-    write_artifacts("batch_bench", &text, &bench);
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(root.join("BENCH_batch.json"), zskip_json::to_string_pretty(&bench))
-        .expect("write BENCH_batch.json");
+    write_bench_artifacts("batch_bench", "BENCH_batch.json", &text, &bench);
 }

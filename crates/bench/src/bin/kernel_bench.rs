@@ -4,9 +4,9 @@
 //! this host (scalar / SSE2 / AVX2, see `docs/KERNELS.md`):
 //!
 //! * **GEMM**: `conv2d_gemm_quant_tier` per tier on three VGG-16-shaped
-//!   layers at deep-compression densities. The scalar tier is the
-//!   register-blocked seed kernel; SIMD tiers must be bit-identical
-//!   (asserted here and property-tested in `crates/nn`).
+//!   layers at deep-compression densities. Every tier runs the same
+//!   row-panel body (scalar with the portable `axpy`); all tiers must be
+//!   bit-identical (asserted here and property-tested in `crates/nn`).
 //! * **Packed conv**: the packed-nonzero span kernel (`conv2d_quant_into`)
 //!   per tier on the same layers — the path functional inference runs on.
 //! * **Allocations per image**: heap allocations of one quantized forward
@@ -27,26 +27,24 @@
 //!   plus the shared-cache hit/miss counters. Outputs are bit-identical
 //!   at every width (asserted here; property-tested in
 //!   `tests/kernel_tiers.rs`).
-//! * **ResNet block**: the 1x1 projection-conv fast path (im2col skipped,
-//!   the input borrowed as the patch matrix) against the generic im2col
-//!   lowering on a bottleneck-reduce shape, plus the quantized
-//!   residual-add cost relative to that conv.
+//! * **ResNet block**: the 1x1 projection conv (im2col skipped, the
+//!   input borrowed as the patch matrix) on a bottleneck-reduce shape,
+//!   plus the quantized residual-add cost relative to that conv.
 //!
 //! `--check` exits nonzero if any SIMD tier is slower than scalar on a
 //! reference shape, the steady-state pass allocates, the cpu backend
 //! falls behind the model backend, the single-image speedup is below 2x,
-//! the auto-width multithreaded latency regresses past the
-//! single-threaded one, or the 1x1 fast path is slower than the generic
-//! lowering — wired into `scripts/verify.sh`.
+//! or the auto-width multithreaded latency regresses past the
+//! single-threaded one — wired into `scripts/verify.sh`.
 //!
-//! Writes `BENCH_kernels.json` at the repository root plus the usual
-//! `experiments/kernel_bench.{txt,json}` artifacts.
+//! Writes `BENCH_kernels.json` at the repository root plus the
+//! `experiments/kernel_bench.txt` rendering.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use zskip_bench::{make_conv_layer, write_artifacts};
+use zskip_bench::{make_conv_layer, write_bench_artifacts};
 use zskip_core::config::AccelConfig;
 use zskip_core::driver::{BackendKind, Driver};
 use zskip_core::weight_cache_stats;
@@ -118,7 +116,7 @@ struct ShapeResult {
     gemm: Vec<TierTiming>,
     packed: Vec<TierTiming>,
     best_tier: &'static str,
-    /// Scalar blocked GEMM over the best SIMD tier's GEMM.
+    /// Scalar-tier GEMM time over the best SIMD tier's.
     best_gemm_speedup: f64,
 }
 
@@ -263,20 +261,16 @@ impl ToJson for IntraImageResult {
     }
 }
 
-/// The residual-block section: the 1x1 projection fast path against the
-/// generic im2col lowering, plus the quantized residual-add overhead.
+/// The residual-block section: the 1x1 projection conv plus the
+/// quantized residual-add overhead.
 struct ResnetBlockResult {
     out_c: usize,
     in_c: usize,
     hw: usize,
     density: f64,
     tier: String,
-    /// Forced im2col lowering of the same 1x1 conv.
-    generic_ms: f64,
-    /// The pointwise fast path (input borrowed as the patch matrix).
+    /// The pointwise GEMM (input borrowed as the patch matrix).
     pointwise_ms: f64,
-    /// `generic_ms / pointwise_ms`; `--check` requires >= 1.
-    pointwise_speedup: f64,
     /// Quantized residual add of the two branch outputs.
     add_ms: f64,
     /// `add_ms / pointwise_ms` — the join cost relative to the conv.
@@ -291,9 +285,7 @@ impl ToJson for ResnetBlockResult {
             ("hw", self.hw.to_json()),
             ("density", self.density.to_json()),
             ("tier", self.tier.to_json()),
-            ("generic_ms", self.generic_ms.to_json()),
             ("pointwise_ms", self.pointwise_ms.to_json()),
-            ("pointwise_speedup", self.pointwise_speedup.to_json()),
             ("add_ms", self.add_ms.to_json()),
             ("add_overhead_vs_conv", self.add_overhead_vs_conv.to_json()),
         ])
@@ -579,7 +571,6 @@ fn bench_intra_image(
 fn bench_resnet_block() -> ResnetBlockResult {
     use zskip_core::rng::SplitMix64;
     use zskip_nn::eltwise::add_quant;
-    use zskip_nn::gemm::conv2d_gemm_quant_tier_generic;
     use zskip_quant::{Requantizer, Sm8};
 
     // Bottleneck-reduce-like 1x1 projection: 256 channels down to 64,
@@ -611,20 +602,10 @@ fn bench_resnet_block() -> ResnetBlockResult {
     let tier = zskip_nn::dispatch();
 
     let fast = conv2d_gemm_quant_tier(&input, &qw, 1, 0, tier);
-    let generic = conv2d_gemm_quant_tier_generic(&input, &qw, 1, 0, tier);
-    assert_eq!(fast, generic, "1x1 fast path diverged from the im2col lowering");
 
-    // Interleave the two lowerings round by round so clock drift hits
-    // both equally instead of skewing the ratio.
     const REPS: usize = 8;
-    let mut generic_ms = f64::INFINITY;
     let mut pointwise_ms = f64::INFINITY;
     for _ in 0..5 {
-        let t0 = Instant::now();
-        for _ in 0..REPS {
-            let _ = conv2d_gemm_quant_tier_generic(&input, &qw, 1, 0, tier);
-        }
-        generic_ms = generic_ms.min(t0.elapsed().as_secs_f64() * 1e3 / REPS as f64);
         let t0 = Instant::now();
         for _ in 0..REPS {
             let _ = conv2d_gemm_quant_tier(&input, &qw, 1, 0, tier);
@@ -649,9 +630,7 @@ fn bench_resnet_block() -> ResnetBlockResult {
         hw,
         density,
         tier: tier.name().to_string(),
-        generic_ms,
         pointwise_ms,
-        pointwise_speedup: generic_ms / pointwise_ms,
         add_ms,
         add_overhead_vs_conv: add_ms / pointwise_ms,
     }
@@ -679,7 +658,7 @@ fn render(bench: &Bench) -> String {
     text.push('\n');
     for s in &bench.shapes {
         text.push_str(&format!(
-            "{}: best SIMD GEMM tier {} at {:.2}x over blocked scalar\n",
+            "{}: best SIMD GEMM tier {} at {:.2}x over scalar\n",
             s.layer, s.best_tier, s.best_gemm_speedup
         ));
     }
@@ -728,10 +707,7 @@ fn render(bench: &Bench) -> String {
         "\nresnet block (1x1 projection {}->{} @ {}x{}, tier {}):\n",
         rb.in_c, rb.out_c, rb.hw, rb.hw, rb.tier
     ));
-    text.push_str(&format!(
-        "  generic im2col {:.3} ms -> pointwise fast path {:.3} ms ({:.2}x)\n",
-        rb.generic_ms, rb.pointwise_ms, rb.pointwise_speedup
-    ));
+    text.push_str(&format!("  pointwise GEMM {:.3} ms\n", rb.pointwise_ms));
     text.push_str(&format!(
         "  residual add {:.3} ms ({:.2}x of the 1x1 conv)\n",
         rb.add_ms, rb.add_overhead_vs_conv
@@ -779,12 +755,6 @@ fn check(bench: &Bench) -> Result<(), String> {
             bench.intra_image.mt_vs_single
         ));
     }
-    if bench.resnet_block.pointwise_speedup < 1.0 {
-        return Err(format!(
-            "1x1 pointwise fast path is {:.2}x vs the generic im2col lowering (must not be slower)",
-            bench.resnet_block.pointwise_speedup
-        ));
-    }
     Ok(())
 }
 
@@ -813,10 +783,7 @@ fn main() {
     let text = render(&bench);
     print!("{text}");
 
-    write_artifacts("kernel_bench", &text, &bench);
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(root.join("BENCH_kernels.json"), zskip_json::to_string_pretty(&bench))
-        .expect("write BENCH_kernels.json");
+    write_bench_artifacts("kernel_bench", "BENCH_kernels.json", &text, &bench);
 
     if check_mode {
         if let Err(msg) = check(&bench) {

@@ -1,7 +1,6 @@
 //! Simulator scheduler benchmark: dense stepper vs. event-driven engine
 //! on VGG-16 engine-level conv/pool blocks. Emits `BENCH_sim.json` at the
-//! repository root plus the usual `experiments/sim_bench.{txt,json}`
-//! artifacts.
+//! repository root plus the `experiments/sim_bench.txt` rendering.
 //!
 //! Both schedulers run the identical workload and the reports are asserted
 //! bit-identical before any timing is reported — a speedup over a wrong
@@ -18,7 +17,7 @@
 //! `scripts/verify.sh`.
 
 use std::time::Instant;
-use zskip_bench::{build_engine_workload, make_conv_layer, write_artifacts, HARNESS_SEED};
+use zskip_bench::{build_engine_workload, make_conv_layer, write_bench_artifacts, HARNESS_SEED};
 use zskip_core::cycle::{
     run_hosted, run_hosted_dense, run_instructions, run_instructions_dense, CycleOutcome, HostLayer, HostModel,
 };
@@ -309,9 +308,6 @@ fn main() {
 
     let text = render(&bench);
     print!("{text}");
-    write_artifacts("sim_bench", &text, &bench);
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(root.join("BENCH_sim.json"), zskip_json::to_string_pretty(&bench))
-        .expect("write BENCH_sim.json");
+    write_bench_artifacts("sim_bench", "BENCH_sim.json", &text, &bench);
     println!("wrote BENCH_sim.json");
 }

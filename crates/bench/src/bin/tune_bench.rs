@@ -26,10 +26,10 @@
 //! (d) the same-seed rerun is byte-identical. This is the guard wired
 //! into `scripts/verify.sh`.
 //!
-//! Writes `BENCH_tune.json` at the repository root plus the usual
-//! `experiments/tune_bench.{txt,json}` artifacts.
+//! Writes `BENCH_tune.json` at the repository root plus the
+//! `experiments/tune_bench.txt` rendering.
 
-use zskip_bench::write_artifacts;
+use zskip_bench::write_bench_artifacts;
 use zskip_core::tune::{Evaluator, Objective, SearchSpace, SpaceKind, TunedConfig, Tuner, DEFAULT_BUDGET, DEFAULT_SEED};
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
@@ -348,8 +348,5 @@ fn main() {
         return;
     }
 
-    write_artifacts("tune_bench", &render(&bench), &bench);
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(root.join("BENCH_tune.json"), zskip_json::to_string_pretty(&bench))
-        .expect("write BENCH_tune.json");
+    write_bench_artifacts("tune_bench", "BENCH_tune.json", &render(&bench), &bench);
 }

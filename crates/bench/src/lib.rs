@@ -286,6 +286,17 @@ pub fn write_artifacts<T: ToJson>(name: &str, text: &str, data: &T) {
     std::fs::write(dir.join(format!("{name}.json")), json).expect("write json artifact");
 }
 
+/// Writes a `*_bench` bin's artifacts once each: the human-readable
+/// rendering as `experiments/<name>.txt` and the machine-readable
+/// trajectory point as `<bench_json>` (a `BENCH_*.json` name) at the
+/// repository root.
+pub fn write_bench_artifacts<T: ToJson>(name: &str, bench_json: &str, text: &str, data: &T) {
+    std::fs::write(experiments_dir().join(format!("{name}.txt")), text).expect("write text artifact");
+    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::fs::write(root.join(bench_json), zskip_json::to_string_pretty(data))
+        .expect("write BENCH json artifact");
+}
+
 /// Builds a standalone quantized conv layer with uniform weight density —
 /// the workload for single-layer ablations.
 pub fn make_conv_layer(

@@ -49,8 +49,9 @@ pub struct RetryPolicy {
     /// Attempts per input (minimum 1; 1 disables retries).
     pub max_attempts: u32,
     /// Simulated backoff charged before retry `k` (1-based):
-    /// `base_backoff_cycles << (k - 1)` accelerator cycles — exponential,
-    /// like a driver re-arming a wedged device with increasing patience.
+    /// `base_backoff_cycles * 2^(k - 1)` accelerator cycles, saturating at
+    /// `u64::MAX` — exponential, like a driver re-arming a wedged device
+    /// with increasing patience.
     pub base_backoff_cycles: u64,
 }
 
@@ -64,6 +65,14 @@ impl RetryPolicy {
     /// A policy that never retries (every error is final).
     pub fn none() -> RetryPolicy {
         RetryPolicy { max_attempts: 1, base_backoff_cycles: 0 }
+    }
+
+    /// Backoff charged before retry `retry` (1-based). Both fields are
+    /// public, so neither the doubling count nor the product is bounded:
+    /// the charge saturates instead of overflowing the shift.
+    fn backoff_before_retry(&self, retry: u32) -> u64 {
+        let factor = 1u64.checked_shl(retry - 1).unwrap_or(u64::MAX);
+        self.base_backoff_cycles.saturating_mul(factor)
     }
 }
 
@@ -164,71 +173,31 @@ impl StealQueues {
 }
 
 /// Runs `inputs` through `qnet` on `workers` threads (0 = auto) and
-/// returns per-input reports in submission order.
+/// returns per-input reports in submission order:
+/// [`run_batch_resilient`] without retries, folded to all-or-nothing.
+/// Every input runs to completion even when another fails.
 ///
 /// # Errors
-/// Propagates the first failing input's [`DriverError`] (first by input
-/// index, so the error is deterministic too).
+/// The failing input's [`DriverError`] — with several failures, the one
+/// with the lowest input index, so the error is deterministic too.
 pub fn run_batch(
     driver: &Driver,
     qnet: &QuantizedNetwork,
     inputs: &[Tensor<f32>],
     workers: usize,
 ) -> Result<BatchReport, DriverError> {
-    let workers = effective_workers(workers, inputs.len());
-    if inputs.is_empty() {
-        return Ok(BatchReport { reports: Vec::new(), workers, per_worker_jobs: vec![0; workers], steals: 0 });
-    }
-
-    let queues = StealQueues::new(inputs.len(), workers);
-    let (tx, rx) = mpsc::channel::<(usize, usize, Result<InferenceReport, DriverError>)>();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let queues = &queues;
-            scope.spawn(move || {
-                // One scratch arena per worker: host-side buffers warm up on
-                // the first job and are reused for the rest of the batch.
-                let mut scratch = zskip_nn::Scratch::new();
-                while let Some(job) = queues.next(w) {
-                    let result = driver.run_network_scratch(qnet, &inputs[job], &mut scratch);
-                    if tx.send((job, w, result)).is_err() {
-                        break; // collector gone: nothing left to report to
-                    }
-                }
-            });
-        }
-    });
-    drop(tx);
-
-    let mut slots: Vec<Option<InferenceReport>> = (0..inputs.len()).map(|_| None).collect();
-    let mut per_worker_jobs = vec![0usize; workers];
-    let mut first_err: Option<(usize, DriverError)> = None;
-    for (job, w, result) in rx {
-        per_worker_jobs[w] += 1;
-        match result {
-            Ok(report) => slots[job] = Some(report),
-            Err(e) => {
-                if first_err.as_ref().is_none_or(|(j, _)| job < *j) {
-                    first_err = Some((job, e));
-                }
-            }
-        }
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-
-    let reports = slots.into_iter().map(|s| s.expect("every job reported")).collect();
-    Ok(BatchReport { reports, workers, per_worker_jobs, steals: queues.steals.load(Ordering::Relaxed) })
+    let ResilientBatchReport { items, workers, per_worker_jobs, steals } =
+        run_batch_resilient(driver, qnet, inputs, workers, RetryPolicy::none());
+    let reports = items.into_iter().map(|item| item.result).collect::<Result<_, _>>()?;
+    Ok(BatchReport { reports, workers, per_worker_jobs, steals })
 }
 
-/// Like [`run_batch`], but a failing input poisons only itself: every
-/// input gets up to [`RetryPolicy::max_attempts`] tries (transient errors
-/// only — see [`DriverError::is_transient`]) with exponential backoff,
-/// and the report carries a per-item `Result` instead of aborting on the
-/// first failure. Successful items are bit-identical to a sequential
+/// The batch engine: runs `inputs` through `qnet` on `workers` threads
+/// (0 = auto). A failing input poisons only itself: every input gets up
+/// to [`RetryPolicy::max_attempts`] tries (transient errors only — see
+/// [`DriverError::is_transient`]) with exponential backoff, and the
+/// report carries a per-item `Result` in submission order instead of
+/// aborting. Successful items are bit-identical to a sequential
 /// [`Driver::run_network`] run, regardless of worker count or failures
 /// elsewhere in the batch.
 pub fn run_batch_resilient(
@@ -257,6 +226,8 @@ pub fn run_batch_resilient(
             let tx = tx.clone();
             let queues = &queues;
             scope.spawn(move || {
+                // One scratch arena per worker: host-side buffers warm up on
+                // the first job and are reused for the rest of the batch.
                 let mut scratch = zskip_nn::Scratch::new();
                 while let Some(job) = queues.next(w) {
                     let mut attempts = 0u32;
@@ -269,8 +240,8 @@ pub fn run_batch_resilient(
                                 if attempts >= max_attempts || !e.is_transient() {
                                     break Err(e);
                                 }
-                                backoff_cycles = backoff_cycles
-                                    .saturating_add(policy.base_backoff_cycles << (attempts - 1));
+                                backoff_cycles =
+                                    backoff_cycles.saturating_add(policy.backoff_before_retry(attempts));
                             }
                         }
                     };
@@ -357,16 +328,16 @@ mod tests {
     }
 
     #[test]
-    fn resilient_matches_plain_batch_when_fault_free() {
+    fn resilient_matches_sequential_when_fault_free() {
         let qnet = small_qnet(8);
         let spec_input = qnet.spec.input;
         let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Model);
         let inputs = synthetic_inputs(21, 5, spec_input);
-        let plain = run_batch(&driver, &qnet, &inputs, 2).expect("plain batch");
         let resilient = run_batch_resilient(&driver, &qnet, &inputs, 2, RetryPolicy::default());
         assert_eq!(resilient.succeeded(), 5);
         assert_eq!(resilient.retries(), 0);
-        for (item, want) in resilient.items.iter().zip(&plain.reports) {
+        for (item, input) in resilient.items.iter().zip(&inputs) {
+            let want = driver.run_network(&qnet, input).expect("sequential run");
             let got = item.result.as_ref().expect("fault-free item succeeds");
             assert_eq!(got.output, want.output);
             assert_eq!(item.attempts, 1);
@@ -464,6 +435,67 @@ mod tests {
             policy.max_attempts as usize,
             "one injection per attempt"
         );
+    }
+
+    #[test]
+    fn backoff_saturates_instead_of_overflowing_the_shift() {
+        use zskip_fault::{FaultKind, FaultPlan};
+        let qnet = small_qnet(8);
+        let inputs = synthetic_inputs(43, 1, qnet.spec.input);
+        let cfg = AccelConfig::for_variant(Variant::U256Opt);
+
+        // 80 attempts against a site that stays hot for all of them: the
+        // charge before retry 65 would shift a u64 by 64.
+        let policy = RetryPolicy { max_attempts: 80, base_backoff_cycles: 3 };
+        let mut plan = FaultPlan::new();
+        for _ in 0..policy.max_attempts {
+            plan = plan.inject("dma:xfer", 0, FaultKind::DmaCorrupt { xor: 0x40 });
+        }
+        let driver = Driver::builder(cfg).fault_plan(plan.shared()).build().expect("valid config");
+        let report = run_batch_resilient(&driver, &qnet, &inputs, 1, policy);
+
+        let item = &report.items[0];
+        assert_eq!(item.attempts, 80, "every attempt trips the hot site");
+        assert!(item.result.is_err());
+        assert_eq!(item.backoff_cycles, u64::MAX, "the charge saturates");
+        // Below the overflow point the charge is still the exact doubling,
+        // and a large base saturates rather than losing its high bits.
+        assert_eq!(policy.backoff_before_retry(1), 3);
+        assert_eq!(policy.backoff_before_retry(5), 3 << 4);
+        let wide = RetryPolicy { max_attempts: 3, base_backoff_cycles: u64::MAX / 2 + 1 };
+        assert_eq!(wide.backoff_before_retry(2), u64::MAX);
+        assert_eq!(RetryPolicy::none().backoff_before_retry(80), 0, "zero base stays free");
+    }
+
+    #[test]
+    fn run_batch_returns_the_lowest_index_error() {
+        use zskip_hls::AccelArch;
+        let qnet = small_qnet(8);
+        // Banks sized for the 8x8 spec input. A wider image overflows them
+        // in the first pad pass, and the `needed` word count of the
+        // resulting LayerTooLarge grows with the width — so inputs 1 and 3
+        // fail with distinguishable errors while 0 and 2 succeed.
+        let cfg = AccelConfig::from_arch(
+            &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 64 },
+            100.0,
+        );
+        let driver = driver(cfg, BackendKind::Model);
+        let good = synthetic_inputs(9, 2, qnet.spec.input);
+        let inputs = vec![
+            good[0].clone(),
+            Tensor::zeros(2, 8, 800),
+            good[1].clone(),
+            Tensor::zeros(2, 8, 1600),
+        ];
+        let first = driver.run_network(&qnet, &inputs[1]).expect_err("input 1 overflows the banks");
+        let later = driver.run_network(&qnet, &inputs[3]).expect_err("input 3 overflows the banks");
+        assert_ne!(first, later, "the two failures must be distinguishable");
+        driver.run_network(&qnet, &inputs[0]).expect("input 0 fits");
+
+        for workers in [1, 4] {
+            let err = run_batch(&driver, &qnet, &inputs, workers).expect_err("two inputs fail");
+            assert_eq!(err, first, "workers {workers}: lowest failing index wins");
+        }
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub fn run_instructions(
         Feed::Preloaded(instructions.to_vec()),
         max_cycles,
         None,
-        false,
         None,
         SchedMode::EventDriven,
         None,
@@ -98,41 +97,8 @@ pub fn run_instructions_dense(
         Feed::Preloaded(instructions.to_vec()),
         max_cycles,
         None,
-        false,
         None,
         SchedMode::Dense,
-        None,
-    )?;
-    Ok(outcome)
-}
-
-/// Like [`run_instructions`], with a [`zskip_fault::FaultPlan`] attached
-/// to the engine: `fifo:<name>:push` / `fifo:<name>:pop` injections stall
-/// the named FIFO port at their trigger cycle. All other behaviour is
-/// identical, and passing a plan with no `fifo:` injections is exactly
-/// [`run_instructions`].
-///
-/// # Errors
-/// See [`run_instructions`]; an injected permanent stall surfaces as
-/// [`SimError::Deadlock`] naming the wedged FIFO.
-pub fn run_instructions_with_faults(
-    config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
-    instructions: &[Instruction],
-    max_cycles: u64,
-    plan: SharedFaultPlan,
-) -> Result<CycleOutcome, SimError> {
-    let (outcome, _) = run_instructions_inner(
-        config,
-        banks,
-        scratchpad,
-        Feed::Preloaded(instructions.to_vec()),
-        max_cycles,
-        None,
-        false,
-        Some(plan),
-        SchedMode::EventDriven,
         None,
     )?;
     Ok(outcome)
@@ -165,42 +131,9 @@ pub fn run_instructions_configured(
         Feed::Preloaded(instructions.to_vec()),
         max_cycles,
         None,
-        false,
         plan,
         SchedMode::EventDriven,
         park_hysteresis,
-    )?;
-    Ok(outcome)
-}
-
-/// [`run_instructions_dense`] with the engine's idle-cycle fast-forward
-/// enabled. The accelerator's datapath pipelines work every cycle of a
-/// pass, so whole-design quiescent stretches are rare and this is
-/// bit-identical to the dense run by construction — a property test pins
-/// that. Designs embedding the accelerator alongside sleepy host-side
-/// kernels get the skipping for free. For the accelerator alone, the
-/// event-driven [`run_instructions`] is the faster path.
-///
-/// # Errors
-/// See [`run_instructions`].
-pub fn run_instructions_fast(
-    config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
-    instructions: &[Instruction],
-    max_cycles: u64,
-) -> Result<CycleOutcome, SimError> {
-    let (outcome, _) = run_instructions_inner(
-        config,
-        banks,
-        scratchpad,
-        Feed::Preloaded(instructions.to_vec()),
-        max_cycles,
-        None,
-        true,
-        None,
-        SchedMode::Dense,
-        None,
     )?;
     Ok(outcome)
 }
@@ -225,7 +158,6 @@ pub fn run_instructions_traced(
         Feed::Preloaded(instructions.to_vec()),
         max_cycles,
         Some(trace_cycles),
-        false,
         None,
         SchedMode::EventDriven,
         None,
@@ -256,7 +188,6 @@ pub fn run_hosted(
         Feed::Hosted(host),
         max_cycles,
         None,
-        false,
         None,
         SchedMode::EventDriven,
         None,
@@ -282,7 +213,6 @@ pub fn run_hosted_dense(
         Feed::Hosted(host),
         max_cycles,
         None,
-        false,
         None,
         SchedMode::Dense,
         None,
@@ -307,7 +237,6 @@ fn run_instructions_inner(
     feed: Feed,
     max_cycles: u64,
     trace_cycles: Option<usize>,
-    fast_forward: bool,
     fault_plan: Option<SharedFaultPlan>,
     sched: SchedMode,
     park_hysteresis: Option<u32>,
@@ -324,9 +253,6 @@ fn run_instructions_inner(
     }
     if let Some(capacity) = trace_cycles {
         engine.enable_trace(capacity);
-    }
-    if fast_forward {
-        engine.enable_fast_forward();
     }
     if let Some(plan) = fault_plan {
         engine.set_fault_plan(plan);

@@ -190,8 +190,8 @@ pub struct DriverBuilder {
 }
 
 impl DriverBuilder {
-    /// Starts a builder from a configuration, with the defaults of the
-    /// legacy `Driver::new` (model backend, functional, zero-skipping on).
+    /// Starts a builder from a configuration, with the defaults: model
+    /// backend, functional, zero-skipping on.
     pub fn new(config: AccelConfig) -> DriverBuilder {
         DriverBuilder {
             config,
@@ -369,36 +369,6 @@ impl DriverBuilder {
 }
 
 impl Driver {
-    /// Creates a driver with the default flags, panicking on an invalid
-    /// configuration. Kept as a compatibility shim: it routes through
-    /// [`Driver::builder`], which is the supported construction path and
-    /// returns a structured [`DriverError::InvalidConfig`] instead of
-    /// panicking (see docs/ARCHITECTURE.md for the deprecation policy).
-    ///
-    /// # Panics
-    /// On an invalid configuration (see [`DriverBuilder::build`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Driver::builder(config).backend(backend).build() and handle the error"
-    )]
-    pub fn new(config: AccelConfig, backend: BackendKind) -> Driver {
-        Driver::builder(config).backend(backend).build().expect("invalid driver configuration")
-    }
-
-    /// A driver that reports throughput only (no arithmetic), panicking
-    /// on an invalid configuration. Kept as a compatibility shim; use
-    /// `Driver::builder(config).functional(false).build()`.
-    ///
-    /// # Panics
-    /// On an invalid configuration (see [`DriverBuilder::build`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Driver::builder(config).functional(false).build() and handle the error"
-    )]
-    pub fn stats_only(config: AccelConfig) -> Driver {
-        Driver::builder(config).functional(false).build().expect("invalid driver configuration")
-    }
-
     /// Starts a validating [`DriverBuilder`] for this configuration.
     pub fn builder(config: AccelConfig) -> DriverBuilder {
         DriverBuilder::new(config)

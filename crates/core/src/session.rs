@@ -296,10 +296,11 @@ impl Session {
     }
 
     /// Runs a batch on the work-stealing pool with this session's worker
-    /// count, failing fast on the first error.
+    /// count. Every input runs; the batch succeeds only if all of them do.
     ///
     /// # Errors
-    /// See [`run_batch`].
+    /// The failing input's error — the lowest-index one when several
+    /// fail (see [`run_batch`]).
     pub fn run_batch(
         &self,
         qnet: &QuantizedNetwork,
@@ -402,20 +403,17 @@ pub(crate) mod tests {
         }
     }
 
-    // Migrated from the driver's deprecated-shim tests: the builder is
-    // the only sanctioned construction path (nothing in-repo calls the
-    // deprecated `Driver::new`/`Driver::stats_only` anymore), so what
-    // those tests pinned — the legacy defaults and structured rejection
-    // of invalid configurations — is asserted on `SessionBuilder` here.
+    // The builder is the only construction path, so the defaults and the
+    // structured rejection of invalid configurations are pinned here.
     #[test]
     fn builder_provides_the_legacy_driver_defaults() {
         let session = Session::builder(config()).backend(BackendKind::Cycle).build().unwrap();
         assert_eq!(session.driver().backend, BackendKind::Cycle);
-        assert!(session.driver().functional, "legacy Driver::new default");
-        assert!(session.driver().zero_skipping, "legacy Driver::new default");
+        assert!(session.driver().functional, "functional by default");
+        assert!(session.driver().zero_skipping, "zero-skipping by default");
 
         let stats = Session::builder(config()).functional(false).build().unwrap();
-        assert!(!stats.driver().functional, "the Driver::stats_only shape");
+        assert!(!stats.driver().functional, "the stats-only shape");
         assert!(stats.driver().zero_skipping);
     }
 

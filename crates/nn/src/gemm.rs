@@ -4,31 +4,26 @@
 //! [`crate::conv`]. To guard the guard, this module computes the same
 //! layers by the classic lowering — unroll input patches into a matrix
 //! (im2col) and multiply by the filter matrix — sharing *no* loop
-//! structure with the direct path. Property tests pin the two
-//! implementations together, so an indexing bug in either is caught by
-//! the other.
+//! structure with the direct path. Property tests pin both against the
+//! scalar dense scan [`crate::conv::conv2d_quant_dense`], so an indexing
+//! bug in either is caught by the oracle.
 //!
-//! The GEMMs are register-tiled and cache-blocked: a `4x4` micro-kernel
-//! holds sixteen accumulators in registers and streams the im2col matrix
-//! through fixed-size array windows (eliding per-element bounds checks).
-//! Bit-exactness with the naive triple loop is preserved by construction —
-//! every output element owns a single accumulator that walks the reduction
-//! dimension in ascending order, so the float rounding sequence is
-//! identical; the `_naive` variants stay as property-test baselines.
+//! There is one GEMM body, `gemm_quant_channel`: per output channel, an
+//! `i32` column-accumulator panel is updated one reduction row at a time
+//! by [`crate::simd::axpy_i32`] at the caller's [`KernelTier`] (the scalar
+//! tier runs the same body with the portable `axpy`). The two entry
+//! points differ only in who walks the channels: the calling thread
+//! ([`conv2d_gemm_quant_tier`]) or an intra-image worker pool
+//! ([`conv2d_gemm_quant_pool`]).
 
-use crate::conv::{ConvWeights, QuantConvWeights};
+use crate::conv::QuantConvWeights;
 use crate::par::{ConvPool, SendPtr};
 use crate::simd::{self, KernelTier, GEMM_I32_CHUNK_ROWS};
 use zskip_quant::Sm8;
 use zskip_tensor::{Shape, Tensor};
 
-/// Micro-kernel tile: MR output channels x NR output positions.
-const MR: usize = 4;
-const NR: usize = 4;
-
 /// Lowers input patches to a `(c * k * k) x (out_h * out_w)` matrix in
-/// row-major order (one column per output position). Generic over the
-/// element type — the float and quantized paths share this single routine.
+/// row-major order (one column per output position).
 pub fn im2col<T: Copy + Default>(
     input: &Tensor<T>,
     k: usize,
@@ -60,11 +55,6 @@ pub fn im2col<T: Copy + Default>(
     (m, Shape::new(rows, out_h, out_w))
 }
 
-/// Float im2col (kept for API compatibility; forwards to [`im2col`]).
-pub fn im2col_f32(input: &Tensor<f32>, k: usize, stride: usize, pad: usize) -> (Vec<f32>, Shape) {
-    im2col(input, k, stride, pad, 0.0)
-}
-
 /// Whether this conv geometry makes im2col the identity: a 1x1 stride-1
 /// unpadded (pointwise) convolution's patch matrix *is* the input
 /// activation, channel-major — one row per input channel, one column per
@@ -76,15 +66,14 @@ pub fn pointwise_is_identity(k: usize, stride: usize, pad: usize) -> bool {
 }
 
 /// Lowers patches for the quantized GEMM, borrowing the input directly
-/// when [`pointwise_is_identity`] holds (and `force_im2col` is off).
+/// when [`pointwise_is_identity`] holds.
 fn lower_patches<'a>(
     input: &'a Tensor<Sm8>,
     k: usize,
     stride: usize,
     pad: usize,
-    force_im2col: bool,
 ) -> (std::borrow::Cow<'a, [Sm8]>, Shape) {
-    if pointwise_is_identity(k, stride, pad) && !force_im2col {
+    if pointwise_is_identity(k, stride, pad) {
         let s = input.shape();
         return (std::borrow::Cow::Borrowed(input.as_slice()), Shape::new(s.c, s.h, s.w));
     }
@@ -92,135 +81,16 @@ fn lower_patches<'a>(
     (std::borrow::Cow::Owned(m), shape)
 }
 
-/// Float convolution via im2col + blocked GEMM (`out = W x patches + bias`).
-pub fn conv2d_gemm_f32(
-    input: &Tensor<f32>,
-    weights: &ConvWeights,
-    stride: usize,
-    pad: usize,
-    relu: bool,
-) -> Tensor<f32> {
-    let (m, mshape) = im2col(input, weights.k, stride, pad, 0.0);
-    let cols = mshape.h * mshape.w;
-    let rows = mshape.c;
-    let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
-    let out_slice = out.as_mut_slice();
-    let w = &weights.w[..];
-
-    let mut ob = 0;
-    while ob < weights.out_c {
-        if weights.out_c - ob >= MR {
-            // Four filter rows, resolved to slices once per block.
-            let w0 = &w[ob * rows..(ob + 1) * rows];
-            let w1 = &w[(ob + 1) * rows..(ob + 2) * rows];
-            let w2 = &w[(ob + 2) * rows..(ob + 3) * rows];
-            let w3 = &w[(ob + 3) * rows..(ob + 4) * rows];
-            let bias = [
-                weights.bias[ob],
-                weights.bias[ob + 1],
-                weights.bias[ob + 2],
-                weights.bias[ob + 3],
-            ];
-            let mut jb = 0;
-            while jb + NR <= cols {
-                // 4x4 register tile; each accumulator walks r in order, so
-                // the rounding sequence matches the naive loop exactly.
-                let mut acc = [[0f32; NR]; MR];
-                for (mi, a) in acc.iter_mut().enumerate() {
-                    *a = [bias[mi]; NR];
-                }
-                for r in 0..rows {
-                    let mbase = r * cols + jb;
-                    let mr: [f32; NR] = m[mbase..mbase + NR].try_into().expect("NR window");
-                    let wv = [w0[r], w1[r], w2[r], w3[r]];
-                    for (acc_row, &wvm) in acc.iter_mut().zip(&wv) {
-                        for (a, &mv) in acc_row.iter_mut().zip(&mr) {
-                            *a += wvm * mv;
-                        }
-                    }
-                }
-                for (mi, acc_row) in acc.iter().enumerate() {
-                    let obase = (ob + mi) * cols + jb;
-                    for (ni, &v) in acc_row.iter().enumerate() {
-                        out_slice[obase + ni] = if relu { v.max(0.0) } else { v };
-                    }
-                }
-                jb += NR;
-            }
-            // Column remainder: scalar, same reduction order.
-            for o in ob..ob + MR {
-                let wrow = &w[o * rows..(o + 1) * rows];
-                for j in jb..cols {
-                    let mut acc = weights.bias[o];
-                    for (r, &wv) in wrow.iter().enumerate() {
-                        acc += wv * m[r * cols + j];
-                    }
-                    out_slice[o * cols + j] = if relu { acc.max(0.0) } else { acc };
-                }
-            }
-            ob += MR;
-        } else {
-            // Output-channel remainder: scalar rows.
-            let wrow = &w[ob * rows..(ob + 1) * rows];
-            for j in 0..cols {
-                let mut acc = weights.bias[ob];
-                for (r, &wv) in wrow.iter().enumerate() {
-                    acc += wv * m[r * cols + j];
-                }
-                out_slice[ob * cols + j] = if relu { acc.max(0.0) } else { acc };
-            }
-            ob += 1;
-        }
-    }
-    out
-}
-
-/// The original naive triple loop, kept as the property-test baseline for
-/// the blocked kernel.
-pub fn conv2d_gemm_f32_naive(
-    input: &Tensor<f32>,
-    weights: &ConvWeights,
-    stride: usize,
-    pad: usize,
-    relu: bool,
-) -> Tensor<f32> {
-    let (m, mshape) = im2col(input, weights.k, stride, pad, 0.0);
-    let cols = mshape.h * mshape.w;
-    let rows = mshape.c;
-    let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
-    for o in 0..weights.out_c {
-        let wrow = &weights.w[o * rows..(o + 1) * rows];
-        for j in 0..cols {
-            let mut acc = weights.bias[o];
-            for (r, &wv) in wrow.iter().enumerate() {
-                acc += wv * m[r * cols + j];
-            }
-            out.as_mut_slice()[o * cols + j] = if relu { acc.max(0.0) } else { acc };
-        }
-    }
-    out
-}
-
-/// Integer-exact quantized convolution via im2col + blocked GEMM; must
-/// agree bit-for-bit with [`crate::conv::conv2d_quant`]. Dispatches to the
-/// SIMD row-panel kernel when the runtime tier selection
-/// ([`crate::simd::dispatch`]) is wider than scalar.
-pub fn conv2d_gemm_quant(input: &Tensor<Sm8>, weights: &QuantConvWeights, stride: usize, pad: usize) -> Tensor<Sm8> {
-    conv2d_gemm_quant_tier(input, weights, stride, pad, simd::dispatch())
-}
-
-/// [`conv2d_gemm_quant`] with an explicit kernel tier.
+/// Integer-exact quantized convolution via im2col + row-panel GEMM on
+/// the calling thread, at an explicit kernel tier; must agree bit-for-bit
+/// with [`crate::conv::conv2d_quant_dense`].
 ///
-/// * [`KernelTier::Scalar`] runs the register-tiled `4x4` micro-kernel
-///   below — the bit-exactness oracle.
-/// * SIMD tiers run a row-panel kernel: per output channel, an `i32`
-///   column-accumulator panel is updated one reduction row at a time by
-///   [`crate::simd::axpy_i32`] (skipping zero weights — the software analogue
-///   of the hardware's zero-weight skip), flushed into `i64` every
-///   [`GEMM_I32_CHUNK_ROWS`] rows so no `i32` lane can overflow.
-///
-/// Integer accumulation is order-independent, so all tiers are
-/// bit-identical (pinned by property test).
+/// Per output channel, an `i32` column-accumulator panel is updated one
+/// reduction row at a time by [`crate::simd::axpy_i32`] (skipping zero
+/// weights — the software analogue of the hardware's zero-weight skip),
+/// flushed into `i64` every [`GEMM_I32_CHUNK_ROWS`] rows so no `i32` lane
+/// can overflow. Integer accumulation is order-independent, so all tiers
+/// are bit-identical (pinned by property test).
 pub fn conv2d_gemm_quant_tier(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -228,36 +98,7 @@ pub fn conv2d_gemm_quant_tier(
     pad: usize,
     tier: KernelTier,
 ) -> Tensor<Sm8> {
-    conv2d_gemm_quant_tier_impl(input, weights, stride, pad, tier, false)
-}
-
-/// [`conv2d_gemm_quant_tier`] with the pointwise fast path disabled: the
-/// im2col matrix is always materialized, even for geometries where
-/// [`pointwise_is_identity`] holds and the lowering is a pure copy. Kept
-/// as the baseline `kernel_bench`'s `resnet_block` section measures the
-/// 1x1 fast path against; results are bit-identical by construction.
-pub fn conv2d_gemm_quant_tier_generic(
-    input: &Tensor<Sm8>,
-    weights: &QuantConvWeights,
-    stride: usize,
-    pad: usize,
-    tier: KernelTier,
-) -> Tensor<Sm8> {
-    conv2d_gemm_quant_tier_impl(input, weights, stride, pad, tier, true)
-}
-
-fn conv2d_gemm_quant_tier_impl(
-    input: &Tensor<Sm8>,
-    weights: &QuantConvWeights,
-    stride: usize,
-    pad: usize,
-    tier: KernelTier,
-    force_im2col: bool,
-) -> Tensor<Sm8> {
-    if tier == KernelTier::Scalar {
-        return conv2d_gemm_quant_blocked(input, weights, stride, pad, force_im2col);
-    }
-    let (m, mshape) = lower_patches(input, weights.k, stride, pad, force_im2col);
+    let (m, mshape) = lower_patches(input, weights.k, stride, pad);
     let cols = mshape.h * mshape.w;
     let rows = mshape.c;
     let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
@@ -271,7 +112,7 @@ fn conv2d_gemm_quant_tier_impl(
     out
 }
 
-/// One output channel of the SIMD row-panel quantized GEMM: the shared
+/// One output channel of the row-panel quantized GEMM: the shared
 /// body of [`conv2d_gemm_quant_tier`] and [`conv2d_gemm_quant_pool`]. Each
 /// channel owns its accumulator panel and walks the reduction rows in
 /// ascending order, so the channel's result is independent of which thread
@@ -322,9 +163,7 @@ fn gemm_quant_channel(
 /// range and runs `gemm_quant_channel` per channel with its own
 /// accumulator panels. Bit-identical to the single-threaded row-panel
 /// kernel at any worker count (channels are computed by the same body in
-/// the same reduction order — only the executing thread varies). The
-/// scalar tier uses the row-panel body too (not the blocked micro-kernel);
-/// integer accumulation keeps that bit-exact as well.
+/// the same reduction order — only the executing thread varies).
 pub fn conv2d_gemm_quant_pool(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -333,7 +172,7 @@ pub fn conv2d_gemm_quant_pool(
     tier: KernelTier,
     pool: &ConvPool,
 ) -> Tensor<Sm8> {
-    let (m, mshape) = lower_patches(input, weights.k, stride, pad, false);
+    let (m, mshape) = lower_patches(input, weights.k, stride, pad);
     let cols = mshape.h * mshape.w;
     let rows = mshape.c;
     let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
@@ -360,133 +199,12 @@ pub fn conv2d_gemm_quant_pool(
     out
 }
 
-/// The register-tiled scalar GEMM (the [`KernelTier::Scalar`] body).
-fn conv2d_gemm_quant_blocked(
-    input: &Tensor<Sm8>,
-    weights: &QuantConvWeights,
-    stride: usize,
-    pad: usize,
-    force_im2col: bool,
-) -> Tensor<Sm8> {
-    let (m, mshape) = lower_patches(input, weights.k, stride, pad, force_im2col);
-    let cols = mshape.h * mshape.w;
-    let rows = mshape.c;
-    let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
-    let out_slice = out.as_mut_slice();
-    let w = &weights.w[..];
-    let epilogue = |acc: i64| {
-        if weights.relu {
-            weights.requant.apply_relu(acc)
-        } else {
-            weights.requant.apply(acc)
-        }
-    };
-
-    let mut ob = 0;
-    while ob < weights.out_c {
-        if weights.out_c - ob >= MR {
-            let w0 = &w[ob * rows..(ob + 1) * rows];
-            let w1 = &w[(ob + 1) * rows..(ob + 2) * rows];
-            let w2 = &w[(ob + 2) * rows..(ob + 3) * rows];
-            let w3 = &w[(ob + 3) * rows..(ob + 4) * rows];
-            let bias = [
-                weights.bias_acc[ob],
-                weights.bias_acc[ob + 1],
-                weights.bias_acc[ob + 2],
-                weights.bias_acc[ob + 3],
-            ];
-            let mut jb = 0;
-            while jb + NR <= cols {
-                let mut acc = [[0i64; NR]; MR];
-                for (mi, a) in acc.iter_mut().enumerate() {
-                    *a = [bias[mi]; NR];
-                }
-                for r in 0..rows {
-                    let mbase = r * cols + jb;
-                    let mr: [Sm8; NR] = m[mbase..mbase + NR].try_into().expect("NR window");
-                    let wv = [w0[r], w1[r], w2[r], w3[r]];
-                    for (acc_row, &wvm) in acc.iter_mut().zip(&wv) {
-                        for (a, &mv) in acc_row.iter_mut().zip(&mr) {
-                            *a += wvm.mul_exact(mv) as i64;
-                        }
-                    }
-                }
-                for (mi, acc_row) in acc.iter().enumerate() {
-                    let obase = (ob + mi) * cols + jb;
-                    for (ni, &v) in acc_row.iter().enumerate() {
-                        out_slice[obase + ni] = epilogue(v);
-                    }
-                }
-                jb += NR;
-            }
-            for o in ob..ob + MR {
-                let wrow = &w[o * rows..(o + 1) * rows];
-                for j in jb..cols {
-                    let mut acc: i64 = weights.bias_acc[o];
-                    for (r, &wv) in wrow.iter().enumerate() {
-                        acc += wv.mul_exact(m[r * cols + j]) as i64;
-                    }
-                    out_slice[o * cols + j] = epilogue(acc);
-                }
-            }
-            ob += MR;
-        } else {
-            let wrow = &w[ob * rows..(ob + 1) * rows];
-            for j in 0..cols {
-                let mut acc: i64 = weights.bias_acc[ob];
-                for (r, &wv) in wrow.iter().enumerate() {
-                    acc += wv.mul_exact(m[r * cols + j]) as i64;
-                }
-                out_slice[ob * cols + j] = epilogue(acc);
-            }
-            ob += 1;
-        }
-    }
-    out
-}
-
-/// The original naive quantized GEMM, kept as the property-test baseline.
-pub fn conv2d_gemm_quant_naive(
-    input: &Tensor<Sm8>,
-    weights: &QuantConvWeights,
-    stride: usize,
-    pad: usize,
-) -> Tensor<Sm8> {
-    let (m, mshape) = im2col(input, weights.k, stride, pad, Sm8::ZERO);
-    let cols = mshape.h * mshape.w;
-    let rows = mshape.c;
-    let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
-    for o in 0..weights.out_c {
-        let wrow = &weights.w[o * rows..(o + 1) * rows];
-        for j in 0..cols {
-            let mut acc: i64 = weights.bias_acc[o];
-            for (r, &wv) in wrow.iter().enumerate() {
-                acc += wv.mul_exact(m[r * cols + j]) as i64;
-            }
-            out.as_mut_slice()[o * cols + j] =
-                if weights.relu { weights.requant.apply_relu(acc) } else { weights.requant.apply(acc) };
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{conv2d_f32, conv2d_quant};
+    use crate::conv::{conv2d_quant, conv2d_quant_dense};
     use proptest::prelude::*;
     use zskip_quant::Requantizer;
-
-    fn float_weights(out_c: usize, in_c: usize, k: usize, seed: u64) -> ConvWeights {
-        let mut w = ConvWeights::zeros(out_c, in_c, k);
-        for (i, v) in w.w.iter_mut().enumerate() {
-            *v = (((i as u64).wrapping_mul(seed | 1) >> 7) % 200) as f32 / 100.0 - 1.0;
-        }
-        for (i, b) in w.bias.iter_mut().enumerate() {
-            *b = i as f32 * 0.1 - 0.2;
-        }
-        w
-    }
 
     fn quant_weights(out_c: usize, in_c: usize, k: usize, seed: u64) -> QuantConvWeights {
         QuantConvWeights::new(
@@ -506,23 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn gemm_matches_direct_float() {
-        let w = float_weights(4, 3, 3, 17);
-        let input = Tensor::from_fn(3, 7, 9, |c, y, x| ((c * 63 + y * 9 + x) as f32 * 0.11).sin());
-        for (stride, pad, relu) in [(1, 1, true), (1, 0, false), (2, 1, false)] {
-            let a = conv2d_f32(&input, &w, stride, pad, relu);
-            let b = conv2d_gemm_f32(&input, &w, stride, pad, relu);
-            assert_eq!(a.shape(), b.shape());
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert!((x - y).abs() < 1e-4, "{x} vs {y} (stride {stride} pad {pad})");
-            }
-        }
-    }
-
-    #[test]
     fn im2col_shape_and_patch_content() {
         let input = Tensor::from_fn(2, 4, 4, |c, y, x| (c * 16 + y * 4 + x) as f32);
-        let (m, shape) = im2col_f32(&input, 3, 1, 1);
+        let (m, shape) = im2col(&input, 3, 1, 1, 0.0);
         assert_eq!(shape, Shape::new(2 * 9, 4, 4));
         let cols = 16;
         // Center kernel tap of channel 0 at output (1,1) is input (1,1).
@@ -530,15 +234,6 @@ mod tests {
         assert_eq!(m[row * cols + 5], input[(0, 1, 1)]);
         // Top-left tap at output (0,0) is padding.
         assert_eq!(m[0], 0.0);
-    }
-
-    #[test]
-    fn generic_im2col_matches_float_path() {
-        let input = Tensor::from_fn(2, 5, 6, |c, y, x| (c * 30 + y * 6 + x) as f32 * 0.5 - 7.0);
-        let (a, ashape) = im2col_f32(&input, 3, 2, 1);
-        let (b, bshape) = im2col(&input, 3, 2, 1, 0.0f32);
-        assert_eq!(ashape, bshape);
-        assert_eq!(a, b);
     }
 
     proptest! {
@@ -559,42 +254,15 @@ mod tests {
                 Sm8::from_i32_saturating((((c * 131 + y * 17 + x * 3) as u64 ^ seed) % 255) as i32 - 127)
             });
             let direct = conv2d_quant(&input, &qw, 1, pad);
-            let gemm = conv2d_gemm_quant(&input, &qw, 1, pad);
+            let gemm = conv2d_gemm_quant_tier(&input, &qw, 1, pad, simd::dispatch());
             prop_assert_eq!(direct, gemm);
         }
 
-        // Blocked vs. naive, FLOAT: exact f32 equality. The blocked kernel
-        // must preserve the naive accumulation order per output element.
+        // Every reachable tier (scalar included — it runs the same
+        // row-panel body) vs. the independent dense scan: exact.
         #[test]
-        fn blocked_f32_gemm_is_bit_exact_vs_naive(
-            out_c in 1usize..10, // crosses the MR=4 boundary and remainders
-            in_c in 1usize..4,
-            h in 3usize..10,
-            w in 3usize..10,
-            k in 1usize..4,
-            pad in 0usize..2,
-            stride in 1usize..3,
-            seed in 0u64..500,
-        ) {
-            prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
-            let cw = float_weights(out_c, in_c, k, seed | 1);
-            let input = Tensor::from_fn(in_c, h, w, |c, y, x| {
-                (((c * 67 + y * 13 + x * 5) as u64 ^ seed) % 199) as f32 * 0.013 - 1.2
-            });
-            let relu = seed % 2 == 0;
-            let naive = conv2d_gemm_f32_naive(&input, &cw, stride, pad, relu);
-            let blocked = conv2d_gemm_f32(&input, &cw, stride, pad, relu);
-            prop_assert_eq!(naive.shape(), blocked.shape());
-            // Bit-exact: compare raw bits, not approximate equality.
-            for (a, b) in naive.as_slice().iter().zip(blocked.as_slice()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        // Every reachable SIMD tier vs. the scalar blocked kernel: exact.
-        #[test]
-        fn simd_quant_gemm_is_bit_exact_vs_scalar(
-            out_c in 1usize..8,
+        fn quant_gemm_tiers_are_bit_exact_vs_dense_oracle(
+            out_c in 1usize..10,
             in_c in 1usize..4,
             hw in 3usize..10,
             k in 1usize..4,
@@ -607,36 +275,15 @@ mod tests {
             let input = Tensor::from_fn(in_c, hw, hw, |c, y, x| {
                 Sm8::from_i32_saturating((((c * 53 + y * 19 + x * 5) as u64 ^ seed) % 255) as i32 - 127)
             });
-            let scalar = conv2d_gemm_quant_tier(&input, &qw, stride, pad, crate::simd::KernelTier::Scalar);
-            for tier in crate::simd::KernelTier::supported() {
+            let oracle = conv2d_quant_dense(&input, &qw, stride, pad);
+            for tier in KernelTier::supported() {
                 let got = conv2d_gemm_quant_tier(&input, &qw, stride, pad, tier);
-                prop_assert_eq!(&scalar, &got, "tier {}", tier);
+                prop_assert_eq!(&oracle, &got, "tier {}", tier);
             }
         }
 
-        // Blocked vs. naive, QUANT: i64 accumulation is order-exact.
-        #[test]
-        fn blocked_quant_gemm_is_bit_exact_vs_naive(
-            out_c in 1usize..10,
-            in_c in 1usize..4,
-            hw in 3usize..10,
-            k in 1usize..4,
-            pad in 0usize..2,
-            stride in 1usize..3,
-            seed in 0u64..500,
-        ) {
-            prop_assume!(hw + 2 * pad >= k);
-            let qw = quant_weights(out_c, in_c, k, seed);
-            let input = Tensor::from_fn(in_c, hw, hw, |c, y, x| {
-                Sm8::from_i32_saturating((((c * 37 + y * 11 + x * 7) as u64 ^ seed) % 255) as i32 - 127)
-            });
-            let naive = conv2d_gemm_quant_naive(&input, &qw, stride, pad);
-            let blocked = conv2d_gemm_quant(&input, &qw, stride, pad);
-            prop_assert_eq!(naive, blocked);
-        }
-
         // The 1x1 fast path (borrowed input as the patch matrix) vs. the
-        // forced-im2col generic path vs. naive: all bit-identical.
+        // dense scan, which never lowers at all.
         #[test]
         fn pointwise_fast_path_is_bit_exact(
             out_c in 1usize..8,
@@ -648,12 +295,10 @@ mod tests {
             let input = Tensor::from_fn(in_c, hw, hw, |c, y, x| {
                 Sm8::from_i32_saturating((((c * 97 + y * 23 + x * 3) as u64 ^ seed) % 255) as i32 - 127)
             });
-            let naive = conv2d_gemm_quant_naive(&input, &qw, 1, 0);
-            for tier in crate::simd::KernelTier::supported() {
+            let oracle = conv2d_quant_dense(&input, &qw, 1, 0);
+            for tier in KernelTier::supported() {
                 let fast = conv2d_gemm_quant_tier(&input, &qw, 1, 0, tier);
-                let generic = conv2d_gemm_quant_tier_generic(&input, &qw, 1, 0, tier);
-                prop_assert_eq!(&naive, &fast, "fast path, tier {}", tier);
-                prop_assert_eq!(&naive, &generic, "generic path, tier {}", tier);
+                prop_assert_eq!(&oracle, &fast, "fast path, tier {}", tier);
             }
         }
     }
@@ -667,13 +312,12 @@ mod tests {
         assert!(!pointwise_is_identity(1, 2, 0));
         assert!(!pointwise_is_identity(1, 1, 1));
         assert!(!pointwise_is_identity(3, 1, 0));
-        let (m, shape) = lower_patches(&input, 1, 1, 0, false);
+        let (m, shape) = lower_patches(&input, 1, 1, 0);
         assert!(matches!(m, std::borrow::Cow::Borrowed(_)), "1x1 must not copy");
         assert_eq!(shape, Shape::new(3, 4, 5));
         assert_eq!(&m[..], input.as_slice());
-        let (forced, fshape) = lower_patches(&input, 1, 1, 0, true);
-        assert!(matches!(forced, std::borrow::Cow::Owned(_)));
-        assert_eq!(fshape, shape);
-        assert_eq!(&forced[..], input.as_slice());
+        // Any other geometry materializes the patch matrix.
+        let (strided, _) = lower_patches(&input, 1, 2, 0);
+        assert!(matches!(strided, std::borrow::Cow::Owned(_)));
     }
 }

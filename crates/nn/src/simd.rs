@@ -395,24 +395,27 @@ mod x86 {
         super::axpy_i32_scalar(&mut acc[i..], &xs[i..], w);
     }
 
-    /// 8-wide GEMM row update into `i32` accumulators, SSE2-only ops.
+    /// 16-wide GEMM row update into `i32` accumulators, SSE2-only ops.
     #[target_feature(enable = "sse2")]
     pub unsafe fn axpy_i32_sse2(acc: &mut [i32], xs: &[Sm8], w: i32) {
         let n = xs.len();
         let wv = _mm_set1_epi16(w as i16);
         let zero = _mm_setzero_si128();
         let mut i = 0;
-        while i + 8 <= n {
-            let bytes = _mm_loadl_epi64(xs.as_ptr().add(i) as *const __m128i);
-            let prod = _mm_mullo_epi16(decode8_sse2(_mm_unpacklo_epi8(bytes, zero)), wv);
-            let lo = _mm_srai_epi32(_mm_unpacklo_epi16(prod, prod), 16);
-            let hi = _mm_srai_epi32(_mm_unpackhi_epi16(prod, prod), 16);
-            let base = acc.as_mut_ptr().add(i);
-            let a0 = _mm_loadu_si128(base as *const __m128i);
-            _mm_storeu_si128(base as *mut __m128i, _mm_add_epi32(a0, lo));
-            let a1 = _mm_loadu_si128(base.add(4) as *const __m128i);
-            _mm_storeu_si128(base.add(4) as *mut __m128i, _mm_add_epi32(a1, hi));
-            i += 8;
+        while i + 16 <= n {
+            let bytes = _mm_loadu_si128(xs.as_ptr().add(i) as *const __m128i);
+            let halves = [_mm_unpacklo_epi8(bytes, zero), _mm_unpackhi_epi8(bytes, zero)];
+            for (h, b16) in halves.into_iter().enumerate() {
+                let prod = _mm_mullo_epi16(decode8_sse2(b16), wv);
+                let lo = _mm_srai_epi32(_mm_unpacklo_epi16(prod, prod), 16);
+                let hi = _mm_srai_epi32(_mm_unpackhi_epi16(prod, prod), 16);
+                let base = acc.as_mut_ptr().add(i + 8 * h);
+                let a0 = _mm_loadu_si128(base as *const __m128i);
+                _mm_storeu_si128(base as *mut __m128i, _mm_add_epi32(a0, lo));
+                let a1 = _mm_loadu_si128(base.add(4) as *const __m128i);
+                _mm_storeu_si128(base.add(4) as *mut __m128i, _mm_add_epi32(a1, hi));
+            }
+            i += 16;
         }
         super::axpy_i32_scalar(&mut acc[i..], &xs[i..], w);
     }

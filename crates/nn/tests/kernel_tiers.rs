@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use zskip_nn::conv::{conv2d_quant_dense, conv2d_quant_into, conv2d_quant_into_pool, QuantConvWeights};
 use zskip_nn::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier};
 use zskip_nn::par::ConvPool;
-use zskip_nn::simd::KernelTier;
+use zskip_nn::simd::{KernelTier, GEMM_I32_CHUNK_ROWS};
 use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -99,6 +99,26 @@ proptest! {
             let single = conv2d_gemm_quant_tier(&input, &qw, 1, pad, tier);
             prop_assert_eq!(&oracle, &single, "row-panel gemm kernel, tier {}", tier);
         }
+    }
+}
+
+#[test]
+fn gemm_reduction_longer_than_one_i32_chunk_is_bit_exact_on_every_tier() {
+    // Fully dense 3x3 filters over enough input channels that every
+    // output channel accumulates more than GEMM_I32_CHUNK_ROWS non-zero
+    // rows: the mid-reduction i32 -> i64 flush and the trailing partial
+    // flush both run, on the scalar tier too (it shares the row-panel
+    // body), and must lose or double-count nothing.
+    let in_c = GEMM_I32_CHUNK_ROWS / 9 + 10;
+    let qw = synthetic_qw(2, in_c, 3, 1.0, 21, false);
+    let nonzero_rows = qw.w[..in_c * 9].iter().filter(|w| !w.is_zero()).count();
+    assert!(nonzero_rows > GEMM_I32_CHUNK_ROWS, "only {nonzero_rows} non-zero rows");
+    let input = synthetic_input(in_c, 4, 5, 21);
+    let oracle = conv2d_quant_dense(&input, &qw, 1, 0);
+    let pool = ConvPool::new(2);
+    for tier in KernelTier::supported() {
+        assert_eq!(oracle, conv2d_gemm_quant_tier(&input, &qw, 1, 0, tier), "tier {tier}");
+        assert_eq!(oracle, conv2d_gemm_quant_pool(&input, &qw, 1, 0, tier, &pool), "pooled, tier {tier}");
     }
 }
 

@@ -37,10 +37,9 @@ pub enum Progress {
 }
 
 /// How far ahead a kernel's behavior is predictable while its inputs are
-/// unchanged. Drives both idle-cycle fast-forwarding (dense mode) and
-/// parking (event mode): only non-[`Opaque`] kernels may be skipped or
-/// parked, because their contract guarantees the skipped ticks would have
-/// been pure no-ops.
+/// unchanged. Drives parking under the event-driven scheduler: only
+/// non-[`Opaque`] kernels may be parked, because their contract
+/// guarantees the skipped ticks would have been pure no-ops.
 ///
 /// [`Opaque`]: Horizon::Opaque
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,15 +70,16 @@ pub trait Kernel<M> {
     fn tick(&mut self, ctx: &mut Ctx<'_, M>) -> Progress;
 
     /// Declares how far the kernel is predictable during quiescence.
-    /// Defaults to [`Horizon::Opaque`] (never fast-forwarded or parked).
+    /// Defaults to [`Horizon::Opaque`] (never parked).
     fn horizon(&self) -> Horizon {
         Horizon::Opaque
     }
 
-    /// Notifies the kernel that the engine skipped `_skipped` quiescent
-    /// cycles without ticking it, so per-cycle side effects that are
-    /// invariant under quiescence (e.g. committing a shared resource's
-    /// port state) can be replayed in bulk. Default: nothing to replay.
+    /// Notifies the kernel that the event scheduler kept it parked for
+    /// `_skipped` cycles without ticking it, so per-cycle side effects
+    /// that are invariant under quiescence (e.g. committing a shared
+    /// resource's port state) can be replayed in bulk. Default: nothing
+    /// to replay.
     fn fast_forward(&mut self, _skipped: u64) {}
 }
 
@@ -90,7 +90,7 @@ pub trait Observer {
     /// One kernel's progress for one cycle.
     fn record(&mut self, kernel: usize, cycle: u64, progress: Progress);
     /// One kernel's progress for `n` consecutive cycles starting at
-    /// `cycle` (fast-forwarded or parked stretches).
+    /// `cycle` (parked stretches and trailing done cycles).
     fn record_span(&mut self, kernel: usize, cycle: u64, n: u64, progress: Progress);
 }
 
@@ -342,8 +342,6 @@ pub struct Engine<M> {
     cycle: u64,
     deadlock_window: u64,
     trace: Option<Trace>,
-    fast_forward: bool,
-    skipped: u64,
     fault_plan: Option<SharedFaultPlan>,
     /// `fifo:` injections resolved to indices at run start, pending
     /// application at their trigger cycle.
@@ -542,7 +540,6 @@ impl<M> Default for Engine<M> {
 #[derive(Debug, Default)]
 pub struct EngineBuilder {
     trace_capacity: Option<usize>,
-    fast_forward: bool,
     deadlock_window: Option<u64>,
     fault_plan: Option<SharedFaultPlan>,
     scheduler: SchedMode,
@@ -577,9 +574,8 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl EngineBuilder {
-    /// Starts from the defaults (`Engine::new()` semantics: no trace, no
-    /// fast-forward, dense scheduler, 10 000-cycle deadlock window, no
-    /// fault plan).
+    /// Starts from the defaults (`Engine::new()` semantics: no trace,
+    /// dense scheduler, 10 000-cycle deadlock window, no fault plan).
     pub fn new() -> Self {
         EngineBuilder::default()
     }
@@ -587,13 +583,6 @@ impl EngineBuilder {
     /// Records a waveform trace with a window of `capacity` cycles.
     pub fn trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Enables idle-cycle fast-forwarding (see
-    /// [`Engine::enable_fast_forward`] for the exact semantics).
-    pub fn fast_forward(mut self, enabled: bool) -> Self {
-        self.fast_forward = enabled;
         self
     }
 
@@ -646,7 +635,6 @@ impl EngineBuilder {
         if let Some(capacity) = self.trace_capacity {
             engine.trace = Some(Trace::new(capacity));
         }
-        engine.fast_forward = self.fast_forward;
         if let Some(window) = self.deadlock_window {
             engine.deadlock_window = window;
         }
@@ -780,8 +768,6 @@ impl<M> Engine<M> {
             cycle: 0,
             deadlock_window: 10_000,
             trace: None,
-            fast_forward: false,
-            skipped: 0,
             fault_plan: None,
             armed: Vec::new(),
             sched_mode: SchedMode::Dense,
@@ -793,7 +779,6 @@ impl<M> Engine<M> {
 
     /// Starts a validated builder — the preferred way to configure an
     /// engine. The setter methods ([`enable_trace`](Engine::enable_trace),
-    /// [`enable_fast_forward`](Engine::enable_fast_forward),
     /// [`set_deadlock_window`](Engine::set_deadlock_window)) remain as
     /// compatibility shims.
     pub fn builder() -> EngineBuilder {
@@ -817,29 +802,6 @@ impl<M> Engine<M> {
     /// [`EngineBuilder::scheduler`]).
     pub fn set_scheduler(&mut self, mode: SchedMode) {
         self.sched_mode = mode;
-    }
-
-    /// Enables idle-cycle fast-forwarding under the dense scheduler: when
-    /// a cycle ends with no kernel busy and no FIFO transfer, and every
-    /// unfinished kernel declares a non-[`Horizon::Opaque`] horizon, the
-    /// engine jumps the cycle counter to the next possible event (earliest
-    /// [`Horizon::Sleep`] wake-up, deadlock declaration, or cycle limit)
-    /// and replays the skipped cycles into [`KernelStats`], FIFO
-    /// occupancy statistics and the [`Trace`] — the resulting
-    /// [`RunReport`] is identical to ticking cycle by cycle. Per-FIFO
-    /// *port-poll* counts (push/pop stall attempts) are not accrued over
-    /// skipped cycles, since no tick executes to make the attempt.
-    ///
-    /// The event-driven scheduler subsumes this (it always jumps cycles
-    /// with an empty runnable set), so the flag is ignored there.
-    pub fn enable_fast_forward(&mut self) {
-        self.fast_forward = true;
-    }
-
-    /// Cycles elided so far — by dense fast-forwarding or by event-driven
-    /// empty-runnable jumps (0 when neither applies).
-    pub fn skipped_cycles(&self) -> u64 {
-        self.skipped
     }
 
     /// Scheduler accounting for the most recent runs (all zero under the
@@ -946,17 +908,12 @@ impl<M> Engine<M> {
             self.cycle += 1;
             if any_busy || fifo_activity {
                 last_activity = self.cycle;
-            } else {
-                if self.fast_forward {
-                    self.try_skip(obs, last_activity, max_cycles);
-                }
-                if self.cycle - last_activity > self.deadlock_window {
-                    return Err(SimError::Deadlock {
-                        cycle: self.cycle,
-                        blocked: self.unfinished_names(),
-                        fifos: self.fifo_snapshots(),
-                    });
-                }
+            } else if self.cycle - last_activity > self.deadlock_window {
+                return Err(SimError::Deadlock {
+                    cycle: self.cycle,
+                    blocked: self.unfinished_names(),
+                    fifos: self.fifo_snapshots(),
+                });
             }
         }
         Ok(self.report())
@@ -1073,7 +1030,6 @@ impl<M> Engine<M> {
                 debug_assert!(target > self.cycle);
                 let n = target - self.cycle;
                 self.cycle = target;
-                self.skipped += n;
                 self.sched.idle_jumped += n;
                 if self.cycle - last_activity > self.deadlock_window {
                     self.finalize_event(&ev, obs);
@@ -1282,7 +1238,8 @@ impl<M> Engine<M> {
     /// Wakes kernel `q` so it ticks again at cycle `at`, replaying the
     /// parked stretch (its last [`Progress`], repeated — exactly what the
     /// dense stepper would have observed, by the [`Horizon::Reactive`]
-    /// contract) into stats, trace and the kernel's own fast-forward hook.
+    /// contract) into stats, trace and the kernel's own
+    /// [`Kernel::fast_forward`] hook.
     fn wake_kernel<O: Observer>(&mut self, ev: &mut EvState, obs: &mut O, q: usize, at: u64) {
         if !ev.parked[q] {
             return;
@@ -1447,67 +1404,6 @@ impl<M> Engine<M> {
                     .log_fired(a.site, cycle, FaultKind::FifoStall { cycles: a.cycles });
             }
         }
-    }
-
-    /// Attempts to jump over a quiescent stretch (dense scheduler only).
-    /// Called after a cycle in which nothing was busy and no FIFO moved
-    /// data, so the cycle just observed would repeat verbatim until the
-    /// next event: the earliest [`Horizon::Sleep`] wake-up, the deadlock
-    /// declaration, or the cycle limit. Replays the observed per-kernel
-    /// [`Progress`] and FIFO occupancies over the skipped span so the
-    /// final report is identical to ticking through it.
-    fn try_skip<O: Observer>(&mut self, obs: &mut O, last_activity: u64, max_cycles: u64) {
-        let mut wake = u64::MAX;
-        for slot in &self.kernels {
-            if slot.done {
-                continue;
-            }
-            match slot.kernel.horizon() {
-                Horizon::Opaque => return,
-                Horizon::Reactive => {}
-                Horizon::Sleep(cycle) => wake = wake.min(cycle),
-            }
-        }
-        // Pending fault injections and injected-stall expiries are wake
-        // events too: an armed stall must land on its exact trigger cycle,
-        // and a stalled port starts accepting transfers again the cycle
-        // its counter reaches zero.
-        for a in &self.armed {
-            wake = wake.min(a.at);
-        }
-        for f in &self.fifos {
-            let remaining = f.forced_stall_remaining();
-            if remaining > 0 && remaining != u64::MAX {
-                wake = wake.min(self.cycle.saturating_add(remaining));
-            }
-        }
-        // The deadlock check fires at `last_activity + window + 1`; the
-        // limit check fires at `max_cycles`. Skip to whichever event is
-        // first, never backwards.
-        let deadlock_at = last_activity.saturating_add(self.deadlock_window).saturating_add(1);
-        let target = wake.min(deadlock_at).min(max_cycles).max(self.cycle);
-        let n = target - self.cycle;
-        if n == 0 {
-            return;
-        }
-        for (k, slot) in self.kernels.iter_mut().enumerate() {
-            let progress = if slot.done { Progress::Done } else { slot.last };
-            match progress {
-                Progress::Busy => unreachable!("skip only follows a cycle with no busy kernel"),
-                Progress::Blocked => slot.stats.blocked += n,
-                Progress::Idle => slot.stats.idle += n,
-                Progress::Done => slot.stats.done += n,
-            }
-            obs.record_span(k, self.cycle, n, progress);
-            if !slot.done {
-                slot.kernel.fast_forward(n);
-            }
-        }
-        for f in self.fifos.iter_mut() {
-            f.fast_forward(n);
-        }
-        self.cycle += n;
-        self.skipped += n;
     }
 
     /// Builds the final report.
@@ -1786,108 +1682,6 @@ mod tests {
         }
     }
 
-    fn sparse_design(fast: bool) -> Engine<u32> {
-        let mut e = Engine::new();
-        if fast {
-            e.enable_fast_forward();
-        }
-        let q = e.add_fifo(Fifo::new("q", 2));
-        e.add_kernel(Box::new(SlowSource { out: q, period: 5_000, next_emit: 0, emitted: 0, count: 10 }));
-        e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 10 }));
-        e
-    }
-
-    #[test]
-    fn fast_forward_skips_idle_stretches_with_identical_report() {
-        let mut slow = sparse_design(false);
-        let mut fast = sparse_design(true);
-        // Window must exceed the idle period or the slow run deadlocks.
-        slow.set_deadlock_window(10_000);
-        fast.set_deadlock_window(10_000);
-        let a = slow.run(1_000_000).expect("completes");
-        let b = fast.run(1_000_000).expect("completes");
-        assert_eq!(a, b, "fast-forwarded report must be identical");
-        assert!(a.cycles > 45_000, "ten 5000-cycle periods: {}", a.cycles);
-        assert_eq!(slow.skipped_cycles(), 0);
-        assert!(fast.skipped_cycles() > 40_000, "skipped {}", fast.skipped_cycles());
-    }
-
-    #[test]
-    fn fast_forward_trace_matches_cycle_by_cycle() {
-        let build = |fast: bool| {
-            let mut e: Engine<u32> = Engine::new();
-            e.enable_trace(64);
-            if fast {
-                e.enable_fast_forward();
-            }
-            let q = e.add_fifo(Fifo::new("q", 2));
-            e.add_kernel(Box::new(SlowSource { out: q, period: 13, next_emit: 0, emitted: 0, count: 4 }));
-            e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 4 }));
-            e.set_deadlock_window(100);
-            e.run(10_000).expect("completes");
-            e.trace().expect("tracing on").render(80)
-        };
-        assert_eq!(build(false), build(true));
-    }
-
-    #[test]
-    fn fast_forward_preserves_deadlock_cycle() {
-        let run = |fast: bool| {
-            let mut e: Engine<u32> = Engine::new();
-            if fast {
-                e.enable_fast_forward();
-            }
-            let q = e.add_fifo(Fifo::new("q", 1));
-            e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 1 }));
-            e.set_deadlock_window(5_000);
-            e.run(1_000_000)
-        };
-        let (a, b) = (run(false), run(true));
-        assert!(matches!(a, Err(SimError::Deadlock { .. })));
-        assert_eq!(a, b, "deadlock must be declared at the same cycle");
-    }
-
-    #[test]
-    fn fast_forward_preserves_cycle_limit() {
-        let run = |fast: bool| {
-            let mut e: Engine<u32> = Engine::new();
-            if fast {
-                e.enable_fast_forward();
-            }
-            let q = e.add_fifo(Fifo::new("q", 2));
-            // Sleeps far past the limit: the limit must fire first.
-            e.add_kernel(Box::new(SlowSource { out: q, period: 900_000, next_emit: 0, emitted: 0, count: 5 }));
-            e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 5 }));
-            e.set_deadlock_window(2_000_000);
-            e.run(100_000)
-        };
-        let (a, b) = (run(false), run(true));
-        assert!(matches!(a, Err(SimError::CycleLimit { limit: 100_000, .. })));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn opaque_kernels_suppress_fast_forward() {
-        // Same sparse design, but the sink keeps the default Opaque
-        // horizon: the engine must tick every cycle.
-        struct OpaqueSink(ReactiveSink);
-        impl Kernel<u32> for OpaqueSink {
-            fn name(&self) -> &str {
-                "opaque-sink"
-            }
-            fn tick(&mut self, ctx: &mut Ctx<'_, u32>) -> Progress {
-                self.0.tick(ctx)
-            }
-        }
-        let mut e: Engine<u32> = Engine::new();
-        e.enable_fast_forward();
-        let q = e.add_fifo(Fifo::new("q", 2));
-        e.add_kernel(Box::new(SlowSource { out: q, period: 500, next_emit: 0, emitted: 0, count: 3 }));
-        e.add_kernel(Box::new(OpaqueSink(ReactiveSink { inp: q, expect_next: 0, count: 3 })));
-        e.run(100_000).expect("completes");
-        assert_eq!(e.skipped_cycles(), 0);
-    }
-
     #[test]
     fn builder_validates_config() {
         let bad: Result<Engine<u32>, _> = Engine::<u32>::builder().trace(0).build();
@@ -1895,7 +1689,7 @@ mod tests {
         let bad: Result<Engine<u32>, _> = Engine::<u32>::builder().deadlock_window(0).build();
         assert_eq!(bad.err(), Some(ConfigError::ZeroDeadlockWindow));
         let ok: Result<Engine<u32>, _> =
-            Engine::<u32>::builder().trace(16).fast_forward(true).deadlock_window(500).build();
+            Engine::<u32>::builder().trace(16).deadlock_window(500).build();
         assert!(ok.is_ok());
     }
 
@@ -1943,33 +1737,6 @@ mod tests {
         assert_eq!(wedged.name, "q");
         assert!(wedged.stalled, "the injected stall is the suspect");
         assert!(err.to_string().contains("wedged fifo: q"), "{err}");
-    }
-
-    #[test]
-    fn fast_forward_with_injected_stall_matches_cycle_by_cycle() {
-        use zskip_fault::{FaultKind, FaultPlan};
-        let run = |fast: bool| {
-            let plan = FaultPlan::new()
-                .inject("fifo:q:pop", 4_900, FaultKind::FifoStall { cycles: 300 })
-                .shared();
-            let mut e: Engine<u32> =
-                Engine::<u32>::builder().fast_forward(fast).fault_plan(plan).build().unwrap();
-            let q = e.add_fifo(Fifo::new("q", 2));
-            e.add_kernel(Box::new(SlowSource {
-                out: q,
-                period: 5_000,
-                next_emit: 0,
-                emitted: 0,
-                count: 4,
-            }));
-            e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 4 }));
-            (e.run(1_000_000).expect("completes"), e.skipped_cycles())
-        };
-        let (a, skipped_slow) = run(false);
-        let (b, skipped_fast) = run(true);
-        assert_eq!(a, b, "stall-aware fast-forward must be exact");
-        assert_eq!(skipped_slow, 0);
-        assert!(skipped_fast > 10_000, "skipped {skipped_fast}");
     }
 
     #[test]

@@ -74,13 +74,13 @@ pub struct Fifo<T> {
     /// Injected-fault stall expiry (absolute cycle against `now`): while
     /// `now < until`, the corresponding port refuses transfers (modeling a
     /// wedged upstream/downstream handshake). `u64::MAX` wedges the port
-    /// permanently. Absolute expiries are invariant under both
-    /// fast-forwarding and event-driven cycle jumps.
+    /// permanently. Absolute expiries are invariant under event-driven
+    /// cycle jumps.
     push_stall_until: u64,
     pop_stall_until: u64,
     /// Stall attempts observed this cycle, committed into the `last_*`
     /// pair at [`end_cycle`](Fifo::end_cycle). The committed pair survives
-    /// fast-forwarding and parked-kernel stretches (skipped cycles repeat
+    /// cycle jumps and parked-kernel stretches (skipped cycles repeat
     /// the last executed one verbatim), so deadlock snapshots are
     /// identical with and without skipping.
     push_stalled_this_cycle: bool,
@@ -268,8 +268,8 @@ impl<T> Fifo<T> {
     }
 
     /// Remaining injected-stall cycles across both ports (0 when healthy).
-    /// The engine treats stall expiry as a wake event for fast-forwarding
-    /// and for re-running parked kernels.
+    /// The event scheduler treats stall expiry as a wake event for
+    /// re-running parked kernels.
     pub fn forced_stall_remaining(&self) -> u64 {
         let port = |until: u64, now: u64| {
             if until == u64::MAX {
@@ -282,7 +282,7 @@ impl<T> Fifo<T> {
     }
 
     /// Whether a producer failed to push during the most recently committed
-    /// cycle. Stable across fast-forwarding and parked stretches (skipped
+    /// cycle. Stable across cycle jumps and parked stretches (skipped
     /// cycles replay the last executed one), so deadlock snapshots agree
     /// with cycle-exact runs.
     pub fn last_push_stalled(&self) -> bool {
@@ -293,14 +293,6 @@ impl<T> Fifo<T> {
     /// cycle (see [`last_push_stalled`](Fifo::last_push_stalled)).
     pub fn last_pop_stalled(&self) -> bool {
         self.last_pop_stalled
-    }
-
-    /// Replays `n` quiescent [`end_cycle`](Fifo::end_cycle)s in O(1):
-    /// no ports were used and nothing is staged, so only the occupancy
-    /// statistics advance. Called by the engine when fast-forwarding.
-    pub(crate) fn fast_forward(&mut self, n: u64) {
-        let target = self.now.saturating_add(n);
-        self.sync(target);
     }
 
     /// Activity/stall statistics.

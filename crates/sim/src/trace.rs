@@ -66,8 +66,8 @@ impl Trace {
 
     /// Records kernel `k`'s progress for `n` consecutive cycles starting
     /// at `cycle` — equivalent to `n` [`record`](Trace::record) calls,
-    /// but O(min(n, capacity)). Used by the engine when fast-forwarding
-    /// quiescent stretches.
+    /// but O(min(n, capacity)). Used by the event scheduler to replay
+    /// parked and trailing-done stretches.
     pub fn record_span(&mut self, k: usize, cycle: u64, n: u64, progress: Progress) {
         let row_len = self.rows[k].len();
         if row_len == 0 && k == 0 {

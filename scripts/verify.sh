@@ -4,9 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
+# --workspace: the bench bins the gates below run live in zskip-bench,
+# which a root-package build does not produce.
+cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
+
+# The end-to-end benchmark harness is its own workspace and imports
+# `zskip::` names directly; a deletion that breaks one must fail here,
+# not in the benchmark driver.
+cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 
 # API docs must build warning-free (broken intra-doc links and malformed
 # doc comments fail here, not on docs.rs).
