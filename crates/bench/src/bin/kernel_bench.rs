@@ -17,12 +17,13 @@
 //!   `Driver::run_network_scratch` on the scaled VGG-16 spec, per
 //!   execution backend (model vs cpu). The cpu backend replaces the
 //!   transaction model's per-tile functional sweep with the SIMD `_into`
-//!   kernels, so it must not be slower.
+//!   kernels and replays its memoized statistics on warm images, so it
+//!   must be at least 1.5x faster.
 //! * **Single image**: the cpu backend with the shared packed-weight
 //!   cache and auto worker count against the re-pack-per-image,
 //!   single-threaded baseline (the PR-5 path, selected with
-//!   `weight_cache(false)`). The speedup is the acceptance number: must
-//!   be >= 2x.
+//!   `weight_cache(false)`, which also bypasses the stats-pass memo).
+//!   The speedup is the acceptance number: must be >= 2x.
 //! * **Intra-image threading**: cpu-backend latency at 1/2/4/8 workers
 //!   plus the shared-cache hit/miss counters. Outputs are bit-identical
 //!   at every width (asserted here; property-tested in
@@ -32,8 +33,8 @@
 //!   plus the quantized residual-add cost relative to that conv.
 //!
 //! `--check` exits nonzero if any SIMD tier is slower than scalar on a
-//! reference shape, the steady-state pass allocates, the cpu backend
-//! falls behind the model backend, the single-image speedup is below 2x,
+//! reference shape, the steady-state pass allocates, the cpu backend is
+//! under 1.5x the model backend, the single-image speedup is below 2x,
 //! or the auto-width multithreaded latency regresses past the
 //! single-threaded one — wired into `scripts/verify.sh`.
 //!
@@ -180,7 +181,7 @@ struct CpuBackendResult {
     hw: usize,
     backends: Vec<BackendTiming>,
     /// Cpu images/s over model images/s (the `--check` acceptance
-    /// number: must be >= 1).
+    /// number: must be >= [`CPU_VS_MODEL_FLOOR`]).
     cpu_speedup_vs_model: f64,
 }
 
@@ -491,14 +492,16 @@ fn bench_single_image(
     config: AccelConfig,
 ) -> SingleImageResult {
     // PR-5 path: re-pack weights per image, parse the scratchpad per
-    // instruction, single-threaded conv.
+    // instruction, run the stats pass per image (`weight_cache(false)`
+    // bypasses the memo too), single-threaded conv.
     let baseline = Driver::builder(config)
         .backend(BackendKind::Cpu)
         .weight_cache(false)
         .threads(1)
         .build()
         .expect("valid config");
-    // This PR's path: shared packed-weight cache, auto worker count.
+    // The default path: shared packed-weight cache, memoized stats
+    // pass, auto worker count.
     let optimized =
         Driver::builder(config).backend(BackendKind::Cpu).threads(0).build().expect("valid config");
 
@@ -715,6 +718,12 @@ fn render(bench: &Bench) -> String {
     text
 }
 
+/// `--check` floor on warm cpu-backend throughput over the model
+/// backend's: with the stats pass memoized the cpu backend's steady state
+/// is kernels + layout conversion only, recorded at 2.1-2.5x on the
+/// 2-vCPU reference box (1.74x before the memo).
+const CPU_VS_MODEL_FLOOR: f64 = 1.5;
+
 /// `--check` policy: every SIMD tier must beat scalar on every reference
 /// shape for both kernels, and steady state must not allocate.
 fn check(bench: &Bench) -> Result<(), String> {
@@ -734,9 +743,9 @@ fn check(bench: &Bench) -> Result<(), String> {
             bench.allocs.scratch_steady_per_image
         ));
     }
-    if bench.cpu_backend.cpu_speedup_vs_model < 1.0 {
+    if bench.cpu_backend.cpu_speedup_vs_model < CPU_VS_MODEL_FLOOR {
         return Err(format!(
-            "cpu backend is slower than the model backend's functional sweep ({:.2}x)",
+            "cpu backend is {:.2}x the model backend's functional sweep (need >= {CPU_VS_MODEL_FLOOR}x)",
             bench.cpu_backend.cpu_speedup_vs_model
         ));
     }

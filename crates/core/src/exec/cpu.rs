@@ -7,25 +7,44 @@
 //! the closed-form model's arithmetic switched off — which is exact,
 //! because those statistics are value-independent.
 //!
+//! For the same reason the stats pass is paid **once per (pass, config)**,
+//! not once per image: zero-skipping depends on weights, never on
+//! activations, so everything the pass reports is a pure function of the
+//! layer's weights, its geometry and the accelerator configuration. The
+//! first plan-free execution of a pass records its [`PassStats`] and DDR
+//! byte delta in a process-wide memo ([`stats_memo_stats`]); every later
+//! image replays the record, credits the bytes to the [`SocHandle`]'s
+//! counters and goes straight to the kernel. The steady state is kernels
+//! plus layout conversion only.
+//!
+//! The memo is bypassed — the real pass runs for every image — whenever
+//! a fault plan is attached (the DMA descriptor sequence is where
+//! `dma:*` injections fire, so it must actually be issued) or the driver
+//! was built with `weight_cache(false)` (the PR-5 baseline the benches
+//! compare against). Only `Ok` results of plan-free runs are recorded.
+//!
 //! Bit-identical outputs follow by transitivity: the SIMD kernels equal
 //! the scalar golden reference (cross-tier property suite,
 //! `tests/kernel_tiers.rs`), and the Model backend's functional path
 //! equals the same reference (`tests/backend_equivalence.rs`). Because
-//! the stats pass issues the very same DMA descriptor sequence, injected
-//! `dma:*` faults fire and surface identically too.
+//! a faulted driver's stats pass issues the very same DMA descriptor
+//! sequence, injected `dma:*` faults fire and surface identically too.
 //!
 //! [`BackendKind::Cpu`]: crate::exec::BackendKind::Cpu
 //! [`Scratch`]: zskip_nn::scratch::Scratch
+//! [`SocHandle`]: crate::exec::SocHandle
 
 use super::pipeline::{self, fm_to_tensor_into, Exec};
 use super::{PassCtx, StripeBackend};
-use crate::driver::DriverError;
+use crate::driver::{Driver, DriverError};
 use crate::isa::PoolPadOp;
 use crate::report::PassStats;
+use std::sync::OnceLock;
 use zskip_nn::conv::{conv2d_quant_into, conv2d_quant_into_pool, QuantConvWeights};
-use zskip_nn::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier};
+use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool_into};
 use zskip_nn::pool::maxpool_quant_into;
 use zskip_nn::simd::KernelTier;
+use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
 use zskip_quant::Sm8;
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
 
@@ -34,6 +53,93 @@ pub(crate) struct CpuBackend;
 
 /// The stats-only executor the CPU backend charges cycles with.
 const STATS: Exec = Exec::Model { functional: false };
+
+/// What one plan-free stats pass produced: everything a later image with
+/// the same memo key would observe from re-running it.
+struct PassRecord {
+    stats: PassStats,
+    /// DDR bytes the pass read (DMA in, weight preload).
+    bytes_read: u64,
+    /// DDR bytes the pass wrote (FM + weight staging, DMA out).
+    bytes_written: u64,
+}
+
+/// The process-wide stats-pass memo, keyed by [`pass_key`]. Like the
+/// packed-weight cache it never evicts: it holds one small record per
+/// distinct (pass, config) pair, however many images are served.
+fn stats_memo() -> &'static WeightCache<PassRecord> {
+    static MEMO: OnceLock<WeightCache<PassRecord>> = OnceLock::new();
+    MEMO.get_or_init(WeightCache::new)
+}
+
+/// Statistics of the CPU backend's process-wide stats-pass memo (entries,
+/// hits, misses, resident bytes) — surfaced by `zskip analyze` and the
+/// serve `stats` op. A warm image is all hits.
+pub fn stats_memo_stats() -> CacheStats {
+    stats_memo().stats()
+}
+
+/// Memo key of one pass: `pass` already carries the pass kind and its
+/// parameters (conv: the weight fingerprint; pool: window and stride;
+/// pad: amount); this appends everything else the statistics depend on —
+/// the geometry, every configuration field that reaches the cycle model
+/// or the stripe planner, and the two packing flags. Layer names and DDR
+/// addresses are deliberately absent: they change no cycle or byte.
+fn pass_key(driver: &Driver, pass: Fingerprint, input: Shape, out_shape: Shape) -> u64 {
+    let c = &driver.config;
+    [
+        input.c,
+        input.h,
+        input.w,
+        out_shape.c,
+        out_shape.h,
+        out_shape.w,
+        c.units,
+        c.lanes,
+        c.instances,
+        c.bank_tiles,
+        c.fifo_depth,
+        c.weight_bytes_per_cycle,
+        c.scratchpad_bytes,
+        driver.zero_skipping as usize,
+        driver.filter_grouping as usize,
+    ]
+    .into_iter()
+    .fold(pass, |fp, v| fp.u64(v as u64))
+    .finish()
+}
+
+/// The statistics of one pass: replayed from the memo when a plan-free
+/// execution under `key` has been recorded, otherwise from running
+/// `pass` — the real staged pipeline — and recording its result.
+fn stats_pass(
+    ctx: &mut PassCtx<'_>,
+    key: u64,
+    pass: impl FnOnce(&mut PassCtx<'_>) -> Result<PassStats, DriverError>,
+) -> Result<PassStats, DriverError> {
+    // A fault plan anywhere forces the real descriptor sequence (and must
+    // not poison the memo); `weight_cache(false)` is the per-image
+    // baseline switch.
+    if !ctx.driver.weight_cache || ctx.driver.fault_plan().is_some() || ctx.soc.has_fault_plan() {
+        return pass(ctx);
+    }
+    let mut ran = false;
+    let record = stats_memo().try_get_or_insert_with(
+        key,
+        || -> Result<PassRecord, DriverError> {
+            ran = true;
+            let (read, written) = ctx.soc.ddr_traffic();
+            let stats = pass(ctx)?;
+            let (read_after, written_after) = ctx.soc.ddr_traffic();
+            Ok(PassRecord { stats, bytes_read: read_after - read, bytes_written: written_after - written })
+        },
+        |r| std::mem::size_of::<PassRecord>() + r.stats.per_instance_cycles.capacity() * std::mem::size_of::<u64>(),
+    )?;
+    if !ran {
+        ctx.soc.credit_ddr(record.bytes_read, record.bytes_written);
+    }
+    Ok(record.stats.clone())
+}
 
 impl StripeBackend for CpuBackend {
     fn conv_pass(
@@ -45,9 +151,19 @@ impl StripeBackend for CpuBackend {
         out_shape: Shape,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
         // Cycles, counters, DDR traffic and fault behaviour from the
-        // staged pipeline; its (uncomputed) output tiles are discarded.
-        let (_, stats) = pipeline::conv_pass(ctx.driver, ctx.soc, STATS, name, input, qw, out_shape, ctx.src_addr, ctx.dst_addr)?;
-        let (src, dst, acc, tier, pool) = ctx.scratch.pass_buffers_pool();
+        // staged pipeline (its uncomputed output tiles are discarded), or
+        // from the record of an earlier execution of the same pass.
+        let key = pass_key(
+            ctx.driver,
+            Fingerprint::new().u64(0).u64(qw.fingerprint()),
+            input.logical_shape(),
+            out_shape,
+        );
+        let stats = stats_pass(ctx, key, |ctx| {
+            pipeline::conv_pass(ctx.driver, ctx.soc, STATS, name, input, qw, out_shape, ctx.src_addr, ctx.dst_addr)
+                .map(|(_, stats)| stats)
+        })?;
+        let (src, dst, acc, gemm, tier, pool) = ctx.scratch.conv_buffers();
         fm_to_tensor_into(input, src);
         // The pipeline input is pre-padded by the explicit pad pass and
         // stride-1 by the driver's geometry checks, so pad = 0 here
@@ -59,22 +175,16 @@ impl StripeBackend for CpuBackend {
         // scalar tier the packed direct conv wins, and keeping it there
         // also exercises the accelerator-analogue kernel end-to-end under
         // `ZSKIP_KERNEL=scalar`. All variants are bit-identical
-        // (cross-kernel property suite, `tests/kernel_tiers.rs`).
-        if tier == KernelTier::Scalar {
-            match pool {
-                Some(p) => conv2d_quant_into_pool(src, qw, 1, 0, tier, p, acc, dst),
-                None => conv2d_quant_into(src, qw, 1, 0, tier, acc, dst),
-            }
-            debug_assert_eq!(dst.shape(), out_shape);
-            Ok((TiledFeatureMap::from_tensor(dst), stats))
-        } else {
-            let out = match pool {
-                Some(p) => conv2d_gemm_quant_pool(src, qw, 1, 0, tier, p),
-                None => conv2d_gemm_quant_tier(src, qw, 1, 0, tier),
-            };
-            debug_assert_eq!(out.shape(), out_shape);
-            Ok((TiledFeatureMap::from_tensor(&out), stats))
+        // (cross-kernel property suite, `tests/kernel_tiers.rs`) and
+        // write into the arena's `dst`.
+        match (tier == KernelTier::Scalar, pool) {
+            (true, Some(p)) => conv2d_quant_into_pool(src, qw, 1, 0, tier, p, acc, dst),
+            (true, None) => conv2d_quant_into(src, qw, 1, 0, tier, acc, dst),
+            (false, Some(p)) => conv2d_gemm_quant_pool_into(src, qw, 1, 0, tier, p, gemm, dst),
+            (false, None) => conv2d_gemm_quant_into(src, qw, 1, 0, tier, gemm, dst),
         }
+        debug_assert_eq!(dst.shape(), out_shape);
+        Ok((TiledFeatureMap::from_tensor(dst), stats))
     }
 
     fn poolpad_pass(
@@ -85,7 +195,15 @@ impl StripeBackend for CpuBackend {
         op: PoolPadOp,
         out_shape: Shape,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-        let (_, stats) = pipeline::poolpad_pass(ctx.driver, ctx.soc, STATS, name, input, op, out_shape, ctx.src_addr, ctx.dst_addr)?;
+        let kind = match op {
+            PoolPadOp::MaxPool { k, stride } => Fingerprint::new().u64(1).u64(u64::from(k)).u64(u64::from(stride)),
+            PoolPadOp::Pad { amount } => Fingerprint::new().u64(2).u64(u64::from(amount)),
+        };
+        let key = pass_key(ctx.driver, kind, input.logical_shape(), out_shape);
+        let stats = stats_pass(ctx, key, |ctx| {
+            pipeline::poolpad_pass(ctx.driver, ctx.soc, STATS, name, input, op, out_shape, ctx.src_addr, ctx.dst_addr)
+                .map(|(_, stats)| stats)
+        })?;
         let (src, dst, _, _) = ctx.scratch.pass_buffers();
         fm_to_tensor_into(input, src);
         match op {
@@ -100,15 +218,17 @@ impl StripeBackend for CpuBackend {
 }
 
 /// Zero-pads `src` by `pad` on each spatial side into `dst`, reusing the
-/// allocation (the in-place analogue of [`Tensor::padded`]).
+/// allocation (the in-place analogue of [`Tensor::padded`]): one
+/// `copy_from_slice` per source row into the zeroed destination.
 fn pad_into(src: &Tensor<Sm8>, pad: usize, dst: &mut Tensor<Sm8>) {
     let s = src.shape();
-    dst.reset(s.c, s.h + 2 * pad, s.w + 2 * pad);
+    let (dh, dw) = (s.h + 2 * pad, s.w + 2 * pad);
+    dst.reset(s.c, dh, dw);
+    let (from, to) = (src.as_slice(), dst.as_mut_slice());
     for c in 0..s.c {
         for y in 0..s.h {
-            for x in 0..s.w {
-                dst[(c, y + pad, x + pad)] = src[(c, y, x)];
-            }
+            let (f, t) = ((c * s.h + y) * s.w, (c * dh + y + pad) * dw + pad);
+            to[t..t + s.w].copy_from_slice(&from[f..f + s.w]);
         }
     }
 }
@@ -116,6 +236,10 @@ fn pad_into(src: &Tensor<Sm8>, pad: usize, dst: &mut Tensor<Sm8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ramp(c: usize, h: usize, w: usize) -> Tensor<Sm8> {
+        Tensor::from_fn(c, h, w, |c, y, x| Sm8::from_i32_saturating((c * 17 + y * 5 + x) as i32 - 30))
+    }
 
     #[test]
     fn fm_round_trip_preserves_logical_extent() {
@@ -127,10 +251,32 @@ mod tests {
     }
 
     #[test]
+    fn fm_round_trip_at_every_edge_remainder() {
+        // Width and height remainders 0..=3 against the 4-wide tile, on a
+        // dirty destination (a warmed arena holds the previous layer).
+        let mut back = ramp(2, 9, 9);
+        for (h, w) in [(1, 1), (4, 8), (5, 6), (6, 5), (7, 11), (10, 3), (13, 9)] {
+            let t = ramp(3, h, w);
+            fm_to_tensor_into(&TiledFeatureMap::from_tensor(&t), &mut back);
+            assert_eq!(back, t, "{h}x{w}");
+        }
+    }
+
+    #[test]
     fn pad_into_matches_padded() {
         let t = Tensor::from_fn(2, 6, 6, |c, y, x| Sm8::from_i32_saturating((c + y * 3 + x) as i32 - 8));
         let mut dst = Tensor::zeros(1, 1, 1);
         pad_into(&t, 2, &mut dst);
         assert_eq!(dst, t.padded(2));
+    }
+
+    #[test]
+    fn pad_into_matches_padded_on_odd_extents() {
+        let mut dst = ramp(1, 20, 20);
+        for (h, w, pad) in [(1, 1, 1), (5, 7, 1), (7, 5, 2), (9, 3, 3), (6, 6, 0)] {
+            let t = ramp(3, h, w);
+            pad_into(&t, pad, &mut dst);
+            assert_eq!(dst, t.padded(pad), "{h}x{w} pad {pad}");
+        }
     }
 }

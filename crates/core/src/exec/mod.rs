@@ -19,7 +19,8 @@
 //!   kernels on the `zskip-sim` engine (slow; for validation);
 //! * `cpu` — [`BackendKind::Cpu`]: functional results from the
 //!   `zskip-nn` SIMD `_into` kernels on a per-session [`Scratch`] arena,
-//!   cycles estimated by the closed-form model (the fastest functional
+//!   cycles estimated by the closed-form model — once per (pass, config),
+//!   then replayed from a process-wide memo (the fastest functional
 //!   path).
 //!
 //! All backends are bit-identical in output and DMA-fault behaviour, and
@@ -119,7 +120,12 @@ pub struct PassCtx<'a> {
 /// * **Shared pipeline.** Stripe planning, DDR staging and DMA issue go
 ///   through [`pipeline`] so DMA traffic and injected `dma:*` faults
 ///   behave identically across backends (fault detection is
-///   value-independent).
+///   value-independent). Because the statistics are value-independent
+///   too, a backend may replay them from an earlier plan-free execution
+///   of the same pass under the same configuration instead of re-issuing
+///   it (crediting the recorded DDR bytes); any attached fault plan
+///   forces the real pass, so a `dma:*` injection always finds its
+///   descriptor.
 /// * **Honest statistics.** `PassStats` cycles must come from an actual
 ///   execution or a validated model of one — never fabricated.
 ///

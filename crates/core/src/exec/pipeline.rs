@@ -101,6 +101,22 @@ impl SocHandle {
         self.ddr.bytes_read() + self.ddr.bytes_written()
     }
 
+    /// DDR traffic so far as `(bytes_read, bytes_written)`.
+    pub(crate) fn ddr_traffic(&self) -> (u64, u64) {
+        (self.ddr.bytes_read(), self.ddr.bytes_written())
+    }
+
+    /// Credits the traffic of a replayed pass to the DDR byte counters
+    /// (see [`DdrModel::credit_traffic`]).
+    pub(crate) fn credit_ddr(&mut self, bytes_read: u64, bytes_written: u64) {
+        self.ddr.credit_traffic(bytes_read, bytes_written);
+    }
+
+    /// Whether a fault plan is attached to the DMA engine.
+    pub(crate) fn has_fault_plan(&self) -> bool {
+        self.dma.has_fault_plan()
+    }
+
     /// Serializes a tiled FM and writes it to DDR at `addr`, reusing the
     /// handle's staging buffer (allocation-free once warmed). The byte
     /// image and DDR traffic are identical to
@@ -141,11 +157,21 @@ pub fn fm_to_bytes(fm: &TiledFeatureMap<Sm8>) -> Vec<u8> {
 pub(crate) fn fm_to_tensor_into(fm: &TiledFeatureMap<Sm8>, out: &mut Tensor<Sm8>) {
     let s = fm.logical_shape();
     out.reset(s.c, s.h, s.w);
+    let dense = out.as_mut_slice();
+    // One `copy_from_slice` per tile row, clipped to the logical extent
+    // on the right and bottom edges.
     for c in 0..s.c {
-        for y in 0..s.h {
-            let (ty, iy) = (y / TILE_DIM, y % TILE_DIM);
-            for x in 0..s.w {
-                out[(c, y, x)] = fm.tile(c, ty, x / TILE_DIM)[(iy, x % TILE_DIM)];
+        for ty in 0..fm.tiles_y() {
+            let y0 = ty * TILE_DIM;
+            let rows = TILE_DIM.min(s.h - y0);
+            for tx in 0..fm.tiles_x() {
+                let x0 = tx * TILE_DIM;
+                let n = TILE_DIM.min(s.w - x0);
+                let tile = fm.tile(c, ty, tx).as_array();
+                for iy in 0..rows {
+                    let at = (c * s.h + y0 + iy) * s.w + x0;
+                    dense[at..at + n].copy_from_slice(&tile[iy * TILE_DIM..iy * TILE_DIM + n]);
+                }
             }
         }
     }

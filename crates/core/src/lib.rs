@@ -79,6 +79,7 @@ pub use driver::{
     BackendKind, Driver, DriverBuilder, DriverError, InferenceReport, LayerReport, PassStats,
     SocHandle,
 };
+pub use exec::cpu::stats_memo_stats;
 pub use exec::pipeline::weight_cache_stats;
 pub use error::Error;
 pub use exec::sched::{run_sharded, CostModel, Placement, ShardReport};

@@ -196,8 +196,11 @@ pub fn render_error(id: Option<&str>, err: &Error) -> String {
     .to_string_compact()
 }
 
-/// Renders the `stats` response line.
+/// Renders the `stats` response line: the engine's aggregate counters
+/// plus the process-wide stats-pass memo's (`stats_memo`; a warmed cpu
+/// daemon adds hits only).
 pub fn render_stats(stats: &ServeStats) -> String {
+    let memo = crate::stats_memo_stats();
     Json::obj([
         ("ok", Json::Bool(true)),
         ("op", Json::Str("stats".into())),
@@ -209,6 +212,14 @@ pub fn render_stats(stats: &ServeStats) -> String {
         ("mean_batch", Json::Num(stats.mean_batch())),
         ("p50_us", Json::Num(stats.p50_us() as f64)),
         ("p99_us", Json::Num(stats.p99_us() as f64)),
+        (
+            "stats_memo",
+            Json::obj([
+                ("entries", Json::Num(memo.entries as f64)),
+                ("hits", Json::Num(memo.hits as f64)),
+                ("misses", Json::Num(memo.misses as f64)),
+            ]),
+        ),
     ])
     .to_string_compact()
 }
@@ -391,6 +402,10 @@ mod tests {
         let stats = render_stats(&ServeStats::default());
         let json = Json::parse(&stats).expect("valid JSON");
         assert_eq!(json.get("served").and_then(Json::as_u64), Some(0));
+        let memo = json.get("stats_memo").expect("memo counters");
+        for field in ["entries", "hits", "misses"] {
+            assert!(memo.get(field).and_then(Json::as_u64).is_some(), "stats_memo.{field}");
+        }
 
         let ack = Json::parse(&render_shutdown_ack()).expect("valid JSON");
         assert_eq!(ack.get("draining").and_then(Json::as_bool), Some(true));

@@ -13,8 +13,12 @@
 //! by [`crate::simd::axpy_i32`] at the caller's [`KernelTier`] (the scalar
 //! tier runs the same body with the portable `axpy`). The two entry
 //! points differ only in who walks the channels: the calling thread
-//! ([`conv2d_gemm_quant_tier`]) or an intra-image worker pool
-//! ([`conv2d_gemm_quant_pool`]).
+//! ([`conv2d_gemm_quant_into`]) or an intra-image worker pool
+//! ([`conv2d_gemm_quant_pool_into`]). Both write into a caller-owned
+//! output tensor and borrow the patch matrix and accumulator panels from
+//! a [`GemmScratch`], so a warmed arena runs them allocation-free;
+//! [`conv2d_gemm_quant_tier`] / [`conv2d_gemm_quant_pool`] are the
+//! allocating conveniences over the same bodies.
 
 use crate::conv::QuantConvWeights;
 use crate::par::{ConvPool, SendPtr};
@@ -31,12 +35,27 @@ pub fn im2col<T: Copy + Default>(
     pad: usize,
     zero: T,
 ) -> (Vec<T>, Shape) {
+    let mut m = Vec::new();
+    let shape = im2col_into(input, k, stride, pad, zero, &mut m);
+    (m, shape)
+}
+
+/// [`im2col`] into a caller-owned matrix buffer, reusing its allocation.
+fn im2col_into<T: Copy + Default>(
+    input: &Tensor<T>,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    zero: T,
+    m: &mut Vec<T>,
+) -> Shape {
     let s = input.shape();
     let out_h = (s.h + 2 * pad - k) / stride + 1;
     let out_w = (s.w + 2 * pad - k) / stride + 1;
     let rows = s.c * k * k;
     let cols = out_h * out_w;
-    let mut m = vec![zero; rows * cols];
+    m.clear();
+    m.resize(rows * cols, zero);
     for c in 0..s.c {
         for ky in 0..k {
             for kx in 0..k {
@@ -52,7 +71,7 @@ pub fn im2col<T: Copy + Default>(
             }
         }
     }
-    (m, Shape::new(rows, out_h, out_w))
+    Shape::new(rows, out_h, out_w)
 }
 
 /// Whether this conv geometry makes im2col the identity: a 1x1 stride-1
@@ -65,20 +84,46 @@ pub fn pointwise_is_identity(k: usize, stride: usize, pad: usize) -> bool {
     k == 1 && stride == 1 && pad == 0
 }
 
-/// Lowers patches for the quantized GEMM, borrowing the input directly
-/// when [`pointwise_is_identity`] holds.
+/// Elements between two worker panels' accumulators in a [`GemmScratch`]:
+/// at least one cache line for either element width, so panels never
+/// false-share however few columns a layer has.
+const PANEL_PAD: usize = 16;
+
+/// Reusable buffers of the quantized GEMM: the im2col patch matrix and
+/// the `i64` / `i32` column-accumulator panels (one pair per worker-pool
+/// panel). Buffers only ever grow; the [`crate::scratch::Scratch`] arena
+/// owns one.
+#[derive(Debug, Clone, Default)]
+pub struct GemmScratch {
+    patches: Vec<Sm8>,
+    acc64: Vec<i64>,
+    acc32: Vec<i32>,
+}
+
+impl GemmScratch {
+    /// Total bytes currently reserved by the buffers.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.patches.capacity()
+            + self.acc64.capacity() * std::mem::size_of::<i64>()
+            + self.acc32.capacity() * std::mem::size_of::<i32>()
+    }
+}
+
+/// Lowers patches for the quantized GEMM into `buf`, borrowing the input
+/// directly (and leaving `buf` untouched) when [`pointwise_is_identity`]
+/// holds.
 fn lower_patches<'a>(
     input: &'a Tensor<Sm8>,
     k: usize,
     stride: usize,
     pad: usize,
-) -> (std::borrow::Cow<'a, [Sm8]>, Shape) {
+    buf: &'a mut Vec<Sm8>,
+) -> (&'a [Sm8], Shape) {
     if pointwise_is_identity(k, stride, pad) {
-        let s = input.shape();
-        return (std::borrow::Cow::Borrowed(input.as_slice()), Shape::new(s.c, s.h, s.w));
+        return (input.as_slice(), input.shape());
     }
-    let (m, shape) = im2col(input, k, stride, pad, Sm8::ZERO);
-    (std::borrow::Cow::Owned(m), shape)
+    let shape = im2col_into(input, k, stride, pad, Sm8::ZERO, buf);
+    (buf, shape)
 }
 
 /// Integer-exact quantized convolution via im2col + row-panel GEMM on
@@ -98,18 +143,36 @@ pub fn conv2d_gemm_quant_tier(
     pad: usize,
     tier: KernelTier,
 ) -> Tensor<Sm8> {
-    let (m, mshape) = lower_patches(input, weights.k, stride, pad);
+    let mut out = Tensor::zeros(1, 1, 1);
+    conv2d_gemm_quant_into(input, weights, stride, pad, tier, &mut GemmScratch::default(), &mut out);
+    out
+}
+
+/// [`conv2d_gemm_quant_tier`] writing into `out` (reshaped in place) with
+/// the patch matrix and accumulator panels borrowed from `ws`:
+/// allocation-free once both have grown to the layer's size.
+pub fn conv2d_gemm_quant_into(
+    input: &Tensor<Sm8>,
+    weights: &QuantConvWeights,
+    stride: usize,
+    pad: usize,
+    tier: KernelTier,
+    ws: &mut GemmScratch,
+    out: &mut Tensor<Sm8>,
+) {
+    let GemmScratch { patches, acc64, acc32 } = ws;
+    let (m, mshape) = lower_patches(input, weights.k, stride, pad, patches);
     let cols = mshape.h * mshape.w;
     let rows = mshape.c;
-    let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
+    out.reset(weights.out_c, mshape.h, mshape.w);
+    // Sized only: `gemm_quant_channel` re-initializes both per channel.
+    acc64.resize(cols, 0);
+    acc32.resize(cols, 0);
     let out_slice = out.as_mut_slice();
-    let mut acc64 = vec![0i64; cols];
-    let mut acc32 = vec![0i32; cols];
     for o in 0..weights.out_c {
         let plane = &mut out_slice[o * cols..(o + 1) * cols];
-        gemm_quant_channel(&m[..], cols, rows, weights, o, tier, &mut acc64, &mut acc32, plane);
+        gemm_quant_channel(m, cols, rows, weights, o, tier, acc64, acc32, plane);
     }
-    out
 }
 
 /// One output channel of the row-panel quantized GEMM: the shared
@@ -172,31 +235,60 @@ pub fn conv2d_gemm_quant_pool(
     tier: KernelTier,
     pool: &ConvPool,
 ) -> Tensor<Sm8> {
-    let (m, mshape) = lower_patches(input, weights.k, stride, pad);
+    let mut out = Tensor::zeros(1, 1, 1);
+    conv2d_gemm_quant_pool_into(input, weights, stride, pad, tier, pool, &mut GemmScratch::default(), &mut out);
+    out
+}
+
+/// [`conv2d_gemm_quant_pool`] writing into `out` with buffers borrowed
+/// from `ws` (one accumulator-panel pair per channel range), like
+/// [`conv2d_gemm_quant_into`].
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_gemm_quant_pool_into(
+    input: &Tensor<Sm8>,
+    weights: &QuantConvWeights,
+    stride: usize,
+    pad: usize,
+    tier: KernelTier,
+    pool: &ConvPool,
+    ws: &mut GemmScratch,
+    out: &mut Tensor<Sm8>,
+) {
+    let GemmScratch { patches, acc64, acc32 } = ws;
+    let (m, mshape) = lower_patches(input, weights.k, stride, pad, patches);
     let cols = mshape.h * mshape.w;
     let rows = mshape.c;
-    let mut out = Tensor::zeros(weights.out_c, mshape.h, mshape.w);
-    let out_ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
+    out.reset(weights.out_c, mshape.h, mshape.w);
     let panels = pool.threads().min(weights.out_c.max(1));
     let per = weights.out_c.div_ceil(panels);
-    let m = &m[..];
+    // Deep layers have panels of a few elements: the pad keeps two
+    // workers' accumulators off a shared cache line.
+    let stride = cols + PANEL_PAD;
+    acc64.resize(panels * stride, 0);
+    acc32.resize(panels * stride, 0);
+    let acc64_ptr = SendPtr::new(acc64.as_mut_ptr());
+    let acc32_ptr = SendPtr::new(acc32.as_mut_ptr());
+    let out_ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
     pool.run(panels, &|_, panel| {
         let o_lo = panel * per;
         let o_hi = ((panel + 1) * per).min(weights.out_c);
-        // The GEMM path allocates per call anyway (im2col); per-panel
-        // accumulators keep it simple. The allocation-free path is the
-        // direct conv in `crate::conv`.
-        let mut acc64 = vec![0i64; cols];
-        let mut acc32 = vec![0i32; cols];
+        // SAFETY: each panel index is claimed exactly once, so accumulator
+        // slices `panel` have a single owner; `panel < panels` and
+        // `cols <= stride` keep them inside the resize above.
+        let (acc64, acc32) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(acc64_ptr.add(panel * stride), cols),
+                std::slice::from_raw_parts_mut(acc32_ptr.add(panel * stride), cols),
+            )
+        };
         for o in o_lo..o_hi {
             // SAFETY: panels own disjoint channel ranges, so plane `o` has
             // a single writer; `o < out_c` keeps it in bounds.
             let plane =
                 unsafe { std::slice::from_raw_parts_mut(out_ptr.add(o * cols), cols) };
-            gemm_quant_channel(m, cols, rows, weights, o, tier, &mut acc64, &mut acc32, plane);
+            gemm_quant_channel(m, cols, rows, weights, o, tier, acc64, acc32, plane);
         }
     });
-    out
 }
 
 #[cfg(test)]
@@ -282,6 +374,33 @@ mod tests {
             }
         }
 
+        // The arena path: one dirty workspace and one dirty output reused
+        // across layers of different shapes (3x3 then 1x1, so the patch
+        // buffer is stale when the pointwise layer borrows its input),
+        // single-threaded and over a 3-worker pool.
+        #[test]
+        fn into_variants_reuse_a_dirty_workspace_bit_exactly(
+            out_c in 1usize..10,
+            in_c in 1usize..4,
+            hw in 3usize..10,
+            seed in 0u64..500,
+        ) {
+            let pool = ConvPool::new(3);
+            let mut ws = GemmScratch::default();
+            let mut out = Tensor::from_fn(2, 11, 11, |_, _, _| Sm8::from_i32_saturating(5));
+            for (k, pad, hw) in [(3, 1, hw), (1, 0, hw + 2), (2, 0, hw)] {
+                let qw = quant_weights(out_c, in_c, k, seed);
+                let input = Tensor::from_fn(in_c, hw, hw, |c, y, x| {
+                    Sm8::from_i32_saturating((((c * 71 + y * 13 + x * 7) as u64 ^ seed) % 255) as i32 - 127)
+                });
+                let oracle = conv2d_quant_dense(&input, &qw, 1, pad);
+                conv2d_gemm_quant_into(&input, &qw, 1, pad, simd::dispatch(), &mut ws, &mut out);
+                prop_assert_eq!(&oracle, &out, "k={} single-threaded", k);
+                conv2d_gemm_quant_pool_into(&input, &qw, 1, pad, simd::dispatch(), &pool, &mut ws, &mut out);
+                prop_assert_eq!(&oracle, &out, "k={} pooled", k);
+            }
+        }
+
         // The 1x1 fast path (borrowed input as the patch matrix) vs. the
         // dense scan, which never lowers at all.
         #[test]
@@ -312,12 +431,14 @@ mod tests {
         assert!(!pointwise_is_identity(1, 2, 0));
         assert!(!pointwise_is_identity(1, 1, 1));
         assert!(!pointwise_is_identity(3, 1, 0));
-        let (m, shape) = lower_patches(&input, 1, 1, 0);
-        assert!(matches!(m, std::borrow::Cow::Borrowed(_)), "1x1 must not copy");
+        let mut buf = Vec::new();
+        let (m, shape) = lower_patches(&input, 1, 1, 0, &mut buf);
+        assert!(std::ptr::eq(m, input.as_slice()), "1x1 must not copy");
         assert_eq!(shape, Shape::new(3, 4, 5));
-        assert_eq!(&m[..], input.as_slice());
+        assert!(buf.is_empty());
         // Any other geometry materializes the patch matrix.
-        let (strided, _) = lower_patches(&input, 1, 2, 0);
-        assert!(matches!(strided, std::borrow::Cow::Owned(_)));
+        let (strided, _) = lower_patches(&input, 1, 2, 0, &mut buf);
+        assert!(!std::ptr::eq(strided, input.as_slice()));
+        assert_eq!(strided.len(), 3 * 2 * 3);
     }
 }

@@ -4,9 +4,9 @@
 //! image through them; the software golden model historically allocated
 //! fresh tensors per layer per image. A [`Scratch`] holds the software
 //! analogue of that fixed buffer set — a ping-pong pair of activation
-//! tensors, one `i64` accumulator plane, and a ping-pong pair of FC
-//! vectors — and every `_into` operator reshapes them in place instead of
-//! allocating.
+//! tensors, one `i64` accumulator plane, the GEMM workspace (patch matrix
+//! and accumulator panels), and a ping-pong pair of FC vectors — and every
+//! `_into` operator reshapes them in place instead of allocating.
 //!
 //! # Lifetime rules
 //!
@@ -22,6 +22,7 @@
 //!
 //! See `docs/KERNELS.md` for how this composes with the SIMD kernel tiers.
 
+use crate::gemm::GemmScratch;
 use crate::par::ConvPool;
 use crate::simd::{self, KernelTier};
 use std::sync::Arc;
@@ -42,6 +43,9 @@ pub struct Scratch {
     pub(crate) slots: Vec<Tensor<Sm8>>,
     /// Per-output-channel `i64` conv accumulator plane.
     pub(crate) acc: Vec<i64>,
+    /// im2col patch matrix and accumulator panels of the row-panel GEMM
+    /// (the CPU backend's conv kernel on SIMD tiers).
+    gemm: GemmScratch,
     /// Ping-pong FC activation vectors.
     pub(crate) flat: [Vec<Sm8>; 2],
     tier: KernelTier,
@@ -68,6 +72,7 @@ impl Scratch {
             act: [Tensor::zeros(1, 1, 1), Tensor::zeros(1, 1, 1)],
             slots: Vec::new(),
             acc: Vec::new(),
+            gemm: GemmScratch::default(),
             flat: [Vec::new(), Vec::new()],
             tier,
             grow_events: 0,
@@ -116,6 +121,7 @@ impl Scratch {
         self.act.iter().map(|t| t.capacity()).sum::<usize>()
             + self.slots.iter().map(|t| t.capacity()).sum::<usize>()
             + self.acc.capacity() * std::mem::size_of::<i64>()
+            + self.gemm.capacity_bytes()
             + self.flat.iter().map(|v| v.capacity()).sum::<usize>()
     }
 
@@ -162,8 +168,20 @@ impl Scratch {
     pub fn pass_buffers_pool(
         &mut self,
     ) -> (&mut Tensor<Sm8>, &mut Tensor<Sm8>, &mut Vec<i64>, KernelTier, Option<&ConvPool>) {
+        let (src, dst, acc, _, tier, pool) = self.conv_buffers();
+        (src, dst, acc, tier, pool)
+    }
+
+    /// [`Scratch::pass_buffers_pool`] plus the GEMM workspace: everything
+    /// a CPU-backend conv pass computes with, whichever kernel the tier
+    /// selects (`acc` for the packed direct conv, the workspace for the
+    /// row-panel GEMM).
+    #[allow(clippy::type_complexity)]
+    pub fn conv_buffers(
+        &mut self,
+    ) -> (&mut Tensor<Sm8>, &mut Tensor<Sm8>, &mut Vec<i64>, &mut GemmScratch, KernelTier, Option<&ConvPool>) {
         let (a, b) = self.act.split_at_mut(1);
-        (&mut a[0], &mut b[0], &mut self.acc, self.tier, self.pool.as_deref())
+        (&mut a[0], &mut b[0], &mut self.acc, &mut self.gemm, self.tier, self.pool.as_deref())
     }
 }
 

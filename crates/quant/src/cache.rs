@@ -100,26 +100,47 @@ impl<V> WeightCache<V> {
         build: impl FnOnce() -> V,
         bytes: impl Fn(&V) -> usize,
     ) -> Arc<V> {
+        let built: Result<_, std::convert::Infallible> =
+            self.try_get_or_insert_with(key, || Ok(build()), bytes);
+        match built {
+            Ok(v) => v,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`WeightCache::get_or_insert_with`] for a fallible `build`: an
+    /// `Err` is handed back to the caller and leaves the cache (entries
+    /// and counters) untouched, so only successful builds are ever
+    /// resident.
+    ///
+    /// # Errors
+    /// Whatever `build` returns.
+    pub fn try_get_or_insert_with<E>(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> Result<V, E>,
+        bytes: impl Fn(&V) -> usize,
+    ) -> Result<Arc<V>, E> {
         let shard = self.shard(key);
         {
             let guard = shard.read().unwrap_or_else(|e| e.into_inner());
             if let Some((_, v)) = guard.iter().find(|(k, _)| *k == key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(v);
+                return Ok(Arc::clone(v));
             }
         }
         // Miss: build without holding the lock, then re-check under the
         // write lock (another thread may have won the race).
-        let built = Arc::new(build());
+        let built = Arc::new(build()?);
         let mut guard = shard.write().unwrap_or_else(|e| e.into_inner());
         if let Some((_, v)) = guard.iter().find(|(k, _)| *k == key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(v);
+            return Ok(Arc::clone(v));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes(&built), Ordering::Relaxed);
         guard.push((key, Arc::clone(&built)));
-        built
+        Ok(built)
     }
 
     /// Returns the entry for `key` if resident, without counting a miss.
@@ -274,6 +295,22 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries, s.bytes), (2, 1, 1, 100));
         assert!(cache.get(42).is_some());
         assert!(cache.get(43).is_none());
+    }
+
+    #[test]
+    fn failed_builds_are_not_inserted() {
+        let cache: WeightCache<u32> = WeightCache::new();
+        let err = cache.try_get_or_insert_with(5, || Err::<u32, _>("boom"), |_| 4);
+        assert_eq!(err.unwrap_err(), "boom");
+        assert!(cache.get(5).is_none());
+        assert_eq!(cache.stats(), CacheStats::default());
+        // The next successful build is the (first) miss; then it hits.
+        let ok: Result<_, &str> = cache.try_get_or_insert_with(5, || Ok(7), |_| 4);
+        assert_eq!(*ok.unwrap(), 7);
+        let hit: Result<_, &str> = cache.try_get_or_insert_with(5, || Err("never built"), |_| 4);
+        assert_eq!(*hit.unwrap(), 7);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries, s.bytes), (1, 1, 1, 4));
     }
 
     #[test]

@@ -79,6 +79,15 @@ impl DdrModel {
         cycles
     }
 
+    /// Adds traffic to the byte counters without moving data or advancing
+    /// the busy-cycle clock: how a caller that replays a recorded
+    /// transaction sequence (instead of re-issuing it) keeps
+    /// [`DdrModel::bytes_read`] / [`DdrModel::bytes_written`] exact.
+    pub fn credit_traffic(&mut self, bytes_read: u64, bytes_written: u64) {
+        self.bytes_read += bytes_read;
+        self.bytes_written += bytes_written;
+    }
+
     /// Total bytes read.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
@@ -135,6 +144,9 @@ mod tests {
         assert_eq!(ddr.bytes_written(), 64);
         assert_eq!(ddr.bytes_read(), 96);
         assert!(ddr.busy_cycles() > 0);
+        let busy = ddr.busy_cycles();
+        ddr.credit_traffic(4, 8);
+        assert_eq!((ddr.bytes_read(), ddr.bytes_written(), ddr.busy_cycles()), (100, 72, busy));
     }
 
     #[test]

@@ -127,6 +127,11 @@ impl DmaController {
         self.fault_plan = Some(plan);
     }
 
+    /// Whether a fault plan is attached.
+    pub fn has_fault_plan(&self) -> bool {
+        self.fault_plan.is_some()
+    }
+
     /// Executes one descriptor synchronously, returning its cycle cost.
     ///
     /// # Errors

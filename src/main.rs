@@ -1149,18 +1149,23 @@ fn analyze(p: &Parsed) {
         steady
     );
 
-    // Shared weight caches: drive one image through the cpu backend so the
+    // Shared caches: drive one image through the cpu backend so the
     // packed-group cache is populated the way `infer`/`batch` populate it,
-    // then report both process-wide caches (packed scratchpad groups keyed
-    // by weight identity + lane/skip geometry, and the nn kernels' packed
-    // per-filter tap streams).
+    // and a second one so the stats-pass memo shows its steady state (all
+    // hits), then report the process-wide caches (packed scratchpad groups
+    // keyed by weight identity + lane/skip geometry, the nn kernels' packed
+    // per-filter tap streams, and the cpu backend's memoized per-pass
+    // statistics).
     let cpu_driver = Driver::builder(AccelConfig::for_variant(variant))
         .backend(BackendKind::Cpu)
         .build()
         .expect("cpu driver builds");
     let _ = cpu_driver.run_network(&sq, &probe[0]).expect("surrogate image runs");
+    let cold = zskip::accel::stats_memo_stats();
+    let _ = cpu_driver.run_network(&sq, &probe[1]).expect("surrogate image runs");
     let gc = zskip::accel::weight_cache_stats();
     let tc = zskip::nn::conv::tap_cache_stats();
+    let sm = zskip::accel::stats_memo_stats();
     println!(
         "Packed-group weight cache: {} entries ({:.1} MiB), {} hits / {} misses",
         gc.entries,
@@ -1174,6 +1179,15 @@ fn analyze(p: &Parsed) {
         tc.bytes as f64 / (1 << 20) as f64,
         tc.hits,
         tc.misses
+    );
+    println!(
+        "Stats-pass memo (cpu):     {} entries ({:.1} KiB), {} hits / {} misses; warm image: {} hits / {} misses",
+        sm.entries,
+        sm.bytes as f64 / 1024.0,
+        sm.hits,
+        sm.misses,
+        sm.hits - cold.hits,
+        sm.misses - cold.misses
     );
 
     // Sharding: what the placement scheduler would do with this workload

@@ -7,13 +7,20 @@
 //!   closed-form model, so their cycle counts and DDR byte counts are
 //!   *equal*, not merely close; Cycle agrees within the documented
 //!   tolerance.
+//! * **Memoized statistics**: the Cpu backend pays its stats pass once per
+//!   (pass, config) and replays the record on later images; the replayed
+//!   reports must equal Model's in every field, and the memo key must
+//!   separate every configuration knob that moves a statistic.
 //! * **Transient faults**: the staged pipeline issues the same DMA
 //!   descriptor sequence on every backend, and DMA fault detection is
 //!   value-independent — an injected `dma:*` fault must surface as the
 //!   same structured error everywhere.
 
 use proptest::prelude::*;
-use zskip::accel::{AccelConfig, BackendKind, Driver, DriverError, Error};
+use zskip::accel::{
+    stats_memo_stats, AccelConfig, BackendKind, Driver, DriverBuilder, DriverError, Error,
+    InferenceReport, Placement, Session,
+};
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
 use zskip::nn::eval::synthetic_inputs;
@@ -217,6 +224,148 @@ fn quantize_spec(spec: &NetworkSpec, density: f64, seed: u64) -> (QuantizedNetwo
     let qnet = net.quantize(&synthetic_inputs(seed ^ 1, 1, spec.input));
     let input = synthetic_inputs(seed ^ 2, 1, spec.input).pop().expect("one");
     (qnet, input)
+}
+
+/// Every observable of two reports must agree: the output, the totals,
+/// and per layer every `PassStats` field down to each activity counter.
+fn assert_same_report(got: &InferenceReport, want: &InferenceReport, what: &str) {
+    assert_eq!(got.output, want.output, "{what}: output");
+    assert_eq!(got.total_cycles, want.total_cycles, "{what}: total_cycles");
+    assert_eq!(got.ddr_bytes, want.ddr_bytes, "{what}: ddr_bytes");
+    assert_eq!(got.layers.len(), want.layers.len(), "{what}: layer count");
+    for (g, w) in got.layers.iter().zip(&want.layers) {
+        let what = format!("{what}: layer {}", w.name);
+        let (g, w) = (&g.stats, &w.stats);
+        assert_eq!(g.per_instance_cycles, w.per_instance_cycles, "{what}");
+        assert_eq!(g.compute_cycles, w.compute_cycles, "{what}");
+        assert_eq!(g.io_dma_cycles, w.io_dma_cycles, "{what}");
+        assert_eq!(g.weight_dma_cycles, w.weight_dma_cycles, "{what}");
+        assert_eq!(g.total_cycles, w.total_cycles, "{what}");
+        assert_eq!(g.stripes, w.stripes, "{what}");
+        assert_eq!(g.striping_factor.to_bits(), w.striping_factor.to_bits(), "{what}");
+        assert_eq!(g.counters.iter().collect::<Vec<_>>(), w.counters.iter().collect::<Vec<_>>(), "{what}");
+    }
+}
+
+/// Layers that issue accelerator passes: each costs a warm cpu image at
+/// least one memo hit.
+fn accel_layers(r: &InferenceReport) -> u64 {
+    r.layers.iter().filter(|l| l.stats.stripes > 0).count() as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// The stats-pass memo end to end: two *different* images through one
+    /// cpu session — the first records every pass, the second replays
+    /// them — on random linear and DAG specs. Both reports must equal the
+    /// Model backend's in every statistic, single- and multi-threaded.
+    /// (Other tests share the process-wide memo, so its hit counter is
+    /// only bounded from below.)
+    #[test]
+    fn memoized_stats_replay_equals_the_model_backend(
+        spec in prop_oneof![network_strategy(), dag_network_strategy()],
+        density in 0.1f64..1.0,
+        seed in 0u64..10_000,
+    ) {
+        let (qnet, first) = quantize_spec(&spec, density, seed);
+        let second = synthetic_inputs(seed ^ 3, 1, spec.input).pop().expect("one");
+        let cfg = config(2048, 1);
+        let model = Session::builder(cfg).backend(BackendKind::Model).build().expect("valid config");
+        let want = [model.infer(&qnet, &first).expect("fits"), model.infer(&qnet, &second).expect("fits")];
+        for threads in [1, 3] {
+            let cpu = Session::builder(cfg).backend(BackendKind::Cpu).threads(threads).build().expect("valid config");
+            let mut scratch = zskip::nn::Scratch::new();
+            let miss = cpu.infer_scratch(&qnet, &first, &mut scratch).expect("fits");
+            let hits = stats_memo_stats().hits;
+            let hit = cpu.infer_scratch(&qnet, &second, &mut scratch).expect("fits");
+            prop_assert!(stats_memo_stats().hits - hits >= accel_layers(&hit), "the second image replays");
+            assert_same_report(&miss, &want[0], &format!("first image, {threads} thread(s)"));
+            assert_same_report(&hit, &want[1], &format!("second image, {threads} thread(s)"));
+        }
+    }
+}
+
+/// The memo key must cover every knob that moves a statistic: in one
+/// process, on one set of weights, each variant below differs from the
+/// base configuration in exactly one field. The base runs first, so a
+/// field missing from the key would replay the base's record into the
+/// variant and fail the comparison with the variant's own Model run.
+#[test]
+fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
+    let (qnet, input) = quantized(0.5, 4242);
+    let with = |f: fn(&mut AccelConfig)| {
+        let mut cfg = config(20, 1);
+        f(&mut cfg);
+        cfg
+    };
+    type Knob = fn(DriverBuilder) -> DriverBuilder;
+    let plain: Knob = |b| b;
+    let variants: [(&str, AccelConfig, Knob); 9] = [
+        ("base", config(20, 1), plain),
+        ("instances", config(20, 2), plain),
+        ("bank_tiles", config(4096, 1), plain),
+        ("zero_skipping", config(20, 1), |b| b.zero_skipping(false)),
+        ("filter_grouping", config(20, 1), |b| b.filter_grouping(true)),
+        ("units", with(|c| c.units = 2), plain),
+        ("lanes", with(|c| c.lanes = 2), plain),
+        ("weight_bytes_per_cycle", with(|c| c.weight_bytes_per_cycle = 4), plain),
+        // Same knobs as the base again, after every variant has recorded.
+        ("base again", config(20, 1), plain),
+    ];
+    let mut base: Option<InferenceReport> = None;
+    for (knob, cfg, apply) in variants {
+        let run = |backend| apply(Driver::builder(cfg).backend(backend)).build().expect("valid config").run_network(&qnet, &input).expect("fits");
+        let model = run(BackendKind::Model);
+        // Twice: the recording run and the replay.
+        for pass in ["miss", "hit"] {
+            assert_same_report(&run(BackendKind::Cpu), &model, &format!("{knob} ({pass})"));
+        }
+        match &base {
+            None => base = Some(model),
+            // The knob really moves something, or this row proves nothing.
+            Some(b) if !knob.starts_with("base") => {
+                let stats = |r: &InferenceReport| format!("{:?}", r.layers.iter().map(|l| &l.stats).collect::<Vec<_>>());
+                assert_ne!(stats(&model), stats(b), "{knob} changes no statistic on this network");
+            }
+            Some(_) => {}
+        }
+    }
+}
+
+/// Sharded execution goes through the same cpu passes: with three images
+/// per placement the later ones replay the memo (stripe placement under
+/// its two-instance key, image/pipeline under the single-instance view),
+/// and every per-image report and the placement timeline still equal the
+/// Model backend's.
+#[test]
+fn sharded_placements_replay_the_memo_and_match_model() {
+    let (qnet, _) = quantized(0.6, 777);
+    let inputs = synthetic_inputs(778, 3, tiny_spec().input);
+    for placement in [Placement::Stripe, Placement::Image, Placement::Pipeline] {
+        let run = |backend| {
+            Session::builder(config(20, 2))
+                .backend(backend)
+                .threads(3)
+                .placement(placement)
+                .build()
+                .expect("valid config")
+                .run_sharded(&qnet, &inputs)
+                .expect("fits")
+        };
+        let model = run(BackendKind::Model);
+        let hits = stats_memo_stats().hits;
+        let cpu = run(BackendKind::Cpu);
+        let replayed = stats_memo_stats().hits - hits;
+        assert!(replayed >= 2 * accel_layers(&cpu.items[0]), "{placement}: {replayed} memo hits");
+        assert_eq!(cpu.items.len(), model.items.len());
+        for (i, (c, m)) in cpu.items.iter().zip(&model.items).enumerate() {
+            assert_same_report(c, m, &format!("{placement}, image {i}"));
+        }
+        assert_eq!(cpu.makespan_cycles, model.makespan_cycles, "{placement}");
+        assert_eq!(cpu.serial_cycles, model.serial_cycles, "{placement}");
+        assert_eq!(cpu.per_instance_busy, model.per_instance_busy, "{placement}");
+    }
 }
 
 proptest! {

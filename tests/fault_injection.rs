@@ -4,8 +4,11 @@
 //! never a hang past the deadlock window.
 
 use proptest::prelude::*;
-use zskip::accel::{AccelConfig, BackendKind, Driver};
-use zskip::fault::{FaultKind, FaultPlan};
+use zskip::accel::{
+    run_batch_resilient, stats_memo_stats, AccelConfig, BackendKind, Driver, DriverError,
+    RetryPolicy,
+};
+use zskip::fault::{FaultKind, FaultPlan, FiredFault};
 use zskip::hls::AccelArch;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{conv3x3, maxpool2x2, NetworkSpec};
@@ -122,6 +125,121 @@ fn dma_truncation_is_structured_and_retry_recovers() {
 
     let retry = driver.run_network(&qnet, &input).expect("one-shot fault is consumed");
     assert_eq!(retry.output, golden);
+}
+
+/// One faulted run: the error and the plan's fired log.
+fn faulted_run(
+    backend: BackendKind,
+    qnet: &QuantizedNetwork,
+    input: &Tensor<f32>,
+    at: u64,
+    kind: FaultKind,
+) -> (Result<(), DriverError>, Vec<FiredFault>) {
+    let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
+    let driver = Driver::builder(config())
+        .backend(backend)
+        .fault_plan(plan.clone())
+        .build()
+        .expect("valid config");
+    let result = driver.run_network(qnet, input).map(|_| ());
+    let fired = plan.lock().expect("unpoisoned").fired().to_vec();
+    (result, fired)
+}
+
+/// The cpu backend replays memoized per-pass statistics on plan-free
+/// runs; an attached fault plan (or `weight_cache(false)`) must force the
+/// real staged pass for every image, never consulting or feeding the
+/// memo — otherwise `dma:*` injections would have no descriptor to fire
+/// on once the memo is warm. One test function on purpose: it is the only
+/// cpu-backend user in this binary, so the process-wide memo counters it
+/// asserts on are exact.
+#[test]
+fn cpu_backend_faults_bypass_the_warm_stats_memo() {
+    let build = |backend: BackendKind| Driver::builder(config()).backend(backend);
+    let memo = || {
+        let s = stats_memo_stats();
+        (s.entries, s.hits, s.misses)
+    };
+    let (qnet, input) = small_net(8);
+    let golden = qnet.forward_quant(&input);
+    let model = build(BackendKind::Model).build().unwrap().run_network(&qnet, &input).unwrap();
+
+    // Plan-free warm-up populates the memo; the second image only hits.
+    let cpu = build(BackendKind::Cpu).build().unwrap();
+    cpu.run_network(&qnet, &input).expect("clean run");
+    let warmed = memo();
+    assert!(warmed.0 > 0, "the warm-up image recorded its passes");
+    let warm = cpu.run_network(&qnet, &input).expect("clean run");
+    assert_eq!((warm.total_cycles, warm.ddr_bytes), (model.total_cycles, model.ddr_bytes));
+    let replayed = memo();
+    assert_eq!((replayed.0, replayed.2), (warmed.0, warmed.2), "a warm image inserts nothing");
+    assert!(replayed.1 > warmed.1, "a warm image replays");
+
+    // Descriptors per image: the first ordinal no longer reached.
+    let truncate = FaultKind::DmaTruncate { tiles: 1 };
+    let total = (0u64..)
+        .find(|&at| faulted_run(BackendKind::Model, &qnet, &input, at, truncate).0.is_ok())
+        .expect("finite descriptor sequence");
+    assert!(total > 8, "several layers' worth of descriptors, got {total}");
+
+    // First, a middle and the last layer; both fault kinds: same error,
+    // same code, fired at the same descriptor ordinal as the Model backend.
+    for (kind, code) in [(truncate, "dma.truncated"), (FaultKind::DmaCorrupt { xor: 0x40 }, "dma.parity")] {
+        for at in [0, total / 2, total - 1] {
+            let (m_err, m_fired) = faulted_run(BackendKind::Model, &qnet, &input, at, kind);
+            let (c_err, c_fired) = faulted_run(BackendKind::Cpu, &qnet, &input, at, kind);
+            let (m_err, c_err) = (m_err.unwrap_err(), c_err.expect_err("the fault must fire on a warm memo"));
+            assert_eq!(c_err, m_err, "{kind:?} at {at}");
+            assert_eq!(zskip::Error::from(c_err).code(), code);
+            assert_eq!(c_fired, m_fired, "{kind:?} at {at}");
+            assert_eq!(c_fired.len(), 1);
+            assert_eq!(c_fired[0].at, at);
+        }
+    }
+    // A plan that never fires still forces the real pass, as does the
+    // `weight_cache(false)` baseline switch; both report Model's numbers.
+    let idle = FaultPlan::new().inject("dma:xfer", total + 100, truncate).shared();
+    for driver in [
+        build(BackendKind::Cpu).fault_plan(idle).build().unwrap(),
+        build(BackendKind::Cpu).weight_cache(false).build().unwrap(),
+    ] {
+        let r = driver.run_network(&qnet, &input).expect("no fault fires");
+        assert_eq!((r.total_cycles, r.ddr_bytes, &r.output), (model.total_cycles, model.ddr_bytes, &golden));
+    }
+    assert_eq!(memo(), replayed, "bypassing runs neither consult nor feed the memo");
+
+    // A faulted run on a network the memo has never seen inserts nothing,
+    // not even the passes that completed before the fault; the following
+    // plan-free run records them and matches the Model backend.
+    let (fresh, fresh_input) = small_net(12);
+    let (err, _) = faulted_run(BackendKind::Cpu, &fresh, &fresh_input, total - 1, truncate);
+    err.expect_err("late fault");
+    assert_eq!(memo(), replayed, "a faulted run inserts nothing");
+    let fresh_model = build(BackendKind::Model).build().unwrap().run_network(&fresh, &fresh_input).unwrap();
+    let fresh_cpu = cpu.run_network(&fresh, &fresh_input).expect("clean run");
+    assert!(memo().2 > replayed.2, "the plan-free run records the fresh passes");
+    assert_eq!(fresh_cpu.output, fresh_model.output);
+    assert_eq!(
+        (fresh_cpu.total_cycles, fresh_cpu.ddr_bytes),
+        (fresh_model.total_cycles, fresh_model.ddr_bytes)
+    );
+
+    // Retry semantics on a warm memo: the one-shot fault costs image 0 one
+    // retry with one backoff; every image ends bit-identical to a clean run.
+    let inputs = synthetic_inputs(13, 3, Shape::new(3, 8, 8));
+    for backend in [BackendKind::Model, BackendKind::Cpu] {
+        let plan = FaultPlan::new().inject("dma:xfer", total / 2, truncate).shared();
+        let driver = build(backend).fault_plan(plan).build().unwrap();
+        let report = run_batch_resilient(&driver, &qnet, &inputs, 1, RetryPolicy::default());
+        assert_eq!((report.succeeded(), report.retries()), (3, 1), "{backend}");
+        let attempts: Vec<_> = report.items.iter().map(|i| (i.attempts, i.backoff_cycles)).collect();
+        assert_eq!(attempts, [(2, 1024), (1, 0), (1, 0)], "{backend}");
+        for (item, input) in report.items.iter().zip(&inputs) {
+            let r = item.result.as_ref().expect("succeeded");
+            assert_eq!(r.output, qnet.forward_quant(input), "{backend}");
+            assert_eq!((r.total_cycles, r.ddr_bytes), (model.total_cycles, model.ddr_bytes), "{backend}");
+        }
+    }
 }
 
 /// An Avalon bus timeout is a typed `bus.timeout` error at the SoC layer,
