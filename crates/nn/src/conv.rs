@@ -1,6 +1,6 @@
 //! Convolution reference operators: float and integer-exact quantized.
 
-use crate::par::{ConvPool, SendPtr};
+use crate::par::{self, ConvPool, SendPtr, Split};
 use crate::simd::{self, KernelTier};
 use std::sync::{Arc, OnceLock};
 use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
@@ -314,30 +314,105 @@ impl QuantConvWeights {
 }
 
 /// Float reference convolution (stride/pad general), with optional ReLU.
+///
+/// Each output is `bias`, then `+= w * x` tap by tap in `(i, ky, kx)`
+/// order, every step rounded to `f32`: float addition does not
+/// reassociate, and `Network::quantize` derives the activation scales —
+/// and through them every requantizer of the model — from these values,
+/// so the per-output order is part of the model's definition. What is
+/// free is everything else. Outputs are independent, so the loop runs
+/// tap-outermost over whole output planes: per input channel the `k * k`
+/// shifted (and zero-padded, strided) views of it are laid out once as
+/// contiguous planes, and every filter tap then is one contiguous
+/// `acc += w * view`. On all but the smallest planes zero weights (the
+/// ≈65 % magnitude pruning removed — the paper's own trick) are skipped,
+/// and output channels are split over the host's cores. A skipped tap would have added `±0`, which can
+/// change only the sign of an exactly-zero result; the tests hold this
+/// bit-for-bit, modulo that sign, to the naive per-output scan on finite
+/// data.
 pub fn conv2d_f32(input: &Tensor<f32>, weights: &ConvWeights, stride: usize, pad: usize, relu: bool) -> Tensor<f32> {
+    conv2d_f32_split(input, weights, stride, pad, relu, Split::auto())
+}
+
+/// Output planes up to this many values take zero weights like any other:
+/// on a pruned filter the zero test mispredicts every other tap, which
+/// costs more than the few multiply-adds it would skip (the 4x4 and 2x2
+/// planes of a VGG's deep layers run twice as fast without it).
+const DENSE_PLANE: usize = 16;
+
+/// [`conv2d_f32`] with an explicit split of the output channels.
+pub(crate) fn conv2d_f32_split(
+    input: &Tensor<f32>,
+    weights: &ConvWeights,
+    stride: usize,
+    pad: usize,
+    relu: bool,
+    split: Split,
+) -> Tensor<f32> {
     let s = input.shape();
     assert_eq!(s.c, weights.in_c, "input channels mismatch");
-    let out_h = (s.h + 2 * pad - weights.k) / stride + 1;
-    let out_w = (s.w + 2 * pad - weights.k) / stride + 1;
+    let k = weights.k;
+    let out_h = (s.h + 2 * pad - k) / stride + 1;
+    let out_w = (s.w + 2 * pad - k) / stride + 1;
     let mut out = Tensor::zeros(weights.out_c, out_h, out_w);
-    for o in 0..weights.out_c {
-        for y in 0..out_h {
-            for x in 0..out_w {
-                let mut acc = weights.bias[o];
-                for i in 0..s.c {
-                    for ky in 0..weights.k {
-                        for kx in 0..weights.k {
-                            let iy = (y * stride + ky) as isize - pad as isize;
-                            let ix = (x * stride + kx) as isize - pad as isize;
-                            acc += weights.at(o, i, ky, kx) * input.get_or(i, iy, ix, 0.0);
+    let plane = out_h * out_w;
+    if plane == 0 {
+        return out;
+    }
+    let channels = split.run_len(weights.out_c, plane * s.c * k * k);
+    // One set of tap views per run, allocated here rather than by the
+    // workers: memory a short-lived thread frees stays resident in its
+    // allocator arena.
+    let mut views = vec![0f32; weights.out_c.div_ceil(channels) * k * k * plane];
+    let runs = out.as_mut_slice().chunks_mut(channels * plane).zip(views.chunks_mut(k * k * plane));
+    par::scoped_map(runs.enumerate(), |(r, (planes, views))| {
+        let first_o = r * channels;
+        for (acc, &bias) in planes.chunks_mut(plane).zip(&weights.bias[first_o..]) {
+            acc.fill(bias);
+        }
+        // views[tap]: what every output reads through that tap. The
+        // cells that read padding are the same for every input channel:
+        // zero from the start, never written below.
+        for i in 0..s.c {
+            let in_plane = &input.as_slice()[i * s.h * s.w..(i + 1) * s.h * s.w];
+            for (tap, view) in views.chunks_mut(plane).enumerate() {
+                let (ky, kx) = (tap / k, tap % k);
+                let xs = tap_span(kx, pad, stride, s.w, out_w);
+                if xs.is_empty() {
+                    continue;
+                }
+                let first_ix = xs.start * stride + kx - pad;
+                for y in tap_span(ky, pad, stride, s.h, out_h) {
+                    let in_row = &in_plane[(y * stride + ky - pad) * s.w..][..s.w];
+                    let view_row = &mut view[y * out_w..][xs.clone()];
+                    for (v, &x) in view_row.iter_mut().zip(in_row[first_ix..].iter().step_by(stride)) {
+                        *v = x;
+                    }
+                }
+            }
+            for (j, acc) in planes.chunks_mut(plane).enumerate() {
+                for (&w, view) in weights.filter(first_o + j, i).iter().zip(views.chunks(plane)) {
+                    if w != 0.0 || plane <= DENSE_PLANE {
+                        for (a, &x) in acc.iter_mut().zip(view) {
+                            *a += w * x;
                         }
                     }
                 }
-                out[(o, y, x)] = if relu { acc.max(0.0) } else { acc };
             }
         }
-    }
+        if relu {
+            planes.iter_mut().for_each(|a| *a = a.max(0.0));
+        }
+    });
     out
+}
+
+/// The output positions `t` whose tap sample `t * stride + tap - pad`
+/// lands inside `0..in_len`.
+fn tap_span(tap: usize, pad: usize, stride: usize, in_len: usize, out_len: usize) -> std::ops::Range<usize> {
+    let first = pad.saturating_sub(tap).div_ceil(stride);
+    let end = (in_len + pad).saturating_sub(tap).div_ceil(stride).min(out_len);
+    first..end.max(first)
 }
 
 /// Integer-exact quantized convolution: accumulates `i64`, applies the fused

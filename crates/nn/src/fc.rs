@@ -6,6 +6,7 @@
 //! with both a float and an integer-exact quantized path so the end-to-end
 //! quantized pipeline stays self-consistent.
 
+use crate::par::{self, Split};
 use zskip_quant::{Requantizer, Sm8};
 
 /// Float fully connected weights: `w[out][in]` row-major plus bias.
@@ -45,20 +46,27 @@ pub struct QuantFcWeights {
     pub relu: bool,
 }
 
-/// Float FC forward: `out = W x + b`, optional ReLU.
+/// Float FC forward: `out = W x + b`, optional ReLU. Output rows are
+/// split over the host's cores; each row is one serial dot product, so
+/// the result does not depend on the split.
 pub fn fc_f32(input: &[f32], weights: &FcWeights, relu: bool) -> Vec<f32> {
+    fc_f32_split(input, weights, relu, Split::auto())
+}
+
+/// [`fc_f32`] with an explicit split of the output rows.
+pub(crate) fn fc_f32_split(input: &[f32], weights: &FcWeights, relu: bool, split: Split) -> Vec<f32> {
     assert_eq!(input.len(), weights.in_features, "fc input length mismatch");
-    (0..weights.out_features)
-        .map(|o| {
+    let mut out = vec![0f32; weights.out_features];
+    let rows = split.run_len(weights.out_features, weights.in_features);
+    par::scoped_map(out.chunks_mut(rows).enumerate(), |(r, run)| {
+        for (j, out) in run.iter_mut().enumerate() {
+            let o = r * rows + j;
             let row = &weights.w[o * weights.in_features..(o + 1) * weights.in_features];
             let acc = weights.bias[o] + row.iter().zip(input).map(|(w, x)| w * x).sum::<f32>();
-            if relu {
-                acc.max(0.0)
-            } else {
-                acc
-            }
-        })
-        .collect()
+            *out = if relu { acc.max(0.0) } else { acc };
+        }
+    });
+    out
 }
 
 /// Integer-exact quantized FC forward.

@@ -35,6 +35,7 @@ pub mod conv;
 pub mod eltwise;
 pub mod eval;
 pub mod fc;
+mod gaussian;
 pub mod gemm;
 pub mod layer;
 pub mod model;
@@ -43,6 +44,8 @@ pub mod plan;
 pub mod pool;
 pub mod resnet;
 pub mod scratch;
+#[cfg(test)]
+mod setup_oracle;
 pub mod simd;
 pub mod spec_io;
 pub mod vgg16;

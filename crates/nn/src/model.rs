@@ -8,18 +8,18 @@
 //! realistically-scaled distributions — everything downstream (sparsity
 //! structure, zero-skipping, cycle counts, bit-exactness) is faithful.
 
-use crate::conv::{conv2d_f32, conv2d_quant_into, conv2d_quant_into_pool, ConvWeights, QuantConvWeights};
+use crate::conv::{conv2d_f32_split, conv2d_quant_into, conv2d_quant_into_pool, ConvWeights, QuantConvWeights};
 use crate::eltwise::{
     add_f32, add_quant_phase1, add_quant_phase2, batchnorm_f32, global_avgpool_f32,
     global_avgpool_quant_into, BnWeights,
 };
-use crate::fc::{fc_f32, fc_quant_into, softmax, FcWeights, QuantFcWeights};
+use crate::fc::{fc_f32_split, fc_quant_into, softmax, FcWeights, QuantFcWeights};
+use crate::gaussian::{fill_gaussian, ChaChaWords, WordSource};
 use crate::layer::{LayerRef, LayerSpec, NetworkSpec};
+use crate::par::{self, Split};
 use crate::plan::{ExecPlan, PlanStep};
 use crate::pool::{maxpool_f32, maxpool_quant_into};
 use crate::scratch::{slot_pair, Scratch};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -56,60 +56,96 @@ impl Network {
     /// Generates a synthetic float model for a network spec: He-scaled
     /// Gaussian weights (`std = sqrt(2 / fan_in)`), small biases, then
     /// magnitude pruning per the density profile.
+    ///
+    /// Every value is a draw from one ChaCha8 stream of `config.seed`, in
+    /// layer order. The draws are evaluated on all host cores at once
+    /// (see `gaussian.rs`) and each conv layer is pruned while the
+    /// next one fills; the model is bit-identical to drawing them one by
+    /// one on one thread, which the tests keep as the oracle.
     pub fn synthetic(spec: NetworkSpec, config: &SyntheticModelConfig) -> Network {
+        Self::synthetic_from(spec, config, &ChaChaWords::new(config.seed), Split::auto())
+    }
+
+    /// [`Network::synthetic`] over an explicit word source and split.
+    pub(crate) fn synthetic_from(
+        spec: NetworkSpec,
+        config: &SyntheticModelConfig,
+        words: &impl WordSource,
+        split: Split,
+    ) -> Network {
         let shapes = spec.shapes().expect("network must be shape-valid");
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let mut conv_weights = Vec::new();
+        // Next unread Box–Muller attempt of the stream.
+        let mut pos = 0u64;
+        let mut draw = |out: &mut [f32], scale: f32| fill_gaussian(words, &mut pos, out, scale, split);
         let mut fc_weights = Vec::new();
         let mut bn_weights = Vec::new();
-        let mut conv_idx = 0;
-        for (li, layer) in spec.layers.iter().enumerate() {
-            match layer {
-                LayerSpec::Conv { in_c, out_c, k, .. } => {
-                    let fan_in = in_c * k * k;
-                    let std = (2.0 / fan_in as f32).sqrt();
-                    let mut w = ConvWeights::zeros(*out_c, *in_c, *k);
-                    for v in w.w.iter_mut() {
-                        *v = gaussian(&mut rng) * std;
-                    }
-                    for b in w.bias.iter_mut() {
-                        *b = gaussian(&mut rng) * 0.01;
-                    }
-                    prune_to_density(&mut w.w, config.density.density(conv_idx));
-                    conv_idx += 1;
-                    conv_weights.push(w);
-                }
-                LayerSpec::Fc { in_features, out_features, .. } => {
-                    let std = (2.0 / *in_features as f32).sqrt();
-                    let mut w = FcWeights::zeros(*out_features, *in_features);
-                    for v in w.w.iter_mut() {
-                        *v = gaussian(&mut rng) * std;
-                    }
-                    for b in w.bias.iter_mut() {
-                        *b = gaussian(&mut rng) * 0.01;
-                    }
-                    fc_weights.push(w);
-                }
-                LayerSpec::BatchNorm { .. } => {
-                    // Realistic inference statistics: gamma near 1, small
-                    // beta/mean, variance strictly positive near 1.
-                    let c = shapes[li].c;
-                    let mut bn = BnWeights::identity(c);
-                    for i in 0..c {
-                        bn.gamma[i] = 1.0 + gaussian(&mut rng) * 0.1;
-                        bn.beta[i] = gaussian(&mut rng) * 0.05;
-                        bn.mean[i] = gaussian(&mut rng) * 0.05;
-                        bn.var[i] = (1.0 + gaussian(&mut rng) * 0.25).abs().max(0.05);
-                    }
-                    bn_weights.push(bn);
-                }
-                LayerSpec::MaxPool { .. }
-                | LayerSpec::Softmax
-                | LayerSpec::Ref { .. }
-                | LayerSpec::Add { .. }
-                | LayerSpec::GlobalAvgPool { .. } => {}
+        let conv_weights = std::thread::scope(|s| {
+            /// A conv layer's weights, or the thread still pruning them.
+            enum Pruned<'s> {
+                Done(ConvWeights),
+                Running(std::thread::ScopedJoinHandle<'s, ConvWeights>),
             }
-        }
+            // One entry per conv layer, in layer order.
+            let mut convs = Vec::new();
+            for (li, layer) in spec.layers.iter().enumerate() {
+                match layer {
+                    LayerSpec::Conv { in_c, out_c, k, .. } => {
+                        let fan_in = in_c * k * k;
+                        let std = (2.0 / fan_in as f32).sqrt();
+                        let mut w = ConvWeights::zeros(*out_c, *in_c, *k);
+                        draw(&mut w.w, std);
+                        draw(&mut w.bias, 0.01);
+                        let density = config.density.density(convs.len());
+                        // Pruning reads no stream words, so a big layer is
+                        // pruned beside the next layer's fill.
+                        convs.push(if split.runs(w.w.len(), NS_PER_PRUNED_WEIGHT) > 1 {
+                            Pruned::Running(s.spawn(move || {
+                                prune_to_density(&mut w.w, density);
+                                w
+                            }))
+                        } else {
+                            prune_to_density(&mut w.w, density);
+                            Pruned::Done(w)
+                        });
+                    }
+                    LayerSpec::Fc { in_features, out_features, .. } => {
+                        let std = (2.0 / *in_features as f32).sqrt();
+                        let mut w = FcWeights::zeros(*out_features, *in_features);
+                        draw(&mut w.w, std);
+                        draw(&mut w.bias, 0.01);
+                        fc_weights.push(w);
+                    }
+                    LayerSpec::BatchNorm { .. } => {
+                        // Realistic inference statistics: gamma near 1, small
+                        // beta/mean, variance strictly positive near 1. The
+                        // stream order is per channel: gamma, beta, mean, var.
+                        let c = shapes[li].c;
+                        let mut g = vec![0f32; 4 * c];
+                        draw(&mut g, 1.0);
+                        let mut bn = BnWeights::identity(c);
+                        for (i, g) in g.chunks_exact(4).enumerate() {
+                            bn.gamma[i] = 1.0 + g[0] * 0.1;
+                            bn.beta[i] = g[1] * 0.05;
+                            bn.mean[i] = g[2] * 0.05;
+                            bn.var[i] = (1.0 + g[3] * 0.25).abs().max(0.05);
+                        }
+                        bn_weights.push(bn);
+                    }
+                    LayerSpec::MaxPool { .. }
+                    | LayerSpec::Softmax
+                    | LayerSpec::Ref { .. }
+                    | LayerSpec::Add { .. }
+                    | LayerSpec::GlobalAvgPool { .. } => {}
+                }
+            }
+            convs
+                .into_iter()
+                .map(|w| match w {
+                    Pruned::Done(w) => w,
+                    Pruned::Running(h) => h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
+                })
+                .collect()
+        });
         Network { spec, conv_weights, fc_weights, bn_weights }
     }
 
@@ -179,9 +215,15 @@ impl Network {
     /// Float forward pass, invoking `visit(layer_index, activation)` after
     /// every layer (index 0 receives the input). Returns the final
     /// activation flattened.
-    pub fn forward_f32_with(
+    pub fn forward_f32_with(&self, input: &Tensor<f32>, visit: impl FnMut(usize, &Tensor<f32>)) -> Vec<f32> {
+        self.forward_f32_split(input, Split::auto(), visit)
+    }
+
+    /// [`Network::forward_f32_with`] with an explicit conv / FC split.
+    fn forward_f32_split(
         &self,
         input: &Tensor<f32>,
+        split: Split,
         mut visit: impl FnMut(usize, &Tensor<f32>),
     ) -> Vec<f32> {
         visit(0, input);
@@ -202,13 +244,14 @@ impl Network {
                 };
                 match layer {
                     LayerSpec::Conv { stride, pad, relu, .. } => {
-                        let out = conv2d_f32(prev, &self.conv_weights[conv_i], *stride, *pad, *relu);
+                        let out =
+                            conv2d_f32_split(prev, &self.conv_weights[conv_i], *stride, *pad, *relu, split);
                         conv_i += 1;
                         out
                     }
                     LayerSpec::MaxPool { k, stride, .. } => maxpool_f32(prev, *k, *stride),
                     LayerSpec::Fc { relu, .. } => {
-                        let out = fc_f32(prev.as_slice(), &self.fc_weights[fc_i], *relu);
+                        let out = fc_f32_split(prev.as_slice(), &self.fc_weights[fc_i], *relu, split);
                         fc_i += 1;
                         Tensor::from_vec(out.len(), 1, 1, out)
                     }
@@ -244,14 +287,23 @@ impl Network {
     /// Batch-norm folds **before** quantization ([`Network::fold_batchnorm`]
     /// runs first when the spec carries BN), so the returned network's
     /// spec is BN-free; calibration then sees the folded activations.
+    ///
+    /// The calibration passes and each layer's max-abs scan and rounding
+    /// run on all host cores; the result is bit-identical to the
+    /// one-thread, naive-convolution computation the tests keep as oracle.
     pub fn quantize(&self, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
+        self.quantize_split(calibration, Split::auto())
+    }
+
+    /// [`Network::quantize`] with an explicit split.
+    pub(crate) fn quantize_split(&self, calibration: &[Tensor<f32>], split: Split) -> QuantizedNetwork {
         if self.spec.has_batchnorm() {
-            return self.fold_batchnorm().quantize(calibration);
+            return self.fold_batchnorm().quantize_split(calibration, split);
         }
         let boundaries = self.spec.layers.len() + 1;
         let mut max_abs = vec![0f32; boundaries];
         for input in calibration {
-            self.forward_f32_with(input, |i, act| {
+            self.forward_f32_split(input, split, |i, act| {
                 let m = act.as_slice().iter().fold(0f32, |m, &v| m.max(v.abs()));
                 max_abs[i] = max_abs[i].max(m);
             });
@@ -269,14 +321,14 @@ impl Network {
             match layer {
                 LayerSpec::Conv { relu, .. } => {
                     let w = &self.conv_weights[conv_i];
-                    let wq = QuantParams::from_max_abs(&w.w);
+                    let (wq, w_q) = quantize_weights(&w.w, split);
                     conv.push(QuantizedConvLayer {
                         layer_index: li,
                         weights: QuantConvWeights::new(
                             w.out_c,
                             w.in_c,
                             w.k,
-                            w.w.iter().map(|&v| wq.quantize(v)).collect(),
+                            w_q,
                             w.bias
                                 .iter()
                                 .map(|&b| (b / (s_in * wq.scale)).round() as i64)
@@ -292,11 +344,11 @@ impl Network {
                 }
                 LayerSpec::Fc { relu, .. } => {
                     let w = &self.fc_weights[fc_i];
-                    let wq = QuantParams::from_max_abs(&w.w);
+                    let (wq, w_q) = quantize_weights(&w.w, split);
                     fc.push(QuantFcWeights {
                         out_features: w.out_features,
                         in_features: w.in_features,
-                        w: w.w.iter().map(|&v| wq.quantize(v)).collect(),
+                        w: w_q,
                         bias_acc: w
                             .bias
                             .iter()
@@ -335,14 +387,26 @@ impl Network {
     /// `{-1, 0, +1}` with a per-layer scale, inducing 30-60% sparsity that
     /// the zero-skipping hardware exploits directly. FC layers stay 8-bit.
     pub fn quantize_ternary(&self, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
-        use zskip_quant::TernaryParams;
+        self.quantize_ternary_split(calibration, Split::auto())
+    }
+
+    /// [`Network::quantize_ternary`] with an explicit split.
+    pub(crate) fn quantize_ternary_split(&self, calibration: &[Tensor<f32>], split: Split) -> QuantizedNetwork {
         if self.spec.has_batchnorm() {
             // Fold first so the layer walk below sees the same spec the
             // 8-bit quantization produced.
-            return self.fold_batchnorm().quantize_ternary(calibration);
+            return self.fold_batchnorm().quantize_ternary_split(calibration, split);
         }
         // Start from the 8-bit quantization for activation scales and FC.
-        let mut q = self.quantize(calibration);
+        let mut q = self.quantize_split(calibration, split);
+        self.ternarize(&mut q);
+        q
+    }
+
+    /// Replaces the conv layers of `q` — this (batch-norm-free) network's
+    /// 8-bit quantization — with their ternary form.
+    pub(crate) fn ternarize(&self, q: &mut QuantizedNetwork) {
+        use zskip_quant::TernaryParams;
         let mut conv_i = 0;
         for (li, layer) in self.spec.layers.iter().enumerate() {
             if let LayerSpec::Conv { relu, .. } = layer {
@@ -361,8 +425,30 @@ impl Network {
                 conv_i += 1;
             }
         }
-        q
     }
+}
+
+/// Rough cost of pruning one weight (count, select, sweep).
+const NS_PER_PRUNED_WEIGHT: usize = 3;
+/// Rough cost of scanning and rounding one weight to 8 bits.
+const NS_PER_QUANTIZED_WEIGHT: usize = 6;
+
+/// Max-abs 8-bit quantization of one layer's weights: the scale
+/// [`QuantParams::from_max_abs`] picks and the values
+/// [`QuantParams::quantize`] rounds to, with both passes cut into runs.
+/// `max` is exact and order-free, so the maximum of the per-run maxima is
+/// the serial scan's; rounding is per element.
+fn quantize_weights(w: &[f32], split: Split) -> (QuantParams, Vec<Sm8>) {
+    let run_len = split.run_len(w.len(), NS_PER_QUANTIZED_WEIGHT);
+    let maxima = par::scoped_map(w.chunks(run_len), |run| run.iter().fold(0f32, |m, &v| m.max(v.abs())));
+    let params = QuantParams::from_max_abs(&maxima);
+    let mut q = vec![Sm8::ZERO; w.len()];
+    par::scoped_map(q.chunks_mut(run_len).zip(w.chunks(run_len)), |(q, w)| {
+        for (q, &v) in q.iter_mut().zip(w) {
+            *q = params.quantize(v);
+        }
+    });
+    (params, q)
 }
 
 /// One quantized conv layer with its scale bookkeeping.
@@ -570,18 +656,6 @@ impl QuantizedNetwork {
     /// Per-conv-layer weight density, in layer order.
     pub fn conv_densities(&self) -> Vec<f64> {
         self.conv.iter().map(|c| c.weights.density()).collect()
-    }
-}
-
-/// Standard Gaussian via Box-Muller (keeps dependencies minimal and seeds
-/// reproducible across `rand` versions).
-fn gaussian(rng: &mut impl Rng) -> f32 {
-    loop {
-        let u1: f32 = rng.gen::<f32>();
-        let u2: f32 = rng.gen::<f32>();
-        if u1 > f32::EPSILON {
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-        }
     }
 }
 

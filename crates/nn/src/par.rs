@@ -261,6 +261,62 @@ impl<T> SendPtr<T> {
     }
 }
 
+/// How the model set-up (`Network::synthetic` / `quantize` and the float
+/// kernels under them) splits one job over scoped threads. Unlike the
+/// persistent [`ConvPool`] these jobs run a handful of times per process,
+/// so each spawns its threads and joins them before returning.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Split {
+    workers: usize,
+    /// Least work, in rough nanoseconds, worth a thread of its own.
+    min_work: usize,
+}
+
+impl Split {
+    /// One run per host core, for jobs big enough to repay a thread spawn.
+    pub(crate) fn auto() -> Split {
+        Split { workers: ConvPool::auto_threads(), min_work: 1 << 18 }
+    }
+
+    /// Exactly `workers` runs however small the job: how the bit-identity
+    /// tests reach every split point.
+    #[cfg(test)]
+    pub(crate) fn forced(workers: usize) -> Split {
+        Split { workers, min_work: 1 }
+    }
+
+    /// How many contiguous runs to cut `items` items of about
+    /// `ns_per_item` each into (at least 1, at most one per item).
+    pub(crate) fn runs(self, items: usize, ns_per_item: usize) -> usize {
+        self.workers.min(items.saturating_mul(ns_per_item) / self.min_work).min(items).max(1)
+    }
+
+    /// Items per run: `items` cut into [`Split::runs`] near-equal runs.
+    pub(crate) fn run_len(self, items: usize, ns_per_item: usize) -> usize {
+        items.div_ceil(self.runs(items, ns_per_item)).max(1)
+    }
+}
+
+/// Calls `f` on every piece — the first on the calling thread, each other
+/// on a scoped thread of its own — and returns the results in piece order.
+/// Pieces are disjoint borrows (`chunks_mut`, zipped `chunks`), so the
+/// split is safe code and every thread is joined before this returns.
+pub(crate) fn scoped_map<P: Send, R: Send>(
+    pieces: impl IntoIterator<Item = P>,
+    f: impl Fn(P) -> R + Sync,
+) -> Vec<R> {
+    let mut pieces = pieces.into_iter();
+    let Some(first) = pieces.next() else { return Vec::new() };
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = pieces.map(|p| s.spawn(move || f(p))).collect();
+        let mut results = vec![f(first)];
+        // A worker's panic is this call's panic, not a lost result.
+        results.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))));
+        results
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,5 +390,30 @@ mod tests {
             assert_eq!(v / 100, p);
             assert!(v % 100 < 4);
         }
+    }
+
+    #[test]
+    fn scoped_map_keeps_piece_order_and_joins() {
+        let mut data: Vec<usize> = (0..10).collect();
+        let sums = scoped_map(data.chunks_mut(3).enumerate(), |(i, run)| {
+            run.iter_mut().for_each(|v| *v += 100);
+            (i, run.iter().sum::<usize>())
+        });
+        assert_eq!(sums, vec![(0, 303), (1, 312), (2, 321), (3, 109)]);
+        assert_eq!(data[9], 109);
+        assert!(scoped_map(std::iter::empty::<u8>(), |v| v).is_empty());
+    }
+
+    #[test]
+    fn split_cuts_by_work_and_never_past_one_item_per_run() {
+        let s = Split { workers: 4, min_work: 100 };
+        assert_eq!(s.runs(10, 1), 1, "too little work for a thread");
+        assert_eq!(s.runs(10, 25), 2);
+        assert_eq!(s.runs(10, 1000), 4);
+        assert_eq!(s.runs(3, 1000), 3);
+        assert_eq!(s.runs(0, 1000), 1);
+        assert_eq!(s.run_len(10, 1000), 3);
+        assert_eq!(s.run_len(0, 1), 1, "chunk sizes must be non-zero");
+        assert_eq!(Split::forced(8).runs(5, 1), 5);
     }
 }

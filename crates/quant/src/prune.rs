@@ -27,17 +27,51 @@ pub fn prune_to_density(weights: &mut [f32], density: f64) -> f32 {
         weights.iter_mut().for_each(|w| *w = 0.0);
         return f32::INFINITY;
     }
-    let mut mags: Vec<f32> = weights.iter().map(|w| w.abs()).collect();
     // Threshold = magnitude of the keep-th largest element.
-    let cut = mags.len() - keep;
-    mags.select_nth_unstable_by(cut, |a, b| a.partial_cmp(b).expect("weights must not be NaN"));
-    let threshold = mags[cut];
+    let threshold = nth_magnitude(weights, weights.len() - keep);
+    // An unconditional store: which weights fall below is a coin flip per
+    // weight, so a branch here mispredicts its way through the layer.
     for w in weights.iter_mut() {
-        if w.abs() < threshold {
-            *w = 0.0;
-        }
+        *w = if w.abs() < threshold { 0.0 } else { *w };
     }
     threshold
+}
+
+/// The `rank`-th smallest magnitude of `weights` (0-based, ties counted).
+///
+/// Magnitudes of non-NaN floats order exactly like their bit patterns, so
+/// instead of partially sorting a full-size copy this counts them by
+/// their leading bits, finds the bucket the rank falls in, and selects
+/// inside that bucket alone: two streaming passes and a buffer a few
+/// percent of the layer's size. (The copy mattered beyond its cost: a
+/// conv layer is pruned on a thread of its own while the next one is
+/// drawn, and a multi-megabyte buffer freed on a short-lived thread stays
+/// resident in that thread's allocator arena.)
+fn nth_magnitude(weights: &[f32], rank: usize) -> f32 {
+    /// Leading magnitude bits (8 exponent + 4 mantissa) that pick a bucket.
+    const BUCKET_BITS: u32 = 12;
+    let magnitude = |w: &f32| w.to_bits() & 0x7fff_ffff;
+    let bucket = |m: u32| (m >> (31 - BUCKET_BITS)) as usize;
+
+    let mut counts = [0usize; 1 << BUCKET_BITS];
+    let mut largest = 0;
+    for m in weights.iter().map(magnitude) {
+        counts[bucket(m)] += 1;
+        largest = largest.max(m);
+    }
+    assert!(largest <= f32::INFINITY.to_bits(), "weights must not be NaN");
+    let mut below = 0;
+    let mut target = 0;
+    for (b, &count) in counts.iter().enumerate() {
+        if below + count > rank {
+            target = b;
+            break;
+        }
+        below += count;
+    }
+    let mut inside: Vec<u32> = weights.iter().map(magnitude).filter(|&m| bucket(m) == target).collect();
+    let (_, &mut nth, _) = inside.select_nth_unstable(rank - below);
+    f32::from_bits(nth)
 }
 
 /// Fraction of zero entries in a slice.
@@ -189,7 +223,54 @@ mod tests {
         assert_eq!(p.density(2), 0.0);
     }
 
+    /// The threshold by the definition: sort every magnitude, index.
+    fn nth_magnitude_by_sorting(weights: &[f32], rank: usize) -> f32 {
+        let mut mags: Vec<f32> = weights.iter().map(|w| w.abs()).collect();
+        mags.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        mags[rank]
+    }
+
+    #[test]
+    fn nth_magnitude_handles_zeros_subnormals_infinities_and_ties() {
+        let w = [0.0f32, -0.0, f32::MIN_POSITIVE / 4.0, -f32::MIN_POSITIVE, 1.5, -1.5, 1.5, f32::INFINITY, -3.0e38, 2.0e-30];
+        for rank in 0..w.len() {
+            let got = nth_magnitude(&w, rank);
+            assert_eq!(got.to_bits(), nth_magnitude_by_sorting(&w, rank).to_bits(), "rank {rank}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must not be NaN")]
+    fn nan_weights_are_rejected() {
+        prune_to_density(&mut [1.0, f32::NAN, 2.0], 0.5);
+    }
+
     proptest! {
+        /// The bucketed selection returns what sorting every magnitude
+        /// returns, on values spread over many buckets and crowded into
+        /// one (so the rank falls inside a bucket with ties).
+        #[test]
+        fn nth_magnitude_matches_sorting(
+            n in 1usize..400,
+            rank_seed in 0usize..10_000,
+            spread in 0u32..3,
+            seed in 0u64..1000,
+        ) {
+            let w: Vec<f32> = (0..n as u64)
+                .map(|i| {
+                    let h = (i + seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                    let unit = h as f32 / (1u64 << 24) as f32 - 0.5;
+                    match spread {
+                        0 => unit * 1e-3,                         // a few buckets
+                        1 => (unit * 40.0).exp2() * unit.signum(), // 80 octaves
+                        _ => (h % 7) as f32 * 0.25 - 0.75,         // heavy ties
+                    }
+                })
+                .collect();
+            let rank = rank_seed % n;
+            prop_assert_eq!(nth_magnitude(&w, rank).to_bits(), nth_magnitude_by_sorting(&w, rank).to_bits());
+        }
+
         #[test]
         fn achieved_density_close_to_target(
             n in 1usize..500,

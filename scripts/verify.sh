@@ -76,10 +76,22 @@ timeout 300 ./target/release/zskip infer --hw 32 --instances 4 --placement pipel
 # >= 2.5x at 4 instances; pipeline beats image on single-image latency).
 timeout 300 ./target/release/batch_bench --check
 
+# Cold-start smoke, the benchmark's `vgg16_cold` command: the simulated
+# cycle count is a function of the synthetic weight stream (seed ->
+# ChaCha words -> Gaussian draws -> pruned zero pattern) and the benchmark
+# holds it exact, so a drift anywhere in the model set-up fails here in
+# seconds rather than in the benchmark's exact-count bound.
+cold_out=$(timeout 300 ./target/release/zskip infer --hw 32 --backend cpu)
+printf '%s\n' "$cold_out" | grep -q '^1603970 cycles' \
+  || { echo "verify: vgg16-32 infer must report 1603970 cycles (weight stream or model drifted)"; exit 1; }
+
 # Graph-network smoke: the in-repo ResNet-18 spec must load, plan and run
 # end to end on the cpu backend (infer asserts bit-exactness vs the
-# golden DAG oracle internally), and `analyze` must walk the same DAG.
-timeout 300 ./target/release/zskip infer --network specs/resnet18.json --hw 32 --backend cpu > /dev/null
+# golden DAG oracle internally) at its pinned simulated cycle count, and
+# `analyze` must walk the same DAG.
+resnet_out=$(timeout 300 ./target/release/zskip infer --network specs/resnet18.json --hw 32 --backend cpu)
+printf '%s\n' "$resnet_out" | grep -q '^212601 cycles' \
+  || { echo "verify: resnet18 infer must report 212601 cycles (weight stream or model drifted)"; exit 1; }
 analyze_out=$(timeout 300 ./target/release/zskip analyze --network specs/resnet18.json)
 printf '%s\n' "$analyze_out" | grep -q 'branch point' \
   || { echo "verify: analyze --network did not report the residual branch points"; exit 1; }

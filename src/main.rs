@@ -676,7 +676,9 @@ fn infer(p: &Parsed) {
     } else {
         session.infer(&qnet, &input).unwrap_or_else(|e| fail(&e.to_string()))
     };
-    assert_eq!(report.output, qnet.forward_quant(&input), "bit-exact vs golden model");
+    if let Some(diff) = golden_mismatch(&report.output, &qnet.forward_quant(&input)) {
+        fail(&format!("not bit-exact vs the software golden model: {diff}"));
+    }
     println!("bit-exact vs the software golden model");
     println!(
         "{} cycles = {:.2} ms at {:.0} MHz; mean {:.1} / peak {:.1} effective GOPS; DDR {} MiB",
@@ -689,6 +691,16 @@ fn infer(p: &Parsed) {
     );
     let top = zskip::nn::fc::argmax(&report.output).expect("non-empty");
     println!("predicted class: {top}");
+}
+
+/// Where an accelerator output first departs from the golden model's, as
+/// one line (`None` when they are equal).
+fn golden_mismatch(output: &[zskip::quant::Sm8], golden: &[zskip::quant::Sm8]) -> Option<String> {
+    if output.len() != golden.len() {
+        return Some(format!("output has {} values, the golden model {}", output.len(), golden.len()));
+    }
+    let i = output.iter().zip(golden).position(|(o, g)| o != g)?;
+    Some(format!("output[{i}] is {}, the golden model has {}", output[i].to_i32(), golden[i].to_i32()))
 }
 
 fn batch(p: &Parsed) {
@@ -1304,4 +1316,25 @@ fn trace() {
     println!("legend: '#' busy, 'x' blocked on FIFO, '.' idle, ' ' done\n");
     print!("{}", trace.render(80));
     println!("{}", outcome.report.render_utilization());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::golden_mismatch;
+    use zskip::quant::Sm8;
+
+    fn sm8(values: &[i32]) -> Vec<Sm8> {
+        values.iter().map(|&v| Sm8::from_i32_saturating(v)).collect()
+    }
+
+    #[test]
+    fn golden_mismatch_names_the_first_differing_index_in_one_line() {
+        assert_eq!(golden_mismatch(&sm8(&[1, -2, 3]), &sm8(&[1, -2, 3])), None);
+        assert_eq!(golden_mismatch(&[], &[]), None);
+        let diff = golden_mismatch(&sm8(&[1, -2, 3, 9]), &sm8(&[1, -2, 4, 8])).expect("differs");
+        assert_eq!(diff, "output[2] is 3, the golden model has 4");
+        let short = golden_mismatch(&sm8(&[1]), &sm8(&[1, 2])).expect("differs");
+        assert_eq!(short, "output has 1 values, the golden model 2");
+        assert!(!diff.contains('\n') && !short.contains('\n'));
+    }
 }
