@@ -303,10 +303,10 @@ impl DriverBuilder {
     /// [`instances`](DriverBuilder::instances) override is zero or leaves
     /// zero bank capacity after the RAM-preserving rescale.
     pub fn build(mut self) -> Result<Driver, DriverError> {
+        if self.instances.unwrap_or(self.config.instances) == 0 {
+            return Err(DriverError::InvalidConfig("instances must be nonzero".into()));
+        }
         if let Some(n) = self.instances {
-            if n == 0 {
-                return Err(DriverError::InvalidConfig("instances must be nonzero".into()));
-            }
             let total = self.config.bank_tiles * self.config.instances;
             self.config.instances = n;
             self.config.bank_tiles = total / n;
@@ -321,7 +321,6 @@ impl DriverBuilder {
         for (name, v) in [
             ("units", c.units),
             ("lanes", c.lanes),
-            ("instances", c.instances),
             ("bank_tiles", c.bank_tiles),
             ("fifo_depth", c.fifo_depth),
         ] {

@@ -20,6 +20,7 @@ use crate::exec::BackendKind;
 use crate::session::{
     SessionBuilder, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH,
 };
+use crate::tune::{Knob, KnobValue, KNOBS};
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
 use zskip_nn::simd::KernelTier;
@@ -126,46 +127,50 @@ impl Default for TunedConfig {
     }
 }
 
-/// Looks up a variant by its serialized label (`Variant::label`).
-fn variant_from_label(label: &str) -> Option<Variant> {
-    Variant::all().into_iter().find(|v| v.label() == label)
+fn invalid(reason: impl std::fmt::Display) -> Error {
+    Error::InvalidConfig(format!("tuned config: {reason}"))
 }
 
-fn invalid(reason: impl Into<String>) -> Error {
-    Error::InvalidConfig(reason.into())
+impl Provenance {
+    fn from_json(json: &Json) -> Result<Provenance, Error> {
+        let field = |name: &str| {
+            json.get(name).ok_or_else(|| invalid(format!("provenance missing field '{name}'")))
+        };
+        let int = |name: &str| {
+            let value = field(name)?.as_u64();
+            value.ok_or_else(|| invalid(format!("provenance {name} must be an integer")))
+        };
+        let text = |name: &str| {
+            let value = field(name)?.as_str().map(str::to_string);
+            value.ok_or_else(|| invalid(format!("provenance {name} must be a string")))
+        };
+        Ok(Provenance {
+            seed: int("seed")?,
+            budget: int("budget")?,
+            objective: text("objective")?,
+            space: text("space")?,
+            searcher: text("searcher")?,
+            score: field("score")?
+                .as_f64()
+                .ok_or_else(|| invalid("provenance score must be a number"))?,
+            evals: int("evals")?,
+            cache_hits: int("cache_hits")?,
+        })
+    }
 }
+
+/// The artifact's two fields that are not knobs.
+const VERSION: &str = "version";
+const PROVENANCE: &str = "provenance";
 
 impl ToJson for TunedConfig {
+    /// `version`, every [`KNOBS`] row in table order, then `provenance`
+    /// when there is one.
     fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("version", ARTIFACT_VERSION.to_json()),
-            ("variant", self.variant.label().to_json()),
-            ("instances", self.instances.to_json()),
-            ("backend", self.backend.name().to_json()),
-            ("threads", self.threads.to_json()),
-            (
-                "kernel",
-                match self.kernel {
-                    Some(t) => t.name().to_json(),
-                    None => Json::Null,
-                },
-            ),
-            ("weight_cache", self.weight_cache.to_json()),
-            (
-                "park_hysteresis",
-                match self.park_hysteresis {
-                    Some(t) => (t as u64).to_json(),
-                    None => Json::Null,
-                },
-            ),
-            ("placement", self.placement.name().to_json()),
-            ("batch_workers", self.batch_workers.to_json()),
-            ("max_batch", self.max_batch.to_json()),
-            ("batch_window_ms", self.batch_window_ms.to_json()),
-            ("queue_depth", self.queue_depth.to_json()),
-        ];
+        let mut fields = vec![(VERSION, ARTIFACT_VERSION.to_json())];
+        fields.extend(KNOBS.iter().map(|knob| (knob.name, (knob.get)(self).to_json())));
         if let Some(p) = &self.provenance {
-            fields.push(("provenance", p.to_json()));
+            fields.push((PROVENANCE, p.to_json()));
         }
         Json::obj(fields)
     }
@@ -175,11 +180,12 @@ impl TunedConfig {
     /// Parses an artifact from its JSON text.
     ///
     /// # Errors
-    /// `config.invalid` on malformed JSON, a version mismatch, a missing
-    /// or mistyped field, or an unknown enum name.
+    /// `config.invalid` on malformed JSON, a version mismatch, a missing,
+    /// mistyped or out-of-range field, an unknown enum name, or a field
+    /// this build does not know (a misspelt knob must not load as "knob
+    /// left at its default").
     pub fn from_json_str(text: &str) -> Result<TunedConfig, Error> {
-        let json = Json::parse(text).map_err(|e| invalid(format!("tuned config: {e}")))?;
-        TunedConfig::from_json(&json)
+        TunedConfig::from_json(&Json::parse(text).map_err(invalid)?)
     }
 
     /// Parses an artifact from a parsed [`Json`] value.
@@ -187,112 +193,32 @@ impl TunedConfig {
     /// # Errors
     /// See [`TunedConfig::from_json_str`].
     pub fn from_json(json: &Json) -> Result<TunedConfig, Error> {
-        let field = |name: &str| -> Result<&Json, Error> {
-            json.get(name).ok_or_else(|| invalid(format!("tuned config: missing field '{name}'")))
-        };
-        let u64_field = |name: &str| -> Result<u64, Error> {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| invalid(format!("tuned config: field '{name}' must be an integer")))
-        };
-        let str_field = |name: &str| -> Result<&str, Error> {
-            field(name)?
-                .as_str()
-                .ok_or_else(|| invalid(format!("tuned config: field '{name}' must be a string")))
-        };
-        let version = u64_field("version")?;
-        if version != ARTIFACT_VERSION {
-            return Err(invalid(format!(
-                "tuned config: version {version} not supported (this build reads version {ARTIFACT_VERSION})"
-            )));
+        let Json::Obj(fields) = json else { return Err(invalid("not a JSON object")) };
+        let known = |key: &str| key == VERSION || key == PROVENANCE || Knob::by_name(key).is_some();
+        if let Some((key, _)) = fields.iter().find(|(key, _)| !known(key)) {
+            return Err(invalid(format!("unknown field '{key}'")));
         }
-        let variant_label = str_field("variant")?;
-        let variant = variant_from_label(variant_label)
-            .ok_or_else(|| invalid(format!("tuned config: unknown variant '{variant_label}'")))?;
-        let backend: BackendKind =
-            str_field("backend")?.parse().map_err(|e| invalid(format!("tuned config: {e}")))?;
-        let kernel = match field("kernel")? {
-            Json::Null => None,
-            j => {
-                let name = j.as_str().ok_or_else(|| {
-                    invalid("tuned config: field 'kernel' must be a string or null")
-                })?;
-                Some(
-                    KernelTier::parse(name)
-                        .ok_or_else(|| invalid(format!("tuned config: unknown kernel '{name}'")))?,
-                )
+        let field =
+            |name: &str| json.get(name).ok_or_else(|| invalid(format!("missing field '{name}'")));
+        match field(VERSION)?.as_u64() {
+            Some(ARTIFACT_VERSION) => {}
+            Some(version) => {
+                return Err(invalid(format!(
+                    "version {version} not supported (this build reads version {ARTIFACT_VERSION})"
+                )))
             }
-        };
-        let park_hysteresis = match field("park_hysteresis")? {
-            Json::Null => None,
-            j => {
-                let ticks = j.as_u64().ok_or_else(|| {
-                    invalid("tuned config: field 'park_hysteresis' must be an integer or null")
-                })?;
-                Some(u32::try_from(ticks).map_err(|_| {
-                    invalid(format!("tuned config: park_hysteresis {ticks} out of range"))
-                })?)
-            }
-        };
-        let placement: Placement =
-            str_field("placement")?.parse().map_err(|e| invalid(format!("tuned config: {e}")))?;
-        let weight_cache = field("weight_cache")?
-            .as_bool()
-            .ok_or_else(|| invalid("tuned config: field 'weight_cache' must be a boolean"))?;
-        let provenance = match json.get("provenance") {
-            None => None,
-            Some(p) => {
-                let pfield = |name: &str| -> Result<&Json, Error> {
-                    p.get(name).ok_or_else(|| {
-                        invalid(format!("tuned config: provenance missing field '{name}'"))
-                    })
-                };
-                Some(Provenance {
-                    seed: pfield("seed")?
-                        .as_u64()
-                        .ok_or_else(|| invalid("tuned config: provenance seed must be an integer"))?,
-                    budget: pfield("budget")?
-                        .as_u64()
-                        .ok_or_else(|| invalid("tuned config: provenance budget must be an integer"))?,
-                    objective: pfield("objective")?
-                        .as_str()
-                        .ok_or_else(|| invalid("tuned config: provenance objective must be a string"))?
-                        .to_string(),
-                    space: pfield("space")?
-                        .as_str()
-                        .ok_or_else(|| invalid("tuned config: provenance space must be a string"))?
-                        .to_string(),
-                    searcher: pfield("searcher")?
-                        .as_str()
-                        .ok_or_else(|| invalid("tuned config: provenance searcher must be a string"))?
-                        .to_string(),
-                    score: pfield("score")?
-                        .as_f64()
-                        .ok_or_else(|| invalid("tuned config: provenance score must be a number"))?,
-                    evals: pfield("evals")?
-                        .as_u64()
-                        .ok_or_else(|| invalid("tuned config: provenance evals must be an integer"))?,
-                    cache_hits: pfield("cache_hits")?.as_u64().ok_or_else(|| {
-                        invalid("tuned config: provenance cache_hits must be an integer")
-                    })?,
-                })
-            }
-        };
-        Ok(TunedConfig {
-            variant,
-            instances: u64_field("instances")? as usize,
-            backend,
-            threads: u64_field("threads")? as usize,
-            kernel,
-            weight_cache,
-            park_hysteresis,
-            placement,
-            batch_workers: u64_field("batch_workers")? as usize,
-            max_batch: u64_field("max_batch")? as usize,
-            batch_window_ms: u64_field("batch_window_ms")?,
-            queue_depth: u64_field("queue_depth")? as usize,
-            provenance,
-        })
+            None => return Err(invalid("field 'version' must be an integer")),
+        }
+        let mut config = TunedConfig::default();
+        for knob in KNOBS.iter() {
+            let json = field(knob.name)?;
+            let value = KnobValue::from_json(json).ok_or_else(|| "takes a scalar".to_string());
+            value.and_then(|v| (knob.set)(&mut config, v)).map_err(|e| {
+                invalid(format!("field '{}' {e}, got {}", knob.name, json.to_string_compact()))
+            })?;
+        }
+        config.provenance = json.get(PROVENANCE).map(Provenance::from_json).transpose()?;
+        Ok(config)
     }
 
     /// The canonical serialized artifact text (what `save` writes).
@@ -308,7 +234,7 @@ impl TunedConfig {
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), Error> {
         let path = path.as_ref();
         fs::write(path, self.to_json_string())
-            .map_err(|e| invalid(format!("cannot write tuned config {}: {e}", path.display())))
+            .map_err(|e| invalid(format!("cannot write {}: {e}", path.display())))
     }
 
     /// Reads an artifact from `path`.
@@ -319,7 +245,7 @@ impl TunedConfig {
     pub fn load(path: impl AsRef<Path>) -> Result<TunedConfig, Error> {
         let path = path.as_ref();
         let text = fs::read_to_string(path)
-            .map_err(|e| invalid(format!("cannot read tuned config {}: {e}", path.display())))?;
+            .map_err(|e| invalid(format!("cannot read {}: {e}", path.display())))?;
         TunedConfig::from_json_str(&text)
     }
 
@@ -336,10 +262,14 @@ impl TunedConfig {
     /// starting from
     /// [`AccelConfig::for_variant_instances`](crate::config::AccelConfig::for_variant_instances)
     /// of the variant/instances pair. Call `.build()` — which validates —
-    /// or layer further overrides first (the CLI's explicit flags do).
+    /// or layer further overrides first. A zero `instances` (the field is
+    /// public) has no cost-model point: the builder gets it as an explicit
+    /// override, so `.build()` rejects it with `config.invalid`.
     pub fn session(&self) -> SessionBuilder {
-        let config = crate::config::AccelConfig::for_variant_instances(self.variant, self.instances);
+        let config =
+            crate::config::AccelConfig::for_variant_instances(self.variant, self.instances.max(1));
         let mut b = SessionBuilder::new(config)
+            .instances(self.instances)
             .backend(self.backend)
             .threads(self.threads)
             .weight_cache(self.weight_cache)
@@ -361,6 +291,20 @@ impl TunedConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn provenance() -> Provenance {
+        Provenance {
+            seed: 7,
+            budget: 64,
+            objective: "cycles".into(),
+            space: "hls".into(),
+            searcher: "cd".into(),
+            score: 0.001953125, // dyadic: exact in f64 and in decimal
+            evals: 40,
+            cache_hits: 24,
+        }
+    }
 
     #[test]
     fn default_round_trips_byte_identically() {
@@ -371,21 +315,31 @@ mod tests {
         assert_eq!(back.to_json_string(), text, "canonical form is a fixed point");
     }
 
+    /// Recorded from the parent commit's `zskip tune` output: the table
+    /// loop must not move a byte of the canonical artifact.
+    #[test]
+    fn default_artifact_text_is_pinned() {
+        let golden = r#"{
+  "version": 1,
+  "variant": "256-opt",
+  "instances": 1,
+  "backend": "model",
+  "threads": 1,
+  "kernel": null,
+  "weight_cache": true,
+  "park_hysteresis": null,
+  "placement": "auto",
+  "batch_workers": 0,
+  "max_batch": 8,
+  "batch_window_ms": 2,
+  "queue_depth": 64
+}"#;
+        assert_eq!(TunedConfig::default().to_json_string(), golden);
+    }
+
     #[test]
     fn provenance_round_trips() {
-        let config = TunedConfig {
-            provenance: Some(Provenance {
-                seed: 7,
-                budget: 64,
-                objective: "cycles".into(),
-                space: "hls".into(),
-                searcher: "cd".into(),
-                score: 0.001953125, // dyadic: exact in f64 and in decimal
-                evals: 40,
-                cache_hits: 24,
-            }),
-            ..TunedConfig::default()
-        };
+        let config = TunedConfig { provenance: Some(provenance()), ..TunedConfig::default() };
         let back = TunedConfig::from_json_str(&config.to_json_string()).expect("parses");
         assert_eq!(back, config);
     }
@@ -430,6 +384,30 @@ mod tests {
     }
 
     #[test]
+    fn rejects_unknown_fields_by_name() {
+        // A misspelt knob beside the real one, and one replacing it.
+        let text = TunedConfig::default().to_json_string();
+        for bad in [text.replacen("{", "{\n  \"thread\": 4,", 1), text.replace("\"threads\"", "\"thread\"")] {
+            let err = TunedConfig::from_json_str(&bad).unwrap_err();
+            assert_eq!(err.code(), "config.invalid");
+            assert!(err.to_string().contains("unknown field 'thread'"), "{err}");
+        }
+        let err = TunedConfig::from_json_str("[1]").unwrap_err();
+        assert_eq!(err.code(), "config.invalid");
+    }
+
+    #[test]
+    fn zero_instances_never_reach_the_cost_model() {
+        let text = TunedConfig::default().to_json_string().replace("\"instances\": 1", "\"instances\": 0");
+        let err = TunedConfig::from_json_str(&text).unwrap_err();
+        assert_eq!(err.code(), "config.invalid");
+        assert!(err.to_string().contains("field 'instances' must be at least 1"), "{err}");
+        // The field is public, so `session()` has to fail closed too.
+        let err = TunedConfig { instances: 0, ..TunedConfig::default() }.session().build().unwrap_err();
+        assert_eq!(err.code(), "config.invalid");
+    }
+
+    #[test]
     fn session_applies_every_knob() {
         let config = TunedConfig {
             variant: Variant::U256Opt,
@@ -460,5 +438,56 @@ mod tests {
         assert_eq!(b.max_batch, 5);
         assert_eq!(b.batch_window, std::time::Duration::from_millis(7));
         assert_eq!(b.queue_depth, 11);
+    }
+
+    /// Every JSON value a single-field mutation swaps in.
+    const MUTANTS: [&str; 12] = [
+        "null", "true", "0", "-1", "1.5", "1e300", "4294967296", "18446744073709551616", "\"\"",
+        "\"cpu\"", "[]", "{}",
+    ];
+
+    const TOKENS: [&str; 16] = [
+        "{", "}", "[", "]", ":", ",", "\"version\"", "1", "\"threads\"", "\"kernel\"", "null",
+        "\"provenance\"", "\"seed\"", "-", "\"", "true",
+    ];
+
+    proptest! {
+        #[test]
+        fn arbitrary_text_never_panics(
+            bytes in prop::collection::vec(0u8..=255, 0..48),
+            tokens in prop::collection::vec(0usize..TOKENS.len(), 0..32),
+        ) {
+            // Raw bytes rarely get past the JSON parser; token soup does.
+            let soup: String = tokens.iter().map(|&t| TOKENS[t]).collect();
+            for text in [String::from_utf8_lossy(&bytes).into_owned(), soup] {
+                if let Err(e) = TunedConfig::from_json_str(&text) {
+                    prop_assert_eq!(e.code(), "config.invalid");
+                }
+            }
+        }
+
+        #[test]
+        fn single_field_mutations_never_panic(
+            line in 1usize..23,
+            mutant in 0usize..MUTANTS.len(),
+            drop in prop::bool::ANY,
+        ) {
+            let valid = TunedConfig { provenance: Some(provenance()), ..TunedConfig::default() };
+            let mut lines: Vec<String> = valid.to_json_string().lines().map(str::to_string).collect();
+            prop_assume!(line < lines.len() - 1);
+            if drop {
+                lines.remove(line);
+            } else if let Some((key, value)) = lines[line].clone().split_once(": ") {
+                let comma = if value.ends_with(',') { "," } else { "" };
+                lines[line] = format!("{key}: {}{comma}", MUTANTS[mutant]);
+            }
+            match TunedConfig::from_json_str(&lines.join("\n")) {
+                // Loading is only the first edge: whatever loads must build or be refused.
+                Ok(config) => if let Err(e) = config.session().build() {
+                    prop_assert_eq!(e.code(), "config.invalid");
+                },
+                Err(e) => prop_assert_eq!(e.code(), "config.invalid"),
+            }
+        }
     }
 }

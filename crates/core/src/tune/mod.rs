@@ -41,7 +41,10 @@ mod space;
 pub use artifact::{Provenance, TunedConfig, ARTIFACT_VERSION};
 pub use objective::{default_score, Evaluator, Objective};
 pub use search::{SearchResult, Searcher};
-pub use space::{Knob, Point, SearchSpace, SpaceKind};
+pub use space::{
+    cli_defaults, resolve, Axis, FlagGroup, Knob, KnobFlag, KnobValue, Point, SearchSpace,
+    SpaceKind, KNOBS,
+};
 
 use zskip_nn::model::QuantizedNetwork;
 use zskip_tensor::Tensor;

@@ -119,8 +119,8 @@ fn coordinate_descent(
     let mut best_score = default_score;
     loop {
         let mut improved = false;
-        for dim in shuffled_dims(space.knobs().len(), &mut rng) {
-            for idx in 0..space.knobs()[dim].len() {
+        for dim in shuffled_dims(space.axes().len(), &mut rng) {
+            for idx in 0..space.axes()[dim].candidates.len() {
                 if idx == current[dim] {
                     continue;
                 }
@@ -153,9 +153,9 @@ fn spsa(
     budget: u64,
 ) -> SearchResult {
     let mut rng = SplitMix64::new(seed);
-    let dims = space.knobs().len();
+    let dims = space.axes().len();
     let clamp = |dim: usize, idx: i64| -> usize {
-        idx.clamp(0, space.knobs()[dim].len() as i64 - 1) as usize
+        idx.clamp(0, space.axes()[dim].candidates.len() as i64 - 1) as usize
     };
     let mut current = space.default_point();
     let default_score = evaluator.score(&space.config_at(&current));
@@ -211,7 +211,7 @@ fn spsa(
             // Flat (or unusable) estimate: kick one random knob so the
             // walk keeps exploring instead of stalling.
             let dim = rng.next_below(dims as u64) as usize;
-            cand[dim] = rng.next_below(space.knobs()[dim].len() as u64) as usize;
+            cand[dim] = rng.next_below(space.axes()[dim].candidates.len() as u64) as usize;
         }
         if evaluator.fresh_evals() >= budget {
             break;

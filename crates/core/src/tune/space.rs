@@ -1,148 +1,401 @@
-//! Typed search spaces: which knobs the tuner may move and the candidate
-//! values each may take.
+//! The knob table — the single declaration of every run knob — and the
+//! search spaces built from it.
 //!
-//! A space is an ordered list of [`Knob`]s; a [`Point`] is one index per
-//! knob. Candidate lists are explicit and finite — bounds *and* steps in
-//! one place — so the searchers never synthesize a value the
-//! [`SessionBuilder`](crate::session::SessionBuilder) would reject as a
-//! matter of course, and every point has a canonical
-//! [`TunedConfig`](crate::tune::TunedConfig) it denotes. Every knob's
-//! candidate list contains the session default, and the default point
-//! selects exactly [`TunedConfig::default`] — the baseline the tuner's
-//! improvement is measured against.
+//! [`KNOBS`] has one row per [`TunedConfig`] field: its artifact name, CLI
+//! flag, a getter and a validating setter through [`KnobValue`], and its
+//! candidates in the built-in search spaces. The artifact's JSON
+//! (`artifact.rs`), the spaces below, and the CLI's flag groups, `--help`
+//! defaults, [`resolve`] precedence and knob printout (`src/main.rs`) are
+//! loops over it. Adding a knob is one struct field, its default, its line
+//! in [`TunedConfig::session`] and one row here.
+//!
+//! A space is an ordered list of [`Axis`] values (a knob plus explicit,
+//! finite candidates — bounds *and* steps in one place); a [`Point`] is
+//! one candidate index per axis. Every axis holds the session default, so
+//! the default point denotes exactly [`TunedConfig::default`] — the
+//! baseline the tuner's improvement is measured against.
 
+use crate::error::Error;
 use crate::exec::sched::Placement;
 use crate::exec::BackendKind;
 use crate::tune::TunedConfig;
 use zskip_hls::Variant;
+use zskip_json::{Json, ToJson};
 use zskip_nn::simd::KernelTier;
+use FlagGroup::{Network, Pool, Serve, Session, Shard};
+use KnobValue::{Int, Name, OnOff, Unset};
+use SpaceKind::{Hls, Software};
 
-/// One tunable dimension: the knob's identity plus its ordered candidate
-/// values. Ordering matters — the searchers step by index, so adjacent
-/// candidates should be adjacent in effect (instances 1 → 2 → 4, not a
-/// shuffled list).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Knob {
-    /// Execution backend. The cycle backend is deliberately absent from
-    /// the built-in spaces: it is orders of magnitude slower to evaluate
-    /// and bit-identical to the model backend, so searching it buys
-    /// nothing (see docs/TUNING.md).
-    Backend(Vec<BackendKind>),
-    /// Intra-image conv worker threads (cpu backend).
-    Threads(Vec<usize>),
-    /// SIMD kernel tier; `None` = process-wide dispatch (auto).
-    Kernel(Vec<Option<KernelTier>>),
-    /// Packed-weight cache on/off.
-    WeightCache(Vec<bool>),
-    /// Batch-pool workers (0 = host auto).
-    BatchWorkers(Vec<usize>),
-    /// Request-coalescing cutoff.
-    MaxBatch(Vec<usize>),
-    /// Adaptive batch window in milliseconds.
-    BatchWindowMs(Vec<u64>),
-    /// Admission-control queue depth.
-    QueueDepth(Vec<usize>),
-    /// HLS variant (the paper's Fig. 6 axis).
-    Variant(Vec<Variant>),
-    /// Simulated instance count (scale-out ladder).
-    Instances(Vec<usize>),
-    /// Multi-instance placement.
-    Placement(Vec<Placement>),
-    /// Event-scheduler park hysteresis; `None` = engine default.
-    ParkHysteresis(Vec<Option<u32>>),
+/// One knob value in transit between a [`TunedConfig`] field and its
+/// spellings: JSON number / string / bool / null in the artifact, and
+/// decimal / name / `on|off` / the row's [`Knob::unset`] word on the CLI.
+/// A value says what it is; whether its knob takes it is the setter's call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KnobValue<'a> {
+    /// A count (threads, instances, milliseconds, ...).
+    Int(u64),
+    /// A name, meant as one of the knob type's own (`cpu`, `256-opt`).
+    Name(&'a str),
+    /// A switch.
+    OnOff(bool),
+    /// "Let the stack decide" (`kernel`, `park_hysteresis`).
+    Unset,
 }
+
+impl ToJson for KnobValue<'_> {
+    fn to_json(&self) -> Json {
+        match *self {
+            Int(n) => n.to_json(),
+            Name(s) => s.to_json(),
+            OnOff(on) => on.to_json(),
+            Unset => Json::Null,
+        }
+    }
+}
+
+/// The typed half of the setters: each refuses a value of another kind,
+/// saying what the knob takes.
+impl<'a> KnobValue<'a> {
+    /// The artifact's spelling, read back; `None` for a fraction, a
+    /// negative number, an array or an object.
+    pub(crate) fn from_json(json: &'a Json) -> Option<KnobValue<'a>> {
+        match json {
+            Json::Null => Some(Unset),
+            Json::Bool(on) => Some(OnOff(*on)),
+            Json::Str(s) => Some(Name(s)),
+            _ => json.as_u64().map(Int),
+        }
+    }
+
+    fn int<T: TryFrom<u64>>(self) -> Result<T, String> {
+        match self {
+            Int(n) => T::try_from(n).map_err(|_| "is out of range".to_string()),
+            _ => Err("takes a number".to_string()),
+        }
+    }
+
+    fn on(self) -> Result<bool, String> {
+        match self {
+            OnOff(on) => Ok(on),
+            _ => Err("takes on | off".to_string()),
+        }
+    }
+
+    /// The member of `all` this value names.
+    fn pick<T: Copy>(self, all: &[T], name: impl Fn(T) -> &'static str) -> Result<T, String> {
+        let found = match self {
+            Name(s) => all.iter().copied().find(|&t| name(t) == s),
+            _ => None,
+        };
+        let names = || all.iter().map(|&t| name(t)).collect::<Vec<_>>().join(" | ");
+        found.ok_or_else(|| format!("takes {}", names()))
+    }
+
+    /// `Unset` as `None`, anything else through `some`.
+    fn opt<T>(self, some: impl FnOnce(Self) -> Result<T, String>) -> Result<Option<T>, String> {
+        match self {
+            Unset => Ok(None),
+            value => some(value).map(Some),
+        }
+    }
+}
+
+/// Which of the CLI's flag groups a knob's flag belongs to; each
+/// subcommand lists the groups it accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlagGroup {
+    /// The accelerator variant, listed after `--network` / `--density`.
+    Network,
+    /// Backend, intra-image threads, kernel tier, weight cache.
+    Session,
+    /// Multi-accelerator sharding (docs/SCHEDULER.md).
+    Shard,
+    /// The batch worker pool (`batch` and `serve`).
+    Pool,
+    /// Request coalescing and admission control (`serve` only).
+    Serve,
+}
+
+/// A knob's command-line flag.
+#[derive(Debug, Clone, Copy)]
+pub struct KnobFlag {
+    /// The flag (`--batch-window-ms`).
+    pub name: &'static str,
+    /// Metavariable shown in `--help`.
+    pub metavar: &'static str,
+    /// Which subcommands take it.
+    pub group: FlagGroup,
+    /// One-line `--help` text.
+    pub help: &'static str,
+}
+
+/// One row of the knob table.
+#[derive(Debug)]
+pub struct Knob {
+    /// Stable name: the artifact field, the report label, the docs row.
+    pub name: &'static str,
+    /// The CLI flag; `None` for an artifact-only knob.
+    pub flag: Option<KnobFlag>,
+    /// The CLI word for [`KnobValue::Unset`] (`null` in the artifact);
+    /// `None` when the knob always has a value.
+    pub unset: Option<&'static str>,
+    /// The CLI's default where it differs from [`TunedConfig::default`].
+    pub cli_default: Option<KnobValue<'static>>,
+    /// Reads the knob out of a config.
+    pub get: fn(&TunedConfig) -> KnobValue<'static>,
+    /// Writes the knob, rejecting values of the wrong kind or range.
+    pub set: fn(&mut TunedConfig, KnobValue<'_>) -> Result<(), String>,
+    /// Its built-in space, its position there (seeded search trajectories
+    /// depend on axis order) and its ordered candidates. Adjacent
+    /// candidates should be adjacent in effect (instances 1 → 2 → 4): the
+    /// searchers step by index.
+    pub axis: (SpaceKind, usize, fn() -> Vec<KnobValue<'static>>),
+}
+
+/// A row with a value always set and one default for library and CLI.
+const fn knob(
+    name: &'static str,
+    flag: Option<(&'static str, &'static str, FlagGroup, &'static str)>,
+    get: fn(&TunedConfig) -> KnobValue<'static>,
+    set: fn(&mut TunedConfig, KnobValue<'_>) -> Result<(), String>,
+    axis: (SpaceKind, usize, fn() -> Vec<KnobValue<'static>>),
+) -> Knob {
+    let flag = match flag {
+        Some((name, metavar, group, help)) => Some(KnobFlag { name, metavar, group, help }),
+        None => None,
+    };
+    Knob { name, flag, unset: None, cli_default: None, get, set, axis }
+}
+
+fn ints(candidates: &[u64]) -> Vec<KnobValue<'static>> {
+    candidates.iter().map(|&n| Int(n)).collect()
+}
+
+/// The knob table, in artifact field order. Columns: name; flag, metavar,
+/// group, help; getter; setter (the closed name sets come from the value
+/// type's own `ALL` and `name`); (space, position, candidates).
+pub static KNOBS: [Knob; 12] = [
+    knob(
+        "variant",
+        Some(("--variant", "V", Network, "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt")),
+        |c| Name(c.variant.label()),
+        |c, v| v.pick(&Variant::all(), |t| t.label()).map(|t| c.variant = t),
+        // The paper's Fig. 6 axis.
+        (Hls, 0, || Variant::all().iter().map(|v| Name(v.label())).collect()),
+    ),
+    knob(
+        "instances",
+        Some((
+            "--instances",
+            "N",
+            Shard,
+            "accelerator instances to schedule over (the bank RAM budget divides across them)",
+        )),
+        |c| Int(c.instances as u64),
+        // The cost model has no zero-instance point; the upper bound (bank
+        // capacity per instance) is the session builder's to check.
+        |c, v| match v.int()? {
+            0 => Err("must be at least 1".to_string()),
+            n => {
+                c.instances = n;
+                Ok(())
+            }
+        },
+        (Hls, 1, || ints(&[1, 2, 4])),
+    ),
+    knob(
+        "backend",
+        Some((
+            "--backend",
+            "B",
+            Session,
+            "execution backend: model (transaction-level) | cycle (cycle-exact) | cpu (host SIMD)",
+        )),
+        |c| Name(c.backend.name()),
+        |c, v| v.pick(&BackendKind::ALL, BackendKind::name).map(|b| c.backend = b),
+        // No cycle candidate: it is bit-identical to the model backend and
+        // orders of magnitude slower to evaluate (docs/TUNING.md).
+        (Software, 0, || vec![Name(BackendKind::Model.name()), Name(BackendKind::Cpu.name())]),
+    ),
+    Knob {
+        // The CLI runs on every core by default; the library default (the
+        // tuner's baseline point) is one pinned thread.
+        cli_default: Some(Int(0)),
+        ..knob(
+            "threads",
+            Some((
+                "--threads",
+                "T",
+                Session,
+                "intra-image conv worker threads for the cpu backend (0 = host auto; others ignore)",
+            )),
+            |c| Int(c.threads as u64),
+            |c, v| v.int().map(|n| c.threads = n),
+            (Software, 1, || ints(&[1, 2, 4])),
+        )
+    },
+    Knob {
+        unset: Some("auto"),
+        ..knob(
+            "kernel",
+            Some(("--kernel", "K", Session, "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512")),
+            |c| c.kernel.map_or(Unset, |t| Name(t.name())),
+            |c, v| v.opt(|v| v.pick(&KernelTier::ALL, KernelTier::name)).map(|t| c.kernel = t),
+            (Software, 2, || vec![Unset, Name(KernelTier::Scalar.name())]),
+        )
+    },
+    knob(
+        "weight_cache",
+        Some(("--weight-cache", "on|off", Session, "process-wide packed-weight cache")),
+        |c| OnOff(c.weight_cache),
+        |c, v| v.on().map(|on| c.weight_cache = on),
+        (Software, 3, || vec![OnOff(true), OnOff(false)]),
+    ),
+    Knob {
+        unset: Some("default"),
+        ..knob(
+            "park_hysteresis",
+            None,
+            |c| c.park_hysteresis.map_or(Unset, |t| Int(t.into())),
+            |c, v| v.opt(KnobValue::int).map(|t| c.park_hysteresis = t),
+            // Never changes simulated cycles (a flat dimension under the
+            // `cycles` objective), but a real knob for simulator wall time.
+            (Hls, 3, || vec![Unset, Int(1), Int(4), Int(16)]),
+        )
+    },
+    knob(
+        "placement",
+        Some(("--placement", "P", Shard, "shard placement: auto | stripe | image | pipeline")),
+        |c| Name(c.placement.name()),
+        |c, v| v.pick(&Placement::ALL, Placement::name).map(|p| c.placement = p),
+        (Hls, 2, || Placement::ALL.iter().map(|p| Name(p.name())).collect()),
+    ),
+    knob(
+        "batch_workers",
+        Some(("--workers", "N", Pool, "batch-pool worker threads (0 = auto)")),
+        |c| Int(c.batch_workers as u64),
+        |c, v| v.int().map(|n| c.batch_workers = n),
+        (Software, 4, || ints(&[0, 1, 2, 4])),
+    ),
+    knob(
+        "max_batch",
+        Some(("--max-batch", "N", Serve, "requests coalesced into one accelerator batch at most")),
+        |c| Int(c.max_batch as u64),
+        |c, v| v.int().map(|n| c.max_batch = n),
+        (Software, 5, || ints(&[1, 4, 8, 16])),
+    ),
+    knob(
+        "batch_window_ms",
+        Some(("--batch-window-ms", "MS", Serve, "how long a forming batch waits for more requests")),
+        |c| Int(c.batch_window_ms),
+        |c, v| v.int().map(|n| c.batch_window_ms = n),
+        (Software, 6, || ints(&[0, 1, 2, 5])),
+    ),
+    knob(
+        "queue_depth",
+        Some(("--queue-depth", "N", Serve, "bounded submission-queue depth (admission control)")),
+        |c| Int(c.queue_depth as u64),
+        |c, v| v.int().map(|n| c.queue_depth = n),
+        (Software, 7, || ints(&[64, 256])),
+    ),
+];
 
 impl Knob {
-    /// The knob's stable name (used in artifacts, reports and docs).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Knob::Backend(_) => "backend",
-            Knob::Threads(_) => "threads",
-            Knob::Kernel(_) => "kernel",
-            Knob::WeightCache(_) => "weight_cache",
-            Knob::BatchWorkers(_) => "batch_workers",
-            Knob::MaxBatch(_) => "max_batch",
-            Knob::BatchWindowMs(_) => "batch_window_ms",
-            Knob::QueueDepth(_) => "queue_depth",
-            Knob::Variant(_) => "variant",
-            Knob::Instances(_) => "instances",
-            Knob::Placement(_) => "placement",
-            Knob::ParkHysteresis(_) => "park_hysteresis",
+    /// The row with this artifact name.
+    pub fn by_name(name: &str) -> Option<&'static Knob> {
+        KNOBS.iter().find(|k| k.name == name)
+    }
+
+    /// The CLI spelling of `value`.
+    pub fn text(&self, value: KnobValue<'_>) -> String {
+        match value {
+            Int(n) => n.to_string(),
+            Name(s) => s.to_string(),
+            OnOff(on) => if on { "on" } else { "off" }.to_string(),
+            Unset => self.unset.unwrap_or("unset").to_string(),
         }
     }
 
-    /// Number of candidate values.
-    pub fn len(&self) -> usize {
-        match self {
-            Knob::Backend(v) => v.len(),
-            Knob::Threads(v) => v.len(),
-            Knob::Kernel(v) => v.len(),
-            Knob::WeightCache(v) => v.len(),
-            Knob::BatchWorkers(v) => v.len(),
-            Knob::MaxBatch(v) => v.len(),
-            Knob::BatchWindowMs(v) => v.len(),
-            Knob::QueueDepth(v) => v.len(),
-            Knob::Variant(v) => v.len(),
-            Knob::Instances(v) => v.len(),
-            Knob::Placement(v) => v.len(),
-            Knob::ParkHysteresis(v) => v.len(),
+    /// Reads a CLI spelling: this row's unset word, a decimal, `on` /
+    /// `off`, else a name.
+    pub fn parse_text<'a>(&self, text: &'a str) -> KnobValue<'a> {
+        match text {
+            _ if self.unset == Some(text) => Unset,
+            "on" | "off" => OnOff(text == "on"),
+            _ => text.parse().map_or(Name(text), Int),
         }
     }
 
-    /// Whether the candidate list is empty (never true for the built-in
-    /// spaces; [`SearchSpace::new`] rejects it).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Writes candidate `idx` into `config`.
-    ///
-    /// # Panics
-    /// When `idx` is out of range (searchers clamp to the candidate list).
-    pub fn apply(&self, idx: usize, config: &mut TunedConfig) {
-        match self {
-            Knob::Backend(v) => config.backend = v[idx],
-            Knob::Threads(v) => config.threads = v[idx],
-            Knob::Kernel(v) => config.kernel = v[idx],
-            Knob::WeightCache(v) => config.weight_cache = v[idx],
-            Knob::BatchWorkers(v) => config.batch_workers = v[idx],
-            Knob::MaxBatch(v) => config.max_batch = v[idx],
-            Knob::BatchWindowMs(v) => config.batch_window_ms = v[idx],
-            Knob::QueueDepth(v) => config.queue_depth = v[idx],
-            Knob::Variant(v) => config.variant = v[idx],
-            Knob::Instances(v) => config.instances = v[idx],
-            Knob::Placement(v) => config.placement = v[idx],
-            Knob::ParkHysteresis(v) => config.park_hysteresis = v[idx],
-        }
-    }
-
-    /// The index of the session-default value in the candidate list, or
-    /// `None` if the list omits it (validate rejects that for built-in
-    /// spaces: the baseline must be representable).
-    pub fn default_index(&self) -> Option<usize> {
-        let d = TunedConfig::default();
-        match self {
-            Knob::Backend(v) => v.iter().position(|&x| x == d.backend),
-            Knob::Threads(v) => v.iter().position(|&x| x == d.threads),
-            Knob::Kernel(v) => v.iter().position(|&x| x == d.kernel),
-            Knob::WeightCache(v) => v.iter().position(|&x| x == d.weight_cache),
-            Knob::BatchWorkers(v) => v.iter().position(|&x| x == d.batch_workers),
-            Knob::MaxBatch(v) => v.iter().position(|&x| x == d.max_batch),
-            Knob::BatchWindowMs(v) => v.iter().position(|&x| x == d.batch_window_ms),
-            Knob::QueueDepth(v) => v.iter().position(|&x| x == d.queue_depth),
-            Knob::Variant(v) => v.iter().position(|&x| x == d.variant),
-            Knob::Instances(v) => v.iter().position(|&x| x == d.instances),
-            Knob::Placement(v) => v.iter().position(|&x| x == d.placement),
-            Knob::ParkHysteresis(v) => v.iter().position(|&x| x == d.park_hysteresis),
-        }
+    /// Sets the knob from its CLI spelling; the error reads after the
+    /// flag's name (`takes a number, got 'x'`).
+    pub fn set_text(&self, config: &mut TunedConfig, text: &str) -> Result<(), String> {
+        (self.set)(config, self.parse_text(text)).map_err(|e| {
+            let or_unset = self.unset.map(|word| format!(" (or {word})")).unwrap_or_default();
+            format!("{e}{or_unset}, got '{text}'")
+        })
     }
 }
 
-/// One position in a [`SearchSpace`]: a candidate index per knob.
+/// The CLI's baseline when no artifact is loaded: [`TunedConfig::default`]
+/// with each row's [`Knob::cli_default`] applied.
+pub fn cli_defaults() -> TunedConfig {
+    let mut config = TunedConfig::default();
+    for knob in KNOBS.iter() {
+        if let Some(value) = knob.cli_default {
+            (knob.set)(&mut config, value).expect("the table's own default is valid");
+        }
+    }
+    config
+}
+
+/// The CLI's one precedence rule, as a pure function: the `artifact`
+/// (`--config`), when given, is the baseline, else [`cli_defaults`]; every
+/// knob flag present in `flags` — `(flag, value)` pairs as typed, first
+/// occurrence wins, other flags ignored — overrides its knob. Returns the
+/// config in effect plus one note, in table order, per flag that *changed*
+/// a loaded artifact's value (`--instances 1 shadows tuned '4'`): a tuned
+/// artifact silently degraded by a stray flag is what this guards against.
+///
+/// # Errors
+/// `config.invalid` naming the flag when a value is of the wrong kind or
+/// out of range.
+pub fn resolve(
+    artifact: Option<TunedConfig>,
+    flags: &[(&str, impl AsRef<str>)],
+) -> Result<(TunedConfig, Vec<String>), Error> {
+    let loaded = artifact.is_some();
+    let mut config = artifact.unwrap_or_else(cli_defaults);
+    let mut notes = Vec::new();
+    for knob in KNOBS.iter() {
+        let Some(flag) = knob.flag else { continue };
+        let Some((_, text)) = flags.iter().find(|(f, _)| *f == flag.name) else { continue };
+        let old = (knob.get)(&config);
+        let set = knob.set_text(&mut config, text.as_ref());
+        set.map_err(|e| Error::InvalidConfig(format!("{} {e}", flag.name)))?;
+        let new = (knob.get)(&config);
+        if loaded && new != old {
+            let (new, old) = (knob.text(new), knob.text(old));
+            notes.push(format!("{} {new} shadows tuned '{old}'", flag.name));
+        }
+    }
+    Ok((config, notes))
+}
+
+/// One dimension of a [`SearchSpace`]: a knob and its ordered candidates
+/// ([`SearchSpace::new`] validates them).
+#[derive(Debug, Clone)]
+pub struct Axis {
+    /// The table row being searched.
+    pub knob: &'static Knob,
+    /// The values the searchers may pick, in stepping order.
+    pub candidates: Vec<KnobValue<'static>>,
+}
+
+/// One position in a [`SearchSpace`]: a candidate index per axis.
 pub type Point = Vec<usize>;
 
 /// The named built-in spaces the CLI exposes (`--space`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpaceKind {
     /// Host-side knobs: backend, threads, kernel, caches, batch shaping.
     Software,
@@ -171,12 +424,8 @@ impl std::str::FromStr for SpaceKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<SpaceKind, String> {
-        match s {
-            "software" => Ok(SpaceKind::Software),
-            "hls" => Ok(SpaceKind::Hls),
-            "full" => Ok(SpaceKind::Full),
-            other => Err(format!("unknown space '{other}' (use software | hls | full)")),
-        }
+        let found = SpaceKind::ALL.into_iter().find(|kind| kind.name() == s);
+        found.ok_or_else(|| format!("unknown space '{s}' (use software | hls | full)"))
     }
 }
 
@@ -186,109 +435,70 @@ impl std::fmt::Display for SpaceKind {
     }
 }
 
-/// An ordered set of [`Knob`]s the searchers move through.
-#[derive(Debug, Clone, PartialEq)]
+/// An ordered set of [`Axis`] values the searchers move through.
+#[derive(Debug, Clone)]
 pub struct SearchSpace {
     name: String,
-    knobs: Vec<Knob>,
+    axes: Vec<Axis>,
 }
 
 impl SearchSpace {
-    /// A custom space from explicit knobs (tests and ablations; the CLI
+    /// A custom space from explicit axes (tests and ablations; the CLI
     /// uses the named constructors).
     ///
     /// # Errors
-    /// `config.invalid` when a knob has no candidates, omits the session
-    /// default, or appears twice.
-    pub fn new(name: impl Into<String>, knobs: Vec<Knob>) -> Result<SearchSpace, crate::Error> {
-        let space = SearchSpace { name: name.into(), knobs };
-        space.validate()?;
-        Ok(space)
-    }
-
-    fn validate(&self) -> Result<(), crate::Error> {
-        for (i, knob) in self.knobs.iter().enumerate() {
-            if knob.is_empty() {
-                return Err(crate::Error::InvalidConfig(format!(
-                    "search space '{}': knob '{}' has no candidates",
-                    self.name,
-                    knob.name()
-                )));
-            }
-            if knob.default_index().is_none() {
-                return Err(crate::Error::InvalidConfig(format!(
-                    "search space '{}': knob '{}' omits the session default \
-                     (the baseline must be representable)",
-                    self.name,
-                    knob.name()
-                )));
-            }
-            if self.knobs[..i].iter().any(|k| k.name() == knob.name()) {
-                return Err(crate::Error::InvalidConfig(format!(
-                    "search space '{}': duplicate knob '{}'",
-                    self.name,
-                    knob.name()
-                )));
-            }
+    /// `config.invalid` when an axis has no candidates, holds one its
+    /// knob's setter rejects, omits the session default, or repeats a knob.
+    pub fn new(name: impl Into<String>, axes: Vec<Axis>) -> Result<SearchSpace, Error> {
+        let name = name.into();
+        for (i, Axis { knob, candidates }) in axes.iter().enumerate() {
+            let invalid = |what: String| {
+                Error::InvalidConfig(format!("search space '{name}': knob '{}' {what}", knob.name))
+            };
+            let mut scratch = TunedConfig::default();
+            let default = (knob.get)(&scratch);
+            candidates.iter().try_for_each(|&c| (knob.set)(&mut scratch, c)).map_err(invalid)?;
+            let flaw = if candidates.is_empty() {
+                "has no candidates"
+            } else if !candidates.contains(&default) {
+                "omits the session default (the baseline must be representable)"
+            } else if axes[..i].iter().any(|a| a.knob.name == knob.name) {
+                "is a duplicate"
+            } else {
+                continue;
+            };
+            return Err(invalid(flaw.to_string()));
         }
-        Ok(())
+        Ok(SearchSpace { name, axes })
     }
 
-    /// The software space: every host-side knob of the session. The
-    /// candidate lists bracket the defaults with the values the PR-4/6/7
+    /// The built-in space for a [`SpaceKind`]: the table rows placed in it
+    /// (`full` is `software` then `hls`), in their declared positions.
+    pub fn named(kind: SpaceKind) -> SearchSpace {
+        let mut placed: Vec<&Knob> =
+            KNOBS.iter().filter(|k| kind == SpaceKind::Full || k.axis.0 == kind).collect();
+        placed.sort_by_key(|k| (k.axis.0, k.axis.1));
+        let axes = placed.into_iter().map(|knob| Axis { knob, candidates: (knob.axis.2)() });
+        SearchSpace::new(kind.name(), axes.collect()).expect("the table's spaces are valid")
+    }
+
+    /// The software space: every host-side knob of the session, the
+    /// candidates bracketing the defaults with the values the PR-4/6/7
     /// benchmarks showed matter.
     pub fn software() -> SearchSpace {
-        SearchSpace {
-            name: SpaceKind::Software.name().to_string(),
-            knobs: vec![
-                Knob::Backend(vec![BackendKind::Model, BackendKind::Cpu]),
-                Knob::Threads(vec![1, 2, 4]),
-                Knob::Kernel(vec![None, Some(KernelTier::Scalar)]),
-                Knob::WeightCache(vec![true, false]),
-                Knob::BatchWorkers(vec![0, 1, 2, 4]),
-                Knob::MaxBatch(vec![1, 4, 8, 16]),
-                Knob::BatchWindowMs(vec![0, 1, 2, 5]),
-                Knob::QueueDepth(vec![64, 256]),
-            ],
-        }
+        SearchSpace::named(SpaceKind::Software)
     }
 
     /// The hardware space: the paper's four variants crossed with the
     /// scale-out ladder and placements — automated Fig. 6/7/8-style
-    /// exploration. Park hysteresis rides along: it never changes
-    /// simulated cycles (a flat dimension under the `cycles` objective),
-    /// but it is a real knob for simulator wall time.
+    /// exploration — with park hysteresis riding along.
     pub fn hls() -> SearchSpace {
-        SearchSpace {
-            name: SpaceKind::Hls.name().to_string(),
-            knobs: vec![
-                Knob::Variant(Variant::all().to_vec()),
-                Knob::Instances(vec![1, 2, 4]),
-                Knob::Placement(vec![
-                    Placement::Auto,
-                    Placement::Stripe,
-                    Placement::Image,
-                    Placement::Pipeline,
-                ]),
-                Knob::ParkHysteresis(vec![None, Some(1), Some(4), Some(16)]),
-            ],
-        }
+        SearchSpace::named(SpaceKind::Hls)
     }
 
     /// The union of [`SearchSpace::software`] and [`SearchSpace::hls`].
     pub fn full() -> SearchSpace {
-        let mut knobs = SearchSpace::software().knobs;
-        knobs.extend(SearchSpace::hls().knobs);
-        SearchSpace { name: SpaceKind::Full.name().to_string(), knobs }
-    }
-
-    /// The built-in space for a [`SpaceKind`].
-    pub fn named(kind: SpaceKind) -> SearchSpace {
-        match kind {
-            SpaceKind::Software => SearchSpace::software(),
-            SpaceKind::Hls => SearchSpace::hls(),
-            SpaceKind::Full => SearchSpace::full(),
-        }
+        SearchSpace::named(SpaceKind::Full)
     }
 
     /// The space's name (embedded in artifact provenance).
@@ -296,17 +506,16 @@ impl SearchSpace {
         &self.name
     }
 
-    /// The knobs, in search order.
-    pub fn knobs(&self) -> &[Knob] {
-        &self.knobs
+    /// The axes, in search order.
+    pub fn axes(&self) -> &[Axis] {
+        &self.axes
     }
 
     /// The point denoting the out-of-the-box session.
     pub fn default_point(&self) -> Point {
-        self.knobs
-            .iter()
-            .map(|k| k.default_index().expect("validated: every knob holds the default"))
-            .collect()
+        let default = TunedConfig::default();
+        let index = |a: &Axis| a.candidates.iter().position(|&c| c == (a.knob.get)(&default));
+        self.axes.iter().map(|a| index(a).expect("validated: holds the default")).collect()
     }
 
     /// The [`TunedConfig`] a point denotes. Knobs outside this space keep
@@ -316,47 +525,61 @@ impl SearchSpace {
     /// When the point's length or an index is out of range (searchers
     /// only construct in-range points).
     pub fn config_at(&self, point: &Point) -> TunedConfig {
-        assert_eq!(point.len(), self.knobs.len(), "point arity matches the space");
+        assert_eq!(point.len(), self.axes.len(), "point arity matches the space");
         let mut config = TunedConfig::default();
-        for (knob, &idx) in self.knobs.iter().zip(point) {
-            knob.apply(idx, &mut config);
+        for (axis, &idx) in self.axes.iter().zip(point) {
+            (axis.knob.set)(&mut config, axis.candidates[idx]).expect("validated candidate");
         }
         config
     }
 
     /// Total number of distinct points (the product of candidate counts).
     pub fn cardinality(&self) -> u128 {
-        self.knobs.iter().map(|k| k.len() as u128).product()
+        self.axes.iter().map(|a| a.candidates.len() as u128).product()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH};
+
+    fn names(space: &SearchSpace) -> Vec<&'static str> {
+        space.axes().iter().map(|a| a.knob.name).collect()
+    }
+
+    fn axis(name: &str, candidates: Vec<KnobValue<'static>>) -> Axis {
+        Axis { knob: Knob::by_name(name).expect("row exists"), candidates }
+    }
 
     #[test]
-    fn builtin_spaces_validate_and_hold_the_default() {
-        for kind in SpaceKind::ALL {
+    fn builtin_spaces_hold_the_default_and_their_documented_size() {
+        for (kind, cardinality) in SpaceKind::ALL.into_iter().zip([3072, 192, 589_824]) {
             let space = SearchSpace::named(kind);
-            space.validate().expect("built-in space is valid");
             assert_eq!(space.name(), kind.name());
             let config = space.config_at(&space.default_point());
             assert_eq!(config, TunedConfig::default(), "{kind}: default point is the baseline");
-            assert!(space.cardinality() > 1);
+            assert_eq!(space.cardinality(), cardinality, "{kind}");
         }
     }
 
     #[test]
-    fn full_space_is_the_union() {
-        let full = SearchSpace::full();
-        let expected: Vec<&str> = SearchSpace::software()
-            .knobs()
-            .iter()
-            .chain(SearchSpace::hls().knobs())
-            .map(|k| k.name())
-            .collect();
-        let got: Vec<&str> = full.knobs().iter().map(|k| k.name()).collect();
-        assert_eq!(got, expected);
+    fn axis_order_is_pinned_and_full_is_the_union() {
+        // Seeded trajectories (and BENCH_tune.json) depend on this order.
+        let software = [
+            "backend",
+            "threads",
+            "kernel",
+            "weight_cache",
+            "batch_workers",
+            "max_batch",
+            "batch_window_ms",
+            "queue_depth",
+        ];
+        let hls = ["variant", "instances", "placement", "park_hysteresis"];
+        assert_eq!(names(&SearchSpace::software()), software);
+        assert_eq!(names(&SearchSpace::hls()), hls);
+        assert_eq!(names(&SearchSpace::full()), [&software[..], &hls[..]].concat());
     }
 
     #[test]
@@ -373,18 +596,193 @@ mod tests {
     }
 
     #[test]
-    fn custom_space_rejects_degenerate_knobs() {
-        let err = SearchSpace::new("empty", vec![Knob::Threads(vec![])]).unwrap_err();
+    fn custom_space_rejects_degenerate_axes() {
+        let threads = |candidates: &[u64]| axis("threads", ints(candidates));
+        let err = SearchSpace::new("empty", vec![threads(&[])]).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
-        let err = SearchSpace::new("no-default", vec![Knob::Threads(vec![2, 4])]).unwrap_err();
+        let err = SearchSpace::new("no-default", vec![threads(&[2, 4])]).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
         assert!(err.to_string().contains("session default"));
-        let err = SearchSpace::new(
-            "dup",
-            vec![Knob::Threads(vec![1, 2]), Knob::Threads(vec![1, 4])],
-        )
-        .unwrap_err();
+        let err = SearchSpace::new("dup", vec![threads(&[1, 2]), threads(&[1, 4])]).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
         assert!(err.to_string().contains("duplicate"));
+        // A custom space may search what the built-in ones leave out.
+        let cycle = axis("backend", vec![Name("model"), Name("cycle")]);
+        let space = SearchSpace::new("ablation", vec![cycle, threads(&[1, 3])]).expect("valid");
+        assert_eq!(space.config_at(&vec![1, 1]).backend, BackendKind::Cycle);
+        assert_eq!(space.config_at(&vec![1, 1]).threads, 3);
+    }
+
+    #[test]
+    fn custom_space_rejects_wrongly_typed_or_out_of_range_candidates() {
+        assert!(Knob::by_name("thread").is_none());
+        for (name, candidates) in [
+            ("threads", vec![Int(1), Name("cpu")]),
+            ("threads", vec![Int(1), Unset]),
+            ("backend", vec![Name("model"), Name("gpu")]),
+            ("weight_cache", vec![OnOff(true), Int(1)]),
+            ("instances", vec![Int(1), Int(0)]),
+            ("park_hysteresis", vec![Unset, Int(u64::from(u32::MAX) + 1)]),
+        ] {
+            let err = SearchSpace::new("bad", vec![axis(name, candidates.clone())]).unwrap_err();
+            assert_eq!(err.code(), "config.invalid", "{name} {candidates:?}");
+            assert!(err.to_string().contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn row_names_and_flags_are_unique() {
+        for (i, knob) in KNOBS.iter().enumerate() {
+            for other in &KNOBS[..i] {
+                assert_ne!(knob.name, other.name);
+                if let (Some(a), Some(b)) = (knob.flag, other.flag) {
+                    assert_ne!(a.name, b.name);
+                }
+            }
+            assert_eq!(Knob::by_name(knob.name).map(|k| k.name), Some(knob.name));
+        }
+        // Each space's positions are distinct, so its axis order is total.
+        let mut placed: Vec<_> = KNOBS.iter().map(|k| (k.axis.0, k.axis.1)).collect();
+        placed.sort();
+        placed.dedup();
+        assert_eq!(placed.len(), KNOBS.len());
+    }
+
+    #[test]
+    fn every_row_round_trips_its_default_and_candidates_through_json_and_cli_text() {
+        for knob in KNOBS.iter() {
+            let mut values = vec![(knob.get)(&TunedConfig::default()), (knob.get)(&cli_defaults())];
+            values.extend((knob.axis.2)());
+            for value in values {
+                let mut config = TunedConfig::default();
+                (knob.set)(&mut config, value).expect("own value is valid");
+                assert_eq!((knob.get)(&config), value, "{}: get after set", knob.name);
+                let json = Json::parse(&value.to_json().to_string_compact()).expect("valid json");
+                assert_eq!(KnobValue::from_json(&json), Some(value), "{}: JSON", knob.name);
+                assert_eq!(knob.parse_text(&knob.text(value)), value, "{}: text", knob.name);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_reject_foreign_spellings_saying_what_they_take() {
+        let set = |name, text| {
+            Knob::by_name(name).expect("row exists").set_text(&mut TunedConfig::default(), text)
+        };
+        assert_eq!(
+            set("kernel", "neon").unwrap_err(),
+            "takes scalar | sse2 | avx2 | avx512 (or auto), got 'neon'"
+        );
+        assert_eq!(set("variant", "999").unwrap_err(), "takes 16-unopt | 256-unopt | 256-opt | 512-opt, got '999'");
+        assert_eq!(set("weight_cache", "yes").unwrap_err(), "takes on | off, got 'yes'");
+        assert_eq!(set("threads", "-1").unwrap_err(), "takes a number, got '-1'");
+        assert_eq!(set("threads", "auto").unwrap_err(), "takes a number, got 'auto'");
+        assert_eq!(set("instances", "0").unwrap_err(), "must be at least 1, got '0'");
+        assert_eq!(set("park_hysteresis", "4294967296").unwrap_err(), "is out of range (or default), got '4294967296'");
+        assert_eq!(set("park_hysteresis", "default"), Ok(()));
+        assert_eq!(set("kernel", "auto"), Ok(()));
+        // A spelling is read the same way for every knob; the setter judges it.
+        let threads = Knob::by_name("threads").expect("row exists");
+        assert_eq!(threads.parse_text("off"), OnOff(false));
+        assert_eq!(threads.parse_text("007"), Int(7));
+        assert_eq!(threads.parse_text("1e3"), Name("1e3"));
+        assert_eq!(threads.parse_text("default"), Name("default"));
+        for json in ["1.5", "-1", "[]", "{}", "1e300"] {
+            assert_eq!(KnobValue::from_json(&Json::parse(json).expect("json")), None, "{json}");
+        }
+    }
+
+    #[test]
+    fn library_and_cli_defaults_differ_only_where_the_table_says() {
+        let (lib, cli) = (TunedConfig::default(), cli_defaults());
+        assert_eq!((lib.threads, cli.threads), (1, 0), "tuner baseline vs host auto");
+        assert_eq!(TunedConfig { threads: lib.threads, ..cli }, lib);
+        assert_eq!(lib.max_batch, DEFAULT_MAX_BATCH);
+        assert_eq!(lib.batch_window_ms, DEFAULT_BATCH_WINDOW_MS);
+        assert_eq!(lib.queue_depth, DEFAULT_QUEUE_DEPTH);
+    }
+
+    fn tuned() -> TunedConfig {
+        TunedConfig { instances: 4, backend: BackendKind::Cpu, threads: 2, ..TunedConfig::default() }
+    }
+
+    #[test]
+    fn resolve_without_an_artifact_starts_from_the_cli_defaults() {
+        let none: [(&str, &str); 0] = [];
+        let resolved = resolve(None, &none).expect("resolves");
+        assert_eq!(resolved, (cli_defaults(), vec![]));
+        // Flags override silently: there is nothing tuned to shadow. Flags
+        // that are not knobs are someone else's; the first occurrence wins.
+        let flags = [("--hw", "32"), ("--threads", "3"), ("--kernel", "scalar"), ("--threads", "9")];
+        let resolved = resolve(None, &flags).expect("resolves");
+        let expected =
+            TunedConfig { threads: 3, kernel: Some(KernelTier::Scalar), ..cli_defaults() };
+        assert_eq!(resolved, (expected, vec![]));
+    }
+
+    #[test]
+    fn resolve_keeps_an_artifact_and_notes_only_flags_that_change_it() {
+        let none: [(&str, &str); 0] = [];
+        let resolved = resolve(Some(tuned()), &none).expect("resolves");
+        assert_eq!(resolved, (tuned(), vec![]));
+        // Equal to the artifact (also when spelt differently): no note.
+        let same = [("--instances", "04"), ("--backend", "cpu"), ("--kernel", "auto")];
+        let resolved = resolve(Some(tuned()), &same).expect("resolves");
+        assert_eq!(resolved, (tuned(), vec![]));
+        // Differing: the flag wins, one note each, in table order.
+        let differing = [("--weight-cache", "off"), ("--instances", "1"), ("--threads", "2")];
+        let (config, notes) = resolve(Some(tuned()), &differing).expect("resolves");
+        assert_eq!(config, TunedConfig { instances: 1, weight_cache: false, ..tuned() });
+        assert_eq!(notes, ["--instances 1 shadows tuned '4'", "--weight-cache off shadows tuned 'on'"]);
+    }
+
+    #[test]
+    fn resolve_rejects_bad_values_naming_the_flag() {
+        for (flag, value) in [
+            ("--instances", "0"),
+            ("--instances", "two"),
+            ("--threads", "-1"),
+            ("--backend", "gpu"),
+            ("--kernel", "AVX2"),
+            ("--weight-cache", "true"),
+            ("--placement", ""),
+            ("--queue-depth", "1e3"),
+        ] {
+            for artifact in [None, Some(tuned())] {
+                let err = resolve(artifact, &[(flag, value)]).unwrap_err();
+                assert_eq!(err.code(), "config.invalid", "{flag} {value}");
+                assert!(err.to_string().contains(flag), "{err}");
+            }
+        }
+    }
+
+    /// The docs' knob tables are written by hand; this keeps them equal to
+    /// the table they describe.
+    #[test]
+    fn docs_list_every_knob_candidate_list_and_default() {
+        let tuning = include_str!("../../../../docs/TUNING.md");
+        let serving = include_str!("../../../../docs/SERVING.md");
+        let (lib, cli) = (TunedConfig::default(), cli_defaults());
+        for knob in KNOBS.iter() {
+            let flag = knob.flag.map_or("—".to_string(), |f| format!("`{}`", f.name));
+            let default = knob.text((knob.get)(&lib));
+            let row = format!("| `{}` | {flag} | `{default}` |", knob.name);
+            assert!(tuning.contains(&row), "docs/TUNING.md knob table lacks: {row}");
+            let (space, _, candidates) = knob.axis;
+            let list: Vec<String> = candidates().into_iter().map(|c| knob.text(c)).collect();
+            let cell = format!("{} ({})", knob.name, list.join("/"));
+            let line = tuning.lines().find(|l| l.starts_with(&format!("| `{space}`")));
+            assert!(line.is_some_and(|l| l.contains(&cell)), "docs/TUNING.md `{space}` row lacks: {cell}");
+            if matches!(knob.flag, Some(f) if matches!(f.group, FlagGroup::Pool | FlagGroup::Serve)) {
+                let row = format!("| {flag} | `{}` ", knob.text((knob.get)(&cli)));
+                assert!(serving.contains(&row), "docs/SERVING.md flag table lacks: {row}");
+            }
+        }
+        for kind in SpaceKind::ALL {
+            let cardinality = SearchSpace::named(kind).cardinality().to_string();
+            let spaced: String = tuning.chars().filter(|c| *c != ' ').collect();
+            let line = spaced.lines().find(|l| l.starts_with(&format!("|`{kind}`")));
+            assert!(line.is_some_and(|l| l.ends_with(&format!("|{cardinality}|"))), "{kind}");
+        }
     }
 }

@@ -74,13 +74,6 @@ pub trait Kernel<M> {
     fn horizon(&self) -> Horizon {
         Horizon::Opaque
     }
-
-    /// Notifies the kernel that the event scheduler kept it parked for
-    /// `_skipped` cycles without ticking it, so per-cycle side effects
-    /// that are invariant under quiescence (e.g. committing a shared
-    /// resource's port state) can be replayed in bulk. Default: nothing
-    /// to replay.
-    fn fast_forward(&mut self, _skipped: u64) {}
 }
 
 /// Receives per-cycle progress events. Monomorphized into the run loop so
@@ -1238,8 +1231,7 @@ impl<M> Engine<M> {
     /// Wakes kernel `q` so it ticks again at cycle `at`, replaying the
     /// parked stretch (its last [`Progress`], repeated — exactly what the
     /// dense stepper would have observed, by the [`Horizon::Reactive`]
-    /// contract) into stats, trace and the kernel's own
-    /// [`Kernel::fast_forward`] hook.
+    /// contract) into stats and trace.
     fn wake_kernel<O: Observer>(&mut self, ev: &mut EvState, obs: &mut O, q: usize, at: u64) {
         if !ev.parked[q] {
             return;
@@ -1257,7 +1249,6 @@ impl<M> Engine<M> {
                 _ => debug_assert!(false, "parked kernels are Blocked or Idle"),
             }
             obs.record_span(q, ev.parked_at[q] + 1, n, slot.last);
-            slot.kernel.fast_forward(n);
         }
         self.sched.wakes += 1;
     }
@@ -1285,7 +1276,6 @@ impl<M> Engine<M> {
                         _ => debug_assert!(false, "parked kernels are Blocked or Idle"),
                     }
                     obs.record_span(k, ev.parked_at[k] + 1, n, slot.last);
-                    slot.kernel.fast_forward(n);
                 }
             }
         }
@@ -1767,9 +1757,6 @@ mod tests {
         }
         fn horizon(&self) -> Horizon {
             Horizon::Reactive
-        }
-        fn fast_forward(&mut self, skipped: u64) {
-            self.0.fast_forward(skipped)
         }
     }
 

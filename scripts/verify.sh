@@ -109,6 +109,32 @@ rm -f "$bad_spec"
 printf '%s\n' "$bad_out" | grep -q 'error\[spec.invalid\]' \
   || { echo "verify: malformed spec missing the spec.invalid error code"; exit 1; }
 
+# Fail-closed CLI: bad knob values — as flags or as artifact fields — bad
+# workload flags and artifacts with fields this build does not know must
+# each exit 2 with the stable config.invalid code, never panic (101).
+expect_invalid() {
+  local rc=0 out
+  out=$(timeout 120 ./target/release/zskip "$@" 2>&1 >/dev/null) || rc=$?
+  [ "$rc" -eq 2 ] || { echo "verify: zskip $* must exit 2 (got $rc)"; exit 1; }
+  printf '%s\n' "$out" | grep -q 'error\[config.invalid\]' \
+    || { echo "verify: zskip $* missing the config.invalid error code"; exit 1; }
+}
+bad_cfg=$(mktemp -t zskip-badcfg-XXXXXX.json)
+expect_invalid infer --hw 32 --instances 0
+expect_invalid infer --hw 16
+expect_invalid infer --hw 32 --density 7
+printf '{"version": 1, "thread": 4}\n' > "$bad_cfg"
+expect_invalid infer --hw 32 --config "$bad_cfg"
+timeout 300 ./target/release/zskip tune --budget 1 --out "$bad_cfg" > /dev/null
+sed -i 's/"instances": 1,/"instances": 0,/' "$bad_cfg"
+expect_invalid infer --hw 32 --config "$bad_cfg"
+rm -f "$bad_cfg"
+# ... and what `infer` reports comes from the session it ran: two instances
+# run at the cost model's congestion-derated clock, not the variant's.
+two_out=$(timeout 300 ./target/release/zskip infer --hw 32 --instances 2)
+printf '%s\n' "$two_out" | grep -q ' at 117 MHz' \
+  || { echo "verify: infer --instances 2 must report the derated 117 MHz clock"; exit 1; }
+
 # Autotuner smoke: a tiny-budget deterministic tune must emit a loadable
 # artifact, and loading it back through --config must run end to end
 # (infer asserts bit-exactness vs the golden model internally).

@@ -13,23 +13,24 @@
 //! ```
 //!
 //! Every flag-taking subcommand supports `--help`; flags are declared
-//! declaratively and parsed by a shared, panic-free parser. Flags with a
-//! closed set of values declare their choices in the table and are
-//! rejected with the stable `config.invalid` code before any work runs.
-//! The knobs common to `infer`/`batch`/`serve` — backend, threads,
-//! kernel tier, weight cache, and the batch shaping — live in shared
-//! flag *groups* ([`SESSION_FLAGS`], [`NETWORK_FLAGS`],
-//! [`BATCH_KNOB_FLAGS`]), so the subcommands cannot drift apart; all
-//! three resolve one [`TunedConfig`] via [`resolve_config`] (a
-//! `--config` artifact, when given, supplies the baseline and explicit
-//! flags override it) and route through one [`Session`].
+//! declaratively and parsed by a shared, panic-free parser. The run
+//! knobs common to `infer`/`batch`/`serve`/`analyze` — variant, backend,
+//! threads, kernel tier, weight cache, sharding and batch shaping — are
+//! not declared here at all: their flags, `--help` defaults, closed value
+//! sets and printout come from the one knob table in
+//! [`zskip::accel::tune`], by [`FlagGroup`]. All four resolve one
+//! [`TunedConfig`] via [`resolve_config`] (a `--config` artifact, when
+//! given, supplies the baseline and explicit flags override it; bad values
+//! are rejected with the stable `config.invalid` code before any work
+//! runs) and route through one [`Session`].
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
 use zskip::accel::serve::wire;
 use zskip::accel::session::{DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH};
-use zskip::accel::tune::{DEFAULT_BUDGET, DEFAULT_SEED};
+use zskip::accel::tune::{self, FlagGroup, DEFAULT_BUDGET, DEFAULT_SEED, KNOBS};
 use zskip::accel::{
     AccelConfig, BackendKind, Driver, Objective, Placement, Provenance, SearchSpace, Searcher,
     ServeEngine, ShardReport, SpaceKind, TunedConfig, Tuner,
@@ -37,21 +38,17 @@ use zskip::accel::{
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
-use zskip::nn::simd::KernelTier;
 use zskip::perf::AreaBreakdown;
 use zskip::quant::DensityProfile;
 
 /// One flag a subcommand accepts.
+#[derive(Clone)]
 struct Flag {
     name: &'static str,
     /// Metavariable for value-taking flags; `None` marks a boolean flag.
     metavar: Option<&'static str>,
     /// Default shown in `--help` (value-taking flags only).
-    default: Option<&'static str>,
-    /// Closed value set, validated by the parser itself: any other value
-    /// is rejected with the stable `config.invalid` code before the
-    /// subcommand runs. `None` = free-form (numbers, paths, ...).
-    choices: Option<&'static [&'static str]>,
+    default: Option<Cow<'static, str>>,
     help: &'static str,
 }
 
@@ -62,99 +59,67 @@ impl Flag {
         default: &'static str,
         help: &'static str,
     ) -> Flag {
-        Flag { name, metavar: Some(metavar), default: Some(default), choices: None, help }
-    }
-
-    const fn choice(
-        name: &'static str,
-        metavar: &'static str,
-        default: &'static str,
-        choices: &'static [&'static str],
-        help: &'static str,
-    ) -> Flag {
-        Flag { name, metavar: Some(metavar), default: Some(default), choices: Some(choices), help }
+        Flag { name, metavar: Some(metavar), default: Some(Cow::Borrowed(default)), help }
     }
 
     const fn boolean(name: &'static str, help: &'static str) -> Flag {
-        Flag { name, metavar: None, default: None, choices: None, help }
+        Flag { name, metavar: None, default: None, help }
     }
 }
 
+/// Where a run of a subcommand's flags comes from.
+enum Flags {
+    /// Flags only this front end knows (workload shape, files, seeds).
+    Own(&'static [Flag]),
+    /// The knob table's rows of one group, defaults rendered from
+    /// [`tune::cli_defaults`].
+    Knobs(FlagGroup),
+}
+
 /// One subcommand of the CLI. `run` receives the parsed flag values.
-/// `flag_groups` is a list of flag tables — subcommands share the common
-/// groups below and add their own specifics, so `--help`, parsing and
+/// `flag_groups` lists flag tables in `--help` order — subcommands share
+/// the groups below and the knob table's, so `--help`, parsing and
 /// defaults stay in lockstep across subcommands.
 struct Command {
     name: &'static str,
     usage_args: &'static str,
     summary: &'static str,
-    flag_groups: &'static [&'static [Flag]],
+    flag_groups: &'static [Flags],
     run: fn(&Parsed),
 }
 
 impl Command {
-    fn flags(&self) -> impl Iterator<Item = &'static Flag> + '_ {
-        self.flag_groups.iter().flat_map(|g| g.iter())
+    fn flags(&self) -> Vec<Flag> {
+        let defaults = tune::cli_defaults();
+        let knob_flag = |knob: &tune::Knob, group: FlagGroup| {
+            let f = knob.flag.filter(|f| f.group == group)?;
+            let default = knob.text((knob.get)(&defaults));
+            let (metavar, default) = (Some(f.metavar), Some(default.into()));
+            Some(Flag { name: f.name, metavar, default, help: f.help })
+        };
+        let mut flags = Vec::new();
+        for group in self.flag_groups {
+            match group {
+                Flags::Own(own) => flags.extend_from_slice(own),
+                Flags::Knobs(g) => flags.extend(KNOBS.iter().filter_map(|k| knob_flag(k, *g))),
+            }
+        }
+        flags
     }
 }
 
 const HW_HELP: &str = "input height/width of the synthetic network";
-const NETWORK_SPEC_HELP: &str =
-    "JSON network-spec file (e.g. specs/resnet18.json; see docs/NETWORKS.md) instead of the built-in VGG-16";
-const DENSITY_HELP: &str = "weight density: 'dc' (deep-compression VGG-16 profile) or a fraction";
-const VARIANT_HELP: &str = "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt";
-const BACKEND_HELP: &str =
-    "execution backend: model (transaction-level) | cycle (cycle-exact) | cpu (host SIMD)";
-const THREADS_HELP: &str =
-    "intra-image conv worker threads for the cpu backend (0 = host auto; others ignore)";
 
-const VARIANT_CHOICES: &[&str] = &["16-unopt", "256-unopt", "256-opt", "512-opt"];
-const BACKEND_CHOICES: &[&str] = &["model", "cycle", "cpu"];
-const KERNEL_CHOICES: &[&str] = &["auto", "scalar", "sse2", "avx2", "avx512"];
-const PLACEMENT_CHOICES: &[&str] = &["auto", "stripe", "image", "pipeline"];
-const ONOFF_CHOICES: &[&str] = &["on", "off"];
-const OBJECTIVE_CHOICES: &[&str] = &["latency", "throughput", "p99", "cycles"];
-const SPACE_CHOICES: &[&str] = &["software", "hls", "full"];
-const SEARCHER_CHOICES: &[&str] = &["cd", "spsa"];
-
-/// The session knobs every inference-running subcommand shares; resolved
-/// into a [`TunedConfig`] by [`resolve_config`].
-const SESSION_FLAGS: &[Flag] = &[
-    Flag::choice("--backend", "B", "model", BACKEND_CHOICES, BACKEND_HELP),
-    Flag::val("--threads", "T", "0", THREADS_HELP),
-    Flag::choice(
-        "--kernel",
-        "K",
-        "auto",
-        KERNEL_CHOICES,
-        "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512",
-    ),
-    Flag::choice("--weight-cache", "on|off", "on", ONOFF_CHOICES, "process-wide packed-weight cache"),
-];
-
-/// The synthetic-network knobs shared by inference subcommands.
+/// The synthetic-network flags shared by inference subcommands; the
+/// `--variant` knob follows them.
 const NETWORK_FLAGS: &[Flag] = &[
-    Flag::val("--network", "FILE", "vgg16", NETWORK_SPEC_HELP),
-    Flag::val("--density", "D", "dc", DENSITY_HELP),
-    Flag::choice("--variant", "V", "256-opt", VARIANT_CHOICES, VARIANT_HELP),
-];
-
-/// The multi-accelerator sharding knobs shared by every subcommand that
-/// can schedule over more than one instance (see docs/SCHEDULER.md).
-const SHARD_FLAGS: &[Flag] = &[
     Flag::val(
-        "--instances",
-        "N",
-        "1",
-        "accelerator instances to schedule over (the bank RAM budget divides across them)",
+        "--network",
+        "FILE",
+        "vgg16",
+        "JSON network-spec file (e.g. specs/resnet18.json; see docs/NETWORKS.md) instead of the built-in VGG-16",
     ),
-    Flag::choice(
-        "--placement",
-        "P",
-        "auto",
-        PLACEMENT_CHOICES,
-        "shard placement: auto | stripe | image | pipeline",
-    ),
+    Flag::val("--density", "D", "dc", "weight density: 'dc' (deep-compression VGG-16 profile) or a fraction"),
 ];
 
 /// The tuned-config artifact loader shared by `infer`/`batch`/`serve`/
@@ -166,14 +131,6 @@ const CONFIG_FLAGS: &[Flag] = &[Flag::val(
     "none",
     "tuned-config artifact from 'zskip tune' (explicit flags override its knobs)",
 )];
-
-/// The batch shaping and admission-control knobs of the serving daemon.
-const BATCH_KNOB_FLAGS: &[Flag] = &[
-    Flag::val("--workers", "N", "0", "batch-pool worker threads (0 = auto)"),
-    Flag::val("--max-batch", "N", "8", "requests coalesced into one accelerator batch at most"),
-    Flag::val("--batch-window-ms", "MS", "2", "how long a forming batch waits for more requests"),
-    Flag::val("--queue-depth", "N", "64", "bounded submission-queue depth (admission control)"),
-];
 
 const COMMANDS: &[Command] = &[
     Command {
@@ -195,15 +152,16 @@ const COMMANDS: &[Command] = &[
         usage_args: "[flags]",
         summary: "run inference end to end, verify vs the golden model",
         flag_groups: &[
-            &[
+            Flags::Own(&[
                 Flag::val("--hw", "N", "64", HW_HELP),
                 Flag::val("--seed", "S", "3", "input image seed (serve's {\"seed\":S} matches)"),
                 Flag::boolean("--ternary", "quantize weights to ternary (-1/0/+1 magnitudes)"),
-            ],
-            NETWORK_FLAGS,
-            SESSION_FLAGS,
-            SHARD_FLAGS,
-            CONFIG_FLAGS,
+            ]),
+            Flags::Own(NETWORK_FLAGS),
+            Flags::Knobs(FlagGroup::Network),
+            Flags::Knobs(FlagGroup::Session),
+            Flags::Knobs(FlagGroup::Shard),
+            Flags::Own(CONFIG_FLAGS),
         ],
         run: infer,
     },
@@ -212,15 +170,14 @@ const COMMANDS: &[Command] = &[
         usage_args: "[flags]",
         summary: "run a batch of inferences on a work-stealing worker pool",
         flag_groups: &[
-            &[
-                Flag::val("--n", "N", "8", "number of images in the batch"),
-                Flag::val("--workers", "W", "0", "worker threads (0 = auto)"),
-                Flag::val("--hw", "N", "32", HW_HELP),
-            ],
-            NETWORK_FLAGS,
-            SESSION_FLAGS,
-            SHARD_FLAGS,
-            CONFIG_FLAGS,
+            Flags::Own(&[Flag::val("--n", "N", "8", "number of images in the batch")]),
+            Flags::Knobs(FlagGroup::Pool),
+            Flags::Own(&[Flag::val("--hw", "N", "32", HW_HELP)]),
+            Flags::Own(NETWORK_FLAGS),
+            Flags::Knobs(FlagGroup::Network),
+            Flags::Knobs(FlagGroup::Session),
+            Flags::Knobs(FlagGroup::Shard),
+            Flags::Own(CONFIG_FLAGS),
         ],
         run: batch,
     },
@@ -229,15 +186,17 @@ const COMMANDS: &[Command] = &[
         usage_args: "[flags]",
         summary: "serving daemon: newline-delimited JSON requests over stdio or TCP",
         flag_groups: &[
-            &[
+            Flags::Own(&[
                 Flag::val("--hw", "N", "32", HW_HELP),
                 Flag::val("--tcp", "ADDR", "off", "listen on a TCP address (e.g. 127.0.0.1:0) instead of stdio"),
-            ],
-            NETWORK_FLAGS,
-            SESSION_FLAGS,
-            SHARD_FLAGS,
-            BATCH_KNOB_FLAGS,
-            CONFIG_FLAGS,
+            ]),
+            Flags::Own(NETWORK_FLAGS),
+            Flags::Knobs(FlagGroup::Network),
+            Flags::Knobs(FlagGroup::Session),
+            Flags::Knobs(FlagGroup::Shard),
+            Flags::Knobs(FlagGroup::Pool),
+            Flags::Knobs(FlagGroup::Serve),
+            Flags::Own(CONFIG_FLAGS),
         ],
         run: serve,
     },
@@ -245,48 +204,47 @@ const COMMANDS: &[Command] = &[
         name: "tune",
         usage_args: "[flags]",
         summary: "seeded design-space autotuner; writes a loadable best-config artifact",
-        flag_groups: &[&[
-            Flag::choice(
-                "--objective",
-                "O",
-                "cycles",
-                OBJECTIVE_CHOICES,
-                "what to minimize: latency | throughput | p99 | cycles (see docs/TUNING.md)",
-            ),
-            Flag::choice("--space", "S", "hls", SPACE_CHOICES, "search space: software | hls | full"),
-            Flag::choice(
-                "--searcher",
-                "A",
-                "cd",
-                SEARCHER_CHOICES,
-                "search algorithm: cd (coordinate descent) | spsa",
-            ),
-            Flag::val("--seed", "S", "0x5acade09", "search seed (decimal or 0x-prefixed hex)"),
-            Flag::val("--budget", "N", "96", "fresh-evaluation budget (cache hits are free)"),
-            Flag::val("--out", "FILE", "tuned.json", "where to write the artifact"),
-            Flag::val("--n", "N", "4", "images driving the throughput/p99 objectives"),
-            Flag::val("--hw", "N", "32", HW_HELP),
-            Flag::val("--network", "FILE", "vgg16", NETWORK_SPEC_HELP),
-            Flag::val("--density", "D", "dc", DENSITY_HELP),
-        ]],
+        flag_groups: &[
+            Flags::Own(&[
+                Flag::val(
+                    "--objective",
+                    "O",
+                    "cycles",
+                    "what to minimize: latency | throughput | p99 | cycles (see docs/TUNING.md)",
+                ),
+                Flag::val("--space", "S", "hls", "search space: software | hls | full"),
+                Flag::val("--searcher", "A", "cd", "search algorithm: cd (coordinate descent) | spsa"),
+                Flag::val("--seed", "S", "0x5acade09", "search seed (decimal or 0x-prefixed hex)"),
+                Flag::val("--budget", "N", "96", "fresh-evaluation budget (cache hits are free)"),
+                Flag::val("--out", "FILE", "tuned.json", "where to write the artifact"),
+                Flag::val("--n", "N", "4", "images driving the throughput/p99 objectives"),
+                Flag::val("--hw", "N", "32", HW_HELP),
+            ]),
+            Flags::Own(NETWORK_FLAGS),
+        ],
         run: tune,
     },
     Command {
         name: "analyze",
         usage_args: "[flags]",
         summary: "per-layer zero-skip packing analysis",
-        flag_groups: &[NETWORK_FLAGS, SHARD_FLAGS, CONFIG_FLAGS],
+        flag_groups: &[
+            Flags::Own(NETWORK_FLAGS),
+            Flags::Knobs(FlagGroup::Network),
+            Flags::Knobs(FlagGroup::Shard),
+            Flags::Own(CONFIG_FLAGS),
+        ],
         run: analyze,
     },
     Command {
         name: "faults",
         usage_args: "[flags]",
         summary: "fault-injection survivability campaign (exit 1 unless all trials degrade gracefully)",
-        flag_groups: &[&[
+        flag_groups: &[Flags::Own(&[
             Flag::val("--hw", "N", "8", HW_HELP),
             Flag::val("--seed", "S", "7", "seed for synthetic weights and inputs"),
             Flag::boolean("--json", "emit the survivability report as JSON on stdout"),
-        ]],
+        ])],
         run: faults,
     },
     Command {
@@ -329,26 +287,29 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Rejects a bad configuration value with the same stable code the
-/// library's [`zskip::Error::code`] gives `Error::InvalidConfig`, so
-/// harnesses can match CLI and API failures with one string.
-fn fail_invalid(msg: &str) -> ! {
-    fail(&format!("error[config.invalid]: {msg}"));
+/// Reports a library error — or a bad command-line value, as the
+/// `Error::InvalidConfig` / `Error::Spec` the library would have raised —
+/// with its stable docs/ERRORS.md code, so harnesses can match CLI and API
+/// failures with one string.
+fn fail_error(e: &zskip::Error) -> ! {
+    fail(&format!("error[{}]: {e}", e.code()));
 }
 
-/// Rejects a bad `--network` spec file with the stable code the library
-/// gives `Error::Spec` — unreadable file, malformed JSON, and DAG
-/// validation failures all land here.
-fn fail_spec(msg: &str) -> ! {
-    fail(&format!("error[spec.invalid]: {msg}"));
+fn fail_invalid(msg: String) -> ! {
+    fail_error(&zskip::Error::InvalidConfig(msg));
+}
+
+/// Rejects a bad `--network` spec file: unreadable file, malformed JSON
+/// and DAG validation failures all land here.
+fn fail_spec(path: &str, e: impl std::fmt::Display) -> ! {
+    fail_error(&zskip::nn::SpecError { message: format!("{path}: {e}") }.into());
 }
 
 /// Loads and validates a `--network` JSON spec file.
 fn load_spec(path: &str) -> zskip::nn::NetworkSpec {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail_spec(&format!("cannot read {path}: {e}")));
-    zskip::nn::NetworkSpec::from_json(&text)
-        .unwrap_or_else(|e| fail_spec(&format!("{path}: {e}")))
+        .unwrap_or_else(|e| fail_spec(path, format!("cannot read: {e}")));
+    zskip::nn::NetworkSpec::from_json(&text).unwrap_or_else(|e| fail_spec(path, e))
 }
 
 fn print_usage() {
@@ -361,14 +322,15 @@ fn print_usage() {
 fn print_command_help(cmd: &Command) {
     println!("usage: zskip {} {}", cmd.name, cmd.usage_args);
     println!("{}", cmd.summary);
-    if cmd.flags().next().is_some() {
+    let flags = cmd.flags();
+    if !flags.is_empty() {
         println!("\nflags:");
-        for f in cmd.flags() {
+        for f in &flags {
             let head = match f.metavar {
                 Some(m) => format!("{} <{}>", f.name, m),
                 None => f.name.to_string(),
             };
-            let default = f.default.map(|d| format!(" [default: {d}]")).unwrap_or_default();
+            let default = f.default.as_ref().map(|d| format!(" [default: {d}]")).unwrap_or_default();
             println!("  {head:<24} {}{default}", f.help);
         }
     }
@@ -378,6 +340,7 @@ fn print_command_help(cmd: &Command) {
 /// the subcommand's flag table, handles `--help`, and never panics.
 fn parse_args(cmd: &Command, args: &[String]) -> Parsed {
     let mut parsed = Parsed { values: Vec::new(), switches: Vec::new(), positional: Vec::new() };
+    let flags = cmd.flags();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
@@ -385,20 +348,11 @@ fn parse_args(cmd: &Command, args: &[String]) -> Parsed {
             print_command_help(cmd);
             std::process::exit(0);
         }
-        if let Some(flag) = cmd.flags().find(|f| f.name == a) {
+        if let Some(flag) = flags.iter().find(|f| f.name == a) {
             if flag.metavar.is_some() {
                 let Some(v) = args.get(i + 1) else {
                     fail(&format!("{} requires a value (zskip {} --help)", flag.name, cmd.name));
                 };
-                if let Some(choices) = flag.choices {
-                    if !choices.contains(&v.as_str()) {
-                        fail_invalid(&format!(
-                            "{} takes {}, got '{v}'",
-                            flag.name,
-                            choices.join(" | ")
-                        ));
-                    }
-                }
                 parsed.values.push((flag.name, v.clone()));
                 i += 2;
             } else {
@@ -431,16 +385,6 @@ fn main() {
     (cmd.run)(&parsed);
 }
 
-fn parse_variant(s: &str) -> Variant {
-    match s {
-        "16-unopt" => Variant::U16Unopt,
-        "256-unopt" => Variant::U256Unopt,
-        "256-opt" => Variant::U256Opt,
-        "512-opt" => Variant::U512Opt,
-        other => fail(&format!("unknown variant {other} (use 16-unopt | 256-unopt | 256-opt | 512-opt)")),
-    }
-}
-
 /// Parses a `u64` seed flag, accepting decimal or `0x`-prefixed hex (the
 /// default tuner seed reads better in hex).
 fn parse_seed(p: &Parsed, name: &str, default: u64) -> u64 {
@@ -460,10 +404,10 @@ fn parse_density(p: &Parsed, layers: usize) -> DensityProfile {
         // mean density, applied uniformly.
         "dc" if layers == 13 => DensityProfile::deep_compression_vgg16(),
         "dc" => DensityProfile::uniform(layers, 0.35),
-        d => DensityProfile::uniform(
-            layers,
-            d.parse().unwrap_or_else(|_| fail(&format!("--density takes 'dc' or a fraction, got '{d}'"))),
-        ),
+        d => match d.parse() {
+            Ok(f) if f > 0.0 && f <= 1.0 => DensityProfile::uniform(layers, f),
+            _ => fail_invalid(format!("--density takes 'dc' or a fraction in (0, 1], got '{d}'")),
+        },
     }
 }
 
@@ -478,106 +422,29 @@ struct ResolvedConfig {
     overrides: Vec<String>,
 }
 
-/// Resolves the session knobs every inference subcommand shares, with one
-/// precedence rule: `--config` artifact knobs are the baseline (else the
-/// stock defaults), and any explicitly-provided flag overrides its knob.
-/// An override that *changes* a loaded artifact's value warns on stderr —
-/// a tuned artifact silently degraded by a stray flag is the failure mode
-/// this guards against.
+/// Resolves the session knobs every inference subcommand shares through
+/// [`tune::resolve`]'s one precedence rule: the `--config` artifact is the
+/// baseline (else the CLI defaults), explicit flags override it, and an
+/// override that *changes* a loaded artifact's value warns on stderr.
 fn resolve_config(p: &Parsed) -> ResolvedConfig {
     let source = p.get("--config").map(str::to_string);
-    let mut config = match &source {
-        Some(path) => TunedConfig::load(path).unwrap_or_else(|e| fail_invalid(&e.to_string())),
-        // The CLI's historical default is threads 0 (host auto), not the
-        // builder's pinned single thread.
-        None => TunedConfig { threads: 0, ..TunedConfig::default() },
-    };
-    let loaded = source.is_some();
-    let mut overrides = Vec::new();
-    let mut shadow = |flag: &str, new: &str, old: String| {
-        if loaded && *new != old {
-            overrides.push(format!("{flag} {new} shadows tuned '{old}'"));
-        }
-    };
-    if let Some(v) = p.get("--variant") {
-        shadow("--variant", v, config.variant.label().to_string());
-        config.variant = parse_variant(v);
-    }
-    if let Some(v) = p.get("--instances") {
-        shadow("--instances", v, config.instances.to_string());
-        config.instances = p.parse_num("--instances", 1);
-    }
-    if let Some(v) = p.get("--backend") {
-        shadow("--backend", v, config.backend.name().to_string());
-        config.backend = v.parse().unwrap_or_else(|e: String| fail_invalid(&e));
-    }
-    if let Some(v) = p.get("--threads") {
-        shadow("--threads", v, config.threads.to_string());
-        config.threads = p.parse_num("--threads", 0);
-    }
-    if let Some(v) = p.get("--kernel") {
-        shadow("--kernel", v, config.kernel.map(|k| k.name().to_string()).unwrap_or("auto".into()));
-        config.kernel = match v {
-            "auto" => None,
-            k => KernelTier::parse(k), // parser-validated; never None here
-        };
-    }
-    if let Some(v) = p.get("--weight-cache") {
-        shadow("--weight-cache", v, if config.weight_cache { "on" } else { "off" }.to_string());
-        config.weight_cache = v == "on";
-    }
-    if let Some(v) = p.get("--placement") {
-        shadow("--placement", v, config.placement.name().to_string());
-        config.placement = v.parse().unwrap_or_else(|e: String| fail_invalid(&e));
-    }
-    if let Some(v) = p.get("--workers") {
-        shadow("--workers", v, config.batch_workers.to_string());
-        config.batch_workers = p.parse_num("--workers", 0);
-    }
-    if let Some(v) = p.get("--max-batch") {
-        shadow("--max-batch", v, config.max_batch.to_string());
-        config.max_batch = p.parse_num("--max-batch", DEFAULT_MAX_BATCH);
-    }
-    if let Some(v) = p.get("--batch-window-ms") {
-        shadow("--batch-window-ms", v, config.batch_window_ms.to_string());
-        config.batch_window_ms = p.parse_num("--batch-window-ms", DEFAULT_BATCH_WINDOW_MS);
-    }
-    if let Some(v) = p.get("--queue-depth") {
-        shadow("--queue-depth", v, config.queue_depth.to_string());
-        config.queue_depth = p.parse_num("--queue-depth", DEFAULT_QUEUE_DEPTH);
-    }
+    let artifact =
+        source.as_ref().map(|path| TunedConfig::load(path).unwrap_or_else(|e| fail_error(&e)));
+    let (config, overrides) = tune::resolve(artifact, &p.values).unwrap_or_else(|e| fail_error(&e));
     for w in &overrides {
-        eprintln!(
-            "zskip: warning: {} (artifact {})",
-            w,
-            source.as_deref().unwrap_or("?")
-        );
+        eprintln!("zskip: warning: {w} (artifact {})", source.as_deref().unwrap_or("?"));
     }
     ResolvedConfig { config, source, overrides }
 }
 
-/// Renders a resolved config's knobs as two aligned lines (shared by
-/// `tune` and `analyze --config`).
-fn print_tuned_knobs(c: &TunedConfig, indent: &str) {
-    let threads = if c.threads == 0 { "auto".to_string() } else { c.threads.to_string() };
-    println!(
-        "{indent}variant {} | instances {} | backend {} | threads {} | kernel {} | weight-cache {}",
-        c.variant.label(),
-        c.instances,
-        c.backend.name(),
-        threads,
-        c.kernel.map(|k| k.name()).unwrap_or("auto"),
-        if c.weight_cache { "on" } else { "off" },
-    );
-    println!(
-        "{indent}placement {} | park-hysteresis {} | batch workers {} | max-batch {} | window {} ms | queue {}",
-        c.placement.name(),
-        c.park_hysteresis.map(|t| t.to_string()).unwrap_or("default".into()),
-        c.batch_workers,
-        c.max_batch,
-        c.batch_window_ms,
-        c.queue_depth,
-    );
+/// Renders a config's knobs as two lines (shared by `tune`,
+/// `analyze --config` and the `serve` banner).
+fn tuned_knobs(c: &TunedConfig, indent: &str) -> String {
+    let cell = |k: &tune::Knob| format!("{} {}", k.name, k.text((k.get)(c)));
+    let lines = KNOBS.chunks(KNOBS.len() / 2).map(|row| {
+        format!("{indent}{}", row.iter().map(cell).collect::<Vec<_>>().join(" | "))
+    });
+    lines.collect::<Vec<_>>().join("\n")
 }
 
 fn print_provenance(pr: &Provenance, indent: &str) {
@@ -595,6 +462,9 @@ fn print_provenance(pr: &Provenance, indent: &str) {
 fn build_network(p: &Parsed, hw: usize, ternary: bool) -> QuantizedNetwork {
     let spec = match p.get("--network") {
         Some(path) => load_spec(path),
+        None if hw == 0 || !hw.is_multiple_of(32) => fail_invalid(format!(
+            "--hw takes a positive multiple of 32 for the built-in VGG-16, got {hw}"
+        )),
         None => zskip::nn::vgg16::vgg16_scaled_spec(hw),
     };
     let convs =
@@ -611,7 +481,11 @@ fn build_network(p: &Parsed, hw: usize, ternary: bool) -> QuantizedNetwork {
 
 fn synth(which: &str) {
     let variants: Vec<Variant> =
-        if which == "all" { Variant::all().to_vec() } else { vec![parse_variant(which)] };
+        Variant::all().into_iter().filter(|v| which == "all" || which == v.label()).collect();
+    if variants.is_empty() {
+        let labels = Variant::all().map(|v| v.label()).join(" | ");
+        fail(&format!("unknown variant {which} (use all | {labels})"));
+    }
     for v in variants {
         let r = v.synthesize();
         println!("== {v} ==");
@@ -659,12 +533,12 @@ fn infer(p: &Parsed) {
     );
     let input = synthetic_inputs(seed, 1, qnet.spec.input).pop().expect("one");
 
-    let config = AccelConfig::for_variant(variant);
-    let session = resolved.config.session().build().unwrap_or_else(|e| fail(&e.to_string()));
-    let report = if session.driver().config.instances > 1 {
+    let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
+    let config = session.driver().config;
+    let report = if config.instances > 1 {
         let shard = session
             .run_sharded(&qnet, std::slice::from_ref(&input))
-            .unwrap_or_else(|e| fail(&e.to_string()));
+            .unwrap_or_else(|e| fail_error(&e));
         println!(
             "sharded over {} instances ({} placement): makespan {} cycles, {:.2}x vs one instance",
             shard.instances,
@@ -674,7 +548,7 @@ fn infer(p: &Parsed) {
         );
         shard.items.into_iter().next().expect("one image in, one report out")
     } else {
-        session.infer(&qnet, &input).unwrap_or_else(|e| fail(&e.to_string()))
+        session.infer(&qnet, &input).unwrap_or_else(|e| fail_error(&e))
     };
     if let Some(diff) = golden_mismatch(&report.output, &qnet.forward_quant(&input)) {
         fail(&format!("not bit-exact vs the software golden model: {diff}"));
@@ -713,10 +587,10 @@ fn batch(p: &Parsed) {
     let qnet = build_network(p, hw, false);
     let inputs = synthetic_inputs(3, n, qnet.spec.input);
 
-    let session = resolved.config.session().build().unwrap_or_else(|e| fail(&e.to_string()));
+    let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
     println!("running {} x {} on {} ({backend} backend)...", n, qnet.spec.name, variant);
     if session.driver().config.instances > 1 {
-        let shard = session.run_sharded(&qnet, &inputs).unwrap_or_else(|e| fail(&e.to_string()));
+        let shard = session.run_sharded(&qnet, &inputs).unwrap_or_else(|e| fail_error(&e));
         print_shard_summary(&shard, &session.driver().config);
         for (i, r) in shard.items.iter().enumerate() {
             let top = zskip::nn::fc::argmax(&r.output).expect("non-empty");
@@ -725,7 +599,7 @@ fn batch(p: &Parsed) {
         return;
     }
     let t0 = std::time::Instant::now();
-    let report = session.run_batch(&qnet, &inputs).unwrap_or_else(|e| fail(&e.to_string()));
+    let report = session.run_batch(&qnet, &inputs).unwrap_or_else(|e| fail_error(&e));
     let wall = t0.elapsed().as_secs_f64();
     println!(
         "{} images in {:.2} s on {} workers ({:.2} images/s, {:.1} M simulated cycles/s, {} steals)",
@@ -776,27 +650,14 @@ fn print_shard_summary(shard: &ShardReport, config: &AccelConfig) {
 
 fn serve(p: &Parsed) {
     let hw: usize = p.parse_num("--hw", 32);
-    let resolved = resolve_config(p);
-    let variant = resolved.config.variant;
-    let backend = resolved.config.backend;
+    let config = resolve_config(p).config;
 
     let qnet = Arc::new(build_network(p, hw, false));
-    let session = resolved.config.session().build().unwrap_or_else(|e| fail(&e.to_string()));
-    let batch_cfg = *session.batch_config();
+    let session = config.session().build().unwrap_or_else(|e| fail_error(&e));
     // The banner goes to stderr: in stdio mode stdout is the protocol
     // channel and must carry nothing but response lines.
-    eprintln!(
-        "zskip serve: {} on {} ({backend} backend, kernel {}, {} instance(s), {} placement, \
-         max-batch {}, window {:?}, queue {})",
-        qnet.spec.name,
-        variant,
-        session.kernel_tier(),
-        session.driver().config.instances,
-        batch_cfg.placement,
-        batch_cfg.max_batch,
-        batch_cfg.batch_window,
-        batch_cfg.queue_depth,
-    );
+    eprintln!("zskip serve: {} (kernel tier {})", qnet.spec.name, session.kernel_tier());
+    eprintln!("{}", tuned_knobs(&config, "  "));
     let shape = qnet.spec.input;
     let engine = ServeEngine::start(session, Arc::clone(&qnet));
     let handle = engine.handle();
@@ -901,11 +762,10 @@ fn serve_tcp(handle: &zskip::accel::ServeHandle, shape: zskip::tensor::Shape, ad
 /// [`SessionBuilder::from_tuned`]: zskip::accel::SessionBuilder::from_tuned
 fn tune(p: &Parsed) {
     let objective: Objective =
-        p.get("--objective").unwrap_or("cycles").parse().unwrap_or_else(|e: String| fail_invalid(&e));
-    let kind: SpaceKind =
-        p.get("--space").unwrap_or("hls").parse().unwrap_or_else(|e: String| fail_invalid(&e));
+        p.get("--objective").unwrap_or("cycles").parse().unwrap_or_else(|e| fail_invalid(e));
+    let kind: SpaceKind = p.get("--space").unwrap_or("hls").parse().unwrap_or_else(|e| fail_invalid(e));
     let searcher: Searcher =
-        p.get("--searcher").unwrap_or("cd").parse().unwrap_or_else(|e: String| fail_invalid(&e));
+        p.get("--searcher").unwrap_or("cd").parse().unwrap_or_else(|e| fail_invalid(e));
     let space = SearchSpace::named(kind);
     let seed = parse_seed(p, "--seed", DEFAULT_SEED);
     let budget: u64 = p.parse_num("--budget", DEFAULT_BUDGET);
@@ -941,8 +801,8 @@ fn tune(p: &Parsed) {
         outcome.best_score,
         outcome.speedup(),
     );
-    print_tuned_knobs(&outcome.best, "  ");
-    outcome.best.save(&out).unwrap_or_else(|e| fail(&e.to_string()));
+    println!("{}", tuned_knobs(&outcome.best, "  "));
+    outcome.best.save(&out).unwrap_or_else(|e| fail_error(&e));
     println!("wrote {out} (load with --config {out} or SessionBuilder::from_tuned)");
 }
 
@@ -952,8 +812,8 @@ fn tune(p: &Parsed) {
 fn analyze_network(path: &str) {
     use zskip::nn::{ExecPlan, LayerRef, LayerSpec};
     let spec = load_spec(path);
-    let shapes = spec.shapes().unwrap_or_else(|e| fail_spec(&format!("{path}: {e}")));
-    let plan = ExecPlan::build(&spec).unwrap_or_else(|e| fail_spec(&format!("{path}: {e}")));
+    let shapes = spec.shapes().unwrap_or_else(|e| fail_spec(path, e));
+    let plan = ExecPlan::build(&spec).unwrap_or_else(|e| fail_spec(path, e));
 
     // Fan-out per producer: index 0 is the network input, i + 1 is layer
     // i's output. A producer with more than one consumer is a branch
@@ -1053,7 +913,7 @@ fn analyze(p: &Parsed) {
     let variant = resolved.config.variant;
     if let Some(path) = &resolved.source {
         println!("tuned config: {path} (artifact v{})", zskip::accel::tune::ARTIFACT_VERSION);
-        print_tuned_knobs(&resolved.config, "  ");
+        println!("{}", tuned_knobs(&resolved.config, "  "));
         match &resolved.config.provenance {
             Some(pr) => print_provenance(pr, "  "),
             None => println!("  no provenance recorded (hand-written artifact)"),
@@ -1208,7 +1068,7 @@ fn analyze(p: &Parsed) {
     // where the inter-stage bubbles sit.
     let instances = resolved.config.instances;
     let placement = resolved.config.placement;
-    let cost = zskip::accel::CostModel::for_instances(variant, instances.max(1));
+    let cost = zskip::accel::CostModel::for_instances(variant, instances);
     println!(
         "\nSharding at {} instance(s): {} at {:.1} MHz, ALM utilization {:.2}{}",
         cost.instances,
@@ -1217,14 +1077,14 @@ fn analyze(p: &Parsed) {
         cost.alm_utilization,
         if cost.fits { "" } else { " (DOES NOT FIT)" }
     );
-    let shard_config = AccelConfig::for_variant_instances(variant, instances.max(1));
+    let shard_config = AccelConfig::for_variant_instances(variant, instances);
     let shard_driver = Driver::builder(shard_config)
         .backend(BackendKind::Model)
         .build()
         .expect("model driver builds");
     let shard_inputs = synthetic_inputs(3, (2 * instances).max(4), surrogate.input);
     let shard = zskip::accel::run_sharded(&shard_driver, &sq, &shard_inputs, placement)
-        .unwrap_or_else(|e| fail(&e.to_string()));
+        .unwrap_or_else(|e| fail_error(&e.into()));
     print_shard_summary(&shard, &shard_config);
 
     // Serving limits: what `zskip serve` defaults to on this build, so an
