@@ -180,7 +180,7 @@ fn main() {
                     active_lanes: 4,
                 }));
             }
-            let cycles = cycle::run_instructions(&cfg, banks, scratchpad, &instrs, 100_000_000)
+            let cycles = cycle::run(&cfg, banks, scratchpad, cycle::Feed::Preloaded(instrs), &Default::default())
                 .expect("runs")
                 .cycles;
             text.push_str(&format!("  {:>5} {:>8}\n", depth, cycles));

@@ -18,14 +18,12 @@
 
 use std::time::Instant;
 use zskip_bench::{build_engine_workload, make_conv_layer, write_bench_artifacts, HARNESS_SEED};
-use zskip_core::cycle::{
-    run_hosted, run_hosted_dense, run_instructions, run_instructions_dense, CycleOutcome, HostLayer, HostModel,
-};
+use zskip_core::cycle::{self, CycleOutcome, Feed, HostLayer, HostModel, RunOptions};
 use zskip_core::{AccelConfig, BankSet, Instruction};
 use zskip_hls::AccelArch;
 use zskip_json::{Json, ToJson};
 use zskip_quant::Sm8;
-use zskip_sim::Fifo;
+use zskip_sim::{Fifo, SchedMode};
 use zskip_soc::{DdrModel, HostCpu};
 use zskip_tensor::Tensor;
 
@@ -107,11 +105,10 @@ fn measure(
     name: &'static str,
     density: f64,
     reps: usize,
-    mut dense_run: impl FnMut() -> CycleOutcome,
-    mut event_run: impl FnMut() -> CycleOutcome,
+    run: impl Fn(SchedMode) -> CycleOutcome,
 ) -> WorkloadResult {
-    let (dense_wall_s, dense) = time_best(reps, &mut dense_run);
-    let (event_wall_s, event) = time_best(reps, &mut event_run);
+    let (dense_wall_s, dense) = time_best(reps, || run(SchedMode::Dense));
+    let (event_wall_s, event) = time_best(reps, || run(SchedMode::EventDriven));
 
     assert_eq!(dense.cycles, event.cycles, "{name}: cycle counts diverged");
     assert_eq!(dense.report, event.report, "{name}: kernel stats or counters diverged");
@@ -135,19 +132,19 @@ fn measure(
     }
 }
 
+/// One run of the workload under `sched`, everything else at the defaults.
+fn run_sched(cfg: &AccelConfig, banks: &BankSet, scratch: &[u8], feed: Feed, sched: SchedMode) -> CycleOutcome {
+    let opts = RunOptions { sched, ..RunOptions::default() };
+    cycle::run(cfg, banks.clone(), scratch.to_vec(), feed, &opts).expect("workload runs")
+}
+
 fn bench_workload(name: &'static str, density: f64, hw: usize, reps: usize) -> WorkloadResult {
     let cfg = config();
     let (qw, _, _) = make_conv_layer(64, 64, hw, density, HARNESS_SEED);
     let (banks, scratch, instrs): (BankSet, Vec<u8>, Vec<Instruction>) =
         build_engine_workload(&cfg, &qw, &input(64, hw));
 
-    measure(
-        name,
-        density,
-        reps,
-        || run_instructions_dense(&cfg, banks.clone(), scratch.clone(), &instrs, u64::MAX).expect("dense runs"),
-        || run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, u64::MAX).expect("event runs"),
-    )
+    measure(name, density, reps, |sched| run_sched(&cfg, &banks, &scratch, Feed::Preloaded(instrs.clone()), sched))
 }
 
 /// ARM-side pre-processing (tiling, padding, quantization, weight
@@ -190,13 +187,7 @@ fn bench_hosted_workload(name: &'static str, density: f64, hw: usize, n_layers: 
         layers: instrs.chunks(per_chunk).map(|c| HostLayer { staging_cycles, instrs: c.to_vec() }).collect(),
     };
 
-    measure(
-        name,
-        density,
-        reps,
-        || run_hosted_dense(&cfg, banks.clone(), scratch.clone(), model.clone(), u64::MAX).expect("dense runs"),
-        || run_hosted(&cfg, banks.clone(), scratch.clone(), model.clone(), u64::MAX).expect("event runs"),
-    )
+    measure(name, density, reps, |sched| run_sched(&cfg, &banks, &scratch, Feed::Hosted(model.clone()), sched))
 }
 
 /// Raw ring-buffer throughput: steady-state push+pop pairs per second

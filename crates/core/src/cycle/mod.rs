@@ -26,7 +26,7 @@ use msg::Msg;
 use std::cell::RefCell;
 use std::rc::Rc;
 use zskip_fault::SharedFaultPlan;
-use zskip_sim::{Barrier, Counters, Engine, Fifo, RunReport, SchedMode, SimError};
+use zskip_sim::{Barrier, Counters, Engine, Fifo, RunReport, SchedMode, SimError, Trace};
 
 /// Result of running an instruction stream on the cycle-exact backend.
 #[derive(Debug)]
@@ -41,6 +41,62 @@ pub struct CycleOutcome {
     pub counters: Counters,
     /// Full per-kernel statistics.
     pub report: RunReport,
+    /// The activity waveform, when [`RunOptions::trace_cycles`] asked for
+    /// one (see [`zskip_sim::Trace`]).
+    pub trace: Option<Trace>,
+}
+
+/// How the main controller receives its instruction stream.
+#[derive(Debug, Clone)]
+pub enum Feed {
+    /// The full stream is preloaded into the controller (accelerator-only
+    /// designs; the paper's measurement setup after staging).
+    Preloaded(Vec<Instruction>),
+    /// A [`host::HostKernel`] stages and dispatches the stream layer by
+    /// layer and polls for completion (the paper's §IV-C system view).
+    /// Long host-side staging and polling gaps quiesce the whole design,
+    /// so this is where the event-driven scheduler beats the dense
+    /// stepper by the widest margin.
+    Hosted(HostModel),
+}
+
+/// Everything a [`run`] takes besides the design, its data and its feed.
+/// `RunOptions::default()` is the product configuration: no cycle limit,
+/// no trace, no faults, the event-driven scheduler at the engine's
+/// default park hysteresis.
+#[derive(Debug, Clone)]
+pub struct RunOptions {
+    /// Cycle limit; exceeding it is [`SimError::CycleLimit`].
+    pub max_cycles: u64,
+    /// Record an activity waveform of up to this many cycles into
+    /// [`CycleOutcome::trace`].
+    pub trace_cycles: Option<usize>,
+    /// Fault plan whose `fifo:*` injections are armed on the engine.
+    pub fault_plan: Option<SharedFaultPlan>,
+    /// The scheduler. [`SchedMode::Dense`] ticks every kernel every cycle
+    /// — slower, but the semantics are defined by inspection, so it is
+    /// the oracle [`SchedMode::EventDriven`] (kernels blocked on a FIFO
+    /// park on its wait list) is pinned bit-identical to.
+    pub sched: SchedMode,
+    /// Park-hysteresis override for the event scheduler (see
+    /// [`zskip_sim::EngineBuilder::park_hysteresis`]); `None` is the
+    /// engine default. A scheduling-cost knob only — cycle counts and
+    /// bank contents are bit-identical for every value (the `tune` module
+    /// exploits this: it searches the knob for simulator wall time
+    /// without perturbing the simulated score).
+    pub park_hysteresis: Option<u32>,
+}
+
+impl Default for RunOptions {
+    fn default() -> RunOptions {
+        RunOptions {
+            max_cycles: u64::MAX,
+            trace_cycles: None,
+            fault_plan: None,
+            sched: SchedMode::EventDriven,
+            park_hysteresis: None,
+        }
+    }
 }
 
 /// Runs an instruction stream to completion on one accelerator instance.
@@ -48,215 +104,44 @@ pub struct CycleOutcome {
 /// `banks` must hold the resident IFM stripe in the layout the
 /// instructions reference; `scratchpad` holds the packed weight image.
 ///
-/// Uses the event-driven scheduler: kernels blocked on a FIFO park on its
-/// wait list instead of being re-polled every cycle. The result is
-/// bit-identical to the dense stepper ([`run_instructions_dense`] is the
-/// oracle; a property test pins the equivalence).
-///
 /// # Errors
 /// Propagates [`SimError`] (deadlock or cycle limit) — either indicates a
-/// malformed instruction stream or an RTL-level bug.
-pub fn run_instructions(
-    config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
-    instructions: &[Instruction],
-    max_cycles: u64,
-) -> Result<CycleOutcome, SimError> {
-    let (outcome, _) = run_instructions_inner(
-        config,
-        banks,
-        scratchpad,
-        Feed::Preloaded(instructions.to_vec()),
-        max_cycles,
-        None,
-        None,
-        SchedMode::EventDriven,
-        None,
-    )?;
-    Ok(outcome)
-}
-
-/// [`run_instructions`] on the dense stepper: every kernel ticks every
-/// cycle. Slower, but the semantics are defined by inspection — this is
-/// the oracle the event-driven scheduler is checked against.
+/// malformed instruction stream, an RTL-level bug or an injected fault.
 ///
-/// # Errors
-/// See [`run_instructions`].
-pub fn run_instructions_dense(
-    config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
-    instructions: &[Instruction],
-    max_cycles: u64,
-) -> Result<CycleOutcome, SimError> {
-    let (outcome, _) = run_instructions_inner(
-        config,
-        banks,
-        scratchpad,
-        Feed::Preloaded(instructions.to_vec()),
-        max_cycles,
-        None,
-        None,
-        SchedMode::Dense,
-        None,
-    )?;
-    Ok(outcome)
-}
-
-/// The session-configurable entry point the exec pipeline uses: an
-/// optional fault plan plus an optional park-hysteresis override for the
-/// event scheduler (see [`zskip_sim::EngineBuilder::park_hysteresis`]).
-/// `None` for both is exactly [`run_instructions`]. The hysteresis is a
-/// scheduling-cost knob only — cycle counts and bank contents are
-/// bit-identical for every value (the `tune` module exploits this: it
-/// searches the knob for simulator wall time without perturbing the
-/// simulated score).
-///
-/// # Errors
-/// See [`run_instructions`].
-pub fn run_instructions_configured(
-    config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
-    instructions: &[Instruction],
-    max_cycles: u64,
-    plan: Option<SharedFaultPlan>,
-    park_hysteresis: Option<u32>,
-) -> Result<CycleOutcome, SimError> {
-    let (outcome, _) = run_instructions_inner(
-        config,
-        banks,
-        scratchpad,
-        Feed::Preloaded(instructions.to_vec()),
-        max_cycles,
-        None,
-        plan,
-        SchedMode::EventDriven,
-        park_hysteresis,
-    )?;
-    Ok(outcome)
-}
-
-/// Like [`run_instructions`], additionally recording an activity waveform
-/// of up to `trace_cycles` cycles (see [`zskip_sim::Trace`]).
-///
-/// # Errors
-/// See [`run_instructions`].
-pub fn run_instructions_traced(
-    config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
-    instructions: &[Instruction],
-    max_cycles: u64,
-    trace_cycles: usize,
-) -> Result<(CycleOutcome, zskip_sim::Trace), SimError> {
-    let (outcome, trace) = run_instructions_inner(
-        config,
-        banks,
-        scratchpad,
-        Feed::Preloaded(instructions.to_vec()),
-        max_cycles,
-        Some(trace_cycles),
-        None,
-        SchedMode::EventDriven,
-        None,
-    )?;
-    Ok((outcome, trace.expect("tracing was enabled")))
-}
-
-/// Runs a hosted system design: the accelerator instance plus the
-/// [`host::HostKernel`] that stages, dispatches and polls each layer.
-/// Long host-side staging and polling gaps quiesce the whole design, so
-/// the event-driven scheduler jumps them — this is the workload class
-/// where it beats the dense stepper by the widest margin, and a property
-/// test pins the two bit-identical ([`run_hosted_dense`] is the oracle).
-///
-/// # Errors
-/// See [`run_instructions`].
-pub fn run_hosted(
-    config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
-    host: HostModel,
-    max_cycles: u64,
-) -> Result<CycleOutcome, SimError> {
-    let (outcome, _) = run_instructions_inner(
-        config,
-        banks,
-        scratchpad,
-        Feed::Hosted(host),
-        max_cycles,
-        None,
-        None,
-        SchedMode::EventDriven,
-        None,
-    )?;
-    Ok(outcome)
-}
-
-/// [`run_hosted`] on the dense stepper — the oracle for hosted designs.
-///
-/// # Errors
-/// See [`run_instructions`].
-pub fn run_hosted_dense(
-    config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
-    host: HostModel,
-    max_cycles: u64,
-) -> Result<CycleOutcome, SimError> {
-    let (outcome, _) = run_instructions_inner(
-        config,
-        banks,
-        scratchpad,
-        Feed::Hosted(host),
-        max_cycles,
-        None,
-        None,
-        SchedMode::Dense,
-        None,
-    )?;
-    Ok(outcome)
-}
-
-/// How the main controller receives its instruction stream.
-enum Feed {
-    /// The full stream is preloaded into the controller (accelerator-only
-    /// designs; the paper's measurement setup after staging).
-    Preloaded(Vec<Instruction>),
-    /// A host kernel stages and dispatches the stream layer by layer.
-    Hosted(HostModel),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_instructions_inner(
+/// # Panics
+/// Panics if `opts` asks for a zero-cycle trace window or a zero park
+/// hysteresis, which [`zskip_sim::EngineBuilder`] rejects (the driver
+/// builder refuses a zero hysteresis before it can get here).
+pub fn run(
     config: &AccelConfig,
     banks: BankSet,
     scratchpad: Vec<u8>,
     feed: Feed,
-    max_cycles: u64,
-    trace_cycles: Option<usize>,
-    fault_plan: Option<SharedFaultPlan>,
-    sched: SchedMode,
-    park_hysteresis: Option<u32>,
-) -> Result<(CycleOutcome, Option<zskip_sim::Trace>), SimError> {
+    opts: &RunOptions,
+) -> Result<CycleOutcome, SimError> {
     assert_eq!(config.units, config.lanes, "accumulator lanes map 1:1 onto write units");
     let units = config.units;
     let banks = Rc::new(RefCell::new(banks));
     let scratchpad = Rc::new(scratchpad);
     let barrier = Rc::new(RefCell::new(Barrier::new(config.lanes)));
-    let mut engine: Engine<Msg> = Engine::new();
-    engine.set_scheduler(sched);
-    if let Some(ticks) = park_hysteresis {
-        engine.set_park_hysteresis(ticks);
+    let mut builder = Engine::<Msg>::builder().scheduler(opts.sched);
+    if let Some(ticks) = opts.park_hysteresis {
+        builder = builder.park_hysteresis(ticks);
     }
-    if let Some(capacity) = trace_cycles {
-        engine.enable_trace(capacity);
+    if let Some(capacity) = opts.trace_cycles {
+        builder = builder.trace(capacity);
     }
-    if let Some(plan) = fault_plan {
-        engine.set_fault_plan(plan);
+    if let Some(plan) = &opts.fault_plan {
+        builder = builder.fault_plan(plan.clone());
     }
+    if let Feed::Hosted(model) = &feed {
+        // The longest legal quiescent stretch is a staging sleep or a
+        // poll gap; give the deadlock detector room beyond both.
+        let longest_gap =
+            model.layers.iter().map(|l| l.staging_cycles).max().unwrap_or(0).max(model.poll_interval);
+        builder = builder.deadlock_window(longest_gap.saturating_add(10_000));
+    }
+    let mut engine: Engine<Msg> = builder.build().expect("nonzero trace window and park hysteresis");
 
     // FIFOs. Command/config queues are depth-2 (dispatch is one message
     // deep plus shutdown); data queues use the configured depth.
@@ -340,25 +225,15 @@ fn run_instructions_inner(
                 write_cmds,
                 done,
             )));
-            // The longest legal quiescent stretch is a staging sleep or a
-            // poll gap; give the deadlock detector room beyond both.
-            let longest_gap = model
-                .layers
-                .iter()
-                .map(|l| l.staging_cycles)
-                .max()
-                .unwrap_or(0)
-                .max(model.poll_interval);
-            engine.set_deadlock_window(longest_gap.saturating_add(10_000));
             engine.add_kernel(Box::new(host::HostKernel::new(model, instr_q, host_done)));
         }
     }
 
-    let report = engine.run(max_cycles)?;
+    let report = engine.run(opts.max_cycles)?;
     let trace = engine.trace().cloned();
     drop(engine);
     let banks = Rc::try_unwrap(banks).expect("engine dropped, sole owner").into_inner();
-    Ok((CycleOutcome { cycles: report.cycles, banks, counters: report.counters.clone(), report }, trace))
+    Ok(CycleOutcome { cycles: report.cycles, banks, counters: report.counters.clone(), report, trace })
 }
 
 #[cfg(test)]

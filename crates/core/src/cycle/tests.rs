@@ -5,6 +5,7 @@ use super::*;
 use crate::isa::{ConvInstr, PoolPadInstr, PoolPadOp};
 use crate::layout::FmLayout;
 use crate::weights::GroupWeights;
+use zskip_fault::{FaultKind, FaultPlan};
 use zskip_hls::AccelArch;
 use zskip_nn::conv::{conv2d_quant, QuantConvWeights};
 use zskip_quant::{Requantizer, Sm8};
@@ -43,7 +44,7 @@ fn weights(out_c: usize, in_c: usize, zero_every: usize) -> QuantConvWeights {
 /// layer (pre-padded input resident, single stripe), runs the cycle
 /// backend and returns (output tensor, cycles).
 pub(super) fn run_conv(cfg: &AccelConfig, qw: &QuantConvWeights, input: &Tensor<Sm8>) -> (Tensor<Sm8>, u64) {
-    let (outcome, out_layout) = run_conv_outcome(cfg, qw, input, run_instructions);
+    let (outcome, out_layout) = run_conv_outcome(cfg, qw, input, Feed::Preloaded, &RunOptions::default());
     let (h, w) = (input.shape().h, input.shape().w);
     let out_shape = Shape::new(qw.out_c, h, w);
     let mut got = TiledFeatureMap::zeros(out_shape);
@@ -51,14 +52,15 @@ pub(super) fn run_conv(cfg: &AccelConfig, qw: &QuantConvWeights, input: &Tensor<
     (got.to_tensor().cropped(h, w), outcome.cycles)
 }
 
-/// Like [`run_conv`] but parameterized over the backend entry point and
-/// returning the full [`CycleOutcome`] for report comparisons.
+/// Like [`run_conv`] but parameterized over the feed and the run options
+/// and returning the full [`CycleOutcome`] for report comparisons.
 pub(super) fn run_conv_outcome(
     cfg: &AccelConfig,
     qw: &QuantConvWeights,
     input: &Tensor<Sm8>,
-    run: impl Fn(&AccelConfig, BankSet, Vec<u8>, &[Instruction], u64) -> Result<super::CycleOutcome, zskip_sim::SimError>,
-) -> (super::CycleOutcome, FmLayout) {
+    feed: impl FnOnce(Vec<Instruction>) -> Feed,
+    opts: &RunOptions,
+) -> (CycleOutcome, FmLayout) {
     let (h, w) = (input.shape().h, input.shape().w);
     let padded = input.padded(1);
     let tiled_in = TiledFeatureMap::from_tensor(&padded);
@@ -100,14 +102,30 @@ pub(super) fn run_conv_outcome(
         }));
     }
 
-    let outcome = run(cfg, banks, scratchpad, &instrs, 10_000_000).expect("run completes");
+    let outcome = run(cfg, banks, scratchpad, feed(instrs), opts).expect("run completes");
     (outcome, out_layout)
+}
+
+/// A preloaded stream under the default options.
+fn run_preloaded(cfg: &AccelConfig, banks: BankSet, scratchpad: Vec<u8>, instrs: &[Instruction]) -> CycleOutcome {
+    run(cfg, banks, scratchpad, Feed::Preloaded(instrs.to_vec()), &RunOptions::default()).expect("run completes")
+}
+
+/// The default options on the dense stepper — the oracle.
+fn dense() -> RunOptions {
+    RunOptions { sched: SchedMode::Dense, ..RunOptions::default() }
+}
+
+/// The conv output region of `outcome`'s banks, cropped to 8x8.
+fn output_8x8(outcome: &CycleOutcome, layout: &FmLayout, out_c: usize) -> Tensor<Sm8> {
+    let mut got = TiledFeatureMap::zeros(Shape::new(out_c, 8, 8));
+    layout.load(&outcome.banks, &mut got, 0..layout.tile_rows);
+    got.to_tensor().cropped(8, 8)
 }
 
 #[test]
 fn event_scheduler_matches_dense_on_vgg16_layer() {
-    // The event-driven scheduler (the default behind `run_instructions`)
-    // must be indistinguishable from the dense oracle on the full
+    // The event-driven scheduler (the `RunOptions` default) must be indistinguishable from the dense oracle on the full
     // accelerator: same output bits, same cycle count, same per-kernel
     // stats and counters — with a meaningful number of parks actually
     // exercised (the controller parks on `done`, write units on their
@@ -115,43 +133,32 @@ fn event_scheduler_matches_dense_on_vgg16_layer() {
     let cfg = config();
     let qw = weights(64, 3, 4);
     let input = input_tensor(3, 8, 8);
-    let (dense, layout) = run_conv_outcome(&cfg, &qw, &input, run_instructions_dense);
-    let (event, _) = run_conv_outcome(&cfg, &qw, &input, run_instructions);
+    let (dense, layout) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &dense());
+    let (event, _) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &RunOptions::default());
 
     assert_eq!(dense.cycles, event.cycles, "cycle counts must match");
     assert_eq!(dense.report, event.report, "kernel stats and counters must match");
     assert_eq!(dense.counters, event.counters);
     assert!(event.report.sched.parks > 0, "event run must actually park kernels");
     assert_eq!(dense.report.sched.parks, 0, "dense run never parks");
-    let extract = |outcome: &super::CycleOutcome| {
-        let mut got = TiledFeatureMap::zeros(Shape::new(qw.out_c, 8, 8));
-        layout.load(&outcome.banks, &mut got, 0..layout.tile_rows);
-        got.to_tensor().cropped(8, 8)
-    };
+    let extract = |outcome: &CycleOutcome| output_8x8(outcome, &layout, qw.out_c);
     let out = extract(&dense);
     assert_eq!(out, extract(&event), "outputs must be bit-identical");
     assert_eq!(out, conv2d_quant(&input, &qw, 1, 1), "and match the golden model");
 }
 
-/// A hosted-mode entry point under test.
-type HostedRun = fn(&AccelConfig, BankSet, Vec<u8>, HostModel, u64) -> Result<CycleOutcome, zskip_sim::SimError>;
-
-/// Adapter so the hosted entry points fit [`run_conv_outcome`]'s
-/// signature: splits the instruction stream into layers with the given
-/// staging latencies and wraps it into a [`HostModel`].
-fn hosted(
-    staging: &'static [u64],
-    poll_interval: u64,
-    run: HostedRun,
-) -> impl Fn(&AccelConfig, BankSet, Vec<u8>, &[Instruction], u64) -> Result<CycleOutcome, zskip_sim::SimError> {
-    move |cfg, banks, scratch, instrs, max| {
+/// A hosted feed for [`run_conv_outcome`]: splits the instruction stream
+/// into layers with the given staging latencies and wraps it into a
+/// [`HostModel`].
+fn hosted(staging: &'static [u64], poll_interval: u64) -> impl Fn(Vec<Instruction>) -> Feed {
+    move |instrs| {
         let per_layer = instrs.len().div_ceil(staging.len());
         let layers = instrs
             .chunks(per_layer.max(1))
             .zip(staging)
             .map(|(chunk, &staging_cycles)| HostLayer { staging_cycles, instrs: chunk.to_vec() })
             .collect();
-        run(cfg, banks, scratch, HostModel { poll_interval, layers }, max)
+        Feed::Hosted(HostModel { poll_interval, layers })
     }
 }
 
@@ -167,8 +174,8 @@ fn hosted_event_matches_dense_and_jumps_staging() {
     let cfg = config();
     let qw = weights(64, 3, 4);
     let input = input_tensor(3, 8, 8);
-    let (dense, layout) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 200, run_hosted_dense));
-    let (event, _) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 200, run_hosted));
+    let (dense, layout) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 200), &dense());
+    let (event, _) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 200), &RunOptions::default());
 
     assert_eq!(dense.cycles, event.cycles, "cycle counts must match");
     assert_eq!(dense.report, event.report, "kernel stats and counters must match");
@@ -183,14 +190,61 @@ fn hosted_event_matches_dense_and_jumps_staging() {
     );
     assert_eq!(event.report.sched.executed_cycles + event.report.sched.idle_jumped, event.cycles);
 
-    let extract = |outcome: &super::CycleOutcome| {
-        let mut got = TiledFeatureMap::zeros(Shape::new(qw.out_c, 8, 8));
-        layout.load(&outcome.banks, &mut got, 0..layout.tile_rows);
-        got.to_tensor().cropped(8, 8)
-    };
+    let extract = |outcome: &CycleOutcome| output_8x8(outcome, &layout, qw.out_c);
     let out = extract(&dense);
     assert_eq!(out, extract(&event), "outputs must be bit-identical");
     assert_eq!(out, conv2d_quant(&input, &qw, 1, 1), "and match the golden model");
+}
+
+#[test]
+fn hosted_dense_and_event_agree_with_tracing_on() {
+    // Feed, scheduler and trace are independent options of one `run`: a
+    // hosted design traced on the dense oracle and on the event scheduler
+    // yields the same cycles, banks, counters and waveform.
+    const STAGING: &[u64] = &[12_000, 18_000];
+    let cfg = config();
+    let qw = weights(16, 3, 4);
+    let input = input_tensor(3, 8, 8);
+    let traced = |sched| RunOptions { sched, trace_cycles: Some(400), ..RunOptions::default() };
+    let (dense, layout) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 300), &traced(SchedMode::Dense));
+    let (event, _) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 300), &traced(SchedMode::EventDriven));
+
+    assert_eq!(dense.cycles, event.cycles);
+    assert_eq!(dense.report, event.report);
+    assert_eq!(dense.counters, event.counters);
+    assert_eq!(output_8x8(&dense, &layout, qw.out_c), output_8x8(&event, &layout, qw.out_c));
+    assert!(event.report.sched.idle_jumped > 0, "the traced event run still jumps staging gaps");
+    let render = |outcome: &CycleOutcome| outcome.trace.as_ref().expect("tracing was asked for").render(100);
+    assert!(render(&dense).contains("host-cpu"), "the waveform includes the host kernel");
+    assert_eq!(render(&dense), render(&event), "waveforms must be identical");
+}
+
+#[test]
+fn park_hysteresis_is_invisible_under_an_injected_stall() {
+    // A preloaded run with a transient FIFO stall: the stall costs cycles,
+    // and every park-hysteresis value pays exactly the same ones.
+    let cfg = config();
+    let qw = weights(16, 3, 4);
+    let input = input_tensor(3, 8, 8);
+    let stalled = |park_hysteresis| {
+        // Arming drains the plan, so each run gets a fresh one.
+        let plan = FaultPlan::new().inject("fifo:work0:push", 40, FaultKind::FifoStall { cycles: 500 }).shared();
+        let opts = RunOptions { fault_plan: Some(plan.clone()), park_hysteresis, ..RunOptions::default() };
+        let (outcome, layout) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &opts);
+        assert_eq!(plan.lock().unwrap().fired().len(), 1, "the stall fired");
+        (outcome, layout)
+    };
+    let (default, layout) = stalled(None);
+    let (clean, _) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &RunOptions::default());
+    assert!(default.cycles > clean.cycles, "the stall must cost cycles: {} vs {}", default.cycles, clean.cycles);
+    assert_eq!(output_8x8(&default, &layout, qw.out_c), conv2d_quant(&input, &qw, 1, 1));
+    for ticks in [1, 3, 64] {
+        let (explicit, _) = stalled(Some(ticks));
+        assert_eq!(explicit.cycles, default.cycles, "hysteresis {ticks}");
+        assert_eq!(explicit.report, default.report, "hysteresis {ticks}");
+        assert_eq!(explicit.counters, default.counters, "hysteresis {ticks}");
+        assert_eq!(output_8x8(&explicit, &layout, qw.out_c), output_8x8(&default, &layout, qw.out_c));
+    }
 }
 
 #[test]
@@ -202,14 +256,10 @@ fn hosted_run_pays_staging_over_preloaded() {
     let cfg = config();
     let qw = weights(16, 3, 4);
     let input = input_tensor(3, 8, 8);
-    let (plain, layout) = run_conv_outcome(&cfg, &qw, &input, run_instructions);
-    let (hosted_out, _) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 500, run_hosted));
+    let (plain, layout) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &RunOptions::default());
+    let (hosted_out, _) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 500), &RunOptions::default());
 
-    let extract = |outcome: &super::CycleOutcome| {
-        let mut got = TiledFeatureMap::zeros(Shape::new(qw.out_c, 8, 8));
-        layout.load(&outcome.banks, &mut got, 0..layout.tile_rows);
-        got.to_tensor().cropped(8, 8)
-    };
+    let extract = |outcome: &CycleOutcome| output_8x8(outcome, &layout, qw.out_c);
     assert_eq!(extract(&plain), extract(&hosted_out), "hosted run computes the same result");
     let total_staging: u64 = STAGING.iter().sum();
     assert!(
@@ -352,7 +402,7 @@ fn pool_instruction_matches_reference() {
         out_row_start: 0,
         op: PoolPadOp::MaxPool { k: 2, stride: 2 },
     });
-    let outcome = run_instructions(&cfg, banks, Vec::new(), &[instr], 1_000_000).expect("run completes");
+    let outcome = run_preloaded(&cfg, banks, Vec::new(), &[instr]);
     let mut got = TiledFeatureMap::zeros(out_shape);
     out_layout.load(&outcome.banks, &mut got, 0..2);
     assert_eq!(got.to_tensor().cropped(8, 8), zskip_nn::pool::maxpool_quant(&input, 2, 2));
@@ -380,7 +430,7 @@ fn pad_instruction_matches_reference() {
         out_row_start: 0,
         op: PoolPadOp::Pad { amount: 1 },
     });
-    let outcome = run_instructions(&cfg, banks, Vec::new(), &[instr], 1_000_000).expect("run completes");
+    let outcome = run_preloaded(&cfg, banks, Vec::new(), &[instr]);
     let mut got = TiledFeatureMap::zeros(out_shape);
     out_layout.load(&outcome.banks, &mut got, 0..3);
     assert_eq!(got.to_tensor().cropped(10, 10), input.padded(1));
@@ -389,7 +439,7 @@ fn pad_instruction_matches_reference() {
 #[test]
 fn empty_stream_finishes_quickly() {
     let cfg = config();
-    let outcome = run_instructions(&cfg, BankSet::new(&cfg), Vec::new(), &[], 10_000).expect("run completes");
+    let outcome = run_preloaded(&cfg, BankSet::new(&cfg), Vec::new(), &[]);
     assert!(outcome.cycles < 50, "cycles {}", outcome.cycles);
 }
 
@@ -423,7 +473,7 @@ fn counters_record_macs_and_bubbles() {
         relu: true,
         active_lanes: 4,
     });
-    let outcome = run_instructions(&cfg, banks, scratchpad, &[instr], 1_000_000).expect("run completes");
+    let outcome = run_preloaded(&cfg, banks, scratchpad, &[instr]);
     // MACs: group nnz x 16 values x 4 positions.
     assert_eq!(outcome.counters.get("macs"), gw.total_nnz() as u64 * 16 * 4);
     // Bubbles appear because the filters have unequal nnz.
@@ -504,7 +554,7 @@ fn mixed_instruction_stream_chains_correctly() {
     qw_bias.bias_acc = vec![1, -2, 3, -4];
     let want = zskip_nn::pool::maxpool_quant(&conv2d_quant(&input, &qw_bias, 1, 1), 2, 2);
 
-    let outcome = run_instructions(&cfg, banks, scratchpad, &stream, 10_000_000).expect("runs");
+    let outcome = run_preloaded(&cfg, banks, scratchpad, &stream);
     let mut got = TiledFeatureMap::zeros(pool_shape);
     pool_out.load(&outcome.banks, &mut got, 0..pool_out.tile_rows);
     assert_eq!(got.to_tensor().cropped(h / 2, w / 2), want);
@@ -513,8 +563,7 @@ fn mixed_instruction_stream_chains_correctly() {
     let mut model_banks = BankSet::new(&cfg);
     let tiled = TiledFeatureMap::from_tensor(&input);
     raw.store(&mut model_banks, &tiled, 0..tiled.tiles_y());
-    let gw2 = GroupWeights::from_filters(&qw, 0, cfg.lanes);
-    crate::model::run_instructions(&cfg, &mut model_banks, &gw2.to_bytes(), &stream, &mut zskip_sim::Counters::new());
+    crate::model::run(&cfg, &mut model_banks, &stream, &[gw], &mut Counters::new(), true);
     let mut got2 = TiledFeatureMap::zeros(pool_shape);
     pool_out.load(&model_banks, &mut got2, 0..pool_out.tile_rows);
     assert_eq!(got2.to_tensor().cropped(h / 2, w / 2), want);

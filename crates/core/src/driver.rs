@@ -11,10 +11,10 @@
 //! * **layer walking**: shape propagation, geometry checks, the explicit
 //!   pad pass before each padded convolution, and host (ARM) execution
 //!   of FC layers and softmax, as in the paper;
-//! * **backend dispatch**: each accelerator pass is handed to the
-//!   session's [`StripeBackend`](crate::exec::StripeBackend) — the
-//!   transaction-level model, the cycle-exact simulation, or the host
-//!   SIMD path ([`BackendKind`]);
+//! * **backend dispatch**: each accelerator pass goes through
+//!   [`exec::conv_pass`] / [`exec::poolpad_pass`] to the session's
+//!   backend — the transaction-level model, the cycle-exact simulation,
+//!   or the host SIMD path ([`BackendKind`]);
 //! * **reporting**: per-layer [`PassStats`] roll up into an
 //!   [`InferenceReport`].
 //!
@@ -58,12 +58,6 @@ pub struct Driver {
     /// When `false`, pack every weight slot (zeros included): the ablation
     /// baseline without the paper's zero-weight skipping.
     pub zero_skipping: bool,
-    /// When `true` (the default), packed group weights are resolved
-    /// through the process-wide content-keyed cache, so packing and
-    /// serialization are a first-image cost instead of a per-image one.
-    /// `false` re-packs per image — the PR-5 baseline benchmarks compare
-    /// against.
-    pub weight_cache: bool,
     /// Intra-image worker count for the CPU backend's conv kernels
     /// (resolved — never 0; 1 means single-threaded). See
     /// [`DriverBuilder::threads`].
@@ -181,7 +175,6 @@ pub struct DriverBuilder {
     filter_grouping: bool,
     functional: bool,
     zero_skipping: bool,
-    weight_cache: bool,
     threads: usize,
     instances: Option<usize>,
     kernel: Option<KernelTier>,
@@ -199,7 +192,6 @@ impl DriverBuilder {
             filter_grouping: false,
             functional: true,
             zero_skipping: true,
-            weight_cache: true,
             threads: 1,
             instances: None,
             kernel: None,
@@ -240,14 +232,6 @@ impl DriverBuilder {
     /// When `false`, pack every weight slot (the no-skipping ablation).
     pub fn zero_skipping(mut self, on: bool) -> DriverBuilder {
         self.zero_skipping = on;
-        self
-    }
-
-    /// When `false`, bypass the process-wide packed-weight cache and
-    /// re-pack group weights per image (the PR-5 baseline; benchmarks
-    /// use it to measure the cache's speedup honestly).
-    pub fn weight_cache(mut self, on: bool) -> DriverBuilder {
-        self.weight_cache = on;
         self
     }
 
@@ -350,7 +334,6 @@ impl DriverBuilder {
             filter_grouping: self.filter_grouping,
             functional: self.functional,
             zero_skipping: self.zero_skipping,
-            weight_cache: self.weight_cache,
             threads: if self.threads == 0 {
                 zskip_nn::par::ConvPool::auto_threads()
             } else {
@@ -371,11 +354,6 @@ impl Driver {
     /// Starts a validating [`DriverBuilder`] for this configuration.
     pub fn builder(config: AccelConfig) -> DriverBuilder {
         DriverBuilder::new(config)
-    }
-
-    /// Attaches (or replaces) the fault plan after construction.
-    pub fn set_fault_plan(&mut self, plan: SharedFaultPlan) {
-        self.fault_plan = Some(plan);
     }
 
     /// The attached fault plan, if any.
@@ -414,7 +392,6 @@ impl Driver {
         scratch: &mut Scratch,
     ) -> Result<InferenceReport, DriverError> {
         let mut soc = SocHandle::with_plan(self.fault_plan.clone());
-        let backend = exec::backend(self.backend);
         // Attach the intra-image worker pool (a warmup cost on the first
         // image; a no-op when the arena already has this width) and pin
         // the session's kernel tier on the arena.
@@ -479,7 +456,7 @@ impl Driver {
                     let padded;
                     let src_fm = if *pad > 0 {
                         let s = src_fm.logical_shape();
-                        let (p, pad_stats) = backend.poolpad_pass(
+                        let (p, pad_stats) = exec::poolpad_pass(
                             &mut PassCtx {
                                 driver: self,
                                 soc: &mut soc,
@@ -499,7 +476,7 @@ impl Driver {
                     } else {
                         src_fm
                     };
-                    let (out, conv_stats) = backend.conv_pass(
+                    let (out, conv_stats) = exec::conv_pass(
                         &mut PassCtx {
                             driver: self,
                             soc: &mut soc,
@@ -526,7 +503,7 @@ impl Driver {
                     let src_slot = step.src.expect("pool reads a slot");
                     let dst_slot = step.dst.expect("pool writes a slot");
                     let src_fm = slot_fms[src_slot].as_ref().expect("producer already ran");
-                    let (out, stats) = backend.poolpad_pass(
+                    let (out, stats) = exec::poolpad_pass(
                         &mut PassCtx {
                             driver: self,
                             soc: &mut soc,
@@ -680,7 +657,7 @@ impl Driver {
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
         let mut scratch = Scratch::with_tier(self.kernel_tier);
         scratch.set_threads(self.threads);
-        exec::backend(self.backend).conv_pass(
+        exec::conv_pass(
             &mut PassCtx {
                 driver: self,
                 soc,
@@ -709,7 +686,7 @@ impl Driver {
         soc: &mut SocHandle,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
         let mut scratch = Scratch::with_tier(self.kernel_tier);
-        exec::backend(self.backend).poolpad_pass(
+        exec::poolpad_pass(
             &mut PassCtx {
                 driver: self,
                 soc,

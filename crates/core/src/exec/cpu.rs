@@ -19,9 +19,8 @@
 //!
 //! The memo is bypassed — the real pass runs for every image — whenever
 //! a fault plan is attached (the DMA descriptor sequence is where
-//! `dma:*` injections fire, so it must actually be issued) or the driver
-//! was built with `weight_cache(false)` (the PR-5 baseline the benches
-//! compare against). Only `Ok` results of plan-free runs are recorded.
+//! `dma:*` injections fire, so it must actually be issued). Only `Ok`
+//! results of plan-free runs are recorded.
 //!
 //! Bit-identical outputs follow by transitivity: the SIMD kernels equal
 //! the scalar golden reference (cross-tier property suite,
@@ -35,7 +34,7 @@
 //! [`SocHandle`]: crate::exec::SocHandle
 
 use super::pipeline::{self, fm_to_tensor_into, Exec};
-use super::{PassCtx, StripeBackend};
+use super::PassCtx;
 use crate::driver::{Driver, DriverError};
 use crate::isa::PoolPadOp;
 use crate::report::PassStats;
@@ -47,9 +46,6 @@ use zskip_nn::simd::KernelTier;
 use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
 use zskip_quant::Sm8;
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
-
-/// The host-SIMD backend (see module docs).
-pub(crate) struct CpuBackend;
 
 /// The stats-only executor the CPU backend charges cycles with.
 const STATS: Exec = Exec::Model { functional: false };
@@ -118,9 +114,8 @@ fn stats_pass(
     pass: impl FnOnce(&mut PassCtx<'_>) -> Result<PassStats, DriverError>,
 ) -> Result<PassStats, DriverError> {
     // A fault plan anywhere forces the real descriptor sequence (and must
-    // not poison the memo); `weight_cache(false)` is the per-image
-    // baseline switch.
-    if !ctx.driver.weight_cache || ctx.driver.fault_plan().is_some() || ctx.soc.has_fault_plan() {
+    // not poison the memo).
+    if ctx.driver.fault_plan().is_some() || ctx.soc.has_fault_plan() {
         return pass(ctx);
     }
     let mut ran = false;
@@ -141,80 +136,76 @@ fn stats_pass(
     Ok(record.stats.clone())
 }
 
-impl StripeBackend for CpuBackend {
-    fn conv_pass(
-        &self,
-        ctx: &mut PassCtx<'_>,
-        name: &str,
-        input: &TiledFeatureMap<Sm8>,
-        qw: &QuantConvWeights,
-        out_shape: Shape,
-    ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-        // Cycles, counters, DDR traffic and fault behaviour from the
-        // staged pipeline (its uncomputed output tiles are discarded), or
-        // from the record of an earlier execution of the same pass.
-        let key = pass_key(
-            ctx.driver,
-            Fingerprint::new().u64(0).u64(qw.fingerprint()),
-            input.logical_shape(),
-            out_shape,
-        );
-        let stats = stats_pass(ctx, key, |ctx| {
-            pipeline::conv_pass(ctx.driver, ctx.soc, STATS, name, input, qw, out_shape, ctx.src_addr, ctx.dst_addr)
-                .map(|(_, stats)| stats)
-        })?;
-        let (src, dst, acc, gemm, tier, pool) = ctx.scratch.conv_buffers();
-        fm_to_tensor_into(input, src);
-        // The pipeline input is pre-padded by the explicit pad pass and
-        // stride-1 by the driver's geometry checks, so pad = 0 here
-        // yields exactly `out_shape`. With a worker pool attached the
-        // output channels split across it — bit-exact at any width.
-        //
-        // Kernel choice: on SIMD tiers the row-panel GEMM is the fastest
-        // host path by a wide margin (see `BENCH_kernels.json`); on the
-        // scalar tier the packed direct conv wins, and keeping it there
-        // also exercises the accelerator-analogue kernel end-to-end under
-        // `ZSKIP_KERNEL=scalar`. All variants are bit-identical
-        // (cross-kernel property suite, `tests/kernel_tiers.rs`) and
-        // write into the arena's `dst`.
-        match (tier == KernelTier::Scalar, pool) {
-            (true, Some(p)) => conv2d_quant_into_pool(src, qw, 1, 0, tier, p, acc, dst),
-            (true, None) => conv2d_quant_into(src, qw, 1, 0, tier, acc, dst),
-            (false, Some(p)) => conv2d_gemm_quant_pool_into(src, qw, 1, 0, tier, p, gemm, dst),
-            (false, None) => conv2d_gemm_quant_into(src, qw, 1, 0, tier, gemm, dst),
-        }
-        debug_assert_eq!(dst.shape(), out_shape);
-        Ok((TiledFeatureMap::from_tensor(dst), stats))
+/// [`crate::exec::conv_pass`] on the host-SIMD backend (see module docs).
+pub(crate) fn conv_pass(
+    ctx: &mut PassCtx<'_>,
+    name: &str,
+    input: &TiledFeatureMap<Sm8>,
+    qw: &QuantConvWeights,
+    out_shape: Shape,
+) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    // Cycles, counters, DDR traffic and fault behaviour from the
+    // staged pipeline (its uncomputed output tiles are discarded), or
+    // from the record of an earlier execution of the same pass.
+    let key = pass_key(
+        ctx.driver,
+        Fingerprint::new().u64(0).u64(qw.fingerprint()),
+        input.logical_shape(),
+        out_shape,
+    );
+    let stats = stats_pass(ctx, key, |ctx| {
+        pipeline::conv_pass(ctx, STATS, name, input, qw, out_shape).map(|(_, stats)| stats)
+    })?;
+    let (src, dst, acc, gemm, tier, pool) = ctx.scratch.conv_buffers();
+    fm_to_tensor_into(input, src);
+    // The pipeline input is pre-padded by the explicit pad pass and
+    // stride-1 by the driver's geometry checks, so pad = 0 here
+    // yields exactly `out_shape`. With a worker pool attached the
+    // output channels split across it — bit-exact at any width.
+    //
+    // Kernel choice: on SIMD tiers the row-panel GEMM is the fastest
+    // host path by a wide margin (see `BENCH_kernels.json`); on the
+    // scalar tier the packed direct conv wins, and keeping it there
+    // also exercises the accelerator-analogue kernel end-to-end under
+    // `ZSKIP_KERNEL=scalar`. All variants are bit-identical
+    // (cross-kernel property suite, `tests/kernel_tiers.rs`) and
+    // write into the arena's `dst`.
+    match (tier == KernelTier::Scalar, pool) {
+        (true, Some(p)) => conv2d_quant_into_pool(src, qw, 1, 0, tier, p, acc, dst),
+        (true, None) => conv2d_quant_into(src, qw, 1, 0, tier, acc, dst),
+        (false, Some(p)) => conv2d_gemm_quant_pool_into(src, qw, 1, 0, tier, p, gemm, dst),
+        (false, None) => conv2d_gemm_quant_into(src, qw, 1, 0, tier, gemm, dst),
     }
+    debug_assert_eq!(dst.shape(), out_shape);
+    Ok((TiledFeatureMap::from_tensor(dst), stats))
+}
 
-    fn poolpad_pass(
-        &self,
-        ctx: &mut PassCtx<'_>,
-        name: &str,
-        input: &TiledFeatureMap<Sm8>,
-        op: PoolPadOp,
-        out_shape: Shape,
-    ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-        let kind = match op {
-            PoolPadOp::MaxPool { k, stride } => Fingerprint::new().u64(1).u64(u64::from(k)).u64(u64::from(stride)),
-            PoolPadOp::Pad { amount } => Fingerprint::new().u64(2).u64(u64::from(amount)),
-        };
-        let key = pass_key(ctx.driver, kind, input.logical_shape(), out_shape);
-        let stats = stats_pass(ctx, key, |ctx| {
-            pipeline::poolpad_pass(ctx.driver, ctx.soc, STATS, name, input, op, out_shape, ctx.src_addr, ctx.dst_addr)
-                .map(|(_, stats)| stats)
-        })?;
-        let (src, dst, _, _) = ctx.scratch.pass_buffers();
-        fm_to_tensor_into(input, src);
-        match op {
-            PoolPadOp::MaxPool { k, stride } => {
-                maxpool_quant_into(src, k as usize, stride as usize, dst);
-            }
-            PoolPadOp::Pad { amount } => pad_into(src, amount as usize, dst),
+/// [`crate::exec::poolpad_pass`] on the host-SIMD backend.
+pub(crate) fn poolpad_pass(
+    ctx: &mut PassCtx<'_>,
+    name: &str,
+    input: &TiledFeatureMap<Sm8>,
+    op: PoolPadOp,
+    out_shape: Shape,
+) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    let kind = match op {
+        PoolPadOp::MaxPool { k, stride } => Fingerprint::new().u64(1).u64(u64::from(k)).u64(u64::from(stride)),
+        PoolPadOp::Pad { amount } => Fingerprint::new().u64(2).u64(u64::from(amount)),
+    };
+    let key = pass_key(ctx.driver, kind, input.logical_shape(), out_shape);
+    let stats = stats_pass(ctx, key, |ctx| {
+        pipeline::poolpad_pass(ctx, STATS, name, input, op, out_shape).map(|(_, stats)| stats)
+    })?;
+    let (src, dst, _, _) = ctx.scratch.pass_buffers();
+    fm_to_tensor_into(input, src);
+    match op {
+        PoolPadOp::MaxPool { k, stride } => {
+            maxpool_quant_into(src, k as usize, stride as usize, dst);
         }
-        debug_assert_eq!(dst.shape(), out_shape);
-        Ok((TiledFeatureMap::from_tensor(dst), stats))
+        PoolPadOp::Pad { amount } => pad_into(src, amount as usize, dst),
     }
+    debug_assert_eq!(dst.shape(), out_shape);
+    Ok((TiledFeatureMap::from_tensor(dst), stats))
 }
 
 /// Zero-pads `src` by `pad` on each spatial side into `dst`, reusing the

@@ -1,5 +1,6 @@
 //! Execution backends behind the driver: the staged stripe pipeline and
-//! the [`StripeBackend`] trait its interchangeable targets implement.
+//! the [`conv_pass`] / [`poolpad_pass`] dispatch onto its interchangeable
+//! targets.
 //!
 //! The paper's accelerator stack is multi-backend in spirit — the same
 //! per-layer instructions drive a transaction-level model, a cycle-exact
@@ -13,10 +14,13 @@
 //!   pipeline: stripe-parallel, image-parallel and layer-pipelined
 //!   sharding across N instances, with the HLS-derived per-N cost model;
 //! * `stripes` — pure stripe-planning geometry under bank capacity;
-//! * `model` — [`BackendKind::Model`]: closed-form cycles, functional
+//! * [`BackendKind::Model`] — the pipeline issuing every instruction
+//!   batch to the closed-form cycle model ([`crate::model`]), functional
 //!   arithmetic from the golden reference (fast; the default);
-//! * `cycle` — [`BackendKind::Cycle`]: cycle-exact simulation of all
-//!   kernels on the `zskip-sim` engine (slow; for validation);
+//! * [`BackendKind::Cycle`] — the pipeline issuing them to the
+//!   cycle-exact simulation of all kernels on the `zskip-sim` engine
+//!   ([`crate::cycle`]; slow; for validation, and the only backend where
+//!   `fifo:*` fault injections have a meaning);
 //! * `cpu` — [`BackendKind::Cpu`]: functional results from the
 //!   `zskip-nn` SIMD `_into` kernels on a per-session [`Scratch`] arena,
 //!   cycles estimated by the closed-form model — once per (pass, config),
@@ -29,8 +33,6 @@
 //! backend).
 
 pub(crate) mod cpu;
-pub(crate) mod cycle;
-pub(crate) mod model;
 pub mod pipeline;
 pub mod sched;
 pub(crate) mod stripes;
@@ -40,6 +42,7 @@ pub use pipeline::{fm_to_bytes, SocHandle};
 use crate::driver::{Driver, DriverError};
 use crate::isa::PoolPadOp;
 use crate::report::PassStats;
+use pipeline::Exec;
 use zskip_nn::conv::QuantConvWeights;
 use zskip_nn::scratch::Scratch;
 use zskip_quant::Sm8;
@@ -90,7 +93,7 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// Per-pass execution context a [`StripeBackend`] runs against: the
+/// Per-pass execution context [`conv_pass`] / [`poolpad_pass`] run against: the
 /// driver configuration, the SoC models (DDR + DMA) shared across the
 /// layers of one inference, and the session's scratch arena.
 pub struct PassCtx<'a> {
@@ -109,11 +112,12 @@ pub struct PassCtx<'a> {
     pub dst_addr: usize,
 }
 
-/// One execution target for the staged per-layer pipeline.
+/// Runs one convolution pass (input already padded; stride 1) on the
+/// driver's backend — the one place a pass is routed to its executor.
 ///
-/// The contract every implementation must honour:
+/// Whatever the backend, every arm keeps three promises:
 ///
-/// * **Bit-identical outputs.** The returned feature map must equal the
+/// * **Bit-identical outputs.** The returned feature map equals the
 ///   golden software reference (`QuantizedNetwork::forward_quant`)
 ///   exactly, including the zeroed round-up region beyond the logical
 ///   extent.
@@ -126,44 +130,49 @@ pub struct PassCtx<'a> {
 ///   it (crediting the recorded DDR bytes); any attached fault plan
 ///   forces the real pass, so a `dma:*` injection always finds its
 ///   descriptor.
-/// * **Honest statistics.** `PassStats` cycles must come from an actual
+/// * **Honest statistics.** `PassStats` cycles come from an actual
 ///   execution or a validated model of one — never fabricated.
 ///
 /// See `docs/ARCHITECTURE.md` for how to add a backend.
-pub trait StripeBackend {
-    /// Runs one convolution pass (input already padded; stride 1).
-    ///
-    /// # Errors
-    /// See [`Driver::run_network`].
-    fn conv_pass(
-        &self,
-        ctx: &mut PassCtx<'_>,
-        name: &str,
-        input: &TiledFeatureMap<Sm8>,
-        qw: &QuantConvWeights,
-        out_shape: Shape,
-    ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError>;
-
-    /// Runs one pad or max-pool pass.
-    ///
-    /// # Errors
-    /// See [`Driver::run_network`].
-    fn poolpad_pass(
-        &self,
-        ctx: &mut PassCtx<'_>,
-        name: &str,
-        input: &TiledFeatureMap<Sm8>,
-        op: PoolPadOp,
-        out_shape: Shape,
-    ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError>;
+///
+/// # Errors
+/// See [`Driver::run_network`](crate::driver::Driver::run_network).
+pub fn conv_pass(
+    ctx: &mut PassCtx<'_>,
+    name: &str,
+    input: &TiledFeatureMap<Sm8>,
+    qw: &QuantConvWeights,
+    out_shape: Shape,
+) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    match ctx.driver.backend {
+        BackendKind::Model => {
+            let exec = Exec::Model { functional: ctx.driver.functional };
+            pipeline::conv_pass(ctx, exec, name, input, qw, out_shape)
+        }
+        BackendKind::Cycle => pipeline::conv_pass(ctx, Exec::Cycle, name, input, qw, out_shape),
+        BackendKind::Cpu => cpu::conv_pass(ctx, name, input, qw, out_shape),
+    }
 }
 
-/// The backend implementation for a [`BackendKind`].
-pub fn backend(kind: BackendKind) -> &'static dyn StripeBackend {
-    match kind {
-        BackendKind::Model => &model::ModelBackend,
-        BackendKind::Cycle => &cycle::CycleBackend,
-        BackendKind::Cpu => &cpu::CpuBackend,
+/// Runs one pad or max-pool pass on the driver's backend, under the same
+/// three promises as [`conv_pass`].
+///
+/// # Errors
+/// See [`Driver::run_network`](crate::driver::Driver::run_network).
+pub fn poolpad_pass(
+    ctx: &mut PassCtx<'_>,
+    name: &str,
+    input: &TiledFeatureMap<Sm8>,
+    op: PoolPadOp,
+    out_shape: Shape,
+) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    match ctx.driver.backend {
+        BackendKind::Model => {
+            let exec = Exec::Model { functional: ctx.driver.functional };
+            pipeline::poolpad_pass(ctx, exec, name, input, op, out_shape)
+        }
+        BackendKind::Cycle => pipeline::poolpad_pass(ctx, Exec::Cycle, name, input, op, out_shape),
+        BackendKind::Cpu => cpu::poolpad_pass(ctx, name, input, op, out_shape),
     }
 }
 

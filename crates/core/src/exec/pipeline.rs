@@ -1,4 +1,5 @@
-//! The staged per-layer pipeline shared by every [`StripeBackend`].
+//! The staged per-layer pipeline shared by every backend
+//! ([`crate::exec::conv_pass`] routes each pass into it).
 //!
 //! One accelerator pass always runs the same stages, whatever executes
 //! the arithmetic:
@@ -16,12 +17,11 @@
 //! the same layer observe identical DDR traffic, identical injected DMA
 //! faults and (for the closed-form executor) identical cycle counts —
 //! the invariant `tests/backend_equivalence.rs` locks down.
-//!
-//! [`StripeBackend`]: crate::exec::StripeBackend
 
 use crate::bank::BankSet;
 use crate::cycle;
 use crate::driver::{Driver, DriverError};
+use crate::exec::PassCtx;
 use crate::isa::{ConvInstr, Instruction, PoolPadInstr, PoolPadOp};
 use crate::layout::FmLayout;
 use crate::model;
@@ -180,10 +180,9 @@ pub(crate) fn fm_to_tensor_into(fm: &TiledFeatureMap<Sm8>, out: &mut Tensor<Sm8>
 /// One conv layer's packed OFM-group weights, staged once: the parsed
 /// [`GroupWeights`] plus their concatenated scratchpad byte image with
 /// per-group offsets. Packing a VGG-scale layer (filter tiling, zero-skip
-/// entry packing, serialization) is value-independent work that PR-5
-/// repeated for every image; a [`WeightCache`] keyed by the layer's
-/// content fingerprint makes it a first-image cost shared by every
-/// driver in the process.
+/// entry packing, serialization) is value-independent work; a
+/// [`WeightCache`] keyed by the layer's content fingerprint makes it a
+/// first-image cost shared by every driver in the process.
 pub(crate) struct PackedLayerWeights {
     /// One entry per OFM group, in group order.
     pub(crate) groups: Vec<GroupWeights>,
@@ -237,9 +236,6 @@ pub fn weight_cache_stats() -> CacheStats {
 /// layer under the driver's packing parameters.
 fn packed_groups(driver: &Driver, qw: &QuantConvWeights) -> Arc<PackedLayerWeights> {
     let lanes = driver.config.lanes;
-    if !driver.weight_cache {
-        return Arc::new(PackedLayerWeights::build(qw, lanes, driver.zero_skipping));
-    }
     let key = Fingerprint::new()
         .u64(qw.fingerprint())
         .u64(lanes as u64)
@@ -272,53 +268,33 @@ pub(crate) enum Exec {
 impl Exec {
     /// Executes an instruction batch, returning cycles and the banks.
     ///
-    /// `prepacked`, when present, carries one parsed [`GroupWeights`] per
-    /// conv instruction (in stream order): the model executor then skips
-    /// re-parsing the scratchpad image it already serialized from those
-    /// very groups. The cycle backend always parses — its data-staging
-    /// kernels consume the byte stream, like the hardware.
+    /// `groups` carries one parsed [`GroupWeights`] per conv instruction
+    /// (in stream order) for the model executor; `scratchpad` is their
+    /// byte image for the cycle backend, whose data-staging kernels
+    /// consume the byte stream like the hardware (callers build it only
+    /// for [`Exec::Cycle`]).
     fn run(
         &self,
         driver: &Driver,
         mut banks: BankSet,
         scratchpad: Vec<u8>,
         instrs: &[Instruction],
+        groups: &[GroupWeights],
         counters: &mut Counters,
-        prepacked: Option<&[GroupWeights]>,
     ) -> Result<(u64, BankSet), DriverError> {
         match self {
             Exec::Model { functional } => {
-                let outcome = match prepacked {
-                    Some(groups) => model::run_instructions_prepacked(
-                        &driver.config,
-                        &mut banks,
-                        instrs,
-                        counters,
-                        *functional,
-                        groups,
-                    ),
-                    None => model::run_instructions_with_mode(
-                        &driver.config,
-                        &mut banks,
-                        &scratchpad,
-                        instrs,
-                        counters,
-                        *functional,
-                    ),
-                };
+                let outcome = model::run(&driver.config, &mut banks, instrs, groups, counters, *functional);
                 Ok((outcome.cycles, banks))
             }
             Exec::Cycle => {
-                let outcome = cycle::run_instructions_configured(
-                    &driver.config,
-                    banks,
-                    scratchpad,
-                    instrs,
-                    u64::MAX,
-                    driver.fault_plan().cloned(),
-                    driver.park_hysteresis,
-                )
-                .map_err(DriverError::Sim)?;
+                let opts = cycle::RunOptions {
+                    fault_plan: driver.fault_plan().cloned(),
+                    park_hysteresis: driver.park_hysteresis,
+                    ..Default::default()
+                };
+                let feed = cycle::Feed::Preloaded(instrs.to_vec());
+                let outcome = cycle::run(&driver.config, banks, scratchpad, feed, &opts).map_err(DriverError::Sim)?;
                 counters.merge(&outcome.counters);
                 Ok((outcome.cycles, outcome.banks))
             }
@@ -327,21 +303,19 @@ impl Exec {
 }
 
 /// Runs one staged convolution pass (input already padded; stride 1).
-/// `src_addr`/`dst_addr` are the DDR regions the input is staged in and
-/// the output is written back to — the plan slots' regions during a
-/// network run ([`slot_addr`]).
-#[allow(clippy::too_many_arguments)]
+/// `ctx.src_addr`/`ctx.dst_addr` are the DDR regions the input is staged
+/// in and the output is written back to — the plan slots' regions during
+/// a network run ([`slot_addr`]).
 pub(crate) fn conv_pass(
-    driver: &Driver,
-    soc: &mut SocHandle,
+    ctx: &mut PassCtx<'_>,
     exec: Exec,
     name: &str,
     input: &TiledFeatureMap<Sm8>,
     qw: &QuantConvWeights,
     out_shape: Shape,
-    src_addr: usize,
-    dst_addr: usize,
 ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    let (driver, src_addr, dst_addr) = (ctx.driver, ctx.src_addr, ctx.dst_addr);
+    let soc = &mut *ctx.soc;
     // Optional future-work filter grouping: reorder output channels by
     // non-zero count so lockstep lanes balance; un-permuted on output.
     let grouping = if driver.filter_grouping {
@@ -423,11 +397,13 @@ pub(crate) fn conv_pass(
             stats.io_dma_cycles +=
                 dma_fm_stripe(soc, src_addr, input, stripe.in_lo..stripe.in_hi, &in_layout, &mut banks, true)?;
 
-            // Per-group: weight preload + conv instruction. The
-            // scratchpad image is copied from the staged blob — the
-            // same bytes `GroupWeights::to_bytes` produced, without
-            // re-serializing per image.
+            // Per-group: weight preload + conv instruction. The cycle
+            // backend's scratchpad image is copied from the staged blob
+            // — the same bytes `GroupWeights::to_bytes` produced, without
+            // re-serializing per image; the model reads the parsed
+            // groups, so only `wgt_base` advances for it.
             let mut scratchpad = Vec::new();
+            let mut wgt_base = 0u32;
             let mut instrs = Vec::new();
             for gi in group_range.clone() {
                 let span = packed.group_span(gi);
@@ -435,8 +411,9 @@ pub(crate) fn conv_pass(
                 let (_, wcycles) = soc.ddr.read_block(DDR_WEIGHTS + span.start, bytes);
                 stats.weight_dma_cycles += wcycles;
                 let ofm_first = gi * driver.config.lanes;
-                let wgt_base = scratchpad.len() as u32;
-                scratchpad.extend_from_slice(&packed.blob[span]);
+                if matches!(exec, Exec::Cycle) {
+                    scratchpad.extend_from_slice(&packed.blob[span]);
+                }
                 let active = driver.config.lanes.min(qw.out_c - ofm_first);
                 let mut bias = [0i32; 4];
                 for (lane, b) in bias.iter_mut().enumerate().take(active) {
@@ -459,16 +436,11 @@ pub(crate) fn conv_pass(
                     relu: qw.relu,
                     active_lanes: active as u8,
                 }));
+                wgt_base += bytes as u32;
             }
 
-            // Hand the already-parsed groups to the model executor only
-            // on the cached path, so `weight_cache(false)` measures the
-            // PR-5 baseline (scratchpad parse included) for the bench
-            // speedup gate.
-            let prepacked = (driver.weight_cache && grouping.is_none())
-                .then(|| &groups[group_range.clone()]);
             let (cycles, result_banks) =
-                exec.run(driver, banks, scratchpad, &instrs, &mut stats.counters, prepacked)?;
+                exec.run(driver, banks, scratchpad, &instrs, &groups[group_range], &mut stats.counters)?;
             stats.per_instance_cycles[instance] += cycles;
             let mut banks = result_banks;
 
@@ -499,18 +471,16 @@ pub(crate) fn conv_pass(
 }
 
 /// Runs one staged pad or pool pass (DDR regions as in [`conv_pass`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn poolpad_pass(
-    driver: &Driver,
-    soc: &mut SocHandle,
+    ctx: &mut PassCtx<'_>,
     exec: Exec,
     name: &str,
     input: &TiledFeatureMap<Sm8>,
     op: PoolPadOp,
     out_shape: Shape,
-    src_addr: usize,
-    dst_addr: usize,
 ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    let (driver, src_addr, dst_addr) = (ctx.driver, ctx.src_addr, ctx.dst_addr);
+    let soc = &mut *ctx.soc;
     let in_rows = input.tiles_y();
     let mut out_fm = TiledFeatureMap::<Sm8>::zeros(out_shape);
     let out_rows = out_fm.tiles_y();
@@ -568,7 +538,7 @@ pub(crate) fn poolpad_pass(
             op,
         });
         let (cycles, result_banks) =
-            exec.run(driver, banks, Vec::new(), &[instr], &mut stats.counters, None)?;
+            exec.run(driver, banks, Vec::new(), &[instr], &[], &mut stats.counters)?;
         stats.per_instance_cycles[instance] += cycles;
         let mut banks = result_banks;
         out_layout.load(&banks, &mut out_fm, stripe.out_a..stripe.out_b);

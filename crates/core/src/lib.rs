@@ -27,9 +27,9 @@
 //! * [`exec`] — the execution-backend layer: the staged per-layer stripe
 //!   pipeline (planning under bank capacity, weight packing, instruction
 //!   generation, DMA orchestration, multi-instance scale-out), the
-//!   `StripeBackend` trait the interchangeable targets — transaction
-//!   model, cycle simulation, host SIMD — implement, and the
-//!   [`exec::sched`] multi-instance placement scheduler (stripe-,
+//!   [`exec::conv_pass`] / [`exec::poolpad_pass`] dispatch onto the
+//!   interchangeable targets — transaction model, cycle simulation, host
+//!   SIMD — and the [`exec::sched`] multi-instance placement scheduler (stripe-,
 //!   image- and layer-pipelined sharding with an HLS-derived cost model);
 //! * [`driver`] — the host-side driver: layer walking, geometry checks,
 //!   backend dispatch, host FC/softmax fallback, reporting;
@@ -83,7 +83,7 @@ pub use exec::cpu::stats_memo_stats;
 pub use exec::pipeline::weight_cache_stats;
 pub use error::Error;
 pub use exec::sched::{run_sharded, CostModel, Placement, ShardReport};
-pub use exec::{PassCtx, StripeBackend};
+pub use exec::PassCtx;
 pub use fault::{run_campaign, CampaignConfig, CampaignReport, TrialOutcome, TrialResult};
 pub use isa::{ConvInstr, Instruction, PoolPadInstr, PoolPadOp};
 pub use layout::FmLayout;

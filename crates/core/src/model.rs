@@ -48,99 +48,40 @@ pub struct ModelOutcome {
     pub counters: Counters,
 }
 
-/// Executes one instruction functionally and returns its cycle cost.
+/// Executes an instruction stream at transaction level. `groups[k]` is
+/// the parsed group weights of the `k`-th conv instruction in stream order
+/// (callers holding a scratchpad byte image parse it once with
+/// [`GroupWeights::from_bytes`]).
+///
+/// With `functional = false` only cycle costs and counters are produced
+/// (bank contents untouched). Cycle counts never depend on activation
+/// values — only on weight sparsity and geometry — so sweeps that report
+/// throughput alone can skip the arithmetic.
 ///
 /// # Panics
-/// Panics if the instruction references data outside the banks or a
-/// malformed scratchpad — the driver constructs both.
-pub fn run_instruction(
-    config: &AccelConfig,
-    banks: &mut BankSet,
-    scratchpad: &[u8],
-    instr: &Instruction,
-    counters: &mut Counters,
-) -> u64 {
-    run_instruction_with_mode(config, banks, scratchpad, instr, counters, true)
-}
-
-/// Like [`run_instruction`], but with `functional = false` only cycle
-/// costs and counters are produced (bank contents untouched). Cycle counts
-/// never depend on activation values — only on weight sparsity and
-/// geometry — so sweeps that report throughput alone can skip the
-/// arithmetic.
-pub fn run_instruction_with_mode(
-    config: &AccelConfig,
-    banks: &mut BankSet,
-    scratchpad: &[u8],
-    instr: &Instruction,
-    counters: &mut Counters,
-    functional: bool,
-) -> u64 {
-    match instr {
-        Instruction::Conv(i) => run_conv(config, banks, scratchpad, i, counters, functional),
-        Instruction::PoolPad(i) => run_poolpad(config, banks, i, counters, functional),
-    }
-}
-
-/// Executes a whole instruction stream.
-pub fn run_instructions(
-    config: &AccelConfig,
-    banks: &mut BankSet,
-    scratchpad: &[u8],
-    instructions: &[Instruction],
-    counters: &mut Counters,
-) -> ModelOutcome {
-    run_instructions_with_mode(config, banks, scratchpad, instructions, counters, true)
-}
-
-/// Stream variant of [`run_instruction_with_mode`].
-pub fn run_instructions_with_mode(
-    config: &AccelConfig,
-    banks: &mut BankSet,
-    scratchpad: &[u8],
-    instructions: &[Instruction],
-    counters: &mut Counters,
-    functional: bool,
-) -> ModelOutcome {
-    let mut cycles = 0;
-    for i in instructions {
-        cycles += run_instruction_with_mode(config, banks, scratchpad, i, counters, functional);
-    }
-    // Shared per-run epilogue (shutdown propagation).
-    cycles += 4;
-    ModelOutcome { cycles, counters: counters.clone() }
-}
-
-/// Like [`run_instructions_with_mode`], with each conv instruction's
-/// group weights supplied **pre-parsed** — `groups[k]` pairs with the
-/// `k`-th conv instruction in stream order. The driver serialized the
-/// scratchpad image from those very groups, so skipping the per-image
-/// re-parse is a pure host-side optimization: cycles, counters and bank
-/// contents are identical to the scratchpad path.
-///
-/// # Panics
-/// Panics if `groups` has fewer entries than the stream has conv
-/// instructions.
-pub fn run_instructions_prepacked(
+/// Panics if an instruction references data outside the banks or
+/// `groups` has fewer entries than the stream has conv instructions —
+/// the driver constructs both.
+pub fn run(
     config: &AccelConfig,
     banks: &mut BankSet,
     instructions: &[Instruction],
-    counters: &mut Counters,
-    functional: bool,
     groups: &[GroupWeights],
+    counters: &mut Counters,
+    functional: bool,
 ) -> ModelOutcome {
+    let mut groups = groups.iter();
     let mut cycles = 0;
-    let mut conv_k = 0;
     for i in instructions {
         cycles += match i {
             Instruction::Conv(c) => {
-                let g = &groups[conv_k];
-                conv_k += 1;
-                run_conv_with(config, banks, c, counters, functional, g)
+                let weights = groups.next().expect("one parsed group per conv instruction");
+                run_conv(config, banks, c, counters, functional, weights)
             }
             Instruction::PoolPad(p) => run_poolpad(config, banks, p, counters, functional),
         };
     }
+    // Shared per-run epilogue (shutdown propagation).
     cycles += 4;
     ModelOutcome { cycles, counters: counters.clone() }
 }
@@ -200,19 +141,6 @@ pub fn conv_instruction_cycles(config: &AccelConfig, i: &ConvInstr, weights: &Gr
 }
 
 fn run_conv(
-    config: &AccelConfig,
-    banks: &mut BankSet,
-    scratchpad: &[u8],
-    i: &ConvInstr,
-    counters: &mut Counters,
-    functional: bool,
-) -> u64 {
-    let weights = GroupWeights::from_bytes(&scratchpad[i.wgt_base as usize..], i.ifm_count as usize, config.lanes)
-        .expect("driver wrote a well-formed scratchpad image");
-    run_conv_with(config, banks, i, counters, functional, &weights)
-}
-
-fn run_conv_with(
     config: &AccelConfig,
     banks: &mut BankSet,
     i: &ConvInstr,
@@ -401,6 +329,32 @@ mod tests {
         (banks, scratchpad, instrs, out_layout, out_shape)
     }
 
+    /// The conv instructions' group weights, parsed once from the
+    /// scratchpad image the cycle backend consumes.
+    fn parse_groups(cfg: &AccelConfig, scratchpad: &[u8], instrs: &[Instruction]) -> Vec<GroupWeights> {
+        instrs
+            .iter()
+            .filter_map(|i| match i {
+                Instruction::Conv(c) => Some(
+                    GroupWeights::from_bytes(&scratchpad[c.wgt_base as usize..], c.ifm_count as usize, cfg.lanes)
+                        .expect("well-formed scratchpad image"),
+                ),
+                Instruction::PoolPad(_) => None,
+            })
+            .collect()
+    }
+
+    /// The cycle backend with default options on a preloaded stream.
+    fn run_cycle(cfg: &AccelConfig, banks: BankSet, scratchpad: Vec<u8>, instrs: &[Instruction]) -> cycle::CycleOutcome {
+        cycle::run(cfg, banks, scratchpad, cycle::Feed::Preloaded(instrs.to_vec()), &Default::default())
+            .expect("cycle run completes")
+    }
+
+    /// The functional model on the groups parsed from `scratchpad`.
+    fn run_model(cfg: &AccelConfig, banks: &mut BankSet, scratchpad: &[u8], instrs: &[Instruction]) -> ModelOutcome {
+        run(cfg, banks, instrs, &parse_groups(cfg, scratchpad, instrs), &mut Counters::new(), true)
+    }
+
     fn random_qw(out_c: usize, in_c: usize, seed: u64, density_pct: u64) -> QuantConvWeights {
         let w: Vec<Sm8> = (0..out_c * in_c * 9)
             .map(|i| {
@@ -443,9 +397,9 @@ mod tests {
         let input = random_input(8, 12, 12, 9);
         let (banks, scratch, instrs, out_layout, out_shape) = build_conv(&cfg, &qw, &input);
 
-        let cyc = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 10_000_000).unwrap();
+        let cyc = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs);
         let mut model_banks = banks;
-        run_instructions(&cfg, &mut model_banks, &scratch, &instrs, &mut Counters::new());
+        run_model(&cfg, &mut model_banks, &scratch, &instrs);
 
         let mut a = TiledFeatureMap::zeros(out_shape);
         let mut b = TiledFeatureMap::zeros(out_shape);
@@ -460,12 +414,39 @@ mod tests {
         let qw = random_qw(8, 4, 7, 50);
         let input = random_input(4, 8, 8, 3);
         let (banks, scratch, instrs, _, _) = build_conv(&cfg, &qw, &input);
-        let cyc = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 10_000_000).unwrap();
+        let cyc = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs);
         let mut model_banks = banks;
-        let mut counters = Counters::new();
-        run_instructions(&cfg, &mut model_banks, &scratch, &instrs, &mut counters);
+        let counters = run_model(&cfg, &mut model_banks, &scratch, &instrs).counters;
         for key in ["macs", "weights_applied", "bubble_lanes", "ofm_tiles_written"] {
             assert_eq!(counters.get(key), cyc.counters.get(key), "counter {key}");
+        }
+    }
+
+    #[test]
+    fn groups_parsed_from_bytes_run_like_the_groups_that_produced_them() {
+        // The driver hands `run` the groups it packed; tests and benches
+        // that hold a scratchpad image parse it. Same cycles, counters
+        // and banks either way, functional or stats-only.
+        let cfg = config();
+        let qw = random_qw(10, 6, 23, 40);
+        let input = random_input(6, 8, 8, 4);
+        let (banks, scratch, instrs, out_layout, out_shape) = build_conv(&cfg, &qw, &input);
+        let output = |banks: &BankSet| {
+            let mut fm = TiledFeatureMap::zeros(out_shape);
+            out_layout.load(banks, &mut fm, 0..out_layout.tile_rows);
+            fm
+        };
+        let packed: Vec<GroupWeights> =
+            (0..instrs.len()).map(|g| GroupWeights::from_filters(&qw, g * cfg.lanes, cfg.lanes)).collect();
+        let parsed = parse_groups(&cfg, &scratch, &instrs);
+        for functional in [true, false] {
+            let (mut a, mut b) = (banks.clone(), banks.clone());
+            let from_packed = run(&cfg, &mut a, &instrs, &packed, &mut Counters::new(), functional);
+            let from_parsed = run(&cfg, &mut b, &instrs, &parsed, &mut Counters::new(), functional);
+            assert_eq!(from_packed.cycles, from_parsed.cycles, "functional={functional}");
+            assert_eq!(from_packed.counters, from_parsed.counters, "functional={functional}");
+            assert_eq!(output(&a), output(&b), "functional={functional}");
+            assert_eq!(output(&a) == output(&banks), !functional, "stats-only leaves the banks untouched");
         }
     }
 
@@ -476,9 +457,9 @@ mod tests {
         let input = random_input(8, 16, 16, 5);
         let (banks, scratch, instrs, _, _) = build_conv(&cfg, &qw, &input);
         let n = instrs.len();
-        let sim = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 10_000_000).unwrap().cycles;
+        let sim = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs).cycles;
         let mut b = banks;
-        let model = run_instructions(&cfg, &mut b, &scratch, &instrs, &mut Counters::new()).cycles;
+        let model = run_model(&cfg, &mut b, &scratch, &instrs).cycles;
         assert_cycles_close(model, sim, n);
     }
 
@@ -490,9 +471,9 @@ mod tests {
         let input = random_input(3, 8, 8, 2);
         let (banks, scratch, instrs, _, _) = build_conv(&cfg, &qw, &input);
         let n = instrs.len();
-        let sim = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 10_000_000).unwrap().cycles;
+        let sim = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs).cycles;
         let mut b = banks;
-        let model = run_instructions(&cfg, &mut b, &scratch, &instrs, &mut Counters::new()).cycles;
+        let model = run_model(&cfg, &mut b, &scratch, &instrs).cycles;
         assert_cycles_close(model, sim, n);
     }
 
@@ -511,9 +492,9 @@ mod tests {
             let qw = random_qw(out_c, in_c, seed, density);
             let input = random_input(in_c, h, h, seed ^ 0x55);
             let (banks, scratch, instrs, out_layout, out_shape) = build_conv(&cfg, &qw, &input);
-            let cyc = cycle::run_instructions(&cfg, banks.clone(), scratch.clone(), &instrs, 100_000_000).unwrap();
+            let cyc = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs);
             let mut model_banks = banks;
-            let model = run_instructions(&cfg, &mut model_banks, &scratch, &instrs, &mut Counters::new());
+            let model = run_model(&cfg, &mut model_banks, &scratch, &instrs);
 
             // Functional equality.
             let mut a = TiledFeatureMap::zeros(out_shape);
@@ -551,9 +532,9 @@ mod tests {
             out_row_start: 0,
             op: PoolPadOp::MaxPool { k: 2, stride: 2 },
         });
-        let cyc = cycle::run_instructions(&cfg, banks.clone(), Vec::new(), &[instr], 1_000_000).unwrap();
+        let cyc = run_cycle(&cfg, banks.clone(), Vec::new(), &[instr]);
         let mut model_banks = banks;
-        let model = run_instructions(&cfg, &mut model_banks, &[], &[instr], &mut Counters::new());
+        let model = run_model(&cfg, &mut model_banks, &[], &[instr]);
 
         let mut a = TiledFeatureMap::zeros(out_shape);
         let mut b = TiledFeatureMap::zeros(out_shape);
@@ -616,9 +597,10 @@ mod pool_proptests {
                 out_row_start: 0,
                 op: PoolPadOp::MaxPool { k, stride },
             });
-            let cyc = cycle::run_instructions(&cfg, banks.clone(), Vec::new(), &[instr], 10_000_000).unwrap();
+            let feed = cycle::Feed::Preloaded(vec![instr]);
+            let cyc = cycle::run(&cfg, banks.clone(), Vec::new(), feed, &Default::default()).unwrap();
             let mut model_banks = banks;
-            let model = run_instructions(&cfg, &mut model_banks, &[], &[instr], &mut Counters::new());
+            let model = run(&cfg, &mut model_banks, &[instr], &[], &mut Counters::new(), true);
 
             let mut a = TiledFeatureMap::zeros(out_shape);
             let mut b = TiledFeatureMap::zeros(out_shape);

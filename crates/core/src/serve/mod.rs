@@ -64,7 +64,8 @@ pub enum ServeError {
         message: String,
     },
     /// Valid JSON, but not a valid request (unknown op, missing or
-    /// ill-typed field, wrong image length).
+    /// ill-typed field, wrong image length), or a line too long to read
+    /// (see [`wire::MAX_LINE_BYTES`]).
     BadRequest {
         /// What was wrong.
         message: String,

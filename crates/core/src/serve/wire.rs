@@ -22,7 +22,9 @@
 //! response with code `serve.protocol`; well-formed JSON that is not a
 //! valid request gets `serve.bad-request`, echoing the `id` when one was
 //! present. A full queue answers `serve.overloaded` — the request was
-//! **not** enqueued and may be retried.
+//! **not** enqueued and may be retried. A line longer than
+//! [`MAX_LINE_BYTES`] is never buffered: it is skipped to its newline and
+//! answered with `serve.bad-request`.
 
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
@@ -235,6 +237,41 @@ pub fn render_shutdown_ack() -> String {
     .to_string_compact()
 }
 
+/// The longest request line the daemon buffers: room for a 224×224×3
+/// image (150 528 values) spelt at up to ~27 bytes per value plus the
+/// envelope. A fixed bound, so a newline-free stream cannot grow the
+/// daemon.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Reads the next line (without its newline) into `line`. `Ok(None)` at
+/// end of stream; `Ok(Some(false))` when the line exceeded
+/// [`MAX_LINE_BYTES`] — it is then consumed up to its newline and dropped,
+/// holding no more than the reader's own buffer at any time.
+fn read_bounded_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    line.clear();
+    let mut fits = true;
+    loop {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            // End of stream: an unterminated last line still counts.
+            return Ok((!line.is_empty() || !fits).then_some(fits));
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let body = &chunk[..newline.unwrap_or(chunk.len())];
+        if fits && line.len() + body.len() <= MAX_LINE_BYTES {
+            line.extend_from_slice(body);
+        } else {
+            fits = false;
+            line.clear();
+        }
+        let taken = newline.map_or(chunk.len(), |at| at + 1);
+        reader.consume(taken);
+        if newline.is_some() {
+            return Ok(Some(fits));
+        }
+    }
+}
+
 /// What one connection did, for the caller's exit-code policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnectionSummary {
@@ -263,19 +300,27 @@ pub struct ConnectionSummary {
 pub fn serve_connection<R: BufRead + Send, W: Write>(
     handle: &ServeHandle,
     input_shape: Shape,
-    reader: R,
+    mut reader: R,
     writer: &mut W,
 ) -> std::io::Result<ConnectionSummary> {
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::scope(|scope| {
         let reader_thread = scope.spawn(move || {
             let mut summary = ConnectionSummary::default();
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
+            let mut buf = Vec::new();
+            // An I/O error or a line that is not UTF-8 ends the connection.
+            while let Ok(Some(fits)) = read_bounded_line(&mut reader, &mut buf) {
+                if !fits {
+                    summary.protocol_errors += 1;
+                    let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    let _ = tx.send(render_error(None, &Error::Serve(ServeError::BadRequest { message })));
+                    continue;
+                }
+                let Ok(line) = std::str::from_utf8(&buf) else { break };
                 if line.trim().is_empty() {
                     continue;
                 }
-                match parse_request(&line) {
+                match parse_request(line) {
                     Ok(WireRequest::Infer { id, input }) => {
                         let tensor = match request_tensor(&input, input_shape) {
                             Ok(t) => t,
@@ -467,6 +512,36 @@ garbage line
         let direct: Vec<i32> = want.output.iter().map(|v| v.to_i32()).collect();
         assert_eq!(output, direct, "served output is bit-identical to direct inference");
         assert!(lines.iter().any(|j| j.get("code").and_then(Json::as_str) == Some("serve.protocol")));
+    }
+
+    #[test]
+    fn an_over_long_line_is_skipped_not_buffered_and_the_connection_keeps_serving() {
+        let qnet = Arc::new(crate::session::tests::tiny_qnet(8));
+        let config = crate::config::AccelConfig::from_arch(
+            &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 4096 },
+            100.0,
+        );
+        let session = Session::builder(config).batch_window(Duration::from_millis(1)).build().unwrap();
+        let engine = ServeEngine::start(session, Arc::clone(&qnet));
+        // Twice the cap without a newline, then a well-formed request
+        // (CRLF-terminated, as a telnet-style client would send it).
+        let mut input = vec![b'x'; 2 * MAX_LINE_BYTES];
+        input.extend_from_slice(b"\n{\"op\":\"infer\",\"id\":\"after\",\"seed\":3}\r\n{\"op\":\"shutdown\"}\n");
+        // A small reader buffer: the long line arrives in many chunks.
+        let reader = std::io::BufReader::with_capacity(4096, input.as_slice());
+        let mut out = Vec::new();
+        let summary = serve_connection(&engine.handle(), qnet.spec.input, reader, &mut out).expect("io ok");
+        assert_eq!((summary.requests, summary.protocol_errors), (1, 1));
+        assert_eq!(engine.join().served, 1);
+        let lines: Vec<Json> =
+            String::from_utf8(out).unwrap().lines().map(|l| Json::parse(l).expect("JSON")).collect();
+        let codes: Vec<_> = lines.iter().filter_map(|j| j.get("code").and_then(Json::as_str)).collect();
+        assert_eq!(codes, ["serve.bad-request"], "one rejection, naming the cap");
+        let rejection = lines.iter().find(|j| j.get("code").is_some()).expect("present");
+        assert_eq!(rejection.get("id"), Some(&Json::Null));
+        assert!(rejection.get("error").and_then(Json::as_str).is_some_and(|e| e.contains("4194304 bytes")));
+        let reply = lines.iter().find(|j| j.get("id").and_then(Json::as_str) == Some("after"));
+        assert_eq!(reply.and_then(|j| j.get("ok")).and_then(Json::as_bool), Some(true), "the next request is served");
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! The CLI's `infer`, `batch` and `serve` subcommands all route through
 //! this type, so a daemon, a one-shot inference and a benchmark are
 //! guaranteed to configure the stack identically: backend, intra-image
-//! threads, SIMD kernel tier, weight-cache policy and batch shaping live
-//! in exactly one builder. The serving daemon
-//! ([`ServeEngine`](crate::serve::ServeEngine)) is a thin protocol layer
-//! over a `Session`.
+//! threads, SIMD kernel tier and batch shaping live in exactly one
+//! builder. The serving daemon ([`ServeEngine`](crate::serve::ServeEngine))
+//! is a thin protocol layer over a `Session`.
 //!
 //! ```
 //! # use zskip_core::{AccelConfig, BackendKind, Session};
@@ -146,13 +145,6 @@ impl SessionBuilder {
     /// (see [`BatchConfig::placement`]).
     pub fn placement(mut self, placement: Placement) -> SessionBuilder {
         self.batch.placement = placement;
-        self
-    }
-
-    /// Toggles the process-wide packed-weight cache
-    /// (see [`DriverBuilder::weight_cache`]).
-    pub fn weight_cache(mut self, on: bool) -> SessionBuilder {
-        self.driver = self.driver.weight_cache(on);
         self
     }
 

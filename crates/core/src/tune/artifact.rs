@@ -26,8 +26,9 @@ use zskip_json::{Json, ToJson};
 use zskip_nn::simd::KernelTier;
 
 /// Current artifact schema version. Loaders reject other versions with
-/// `config.invalid` rather than guessing at field semantics.
-pub const ARTIFACT_VERSION: u64 = 1;
+/// `config.invalid` rather than guessing at field semantics. Version 1
+/// carried a `weight_cache` switch.
+pub const ARTIFACT_VERSION: u64 = 2;
 
 /// How a [`TunedConfig`] came to be: the search that produced it and the
 /// score it measured. Scores from wall-clock objectives (latency,
@@ -70,7 +71,7 @@ impl ToJson for Provenance {
 
 /// The complete tunable configuration of a session: hardware side
 /// (variant, instances, placement, park hysteresis) and software side
-/// (backend, threads, kernel tier, caches, batch shaping). This is the
+/// (backend, threads, kernel tier, batch shaping). This is the
 /// search point the tuner moves through and the artifact it emits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunedConfig {
@@ -84,8 +85,6 @@ pub struct TunedConfig {
     pub threads: usize,
     /// Pinned SIMD kernel tier; `None` = process-wide dispatch.
     pub kernel: Option<KernelTier>,
-    /// Process-wide packed-weight cache on/off.
-    pub weight_cache: bool,
     /// Event-scheduler park hysteresis (cycle backend); `None` = engine
     /// default. Simulated cycles are bit-identical for every value.
     pub park_hysteresis: Option<u32>,
@@ -115,7 +114,6 @@ impl Default for TunedConfig {
             backend: BackendKind::Model,
             threads: 1,
             kernel: None,
-            weight_cache: true,
             park_hysteresis: None,
             placement: Placement::Auto,
             batch_workers: 0,
@@ -194,12 +192,9 @@ impl TunedConfig {
     /// See [`TunedConfig::from_json_str`].
     pub fn from_json(json: &Json) -> Result<TunedConfig, Error> {
         let Json::Obj(fields) = json else { return Err(invalid("not a JSON object")) };
-        let known = |key: &str| key == VERSION || key == PROVENANCE || Knob::by_name(key).is_some();
-        if let Some((key, _)) = fields.iter().find(|(key, _)| !known(key)) {
-            return Err(invalid(format!("unknown field '{key}'")));
-        }
         let field =
             |name: &str| json.get(name).ok_or_else(|| invalid(format!("missing field '{name}'")));
+        // The version first: another version's fields are not "unknown".
         match field(VERSION)?.as_u64() {
             Some(ARTIFACT_VERSION) => {}
             Some(version) => {
@@ -209,10 +204,15 @@ impl TunedConfig {
             }
             None => return Err(invalid("field 'version' must be an integer")),
         }
+        let known = |key: &str| key == VERSION || key == PROVENANCE || Knob::by_name(key).is_some();
+        if let Some((key, _)) = fields.iter().find(|(key, _)| !known(key)) {
+            return Err(invalid(format!("unknown field '{key}'")));
+        }
         let mut config = TunedConfig::default();
         for knob in KNOBS.iter() {
             let json = field(knob.name)?;
-            let value = KnobValue::from_json(json).ok_or_else(|| "takes a scalar".to_string());
+            let value = KnobValue::from_json(json)
+                .ok_or_else(|| "takes a whole number, a name or null".to_string());
             value.and_then(|v| (knob.set)(&mut config, v)).map_err(|e| {
                 invalid(format!("field '{}' {e}, got {}", knob.name, json.to_string_compact()))
             })?;
@@ -272,7 +272,6 @@ impl TunedConfig {
             .instances(self.instances)
             .backend(self.backend)
             .threads(self.threads)
-            .weight_cache(self.weight_cache)
             .placement(self.placement)
             .batch_workers(self.batch_workers)
             .max_batch(self.max_batch)
@@ -315,18 +314,18 @@ mod tests {
         assert_eq!(back.to_json_string(), text, "canonical form is a fixed point");
     }
 
-    /// Recorded from the parent commit's `zskip tune` output: the table
-    /// loop must not move a byte of the canonical artifact.
+    /// The parent commit's `zskip tune` output with `"version": 2` and
+    /// without its `weight_cache` line: the canonical artifact moves by
+    /// exactly the deleted knob.
     #[test]
     fn default_artifact_text_is_pinned() {
         let golden = r#"{
-  "version": 1,
+  "version": 2,
   "variant": "256-opt",
   "instances": 1,
   "backend": "model",
   "threads": 1,
   "kernel": null,
-  "weight_cache": true,
   "park_hysteresis": null,
   "placement": "auto",
   "batch_workers": 0,
@@ -370,7 +369,7 @@ mod tests {
         for (text, why) in [
             ("not json", "parse failure"),
             (r#"{"version":99}"#, "future version"),
-            (r#"{"version":1}"#, "missing fields"),
+            (r#"{"version":2}"#, "missing fields"),
         ] {
             let err = TunedConfig::from_json_str(text).unwrap_err();
             assert_eq!(err.code(), "config.invalid", "{why}: {err}");
@@ -397,6 +396,22 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_artifact_and_its_weight_cache_field_are_refused_by_name() {
+        // What the previous build wrote: refused for its version, not for
+        // the field this build no longer knows.
+        let current = TunedConfig::default().to_json_string();
+        let with_switch = current.replace("  \"park_hysteresis\"", "  \"weight_cache\": true,\n  \"park_hysteresis\"");
+        let v1 = with_switch.replace("\"version\": 2", "\"version\": 1");
+        let err = TunedConfig::from_json_str(&v1).unwrap_err();
+        assert_eq!(err.code(), "config.invalid");
+        assert!(err.to_string().contains("version 1 not supported (this build reads version 2)"), "{err}");
+        // Hand-bumping the version does not bring the switch back.
+        let err = TunedConfig::from_json_str(&with_switch).unwrap_err();
+        assert_eq!(err.code(), "config.invalid");
+        assert!(err.to_string().contains("unknown field 'weight_cache'"), "{err}");
+    }
+
+    #[test]
     fn zero_instances_never_reach_the_cost_model() {
         let text = TunedConfig::default().to_json_string().replace("\"instances\": 1", "\"instances\": 0");
         let err = TunedConfig::from_json_str(&text).unwrap_err();
@@ -415,7 +430,6 @@ mod tests {
             backend: BackendKind::Cpu,
             threads: 2,
             kernel: Some(KernelTier::Scalar),
-            weight_cache: false,
             park_hysteresis: Some(3),
             placement: Placement::Pipeline,
             batch_workers: 2,
@@ -429,7 +443,6 @@ mod tests {
         assert_eq!(d.backend, BackendKind::Cpu);
         assert_eq!(d.threads, 2);
         assert_eq!(d.kernel_tier, KernelTier::Scalar);
-        assert!(!d.weight_cache);
         assert_eq!(d.park_hysteresis, Some(3));
         assert_eq!(d.config.instances, 4);
         let b = session.batch_config();
@@ -447,7 +460,7 @@ mod tests {
     ];
 
     const TOKENS: [&str; 16] = [
-        "{", "}", "[", "]", ":", ",", "\"version\"", "1", "\"threads\"", "\"kernel\"", "null",
+        "{", "}", "[", "]", ":", ",", "\"version\"", "2", "\"threads\"", "\"kernel\"", "null",
         "\"provenance\"", "\"seed\"", "-", "\"", "true",
     ];
 
@@ -468,7 +481,7 @@ mod tests {
 
         #[test]
         fn single_field_mutations_never_panic(
-            line in 1usize..23,
+            line in 1usize..22,
             mutant in 0usize..MUTANTS.len(),
             drop in prop::bool::ANY,
         ) {

@@ -23,12 +23,12 @@ use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
 use zskip_nn::simd::KernelTier;
 use FlagGroup::{Network, Pool, Serve, Session, Shard};
-use KnobValue::{Int, Name, OnOff, Unset};
+use KnobValue::{Int, Name, Unset};
 use SpaceKind::{Hls, Software};
 
 /// One knob value in transit between a [`TunedConfig`] field and its
-/// spellings: JSON number / string / bool / null in the artifact, and
-/// decimal / name / `on|off` / the row's [`Knob::unset`] word on the CLI.
+/// spellings: JSON number / string / null in the artifact, and decimal /
+/// name / the row's [`Knob::unset`] word on the CLI.
 /// A value says what it is; whether its knob takes it is the setter's call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KnobValue<'a> {
@@ -36,8 +36,6 @@ pub enum KnobValue<'a> {
     Int(u64),
     /// A name, meant as one of the knob type's own (`cpu`, `256-opt`).
     Name(&'a str),
-    /// A switch.
-    OnOff(bool),
     /// "Let the stack decide" (`kernel`, `park_hysteresis`).
     Unset,
 }
@@ -47,7 +45,6 @@ impl ToJson for KnobValue<'_> {
         match *self {
             Int(n) => n.to_json(),
             Name(s) => s.to_json(),
-            OnOff(on) => on.to_json(),
             Unset => Json::Null,
         }
     }
@@ -57,11 +54,10 @@ impl ToJson for KnobValue<'_> {
 /// saying what the knob takes.
 impl<'a> KnobValue<'a> {
     /// The artifact's spelling, read back; `None` for a fraction, a
-    /// negative number, an array or an object.
+    /// negative number, a bool, an array or an object.
     pub(crate) fn from_json(json: &'a Json) -> Option<KnobValue<'a>> {
         match json {
             Json::Null => Some(Unset),
-            Json::Bool(on) => Some(OnOff(*on)),
             Json::Str(s) => Some(Name(s)),
             _ => json.as_u64().map(Int),
         }
@@ -71,13 +67,6 @@ impl<'a> KnobValue<'a> {
         match self {
             Int(n) => T::try_from(n).map_err(|_| "is out of range".to_string()),
             _ => Err("takes a number".to_string()),
-        }
-    }
-
-    fn on(self) -> Result<bool, String> {
-        match self {
-            OnOff(on) => Ok(on),
-            _ => Err("takes on | off".to_string()),
         }
     }
 
@@ -106,7 +95,7 @@ impl<'a> KnobValue<'a> {
 pub enum FlagGroup {
     /// The accelerator variant, listed after `--network` / `--density`.
     Network,
-    /// Backend, intra-image threads, kernel tier, weight cache.
+    /// Backend, intra-image threads, kernel tier.
     Session,
     /// Multi-accelerator sharding (docs/SCHEDULER.md).
     Shard,
@@ -174,7 +163,7 @@ fn ints(candidates: &[u64]) -> Vec<KnobValue<'static>> {
 /// The knob table, in artifact field order. Columns: name; flag, metavar,
 /// group, help; getter; setter (the closed name sets come from the value
 /// type's own `ALL` and `name`); (space, position, candidates).
-pub static KNOBS: [Knob; 12] = [
+pub static KNOBS: [Knob; 11] = [
     knob(
         "variant",
         Some(("--variant", "V", Network, "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt")),
@@ -244,13 +233,6 @@ pub static KNOBS: [Knob; 12] = [
             (Software, 2, || vec![Unset, Name(KernelTier::Scalar.name())]),
         )
     },
-    knob(
-        "weight_cache",
-        Some(("--weight-cache", "on|off", Session, "process-wide packed-weight cache")),
-        |c| OnOff(c.weight_cache),
-        |c, v| v.on().map(|on| c.weight_cache = on),
-        (Software, 3, || vec![OnOff(true), OnOff(false)]),
-    ),
     Knob {
         unset: Some("default"),
         ..knob(
@@ -275,28 +257,28 @@ pub static KNOBS: [Knob; 12] = [
         Some(("--workers", "N", Pool, "batch-pool worker threads (0 = auto)")),
         |c| Int(c.batch_workers as u64),
         |c, v| v.int().map(|n| c.batch_workers = n),
-        (Software, 4, || ints(&[0, 1, 2, 4])),
+        (Software, 3, || ints(&[0, 1, 2, 4])),
     ),
     knob(
         "max_batch",
         Some(("--max-batch", "N", Serve, "requests coalesced into one accelerator batch at most")),
         |c| Int(c.max_batch as u64),
         |c, v| v.int().map(|n| c.max_batch = n),
-        (Software, 5, || ints(&[1, 4, 8, 16])),
+        (Software, 4, || ints(&[1, 4, 8, 16])),
     ),
     knob(
         "batch_window_ms",
         Some(("--batch-window-ms", "MS", Serve, "how long a forming batch waits for more requests")),
         |c| Int(c.batch_window_ms),
         |c, v| v.int().map(|n| c.batch_window_ms = n),
-        (Software, 6, || ints(&[0, 1, 2, 5])),
+        (Software, 5, || ints(&[0, 1, 2, 5])),
     ),
     knob(
         "queue_depth",
         Some(("--queue-depth", "N", Serve, "bounded submission-queue depth (admission control)")),
         |c| Int(c.queue_depth as u64),
         |c, v| v.int().map(|n| c.queue_depth = n),
-        (Software, 7, || ints(&[64, 256])),
+        (Software, 6, || ints(&[64, 256])),
     ),
 ];
 
@@ -311,19 +293,17 @@ impl Knob {
         match value {
             Int(n) => n.to_string(),
             Name(s) => s.to_string(),
-            OnOff(on) => if on { "on" } else { "off" }.to_string(),
             Unset => self.unset.unwrap_or("unset").to_string(),
         }
     }
 
-    /// Reads a CLI spelling: this row's unset word, a decimal, `on` /
-    /// `off`, else a name.
+    /// Reads a CLI spelling: this row's unset word, a decimal, else a
+    /// name.
     pub fn parse_text<'a>(&self, text: &'a str) -> KnobValue<'a> {
-        match text {
-            _ if self.unset == Some(text) => Unset,
-            "on" | "off" => OnOff(text == "on"),
-            _ => text.parse().map_or(Name(text), Int),
+        if self.unset == Some(text) {
+            return Unset;
         }
+        text.parse().map_or(Name(text), Int)
     }
 
     /// Sets the knob from its CLI spelling; the error reads after the
@@ -397,7 +377,7 @@ pub type Point = Vec<usize>;
 /// The named built-in spaces the CLI exposes (`--space`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpaceKind {
-    /// Host-side knobs: backend, threads, kernel, caches, batch shaping.
+    /// Host-side knobs: backend, threads, kernel, batch shaping.
     Software,
     /// Hardware-side knobs: variant, instances, placement, park
     /// hysteresis — the automated Fig. 6/7/8 exploration.
@@ -554,7 +534,7 @@ mod tests {
 
     #[test]
     fn builtin_spaces_hold_the_default_and_their_documented_size() {
-        for (kind, cardinality) in SpaceKind::ALL.into_iter().zip([3072, 192, 589_824]) {
+        for (kind, cardinality) in SpaceKind::ALL.into_iter().zip([1536, 192, 294_912]) {
             let space = SearchSpace::named(kind);
             assert_eq!(space.name(), kind.name());
             let config = space.config_at(&space.default_point());
@@ -570,7 +550,6 @@ mod tests {
             "backend",
             "threads",
             "kernel",
-            "weight_cache",
             "batch_workers",
             "max_batch",
             "batch_window_ms",
@@ -620,7 +599,7 @@ mod tests {
             ("threads", vec![Int(1), Name("cpu")]),
             ("threads", vec![Int(1), Unset]),
             ("backend", vec![Name("model"), Name("gpu")]),
-            ("weight_cache", vec![OnOff(true), Int(1)]),
+            ("kernel", vec![Unset, Int(1)]),
             ("instances", vec![Int(1), Int(0)]),
             ("park_hysteresis", vec![Unset, Int(u64::from(u32::MAX) + 1)]),
         ] {
@@ -674,7 +653,6 @@ mod tests {
             "takes scalar | sse2 | avx2 | avx512 (or auto), got 'neon'"
         );
         assert_eq!(set("variant", "999").unwrap_err(), "takes 16-unopt | 256-unopt | 256-opt | 512-opt, got '999'");
-        assert_eq!(set("weight_cache", "yes").unwrap_err(), "takes on | off, got 'yes'");
         assert_eq!(set("threads", "-1").unwrap_err(), "takes a number, got '-1'");
         assert_eq!(set("threads", "auto").unwrap_err(), "takes a number, got 'auto'");
         assert_eq!(set("instances", "0").unwrap_err(), "must be at least 1, got '0'");
@@ -683,11 +661,11 @@ mod tests {
         assert_eq!(set("kernel", "auto"), Ok(()));
         // A spelling is read the same way for every knob; the setter judges it.
         let threads = Knob::by_name("threads").expect("row exists");
-        assert_eq!(threads.parse_text("off"), OnOff(false));
+        assert_eq!(threads.parse_text("off"), Name("off"));
         assert_eq!(threads.parse_text("007"), Int(7));
         assert_eq!(threads.parse_text("1e3"), Name("1e3"));
         assert_eq!(threads.parse_text("default"), Name("default"));
-        for json in ["1.5", "-1", "[]", "{}", "1e300"] {
+        for json in ["1.5", "-1", "true", "[]", "{}", "1e300"] {
             assert_eq!(KnobValue::from_json(&Json::parse(json).expect("json")), None, "{json}");
         }
     }
@@ -730,10 +708,10 @@ mod tests {
         let resolved = resolve(Some(tuned()), &same).expect("resolves");
         assert_eq!(resolved, (tuned(), vec![]));
         // Differing: the flag wins, one note each, in table order.
-        let differing = [("--weight-cache", "off"), ("--instances", "1"), ("--threads", "2")];
+        let differing = [("--kernel", "scalar"), ("--instances", "1"), ("--threads", "2")];
         let (config, notes) = resolve(Some(tuned()), &differing).expect("resolves");
-        assert_eq!(config, TunedConfig { instances: 1, weight_cache: false, ..tuned() });
-        assert_eq!(notes, ["--instances 1 shadows tuned '4'", "--weight-cache off shadows tuned 'on'"]);
+        assert_eq!(config, TunedConfig { instances: 1, kernel: Some(KernelTier::Scalar), ..tuned() });
+        assert_eq!(notes, ["--instances 1 shadows tuned '4'", "--kernel scalar shadows tuned 'auto'"]);
     }
 
     #[test]
@@ -744,7 +722,7 @@ mod tests {
             ("--threads", "-1"),
             ("--backend", "gpu"),
             ("--kernel", "AVX2"),
-            ("--weight-cache", "true"),
+            ("--workers", "on"),
             ("--placement", ""),
             ("--queue-depth", "1e3"),
         ] {

@@ -151,6 +151,7 @@ impl LayerSpec {
     pub fn output_shape(&self, input: Shape) -> Result<Shape, ShapeError> {
         match self {
             LayerSpec::Conv { name, in_c, out_c, k, stride, pad, .. } => {
+                nonzero(name, &[("in_c", *in_c), ("out_c", *out_c), ("k", *k), ("stride", *stride)])?;
                 if input.c != *in_c {
                     return Err(ShapeError::new(name, format!("expected {in_c} input channels, got {}", input.c)));
                 }
@@ -161,6 +162,7 @@ impl LayerSpec {
                 Ok(Shape::new(*out_c, h, w))
             }
             LayerSpec::MaxPool { name, k, stride } => {
+                nonzero(name, &[("k", *k), ("stride", *stride)])?;
                 let h = conv_out_dim(input.h, *k, *stride, 0)
                     .ok_or_else(|| ShapeError::new(name, format!("window {k} does not fit height {}", input.h)))?;
                 let w = conv_out_dim(input.w, *k, *stride, 0)
@@ -168,6 +170,7 @@ impl LayerSpec {
                 Ok(Shape::new(input.c, h, w))
             }
             LayerSpec::Fc { name, in_features, out_features, .. } => {
+                nonzero(name, &[("in_features", *in_features), ("out_features", *out_features)])?;
                 if input.len() != *in_features {
                     return Err(ShapeError::new(
                         name,
@@ -389,6 +392,16 @@ impl fmt::Display for ShapeError {
 }
 
 impl std::error::Error for ShapeError {}
+
+/// Rejects a zero in a layer's declared geometry: an empty window, a
+/// stride that never advances or a layer without channels has no output,
+/// and the kernels downstream assume at least one of each.
+fn nonzero(layer: &str, fields: &[(&str, usize)]) -> Result<(), ShapeError> {
+    match fields.iter().find(|(_, value)| *value == 0) {
+        Some((field, _)) => Err(ShapeError::new(layer, format!("'{field}' must be at least 1"))),
+        None => Ok(()),
+    }
+}
 
 /// Builds a conv layer spec with VGG-style 3x3/stride-1/pad-1 geometry.
 pub fn conv3x3(name: &str, in_c: usize, out_c: usize) -> LayerSpec {

@@ -378,4 +378,69 @@ mod tests {
             "operand shapes differ",
         );
     }
+
+    #[test]
+    fn zero_sized_geometry_is_rejected_naming_the_field() {
+        let one_layer = |layer: &str| {
+            format!(r#"{{"name": "x", "input": {{"c": 3, "h": 8, "w": 8}}, "layers": [{layer}]}}"#)
+        };
+        let conv = |in_c, out_c, k, stride| {
+            one_layer(&format!(
+                r#"{{"op": "conv", "name": "c", "in_c": {in_c}, "out_c": {out_c}, "k": {k}, "stride": {stride}, "pad": 0, "relu": true}}"#
+            ))
+        };
+        // `k: 0` used to pass validation and panic in the first kernel.
+        expect_err(&conv(3, 4, 0, 1), "layer c: 'k' must be at least 1");
+        expect_err(&conv(0, 4, 3, 1), "'in_c' must be at least 1");
+        expect_err(&conv(3, 0, 3, 1), "'out_c' must be at least 1");
+        expect_err(&conv(3, 4, 3, 0), "'stride' must be at least 1");
+        expect_err(&one_layer(r#"{"op": "maxpool", "name": "p", "k": 0, "stride": 2}"#), "'k' must be at least 1");
+        let fc = |i, o| {
+            one_layer(&format!(r#"{{"op": "fc", "name": "f", "in_features": {i}, "out_features": {o}, "relu": false}}"#))
+        };
+        expect_err(&fc(0, 10), "'in_features' must be at least 1");
+        expect_err(&fc(192, 0), "'out_features' must be at least 1");
+    }
+
+    /// Values a hand-written or fuzzed spec puts where a small positive
+    /// count belongs.
+    const DEGENERATE: [usize; 8] = [0, 1, 2, 3, 4, 7, 64, 4096];
+
+    proptest::proptest! {
+        /// Whatever counts a spec declares, loading it either fails with a
+        /// `SpecError` (the CLI's `spec.invalid`) or yields a network with
+        /// no zero count, non-empty activations and a plan — it never
+        /// panics.
+        #[test]
+        fn degenerate_geometry_never_panics(
+            conv in (0usize..8, 0usize..8, 0usize..8, 0usize..8, 0usize..8),
+            pool in (0usize..8, 0usize..8),
+            fc in (0usize..9, 0usize..8),
+        ) {
+            let d = |i: usize| DEGENERATE[i];
+            let (in_c, out_c, k, stride, pad) = (d(conv.0), d(conv.1), d(conv.2), d(conv.3), d(conv.4));
+            let (pool_k, pool_stride) = (d(pool.0), d(pool.1));
+            // The ninth choice is the flattened size a valid chain reaches,
+            // so some cases get past the FC layer's own length check.
+            let flattened = zskip_tensor::shape::conv_out_dim(8, k, stride, pad)
+                .and_then(|hw| zskip_tensor::shape::conv_out_dim(hw, pool_k, pool_stride, 0))
+                .map_or(1, |hw| out_c * hw * hw);
+            let in_features = DEGENERATE.get(fc.0).copied().unwrap_or(flattened);
+            let text = format!(
+                r#"{{"name": "fuzz", "input": {{"c": 3, "h": 8, "w": 8}}, "layers": [
+                  {{"op": "conv", "name": "c", "in_c": {in_c}, "out_c": {out_c}, "k": {k}, "stride": {stride}, "pad": {pad}, "relu": true}},
+                  {{"op": "maxpool", "name": "p", "k": {pool_k}, "stride": {pool_stride}}},
+                  {{"op": "fc", "name": "f", "in_features": {in_features}, "out_features": {}, "relu": false}}
+                ]}}"#,
+                d(fc.1),
+            );
+            if let Ok(spec) = NetworkSpec::from_json(&text) {
+                let counts = [in_c, out_c, k, stride, pool_k, pool_stride, in_features, d(fc.1)];
+                proptest::prop_assert!(counts.iter().all(|&n| n > 0), "loaded with a zero count: {text}");
+                let shapes = spec.shapes().expect("from_json validated the shapes");
+                proptest::prop_assert!(shapes.iter().all(|s| !s.is_empty()), "{shapes:?}");
+                proptest::prop_assert!(crate::plan::ExecPlan::build(&spec).is_ok());
+            }
+        }
+    }
 }

@@ -585,7 +585,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the deadlock-detection window in cycles.
+    /// Sets the deadlock-detection window: cycles of global inactivity
+    /// before declaring deadlock (default 10 000).
     pub fn deadlock_window(mut self, cycles: u64) -> Self {
         self.deadlock_window = Some(cycles);
         self
@@ -770,31 +771,10 @@ impl<M> Engine<M> {
         }
     }
 
-    /// Starts a validated builder — the preferred way to configure an
-    /// engine. The setter methods ([`enable_trace`](Engine::enable_trace),
-    /// [`set_deadlock_window`](Engine::set_deadlock_window)) remain as
-    /// compatibility shims.
+    /// Starts a validated builder — the one way to configure an engine
+    /// (trace, scheduler, deadlock window, fault plan, park hysteresis).
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
-    }
-
-    /// Attaches a fault plan after construction (equivalent to
-    /// [`EngineBuilder::fault_plan`]).
-    pub fn set_fault_plan(&mut self, plan: SharedFaultPlan) {
-        self.fault_plan = Some(plan);
-    }
-
-    /// Overrides the park hysteresis after construction (see
-    /// [`EngineBuilder::park_hysteresis`]). A zero value is silently
-    /// clamped to 1; prefer the builder, which rejects it instead.
-    pub fn set_park_hysteresis(&mut self, ticks: u32) {
-        self.park_hysteresis = ticks.max(1);
-    }
-
-    /// Selects the scheduler after construction (equivalent to
-    /// [`EngineBuilder::scheduler`]).
-    pub fn set_scheduler(&mut self, mode: SchedMode) {
-        self.sched_mode = mode;
     }
 
     /// Scheduler accounting for the most recent runs (all zero under the
@@ -809,32 +789,9 @@ impl<M> Engine<M> {
         self.counters.intern(name)
     }
 
-    /// Enables waveform tracing with a window of `capacity` cycles.
-    /// Must be called before kernels are registered.
-    ///
-    /// Deprecated in favor of [`Engine::builder`] +
-    /// [`EngineBuilder::trace`], which validates instead of panicking;
-    /// kept as a compatibility shim.
-    ///
-    /// # Panics
-    /// Panics if kernels are already registered.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        assert!(self.kernels.is_empty(), "enable tracing before registering kernels");
-        self.trace = Some(Trace::new(capacity));
-    }
-
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
-    }
-
-    /// Overrides the deadlock-detection window (cycles of global inactivity
-    /// before declaring deadlock). Default 10 000. A zero window is
-    /// silently clamped to 1; prefer [`Engine::builder`] +
-    /// [`EngineBuilder::deadlock_window`], which rejects it instead.
-    /// Kept as a compatibility shim.
-    pub fn set_deadlock_window(&mut self, cycles: u64) {
-        self.deadlock_window = cycles.max(1);
     }
 
     /// Registers a FIFO, returning its handle.
@@ -1582,10 +1539,9 @@ mod tests {
     #[test]
     fn deadlock_is_detected() {
         // A sink waiting on a FIFO nobody feeds.
-        let mut e = Engine::new();
+        let mut e = Engine::<u32>::builder().deadlock_window(50).build().unwrap();
         let q = e.add_fifo(Fifo::new("q", 1));
         e.add_kernel(Box::new(Sink { inp: q, expect_next: 0, count: 1 }));
-        e.set_deadlock_window(50);
         match e.run(100_000) {
             Err(SimError::Deadlock { blocked, .. }) => assert_eq!(blocked, vec!["sink".to_string()]),
             other => panic!("expected deadlock, got {other:?}"),
@@ -1763,11 +1719,9 @@ mod tests {
     #[test]
     fn event_matches_dense_on_pipeline() {
         let run = |mode: SchedMode| {
-            let mut e = Engine::new();
-            e.set_scheduler(mode);
             // Startup stalls last only a few cycles: park on the first
             // quiescent tick so this test exercises the wait lists.
-            e.set_park_hysteresis(1);
+            let mut e = Engine::<u32>::builder().scheduler(mode).park_hysteresis(1).build().unwrap();
             let q1 = e.add_fifo(Fifo::new("q1", 2));
             let q2 = e.add_fifo(Fifo::new("q2", 2));
             e.add_kernel(Box::new(Reactivize(Source { out: q1, next: 0, count: 50 })));
@@ -1793,11 +1747,9 @@ mod tests {
     #[test]
     fn event_matches_dense_under_backpressure() {
         let run = |mode: SchedMode| {
-            let mut e = Engine::new();
-            e.set_scheduler(mode);
             // The sink pops every other cycle: the producer's stalls are
             // too short for the default hysteresis, so pin it to 1.
-            e.set_park_hysteresis(1);
+            let mut e = Engine::<u32>::builder().scheduler(mode).park_hysteresis(1).build().unwrap();
             let q = e.add_fifo(Fifo::new("q", 1));
             e.add_kernel(Box::new(Reactivize(Source { out: q, next: 0, count: 20 })));
             e.add_kernel(Box::new(SlowSink { inp: q, received: 0, count: 20, phase: 0 }));
@@ -1828,9 +1780,7 @@ mod tests {
     #[test]
     fn event_jumps_idle_stretches_and_matches_dense() {
         let run = |mode: SchedMode| {
-            let mut e = Engine::new();
-            e.set_scheduler(mode);
-            e.set_deadlock_window(10_000);
+            let mut e = Engine::<u32>::builder().scheduler(mode).deadlock_window(10_000).build().unwrap();
             let q = e.add_fifo(Fifo::new("q", 2));
             e.add_kernel(Box::new(SlowSource { out: q, period: 5_000, next_emit: 0, emitted: 0, count: 10 }));
             e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 10 }));
@@ -1847,11 +1797,9 @@ mod tests {
     #[test]
     fn event_preserves_deadlock_attribution() {
         let run = |mode: SchedMode| {
-            let mut e: Engine<u32> = Engine::new();
-            e.set_scheduler(mode);
+            let mut e = Engine::<u32>::builder().scheduler(mode).deadlock_window(5_000).build().unwrap();
             let q = e.add_fifo(Fifo::new("q", 1));
             e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 1 }));
-            e.set_deadlock_window(5_000);
             e.run(1_000_000)
         };
         let (a, b) = (run(SchedMode::Dense), run(SchedMode::EventDriven));
@@ -1862,12 +1810,10 @@ mod tests {
     #[test]
     fn event_preserves_cycle_limit() {
         let run = |mode: SchedMode| {
-            let mut e: Engine<u32> = Engine::new();
-            e.set_scheduler(mode);
+            let mut e = Engine::<u32>::builder().scheduler(mode).deadlock_window(2_000_000).build().unwrap();
             let q = e.add_fifo(Fifo::new("q", 2));
             e.add_kernel(Box::new(SlowSource { out: q, period: 900_000, next_emit: 0, emitted: 0, count: 5 }));
             e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 5 }));
-            e.set_deadlock_window(2_000_000);
             e.run(100_000)
         };
         let (a, b) = (run(SchedMode::Dense), run(SchedMode::EventDriven));
@@ -1942,8 +1888,7 @@ mod tests {
             }
         }
         let run = |mode: SchedMode| {
-            let mut e: Engine<u32> = Engine::new();
-            e.set_scheduler(mode);
+            let mut e = Engine::<u32>::builder().scheduler(mode).build().unwrap();
             e.add_kernel(Box::new(Spinner { countdown: 100 }));
             e.run(10_000).unwrap()
         };

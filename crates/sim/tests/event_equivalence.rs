@@ -210,20 +210,19 @@ struct PipeSpec {
 }
 
 fn build(spec: &PipeSpec, mode: SchedMode) -> Engine<u32> {
-    let mut e: Engine<u32> = Engine::new();
-    e.set_scheduler(mode);
-    e.set_park_hysteresis(spec.hysteresis);
-    e.set_deadlock_window(64);
+    let mut builder =
+        Engine::<u32>::builder().scheduler(mode).park_hysteresis(spec.hysteresis).deadlock_window(64);
     if spec.trace > 0 {
-        e.enable_trace(spec.trace);
+        builder = builder.trace(spec.trace);
     }
     if let Some((hop, push, at, cycles)) = spec.fault {
         let port = if push { "push" } else { "pop" };
         let plan = FaultPlan::new()
             .inject(format!("fifo:q{hop}:{port}"), at, FaultKind::FifoStall { cycles })
             .shared();
-        e.set_fault_plan(plan);
+        builder = builder.fault_plan(plan);
     }
+    let mut e: Engine<u32> = builder.build().expect("nonzero windows");
     let fifos: Vec<FifoId> =
         spec.capacities.iter().enumerate().map(|(i, &c)| e.add_fifo(Fifo::new(format!("q{i}"), c))).collect();
     match spec.sleepy {

@@ -70,10 +70,11 @@ impl fmt::Display for Shape {
 /// Output spatial size of a convolution/pool window sweep.
 ///
 /// `out = (in + 2*pad - k) / stride + 1`, the standard formula. Returns
-/// `None` when the window does not fit even once.
+/// `None` when the window does not fit even once, or is empty (`k == 0`)
+/// or never advances (`stride == 0`).
 pub fn conv_out_dim(input: usize, k: usize, stride: usize, pad: usize) -> Option<usize> {
     let padded = input + 2 * pad;
-    if padded < k || stride == 0 {
+    if padded < k || k == 0 || stride == 0 {
         return None;
     }
     Some((padded - k) / stride + 1)
@@ -120,5 +121,6 @@ mod tests {
     fn conv_out_dim_rejects_too_small_input() {
         assert_eq!(conv_out_dim(2, 3, 1, 0), None);
         assert_eq!(conv_out_dim(2, 3, 0, 1), None);
+        assert_eq!(conv_out_dim(8, 0, 1, 0), None, "an empty window sweeps nothing");
     }
 }

@@ -13,12 +13,18 @@
 //! cargo run --release --example waveforms
 //! ```
 
-use zskip::accel::cycle::run_instructions_traced;
+use zskip::accel::cycle::{self, CycleOutcome, Feed, RunOptions};
 use zskip::accel::{AccelConfig, BankSet, ConvInstr, FmLayout, GroupWeights, Instruction, PoolPadInstr, PoolPadOp};
 use zskip::hls::AccelArch;
 use zskip::nn::conv::QuantConvWeights;
 use zskip::quant::{Requantizer, Sm8};
 use zskip::tensor::{Shape, Tensor, TiledFeatureMap};
+
+/// Runs one instruction with a 120-cycle trace window.
+fn run_traced(cfg: &AccelConfig, banks: BankSet, scratchpad: Vec<u8>, instr: Instruction) -> CycleOutcome {
+    let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: Some(120), ..RunOptions::default() };
+    cycle::run(cfg, banks, scratchpad, Feed::Preloaded(vec![instr]), &opts).expect("runs")
+}
 
 fn config() -> AccelConfig {
     AccelConfig::from_arch(&AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 1024 }, 100.0)
@@ -73,9 +79,9 @@ fn show_conv(title: &str, qw: &QuantConvWeights) {
         relu: true,
         active_lanes: 4,
     });
-    let (outcome, trace) = run_instructions_traced(&cfg, banks, gw.to_bytes(), &[instr], 1_000_000, 120).expect("runs");
+    let outcome = run_traced(&cfg, banks, gw.to_bytes(), instr);
     println!("== {title} ({} cycles) ==", outcome.cycles);
-    print!("{}", trace.render(90));
+    print!("{}", outcome.trace.expect("tracing was asked for").render(90));
 }
 
 fn show_pool() {
@@ -98,9 +104,9 @@ fn show_pool() {
         out_row_start: 0,
         op: PoolPadOp::MaxPool { k: 2, stride: 2 },
     });
-    let (outcome, trace) = run_instructions_traced(&cfg, banks, Vec::new(), &[instr], 1_000_000, 120).expect("runs");
+    let outcome = run_traced(&cfg, banks, Vec::new(), instr);
     println!("== 2x2/s2 max-pool ({} cycles): pool/pad path active, conv idle ==", outcome.cycles);
-    print!("{}", trace.render(90));
+    print!("{}", outcome.trace.expect("tracing was asked for").render(90));
 }
 
 fn main() {

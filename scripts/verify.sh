@@ -96,18 +96,23 @@ analyze_out=$(timeout 300 ./target/release/zskip analyze --network specs/resnet1
 printf '%s\n' "$analyze_out" | grep -q 'branch point' \
   || { echo "verify: analyze --network did not report the residual branch points"; exit 1; }
 
-# Malformed specs must fail closed with the stable machine-readable code
-# and exit 2 (scripted callers branch on both).
+# Malformed specs — unparseable, or well-formed with an empty conv window
+# (`"k": 0` used to pass validation and panic in set-up) — must fail
+# closed with the stable machine-readable code and exit 2 (scripted
+# callers branch on both).
 bad_spec=$(mktemp -t zskip-badspec-XXXXXX.json)
-printf '{"name": 1}\n' > "$bad_spec"
-set +e
-bad_out=$(timeout 120 ./target/release/zskip infer --network "$bad_spec" 2>&1)
-bad_rc=$?
-set -e
+for spec in '{"name": 1}' \
+  '{"name":"k0","input":{"c":3,"h":8,"w":8},"layers":[{"op":"conv","name":"c","in_c":3,"out_c":4,"k":0,"stride":1,"pad":0,"relu":true}]}'; do
+  printf '%s\n' "$spec" > "$bad_spec"
+  set +e
+  bad_out=$(timeout 120 ./target/release/zskip infer --network "$bad_spec" 2>&1)
+  bad_rc=$?
+  set -e
+  [ "$bad_rc" -eq 2 ] || { echo "verify: malformed spec $spec must exit 2 (got $bad_rc)"; exit 1; }
+  printf '%s\n' "$bad_out" | grep -q 'error\[spec.invalid\]' \
+    || { echo "verify: malformed spec $spec missing the spec.invalid error code"; exit 1; }
+done
 rm -f "$bad_spec"
-[ "$bad_rc" -eq 2 ] || { echo "verify: malformed spec must exit 2 (got $bad_rc)"; exit 1; }
-printf '%s\n' "$bad_out" | grep -q 'error\[spec.invalid\]' \
-  || { echo "verify: malformed spec missing the spec.invalid error code"; exit 1; }
 
 # Fail-closed CLI: bad knob values — as flags or as artifact fields — bad
 # workload flags and artifacts with fields this build does not know must
@@ -123,12 +128,18 @@ bad_cfg=$(mktemp -t zskip-badcfg-XXXXXX.json)
 expect_invalid infer --hw 32 --instances 0
 expect_invalid infer --hw 16
 expect_invalid infer --hw 32 --density 7
-printf '{"version": 1, "thread": 4}\n' > "$bad_cfg"
+printf '{"version": 2, "thread": 4}\n' > "$bad_cfg"
 expect_invalid infer --hw 32 --config "$bad_cfg"
 timeout 300 ./target/release/zskip tune --budget 1 --out "$bad_cfg" > /dev/null
 sed -i 's/"instances": 1,/"instances": 0,/' "$bad_cfg"
 expect_invalid infer --hw 32 --config "$bad_cfg"
 rm -f "$bad_cfg"
+# A deleted knob's flag is an unknown flag like any other: exit 2.
+gone_rc=0
+gone_out=$(timeout 120 ./target/release/zskip infer --hw 32 --weight-cache off 2>&1 >/dev/null) || gone_rc=$?
+[ "$gone_rc" -eq 2 ] || { echo "verify: --weight-cache must exit 2 (got $gone_rc)"; exit 1; }
+printf '%s\n' "$gone_out" | grep -q 'unknown flag --weight-cache' \
+  || { echo "verify: --weight-cache must be reported as an unknown flag"; exit 1; }
 # ... and what `infer` reports comes from the session it ran: two instances
 # run at the cost model's congestion-derated clock, not the variant's.
 two_out=$(timeout 300 ./target/release/zskip infer --hw 32 --instances 2)

@@ -15,9 +15,9 @@
 //! Every flag-taking subcommand supports `--help`; flags are declared
 //! declaratively and parsed by a shared, panic-free parser. The run
 //! knobs common to `infer`/`batch`/`serve`/`analyze` — variant, backend,
-//! threads, kernel tier, weight cache, sharding and batch shaping — are
-//! not declared here at all: their flags, `--help` defaults, closed value
-//! sets and printout come from the one knob table in
+//! threads, kernel tier, sharding and batch shaping — are not declared
+//! here at all: their flags, `--help` defaults, closed value sets and
+//! printout come from the one knob table in
 //! [`zskip::accel::tune`], by [`FlagGroup`]. All four resolve one
 //! [`TunedConfig`] via [`resolve_config`] (a `--config` artifact, when
 //! given, supplies the baseline and explicit flags override it; bad values
@@ -958,7 +958,7 @@ fn analyze(p: &Parsed) {
     // Scheduler engagement: run one representative engine-level block
     // (conv3-scale, the profile's median-density layer class) under both
     // steppers and show how the event-driven scheduler spent its cycles.
-    use zskip::accel::cycle::{run_instructions, run_instructions_dense};
+    use zskip::accel::cycle::{self, Feed, RunOptions};
     use zskip::hls::AccelArch;
     use zskip::quant::Sm8;
     use zskip::tensor::Tensor;
@@ -966,9 +966,11 @@ fn analyze(p: &Parsed) {
     let (qw, _, _) = zskip_bench::make_conv_layer(64, 64, 16, conv3_density, zskip_bench::HARNESS_SEED);
     let img = Tensor::from_fn(64, 16, 16, |c, y, x| Sm8::from_i32_saturating(((c * 31 + y * 7 + x) % 200) as i32 - 100));
     let (banks, scratch, instrs) = zskip_bench::build_engine_workload(&acfg, &qw, &img);
-    let dense =
-        run_instructions_dense(&acfg, banks.clone(), scratch.clone(), &instrs, u64::MAX).expect("dense block runs");
-    let event = run_instructions(&acfg, banks, scratch, &instrs, u64::MAX).expect("event block runs");
+    let dense_opts = RunOptions { sched: zskip::sim::SchedMode::Dense, ..RunOptions::default() };
+    let dense = cycle::run(&acfg, banks.clone(), scratch.clone(), Feed::Preloaded(instrs.clone()), &dense_opts)
+        .expect("dense block runs");
+    let event = cycle::run(&acfg, banks, scratch, Feed::Preloaded(instrs), &RunOptions::default())
+        .expect("event block runs");
     assert_eq!(dense.cycles, event.cycles, "schedulers must agree cycle-exactly");
     assert_eq!(dense.report, event.report, "schedulers must agree on kernel stats");
     let s = event.report.sched;
@@ -1122,7 +1124,7 @@ fn faults(p: &Parsed) {
 }
 
 fn trace() {
-    use zskip::accel::cycle::run_instructions_traced;
+    use zskip::accel::cycle::{self, Feed, RunOptions};
     use zskip::accel::{BankSet, ConvInstr, FmLayout, GroupWeights, Instruction};
     use zskip::hls::AccelArch;
     use zskip::nn::conv::QuantConvWeights;
@@ -1170,8 +1172,9 @@ fn trace() {
         relu: true,
         active_lanes: 4,
     });
-    let (outcome, trace) =
-        run_instructions_traced(&cfg, banks, gw.to_bytes(), &[instr], 1_000_000, 160).expect("runs");
+    let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: Some(160), ..RunOptions::default() };
+    let outcome = cycle::run(&cfg, banks, gw.to_bytes(), Feed::Preloaded(vec![instr]), &opts).expect("runs");
+    let trace = outcome.trace.as_ref().expect("tracing was asked for");
     println!("cycle-exact waveform of one conv instruction ({} cycles total)", outcome.cycles);
     println!("legend: '#' busy, 'x' blocked on FIFO, '.' idle, ' ' done\n");
     print!("{}", trace.render(80));

@@ -147,9 +147,8 @@ fn faulted_run(
 }
 
 /// The cpu backend replays memoized per-pass statistics on plan-free
-/// runs; an attached fault plan (or `weight_cache(false)`) must force the
-/// real staged pass for every image, never consulting or feeding the
-/// memo — otherwise `dma:*` injections would have no descriptor to fire
+/// runs; an attached fault plan must force the real staged pass for
+/// every image, never consulting or feeding the memo — otherwise `dma:*` injections would have no descriptor to fire
 /// on once the memo is warm. One test function on purpose: it is the only
 /// cpu-backend user in this binary, so the process-wide memo counters it
 /// asserts on are exact.
@@ -196,17 +195,13 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
             assert_eq!(c_fired[0].at, at);
         }
     }
-    // A plan that never fires still forces the real pass, as does the
-    // `weight_cache(false)` baseline switch; both report Model's numbers.
+    // A plan that never fires still forces the real pass and reports
+    // Model's numbers.
     let idle = FaultPlan::new().inject("dma:xfer", total + 100, truncate).shared();
-    for driver in [
-        build(BackendKind::Cpu).fault_plan(idle).build().unwrap(),
-        build(BackendKind::Cpu).weight_cache(false).build().unwrap(),
-    ] {
-        let r = driver.run_network(&qnet, &input).expect("no fault fires");
-        assert_eq!((r.total_cycles, r.ddr_bytes, &r.output), (model.total_cycles, model.ddr_bytes, &golden));
-    }
-    assert_eq!(memo(), replayed, "bypassing runs neither consult nor feed the memo");
+    let driver = build(BackendKind::Cpu).fault_plan(idle).build().unwrap();
+    let r = driver.run_network(&qnet, &input).expect("no fault fires");
+    assert_eq!((r.total_cycles, r.ddr_bytes, &r.output), (model.total_cycles, model.ddr_bytes, &golden));
+    assert_eq!(memo(), replayed, "a bypassing run neither consults nor feeds the memo");
 
     // A faulted run on a network the memo has never seen inserts nothing,
     // not even the passes that completed before the fault; the following

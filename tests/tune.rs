@@ -49,13 +49,13 @@ fn arb_config() -> impl Strategy<Value = TunedConfig> {
     // The vendored proptest has no Option strategy: optional knobs pair a
     // presence bool with the value range.
     let hardware = (0usize..4, 1usize..5, 0usize..4, (prop::bool::ANY, 1u32..32));
-    let software = (0usize..3, 0usize..5, (prop::bool::ANY, 0usize..4), prop::bool::ANY);
+    let software = (0usize..3, 0usize..5, (prop::bool::ANY, 0usize..4));
     let batch = (0usize..5, 1usize..17, 0u64..6, 1usize..129);
     let provenance = (prop::bool::ANY, 0u64..1_000_000, 0u64..1000, 0u64..(1 << 20), 0u64..200);
     (hardware, software, batch, provenance).prop_map(
         |(
             (v, instances, pl, (has_park, park)),
-            (b, threads, (has_kernel, k), weight_cache),
+            (b, threads, (has_kernel, k)),
             (batch_workers, max_batch, batch_window_ms, queue_depth),
             (has_provenance, seed, budget, score_bits, evals),
         )| {
@@ -65,7 +65,6 @@ fn arb_config() -> impl Strategy<Value = TunedConfig> {
                 backend: BackendKind::ALL[b],
                 threads,
                 kernel: if has_kernel { Some(KernelTier::ALL[k]) } else { None },
-                weight_cache,
                 park_hysteresis: if has_park { Some(park) } else { None },
                 placement: Placement::ALL[pl],
                 batch_workers,
@@ -141,7 +140,6 @@ fn from_tuned_applies_knobs_and_explicit_overrides_win() {
         backend: BackendKind::Cpu,
         threads: 2,
         kernel: Some(KernelTier::Scalar),
-        weight_cache: false,
         placement: Placement::Image,
         max_batch: 5,
         ..TunedConfig::default()
@@ -153,7 +151,6 @@ fn from_tuned_applies_knobs_and_explicit_overrides_win() {
     assert_eq!(session.driver().backend, BackendKind::Cpu);
     assert_eq!(session.driver().threads, 2);
     assert_eq!(session.driver().kernel_tier, KernelTier::Scalar);
-    assert!(!session.driver().weight_cache);
     assert_eq!(session.batch_config().placement, Placement::Image);
     assert_eq!(session.batch_config().max_batch, 5);
 
