@@ -8,13 +8,17 @@
 //!
 //! Responsibilities:
 //!
-//! * **layer walking**: shape propagation, geometry checks, the explicit
-//!   pad pass before each padded convolution, and host (ARM) execution
-//!   of FC layers and softmax, as in the paper;
+//! * **layer walking**: the network's activations live dense in the
+//!   scratch arena's plan slots and the walk is the golden model's
+//!   ([`QuantizedNetwork::run_plan`]: FC layers, residual joins and
+//!   softmax on the host (ARM), as in the paper); the driver supplies the
+//!   accelerator steps — geometry checks and the explicit pad pass before
+//!   each padded convolution;
 //! * **backend dispatch**: each accelerator pass goes through
 //!   [`exec::conv_pass`] / [`exec::poolpad_pass`] to the session's
 //!   backend — the transaction-level model, the cycle-exact simulation,
-//!   or the host SIMD path ([`BackendKind`]);
+//!   or the host SIMD path ([`BackendKind`]) — and is tiled only there,
+//!   at the accelerator boundary;
 //! * **reporting**: per-layer [`PassStats`] roll up into an
 //!   [`InferenceReport`].
 //!
@@ -22,17 +26,15 @@
 //! orchestration, multi-instance scale-out) lives in [`crate::exec`].
 
 use crate::config::AccelConfig;
-use crate::exec::pipeline::{fm_to_tensor_into, slot_addr, DDR_FM_PAD, DDR_FM_STRIDE};
+use crate::exec::pipeline::{self, slot_addr, DDR_FM_PAD, DDR_FM_STRIDE};
 use crate::exec::{self, PassCtx};
 use crate::isa::PoolPadOp;
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
-use zskip_nn::eltwise::{add_quant_phase1, add_quant_phase2, global_avgpool_quant_into};
-use zskip_nn::fc::fc_quant_into;
-use zskip_nn::simd::KernelTier;
 use zskip_nn::layer::LayerSpec;
-use zskip_nn::model::QuantizedNetwork;
+use zskip_nn::model::{AccelStep, QuantizedNetwork};
 use zskip_nn::scratch::Scratch;
+use zskip_nn::simd::KernelTier;
 use zskip_quant::Sm8;
 use zskip_sim::SimError;
 use zskip_soc::dma::DmaError;
@@ -65,11 +67,6 @@ pub struct Driver {
     /// SIMD kernel tier this session's forward passes run with (resolved
     /// — always host-supported). See [`DriverBuilder::kernel`].
     pub kernel_tier: KernelTier,
-    /// Event-scheduler park hysteresis for the cycle backend (`None` =
-    /// the engine default). Simulator wall-time only; simulated cycle
-    /// counts are bit-identical for every value. See
-    /// [`DriverBuilder::park_hysteresis`].
-    pub park_hysteresis: Option<u32>,
     /// Fault plan threaded into the SoC models and the cycle backend.
     fault_plan: Option<SharedFaultPlan>,
 }
@@ -178,7 +175,6 @@ pub struct DriverBuilder {
     threads: usize,
     instances: Option<usize>,
     kernel: Option<KernelTier>,
-    park_hysteresis: Option<u32>,
     fault_plan: Option<SharedFaultPlan>,
 }
 
@@ -195,7 +191,6 @@ impl DriverBuilder {
             threads: 1,
             instances: None,
             kernel: None,
-            park_hysteresis: None,
             fault_plan: None,
         }
     }
@@ -258,16 +253,6 @@ impl DriverBuilder {
         self
     }
 
-    /// Park hysteresis for the cycle backend's event scheduler: blocked
-    /// kernels park after this many consecutive quiescent ticks (see
-    /// [`zskip_sim::EngineBuilder::park_hysteresis`]). Affects simulator
-    /// wall time only — simulated cycle counts and results are
-    /// bit-identical for every value. Other backends ignore it.
-    pub fn park_hysteresis(mut self, ticks: u32) -> DriverBuilder {
-        self.park_hysteresis = Some(ticks);
-        self
-    }
-
     /// Attaches a fault plan: the driver threads it into the DMA engine
     /// and (on the cycle backend) the simulation engine, so `dma:*` and
     /// `fifo:*` injections fire during [`Driver::run_network`].
@@ -323,11 +308,6 @@ impl DriverBuilder {
                 "stats-only mode requires the model backend".into(),
             ));
         }
-        if self.park_hysteresis == Some(0) {
-            return Err(DriverError::InvalidConfig(
-                "park_hysteresis must be nonzero (1 parks on the first blocked tick)".into(),
-            ));
-        }
         Ok(Driver {
             config: self.config,
             backend: self.backend,
@@ -344,7 +324,6 @@ impl DriverBuilder {
                 Some(_) => KernelTier::best_supported(),
                 None => zskip_nn::dispatch(),
             },
-            park_hysteresis: self.park_hysteresis,
             fault_plan: self.fault_plan,
         })
     }
@@ -377,11 +356,17 @@ impl Driver {
         self.run_network_scratch(qnet, input, &mut scratch)
     }
 
-    /// [`Driver::run_network`] reusing a caller-owned [`Scratch`] for the
-    /// host-side buffers (input quantization, FC ping-pong) and — on the
-    /// CPU backend — the per-pass compute buffers. The batch engine keeps
-    /// one arena per worker thread so streaming inference stops
-    /// re-allocating those buffers per image.
+    /// [`Driver::run_network`] on a caller-owned [`Scratch`]: the arena's
+    /// dense plan slots hold the network's activations and its kernel
+    /// buffers serve the CPU backend's passes. The batch engine keeps one
+    /// arena per worker thread so streaming inference stops re-allocating
+    /// those buffers per image.
+    ///
+    /// The walk is [`QuantizedNetwork::run_plan`] — the golden model's —
+    /// with every `Conv` / `MaxPool` step issued to the simulated SoC
+    /// instead of the `zskip-nn` kernels; FC layers, residual joins and
+    /// global average pooling run on the host (the paper's ARM) inside
+    /// the walk and cost no accelerator cycles.
     ///
     /// # Errors
     /// Same as [`Driver::run_network`].
@@ -397,11 +382,7 @@ impl Driver {
         // the session's kernel tier on the arena.
         scratch.set_threads(self.threads);
         scratch.set_tier(self.kernel_tier);
-        let shapes =
-            qnet.spec.shapes().map_err(|e| DriverError::InvalidNetwork(e.to_string()))?;
-        // The execution plan (topological order, activation liveness,
-        // slot assignment) is shared with the software golden model; the
-        // driver maps each slot to a fixed DDR feature-map region, so a
+        // Each plan slot maps to a fixed DDR feature-map region, so a
         // skip-branch activation stays resident across the branch body.
         let plan = &qnet.plan;
         if plan.slots.max(1) * DDR_FM_STRIDE > DDR_FM_PAD {
@@ -411,239 +392,94 @@ impl Driver {
                 DDR_FM_PAD / DDR_FM_STRIDE
             )));
         }
-        // Host-side mirror of each slot's resident activation (`None` =
-        // slot free). The plan's liveness pass decides when an entry is
-        // dropped; the input always starts in slot 0.
-        let mut slot_fms: Vec<Option<TiledFeatureMap<Sm8>>> =
-            (0..plan.slots.max(1)).map(|_| None).collect();
-        {
-            let (act_q, _, _) = scratch.host_buffers();
-            input.map_into(act_q, |v| qnet.input_params.quantize(v));
-            slot_fms[0] = Some(TiledFeatureMap::from_tensor(act_q));
-        }
-        let mut layers = Vec::new();
-        let mut conv_i = 0;
-        let mut fc_i = 0;
-        // Which FC ping-pong buffer holds the newest activations.
-        let mut flat: Option<bool> = None;
-
-        for step in &plan.steps {
-            let li = step.layer;
-            let layer = &qnet.spec.layers[li];
-            match layer {
-                LayerSpec::Conv { name, stride, pad, k, .. } => {
-                    if *stride != 1 {
-                        return Err(DriverError::Unsupported {
-                            layer: name.clone(),
-                            reason: format!("conv stride {stride}; the datapath is stride-1 (VGG-style)"),
-                        });
-                    }
-                    if *k > zskip_tensor::TILE_DIM {
-                        return Err(DriverError::Unsupported {
-                            layer: name.clone(),
-                            reason: format!("kernel {k}x{k} exceeds the 4x4 weight tile"),
-                        });
-                    }
-                    let src_slot = step.src.expect("conv reads a slot");
-                    let dst_slot = step.dst.expect("conv writes a slot");
-                    let qw = &qnet.conv[conv_i].weights;
-                    let mut stats = PassStats::default();
-                    let src_fm = slot_fms[src_slot].as_ref().expect("producer already ran");
-                    let mut src_addr = slot_addr(src_slot);
-                    // Explicit pad pass (hardware pad instruction); the
-                    // padded intermediate lives in the DDR pad region,
-                    // never in a plan slot.
-                    let padded;
-                    let src_fm = if *pad > 0 {
-                        let s = src_fm.logical_shape();
-                        let (p, pad_stats) = exec::poolpad_pass(
-                            &mut PassCtx {
-                                driver: self,
-                                soc: &mut soc,
-                                scratch: &mut *scratch,
-                                src_addr,
-                                dst_addr: DDR_FM_PAD,
-                            },
-                            &format!("{name}/pad"),
-                            src_fm,
-                            PoolPadOp::Pad { amount: *pad as u8 },
-                            Shape::new(s.c, s.h + 2 * pad, s.w + 2 * pad),
-                        )?;
-                        stats.merge(&pad_stats);
-                        src_addr = DDR_FM_PAD;
-                        padded = p;
-                        &padded
-                    } else {
-                        src_fm
-                    };
-                    let (out, conv_stats) = exec::conv_pass(
-                        &mut PassCtx {
-                            driver: self,
-                            soc: &mut soc,
-                            scratch: &mut *scratch,
-                            src_addr,
-                            dst_addr: slot_addr(dst_slot),
-                        },
-                        name,
-                        src_fm,
-                        qw,
-                        shapes[li + 1],
-                    )?;
-                    stats.merge(&conv_stats);
-                    layers.push(LayerReport {
-                        name: name.clone(),
-                        is_conv: true,
-                        dense_macs: layer.macs(shapes[li]),
-                        stats,
-                    });
-                    slot_fms[dst_slot] = Some(out);
-                    conv_i += 1;
-                }
-                LayerSpec::MaxPool { name, k, stride } => {
-                    let src_slot = step.src.expect("pool reads a slot");
-                    let dst_slot = step.dst.expect("pool writes a slot");
-                    let src_fm = slot_fms[src_slot].as_ref().expect("producer already ran");
-                    let (out, stats) = exec::poolpad_pass(
-                        &mut PassCtx {
-                            driver: self,
-                            soc: &mut soc,
-                            scratch: &mut *scratch,
-                            src_addr: slot_addr(src_slot),
-                            dst_addr: slot_addr(dst_slot),
-                        },
-                        name,
-                        src_fm,
-                        PoolPadOp::MaxPool { k: *k as u8, stride: *stride as u8 },
-                        shapes[li + 1],
-                    )?;
-                    layers.push(LayerReport { name: name.clone(), is_conv: false, dense_macs: 0, stats });
-                    slot_fms[dst_slot] = Some(out);
-                }
-                // A Ref is a pure alias: its plan step re-emits the
-                // source slot, no data moves and no pass is issued.
-                LayerSpec::Ref { name, .. } => {
-                    layers.push(LayerReport {
-                        name: name.clone(),
-                        is_conv: false,
-                        dense_macs: 0,
-                        stats: PassStats::default(),
-                    });
-                }
-                LayerSpec::Add { name, relu, .. } => {
-                    // Host-side (ARM) residual join, like the FC layers:
-                    // both operands are rescaled to the output scale and
-                    // summed in i64 before the single saturation — the
-                    // exact order of the golden model's oracle.
-                    let (ra, rb) = qnet.add_requantizers(step);
-                    let dst_slot = step.dst.expect("add writes a slot");
-                    let a_fm = slot_fms[step.src.expect("add reads a slot")]
-                        .as_ref()
-                        .expect("producer already ran");
-                    let b_fm = slot_fms[step.operand.expect("add has an operand")]
-                        .as_ref()
-                        .expect("operand still resident");
-                    let (src_t, dst_t, acc, _) = scratch.pass_buffers();
-                    fm_to_tensor_into(a_fm, src_t);
-                    add_quant_phase1(src_t, ra, acc);
-                    fm_to_tensor_into(b_fm, src_t);
-                    add_quant_phase2(src_t, rb, *relu, acc, dst_t);
-                    let out = TiledFeatureMap::from_tensor(dst_t);
-                    layers.push(LayerReport {
-                        name: name.clone(),
-                        is_conv: false,
-                        dense_macs: 0,
-                        stats: PassStats::default(),
-                    });
-                    slot_fms[dst_slot] = Some(out);
-                }
-                LayerSpec::GlobalAvgPool { name } => {
-                    // Host-side: exact i64 channel sums, one requantize.
-                    let src_slot = step.src.expect("gap reads a slot");
-                    let dst_slot = step.dst.expect("gap writes a slot");
-                    let src_fm = slot_fms[src_slot].as_ref().expect("producer already ran");
-                    let s = src_fm.logical_shape();
-                    let r = qnet.gap_requantizer(step, s.h * s.w);
-                    let (src_t, dst_t, _, _) = scratch.pass_buffers();
-                    fm_to_tensor_into(src_fm, src_t);
-                    global_avgpool_quant_into(src_t, r, dst_t);
-                    let out = TiledFeatureMap::from_tensor(dst_t);
-                    layers.push(LayerReport {
-                        name: name.clone(),
-                        is_conv: false,
-                        dense_macs: 0,
-                        stats: PassStats::default(),
-                    });
-                    slot_fms[dst_slot] = Some(out);
-                }
-                LayerSpec::BatchNorm { .. } => {
-                    unreachable!("quantization folds batch-norm into the preceding conv")
-                }
-                LayerSpec::Fc { name, .. } => {
-                    // Host-side (ARM) execution, as in the paper; the arena's
-                    // FC buffers alternate so nothing is copied or allocated.
-                    if flat.is_none() {
-                        // Entering the flat head: densify the last
-                        // feature map out of its slot.
-                        let src_fm = slot_fms[step.src.expect("first fc reads a slot")]
-                            .as_ref()
-                            .expect("producer already ran");
-                        let (act_q, _, _) = scratch.host_buffers();
-                        fm_to_tensor_into(src_fm, act_q);
-                    }
-                    let (act_q, flat_a, flat_b) = scratch.host_buffers();
-                    flat = Some(match flat {
-                        None => {
-                            fc_quant_into(act_q.as_slice(), &qnet.fc[fc_i], flat_a);
-                            false
-                        }
-                        Some(false) => {
-                            fc_quant_into(flat_a, &qnet.fc[fc_i], flat_b);
-                            true
-                        }
-                        Some(true) => {
-                            fc_quant_into(flat_b, &qnet.fc[fc_i], flat_a);
-                            false
-                        }
-                    });
-                    fc_i += 1;
-                    layers.push(LayerReport {
-                        name: name.clone(),
-                        is_conv: false,
-                        dense_macs: layer.macs(shapes[li]),
-                        stats: PassStats::default(),
-                    });
-                }
-                LayerSpec::Softmax => {
-                    // Monotone; host applies it for probabilities, argmax
-                    // unchanged on logits.
-                }
-            }
-            // The liveness pass retires slots whose activations have no
-            // further consumer: their DDR regions (and host mirrors) are
-            // free for reuse from the next step on.
-            for &f in &step.frees {
-                slot_fms[f] = None;
-            }
-        }
-
-        let output = match flat {
-            None => {
-                let fm = slot_fms[plan.output_slot.unwrap_or(0)]
-                    .as_ref()
-                    .expect("final activation stays resident");
-                let (act_q, _, _) = scratch.host_buffers();
-                fm_to_tensor_into(fm, act_q);
-                act_q.as_slice().to_vec()
-            }
-            Some(false) => scratch.host_buffers().1.clone(),
-            Some(true) => scratch.host_buffers().2.clone(),
-        };
+        let mut passes = Vec::with_capacity(plan.steps.len());
+        let output = qnet
+            .run_plan(input, scratch, |step| self.accel_step(&mut soc, step).map(|report| passes.push(report)))?
+            .to_vec();
+        // One report per plan step, in plan order: the accelerator's as
+        // measured, host steps with zero statistics. Softmax is monotone
+        // (argmax unchanged on logits) and reports nothing.
+        let mut passes = passes.into_iter();
+        let mut layers = Vec::with_capacity(plan.steps.len());
+        layers.extend(plan.steps.iter().filter_map(|step| match &qnet.spec.layers[step.layer] {
+            LayerSpec::Softmax => None,
+            layer if layer.on_accelerator() => passes.next(),
+            layer => Some(LayerReport {
+                name: layer.name().to_string(),
+                is_conv: false,
+                // Of the host layers only FC multiplies, and its count
+                // does not depend on the input shape.
+                dense_macs: layer.macs(qnet.spec.input),
+                stats: PassStats::default(),
+            }),
+        }));
         let total_cycles = layers.iter().map(|l| l.stats.total_cycles).sum();
         Ok(InferenceReport { layers, output, total_cycles, ddr_bytes: soc.ddr_bytes() })
     }
 
+    /// One `Conv` / `MaxPool` plan step on the simulated SoC: geometry
+    /// checks, the explicit pad pass, then the layer's own pass on this
+    /// driver's backend, slot `src_slot`'s DDR region to `dst_slot`'s.
+    fn accel_step(&self, soc: &mut SocHandle, step: AccelStep<'_>) -> Result<LayerReport, DriverError> {
+        let AccelStep { layer, weights, src_slot, dst_slot, src, dst, padded, kernel } = step;
+        let in_shape = src.shape();
+        let out_shape =
+            layer.output_shape(in_shape).map_err(|e| DriverError::InvalidNetwork(e.to_string()))?;
+        let mut ctx =
+            PassCtx { driver: self, soc, kernel, src_addr: slot_addr(src_slot), dst_addr: slot_addr(dst_slot) };
+        let stats = match (layer, weights) {
+            (LayerSpec::Conv { name, stride, pad, k, .. }, Some(qw)) => {
+                if *stride != 1 {
+                    return Err(DriverError::Unsupported {
+                        layer: name.clone(),
+                        reason: format!("conv stride {stride}; the datapath is stride-1 (VGG-style)"),
+                    });
+                }
+                if *k > zskip_tensor::TILE_DIM {
+                    return Err(DriverError::Unsupported {
+                        layer: name.clone(),
+                        reason: format!("kernel {k}x{k} exceeds the 4x4 weight tile"),
+                    });
+                }
+                let mut stats = PassStats::default();
+                let mut src = src;
+                // Explicit pad pass (hardware pad instruction); the
+                // padded intermediate lives in the DDR pad region,
+                // never in a plan slot.
+                if *pad > 0 {
+                    ctx.dst_addr = DDR_FM_PAD;
+                    stats.merge(&exec::poolpad_pass(
+                        &mut ctx,
+                        &format!("{name}/pad"),
+                        src,
+                        PoolPadOp::Pad { amount: *pad as u8 },
+                        Shape::new(in_shape.c, in_shape.h + 2 * pad, in_shape.w + 2 * pad),
+                        padded,
+                    )?);
+                    (ctx.src_addr, ctx.dst_addr) = (DDR_FM_PAD, slot_addr(dst_slot));
+                    src = padded;
+                }
+                stats.merge(&exec::conv_pass(&mut ctx, name, src, qw, out_shape, dst)?);
+                stats
+            }
+            (LayerSpec::MaxPool { name, k, stride }, _) => {
+                let op = PoolPadOp::MaxPool { k: *k as u8, stride: *stride as u8 };
+                exec::poolpad_pass(&mut ctx, name, src, op, out_shape, dst)?
+            }
+            _ => unreachable!("run_plan hands over conv and pool steps only"),
+        };
+        Ok(LayerReport {
+            name: layer.name().to_string(),
+            is_conv: weights.is_some(),
+            dense_macs: layer.macs(in_shape),
+            stats,
+        })
+    }
+
     /// Single-layer conv entry point for benches/ablations, on this
-    /// driver's backend.
+    /// driver's backend: tiled in, tiled out. The model and cycle
+    /// backends run the staged pass alone (no layout conversion); the
+    /// cpu backend computes dense, as in a network run.
     ///
     /// # Errors
     /// See [`Driver::run_network`].
@@ -657,23 +493,15 @@ impl Driver {
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
         let mut scratch = Scratch::with_tier(self.kernel_tier);
         scratch.set_threads(self.threads);
-        exec::conv_pass(
-            &mut PassCtx {
-                driver: self,
-                soc,
-                scratch: &mut scratch,
-                src_addr: slot_addr(0),
-                dst_addr: slot_addr(1),
-            },
-            name,
-            input,
-            qw,
-            out_shape,
-        )
+        let mut ctx = self.single_pass_ctx(soc, &mut scratch);
+        match exec::staged_exec(self) {
+            Some(exec) => pipeline::conv_pass(&mut ctx, exec, name, input, qw, out_shape),
+            None => exec::on_host(input, |src, dst| exec::conv_pass(&mut ctx, name, src, qw, out_shape, dst)),
+        }
     }
 
     /// Single-layer pool/pad entry point for benches/ablations, on this
-    /// driver's backend.
+    /// driver's backend (see [`Driver::conv_pass`]).
     ///
     /// # Errors
     /// See [`Driver::run_network`].
@@ -686,19 +514,16 @@ impl Driver {
         soc: &mut SocHandle,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
         let mut scratch = Scratch::with_tier(self.kernel_tier);
-        exec::poolpad_pass(
-            &mut PassCtx {
-                driver: self,
-                soc,
-                scratch: &mut scratch,
-                src_addr: slot_addr(0),
-                dst_addr: slot_addr(1),
-            },
-            name,
-            input,
-            op,
-            out_shape,
-        )
+        let mut ctx = self.single_pass_ctx(soc, &mut scratch);
+        match exec::staged_exec(self) {
+            Some(exec) => pipeline::poolpad_pass(&mut ctx, exec, name, input, op, out_shape),
+            None => exec::on_host(input, |src, dst| exec::poolpad_pass(&mut ctx, name, src, op, out_shape, dst)),
+        }
+    }
+
+    /// The context of a single-layer pass: slot 0's DDR region to slot 1's.
+    fn single_pass_ctx<'a>(&'a self, soc: &'a mut SocHandle, scratch: &'a mut Scratch) -> PassCtx<'a> {
+        PassCtx { driver: self, soc, kernel: scratch.kernel_buffers(), src_addr: slot_addr(0), dst_addr: slot_addr(1) }
     }
 }
 

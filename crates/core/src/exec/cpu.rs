@@ -2,7 +2,8 @@
 //!
 //! The fastest functional path: layer arithmetic runs through the
 //! `zskip-nn` SIMD `_into` kernels (tier-dispatched, allocation-free on
-//! a warmed [`Scratch`] arena), while cycle counts, activity counters
+//! a warmed [`Scratch`] arena) from one dense plan slot straight into
+//! another, while cycle counts, activity counters
 //! and DDR traffic come from running the shared staged pipeline with
 //! the closed-form model's arithmetic switched off — which is exact,
 //! because those statistics are value-independent.
@@ -15,7 +16,7 @@
 //! byte delta in a process-wide memo ([`stats_memo_stats`]); every later
 //! image replays the record, credits the bytes to the [`SocHandle`]'s
 //! counters and goes straight to the kernel. The steady state is kernels
-//! plus layout conversion only.
+//! only: the input is tiled just for a pass that is really issued.
 //!
 //! The memo is bypassed — the real pass runs for every image — whenever
 //! a fault plan is attached (the DMA descriptor sequence is where
@@ -33,7 +34,7 @@
 //! [`Scratch`]: zskip_nn::scratch::Scratch
 //! [`SocHandle`]: crate::exec::SocHandle
 
-use super::pipeline::{self, fm_to_tensor_into, Exec};
+use super::pipeline::{self, Exec};
 use super::PassCtx;
 use crate::driver::{Driver, DriverError};
 use crate::isa::PoolPadOp;
@@ -42,6 +43,7 @@ use std::sync::OnceLock;
 use zskip_nn::conv::{conv2d_quant_into, conv2d_quant_into_pool, QuantConvWeights};
 use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool_into};
 use zskip_nn::pool::maxpool_quant_into;
+use zskip_nn::scratch::KernelBuffers;
 use zskip_nn::simd::KernelTier;
 use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
 use zskip_quant::Sm8;
@@ -140,24 +142,19 @@ fn stats_pass(
 pub(crate) fn conv_pass(
     ctx: &mut PassCtx<'_>,
     name: &str,
-    input: &TiledFeatureMap<Sm8>,
+    src: &Tensor<Sm8>,
     qw: &QuantConvWeights,
     out_shape: Shape,
-) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    dst: &mut Tensor<Sm8>,
+) -> Result<PassStats, DriverError> {
     // Cycles, counters, DDR traffic and fault behaviour from the
     // staged pipeline (its uncomputed output tiles are discarded), or
     // from the record of an earlier execution of the same pass.
-    let key = pass_key(
-        ctx.driver,
-        Fingerprint::new().u64(0).u64(qw.fingerprint()),
-        input.logical_shape(),
-        out_shape,
-    );
+    let key = pass_key(ctx.driver, Fingerprint::new().u64(0).u64(qw.fingerprint()), src.shape(), out_shape);
     let stats = stats_pass(ctx, key, |ctx| {
-        pipeline::conv_pass(ctx, STATS, name, input, qw, out_shape).map(|(_, stats)| stats)
+        let input = TiledFeatureMap::from_tensor(src);
+        pipeline::conv_pass(ctx, STATS, name, &input, qw, out_shape).map(|(_, stats)| stats)
     })?;
-    let (src, dst, acc, gemm, tier, pool) = ctx.scratch.conv_buffers();
-    fm_to_tensor_into(input, src);
     // The pipeline input is pre-padded by the explicit pad pass and
     // stride-1 by the driver's geometry checks, so pad = 0 here
     // yields exactly `out_shape`. With a worker pool attached the
@@ -168,44 +165,42 @@ pub(crate) fn conv_pass(
     // scalar tier the packed direct conv wins, and keeping it there
     // also exercises the accelerator-analogue kernel end-to-end under
     // `ZSKIP_KERNEL=scalar`. All variants are bit-identical
-    // (cross-kernel property suite, `tests/kernel_tiers.rs`) and
-    // write into the arena's `dst`.
-    match (tier == KernelTier::Scalar, pool) {
-        (true, Some(p)) => conv2d_quant_into_pool(src, qw, 1, 0, tier, p, acc, dst),
-        (true, None) => conv2d_quant_into(src, qw, 1, 0, tier, acc, dst),
-        (false, Some(p)) => conv2d_gemm_quant_pool_into(src, qw, 1, 0, tier, p, gemm, dst),
-        (false, None) => conv2d_gemm_quant_into(src, qw, 1, 0, tier, gemm, dst),
+    // (cross-kernel property suite, `tests/kernel_tiers.rs`).
+    let KernelBuffers { acc, gemm, tier, pool } = &mut ctx.kernel;
+    match (*tier == KernelTier::Scalar, *pool) {
+        (true, Some(p)) => conv2d_quant_into_pool(src, qw, 1, 0, *tier, p, acc, dst),
+        (true, None) => conv2d_quant_into(src, qw, 1, 0, *tier, acc, dst),
+        (false, Some(p)) => conv2d_gemm_quant_pool_into(src, qw, 1, 0, *tier, p, gemm, dst),
+        (false, None) => conv2d_gemm_quant_into(src, qw, 1, 0, *tier, gemm, dst),
     }
     debug_assert_eq!(dst.shape(), out_shape);
-    Ok((TiledFeatureMap::from_tensor(dst), stats))
+    Ok(stats)
 }
 
 /// [`crate::exec::poolpad_pass`] on the host-SIMD backend.
 pub(crate) fn poolpad_pass(
     ctx: &mut PassCtx<'_>,
     name: &str,
-    input: &TiledFeatureMap<Sm8>,
+    src: &Tensor<Sm8>,
     op: PoolPadOp,
     out_shape: Shape,
-) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    dst: &mut Tensor<Sm8>,
+) -> Result<PassStats, DriverError> {
     let kind = match op {
         PoolPadOp::MaxPool { k, stride } => Fingerprint::new().u64(1).u64(u64::from(k)).u64(u64::from(stride)),
         PoolPadOp::Pad { amount } => Fingerprint::new().u64(2).u64(u64::from(amount)),
     };
-    let key = pass_key(ctx.driver, kind, input.logical_shape(), out_shape);
+    let key = pass_key(ctx.driver, kind, src.shape(), out_shape);
     let stats = stats_pass(ctx, key, |ctx| {
-        pipeline::poolpad_pass(ctx, STATS, name, input, op, out_shape).map(|(_, stats)| stats)
+        let input = TiledFeatureMap::from_tensor(src);
+        pipeline::poolpad_pass(ctx, STATS, name, &input, op, out_shape).map(|(_, stats)| stats)
     })?;
-    let (src, dst, _, _) = ctx.scratch.pass_buffers();
-    fm_to_tensor_into(input, src);
     match op {
-        PoolPadOp::MaxPool { k, stride } => {
-            maxpool_quant_into(src, k as usize, stride as usize, dst);
-        }
+        PoolPadOp::MaxPool { k, stride } => maxpool_quant_into(src, k as usize, stride as usize, dst),
         PoolPadOp::Pad { amount } => pad_into(src, amount as usize, dst),
     }
     debug_assert_eq!(dst.shape(), out_shape);
-    Ok((TiledFeatureMap::from_tensor(dst), stats))
+    Ok(stats)
 }
 
 /// Zero-pads `src` by `pad` on each spatial side into `dst`, reusing the
@@ -230,27 +225,6 @@ mod tests {
 
     fn ramp(c: usize, h: usize, w: usize) -> Tensor<Sm8> {
         Tensor::from_fn(c, h, w, |c, y, x| Sm8::from_i32_saturating((c * 17 + y * 5 + x) as i32 - 30))
-    }
-
-    #[test]
-    fn fm_round_trip_preserves_logical_extent() {
-        let t = Tensor::from_fn(3, 7, 5, |c, y, x| Sm8::from_i32_saturating((c * 17 + y * 5 + x) as i32 - 30));
-        let fm = TiledFeatureMap::from_tensor(&t);
-        let mut back = Tensor::zeros(1, 1, 1);
-        fm_to_tensor_into(&fm, &mut back);
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn fm_round_trip_at_every_edge_remainder() {
-        // Width and height remainders 0..=3 against the 4-wide tile, on a
-        // dirty destination (a warmed arena holds the previous layer).
-        let mut back = ramp(2, 9, 9);
-        for (h, w) in [(1, 1), (4, 8), (5, 6), (6, 5), (7, 11), (10, 3), (13, 9)] {
-            let t = ramp(3, h, w);
-            fm_to_tensor_into(&TiledFeatureMap::from_tensor(&t), &mut back);
-            assert_eq!(back, t, "{h}x{w}");
-        }
     }
 
     #[test]

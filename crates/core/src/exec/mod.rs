@@ -1,6 +1,7 @@
 //! Execution backends behind the driver: the staged stripe pipeline and
 //! the [`conv_pass`] / [`poolpad_pass`] dispatch onto its interchangeable
-//! targets.
+//! targets. Both take and fill **dense** activations (the arena's plan
+//! slots); a feature map is tiled only where a staged pass is issued.
 //!
 //! The paper's accelerator stack is multi-backend in spirit — the same
 //! per-layer instructions drive a transaction-level model, a cycle-exact
@@ -22,10 +23,10 @@
 //!   ([`crate::cycle`]; slow; for validation, and the only backend where
 //!   `fifo:*` fault injections have a meaning);
 //! * `cpu` — [`BackendKind::Cpu`]: functional results from the
-//!   `zskip-nn` SIMD `_into` kernels on a per-session [`Scratch`] arena,
-//!   cycles estimated by the closed-form model — once per (pass, config),
-//!   then replayed from a process-wide memo (the fastest functional
-//!   path).
+//!   `zskip-nn` SIMD `_into` kernels, dense slot to dense slot on the
+//!   per-session `Scratch` arena, cycles estimated by the closed-form
+//!   model — once per (pass, config), then replayed from a process-wide
+//!   memo (the fastest functional path).
 //!
 //! All backends are bit-identical in output and DMA-fault behaviour, and
 //! Model/Cpu are cycle-identical — see `tests/backend_equivalence.rs`
@@ -42,11 +43,11 @@ pub use pipeline::{fm_to_bytes, SocHandle};
 use crate::driver::{Driver, DriverError};
 use crate::isa::PoolPadOp;
 use crate::report::PassStats;
-use pipeline::Exec;
+use pipeline::{fm_to_tensor_into, Exec};
 use zskip_nn::conv::QuantConvWeights;
-use zskip_nn::scratch::Scratch;
+use zskip_nn::scratch::KernelBuffers;
 use zskip_quant::Sm8;
-use zskip_tensor::{Shape, TiledFeatureMap};
+use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
 
 /// Which execution backend computes each stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,14 +96,14 @@ impl std::str::FromStr for BackendKind {
 
 /// Per-pass execution context [`conv_pass`] / [`poolpad_pass`] run against: the
 /// driver configuration, the SoC models (DDR + DMA) shared across the
-/// layers of one inference, and the session's scratch arena.
+/// layers of one inference, and the arena's kernel working set.
 pub struct PassCtx<'a> {
     /// The driver (configuration, flags, fault plan).
     pub driver: &'a Driver,
     /// SoC context: DDR staging + DMA engine, shared across passes.
     pub soc: &'a mut SocHandle,
-    /// Per-session scratch arena (CPU-backend compute buffers).
-    pub scratch: &'a mut Scratch,
+    /// The session arena's kernel buffers (CPU-backend compute).
+    pub kernel: KernelBuffers<'a>,
     /// DDR address of the region the pass's input feature map is staged
     /// in — the producing plan slot's region during a network run
     /// ([`pipeline::slot_addr`]).
@@ -112,15 +113,53 @@ pub struct PassCtx<'a> {
     pub dst_addr: usize,
 }
 
-/// Runs one convolution pass (input already padded; stride 1) on the
-/// driver's backend — the one place a pass is routed to its executor.
+/// The instruction executor the driver's backend issues a staged pass to —
+/// `None` on the cpu backend, whose arithmetic runs in host kernels. The
+/// one place a pass is routed to its executor.
+pub(crate) fn staged_exec(driver: &Driver) -> Option<Exec> {
+    match driver.backend {
+        BackendKind::Model => Some(Exec::Model { functional: driver.functional }),
+        BackendKind::Cycle => Some(Exec::Cycle),
+        BackendKind::Cpu => None,
+    }
+}
+
+/// The accelerator boundary of a staged pass, the paper's host
+/// pre-processing ("reordering of data into tiled format", §IV-C): tiles
+/// the dense `src`, runs `pass` on it and densifies its output into `dst`.
+fn staged(
+    src: &Tensor<Sm8>,
+    dst: &mut Tensor<Sm8>,
+    pass: impl FnOnce(&TiledFeatureMap<Sm8>) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError>,
+) -> Result<PassStats, DriverError> {
+    let (out, stats) = pass(&TiledFeatureMap::from_tensor(src))?;
+    fm_to_tensor_into(&out, dst);
+    Ok(stats)
+}
+
+/// The same boundary crossed the other way, for the driver's tiled
+/// single-layer entry points on the cpu backend: densifies `input`, runs
+/// the dense `pass` and tiles what it produced.
+pub(crate) fn on_host(
+    input: &TiledFeatureMap<Sm8>,
+    pass: impl FnOnce(&Tensor<Sm8>, &mut Tensor<Sm8>) -> Result<PassStats, DriverError>,
+) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    let (mut src, mut dst) = (Tensor::zeros(1, 1, 1), Tensor::zeros(1, 1, 1));
+    fm_to_tensor_into(input, &mut src);
+    let stats = pass(&src, &mut dst)?;
+    Ok((TiledFeatureMap::from_tensor(&dst), stats))
+}
+
+/// Runs one convolution pass (`src` already padded; stride 1) on the
+/// driver's backend, from one dense activation into another.
 ///
-/// Whatever the backend, every arm keeps three promises:
+/// The host keeps activations dense (the arena's plan slots); tiling
+/// happens here, at the accelerator boundary, and only where a staged
+/// pass is really issued. Whatever the backend, every arm keeps three
+/// promises:
 ///
-/// * **Bit-identical outputs.** The returned feature map equals the
-///   golden software reference (`QuantizedNetwork::forward_quant`)
-///   exactly, including the zeroed round-up region beyond the logical
-///   extent.
+/// * **Bit-identical outputs.** `dst` equals the golden software
+///   reference (`QuantizedNetwork::forward_quant`) exactly.
 /// * **Shared pipeline.** Stripe planning, DDR staging and DMA issue go
 ///   through [`pipeline`] so DMA traffic and injected `dma:*` faults
 ///   behave identically across backends (fault detection is
@@ -140,39 +179,33 @@ pub struct PassCtx<'a> {
 pub fn conv_pass(
     ctx: &mut PassCtx<'_>,
     name: &str,
-    input: &TiledFeatureMap<Sm8>,
+    src: &Tensor<Sm8>,
     qw: &QuantConvWeights,
     out_shape: Shape,
-) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    match ctx.driver.backend {
-        BackendKind::Model => {
-            let exec = Exec::Model { functional: ctx.driver.functional };
-            pipeline::conv_pass(ctx, exec, name, input, qw, out_shape)
-        }
-        BackendKind::Cycle => pipeline::conv_pass(ctx, Exec::Cycle, name, input, qw, out_shape),
-        BackendKind::Cpu => cpu::conv_pass(ctx, name, input, qw, out_shape),
+    dst: &mut Tensor<Sm8>,
+) -> Result<PassStats, DriverError> {
+    match staged_exec(ctx.driver) {
+        Some(exec) => staged(src, dst, |fm| pipeline::conv_pass(ctx, exec, name, fm, qw, out_shape)),
+        None => cpu::conv_pass(ctx, name, src, qw, out_shape, dst),
     }
 }
 
 /// Runs one pad or max-pool pass on the driver's backend, under the same
-/// three promises as [`conv_pass`].
+/// contract as [`conv_pass`].
 ///
 /// # Errors
 /// See [`Driver::run_network`](crate::driver::Driver::run_network).
 pub fn poolpad_pass(
     ctx: &mut PassCtx<'_>,
     name: &str,
-    input: &TiledFeatureMap<Sm8>,
+    src: &Tensor<Sm8>,
     op: PoolPadOp,
     out_shape: Shape,
-) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    match ctx.driver.backend {
-        BackendKind::Model => {
-            let exec = Exec::Model { functional: ctx.driver.functional };
-            pipeline::poolpad_pass(ctx, exec, name, input, op, out_shape)
-        }
-        BackendKind::Cycle => pipeline::poolpad_pass(ctx, Exec::Cycle, name, input, op, out_shape),
-        BackendKind::Cpu => cpu::poolpad_pass(ctx, name, input, op, out_shape),
+    dst: &mut Tensor<Sm8>,
+) -> Result<PassStats, DriverError> {
+    match staged_exec(ctx.driver) {
+        Some(exec) => staged(src, dst, |fm| pipeline::poolpad_pass(ctx, exec, name, fm, op, out_shape)),
+        None => cpu::poolpad_pass(ctx, name, src, op, out_shape, dst),
     }
 }
 

@@ -153,7 +153,8 @@ pub fn fm_to_bytes(fm: &TiledFeatureMap<Sm8>) -> Vec<u8> {
 
 /// Densifies a tiled FM into `out` at its logical extent, reusing the
 /// allocation (the inverse of [`TiledFeatureMap::from_tensor`], which
-/// re-zeroes the round-up region on the way back).
+/// re-zeroes the round-up region on the way back): the readback half of
+/// the accelerator boundary in [`crate::exec::conv_pass`].
 pub(crate) fn fm_to_tensor_into(fm: &TiledFeatureMap<Sm8>, out: &mut Tensor<Sm8>) {
     let s = fm.logical_shape();
     out.reset(s.c, s.h, s.w);
@@ -288,11 +289,7 @@ impl Exec {
                 Ok((outcome.cycles, banks))
             }
             Exec::Cycle => {
-                let opts = cycle::RunOptions {
-                    fault_plan: driver.fault_plan().cloned(),
-                    park_hysteresis: driver.park_hysteresis,
-                    ..Default::default()
-                };
+                let opts = cycle::RunOptions { fault_plan: driver.fault_plan().cloned(), ..Default::default() };
                 let feed = cycle::Feed::Preloaded(instrs.to_vec());
                 let outcome = cycle::run(&driver.config, banks, scratchpad, feed, &opts).map_err(DriverError::Sim)?;
                 counters.merge(&outcome.counters);
@@ -607,4 +604,34 @@ fn unpermute_channels(fm: &TiledFeatureMap<Sm8>, order: &[usize]) -> TiledFeatur
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ramp(c: usize, h: usize, w: usize) -> Tensor<Sm8> {
+        Tensor::from_fn(c, h, w, |c, y, x| Sm8::from_i32_saturating((c * 17 + y * 5 + x) as i32 - 30))
+    }
+
+    #[test]
+    fn fm_round_trip_preserves_logical_extent() {
+        let t = ramp(3, 7, 5);
+        let fm = TiledFeatureMap::from_tensor(&t);
+        let mut back = Tensor::zeros(1, 1, 1);
+        fm_to_tensor_into(&fm, &mut back);
+        assert_eq!(back, t);
+    }
+
+    #[test]
+    fn fm_round_trip_at_every_edge_remainder() {
+        // Width and height remainders 0..=3 against the 4-wide tile, on a
+        // dirty destination (a warmed arena holds the previous layer).
+        let mut back = ramp(2, 9, 9);
+        for (h, w) in [(1, 1), (4, 8), (5, 6), (6, 5), (7, 11), (10, 3), (13, 9)] {
+            let t = ramp(3, h, w);
+            fm_to_tensor_into(&TiledFeatureMap::from_tensor(&t), &mut back);
+            assert_eq!(back, t, "{h}x{w}");
+        }
+    }
 }

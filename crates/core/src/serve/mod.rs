@@ -29,6 +29,7 @@
 //! The wire protocol (newline-delimited JSON over stdio or TCP) is a
 //! thin layer over this engine; see [`wire`] and `docs/SERVING.md`.
 
+mod histogram;
 pub mod wire;
 
 use std::collections::VecDeque;
@@ -42,6 +43,7 @@ use std::time::Instant;
 use crate::driver::InferenceReport;
 use crate::error::Error;
 use crate::session::{BatchConfig, Session};
+use histogram::LogHistogram;
 use zskip_nn::model::QuantizedNetwork;
 use zskip_tensor::Tensor;
 
@@ -131,29 +133,23 @@ pub struct ServeStats {
     pub batches: u64,
     /// Largest batch coalesced so far.
     pub max_batch_seen: usize,
-    /// Total request latencies (queue + batch wall), one per completion.
-    latencies_us: Vec<u64>,
+    /// Total request latencies (queue + batch wall) in microseconds,
+    /// one sample per completion: a fixed-size log histogram, so a
+    /// daemon's 10^7-th request costs the memory of its 10th.
+    latencies_us: LogHistogram,
 }
 
 impl ServeStats {
-    fn percentile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-
-    /// Median total request latency in microseconds.
+    /// Median total request latency in microseconds, read off the
+    /// histogram: within 6.25 % of the exact order statistic.
     pub fn p50_us(&self) -> u64 {
-        self.percentile_us(0.50)
+        self.latencies_us.percentile(0.50)
     }
 
-    /// 99th-percentile total request latency in microseconds.
+    /// 99th-percentile total request latency in microseconds (same
+    /// resolution as [`ServeStats::p50_us`]).
     pub fn p99_us(&self) -> u64 {
-        self.percentile_us(0.99)
+        self.latencies_us.percentile(0.99)
     }
 
     /// Completions recorded (successes plus failures).
@@ -176,8 +172,13 @@ impl ServeStats {
 pub type Completion = Box<dyn FnOnce(ServeReply) + Send + 'static>;
 
 struct Pending {
-    id: String,
     input: Tensor<f32>,
+    ticket: Ticket,
+}
+
+/// What outlives a request's input once its batch is dispatched.
+struct Ticket {
+    id: String,
     enqueued: Instant,
     complete: Completion,
 }
@@ -234,12 +235,8 @@ impl ServeHandle {
             self.shared.stats.lock().unwrap().rejected += 1;
             return Err(ServeError::Overloaded { depth: self.shared.config.queue_depth }.into());
         }
-        q.pending.push_back(Pending {
-            id: id.into(),
-            input,
-            enqueued: Instant::now(),
-            complete,
-        });
+        let ticket = Ticket { id: id.into(), enqueued: Instant::now(), complete };
+        q.pending.push_back(Pending { input, ticket });
         drop(q);
         self.shared.bell.notify_all();
         Ok(())
@@ -350,7 +347,8 @@ impl Drop for ServeEngine {
 fn batcher_loop(shared: &Shared, session: &Session, qnet: &QuantizedNetwork) {
     let config = shared.config;
     loop {
-        let batch: Vec<Pending> = {
+        // Each request's input moves into the batch; its ticket waits.
+        let (inputs, tickets): (Vec<Tensor<f32>>, Vec<Ticket>) = {
             let mut q = shared.queue.lock().unwrap();
             // Sleep until there is work or a drain-and-exit request.
             loop {
@@ -381,29 +379,28 @@ fn batcher_loop(shared: &Shared, session: &Session, qnet: &QuantizedNetwork) {
                 }
             }
             let n = q.pending.len().min(config.max_batch);
-            q.pending.drain(..n).collect()
+            q.pending.drain(..n).map(|p| (p.input, p.ticket)).unzip()
         };
         let dispatched = Instant::now();
-        let inputs: Vec<Tensor<f32>> = batch.iter().map(|p| p.input.clone()).collect();
         let report = session.run_batch_resilient(qnet, &inputs);
         let batch_us = dispatched.elapsed().as_micros() as u64;
-        let batch_size = batch.len();
+        let batch_size = tickets.len();
         let mut replies = Vec::with_capacity(batch_size);
         {
             let mut stats = shared.stats.lock().unwrap();
             stats.batches += 1;
             stats.max_batch_seen = stats.max_batch_seen.max(batch_size);
-            for (pending, item) in batch.into_iter().zip(report.items) {
+            for (ticket, item) in tickets.into_iter().zip(report.items) {
                 let queue_us =
-                    dispatched.saturating_duration_since(pending.enqueued).as_micros() as u64;
+                    dispatched.saturating_duration_since(ticket.enqueued).as_micros() as u64;
                 match &item.result {
                     Ok(_) => stats.served += 1,
                     Err(_) => stats.failed += 1,
                 }
                 let req = RequestStats { queue_us, batch_us, batch_size };
-                stats.latencies_us.push(req.total_us());
-                replies.push((pending.complete, ServeReply {
-                    id: pending.id,
+                stats.latencies_us.record(req.total_us());
+                replies.push((ticket.complete, ServeReply {
+                    id: ticket.id,
                     result: item.result.map_err(Error::from),
                     stats: req,
                 }));
@@ -470,6 +467,24 @@ mod tests {
         assert_eq!(stats.served, inputs.len() as u64);
         assert_eq!(stats.failed, 0);
         assert!(stats.p99_us() >= stats.p50_us());
+    }
+
+    #[test]
+    fn a_million_latencies_cost_the_memory_of_ten() {
+        // `Copy` data owns no heap memory, so the struct's size is all the
+        // memory it has. The pattern is exhaustive: a new field must
+        // answer here too.
+        fn plain_data<T: Copy>(_: &T) {}
+        let mut stats = ServeStats::default();
+        (0..10).for_each(|i| stats.latencies_us.record(900 + i));
+        let size = std::mem::size_of_val(&stats);
+        assert!(stats.p50_us().abs_diff(905) <= 90, "{}", stats.p50_us());
+        (0..1_000_000).for_each(|i| stats.latencies_us.record(9000 + i % 10));
+        assert!(stats.p50_us().abs_diff(9005) <= 900, "the million are counted: {}", stats.p50_us());
+        assert_eq!(std::mem::size_of_val(&stats), size);
+        let ServeStats { served, failed, rejected, batches, max_batch_seen, latencies_us } = &stats;
+        plain_data(&(served, failed, rejected, batches, max_batch_seen));
+        plain_data(latencies_us);
     }
 
     #[test]

@@ -148,13 +148,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Event-scheduler park hysteresis for the cycle backend
-    /// (see [`DriverBuilder::park_hysteresis`]).
-    pub fn park_hysteresis(mut self, ticks: u32) -> SessionBuilder {
-        self.driver = self.driver.park_hysteresis(ticks);
-        self
-    }
-
     /// Enables the future-work filter grouping.
     pub fn filter_grouping(mut self, on: bool) -> SessionBuilder {
         self.driver = self.driver.filter_grouping(on);

@@ -27,8 +27,9 @@ use zskip_nn::simd::KernelTier;
 
 /// Current artifact schema version. Loaders reject other versions with
 /// `config.invalid` rather than guessing at field semantics. Version 1
-/// carried a `weight_cache` switch.
-pub const ARTIFACT_VERSION: u64 = 2;
+/// carried a `weight_cache` switch, version 2 the cycle simulator's
+/// park-hysteresis knob.
+pub const ARTIFACT_VERSION: u64 = 3;
 
 /// How a [`TunedConfig`] came to be: the search that produced it and the
 /// score it measured. Scores from wall-clock objectives (latency,
@@ -70,7 +71,7 @@ impl ToJson for Provenance {
 }
 
 /// The complete tunable configuration of a session: hardware side
-/// (variant, instances, placement, park hysteresis) and software side
+/// (variant, instances, placement) and software side
 /// (backend, threads, kernel tier, batch shaping). This is the
 /// search point the tuner moves through and the artifact it emits.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,9 +86,6 @@ pub struct TunedConfig {
     pub threads: usize,
     /// Pinned SIMD kernel tier; `None` = process-wide dispatch.
     pub kernel: Option<KernelTier>,
-    /// Event-scheduler park hysteresis (cycle backend); `None` = engine
-    /// default. Simulated cycles are bit-identical for every value.
-    pub park_hysteresis: Option<u32>,
     /// Multi-instance placement.
     pub placement: Placement,
     /// Batch-pool worker threads (0 = host auto).
@@ -114,7 +112,6 @@ impl Default for TunedConfig {
             backend: BackendKind::Model,
             threads: 1,
             kernel: None,
-            park_hysteresis: None,
             placement: Placement::Auto,
             batch_workers: 0,
             max_batch: DEFAULT_MAX_BATCH,
@@ -280,9 +277,6 @@ impl TunedConfig {
         if let Some(tier) = self.kernel {
             b = b.kernel(tier);
         }
-        if let Some(ticks) = self.park_hysteresis {
-            b = b.park_hysteresis(ticks);
-        }
         b
     }
 }
@@ -314,19 +308,18 @@ mod tests {
         assert_eq!(back.to_json_string(), text, "canonical form is a fixed point");
     }
 
-    /// The parent commit's `zskip tune` output with `"version": 2` and
-    /// without its `weight_cache` line: the canonical artifact moves by
+    /// The parent commit's `zskip tune` output with `"version": 3` and
+    /// without its `park_hysteresis` line: the canonical artifact moves by
     /// exactly the deleted knob.
     #[test]
     fn default_artifact_text_is_pinned() {
         let golden = r#"{
-  "version": 2,
+  "version": 3,
   "variant": "256-opt",
   "instances": 1,
   "backend": "model",
   "threads": 1,
   "kernel": null,
-  "park_hysteresis": null,
   "placement": "auto",
   "batch_workers": 0,
   "max_batch": 8,
@@ -369,7 +362,7 @@ mod tests {
         for (text, why) in [
             ("not json", "parse failure"),
             (r#"{"version":99}"#, "future version"),
-            (r#"{"version":2}"#, "missing fields"),
+            (r#"{"version":3}"#, "missing fields"),
         ] {
             let err = TunedConfig::from_json_str(text).unwrap_err();
             assert_eq!(err.code(), "config.invalid", "{why}: {err}");
@@ -396,19 +389,19 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_artifact_and_its_weight_cache_field_are_refused_by_name() {
+    fn a_version_2_artifact_and_its_park_hysteresis_field_are_refused_by_name() {
         // What the previous build wrote: refused for its version, not for
         // the field this build no longer knows.
         let current = TunedConfig::default().to_json_string();
-        let with_switch = current.replace("  \"park_hysteresis\"", "  \"weight_cache\": true,\n  \"park_hysteresis\"");
-        let v1 = with_switch.replace("\"version\": 2", "\"version\": 1");
-        let err = TunedConfig::from_json_str(&v1).unwrap_err();
+        let with_knob = current.replace("  \"placement\"", "  \"park_hysteresis\": null,\n  \"placement\"");
+        let v2 = with_knob.replace("\"version\": 3", "\"version\": 2");
+        let err = TunedConfig::from_json_str(&v2).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("version 1 not supported (this build reads version 2)"), "{err}");
-        // Hand-bumping the version does not bring the switch back.
-        let err = TunedConfig::from_json_str(&with_switch).unwrap_err();
+        assert!(err.to_string().contains("version 2 not supported (this build reads version 3)"), "{err}");
+        // Hand-bumping the version does not bring the knob back.
+        let err = TunedConfig::from_json_str(&with_knob).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("unknown field 'weight_cache'"), "{err}");
+        assert!(err.to_string().contains("unknown field 'park_hysteresis'"), "{err}");
     }
 
     #[test]
@@ -430,7 +423,6 @@ mod tests {
             backend: BackendKind::Cpu,
             threads: 2,
             kernel: Some(KernelTier::Scalar),
-            park_hysteresis: Some(3),
             placement: Placement::Pipeline,
             batch_workers: 2,
             max_batch: 5,
@@ -443,7 +435,6 @@ mod tests {
         assert_eq!(d.backend, BackendKind::Cpu);
         assert_eq!(d.threads, 2);
         assert_eq!(d.kernel_tier, KernelTier::Scalar);
-        assert_eq!(d.park_hysteresis, Some(3));
         assert_eq!(d.config.instances, 4);
         let b = session.batch_config();
         assert_eq!(b.placement, Placement::Pipeline);
@@ -460,7 +451,7 @@ mod tests {
     ];
 
     const TOKENS: [&str; 16] = [
-        "{", "}", "[", "]", ":", ",", "\"version\"", "2", "\"threads\"", "\"kernel\"", "null",
+        "{", "}", "[", "]", ":", ",", "\"version\"", "3", "\"threads\"", "\"kernel\"", "null",
         "\"provenance\"", "\"seed\"", "-", "\"", "true",
     ];
 
@@ -481,7 +472,7 @@ mod tests {
 
         #[test]
         fn single_field_mutations_never_panic(
-            line in 1usize..22,
+            line in 1usize..21,
             mutant in 0usize..MUTANTS.len(),
             drop in prop::bool::ANY,
         ) {

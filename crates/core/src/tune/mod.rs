@@ -3,8 +3,8 @@
 //! The paper's Figs. 6–8 are a hand-run exploration over four HLS
 //! variants; this module automates it and extends it to every knob the
 //! stack grew since: a typed [`SearchSpace`] over hardware (variant,
-//! instances, placement, park hysteresis) and software (backend,
-//! threads, kernel tier, caches, batch shaping) dimensions, two
+//! instances, placement) and software (backend, threads, kernel tier,
+//! batch shaping) dimensions, two
 //! seeded-deterministic [`Searcher`]s, pluggable lower-is-better
 //! [`Objective`]s, a fingerprint-keyed evaluation cache, and a versioned
 //! [`TunedConfig`] artifact that

@@ -301,14 +301,4 @@ mod tests {
         let bad = TunedConfig { max_batch: 0, ..TunedConfig::default() };
         assert_eq!(eval.score(&bad), f64::INFINITY);
     }
-
-    #[test]
-    fn park_hysteresis_is_flat_under_cycles() {
-        let qnet = tiny_qnet(8);
-        let inputs = synthetic_inputs(1, 5, qnet.spec.input);
-        let mut eval = Evaluator::new(Objective::Cycles, &qnet, &inputs);
-        let a = eval.score(&TunedConfig::default());
-        let b = eval.score(&TunedConfig { park_hysteresis: Some(1), ..TunedConfig::default() });
-        assert_eq!(a, b, "hysteresis is a simulator-wall-time knob only");
-    }
 }

@@ -131,7 +131,7 @@ fn coordinate_descent(
                 cand[dim] = idx;
                 let score = evaluator.score(&space.config_at(&cand));
                 // Strict improvement only: ties keep the incumbent, so
-                // flat dimensions (park hysteresis under `cycles`) stay
+                // flat dimensions (a host-side knob under `cycles`) stay
                 // at their defaults and runs stay deterministic.
                 if score < best_score {
                     best_score = score;

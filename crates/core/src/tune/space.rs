@@ -36,7 +36,7 @@ pub enum KnobValue<'a> {
     Int(u64),
     /// A name, meant as one of the knob type's own (`cpu`, `256-opt`).
     Name(&'a str),
-    /// "Let the stack decide" (`kernel`, `park_hysteresis`).
+    /// "Let the stack decide" (`kernel`).
     Unset,
 }
 
@@ -123,8 +123,8 @@ pub struct KnobFlag {
 pub struct Knob {
     /// Stable name: the artifact field, the report label, the docs row.
     pub name: &'static str,
-    /// The CLI flag; `None` for an artifact-only knob.
-    pub flag: Option<KnobFlag>,
+    /// The CLI flag.
+    pub flag: KnobFlag,
     /// The CLI word for [`KnobValue::Unset`] (`null` in the artifact);
     /// `None` when the knob always has a value.
     pub unset: Option<&'static str>,
@@ -144,15 +144,12 @@ pub struct Knob {
 /// A row with a value always set and one default for library and CLI.
 const fn knob(
     name: &'static str,
-    flag: Option<(&'static str, &'static str, FlagGroup, &'static str)>,
+    flag: (&'static str, &'static str, FlagGroup, &'static str),
     get: fn(&TunedConfig) -> KnobValue<'static>,
     set: fn(&mut TunedConfig, KnobValue<'_>) -> Result<(), String>,
     axis: (SpaceKind, usize, fn() -> Vec<KnobValue<'static>>),
 ) -> Knob {
-    let flag = match flag {
-        Some((name, metavar, group, help)) => Some(KnobFlag { name, metavar, group, help }),
-        None => None,
-    };
+    let flag = KnobFlag { name: flag.0, metavar: flag.1, group: flag.2, help: flag.3 };
     Knob { name, flag, unset: None, cli_default: None, get, set, axis }
 }
 
@@ -163,10 +160,10 @@ fn ints(candidates: &[u64]) -> Vec<KnobValue<'static>> {
 /// The knob table, in artifact field order. Columns: name; flag, metavar,
 /// group, help; getter; setter (the closed name sets come from the value
 /// type's own `ALL` and `name`); (space, position, candidates).
-pub static KNOBS: [Knob; 11] = [
+pub static KNOBS: [Knob; 10] = [
     knob(
         "variant",
-        Some(("--variant", "V", Network, "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt")),
+        ("--variant", "V", Network, "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt"),
         |c| Name(c.variant.label()),
         |c, v| v.pick(&Variant::all(), |t| t.label()).map(|t| c.variant = t),
         // The paper's Fig. 6 axis.
@@ -174,12 +171,12 @@ pub static KNOBS: [Knob; 11] = [
     ),
     knob(
         "instances",
-        Some((
+        (
             "--instances",
             "N",
             Shard,
             "accelerator instances to schedule over (the bank RAM budget divides across them)",
-        )),
+        ),
         |c| Int(c.instances as u64),
         // The cost model has no zero-instance point; the upper bound (bank
         // capacity per instance) is the session builder's to check.
@@ -194,12 +191,12 @@ pub static KNOBS: [Knob; 11] = [
     ),
     knob(
         "backend",
-        Some((
+        (
             "--backend",
             "B",
             Session,
             "execution backend: model (transaction-level) | cycle (cycle-exact) | cpu (host SIMD)",
-        )),
+        ),
         |c| Name(c.backend.name()),
         |c, v| v.pick(&BackendKind::ALL, BackendKind::name).map(|b| c.backend = b),
         // No cycle candidate: it is bit-identical to the model backend and
@@ -212,12 +209,12 @@ pub static KNOBS: [Knob; 11] = [
         cli_default: Some(Int(0)),
         ..knob(
             "threads",
-            Some((
+            (
                 "--threads",
                 "T",
                 Session,
                 "intra-image conv worker threads for the cpu backend (0 = host auto; others ignore)",
-            )),
+            ),
             |c| Int(c.threads as u64),
             |c, v| v.int().map(|n| c.threads = n),
             (Software, 1, || ints(&[1, 2, 4])),
@@ -227,55 +224,43 @@ pub static KNOBS: [Knob; 11] = [
         unset: Some("auto"),
         ..knob(
             "kernel",
-            Some(("--kernel", "K", Session, "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512")),
+            ("--kernel", "K", Session, "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512"),
             |c| c.kernel.map_or(Unset, |t| Name(t.name())),
             |c, v| v.opt(|v| v.pick(&KernelTier::ALL, KernelTier::name)).map(|t| c.kernel = t),
             (Software, 2, || vec![Unset, Name(KernelTier::Scalar.name())]),
         )
     },
-    Knob {
-        unset: Some("default"),
-        ..knob(
-            "park_hysteresis",
-            None,
-            |c| c.park_hysteresis.map_or(Unset, |t| Int(t.into())),
-            |c, v| v.opt(KnobValue::int).map(|t| c.park_hysteresis = t),
-            // Never changes simulated cycles (a flat dimension under the
-            // `cycles` objective), but a real knob for simulator wall time.
-            (Hls, 3, || vec![Unset, Int(1), Int(4), Int(16)]),
-        )
-    },
     knob(
         "placement",
-        Some(("--placement", "P", Shard, "shard placement: auto | stripe | image | pipeline")),
+        ("--placement", "P", Shard, "shard placement: auto | stripe | image | pipeline"),
         |c| Name(c.placement.name()),
         |c, v| v.pick(&Placement::ALL, Placement::name).map(|p| c.placement = p),
         (Hls, 2, || Placement::ALL.iter().map(|p| Name(p.name())).collect()),
     ),
     knob(
         "batch_workers",
-        Some(("--workers", "N", Pool, "batch-pool worker threads (0 = auto)")),
+        ("--workers", "N", Pool, "batch-pool worker threads (0 = auto)"),
         |c| Int(c.batch_workers as u64),
         |c, v| v.int().map(|n| c.batch_workers = n),
         (Software, 3, || ints(&[0, 1, 2, 4])),
     ),
     knob(
         "max_batch",
-        Some(("--max-batch", "N", Serve, "requests coalesced into one accelerator batch at most")),
+        ("--max-batch", "N", Serve, "requests coalesced into one accelerator batch at most"),
         |c| Int(c.max_batch as u64),
         |c, v| v.int().map(|n| c.max_batch = n),
         (Software, 4, || ints(&[1, 4, 8, 16])),
     ),
     knob(
         "batch_window_ms",
-        Some(("--batch-window-ms", "MS", Serve, "how long a forming batch waits for more requests")),
+        ("--batch-window-ms", "MS", Serve, "how long a forming batch waits for more requests"),
         |c| Int(c.batch_window_ms),
         |c, v| v.int().map(|n| c.batch_window_ms = n),
         (Software, 5, || ints(&[0, 1, 2, 5])),
     ),
     knob(
         "queue_depth",
-        Some(("--queue-depth", "N", Serve, "bounded submission-queue depth (admission control)")),
+        ("--queue-depth", "N", Serve, "bounded submission-queue depth (admission control)"),
         |c| Int(c.queue_depth as u64),
         |c, v| v.int().map(|n| c.queue_depth = n),
         (Software, 6, || ints(&[64, 256])),
@@ -347,7 +332,7 @@ pub fn resolve(
     let mut config = artifact.unwrap_or_else(cli_defaults);
     let mut notes = Vec::new();
     for knob in KNOBS.iter() {
-        let Some(flag) = knob.flag else { continue };
+        let flag = knob.flag;
         let Some((_, text)) = flags.iter().find(|(f, _)| *f == flag.name) else { continue };
         let old = (knob.get)(&config);
         let set = knob.set_text(&mut config, text.as_ref());
@@ -379,8 +364,8 @@ pub type Point = Vec<usize>;
 pub enum SpaceKind {
     /// Host-side knobs: backend, threads, kernel, batch shaping.
     Software,
-    /// Hardware-side knobs: variant, instances, placement, park
-    /// hysteresis — the automated Fig. 6/7/8 exploration.
+    /// Hardware-side knobs: variant, instances, placement — the
+    /// automated Fig. 6/7/8 exploration.
     Hls,
     /// Both of the above in one space.
     Full,
@@ -471,7 +456,7 @@ impl SearchSpace {
 
     /// The hardware space: the paper's four variants crossed with the
     /// scale-out ladder and placements — automated Fig. 6/7/8-style
-    /// exploration — with park hysteresis riding along.
+    /// exploration.
     pub fn hls() -> SearchSpace {
         SearchSpace::named(SpaceKind::Hls)
     }
@@ -534,7 +519,7 @@ mod tests {
 
     #[test]
     fn builtin_spaces_hold_the_default_and_their_documented_size() {
-        for (kind, cardinality) in SpaceKind::ALL.into_iter().zip([1536, 192, 294_912]) {
+        for (kind, cardinality) in SpaceKind::ALL.into_iter().zip([1536, 48, 73_728]) {
             let space = SearchSpace::named(kind);
             assert_eq!(space.name(), kind.name());
             let config = space.config_at(&space.default_point());
@@ -555,7 +540,7 @@ mod tests {
             "batch_window_ms",
             "queue_depth",
         ];
-        let hls = ["variant", "instances", "placement", "park_hysteresis"];
+        let hls = ["variant", "instances", "placement"];
         assert_eq!(names(&SearchSpace::software()), software);
         assert_eq!(names(&SearchSpace::hls()), hls);
         assert_eq!(names(&SearchSpace::full()), [&software[..], &hls[..]].concat());
@@ -601,7 +586,6 @@ mod tests {
             ("backend", vec![Name("model"), Name("gpu")]),
             ("kernel", vec![Unset, Int(1)]),
             ("instances", vec![Int(1), Int(0)]),
-            ("park_hysteresis", vec![Unset, Int(u64::from(u32::MAX) + 1)]),
         ] {
             let err = SearchSpace::new("bad", vec![axis(name, candidates.clone())]).unwrap_err();
             assert_eq!(err.code(), "config.invalid", "{name} {candidates:?}");
@@ -614,9 +598,7 @@ mod tests {
         for (i, knob) in KNOBS.iter().enumerate() {
             for other in &KNOBS[..i] {
                 assert_ne!(knob.name, other.name);
-                if let (Some(a), Some(b)) = (knob.flag, other.flag) {
-                    assert_ne!(a.name, b.name);
-                }
+                assert_ne!(knob.flag.name, other.flag.name);
             }
             assert_eq!(Knob::by_name(knob.name).map(|k| k.name), Some(knob.name));
         }
@@ -656,8 +638,6 @@ mod tests {
         assert_eq!(set("threads", "-1").unwrap_err(), "takes a number, got '-1'");
         assert_eq!(set("threads", "auto").unwrap_err(), "takes a number, got 'auto'");
         assert_eq!(set("instances", "0").unwrap_err(), "must be at least 1, got '0'");
-        assert_eq!(set("park_hysteresis", "4294967296").unwrap_err(), "is out of range (or default), got '4294967296'");
-        assert_eq!(set("park_hysteresis", "default"), Ok(()));
         assert_eq!(set("kernel", "auto"), Ok(()));
         // A spelling is read the same way for every knob; the setter judges it.
         let threads = Knob::by_name("threads").expect("row exists");
@@ -742,7 +722,7 @@ mod tests {
         let serving = include_str!("../../../../docs/SERVING.md");
         let (lib, cli) = (TunedConfig::default(), cli_defaults());
         for knob in KNOBS.iter() {
-            let flag = knob.flag.map_or("—".to_string(), |f| format!("`{}`", f.name));
+            let flag = format!("`{}`", knob.flag.name);
             let default = knob.text((knob.get)(&lib));
             let row = format!("| `{}` | {flag} | `{default}` |", knob.name);
             assert!(tuning.contains(&row), "docs/TUNING.md knob table lacks: {row}");
@@ -751,7 +731,7 @@ mod tests {
             let cell = format!("{} ({})", knob.name, list.join("/"));
             let line = tuning.lines().find(|l| l.starts_with(&format!("| `{space}`")));
             assert!(line.is_some_and(|l| l.contains(&cell)), "docs/TUNING.md `{space}` row lacks: {cell}");
-            if matches!(knob.flag, Some(f) if matches!(f.group, FlagGroup::Pool | FlagGroup::Serve)) {
+            if matches!(knob.flag.group, FlagGroup::Pool | FlagGroup::Serve) {
                 let row = format!("| {flag} | `{}` ", knob.text((knob.get)(&cli)));
                 assert!(serving.contains(&row), "docs/SERVING.md flag table lacks: {row}");
             }

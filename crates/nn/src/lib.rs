@@ -14,7 +14,8 @@
 //! * [`model`] — networks, synthetic seeded weight generation, pruning and
 //!   quantization pipelines (the stand-in for the paper's Caffe flow),
 //! * [`plan`] — DAG execution planning: topological walk order, activation
-//!   liveness, and slot assignment shared by the oracle and the driver,
+//!   liveness, and slot assignment, walked by
+//!   [`QuantizedNetwork::run_plan`] for the oracle and the driver alike,
 //! * [`vgg16`] — the VGG-16 network used as the paper's test vehicle,
 //! * [`resnet`] — residual networks (skip connections, 1×1 convs,
 //!   batch-norm folding, global average pooling),
@@ -52,11 +53,11 @@ pub mod vgg16;
 
 pub use eltwise::BnWeights;
 pub use layer::{LayerRef, LayerSpec, NetworkSpec};
-pub use model::{Network, QuantizedConvLayer, QuantizedNetwork, SyntheticModelConfig};
+pub use model::{AccelStep, Network, QuantizedConvLayer, QuantizedNetwork, SyntheticModelConfig};
 pub use par::ConvPool;
 pub use plan::{ExecPlan, PlanStep};
 pub use resnet::{resnet18_spec, resnet34_spec};
-pub use scratch::Scratch;
+pub use scratch::{KernelBuffers, Scratch};
 pub use simd::{dispatch, select_tier, KernelTier, KERNEL_ENV};
 pub use spec_io::SpecError;
 pub use vgg16::{vgg16_spec, VGG16_CONV_NAMES};

@@ -19,7 +19,8 @@ use crate::layer::{LayerRef, LayerSpec, NetworkSpec};
 use crate::par::{self, Split};
 use crate::plan::{ExecPlan, PlanStep};
 use crate::pool::{maxpool_f32, maxpool_quant_into};
-use crate::scratch::{slot_pair, Scratch};
+use crate::scratch::{slot_pair, KernelBuffers, Scratch};
+use std::convert::Infallible;
 use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -485,6 +486,29 @@ pub struct QuantizedNetwork {
     pub fc: Vec<QuantFcWeights>,
 }
 
+/// One accelerator step of [`QuantizedNetwork::run_plan`]: everything its
+/// `accel` callback needs to execute a `Conv` or `MaxPool` layer from one
+/// dense plan slot into another.
+#[derive(Debug)]
+pub struct AccelStep<'a> {
+    /// The layer to execute: [`LayerSpec::Conv`] or [`LayerSpec::MaxPool`].
+    pub layer: &'a LayerSpec,
+    /// The layer's quantized weights (`Some` exactly for a conv).
+    pub weights: Option<&'a QuantConvWeights>,
+    /// Plan slot `src` lives in.
+    pub src_slot: usize,
+    /// Plan slot `dst` lives in.
+    pub dst_slot: usize,
+    /// The input activation.
+    pub src: &'a Tensor<Sm8>,
+    /// Receives the output activation (reshaped in place).
+    pub dst: &'a mut Tensor<Sm8>,
+    /// Arena tensor for an explicit pad pass's intermediate.
+    pub padded: &'a mut Tensor<Sm8>,
+    /// The arena's kernel working set.
+    pub kernel: KernelBuffers<'a>,
+}
+
 impl QuantizedNetwork {
     /// Integer-exact forward pass (the software golden model). Returns the
     /// final quantized activations.
@@ -502,56 +526,76 @@ impl QuantizedNetwork {
     /// Returns a borrow of the final quantized activations inside the
     /// arena (copy it out before the next image).
     ///
-    /// The first image through a network grows the arena and warms the
-    /// per-layer weight caches; after that the whole pass performs zero
-    /// heap allocations (`tests/alloc_free.rs` asserts this with a
-    /// counting allocator). Kernels run at [`Scratch::tier`].
+    /// This is [`QuantizedNetwork::run_plan`] with the `zskip-nn` kernels
+    /// standing in for the accelerator. The first image through a network
+    /// grows the arena and warms the per-layer weight caches; after that
+    /// the whole pass performs zero heap allocations (`tests/alloc_free.rs`
+    /// asserts this with a counting allocator). Kernels run at
+    /// [`Scratch::tier`].
     pub fn forward_quant_scratch<'s>(&self, input: &Tensor<f32>, scratch: &'s mut Scratch) -> &'s [Sm8] {
+        let golden = |step: AccelStep<'_>| -> Result<(), Infallible> {
+            let AccelStep { layer, weights, src, dst, kernel: KernelBuffers { acc, tier, pool, .. }, .. } = step;
+            match (layer, weights) {
+                (LayerSpec::Conv { stride, pad, .. }, Some(w)) => match pool {
+                    Some(p) => conv2d_quant_into_pool(src, w, *stride, *pad, tier, p, acc, dst),
+                    None => conv2d_quant_into(src, w, *stride, *pad, tier, acc, dst),
+                },
+                (LayerSpec::MaxPool { k, stride, .. }, _) => maxpool_quant_into(src, *k, *stride, dst),
+                _ => unreachable!("run_plan hands over conv and pool steps only"),
+            }
+            Ok(())
+        };
+        match self.run_plan(input, scratch, golden) {
+            Ok(output) => output,
+            Err(never) => match never {},
+        }
+    }
+
+    /// The one quantized plan walk, shared by the golden model and the
+    /// accelerator driver: quantizes `input` into slot 0, executes every
+    /// host-side step (`Ref`, `Add`, `GlobalAvgPool`, `Fc`, `Softmax`) on
+    /// the arena's dense slots and FC vectors, and hands each `Conv` /
+    /// `MaxPool` step to `accel`. Returns a borrow of the final quantized
+    /// activations, or the first error `accel` reports (the walk stops
+    /// there). Allocation-free on a warmed arena when `accel` is.
+    ///
+    /// # Errors
+    /// Whatever `accel` returns.
+    pub fn run_plan<'s, E>(
+        &self,
+        input: &Tensor<f32>,
+        scratch: &'s mut Scratch,
+        mut accel: impl FnMut(AccelStep<'_>) -> Result<(), E>,
+    ) -> Result<&'s [Sm8], E> {
         let before = scratch.capacity_bytes();
         let tier = scratch.tier();
         scratch.ensure_slots(self.plan.slots.max(1));
         let mut flat_cur: Option<usize> = None;
         {
-            let Scratch { slots, acc, flat, pool, .. } = scratch;
+            let Scratch { slots, acc, gemm, padded, flat, pool, .. } = scratch;
             // The plan always places the network input in slot 0.
             input.map_into(&mut slots[0], |v| self.input_params.quantize(v));
-            let mut conv_i = 0;
-            let mut fc_i = 0;
+            let mut convs = self.conv.iter();
+            let mut fcs = self.fc.iter();
             for step in &self.plan.steps {
                 let layer = &self.spec.layers[step.layer];
                 match layer {
-                    LayerSpec::Conv { stride, pad, .. } => {
-                        let (src, dst) = slot_pair(slots, step.src.expect("conv reads a slot"), step.dst.expect("conv writes a slot"));
-                        match pool.as_deref() {
-                            Some(p) => conv2d_quant_into_pool(
-                                src,
-                                &self.conv[conv_i].weights,
-                                *stride,
-                                *pad,
-                                tier,
-                                p,
-                                acc,
-                                dst,
-                            ),
-                            None => conv2d_quant_into(
-                                src,
-                                &self.conv[conv_i].weights,
-                                *stride,
-                                *pad,
-                                tier,
-                                acc,
-                                dst,
-                            ),
-                        }
-                        conv_i += 1;
-                    }
-                    LayerSpec::MaxPool { k, stride, .. } => {
-                        let (src, dst) = slot_pair(slots, step.src.expect("pool reads a slot"), step.dst.expect("pool writes a slot"));
-                        maxpool_quant_into(src, *k, *stride, dst);
+                    LayerSpec::Conv { .. } | LayerSpec::MaxPool { .. } => {
+                        let (src_slot, dst_slot) =
+                            (step.src.expect("conv/pool reads a slot"), step.dst.expect("conv/pool writes a slot"));
+                        let (src, dst) = slot_pair(slots, src_slot, dst_slot);
+                        let weights = match layer {
+                            LayerSpec::Conv { .. } => convs.next().map(|c| &c.weights),
+                            _ => None,
+                        };
+                        let kernel = KernelBuffers { acc, gemm, tier, pool: pool.as_deref() };
+                        accel(AccelStep { layer, weights, src_slot, dst_slot, src, dst, padded, kernel })?;
                     }
                     // A Ref is a pure alias: its plan step re-emits the
                     // source slot (`dst == src`), no data moves.
                     LayerSpec::Ref { .. } => {}
+                    // Both operands are rescaled to the output scale and
+                    // summed in i64 before the single saturation.
                     LayerSpec::Add { relu, .. } => {
                         let (ra, rb) = self.add_requantizers(step);
                         add_quant_phase1(&slots[step.src.expect("add reads a slot")], ra, acc);
@@ -564,21 +608,21 @@ impl QuantizedNetwork {
                         global_avgpool_quant_into(src, r, dst);
                     }
                     LayerSpec::Fc { .. } => {
+                        let w = fcs.next().expect("one quantized FC per Fc layer");
                         match flat_cur {
                             Some(fi) => {
                                 let (lo, hi) = flat.split_at_mut(1);
                                 let (src, dst) =
                                     if fi == 0 { (&lo[0], &mut hi[0]) } else { (&hi[0], &mut lo[0]) };
-                                fc_quant_into(src, &self.fc[fc_i], dst);
+                                fc_quant_into(src, w, dst);
                                 flat_cur = Some(1 - fi);
                             }
                             None => {
                                 let src = &slots[step.src.expect("first fc reads a slot")];
-                                fc_quant_into(src.as_slice(), &self.fc[fc_i], &mut flat[0]);
+                                fc_quant_into(src.as_slice(), w, &mut flat[0]);
                                 flat_cur = Some(0);
                             }
                         }
-                        fc_i += 1;
                     }
                     LayerSpec::Softmax => {
                         // Softmax is monotone; the quantized path carries logits
@@ -593,10 +637,10 @@ impl QuantizedNetwork {
         if scratch.capacity_bytes() != before {
             scratch.grow_events += 1;
         }
-        match flat_cur {
+        Ok(match flat_cur {
             Some(fi) => &scratch.flat[fi],
             None => scratch.slots[self.plan.output_slot.unwrap_or(0)].as_slice(),
-        }
+        })
     }
 
     /// Requantizers bringing an [`LayerSpec::Add`] step's two operands to

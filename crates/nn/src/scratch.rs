@@ -3,10 +3,13 @@
 //! The accelerator owns a fixed set of on-chip buffers and streams every
 //! image through them; the software golden model historically allocated
 //! fresh tensors per layer per image. A [`Scratch`] holds the software
-//! analogue of that fixed buffer set — a ping-pong pair of activation
-//! tensors, one `i64` accumulator plane, the GEMM workspace (patch matrix
-//! and accumulator panels), and a ping-pong pair of FC vectors — and every
-//! `_into` operator reshapes them in place instead of allocating.
+//! analogue of that fixed buffer set — the plan's dense activation slots
+//! and a ping-pong pair of FC vectors (the one place a network's
+//! activations live on the host, whether the golden model or the
+//! accelerator driver walks the plan), plus the kernels' working set: one
+//! `i64` accumulator plane, the GEMM workspace (patch matrix and
+//! accumulator panels) and the tensor an explicit pad pass lands in — and
+//! every `_into` operator reshapes them in place instead of allocating.
 //!
 //! # Lifetime rules
 //!
@@ -33,9 +36,7 @@ use zskip_tensor::Tensor;
 /// the pass should run with.
 #[derive(Debug, Clone)]
 pub struct Scratch {
-    /// Ping-pong activation tensors (conv/pool layers alternate them).
-    pub(crate) act: [Tensor<Sm8>; 2],
-    /// Plan-addressed activation slots for the quantized forward pass.
+    /// Plan-addressed activation slots for the quantized plan walk.
     /// A linear chain uses two (the classic ping-pong degenerates to the
     /// plan's two-slot assignment); a residual block briefly needs a
     /// third to hold the skip-branch activation alive across the branch
@@ -45,7 +46,10 @@ pub struct Scratch {
     pub(crate) acc: Vec<i64>,
     /// im2col patch matrix and accumulator panels of the row-panel GEMM
     /// (the CPU backend's conv kernel on SIMD tiers).
-    gemm: GemmScratch,
+    pub(crate) gemm: GemmScratch,
+    /// Where the accelerator driver's explicit pad pass puts the padded
+    /// copy of a conv's input (consumed by the conv pass right after).
+    pub(crate) padded: Tensor<Sm8>,
     /// Ping-pong FC activation vectors.
     pub(crate) flat: [Vec<Sm8>; 2],
     tier: KernelTier,
@@ -69,10 +73,10 @@ impl Scratch {
     /// tier-equivalence tests).
     pub fn with_tier(tier: KernelTier) -> Self {
         Scratch {
-            act: [Tensor::zeros(1, 1, 1), Tensor::zeros(1, 1, 1)],
             slots: Vec::new(),
             acc: Vec::new(),
             gemm: GemmScratch::default(),
+            padded: Tensor::zeros(1, 1, 1),
             flat: [Vec::new(), Vec::new()],
             tier,
             grow_events: 0,
@@ -118,8 +122,8 @@ impl Scratch {
 
     /// Total bytes currently reserved by the arena's buffers.
     pub fn capacity_bytes(&self) -> usize {
-        self.act.iter().map(|t| t.capacity()).sum::<usize>()
-            + self.slots.iter().map(|t| t.capacity()).sum::<usize>()
+        self.slots.iter().map(|t| t.capacity()).sum::<usize>()
+            + self.padded.capacity()
             + self.acc.capacity() * std::mem::size_of::<i64>()
             + self.gemm.capacity_bytes()
             + self.flat.iter().map(|v| v.capacity()).sum::<usize>()
@@ -142,47 +146,41 @@ impl Scratch {
         self.grow_events
     }
 
-    /// Splits out the buffers the accelerator driver's **host-side** path
-    /// reuses across images: the input-quantization tensor and the FC
-    /// ping-pong pair. (The driver's conv layers run on the simulated SoC
-    /// or, on the CPU backend, through [`Scratch::pass_buffers`].)
-    pub fn host_buffers(&mut self) -> (&mut Tensor<Sm8>, &mut Vec<Sm8>, &mut Vec<Sm8>) {
-        let (a, b) = self.flat.split_at_mut(1);
-        (&mut self.act[0], &mut a[0], &mut b[0])
+    /// The kernels' working set, for a pass computed outside a plan walk
+    /// (the driver's single-layer entry points).
+    pub fn kernel_buffers(&mut self) -> KernelBuffers<'_> {
+        KernelBuffers { acc: &mut self.acc, gemm: &mut self.gemm, tier: self.tier, pool: self.pool.as_deref() }
     }
 
-    /// Splits out the buffers the accelerator driver's **CPU backend**
-    /// uses for one pass: a source/destination activation-tensor pair,
-    /// the `i64` accumulator plane, and the kernel tier to compute with.
-    /// The pair aliases the forward-pass ping-pong tensors; a pass using
-    /// it must not interleave with `forward_quant_scratch` on the same
-    /// arena (they never do — an arena belongs to one session).
-    pub fn pass_buffers(&mut self) -> (&mut Tensor<Sm8>, &mut Tensor<Sm8>, &mut Vec<i64>, KernelTier) {
-        let (a, b) = self.act.split_at_mut(1);
-        (&mut a[0], &mut b[0], &mut self.acc, self.tier)
-    }
-
-    /// [`Scratch::pass_buffers`] plus the attached worker pool, for conv
-    /// passes that split output channels across it.
+    /// Two activation tensors (the first two plan slots), the `i64`
+    /// accumulator plane, the kernel tier and the attached worker pool:
+    /// what a stand-alone kernel call computes with. Must not interleave
+    /// with a plan walk on the same arena (it never does — an arena
+    /// belongs to one session).
     #[allow(clippy::type_complexity)]
     pub fn pass_buffers_pool(
         &mut self,
     ) -> (&mut Tensor<Sm8>, &mut Tensor<Sm8>, &mut Vec<i64>, KernelTier, Option<&ConvPool>) {
-        let (src, dst, acc, _, tier, pool) = self.conv_buffers();
-        (src, dst, acc, tier, pool)
+        self.ensure_slots(2);
+        let (a, b) = self.slots.split_at_mut(1);
+        (&mut a[0], &mut b[0], &mut self.acc, self.tier, self.pool.as_deref())
     }
+}
 
-    /// [`Scratch::pass_buffers_pool`] plus the GEMM workspace: everything
-    /// a CPU-backend conv pass computes with, whichever kernel the tier
-    /// selects (`acc` for the packed direct conv, the workspace for the
-    /// row-panel GEMM).
-    #[allow(clippy::type_complexity)]
-    pub fn conv_buffers(
-        &mut self,
-    ) -> (&mut Tensor<Sm8>, &mut Tensor<Sm8>, &mut Vec<i64>, &mut GemmScratch, KernelTier, Option<&ConvPool>) {
-        let (a, b) = self.act.split_at_mut(1);
-        (&mut a[0], &mut b[0], &mut self.acc, &mut self.gemm, self.tier, self.pool.as_deref())
-    }
+/// The arena's kernel working set, lent to one accelerator pass beside
+/// its source and destination slots: whichever conv kernel the tier
+/// selects finds its buffers here (`acc` for the packed direct conv,
+/// `gemm` for the row-panel GEMM).
+#[derive(Debug)]
+pub struct KernelBuffers<'a> {
+    /// Per-output-channel `i64` conv accumulator plane.
+    pub acc: &'a mut Vec<i64>,
+    /// The row-panel GEMM's patch matrix and accumulator panels.
+    pub gemm: &'a mut GemmScratch,
+    /// The kernel tier to compute with.
+    pub tier: KernelTier,
+    /// The intra-image worker pool, when one is attached.
+    pub pool: Option<&'a ConvPool>,
 }
 
 impl Default for Scratch {
@@ -216,7 +214,7 @@ mod tests {
         let s = Scratch::new();
         assert_eq!(s.tier(), simd::dispatch());
         assert_eq!(s.grow_events(), 0);
-        // The 1x1x1 placeholder tensors may reserve a few bytes; nothing else.
+        // The 1x1x1 placeholder tensor may reserve a few bytes; nothing else.
         assert!(s.capacity_bytes() <= 16);
     }
 

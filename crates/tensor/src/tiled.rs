@@ -48,13 +48,22 @@ impl<T: Copy + Default> TiledFeatureMap<T> {
     /// the paper runs on the ARM: "reordering of data into tiled format").
     pub fn from_tensor(t: &Tensor<T>) -> Self {
         let mut out = Self::zeros(t.shape());
+        let Shape { c: _, h, w } = out.logical;
+        let dense = t.as_slice();
+        // One `copy_from_slice` per tile row, clipped to the logical extent
+        // on the right and bottom edges; the round-up region stays zero.
         for c in 0..out.channels {
             for ty in 0..out.tiles_y {
+                let y0 = ty * TILE_DIM;
+                let rows = TILE_DIM.min(h - y0);
                 for tx in 0..out.tiles_x {
-                    let tile = Tile::from_fn(|y, x| {
-                        t.get_or(c, (ty * TILE_DIM + y) as isize, (tx * TILE_DIM + x) as isize, T::default())
-                    });
-                    *out.tile_mut(c, ty, tx) = tile;
+                    let x0 = tx * TILE_DIM;
+                    let n = TILE_DIM.min(w - x0);
+                    let tile = out.tile_mut(c, ty, tx).as_mut_array();
+                    for iy in 0..rows {
+                        let at = (c * h + y0 + iy) * w + x0;
+                        tile[iy * TILE_DIM..iy * TILE_DIM + n].copy_from_slice(&dense[at..at + n]);
+                    }
                 }
             }
         }
@@ -209,6 +218,28 @@ mod tests {
         assert_eq!(dense.cropped(7, 5), t);
         // Round-up region is zero.
         assert_eq!(dense[(0, 7, 7)], 0);
+    }
+
+    #[test]
+    fn from_tensor_matches_the_per_cell_definition_at_every_edge_remainder() {
+        // Width and height remainders 0..=3 against the 4-wide tile: cell
+        // (y, x) of tile (ty, tx) is the tensor's element there, or zero
+        // beyond the logical extent.
+        for (h, w) in [(1, 1), (4, 8), (5, 6), (6, 5), (7, 11), (10, 3), (13, 9)] {
+            let t = Tensor::from_fn(3, h, w, |c, y, x| (c * 1000 + y * 20 + x) as i32 + 1);
+            let tiled = TiledFeatureMap::from_tensor(&t);
+            assert_eq!((tiled.tiles_y(), tiled.tiles_x()), (h.div_ceil(4), w.div_ceil(4)), "{h}x{w}");
+            for c in 0..3 {
+                for ty in 0..tiled.tiles_y() {
+                    for tx in 0..tiled.tiles_x() {
+                        let want = Tile::from_fn(|y, x| {
+                            t.get_or(c, (ty * TILE_DIM + y) as isize, (tx * TILE_DIM + x) as isize, 0)
+                        });
+                        assert_eq!(tiled.tile(c, ty, tx), &want, "{h}x{w} tile ({c}, {ty}, {tx})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

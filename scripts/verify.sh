@@ -128,10 +128,16 @@ bad_cfg=$(mktemp -t zskip-badcfg-XXXXXX.json)
 expect_invalid infer --hw 32 --instances 0
 expect_invalid infer --hw 16
 expect_invalid infer --hw 32 --density 7
-printf '{"version": 2, "thread": 4}\n' > "$bad_cfg"
+printf '{"version": 3, "thread": 4}\n' > "$bad_cfg"
 expect_invalid infer --hw 32 --config "$bad_cfg"
 timeout 300 ./target/release/zskip tune --budget 1 --out "$bad_cfg" > /dev/null
 sed -i 's/"instances": 1,/"instances": 0,/' "$bad_cfg"
+expect_invalid infer --hw 32 --config "$bad_cfg"
+# A deleted knob's artifact field is an unknown field like any other.
+timeout 300 ./target/release/zskip tune --budget 1 --out "$bad_cfg" > /dev/null
+sed -i 's/^  "placement"/  "park_hysteresis": null,\n  "placement"/' "$bad_cfg"
+grep -q '"park_hysteresis": null' "$bad_cfg" \
+  || { echo "verify: the park_hysteresis fixture was not written"; exit 1; }
 expect_invalid infer --hw 32 --config "$bad_cfg"
 rm -f "$bad_cfg"
 # A deleted knob's flag is an unknown flag like any other: exit 2.

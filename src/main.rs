@@ -91,17 +91,17 @@ struct Command {
 impl Command {
     fn flags(&self) -> Vec<Flag> {
         let defaults = tune::cli_defaults();
-        let knob_flag = |knob: &tune::Knob, group: FlagGroup| {
-            let f = knob.flag.filter(|f| f.group == group)?;
+        let knob_flag = |knob: &tune::Knob| {
+            let f = knob.flag;
             let default = knob.text((knob.get)(&defaults));
             let (metavar, default) = (Some(f.metavar), Some(default.into()));
-            Some(Flag { name: f.name, metavar, default, help: f.help })
+            Flag { name: f.name, metavar, default, help: f.help }
         };
         let mut flags = Vec::new();
         for group in self.flag_groups {
             match group {
                 Flags::Own(own) => flags.extend_from_slice(own),
-                Flags::Knobs(g) => flags.extend(KNOBS.iter().filter_map(|k| knob_flag(k, *g))),
+                Flags::Knobs(g) => flags.extend(KNOBS.iter().filter(|k| k.flag.group == *g).map(knob_flag)),
             }
         }
         flags
@@ -535,6 +535,10 @@ fn infer(p: &Parsed) {
 
     let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
     let config = session.driver().config;
+    // One arena at the session's tier and width, for the run and for the
+    // golden model's check of it.
+    let mut arena = zskip::nn::Scratch::with_tier(session.kernel_tier());
+    arena.set_threads(session.driver().threads);
     let report = if config.instances > 1 {
         let shard = session
             .run_sharded(&qnet, std::slice::from_ref(&input))
@@ -548,9 +552,9 @@ fn infer(p: &Parsed) {
         );
         shard.items.into_iter().next().expect("one image in, one report out")
     } else {
-        session.infer(&qnet, &input).unwrap_or_else(|e| fail_error(&e))
+        session.infer_scratch(&qnet, &input, &mut arena).unwrap_or_else(|e| fail_error(&e))
     };
-    if let Some(diff) = golden_mismatch(&report.output, &qnet.forward_quant(&input)) {
+    if let Some(diff) = golden_mismatch(&report.output, qnet.forward_quant_scratch(&input, &mut arena)) {
         fail(&format!("not bit-exact vs the software golden model: {diff}"));
     }
     println!("bit-exact vs the software golden model");

@@ -2,7 +2,8 @@
 //! must be interchangeable.
 //!
 //! * **Outputs**: bit-identical to each other and to the software golden
-//!   model (`forward_quant`) on random `NetworkSpec`s.
+//!   model (`forward_quant`) on random `NetworkSpec`s — and the golden
+//!   model, whose plan walk the driver shares, to a plan-free interpreter.
 //! * **Statistics**: Model and Cpu charge cycles with the same
 //!   closed-form model, so their cycle counts and DDR byte counts are
 //!   *equal*, not merely close; Cycle agrees within the documented
@@ -23,10 +24,14 @@ use zskip::accel::{
 };
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
+use zskip::nn::conv::conv2d_quant_dense;
+use zskip::nn::eltwise::{add_quant, global_avgpool_quant_into};
 use zskip::nn::eval::synthetic_inputs;
+use zskip::nn::fc::fc_quant;
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
-use zskip::quant::DensityProfile;
+use zskip::nn::pool::maxpool_quant;
+use zskip::quant::{DensityProfile, Sm8};
 use zskip::soc::dma::DmaError;
 use zskip::tensor::{Shape, Tensor};
 
@@ -736,4 +741,78 @@ fn injected_dma_truncation_surfaces_as_structured_error() {
         "expected truncation, got {err:?}"
     );
     assert_eq!(plan.lock().unwrap().fired().len(), 1, "exactly one fault fired");
+}
+
+/// A plan-free quantized interpreter — the second, independently written
+/// walk `forward_quant` is held to now that the golden model and the
+/// driver share one (`QuantizedNetwork::run_plan`). It has no slots and no
+/// liveness: every boundary activation is kept (`acts[0]` the input,
+/// `acts[i + 1]` layer `i`'s output), `Ref` / `Add` resolve by layer
+/// index, and each operator is the allocating reference one.
+fn interpret_quant(qnet: &QuantizedNetwork, input: &Tensor<f32>) -> Vec<Sm8> {
+    use zskip::nn::LayerRef;
+    use zskip::quant::Requantizer;
+    let scales = &qnet.activation_scales;
+    let boundary = |r: &LayerRef| match r {
+        LayerRef::Input => 0,
+        LayerRef::Layer(j) => j + 1,
+    };
+    let mut acts = vec![input.map(|v| qnet.input_params.quantize(v))];
+    let (mut convs, mut fcs) = (qnet.conv.iter(), qnet.fc.iter());
+    for (li, layer) in qnet.spec.layers.iter().enumerate() {
+        let prev = &acts[li];
+        let flat = |v: Vec<Sm8>| Tensor::from_vec(v.len(), 1, 1, v);
+        let next = match layer {
+            LayerSpec::Conv { stride, pad, .. } => {
+                conv2d_quant_dense(prev, &convs.next().expect("a conv per Conv layer").weights, *stride, *pad)
+            }
+            LayerSpec::MaxPool { k, stride, .. } => maxpool_quant(prev, *k, *stride),
+            LayerSpec::Ref { from, .. } => acts[boundary(from)].clone(),
+            LayerSpec::Add { from, relu, .. } => {
+                let to_out = |b: usize| Requantizer::from_ratio((scales[b] / scales[li + 1]) as f64);
+                add_quant(prev, &acts[boundary(from)], to_out(li), to_out(boundary(from)), *relu)
+            }
+            LayerSpec::GlobalAvgPool { .. } => {
+                let n = prev.shape().h * prev.shape().w;
+                let mean = Requantizer::from_ratio(scales[li] as f64 / (scales[li + 1] as f64 * n as f64));
+                let mut out = Tensor::zeros(1, 1, 1);
+                global_avgpool_quant_into(prev, mean, &mut out);
+                out
+            }
+            LayerSpec::Fc { .. } => flat(fc_quant(prev.as_slice(), fcs.next().expect("an fc per Fc layer"))),
+            // Monotone: the quantized path carries the logits through.
+            LayerSpec::Softmax => prev.clone(),
+            LayerSpec::BatchNorm { .. } => unreachable!("quantization folds batch-norm away"),
+        };
+        acts.push(next);
+    }
+    acts.pop().expect("the input at least").into_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Slot bookkeeping against none at all, on linear chains (the
+    /// two-slot ping-pong, the flat FC head).
+    #[test]
+    fn golden_model_matches_the_plan_free_interpreter_on_random_specs(
+        spec in network_strategy(),
+        density in 0.1f64..1.0,
+        seed in 0u64..10_000,
+    ) {
+        let (qnet, input) = quantize_spec(&spec, density, seed);
+        prop_assert_eq!(qnet.forward_quant(&input), interpret_quant(&qnet, &input));
+    }
+
+    /// ... and on DAGs: skip slots held across a branch body, aliasing
+    /// `Ref`s, joins, GAP heads.
+    #[test]
+    fn golden_model_matches_the_plan_free_interpreter_on_dag_specs(
+        spec in dag_network_strategy(),
+        density in 0.1f64..1.0,
+        seed in 0u64..10_000,
+    ) {
+        let (qnet, input) = quantize_spec(&spec, density, seed);
+        prop_assert_eq!(qnet.forward_quant(&input), interpret_quant(&qnet, &input));
+    }
 }

@@ -48,13 +48,13 @@ fn small_net(hw: usize) -> QuantizedNetwork {
 fn arb_config() -> impl Strategy<Value = TunedConfig> {
     // The vendored proptest has no Option strategy: optional knobs pair a
     // presence bool with the value range.
-    let hardware = (0usize..4, 1usize..5, 0usize..4, (prop::bool::ANY, 1u32..32));
+    let hardware = (0usize..4, 1usize..5, 0usize..4);
     let software = (0usize..3, 0usize..5, (prop::bool::ANY, 0usize..4));
     let batch = (0usize..5, 1usize..17, 0u64..6, 1usize..129);
     let provenance = (prop::bool::ANY, 0u64..1_000_000, 0u64..1000, 0u64..(1 << 20), 0u64..200);
     (hardware, software, batch, provenance).prop_map(
         |(
-            (v, instances, pl, (has_park, park)),
+            (v, instances, pl),
             (b, threads, (has_kernel, k)),
             (batch_workers, max_batch, batch_window_ms, queue_depth),
             (has_provenance, seed, budget, score_bits, evals),
@@ -65,7 +65,6 @@ fn arb_config() -> impl Strategy<Value = TunedConfig> {
                 backend: BackendKind::ALL[b],
                 threads,
                 kernel: if has_kernel { Some(KernelTier::ALL[k]) } else { None },
-                park_hysteresis: if has_park { Some(park) } else { None },
                 placement: Placement::ALL[pl],
                 batch_workers,
                 max_batch,
