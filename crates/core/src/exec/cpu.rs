@@ -160,8 +160,8 @@ pub(crate) fn conv_pass(
     // yields exactly `out_shape`. With a worker pool attached the
     // output channels split across it — bit-exact at any width.
     //
-    // Kernel choice: on SIMD tiers the row-panel GEMM is the fastest
-    // host path by a wide margin (see `BENCH_kernels.json`); on the
+    // Kernel choice: on SIMD tiers the output-stationary GEMM is the
+    // fastest host path by a wide margin (see `BENCH_kernels.json`); on the
     // scalar tier the packed direct conv wins, and keeping it there
     // also exercises the accelerator-analogue kernel end-to-end under
     // `ZSKIP_KERNEL=scalar`. All variants are bit-identical

@@ -409,7 +409,7 @@ pub(crate) fn conv2d_f32_split(
 
 /// The output positions `t` whose tap sample `t * stride + tap - pad`
 /// lands inside `0..in_len`.
-fn tap_span(tap: usize, pad: usize, stride: usize, in_len: usize, out_len: usize) -> std::ops::Range<usize> {
+pub(crate) fn tap_span(tap: usize, pad: usize, stride: usize, in_len: usize, out_len: usize) -> std::ops::Range<usize> {
     let first = pad.saturating_sub(tap).div_ceil(stride);
     let end = (in_len + pad).saturating_sub(tap).div_ceil(stride).min(out_len);
     first..end.max(first)

@@ -6,7 +6,9 @@
 //! with both a float and an integer-exact quantized path so the end-to-end
 //! quantized pipeline stays self-consistent.
 
-use crate::par::{self, Split};
+use crate::gemm::{gemm_quant_into, GemmScratch, GemmWeights};
+use crate::par::{self, ConvPool, Split};
+use crate::simd::{self, KernelTier};
 use zskip_quant::{Requantizer, Sm8};
 
 /// Float fully connected weights: `w[out][in]` row-major plus bias.
@@ -76,22 +78,58 @@ pub fn fc_quant(input: &[Sm8], weights: &QuantFcWeights) -> Vec<Sm8> {
     out
 }
 
-/// [`fc_quant`] writing into a caller-owned vector, cleared and refilled in
-/// place so its allocation is reused across calls (the scratch-arena
-/// inference path).
+/// [`fc_quant`] writing into a caller-owned vector, refilled in place so
+/// its allocation is reused across calls: [`fc_quant_pool_into`] on the
+/// calling thread at the process's dispatched tier, with a throwaway
+/// workspace.
 pub fn fc_quant_into(input: &[Sm8], weights: &QuantFcWeights, out: &mut Vec<Sm8>) {
+    fc_quant_pool_into(input, weights, simd::dispatch(), None, &mut GemmScratch::default(), out);
+}
+
+/// The tier- and pool-aware FC forward of the scratch-arena inference
+/// path: the one-column case of the conv layers' GEMM
+/// (`out[o] = requant(bias[o] + W[o] · x)`, `W`'s rows being contiguous
+/// along the reduction already), with the decoded input borrowed from `ws`
+/// and the output rows split over `pool` when one is attached.
+/// Allocation-free once `ws` and `out` have grown to the layer's size;
+/// bit-identical on every tier and at any worker count.
+pub fn fc_quant_pool_into(
+    input: &[Sm8],
+    weights: &QuantFcWeights,
+    tier: KernelTier,
+    pool: Option<&ConvPool>,
+    ws: &mut GemmScratch,
+    out: &mut Vec<Sm8>,
+) {
     assert_eq!(input.len(), weights.in_features, "fc input length mismatch");
-    out.clear();
-    out.extend((0..weights.out_features).map(|o| {
-        let row = &weights.w[o * weights.in_features..(o + 1) * weights.in_features];
-        let acc: i64 = weights.bias_acc[o]
-            + row.iter().zip(input).map(|(w, x)| w.mul_exact(*x) as i64).sum::<i64>();
-        if weights.relu {
-            weights.requant.apply_relu(acc)
-        } else {
-            weights.requant.apply(acc)
-        }
-    }));
+    out.resize(weights.out_features, Sm8::ZERO);
+    let gemm = GemmWeights {
+        w: &weights.w,
+        len: weights.in_features,
+        bias_acc: &weights.bias_acc,
+        requant: weights.requant,
+        relu: weights.relu,
+    };
+    gemm_quant_into(tier, pool, gemm, ws.decode(input), 1, out);
+}
+
+/// The scalar definition of the quantized FC forward — one sign+magnitude
+/// product at a time — kept as the oracle the GEMM form is pinned to.
+#[cfg(test)]
+fn fc_quant_oracle(input: &[Sm8], weights: &QuantFcWeights) -> Vec<Sm8> {
+    assert_eq!(input.len(), weights.in_features, "fc input length mismatch");
+    (0..weights.out_features)
+        .map(|o| {
+            let row = &weights.w[o * weights.in_features..(o + 1) * weights.in_features];
+            let acc: i64 = weights.bias_acc[o]
+                + row.iter().zip(input).map(|(w, x)| w.mul_exact(*x) as i64).sum::<i64>();
+            if weights.relu {
+                weights.requant.apply_relu(acc)
+            } else {
+                weights.requant.apply(acc)
+            }
+        })
+        .collect()
 }
 
 /// Numerically-stable softmax.
@@ -149,6 +187,39 @@ mod tests {
         let out = fc_quant(&input, &qw);
         assert_eq!(out[0].to_i32(), 10 + 3 * 5 - 2 * 7);
         assert_eq!(out[1].to_i32(), -10 + 5 + 28);
+    }
+
+    #[test]
+    fn quant_fc_matches_the_scalar_oracle_on_every_tier_and_pool_width() {
+        // Input lengths around every tier's lane count (and one past an
+        // FC-sized row), an odd row count, ReLU both ways; one dirty
+        // workspace and output vector across all of it.
+        let mut rng = zskip_fault::SplitMix64::new(5);
+        let mut sm8s = |n: usize| -> Vec<Sm8> { (0..n).map(|_| Sm8::from_bits(rng.next_u64() as u8)).collect() };
+        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::new).collect();
+        let mut ws = GemmScratch::default();
+        let mut out = vec![Sm8::MAX; 40];
+        for in_features in [1, 7, 8, 31, 33, 100, 4099] {
+            for (out_features, relu) in [(1, false), (2, true), (7, true), (7, false)] {
+                let qw = QuantFcWeights {
+                    out_features,
+                    in_features,
+                    w: sm8s(out_features * in_features),
+                    bias_acc: (0..out_features as i64).map(|o| o * 1000 - 2500).collect(),
+                    requant: Requantizer::from_ratio(1.0 / 512.0),
+                    relu,
+                };
+                let input = sm8s(in_features);
+                let want = fc_quant_oracle(&input, &qw);
+                assert_eq!(fc_quant(&input, &qw), want, "{in_features} -> {out_features}");
+                for tier in KernelTier::supported() {
+                    for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                        fc_quant_pool_into(&input, &qw, tier, pool, &mut ws, &mut out);
+                        assert_eq!(out, want, "{in_features} -> {out_features}, tier {tier}, pool {pool:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

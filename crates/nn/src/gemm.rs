@@ -1,141 +1,233 @@
-//! An independent convolution implementation: im2col + GEMM.
+//! An independent convolution implementation: lowering + GEMM — and the
+//! one integer GEMM body FC layers share with it.
 //!
 //! The accelerator's golden model is the direct convolution in
 //! [`crate::conv`]. To guard the guard, this module computes the same
 //! layers by the classic lowering — unroll input patches into a matrix
-//! (im2col) and multiply by the filter matrix — sharing *no* loop
-//! structure with the direct path. Property tests pin both against the
-//! scalar dense scan [`crate::conv::conv2d_quant_dense`], so an indexing
-//! bug in either is caught by the oracle.
+//! and multiply by the filter matrix — sharing *no* loop structure with
+//! the direct path. Property tests pin both against the scalar dense scan
+//! [`crate::conv::conv2d_quant_dense`], so an indexing bug in either is
+//! caught by the oracle.
 //!
-//! There is one GEMM body, `gemm_quant_channel`: per output channel, an
-//! `i32` column-accumulator panel is updated one reduction row at a time
-//! by [`crate::simd::axpy_i32`] at the caller's [`KernelTier`] (the scalar
-//! tier runs the same body with the portable `axpy`). The two entry
-//! points differ only in who walks the channels: the calling thread
+//! The GEMM is **output-stationary, in dot-product ("NT") form**:
+//! `out[o][col] = bias[o] + Σ_r W[o][r] · P[col][r]` with both operands
+//! contiguous along the reduction `r = (i, ky, kx)`. That is how
+//! [`QuantConvWeights::w`] (and an FC layer's `w`) is laid out already, so
+//! no weight is repacked or copied; the lowering writes the patch matrix
+//! *transposed* — one row per output position — and decoded to `i16`, and
+//! [`crate::simd::dot_nt`] keeps a register block of sums to completion
+//! with the vector lanes along `r`. Lane occupancy therefore does not
+//! depend on the plane size: a 2x2 plane, a 32x32 plane and an FC layer
+//! (the one-column case, [`crate::fc::fc_quant_pool_into`]) all run
+//! `gemm_quant_into`, at the caller's [`KernelTier`] (the scalar tier runs
+//! the same blocking with a portable dot).
+//!
+//! The entry points differ only in who does the work: the calling thread
 //! ([`conv2d_gemm_quant_into`]) or an intra-image worker pool
-//! ([`conv2d_gemm_quant_pool_into`]). Both write into a caller-owned
-//! output tensor and borrow the patch matrix and accumulator panels from
-//! a [`GemmScratch`], so a warmed arena runs them allocation-free;
-//! [`conv2d_gemm_quant_tier`] / [`conv2d_gemm_quant_pool`] are the
-//! allocating conveniences over the same bodies.
+//! ([`conv2d_gemm_quant_pool_into`]: lowering split by column range, GEMM
+//! by output-channel range). Both write into a caller-owned output tensor
+//! and borrow the patch matrix from a [`GemmScratch`], so a warmed arena
+//! runs them allocation-free; [`conv2d_gemm_quant_tier`] /
+//! [`conv2d_gemm_quant_pool`] are the allocating conveniences.
 
-use crate::conv::QuantConvWeights;
+use crate::conv::{tap_span, QuantConvWeights};
 use crate::par::{ConvPool, SendPtr};
-use crate::simd::{self, KernelTier, GEMM_I32_CHUNK_ROWS};
-use zskip_quant::Sm8;
+use crate::simd::{self, KernelTier};
+use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::{Shape, Tensor};
 
-/// Lowers input patches to a `(c * k * k) x (out_h * out_w)` matrix in
-/// row-major order (one column per output position).
-pub fn im2col<T: Copy + Default>(
-    input: &Tensor<T>,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    zero: T,
-) -> (Vec<T>, Shape) {
-    let mut m = Vec::new();
-    let shape = im2col_into(input, k, stride, pad, zero, &mut m);
-    (m, shape)
-}
-
-/// [`im2col`] into a caller-owned matrix buffer, reusing its allocation.
-fn im2col_into<T: Copy + Default>(
-    input: &Tensor<T>,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    zero: T,
-    m: &mut Vec<T>,
-) -> Shape {
-    let s = input.shape();
-    let out_h = (s.h + 2 * pad - k) / stride + 1;
-    let out_w = (s.w + 2 * pad - k) / stride + 1;
-    let rows = s.c * k * k;
-    let cols = out_h * out_w;
-    m.clear();
-    m.resize(rows * cols, zero);
-    for c in 0..s.c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                let dst = &mut m[row * cols..(row + 1) * cols];
-                for oy in 0..out_h {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    for ox in 0..out_w {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        dst[oy * out_w + ox] = input.get_or(c, iy, ix, zero);
-                    }
-                }
-            }
-        }
-    }
-    Shape::new(rows, out_h, out_w)
-}
-
-/// Whether this conv geometry makes im2col the identity: a 1x1 stride-1
-/// unpadded (pointwise) convolution's patch matrix *is* the input
-/// activation, channel-major — one row per input channel, one column per
-/// position. ResNet projection shortcuts are exactly this shape, so the
-/// quantized GEMM skips the lowering copy entirely and streams the input
-/// slice straight into the row-panel kernel.
-pub fn pointwise_is_identity(k: usize, stride: usize, pad: usize) -> bool {
-    k == 1 && stride == 1 && pad == 0
-}
-
-/// Elements between two worker panels' accumulators in a [`GemmScratch`]:
-/// at least one cache line for either element width, so panels never
-/// false-share however few columns a layer has.
-const PANEL_PAD: usize = 16;
-
-/// Reusable buffers of the quantized GEMM: the im2col patch matrix and
-/// the `i64` / `i32` column-accumulator panels (one pair per worker-pool
-/// panel). Buffers only ever grow; the [`crate::scratch::Scratch`] arena
-/// owns one.
+/// The reusable buffers of the quantized GEMM's patch side. They only
+/// ever grow; the [`crate::scratch::Scratch`] arena owns one set.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
-    patches: Vec<Sm8>,
-    acc64: Vec<i64>,
-    acc32: Vec<i32>,
+    /// The layer's input decoded to `i16`: what a conv layer's patch rows
+    /// are copied out of, and an FC layer's one patch row as it stands.
+    decoded: Vec<i16>,
+    /// The transposed patch matrix `P[col][r]` of a conv layer.
+    patches: Vec<i16>,
 }
 
 impl GemmScratch {
     /// Total bytes currently reserved by the buffers.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        self.patches.capacity()
-            + self.acc64.capacity() * std::mem::size_of::<i64>()
-            + self.acc32.capacity() * std::mem::size_of::<i32>()
+        (self.decoded.capacity() + self.patches.capacity()) * std::mem::size_of::<i16>()
+    }
+
+    /// Decodes `input` into the workspace and returns the decoded values.
+    pub(crate) fn decode(&mut self, input: &[Sm8]) -> &[i16] {
+        self.decoded.resize(input.len(), 0);
+        Sm8::decode_slice_i16(input, &mut self.decoded);
+        &self.decoded
     }
 }
 
-/// Lowers patches for the quantized GEMM into `buf`, borrowing the input
-/// directly (and leaving `buf` untouched) when [`pointwise_is_identity`]
-/// holds.
-fn lower_patches<'a>(
-    input: &'a Tensor<Sm8>,
+/// Cuts `items` into one contiguous run per participant of `pool` (one run
+/// without a pool): `(runs, items per run)`.
+fn split(pool: Option<&ConvPool>, items: usize) -> (usize, usize) {
+    let runs = pool.map_or(1, ConvPool::threads).min(items).max(1);
+    (runs, items.div_ceil(runs))
+}
+
+/// Runs `job(run)` for every run: over `pool` when one is attached, else
+/// on the calling thread.
+fn for_each_run(pool: Option<&ConvPool>, runs: usize, job: &(dyn Fn(usize) + Sync)) {
+    match pool {
+        Some(pool) => pool.run(runs, &|_, run| job(run)),
+        None => (0..runs).for_each(job),
+    }
+}
+
+/// Lowers `input` for a `k x k` convolution into `ws`: the input decoded
+/// to `i16` once, then the transposed patch matrix `patches[col * len +
+/// r]` — one row of `len = c * k * k` values `r = (c, ky, kx)` per output
+/// position `col = oy * out_w + ox` — copied out of it, output rows split
+/// over `pool` when one is attached. A 1x1 convolution's lowering is the
+/// transpose of its input. Returns `(out_h, out_w)`.
+fn lower_into(
+    input: &Tensor<Sm8>,
     k: usize,
     stride: usize,
     pad: usize,
-    buf: &'a mut Vec<Sm8>,
-) -> (&'a [Sm8], Shape) {
-    if pointwise_is_identity(k, stride, pad) {
-        return (input.as_slice(), input.shape());
-    }
-    let shape = im2col_into(input, k, stride, pad, Sm8::ZERO, buf);
-    (buf, shape)
+    pool: Option<&ConvPool>,
+    ws: &mut GemmScratch,
+) -> (usize, usize) {
+    let s = input.shape();
+    let out_h = (s.h + 2 * pad - k) / stride + 1;
+    let out_w = (s.w + 2 * pad - k) / stride + 1;
+    ws.decode(input.as_slice());
+    let GemmScratch { decoded, patches } = ws;
+    // Sized only: `lower_rows` writes every element.
+    let row_len = out_w * s.c * k * k;
+    patches.resize(out_h * row_len, 0);
+    let (runs, per) = split(pool, out_h);
+    let patches_ptr = SendPtr::new(patches.as_mut_ptr());
+    for_each_run(pool, runs, &|run| {
+        let oys = (run * per).min(out_h)..((run + 1) * per).min(out_h);
+        // SAFETY: runs own disjoint output-row ranges inside the resize
+        // above.
+        let rows =
+            unsafe { std::slice::from_raw_parts_mut(patches_ptr.add(oys.start * row_len), oys.len() * row_len) };
+        lower_rows(decoded, s, k, stride, pad, (out_h, out_w), oys, rows);
+    });
+    (out_h, out_w)
 }
 
-/// Integer-exact quantized convolution via im2col + row-panel GEMM on
-/// the calling thread, at an explicit kernel tier; must agree bit-for-bit
-/// with [`crate::conv::conv2d_quant_dense`].
-///
-/// Per output channel, an `i32` column-accumulator panel is updated one
-/// reduction row at a time by [`crate::simd::axpy_i32`] (skipping zero
-/// weights — the software analogue of the hardware's zero-weight skip),
-/// flushed into `i64` every [`GEMM_I32_CHUNK_ROWS`] rows so no `i32` lane
-/// can overflow. Integer accumulation is order-independent, so all tiers
-/// are bit-identical (pinned by property test).
+/// The rows of the patch matrix for output rows `oys` of a decoded input
+/// `d`. Per kernel tap and input channel, the values one output row reads
+/// through that tap are a (strided) run of one input row; they go to the
+/// same element `r` of consecutive patch rows. The lines an output row's
+/// patch rows span stay cached while every `r` passes over them.
+#[allow(clippy::too_many_arguments)]
+fn lower_rows(
+    d: &[i16],
+    s: Shape,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    (out_h, out_w): (usize, usize),
+    oys: std::ops::Range<usize>,
+    rows: &mut [i16],
+) {
+    let len = s.c * k * k;
+    if pad > 0 {
+        // Taps that sample the padding are skipped below.
+        rows.fill(0);
+    }
+    for (oy, rows) in oys.zip(rows.chunks_exact_mut(out_w * len)) {
+        for kx in 0..k {
+            let xs = tap_span(kx, pad, stride, s.w, out_w);
+            if xs.is_empty() {
+                continue;
+            }
+            let ix = xs.start * stride + kx - pad;
+            for ky in (0..k).filter(|&ky| tap_span(ky, pad, stride, s.h, out_h).contains(&oy)) {
+                let iy = oy * stride + ky - pad;
+                for c in 0..s.c {
+                    // Sliced to the last element touched, so the strided
+                    // indices below are provably in bounds.
+                    let src = &d[(c * s.h + iy) * s.w + ix..][..(xs.len() - 1) * stride + 1];
+                    let dst = &mut rows[xs.start * len + (c * k + ky) * k + kx..][..(xs.len() - 1) * len + 1];
+                    for t in 0..xs.len() {
+                        dst[t * len] = src[t * stride];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The weight side of one GEMM — `bias_acc.len()` rows of `len` weights —
+/// with its epilogue: a conv layer's filters or an FC layer's rows.
+pub(crate) struct GemmWeights<'a> {
+    pub w: &'a [Sm8],
+    pub len: usize,
+    pub bias_acc: &'a [i64],
+    pub requant: Requantizer,
+    pub relu: bool,
+}
+
+/// `out[o * cols + col] = requant(bias[o] + Σ_r w[o][r] · p[col][r])`: the
+/// one integer GEMM body behind every conv geometry and FC. Output rows
+/// are split over `pool` when one is attached — each run is the same
+/// [`simd::dot_nt`] call over a disjoint slice of `out`, and every sum is
+/// one exact integer dot product, so the result is bit-identical at any
+/// worker count and on any tier.
+pub(crate) fn gemm_quant_into(
+    tier: KernelTier,
+    pool: Option<&ConvPool>,
+    weights: GemmWeights<'_>,
+    p: &[i16],
+    cols: usize,
+    out: &mut [Sm8],
+) {
+    let GemmWeights { w, len, bias_acc, requant, relu } = weights;
+    let rows = bias_acc.len();
+    assert_eq!(out.len(), rows * cols, "output is not rows x cols");
+    let (runs, per) = split(pool, rows);
+    let out_ptr = SendPtr::new(out.as_mut_ptr());
+    for_each_run(pool, runs, &|run| {
+        let (lo, hi) = ((run * per).min(rows), ((run + 1) * per).min(rows));
+        // SAFETY: runs own disjoint row ranges of `out`, checked above to
+        // hold `rows * cols` elements.
+        let out = unsafe { std::slice::from_raw_parts_mut(out_ptr.add(lo * cols), (hi - lo) * cols) };
+        simd::dot_nt(tier, &w[lo * len..hi * len], p, [hi - lo, cols, len], |i, j, sum| {
+            let acc = bias_acc[lo + i] + sum;
+            out[i * cols + j] = if relu { requant.apply_relu(acc) } else { requant.apply(acc) };
+        });
+    });
+}
+
+/// Lowering, GEMM and epilogue of one conv layer: the shared body of the
+/// four public entry points.
+#[allow(clippy::too_many_arguments)]
+fn conv_gemm(
+    input: &Tensor<Sm8>,
+    weights: &QuantConvWeights,
+    stride: usize,
+    pad: usize,
+    tier: KernelTier,
+    pool: Option<&ConvPool>,
+    ws: &mut GemmScratch,
+    out: &mut Tensor<Sm8>,
+) {
+    assert_eq!(input.shape().c, weights.in_c, "input channels mismatch");
+    let (out_h, out_w) = lower_into(input, weights.k, stride, pad, pool, ws);
+    out.reset(weights.out_c, out_h, out_w);
+    let gemm = GemmWeights {
+        w: &weights.w,
+        len: weights.in_c * weights.k * weights.k,
+        bias_acc: &weights.bias_acc,
+        requant: weights.requant,
+        relu: weights.relu,
+    };
+    gemm_quant_into(tier, pool, gemm, &ws.patches, out_h * out_w, out.as_mut_slice());
+}
+
+/// Integer-exact quantized convolution via lowering + output-stationary
+/// GEMM on the calling thread, at an explicit kernel tier; must agree
+/// bit-for-bit with [`crate::conv::conv2d_quant_dense`]. Zero weights are
+/// multiplied, not skipped — the hardware's zero-skipping is modelled by
+/// the stats pass, not by this kernel.
 pub fn conv2d_gemm_quant_tier(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -149,8 +241,8 @@ pub fn conv2d_gemm_quant_tier(
 }
 
 /// [`conv2d_gemm_quant_tier`] writing into `out` (reshaped in place) with
-/// the patch matrix and accumulator panels borrowed from `ws`:
-/// allocation-free once both have grown to the layer's size.
+/// the patch matrix borrowed from `ws`: allocation-free once both have
+/// grown to the layer's size.
 pub fn conv2d_gemm_quant_into(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -160,73 +252,12 @@ pub fn conv2d_gemm_quant_into(
     ws: &mut GemmScratch,
     out: &mut Tensor<Sm8>,
 ) {
-    let GemmScratch { patches, acc64, acc32 } = ws;
-    let (m, mshape) = lower_patches(input, weights.k, stride, pad, patches);
-    let cols = mshape.h * mshape.w;
-    let rows = mshape.c;
-    out.reset(weights.out_c, mshape.h, mshape.w);
-    // Sized only: `gemm_quant_channel` re-initializes both per channel.
-    acc64.resize(cols, 0);
-    acc32.resize(cols, 0);
-    let out_slice = out.as_mut_slice();
-    for o in 0..weights.out_c {
-        let plane = &mut out_slice[o * cols..(o + 1) * cols];
-        gemm_quant_channel(m, cols, rows, weights, o, tier, acc64, acc32, plane);
-    }
+    conv_gemm(input, weights, stride, pad, tier, None, ws, out);
 }
 
-/// One output channel of the row-panel quantized GEMM: the shared
-/// body of [`conv2d_gemm_quant_tier`] and [`conv2d_gemm_quant_pool`]. Each
-/// channel owns its accumulator panel and walks the reduction rows in
-/// ascending order, so the channel's result is independent of which thread
-/// (or how many) computes the other channels.
-#[allow(clippy::too_many_arguments)]
-fn gemm_quant_channel(
-    m: &[Sm8],
-    cols: usize,
-    rows: usize,
-    weights: &QuantConvWeights,
-    o: usize,
-    tier: KernelTier,
-    acc64: &mut [i64],
-    acc32: &mut [i32],
-    out_plane: &mut [Sm8],
-) {
-    let wrow = &weights.w[o * rows..(o + 1) * rows];
-    acc64.fill(weights.bias_acc[o]);
-    acc32.fill(0);
-    let mut pending = 0usize;
-    for (r, &wv) in wrow.iter().enumerate() {
-        let wv = wv.to_i32();
-        if wv == 0 {
-            continue;
-        }
-        simd::axpy_i32(tier, acc32, &m[r * cols..(r + 1) * cols], wv);
-        pending += 1;
-        if pending == GEMM_I32_CHUNK_ROWS {
-            for (a64, a32) in acc64.iter_mut().zip(acc32.iter_mut()) {
-                *a64 += *a32 as i64;
-                *a32 = 0;
-            }
-            pending = 0;
-        }
-    }
-    if pending > 0 {
-        for (a64, a32) in acc64.iter_mut().zip(acc32.iter()) {
-            *a64 += *a32 as i64;
-        }
-    }
-    for (dst, &a) in out_plane.iter_mut().zip(acc64.iter()) {
-        *dst = if weights.relu { weights.requant.apply_relu(a) } else { weights.requant.apply(a) };
-    }
-}
-
-/// [`conv2d_gemm_quant_tier`] with the output channels chunked across an
-/// intra-image worker pool: each participant takes a contiguous channel
-/// range and runs `gemm_quant_channel` per channel with its own
-/// accumulator panels. Bit-identical to the single-threaded row-panel
-/// kernel at any worker count (channels are computed by the same body in
-/// the same reduction order — only the executing thread varies).
+/// [`conv2d_gemm_quant_tier`] over an intra-image worker pool: the
+/// lowering is split by column range and the GEMM by output-channel
+/// range. Bit-identical to the single-threaded kernel at any worker count.
 pub fn conv2d_gemm_quant_pool(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -240,9 +271,8 @@ pub fn conv2d_gemm_quant_pool(
     out
 }
 
-/// [`conv2d_gemm_quant_pool`] writing into `out` with buffers borrowed
-/// from `ws` (one accumulator-panel pair per channel range), like
-/// [`conv2d_gemm_quant_into`].
+/// [`conv2d_gemm_quant_pool`] writing into `out` with the patch matrix
+/// borrowed from `ws`, like [`conv2d_gemm_quant_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_gemm_quant_pool_into(
     input: &Tensor<Sm8>,
@@ -254,41 +284,7 @@ pub fn conv2d_gemm_quant_pool_into(
     ws: &mut GemmScratch,
     out: &mut Tensor<Sm8>,
 ) {
-    let GemmScratch { patches, acc64, acc32 } = ws;
-    let (m, mshape) = lower_patches(input, weights.k, stride, pad, patches);
-    let cols = mshape.h * mshape.w;
-    let rows = mshape.c;
-    out.reset(weights.out_c, mshape.h, mshape.w);
-    let panels = pool.threads().min(weights.out_c.max(1));
-    let per = weights.out_c.div_ceil(panels);
-    // Deep layers have panels of a few elements: the pad keeps two
-    // workers' accumulators off a shared cache line.
-    let stride = cols + PANEL_PAD;
-    acc64.resize(panels * stride, 0);
-    acc32.resize(panels * stride, 0);
-    let acc64_ptr = SendPtr::new(acc64.as_mut_ptr());
-    let acc32_ptr = SendPtr::new(acc32.as_mut_ptr());
-    let out_ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
-    pool.run(panels, &|_, panel| {
-        let o_lo = panel * per;
-        let o_hi = ((panel + 1) * per).min(weights.out_c);
-        // SAFETY: each panel index is claimed exactly once, so accumulator
-        // slices `panel` have a single owner; `panel < panels` and
-        // `cols <= stride` keep them inside the resize above.
-        let (acc64, acc32) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(acc64_ptr.add(panel * stride), cols),
-                std::slice::from_raw_parts_mut(acc32_ptr.add(panel * stride), cols),
-            )
-        };
-        for o in o_lo..o_hi {
-            // SAFETY: panels own disjoint channel ranges, so plane `o` has
-            // a single writer; `o < out_c` keeps it in bounds.
-            let plane =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.add(o * cols), cols) };
-            gemm_quant_channel(m, cols, rows, weights, o, tier, acc64, acc32, plane);
-        }
-    });
+    conv_gemm(input, weights, stride, pad, tier, Some(pool), ws, out);
 }
 
 #[cfg(test)]
@@ -315,17 +311,59 @@ mod tests {
         )
     }
 
+    fn ramp(c: usize, h: usize, w: usize) -> Tensor<Sm8> {
+        Tensor::from_fn(c, h, w, |c, y, x| Sm8::from_i32_saturating((c * h * w + y * w + x) as i32 % 255 - 127))
+    }
+
+    /// `P[col][r]` read straight off the definition: tap `(ky, kx)` of
+    /// channel `c` at output `(oy, ox)`, zero in the padding.
+    fn lowered_oracle(input: &Tensor<Sm8>, k: usize, stride: usize, pad: usize) -> Vec<i16> {
+        let padded = input.padded(pad);
+        let s = padded.shape();
+        let (out_h, out_w) = ((s.h - k) / stride + 1, (s.w - k) / stride + 1);
+        let mut m = Vec::new();
+        for (oy, ox) in (0..out_h).flat_map(|oy| (0..out_w).map(move |ox| (oy, ox))) {
+            for (c, ky, kx) in (0..s.c).flat_map(|c| (0..k).flat_map(move |ky| (0..k).map(move |kx| (c, ky, kx)))) {
+                m.push(padded[(c, oy * stride + ky, ox * stride + kx)].decode_i16());
+            }
+        }
+        m
+    }
+
     #[test]
     fn im2col_shape_and_patch_content() {
-        let input = Tensor::from_fn(2, 4, 4, |c, y, x| (c * 16 + y * 4 + x) as f32);
-        let (m, shape) = im2col(&input, 3, 1, 1, 0.0);
-        assert_eq!(shape, Shape::new(2 * 9, 4, 4));
-        let cols = 16;
+        let input = ramp(2, 4, 4);
+        let mut ws = GemmScratch::default();
+        assert_eq!(lower_into(&input, 3, 1, 1, None, &mut ws), (4, 4));
+        let len = 2 * 9;
+        assert_eq!(ws.patches.len(), 16 * len);
         // Center kernel tap of channel 0 at output (1,1) is input (1,1).
-        let row = 4; // (c=0, ky=1, kx=1)
-        assert_eq!(m[row * cols + 5], input[(0, 1, 1)]);
+        let r = 4; // (c=0, ky=1, kx=1)
+        assert_eq!(ws.patches[5 * len + r], input[(0, 1, 1)].decode_i16());
         // Top-left tap at output (0,0) is padding.
-        assert_eq!(m[0], 0.0);
+        assert_eq!(ws.patches[0], 0);
+        assert_eq!(ws.patches, lowered_oracle(&input, 3, 1, 1));
+    }
+
+    #[test]
+    fn lowering_matches_its_definition_on_a_dirty_workspace_at_any_pool_width() {
+        // One workspace across geometries: a stale, larger matrix must not
+        // leak into a padded border, a strided sample or a 1x1 transpose.
+        let mut ws = GemmScratch::default();
+        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::new).collect();
+        for (c, h, w) in [(3, 7, 9), (2, 5, 5), (4, 2, 3), (1, 1, 1)] {
+            let input = ramp(c, h, w);
+            for (k, stride, pad) in [(3, 1, 1), (3, 2, 0), (1, 1, 0), (1, 2, 1), (2, 1, 1), (5, 2, 2)] {
+                if h + 2 * pad < k || w + 2 * pad < k {
+                    continue;
+                }
+                let want = lowered_oracle(&input, k, stride, pad);
+                for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                    lower_into(&input, k, stride, pad, pool, &mut ws);
+                    assert_eq!(ws.patches, want, "{c}x{h}x{w} k={k} stride={stride} pad={pad} pool={pool:?}");
+                }
+            }
+        }
     }
 
     proptest! {
@@ -351,7 +389,7 @@ mod tests {
         }
 
         // Every reachable tier (scalar included — it runs the same
-        // row-panel body) vs. the independent dense scan: exact.
+        // blocking) vs. the independent dense scan: exact.
         #[test]
         fn quant_gemm_tiers_are_bit_exact_vs_dense_oracle(
             out_c in 1usize..10,
@@ -375,9 +413,9 @@ mod tests {
         }
 
         // The arena path: one dirty workspace and one dirty output reused
-        // across layers of different shapes (3x3 then 1x1, so the patch
-        // buffer is stale when the pointwise layer borrows its input),
-        // single-threaded and over a 3-worker pool.
+        // across layers of different shapes (3x3, then a larger 1x1, then
+        // 2x2 — the patch matrix is stale every time), single-threaded and
+        // over a 3-worker pool.
         #[test]
         fn into_variants_reuse_a_dirty_workspace_bit_exactly(
             out_c in 1usize..10,
@@ -401,8 +439,8 @@ mod tests {
             }
         }
 
-        // The 1x1 fast path (borrowed input as the patch matrix) vs. the
-        // dense scan, which never lowers at all.
+        // A 1x1 conv (lowering = transpose of the input) vs. the dense
+        // scan, which never lowers at all.
         #[test]
         fn pointwise_fast_path_is_bit_exact(
             out_c in 1usize..8,
@@ -417,28 +455,47 @@ mod tests {
             let oracle = conv2d_quant_dense(&input, &qw, 1, 0);
             for tier in KernelTier::supported() {
                 let fast = conv2d_gemm_quant_tier(&input, &qw, 1, 0, tier);
-                prop_assert_eq!(&oracle, &fast, "fast path, tier {}", tier);
+                prop_assert_eq!(&oracle, &fast, "tier {}", tier);
             }
         }
     }
 
     #[test]
-    fn pointwise_lowering_borrows_the_input() {
-        let input = Tensor::from_fn(3, 4, 5, |c, y, x| {
-            Sm8::from_i32_saturating((c * 20 + y * 5 + x) as i32 - 30)
-        });
-        assert!(pointwise_is_identity(1, 1, 0));
-        assert!(!pointwise_is_identity(1, 2, 0));
-        assert!(!pointwise_is_identity(1, 1, 1));
-        assert!(!pointwise_is_identity(3, 1, 0));
-        let mut buf = Vec::new();
-        let (m, shape) = lower_patches(&input, 1, 1, 0, &mut buf);
-        assert!(std::ptr::eq(m, input.as_slice()), "1x1 must not copy");
-        assert_eq!(shape, Shape::new(3, 4, 5));
-        assert!(buf.is_empty());
-        // Any other geometry materializes the patch matrix.
-        let (strided, _) = lower_patches(&input, 1, 2, 0, &mut buf);
-        assert!(!std::ptr::eq(strided, input.as_slice()));
-        assert_eq!(strided.len(), 3 * 2 * 3);
+    fn gemm_matches_dense_oracle_on_small_planes_and_ragged_blocks() {
+        // Output planes 1x1, 2x2, 4x4 (the deep layers whose columns the
+        // vector lanes no longer run along) and 5x7 (35 columns: not a
+        // block multiple), five output channels (not a block multiple),
+        // every k / stride / pad that produces the plane — on every tier,
+        // single-threaded and over pools of 1-4, one dirty workspace and
+        // output throughout.
+        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::new).collect();
+        let mut ws = GemmScratch::default();
+        let mut out = Tensor::zeros(1, 1, 1);
+        for (out_h, out_w) in [(1, 1), (2, 2), (4, 4), (5, 7)] {
+            for (k, stride, pad) in (1..=3).flat_map(|k| (1..=2).flat_map(move |s| (0..=1).map(move |p| (k, s, p)))) {
+                // The smallest input giving this plane.
+                let (h, w) = ((out_h - 1) * stride + k, (out_w - 1) * stride + k);
+                if h <= 2 * pad || w <= 2 * pad {
+                    continue;
+                }
+                let (h, w) = (h - 2 * pad, w - 2 * pad);
+                let seed = (out_h * 100 + k * 10 + stride * 2 + pad) as u64;
+                let qw = quant_weights(5, 3, k, seed);
+                let input = Tensor::from_fn(3, h, w, |c, y, x| {
+                    Sm8::from_i32_saturating((((c * 37 + y * 11 + x * 5) as u64 ^ seed) % 255) as i32 - 127)
+                });
+                let oracle = conv2d_quant_dense(&input, &qw, stride, pad);
+                assert_eq!((oracle.shape().h, oracle.shape().w), (out_h, out_w));
+                for tier in KernelTier::supported() {
+                    let what = format!("{out_h}x{out_w} k={k} stride={stride} pad={pad} tier {tier}");
+                    conv2d_gemm_quant_into(&input, &qw, stride, pad, tier, &mut ws, &mut out);
+                    assert_eq!(oracle, out, "{what}");
+                    for pool in &pools {
+                        conv2d_gemm_quant_pool_into(&input, &qw, stride, pad, tier, pool, &mut ws, &mut out);
+                        assert_eq!(oracle, out, "{what}, {} workers", pool.threads());
+                    }
+                }
+            }
+        }
     }
 }

@@ -410,7 +410,8 @@ pub fn conv3x3(name: &str, in_c: usize, out_c: usize) -> LayerSpec {
 
 /// Builds a pointwise (1x1/stride-1/pad-0) conv layer spec, ReLU-free so
 /// it can feed a [`LayerSpec::BatchNorm`] — the ResNet projection-shortcut
-/// geometry. 1x1 convs skip im2col entirely in the quantized GEMM path.
+/// geometry. A 1x1 conv's lowering in the quantized GEMM path is a
+/// transpose of its input.
 pub fn conv1x1(name: &str, in_c: usize, out_c: usize) -> LayerSpec {
     LayerSpec::Conv { name: name.to_string(), in_c, out_c, k: 1, stride: 1, pad: 0, relu: false }
 }

@@ -13,7 +13,7 @@ use crate::eltwise::{
     add_f32, add_quant_phase1, add_quant_phase2, batchnorm_f32, global_avgpool_f32,
     global_avgpool_quant_into, BnWeights,
 };
-use crate::fc::{fc_f32_split, fc_quant_into, softmax, FcWeights, QuantFcWeights};
+use crate::fc::{fc_f32_split, fc_quant_pool_into, softmax, FcWeights, QuantFcWeights};
 use crate::gaussian::{fill_gaussian, ChaChaWords, WordSource};
 use crate::layer::{LayerRef, LayerSpec, NetworkSpec};
 use crate::par::{self, Split};
@@ -614,12 +614,12 @@ impl QuantizedNetwork {
                                 let (lo, hi) = flat.split_at_mut(1);
                                 let (src, dst) =
                                     if fi == 0 { (&lo[0], &mut hi[0]) } else { (&hi[0], &mut lo[0]) };
-                                fc_quant_into(src, w, dst);
+                                fc_quant_pool_into(src, w, tier, pool.as_deref(), gemm, dst);
                                 flat_cur = Some(1 - fi);
                             }
                             None => {
                                 let src = &slots[step.src.expect("first fc reads a slot")];
-                                fc_quant_into(src.as_slice(), w, &mut flat[0]);
+                                fc_quant_pool_into(src.as_slice(), w, tier, pool.as_deref(), gemm, &mut flat[0]);
                                 flat_cur = Some(0);
                             }
                         }

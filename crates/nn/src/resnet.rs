@@ -4,8 +4,8 @@
 //! instead of stride-2 convolutions (both halve the spatial extent; the
 //! pool keeps the stronger activation). Every convolution is ReLU-free
 //! and followed by a [`LayerSpec::BatchNorm`] that quantization folds
-//! into the conv weights, and projection shortcuts use the 1x1-conv fast
-//! path (no im2col). Input is a 3x32x32 image (CIFAR-style), classified
+//! into the conv weights, and projection shortcuts are 1x1 convs (in the
+//! GEMM path, a transposed input). Input is a 3x32x32 image (CIFAR-style), classified
 //! into 10 classes through global average pooling and one FC layer.
 //!
 //! In linear spec order a residual block reads:

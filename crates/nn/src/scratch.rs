@@ -7,8 +7,9 @@
 //! and a ping-pong pair of FC vectors (the one place a network's
 //! activations live on the host, whether the golden model or the
 //! accelerator driver walks the plan), plus the kernels' working set: one
-//! `i64` accumulator plane, the GEMM workspace (patch matrix and
-//! accumulator panels) and the tensor an explicit pad pass lands in — and
+//! `i64` accumulator plane (the packed direct conv's), the GEMM workspace
+//! (the lowered, decoded patch matrix of a conv layer or the decoded input
+//! of an FC layer) and the tensor an explicit pad pass lands in — and
 //! every `_into` operator reshapes them in place instead of allocating.
 //!
 //! # Lifetime rules
@@ -44,8 +45,8 @@ pub struct Scratch {
     pub(crate) slots: Vec<Tensor<Sm8>>,
     /// Per-output-channel `i64` conv accumulator plane.
     pub(crate) acc: Vec<i64>,
-    /// im2col patch matrix and accumulator panels of the row-panel GEMM
-    /// (the CPU backend's conv kernel on SIMD tiers).
+    /// Lowered patch matrix of the output-stationary GEMM (the CPU
+    /// backend's conv kernel on SIMD tiers, and every FC layer).
     pub(crate) gemm: GemmScratch,
     /// Where the accelerator driver's explicit pad pass puts the padded
     /// copy of a conv's input (consumed by the conv pass right after).
@@ -170,12 +171,12 @@ impl Scratch {
 /// The arena's kernel working set, lent to one accelerator pass beside
 /// its source and destination slots: whichever conv kernel the tier
 /// selects finds its buffers here (`acc` for the packed direct conv,
-/// `gemm` for the row-panel GEMM).
+/// `gemm` for the output-stationary GEMM).
 #[derive(Debug)]
 pub struct KernelBuffers<'a> {
     /// Per-output-channel `i64` conv accumulator plane.
     pub acc: &'a mut Vec<i64>,
-    /// The row-panel GEMM's patch matrix and accumulator panels.
+    /// The GEMM's lowered patch matrix.
     pub gemm: &'a mut GemmScratch,
     /// The kernel tier to compute with.
     pub tier: KernelTier,

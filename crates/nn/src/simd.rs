@@ -18,10 +18,12 @@
 //! * `Sm8` values decode branch-free to `i16` ([`Sm8::decode_i16`]); the
 //!   SIMD decode is the same `(mag ^ neg) - neg` dataflow in 16-bit lanes.
 //! * A product of two `Sm8` values is at most `127 * 127 = 16129 < 2^15`,
-//!   so `mullo_epi16` computes it exactly — the low half *is* the product.
+//!   so `mullo_epi16` computes it exactly — the low half *is* the product —
+//!   and `pmaddwd`'s sum of two adjacent products fits its `i32` lane.
 //! * Accumulation is pure integer addition, which is associative and
 //!   commutative, so any lane/order regrouping leaves the sum unchanged
-//!   (callers guarantee no intermediate overflow; see [`axpy_i32`]).
+//!   (`i32` lanes are flushed into `i64` before they can overflow; see
+//!   [`DOT_FLUSH_STEPS`]).
 //!
 //! Property tests in `tests/kernel_tiers.rs` pin every reachable tier
 //! against the scalar oracle over random shapes and densities.
@@ -159,6 +161,15 @@ fn effective(tier: KernelTier) -> KernelTier {
 /// Panics if the slices differ in length.
 pub fn axpy_i64(tier: KernelTier, acc: &mut [i64], xs: &[Sm8], w: i32) {
     assert_eq!(acc.len(), xs.len(), "axpy length mismatch");
+    // The tiers are nested: a span too short to fill this tier's vector
+    // goes straight to the widest tier it does fill (the bodies hand a
+    // longer span's remainder down the same way).
+    let tier = match xs.len() {
+        0..=7 => KernelTier::Scalar,
+        8..=15 => tier.min(KernelTier::Sse2),
+        16..=31 => tier.min(KernelTier::Avx2),
+        _ => tier,
+    };
     match effective(tier) {
         KernelTier::Scalar => axpy_i64_scalar(acc, xs, w),
         // SAFETY: `effective` verified the feature is available on this CPU.
@@ -173,45 +184,237 @@ pub fn axpy_i64(tier: KernelTier, acc: &mut [i64], xs: &[Sm8], w: i32) {
     }
 }
 
-/// `acc[i] += w * xs[i]` over `i32` accumulators — the row update of the
-/// quantized GEMM. The caller must bound the number of accumulated rows so
-/// no `i32` accumulator overflows: each addend is at most `127 * 127 =
-/// 16129` in magnitude, so up to `2^31 / 16129 > 133_000` rows are safe
-/// between flushes (the GEMM flushes every [`GEMM_I32_CHUNK_ROWS`]).
+/// Weight rows of one register block of [`dot_nt`]: the paper computes
+/// "four OFM tiles to completion concurrently" against one fetched IFM
+/// tile; here two filters share each loaded patch vector.
+const DOT_MR: usize = 2;
+/// Patch columns of one register block of [`dot_nt`]: each decoded weight
+/// vector is multiplied against four output positions.
+const DOT_NR: usize = 4;
+
+/// `pmaddwd` steps an `i32` lane of [`dot_nt`] absorbs between `i64`
+/// flushes. A step adds at most `2 * 127 * 127 = 32258` to a lane; the
+/// reduction tail is one more step, and a flush first sums a vector's (at
+/// most 16) lanes in `i32` — all of which the assertion below covers, so
+/// the kernel is exact at any reduction length.
+pub const DOT_FLUSH_STEPS: usize = 1024;
+const _: () = assert!((DOT_FLUSH_STEPS as i64 + 1) * (2 * 127 * 127) * 16 <= i32::MAX as i64);
+
+/// Output-stationary integer GEMM in dot-product ("NT") form: calls
+/// `emit(i, j, Σ_r w[i * len + r] · p[j * len + r])` exactly once for every
+/// weight row `i < rows` and patch column `j < cols`, in no particular
+/// order. Both operands are contiguous along the reduction `r`, which is
+/// where the vector lanes run, so lane occupancy does not depend on how
+/// many columns there are — a deep conv layer's 2x2 plane (`cols = 4`) and
+/// an FC layer (`cols = 1`) keep the lanes as busy as a 32x32 plane.
+///
+/// `w` holds raw `Sm8` weights, decoded on the fly; `p` holds *decoded*
+/// `Sm8` values (`|p| <= 127`, what [`Sm8::decode_i16`] returns). Each
+/// `DOT_MR x DOT_NR` block of sums is accumulated to completion in
+/// `i32` vector registers (`pmaddwd` + `paddd`), flushed into `i64` every
+/// [`DOT_FLUSH_STEPS`] steps. Zero weights are multiplied like any other.
+///
+/// Bit-identical across tiers: products are exact and integer addition
+/// reassociates.
 ///
 /// # Panics
-/// Panics if the slices differ in length.
-pub fn axpy_i32(tier: KernelTier, acc: &mut [i32], xs: &[Sm8], w: i32) {
-    assert_eq!(acc.len(), xs.len(), "axpy length mismatch");
-    match effective(tier) {
-        KernelTier::Scalar => axpy_i32_scalar(acc, xs, w),
-        // SAFETY: `effective` verified the feature is available on this CPU.
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => unsafe { x86::axpy_i32_sse2(acc, xs, w) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { x86::axpy_i32_avx2(acc, xs, w) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx512 => unsafe { x86::axpy_i32_avx512(acc, xs, w) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => axpy_i32_scalar(acc, xs, w),
+/// Panics unless `w.len() == rows * len` and `p.len() == cols * len`.
+pub fn dot_nt(
+    tier: KernelTier,
+    w: &[Sm8],
+    p: &[i16],
+    [rows, cols, len]: [usize; 3],
+    emit: impl FnMut(usize, usize, i64),
+) {
+    assert_eq!(w.len(), rows * len, "weight matrix is not rows x len");
+    assert_eq!(p.len(), cols * len, "patch matrix is not cols x len");
+    // SAFETY: the asserts above are the bodies' only requirement on the
+    // slices; `effective` verified the tier's features on this CPU.
+    unsafe {
+        match effective(tier) {
+            KernelTier::Scalar => dot_scalar::dot_nt(w, p, rows, cols, len, emit),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Sse2 => x86::dot_sse2::dot_nt(w, p, rows, cols, len, emit),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => x86::dot_avx2::dot_nt(w, p, rows, cols, len, emit),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => x86::dot_avx512::dot_nt(w, p, rows, cols, len, emit),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => dot_scalar::dot_nt(w, p, rows, cols, len, emit),
+        }
     }
 }
 
-/// Rows the quantized GEMM may accumulate in `i32` between `i64` flushes
-/// without overflow: `8192 * 16129 = 1.3e8`, two orders of magnitude under
-/// `i32::MAX` (margin for the bias-free partial sums both signs).
-pub const GEMM_I32_CHUNK_ROWS: usize = 8192;
+/// Stamps out one tier's [`dot_nt`] body as a module: the register block
+/// and the loops around it, all under the tier's `#[target_feature]` so
+/// the block inlines and its accumulators never leave registers. A tier
+/// is `LANES` `i16` lanes wide and supplies five operations on its vector
+/// type: `zero()`, `load_w(*const Sm8)` (decoding `LANES` weights to `i16`
+/// lanes), `load_p(*const i16)`, `madd_acc(acc, w, p)` (`acc + pmaddwd(w,
+/// p)` in `i32` lanes) and `hsum(acc) -> i32`.
+macro_rules! dot_nt_tier {
+    ($(#[$feature:meta])? $name:ident, $lanes:literal, $ops:ident) => {
+        pub(super) mod $name {
+            use super::$ops::{hsum, load_p, load_w, madd_acc, zero};
+            use crate::simd::{DOT_FLUSH_STEPS, DOT_MR, DOT_NR};
+            use zskip_quant::Sm8;
+
+            const LANES: usize = $lanes;
+
+            /// Adds the sums of one `MR x NR` block into the top-left
+            /// corner of `sums`: weight rows at `w`, `w + len`, ...; patch
+            /// columns at `p`, `p + len`, ...; `p_tail[j]` is column `j`'s
+            /// last `len % LANES` values, zero-padded.
+            ///
+            /// # Safety
+            /// Every row and column must be readable for `len` elements
+            /// — the last row for `LANES` elements from its tail on when
+            /// `w_tail_in_place` — and the CPU must support the tier.
+            #[inline]
+            $(#[$feature])?
+            unsafe fn block<const MR: usize, const NR: usize>(
+                w: *const Sm8,
+                p: *const i16,
+                len: usize,
+                p_tail: &[[i16; LANES]; DOT_NR],
+                w_tail_in_place: bool,
+                sums: &mut [[i64; DOT_NR]; DOT_MR],
+            ) {
+                let full = len / LANES * LANES;
+                let mut r = 0;
+                loop {
+                    let end = full.min(r + DOT_FLUSH_STEPS * LANES);
+                    let mut acc = [[zero(); NR]; MR];
+                    while r < end {
+                        for (i, acc) in acc.iter_mut().enumerate() {
+                            let wv = load_w(w.add(i * len + r));
+                            for (j, acc) in acc.iter_mut().enumerate() {
+                                *acc = madd_acc(*acc, wv, load_p(p.add(j * len + r)));
+                            }
+                        }
+                        r += LANES;
+                    }
+                    let last = r == full;
+                    if last && full < len {
+                        // The reduction tail, as one more step against
+                        // zero-padded patch values: a zero lane adds
+                        // nothing whatever weight it meets, so the weight
+                        // vector may run on into the next row — or, where
+                        // that would leave the matrix, be a padded copy.
+                        for (i, acc) in acc.iter_mut().enumerate() {
+                            let mut w_tail = [Sm8::ZERO; LANES];
+                            let wv = if w_tail_in_place {
+                                load_w(w.add(i * len + full))
+                            } else {
+                                std::ptr::copy_nonoverlapping(w.add(i * len + full), w_tail.as_mut_ptr(), len - full);
+                                load_w(w_tail.as_ptr())
+                            };
+                            for (acc, p_tail) in acc.iter_mut().zip(p_tail) {
+                                *acc = madd_acc(*acc, wv, load_p(p_tail.as_ptr()));
+                            }
+                        }
+                    }
+                    for (sums, acc) in sums.iter_mut().zip(acc) {
+                        for (sum, acc) in sums.iter_mut().zip(acc) {
+                            *sum += hsum(acc) as i64;
+                        }
+                    }
+                    if last {
+                        return;
+                    }
+                }
+            }
+
+            /// The tier's [`dot_nt`](crate::simd::dot_nt) body. Column
+            /// blocks are the outer loop, so a block of patch columns stays
+            /// in L1 while the weight rows stream past it once; a column
+            /// remainder runs one column at a time.
+            ///
+            /// # Safety
+            /// `w.len() == rows * len`, `p.len() == cols * len`, and the
+            /// CPU must support the tier.
+            $(#[$feature])?
+            pub unsafe fn dot_nt(
+                w: &[Sm8],
+                p: &[i16],
+                rows: usize,
+                cols: usize,
+                len: usize,
+                mut emit: impl FnMut(usize, usize, i64),
+            ) {
+                let full = len / LANES * LANES;
+                let mut j = 0;
+                while j < cols {
+                    let nr = if cols - j >= DOT_NR { DOT_NR } else { 1 };
+                    let pj = p.as_ptr().add(j * len);
+                    let mut p_tail = [[0i16; LANES]; DOT_NR];
+                    for (c, tail) in p_tail.iter_mut().enumerate().take(nr) {
+                        std::ptr::copy_nonoverlapping(pj.add(c * len + full), tail.as_mut_ptr(), len - full);
+                    }
+                    let mut i = 0;
+                    while i < rows {
+                        let mr = DOT_MR.min(rows - i);
+                        let wi = w.as_ptr().add(i * len);
+                        // Whether a full vector at the block's last
+                        // tail still ends inside `w`.
+                        let in_place = (i + mr - 1) * len + full + LANES <= w.len();
+                        let mut sums = [[0i64; DOT_NR]; DOT_MR];
+                        match (mr, nr) {
+                            (DOT_MR, DOT_NR) => block::<DOT_MR, DOT_NR>(wi, pj, len, &p_tail, in_place, &mut sums),
+                            (DOT_MR, _) => block::<DOT_MR, 1>(wi, pj, len, &p_tail, in_place, &mut sums),
+                            (_, DOT_NR) => block::<1, DOT_NR>(wi, pj, len, &p_tail, in_place, &mut sums),
+                            _ => block::<1, 1>(wi, pj, len, &p_tail, in_place, &mut sums),
+                        }
+                        for (a, sums) in sums.iter().enumerate().take(mr) {
+                            for (b, &sum) in sums.iter().enumerate().take(nr) {
+                                emit(i + a, j + b, sum);
+                            }
+                        }
+                        i += mr;
+                    }
+                    j += nr;
+                }
+            }
+        }
+    };
+}
+
+/// The portable tier of [`dot_nt`]: one "lane", so a step is one product.
+mod scalar_ops {
+    use zskip_quant::Sm8;
+
+    #[inline(always)]
+    pub fn zero() -> i32 {
+        0
+    }
+    /// # Safety
+    /// `w` must be readable.
+    #[inline(always)]
+    pub unsafe fn load_w(w: *const Sm8) -> i32 {
+        (*w).decode_i16() as i32
+    }
+    /// # Safety
+    /// `p` must be readable.
+    #[inline(always)]
+    pub unsafe fn load_p(p: *const i16) -> i32 {
+        *p as i32
+    }
+    #[inline(always)]
+    pub fn madd_acc(acc: i32, w: i32, p: i32) -> i32 {
+        acc + w * p
+    }
+    #[inline(always)]
+    pub fn hsum(acc: i32) -> i32 {
+        acc
+    }
+}
+
+dot_nt_tier!(dot_scalar, 1, scalar_ops);
 
 fn axpy_i64_scalar(acc: &mut [i64], xs: &[Sm8], w: i32) {
     let w = w as i64;
     for (a, &x) in acc.iter_mut().zip(xs) {
         *a += w * x.to_i32() as i64;
-    }
-}
-
-fn axpy_i32_scalar(acc: &mut [i32], xs: &[Sm8], w: i32) {
-    for (a, &x) in acc.iter_mut().zip(xs) {
-        *a += w * x.to_i32();
     }
 }
 
@@ -285,7 +488,8 @@ mod x86 {
     /// 32-wide tap update: decode two tile rows of inputs, multiply by the
     /// broadcast weight in `i16` (exact), widen through `i32` to `i64`.
     /// Same dataflow as the AVX2 kernel at double width; the sub-32
-    /// remainder runs the scalar tail, so short valid-spans stay exact.
+    /// remainder goes to the next narrower tier (the tiers are nested), so
+    /// the short valid-spans of deep layers still vectorize.
     #[target_feature(enable = "avx512f,avx512bw")]
     pub unsafe fn axpy_i64_avx512(acc: &mut [i64], xs: &[Sm8], w: i32) {
         let n = xs.len();
@@ -300,32 +504,15 @@ mod x86 {
             add_i32x16_into_i64(acc.as_mut_ptr().add(i + 16), hi);
             i += 32;
         }
-        super::axpy_i64_scalar(&mut acc[i..], &xs[i..], w);
-    }
-
-    /// 32-wide GEMM row update into `i32` accumulators.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn axpy_i32_avx512(acc: &mut [i32], xs: &[Sm8], w: i32) {
-        let n = xs.len();
-        let wv = _mm512_set1_epi16(w as i16);
-        let mut i = 0;
-        while i + 32 <= n {
-            let bytes = _mm256_loadu_si256(xs.as_ptr().add(i) as *const __m256i);
-            let prod = _mm512_mullo_epi16(decode32_avx512(_mm512_cvtepu8_epi16(bytes)), wv);
-            let lo = _mm512_cvtepi16_epi32(_mm512_castsi512_si256(prod));
-            let hi = _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64::<1>(prod));
-            let base = acc.as_mut_ptr().add(i);
-            let a0 = _mm512_loadu_si512(base as *const _);
-            _mm512_storeu_si512(base as *mut _, _mm512_add_epi32(a0, lo));
-            let a1 = _mm512_loadu_si512(base.add(16) as *const _);
-            _mm512_storeu_si512(base.add(16) as *mut _, _mm512_add_epi32(a1, hi));
-            i += 32;
+        if i < n {
+            axpy_i64_avx2(&mut acc[i..], &xs[i..], w);
         }
-        super::axpy_i32_scalar(&mut acc[i..], &xs[i..], w);
     }
 
     /// 16-wide tap update: decode one tile row of inputs, multiply by the
-    /// broadcast weight in `i16` (exact), widen through `i32` to `i64`.
+    /// broadcast weight in `i16` (exact), widen through `i32` to `i64`; the
+    /// sub-16 remainder goes to the SSE2 body.
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn axpy_i64_avx2(acc: &mut [i64], xs: &[Sm8], w: i32) {
         let n = xs.len();
@@ -340,11 +527,15 @@ mod x86 {
             add_i32x8_into_i64(acc.as_mut_ptr().add(i + 8), hi);
             i += 16;
         }
-        super::axpy_i64_scalar(&mut acc[i..], &xs[i..], w);
+        if i < n {
+            axpy_i64_sse2(&mut acc[i..], &xs[i..], w);
+        }
     }
 
     /// 8-wide tap update using SSE2-era widening (unpack + arithmetic
-    /// shift for `i16 -> i32`, unpack with a sign mask for `i32 -> i64`).
+    /// shift for `i16 -> i32`, unpack with a sign mask for `i32 -> i64`);
+    /// the sub-8 remainder runs the scalar loop.
+    #[inline]
     #[target_feature(enable = "sse2")]
     pub unsafe fn axpy_i64_sse2(acc: &mut [i64], xs: &[Sm8], w: i32) {
         let n = xs.len();
@@ -374,51 +565,106 @@ mod x86 {
         super::axpy_i64_scalar(&mut acc[i..], &xs[i..], w);
     }
 
-    /// 16-wide GEMM row update into `i32` accumulators.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_i32_avx2(acc: &mut [i32], xs: &[Sm8], w: i32) {
-        let n = xs.len();
-        let wv = _mm256_set1_epi16(w as i16);
-        let mut i = 0;
-        while i + 16 <= n {
-            let bytes = _mm_loadu_si128(xs.as_ptr().add(i) as *const __m128i);
-            let prod = _mm256_mullo_epi16(decode16_avx2(_mm256_cvtepu8_epi16(bytes)), wv);
-            let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-            let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1));
-            let base = acc.as_mut_ptr().add(i);
-            let a0 = _mm256_loadu_si256(base as *const __m256i);
-            _mm256_storeu_si256(base as *mut __m256i, _mm256_add_epi32(a0, lo));
-            let a1 = _mm256_loadu_si256(base.add(8) as *const __m256i);
-            _mm256_storeu_si256(base.add(8) as *mut __m256i, _mm256_add_epi32(a1, hi));
-            i += 16;
-        }
-        super::axpy_i32_scalar(&mut acc[i..], &xs[i..], w);
+    /// Sum of the four `i32` lanes.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn hsum_i32x4(v: __m128i) -> i32 {
+        let v = _mm_add_epi32(v, _mm_shuffle_epi32::<0b01_00_11_10>(v));
+        _mm_cvtsi128_si32(_mm_add_epi32(v, _mm_shuffle_epi32::<0b10_11_00_01>(v)))
     }
 
-    /// 16-wide GEMM row update into `i32` accumulators, SSE2-only ops.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn axpy_i32_sse2(acc: &mut [i32], xs: &[Sm8], w: i32) {
-        let n = xs.len();
-        let wv = _mm_set1_epi16(w as i16);
-        let zero = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 16 <= n {
-            let bytes = _mm_loadu_si128(xs.as_ptr().add(i) as *const __m128i);
-            let halves = [_mm_unpacklo_epi8(bytes, zero), _mm_unpackhi_epi8(bytes, zero)];
-            for (h, b16) in halves.into_iter().enumerate() {
-                let prod = _mm_mullo_epi16(decode8_sse2(b16), wv);
-                let lo = _mm_srai_epi32(_mm_unpacklo_epi16(prod, prod), 16);
-                let hi = _mm_srai_epi32(_mm_unpackhi_epi16(prod, prod), 16);
-                let base = acc.as_mut_ptr().add(i + 8 * h);
-                let a0 = _mm_loadu_si128(base as *const __m128i);
-                _mm_storeu_si128(base as *mut __m128i, _mm_add_epi32(a0, lo));
-                let a1 = _mm_loadu_si128(base.add(4) as *const __m128i);
-                _mm_storeu_si128(base.add(4) as *mut __m128i, _mm_add_epi32(a1, hi));
-            }
-            i += 16;
+    /// The 8-lane tier of `dot_nt`.
+    mod sse2_ops {
+        use super::*;
+
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        pub unsafe fn zero() -> __m128i {
+            _mm_setzero_si128()
         }
-        super::axpy_i32_scalar(&mut acc[i..], &xs[i..], w);
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        pub unsafe fn load_w(w: *const Sm8) -> __m128i {
+            decode8_sse2(_mm_unpacklo_epi8(_mm_loadl_epi64(w as *const __m128i), _mm_setzero_si128()))
+        }
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        pub unsafe fn load_p(p: *const i16) -> __m128i {
+            _mm_loadu_si128(p as *const __m128i)
+        }
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        pub unsafe fn madd_acc(acc: __m128i, w: __m128i, p: __m128i) -> __m128i {
+            _mm_add_epi32(acc, _mm_madd_epi16(w, p))
+        }
+        pub(super) use super::hsum_i32x4 as hsum;
     }
+
+    /// The 16-lane tier of `dot_nt`.
+    mod avx2_ops {
+        use super::*;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub unsafe fn zero() -> __m256i {
+            _mm256_setzero_si256()
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub unsafe fn load_w(w: *const Sm8) -> __m256i {
+            decode16_avx2(_mm256_cvtepu8_epi16(_mm_loadu_si128(w as *const __m128i)))
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub unsafe fn load_p(p: *const i16) -> __m256i {
+            _mm256_loadu_si256(p as *const __m256i)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub unsafe fn madd_acc(acc: __m256i, w: __m256i, p: __m256i) -> __m256i {
+            _mm256_add_epi32(acc, _mm256_madd_epi16(w, p))
+        }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub unsafe fn hsum(v: __m256i) -> i32 {
+            hsum_i32x4(_mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)))
+        }
+    }
+
+    /// The 32-lane tier of `dot_nt`.
+    mod avx512_ops {
+        use super::*;
+
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw")]
+        pub unsafe fn zero() -> __m512i {
+            _mm512_setzero_si512()
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw")]
+        pub unsafe fn load_w(w: *const Sm8) -> __m512i {
+            decode32_avx512(_mm512_cvtepu8_epi16(_mm256_loadu_si256(w as *const __m256i)))
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw")]
+        pub unsafe fn load_p(p: *const i16) -> __m512i {
+            _mm512_loadu_si512(p as *const _)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw")]
+        pub unsafe fn madd_acc(acc: __m512i, w: __m512i, p: __m512i) -> __m512i {
+            _mm512_add_epi32(acc, _mm512_madd_epi16(w, p))
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw")]
+        pub unsafe fn hsum(v: __m512i) -> i32 {
+            _mm512_reduce_add_epi32(v)
+        }
+    }
+
+    dot_nt_tier!(#[target_feature(enable = "sse2")] dot_sse2, 8, sse2_ops);
+    dot_nt_tier!(#[target_feature(enable = "avx2")] dot_avx2, 16, avx2_ops);
+    dot_nt_tier!(#[target_feature(enable = "avx512f,avx512bw")] dot_avx512, 32, avx512_ops);
 }
 
 #[cfg(test)]
@@ -468,6 +714,85 @@ mod tests {
         (0..n).map(|_| Sm8::from_bits(rng.next_u64() as u8)).collect()
     }
 
+    /// [`dot_nt`] collected into a `rows x cols` matrix, checking that
+    /// every element is emitted exactly once.
+    fn dot_matrix(tier: KernelTier, w: &[Sm8], x: &[Sm8], dims: [usize; 3]) -> Vec<i64> {
+        let [rows, cols, _] = dims;
+        let p: Vec<i16> = x.iter().map(|v| v.decode_i16()).collect();
+        let mut out = vec![None; rows * cols];
+        dot_nt(tier, w, &p, dims, |i, j, sum| {
+            assert!(out[i * cols + j].replace(sum).is_none(), "({i}, {j}) emitted twice");
+        });
+        out.into_iter().map(|v| v.expect("every element emitted")).collect()
+    }
+
+    /// The independent oracle: sign+magnitude products, one at a time.
+    fn dot_oracle(w: &[Sm8], x: &[Sm8], [rows, cols, len]: [usize; 3]) -> Vec<i64> {
+        let mut out = Vec::new();
+        for i in 0..rows {
+            for j in 0..cols {
+                let (w, x) = (&w[i * len..][..len], &x[j * len..][..len]);
+                out.push(w.iter().zip(x).map(|(w, x)| w.mul_exact(*x) as i64).sum());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dot_tiers_match_the_oracle_at_every_length_and_bit_pattern() {
+        // 3 rows = a full row block + a remainder row; 6 columns = a full
+        // column block + two single columns. Consecutive bit patterns, so
+        // every one of the 256 (negative zero 0x80 included) meets every
+        // lane position as the length sweeps every lane boundary and tail.
+        for len in 0..=200usize {
+            let dims = [3, 6, len];
+            let w: Vec<Sm8> = (0..3 * len).map(|i| Sm8::from_bits((i * 7 + len) as u8)).collect();
+            let x: Vec<Sm8> = (0..6 * len).map(|i| Sm8::from_bits((i * 13 + 5 * len + 0x80) as u8)).collect();
+            let want = dot_oracle(&w, &x, dims);
+            for tier in KernelTier::supported() {
+                assert_eq!(dot_matrix(tier, &w, &x, dims), want, "tier {tier}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn dot_tiers_match_the_oracle_at_every_block_remainder() {
+        for rows in 0..=2 * DOT_MR + 1 {
+            for cols in 0..=2 * DOT_NR + 1 {
+                let dims = [rows, cols, 37];
+                let (w, x) = (sm8_vec(rows as u64, rows * 37), sm8_vec(100 + cols as u64, cols * 37));
+                let want = dot_oracle(&w, &x, dims);
+                for tier in KernelTier::supported() {
+                    assert_eq!(dot_matrix(tier, &w, &x, dims), want, "tier {tier}, {rows} x {cols}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_is_exact_at_the_worst_case_around_the_i32_flush() {
+        // Every product +-127 * 127 — the most an `i32` lane can gain per
+        // step — at reduction lengths just below, at and above each tier's
+        // flush point (with the longest tail), two flushes deep, and at
+        // VGG's fc6 length for a 224x224 input.
+        let mut lens = vec![25_088];
+        for lanes in [1, 8, 16, 32] {
+            let chunk = DOT_FLUSH_STEPS * lanes;
+            lens.extend([chunk - 1, chunk, chunk + 1, chunk + lanes - 1, 2 * chunk + 1]);
+        }
+        for len in lens {
+            let dims = [DOT_MR + 1, DOT_NR + 1, len];
+            let w: Vec<Sm8> = (0..dims[0]).flat_map(|i| vec![if i == 1 { Sm8::MIN } else { Sm8::MAX }; len]).collect();
+            let x = vec![Sm8::MAX; dims[1] * len];
+            let want: Vec<i64> = (0..dims[0])
+                .flat_map(|i| vec![if i == 1 { -16129 } else { 16129 } * len as i64; dims[1]])
+                .collect();
+            for tier in KernelTier::supported() {
+                assert_eq!(dot_matrix(tier, &w, &x, dims), want, "tier {tier}, len {len}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -478,18 +803,27 @@ mod tests {
         ) {
             let xs = sm8_vec(seed, n);
             let base: Vec<i64> = (0..n as i64).map(|i| i * 1_000_003 - 7).collect();
-            let base32: Vec<i32> = (0..n as i32).map(|i| i * 1003 - 7).collect();
-            let mut want64 = base.clone();
-            axpy_i64(KernelTier::Scalar, &mut want64, &xs, w);
-            let mut want32 = base32.clone();
-            axpy_i32(KernelTier::Scalar, &mut want32, &xs, w);
+            let mut want = base.clone();
+            axpy_i64(KernelTier::Scalar, &mut want, &xs, w);
             for tier in KernelTier::supported() {
-                let mut got64 = base.clone();
-                axpy_i64(tier, &mut got64, &xs, w);
-                prop_assert_eq!(&got64, &want64, "axpy_i64 tier {}", tier);
-                let mut got32 = base32.clone();
-                axpy_i32(tier, &mut got32, &xs, w);
-                prop_assert_eq!(&got32, &want32, "axpy_i32 tier {}", tier);
+                let mut got = base.clone();
+                axpy_i64(tier, &mut got, &xs, w);
+                prop_assert_eq!(&got, &want, "axpy_i64 tier {}", tier);
+            }
+        }
+
+        #[test]
+        fn dot_tiers_match_the_oracle_on_random_shapes(
+            rows in 0usize..6,
+            cols in 0usize..10,
+            len in 0usize..70,
+            seed in 0u64..1000,
+        ) {
+            let dims = [rows, cols, len];
+            let (w, x) = (sm8_vec(seed, rows * len), sm8_vec(seed + 1000, cols * len));
+            let want = dot_oracle(&w, &x, dims);
+            for tier in KernelTier::supported() {
+                prop_assert_eq!(dot_matrix(tier, &w, &x, dims), &want[..], "tier {}", tier);
             }
         }
     }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use zskip_nn::conv::{conv2d_quant_dense, conv2d_quant_into, conv2d_quant_into_pool, QuantConvWeights};
 use zskip_nn::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier};
 use zskip_nn::par::ConvPool;
-use zskip_nn::simd::{KernelTier, GEMM_I32_CHUNK_ROWS};
+use zskip_nn::simd::{KernelTier, DOT_FLUSH_STEPS};
 use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -97,24 +97,29 @@ proptest! {
             let gemm = conv2d_gemm_quant_pool(&input, &qw, 1, pad, tier, &pool);
             prop_assert_eq!(&oracle, &gemm, "pooled gemm kernel, tier {}, {} workers", tier, workers);
             let single = conv2d_gemm_quant_tier(&input, &qw, 1, pad, tier);
-            prop_assert_eq!(&oracle, &single, "row-panel gemm kernel, tier {}", tier);
+            prop_assert_eq!(&oracle, &single, "gemm kernel, tier {}", tier);
         }
     }
 }
 
 #[test]
 fn gemm_reduction_longer_than_one_i32_chunk_is_bit_exact_on_every_tier() {
-    // Fully dense 3x3 filters over enough input channels that every
-    // output channel accumulates more than GEMM_I32_CHUNK_ROWS non-zero
-    // rows: the mid-reduction i32 -> i64 flush and the trailing partial
-    // flush both run, on the scalar tier too (it shares the row-panel
-    // body), and must lose or double-count nothing.
-    let in_c = GEMM_I32_CHUNK_ROWS / 9 + 10;
-    let qw = synthetic_qw(2, in_c, 3, 1.0, 21, false);
-    let nonzero_rows = qw.w[..in_c * 9].iter().filter(|w| !w.is_zero()).count();
-    assert!(nonzero_rows > GEMM_I32_CHUNK_ROWS, "only {nonzero_rows} non-zero rows");
+    // Fully dense 3x3 filters over enough input channels that the
+    // reduction outruns one i32 chunk of the widest tier (DOT_FLUSH_STEPS
+    // steps of 32 lanes) by a ragged tail: the mid-reduction i32 -> i64
+    // flush, the tail step and the final flush all run — several times
+    // over on the narrower tiers, the scalar one included (it shares the
+    // blocking) — and must lose or double-count nothing.
+    let in_c = DOT_FLUSH_STEPS * 32 / 9 + 3;
+    assert!(in_c * 9 > DOT_FLUSH_STEPS * 32 && !(in_c * 9).is_multiple_of(32));
+    // Requantized finely enough that the ~1e6-sized sums do not all
+    // saturate: a lost or doubled chunk has to show in the output.
+    let w = synthetic_qw(3, in_c, 3, 1.0, 21, false).w;
+    let qw = QuantConvWeights::new(3, in_c, 3, w, vec![40_000, -9, 0], Requantizer::from_ratio(1.0 / 32768.0), false);
     let input = synthetic_input(in_c, 4, 5, 21);
     let oracle = conv2d_quant_dense(&input, &qw, 1, 0);
+    let unsaturated = oracle.as_slice().iter().filter(|v| v.to_i32().abs() < 127).count();
+    assert!(unsaturated * 2 > oracle.as_slice().len(), "only {unsaturated} outputs short of saturation");
     let pool = ConvPool::new(2);
     for tier in KernelTier::supported() {
         assert_eq!(oracle, conv2d_gemm_quant_tier(&input, &qw, 1, 0, tier), "tier {tier}");
