@@ -11,8 +11,6 @@
 //!   output-stationary blocking (scalar with a portable dot); all tiers
 //!   must be bit-identical (asserted here and property-tested in
 //!   `crates/nn`).
-//! * **Packed conv**: the packed-nonzero span kernel (`conv2d_quant_into`)
-//!   per tier on the same conv layers — the golden model's path.
 //! * **Allocations per image**: heap allocations of one quantized forward
 //!   pass through the allocating API vs. the [`Scratch`] arena after
 //!   warm-up, counted by a counting global allocator. Steady state must
@@ -53,7 +51,6 @@ use zskip_core::driver::{BackendKind, Driver};
 use zskip_core::weight_cache_stats;
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
-use zskip_nn::conv::conv2d_quant_into;
 use zskip_nn::eval::synthetic_inputs;
 use zskip_nn::fc::{fc_quant_pool_into, QuantFcWeights};
 use zskip_nn::gemm::{conv2d_gemm_quant_tier, GemmScratch};
@@ -145,23 +142,16 @@ struct ShapeResult {
     hw: usize,
     density: f64,
     gemm: Vec<TierTiming>,
-    /// Empty for the FC row: the packed kernel is a conv.
-    packed: Vec<TierTiming>,
     best_tier: &'static str,
     /// Scalar-tier GEMM time over the best SIMD tier's.
     best_gemm_speedup: f64,
 }
 
 impl ShapeResult {
-    fn new(
-        layer: &str,
-        (out_c, in_c, hw, density): (usize, usize, usize, f64),
-        gemm: Vec<TierTiming>,
-        packed: Vec<TierTiming>,
-    ) -> Self {
+    fn new(layer: &str, (out_c, in_c, hw, density): (usize, usize, usize, f64), gemm: Vec<TierTiming>) -> Self {
         let best = gemm.iter().skip(1).min_by(|a, b| a.ms.total_cmp(&b.ms));
         let (best_tier, best_gemm_speedup) = best.map_or(("scalar", 1.0), |t| (t.tier, t.speedup));
-        ShapeResult { layer: layer.to_string(), out_c, in_c, hw, density, gemm, packed, best_tier, best_gemm_speedup }
+        ShapeResult { layer: layer.to_string(), out_c, in_c, hw, density, gemm, best_tier, best_gemm_speedup }
     }
 
     /// Whether `--check` holds every SIMD tier's GEMM to
@@ -182,7 +172,6 @@ impl ToJson for ShapeResult {
             ("hw", self.hw.to_json()),
             ("density", self.density.to_json()),
             ("gemm", self.gemm.to_json()),
-            ("packed", self.packed.to_json()),
             ("best_tier", self.best_tier.to_json()),
             ("best_gemm_speedup", self.best_gemm_speedup.to_json()),
         ])
@@ -382,13 +371,7 @@ fn bench_shapes() -> Vec<ShapeResult> {
             let input = tiled.to_tensor();
             let macs = out_c * in_c * 9 * hw * hw;
             let gemm = time_tiers(name, macs, |tier| conv2d_gemm_quant_tier(&input, &qw, 1, 0, tier));
-            let mut acc = Vec::new();
-            let mut out = Tensor::zeros(1, 1, 1);
-            let packed = time_tiers(name, macs, |tier| {
-                conv2d_quant_into(&input, &qw, 1, 0, tier, &mut acc, &mut out);
-                out.clone()
-            });
-            ShapeResult::new(name, (out_c, in_c, hw, density), gemm, packed)
+            ShapeResult::new(name, (out_c, in_c, hw, density), gemm)
         })
         .collect();
 
@@ -413,7 +396,7 @@ fn bench_shapes() -> Vec<ShapeResult> {
         fc_quant_pool_into(&input, &fc, tier, None, &mut ws, &mut out);
         out.clone()
     });
-    shapes.push(ShapeResult::new("fc7-like", (out_features, in_features, 1, 1.0), gemm, Vec::new()));
+    shapes.push(ShapeResult::new("fc7-like", (out_features, in_features, 1, 1.0), gemm));
     shapes
 }
 
@@ -622,17 +605,13 @@ fn render(bench: &Bench) -> String {
         bench.dispatch_tier
     ));
     text.push_str(&format!(
-        "{:<14} {:>8} {:<8} {:>11} {:>9} {:>8} {:>11} {:>9}\n",
-        "layer", "density", "tier", "gemm ms", "speedup", "GMAC/s", "packed ms", "speedup"
+        "{:<14} {:>8} {:<8} {:>11} {:>9} {:>8}\n",
+        "layer", "density", "tier", "gemm ms", "speedup", "GMAC/s"
     ));
     for s in &bench.shapes {
-        for (i, g) in s.gemm.iter().enumerate() {
-            let packed = match s.packed.get(i) {
-                Some(p) => format!("{:>11.2} {:>8.2}x", p.ms, p.speedup),
-                None => format!("{:>11} {:>9}", "-", "-"),
-            };
+        for g in &s.gemm {
             text.push_str(&format!(
-                "{:<14} {:>8.2} {:<8} {:>11.2} {:>8.2}x {:>8.1} {packed}\n",
+                "{:<14} {:>8.2} {:<8} {:>11.2} {:>8.2}x {:>8.1}\n",
                 s.layer, s.density, g.tier, g.ms, g.speedup, g.gmacs_per_s
             ));
         }
@@ -702,16 +681,11 @@ const CPU_VS_MODEL_FLOOR: f64 = 10.0;
 const DEEP_GEMM_FLOOR: f64 = 3.0;
 
 /// `--check` policy: every SIMD tier must beat scalar on every reference
-/// shape — the GEMM by [`DEEP_GEMM_FLOOR`] on the deep shapes, the packed
-/// kernel wherever a row holds a vector — and steady state must not
-/// allocate.
+/// shape — by [`DEEP_GEMM_FLOOR`] on the deep shapes — and steady state
+/// must not allocate.
 fn check(bench: &Bench) -> Result<(), String> {
     for s in &bench.shapes {
-        // The packed kernel vectorizes along an output row: on a plane
-        // under 8 wide (the narrowest tier's lanes) every tier runs the
-        // scalar loop, so only the GEMM is held to scalar there.
-        let packed = if s.hw >= 8 { &s.packed[..] } else { &[] };
-        for t in s.gemm.iter().chain(packed).filter(|t| t.tier != "scalar") {
+        for t in s.gemm.iter().filter(|t| t.tier != "scalar") {
             if t.speedup < 1.0 {
                 return Err(format!(
                     "{}: tier {} is {:.2}x vs scalar (slower)",

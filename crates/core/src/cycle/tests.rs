@@ -7,7 +7,7 @@ use crate::layout::FmLayout;
 use crate::weights::GroupWeights;
 use zskip_fault::{FaultKind, FaultPlan};
 use zskip_hls::AccelArch;
-use zskip_nn::conv::{conv2d_quant, QuantConvWeights};
+use zskip_nn::conv::{conv2d_quant_dense, QuantConvWeights};
 use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
 
@@ -144,7 +144,7 @@ fn event_scheduler_matches_dense_on_vgg16_layer() {
     let extract = |outcome: &CycleOutcome| output_8x8(outcome, &layout, qw.out_c);
     let out = extract(&dense);
     assert_eq!(out, extract(&event), "outputs must be bit-identical");
-    assert_eq!(out, conv2d_quant(&input, &qw, 1, 1), "and match the golden model");
+    assert_eq!(out, conv2d_quant_dense(&input, &qw, 1, 1), "and match the dense oracle");
 }
 
 /// A hosted feed for [`run_conv_outcome`]: splits the instruction stream
@@ -193,7 +193,7 @@ fn hosted_event_matches_dense_and_jumps_staging() {
     let extract = |outcome: &CycleOutcome| output_8x8(outcome, &layout, qw.out_c);
     let out = extract(&dense);
     assert_eq!(out, extract(&event), "outputs must be bit-identical");
-    assert_eq!(out, conv2d_quant(&input, &qw, 1, 1), "and match the golden model");
+    assert_eq!(out, conv2d_quant_dense(&input, &qw, 1, 1), "and match the dense oracle");
 }
 
 #[test]
@@ -237,7 +237,7 @@ fn park_hysteresis_is_invisible_under_an_injected_stall() {
     let (default, layout) = stalled(None);
     let (clean, _) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &RunOptions::default());
     assert!(default.cycles > clean.cycles, "the stall must cost cycles: {} vs {}", default.cycles, clean.cycles);
-    assert_eq!(output_8x8(&default, &layout, qw.out_c), conv2d_quant(&input, &qw, 1, 1));
+    assert_eq!(output_8x8(&default, &layout, qw.out_c), conv2d_quant_dense(&input, &qw, 1, 1));
     for ticks in [1, 3, 64] {
         let (explicit, _) = stalled(Some(ticks));
         assert_eq!(explicit.cycles, default.cycles, "hysteresis {ticks}");
@@ -277,7 +277,7 @@ fn conv_matches_golden_model_bit_exact() {
     let qw = weights(8, 8, 5);
     let input = input_tensor(8, 12, 12);
     let (got, _) = run_conv(&cfg, &qw, &input);
-    assert_eq!(got, conv2d_quant(&input, &qw, 1, 1));
+    assert_eq!(got, conv2d_quant_dense(&input, &qw, 1, 1));
 }
 
 #[test]
@@ -287,7 +287,7 @@ fn conv_matches_with_ragged_group() {
     let qw = weights(10, 5, 4);
     let input = input_tensor(5, 8, 8);
     let (got, _) = run_conv(&cfg, &qw, &input);
-    assert_eq!(got, conv2d_quant(&input, &qw, 1, 1));
+    assert_eq!(got, conv2d_quant_dense(&input, &qw, 1, 1));
 }
 
 #[test]
@@ -297,7 +297,7 @@ fn conv_matches_on_16_unopt_architecture() {
     let qw = weights(5, 3, 3);
     let input = input_tensor(3, 8, 8);
     let (got, _) = run_conv(&cfg, &qw, &input);
-    assert_eq!(got, conv2d_quant(&input, &qw, 1, 1));
+    assert_eq!(got, conv2d_quant_dense(&input, &qw, 1, 1));
 }
 
 #[test]
@@ -306,7 +306,7 @@ fn non_square_feature_maps_work() {
     let qw = weights(4, 3, 6);
     let input = input_tensor(3, 6, 14);
     let (got, _) = run_conv(&cfg, &qw, &input);
-    assert_eq!(got, conv2d_quant(&input, &qw, 1, 1));
+    assert_eq!(got, conv2d_quant_dense(&input, &qw, 1, 1));
 }
 
 #[test]
@@ -316,11 +316,11 @@ fn pruned_weights_take_fewer_cycles_and_stay_exact() {
 
     let dense = weights(8, 8, usize::MAX); // nothing zeroed
     let (out_dense, dense_cycles) = run_conv(&cfg, &dense, &input);
-    assert_eq!(out_dense, conv2d_quant(&input, &dense, 1, 1));
+    assert_eq!(out_dense, conv2d_quant_dense(&input, &dense, 1, 1));
 
     let sparse = weights(8, 8, 2); // roughly half the weights zero
     let (out_sparse, sparse_cycles) = run_conv(&cfg, &sparse, &input);
-    assert_eq!(out_sparse, conv2d_quant(&input, &sparse, 1, 1));
+    assert_eq!(out_sparse, conv2d_quant_dense(&input, &sparse, 1, 1));
 
     assert!(
         sparse_cycles < dense_cycles,
@@ -352,7 +352,7 @@ fn four_cycle_floor_limits_sparse_speedup() {
     }
     nearly_empty.invalidate_caches();
     let (out1, one_cycles) = run_conv(&cfg, &nearly_empty, &input);
-    assert_eq!(out1, conv2d_quant(&input, &nearly_empty, 1, 1));
+    assert_eq!(out1, conv2d_quant_dense(&input, &nearly_empty, 1, 1));
 
     let dense = weights(4, 4, usize::MAX); // 9 nnz per tile
     let (_, dense_cycles) = run_conv(&cfg, &dense, &input);
@@ -552,7 +552,7 @@ fn mixed_instruction_stream_chains_correctly() {
 
     let mut qw_bias = qw.clone();
     qw_bias.bias_acc = vec![1, -2, 3, -4];
-    let want = zskip_nn::pool::maxpool_quant(&conv2d_quant(&input, &qw_bias, 1, 1), 2, 2);
+    let want = zskip_nn::pool::maxpool_quant(&conv2d_quant_dense(&input, &qw_bias, 1, 1), 2, 2);
 
     let outcome = run_preloaded(&cfg, banks, scratchpad, &stream);
     let mut got = TiledFeatureMap::zeros(pool_shape);

@@ -1,9 +1,10 @@
 //! [`BackendKind::Cpu`]: host SIMD kernels with modelled cycles.
 //!
 //! The fastest functional path: layer arithmetic runs through the
-//! `zskip-nn` SIMD `_into` kernels (tier-dispatched, allocation-free on
-//! a warmed [`Scratch`] arena) from one dense plan slot straight into
-//! another, while cycle counts, activity counters
+//! `zskip-nn` `_into` kernels — on every tier the same ones the software
+//! golden model runs (tier-dispatched, allocation-free on a warmed
+//! [`Scratch`] arena) — from one dense plan slot straight into another,
+//! while cycle counts, activity counters
 //! and DDR traffic come from running the shared staged pipeline with
 //! the closed-form model's arithmetic switched off — which is exact,
 //! because those statistics are value-independent.
@@ -23,10 +24,13 @@
 //! `dma:*` injections fire, so it must actually be issued). Only `Ok`
 //! results of plan-free runs are recorded.
 //!
-//! Bit-identical outputs follow by transitivity: the SIMD kernels equal
-//! the scalar golden reference (cross-tier property suite,
-//! `tests/kernel_tiers.rs`), and the Model backend's functional path
-//! equals the same reference (`tests/backend_equivalence.rs`). Because
+//! Since the golden model and this backend share their kernels, comparing
+//! the two checks the driver around them — pad passes, slots, plan, stats
+//! replay — not the arithmetic. That is held independently: every tier of
+//! the conv kernel equals the scalar dense scan `conv2d_quant_dense`
+//! (cross-tier property suite, `tests/kernel_tiers.rs`), and the golden
+//! model and the Model backend's functional path equal a plan-free
+//! interpreter over that scan (`tests/backend_equivalence.rs`). Because
 //! a faulted driver's stats pass issues the very same DMA descriptor
 //! sequence, injected `dma:*` faults fire and surface identically too.
 //!
@@ -40,11 +44,10 @@ use crate::driver::{Driver, DriverError};
 use crate::isa::PoolPadOp;
 use crate::report::PassStats;
 use std::sync::OnceLock;
-use zskip_nn::conv::{conv2d_quant_into, conv2d_quant_into_pool, QuantConvWeights};
-use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool_into};
+use zskip_nn::conv::QuantConvWeights;
+use zskip_nn::gemm::conv2d_gemm_quant_into;
 use zskip_nn::pool::maxpool_quant_into;
 use zskip_nn::scratch::KernelBuffers;
-use zskip_nn::simd::KernelTier;
 use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
 use zskip_quant::Sm8;
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
@@ -159,20 +162,8 @@ pub(crate) fn conv_pass(
     // stride-1 by the driver's geometry checks, so pad = 0 here
     // yields exactly `out_shape`. With a worker pool attached the
     // output channels split across it — bit-exact at any width.
-    //
-    // Kernel choice: on SIMD tiers the output-stationary GEMM is the
-    // fastest host path by a wide margin (see `BENCH_kernels.json`); on the
-    // scalar tier the packed direct conv wins, and keeping it there
-    // also exercises the accelerator-analogue kernel end-to-end under
-    // `ZSKIP_KERNEL=scalar`. All variants are bit-identical
-    // (cross-kernel property suite, `tests/kernel_tiers.rs`).
-    let KernelBuffers { acc, gemm, tier, pool } = &mut ctx.kernel;
-    match (*tier == KernelTier::Scalar, *pool) {
-        (true, Some(p)) => conv2d_quant_into_pool(src, qw, 1, 0, *tier, p, acc, dst),
-        (true, None) => conv2d_quant_into(src, qw, 1, 0, *tier, acc, dst),
-        (false, Some(p)) => conv2d_gemm_quant_pool_into(src, qw, 1, 0, *tier, p, gemm, dst),
-        (false, None) => conv2d_gemm_quant_into(src, qw, 1, 0, *tier, gemm, dst),
-    }
+    let KernelBuffers { gemm, tier, pool } = &mut ctx.kernel;
+    conv2d_gemm_quant_into(src, qw, 1, 0, *tier, *pool, gemm, dst);
     debug_assert_eq!(dst.shape(), out_shape);
     Ok(stats)
 }

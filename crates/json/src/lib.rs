@@ -53,13 +53,15 @@ impl Json {
     /// Parses one JSON value from `s`. Strict: the whole string must be
     /// consumed (modulo surrounding whitespace), duplicate object keys
     /// keep the last occurrence, and numbers follow the JSON grammar
-    /// (parsed as `f64`, like everything this crate serializes).
+    /// (parsed as `f64`, like everything this crate serializes). Arrays
+    /// and objects may nest 128 deep: input comes off sockets and out of
+    /// files, and the parser recurses once per level.
     ///
     /// # Errors
     /// [`ParseError`] with the byte offset of the first offending
     /// character.
     pub fn parse(s: &str) -> Result<Json, ParseError> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -162,9 +164,15 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts (the
+/// documents this workspace reads and writes stay under 8).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -203,8 +211,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -213,6 +221,17 @@ impl Parser<'_> {
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level down, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -320,16 +339,12 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one whole UTF-8 character (input is &str, so
-                    // boundaries are valid by construction).
+                    // Copy the run up to the next quote, escape or control
+                    // character in one piece (input is &str and all three
+                    // are ASCII, so the run ends on a char boundary).
                     let rest = &self.bytes[self.pos..];
-                    let len = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .map(char::len_utf8)
-                        .unwrap_or(1);
-                    out.push_str(std::str::from_utf8(&rest[..len]).expect("char boundary"));
+                    let len = rest.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20).unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?);
                     self.pos += len;
                 }
             }
@@ -651,6 +666,18 @@ mod tests {
             assert!(err.offset >= at_or_after.min(err.offset), "{input}: {err}");
             assert!(err.to_string().contains("invalid JSON at byte"), "{input}");
         }
+    }
+
+    #[test]
+    fn parse_refuses_nesting_past_the_limit_at_the_offending_bracket() {
+        let full = format!("{}1{}", "[{\"a\":".repeat(MAX_DEPTH / 2), "}]".repeat(MAX_DEPTH / 2));
+        assert!(Json::parse(&full).is_ok(), "{MAX_DEPTH} levels parse");
+        // Siblings do not add up: the count is of containers open at once.
+        assert!(Json::parse(&format!("[{}]", vec![full.as_str(); 3].join(","))).is_err(), "one level more");
+        assert!(Json::parse(&format!("[{}]", vec!["[[1]]"; 500].join(","))).is_ok());
+        let err = Json::parse(&"[".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting deeper"), "{err}");
     }
 
     #[test]

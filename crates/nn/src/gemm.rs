@@ -1,13 +1,13 @@
-//! An independent convolution implementation: lowering + GEMM — and the
-//! one integer GEMM body FC layers share with it.
+//! The one quantized convolution kernel: lowering + GEMM — and the one
+//! integer GEMM body FC layers share with it.
 //!
-//! The accelerator's golden model is the direct convolution in
-//! [`crate::conv`]. To guard the guard, this module computes the same
-//! layers by the classic lowering — unroll input patches into a matrix
-//! and multiply by the filter matrix — sharing *no* loop structure with
-//! the direct path. Property tests pin both against the scalar dense scan
-//! [`crate::conv::conv2d_quant_dense`], so an indexing bug in either is
-//! caught by the oracle.
+//! Every host-side conv — the software golden model's plan walk, the cpu
+//! backend on every [`KernelTier`] and [`crate::conv::conv2d_quant`] — is
+//! the classic lowering: unroll input patches into a matrix and multiply
+//! by the filter matrix. The scalar oracle is the dense scan
+//! [`crate::conv::conv2d_quant_dense`], which shares no loop structure
+//! with it; property tests here and in `tests/kernel_tiers.rs` hold every
+//! tier to it bit for bit.
 //!
 //! The GEMM is **output-stationary, in dot-product ("NT") form**:
 //! `out[o][col] = bias[o] + Σ_r W[o][r] · P[col][r]` with both operands
@@ -22,13 +22,13 @@
 //! `gemm_quant_into`, at the caller's [`KernelTier`] (the scalar tier runs
 //! the same blocking with a portable dot).
 //!
-//! The entry points differ only in who does the work: the calling thread
-//! ([`conv2d_gemm_quant_into`]) or an intra-image worker pool
-//! ([`conv2d_gemm_quant_pool_into`]: lowering split by column range, GEMM
-//! by output-channel range). Both write into a caller-owned output tensor
-//! and borrow the patch matrix from a [`GemmScratch`], so a warmed arena
-//! runs them allocation-free; [`conv2d_gemm_quant_tier`] /
-//! [`conv2d_gemm_quant_pool`] are the allocating conveniences.
+//! [`conv2d_gemm_quant_into`] is the entry point: the work is done by the
+//! calling thread, or — with a pool — split over its workers (lowering by
+//! column range, GEMM by output-channel range). It writes into a
+//! caller-owned output tensor and borrows the patch matrix from a
+//! [`GemmScratch`], so a warmed arena runs it allocation-free;
+//! [`conv2d_gemm_quant_tier`] / [`conv2d_gemm_quant_pool`] are the
+//! allocating conveniences.
 
 use crate::conv::{tap_span, QuantConvWeights};
 use crate::par::{ConvPool, SendPtr};
@@ -197,10 +197,17 @@ pub(crate) fn gemm_quant_into(
     });
 }
 
-/// Lowering, GEMM and epilogue of one conv layer: the shared body of the
-/// four public entry points.
+/// Integer-exact quantized convolution via lowering + output-stationary
+/// GEMM at an explicit kernel tier, writing into `out` (reshaped in place)
+/// with the patch matrix borrowed from `ws`: allocation-free once both
+/// have grown to the layer's size. With a `pool` the lowering is split by
+/// column range and the GEMM by output-channel range over its workers,
+/// bit-identically at any worker count. Must agree bit-for-bit with
+/// [`crate::conv::conv2d_quant_dense`]. Zero weights are multiplied, not
+/// skipped — the hardware's zero-skipping is modelled by the stats pass,
+/// not by this kernel.
 #[allow(clippy::too_many_arguments)]
-fn conv_gemm(
+pub fn conv2d_gemm_quant_into(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
     stride: usize,
@@ -223,11 +230,8 @@ fn conv_gemm(
     gemm_quant_into(tier, pool, gemm, &ws.patches, out_h * out_w, out.as_mut_slice());
 }
 
-/// Integer-exact quantized convolution via lowering + output-stationary
-/// GEMM on the calling thread, at an explicit kernel tier; must agree
-/// bit-for-bit with [`crate::conv::conv2d_quant_dense`]. Zero weights are
-/// multiplied, not skipped — the hardware's zero-skipping is modelled by
-/// the stats pass, not by this kernel.
+/// [`conv2d_gemm_quant_into`] on the calling thread, allocating its
+/// workspace and output.
 pub fn conv2d_gemm_quant_tier(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -236,28 +240,12 @@ pub fn conv2d_gemm_quant_tier(
     tier: KernelTier,
 ) -> Tensor<Sm8> {
     let mut out = Tensor::zeros(1, 1, 1);
-    conv2d_gemm_quant_into(input, weights, stride, pad, tier, &mut GemmScratch::default(), &mut out);
+    conv2d_gemm_quant_into(input, weights, stride, pad, tier, None, &mut GemmScratch::default(), &mut out);
     out
 }
 
-/// [`conv2d_gemm_quant_tier`] writing into `out` (reshaped in place) with
-/// the patch matrix borrowed from `ws`: allocation-free once both have
-/// grown to the layer's size.
-pub fn conv2d_gemm_quant_into(
-    input: &Tensor<Sm8>,
-    weights: &QuantConvWeights,
-    stride: usize,
-    pad: usize,
-    tier: KernelTier,
-    ws: &mut GemmScratch,
-    out: &mut Tensor<Sm8>,
-) {
-    conv_gemm(input, weights, stride, pad, tier, None, ws, out);
-}
-
-/// [`conv2d_gemm_quant_tier`] over an intra-image worker pool: the
-/// lowering is split by column range and the GEMM by output-channel
-/// range. Bit-identical to the single-threaded kernel at any worker count.
+/// [`conv2d_gemm_quant_into`] over an intra-image worker pool, allocating
+/// its workspace and output.
 pub fn conv2d_gemm_quant_pool(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -267,30 +255,14 @@ pub fn conv2d_gemm_quant_pool(
     pool: &ConvPool,
 ) -> Tensor<Sm8> {
     let mut out = Tensor::zeros(1, 1, 1);
-    conv2d_gemm_quant_pool_into(input, weights, stride, pad, tier, pool, &mut GemmScratch::default(), &mut out);
+    conv2d_gemm_quant_into(input, weights, stride, pad, tier, Some(pool), &mut GemmScratch::default(), &mut out);
     out
-}
-
-/// [`conv2d_gemm_quant_pool`] writing into `out` with the patch matrix
-/// borrowed from `ws`, like [`conv2d_gemm_quant_into`].
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_gemm_quant_pool_into(
-    input: &Tensor<Sm8>,
-    weights: &QuantConvWeights,
-    stride: usize,
-    pad: usize,
-    tier: KernelTier,
-    pool: &ConvPool,
-    ws: &mut GemmScratch,
-    out: &mut Tensor<Sm8>,
-) {
-    conv_gemm(input, weights, stride, pad, tier, Some(pool), ws, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::{conv2d_quant, conv2d_quant_dense};
+    use crate::conv::conv2d_quant_dense;
     use proptest::prelude::*;
     use zskip_quant::Requantizer;
 
@@ -383,7 +355,7 @@ mod tests {
             let input = Tensor::from_fn(in_c, h, w, |c, y, x| {
                 Sm8::from_i32_saturating((((c * 131 + y * 17 + x * 3) as u64 ^ seed) % 255) as i32 - 127)
             });
-            let direct = conv2d_quant(&input, &qw, 1, pad);
+            let direct = conv2d_quant_dense(&input, &qw, 1, pad);
             let gemm = conv2d_gemm_quant_tier(&input, &qw, 1, pad, simd::dispatch());
             prop_assert_eq!(direct, gemm);
         }
@@ -432,9 +404,9 @@ mod tests {
                     Sm8::from_i32_saturating((((c * 71 + y * 13 + x * 7) as u64 ^ seed) % 255) as i32 - 127)
                 });
                 let oracle = conv2d_quant_dense(&input, &qw, 1, pad);
-                conv2d_gemm_quant_into(&input, &qw, 1, pad, simd::dispatch(), &mut ws, &mut out);
+                conv2d_gemm_quant_into(&input, &qw, 1, pad, simd::dispatch(), None, &mut ws, &mut out);
                 prop_assert_eq!(&oracle, &out, "k={} single-threaded", k);
-                conv2d_gemm_quant_pool_into(&input, &qw, 1, pad, simd::dispatch(), &pool, &mut ws, &mut out);
+                conv2d_gemm_quant_into(&input, &qw, 1, pad, simd::dispatch(), Some(&pool), &mut ws, &mut out);
                 prop_assert_eq!(&oracle, &out, "k={} pooled", k);
             }
         }
@@ -488,10 +460,10 @@ mod tests {
                 assert_eq!((oracle.shape().h, oracle.shape().w), (out_h, out_w));
                 for tier in KernelTier::supported() {
                     let what = format!("{out_h}x{out_w} k={k} stride={stride} pad={pad} tier {tier}");
-                    conv2d_gemm_quant_into(&input, &qw, stride, pad, tier, &mut ws, &mut out);
+                    conv2d_gemm_quant_into(&input, &qw, stride, pad, tier, None, &mut ws, &mut out);
                     assert_eq!(oracle, out, "{what}");
                     for pool in &pools {
-                        conv2d_gemm_quant_pool_into(&input, &qw, stride, pad, tier, pool, &mut ws, &mut out);
+                        conv2d_gemm_quant_into(&input, &qw, stride, pad, tier, Some(pool), &mut ws, &mut out);
                         assert_eq!(oracle, out, "{what}, {} workers", pool.threads());
                     }
                 }

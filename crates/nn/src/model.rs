@@ -8,13 +8,14 @@
 //! realistically-scaled distributions — everything downstream (sparsity
 //! structure, zero-skipping, cycle counts, bit-exactness) is faithful.
 
-use crate::conv::{conv2d_f32_split, conv2d_quant_into, conv2d_quant_into_pool, ConvWeights, QuantConvWeights};
+use crate::conv::{conv2d_f32_split, ConvWeights, QuantConvWeights};
 use crate::eltwise::{
     add_f32, add_quant_phase1, add_quant_phase2, batchnorm_f32, global_avgpool_f32,
     global_avgpool_quant_into, BnWeights,
 };
 use crate::fc::{fc_f32_split, fc_quant_pool_into, softmax, FcWeights, QuantFcWeights};
 use crate::gaussian::{fill_gaussian, ChaChaWords, WordSource};
+use crate::gemm::conv2d_gemm_quant_into;
 use crate::layer::{LayerRef, LayerSpec, NetworkSpec};
 use crate::par::{self, Split};
 use crate::plan::{ExecPlan, PlanStep};
@@ -534,12 +535,11 @@ impl QuantizedNetwork {
     /// [`Scratch::tier`].
     pub fn forward_quant_scratch<'s>(&self, input: &Tensor<f32>, scratch: &'s mut Scratch) -> &'s [Sm8] {
         let golden = |step: AccelStep<'_>| -> Result<(), Infallible> {
-            let AccelStep { layer, weights, src, dst, kernel: KernelBuffers { acc, tier, pool, .. }, .. } = step;
+            let AccelStep { layer, weights, src, dst, kernel: KernelBuffers { gemm, tier, pool }, .. } = step;
             match (layer, weights) {
-                (LayerSpec::Conv { stride, pad, .. }, Some(w)) => match pool {
-                    Some(p) => conv2d_quant_into_pool(src, w, *stride, *pad, tier, p, acc, dst),
-                    None => conv2d_quant_into(src, w, *stride, *pad, tier, acc, dst),
-                },
+                (LayerSpec::Conv { stride, pad, .. }, Some(w)) => {
+                    conv2d_gemm_quant_into(src, w, *stride, *pad, tier, pool, gemm, dst)
+                }
                 (LayerSpec::MaxPool { k, stride, .. }, _) => maxpool_quant_into(src, *k, *stride, dst),
                 _ => unreachable!("run_plan hands over conv and pool steps only"),
             }
@@ -588,7 +588,7 @@ impl QuantizedNetwork {
                             LayerSpec::Conv { .. } => convs.next().map(|c| &c.weights),
                             _ => None,
                         };
-                        let kernel = KernelBuffers { acc, gemm, tier, pool: pool.as_deref() };
+                        let kernel = KernelBuffers { gemm, tier, pool: pool.as_deref() };
                         accel(AccelStep { layer, weights, src_slot, dst_slot, src, dst, padded, kernel })?;
                     }
                     // A Ref is a pure alias: its plan step re-emits the

@@ -6,11 +6,11 @@
 //! analogue of that fixed buffer set — the plan's dense activation slots
 //! and a ping-pong pair of FC vectors (the one place a network's
 //! activations live on the host, whether the golden model or the
-//! accelerator driver walks the plan), plus the kernels' working set: one
-//! `i64` accumulator plane (the packed direct conv's), the GEMM workspace
-//! (the lowered, decoded patch matrix of a conv layer or the decoded input
-//! of an FC layer) and the tensor an explicit pad pass lands in — and
-//! every `_into` operator reshapes them in place instead of allocating.
+//! accelerator driver walks the plan), plus the kernels' working set: the
+//! GEMM workspace (the lowered, decoded patch matrix of a conv layer or
+//! the decoded input of an FC layer), one `i64` plane (the eltwise `Add`'s
+//! rescaled first operand) and the tensor an explicit pad pass lands in —
+//! and every `_into` operator reshapes them in place instead of allocating.
 //!
 //! # Lifetime rules
 //!
@@ -43,10 +43,11 @@ pub struct Scratch {
     /// third to hold the skip-branch activation alive across the branch
     /// body. Grown by [`Scratch::ensure_slots`].
     pub(crate) slots: Vec<Tensor<Sm8>>,
-    /// Per-output-channel `i64` conv accumulator plane.
+    /// The eltwise `Add`'s `i64` plane: its first operand at the output
+    /// scale, between the two phases.
     pub(crate) acc: Vec<i64>,
-    /// Lowered patch matrix of the output-stationary GEMM (the CPU
-    /// backend's conv kernel on SIMD tiers, and every FC layer).
+    /// Lowered patch matrix of the output-stationary GEMM (every conv
+    /// and FC layer).
     pub(crate) gemm: GemmScratch,
     /// Where the accelerator driver's explicit pad pass puts the padded
     /// copy of a conv's input (consumed by the conv pass right after).
@@ -150,11 +151,11 @@ impl Scratch {
     /// The kernels' working set, for a pass computed outside a plan walk
     /// (the driver's single-layer entry points).
     pub fn kernel_buffers(&mut self) -> KernelBuffers<'_> {
-        KernelBuffers { acc: &mut self.acc, gemm: &mut self.gemm, tier: self.tier, pool: self.pool.as_deref() }
+        KernelBuffers { gemm: &mut self.gemm, tier: self.tier, pool: self.pool.as_deref() }
     }
 
-    /// Two activation tensors (the first two plan slots), the `i64`
-    /// accumulator plane, the kernel tier and the attached worker pool:
+    /// Two activation tensors (the first two plan slots), the eltwise
+    /// `Add`'s `i64` plane, the kernel tier and the attached worker pool:
     /// what a stand-alone kernel call computes with. Must not interleave
     /// with a plan walk on the same arena (it never does — an arena
     /// belongs to one session).
@@ -169,13 +170,9 @@ impl Scratch {
 }
 
 /// The arena's kernel working set, lent to one accelerator pass beside
-/// its source and destination slots: whichever conv kernel the tier
-/// selects finds its buffers here (`acc` for the packed direct conv,
-/// `gemm` for the output-stationary GEMM).
+/// its source and destination slots: what the conv kernel computes with.
 #[derive(Debug)]
 pub struct KernelBuffers<'a> {
-    /// Per-output-channel `i64` conv accumulator plane.
-    pub acc: &'a mut Vec<i64>,
     /// The GEMM's lowered patch matrix.
     pub gemm: &'a mut GemmScratch,
     /// The kernel tier to compute with.

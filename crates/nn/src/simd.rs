@@ -149,41 +149,6 @@ fn effective(tier: KernelTier) -> KernelTier {
     }
 }
 
-/// `acc[i] += w * xs[i]` over `i64` accumulators — the packed-nonzero tap
-/// update of `conv2d_quant`, where one weight streams against a contiguous
-/// input run (the paper's one-weight-per-cycle application order).
-///
-/// Bit-identical across tiers for any `w` in the `Sm8` product range
-/// (`|w| <= 127`): per-element addends fit `i16` exactly and `i64`
-/// accumulation cannot overflow from `Sm8`-ranged data.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn axpy_i64(tier: KernelTier, acc: &mut [i64], xs: &[Sm8], w: i32) {
-    assert_eq!(acc.len(), xs.len(), "axpy length mismatch");
-    // The tiers are nested: a span too short to fill this tier's vector
-    // goes straight to the widest tier it does fill (the bodies hand a
-    // longer span's remainder down the same way).
-    let tier = match xs.len() {
-        0..=7 => KernelTier::Scalar,
-        8..=15 => tier.min(KernelTier::Sse2),
-        16..=31 => tier.min(KernelTier::Avx2),
-        _ => tier,
-    };
-    match effective(tier) {
-        KernelTier::Scalar => axpy_i64_scalar(acc, xs, w),
-        // SAFETY: `effective` verified the feature is available on this CPU.
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Sse2 => unsafe { x86::axpy_i64_sse2(acc, xs, w) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx2 => unsafe { x86::axpy_i64_avx2(acc, xs, w) },
-        #[cfg(target_arch = "x86_64")]
-        KernelTier::Avx512 => unsafe { x86::axpy_i64_avx512(acc, xs, w) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => axpy_i64_scalar(acc, xs, w),
-    }
-}
-
 /// Weight rows of one register block of [`dot_nt`]: the paper computes
 /// "four OFM tiles to completion concurrently" against one fetched IFM
 /// tile; here two filters share each loaded patch vector.
@@ -411,13 +376,6 @@ mod scalar_ops {
 
 dot_nt_tier!(dot_scalar, 1, scalar_ops);
 
-fn axpy_i64_scalar(acc: &mut [i64], xs: &[Sm8], w: i32) {
-    let w = w as i64;
-    for (a, &x) in acc.iter_mut().zip(xs) {
-        *a += w * x.to_i32() as i64;
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! `std::arch::x86_64` kernel bodies. Every function carries a
@@ -459,110 +417,6 @@ mod x86 {
         let mag = _mm_and_si128(b16, _mm_set1_epi16(0x7f));
         let neg = _mm_srai_epi16(_mm_slli_epi16(b16, 8), 15);
         _mm_sub_epi16(_mm_xor_si128(mag, neg), neg)
-    }
-
-    /// Adds 8 sign-extended `i32` lanes into 8 consecutive `i64` slots.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_i32x8_into_i64(acc: *mut i64, v: __m256i) {
-        let q0 = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v));
-        let q1 = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1));
-        let a0 = _mm256_loadu_si256(acc as *const __m256i);
-        _mm256_storeu_si256(acc as *mut __m256i, _mm256_add_epi64(a0, q0));
-        let a1 = _mm256_loadu_si256(acc.add(4) as *const __m256i);
-        _mm256_storeu_si256(acc.add(4) as *mut __m256i, _mm256_add_epi64(a1, q1));
-    }
-
-    /// Adds 16 sign-extended `i32` lanes into 16 consecutive `i64` slots.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn add_i32x16_into_i64(acc: *mut i64, v: __m512i) {
-        let q0 = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(v));
-        let q1 = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(v));
-        let a0 = _mm512_loadu_si512(acc as *const _);
-        _mm512_storeu_si512(acc as *mut _, _mm512_add_epi64(a0, q0));
-        let a1 = _mm512_loadu_si512(acc.add(8) as *const _);
-        _mm512_storeu_si512(acc.add(8) as *mut _, _mm512_add_epi64(a1, q1));
-    }
-
-    /// 32-wide tap update: decode two tile rows of inputs, multiply by the
-    /// broadcast weight in `i16` (exact), widen through `i32` to `i64`.
-    /// Same dataflow as the AVX2 kernel at double width; the sub-32
-    /// remainder goes to the next narrower tier (the tiers are nested), so
-    /// the short valid-spans of deep layers still vectorize.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn axpy_i64_avx512(acc: &mut [i64], xs: &[Sm8], w: i32) {
-        let n = xs.len();
-        let wv = _mm512_set1_epi16(w as i16);
-        let mut i = 0;
-        while i + 32 <= n {
-            let bytes = _mm256_loadu_si256(xs.as_ptr().add(i) as *const __m256i);
-            let prod = _mm512_mullo_epi16(decode32_avx512(_mm512_cvtepu8_epi16(bytes)), wv);
-            let lo = _mm512_cvtepi16_epi32(_mm512_castsi512_si256(prod));
-            let hi = _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64::<1>(prod));
-            add_i32x16_into_i64(acc.as_mut_ptr().add(i), lo);
-            add_i32x16_into_i64(acc.as_mut_ptr().add(i + 16), hi);
-            i += 32;
-        }
-        if i < n {
-            axpy_i64_avx2(&mut acc[i..], &xs[i..], w);
-        }
-    }
-
-    /// 16-wide tap update: decode one tile row of inputs, multiply by the
-    /// broadcast weight in `i16` (exact), widen through `i32` to `i64`; the
-    /// sub-16 remainder goes to the SSE2 body.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_i64_avx2(acc: &mut [i64], xs: &[Sm8], w: i32) {
-        let n = xs.len();
-        let wv = _mm256_set1_epi16(w as i16);
-        let mut i = 0;
-        while i + 16 <= n {
-            let bytes = _mm_loadu_si128(xs.as_ptr().add(i) as *const __m128i);
-            let prod = _mm256_mullo_epi16(decode16_avx2(_mm256_cvtepu8_epi16(bytes)), wv);
-            let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-            let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1));
-            add_i32x8_into_i64(acc.as_mut_ptr().add(i), lo);
-            add_i32x8_into_i64(acc.as_mut_ptr().add(i + 8), hi);
-            i += 16;
-        }
-        if i < n {
-            axpy_i64_sse2(&mut acc[i..], &xs[i..], w);
-        }
-    }
-
-    /// 8-wide tap update using SSE2-era widening (unpack + arithmetic
-    /// shift for `i16 -> i32`, unpack with a sign mask for `i32 -> i64`);
-    /// the sub-8 remainder runs the scalar loop.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn axpy_i64_sse2(acc: &mut [i64], xs: &[Sm8], w: i32) {
-        let n = xs.len();
-        let wv = _mm_set1_epi16(w as i16);
-        let zero = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 8 <= n {
-            let bytes = _mm_loadl_epi64(xs.as_ptr().add(i) as *const __m128i);
-            let prod = _mm_mullo_epi16(decode8_sse2(_mm_unpacklo_epi8(bytes, zero)), wv);
-            // Sign-extend i16 lanes to i32 by self-interleave + shift.
-            let p32 = [
-                _mm_srai_epi32(_mm_unpacklo_epi16(prod, prod), 16),
-                _mm_srai_epi32(_mm_unpackhi_epi16(prod, prod), 16),
-            ];
-            for (half, p) in p32.iter().enumerate() {
-                let sign = _mm_srai_epi32(*p, 31);
-                let q0 = _mm_unpacklo_epi32(*p, sign);
-                let q1 = _mm_unpackhi_epi32(*p, sign);
-                let base = acc.as_mut_ptr().add(i + 4 * half);
-                let a0 = _mm_loadu_si128(base as *const __m128i);
-                _mm_storeu_si128(base as *mut __m128i, _mm_add_epi64(a0, q0));
-                let a1 = _mm_loadu_si128(base.add(2) as *const __m128i);
-                _mm_storeu_si128(base.add(2) as *mut __m128i, _mm_add_epi64(a1, q1));
-            }
-            i += 8;
-        }
-        super::axpy_i64_scalar(&mut acc[i..], &xs[i..], w);
     }
 
     /// Sum of the four `i32` lanes.
@@ -796,23 +650,6 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn axpy_tiers_match_scalar(
-            n in 0usize..70, // crosses the 8-, 16- and 32-lane boundaries and tails
-            w in -127i32..=127,
-            seed in 0u64..1000,
-        ) {
-            let xs = sm8_vec(seed, n);
-            let base: Vec<i64> = (0..n as i64).map(|i| i * 1_000_003 - 7).collect();
-            let mut want = base.clone();
-            axpy_i64(KernelTier::Scalar, &mut want, &xs, w);
-            for tier in KernelTier::supported() {
-                let mut got = base.clone();
-                axpy_i64(tier, &mut got, &xs, w);
-                prop_assert_eq!(&got, &want, "axpy_i64 tier {}", tier);
-            }
-        }
-
-        #[test]
         fn dot_tiers_match_the_oracle_on_random_shapes(
             rows in 0usize..6,
             cols in 0usize..10,
@@ -832,11 +669,11 @@ mod tests {
     fn unsupported_tier_falls_back_to_scalar_result() {
         // `effective` clamps: calling any tier value is safe and exact,
         // even one the host lacks (regression guard for non-x86 hosts).
-        let xs = sm8_vec(3, 37);
-        let mut a = vec![5i64; 37];
-        let mut b = vec![5i64; 37];
-        axpy_i64(KernelTier::Scalar, &mut a, &xs, -77);
-        axpy_i64(KernelTier::Avx2, &mut b, &xs, -77);
-        assert_eq!(a, b);
+        let dims = [3, 5, 37];
+        let (w, x) = (sm8_vec(3, 3 * 37), sm8_vec(4, 5 * 37));
+        let want = dot_matrix(KernelTier::Scalar, &w, &x, dims);
+        for tier in KernelTier::ALL {
+            assert_eq!(dot_matrix(tier, &w, &x, dims), want, "tier {tier}");
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! integer accumulation within an output channel.
 
 use proptest::prelude::*;
-use zskip_nn::conv::{conv2d_quant_dense, conv2d_quant_into, conv2d_quant_into_pool, QuantConvWeights};
-use zskip_nn::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier};
+use zskip_nn::conv::{conv2d_quant_dense, QuantConvWeights};
+use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, GemmScratch};
 use zskip_nn::par::ConvPool;
 use zskip_nn::simd::{KernelTier, DOT_FLUSH_STEPS};
 use zskip_quant::{Requantizer, Sm8};
@@ -38,6 +38,15 @@ fn synthetic_qw(out_c: usize, in_c: usize, k: usize, density: f64, seed: u64, re
     )
 }
 
+/// A GEMM workspace left dirty by a larger, fully dense layer: nothing of
+/// it may show in a later layer's output.
+fn dirty_workspace() -> GemmScratch {
+    let mut ws = GemmScratch::default();
+    let qw = synthetic_qw(2, 4, 3, 1.0, 5, false);
+    conv2d_gemm_quant_into(&synthetic_input(4, 20, 20, 5), &qw, 1, 1, KernelTier::Scalar, None, &mut ws, &mut Tensor::zeros(1, 1, 1));
+    ws
+}
+
 fn synthetic_input(in_c: usize, h: usize, w: usize, seed: u64) -> Tensor<Sm8> {
     Tensor::from_fn(in_c, h, w, |c, y, x| {
         Sm8::from_i32_saturating((((c * 131 + y * 17 + x * 3) as u64 ^ seed) % 255) as i32 - 127)
@@ -63,10 +72,10 @@ proptest! {
         let qw = synthetic_qw(out_c, in_c, k, density_ppt as f64 / 1000.0, seed, seed % 2 == 0);
         let input = synthetic_input(in_c, h, w, seed);
         let oracle = conv2d_quant_dense(&input, &qw, stride, pad);
+        let mut ws = dirty_workspace();
+        let mut out = Tensor::zeros(1, 1, 1);
         for tier in KernelTier::supported() {
-            let mut acc = Vec::new();
-            let mut out = Tensor::zeros(1, 1, 1);
-            conv2d_quant_into(&input, &qw, stride, pad, tier, &mut acc, &mut out);
+            conv2d_gemm_quant_into(&input, &qw, stride, pad, tier, None, &mut ws, &mut out);
             prop_assert_eq!(&oracle, &out, "tier {} diverged from dense oracle", tier);
         }
     }
@@ -89,11 +98,11 @@ proptest! {
         let input = synthetic_input(in_c, h, w, seed);
         let oracle = conv2d_quant_dense(&input, &qw, 1, pad);
         let pool = ConvPool::new(workers);
+        let mut ws = dirty_workspace();
+        let mut out = Tensor::zeros(1, 1, 1);
         for tier in KernelTier::supported() {
-            let mut acc = Vec::new();
-            let mut out = Tensor::zeros(1, 1, 1);
-            conv2d_quant_into_pool(&input, &qw, 1, pad, tier, &pool, &mut acc, &mut out);
-            prop_assert_eq!(&oracle, &out, "pooled packed kernel, tier {}, {} workers", tier, workers);
+            conv2d_gemm_quant_into(&input, &qw, 1, pad, tier, Some(&pool), &mut ws, &mut out);
+            prop_assert_eq!(&oracle, &out, "pooled kernel on a dirty workspace, tier {}, {} workers", tier, workers);
             let gemm = conv2d_gemm_quant_pool(&input, &qw, 1, pad, tier, &pool);
             prop_assert_eq!(&oracle, &gemm, "pooled gemm kernel, tier {}, {} workers", tier, workers);
             let single = conv2d_gemm_quant_tier(&input, &qw, 1, pad, tier);
@@ -129,9 +138,9 @@ fn gemm_reduction_longer_than_one_i32_chunk_is_bit_exact_on_every_tier() {
 
 #[test]
 fn all_zero_weights_yield_bias_only_output_on_every_tier() {
-    // Regression: a layer whose filters are entirely zero has empty packed
-    // tap lists; every tier must still emit the requantized bias (and the
-    // accumulator plane must be reset between output channels).
+    // Regression: a layer whose filters are entirely zero must still emit
+    // the requantized bias on every tier (and nothing of the dirty
+    // workspace or of another output channel).
     let qw = QuantConvWeights::new(
         3,
         2,
@@ -142,10 +151,10 @@ fn all_zero_weights_yield_bias_only_output_on_every_tier() {
         false,
     );
     let input = synthetic_input(2, 6, 7, 99);
+    let mut ws = dirty_workspace();
+    let mut out = Tensor::zeros(1, 1, 1);
     for tier in KernelTier::supported() {
-        let mut acc = Vec::new();
-        let mut out = Tensor::zeros(1, 1, 1);
-        conv2d_quant_into(&input, &qw, 1, 1, tier, &mut acc, &mut out);
+        conv2d_gemm_quant_into(&input, &qw, 1, 1, tier, None, &mut ws, &mut out);
         for o in 0..3usize {
             let want = qw.requant.apply(qw.bias_acc[o]).to_i32();
             for &v in out.channel(o) {
@@ -157,21 +166,21 @@ fn all_zero_weights_yield_bias_only_output_on_every_tier() {
 
 #[test]
 fn reused_scratch_buffers_do_not_leak_between_layers() {
-    // The same (acc, out) pair driven through two layers of different
+    // The same (workspace, out) pair driven through two layers of different
     // geometry must give the same answers as fresh buffers — guards the
     // reset/reshape discipline the arena relies on.
     let qw_a = synthetic_qw(4, 2, 3, 0.6, 7, true);
     let qw_b = synthetic_qw(2, 4, 1, 0.9, 8, false);
     let input_a = synthetic_input(2, 9, 9, 1);
+    let mut ws = dirty_workspace();
+    let mut out = Tensor::zeros(1, 1, 1);
     for tier in KernelTier::supported() {
-        let mut acc = Vec::new();
-        let mut out = Tensor::zeros(1, 1, 1);
-        conv2d_quant_into(&input_a, &qw_a, 1, 1, tier, &mut acc, &mut out);
+        conv2d_gemm_quant_into(&input_a, &qw_a, 1, 1, tier, None, &mut ws, &mut out);
         let mid = out.clone();
         assert_eq!(mid, conv2d_quant_dense(&input_a, &qw_a, 1, 1), "tier {tier} layer A");
         // Feed layer A's output into layer B using the same buffers.
         let mut out_b = Tensor::zeros(1, 1, 1);
-        conv2d_quant_into(&mid, &qw_b, 2, 0, tier, &mut acc, &mut out_b);
+        conv2d_gemm_quant_into(&mid, &qw_b, 2, 0, tier, None, &mut ws, &mut out_b);
         assert_eq!(out_b, conv2d_quant_dense(&mid, &qw_b, 2, 0), "tier {tier} layer B");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Packing a layer's weights into the paper's non-zero format (§III-B) is
 //! value-independent: the same `QuantConvWeights` always yields the same
-//! packed taps, nnz table, and scratchpad byte stream. PR 5's per-instance
+//! packed groups and scratchpad byte stream. PR 5's per-instance
 //! `OnceLock` caches already amortized that within one weight object, but
 //! every batch worker, driver session, and per-image pipeline pass that
 //! rebuilt or cloned weights re-derived identical packing from scratch.

@@ -38,13 +38,15 @@ timeout 300 ./target/release/sim_bench --check
 cargo test -q -p zskip-nn --test kernel_tiers
 ZSKIP_KERNEL=scalar cargo test -q -p zskip-nn --test kernel_tiers
 
-# ... and every SIMD tier must carry a whole network: CI's matrix drives
+# ... and every tier must carry a whole network: CI's matrix drives
 # `native` and `scalar` only, so without this the SSE2 and AVX2 bodies are
-# reached by proptests but never by VGG-16 or the ResNet-18 DAG. `infer`
-# asserts bit-exactness vs the golden model itself; the pinned cycle
-# counts show the run completed on the right model. A tier the host lacks
-# falls back to the best supported one, so the loop is portable.
-for tier in sse2 avx2 avx512; do
+# reached by proptests but never by VGG-16 or the ResNet-18 DAG. Golden
+# model and cpu backend run the same GEMM on every tier, the scalar one
+# included, so `infer`'s own bit-exactness assertion checks the driver
+# around it; the pinned cycle counts show the run completed on the right
+# model. A tier the host lacks falls back to the best supported one, so
+# the loop is portable.
+for tier in scalar sse2 avx2 avx512; do
   tier_out=$(ZSKIP_KERNEL=$tier timeout 300 ./target/release/zskip infer --hw 32 --backend cpu)
   printf '%s\n' "$tier_out" | grep -q '^1603970 cycles' \
     || { echo "verify: vgg16-32 infer under ZSKIP_KERNEL=$tier must report 1603970 cycles"; exit 1; }
@@ -53,10 +55,10 @@ for tier in sse2 avx2 avx512; do
     || { echo "verify: resnet18 infer under ZSKIP_KERNEL=$tier must report 212601 cycles"; exit 1; }
 done
 
-# Kernel-tier performance gate: every SIMD tier must beat scalar on the
-# VGG-shaped reference layers — by 3x on the GEMM of the deep shapes
-# (4x4 and 2x2 planes, FC) — and the scratch arena's steady-state forward
-# pass must perform zero heap allocations.
+# Kernel-tier performance gate: every SIMD tier's GEMM must beat scalar
+# on the VGG-shaped reference layers — by 3x on the deep shapes (4x4 and
+# 2x2 planes, FC) — and the scratch arena's steady-state forward pass must
+# perform zero heap allocations.
 timeout 300 ./target/release/kernel_bench --check > /dev/null
 
 # Serving-daemon smoke: a request burst plus shutdown through the wire

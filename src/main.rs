@@ -526,10 +526,10 @@ fn infer(p: &Parsed) {
 
     let qnet = build_network(p, hw, p.has("--ternary"));
     println!(
-        "running {} on {} ({} GMACs, {backend} backend)...",
+        "running {} on {} ({:.2} GMACs, {backend} backend)...",
         qnet.spec.name,
         variant,
-        qnet.spec.total_macs() / 1_000_000_000
+        qnet.spec.total_macs() as f64 / 1e9
     );
     let input = synthetic_inputs(seed, 1, qnet.spec.input).pop().expect("one");
 
@@ -1031,9 +1031,8 @@ fn analyze(p: &Parsed) {
     // packed-group cache is populated the way `infer`/`batch` populate it,
     // and a second one so the stats-pass memo shows its steady state (all
     // hits), then report the process-wide caches (packed scratchpad groups
-    // keyed by weight identity + lane/skip geometry, the nn kernels' packed
-    // per-filter tap streams, and the cpu backend's memoized per-pass
-    // statistics).
+    // keyed by weight identity + lane/skip geometry, and the cpu backend's
+    // memoized per-pass statistics).
     let cpu_driver = Driver::builder(AccelConfig::for_variant(variant))
         .backend(BackendKind::Cpu)
         .build()
@@ -1042,7 +1041,6 @@ fn analyze(p: &Parsed) {
     let cold = zskip::accel::stats_memo_stats();
     let _ = cpu_driver.run_network(&sq, &probe[1]).expect("surrogate image runs");
     let gc = zskip::accel::weight_cache_stats();
-    let tc = zskip::nn::conv::tap_cache_stats();
     let sm = zskip::accel::stats_memo_stats();
     println!(
         "Packed-group weight cache: {} entries ({:.1} MiB), {} hits / {} misses",
@@ -1050,13 +1048,6 @@ fn analyze(p: &Parsed) {
         gc.bytes as f64 / (1 << 20) as f64,
         gc.hits,
         gc.misses
-    );
-    println!(
-        "Packed-tap kernel cache:   {} entries ({:.1} MiB), {} hits / {} misses",
-        tc.entries,
-        tc.bytes as f64 / (1 << 20) as f64,
-        tc.hits,
-        tc.misses
     );
     println!(
         "Stats-pass memo (cpu):     {} entries ({:.1} KiB), {} hits / {} misses; warm image: {} hits / {} misses",

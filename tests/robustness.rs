@@ -1,8 +1,11 @@
 //! Robustness and failure injection: striping under extreme bank
 //! pressure, minimal FIFO depths, capacity errors, degenerate networks.
 
+use proptest::prelude::*;
+use zskip::accel::serve::wire;
 use zskip::accel::{AccelConfig, BackendKind, Driver};
 use zskip::hls::AccelArch;
+use zskip::json::Json;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
@@ -210,4 +213,70 @@ fn unsupported_geometry_is_a_typed_error() {
             .unwrap_err();
         assert!(err.to_string().contains(needle), "{err}");
     }
+}
+
+/// What a hostile client sends most of: JSON punctuation, the wire
+/// protocol's own field names, and fragments that start a string, an
+/// escape, a surrogate pair or an out-of-range number and never finish.
+const WIRE_TOKENS: [&str; 24] = [
+    "{", "}", "[", "]", ":", ",", "\"op\"", "\"infer\"", "\"stats\"", "\"shutdown\"", "\"id\"", "\"seed\"",
+    "\"image\"", "0", "-", "1e999", "18446744073709551616", "0.5", "null", "true", "\"", "\\u", "\\ud800", " ",
+];
+
+/// `Json::parse` and `wire::parse_request` on `text`: a value / request, or
+/// an error with an offset inside the input / one of the two wire codes.
+fn parse_never_panics(text: &str) -> Result<(), String> {
+    if let Err(e) = Json::parse(text) {
+        if e.offset > text.len() {
+            return Err(format!("JSON error offset {} past the {}-byte input", e.offset, text.len()));
+        }
+    }
+    if let Err(e) = wire::parse_request(text) {
+        let code = zskip::Error::from(e.error).code();
+        if code != "serve.protocol" && code != "serve.bad-request" {
+            return Err(format!("wire error carries code {code}"));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Arbitrary strings, and arbitrary bytes through `from_utf8_lossy`
+    /// (the daemon's own decoding of a line), never panic either parser.
+    #[test]
+    fn arbitrary_text_never_panics_the_json_and_wire_parsers(
+        bytes in prop::collection::vec(0u8..=255, 0..64),
+        tokens in prop::collection::vec(0usize..WIRE_TOKENS.len(), 0..48),
+    ) {
+        // Raw bytes rarely get past the first character; token soup does.
+        let soup: String = tokens.iter().map(|&t| WIRE_TOKENS[t]).collect();
+        for text in [String::from_utf8_lossy(&bytes).into_owned(), soup] {
+            let verdict = parse_never_panics(&text);
+            prop_assert!(verdict.is_ok(), "{verdict:?}: {text:?}");
+        }
+    }
+}
+
+/// Nesting depth and line length, up to the longest line the daemon
+/// buffers: an error (or a value), not a stack overflow or a stall.
+#[test]
+fn deep_nesting_and_long_lines_never_panic_the_json_and_wire_parsers() {
+    let n = wire::MAX_LINE_BYTES;
+    let started = std::time::Instant::now();
+    for text in [
+        "[".repeat(n),
+        "{\"a\":".repeat(n / 5),
+        format!("{}{}", "[".repeat(n / 2), "]".repeat(n / 2)),
+        format!("{{\"op\":\"infer\",\"id\":1,\"image\":{}1{}}}", "[".repeat(n / 4), "]".repeat(n / 4)),
+        format!("\"{}\"", "a".repeat(n - 2)),
+        format!("\"{}", "\u{e9}".repeat(n / 2)),
+        format!("{{\"op\":\"infer\",\"id\":\"{}\",\"seed\":1}}", "x".repeat(n / 2)),
+        "1".repeat(n),
+        format!("-0.{}e-{}", "9".repeat(n / 2), "9".repeat(n / 4)),
+        format!("[{}1]", "1,".repeat(n / 2 - 2)),
+        " ".repeat(n),
+    ] {
+        parse_never_panics(&text).unwrap_or_else(|why| panic!("{why} ({} bytes)", text.len()));
+    }
+    assert!(started.elapsed().as_secs() < 60, "a 4 MiB line must parse in time linear in its length");
 }

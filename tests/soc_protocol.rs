@@ -5,7 +5,7 @@
 use zskip::accel::cycle::{self, Feed};
 use zskip::accel::{AccelConfig, BankSet, ConvInstr, FmLayout, GroupWeights, Instruction};
 use zskip::hls::AccelArch;
-use zskip::nn::conv::{conv2d_quant, QuantConvWeights};
+use zskip::nn::conv::{conv2d_quant_dense, QuantConvWeights};
 use zskip::quant::{Requantizer, Sm8};
 use zskip::soc::csr::{status, AccelCsr, CsrFile, ACCEL_CSR_BASE, CSR_BLOCK_LEN};
 use zskip::soc::dma::{DmaController, DmaDescriptor, DmaDirection};
@@ -141,7 +141,7 @@ fn full_csr_dma_inference_round_trip() {
         )
         .expect("in-range");
     }
-    let want = conv2d_quant(&input, &qw, 1, 1);
+    let want = conv2d_quant_dense(&input, &qw, 1, 1);
     let tiles_per_channel = out_layout.tile_rows * out_layout.tiles_x;
     let (out_bytes, _) = ddr.read_block(out_ddr, 4 * tiles_per_channel * 16);
     let mut got = TiledFeatureMap::<Sm8>::zeros(out_shape);
