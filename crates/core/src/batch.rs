@@ -1,25 +1,39 @@
-//! Parallel batch execution engine.
+//! The worker loop: the one way an image gets from a queue onto the
+//! (simulated) accelerator, for a batch and for the serving daemon alike.
 //!
-//! Runs many independent inference requests across a pool of worker
-//! threads, mirroring the structure of the simulated accelerator itself:
-//! each worker owns a private work deque (like a kernel's private input
-//! FIFO), idle workers steal from the *back* of a victim's deque (oldest
-//! work first, so the owner's cache-warm front is undisturbed), and
-//! finished jobs drain through a single completion channel the way the
-//! write-to-memory kernels funnel results onto the shared System I bus.
+//! The shape is the paper's own: long-lived threads joined by a FIFO in a
+//! producer/consumer model, not a fork/join per unit of work. A
+//! `JobQueue` is one `Mutex<VecDeque>` + `Condvar` (an image is a
+//! millisecond or more of work, so a shared queue costs nothing); each
+//! worker owns a warm [`Scratch`] arena for its whole life and pulls **one
+//! job at a time** — an idle worker wakes on a push and starts at once,
+//! and hands the outcome back the moment its own image is done, never
+//! waiting for a neighbour's. [`run_batch_resilient`] runs the loop over a
+//! queue filled up front (the caller is worker 0, the others are scoped
+//! threads borrowing its inputs);
+//! [`ServeEngine`](crate::serve::ServeEngine) keeps its workers and their
+//! arenas alive between requests.
 //!
-//! Determinism: every job is tagged with its input index and results are
-//! reassembled in submission order, so the batch output is bit-identical
-//! to running [`Driver::run_network`] sequentially over the same inputs —
-//! regardless of worker count or steal interleaving. A property test in
-//! this module pins that equivalence.
+//! Determinism: a job runs alone on one arena, every job is tagged with
+//! its input index and results are reassembled in submission order, so the
+//! batch output is bit-identical to running [`Driver::run_network`]
+//! sequentially over the same inputs — regardless of worker count or of
+//! which worker took which job. A property test in this module pins that
+//! equivalence.
+//!
+//! A panic inside an image (a bug, by definition) is caught: that job
+//! alone fails with [`DriverError::Panicked`], the worker swaps in a fresh
+//! arena and goes on to the next job.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use crate::driver::{Driver, DriverError, InferenceReport};
 use zskip_nn::model::QuantizedNetwork;
+use zskip_nn::Scratch;
 use zskip_tensor::Tensor;
 
 /// How one batch run went: the per-input reports (in submission order)
@@ -32,8 +46,6 @@ pub struct BatchReport {
     pub workers: usize,
     /// Jobs completed by each worker (sums to the input count).
     pub per_worker_jobs: Vec<usize>,
-    /// Jobs obtained by stealing from another worker's deque.
-    pub steals: u64,
 }
 
 impl BatchReport {
@@ -100,7 +112,9 @@ pub struct ResilientBatchReport {
     pub workers: usize,
     /// Jobs completed by each worker (sums to the input count).
     pub per_worker_jobs: Vec<usize>,
-    /// Jobs obtained by stealing from another worker's deque.
+    /// Always 0: workers share one queue, so there is nothing to steal.
+    /// Read by the frozen `benchmark/` harness (`core.batch.steals`);
+    /// goes when that probe does (ROADMAP item 7).
     pub steals: u64,
 }
 
@@ -137,39 +151,155 @@ pub fn effective_workers(requested: usize, jobs: usize) -> usize {
     n.clamp(1, jobs.max(1))
 }
 
-/// The per-worker work-stealing deque set. Jobs are input indices,
-/// dealt round-robin so every worker starts with a fair share.
-struct StealQueues {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    steals: AtomicU64,
+/// Locks `m` whether or not a previous holder panicked (the `par.rs`
+/// idiom). Every call site states why its data is valid at every step.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl StealQueues {
-    fn new(jobs: usize, workers: usize) -> StealQueues {
-        let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for j in 0..jobs {
-            deques[j % workers].push_back(j);
-        }
-        StealQueues { deques: deques.into_iter().map(Mutex::new).collect(), steals: AtomicU64::new(0) }
+/// One image waiting for a worker: its input — borrowed from a batch's
+/// caller, owned by a served request — and whatever the submitter wants
+/// back with the outcome.
+pub(crate) struct Job<'a, T> {
+    pub input: Cow<'a, Tensor<f32>>,
+    pub tag: T,
+}
+
+struct QueueState<'a, T> {
+    pending: VecDeque<Job<'a, T>>,
+    closed: bool,
+}
+
+/// Why [`JobQueue::push`] turned a job away.
+pub(crate) enum Refused {
+    /// `depth` jobs are already waiting.
+    Full,
+    /// [`JobQueue::close`] was called.
+    Closed,
+}
+
+/// The FIFO between submitters and workers. Closing it stops admission;
+/// workers drain what is queued and then leave their loop.
+pub(crate) struct JobQueue<'a, T> {
+    state: Mutex<QueueState<'a, T>>,
+    /// Wakes one idle worker per push, all of them on close.
+    bell: Condvar,
+}
+
+impl<'a, T> JobQueue<'a, T> {
+    /// A queue holding `jobs`, closed or open to more.
+    pub(crate) fn new(jobs: impl IntoIterator<Item = Job<'a, T>>, closed: bool) -> JobQueue<'a, T> {
+        let state = QueueState { pending: jobs.into_iter().collect(), closed };
+        JobQueue { state: Mutex::new(state), bell: Condvar::new() }
     }
 
-    /// Next job for worker `w`: own deque front, else steal a victim's
-    /// back. `None` means every deque is empty — since all jobs are
-    /// enqueued before the pool starts, that is global completion.
-    fn next(&self, w: usize) -> Option<usize> {
-        if let Some(j) = self.deques[w].lock().expect("deque poisoned").pop_front() {
-            return Some(j);
+    // Invariant for every `lock(&self.state)` below: each critical section
+    // is one push, one pop or one flag store, so the state is valid at
+    // every point a holder could have panicked.
+
+    /// Enqueues `job` unless the queue is closed or already `depth` deep.
+    pub(crate) fn push(&self, job: Job<'a, T>, depth: usize) -> Result<(), Refused> {
+        let mut q = lock(&self.state);
+        if q.closed {
+            return Err(Refused::Closed);
         }
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (w + off) % n;
-            if let Some(j) = self.deques[victim].lock().expect("deque poisoned").pop_back() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(j);
+        if q.pending.len() >= depth {
+            return Err(Refused::Full);
+        }
+        q.pending.push_back(job);
+        drop(q);
+        self.bell.notify_one();
+        Ok(())
+    }
+
+    /// Stops admission. Idempotent; queued jobs still run.
+    pub(crate) fn close(&self) {
+        lock(&self.state).closed = true;
+        self.bell.notify_all();
+    }
+
+    pub(crate) fn is_closed(&self) -> bool {
+        lock(&self.state).closed
+    }
+
+    /// Jobs waiting for a worker.
+    pub(crate) fn len(&self) -> usize {
+        lock(&self.state).pending.len()
+    }
+
+    /// The oldest waiting job, sleeping until there is one; `None` once
+    /// the queue is closed and drained.
+    fn take(&self) -> Option<Job<'a, T>> {
+        let mut q = lock(&self.state);
+        loop {
+            if let Some(job) = q.pending.pop_front() {
+                return Some(job);
+            }
+            if q.closed {
+                return None;
+            }
+            q = self.bell.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// What became of one job: [`BatchItemReport`] without the index.
+pub(crate) struct Outcome {
+    pub attempts: u32,
+    pub backoff_cycles: u64,
+    pub result: Result<InferenceReport, DriverError>,
+}
+
+/// One worker's life: a warm arena, and one job at a time off `queue`
+/// until it is closed and drained. `deliver` gets each job's tag, when the
+/// worker took it and how it went, as soon as that job is done.
+pub(crate) fn worker_loop<T>(
+    queue: &JobQueue<'_, T>,
+    driver: &Driver,
+    qnet: &QuantizedNetwork,
+    policy: RetryPolicy,
+    mut deliver: impl FnMut(T, Instant, Outcome),
+) {
+    let mut scratch = Scratch::new();
+    while let Some(Job { input, tag }) = queue.take() {
+        let taken = Instant::now();
+        let outcome = run_job(driver, qnet, &input, &mut scratch, policy);
+        deliver(tag, taken, outcome);
+    }
+}
+
+/// One job on `scratch`: up to [`RetryPolicy::max_attempts`] tries
+/// (transient errors only — see [`DriverError::is_transient`]) with
+/// exponential backoff.
+fn run_job(
+    driver: &Driver,
+    qnet: &QuantizedNetwork,
+    input: &Tensor<f32>,
+    scratch: &mut Scratch,
+    policy: RetryPolicy,
+) -> Outcome {
+    let max_attempts = policy.max_attempts.max(1);
+    let mut attempts = 0u32;
+    let mut backoff_cycles = 0u64;
+    let result = loop {
+        attempts += 1;
+        // Unwind-safe: of what the closure touches only the arena can be
+        // left half-written, and a panic replaces it below.
+        match catch_unwind(AssertUnwindSafe(|| driver.run_network_scratch(qnet, input, scratch))) {
+            Ok(Ok(report)) => break Ok(report),
+            Ok(Err(e)) if attempts < max_attempts && e.is_transient() => {
+                backoff_cycles = backoff_cycles.saturating_add(policy.backoff_before_retry(attempts));
+            }
+            Ok(Err(e)) => break Err(e),
+            Err(panic) => {
+                *scratch = Scratch::new();
+                let message = panic.downcast_ref::<&str>().map(|s| s.to_string());
+                let message = message.or_else(|| panic.downcast_ref::<String>().cloned());
+                break Err(DriverError::Panicked(message.unwrap_or_else(|| "non-string panic".into())));
             }
         }
-        None
-    }
+    };
+    Outcome { attempts, backoff_cycles, result }
 }
 
 /// Runs `inputs` through `qnet` on `workers` threads (0 = auto) and
@@ -186,17 +316,17 @@ pub fn run_batch(
     inputs: &[Tensor<f32>],
     workers: usize,
 ) -> Result<BatchReport, DriverError> {
-    let ResilientBatchReport { items, workers, per_worker_jobs, steals } =
+    let ResilientBatchReport { items, workers, per_worker_jobs, steals: _ } =
         run_batch_resilient(driver, qnet, inputs, workers, RetryPolicy::none());
     let reports = items.into_iter().map(|item| item.result).collect::<Result<_, _>>()?;
-    Ok(BatchReport { reports, workers, per_worker_jobs, steals })
+    Ok(BatchReport { reports, workers, per_worker_jobs })
 }
 
 /// The batch engine: runs `inputs` through `qnet` on `workers` threads
-/// (0 = auto). A failing input poisons only itself: every input gets up
-/// to [`RetryPolicy::max_attempts`] tries (transient errors only — see
-/// [`DriverError::is_transient`]) with exponential backoff, and the
-/// report carries a per-item `Result` in submission order instead of
+/// (0 = auto, the caller counting as one), each running `worker_loop`
+/// over one queue holding every input. A failing input poisons only
+/// itself: every input gets up to [`RetryPolicy::max_attempts`] tries and
+/// the report carries a per-item `Result` in submission order instead of
 /// aborting. Successful items are bit-identical to a sequential
 /// [`Driver::run_network`] run, regardless of worker count or failures
 /// elsewhere in the batch.
@@ -208,62 +338,27 @@ pub fn run_batch_resilient(
     policy: RetryPolicy,
 ) -> ResilientBatchReport {
     let workers = effective_workers(workers, inputs.len());
-    let max_attempts = policy.max_attempts.max(1);
-    if inputs.is_empty() {
-        return ResilientBatchReport {
-            items: Vec::new(),
-            workers,
-            per_worker_jobs: vec![0; workers],
-            steals: 0,
-        };
-    }
-
-    let queues = StealQueues::new(inputs.len(), workers);
-    let (tx, rx) = mpsc::channel::<(usize, BatchItemReport)>();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let queues = &queues;
-            scope.spawn(move || {
-                // One scratch arena per worker: host-side buffers warm up on
-                // the first job and are reused for the rest of the batch.
-                let mut scratch = zskip_nn::Scratch::new();
-                while let Some(job) = queues.next(w) {
-                    let mut attempts = 0u32;
-                    let mut backoff_cycles = 0u64;
-                    let result = loop {
-                        attempts += 1;
-                        match driver.run_network_scratch(qnet, &inputs[job], &mut scratch) {
-                            Ok(report) => break Ok(report),
-                            Err(e) => {
-                                if attempts >= max_attempts || !e.is_transient() {
-                                    break Err(e);
-                                }
-                                backoff_cycles =
-                                    backoff_cycles.saturating_add(policy.backoff_before_retry(attempts));
-                            }
-                        }
-                    };
-                    let item = BatchItemReport { index: job, attempts, backoff_cycles, result };
-                    if tx.send((w, item)).is_err() {
-                        break; // collector gone: nothing left to report to
-                    }
-                }
-            });
-        }
+    let jobs = inputs.iter().enumerate().map(|(index, input)| Job { input: Cow::Borrowed(input), tag: index });
+    let queue = JobQueue::new(jobs, true);
+    let work = || {
+        let mut mine = Vec::new();
+        worker_loop(&queue, driver, qnet, policy, |index, _, Outcome { attempts, backoff_cycles, result }| {
+            mine.push(BatchItemReport { index, attempts, backoff_cycles, result });
+        });
+        mine
+    };
+    let per_worker: Vec<Vec<BatchItemReport>> = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut all = vec![work()];
+        // The loop catches an image's panic itself, so this is a bug in
+        // the loop: the caller's panic, not a lost result.
+        all.extend(others.into_iter().map(|h| h.join().unwrap_or_else(|e| resume_unwind(e))));
+        all
     });
-    drop(tx);
-
-    let mut slots: Vec<Option<BatchItemReport>> = (0..inputs.len()).map(|_| None).collect();
-    let mut per_worker_jobs = vec![0usize; workers];
-    for (w, item) in rx {
-        per_worker_jobs[w] += 1;
-        let index = item.index;
-        slots[index] = Some(item);
-    }
-    let items = slots.into_iter().map(|s| s.expect("every job reported")).collect();
-    ResilientBatchReport { items, workers, per_worker_jobs, steals: queues.steals.load(Ordering::Relaxed) }
+    let per_worker_jobs = per_worker.iter().map(Vec::len).collect();
+    let mut items: Vec<BatchItemReport> = per_worker.into_iter().flatten().collect();
+    items.sort_by_key(|item| item.index);
+    ResilientBatchReport { items, workers, per_worker_jobs, steals: 0 }
 }
 
 #[cfg(test)]
@@ -304,7 +399,7 @@ mod tests {
         let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Model);
         let r = run_batch(&driver, &qnet, &[], 4).expect("empty batch");
         assert!(r.reports.is_empty());
-        assert_eq!(r.steals, 0);
+        assert_eq!(r.per_worker_jobs, [0]);
     }
 
     #[test]
@@ -325,6 +420,40 @@ mod tests {
         assert_eq!(r.reports.len(), 7);
         assert_eq!(r.per_worker_jobs.iter().sum::<usize>(), 7);
         assert_eq!(r.workers, 3);
+        // Whichever worker took which job, items come back by input.
+        let resilient = run_batch_resilient(&driver, &qnet, &inputs, 3, RetryPolicy::none());
+        assert_eq!(resilient.items.iter().map(|i| i.index).collect::<Vec<_>>(), (0..7).collect::<Vec<_>>());
+        for (item, report) in resilient.items.iter().zip(&r.reports) {
+            assert_eq!(item.result.as_ref().expect("runs").output, report.output);
+        }
+    }
+
+    #[test]
+    fn a_panicking_image_fails_alone_and_its_worker_carries_on_with_a_fresh_arena() {
+        let good = small_qnet(8);
+        // Filters cut short: the kernels index past them and panic.
+        let mut broken = small_qnet(8);
+        broken.conv[0].weights.w.truncate(1);
+        let inputs = synthetic_inputs(13, 3, good.spec.input);
+        let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Cpu);
+        let want = driver.run_network(&good, &inputs[0]).expect("runs");
+
+        // One arena across a good image, a panic, and a good image again.
+        let mut scratch = Scratch::new();
+        let policy = RetryPolicy::default();
+        run_job(&driver, &good, &inputs[0], &mut scratch, policy).result.expect("runs");
+        let panicked = run_job(&driver, &broken, &inputs[0], &mut scratch, policy);
+        assert!(matches!(panicked.result, Err(DriverError::Panicked(_))), "{:?}", panicked.result);
+        assert_eq!(panicked.attempts, 1, "a panic is a bug, not a transient fault");
+        assert_eq!(crate::Error::from(panicked.result.unwrap_err()).code(), "driver.panicked");
+        let after = run_job(&driver, &good, &inputs[0], &mut scratch, policy).result.expect("runs");
+        assert_eq!((after.output, after.total_cycles), (want.output, want.total_cycles));
+
+        // Through the engine nothing unwinds into the caller: each image
+        // fails on its own, on the calling thread and on a spawned one.
+        let report = run_batch_resilient(&driver, &broken, &inputs, 2, policy);
+        assert_eq!(report.per_worker_jobs.iter().sum::<usize>(), 3);
+        assert!(report.items.iter().all(|i| matches!(i.result, Err(DriverError::Panicked(_)))));
     }
 
     #[test]

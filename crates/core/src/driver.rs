@@ -100,6 +100,10 @@ pub enum DriverError {
     InvalidNetwork(String),
     /// The driver configuration is invalid (see [`DriverBuilder::build`]).
     InvalidConfig(String),
+    /// The image panicked on its worker (a bug in this program, or an
+    /// input no caller validated); the worker loop caught it — see
+    /// [`crate::batch`]. Carries the panic message.
+    Panicked(String),
 }
 
 impl std::fmt::Display for DriverError {
@@ -115,6 +119,7 @@ impl std::fmt::Display for DriverError {
             }
             DriverError::InvalidNetwork(reason) => write!(f, "invalid network: {reason}"),
             DriverError::InvalidConfig(reason) => write!(f, "invalid driver configuration: {reason}"),
+            DriverError::Panicked(message) => write!(f, "the image panicked on its worker: {message}"),
         }
     }
 }

@@ -70,6 +70,7 @@ impl Error {
             Error::Driver(DriverError::InvalidConfig(_)) | Error::InvalidConfig(_) => {
                 "config.invalid"
             }
+            Error::Driver(DriverError::Panicked(_)) => "driver.panicked",
             Error::Push(_) => "sim.fifo-push",
             Error::Bus(BusError::Unmapped(_)) => "bus.unmapped",
             Error::Bus(BusError::Misaligned(_)) => "bus.misaligned",

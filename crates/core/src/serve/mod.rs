@@ -1,30 +1,33 @@
-//! The inference serving daemon: a submission queue with adaptive
-//! batching in front of the work-stealing batch engine.
+//! The inference serving daemon: a bounded submission queue in front of
+//! resident workers.
 //!
-//! A [`ServeEngine`] owns one batcher thread and a bounded request queue.
-//! Producers (stdin reader, TCP connection threads, tests) submit
-//! requests through a cloneable [`ServeHandle`]; the batcher coalesces
-//! whatever is queued into adaptive batches — dispatching as soon as
-//! [`BatchConfig::max_batch`](crate::session::BatchConfig::max_batch)
-//! requests are waiting, or when
-//! [`BatchConfig::batch_window`](crate::session::BatchConfig::batch_window)
-//! expires after the first request of a batch arrives — and runs each
-//! batch through [`Session::run_batch_resilient`]. Every request carries
-//! a completion callback, invoked exactly once with a [`ServeReply`]:
-//! the inference report (or error) plus per-request latency stats (queue
-//! wait, batch wall time, batch size).
+//! A [`ServeEngine`] owns `workers` long-lived threads
+//! ([`BatchConfig::workers`](crate::session::BatchConfig::workers), 0 =
+//! one per host core), each running the batch engine's
+//! [worker loop](crate::batch) over one shared queue: a warm arena for
+//! the thread's life, one request at a time. Producers (stdin reader, TCP
+//! connection threads, tests) submit requests through a cloneable
+//! [`ServeHandle`]; an idle worker wakes on the submit and starts at once,
+//! and nothing is coalesced — no kernel shares work across a batch's
+//! images, so holding a request back for company could only delay it.
+//! Every request carries a completion callback, invoked exactly once with
+//! a [`ServeReply`] — by the worker that ran the request, on that worker's
+//! thread, the moment its own image is done: the inference report (or
+//! error) plus per-request latency stats (queue wait, service time).
 //!
 //! Three properties the tests pin down:
 //!
 //! * **Backpressure, not collapse** — a submit against a full queue is
 //!   rejected immediately with [`ServeError::Overloaded`]; queued and
 //!   in-flight requests are unaffected.
-//! * **Fault isolation** — a request that fails (e.g. an injected DMA
-//!   parity fault) errors with its stable [`Error::code`]; unrelated
-//!   requests in the same batch complete bit-identical to `zskip infer`.
+//! * **Fault isolation** — a request that fails (an injected DMA parity
+//!   fault, an image that panics its worker, a completion callback that
+//!   panics) errors with its stable [`Error::code`] and is counted as
+//!   failed; every other request completes bit-identical to `zskip infer`
+//!   and the worker keeps serving.
 //! * **Graceful shutdown** — [`ServeHandle::shutdown`] stops admission
-//!   ([`ServeError::Shutdown`]) but the batcher drains everything
-//!   already queued before [`ServeEngine::join`] returns.
+//!   ([`ServeError::Shutdown`]) but the workers drain everything already
+//!   queued before [`ServeEngine::join`] returns.
 //!
 //! The wire protocol (newline-delimited JSON over stdio or TCP) is a
 //! thin layer over this engine; see [`wire`] and `docs/SERVING.md`.
@@ -32,15 +35,16 @@
 mod histogram;
 pub mod wire;
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::driver::InferenceReport;
+use crate::batch::{effective_workers, lock, worker_loop, Job, JobQueue, Refused};
+use crate::driver::{DriverError, InferenceReport};
 use crate::error::Error;
 use crate::session::{BatchConfig, Session};
 use histogram::LogHistogram;
@@ -92,16 +96,18 @@ impl std::error::Error for ServeError {}
 /// Per-request latency accounting, attached to every [`ServeReply`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestStats {
-    /// Microseconds the request waited queued before its batch dispatched.
+    /// Microseconds from the submit to a worker taking the request.
     pub queue_us: u64,
-    /// Wall microseconds of the batch the request ran in.
+    /// Microseconds from there to this reply: the request's own service
+    /// time, retries included. (The name is the wire field's: a reply used
+    /// to wait for the slowest image of its batch.)
     pub batch_us: u64,
-    /// How many requests were coalesced into that batch.
+    /// Always 1: a worker runs one request at a time.
     pub batch_size: usize,
 }
 
 impl RequestStats {
-    /// Total request latency: queue wait plus batch wall time.
+    /// Total request latency: queue wait plus service time.
     pub fn total_us(&self) -> u64 {
         self.queue_us + self.batch_us
     }
@@ -124,18 +130,15 @@ pub struct ServeReply {
 pub struct ServeStats {
     /// Requests completed successfully.
     pub served: u64,
-    /// Requests that completed with an error (after retries).
+    /// Requests that completed with an error (after retries), or whose
+    /// completion callback panicked.
     pub failed: u64,
     /// Requests rejected at admission ([`ServeError::Overloaded`] or
     /// [`ServeError::Shutdown`]).
     pub rejected: u64,
-    /// Batches dispatched.
-    pub batches: u64,
-    /// Largest batch coalesced so far.
-    pub max_batch_seen: usize,
-    /// Total request latencies (queue + batch wall) in microseconds,
-    /// one sample per completion: a fixed-size log histogram, so a
-    /// daemon's 10^7-th request costs the memory of its 10th.
+    /// Total request latencies (queue + service) in microseconds, one
+    /// sample per completion: a fixed-size log histogram, so a daemon's
+    /// 10^7-th request costs the memory of its 10th.
     latencies_us: LogHistogram,
 }
 
@@ -156,45 +159,62 @@ impl ServeStats {
     pub fn completed(&self) -> u64 {
         self.served + self.failed
     }
-
-    /// Mean coalesced batch size (0.0 before the first dispatch).
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.completed() as f64 / self.batches as f64
-        }
-    }
 }
 
-/// What a request runs when its batch completes. Invoked exactly once,
-/// on the batcher thread — keep it cheap (a channel send, a line write).
+/// What a request runs when it completes. Invoked exactly once, on the
+/// thread of the worker that ran the request, before that worker takes its
+/// next one — keep it cheap (a channel send, a line write). The request is
+/// already counted in [`ServeHandle::stats`] when it runs. If it panics,
+/// the request is re-counted as failed and the worker carries on.
 pub type Completion = Box<dyn FnOnce(ServeReply) + Send + 'static>;
 
-struct Pending {
-    input: Tensor<f32>,
-    ticket: Ticket,
-}
-
-/// What outlives a request's input once its batch is dispatched.
+/// What a queued request's input travels with.
 struct Ticket {
     id: String,
     enqueued: Instant,
     complete: Completion,
 }
 
-struct QueueState {
-    pending: VecDeque<Pending>,
-    shutdown: bool,
-}
-
 struct Shared {
-    queue: Mutex<QueueState>,
-    /// Wakes the batcher on submit and shutdown.
-    bell: Condvar,
+    queue: JobQueue<'static, Ticket>,
     stats: Mutex<ServeStats>,
     config: BatchConfig,
-    shutdown_flag: AtomicBool,
+}
+
+impl Shared {
+    /// The counters. Poison-tolerant: every update is a few integer adds
+    /// that cannot panic part-way.
+    fn stats(&self) -> MutexGuard<'_, ServeStats> {
+        lock(&self.stats)
+    }
+
+    /// Counts the request a worker took at `taken` and has now finished,
+    /// then hands its reply to its completion.
+    fn complete(&self, ticket: Ticket, taken: Instant, result: Result<InferenceReport, DriverError>) {
+        let stats = RequestStats {
+            queue_us: taken.saturating_duration_since(ticket.enqueued).as_micros() as u64,
+            batch_us: taken.elapsed().as_micros() as u64,
+            batch_size: 1,
+        };
+        let ok = result.is_ok();
+        {
+            let mut counters = self.stats();
+            if ok {
+                counters.served += 1;
+            } else {
+                counters.failed += 1;
+            }
+            counters.latencies_us.record(stats.total_us());
+        }
+        // Outside the stats lock, so a callback may query handle.stats().
+        let reply = ServeReply { id: ticket.id, result: result.map_err(Error::from), stats };
+        let delivered = catch_unwind(AssertUnwindSafe(|| (ticket.complete)(reply)));
+        if delivered.is_err() && ok {
+            let mut counters = self.stats();
+            counters.served -= 1;
+            counters.failed += 1;
+        }
+    }
 }
 
 /// Cloneable submission side of a [`ServeEngine`].
@@ -210,8 +230,8 @@ impl fmt::Debug for ServeHandle {
 }
 
 impl ServeHandle {
-    /// Enqueues one request; `complete` fires exactly once when its batch
-    /// finishes. Admission control happens here, synchronously.
+    /// Enqueues one request; `complete` fires exactly once when it has
+    /// run. Admission control happens here, synchronously.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] when the queue is at
@@ -224,22 +244,15 @@ impl ServeHandle {
         input: Tensor<f32>,
         complete: Completion,
     ) -> Result<(), Error> {
-        let mut q = self.shared.queue.lock().unwrap();
-        if q.shutdown {
-            drop(q);
-            self.shared.stats.lock().unwrap().rejected += 1;
-            return Err(ServeError::Shutdown.into());
-        }
-        if q.pending.len() >= self.shared.config.queue_depth {
-            drop(q);
-            self.shared.stats.lock().unwrap().rejected += 1;
-            return Err(ServeError::Overloaded { depth: self.shared.config.queue_depth }.into());
-        }
+        let depth = self.shared.config.queue_depth;
         let ticket = Ticket { id: id.into(), enqueued: Instant::now(), complete };
-        q.pending.push_back(Pending { input, ticket });
-        drop(q);
-        self.shared.bell.notify_all();
-        Ok(())
+        let refused = match self.shared.queue.push(Job { input: Cow::Owned(input), tag: ticket }, depth) {
+            Ok(()) => return Ok(()),
+            Err(Refused::Closed) => ServeError::Shutdown,
+            Err(Refused::Full) => ServeError::Overloaded { depth },
+        };
+        self.shared.stats().rejected += 1;
+        Err(refused.into())
     }
 
     /// [`ServeHandle::submit_with`] delivering the reply on a channel.
@@ -255,29 +268,25 @@ impl ServeHandle {
         self.submit_with(id, input, Box::new(move |r| drop(reply.send(r))))
     }
 
-    /// Stops admission and tells the batcher to drain what is queued and
+    /// Stops admission and tells the workers to drain what is queued and
     /// exit. Idempotent; already-queued requests still complete.
     pub fn shutdown(&self) {
-        let mut q = self.shared.queue.lock().unwrap();
-        q.shutdown = true;
-        self.shared.shutdown_flag.store(true, Ordering::Release);
-        drop(q);
-        self.shared.bell.notify_all();
+        self.shared.queue.close();
     }
 
     /// Whether [`ServeHandle::shutdown`] has been called.
     pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown_flag.load(Ordering::Acquire)
+        self.shared.queue.is_closed()
     }
 
     /// Snapshot of the aggregate server counters.
     pub fn stats(&self) -> ServeStats {
-        self.shared.stats.lock().unwrap().clone()
+        self.shared.stats().clone()
     }
 
-    /// Requests currently queued (not yet dispatched).
+    /// Requests currently queued (no worker has taken them yet).
     pub fn queued(&self) -> usize {
-        self.shared.queue.lock().unwrap().pending.len()
+        self.shared.queue.len()
     }
 
     /// The batch configuration the engine was started with.
@@ -286,11 +295,11 @@ impl ServeHandle {
     }
 }
 
-/// The serving daemon's core: one batcher thread over a bounded queue.
+/// The serving daemon's core: resident workers over a bounded queue.
 /// Construct with [`ServeEngine::start`], stop with [`ServeEngine::join`].
 pub struct ServeEngine {
     handle: ServeHandle,
-    batcher: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl fmt::Debug for ServeEngine {
@@ -300,21 +309,28 @@ impl fmt::Debug for ServeEngine {
 }
 
 impl ServeEngine {
-    /// Spawns the batcher thread for `session` over `qnet`. The batch
-    /// knobs come from [`Session::batch_config`].
+    /// Spawns the worker threads for `session` over `qnet`. Their count,
+    /// the queue depth and the retry policy come from
+    /// [`Session::batch_config`].
     pub fn start(session: Session, qnet: Arc<QuantizedNetwork>) -> ServeEngine {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState { pending: VecDeque::new(), shutdown: false }),
-            bell: Condvar::new(),
-            stats: Mutex::new(ServeStats::default()),
-            config: *session.batch_config(),
-            shutdown_flag: AtomicBool::new(false),
-        });
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || batcher_loop(&shared, &session, &qnet))
-        };
-        ServeEngine { handle: ServeHandle { shared }, batcher: Some(batcher) }
+        let config = *session.batch_config();
+        let shared =
+            Arc::new(Shared { queue: JobQueue::new([], false), stats: Mutex::default(), config });
+        let workers = (0..effective_workers(config.workers, usize::MAX))
+            .map(|w| {
+                let (shared, driver, qnet) = (Arc::clone(&shared), session.driver().clone(), Arc::clone(&qnet));
+                let serve = move || {
+                    worker_loop(&shared.queue, &driver, &qnet, config.retry, |ticket, taken, outcome| {
+                        shared.complete(ticket, taken, outcome.result)
+                    })
+                };
+                std::thread::Builder::new()
+                    .name(format!("zskip-serve-{w}"))
+                    .spawn(serve)
+                    .expect("spawn serve worker")
+            })
+            .collect();
+        ServeEngine { handle: ServeHandle { shared }, workers }
     }
 
     /// The submission side; clone freely across producer threads.
@@ -323,94 +339,27 @@ impl ServeEngine {
     }
 
     /// Initiates shutdown (if not already requested), waits for the
-    /// batcher to drain every queued request, and returns the final
+    /// workers to drain every queued request, and returns the final
     /// counters. Every accepted request's completion has run by the time
     /// this returns.
     pub fn join(mut self) -> ServeStats {
-        self.handle.shutdown();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
+        self.drain();
         self.handle.stats()
+    }
+
+    fn drain(&mut self) {
+        self.handle.shutdown();
+        for worker in self.workers.drain(..) {
+            // A worker catches its requests' panics; one that died anyway
+            // has nothing left to report.
+            let _ = worker.join();
+        }
     }
 }
 
 impl Drop for ServeEngine {
     fn drop(&mut self) {
-        self.handle.shutdown();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
-    }
-}
-
-fn batcher_loop(shared: &Shared, session: &Session, qnet: &QuantizedNetwork) {
-    let config = shared.config;
-    loop {
-        // Each request's input moves into the batch; its ticket waits.
-        let (inputs, tickets): (Vec<Tensor<f32>>, Vec<Ticket>) = {
-            let mut q = shared.queue.lock().unwrap();
-            // Sleep until there is work or a drain-and-exit request.
-            loop {
-                if !q.pending.is_empty() {
-                    break;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = shared.bell.wait(q).unwrap();
-            }
-            // Adaptive coalescing: hold the batch open until the window
-            // after the first request expires or the cutoff fills it.
-            // During shutdown the window is skipped — drain fast.
-            if !q.shutdown && q.pending.len() < config.max_batch && !config.batch_window.is_zero()
-            {
-                let deadline = Instant::now() + config.batch_window;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline || q.pending.len() >= config.max_batch || q.shutdown {
-                        break;
-                    }
-                    let (guard, wait) = shared.bell.wait_timeout(q, deadline - now).unwrap();
-                    q = guard;
-                    if wait.timed_out() {
-                        break;
-                    }
-                }
-            }
-            let n = q.pending.len().min(config.max_batch);
-            q.pending.drain(..n).map(|p| (p.input, p.ticket)).unzip()
-        };
-        let dispatched = Instant::now();
-        let report = session.run_batch_resilient(qnet, &inputs);
-        let batch_us = dispatched.elapsed().as_micros() as u64;
-        let batch_size = tickets.len();
-        let mut replies = Vec::with_capacity(batch_size);
-        {
-            let mut stats = shared.stats.lock().unwrap();
-            stats.batches += 1;
-            stats.max_batch_seen = stats.max_batch_seen.max(batch_size);
-            for (ticket, item) in tickets.into_iter().zip(report.items) {
-                let queue_us =
-                    dispatched.saturating_duration_since(ticket.enqueued).as_micros() as u64;
-                match &item.result {
-                    Ok(_) => stats.served += 1,
-                    Err(_) => stats.failed += 1,
-                }
-                let req = RequestStats { queue_us, batch_us, batch_size };
-                stats.latencies_us.record(req.total_us());
-                replies.push((ticket.complete, ServeReply {
-                    id: ticket.id,
-                    result: item.result.map_err(Error::from),
-                    stats: req,
-                }));
-            }
-        }
-        // Completions run outside the stats lock so a callback may query
-        // handle.stats() without deadlocking.
-        for (complete, reply) in replies {
-            complete(reply);
-        }
+        self.drain();
     }
 }
 
@@ -419,8 +368,7 @@ mod tests {
     use super::*;
     use crate::config::AccelConfig;
     use crate::driver::BackendKind;
-    use crate::session::Session;
-    use std::time::Duration;
+    use crate::session::{Session, SessionBuilder};
     use zskip_hls::AccelArch;
     use zskip_nn::eval::synthetic_inputs;
 
@@ -431,18 +379,29 @@ mod tests {
         )
     }
 
-    fn session() -> Session {
-        Session::builder(config())
-            .backend(BackendKind::Model)
-            .batch_window(Duration::from_millis(1))
-            .build()
-            .unwrap()
+    fn builder() -> SessionBuilder {
+        Session::builder(config()).backend(BackendKind::Model)
+    }
+
+    /// Submits a request whose completion parks its worker, and returns
+    /// once the worker is parked there. Dropping the returned sender lets
+    /// it go.
+    fn park_a_worker(handle: &ServeHandle, input: Tensor<f32>) -> mpsc::Sender<()> {
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let complete = move |_| {
+            parked_tx.send(()).expect("the test is listening");
+            let _ = release_rx.recv();
+        };
+        handle.submit_with("parked", input, Box::new(complete)).expect("admitted");
+        parked_rx.recv().expect("the worker reaches the completion");
+        release_tx
     }
 
     #[test]
     fn serves_requests_bit_identical_to_direct_inference() {
         let qnet = Arc::new(crate::session::tests::tiny_qnet(8));
-        let session = session();
+        let session = builder().build().unwrap();
         let inputs = synthetic_inputs(6, 5, qnet.spec.input);
         let direct: Vec<_> = inputs
             .iter()
@@ -461,7 +420,7 @@ mod tests {
             assert_eq!(reply.id, format!("r{i}"));
             let report = reply.result.as_ref().expect("succeeds");
             assert_eq!(report.output, direct[i], "request {i} must match direct inference");
-            assert!(reply.stats.batch_size >= 1);
+            assert_eq!(reply.stats.batch_size, 1);
         }
         let stats = engine.join();
         assert_eq!(stats.served, inputs.len() as u64);
@@ -482,100 +441,108 @@ mod tests {
         (0..1_000_000).for_each(|i| stats.latencies_us.record(9000 + i % 10));
         assert!(stats.p50_us().abs_diff(9005) <= 900, "the million are counted: {}", stats.p50_us());
         assert_eq!(std::mem::size_of_val(&stats), size);
-        let ServeStats { served, failed, rejected, batches, max_batch_seen, latencies_us } = &stats;
-        plain_data(&(served, failed, rejected, batches, max_batch_seen));
+        let ServeStats { served, failed, rejected, latencies_us } = &stats;
+        plain_data(&(served, failed, rejected));
         plain_data(latencies_us);
     }
 
     #[test]
-    fn max_batch_caps_coalescing() {
+    fn a_reply_is_not_held_for_its_neighbours() {
+        // One worker, A then B: A's completion runs before B is even
+        // taken, so the engine has completed exactly one request there.
         let qnet = Arc::new(crate::session::tests::tiny_qnet(8));
-        let session = Session::builder(config())
-            .backend(BackendKind::Model)
-            .max_batch(2)
-            .batch_window(Duration::from_millis(50))
-            .build()
-            .unwrap();
-        let inputs = synthetic_inputs(1, 5, qnet.spec.input);
-        let engine = ServeEngine::start(session, Arc::clone(&qnet));
+        let input = synthetic_inputs(1, 4, qnet.spec.input).remove(0);
+        let engine = ServeEngine::start(builder().batch_workers(1).build().unwrap(), Arc::clone(&qnet));
         let handle = engine.handle();
+        let release = park_a_worker(&handle, input.clone());
         let (tx, rx) = mpsc::channel();
-        for (i, input) in inputs.iter().enumerate() {
-            handle.submit(format!("{i}"), input.clone(), tx.clone()).expect("admitted");
-        }
-        drop(tx);
-        let replies: Vec<ServeReply> = rx.iter().collect();
-        assert_eq!(replies.len(), 5);
-        assert!(replies.iter().all(|r| r.stats.batch_size <= 2));
-        let stats = engine.join();
-        assert!(stats.batches >= 3, "5 requests at max_batch=2 need >= 3 batches");
-        assert!(stats.max_batch_seen <= 2);
+        let seen = {
+            let (handle, tx) = (handle.clone(), tx.clone());
+            move |reply: ServeReply| drop(tx.send((reply.id, handle.stats().completed(), handle.queued())))
+        };
+        handle.submit_with("a", input.clone(), Box::new(seen.clone())).expect("admitted");
+        handle.submit_with("b", input, Box::new(seen)).expect("admitted");
+        drop((tx, release));
+        let seen: Vec<_> = rx.iter().collect();
+        // The parked request was the first completion.
+        assert_eq!(seen, [("a".to_string(), 2, 1), ("b".to_string(), 3, 0)]);
+        assert_eq!(engine.join().served, 3);
     }
 
     #[test]
     fn full_queue_rejects_with_overloaded_and_recovers() {
         let qnet = Arc::new(crate::session::tests::tiny_qnet(8));
-        // A long window and depth 2 let us fill the queue deterministically
-        // before the batcher drains it.
-        let session = Session::builder(config())
-            .backend(BackendKind::Model)
-            .queue_depth(2)
-            .batch_window(Duration::from_secs(5))
-            .max_batch(64)
-            .build()
-            .unwrap();
+        let session = builder().queue_depth(2).batch_workers(1).build().unwrap();
         let input = synthetic_inputs(1, 2, qnet.spec.input).remove(0);
         let engine = ServeEngine::start(session, Arc::clone(&qnet));
         let handle = engine.handle();
+        // With the only worker parked, depth 2 admits exactly two more.
+        let release = park_a_worker(&handle, input.clone());
         let (tx, rx) = mpsc::channel();
-        // The batcher may dequeue the first submit before the next lands,
-        // so keep stuffing until a submit bounces; depth 2 guarantees it
-        // happens within a few tries.
-        let mut accepted = 0;
-        let overloaded = loop {
-            match handle.submit(format!("q{accepted}"), input.clone(), tx.clone()) {
-                Ok(()) => accepted += 1,
-                Err(e) => break e,
-            }
-            assert!(accepted < 16, "queue_depth=2 must bounce well before 16 submits");
-        };
+        handle.submit("q0", input.clone(), tx.clone()).expect("admitted");
+        handle.submit("q1", input.clone(), tx.clone()).expect("admitted");
+        assert_eq!(handle.queued(), 2);
+        let overloaded = handle.submit("q2", input, tx.clone()).unwrap_err();
         assert_eq!(overloaded.code(), "serve.overloaded");
         assert_eq!(
             overloaded,
             Error::Serve(ServeError::Overloaded { depth: 2 }),
             "the error names the exhausted depth"
         );
-        drop(tx);
+        drop((tx, release));
         // Shutdown drains the accepted requests; none are dropped.
         let stats = engine.join();
-        assert_eq!(stats.served, accepted as u64);
+        assert_eq!(stats.served, 3);
         assert_eq!(stats.rejected, 1);
         let replies: Vec<ServeReply> = rx.iter().collect();
-        assert_eq!(replies.len(), accepted);
+        assert_eq!(replies.len(), 2);
     }
 
     #[test]
     fn shutdown_rejects_new_work_but_drains_queued() {
         let qnet = Arc::new(crate::session::tests::tiny_qnet(8));
-        let session = Session::builder(config())
-            .backend(BackendKind::Model)
-            .batch_window(Duration::from_secs(5))
-            .build()
-            .unwrap();
         let input = synthetic_inputs(1, 3, qnet.spec.input).remove(0);
-        let engine = ServeEngine::start(session, Arc::clone(&qnet));
+        let engine = ServeEngine::start(builder().batch_workers(1).build().unwrap(), Arc::clone(&qnet));
         let handle = engine.handle();
+        // "a" is still queued, not running, when the shutdown lands.
+        let release = park_a_worker(&handle, input.clone());
         let (tx, rx) = mpsc::channel();
         handle.submit("a", input.clone(), tx.clone()).expect("admitted");
         handle.shutdown();
         assert!(handle.is_shutdown());
         let err = handle.submit("b", input, tx.clone()).unwrap_err();
         assert_eq!(err.code(), "serve.shutdown");
-        drop(tx);
+        assert_eq!(handle.queued(), 1);
+        drop((tx, release));
         let stats = engine.join();
-        assert_eq!(stats.served, 1, "queued request drains through shutdown");
+        assert_eq!(stats.served, 2, "the queued request drains through shutdown");
+        assert_eq!(stats.rejected, 1);
         let replies: Vec<ServeReply> = rx.iter().collect();
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].id, "a");
+    }
+
+    #[test]
+    fn a_panicking_completion_fails_its_own_request_and_the_worker_keeps_serving() {
+        let qnet = Arc::new(crate::session::tests::tiny_qnet(8));
+        let input = synthetic_inputs(1, 5, qnet.spec.input).remove(0);
+        let session = builder().batch_workers(1).build().unwrap();
+        let want = session.infer(&qnet, &input).expect("runs").output;
+        let engine = ServeEngine::start(session, Arc::clone(&qnet));
+        let handle = engine.handle();
+        // Nobody can be told about this one, so it is counted.
+        handle.submit_with("boom", input.clone(), Box::new(|_| panic!("completion panics"))).expect("admitted");
+        let (tx, rx) = mpsc::channel();
+        for i in 0..10 {
+            handle.submit(format!("after{i}"), input.clone(), tx.clone()).expect("admitted");
+        }
+        drop(tx);
+        let replies: Vec<ServeReply> = rx.iter().collect();
+        assert_eq!(replies.len(), 10, "the one worker outlives the panic");
+        for reply in &replies {
+            assert_eq!(reply.result.as_ref().expect("served").output, want, "{}", reply.id);
+        }
+        let stats = engine.join();
+        assert_eq!((stats.served, stats.failed), (10, 1));
     }
 }

@@ -209,9 +209,6 @@ pub fn render_stats(stats: &ServeStats) -> String {
         ("served", Json::Num(stats.served as f64)),
         ("failed", Json::Num(stats.failed as f64)),
         ("rejected", Json::Num(stats.rejected as f64)),
-        ("batches", Json::Num(stats.batches as f64)),
-        ("max_batch_seen", Json::Num(stats.max_batch_seen as f64)),
-        ("mean_batch", Json::Num(stats.mean_batch())),
         ("p50_us", Json::Num(stats.p50_us() as f64)),
         ("p99_us", Json::Num(stats.p99_us() as f64)),
         (
@@ -387,7 +384,6 @@ mod tests {
     use crate::serve::{RequestStats, ServeEngine};
     use crate::session::Session;
     use std::sync::Arc;
-    use std::time::Duration;
     use zskip_hls::AccelArch;
 
     #[test]
@@ -463,11 +459,7 @@ mod tests {
             &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 4096 },
             100.0,
         );
-        let session = Session::builder(config)
-            .backend(BackendKind::Model)
-            .batch_window(Duration::from_millis(1))
-            .build()
-            .unwrap();
+        let session = Session::builder(config).backend(BackendKind::Model).build().unwrap();
         let want = session
             .driver()
             .run_network(&qnet, &synthetic_inputs(3, 1, qnet.spec.input)[0])
@@ -521,7 +513,7 @@ garbage line
             &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 4096 },
             100.0,
         );
-        let session = Session::builder(config).batch_window(Duration::from_millis(1)).build().unwrap();
+        let session = Session::builder(config).build().unwrap();
         let engine = ServeEngine::start(session, Arc::clone(&qnet));
         // Twice the cap without a newline, then a well-formed request
         // (CRLF-terminated, as a telnet-style client would send it).

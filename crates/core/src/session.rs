@@ -1,11 +1,11 @@
 //! The curated library surface a host application holds: a validated
-//! [`Session`] wrapping one driver configuration plus the batching knobs
+//! [`Session`] wrapping one driver configuration plus the worker-pool knobs
 //! every consumer of the accelerator shares.
 //!
 //! The CLI's `infer`, `batch` and `serve` subcommands all route through
 //! this type, so a daemon, a one-shot inference and a benchmark are
 //! guaranteed to configure the stack identically: backend, intra-image
-//! threads, SIMD kernel tier and batch shaping live in exactly one
+//! threads, SIMD kernel tier and the worker pool live in exactly one
 //! builder. The serving daemon ([`ServeEngine`](crate::serve::ServeEngine))
 //! is a thin protocol layer over a `Session`.
 //!
@@ -20,8 +20,6 @@
 //! assert!(session.driver().functional);
 //! ```
 
-use std::time::Duration;
-
 use crate::batch::{
     run_batch, run_batch_resilient, BatchReport, ResilientBatchReport, RetryPolicy,
 };
@@ -35,29 +33,16 @@ use zskip_nn::simd::KernelTier;
 use zskip_nn::Scratch;
 use zskip_tensor::Tensor;
 
-/// Default request-coalescing cutoff ([`BatchConfig::max_batch`]).
-pub const DEFAULT_MAX_BATCH: usize = 8;
-/// Default adaptive batch window in milliseconds
-/// ([`BatchConfig::batch_window`]).
-pub const DEFAULT_BATCH_WINDOW_MS: u64 = 2;
 /// Default admission-control queue depth ([`BatchConfig::queue_depth`]).
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 
-/// Batch shaping and admission-control knobs shared by the batch engine
+/// Worker-pool and admission-control knobs shared by the batch engine
 /// entry points and the serving daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Worker threads for the work-stealing batch pool (0 = host auto).
+    /// Worker threads, each taking one image at a time (0 = host auto):
+    /// a batch's for the length of the call, the daemon's for its life.
     pub workers: usize,
-    /// Requests coalesced into one accelerator batch at most. The serve
-    /// loop dispatches a batch as soon as this many requests are queued,
-    /// without waiting out the window (the ResNet50-PYNQ host's
-    /// `--max_bs` knob).
-    pub max_batch: usize,
-    /// How long the serve loop waits for more requests after the first
-    /// one of a batch arrives. Zero dispatches immediately (lowest
-    /// latency); larger windows trade latency for throughput.
-    pub batch_window: Duration,
     /// Bounded submission-queue depth: admission control. A submit
     /// against a full queue is rejected with
     /// [`ServeError::Overloaded`](crate::serve::ServeError::Overloaded)
@@ -76,8 +61,6 @@ impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
             workers: 0,
-            max_batch: DEFAULT_MAX_BATCH,
-            batch_window: Duration::from_millis(DEFAULT_BATCH_WINDOW_MS),
             queue_depth: DEFAULT_QUEUE_DEPTH,
             retry: RetryPolicy::default(),
             placement: Placement::Auto,
@@ -185,18 +168,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Request-coalescing cutoff (see [`BatchConfig::max_batch`]).
-    pub fn max_batch(mut self, max_batch: usize) -> SessionBuilder {
-        self.batch.max_batch = max_batch;
-        self
-    }
-
-    /// Adaptive batch window (see [`BatchConfig::batch_window`]).
-    pub fn batch_window(mut self, window: Duration) -> SessionBuilder {
-        self.batch.batch_window = window;
-        self
-    }
-
     /// Admission-control queue depth (see [`BatchConfig::queue_depth`]).
     pub fn queue_depth(mut self, depth: usize) -> SessionBuilder {
         self.batch.queue_depth = depth;
@@ -213,11 +184,8 @@ impl SessionBuilder {
     ///
     /// # Errors
     /// Everything [`DriverBuilder::build`] rejects, plus a zero
-    /// `max_batch` or `queue_depth` (both would deadlock the serve loop).
+    /// `queue_depth` (the daemon would admit nothing).
     pub fn build(self) -> Result<Session, Error> {
-        if self.batch.max_batch == 0 {
-            return Err(Error::InvalidConfig("max_batch must be nonzero".into()));
-        }
         if self.batch.queue_depth == 0 {
             return Err(Error::InvalidConfig("queue_depth must be nonzero".into()));
         }
@@ -280,8 +248,9 @@ impl Session {
         Ok(self.driver.run_network_scratch(qnet, input, scratch)?)
     }
 
-    /// Runs a batch on the work-stealing pool with this session's worker
-    /// count. Every input runs; the batch succeeds only if all of them do.
+    /// Runs a batch on this session's worker count (see
+    /// [`crate::batch`]). Every input runs; the batch succeeds only if all
+    /// of them do.
     ///
     /// # Errors
     /// The failing input's error — the lowest-index one when several
@@ -295,8 +264,8 @@ impl Session {
     }
 
     /// Runs a batch where each input carries its own `Result`, with this
-    /// session's worker count and retry policy — the entry point the
-    /// serving daemon coalesces requests into.
+    /// session's worker count and retry policy — the worker loop the
+    /// serving daemon keeps resident.
     pub fn run_batch_resilient(
         &self,
         qnet: &QuantizedNetwork,
@@ -354,9 +323,6 @@ pub(crate) mod tests {
 
     #[test]
     fn builder_validates_batch_knobs() {
-        let err = Session::builder(config()).max_batch(0).build().unwrap_err();
-        assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("max_batch"));
         let err = Session::builder(config()).queue_depth(0).build().unwrap_err();
         assert_eq!(err.code(), "config.invalid");
         assert!(err.to_string().contains("queue_depth"));
@@ -415,17 +381,13 @@ pub(crate) mod tests {
     fn session_pins_kernel_tier_and_batch_config() {
         let session = Session::builder(config())
             .kernel(KernelTier::Scalar)
-            .max_batch(3)
             .queue_depth(5)
-            .batch_window(Duration::from_millis(7))
             .batch_workers(2)
             .retry(RetryPolicy::none())
             .build()
             .unwrap();
         assert_eq!(session.kernel_tier(), KernelTier::Scalar);
-        assert_eq!(session.batch_config().max_batch, 3);
         assert_eq!(session.batch_config().queue_depth, 5);
-        assert_eq!(session.batch_config().batch_window, Duration::from_millis(7));
         assert_eq!(session.batch_config().workers, 2);
         assert_eq!(session.batch_config().retry, RetryPolicy::none());
     }

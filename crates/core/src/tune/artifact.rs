@@ -17,9 +17,7 @@ use std::path::Path;
 use crate::error::Error;
 use crate::exec::sched::Placement;
 use crate::exec::BackendKind;
-use crate::session::{
-    SessionBuilder, DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH,
-};
+use crate::session::{SessionBuilder, DEFAULT_QUEUE_DEPTH};
 use crate::tune::{Knob, KnobValue, KNOBS};
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
@@ -28,8 +26,9 @@ use zskip_nn::simd::KernelTier;
 /// Current artifact schema version. Loaders reject other versions with
 /// `config.invalid` rather than guessing at field semantics. Version 1
 /// carried a `weight_cache` switch, version 2 the cycle simulator's
-/// park-hysteresis knob.
-pub const ARTIFACT_VERSION: u64 = 3;
+/// park-hysteresis knob, version 3 the serve loop's `max_batch` and
+/// `batch_window_ms`.
+pub const ARTIFACT_VERSION: u64 = 4;
 
 /// How a [`TunedConfig`] came to be: the search that produced it and the
 /// score it measured. Scores from wall-clock objectives (latency,
@@ -72,7 +71,7 @@ impl ToJson for Provenance {
 
 /// The complete tunable configuration of a session: hardware side
 /// (variant, instances, placement) and software side
-/// (backend, threads, kernel tier, batch shaping). This is the
+/// (backend, threads, kernel tier, worker pool). This is the
 /// search point the tuner moves through and the artifact it emits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunedConfig {
@@ -90,10 +89,6 @@ pub struct TunedConfig {
     pub placement: Placement,
     /// Batch-pool worker threads (0 = host auto).
     pub batch_workers: usize,
-    /// Request-coalescing cutoff.
-    pub max_batch: usize,
-    /// Adaptive batch window in milliseconds.
-    pub batch_window_ms: u64,
     /// Admission-control queue depth.
     pub queue_depth: usize,
     /// How the search found this point; `None` for hand-written configs.
@@ -114,8 +109,6 @@ impl Default for TunedConfig {
             kernel: None,
             placement: Placement::Auto,
             batch_workers: 0,
-            max_batch: DEFAULT_MAX_BATCH,
-            batch_window_ms: DEFAULT_BATCH_WINDOW_MS,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             provenance: None,
         }
@@ -271,8 +264,6 @@ impl TunedConfig {
             .threads(self.threads)
             .placement(self.placement)
             .batch_workers(self.batch_workers)
-            .max_batch(self.max_batch)
-            .batch_window(std::time::Duration::from_millis(self.batch_window_ms))
             .queue_depth(self.queue_depth);
         if let Some(tier) = self.kernel {
             b = b.kernel(tier);
@@ -308,13 +299,13 @@ mod tests {
         assert_eq!(back.to_json_string(), text, "canonical form is a fixed point");
     }
 
-    /// The parent commit's `zskip tune` output with `"version": 3` and
-    /// without its `park_hysteresis` line: the canonical artifact moves by
-    /// exactly the deleted knob.
+    /// The parent commit's `zskip tune` output with `"version": 4` and
+    /// without its `max_batch` / `batch_window_ms` lines: the canonical
+    /// artifact moves by exactly the deleted knobs.
     #[test]
     fn default_artifact_text_is_pinned() {
         let golden = r#"{
-  "version": 3,
+  "version": 4,
   "variant": "256-opt",
   "instances": 1,
   "backend": "model",
@@ -322,8 +313,6 @@ mod tests {
   "kernel": null,
   "placement": "auto",
   "batch_workers": 0,
-  "max_batch": 8,
-  "batch_window_ms": 2,
   "queue_depth": 64
 }"#;
         assert_eq!(TunedConfig::default().to_json_string(), golden);
@@ -362,7 +351,7 @@ mod tests {
         for (text, why) in [
             ("not json", "parse failure"),
             (r#"{"version":99}"#, "future version"),
-            (r#"{"version":3}"#, "missing fields"),
+            (r#"{"version":4}"#, "missing fields"),
         ] {
             let err = TunedConfig::from_json_str(text).unwrap_err();
             assert_eq!(err.code(), "config.invalid", "{why}: {err}");
@@ -389,19 +378,20 @@ mod tests {
     }
 
     #[test]
-    fn a_version_2_artifact_and_its_park_hysteresis_field_are_refused_by_name() {
+    fn a_version_3_artifact_and_its_batch_shaping_fields_are_refused_by_name() {
         // What the previous build wrote: refused for its version, not for
-        // the field this build no longer knows.
+        // the fields this build no longer knows.
         let current = TunedConfig::default().to_json_string();
-        let with_knob = current.replace("  \"placement\"", "  \"park_hysteresis\": null,\n  \"placement\"");
-        let v2 = with_knob.replace("\"version\": 3", "\"version\": 2");
-        let err = TunedConfig::from_json_str(&v2).unwrap_err();
+        let with_knobs = current
+            .replace("  \"queue_depth\"", "  \"max_batch\": 8,\n  \"batch_window_ms\": 2,\n  \"queue_depth\"");
+        let v3 = with_knobs.replace("\"version\": 4", "\"version\": 3");
+        let err = TunedConfig::from_json_str(&v3).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("version 2 not supported (this build reads version 3)"), "{err}");
-        // Hand-bumping the version does not bring the knob back.
-        let err = TunedConfig::from_json_str(&with_knob).unwrap_err();
+        assert!(err.to_string().contains("version 3 not supported (this build reads version 4)"), "{err}");
+        // Hand-bumping the version does not bring the knobs back.
+        let err = TunedConfig::from_json_str(&with_knobs).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("unknown field 'park_hysteresis'"), "{err}");
+        assert!(err.to_string().contains("unknown field 'max_batch'"), "{err}");
     }
 
     #[test]
@@ -425,8 +415,6 @@ mod tests {
             kernel: Some(KernelTier::Scalar),
             placement: Placement::Pipeline,
             batch_workers: 2,
-            max_batch: 5,
-            batch_window_ms: 7,
             queue_depth: 11,
             provenance: None,
         };
@@ -439,8 +427,6 @@ mod tests {
         let b = session.batch_config();
         assert_eq!(b.placement, Placement::Pipeline);
         assert_eq!(b.workers, 2);
-        assert_eq!(b.max_batch, 5);
-        assert_eq!(b.batch_window, std::time::Duration::from_millis(7));
         assert_eq!(b.queue_depth, 11);
     }
 
@@ -451,7 +437,7 @@ mod tests {
     ];
 
     const TOKENS: [&str; 16] = [
-        "{", "}", "[", "]", ":", ",", "\"version\"", "3", "\"threads\"", "\"kernel\"", "null",
+        "{", "}", "[", "]", ":", ",", "\"version\"", "4", "\"threads\"", "\"kernel\"", "null",
         "\"provenance\"", "\"seed\"", "-", "\"", "true",
     ];
 
@@ -472,7 +458,7 @@ mod tests {
 
         #[test]
         fn single_field_mutations_never_panic(
-            line in 1usize..21,
+            line in 1usize..19,
             mutant in 0usize..MUTANTS.len(),
             drop in prop::bool::ANY,
         ) {

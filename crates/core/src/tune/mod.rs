@@ -4,7 +4,7 @@
 //! variants; this module automates it and extends it to every knob the
 //! stack grew since: a typed [`SearchSpace`] over hardware (variant,
 //! instances, placement) and software (backend, threads, kernel tier,
-//! batch shaping) dimensions, two
+//! worker pool) dimensions, two
 //! seeded-deterministic [`Searcher`]s, pluggable lower-is-better
 //! [`Objective`]s, a fingerprint-keyed evaluation cache, and a versioned
 //! [`TunedConfig`] artifact that

@@ -298,7 +298,7 @@ mod tests {
         let qnet = tiny_qnet(8);
         let inputs = synthetic_inputs(1, 5, qnet.spec.input);
         let mut eval = Evaluator::new(Objective::Cycles, &qnet, &inputs);
-        let bad = TunedConfig { max_batch: 0, ..TunedConfig::default() };
+        let bad = TunedConfig { queue_depth: 0, ..TunedConfig::default() };
         assert_eq!(eval.score(&bad), f64::INFINITY);
     }
 }

@@ -101,14 +101,14 @@ pub enum FlagGroup {
     Shard,
     /// The batch worker pool (`batch` and `serve`).
     Pool,
-    /// Request coalescing and admission control (`serve` only).
+    /// Admission control (`serve` only).
     Serve,
 }
 
 /// A knob's command-line flag.
 #[derive(Debug, Clone, Copy)]
 pub struct KnobFlag {
-    /// The flag (`--batch-window-ms`).
+    /// The flag (`--queue-depth`).
     pub name: &'static str,
     /// Metavariable shown in `--help`.
     pub metavar: &'static str,
@@ -160,7 +160,7 @@ fn ints(candidates: &[u64]) -> Vec<KnobValue<'static>> {
 /// The knob table, in artifact field order. Columns: name; flag, metavar,
 /// group, help; getter; setter (the closed name sets come from the value
 /// type's own `ALL` and `name`); (space, position, candidates).
-pub static KNOBS: [Knob; 10] = [
+pub static KNOBS: [Knob; 8] = [
     knob(
         "variant",
         ("--variant", "V", Network, "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt"),
@@ -239,31 +239,17 @@ pub static KNOBS: [Knob; 10] = [
     ),
     knob(
         "batch_workers",
-        ("--workers", "N", Pool, "batch-pool worker threads (0 = auto)"),
+        ("--workers", "N", Pool, "worker threads, one image at a time each (0 = auto)"),
         |c| Int(c.batch_workers as u64),
         |c, v| v.int().map(|n| c.batch_workers = n),
         (Software, 3, || ints(&[0, 1, 2, 4])),
-    ),
-    knob(
-        "max_batch",
-        ("--max-batch", "N", Serve, "requests coalesced into one accelerator batch at most"),
-        |c| Int(c.max_batch as u64),
-        |c, v| v.int().map(|n| c.max_batch = n),
-        (Software, 4, || ints(&[1, 4, 8, 16])),
-    ),
-    knob(
-        "batch_window_ms",
-        ("--batch-window-ms", "MS", Serve, "how long a forming batch waits for more requests"),
-        |c| Int(c.batch_window_ms),
-        |c, v| v.int().map(|n| c.batch_window_ms = n),
-        (Software, 5, || ints(&[0, 1, 2, 5])),
     ),
     knob(
         "queue_depth",
         ("--queue-depth", "N", Serve, "bounded submission-queue depth (admission control)"),
         |c| Int(c.queue_depth as u64),
         |c, v| v.int().map(|n| c.queue_depth = n),
-        (Software, 6, || ints(&[64, 256])),
+        (Software, 4, || ints(&[64, 256])),
     ),
 ];
 
@@ -362,7 +348,7 @@ pub type Point = Vec<usize>;
 /// The named built-in spaces the CLI exposes (`--space`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpaceKind {
-    /// Host-side knobs: backend, threads, kernel, batch shaping.
+    /// Host-side knobs: backend, threads, kernel, worker pool.
     Software,
     /// Hardware-side knobs: variant, instances, placement — the
     /// automated Fig. 6/7/8 exploration.
@@ -507,7 +493,7 @@ impl SearchSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH};
+    use crate::session::DEFAULT_QUEUE_DEPTH;
 
     fn names(space: &SearchSpace) -> Vec<&'static str> {
         space.axes().iter().map(|a| a.knob.name).collect()
@@ -519,7 +505,7 @@ mod tests {
 
     #[test]
     fn builtin_spaces_hold_the_default_and_their_documented_size() {
-        for (kind, cardinality) in SpaceKind::ALL.into_iter().zip([1536, 48, 73_728]) {
+        for (kind, cardinality) in SpaceKind::ALL.into_iter().zip([96, 48, 4608]) {
             let space = SearchSpace::named(kind);
             assert_eq!(space.name(), kind.name());
             let config = space.config_at(&space.default_point());
@@ -531,15 +517,7 @@ mod tests {
     #[test]
     fn axis_order_is_pinned_and_full_is_the_union() {
         // Seeded trajectories (and BENCH_tune.json) depend on this order.
-        let software = [
-            "backend",
-            "threads",
-            "kernel",
-            "batch_workers",
-            "max_batch",
-            "batch_window_ms",
-            "queue_depth",
-        ];
+        let software = ["backend", "threads", "kernel", "batch_workers", "queue_depth"];
         let hls = ["variant", "instances", "placement"];
         assert_eq!(names(&SearchSpace::software()), software);
         assert_eq!(names(&SearchSpace::hls()), hls);
@@ -655,8 +633,6 @@ mod tests {
         let (lib, cli) = (TunedConfig::default(), cli_defaults());
         assert_eq!((lib.threads, cli.threads), (1, 0), "tuner baseline vs host auto");
         assert_eq!(TunedConfig { threads: lib.threads, ..cli }, lib);
-        assert_eq!(lib.max_batch, DEFAULT_MAX_BATCH);
-        assert_eq!(lib.batch_window_ms, DEFAULT_BATCH_WINDOW_MS);
         assert_eq!(lib.queue_depth, DEFAULT_QUEUE_DEPTH);
     }
 

@@ -196,7 +196,7 @@ mod tests {
         // workspace and output vector across all of it.
         let mut rng = zskip_fault::SplitMix64::new(5);
         let mut sm8s = |n: usize| -> Vec<Sm8> { (0..n).map(|_| Sm8::from_bits(rng.next_u64() as u8)).collect() };
-        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::new).collect();
+        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::forced).collect();
         let mut ws = GemmScratch::default();
         let mut out = vec![Sm8::MAX; 40];
         for in_features in [1, 7, 8, 31, 33, 100, 4099] {

@@ -61,10 +61,23 @@ impl GemmScratch {
     }
 }
 
-/// Cuts `items` into one contiguous run per participant of `pool` (one run
-/// without a pool): `(runs, items per run)`.
-fn split(pool: Option<&ConvPool>, items: usize) -> (usize, usize) {
-    let runs = pool.map_or(1, ConvPool::threads).min(items).max(1);
+/// What the split decisions are made from (measured on the widest tier:
+/// docs/KERNELS.md, "Intra-image threading"): multiply-accumulates of the
+/// [`simd::dot_nt`] body per nanosecond; how many columns' worth of them
+/// streaming a weight row in from memory costs anyway (an FC layer, a 2x2
+/// plane); and nanoseconds per requantized output on top of its reduction.
+const MACS_PER_NS: usize = 32;
+const STREAM_COLS: usize = 5;
+const EPILOGUE_NS: usize = 6;
+
+/// Cuts the `items` of a `rows x cols x len` GEMM — its own output rows,
+/// or the patch rows of the lowering that feeds it, so that a layer wakes
+/// the pool for both phases or for neither — into contiguous runs for
+/// `pool`: [`ConvPool::runs`] of them by the GEMM's estimated time, one
+/// without a pool. Returns `(runs, items per run)`.
+fn split(pool: Option<&ConvPool>, items: usize, [rows, cols, len]: [usize; 3]) -> (usize, usize) {
+    let ns = rows * len * cols.max(STREAM_COLS) / MACS_PER_NS + rows * cols * EPILOGUE_NS;
+    let runs = pool.map_or(1, |pool| pool.runs(items, ns));
     (runs, items.div_ceil(runs))
 }
 
@@ -81,10 +94,12 @@ fn for_each_run(pool: Option<&ConvPool>, runs: usize, job: &(dyn Fn(usize) + Syn
 /// to `i16` once, then the transposed patch matrix `patches[col * len +
 /// r]` — one row of `len = c * k * k` values `r = (c, ky, kx)` per output
 /// position `col = oy * out_w + ox` — copied out of it, output rows split
-/// over `pool` when one is attached. A 1x1 convolution's lowering is the
-/// transpose of its input. Returns `(out_h, out_w)`.
+/// over `pool`, when one is attached, the way the `out_c`-row GEMM this
+/// feeds will be. A 1x1 convolution's lowering is the transpose of its
+/// input. Returns `(out_h, out_w)`.
 fn lower_into(
     input: &Tensor<Sm8>,
+    out_c: usize,
     k: usize,
     stride: usize,
     pad: usize,
@@ -99,7 +114,7 @@ fn lower_into(
     // Sized only: `lower_rows` writes every element.
     let row_len = out_w * s.c * k * k;
     patches.resize(out_h * row_len, 0);
-    let (runs, per) = split(pool, out_h);
+    let (runs, per) = split(pool, out_h, [out_c, out_h * out_w, s.c * k * k]);
     let patches_ptr = SendPtr::new(patches.as_mut_ptr());
     for_each_run(pool, runs, &|run| {
         let oys = (run * per).min(out_h)..((run + 1) * per).min(out_h);
@@ -183,7 +198,7 @@ pub(crate) fn gemm_quant_into(
     let GemmWeights { w, len, bias_acc, requant, relu } = weights;
     let rows = bias_acc.len();
     assert_eq!(out.len(), rows * cols, "output is not rows x cols");
-    let (runs, per) = split(pool, rows);
+    let (runs, per) = split(pool, rows, [rows, cols, len]);
     let out_ptr = SendPtr::new(out.as_mut_ptr());
     for_each_run(pool, runs, &|run| {
         let (lo, hi) = ((run * per).min(rows), ((run + 1) * per).min(rows));
@@ -218,7 +233,7 @@ pub fn conv2d_gemm_quant_into(
     out: &mut Tensor<Sm8>,
 ) {
     assert_eq!(input.shape().c, weights.in_c, "input channels mismatch");
-    let (out_h, out_w) = lower_into(input, weights.k, stride, pad, pool, ws);
+    let (out_h, out_w) = lower_into(input, weights.out_c, weights.k, stride, pad, pool, ws);
     out.reset(weights.out_c, out_h, out_w);
     let gemm = GemmWeights {
         w: &weights.w,
@@ -306,7 +321,7 @@ mod tests {
     fn im2col_shape_and_patch_content() {
         let input = ramp(2, 4, 4);
         let mut ws = GemmScratch::default();
-        assert_eq!(lower_into(&input, 3, 1, 1, None, &mut ws), (4, 4));
+        assert_eq!(lower_into(&input, 1, 3, 1, 1, None, &mut ws), (4, 4));
         let len = 2 * 9;
         assert_eq!(ws.patches.len(), 16 * len);
         // Center kernel tap of channel 0 at output (1,1) is input (1,1).
@@ -322,7 +337,7 @@ mod tests {
         // One workspace across geometries: a stale, larger matrix must not
         // leak into a padded border, a strided sample or a 1x1 transpose.
         let mut ws = GemmScratch::default();
-        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::new).collect();
+        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::forced).collect();
         for (c, h, w) in [(3, 7, 9), (2, 5, 5), (4, 2, 3), (1, 1, 1)] {
             let input = ramp(c, h, w);
             for (k, stride, pad) in [(3, 1, 1), (3, 2, 0), (1, 1, 0), (1, 2, 1), (2, 1, 1), (5, 2, 2)] {
@@ -331,7 +346,7 @@ mod tests {
                 }
                 let want = lowered_oracle(&input, k, stride, pad);
                 for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
-                    lower_into(&input, k, stride, pad, pool, &mut ws);
+                    lower_into(&input, 1, k, stride, pad, pool, &mut ws);
                     assert_eq!(ws.patches, want, "{c}x{h}x{w} k={k} stride={stride} pad={pad} pool={pool:?}");
                 }
             }
@@ -395,7 +410,7 @@ mod tests {
             hw in 3usize..10,
             seed in 0u64..500,
         ) {
-            let pool = ConvPool::new(3);
+            let pool = ConvPool::forced(3);
             let mut ws = GemmScratch::default();
             let mut out = Tensor::from_fn(2, 11, 11, |_, _, _| Sm8::from_i32_saturating(5));
             for (k, pad, hw) in [(3, 1, hw), (1, 0, hw + 2), (2, 0, hw)] {
@@ -440,7 +455,7 @@ mod tests {
         // every k / stride / pad that produces the plane — on every tier,
         // single-threaded and over pools of 1-4, one dirty workspace and
         // output throughout.
-        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::new).collect();
+        let pools: Vec<ConvPool> = (1..=4).map(ConvPool::forced).collect();
         let mut ws = GemmScratch::default();
         let mut out = Tensor::zeros(1, 1, 1);
         for (out_h, out_w) in [(1, 1), (2, 2), (4, 4), (5, 7)] {

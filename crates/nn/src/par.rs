@@ -78,15 +78,36 @@ pub struct ConvPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     threads: usize,
+    /// Least work, in rough nanoseconds, worth a run of its own
+    /// ([`MIN_RUN_NS`] outside tests).
+    min_run_ns: usize,
     /// Serializes concurrent `run` calls (e.g. two sessions holding a
     /// cloned `Scratch` and thus one pool): the job slot fits one job.
     run_gate: Mutex<()>,
 }
 
+/// Least work, in rough nanoseconds, worth handing to a pool worker:
+/// waking one and waiting for it at the job's barrier costs tens of
+/// microseconds when its core is idle and milliseconds when it is not, so
+/// a kernel is cut into runs of at least this much (docs/KERNELS.md,
+/// "Intra-image threads", has the measurement).
+const MIN_RUN_NS: usize = 1 << 17;
+
 impl ConvPool {
     /// Creates a pool with `threads` total participants: the calling
     /// thread plus `threads - 1` spawned workers. `0` is clamped to 1.
     pub fn new(threads: usize) -> Self {
+        ConvPool::with_min_run(threads, MIN_RUN_NS)
+    }
+
+    /// A pool that cuts every kernel into `threads` runs however small:
+    /// how the bit-identity tests reach every split point.
+    #[cfg(test)]
+    pub(crate) fn forced(threads: usize) -> Self {
+        ConvPool::with_min_run(threads, 1)
+    }
+
+    fn with_min_run(threads: usize, min_run_ns: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             job: Mutex::new(JobState { seq: 0, panels: 0, task: None, shutdown: false }),
@@ -104,7 +125,20 @@ impl ConvPool {
                     .expect("spawn conv pool worker")
             })
             .collect();
-        ConvPool { shared, handles, threads, run_gate: Mutex::new(()) }
+        let pool = ConvPool { shared, handles, threads, min_run_ns, run_gate: Mutex::new(()) };
+        // An empty first job, so that every worker has started — its
+        // thread's start-up allocations behind it — by the time the pool
+        // is handed out: a layer too small to cut never wakes one.
+        pool.run(threads, &|_, _| {});
+        pool
+    }
+
+    /// How many contiguous runs to cut `items` items of about `ns` in all
+    /// into: as many as are each worth a worker's wake-up — the rule
+    /// [`Split::runs`] applies to set-up jobs — at least 1, at most one per
+    /// participant or item.
+    pub(crate) fn runs(&self, items: usize, ns: usize) -> usize {
+        self.threads.min(ns / self.min_run_ns).min(items).max(1)
     }
 
     /// Total participants (caller + spawned workers).

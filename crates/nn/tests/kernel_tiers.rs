@@ -80,6 +80,9 @@ proptest! {
         }
     }
 
+    // The drawn layers are far too small to be worth a worker's wake-up,
+    // so every pool runs them inline; the test after this block takes the
+    // same check to layers a pool does cut.
     #[test]
     fn pooled_kernels_are_bit_exact_at_every_worker_count(
         out_c in 1usize..6,
@@ -92,22 +95,42 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let k = [1usize, 3, 5][k_idx];
-        let pad = k / 2;
-        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        prop_assume!(h + 2 * (k / 2) >= k && w + 2 * (k / 2) >= k);
         let qw = synthetic_qw(out_c, in_c, k, density_ppt as f64 / 1000.0, seed, seed % 2 == 0);
-        let input = synthetic_input(in_c, h, w, seed);
-        let oracle = conv2d_quant_dense(&input, &qw, 1, pad);
-        let pool = ConvPool::new(workers);
-        let mut ws = dirty_workspace();
-        let mut out = Tensor::zeros(1, 1, 1);
-        for tier in KernelTier::supported() {
-            conv2d_gemm_quant_into(&input, &qw, 1, pad, tier, Some(&pool), &mut ws, &mut out);
-            prop_assert_eq!(&oracle, &out, "pooled kernel on a dirty workspace, tier {}, {} workers", tier, workers);
-            let gemm = conv2d_gemm_quant_pool(&input, &qw, 1, pad, tier, &pool);
-            prop_assert_eq!(&oracle, &gemm, "pooled gemm kernel, tier {}, {} workers", tier, workers);
-            let single = conv2d_gemm_quant_tier(&input, &qw, 1, pad, tier);
-            prop_assert_eq!(&oracle, &single, "gemm kernel, tier {}", tier);
-        }
+        pooled_kernels_match_the_dense_oracle(&qw, &synthetic_input(in_c, h, w, seed), &ConvPool::new(workers));
+    }
+}
+
+/// `qw` over `input` on `pool`, on every tier, against the dense oracle.
+fn pooled_kernels_match_the_dense_oracle(qw: &QuantConvWeights, input: &Tensor<Sm8>, pool: &ConvPool) {
+    let pad = qw.k / 2;
+    let oracle = conv2d_quant_dense(input, qw, 1, pad);
+    let mut ws = dirty_workspace();
+    let mut out = Tensor::zeros(1, 1, 1);
+    for tier in KernelTier::supported() {
+        let workers = pool.threads();
+        let shape = input.shape();
+        let what = format!("{}x{}, tier {tier}, {workers} workers", shape.h, shape.w);
+        conv2d_gemm_quant_into(input, qw, 1, pad, tier, Some(pool), &mut ws, &mut out);
+        assert_eq!(oracle, out, "pooled kernel on a dirty workspace, {what}");
+        let gemm = conv2d_gemm_quant_pool(input, qw, 1, pad, tier, pool);
+        assert_eq!(oracle, gemm, "pooled gemm kernel, {what}");
+        let single = conv2d_gemm_quant_tier(input, qw, 1, pad, tier);
+        assert_eq!(oracle, single, "gemm kernel, {what}");
+    }
+}
+
+#[test]
+fn pooled_kernels_are_bit_exact_on_each_side_of_the_split_threshold() {
+    // A pool cuts a layer into runs by its estimated time (`ConvPool::new`,
+    // docs/KERNELS.md "Intra-image threads"): 32 MACs a nanosecond plus 6 ns
+    // an output, 131 us a run. These pointwise layers are all epilogue:
+    // 39 200 outputs stay one run on any pool, 45 000 make two, 89 888
+    // make four on a pool that wide.
+    for (hw, workers) in [(70, 2), (75, 2), (75, 3), (106, 7)] {
+        let qw = synthetic_qw(8, 1, 1, 0.7, hw as u64, true);
+        let input = synthetic_input(1, hw, hw, 9);
+        pooled_kernels_match_the_dense_oracle(&qw, &input, &ConvPool::new(workers));
     }
 }
 

@@ -1,7 +1,7 @@
 //! Batch inference on the parallel execution engine.
 //!
-//! Runs a batch of scaled VGG-16 inferences across a work-stealing
-//! worker pool, then re-runs the same inputs sequentially to demonstrate
+//! Runs a batch of scaled VGG-16 inferences across a worker pool
+//! pulling from one queue, then re-runs the same inputs sequentially to demonstrate
 //! that the batch path is bit-identical and to measure the wall-clock
 //! speedup from parallelism.
 //!
@@ -36,11 +36,10 @@ fn main() {
     let parallel = run_batch(&driver, &qnet, &inputs, 0).expect("fits");
     let t_par = t0.elapsed().as_secs_f64();
     println!(
-        "parallel:   {:.2} s on {} workers ({:.2} images/s, {} steals, jobs/worker {:?})",
+        "parallel:   {:.2} s on {} workers ({:.2} images/s, jobs/worker {:?})",
         t_par,
         parallel.workers,
         batch as f64 / t_par,
-        parallel.steals,
         parallel.per_worker_jobs
     );
 

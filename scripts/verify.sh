@@ -62,8 +62,10 @@ done
 timeout 300 ./target/release/kernel_bench --check > /dev/null
 
 # Serving-daemon smoke: a request burst plus shutdown through the wire
-# protocol must drain cleanly (exit 0, every request answered ok), and a
-# protocol-breaking line must make the daemon exit non-zero.
+# protocol must drain cleanly (exit 0, every request answered ok), the
+# first request must go straight to an idle worker (no batch window: well
+# under a millisecond queued), and a protocol-breaking line must make the
+# daemon exit non-zero.
 serve_out=$(timeout 120 ./target/release/zskip serve --hw 32 --backend cpu <<'EOF'
 {"op":"infer","id":"v1","seed":3}
 {"op":"infer","id":"v2","seed":4}
@@ -76,6 +78,9 @@ EOF
   || { echo "verify: serve smoke missing ok responses"; exit 1; }
 printf '%s\n' "$serve_out" | grep -q '"op":"shutdown","draining":true' \
   || { echo "verify: serve smoke missing shutdown ack"; exit 1; }
+first_queue_us=$(printf '%s\n' "$serve_out" | grep '"id":"v1"' | sed 's/.*"queue_us":\([0-9]*\).*/\1/')
+[ "$first_queue_us" -lt 1000 ] \
+  || { echo "verify: the first request waited $first_queue_us us for an idle worker (need < 1000)"; exit 1; }
 if printf 'this is not json\n' | timeout 120 ./target/release/zskip serve --hw 32 --backend cpu > /dev/null; then
   echo "verify: serve must exit non-zero on a protocol error"; exit 1
 fi
@@ -88,8 +93,9 @@ printf '%s\n' "$shard_out" | grep -q 'pipeline placement' \
   || { echo "verify: sharded batch did not report pipeline placement"; exit 1; }
 timeout 300 ./target/release/zskip infer --hw 32 --instances 4 --placement pipeline > /dev/null
 
-# Throughput gates: the daemon's queue + adaptive batcher must deliver
-# >= 0.9x the raw batch engine on the same offered burst, and the
+# Throughput gates: the daemon's queue + resident workers must deliver
+# >= 0.9x the raw batch engine on the same offered burst of cpu-backend
+# ResNet-18 images, and the
 # placement scheduler must hit its simulated-time floors (image-parallel
 # >= 2.5x at 4 instances; pipeline beats image on single-image latency).
 timeout 300 ./target/release/batch_bench --check
@@ -146,7 +152,7 @@ bad_cfg=$(mktemp -t zskip-badcfg-XXXXXX.json)
 expect_invalid infer --hw 32 --instances 0
 expect_invalid infer --hw 16
 expect_invalid infer --hw 32 --density 7
-printf '{"version": 3, "thread": 4}\n' > "$bad_cfg"
+printf '{"version": 4, "thread": 4}\n' > "$bad_cfg"
 expect_invalid infer --hw 32 --config "$bad_cfg"
 timeout 300 ./target/release/zskip tune --budget 1 --out "$bad_cfg" > /dev/null
 sed -i 's/"instances": 1,/"instances": 0,/' "$bad_cfg"
@@ -157,13 +163,22 @@ sed -i 's/^  "placement"/  "park_hysteresis": null,\n  "placement"/' "$bad_cfg"
 grep -q '"park_hysteresis": null' "$bad_cfg" \
   || { echo "verify: the park_hysteresis fixture was not written"; exit 1; }
 expect_invalid infer --hw 32 --config "$bad_cfg"
+# An artifact the previous build wrote — version 3, with the serve loop's
+# deleted batch-shaping knobs — is refused whole.
+timeout 300 ./target/release/zskip tune --budget 1 --out "$bad_cfg" > /dev/null
+sed -i -e 's/"version": 4,/"version": 3,/' -e 's/^  "queue_depth"/  "max_batch": 8,\n  "batch_window_ms": 2,\n  "queue_depth"/' "$bad_cfg"
+grep -q '"batch_window_ms": 2' "$bad_cfg" \
+  || { echo "verify: the version-3 fixture was not written"; exit 1; }
+expect_invalid infer --hw 32 --config "$bad_cfg"
 rm -f "$bad_cfg"
 # A deleted knob's flag is an unknown flag like any other: exit 2.
-gone_rc=0
-gone_out=$(timeout 120 ./target/release/zskip infer --hw 32 --weight-cache off 2>&1 >/dev/null) || gone_rc=$?
-[ "$gone_rc" -eq 2 ] || { echo "verify: --weight-cache must exit 2 (got $gone_rc)"; exit 1; }
-printf '%s\n' "$gone_out" | grep -q 'unknown flag --weight-cache' \
-  || { echo "verify: --weight-cache must be reported as an unknown flag"; exit 1; }
+for gone in "infer --hw 32 --weight-cache off" "serve --hw 32 --batch-window-ms 0" "serve --hw 32 --max-batch 1"; do
+  gone_rc=0
+  gone_out=$(timeout 120 ./target/release/zskip $gone 2>&1 >/dev/null </dev/null) || gone_rc=$?
+  [ "$gone_rc" -eq 2 ] || { echo "verify: zskip $gone must exit 2 (got $gone_rc)"; exit 1; }
+  printf '%s\n' "$gone_out" | grep -q 'unknown flag --' \
+    || { echo "verify: zskip $gone must report an unknown flag"; exit 1; }
+done
 # ... and what `infer` reports comes from the session it ran: two instances
 # run at the cost model's congestion-derated clock, not the variant's.
 two_out=$(timeout 300 ./target/release/zskip infer --hw 32 --instances 2)

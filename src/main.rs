@@ -15,7 +15,7 @@
 //! Every flag-taking subcommand supports `--help`; flags are declared
 //! declaratively and parsed by a shared, panic-free parser. The run
 //! knobs common to `infer`/`batch`/`serve`/`analyze` — variant, backend,
-//! threads, kernel tier, sharding and batch shaping — are not declared
+//! threads, kernel tier, sharding and the worker pool — are not declared
 //! here at all: their flags, `--help` defaults, closed value sets and
 //! printout come from the one knob table in
 //! [`zskip::accel::tune`], by [`FlagGroup`]. All four resolve one
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use zskip::accel::serve::wire;
-use zskip::accel::session::{DEFAULT_BATCH_WINDOW_MS, DEFAULT_MAX_BATCH, DEFAULT_QUEUE_DEPTH};
+use zskip::accel::session::DEFAULT_QUEUE_DEPTH;
 use zskip::accel::tune::{self, FlagGroup, DEFAULT_BUDGET, DEFAULT_SEED, KNOBS};
 use zskip::accel::{
     AccelConfig, BackendKind, Driver, Objective, Placement, Provenance, SearchSpace, Searcher,
@@ -168,7 +168,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "batch",
         usage_args: "[flags]",
-        summary: "run a batch of inferences on a work-stealing worker pool",
+        summary: "run a batch of inferences on a worker pool",
         flag_groups: &[
             Flags::Own(&[Flag::val("--n", "N", "8", "number of images in the batch")]),
             Flags::Knobs(FlagGroup::Pool),
@@ -606,13 +606,12 @@ fn batch(p: &Parsed) {
     let report = session.run_batch(&qnet, &inputs).unwrap_or_else(|e| fail_error(&e));
     let wall = t0.elapsed().as_secs_f64();
     println!(
-        "{} images in {:.2} s on {} workers ({:.2} images/s, {:.1} M simulated cycles/s, {} steals)",
+        "{} images in {:.2} s on {} workers ({:.2} images/s, {:.1} M simulated cycles/s)",
         n,
         wall,
         report.workers,
         n as f64 / wall,
         report.total_cycles() as f64 / wall / 1e6,
-        report.steals
     );
     for (i, r) in report.reports.iter().enumerate() {
         let top = zskip::nn::fc::argmax(&r.output).expect("non-empty");
@@ -679,7 +678,7 @@ fn serve(p: &Parsed) {
         }
     };
 
-    // EOF or a shutdown op landed: drain in-flight batches, then report.
+    // EOF or a shutdown op landed: drain what is queued, then report.
     let stats = engine.join();
     println!("{}", wire::render_stats(&stats));
     eprintln!(
@@ -1086,12 +1085,8 @@ fn analyze(p: &Parsed) {
 
     // Serving limits: what `zskip serve` defaults to on this build, so an
     // operator can size clients without starting the daemon.
-    println!(
-        "\nServe defaults: queue depth {DEFAULT_QUEUE_DEPTH} (admission control), batch window {DEFAULT_BATCH_WINDOW_MS} ms, max batch {DEFAULT_MAX_BATCH}"
-    );
-    println!(
-        "(override with zskip serve --queue-depth/--batch-window-ms/--max-batch; full wire protocol in docs/SERVING.md)"
-    );
+    println!("\nServe defaults: queue depth {DEFAULT_QUEUE_DEPTH} (admission control), one resident worker per host core");
+    println!("(override with zskip serve --queue-depth/--workers; full wire protocol in docs/SERVING.md)");
 }
 
 fn faults(p: &Parsed) {

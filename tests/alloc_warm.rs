@@ -11,67 +11,15 @@
 //! A binary of its own with a single `#[test]`, so no concurrent test
 //! thread allocates inside the measured window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+mod common;
+
+use common::{big_allocations, BIG};
 use zskip::accel::{AccelConfig, BackendKind, LayerReport, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
 use zskip::nn::{NetworkSpec, Scratch};
 use zskip::quant::DensityProfile;
-
-/// Allocations above this many bytes are recorded while [`ARMED`].
-const BIG: usize = 1024;
-
-struct RecordingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static SEEN: AtomicUsize = AtomicUsize::new(0);
-static SIZES: [AtomicUsize; 64] = [const { AtomicUsize::new(0) }; 64];
-
-fn note(size: usize) {
-    if size > BIG && ARMED.load(Ordering::Relaxed) {
-        let i = SEEN.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = SIZES.get(i) {
-            slot.store(size, Ordering::Relaxed);
-        }
-    }
-}
-
-// SAFETY: delegates every operation to `System`; only records sizes.
-unsafe impl GlobalAlloc for RecordingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: RecordingAlloc = RecordingAlloc;
-
-/// The sizes of the big allocations `f` makes, ascending.
-fn big_allocations(f: impl FnOnce()) -> Vec<usize> {
-    SEEN.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
-    f();
-    ARMED.store(false, Ordering::Relaxed);
-    let seen = SEEN.load(Ordering::Relaxed);
-    assert!(seen <= SIZES.len(), "{seen} allocations above {BIG} bytes");
-    let mut sizes: Vec<usize> = SIZES[..seen].iter().map(|s| s.load(Ordering::Relaxed)).collect();
-    sizes.sort_unstable();
-    sizes
-}
 
 /// A spec with seed-1 synthetic weights pruned to 35 % density, quantized
 /// on one calibration image.

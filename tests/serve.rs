@@ -5,12 +5,12 @@
 //! request in the same serving session completes bit-identical to a
 //! direct `zskip infer` run. A second test drives the same engine over a
 //! real localhost TCP socket through the newline-delimited JSON wire
-//! protocol with concurrent clients.
+//! protocol with concurrent clients; a third holds the cpu-backend
+//! engine to `Session::infer` at every worker count.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
@@ -59,15 +59,13 @@ fn faulted_request_errors_while_others_serve_bit_identical() {
         .collect();
 
     // The served session carries the fault plan. RetryPolicy::none()
-    // keeps the resilient batch engine from absorbing the (one-shot)
+    // keeps the worker loop from absorbing the (one-shot)
     // fault, so it must surface on exactly one request.
     let plan = FaultPlan::new().inject("dma:xfer", 1, FaultKind::DmaCorrupt { xor: 0x40 }).shared();
     let session = Session::builder(config())
         .backend(BackendKind::Model)
         .fault_plan(plan.clone())
         .retry(RetryPolicy::none())
-        .max_batch(inputs.len())
-        .batch_window(Duration::from_millis(50))
         .build()
         .unwrap();
     let engine = ServeEngine::start(session, Arc::clone(&qnet));
@@ -104,6 +102,63 @@ fn faulted_request_errors_while_others_serve_bit_identical() {
     assert_eq!(stats.completed(), inputs.len() as u64);
 }
 
+/// Which worker runs which request must not show: on the cpu backend
+/// the served outputs and cycle counts, and the batch engine's, equal
+/// `Session::infer`'s at 1 to 4 workers — also when a one-shot `dma:xfer`
+/// fault lands on one of them and a retry absorbs it.
+#[test]
+fn worker_count_never_shows_in_cpu_backend_results() {
+    let qnet = Arc::new(small_net(8));
+    let inputs = synthetic_inputs(33, 7, qnet.spec.input);
+    let builder = || Session::builder(config()).backend(BackendKind::Cpu);
+    let clean = builder().build().unwrap();
+    let want: Vec<_> = inputs
+        .iter()
+        .map(|input| clean.infer(&qnet, input).map(|r| (r.output, r.total_cycles)).expect("clean run"))
+        .collect();
+
+    for workers in 1..=4 {
+        for faulted in [false, true] {
+            let what = format!("{workers} workers, faulted {faulted}");
+            // The sixth DMA descriptor is the first image's, whoever runs it.
+            let session = || {
+                let plan = FaultPlan::new();
+                let plan = if faulted { plan.inject("dma:xfer", 5, FaultKind::DmaCorrupt { xor: 0x40 }) } else { plan };
+                let plan = plan.shared();
+                (builder().batch_workers(workers).fault_plan(plan.clone()).build().unwrap(), plan)
+            };
+            let same = |got: &zskip::accel::InferenceReport, idx: usize| {
+                assert_eq!((&got.output, got.total_cycles), (&want[idx].0, want[idx].1), "{what}: image {idx}");
+            };
+
+            let batch = session().0.run_batch_resilient(&qnet, &inputs);
+            assert_eq!(batch.retries(), faulted as u64, "{what}: one retry per injected fault");
+            for item in &batch.items {
+                same(item.result.as_ref().expect("a retry absorbs the fault"), item.index);
+            }
+            if workers == 1 && faulted {
+                // One worker takes the jobs in order.
+                assert_eq!(batch.items.iter().map(|i| i.attempts).collect::<Vec<_>>(), [2, 1, 1, 1, 1, 1, 1]);
+            }
+
+            let (session, plan) = session();
+            let engine = ServeEngine::start(session, Arc::clone(&qnet));
+            let (tx, rx) = mpsc::channel();
+            for (i, input) in inputs.iter().enumerate() {
+                engine.handle().submit(format!("{i}"), input.clone(), tx.clone()).expect("admitted");
+            }
+            drop(tx);
+            let replies: Vec<ServeReply> = rx.iter().collect();
+            assert_eq!(replies.len(), inputs.len(), "{what}");
+            for reply in replies {
+                same(&reply.result.expect("a retry absorbs the fault"), reply.id.parse().expect("id is the index"));
+            }
+            assert_eq!(plan.lock().expect("unpoisoned").fired().len(), faulted as usize, "{what}");
+            assert_eq!(engine.join().served, inputs.len() as u64, "{what}");
+        }
+    }
+}
+
 /// Reads newline-delimited JSON responses until the server closes the
 /// connection.
 fn read_replies(stream: &TcpStream) -> Vec<Json> {
@@ -122,11 +177,7 @@ fn read_replies(stream: &TcpStream) -> Vec<Json> {
 fn tcp_clients_round_trip_concurrently() {
     let qnet = Arc::new(small_net(8));
     let shape = qnet.spec.input;
-    let session = Session::builder(config())
-        .backend(BackendKind::Model)
-        .batch_window(Duration::from_millis(1))
-        .build()
-        .unwrap();
+    let session = Session::builder(config()).backend(BackendKind::Model).build().unwrap();
     // Golden path: what `zskip infer --seed <s>` computes for each seed.
     let golden = |seed: u64| {
         let input = synthetic_inputs(seed, 1, shape).remove(0);
@@ -212,5 +263,4 @@ fn tcp_clients_round_trip_concurrently() {
     let stats = engine.join();
     assert_eq!(stats.served, 6);
     assert_eq!(stats.failed, 0);
-    assert!(stats.batches >= 1);
 }

@@ -50,13 +50,13 @@ fn arb_config() -> impl Strategy<Value = TunedConfig> {
     // presence bool with the value range.
     let hardware = (0usize..4, 1usize..5, 0usize..4);
     let software = (0usize..3, 0usize..5, (prop::bool::ANY, 0usize..4));
-    let batch = (0usize..5, 1usize..17, 0u64..6, 1usize..129);
+    let pool = (0usize..5, 1usize..129);
     let provenance = (prop::bool::ANY, 0u64..1_000_000, 0u64..1000, 0u64..(1 << 20), 0u64..200);
-    (hardware, software, batch, provenance).prop_map(
+    (hardware, software, pool, provenance).prop_map(
         |(
             (v, instances, pl),
             (b, threads, (has_kernel, k)),
-            (batch_workers, max_batch, batch_window_ms, queue_depth),
+            (batch_workers, queue_depth),
             (has_provenance, seed, budget, score_bits, evals),
         )| {
             TunedConfig {
@@ -67,8 +67,6 @@ fn arb_config() -> impl Strategy<Value = TunedConfig> {
                 kernel: if has_kernel { Some(KernelTier::ALL[k]) } else { None },
                 placement: Placement::ALL[pl],
                 batch_workers,
-                max_batch,
-                batch_window_ms,
                 queue_depth,
                 provenance: if has_provenance {
                     Some(Provenance {
@@ -140,7 +138,7 @@ fn from_tuned_applies_knobs_and_explicit_overrides_win() {
         threads: 2,
         kernel: Some(KernelTier::Scalar),
         placement: Placement::Image,
-        max_batch: 5,
+        queue_depth: 5,
         ..TunedConfig::default()
     };
     artifact.save(&path).expect("saves");
@@ -151,18 +149,18 @@ fn from_tuned_applies_knobs_and_explicit_overrides_win() {
     assert_eq!(session.driver().threads, 2);
     assert_eq!(session.driver().kernel_tier, KernelTier::Scalar);
     assert_eq!(session.batch_config().placement, Placement::Image);
-    assert_eq!(session.batch_config().max_batch, 5);
+    assert_eq!(session.batch_config().queue_depth, 5);
 
     // ...and a later explicit override beats the artifact (the CLI's
     // `--config` + explicit-flag precedence, at the library layer).
     let overridden = SessionBuilder::from_tuned(&path)
         .expect("loads")
         .backend(BackendKind::Model)
-        .max_batch(9)
+        .queue_depth(9)
         .build()
         .expect("valid");
     assert_eq!(overridden.driver().backend, BackendKind::Model);
-    assert_eq!(overridden.batch_config().max_batch, 9);
+    assert_eq!(overridden.batch_config().queue_depth, 9);
     assert_eq!(overridden.driver().threads, 2, "untouched knobs keep the tuned value");
 
     // A missing or malformed artifact fails with the stable code.
@@ -209,8 +207,6 @@ fn one_artifact_drives_infer_batch_and_serve_bit_exactly() {
         backend: BackendKind::Cpu,
         threads: 1,
         kernel: Some(KernelTier::Scalar),
-        max_batch: 2,
-        batch_window_ms: 0,
         ..TunedConfig::default()
     }
     .save(&path)
