@@ -160,25 +160,9 @@ fn main() {
             let mut instrs = Vec::new();
             for g in 0..2 {
                 let gw = GroupWeights::from_filters(&qw, g * 4, 4);
-                let wgt_base = scratchpad.len() as u32;
-                scratchpad.extend_from_slice(&gw.to_bytes());
-                instrs.push(Instruction::Conv(ConvInstr {
-                    ofm_first: (g * 4) as u16,
-                    ifm_count: 8,
-                    ifm_base: 0,
-                    ifm_tiles_x: in_layout.tiles_x as u16,
-                    ifm_tile_rows: in_layout.tile_rows as u16,
-                    ifm_row_offset: 0,
-                    ofm_base: out_layout.base as u32,
-                    ofm_tiles_x: out_layout.tiles_x as u16,
-                    ofm_tile_rows: out_layout.tile_rows as u16,
-                    wgt_base,
-                    bias: [0; 4],
-                    requant_mult: qw.requant.mult as u16,
-                    requant_shift: qw.requant.shift as u8,
-                    relu: true,
-                    active_lanes: 4,
-                }));
+                let instr = ConvInstr::for_group(&qw, g * 4, 4, &in_layout, 0, &out_layout, scratchpad.len());
+                instrs.push(Instruction::Conv(instr.expect("ablation geometry fits the instruction fields")));
+                scratchpad.extend_from_slice(gw.as_bytes());
             }
             let cycles = cycle::run(&cfg, banks, scratchpad, cycle::Feed::Preloaded(instrs), &Default::default())
                 .expect("runs")

@@ -362,47 +362,15 @@ pub fn build_engine_workload(
     let mut scratchpad = Vec::new();
     let mut instrs = Vec::new();
     for g in 0..qw.out_c.div_ceil(cfg.lanes) {
-        let ofm_first = g * cfg.lanes;
-        let gw = GroupWeights::from_filters(qw, ofm_first, cfg.lanes);
-        let wgt_base = scratchpad.len() as u32;
-        scratchpad.extend_from_slice(&gw.to_bytes());
-        let active = cfg.lanes.min(qw.out_c - ofm_first);
-        let mut bias = [0i32; 4];
-        for (lane, b) in bias.iter_mut().enumerate().take(active) {
-            *b = qw.bias_acc[ofm_first + lane] as i32;
-        }
-        instrs.push(Instruction::Conv(ConvInstr {
-            ofm_first: ofm_first as u16,
-            ifm_count: qw.in_c as u16,
-            ifm_base: in_layout.base as u32,
-            ifm_tiles_x: in_layout.tiles_x as u16,
-            ifm_tile_rows: in_layout.tile_rows as u16,
-            ifm_row_offset: 0,
-            ofm_base: out_layout.base as u32,
-            ofm_tiles_x: out_layout.tiles_x as u16,
-            ofm_tile_rows: out_layout.tile_rows as u16,
-            wgt_base,
-            bias,
-            requant_mult: qw.requant.mult as u16,
-            requant_shift: qw.requant.shift as u8,
-            relu: qw.relu,
-            active_lanes: active as u8,
-        }));
+        let gw = GroupWeights::from_filters(qw, g * cfg.lanes, cfg.lanes);
+        let instr = ConvInstr::for_group(qw, g * cfg.lanes, cfg.lanes, &in_layout, 0, &out_layout, scratchpad.len());
+        instrs.push(Instruction::Conv(instr.expect("workload geometry fits the instruction fields")));
+        scratchpad.extend_from_slice(gw.as_bytes());
     }
     // 2x2 max-pool of the conv output, VGG-style.
     let pool_out = FmLayout::full(out_layout.end(), Shape::new(qw.out_c, h / 2, w / 2));
-    instrs.push(Instruction::PoolPad(PoolPadInstr {
-        op: PoolPadOp::MaxPool { k: 2, stride: 2 },
-        channels: qw.out_c as u16,
-        in_base: out_layout.base as u32,
-        in_tiles_x: out_layout.tiles_x as u16,
-        in_tile_rows: out_layout.tile_rows as u16,
-        in_row_start: 0,
-        out_base: pool_out.base as u32,
-        out_tiles_x: pool_out.tiles_x as u16,
-        out_tile_rows: pool_out.tile_rows as u16,
-        out_row_start: 0,
-    }));
+    let pool = PoolPadInstr::for_stripe(PoolPadOp::MaxPool { k: 2, stride: 2 }, &out_layout, 0, &pool_out, 0);
+    instrs.push(Instruction::PoolPad(pool.expect("workload geometry fits the instruction fields")));
     (banks, scratchpad, instrs)
 }
 

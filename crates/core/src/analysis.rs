@@ -177,7 +177,7 @@ mod tests {
     fn scratchpad_bytes_match_group_serialization() {
         let qw = layer(8, 4, 3);
         let s = LayerPackingStats::analyze("l", &qw, &config());
-        let manual: u64 = (0..2).map(|g| GroupWeights::from_filters(&qw, g * 4, 4).to_bytes().len() as u64).sum();
+        let manual: u64 = (0..2).map(|g| GroupWeights::from_filters(&qw, g * 4, 4).as_bytes().len() as u64).sum();
         assert_eq!(s.scratchpad_bytes, manual);
     }
 }

@@ -62,8 +62,7 @@ pub enum Feed {
 
 /// Everything a [`run`] takes besides the design, its data and its feed.
 /// `RunOptions::default()` is the product configuration: no cycle limit,
-/// no trace, no faults, the event-driven scheduler at the engine's
-/// default park hysteresis.
+/// no trace, no faults, the event-driven scheduler.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Cycle limit; exceeding it is [`SimError::CycleLimit`].
@@ -78,13 +77,6 @@ pub struct RunOptions {
     /// the oracle [`SchedMode::EventDriven`] (kernels blocked on a FIFO
     /// park on its wait list) is pinned bit-identical to.
     pub sched: SchedMode,
-    /// Park-hysteresis override for the event scheduler (see
-    /// [`zskip_sim::EngineBuilder::park_hysteresis`]); `None` is the
-    /// engine default. A scheduling-cost knob only — cycle counts and
-    /// bank contents are bit-identical for every value (the `tune` module
-    /// exploits this: it searches the knob for simulator wall time
-    /// without perturbing the simulated score).
-    pub park_hysteresis: Option<u32>,
 }
 
 impl Default for RunOptions {
@@ -94,7 +86,6 @@ impl Default for RunOptions {
             trace_cycles: None,
             fault_plan: None,
             sched: SchedMode::EventDriven,
-            park_hysteresis: None,
         }
     }
 }
@@ -109,9 +100,8 @@ impl Default for RunOptions {
 /// malformed instruction stream, an RTL-level bug or an injected fault.
 ///
 /// # Panics
-/// Panics if `opts` asks for a zero-cycle trace window or a zero park
-/// hysteresis, which [`zskip_sim::EngineBuilder`] rejects (the driver
-/// builder refuses a zero hysteresis before it can get here).
+/// Panics if `opts` asks for a zero-cycle trace window, which
+/// [`zskip_sim::EngineBuilder`] rejects.
 pub fn run(
     config: &AccelConfig,
     banks: BankSet,
@@ -125,9 +115,6 @@ pub fn run(
     let scratchpad = Rc::new(scratchpad);
     let barrier = Rc::new(RefCell::new(Barrier::new(config.lanes)));
     let mut builder = Engine::<Msg>::builder().scheduler(opts.sched);
-    if let Some(ticks) = opts.park_hysteresis {
-        builder = builder.park_hysteresis(ticks);
-    }
     if let Some(capacity) = opts.trace_cycles {
         builder = builder.trace(capacity);
     }
@@ -141,7 +128,7 @@ pub fn run(
             model.layers.iter().map(|l| l.staging_cycles).max().unwrap_or(0).max(model.poll_interval);
         builder = builder.deadlock_window(longest_gap.saturating_add(10_000));
     }
-    let mut engine: Engine<Msg> = builder.build().expect("nonzero trace window and park hysteresis");
+    let mut engine: Engine<Msg> = builder.build().expect("nonzero trace window");
 
     // FIFOs. Command/config queues are depth-2 (dispatch is one message
     // deep plus shutdown); data queues use the configured depth.

@@ -20,7 +20,8 @@ use crate::poolpad::{compile_tile_program, MicroOp};
 use crate::weights::GroupWeights;
 use std::cell::RefCell;
 use std::rc::Rc;
-use zskip_quant::{PackedEntry, Sm8};
+use zskip_quant::pack::index_tiles;
+use zskip_quant::{PackedEntry, PackedTile, Sm8};
 use zskip_sim::{CounterId, Ctx, FifoId, Horizon, Kernel, Progress};
 use zskip_tensor::Tile;
 
@@ -43,9 +44,9 @@ struct Phase {
 enum State {
     /// Waiting for a command.
     Idle,
-    /// Executing a convolution instruction. Boxed: the per-lane entry
-    /// queues make this variant an order of magnitude larger than the
-    /// rest, and `tick_conv` moves the state out and back every cycle.
+    /// Executing a convolution instruction. Boxed: the two quad regions
+    /// make this variant an order of magnitude larger than the rest, and
+    /// `tick_conv` moves the state out and back every cycle.
     Conv(Box<ConvState>),
     /// Executing a pool/pad instruction.
     Pool(PoolState),
@@ -63,10 +64,10 @@ enum State {
 #[derive(Debug)]
 struct ConvState {
     instr: ConvInstr,
-    weights: GroupWeights,
+    /// Where each `(ifm, lane)` packed tile of the instruction's group
+    /// starts in the scratchpad, counted from `instr.wgt_base`.
+    tile_index: Vec<u32>,
     phases: Vec<Phase>,
-    /// Per-lane packed entries of the current phase.
-    lane_entries: [Vec<PackedEntry>; 4],
     phase_idx: usize,
     /// Cycle within the current phase.
     t: u32,
@@ -150,12 +151,10 @@ impl StagingKernel {
 
     /// Builds the phase list for a conv instruction.
     fn build_conv(&self, instr: ConvInstr) -> ConvState {
-        let weights = GroupWeights::from_bytes(
-            &self.scratchpad[instr.wgt_base as usize..],
-            instr.ifm_count as usize,
-            self.lanes,
-        )
-        .expect("driver wrote a well-formed scratchpad image");
+        let group = &self.scratchpad[instr.wgt_base as usize..];
+        let tile_index = index_tiles(group, instr.ifm_count as usize * self.lanes)
+            .expect("driver wrote a well-formed scratchpad image");
+        let weights = GroupWeights::from_index(group, &tile_index, instr.ifm_count as usize, self.lanes);
         let positions = instr.ofm_tile_rows as u32 * instr.ofm_tiles_x as u32;
         let my_ifms: Vec<u32> = self
             .my_channels(instr.ifm_count as u32)
@@ -179,9 +178,8 @@ impl StagingKernel {
         let marker_only_positions = if my_ifms.is_empty() { positions } else { 0 };
         ConvState {
             instr,
-            weights,
+            tile_index,
             phases,
-            lane_entries: Default::default(),
             phase_idx: 0,
             t: 0,
             region: [Sm8::ZERO; 64],
@@ -226,16 +224,15 @@ impl StagingKernel {
         }
     }
 
-    /// Loads the per-lane entry vectors for phase `idx`.
-    fn load_lane_entries(state: &mut ConvState, idx: usize, lanes: usize) {
-        let ifm = state.phases[idx].ifm as usize;
-        for lane in 0..4 {
-            state.lane_entries[lane] = if lane < lanes {
-                state.weights.lane_tile(ifm, lane).entries().to_vec()
-            } else {
-                Vec::new()
-            };
-        }
+    /// The `t`-th packed entry of each lane's tile for channel `ifm`, read
+    /// out of the scratchpad stream; `None` past a lane's non-zero count.
+    fn lane_entries(&self, st: &ConvState, ifm: u32, t: u32) -> [Option<PackedEntry>; 4] {
+        let group = &self.scratchpad[st.instr.wgt_base as usize..];
+        let tiles = &st.tile_index[ifm as usize * self.lanes..][..self.lanes];
+        std::array::from_fn(|lane| {
+            let tile = PackedTile::at(group, *tiles.get(lane)? as usize);
+            tile.entries().nth(t as usize)
+        })
     }
 
     fn tick_conv(&mut self, ctx: &mut Ctx<'_, Msg>) -> Progress {
@@ -269,9 +266,6 @@ impl StagingKernel {
             let tile = self.fetch_quad_tile(&st.instr, &st.phases[0], quad_idx, ctx.cycle);
             Self::place_quad_tile(&mut st.region, quad_idx, &tile);
             st.fill -= 1;
-            if st.fill == 0 {
-                Self::load_lane_entries(st, 0, self.lanes);
-            }
             return Progress::Busy;
         }
 
@@ -292,10 +286,7 @@ impl StagingKernel {
         // (prefetch shares the stall, as in hardware where the pipeline
         // enable gates both).
         if st.t < phase.steps {
-            let mut lanes: [Option<PackedEntry>; 4] = [None; 4];
-            for (lane, entries) in st.lane_entries.iter().enumerate() {
-                lanes[lane] = entries.get(st.t as usize).copied();
-            }
+            let lanes = self.lane_entries(st, phase.ifm, st.t);
             let work = Msg::ConvWork(Box::new(ConvWork { region: st.region, lanes }));
             if ctx.fifos.try_push(self.conv_out, work).is_err() {
                 return Progress::Blocked;
@@ -327,9 +318,6 @@ impl StagingKernel {
             st.t = 0;
             st.phase_idx += 1;
             st.region = st.next_region;
-            if st.phase_idx < st.phases.len() {
-                Self::load_lane_entries(st, st.phase_idx, self.lanes);
-            }
             if phase.last_of_pos {
                 st.marker = true;
             }

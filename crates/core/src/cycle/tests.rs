@@ -74,32 +74,10 @@ pub(super) fn run_conv_outcome(
     let mut scratchpad = Vec::new();
     let mut instrs = Vec::new();
     for g in 0..qw.out_c.div_ceil(cfg.lanes) {
-        let ofm_first = g * cfg.lanes;
-        let gw = GroupWeights::from_filters(qw, ofm_first, cfg.lanes);
-        let wgt_base = scratchpad.len() as u32;
-        scratchpad.extend_from_slice(&gw.to_bytes());
-        let active = cfg.lanes.min(qw.out_c - ofm_first);
-        let mut bias = [0i32; 4];
-        for (lane, b) in bias.iter_mut().enumerate().take(active) {
-            *b = qw.bias_acc[ofm_first + lane] as i32;
-        }
-        instrs.push(Instruction::Conv(ConvInstr {
-            ofm_first: ofm_first as u16,
-            ifm_count: qw.in_c as u16,
-            ifm_base: in_layout.base as u32,
-            ifm_tiles_x: in_layout.tiles_x as u16,
-            ifm_tile_rows: in_layout.tile_rows as u16,
-            ifm_row_offset: 0,
-            ofm_base: out_layout.base as u32,
-            ofm_tiles_x: out_layout.tiles_x as u16,
-            ofm_tile_rows: out_layout.tile_rows as u16,
-            wgt_base,
-            bias,
-            requant_mult: qw.requant.mult as u16,
-            requant_shift: qw.requant.shift as u8,
-            relu: qw.relu,
-            active_lanes: active as u8,
-        }));
+        let gw = GroupWeights::from_filters(qw, g * cfg.lanes, cfg.lanes);
+        let instr = ConvInstr::for_group(qw, g * cfg.lanes, cfg.lanes, &in_layout, 0, &out_layout, scratchpad.len());
+        instrs.push(Instruction::Conv(instr.expect("test geometry fits the instruction fields")));
+        scratchpad.extend_from_slice(gw.as_bytes());
     }
 
     let outcome = run(cfg, banks, scratchpad, feed(instrs), opts).expect("run completes");
@@ -220,31 +198,20 @@ fn hosted_dense_and_event_agree_with_tracing_on() {
 }
 
 #[test]
-fn park_hysteresis_is_invisible_under_an_injected_stall() {
-    // A preloaded run with a transient FIFO stall: the stall costs cycles,
-    // and every park-hysteresis value pays exactly the same ones.
+fn an_injected_stall_costs_cycles_and_no_output_bit() {
+    // A preloaded run with a transient FIFO stall (park-hysteresis
+    // invariance under one is held at engine level by
+    // `crates/sim/tests/event_equivalence.rs`).
     let cfg = config();
     let qw = weights(16, 3, 4);
     let input = input_tensor(3, 8, 8);
-    let stalled = |park_hysteresis| {
-        // Arming drains the plan, so each run gets a fresh one.
-        let plan = FaultPlan::new().inject("fifo:work0:push", 40, FaultKind::FifoStall { cycles: 500 }).shared();
-        let opts = RunOptions { fault_plan: Some(plan.clone()), park_hysteresis, ..RunOptions::default() };
-        let (outcome, layout) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &opts);
-        assert_eq!(plan.lock().unwrap().fired().len(), 1, "the stall fired");
-        (outcome, layout)
-    };
-    let (default, layout) = stalled(None);
+    let plan = FaultPlan::new().inject("fifo:work0:push", 40, FaultKind::FifoStall { cycles: 500 }).shared();
+    let opts = RunOptions { fault_plan: Some(plan.clone()), ..RunOptions::default() };
+    let (stalled, layout) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &opts);
+    assert_eq!(plan.lock().unwrap().fired().len(), 1, "the stall fired");
     let (clean, _) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &RunOptions::default());
-    assert!(default.cycles > clean.cycles, "the stall must cost cycles: {} vs {}", default.cycles, clean.cycles);
-    assert_eq!(output_8x8(&default, &layout, qw.out_c), conv2d_quant_dense(&input, &qw, 1, 1));
-    for ticks in [1, 3, 64] {
-        let (explicit, _) = stalled(Some(ticks));
-        assert_eq!(explicit.cycles, default.cycles, "hysteresis {ticks}");
-        assert_eq!(explicit.report, default.report, "hysteresis {ticks}");
-        assert_eq!(explicit.counters, default.counters, "hysteresis {ticks}");
-        assert_eq!(output_8x8(&explicit, &layout, qw.out_c), output_8x8(&default, &layout, qw.out_c));
-    }
+    assert!(stalled.cycles > clean.cycles, "the stall must cost cycles: {} vs {}", stalled.cycles, clean.cycles);
+    assert_eq!(output_8x8(&stalled, &layout, qw.out_c), conv2d_quant_dense(&input, &qw, 1, 1));
 }
 
 #[test]
@@ -455,7 +422,7 @@ fn counters_record_macs_and_bubbles() {
     let mut banks = BankSet::new(&cfg);
     in_layout.store(&mut banks, &tiled_in, 0..tiled_in.tiles_y());
     let gw = GroupWeights::from_filters(&qw, 0, 4);
-    let scratchpad = gw.to_bytes();
+    let scratchpad = gw.as_bytes().to_vec();
     let instr = Instruction::Conv(ConvInstr {
         ofm_first: 0,
         ifm_count: 8,
@@ -504,7 +471,7 @@ fn mixed_instruction_stream_chains_correctly() {
     raw.store(&mut banks, &tiled, 0..tiled.tiles_y());
 
     let gw = GroupWeights::from_filters(&qw, 0, cfg.lanes);
-    let scratchpad = gw.to_bytes();
+    let scratchpad = gw.as_bytes().to_vec();
 
     let stream = vec![
         Instruction::PoolPad(PoolPadInstr {

@@ -28,7 +28,7 @@
 use crate::config::AccelConfig;
 use crate::exec::pipeline::{self, slot_addr, DDR_FM_PAD, DDR_FM_STRIDE};
 use crate::exec::{self, PassCtx};
-use crate::isa::PoolPadOp;
+use crate::isa::{narrow, FieldOverflow, PoolPadOp};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
 use zskip_nn::layer::LayerSpec;
@@ -131,6 +131,11 @@ impl DriverError {
     /// deterministic and retrying them only wastes work.
     pub fn is_transient(&self) -> bool {
         matches!(self, DriverError::Sim(_) | DriverError::Dma(_))
+    }
+
+    /// Layer `layer`'s geometry does not fit the instruction encoding.
+    pub(crate) fn field_overflow(layer: &str, overflow: FieldOverflow) -> DriverError {
+        DriverError::Unsupported { layer: layer.to_string(), reason: overflow.to_string() }
     }
 }
 
@@ -457,7 +462,7 @@ impl Driver {
                         &mut ctx,
                         &format!("{name}/pad"),
                         src,
-                        PoolPadOp::Pad { amount: *pad as u8 },
+                        PoolPadOp::Pad { amount: narrow("pad", *pad).map_err(|e| DriverError::field_overflow(name, e))? },
                         Shape::new(in_shape.c, in_shape.h + 2 * pad, in_shape.w + 2 * pad),
                         padded,
                     )?);
@@ -468,9 +473,12 @@ impl Driver {
                 stats
             }
             (LayerSpec::MaxPool { name, k, stride }, _) => {
-                let op = PoolPadOp::MaxPool { k: *k as u8, stride: *stride as u8 };
+                let field = |field, value| narrow(field, value).map_err(|e| DriverError::field_overflow(name, e));
+                let op = PoolPadOp::MaxPool { k: field("k", *k)?, stride: field("stride", *stride)? };
                 exec::poolpad_pass(&mut ctx, name, src, op, out_shape, dst)?
             }
+            // `QuantizedNetwork::run_plan` calls back for `on_accelerator()`
+            // layers only: a conv with its weights, or a max-pool.
             _ => unreachable!("run_plan hands over conv and pool steps only"),
         };
         Ok(LayerReport {

@@ -26,7 +26,7 @@ use crate::isa::{ConvInstr, Instruction, PoolPadInstr, PoolPadOp};
 use crate::layout::FmLayout;
 use crate::model;
 use crate::report::PassStats;
-use crate::weights::GroupWeights;
+use crate::weights::{pack_groups, GroupWeights};
 use std::sync::{Arc, OnceLock};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
@@ -51,6 +51,10 @@ pub const DDR_FM_STRIDE: usize = 32 << 20;
 pub const DDR_FM_PAD: usize = 256 << 20;
 
 const DDR_WEIGHTS: usize = 512 << 20;
+
+/// Size of the DDR model, and with it of the weight window above
+/// [`DDR_WEIGHTS`] a layer's packed image is staged in.
+const DDR_BYTES: usize = 1 << 30;
 
 /// Start of execution-plan slot `slot`'s DDR feature-map region.
 ///
@@ -93,7 +97,7 @@ impl SocHandle {
         if let Some(plan) = plan {
             dma.set_fault_plan(plan);
         }
-        SocHandle { ddr: DdrModel::new(1 << 30), dma, staging: Vec::new() }
+        SocHandle { ddr: DdrModel::new(DDR_BYTES), dma, staging: Vec::new() }
     }
 
     /// Total DDR traffic so far (reads + writes), in bytes.
@@ -178,44 +182,41 @@ pub(crate) fn fm_to_tensor_into(fm: &TiledFeatureMap<Sm8>, out: &mut Tensor<Sm8>
     }
 }
 
-/// One conv layer's packed OFM-group weights, staged once: the parsed
-/// [`GroupWeights`] plus their concatenated scratchpad byte image with
-/// per-group offsets. Packing a VGG-scale layer (filter tiling, zero-skip
-/// entry packing, serialization) is value-independent work; a
-/// [`WeightCache`] keyed by the layer's content fingerprint makes it a
-/// first-image cost shared by every driver in the process.
+/// One conv layer's packed weights, staged once: the scratchpad byte
+/// images of all its OFM groups concatenated in group order — what is
+/// written to DDR as it stands — and the tile index over them (one
+/// offset per `(group, ifm, lane)` tile, then the end). Packing a
+/// VGG-scale layer is value-independent work; a [`WeightCache`] keyed by
+/// the layer's content fingerprint makes it a first-image cost shared by
+/// every driver in the process.
 pub(crate) struct PackedLayerWeights {
-    /// One entry per OFM group, in group order.
-    pub(crate) groups: Vec<GroupWeights>,
-    /// All groups' scratchpad bytes, concatenated in group order.
-    pub(crate) blob: Vec<u8>,
-    /// Byte offset of each group within `blob`.
-    pub(crate) offsets: Vec<usize>,
+    lanes: usize,
+    ifm_count: usize,
+    image: Vec<u8>,
+    index: Vec<u32>,
 }
 
 impl PackedLayerWeights {
     fn build(qw: &QuantConvWeights, lanes: usize, zero_skipping: bool) -> PackedLayerWeights {
-        let groups: Vec<GroupWeights> = (0..qw.out_c.div_ceil(lanes))
-            .map(|g| GroupWeights::from_filters_with_skipping(qw, g * lanes, lanes, zero_skipping))
-            .collect();
-        let mut offsets = Vec::with_capacity(groups.len());
-        let mut blob = Vec::with_capacity(groups.iter().map(GroupWeights::total_bytes).sum());
-        for g in &groups {
-            offsets.push(blob.len());
-            blob.extend_from_slice(&g.to_bytes());
-        }
-        PackedLayerWeights { groups, blob, offsets }
+        let (image, index) = pack_groups(qw, 0, qw.out_c.div_ceil(lanes), lanes, zero_skipping);
+        PackedLayerWeights { lanes, ifm_count: qw.in_c, image, index }
     }
 
-    /// The byte range of group `gi` within [`PackedLayerWeights::blob`].
-    fn group_span(&self, gi: usize) -> std::ops::Range<usize> {
-        self.offsets[gi]..self.offsets.get(gi + 1).copied().unwrap_or(self.blob.len())
+    /// Number of OFM groups.
+    fn groups(&self) -> usize {
+        (self.index.len() - 1) / (self.ifm_count * self.lanes)
+    }
+
+    /// Group `gi`'s weights, borrowed, and where they start in the image.
+    fn group(&self, gi: usize) -> (usize, GroupWeights<'_>) {
+        let tiles = self.ifm_count * self.lanes;
+        let index = &self.index[gi * tiles..=(gi + 1) * tiles];
+        let start = index[0] as usize;
+        (start, GroupWeights::from_index(&self.image[start..], index, self.ifm_count, self.lanes))
     }
 
     fn heap_bytes(&self) -> usize {
-        self.groups.iter().map(GroupWeights::heap_bytes).sum::<usize>()
-            + self.blob.capacity()
-            + self.offsets.capacity() * std::mem::size_of::<usize>()
+        self.image.capacity() + self.index.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -269,18 +270,17 @@ pub(crate) enum Exec {
 impl Exec {
     /// Executes an instruction batch, returning cycles and the banks.
     ///
-    /// `groups` carries one parsed [`GroupWeights`] per conv instruction
-    /// (in stream order) for the model executor; `scratchpad` is their
-    /// byte image for the cycle backend, whose data-staging kernels
-    /// consume the byte stream like the hardware (callers build it only
-    /// for [`Exec::Cycle`]).
+    /// `groups` carries the weights of each conv instruction, in stream
+    /// order. The model reads them in place; the cycle backend's
+    /// scratchpad is their byte streams back to back (each instruction's
+    /// `wgt_base` says where), which its data-staging kernels consume
+    /// like the hardware.
     fn run(
         &self,
         driver: &Driver,
         mut banks: BankSet,
-        scratchpad: Vec<u8>,
         instrs: &[Instruction],
-        groups: &[GroupWeights],
+        groups: &[GroupWeights<'_>],
         counters: &mut Counters,
     ) -> Result<(u64, BankSet), DriverError> {
         match self {
@@ -291,6 +291,7 @@ impl Exec {
             Exec::Cycle => {
                 let opts = cycle::RunOptions { fault_plan: driver.fault_plan().cloned(), ..Default::default() };
                 let feed = cycle::Feed::Preloaded(instrs.to_vec());
+                let scratchpad = groups.iter().map(GroupWeights::as_bytes).collect::<Vec<_>>().concat();
                 let outcome = cycle::run(&driver.config, banks, scratchpad, feed, &opts).map_err(DriverError::Sim)?;
                 counters.merge(&outcome.counters);
                 Ok((outcome.cycles, outcome.banks))
@@ -337,6 +338,15 @@ pub(crate) fn conv_pass(
     let stripes =
         super::stripes::plan_stripes(name, None, out_rows, in_rows, words_in, words_out, driver.config.bank_tiles)?;
 
+    // The DDR weight window bounds the layer's packed image (at most 33
+    // bytes a tile), which also keeps it inside the 32-bit scratchpad
+    // address space.
+    let tiles = qw.out_c.next_multiple_of(driver.config.lanes) * qw.in_c;
+    if tiles.saturating_mul(33) > DDR_BYTES - DDR_WEIGHTS {
+        let reason = "its packed weights may exceed the DDR weight window".to_string();
+        return Err(DriverError::Unsupported { layer: name.to_string(), reason });
+    }
+
     // Stage activations and packed weights in DDR. Under a filter
     // grouping the permuted layer is image-local, so it bypasses the
     // shared cache (its fingerprint would be recomputed per image anyway).
@@ -346,8 +356,7 @@ pub(crate) fn conv_pass(
     } else {
         packed_groups(driver, qw)
     };
-    let groups = &packed.groups;
-    soc.ddr.write_block(DDR_WEIGHTS, &packed.blob);
+    soc.ddr.write_block(DDR_WEIGHTS, &packed.image);
 
     let mut stats = PassStats {
         per_instance_cycles: vec![0; driver.config.instances],
@@ -380,10 +389,10 @@ pub(crate) fn conv_pass(
         };
 
         let parts = if split_groups { driver.config.instances } else { 1 };
-        let chunk = groups.len().div_ceil(parts);
+        let chunk = packed.groups().div_ceil(parts);
         for part in 0..parts {
             let instance = if split_groups { part } else { si % driver.config.instances };
-            let group_range = (part * chunk)..((part + 1) * chunk).min(groups.len());
+            let group_range = (part * chunk)..((part + 1) * chunk).min(packed.groups());
             if group_range.is_empty() {
                 continue;
             }
@@ -394,50 +403,30 @@ pub(crate) fn conv_pass(
             stats.io_dma_cycles +=
                 dma_fm_stripe(soc, src_addr, input, stripe.in_lo..stripe.in_hi, &in_layout, &mut banks, true)?;
 
-            // Per-group: weight preload + conv instruction. The cycle
-            // backend's scratchpad image is copied from the staged blob
-            // — the same bytes `GroupWeights::to_bytes` produced, without
-            // re-serializing per image; the model reads the parsed
-            // groups, so only `wgt_base` advances for it.
-            let mut scratchpad = Vec::new();
-            let mut wgt_base = 0u32;
-            let mut instrs = Vec::new();
-            for gi in group_range.clone() {
-                let span = packed.group_span(gi);
-                let bytes = span.len();
-                let (_, wcycles) = soc.ddr.read_block(DDR_WEIGHTS + span.start, bytes);
+            // Per-group: weight preload + conv instruction; `wgt_base`
+            // counts the bytes preloaded before it.
+            let mut groups = Vec::with_capacity(group_range.len());
+            let mut wgt_base = 0;
+            let mut instrs = Vec::with_capacity(group_range.len());
+            for gi in group_range {
+                let (start, group) = packed.group(gi);
+                let (_, wcycles) = soc.ddr.read_block(DDR_WEIGHTS + start, group.total_bytes());
                 stats.weight_dma_cycles += wcycles;
-                let ofm_first = gi * driver.config.lanes;
-                if matches!(exec, Exec::Cycle) {
-                    scratchpad.extend_from_slice(&packed.blob[span]);
-                }
-                let active = driver.config.lanes.min(qw.out_c - ofm_first);
-                let mut bias = [0i32; 4];
-                for (lane, b) in bias.iter_mut().enumerate().take(active) {
-                    *b = qw.bias_acc[ofm_first + lane].clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                }
-                instrs.push(Instruction::Conv(ConvInstr {
-                    ofm_first: ofm_first as u16,
-                    ifm_count: qw.in_c as u16,
-                    ifm_base: 0,
-                    ifm_tiles_x: in_layout.tiles_x as u16,
-                    ifm_tile_rows: in_layout.tile_rows as u16,
-                    ifm_row_offset: (stripe.out_a - stripe.in_lo) as u16,
-                    ofm_base: out_layout.base as u32,
-                    ofm_tiles_x: out_layout.tiles_x as u16,
-                    ofm_tile_rows: out_layout.tile_rows as u16,
+                let instr = ConvInstr::for_group(
+                    qw,
+                    gi * driver.config.lanes,
+                    driver.config.lanes,
+                    &in_layout,
+                    stripe.out_a - stripe.in_lo,
+                    &out_layout,
                     wgt_base,
-                    bias,
-                    requant_mult: qw.requant.mult as u16,
-                    requant_shift: qw.requant.shift as u8,
-                    relu: qw.relu,
-                    active_lanes: active as u8,
-                }));
-                wgt_base += bytes as u32;
+                );
+                instrs.push(Instruction::Conv(instr.map_err(|e| DriverError::field_overflow(name, e))?));
+                wgt_base += group.total_bytes();
+                groups.push(group);
             }
 
-            let (cycles, result_banks) =
-                exec.run(driver, banks, scratchpad, &instrs, &groups[group_range], &mut stats.counters)?;
+            let (cycles, result_banks) = exec.run(driver, banks, &instrs, &groups, &mut stats.counters)?;
             stats.per_instance_cycles[instance] += cycles;
             let mut banks = result_banks;
 
@@ -522,20 +511,10 @@ pub(crate) fn poolpad_pass(
         stats.io_dma_cycles +=
             dma_fm_stripe(soc, src_addr, input, stripe.in_lo..stripe.in_hi, &in_layout, &mut banks, true)?;
 
-        let instr = Instruction::PoolPad(PoolPadInstr {
-            channels: channels as u16,
-            in_base: 0,
-            in_tiles_x: in_layout.tiles_x as u16,
-            in_tile_rows: in_layout.tile_rows as u16,
-            in_row_start: stripe.in_lo as u16,
-            out_base: out_layout.base as u32,
-            out_tiles_x: out_layout.tiles_x as u16,
-            out_tile_rows: out_layout.tile_rows as u16,
-            out_row_start: stripe.out_a as u16,
-            op,
-        });
+        let instr = PoolPadInstr::for_stripe(op, &in_layout, stripe.in_lo, &out_layout, stripe.out_a)
+            .map_err(|e| DriverError::field_overflow(name, e))?;
         let (cycles, result_banks) =
-            exec.run(driver, banks, Vec::new(), &[instr], &[], &mut stats.counters)?;
+            exec.run(driver, banks, &[Instruction::PoolPad(instr)], &[], &mut stats.counters)?;
         stats.per_instance_cycles[instance] += cycles;
         let mut banks = result_banks;
         out_layout.load(&banks, &mut out_fm, stripe.out_a..stripe.out_b);

@@ -213,6 +213,7 @@ impl CostModel {
                 break;
             }
         }
+        // `device_ladder()` is a fixed, non-empty list, so the loop ran.
         best.expect("ladder is non-empty")
     }
 }
@@ -426,6 +427,7 @@ pub fn run_sharded(
         Placement::Stripe => run_stripe(driver, qnet, inputs, n),
         Placement::Image => run_image(driver, qnet, inputs, n),
         Placement::Pipeline => run_pipeline(driver, qnet, inputs, n),
+        // `Placement::resolve` maps `Auto` to one of the three above.
         Placement::Auto => unreachable!("resolve never returns Auto"),
     }
 }

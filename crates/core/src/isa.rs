@@ -7,7 +7,31 @@
 //! fixed-size 48-byte records with a binary encoding so the stream can be
 //! staged through DDR and DMA like any other data.
 
+use crate::layout::FmLayout;
 use std::fmt;
+use zskip_nn::conv::QuantConvWeights;
+
+/// A value too wide for the instruction field it was meant for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldOverflow {
+    /// The field's name.
+    pub field: &'static str,
+    /// The value that does not fit.
+    pub value: usize,
+}
+
+impl fmt::Display for FieldOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} = {} does not fit its instruction field", self.field, self.value)
+    }
+}
+
+impl std::error::Error for FieldOverflow {}
+
+/// Narrows `value` to the width of instruction field `field`.
+pub(crate) fn narrow<T: TryFrom<usize>>(field: &'static str, value: usize) -> Result<T, FieldOverflow> {
+    T::try_from(value).map_err(|_| FieldOverflow { field, value })
+}
 
 /// A convolution instruction: compute a stripe of one OFM group
 /// (`lanes` consecutive output channels) to completion, output-stationary.
@@ -45,6 +69,50 @@ pub struct ConvInstr {
     /// group of a layer whose output-channel count is not a multiple of
     /// the lane count).
     pub active_lanes: u8,
+}
+
+impl ConvInstr {
+    /// The instruction computing the OFM group `[ofm_first, ofm_first +
+    /// lanes)` of layer `qw` over the resident stripe `ifm` into `ofm`,
+    /// with the group's packed weights at scratchpad byte `wgt_base`:
+    /// bias (clamped to the 32-bit field), requantizer and ReLU come from
+    /// the layer, `active_lanes` from what is left of `out_c`.
+    ///
+    /// # Errors
+    /// [`FieldOverflow`] names the first value wider than its field — a
+    /// wrapped field would silently address other channels or tiles.
+    pub fn for_group(
+        qw: &QuantConvWeights,
+        ofm_first: usize,
+        lanes: usize,
+        ifm: &FmLayout,
+        ifm_row_offset: usize,
+        ofm: &FmLayout,
+        wgt_base: usize,
+    ) -> Result<ConvInstr, FieldOverflow> {
+        let active = lanes.min(qw.out_c.saturating_sub(ofm_first));
+        let mut bias = [0i32; 4];
+        for (b, &acc) in bias.iter_mut().take(active).zip(qw.bias_acc.iter().skip(ofm_first)) {
+            *b = acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+        }
+        Ok(ConvInstr {
+            ofm_first: narrow("ofm_first", ofm_first)?,
+            ifm_count: narrow("ifm_count", qw.in_c)?,
+            ifm_base: narrow("ifm_base", ifm.base)?,
+            ifm_tiles_x: narrow("ifm_tiles_x", ifm.tiles_x)?,
+            ifm_tile_rows: narrow("ifm_tile_rows", ifm.tile_rows)?,
+            ifm_row_offset: narrow("ifm_row_offset", ifm_row_offset)?,
+            ofm_base: narrow("ofm_base", ofm.base)?,
+            ofm_tiles_x: narrow("ofm_tiles_x", ofm.tiles_x)?,
+            ofm_tile_rows: narrow("ofm_tile_rows", ofm.tile_rows)?,
+            wgt_base: narrow("wgt_base", wgt_base)?,
+            bias,
+            requant_mult: narrow("requant_mult", qw.requant.mult as usize)?,
+            requant_shift: narrow("requant_shift", qw.requant.shift as usize)?,
+            relu: qw.relu,
+            active_lanes: narrow("active_lanes", active)?,
+        })
+    }
 }
 
 /// Pool/pad operation selector.
@@ -89,6 +157,35 @@ pub struct PoolPadInstr {
     pub out_row_start: u16,
     /// The operation.
     pub op: PoolPadOp,
+}
+
+impl PoolPadInstr {
+    /// The instruction running `op` over all `input.channels` channels of
+    /// the resident stripe `input` (whose local row 0 is global tile row
+    /// `in_row_start`) into `output` (likewise `out_row_start`).
+    ///
+    /// # Errors
+    /// [`FieldOverflow`] names the first value wider than its field.
+    pub fn for_stripe(
+        op: PoolPadOp,
+        input: &FmLayout,
+        in_row_start: usize,
+        output: &FmLayout,
+        out_row_start: usize,
+    ) -> Result<PoolPadInstr, FieldOverflow> {
+        Ok(PoolPadInstr {
+            channels: narrow("channels", input.channels)?,
+            in_base: narrow("in_base", input.base)?,
+            in_tiles_x: narrow("in_tiles_x", input.tiles_x)?,
+            in_tile_rows: narrow("in_tile_rows", input.tile_rows)?,
+            in_row_start: narrow("in_row_start", in_row_start)?,
+            out_base: narrow("out_base", output.base)?,
+            out_tiles_x: narrow("out_tiles_x", output.tiles_x)?,
+            out_tile_rows: narrow("out_tile_rows", output.tile_rows)?,
+            out_row_start: narrow("out_row_start", out_row_start)?,
+            op,
+        })
+    }
 }
 
 /// One accelerator instruction.
@@ -386,6 +483,31 @@ mod tests {
         let bytes = Instruction::encode_stream(&stream);
         assert_eq!(bytes.len(), 3 * INSTR_BYTES);
         assert_eq!(Instruction::decode_stream(&bytes).unwrap(), stream);
+    }
+
+    #[test]
+    fn constructors_check_every_narrowing() {
+        use zskip_quant::{Requantizer, Sm8};
+        let qw = |out_c: usize, bias: Vec<i64>| {
+            QuantConvWeights::new(out_c, 1, 1, vec![Sm8::ZERO; out_c], bias, Requantizer::from_ratio(0.5), true)
+        };
+        let fm = FmLayout { base: 0, channels: 1, tiles_x: 2, tile_rows: 2 };
+        // A ragged last group: two active lanes, bias clamped into i32,
+        // the idle lanes' bias zero.
+        let i = ConvInstr::for_group(&qw(6, vec![0, 0, 0, 0, i64::MAX, -7]), 4, 4, &fm, 1, &fm, 96).unwrap();
+        assert_eq!((i.ofm_first, i.active_lanes, i.wgt_base, i.ifm_row_offset), (4, 2, 96, 1));
+        assert_eq!(i.bias, [i32::MAX, -7, 0, 0]);
+        // Each too-wide value is refused by name, not wrapped.
+        let wide = qw(65_540, vec![0; 65_540]);
+        let overflow = ConvInstr::for_group(&wide, 65_536, 4, &fm, 0, &fm, 0).unwrap_err();
+        assert_eq!(overflow, FieldOverflow { field: "ofm_first", value: 65_536 });
+        let tall = FmLayout { tile_rows: 70_000, ..fm };
+        assert_eq!(ConvInstr::for_group(&wide, 0, 4, &tall, 0, &fm, 0).unwrap_err().field, "ifm_tile_rows");
+        assert_eq!(ConvInstr::for_group(&wide, 0, 4, &fm, 0, &fm, 1 << 32).unwrap_err().field, "wgt_base");
+        let op = PoolPadOp::Pad { amount: 1 };
+        assert_eq!(PoolPadInstr::for_stripe(op, &fm, 0, &tall, 0).unwrap_err().field, "out_tile_rows");
+        assert_eq!(PoolPadInstr::for_stripe(op, &fm, 1 << 16, &fm, 0).unwrap_err().field, "in_row_start");
+        assert_eq!(PoolPadInstr::for_stripe(op, &fm, 3, &fm, 2).unwrap().in_row_start, 3);
     }
 
     #[test]

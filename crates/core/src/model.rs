@@ -49,8 +49,8 @@ pub struct ModelOutcome {
 }
 
 /// Executes an instruction stream at transaction level. `groups[k]` is
-/// the parsed group weights of the `k`-th conv instruction in stream order
-/// (callers holding a scratchpad byte image parse it once with
+/// the packed weights of the `k`-th conv instruction in stream order, read
+/// in place (callers holding a scratchpad byte image index it once with
 /// [`GroupWeights::from_bytes`]).
 ///
 /// With `functional = false` only cycle costs and counters are produced
@@ -66,7 +66,7 @@ pub fn run(
     config: &AccelConfig,
     banks: &mut BankSet,
     instructions: &[Instruction],
-    groups: &[GroupWeights],
+    groups: &[GroupWeights<'_>],
     counters: &mut Counters,
     functional: bool,
 ) -> ModelOutcome {
@@ -75,7 +75,7 @@ pub fn run(
     for i in instructions {
         cycles += match i {
             Instruction::Conv(c) => {
-                let weights = groups.next().expect("one parsed group per conv instruction");
+                let weights = groups.next().expect("one group per conv instruction");
                 run_conv(config, banks, c, counters, functional, weights)
             }
             Instruction::PoolPad(p) => run_poolpad(config, banks, p, counters, functional),
@@ -120,7 +120,7 @@ fn quad_region(banks: &BankSet, i: &ConvInstr, ifm: usize, ty: usize, tx: usize)
 
 /// Closed-form cycle count of one conv instruction (no functional work).
 /// Shared by the functional executor and the driver's planning estimates.
-pub fn conv_instruction_cycles(config: &AccelConfig, i: &ConvInstr, weights: &GroupWeights) -> u64 {
+pub fn conv_instruction_cycles(config: &AccelConfig, i: &ConvInstr, weights: &GroupWeights<'_>) -> u64 {
     let positions = i.ofm_tile_rows as u64 * i.ofm_tiles_x as u64;
     let mut worst_unit = 0u64;
     for s in 0..config.units {
@@ -146,24 +146,16 @@ fn run_conv(
     i: &ConvInstr,
     counters: &mut Counters,
     functional: bool,
-    weights: &GroupWeights,
+    weights: &GroupWeights<'_>,
 ) -> u64 {
     let positions = i.ofm_tile_rows as u64 * i.ofm_tiles_x as u64;
     let requant = Requantizer { mult: i.requant_mult as u32, shift: i.requant_shift as u32 };
     let cycles = conv_instruction_cycles(config, i, weights);
 
-    // Activity counters (same definitions as the cycle kernels).
-    let mut applied = 0u64;
-    let mut bubbles = 0u64;
-    for ifm in 0..i.ifm_count as usize {
-        let steps = weights.steps(ifm) as u64;
-        if steps == 0 {
-            continue;
-        }
-        let nnz: u64 = (0..config.lanes).map(|l| weights.lane_tile(ifm, l).nnz() as u64).sum();
-        applied += nnz;
-        bubbles += steps * config.lanes as u64 - nnz;
-    }
+    // Activity counters (same definitions as the cycle kernels; a skipped
+    // IFM has neither weights nor bubbles).
+    let applied = weights.total_nnz() as u64;
+    let bubbles: u64 = (0..i.ifm_count as usize).map(|ifm| weights.bubbles(ifm) as u64).sum();
     counters.add("weights_applied", applied * positions);
     counters.add("macs", applied * positions * 16);
     counters.add("bubble_lanes", bubbles * positions);
@@ -299,39 +291,18 @@ mod tests {
         let mut scratchpad = Vec::new();
         let mut instrs = Vec::new();
         for g in 0..qw.out_c.div_ceil(cfg.lanes) {
-            let ofm_first = g * cfg.lanes;
-            let gw = GroupWeights::from_filters(qw, ofm_first, cfg.lanes);
-            let wgt_base = scratchpad.len() as u32;
-            scratchpad.extend_from_slice(&gw.to_bytes());
-            let active = cfg.lanes.min(qw.out_c - ofm_first);
-            let mut bias = [0i32; 4];
-            for (lane, b) in bias.iter_mut().enumerate().take(active) {
-                *b = qw.bias_acc[ofm_first + lane] as i32;
-            }
-            instrs.push(Instruction::Conv(ConvInstr {
-                ofm_first: ofm_first as u16,
-                ifm_count: qw.in_c as u16,
-                ifm_base: in_layout.base as u32,
-                ifm_tiles_x: in_layout.tiles_x as u16,
-                ifm_tile_rows: in_layout.tile_rows as u16,
-                ifm_row_offset: 0,
-                ofm_base: out_layout.base as u32,
-                ofm_tiles_x: out_layout.tiles_x as u16,
-                ofm_tile_rows: out_layout.tile_rows as u16,
-                wgt_base,
-                bias,
-                requant_mult: qw.requant.mult as u16,
-                requant_shift: qw.requant.shift as u8,
-                relu: qw.relu,
-                active_lanes: active as u8,
-            }));
+            let gw = GroupWeights::from_filters(qw, g * cfg.lanes, cfg.lanes);
+            let instr =
+                ConvInstr::for_group(qw, g * cfg.lanes, cfg.lanes, &in_layout, 0, &out_layout, scratchpad.len());
+            instrs.push(Instruction::Conv(instr.expect("test geometry fits the instruction fields")));
+            scratchpad.extend_from_slice(gw.as_bytes());
         }
         (banks, scratchpad, instrs, out_layout, out_shape)
     }
 
-    /// The conv instructions' group weights, parsed once from the
+    /// The conv instructions' group weights, indexed once in the
     /// scratchpad image the cycle backend consumes.
-    fn parse_groups(cfg: &AccelConfig, scratchpad: &[u8], instrs: &[Instruction]) -> Vec<GroupWeights> {
+    fn parse_groups<'a>(cfg: &AccelConfig, scratchpad: &'a [u8], instrs: &[Instruction]) -> Vec<GroupWeights<'a>> {
         instrs
             .iter()
             .filter_map(|i| match i {
@@ -436,7 +407,7 @@ mod tests {
             out_layout.load(banks, &mut fm, 0..out_layout.tile_rows);
             fm
         };
-        let packed: Vec<GroupWeights> =
+        let packed: Vec<GroupWeights<'_>> =
             (0..instrs.len()).map(|g| GroupWeights::from_filters(&qw, g * cfg.lanes, cfg.lanes)).collect();
         let parsed = parse_groups(&cfg, &scratch, &instrs);
         for functional in [true, false] {

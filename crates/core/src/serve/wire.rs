@@ -369,10 +369,12 @@ pub fn serve_connection<R: BufRead + Send, W: Write>(
                 io_failure = writeln!(writer, "{line}").and_then(|()| writer.flush()).err();
             }
         }
-        let summary = reader_thread.join().expect("connection reader panicked");
+        // A reader that panicked (a bug: every parser under it is held
+        // never to) ends this connection with an error, not the daemon.
+        let summary = reader_thread.join().map_err(|_| std::io::Error::other("connection reader panicked"));
         match io_failure {
             Some(e) => Err(e),
-            None => Ok(summary),
+            None => summary,
         }
     })
 }

@@ -14,8 +14,8 @@
 //! * [`quantize`] — float→Sm8 scaling and the fixed-point requantizer used
 //!   when an accumulated OFM tile is written back,
 //! * [`prune`] — magnitude pruning to per-layer density profiles,
-//! * [`pack`] — the packed (offset, value) weight-tile format and the
-//!   lockstep 4-filter iteration that produces the paper's pipeline bubbles,
+//! * [`pack`] — the packed (offset, value) weight-tile byte stream: its one
+//!   encoder, its validating reader and the borrowed tile view over it,
 //! * [`grouping`] — the paper's *future work*: grouping filters by non-zero
 //!   count so concurrently-applied filters have balanced work,
 //! * [`cache`] — a process-wide lock-lite cache so workers and sessions
@@ -30,7 +30,7 @@ pub mod sm8;
 pub mod ternary;
 
 pub use cache::{CacheStats, Fingerprint, WeightCache};
-pub use pack::{LockstepGroup, PackedEntry, PackedTile};
+pub use pack::{PackedEntry, PackedTile};
 pub use prune::{prune_to_density, sparsity, DensityProfile};
 pub use quantize::{QuantParams, Requantizer};
 pub use sm8::Sm8;

@@ -8,11 +8,16 @@
 //! weight is applied per clock cycle; no cycles are spent on weights having
 //! a value of 0."
 //!
-//! [`PackedTile`] is the offline-packed form of one 4x4 weight tile.
-//! [`LockstepGroup`] iterates four filters' packed tiles in lockstep — the
-//! hardware applies one weight from each of four filters per cycle, so a
-//! filter with fewer non-zeros idles (a pipeline bubble) until the slowest
-//! lane finishes, exactly the imbalance the paper reports and its
+//! That scratchpad byte stream is the only representation of packed
+//! weights: one 4x4 weight tile is a count byte followed by `count`
+//! `[offset, value-bits]` pairs in ascending offset order, and tiles are
+//! simply concatenated (docs/ISA.md "Weight scratchpad" is the normative
+//! description). [`encode_tile`] is the one encoder, [`PackedTile::parse`]
+//! / [`index_tiles`] the one validating reader, and [`PackedTile`] a
+//! borrowed view of one tile's bytes — nothing is inflated per tile.
+//! The hardware applies one weight from each of four filters per cycle,
+//! so a filter with fewer non-zeros idles (a pipeline bubble) until the
+//! slowest lane finishes, exactly the imbalance the paper reports and its
 //! future-work filter grouping (see [`crate::grouping`]) mitigates.
 
 use crate::Sm8;
@@ -28,130 +33,132 @@ pub struct PackedEntry {
     pub value: Sm8,
 }
 
-/// A weight tile packed to its non-zero entries, in ascending offset order.
+/// Appends one packed weight tile to a scratchpad stream: a count byte,
+/// then an `[offset, value-bits]` pair per entry. This is the stream the
+/// DMA writes and the data-staging unit unpacks at some entries/cycle
+/// bandwidth.
+///
+/// The packer hands over a tile's non-zero weights in ascending offset
+/// order — or all 16 slots, zeros included, for the ablation baseline
+/// that spends a cycle on every weight slot.
+///
+/// # Panics
+/// Panics on more than 16 entries or an offset above 15 (a packer bug:
+/// the stream would not parse back).
+pub fn encode_tile(out: &mut Vec<u8>, entries: impl Iterator<Item = (u8, Sm8)>) {
+    let head = out.len();
+    out.push(0);
+    for (offset, value) in entries {
+        assert!((offset as usize) < TILE_ELEMS, "packed weight offset {offset} exceeds 15");
+        out.push(offset);
+        out.push(value.to_bits());
+    }
+    let count = (out.len() - head - 1) / 2;
+    assert!(count <= TILE_ELEMS, "packed tile count {count} exceeds 16");
+    out[head] = count as u8;
+}
+
+/// One packed weight tile, borrowed from the scratchpad stream it lies in.
 ///
 /// # Example
 /// ```
-/// use zskip_quant::{PackedTile, Sm8};
+/// use zskip_quant::pack::{encode_tile, PackedTile};
+/// use zskip_quant::Sm8;
 /// use zskip_tensor::Tile;
 /// let mut tile = Tile::<Sm8>::zero();
 /// tile[(1, 1)] = Sm8::from_i32_saturating(5);
 /// tile[(2, 3)] = Sm8::from_i32_saturating(-3);
-/// let packed = PackedTile::pack(&tile);
+/// let mut stream = Vec::new();
+/// encode_tile(&mut stream, tile.iter_offsets().filter(|(_, v)| !v.is_zero()));
+/// let packed = PackedTile::parse(&stream).unwrap();
 /// assert_eq!(packed.nnz(), 2);
+/// assert_eq!(packed.byte_len(), stream.len());
 /// assert_eq!(packed.unpack(), tile);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct PackedTile {
-    entries: Vec<PackedEntry>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedTile<'a> {
+    /// Exactly the tile's bytes: the count byte and its pairs.
+    bytes: &'a [u8],
 }
 
-impl PackedTile {
-    /// Packs a weight tile, skipping zeros (either sign encoding).
-    pub fn pack(tile: &Tile<Sm8>) -> PackedTile {
-        let entries = tile
-            .iter_offsets()
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(offset, value)| PackedEntry { offset, value })
-            .collect();
-        PackedTile { entries }
-    }
-
-    /// Packs a weight tile *without* zero-skipping: all 16 slots become
-    /// entries, zeros included. This is the ablation baseline — the
-    /// architecture with the paper's novel packing disabled, spending a
-    /// cycle on every weight slot.
-    pub fn pack_dense(tile: &Tile<Sm8>) -> PackedTile {
-        let entries = tile.iter_offsets().map(|(offset, value)| PackedEntry { offset, value }).collect();
-        PackedTile { entries }
-    }
-
-    /// Reconstructs the dense 4x4 tile.
-    pub fn unpack(&self) -> Tile<Sm8> {
-        let mut tile = Tile::zero();
-        for e in &self.entries {
-            tile.as_mut_array()[e.offset as usize] = e.value;
-        }
-        tile
-    }
-
-    /// Number of non-zero weights (cycles the convolution unit spends on
-    /// this tile, before the 4-cycle IFM-load floor).
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the tile is entirely zero.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The packed entries in ascending offset order.
-    pub fn entries(&self) -> &[PackedEntry] {
-        &self.entries
-    }
-
-    /// Serializes to the scratchpad byte format: a count byte followed by
-    /// `[offset, value-bits]` pairs. This is the stream the DMA writes and
-    /// the data-staging unit unpacks at some entries/cycle bandwidth.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 2 * self.entries.len());
-        out.push(self.entries.len() as u8);
-        for e in &self.entries {
-            out.push(e.offset);
-            out.push(e.value.to_bits());
-        }
-        out
-    }
-
-    /// Deserializes from the scratchpad byte format, returning the tile and
-    /// the number of bytes consumed.
+impl<'a> PackedTile<'a> {
+    /// Validates the tile at the head of `bytes` (trailing bytes are the
+    /// following tiles'); [`PackedTile::byte_len`] says how many it took.
     ///
     /// # Errors
-    /// Returns [`PackDecodeError`] on truncated input or invalid offsets.
-    pub fn from_bytes(bytes: &[u8]) -> Result<(PackedTile, usize), PackDecodeError> {
+    /// Returns [`PackDecodeError`] on truncated input, a count above 16
+    /// or an offset above 15.
+    pub fn parse(bytes: &'a [u8]) -> Result<PackedTile<'a>, PackDecodeError> {
         let &count = bytes.first().ok_or(PackDecodeError::Truncated)?;
         let count = count as usize;
         if count > TILE_ELEMS {
             return Err(PackDecodeError::BadCount(count));
         }
-        let need = 1 + 2 * count;
-        if bytes.len() < need {
-            return Err(PackDecodeError::Truncated);
+        let bytes = bytes.get(..1 + 2 * count).ok_or(PackDecodeError::Truncated)?;
+        match bytes[1..].iter().step_by(2).find(|&&offset| offset as usize >= TILE_ELEMS) {
+            Some(&offset) => Err(PackDecodeError::BadOffset(offset)),
+            None => Ok(PackedTile { bytes }),
         }
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let offset = bytes[1 + 2 * i];
-            if offset as usize >= TILE_ELEMS {
-                return Err(PackDecodeError::BadOffset(offset));
-            }
-            entries.push(PackedEntry { offset, value: Sm8::from_bits(bytes[2 + 2 * i]) });
-        }
-        Ok((PackedTile { entries }, need))
     }
 
-    /// Size in bytes of the serialized form.
+    /// The tile starting at byte `start` of a stream [`index_tiles`] has
+    /// already validated (`start` being one of the offsets it returned).
+    ///
+    /// # Panics
+    /// Panics if the tile runs past the end of `stream`, which a validated
+    /// stream and index rule out.
+    pub fn at(stream: &'a [u8], start: usize) -> PackedTile<'a> {
+        PackedTile { bytes: &stream[start..start + 1 + 2 * stream[start] as usize] }
+    }
+
+    /// Number of packed weights (cycles the convolution unit spends on
+    /// this tile, before the 4-cycle IFM-load floor).
+    pub fn nnz(&self) -> usize {
+        self.bytes[0] as usize
+    }
+
+    /// The packed entries in ascending offset order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = PackedEntry> + 'a {
+        self.bytes[1..].chunks_exact(2).map(|pair| PackedEntry { offset: pair[0], value: Sm8::from_bits(pair[1]) })
+    }
+
+    /// Size in bytes of the tile within its stream.
     pub fn byte_len(&self) -> usize {
-        1 + 2 * self.entries.len()
+        self.bytes.len()
     }
 
-    /// Approximate heap bytes held by this packed tile — the entry vector's
-    /// capacity. Used by the shared weight cache ([`crate::cache`]) to
-    /// account resident artifact size.
-    pub fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<PackedEntry>()
-    }
-
-    /// Reconstructs the dense tile as 16 branch-free-decoded `i16` lanes —
-    /// the exact form a 16-wide SIMD register consumes after the paper's
-    /// 1-tile/cycle bank read. Zero slots decode to 0.
-    pub fn decode_dense_i16(&self) -> [i16; TILE_ELEMS] {
-        let mut out = [0i16; TILE_ELEMS];
-        for e in &self.entries {
-            out[e.offset as usize] = e.value.decode_i16();
+    /// Reconstructs the dense 4x4 tile.
+    pub fn unpack(&self) -> Tile<Sm8> {
+        let mut tile = Tile::zero();
+        for e in self.entries() {
+            tile.as_mut_array()[e.offset as usize] = e.value;
         }
-        out
+        tile
     }
+}
+
+/// Validates the `tiles` consecutive packed tiles at the head of `bytes`
+/// and returns their index: the byte offset of each tile, then the offset
+/// one past the last (`tiles + 1` entries). Trailing bytes are permitted —
+/// the stream may be a window into a larger scratchpad image. Offsets are
+/// 32-bit like the scratchpad addresses of the ISA (`wgt_base`), so only
+/// the first 4 GiB of `bytes` are addressable.
+///
+/// # Errors
+/// The first tile's [`PackDecodeError`]; a stream holding fewer than
+/// `tiles` tiles is [`PackDecodeError::Truncated`].
+pub fn index_tiles(bytes: &[u8], tiles: usize) -> Result<Vec<u32>, PackDecodeError> {
+    let bytes = &bytes[..bytes.len().min(u32::MAX as usize)];
+    // Every tile takes at least its count byte, which bounds the index by
+    // the input however large a `tiles` the caller was handed.
+    let mut index = Vec::with_capacity(tiles.min(bytes.len()) + 1);
+    let mut pos = 0;
+    for _ in 0..tiles {
+        index.push(pos as u32);
+        pos += PackedTile::parse(&bytes[pos..])?.byte_len();
+    }
+    index.push(pos as u32);
+    Ok(index)
 }
 
 /// Error decoding a packed weight stream.
@@ -177,46 +184,6 @@ impl std::fmt::Display for PackDecodeError {
 
 impl std::error::Error for PackDecodeError {}
 
-/// Four filters' packed tiles iterated in lockstep, one weight per filter
-/// per cycle. Lanes whose filter has fewer non-zeros yield `None` (pipeline
-/// bubbles).
-#[derive(Debug, Clone)]
-pub struct LockstepGroup<'a> {
-    lanes: [&'a PackedTile; 4],
-}
-
-impl<'a> LockstepGroup<'a> {
-    /// Creates a lockstep group over four filters' packed tiles.
-    pub fn new(lanes: [&'a PackedTile; 4]) -> Self {
-        LockstepGroup { lanes }
-    }
-
-    /// Number of weight-application steps: the slowest lane's non-zero
-    /// count. (The data-staging unit additionally enforces the 4-cycle
-    /// IFM-tile-load floor; see `zskip-core`.)
-    pub fn steps(&self) -> usize {
-        self.lanes.iter().map(|t| t.nnz()).max().unwrap_or(0)
-    }
-
-    /// Number of bubble slots: idle lane-cycles caused by imbalance.
-    pub fn bubbles(&self) -> usize {
-        let steps = self.steps();
-        self.lanes.iter().map(|t| steps - t.nnz()).sum()
-    }
-
-    /// Iterates lockstep steps; each yields one optional entry per lane.
-    pub fn iter(&self) -> impl Iterator<Item = [Option<PackedEntry>; 4]> + '_ {
-        let steps = self.steps();
-        (0..steps).map(move |i| {
-            let mut row = [None; 4];
-            for (lane, tile) in self.lanes.iter().enumerate() {
-                row[lane] = tile.entries().get(i).copied();
-            }
-            row
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,13 +197,28 @@ mod tests {
         t
     }
 
+    /// The tile's non-zero weights packed into a fresh stream.
+    fn pack(tile: &Tile<Sm8>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_tile(&mut out, tile.iter_offsets().filter(|(_, v)| !v.is_zero()));
+        out
+    }
+
+    /// The owned form of one tile — the oracle the byte view is held to.
+    fn oracle_entries(tile: &Tile<Sm8>) -> Vec<PackedEntry> {
+        tile.iter_offsets().filter(|(_, v)| !v.is_zero()).map(|(offset, value)| PackedEntry { offset, value }).collect()
+    }
+
     #[test]
     fn packs_only_nonzeros_in_offset_order() {
         let t = tile_from_i32([0, 5, 0, 0, -3, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 1]);
-        let p = PackedTile::pack(&t);
+        let stream = pack(&t);
+        let five = Sm8::from_i32_saturating(5).to_bits();
+        let minus_three = Sm8::from_i32_saturating(-3).to_bits();
+        assert_eq!(stream, [4, 1, five, 4, minus_three, 10, 7, 15, 1], "the hand-written stream");
+        let p = PackedTile::parse(&stream).unwrap();
         assert_eq!(p.nnz(), 4);
-        let offsets: Vec<u8> = p.entries().iter().map(|e| e.offset).collect();
-        assert_eq!(offsets, vec![1, 4, 10, 15]);
+        assert_eq!(p.entries().map(|e| e.offset).collect::<Vec<_>>(), vec![1, 4, 10, 15]);
         assert_eq!(p.unpack(), t);
     }
 
@@ -244,76 +226,60 @@ mod tests {
     fn negative_zero_is_skipped() {
         let mut t = Tile::<Sm8>::zero();
         t.as_mut_array()[3] = Sm8::NEG_ZERO;
-        let p = PackedTile::pack(&t);
-        assert!(p.is_empty());
+        let stream = pack(&t);
+        assert_eq!(stream, [0]);
+        assert_eq!(PackedTile::parse(&stream).unwrap().nnz(), 0);
     }
 
     #[test]
-    fn bytes_round_trip() {
+    fn dense_packing_keeps_every_slot() {
         let t = tile_from_i32([1, 0, -2, 0, 3, 0, -4, 0, 5, 0, -6, 0, 7, 0, -8, 0]);
-        let p = PackedTile::pack(&t);
-        let bytes = p.to_bytes();
-        assert_eq!(bytes.len(), p.byte_len());
-        let (q, used) = PackedTile::from_bytes(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(q, p);
+        let mut stream = Vec::new();
+        encode_tile(&mut stream, t.iter_offsets());
+        let p = PackedTile::parse(&stream).unwrap();
+        assert_eq!((p.nnz(), p.byte_len()), (16, 33));
+        assert_eq!(p.unpack(), t);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(PackedTile::from_bytes(&[]).unwrap_err(), PackDecodeError::Truncated);
-        assert_eq!(PackedTile::from_bytes(&[17]).unwrap_err(), PackDecodeError::BadCount(17));
-        assert_eq!(PackedTile::from_bytes(&[1, 16, 0]).unwrap_err(), PackDecodeError::BadOffset(16));
-        assert_eq!(PackedTile::from_bytes(&[2, 0, 1]).unwrap_err(), PackDecodeError::Truncated);
+        assert_eq!(PackedTile::parse(&[]).unwrap_err(), PackDecodeError::Truncated);
+        assert_eq!(PackedTile::parse(&[17]).unwrap_err(), PackDecodeError::BadCount(17));
+        assert_eq!(PackedTile::parse(&[1, 16, 0]).unwrap_err(), PackDecodeError::BadOffset(16));
+        assert_eq!(PackedTile::parse(&[2, 0, 1]).unwrap_err(), PackDecodeError::Truncated);
+        assert_eq!(index_tiles(&[0, 0], 3).unwrap_err(), PackDecodeError::Truncated);
     }
 
     #[test]
-    fn lockstep_steps_is_max_lane() {
-        let a = PackedTile::pack(&tile_from_i32([1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]));
-        let b = PackedTile::pack(&tile_from_i32([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]));
-        let c = PackedTile::pack(&Tile::zero());
-        let d = PackedTile::pack(&tile_from_i32([1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]));
-        let g = LockstepGroup::new([&a, &b, &c, &d]);
-        assert_eq!(g.steps(), 6);
-        assert_eq!(g.bubbles(), (6 - 3) + (6 - 1) + 6);
-        let rows: Vec<_> = g.iter().collect();
-        assert_eq!(rows.len(), 6);
-        assert!(rows[0][0].is_some() && rows[0][2].is_none());
-        assert!(rows[5][3].is_some() && rows[5][0].is_none());
+    #[should_panic(expected = "exceeds 16")]
+    fn encoder_rejects_a_seventeenth_entry() {
+        encode_tile(&mut Vec::new(), (0..17).map(|_| (0, Sm8::ZERO)));
     }
 
     #[test]
-    fn lockstep_all_empty_has_zero_steps() {
-        let z = PackedTile::default();
-        let g = LockstepGroup::new([&z, &z, &z, &z]);
-        assert_eq!(g.steps(), 0);
-        assert_eq!(g.iter().count(), 0);
+    fn index_lists_every_tile_start_and_the_end() {
+        let a = tile_from_i32([1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        let mut stream = pack(&a);
+        stream.extend(pack(&Tile::zero()));
+        stream.extend(pack(&a));
+        stream.extend([9, 9]); // trailing bytes of a larger image
+        let index = index_tiles(&stream, 3).unwrap();
+        assert_eq!(index, [0, 7, 8, 15]);
+        assert_eq!(PackedTile::at(&stream, 7).nnz(), 0);
+        assert_eq!(PackedTile::at(&stream, 8), PackedTile::parse(&stream).unwrap());
+        assert_eq!(index_tiles(&stream, 0).unwrap(), [0]);
     }
 
     proptest! {
         #[test]
-        fn pack_unpack_round_trip(vals in proptest::array::uniform16(-127i32..=127)) {
+        fn the_byte_view_matches_the_owned_oracle(vals in proptest::array::uniform16(-127i32..=127)) {
             let t = tile_from_i32(vals);
-            let p = PackedTile::pack(&t);
+            let stream = pack(&t);
+            let p = PackedTile::parse(&stream).unwrap();
+            prop_assert_eq!(p.byte_len(), stream.len());
+            prop_assert_eq!(p.entries().collect::<Vec<_>>(), oracle_entries(&t));
             prop_assert_eq!(p.unpack(), t);
             prop_assert_eq!(p.nnz(), vals.iter().filter(|&&v| v != 0).count());
-        }
-
-        #[test]
-        fn decode_dense_i16_matches_unpack(vals in proptest::array::uniform16(-127i32..=127)) {
-            let t = tile_from_i32(vals);
-            let lanes = PackedTile::pack(&t).decode_dense_i16();
-            for (i, v) in t.as_array().iter().enumerate() {
-                prop_assert_eq!(lanes[i] as i32, v.to_i32());
-            }
-        }
-
-        #[test]
-        fn bytes_round_trip_any_tile(vals in proptest::array::uniform16(-127i32..=127)) {
-            let p = PackedTile::pack(&tile_from_i32(vals));
-            let (q, used) = PackedTile::from_bytes(&p.to_bytes()).unwrap();
-            prop_assert_eq!(used, p.byte_len());
-            prop_assert_eq!(q, p);
         }
     }
 }

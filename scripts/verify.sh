@@ -108,6 +108,15 @@ timeout 300 ./target/release/batch_bench --check
 cold_out=$(timeout 300 ./target/release/zskip infer --hw 32 --backend cpu)
 printf '%s\n' "$cold_out" | grep -q '^1603970 cycles' \
   || { echo "verify: vgg16-32 infer must report 1603970 cycles (weight stream or model drifted)"; exit 1; }
+# The two executors that read the packed weight stream itself — the
+# transaction model in place, the cycle backend's staging kernels through
+# their scratchpad copy — at their own pinned counts (infer asserts
+# bit-exactness vs the golden model on both).
+for pin in model:1603970 cycle:1605470; do
+  exec_out=$(timeout 300 ./target/release/zskip infer --hw 32 --backend "${pin%%:*}")
+  printf '%s\n' "$exec_out" | grep -q "^${pin##*:} cycles" \
+    || { echo "verify: vgg16-32 infer --backend ${pin%%:*} must report ${pin##*:} cycles"; exit 1; }
+done
 
 # Graph-network smoke: the in-repo ResNet-18 spec must load, plan and run
 # end to end on the cpu backend (infer asserts bit-exactness vs the

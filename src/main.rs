@@ -1145,25 +1145,10 @@ fn trace() {
     let mut banks = BankSet::new(&cfg);
     in_layout.store(&mut banks, &tiled, 0..tiled.tiles_y());
     let gw = GroupWeights::from_filters(&qw, 0, 4);
-    let instr = Instruction::Conv(ConvInstr {
-        ofm_first: 0,
-        ifm_count: 4,
-        ifm_base: 0,
-        ifm_tiles_x: in_layout.tiles_x as u16,
-        ifm_tile_rows: in_layout.tile_rows as u16,
-        ifm_row_offset: 0,
-        ofm_base: out_layout.base as u32,
-        ofm_tiles_x: out_layout.tiles_x as u16,
-        ofm_tile_rows: out_layout.tile_rows as u16,
-        wgt_base: 0,
-        bias: [0; 4],
-        requant_mult: qw.requant.mult as u16,
-        requant_shift: qw.requant.shift as u8,
-        relu: true,
-        active_lanes: 4,
-    });
+    let instr = ConvInstr::for_group(&qw, 0, 4, &in_layout, 0, &out_layout, 0).expect("fits the instruction fields");
     let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: Some(160), ..RunOptions::default() };
-    let outcome = cycle::run(&cfg, banks, gw.to_bytes(), Feed::Preloaded(vec![instr]), &opts).expect("runs");
+    let feed = Feed::Preloaded(vec![Instruction::Conv(instr)]);
+    let outcome = cycle::run(&cfg, banks, gw.as_bytes().to_vec(), feed, &opts).expect("runs");
     let trace = outcome.trace.as_ref().expect("tracing was asked for");
     println!("cycle-exact waveform of one conv instruction ({} cycles total)", outcome.cycles);
     println!("legend: '#' busy, 'x' blocked on FIFO, '.' idle, ' ' done\n");

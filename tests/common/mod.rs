@@ -1,8 +1,9 @@
 //! The counting allocator of the `alloc_*` / `serve_alloc` test binaries:
 //! records the size of every allocation above [`BIG`] bytes made while
-//! [`big_allocations`] runs its closure, on any thread that has not
-//! called [`exempt_this_thread`]. Each of those binaries holds a single
-//! `#[test]`, so no concurrent test thread allocates inside the window.
+//! [`big_allocations`] runs its closure (and counts the allocations of
+//! any size), on any thread that has not called [`exempt_this_thread`].
+//! Each of those binaries holds a single `#[test]`, so no concurrent test
+//! thread allocates inside the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +16,7 @@ struct RecordingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static SEEN: AtomicUsize = AtomicUsize::new(0);
+static ALL: AtomicUsize = AtomicUsize::new(0);
 static SIZES: [AtomicUsize; 64] = [const { AtomicUsize::new(0) }; 64];
 
 thread_local! {
@@ -31,10 +33,13 @@ pub fn exempt_this_thread() {
 }
 
 fn note(size: usize) {
-    if size > BIG && ARMED.load(Ordering::Relaxed) && !EXEMPT.with(Cell::get) {
-        let i = SEEN.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = SIZES.get(i) {
-            slot.store(size, Ordering::Relaxed);
+    if ARMED.load(Ordering::Relaxed) && !EXEMPT.with(Cell::get) {
+        ALL.fetch_add(1, Ordering::Relaxed);
+        if size > BIG {
+            let i = SEEN.fetch_add(1, Ordering::Relaxed);
+            if let Some(slot) = SIZES.get(i) {
+                slot.store(size, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -62,6 +67,7 @@ unsafe impl GlobalAlloc for RecordingAlloc {
 static GLOBAL: RecordingAlloc = RecordingAlloc;
 
 /// The sizes of the big allocations made while `f` runs, ascending.
+#[allow(dead_code)] // `pack_alloc` counts allocations instead
 pub fn big_allocations(f: impl FnOnce()) -> Vec<usize> {
     SEEN.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
@@ -72,4 +78,14 @@ pub fn big_allocations(f: impl FnOnce()) -> Vec<usize> {
     let mut sizes: Vec<usize> = SIZES[..seen].iter().map(|s| s.load(Ordering::Relaxed)).collect();
     sizes.sort_unstable();
     sizes
+}
+
+/// How many allocations (and reallocations) of any size `f` makes.
+#[allow(dead_code)] // only `pack_alloc` counts; the others measure sizes
+pub fn allocation_count(f: impl FnOnce()) -> usize {
+    ALL.store(0, Ordering::Relaxed);
+    ARMED.store(true, Ordering::Relaxed);
+    f();
+    ARMED.store(false, Ordering::Relaxed);
+    ALL.load(Ordering::Relaxed)
 }

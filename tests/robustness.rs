@@ -3,13 +3,15 @@
 
 use proptest::prelude::*;
 use zskip::accel::serve::wire;
-use zskip::accel::{AccelConfig, BackendKind, Driver};
+use zskip::accel::{AccelConfig, BackendKind, Driver, GroupWeights};
 use zskip::hls::AccelArch;
 use zskip::json::Json;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
+use zskip::nn::conv::QuantConvWeights;
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
-use zskip::quant::DensityProfile;
+use zskip::quant::pack::PackDecodeError;
+use zskip::quant::{DensityProfile, Requantizer, Sm8};
 use zskip::tensor::{Shape, Tensor};
 
 fn net(input_hw: usize, seed: u64) -> (QuantizedNetwork, Tensor<f32>) {
@@ -212,6 +214,110 @@ fn unsupported_geometry_is_a_typed_error() {
             .run_network(&qnet, &input)
             .unwrap_err();
         assert!(err.to_string().contains(needle), "{err}");
+    }
+}
+
+/// A value too wide for its instruction field is a typed error naming the
+/// layer and the field — on the model backend, which used to compute a
+/// wrong output from the wrapped field, and on the cpu backend, whose
+/// stats pass used to charge cycles for the truncated stream.
+#[test]
+fn geometry_wider_than_an_instruction_field_is_a_typed_error() {
+    let conv = |out_c, pad| LayerSpec::Conv { name: "c".into(), in_c: 3, out_c, k: 1, stride: 1, pad, relu: true };
+    let cases = [
+        (Shape::new(3, 4, 4), conv(65_540, 0), "ofm_first = 65536"),
+        (Shape::new(3, 2, 2), conv(4, 256), "pad = 256"),
+        (Shape::new(1, 300, 300), LayerSpec::MaxPool { name: "c".into(), k: 300, stride: 300 }, "k = 300"),
+    ];
+    for (input, layer, needle) in cases {
+        let spec = NetworkSpec { name: "wide".into(), input, layers: vec![layer] };
+        let net = Network::synthetic(spec.clone(), &SyntheticModelConfig::default());
+        let qnet = net.quantize(&synthetic_inputs(1, 1, spec.input));
+        let input = synthetic_inputs(2, 1, spec.input).pop().expect("one");
+        for backend in [BackendKind::Model, BackendKind::Cpu] {
+            let driver = Driver::builder(config_with(32_768, 4)).backend(backend).build().unwrap();
+            let err = driver.run_network(&qnet, &input).unwrap_err();
+            assert!(err.to_string().contains("layer c") && err.to_string().contains(needle), "{backend:?}: {err}");
+            assert_eq!(zskip::Error::from(err).code(), "driver.unsupported", "{backend:?}");
+        }
+    }
+}
+
+/// `GroupWeights::from_bytes` on `bytes`: a decode error, or a group whose
+/// stream is a prefix of the input and whose every tile reads back inside
+/// it.
+fn group_parse_never_panics(
+    bytes: &[u8],
+    ifm_count: usize,
+    lanes: usize,
+) -> Result<Result<(), PackDecodeError>, String> {
+    let group = match GroupWeights::from_bytes(bytes, ifm_count, lanes) {
+        Ok(group) => group,
+        Err(e) => return Ok(Err(e)),
+    };
+    if !bytes.starts_with(group.as_bytes()) || group.as_bytes().len() != group.total_bytes() {
+        return Err(format!("{} stream bytes are not a prefix of the input", group.total_bytes()));
+    }
+    let (mut walked, mut nnz) = (0, 0);
+    for ifm in 0..ifm_count {
+        for lane in 0..lanes {
+            let tile = group.lane_tile(ifm, lane);
+            if tile.nnz() > 16 || tile.nnz() > group.steps(ifm) || tile.entries().any(|e| e.offset > 15) {
+                return Err(format!("tile ({ifm}, {lane}) holds an entry the reader should have refused"));
+            }
+            walked += tile.byte_len();
+            nnz += tile.entries().len();
+        }
+        if group.ifm_bytes(ifm) != (0..lanes).map(|l| group.lane_tile(ifm, l).byte_len()).sum::<usize>() {
+            return Err(format!("ifm {ifm}: ifm_bytes disagrees with its tiles"));
+        }
+    }
+    if (walked, nnz) != (group.total_bytes(), group.total_nnz()) {
+        return Err(format!("tiles cover {walked} bytes / {nnz} weights of {}", group.total_bytes()));
+    }
+    Ok(Ok(()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary bytes, every truncation and every single bit-flip of a
+    /// valid group image never panic the scratchpad stream reader or index
+    /// out of range, whatever group shape it is told to expect.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_weight_stream_reader(
+        bytes in prop::collection::vec(prop_oneof![0u8..=17, 0u8..=255], 0..96),
+        claimed in (0usize..6, 0usize..=4),
+        out_c in 1usize..=5,
+        in_c in 1usize..=4,
+        k in 1usize..=3,
+        lanes in 1usize..=4,
+        seed in 0u64..10_000,
+    ) {
+        let verdict = group_parse_never_panics(&bytes, claimed.0, claimed.1);
+        prop_assert!(verdict.is_ok(), "{verdict:?}: {bytes:?} as {claimed:?}");
+
+        let w = (0..out_c * in_c * k * k)
+            .map(|i| {
+                let h = (i as u64 + 1).wrapping_mul(seed | 1).wrapping_add(seed >> 3);
+                if h.is_multiple_of(3) { Sm8::ZERO } else { Sm8::from_i32_saturating((h % 255) as i32 - 127) }
+            })
+            .collect();
+        let qw = QuantConvWeights::new(out_c, in_c, k, w, vec![0; out_c], Requantizer::IDENTITY, false);
+        let group = GroupWeights::from_filters(&qw, 0, lanes);
+        let image = group.as_bytes();
+        prop_assert_eq!(group_parse_never_panics(image, in_c, lanes), Ok(Ok(())));
+        for cut in 0..image.len() {
+            let verdict = group_parse_never_panics(&image[..cut], in_c, lanes);
+            prop_assert_eq!(verdict, Ok(Err(PackDecodeError::Truncated)), "cut at {} of {}", cut, image.len());
+        }
+        let mut flipped = image.to_vec();
+        for bit in 0..image.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let verdict = group_parse_never_panics(&flipped, in_c, lanes);
+            prop_assert!(verdict.is_ok(), "{verdict:?}: bit {bit} of {image:?}");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }
 

@@ -61,25 +61,10 @@ fn full_csr_dma_inference_round_trip() {
     ddr.write_block(0, &fm_bytes);
 
     let gw = GroupWeights::from_filters(&qw, 0, cfg.lanes);
-    let scratchpad = gw.to_bytes();
+    let scratchpad = gw.as_bytes().to_vec();
 
-    let instr = Instruction::Conv(ConvInstr {
-        ofm_first: 0,
-        ifm_count: 4,
-        ifm_base: 0,
-        ifm_tiles_x: in_layout.tiles_x as u16,
-        ifm_tile_rows: in_layout.tile_rows as u16,
-        ifm_row_offset: 0,
-        ofm_base: out_layout.base as u32,
-        ofm_tiles_x: out_layout.tiles_x as u16,
-        ofm_tile_rows: out_layout.tile_rows as u16,
-        wgt_base: 0,
-        bias: [1, -1, 2, -2],
-        requant_mult: qw.requant.mult as u16,
-        requant_shift: qw.requant.shift as u8,
-        relu: true,
-        active_lanes: 4,
-    });
+    let instr = ConvInstr::for_group(&qw, 0, cfg.lanes, &in_layout, 0, &out_layout, 0).expect("fits the fields");
+    let instr = Instruction::Conv(instr);
     let stream = Instruction::encode_stream(&[instr]);
     let instr_addr = 0x8000;
     ddr.write_block(instr_addr, &stream);
