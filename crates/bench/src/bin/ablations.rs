@@ -164,7 +164,7 @@ fn main() {
                 instrs.push(Instruction::Conv(instr.expect("ablation geometry fits the instruction fields")));
                 scratchpad.extend_from_slice(gw.as_bytes());
             }
-            let cycles = cycle::run(&cfg, banks, scratchpad, cycle::Feed::Preloaded(instrs), &Default::default())
+            let cycles = cycle::run(&cfg, banks, &scratchpad, cycle::Feed::Preloaded(instrs), &Default::default())
                 .expect("runs")
                 .cycles;
             text.push_str(&format!("  {:>5} {:>8}\n", depth, cycles));

@@ -135,7 +135,7 @@ fn measure(
 /// One run of the workload under `sched`, everything else at the defaults.
 fn run_sched(cfg: &AccelConfig, banks: &BankSet, scratch: &[u8], feed: Feed, sched: SchedMode) -> CycleOutcome {
     let opts = RunOptions { sched, ..RunOptions::default() };
-    cycle::run(cfg, banks.clone(), scratch.to_vec(), feed, &opts).expect("workload runs")
+    cycle::run(cfg, banks.clone(), scratch, feed, &opts).expect("workload runs")
 }
 
 fn bench_workload(name: &'static str, density: f64, hw: usize, reps: usize) -> WorkloadResult {

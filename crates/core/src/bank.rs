@@ -105,6 +105,28 @@ impl BankSet {
         true
     }
 
+    /// Frees every port: a stamp is a cycle of the run that granted it,
+    /// and the next run on this set counts its cycles from 0 again, so a
+    /// grant left standing would refuse that run's first access of the
+    /// port if it falls on the stamped cycle (two instructions that each
+    /// write a bank once, at the same cycle, are enough).
+    /// [`crate::cycle::run`] calls this where a run starts; data and
+    /// statistics are kept.
+    pub fn release_ports(&mut self) {
+        self.read_stamp.fill(u64::MAX);
+        self.write_stamp.fill(u64::MAX);
+    }
+
+    /// Copies words `words` of bank `bank` from `from` (host-side, no
+    /// port accounting): how one engine's output reaches the bank set of
+    /// the pass it belongs to.
+    ///
+    /// # Panics
+    /// Panics on out-of-range bank or addresses in either set.
+    pub fn copy_words_from(&mut self, from: &BankSet, bank: usize, words: std::ops::Range<usize>) {
+        self.banks[bank][words.clone()].copy_from_slice(&from.banks[bank][words]);
+    }
+
     /// Per-bank statistics.
     pub fn stats(&self) -> &[BankStats] {
         &self.stats
@@ -190,6 +212,35 @@ mod tests {
         assert_eq!(b.stats()[0].write_conflicts, 1);
         assert_eq!(b.total_reads(), 1);
         assert_eq!(b.total_writes(), 1);
+    }
+
+    #[test]
+    fn released_ports_forget_the_last_run_and_keep_data_and_stats() {
+        let mut b = BankSet::with_geometry(4, 8);
+        assert!(b.read_port_a(0, 0, 7).is_some());
+        assert!(b.write_port_b(0, 1, tile_of(3), 7));
+        b.release_ports();
+        // The next run reaches cycle 7 too: no grant of the last one stands.
+        assert!(b.read_port_a(0, 0, 7).is_some());
+        assert!(b.write_port_b(0, 2, tile_of(4), 7));
+        assert_eq!(b.peek(0, 1), tile_of(3));
+        assert_eq!(b.stats()[0], BankStats { reads: 2, writes: 2, read_conflicts: 0, write_conflicts: 0 });
+    }
+
+    #[test]
+    fn copy_words_moves_one_bank_range_only() {
+        let mut from = BankSet::with_geometry(4, 8);
+        for addr in 0..8 {
+            from.poke(1, addr, tile_of(addr as i32 + 1));
+            from.poke(2, addr, tile_of(50));
+        }
+        let mut to = BankSet::with_geometry(4, 8);
+        to.copy_words_from(&from, 1, 2..5);
+        for addr in 0..8 {
+            let want = if (2..5).contains(&addr) { tile_of(addr as i32 + 1) } else { Tile::zero() };
+            assert_eq!(to.peek(1, addr), want);
+            assert_eq!(to.peek(2, addr), Tile::zero());
+        }
     }
 
     #[test]

@@ -10,18 +10,20 @@
 //! here a polled [`Barrier`] shared by the accumulator lanes.
 
 use super::msg::{AccumCfg, Msg};
+use crate::config::AccelConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
 use zskip_quant::{Requantizer, Sm8};
 use zskip_sim::{Barrier, CounterId, Ctx, FifoId, Horizon, Kernel, Progress};
 use zskip_tensor::Tile;
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Run {
     cfg: AccumCfg,
     acc: [i64; 16],
-    /// Per-conv-unit end-of-position marker for the current position.
-    marked: Vec<bool>,
+    /// Per-conv-unit end-of-position marker for the current position
+    /// (units divide the bank count, so there are at most that many).
+    marked: [bool; AccelConfig::BANKS],
     pos: u32,
     /// Finalized tile waiting for FIFO room.
     pending: Option<Tile<Sm8>>,
@@ -93,7 +95,7 @@ impl AccumKernel {
                     return (Progress::Busy, true); // instruction complete
                 }
                 run.acc = [run.cfg.bias; 16];
-                run.marked.iter_mut().for_each(|m| *m = false);
+                run.marked = [false; AccelConfig::BANKS];
                 return (Progress::Busy, false);
             }
             return (Progress::Blocked, false);
@@ -180,7 +182,7 @@ impl Kernel<Msg> for AccumKernel {
                     }
                     self.state = State::Run(Run {
                         acc: [cfg.bias; 16],
-                        marked: vec![false; cfg.units as usize],
+                        marked: [false; AccelConfig::BANKS],
                         pos: 0,
                         pending: None,
                         at_barrier: false,
@@ -196,19 +198,10 @@ impl Kernel<Msg> for AccumKernel {
                 None => Progress::Idle,
             },
             State::Run(run) => {
-                let mut run_taken = std::mem::replace(
-                    run,
-                    Run {
-                        cfg: run.cfg,
-                        acc: [0; 16],
-                        marked: Vec::new(),
-                        pos: 0,
-                        pending: None,
-                        at_barrier: false,
-                    },
-                );
-                let (progress, complete) = self.tick_run(&mut run_taken, ctx);
-                self.state = if complete { State::Idle } else { State::Run(run_taken) };
+                // Copied out (plain data) so `tick_run` can borrow `self`.
+                let mut run = *run;
+                let (progress, complete) = self.tick_run(&mut run, ctx);
+                self.state = if complete { State::Idle } else { State::Run(run) };
                 progress
             }
         }

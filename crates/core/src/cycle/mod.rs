@@ -23,9 +23,13 @@ use crate::bank::BankSet;
 use crate::config::AccelConfig;
 use crate::isa::Instruction;
 use msg::Msg;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use zskip_fault::SharedFaultPlan;
+use zskip_nn::par::ConvPool;
 use zskip_sim::{Barrier, Counters, Engine, Fifo, RunReport, SchedMode, SimError, Trace};
 
 /// Result of running an instruction stream on the cycle-exact backend.
@@ -93,7 +97,9 @@ impl Default for RunOptions {
 /// Runs an instruction stream to completion on one accelerator instance.
 ///
 /// `banks` must hold the resident IFM stripe in the layout the
-/// instructions reference; `scratchpad` holds the packed weight image.
+/// instructions reference — it may be the set an earlier run handed back,
+/// whose port grants are released here; `scratchpad` holds the packed
+/// weight image (copied: the kernels own what they read).
 ///
 /// # Errors
 /// Propagates [`SimError`] (deadlock or cycle limit) — either indicates a
@@ -104,15 +110,16 @@ impl Default for RunOptions {
 /// [`zskip_sim::EngineBuilder`] rejects.
 pub fn run(
     config: &AccelConfig,
-    banks: BankSet,
-    scratchpad: Vec<u8>,
+    mut banks: BankSet,
+    scratchpad: &[u8],
     feed: Feed,
     opts: &RunOptions,
 ) -> Result<CycleOutcome, SimError> {
     assert_eq!(config.units, config.lanes, "accumulator lanes map 1:1 onto write units");
     let units = config.units;
+    banks.release_ports();
     let banks = Rc::new(RefCell::new(banks));
-    let scratchpad = Rc::new(scratchpad);
+    let scratchpad: Rc<[u8]> = scratchpad.into();
     let barrier = Rc::new(RefCell::new(Barrier::new(config.lanes)));
     let mut builder = Engine::<Msg>::builder().scheduler(opts.sched);
     if let Some(capacity) = opts.trace_cycles {
@@ -221,6 +228,129 @@ pub fn run(
     drop(engine);
     let banks = Rc::try_unwrap(banks).expect("engine dropped, sole owner").into_inner();
     Ok(CycleOutcome { cycles: report.cycles, banks, counters: report.counters.clone(), report, trace })
+}
+
+/// One independently simulated piece of a pass ([`run_items`]): a run of
+/// consecutive instructions and the scratchpad image their `wgt_base`
+/// fields index.
+#[derive(Debug, Clone)]
+pub struct WorkItem<'a> {
+    /// The piece of the stream, in stream order.
+    pub instrs: Vec<Instruction>,
+    /// The packed weights of its convolutions.
+    pub scratchpad: Cow<'a, [u8]>,
+}
+
+/// What a pass's work items add up to: the figures one run of the whole
+/// stream reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PassOutcome {
+    /// Cycles from dispatch of the first instruction to completion of the
+    /// last write.
+    pub cycles: u64,
+    /// Activity counters, merged in stream order.
+    pub counters: Counters,
+}
+
+/// Runs the instruction stream of one pass — `items`, in stream order —
+/// as one engine run per item, and leaves in `banks` (the resident IFM
+/// stripe on entry) what one run of the whole stream would.
+///
+/// The main controller dispatches an instruction only once every write
+/// unit has confirmed the one before ([`ctrl`]'s `WaitDone`), so between
+/// two instructions every FIFO is empty and every kernel idle: what an
+/// instruction costs does not depend on what ran before it, and the
+/// stream costs the sum of its pieces less the shutdown tail that every
+/// piece but one paid again (the cycles of an empty stream, measured
+/// here, not assumed). The pieces must not read each other's output — a
+/// pass's instructions read the IFM stripe and write disjoint OFM
+/// channels.
+///
+/// `pool`'s participants claim the items by atomic index, each simulating
+/// on its own copy of `banks`; an item's output channels are copied back
+/// in stream order. The set of simulations is the same at any width —
+/// only who runs which differs — so cycles, counters and banks are
+/// bit-identical for any `pool`, `None` included. Per-kernel statistics
+/// ([`RunReport`]) and traces are per run and are dropped, not summed: a
+/// kernel idle through one item's shutdown would be counted once per item.
+///
+/// `opts.max_cycles` bounds each item's run. A fault plan's `fifo:`
+/// triggers are cycles of one engine run, so a plan may only be armed on
+/// a pass that is a single item.
+///
+/// # Errors
+/// The [`SimError`] of the first item in stream order that failed; no
+/// run starts after a failure. `banks` is then unchanged.
+///
+/// # Panics
+/// Panics if `opts` arms a fault plan on more than one item.
+pub fn run_items(
+    config: &AccelConfig,
+    banks: &mut BankSet,
+    items: &[WorkItem<'_>],
+    pool: Option<&ConvPool>,
+    opts: &RunOptions,
+) -> Result<PassOutcome, SimError> {
+    assert!(opts.fault_plan.is_none() || items.len() <= 1, "a fault plan's triggers are cycles of one run");
+    let ifm = &*banks;
+    // Per participant, the bank set it simulates on: cloned from the
+    // resident stripe at its first item, then handed from run to run.
+    let copies: Vec<Mutex<Option<BankSet>>> =
+        (0..pool.map_or(1, ConvPool::threads)).map(|_| Mutex::new(None)).collect();
+    // Per item: who ran it, its cycles and its counters.
+    type ItemResult = Result<(usize, u64, Counters), SimError>;
+    let results: Mutex<Vec<Option<ItemResult>>> = Mutex::new(items.iter().map(|_| None).collect());
+    // Relaxed: only a hint to start no more runs; the error itself
+    // travels through `results`.
+    let failed = AtomicBool::new(false);
+    let simulate = |worker: usize, i: usize| {
+        if failed.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut copy = copies[worker].lock().expect("no run panicked holding its banks");
+        let own = copy.take().unwrap_or_else(|| ifm.clone());
+        let feed = Feed::Preloaded(items[i].instrs.clone());
+        let result = run(config, own, &items[i].scratchpad, feed, opts).map(|outcome| {
+            *copy = Some(outcome.banks);
+            (worker, outcome.cycles, outcome.counters)
+        });
+        if result.is_err() {
+            failed.store(true, Ordering::Relaxed);
+        }
+        results.lock().expect("no run panicked holding the results")[i] = Some(result);
+    };
+    match pool {
+        Some(pool) => pool.run(items.len(), &simulate),
+        None => (0..items.len()).for_each(|i| simulate(0, i)),
+    }
+
+    // Claims ascend, so a run skipped after a failure lies behind it: the
+    // first error in stream order is met before any empty slot.
+    let results = results.into_inner().expect("no run panicked holding the results");
+    let results: Vec<(usize, u64, Counters)> = results
+        .into_iter()
+        .map(|slot| slot.expect("no earlier item failed, so this one ran"))
+        .collect::<Result<_, _>>()?;
+    let copies: Vec<Option<BankSet>> =
+        copies.into_iter().map(|copy| copy.into_inner().expect("no run panicked holding its banks")).collect();
+
+    let mut total = PassOutcome { cycles: 0, counters: Counters::new() };
+    for (item, (worker, cycles, counters)) in items.iter().zip(&results) {
+        total.cycles += cycles;
+        total.counters.merge(counters);
+        let from = copies[*worker].as_ref().expect("a finished run hands its banks back");
+        for instr in &item.instrs {
+            let (layout, channels) = instr.output();
+            layout.copy_channels(from, banks, channels);
+        }
+    }
+    if items.len() != 1 {
+        let tail_opts = RunOptions { sched: opts.sched, ..RunOptions::default() };
+        let no_banks = BankSet::with_geometry(AccelConfig::BANKS, 0);
+        let tail = run(config, no_banks, &[], Feed::Preloaded(Vec::new()), &tail_opts)?.cycles;
+        total.cycles = total.cycles + tail - items.len() as u64 * tail;
+    }
+    Ok(total)
 }
 
 #[cfg(test)]

@@ -34,8 +34,9 @@ pub struct AccumCfg {
 }
 
 /// One cycle of convolution work from a data-staging unit: the current
-/// quad region of one IFM plus one packed weight per filter lane.
-#[derive(Debug, Clone, PartialEq)]
+/// quad region of one IFM plus one packed weight per filter lane. No wider
+/// than [`Msg::Products`], so it travels by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvWork {
     /// The four contiguous IFM tiles as an 8x8 row-major region
     /// (paper Fig. 4a).
@@ -72,7 +73,7 @@ pub enum Msg {
     /// Main controller -> any unit: run ended, shut down.
     Shutdown,
     /// Staging -> conv: one weight-application cycle.
-    ConvWork(Box<ConvWork>),
+    ConvWork(ConvWork),
     /// Staging -> conv: all weights of the current tile position sent.
     EndPosition,
     /// Conv -> accumulator: 16 products for one lane.

@@ -103,7 +103,7 @@ pub struct StagingKernel {
     lanes: usize,
     weight_bytes_per_cycle: usize,
     banks: Rc<RefCell<BankSet>>,
-    scratchpad: Rc<Vec<u8>>,
+    scratchpad: Rc<[u8]>,
     cmd: FifoId,
     conv_out: FifoId,
     pool_out: FifoId,
@@ -121,7 +121,7 @@ impl StagingKernel {
         index: usize,
         config: &AccelConfig,
         banks: Rc<RefCell<BankSet>>,
-        scratchpad: Rc<Vec<u8>>,
+        scratchpad: Rc<[u8]>,
         cmd: FifoId,
         conv_out: FifoId,
         pool_out: FifoId,
@@ -287,7 +287,7 @@ impl StagingKernel {
         // enable gates both).
         if st.t < phase.steps {
             let lanes = self.lane_entries(st, phase.ifm, st.t);
-            let work = Msg::ConvWork(Box::new(ConvWork { region: st.region, lanes }));
+            let work = Msg::ConvWork(ConvWork { region: st.region, lanes });
             if ctx.fifos.try_push(self.conv_out, work).is_err() {
                 return Progress::Blocked;
             }

@@ -61,6 +61,19 @@ pub(super) fn run_conv_outcome(
     feed: impl FnOnce(Vec<Instruction>) -> Feed,
     opts: &RunOptions,
 ) -> (CycleOutcome, FmLayout) {
+    let (banks, scratchpad, instrs, out_layout) = conv_workload(cfg, qw, input);
+    let outcome = run(cfg, banks, &scratchpad, feed(instrs), opts).expect("run completes");
+    (outcome, out_layout)
+}
+
+/// The bank image (pre-padded input resident, single stripe), scratchpad
+/// and instruction stream — one instruction per OFM group — of a conv
+/// layer, and where its output lands.
+fn conv_workload(
+    cfg: &AccelConfig,
+    qw: &QuantConvWeights,
+    input: &Tensor<Sm8>,
+) -> (BankSet, Vec<u8>, Vec<Instruction>, FmLayout) {
     let (h, w) = (input.shape().h, input.shape().w);
     let padded = input.padded(1);
     let tiled_in = TiledFeatureMap::from_tensor(&padded);
@@ -79,13 +92,11 @@ pub(super) fn run_conv_outcome(
         instrs.push(Instruction::Conv(instr.expect("test geometry fits the instruction fields")));
         scratchpad.extend_from_slice(gw.as_bytes());
     }
-
-    let outcome = run(cfg, banks, scratchpad, feed(instrs), opts).expect("run completes");
-    (outcome, out_layout)
+    (banks, scratchpad, instrs, out_layout)
 }
 
 /// A preloaded stream under the default options.
-fn run_preloaded(cfg: &AccelConfig, banks: BankSet, scratchpad: Vec<u8>, instrs: &[Instruction]) -> CycleOutcome {
+fn run_preloaded(cfg: &AccelConfig, banks: BankSet, scratchpad: &[u8], instrs: &[Instruction]) -> CycleOutcome {
     run(cfg, banks, scratchpad, Feed::Preloaded(instrs.to_vec()), &RunOptions::default()).expect("run completes")
 }
 
@@ -369,7 +380,7 @@ fn pool_instruction_matches_reference() {
         out_row_start: 0,
         op: PoolPadOp::MaxPool { k: 2, stride: 2 },
     });
-    let outcome = run_preloaded(&cfg, banks, Vec::new(), &[instr]);
+    let outcome = run_preloaded(&cfg, banks, &[], &[instr]);
     let mut got = TiledFeatureMap::zeros(out_shape);
     out_layout.load(&outcome.banks, &mut got, 0..2);
     assert_eq!(got.to_tensor().cropped(8, 8), zskip_nn::pool::maxpool_quant(&input, 2, 2));
@@ -397,7 +408,7 @@ fn pad_instruction_matches_reference() {
         out_row_start: 0,
         op: PoolPadOp::Pad { amount: 1 },
     });
-    let outcome = run_preloaded(&cfg, banks, Vec::new(), &[instr]);
+    let outcome = run_preloaded(&cfg, banks, &[], &[instr]);
     let mut got = TiledFeatureMap::zeros(out_shape);
     out_layout.load(&outcome.banks, &mut got, 0..3);
     assert_eq!(got.to_tensor().cropped(10, 10), input.padded(1));
@@ -406,7 +417,7 @@ fn pad_instruction_matches_reference() {
 #[test]
 fn empty_stream_finishes_quickly() {
     let cfg = config();
-    let outcome = run_preloaded(&cfg, BankSet::new(&cfg), Vec::new(), &[]);
+    let outcome = run_preloaded(&cfg, BankSet::new(&cfg), &[], &[]);
     assert!(outcome.cycles < 50, "cycles {}", outcome.cycles);
 }
 
@@ -422,7 +433,7 @@ fn counters_record_macs_and_bubbles() {
     let mut banks = BankSet::new(&cfg);
     in_layout.store(&mut banks, &tiled_in, 0..tiled_in.tiles_y());
     let gw = GroupWeights::from_filters(&qw, 0, 4);
-    let scratchpad = gw.as_bytes().to_vec();
+    let scratchpad = gw.as_bytes();
     let instr = Instruction::Conv(ConvInstr {
         ofm_first: 0,
         ifm_count: 8,
@@ -471,7 +482,7 @@ fn mixed_instruction_stream_chains_correctly() {
     raw.store(&mut banks, &tiled, 0..tiled.tiles_y());
 
     let gw = GroupWeights::from_filters(&qw, 0, cfg.lanes);
-    let scratchpad = gw.as_bytes().to_vec();
+    let scratchpad = gw.as_bytes();
 
     let stream = vec![
         Instruction::PoolPad(PoolPadInstr {
@@ -534,4 +545,144 @@ fn mixed_instruction_stream_chains_correctly() {
     let mut got2 = TiledFeatureMap::zeros(pool_shape);
     pool_out.load(&model_banks, &mut got2, 0..pool_out.tile_rows);
     assert_eq!(got2.to_tensor().cropped(h / 2, w / 2), want);
+}
+
+#[test]
+fn a_bank_set_handed_back_by_one_run_serves_the_next() {
+    // The same instruction twice on one set. One OFM position, so each
+    // bank's port B is granted once a run, at the same cycle both times: a
+    // grant outliving its run would refuse the second run's only write.
+    // Both runs must read as the run on a fresh set does, and the set's
+    // statistics as their sum.
+    let cfg = config();
+    let (banks, scratchpad, instrs, _) = conv_workload(&cfg, &weights(4, 8, 3), &input_tensor(8, 4, 4));
+    let fresh = run_preloaded(&cfg, banks.clone(), &scratchpad, &instrs);
+    let first = run_preloaded(&cfg, banks, &scratchpad, &instrs);
+    assert_eq!((first.cycles, &first.counters, &first.report), (fresh.cycles, &fresh.counters, &fresh.report));
+    let second = run_preloaded(&cfg, first.banks, &scratchpad, &instrs);
+    assert_eq!((second.cycles, &second.counters, &second.report), (fresh.cycles, &fresh.counters, &fresh.report));
+    for (twice, once) in second.banks.stats().iter().zip(fresh.banks.stats()) {
+        assert_eq!((twice.reads, twice.writes), (2 * once.reads, 2 * once.writes));
+        assert_eq!((twice.read_conflicts, twice.write_conflicts), (0, 0));
+    }
+}
+
+/// Cuts a conv stream ([`conv_workload`]) into work items, one ending
+/// after instruction `i` wherever bit `i` of `cuts` is set: an item's
+/// scratchpad is its own groups' bytes and its `wgt_base` fields count
+/// from there.
+fn chunked<'a>(instrs: &[Instruction], scratchpad: &'a [u8], cuts: u32) -> Vec<WorkItem<'a>> {
+    let conv = |i: &Instruction| match *i {
+        Instruction::Conv(c) => c,
+        Instruction::PoolPad(_) => unreachable!("a conv stream"),
+    };
+    let mut items = Vec::new();
+    let mut start = 0;
+    for end in 1..=instrs.len() {
+        if end == instrs.len() || cuts >> (end - 1) & 1 == 1 {
+            let from = conv(&instrs[start]).wgt_base;
+            let to = instrs.get(end).map_or(scratchpad.len(), |i| conv(i).wgt_base as usize);
+            let rebased = |i| Instruction::Conv(ConvInstr { wgt_base: conv(i).wgt_base - from, ..conv(i) });
+            items.push(WorkItem {
+                instrs: instrs[start..end].iter().map(rebased).collect(),
+                scratchpad: scratchpad[from as usize..to].into(),
+            });
+            start = end;
+        }
+    }
+    items
+}
+
+/// Every word of every bank.
+fn words(banks: &BankSet) -> Vec<zskip_tensor::Tile<Sm8>> {
+    (0..banks.bank_count()).flat_map(|b| (0..banks.capacity()).map(move |a| banks.peek(b, a))).collect()
+}
+
+#[test]
+fn a_failed_item_fails_the_pass_with_its_own_error() {
+    // Four instructions, the second alone over the cycle limit (the
+    // others' groups are fully pruned: a marker per position and done).
+    let cfg = config();
+    let mut qw = weights(16, 8, usize::MAX);
+    let per_group = 4 * 8 * 9;
+    for (i, w) in qw.w.iter_mut().enumerate() {
+        if i / per_group != 1 {
+            *w = Sm8::ZERO;
+        }
+    }
+    qw.invalidate_caches();
+    let (banks, scratchpad, instrs, _) = conv_workload(&cfg, &qw, &input_tensor(8, 8, 8));
+    let items = chunked(&instrs, &scratchpad, u32::MAX);
+    assert_eq!(items.len(), 4);
+    let alone = |item: &WorkItem<'_>, opts: &RunOptions| {
+        run(&cfg, banks.clone(), &item.scratchpad, Feed::Preloaded(item.instrs.clone()), opts).map(|o| o.cycles)
+    };
+    let cheap = alone(&items[0], &RunOptions::default()).expect("runs");
+    let costly = alone(&items[1], &RunOptions::default()).expect("runs");
+    assert!(cheap + 50 < costly, "{cheap} vs {costly}");
+    let opts = RunOptions { max_cycles: (cheap + costly) / 2, ..RunOptions::default() };
+    let want = alone(&items[1], &opts).expect_err("over the limit");
+    assert!(matches!(want, SimError::CycleLimit { .. }), "{want}");
+
+    let before = words(&banks);
+    for threads in 1..=3 {
+        let pool = ConvPool::new(threads);
+        for pool in [None, Some(&pool)] {
+            let mut split = banks.clone();
+            assert_eq!(run_items(&cfg, &mut split, &items, pool, &opts), Err(want.clone()), "{threads} threads");
+            assert_eq!(words(&split), before, "a failed pass writes nothing back");
+        }
+    }
+}
+
+mod split_properties {
+    use super::*;
+    use proptest::prelude::*;
+    use zskip_hls::Variant;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// One engine run per work item against one run of the whole
+        /// stream, for every way to cut the stream into contiguous items:
+        /// the same cycles, counters and bank words — on every paper
+        /// geometry, under both schedulers, at any pool width, with a
+        /// ragged last group and with a fully-pruned (marker-only) one.
+        #[test]
+        fn items_add_up_to_the_whole_stream(
+            variant in prop_oneof![Just(Variant::U16Unopt), Just(Variant::U256Opt), Just(Variant::U512Opt)],
+            sched in prop_oneof![Just(SchedMode::Dense), Just(SchedMode::EventDriven)],
+            groups in 1usize..=4,
+            ragged in 0usize..4,
+            in_c in 1usize..=5,
+            h in 3usize..=9,
+            w in 3usize..=9,
+            pruned in 0usize..8,
+            zero_every in 2usize..=6,
+            threads in 1usize..=3,
+        ) {
+            let cfg = AccelConfig::for_variant(variant);
+            let out_c = (groups * cfg.lanes).saturating_sub(ragged % cfg.lanes).max(1);
+            let mut qw = weights(out_c, in_c, zero_every);
+            // `pruned` past the last group prunes none.
+            let per_group = cfg.lanes * in_c * 9;
+            qw.w.iter_mut().skip(pruned * per_group).take(per_group).for_each(|w| *w = Sm8::ZERO);
+            qw.invalidate_caches();
+            let (banks, scratchpad, instrs, _) = conv_workload(&cfg, &qw, &input_tensor(in_c, h, w));
+            let opts = RunOptions { sched, ..RunOptions::default() };
+            let whole = run(&cfg, banks.clone(), &scratchpad, Feed::Preloaded(instrs.clone()), &opts)
+                .expect("the whole stream runs");
+            let whole_words = words(&whole.banks);
+
+            let pool = ConvPool::new(threads);
+            for cuts in 0..1u32 << (instrs.len() - 1) {
+                let items = chunked(&instrs, &scratchpad, cuts);
+                let mut split = banks.clone();
+                let outcome = run_items(&cfg, &mut split, &items, Some(&pool), &opts).expect("the items run");
+                prop_assert_eq!(outcome.cycles, whole.cycles, "cuts {:#b}", cuts);
+                prop_assert_eq!(&outcome.counters, &whole.counters, "cuts {:#b}", cuts);
+                prop_assert!(words(&split) == whole_words, "bank words differ at cuts {:#b}", cuts);
+            }
+        }
+    }
 }

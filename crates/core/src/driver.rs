@@ -60,8 +60,9 @@ pub struct Driver {
     /// When `false`, pack every weight slot (zeros included): the ablation
     /// baseline without the paper's zero-weight skipping.
     pub zero_skipping: bool,
-    /// Intra-image worker count for the CPU backend's conv kernels
-    /// (resolved — never 0; 1 means single-threaded). See
+    /// Intra-image worker count (resolved — never 0; 1 means
+    /// single-threaded): the cpu backend's conv panels, the cycle
+    /// backend's per-instruction engine runs. See
     /// [`DriverBuilder::threads`].
     pub threads: usize,
     /// SIMD kernel tier this session's forward passes run with (resolved
@@ -240,13 +241,15 @@ impl DriverBuilder {
         self
     }
 
-    /// Intra-image worker count for the CPU backend's conv kernels:
-    /// `1` (the default) is single-threaded, larger values split each
-    /// conv layer's output channels across that many threads — bit-exact
-    /// at any width (see `zskip-nn`'s `par` module). `0` resolves to the
-    /// host's available parallelism at [`DriverBuilder::build`] time.
-    /// Other backends compute on the simulated accelerator and ignore
-    /// this.
+    /// Intra-image worker count: `1` (the default) is single-threaded,
+    /// larger values split the work of one image across that many
+    /// threads — on the cpu backend each conv layer's output channels
+    /// (see `zskip-nn`'s `par` module), on the cycle backend each pass's
+    /// instructions, one engine run apiece ([`crate::cycle::run_items`]).
+    /// Either way the report is bit-identical at any width. `0` resolves
+    /// to the host's available parallelism at [`DriverBuilder::build`]
+    /// time. The model backend's closed form has nothing to split and
+    /// ignores this.
     pub fn threads(mut self, threads: usize) -> DriverBuilder {
         self.threads = threads;
         self

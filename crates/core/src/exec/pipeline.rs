@@ -30,6 +30,7 @@ use crate::weights::{pack_groups, GroupWeights};
 use std::sync::{Arc, OnceLock};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
+use zskip_nn::par::ConvPool;
 use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
 use zskip_quant::grouping::FilterGrouping;
 use zskip_quant::Sm8;
@@ -268,33 +269,53 @@ pub(crate) enum Exec {
 }
 
 impl Exec {
-    /// Executes an instruction batch, returning cycles and the banks.
+    /// Executes an instruction batch on `banks` (the resident IFM stripe
+    /// in, the OFM beside it out), returning its cycles.
     ///
     /// `groups` carries the weights of each conv instruction, in stream
-    /// order. The model reads them in place; the cycle backend's
-    /// scratchpad is their byte streams back to back (each instruction's
-    /// `wgt_base` says where), which its data-staging kernels consume
-    /// like the hardware.
+    /// order. The model reads them in place. The cycle backend simulates
+    /// the batch one instruction per engine run on `pool`'s participants
+    /// ([`cycle::run_items`]; bit-identical at any width), each run's
+    /// scratchpad its own group's byte stream at `wgt_base` 0, which its
+    /// data-staging kernels consume like the hardware. Under a fault plan
+    /// the batch stays one run — `fifo:` triggers are cycles of it — over
+    /// the groups' streams back to back, where the batch's `wgt_base`
+    /// fields point.
     fn run(
         &self,
         driver: &Driver,
-        mut banks: BankSet,
+        pool: Option<&ConvPool>,
+        banks: &mut BankSet,
         instrs: &[Instruction],
         groups: &[GroupWeights<'_>],
         counters: &mut Counters,
-    ) -> Result<(u64, BankSet), DriverError> {
+    ) -> Result<u64, DriverError> {
         match self {
             Exec::Model { functional } => {
-                let outcome = model::run(&driver.config, &mut banks, instrs, groups, counters, *functional);
-                Ok((outcome.cycles, banks))
+                Ok(model::run(&driver.config, banks, instrs, groups, counters, *functional).cycles)
             }
             Exec::Cycle => {
                 let opts = cycle::RunOptions { fault_plan: driver.fault_plan().cloned(), ..Default::default() };
-                let feed = cycle::Feed::Preloaded(instrs.to_vec());
-                let scratchpad = groups.iter().map(GroupWeights::as_bytes).collect::<Vec<_>>().concat();
-                let outcome = cycle::run(&driver.config, banks, scratchpad, feed, &opts).map_err(DriverError::Sim)?;
+                let items = if opts.fault_plan.is_some() {
+                    let scratchpad = groups.iter().map(GroupWeights::as_bytes).collect::<Vec<_>>().concat();
+                    vec![cycle::WorkItem { instrs: instrs.to_vec(), scratchpad: scratchpad.into() }]
+                } else {
+                    let mut groups = groups.iter();
+                    instrs
+                        .iter()
+                        .map(|instr| match *instr {
+                            Instruction::Conv(conv) => cycle::WorkItem {
+                                instrs: vec![Instruction::Conv(ConvInstr { wgt_base: 0, ..conv })],
+                                scratchpad: groups.next().expect("one group per conv instruction").as_bytes().into(),
+                            },
+                            poolpad => cycle::WorkItem { instrs: vec![poolpad], scratchpad: Default::default() },
+                        })
+                        .collect()
+                };
+                let outcome =
+                    cycle::run_items(&driver.config, banks, &items, pool, &opts).map_err(DriverError::Sim)?;
                 counters.merge(&outcome.counters);
-                Ok((outcome.cycles, outcome.banks))
+                Ok(outcome.cycles)
             }
         }
     }
@@ -312,7 +333,7 @@ pub(crate) fn conv_pass(
     qw: &QuantConvWeights,
     out_shape: Shape,
 ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    let (driver, src_addr, dst_addr) = (ctx.driver, ctx.src_addr, ctx.dst_addr);
+    let (driver, pool, src_addr, dst_addr) = (ctx.driver, ctx.kernel.pool, ctx.src_addr, ctx.dst_addr);
     let soc = &mut *ctx.soc;
     // Optional future-work filter grouping: reorder output channels by
     // non-zero count so lockstep lanes balance; un-permuted on output.
@@ -426,9 +447,8 @@ pub(crate) fn conv_pass(
                 groups.push(group);
             }
 
-            let (cycles, result_banks) = exec.run(driver, banks, &instrs, &groups, &mut stats.counters)?;
-            stats.per_instance_cycles[instance] += cycles;
-            let mut banks = result_banks;
+            stats.per_instance_cycles[instance] +=
+                exec.run(driver, pool, &mut banks, &instrs, &groups, &mut stats.counters)?;
 
             // DMA out this part's OFM channels.
             out_layout.load_channels(
@@ -465,7 +485,7 @@ pub(crate) fn poolpad_pass(
     op: PoolPadOp,
     out_shape: Shape,
 ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    let (driver, src_addr, dst_addr) = (ctx.driver, ctx.src_addr, ctx.dst_addr);
+    let (driver, pool, src_addr, dst_addr) = (ctx.driver, ctx.kernel.pool, ctx.src_addr, ctx.dst_addr);
     let soc = &mut *ctx.soc;
     let in_rows = input.tiles_y();
     let mut out_fm = TiledFeatureMap::<Sm8>::zeros(out_shape);
@@ -513,10 +533,8 @@ pub(crate) fn poolpad_pass(
 
         let instr = PoolPadInstr::for_stripe(op, &in_layout, stripe.in_lo, &out_layout, stripe.out_a)
             .map_err(|e| DriverError::field_overflow(name, e))?;
-        let (cycles, result_banks) =
-            exec.run(driver, banks, &[Instruction::PoolPad(instr)], &[], &mut stats.counters)?;
-        stats.per_instance_cycles[instance] += cycles;
-        let mut banks = result_banks;
+        stats.per_instance_cycles[instance] +=
+            exec.run(driver, pool, &mut banks, &[Instruction::PoolPad(instr)], &[], &mut stats.counters)?;
         out_layout.load(&banks, &mut out_fm, stripe.out_a..stripe.out_b);
         stats.io_dma_cycles +=
             dma_fm_stripe(soc, dst_addr, &out_fm, stripe.out_a..stripe.out_b, &out_layout, &mut banks, false)?;

@@ -197,6 +197,35 @@ pub enum Instruction {
     PoolPad(PoolPadInstr),
 }
 
+impl Instruction {
+    /// Where the instruction writes: the OFM stripe's layout and which of
+    /// its channels — all a pool/pad instruction's, one group's for a
+    /// convolution. It writes no other bank word.
+    pub fn output(&self) -> (FmLayout, std::ops::Range<usize>) {
+        match *self {
+            Instruction::Conv(i) => {
+                let channels = i.ofm_first as usize..i.ofm_first as usize + i.active_lanes as usize;
+                let layout = FmLayout {
+                    base: i.ofm_base as usize,
+                    channels: channels.end,
+                    tiles_x: i.ofm_tiles_x as usize,
+                    tile_rows: i.ofm_tile_rows as usize,
+                };
+                (layout, channels)
+            }
+            Instruction::PoolPad(i) => {
+                let layout = FmLayout {
+                    base: i.out_base as usize,
+                    channels: i.channels as usize,
+                    tiles_x: i.out_tiles_x as usize,
+                    tile_rows: i.out_tile_rows as usize,
+                };
+                (layout, 0..i.channels as usize)
+            }
+        }
+    }
+}
+
 /// Encoded instruction size in bytes.
 pub const INSTR_BYTES: usize = 48;
 

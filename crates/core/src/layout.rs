@@ -49,7 +49,14 @@ impl FmLayout {
     pub fn addr(&self, c: usize, ty: usize, tx: usize) -> usize {
         debug_assert!(c < self.channels && ty < self.tile_rows && tx < self.tiles_x,
             "tile ({c},{ty},{tx}) outside layout {self:?}");
-        self.base + (c / AccelConfig::BANKS) * self.tile_rows * self.tiles_x + ty * self.tiles_x + tx
+        self.channel_words(c).start + ty * self.tiles_x + tx
+    }
+
+    /// The words channel `c` occupies in its bank ([`FmLayout::bank_of`]).
+    pub fn channel_words(&self, c: usize) -> std::ops::Range<usize> {
+        let plane = self.tile_rows * self.tiles_x;
+        let start = self.base + (c / AccelConfig::BANKS) * plane;
+        start..start + plane
     }
 
     /// Words occupied per bank (worst bank: ceil(channels / banks) planes).
@@ -127,6 +134,23 @@ impl FmLayout {
             }
         }
     }
+
+    /// Copies the given channels of this layout from one bank set to
+    /// another of the same geometry (host-side, no port accounting).
+    ///
+    /// # Panics
+    /// Panics if the channel range or the layout exceeds either set.
+    pub fn copy_channels(
+        &self,
+        from: &crate::bank::BankSet,
+        to: &mut crate::bank::BankSet,
+        channels: std::ops::Range<usize>,
+    ) {
+        assert!(channels.end <= self.channels, "channel range out of bounds");
+        for c in channels {
+            to.copy_words_from(from, Self::bank_of(c), self.channel_words(c));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -188,6 +212,26 @@ mod tests {
         }
         // Rows outside the stripe stay zero.
         assert_eq!(*g.tile(0, 0, 0), zskip_tensor::Tile::zero());
+    }
+
+    #[test]
+    fn copy_channels_moves_those_channels_and_no_other() {
+        let f = fm(6, 8, 8);
+        let l = FmLayout::full(3, Shape::new(6, 8, 8));
+        let mut from = BankSet::with_geometry(4, 64);
+        l.store(&mut from, &f, 0..2);
+        let mut to = BankSet::with_geometry(4, 64);
+        l.copy_channels(&from, &mut to, 1..5);
+        let mut g = TiledFeatureMap::zeros(Shape::new(6, 8, 8));
+        l.load(&to, &mut g, 0..2);
+        for c in 0..6 {
+            for ty in 0..2 {
+                for tx in 0..2 {
+                    let want = if (1..5).contains(&c) { *f.tile(c, ty, tx) } else { zskip_tensor::Tile::zero() };
+                    assert_eq!(*g.tile(c, ty, tx), want, "channel {c}");
+                }
+            }
+        }
     }
 
     #[test]

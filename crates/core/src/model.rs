@@ -316,7 +316,7 @@ mod tests {
     }
 
     /// The cycle backend with default options on a preloaded stream.
-    fn run_cycle(cfg: &AccelConfig, banks: BankSet, scratchpad: Vec<u8>, instrs: &[Instruction]) -> cycle::CycleOutcome {
+    fn run_cycle(cfg: &AccelConfig, banks: BankSet, scratchpad: &[u8], instrs: &[Instruction]) -> cycle::CycleOutcome {
         cycle::run(cfg, banks, scratchpad, cycle::Feed::Preloaded(instrs.to_vec()), &Default::default())
             .expect("cycle run completes")
     }
@@ -368,7 +368,7 @@ mod tests {
         let input = random_input(8, 12, 12, 9);
         let (banks, scratch, instrs, out_layout, out_shape) = build_conv(&cfg, &qw, &input);
 
-        let cyc = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs);
+        let cyc = run_cycle(&cfg, banks.clone(), &scratch, &instrs);
         let mut model_banks = banks;
         run_model(&cfg, &mut model_banks, &scratch, &instrs);
 
@@ -385,7 +385,7 @@ mod tests {
         let qw = random_qw(8, 4, 7, 50);
         let input = random_input(4, 8, 8, 3);
         let (banks, scratch, instrs, _, _) = build_conv(&cfg, &qw, &input);
-        let cyc = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs);
+        let cyc = run_cycle(&cfg, banks.clone(), &scratch, &instrs);
         let mut model_banks = banks;
         let counters = run_model(&cfg, &mut model_banks, &scratch, &instrs).counters;
         for key in ["macs", "weights_applied", "bubble_lanes", "ofm_tiles_written"] {
@@ -428,7 +428,7 @@ mod tests {
         let input = random_input(8, 16, 16, 5);
         let (banks, scratch, instrs, _, _) = build_conv(&cfg, &qw, &input);
         let n = instrs.len();
-        let sim = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs).cycles;
+        let sim = run_cycle(&cfg, banks.clone(), &scratch, &instrs).cycles;
         let mut b = banks;
         let model = run_model(&cfg, &mut b, &scratch, &instrs).cycles;
         assert_cycles_close(model, sim, n);
@@ -442,7 +442,7 @@ mod tests {
         let input = random_input(3, 8, 8, 2);
         let (banks, scratch, instrs, _, _) = build_conv(&cfg, &qw, &input);
         let n = instrs.len();
-        let sim = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs).cycles;
+        let sim = run_cycle(&cfg, banks.clone(), &scratch, &instrs).cycles;
         let mut b = banks;
         let model = run_model(&cfg, &mut b, &scratch, &instrs).cycles;
         assert_cycles_close(model, sim, n);
@@ -463,7 +463,7 @@ mod tests {
             let qw = random_qw(out_c, in_c, seed, density);
             let input = random_input(in_c, h, h, seed ^ 0x55);
             let (banks, scratch, instrs, out_layout, out_shape) = build_conv(&cfg, &qw, &input);
-            let cyc = run_cycle(&cfg, banks.clone(), scratch.clone(), &instrs);
+            let cyc = run_cycle(&cfg, banks.clone(), &scratch, &instrs);
             let mut model_banks = banks;
             let model = run_model(&cfg, &mut model_banks, &scratch, &instrs);
 
@@ -503,7 +503,7 @@ mod tests {
             out_row_start: 0,
             op: PoolPadOp::MaxPool { k: 2, stride: 2 },
         });
-        let cyc = run_cycle(&cfg, banks.clone(), Vec::new(), &[instr]);
+        let cyc = run_cycle(&cfg, banks.clone(), &[], &[instr]);
         let mut model_banks = banks;
         let model = run_model(&cfg, &mut model_banks, &[], &[instr]);
 
@@ -569,7 +569,7 @@ mod pool_proptests {
                 op: PoolPadOp::MaxPool { k, stride },
             });
             let feed = cycle::Feed::Preloaded(vec![instr]);
-            let cyc = cycle::run(&cfg, banks.clone(), Vec::new(), feed, &Default::default()).unwrap();
+            let cyc = cycle::run(&cfg, banks.clone(), &[], feed, &Default::default()).unwrap();
             let mut model_banks = banks;
             let model = run(&cfg, &mut model_banks, &[instr], &[], &mut Counters::new(), true);
 

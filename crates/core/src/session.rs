@@ -104,8 +104,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Intra-image conv worker threads for the CPU backend
-    /// (see [`DriverBuilder::threads`]).
+    /// Intra-image worker threads: the cpu backend's conv panels, the
+    /// cycle backend's per-instruction engine runs; the model backend
+    /// ignores it (see [`DriverBuilder::threads`]).
     pub fn threads(mut self, threads: usize) -> SessionBuilder {
         self.driver = self.driver.threads(threads);
         self

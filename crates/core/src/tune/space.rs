@@ -213,7 +213,7 @@ pub static KNOBS: [Knob; 8] = [
                 "--threads",
                 "T",
                 Session,
-                "intra-image conv worker threads for the cpu backend (0 = host auto; others ignore)",
+                "intra-image worker threads: cpu backend conv panels, cycle backend a pass's instructions (0 = host auto; model ignores)",
             ),
             |c| Int(c.threads as u64),
             |c, v| v.int().map(|n| c.threads = n),

@@ -21,7 +21,7 @@ use zskip::quant::{Requantizer, Sm8};
 use zskip::tensor::{Shape, Tensor, TiledFeatureMap};
 
 /// Runs one instruction with a 120-cycle trace window.
-fn run_traced(cfg: &AccelConfig, banks: BankSet, scratchpad: Vec<u8>, instr: Instruction) -> CycleOutcome {
+fn run_traced(cfg: &AccelConfig, banks: BankSet, scratchpad: &[u8], instr: Instruction) -> CycleOutcome {
     let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: Some(120), ..RunOptions::default() };
     cycle::run(cfg, banks, scratchpad, Feed::Preloaded(vec![instr]), &opts).expect("runs")
 }
@@ -63,7 +63,7 @@ fn show_conv(title: &str, qw: &QuantConvWeights) {
     in_layout.store(&mut banks, &tiled, 0..tiled.tiles_y());
     let gw = GroupWeights::from_filters(qw, 0, 4);
     let instr = ConvInstr::for_group(qw, 0, 4, &in_layout, 0, &out_layout, 0).expect("fits the instruction fields");
-    let outcome = run_traced(&cfg, banks, gw.as_bytes().to_vec(), Instruction::Conv(instr));
+    let outcome = run_traced(&cfg, banks, gw.as_bytes(), Instruction::Conv(instr));
     println!("== {title} ({} cycles) ==", outcome.cycles);
     print!("{}", outcome.trace.expect("tracing was asked for").render(90));
 }
@@ -88,7 +88,7 @@ fn show_pool() {
         out_row_start: 0,
         op: PoolPadOp::MaxPool { k: 2, stride: 2 },
     });
-    let outcome = run_traced(&cfg, banks, Vec::new(), instr);
+    let outcome = run_traced(&cfg, banks, &[], instr);
     println!("== 2x2/s2 max-pool ({} cycles): pool/pad path active, conv idle ==", outcome.cycles);
     print!("{}", outcome.trace.expect("tracing was asked for").render(90));
 }

@@ -111,11 +111,14 @@ printf '%s\n' "$cold_out" | grep -q '^1603970 cycles' \
 # The two executors that read the packed weight stream itself — the
 # transaction model in place, the cycle backend's staging kernels through
 # their scratchpad copy — at their own pinned counts (infer asserts
-# bit-exactness vs the golden model on both).
-for pin in model:1603970 cycle:1605470; do
-  exec_out=$(timeout 300 ./target/release/zskip infer --hw 32 --backend "${pin%%:*}")
-  printf '%s\n' "$exec_out" | grep -q "^${pin##*:} cycles" \
-    || { echo "verify: vgg16-32 infer --backend ${pin%%:*} must report ${pin##*:} cycles"; exit 1; }
+# bit-exactness vs the golden model on both). The cycle backend runs one
+# engine per instruction on `--threads` workers and adds the runs up: the
+# sum must be the whole-stream count at any width (0 = host auto).
+for pin in model:1603970:0 cycle:1605470:0 cycle:1605470:1 cycle:1605470:3; do
+  IFS=: read -r backend cycles threads <<< "$pin"
+  exec_out=$(timeout 300 ./target/release/zskip infer --hw 32 --backend "$backend" --threads "$threads")
+  printf '%s\n' "$exec_out" | grep -q "^$cycles cycles" \
+    || { echo "verify: vgg16-32 infer --backend $backend --threads $threads must report $cycles cycles"; exit 1; }
 done
 
 # Graph-network smoke: the in-repo ResNet-18 spec must load, plan and run

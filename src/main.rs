@@ -970,9 +970,9 @@ fn analyze(p: &Parsed) {
     let img = Tensor::from_fn(64, 16, 16, |c, y, x| Sm8::from_i32_saturating(((c * 31 + y * 7 + x) % 200) as i32 - 100));
     let (banks, scratch, instrs) = zskip_bench::build_engine_workload(&acfg, &qw, &img);
     let dense_opts = RunOptions { sched: zskip::sim::SchedMode::Dense, ..RunOptions::default() };
-    let dense = cycle::run(&acfg, banks.clone(), scratch.clone(), Feed::Preloaded(instrs.clone()), &dense_opts)
+    let dense = cycle::run(&acfg, banks.clone(), &scratch, Feed::Preloaded(instrs.clone()), &dense_opts)
         .expect("dense block runs");
-    let event = cycle::run(&acfg, banks, scratch, Feed::Preloaded(instrs), &RunOptions::default())
+    let event = cycle::run(&acfg, banks, &scratch, Feed::Preloaded(instrs), &RunOptions::default())
         .expect("event block runs");
     assert_eq!(dense.cycles, event.cycles, "schedulers must agree cycle-exactly");
     assert_eq!(dense.report, event.report, "schedulers must agree on kernel stats");
@@ -1010,7 +1010,10 @@ fn analyze(p: &Parsed) {
     let sq = snet.quantize(&synthetic_inputs(2, 1, surrogate.input));
     let probe = synthetic_inputs(3, 3, surrogate.input);
     let auto_workers = zskip::nn::ConvPool::auto_threads();
-    println!("Intra-image conv workers: {auto_workers} at auto (host parallelism; --threads overrides)");
+    println!(
+        "Intra-image conv workers: {auto_workers} at auto (host parallelism; --threads overrides) — \
+         cpu backend: conv panels; cycle backend: a pass's instructions; model backend: unused"
+    );
     let mut arena = Scratch::new();
     arena.set_threads(auto_workers);
     for input in &probe {
@@ -1148,7 +1151,7 @@ fn trace() {
     let instr = ConvInstr::for_group(&qw, 0, 4, &in_layout, 0, &out_layout, 0).expect("fits the instruction fields");
     let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: Some(160), ..RunOptions::default() };
     let feed = Feed::Preloaded(vec![Instruction::Conv(instr)]);
-    let outcome = cycle::run(&cfg, banks, gw.as_bytes().to_vec(), feed, &opts).expect("runs");
+    let outcome = cycle::run(&cfg, banks, gw.as_bytes(), feed, &opts).expect("runs");
     let trace = outcome.trace.as_ref().expect("tracing was asked for");
     println!("cycle-exact waveform of one conv instruction ({} cycles total)", outcome.cycles);
     println!("legend: '#' busy, 'x' blocked on FIFO, '.' idle, ' ' done\n");

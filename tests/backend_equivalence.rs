@@ -582,6 +582,55 @@ fn transient_dma_faults_surface_identically_on_dag_networks() {
     }
 }
 
+/// The cycle backend simulates a pass one engine run per instruction and
+/// hands the runs to `threads` workers. Which worker ran which
+/// instruction must show nowhere: the whole report — output, totals, every
+/// layer's `PassStats` and counters, DDR bytes — is that of one thread, on
+/// a shrunk VGG stack (a ragged group, one-position layers) and on the
+/// ResNet-18 DAG, and with two instances, whose `split_groups` halves go
+/// through the same path.
+#[test]
+fn cycle_backend_report_does_not_depend_on_the_thread_count() {
+    let vgg = NetworkSpec {
+        name: "vgg-shrunk".into(),
+        input: Shape::new(3, 16, 16),
+        layers: vec![
+            conv3x3("c1_1", 3, 8),
+            conv3x3("c1_2", 8, 8),
+            maxpool2x2("p1"),
+            conv3x3("c2_1", 8, 16),
+            conv3x3("c2_2", 16, 14),
+            maxpool2x2("p2"),
+            conv3x3("c3_1", 14, 32),
+            maxpool2x2("p3"),
+            conv3x3("c4_1", 32, 32),
+            LayerSpec::Fc { name: "fc".into(), in_features: 32 * 2 * 2, out_features: 5, relu: false },
+        ],
+    };
+    let resnet18 = format!("{}/specs/resnet18.json", env!("CARGO_MANIFEST_DIR"));
+    let resnet18 = NetworkSpec::from_json(&std::fs::read_to_string(resnet18).expect("the in-repo spec"));
+    for spec in [vgg, resnet18.expect("a valid spec")] {
+        let (qnet, input) = quantize_spec(&spec, 0.4, 7);
+        for instances in [1, 2] {
+            let run = |threads| {
+                Driver::builder(config(4096, instances))
+                    .backend(BackendKind::Cycle)
+                    .threads(threads)
+                    .build()
+                    .expect("valid config")
+                    .run_network(&qnet, &input)
+                    .expect("runs")
+            };
+            let want = run(1);
+            assert_eq!(want.output, qnet.forward_quant(&input), "{}", spec.name);
+            for threads in [2, 3] {
+                let what = format!("{}, {instances} instance(s), {threads} threads", spec.name);
+                assert_same_report(&run(threads), &want, &what);
+            }
+        }
+    }
+}
+
 #[test]
 fn every_backend_matches_software_reference_bit_exact() {
     let (qnet, input) = quantized(0.6, 11);

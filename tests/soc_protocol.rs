@@ -98,7 +98,7 @@ fn full_csr_dma_inference_round_trip() {
     let (bytes, _) = ddr.read_block(addr, count * zskip::accel::isa::INSTR_BYTES);
     let decoded = Instruction::decode_stream(bytes).expect("well-formed stream");
     let outcome =
-        cycle::run(&cfg, banks, scratchpad, Feed::Preloaded(decoded), &Default::default()).expect("executes");
+        cycle::run(&cfg, banks, &scratchpad, Feed::Preloaded(decoded), &Default::default()).expect("executes");
     bus.write(ACCEL_CSR_BASE + AccelCsr::Status as u32, status::DONE).expect("post done");
     bus.write(ACCEL_CSR_BASE + AccelCsr::CyclesLo as u32, outcome.cycles as u32).expect("post cycles");
 
