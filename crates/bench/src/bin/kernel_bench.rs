@@ -294,7 +294,8 @@ struct ResnetBlockResult {
     tier: String,
     /// The pointwise GEMM (lowering = transpose of the input).
     pointwise_ms: f64,
-    /// Quantized residual add of the two branch outputs.
+    /// The fused quantized residual add (`add_quant_into`) of the two
+    /// branch outputs.
     add_ms: f64,
     /// `add_ms / pointwise_ms` — the join cost relative to the conv.
     add_overhead_vs_conv: f64,
@@ -532,7 +533,7 @@ fn bench_intra_image(
 
 fn bench_resnet_block() -> ResnetBlockResult {
     use zskip_core::rng::SplitMix64;
-    use zskip_nn::eltwise::add_quant;
+    use zskip_nn::eltwise::add_quant_into;
 
     // Bottleneck-reduce-like 1x1 projection: 256 channels down to 64,
     // the shape where the lowering is largest relative to the GEMM.
@@ -574,13 +575,15 @@ fn bench_resnet_block() -> ResnetBlockResult {
         pointwise_ms = pointwise_ms.min(t0.elapsed().as_secs_f64() * 1e3 / REPS as f64);
     }
 
-    // The residual join: quantized elementwise add of the branch outputs.
+    // The residual join: the fused quantized add of the branch outputs,
+    // into a warm output as the plan walk runs it.
     let skip = Tensor::from_fn(out_c, hw, hw, |c, y, x| {
         Sm8::from_i32_saturating(((c * 13 + y * 5 + x * 3) % 200) as i32 - 100)
     });
+    let mut joined = Tensor::zeros(1, 1, 1);
     let (s, _) = time_best(|| {
         for _ in 0..REPS {
-            let _ = add_quant(&fast, &skip, Requantizer::IDENTITY, Requantizer::IDENTITY, true);
+            add_quant_into(&fast, &skip, Requantizer::IDENTITY, Requantizer::IDENTITY, true, &mut joined);
         }
     });
     let add_ms = s * 1e3 / REPS as f64;

@@ -3,13 +3,16 @@
 //! (at inference BN folds into the preceding conv's weights, so only the
 //! float oracle and the fold itself live here — there is no quantized BN).
 //!
-//! The quantized add runs in two phases so the scratch arena can lend the
-//! slots out pairwise: phase 1 rescales operand A into the shared `i64`
-//! accumulator plane, phase 2 rescales operand B, sums, and saturates
-//! once. Both operands are brought to the *output* scale with
-//! [`Requantizer::apply_raw`] before the single Sm8 saturation — the same
-//! order the accelerator's host-side join uses, so oracle and driver are
-//! bit-identical.
+//! The quantized add brings both operands to the *output* scale with
+//! [`Requantizer::apply_raw`], sums them in `i64` and saturates once to
+//! Sm8. Its definition is two phases over an `i64` accumulator plane —
+//! [`add_quant_phase1`] rescales operand A into it, [`add_quant_phase2`]
+//! rescales operand B, sums and saturates — kept as the oracle (and the
+//! allocating [`add_quant`]). The plan walk runs [`add_quant_into`]
+//! instead: an Sm8 operand has only 256 bit patterns, so each operand's
+//! rescale is a 256-entry table built on the stack, and the join is one
+//! pass of two lookups, a sum, a clamp and an encode per element, with no
+//! intermediate plane (docs/KERNELS.md, "Residual join").
 
 use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::Tensor;
@@ -121,7 +124,39 @@ pub fn add_quant_phase2(
     }
 }
 
-/// Allocating quantized add (tests and one-shot callers).
+/// Quantized add `a · ra + b · rb` (optionally ReLU'd) into a caller-owned
+/// tensor, reshaped in place: the residual join the plan walk runs. Equal
+/// to [`add_quant_phase1`] + [`add_quant_phase2`] bit for bit — the tables
+/// hold exactly the values `apply_raw` gives each bit pattern, and
+/// clamping the `i64` sum to `[0 or -127, 127]` is what phase 2's ReLU,
+/// `i32` clamp and Sm8 saturation amount to.
+///
+/// # Panics
+/// Panics on shape mismatch.
+pub fn add_quant_into(
+    a: &Tensor<Sm8>,
+    b: &Tensor<Sm8>,
+    ra: Requantizer,
+    rb: Requantizer,
+    relu: bool,
+    out: &mut Tensor<Sm8>,
+) {
+    let s = a.shape();
+    assert_eq!(s, b.shape(), "add operands must agree");
+    let table = |r: Requantizer| -> [i32; 256] {
+        std::array::from_fn(|bits| r.apply_raw(Sm8::from_bits(bits as u8).to_i32() as i64))
+    };
+    let (ta, tb) = (table(ra), table(rb));
+    let lo = if relu { 0 } else { -127 };
+    out.reset(s.c, s.h, s.w);
+    for ((o, a), b) in out.as_mut_slice().iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
+        let sum = ta[a.to_bits() as usize] as i64 + tb[b.to_bits() as usize] as i64;
+        *o = Sm8::from_i32_saturating(sum.clamp(lo, 127) as i32);
+    }
+}
+
+/// Allocating quantized add through the two phases: the join's
+/// definition, and the oracle [`add_quant_into`] is held to.
 pub fn add_quant(a: &Tensor<Sm8>, b: &Tensor<Sm8>, ra: Requantizer, rb: Requantizer, relu: bool) -> Tensor<Sm8> {
     assert_eq!(a.shape(), b.shape(), "add operands must agree");
     let mut acc = Vec::new();
@@ -196,6 +231,36 @@ mod tests {
         let b = Tensor::from_fn(1, 1, 1, |_, _, _| sm8(40));
         let out = add_quant(&a, &b, Requantizer::from_ratio(2.0), Requantizer::from_ratio(0.5), false);
         assert_eq!(out[(0, 0, 0)].to_i32(), 60 + 20);
+    }
+
+    #[test]
+    fn fused_join_equals_the_two_phases_on_every_operand_pair() {
+        // One 256 x 256 plane: element (a, b) joins bit pattern a with bit
+        // pattern b, both zeros included. Requantizers: identity, the
+        // extremes of the multiplier and the shift, and random ratios
+        // either side of 1 (operands rescaled up saturate, down round).
+        let a = Tensor::from_fn(1, 256, 256, |_, y, _| Sm8::from_bits(y as u8));
+        let b = Tensor::from_fn(1, 256, 256, |_, _, x| Sm8::from_bits(x as u8));
+        let mut rng = zskip_fault::SplitMix64::new(25);
+        let mut requants = vec![
+            Requantizer::IDENTITY,
+            Requantizer { mult: 65535, shift: 0 },
+            Requantizer { mult: 65535, shift: 63 },
+            Requantizer { mult: 1, shift: 1 },
+        ];
+        requants.extend((0..8).map(|_| Requantizer::from_ratio(2f64.powf((rng.next_u64() % 2000) as f64 / 100.0 - 12.0))));
+        let mut acc = Vec::new();
+        let (mut want, mut got) = (Tensor::zeros(1, 1, 1), Tensor::from_fn(1, 3, 3, |_, _, _| Sm8::MAX));
+        for (i, &ra) in requants.iter().enumerate() {
+            let rb = requants[(i * 5 + 3) % requants.len()];
+            for relu in [false, true] {
+                add_quant_phase1(&a, ra, &mut acc);
+                add_quant_phase2(&b, rb, relu, &acc, &mut want);
+                add_quant_into(&a, &b, ra, rb, relu, &mut got);
+                let bits = |t: &Tensor<Sm8>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{ra:?} + {rb:?}, relu {relu}");
+            }
+        }
     }
 
     #[test]

@@ -22,26 +22,43 @@
 //! `gemm_quant_into`, at the caller's [`KernelTier`] (the scalar tier runs
 //! the same blocking with a portable dot).
 //!
+//! Around the multiply-accumulates, every stage is straight-line slice
+//! code (docs/KERNELS.md, "Lowering" and "Epilogue"):
+//!
+//! * **Lowering** decodes the input once into a zero-bordered `i16` plane,
+//!   then builds each patch row from `c * k` fixed-width copies of `k`
+//!   contiguous plane values — a 3-wide window moves as one 4-value copy
+//!   whose overhang the next window overwrites, and the last window of
+//!   every channel's block (so of every patch row) is copied exactly, so
+//!   nothing is written past the row a pool run owns. A 1x1 layer's
+//!   lowering is the transpose of its input.
+//! * **Epilogue**: `dot_nt` hands over each `DOT_MR x DOT_NR` block of
+//!   sums, and `Epilogue` requantizes the block — bias, multiply,
+//!   rounding shift, clamp, ReLU, Sm8 encode — with no branch, inlined into
+//!   the tier's `#[target_feature]` body, `DOT_NR` bytes stored per row.
+//!
 //! [`conv2d_gemm_quant_into`] is the entry point: the work is done by the
 //! calling thread, or — with a pool — split over its workers (lowering by
-//! column range, GEMM by output-channel range). It writes into a
-//! caller-owned output tensor and borrows the patch matrix from a
-//! [`GemmScratch`], so a warmed arena runs it allocation-free;
-//! [`conv2d_gemm_quant_tier`] / [`conv2d_gemm_quant_pool`] are the
-//! allocating conveniences.
+//! output row, GEMM by output-channel range). It writes into a
+//! caller-owned output tensor and borrows the bordered plane and the patch
+//! matrix from a [`GemmScratch`], so a warmed arena runs it
+//! allocation-free; [`conv2d_gemm_quant_tier`] /
+//! [`conv2d_gemm_quant_pool`] are the allocating conveniences.
 
-use crate::conv::{tap_span, QuantConvWeights};
+use crate::conv::QuantConvWeights;
 use crate::par::{ConvPool, SendPtr};
-use crate::simd::{self, KernelTier};
+use crate::simd::{self, KernelTier, DOT_NR};
+use std::ops::Range;
 use zskip_quant::{Requantizer, Sm8};
-use zskip_tensor::{Shape, Tensor};
+use zskip_tensor::Tensor;
 
 /// The reusable buffers of the quantized GEMM's patch side. They only
 /// ever grow; the [`crate::scratch::Scratch`] arena owns one set.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
-    /// The layer's input decoded to `i16`: what a conv layer's patch rows
-    /// are copied out of, and an FC layer's one patch row as it stands.
+    /// The layer's input decoded to `i16`: for a conv layer a plane with a
+    /// zero border `pad` wide, what the patch rows are copied out of; for
+    /// an FC layer its one patch row as it stands.
     decoded: Vec<i16>,
     /// The transposed patch matrix `P[col][r]` of a conv layer.
     patches: Vec<i16>,
@@ -59,16 +76,39 @@ impl GemmScratch {
         Sm8::decode_slice_i16(input, &mut self.decoded);
         &self.decoded
     }
+
+    /// Decodes `input` into a `c x (h + 2 pad) x (w + 2 pad)` plane with a
+    /// zero border. Returns the bordered `(height, width)`.
+    fn decode_bordered(&mut self, input: &Tensor<Sm8>, pad: usize) -> (usize, usize) {
+        let s = input.shape();
+        if pad == 0 {
+            self.decode(input.as_slice());
+            return (s.h, s.w);
+        }
+        let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
+        let d = &mut self.decoded;
+        d.clear();
+        d.resize(s.c * hp * wp, 0);
+        for (y, row) in input.as_slice().chunks_exact(s.w).enumerate() {
+            // Input row `y` is row `y % h` of channel `y / h`.
+            let at = ((y / s.h) * hp + y % s.h + pad) * wp + pad;
+            Sm8::decode_slice_i16(row, &mut d[at..at + s.w]);
+        }
+        (hp, wp)
+    }
 }
 
-/// What the split decisions are made from (measured on the widest tier:
-/// docs/KERNELS.md, "Intra-image threading"): multiply-accumulates of the
-/// [`simd::dot_nt`] body per nanosecond; how many columns' worth of them
-/// streaming a weight row in from memory costs anyway (an FC layer, a 2x2
-/// plane); and nanoseconds per requantized output on top of its reduction.
-const MACS_PER_NS: usize = 32;
-const STREAM_COLS: usize = 5;
-const EPILOGUE_NS: usize = 6;
+/// What the split decisions are made from (docs/KERNELS.md, "Intra-image
+/// threading"): multiply-accumulates of the [`simd::dot_nt`] body per
+/// nanosecond and nanoseconds per output on top of its reduction — the
+/// block's fixed work, its requantize and the output's share of the
+/// lowering — both fitted to single-thread layer times on the widest
+/// tier; and how many columns' worth of MACs a layer that streams its
+/// weights (an FC layer, a 2x2 plane) counts as, set by what a split of
+/// one buys rather than by its single-thread time.
+const MACS_PER_NS: usize = 48;
+const STREAM_COLS: usize = 6;
+const EPILOGUE_NS: usize = 5;
 
 /// Cuts the `items` of a `rows x cols x len` GEMM — its own output rows,
 /// or the patch rows of the lowering that feeds it, so that a layer wakes
@@ -91,12 +131,11 @@ fn for_each_run(pool: Option<&ConvPool>, runs: usize, job: &(dyn Fn(usize) + Syn
 }
 
 /// Lowers `input` for a `k x k` convolution into `ws`: the input decoded
-/// to `i16` once, then the transposed patch matrix `patches[col * len +
-/// r]` — one row of `len = c * k * k` values `r = (c, ky, kx)` per output
-/// position `col = oy * out_w + ox` — copied out of it, output rows split
-/// over `pool`, when one is attached, the way the `out_c`-row GEMM this
-/// feeds will be. A 1x1 convolution's lowering is the transpose of its
-/// input. Returns `(out_h, out_w)`.
+/// once into a zero-bordered `i16` plane, then the transposed patch
+/// matrix `patches[col * len + r]` — one row of `len = c * k * k` values
+/// `r = (c, ky, kx)` per output position `col = oy * out_w + ox` — copied
+/// out of it, output rows split over `pool`, when one is attached, the way
+/// the `out_c`-row GEMM this feeds will be. Returns `(out_h, out_w)`.
 fn lower_into(
     input: &Tensor<Sm8>,
     out_c: usize,
@@ -106,65 +145,91 @@ fn lower_into(
     pool: Option<&ConvPool>,
     ws: &mut GemmScratch,
 ) -> (usize, usize) {
-    let s = input.shape();
-    let out_h = (s.h + 2 * pad - k) / stride + 1;
-    let out_w = (s.w + 2 * pad - k) / stride + 1;
-    ws.decode(input.as_slice());
+    let c = input.shape().c;
+    let (hp, wp) = ws.decode_bordered(input, pad);
+    let (out_h, out_w) = ((hp - k) / stride + 1, (wp - k) / stride + 1);
     let GemmScratch { decoded, patches } = ws;
-    // Sized only: `lower_rows` writes every element.
-    let row_len = out_w * s.c * k * k;
+    let plane = Plane { d: decoded, c, hp, wp, stride, out_w };
+    // Sized only: every element is written below.
+    let row_len = out_w * c * k * k;
     patches.resize(out_h * row_len, 0);
-    let (runs, per) = split(pool, out_h, [out_c, out_h * out_w, s.c * k * k]);
+    let (runs, per) = split(pool, out_h, [out_c, out_h * out_w, c * k * k]);
     let patches_ptr = SendPtr::new(patches.as_mut_ptr());
     for_each_run(pool, runs, &|run| {
         let oys = (run * per).min(out_h)..((run + 1) * per).min(out_h);
         // SAFETY: runs own disjoint output-row ranges inside the resize
-        // above.
+        // above; every copy below stays inside its own patch row.
         let rows =
             unsafe { std::slice::from_raw_parts_mut(patches_ptr.add(oys.start * row_len), oys.len() * row_len) };
-        lower_rows(decoded, s, k, stride, pad, (out_h, out_w), oys, rows);
+        match k {
+            1 => plane.transpose_rows(oys, rows),
+            3 => plane.lower_rows::<3>(k, oys, rows),
+            5 => plane.lower_rows::<5>(k, oys, rows),
+            7 => plane.lower_rows::<7>(k, oys, rows),
+            _ => plane.lower_rows::<0>(k, oys, rows),
+        }
     });
     (out_h, out_w)
 }
 
-/// The rows of the patch matrix for output rows `oys` of a decoded input
-/// `d`. Per kernel tap and input channel, the values one output row reads
-/// through that tap are a (strided) run of one input row; they go to the
-/// same element `r` of consecutive patch rows. The lines an output row's
-/// patch rows span stay cached while every `r` passes over them.
-#[allow(clippy::too_many_arguments)]
-fn lower_rows(
-    d: &[i16],
-    s: Shape,
-    k: usize,
+/// The bordered input plane a conv layer's patch rows are copied out of:
+/// `c` channels of `hp x wp` decoded values, sampled every `stride` values
+/// for `out_w` output columns.
+struct Plane<'a> {
+    d: &'a [i16],
+    c: usize,
+    hp: usize,
+    wp: usize,
     stride: usize,
-    pad: usize,
-    (out_h, out_w): (usize, usize),
-    oys: std::ops::Range<usize>,
-    rows: &mut [i16],
-) {
-    let len = s.c * k * k;
-    if pad > 0 {
-        // Taps that sample the padding are skipped below.
-        rows.fill(0);
-    }
-    for (oy, rows) in oys.zip(rows.chunks_exact_mut(out_w * len)) {
-        for kx in 0..k {
-            let xs = tap_span(kx, pad, stride, s.w, out_w);
-            if xs.is_empty() {
-                continue;
-            }
-            let ix = xs.start * stride + kx - pad;
-            for ky in (0..k).filter(|&ky| tap_span(ky, pad, stride, s.h, out_h).contains(&oy)) {
-                let iy = oy * stride + ky - pad;
-                for c in 0..s.c {
-                    // Sliced to the last element touched, so the strided
-                    // indices below are provably in bounds.
-                    let src = &d[(c * s.h + iy) * s.w + ix..][..(xs.len() - 1) * stride + 1];
-                    let dst = &mut rows[xs.start * len + (c * k + ky) * k + kx..][..(xs.len() - 1) * len + 1];
-                    for t in 0..xs.len() {
-                        dst[t * len] = src[t * stride];
+    out_w: usize,
+}
+
+impl Plane<'_> {
+    /// The patch rows of output rows `oys`, one `c * k * k` row per output
+    /// position, built a channel's `k * k` block at a time. A block is `k`
+    /// windows, window `ky` the `k` contiguous plane values at `(c, oy *
+    /// stride + ky, ox * stride..)`, each moved as one copy `w` values wide
+    /// (`k` rounded up to a power of two): the copy overhangs into the
+    /// window after it, which is written next and overwrites the overhang.
+    /// The block's last window is copied exactly, so no write leaves the
+    /// block — in particular none reaches the next output position's patch
+    /// row, which may be another pool run's. Reads overhang only windows
+    /// that are not a block's last, whose plane row is not the channel's
+    /// last, so they stay inside the plane.
+    ///
+    /// `K == k` makes every offset into a block a constant, so the block's
+    /// writes carry no bounds check; `K == 0` takes `k` as it comes, with
+    /// exact copies (kernel sizes no network here uses).
+    fn lower_rows<const K: usize>(&self, k: usize, oys: Range<usize>, rows: &mut [i16]) {
+        let (k, w) = if K == 0 { (k, k) } else { (K, K.next_power_of_two()) };
+        let Plane { d, c, hp, wp, stride, out_w } = *self;
+        let (kk, len) = (k * k, c * k * k);
+        for (oy, rows) in oys.zip(rows.chunks_exact_mut(out_w * len)) {
+            for (ox, row) in rows.chunks_exact_mut(len).enumerate() {
+                let origin = oy * stride * wp + ox * stride;
+                for (ci, block) in row.chunks_exact_mut(kk).enumerate() {
+                    let src = &d[origin + ci * hp * wp..];
+                    for ky in 0..k - 1 {
+                        block[ky * k..ky * k + w].copy_from_slice(&src[ky * wp..ky * wp + w]);
                     }
+                    block[kk - k..].copy_from_slice(&src[(k - 1) * wp..][..k]);
+                }
+            }
+        }
+    }
+
+    /// The patch rows of a 1x1 layer: row `(oy, ox)` is the `c` values at
+    /// `(.., oy * stride, ox * stride)`, gathered a channel at a time.
+    fn transpose_rows(&self, oys: Range<usize>, rows: &mut [i16]) {
+        let Plane { d, c, hp, wp, stride, out_w } = *self;
+        for (oy, rows) in oys.zip(rows.chunks_exact_mut(out_w * c)) {
+            for ci in 0..c {
+                // Sliced to the last element touched, so the strided
+                // indices below are provably in bounds.
+                let src = &d[(ci * hp + oy * stride) * wp..][..(out_w - 1) * stride + 1];
+                let dst = &mut rows[ci..][..(out_w - 1) * c + 1];
+                for ox in 0..out_w {
+                    dst[ox * c] = src[ox * stride];
                 }
             }
         }
@@ -181,12 +246,52 @@ pub(crate) struct GemmWeights<'a> {
     pub relu: bool,
 }
 
+/// A layer's [`Requantizer`] and ReLU flag in the branch-free form the
+/// block epilogue runs: [`Epilogue::apply`] is `Requantizer::apply` (or
+/// `apply_relu`) bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Epilogue {
+    mult: i64,
+    shift: u32,
+    /// `2^(shift - 1)`, the rounding half; zero at shift 0.
+    half: u64,
+    relu: bool,
+}
+
+impl Epilogue {
+    /// # Panics
+    /// Panics if `requant.shift > 63` (`Requantizer::from_ratio` never
+    /// makes one; `Requantizer::apply` overflows on it).
+    pub(crate) fn new(requant: Requantizer, relu: bool) -> Self {
+        assert!(requant.shift < 64, "requantizer shift {} out of range", requant.shift);
+        Epilogue { mult: requant.mult as i64, shift: requant.shift, half: (1u64 << requant.shift) >> 1, relu }
+    }
+
+    /// One output. `Requantizer::apply_raw` rounds half away from zero by
+    /// rounding the magnitude and restoring the sign, so it is done on
+    /// the magnitude here; its `i32` clamp and the Sm8 saturation after
+    /// it are both `min(magnitude, 127)`; the sign survives only on a
+    /// non-zero magnitude, as in `Sm8::from_i32_saturating`, so zero is
+    /// never encoded `0x80`; and ReLU zeroes a negative `acc`, exactly
+    /// where `apply_relu` returns `Sm8::ZERO`.
+    #[inline(always)]
+    pub(crate) fn apply(self, acc: i64) -> Sm8 {
+        let prod = acc * self.mult;
+        let mag = ((prod.unsigned_abs() + self.half) >> self.shift).min(127) as u8;
+        let mag = if self.relu & (acc < 0) { 0 } else { mag };
+        let neg = ((prod < 0) & (mag != 0)) as u8;
+        Sm8::from_bits(neg << 7 | mag)
+    }
+}
+
 /// `out[o * cols + col] = requant(bias[o] + Σ_r w[o][r] · p[col][r])`: the
 /// one integer GEMM body behind every conv geometry and FC. Output rows
 /// are split over `pool` when one is attached — each run is the same
 /// [`simd::dot_nt`] call over a disjoint slice of `out`, and every sum is
 /// one exact integer dot product, so the result is bit-identical at any
-/// worker count and on any tier.
+/// worker count and on any tier. Each register block is requantized as a
+/// whole where `dot_nt` hands it over: `DOT_NR` outputs a row, stored
+/// together.
 pub(crate) fn gemm_quant_into(
     tier: KernelTier,
     pool: Option<&ConvPool>,
@@ -198,6 +303,7 @@ pub(crate) fn gemm_quant_into(
     let GemmWeights { w, len, bias_acc, requant, relu } = weights;
     let rows = bias_acc.len();
     assert_eq!(out.len(), rows * cols, "output is not rows x cols");
+    let epilogue = Epilogue::new(requant, relu);
     let (runs, per) = split(pool, rows, [rows, cols, len]);
     let out_ptr = SendPtr::new(out.as_mut_ptr());
     for_each_run(pool, runs, &|run| {
@@ -205,10 +311,23 @@ pub(crate) fn gemm_quant_into(
         // SAFETY: runs own disjoint row ranges of `out`, checked above to
         // hold `rows * cols` elements.
         let out = unsafe { std::slice::from_raw_parts_mut(out_ptr.add(lo * cols), (hi - lo) * cols) };
-        simd::dot_nt(tier, &w[lo * len..hi * len], p, [hi - lo, cols, len], |i, j, sum| {
-            let acc = bias_acc[lo + i] + sum;
-            out[i * cols + j] = if relu { requant.apply_relu(acc) } else { requant.apply(acc) };
-        });
+        let bias_acc = &bias_acc[lo..hi];
+        // Forced inline: left to itself, the compiler calls the full
+        // block's epilogue out of line, without the tier's features.
+        simd::dot_nt(
+            tier,
+            &w[lo * len..hi * len],
+            p,
+            [hi - lo, cols, len],
+            #[inline(always)]
+            |i, j, [mr, nr], sums| {
+                for (a, sums) in sums.iter().enumerate().take(mr) {
+                    let bias = bias_acc[i + a];
+                    let q: [Sm8; DOT_NR] = std::array::from_fn(|b| epilogue.apply(bias + sums[b]));
+                    out[(i + a) * cols + j..][..nr].copy_from_slice(&q[..nr]);
+                }
+            },
+        );
     });
 }
 
@@ -334,20 +453,121 @@ mod tests {
 
     #[test]
     fn lowering_matches_its_definition_on_a_dirty_workspace_at_any_pool_width() {
-        // One workspace across geometries: a stale, larger matrix must not
-        // leak into a padded border, a strided sample or a 1x1 transpose.
+        // One workspace across geometries: a stale, larger plane or matrix
+        // must not leak into a padded border, a strided sample or a 1x1
+        // transpose. No input value is zero — at pad 0 the border taps are
+        // real values — so a window copy that overhung into the next patch
+        // row (another pool run's, when the forced pools cut between rows)
+        // would leave a visible wrong element there. k 2 takes the path of
+        // kernel sizes without a constant one.
         let mut ws = GemmScratch::default();
         let pools: Vec<ConvPool> = (1..=4).map(ConvPool::forced).collect();
-        for (c, h, w) in [(3, 7, 9), (2, 5, 5), (4, 2, 3), (1, 1, 1)] {
-            let input = ramp(c, h, w);
-            for (k, stride, pad) in [(3, 1, 1), (3, 2, 0), (1, 1, 0), (1, 2, 1), (2, 1, 1), (5, 2, 2)] {
-                if h + 2 * pad < k || w + 2 * pad < k {
-                    continue;
+        for (c, h, w) in [(3, 7, 9), (2, 5, 5), (4, 2, 3), (1, 1, 1), (2, 9, 4), (5, 11, 13), (1, 8, 1)] {
+            let input = Tensor::from_fn(c, h, w, |c, y, x| {
+                let i = (c * h + y) * w + x;
+                let v = (i * 37 % 127 + 1) as i32;
+                Sm8::from_i32_saturating(if i % 2 == 0 { v } else { -v })
+            });
+            for k in [1, 2, 3, 5, 7] {
+                for (stride, pad) in (1..=3).flat_map(|s| (0..=3).map(move |p| (s, p))) {
+                    if h + 2 * pad < k || w + 2 * pad < k {
+                        continue;
+                    }
+                    let want = lowered_oracle(&input, k, stride, pad);
+                    for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                        lower_into(&input, 1, k, stride, pad, pool, &mut ws);
+                        assert_eq!(ws.patches, want, "{c}x{h}x{w} k={k} stride={stride} pad={pad} pool={pool:?}");
+                    }
                 }
-                let want = lowered_oracle(&input, k, stride, pad);
-                for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
-                    lower_into(&input, 1, k, stride, pad, pool, &mut ws);
-                    assert_eq!(ws.patches, want, "{c}x{h}x{w} k={k} stride={stride} pad={pad} pool={pool:?}");
+            }
+        }
+    }
+
+    /// The requantizers the epilogue is held to `Requantizer` on: shift 0
+    /// (plain and with the largest multiplier), the largest shift, exact
+    /// halves (`mult` 1 or 3 over a small shift), a zero multiplier, and
+    /// ratios a real layer gets.
+    fn edge_requantizers() -> Vec<Requantizer> {
+        let mut r = vec![
+            Requantizer::IDENTITY,
+            Requantizer { mult: 65535, shift: 0 },
+            Requantizer { mult: 65535, shift: 63 },
+            Requantizer { mult: 1, shift: 63 },
+            Requantizer { mult: 0, shift: 4 },
+        ];
+        r.extend((1..=6).flat_map(|shift| [Requantizer { mult: 1, shift }, Requantizer { mult: 3, shift }]));
+        r.extend([1.0 / 16.0, 0.37, 1.0 / 4096.0, 1e-9, 3.5].map(Requantizer::from_ratio));
+        r
+    }
+
+    /// Accumulators around every rounding and saturation edge: small
+    /// values of both signs, `±(m · 2^s ± 2^(s-1))` (exact halves and
+    /// their neighbours, around the ±127 saturation too), the `i32` clamp
+    /// bounds, and magnitudes whose product with a 16-bit multiplier still
+    /// fits `i64`.
+    fn edge_accs() -> Vec<i64> {
+        let mut accs: Vec<i64> = (-300..=300).collect();
+        for s in 1..=20 {
+            for m in [0i64, 1, 2, 63, 64, 126, 127, 128, 1000] {
+                for d in [-1, 0, 1] {
+                    let v = (m << s) + (1 << (s - 1)) + d;
+                    accs.extend([v, -v]);
+                }
+            }
+        }
+        for edge in [i32::MAX as i64, i32::MIN as i64, 1 << 40, 1 << 44] {
+            accs.extend([edge - 1, edge, edge + 1, -edge - 1, -edge, 1 - edge]);
+        }
+        accs
+    }
+
+    #[test]
+    fn epilogue_equals_the_requantizer_bit_for_bit() {
+        for r in edge_requantizers() {
+            for relu in [false, true] {
+                let e = Epilogue::new(r, relu);
+                for acc in edge_accs() {
+                    let want = if relu { r.apply_relu(acc) } else { r.apply(acc) };
+                    // Bits, not values: zero must come out `+0`, as the
+                    // requantizer encodes it.
+                    assert_eq!(e.apply(acc).to_bits(), want.to_bits(), "{r:?} relu {relu} acc {acc}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_epilogue_equals_the_requantizer_on_every_tier() {
+        // `len = 1` and unit weights make every sum `p[col]`, so output
+        // `(o, col)` is the requantized `bias[o] + p[col]`: the edge
+        // accumulators as biases, offset by each column's value. 41 rows
+        // (a ragged last row block) by 7 columns (a full column block and
+        // three single columns), then the FC case of one column, on every
+        // tier, inline and over a 3-worker pool (which cuts the bias
+        // vector at run boundaries).
+        let accs = edge_accs();
+        let pool = ConvPool::forced(3);
+        for r in edge_requantizers() {
+            for relu in [false, true] {
+                for chunk in accs.chunks(41) {
+                    let w = vec![Sm8::from_i32_saturating(1); chunk.len()];
+                    for p in [&[0i16, 1, -1, 127, -127, 2, -64][..], &[-3]] {
+                        let cols = p.len();
+                        let want: Vec<u8> = chunk
+                            .iter()
+                            .flat_map(|&bias| p.iter().map(move |&v| bias + v as i64))
+                            .map(|acc| if relu { r.apply_relu(acc) } else { r.apply(acc) }.to_bits())
+                            .collect();
+                        for tier in KernelTier::supported() {
+                            for pool in [None, Some(&pool)] {
+                                let mut out = vec![Sm8::from_bits(0x80); chunk.len() * cols];
+                                let gemm = GemmWeights { w: &w, len: 1, bias_acc: chunk, requant: r, relu };
+                                gemm_quant_into(tier, pool, gemm, p, cols, &mut out);
+                                let got: Vec<u8> = out.iter().map(|v| v.to_bits()).collect();
+                                assert_eq!(got, want, "{r:?} relu {relu} tier {tier} {cols} columns");
+                            }
+                        }
+                    }
                 }
             }
         }

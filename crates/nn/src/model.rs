@@ -10,8 +10,7 @@
 
 use crate::conv::{conv2d_f32_split, ConvWeights, QuantConvWeights};
 use crate::eltwise::{
-    add_f32, add_quant_phase1, add_quant_phase2, batchnorm_f32, global_avgpool_f32,
-    global_avgpool_quant_into, BnWeights,
+    add_f32, add_quant_into, batchnorm_f32, global_avgpool_f32, global_avgpool_quant_into, BnWeights,
 };
 use crate::fc::{fc_f32_split, fc_quant_pool_into, softmax, FcWeights, QuantFcWeights};
 use crate::gaussian::{fill_gaussian, ChaChaWords, WordSource};
@@ -20,7 +19,7 @@ use crate::layer::{LayerRef, LayerSpec, NetworkSpec};
 use crate::par::{self, Split};
 use crate::plan::{ExecPlan, PlanStep};
 use crate::pool::{maxpool_f32, maxpool_quant_into};
-use crate::scratch::{slot_pair, KernelBuffers, Scratch};
+use crate::scratch::{slot_join, slot_pair, KernelBuffers, Scratch};
 use std::convert::Infallible;
 use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer, Sm8};
 use zskip_tensor::Tensor;
@@ -572,7 +571,7 @@ impl QuantizedNetwork {
         scratch.ensure_slots(self.plan.slots.max(1));
         let mut flat_cur: Option<usize> = None;
         {
-            let Scratch { slots, acc, gemm, padded, flat, pool, .. } = scratch;
+            let Scratch { slots, gemm, padded, flat, pool, .. } = scratch;
             // The plan always places the network input in slot 0.
             input.map_into(&mut slots[0], |v| self.input_params.quantize(v));
             let mut convs = self.conv.iter();
@@ -598,9 +597,12 @@ impl QuantizedNetwork {
                     // summed in i64 before the single saturation.
                     LayerSpec::Add { relu, .. } => {
                         let (ra, rb) = self.add_requantizers(step);
-                        add_quant_phase1(&slots[step.src.expect("add reads a slot")], ra, acc);
-                        let (b, dst) = slot_pair(slots, step.operand.expect("add has an operand"), step.dst.expect("add writes a slot"));
-                        add_quant_phase2(b, rb, *relu, acc, dst);
+                        let (a, b, dst) = slot_join(
+                            slots,
+                            [step.src.expect("add reads a slot"), step.operand.expect("add has an operand")],
+                            step.dst.expect("add writes a slot"),
+                        );
+                        add_quant_into(a, b, ra, rb, *relu, dst);
                     }
                     LayerSpec::GlobalAvgPool { .. } => {
                         let (src, dst) = slot_pair(slots, step.src.expect("gap reads a slot"), step.dst.expect("gap writes a slot"));

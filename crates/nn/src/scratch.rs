@@ -7,10 +7,10 @@
 //! and a ping-pong pair of FC vectors (the one place a network's
 //! activations live on the host, whether the golden model or the
 //! accelerator driver walks the plan), plus the kernels' working set: the
-//! GEMM workspace (the lowered, decoded patch matrix of a conv layer or
-//! the decoded input of an FC layer), one `i64` plane (the eltwise `Add`'s
-//! rescaled first operand) and the tensor an explicit pad pass lands in —
-//! and every `_into` operator reshapes them in place instead of allocating.
+//! GEMM workspace (a conv layer's input decoded into a zero-bordered plane
+//! and the patch matrix lowered from it, or the decoded input of an FC
+//! layer) and the tensor an explicit pad pass lands in — and every `_into`
+//! operator reshapes them in place instead of allocating.
 //!
 //! # Lifetime rules
 //!
@@ -43,8 +43,10 @@ pub struct Scratch {
     /// third to hold the skip-branch activation alive across the branch
     /// body. Grown by [`Scratch::ensure_slots`].
     pub(crate) slots: Vec<Tensor<Sm8>>,
-    /// The eltwise `Add`'s `i64` plane: its first operand at the output
-    /// scale, between the two phases.
+    /// The `i64` plane [`Scratch::pass_buffers_pool`] lends out for the
+    /// two-phase add (`add_quant_phase1/2`, the join's oracle). The plan
+    /// walk's fused join needs no plane, so this stays empty unless a
+    /// stand-alone caller uses it.
     pub(crate) acc: Vec<i64>,
     /// Lowered patch matrix of the output-stationary GEMM (every conv
     /// and FC layer).
@@ -154,8 +156,8 @@ impl Scratch {
         KernelBuffers { gemm: &mut self.gemm, tier: self.tier, pool: self.pool.as_deref() }
     }
 
-    /// Two activation tensors (the first two plan slots), the eltwise
-    /// `Add`'s `i64` plane, the kernel tier and the attached worker pool:
+    /// Two activation tensors (the first two plan slots), the two-phase
+    /// add's `i64` plane, the kernel tier and the attached worker pool:
     /// what a stand-alone kernel call computes with. Must not interleave
     /// with a plan walk on the same arena (it never does — an arena
     /// belongs to one session).
@@ -203,9 +205,42 @@ pub(crate) fn slot_pair<T>(v: &mut [T], src: usize, dst: usize) -> (&T, &mut T) 
     }
 }
 
+/// Borrows slots `src` (two operands, possibly the same slot) immutably
+/// and slot `dst` mutably: a join's inputs and output. The execution plan
+/// guarantees a join's output slot is neither of its operands.
+///
+/// # Panics
+/// Panics if `dst` is one of `src`.
+pub(crate) fn slot_join<T>(v: &mut [T], src: [usize; 2], dst: usize) -> (&T, &T, &mut T) {
+    assert!(!src.contains(&dst), "a join never writes over a slot it reads");
+    let (lo, rest) = v.split_at_mut(dst);
+    let (out, hi) = rest.split_first_mut().expect("the output is a slot");
+    let (lo, hi): (&[T], &[T]) = (lo, hi);
+    let [a, b] = src.map(|i| if i < dst { &lo[i] } else { &hi[i - dst - 1] });
+    (a, b, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slot_join_lends_both_operands_beside_the_output() {
+        let mut v = [10, 11, 12, 13];
+        for (src, dst) in [([0, 3], 1), ([3, 0], 2), ([2, 2], 0), ([0, 1], 3)] {
+            let (a, b, out) = slot_join(&mut v, src, dst);
+            assert_eq!((*a, *b), (10 + src[0], 10 + src[1]));
+            *out += 100;
+            assert_eq!(v[dst], 110 + dst);
+            v[dst] -= 100;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "never writes over")]
+    fn slot_join_refuses_an_output_that_is_an_operand() {
+        let _ = slot_join(&mut [0, 1, 2], [2, 1], 1);
+    }
 
     #[test]
     fn new_arena_is_empty_and_uses_dispatch_tier() {

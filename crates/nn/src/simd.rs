@@ -152,10 +152,14 @@ fn effective(tier: KernelTier) -> KernelTier {
 /// Weight rows of one register block of [`dot_nt`]: the paper computes
 /// "four OFM tiles to completion concurrently" against one fetched IFM
 /// tile; here two filters share each loaded patch vector.
-const DOT_MR: usize = 2;
+pub const DOT_MR: usize = 2;
 /// Patch columns of one register block of [`dot_nt`]: each decoded weight
 /// vector is multiplied against four output positions.
-const DOT_NR: usize = 4;
+pub const DOT_NR: usize = 4;
+
+/// The finished sums of one [`dot_nt`] register block: `sums[a][b]` is
+/// weight row `i + a` against patch column `j + b`.
+pub type DotSums = [[i64; DOT_NR]; DOT_MR];
 
 /// `pmaddwd` steps an `i32` lane of [`dot_nt`] absorbs between `i64`
 /// flushes. A step adds at most `2 * 127 * 127 = 32258` to a lane; the
@@ -165,19 +169,30 @@ const DOT_NR: usize = 4;
 pub const DOT_FLUSH_STEPS: usize = 1024;
 const _: () = assert!((DOT_FLUSH_STEPS as i64 + 1) * (2 * 127 * 127) * 16 <= i32::MAX as i64);
 
-/// Output-stationary integer GEMM in dot-product ("NT") form: calls
-/// `emit(i, j, Σ_r w[i * len + r] · p[j * len + r])` exactly once for every
-/// weight row `i < rows` and patch column `j < cols`, in no particular
-/// order. Both operands are contiguous along the reduction `r`, which is
-/// where the vector lanes run, so lane occupancy does not depend on how
-/// many columns there are — a deep conv layer's 2x2 plane (`cols = 4`) and
-/// an FC layer (`cols = 1`) keep the lanes as busy as a 32x32 plane.
+/// Output-stationary integer GEMM in dot-product ("NT") form, handing each
+/// finished register block to its caller: calls `block(i, j, [mr, nr],
+/// &sums)` with `sums[a][b] = Σ_r w[(i + a) * len + r] · p[(j + b) * len +
+/// r]` for `a < mr`, `b < nr`, so that every weight row `i < rows` meets
+/// every patch column `j < cols` in exactly one block, in no particular
+/// order. A block is `DOT_MR x DOT_NR` except at the edges: the last row
+/// block may be one row, and a column remainder runs one column at a time
+/// (`nr == 1`, which is also an FC layer's every block). Sums outside
+/// `mr x nr` are unspecified.
+///
+/// The callback is the epilogue: it is inlined into the tier's
+/// `#[target_feature]` body, so a caller's straight-line requantize of
+/// the block runs there, once per block, instead of once per output
+/// behind a call. Both operands are contiguous along the reduction `r`,
+/// which is where the vector lanes run, so lane occupancy does not depend
+/// on how many columns there are — a deep conv layer's 2x2 plane (`cols =
+/// 4`) and an FC layer (`cols = 1`) keep the lanes as busy as a 32x32
+/// plane.
 ///
 /// `w` holds raw `Sm8` weights, decoded on the fly; `p` holds *decoded*
 /// `Sm8` values (`|p| <= 127`, what [`Sm8::decode_i16`] returns). Each
-/// `DOT_MR x DOT_NR` block of sums is accumulated to completion in
-/// `i32` vector registers (`pmaddwd` + `paddd`), flushed into `i64` every
-/// [`DOT_FLUSH_STEPS`] steps. Zero weights are multiplied like any other.
+/// block of sums is accumulated to completion in `i32` vector registers
+/// (`pmaddwd` + `paddd`), flushed into `i64` every [`DOT_FLUSH_STEPS`]
+/// steps. Zero weights are multiplied like any other.
 ///
 /// Bit-identical across tiers: products are exact and integer addition
 /// reassociates.
@@ -189,7 +204,7 @@ pub fn dot_nt(
     w: &[Sm8],
     p: &[i16],
     [rows, cols, len]: [usize; 3],
-    emit: impl FnMut(usize, usize, i64),
+    block: impl FnMut(usize, usize, [usize; 2], &DotSums),
 ) {
     assert_eq!(w.len(), rows * len, "weight matrix is not rows x len");
     assert_eq!(p.len(), cols * len, "patch matrix is not cols x len");
@@ -197,15 +212,15 @@ pub fn dot_nt(
     // slices; `effective` verified the tier's features on this CPU.
     unsafe {
         match effective(tier) {
-            KernelTier::Scalar => dot_scalar::dot_nt(w, p, rows, cols, len, emit),
+            KernelTier::Scalar => dot_scalar::dot_nt(w, p, rows, cols, len, block),
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Sse2 => x86::dot_sse2::dot_nt(w, p, rows, cols, len, emit),
+            KernelTier::Sse2 => x86::dot_sse2::dot_nt(w, p, rows, cols, len, block),
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => x86::dot_avx2::dot_nt(w, p, rows, cols, len, emit),
+            KernelTier::Avx2 => x86::dot_avx2::dot_nt(w, p, rows, cols, len, block),
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx512 => x86::dot_avx512::dot_nt(w, p, rows, cols, len, emit),
+            KernelTier::Avx512 => x86::dot_avx512::dot_nt(w, p, rows, cols, len, block),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => dot_scalar::dot_nt(w, p, rows, cols, len, emit),
+            _ => dot_scalar::dot_nt(w, p, rows, cols, len, block),
         }
     }
 }
@@ -221,7 +236,7 @@ macro_rules! dot_nt_tier {
     ($(#[$feature:meta])? $name:ident, $lanes:literal, $ops:ident) => {
         pub(super) mod $name {
             use super::$ops::{hsum, load_p, load_w, madd_acc, zero};
-            use crate::simd::{DOT_FLUSH_STEPS, DOT_MR, DOT_NR};
+            use crate::simd::{DotSums, DOT_FLUSH_STEPS, DOT_MR, DOT_NR};
             use zskip_quant::Sm8;
 
             const LANES: usize = $lanes;
@@ -243,7 +258,7 @@ macro_rules! dot_nt_tier {
                 len: usize,
                 p_tail: &[[i16; LANES]; DOT_NR],
                 w_tail_in_place: bool,
-                sums: &mut [[i64; DOT_NR]; DOT_MR],
+                sums: &mut DotSums,
             ) {
                 let full = len / LANES * LANES;
                 let mut r = 0;
@@ -293,7 +308,9 @@ macro_rules! dot_nt_tier {
             /// The tier's [`dot_nt`](crate::simd::dot_nt) body. Column
             /// blocks are the outer loop, so a block of patch columns stays
             /// in L1 while the weight rows stream past it once; a column
-            /// remainder runs one column at a time.
+            /// remainder runs one column at a time. Each block's shape is
+            /// a constant where `epilogue` is called, so the caller's
+            /// per-block code is specialized to it.
             ///
             /// # Safety
             /// `w.len() == rows * len`, `p.len() == cols * len`, and the
@@ -305,7 +322,7 @@ macro_rules! dot_nt_tier {
                 rows: usize,
                 cols: usize,
                 len: usize,
-                mut emit: impl FnMut(usize, usize, i64),
+                mut epilogue: impl FnMut(usize, usize, [usize; 2], &DotSums),
             ) {
                 let full = len / LANES * LANES;
                 let mut j = 0;
@@ -325,14 +342,21 @@ macro_rules! dot_nt_tier {
                         let in_place = (i + mr - 1) * len + full + LANES <= w.len();
                         let mut sums = [[0i64; DOT_NR]; DOT_MR];
                         match (mr, nr) {
-                            (DOT_MR, DOT_NR) => block::<DOT_MR, DOT_NR>(wi, pj, len, &p_tail, in_place, &mut sums),
-                            (DOT_MR, _) => block::<DOT_MR, 1>(wi, pj, len, &p_tail, in_place, &mut sums),
-                            (_, DOT_NR) => block::<1, DOT_NR>(wi, pj, len, &p_tail, in_place, &mut sums),
-                            _ => block::<1, 1>(wi, pj, len, &p_tail, in_place, &mut sums),
-                        }
-                        for (a, sums) in sums.iter().enumerate().take(mr) {
-                            for (b, &sum) in sums.iter().enumerate().take(nr) {
-                                emit(i + a, j + b, sum);
+                            (DOT_MR, DOT_NR) => {
+                                block::<DOT_MR, DOT_NR>(wi, pj, len, &p_tail, in_place, &mut sums);
+                                epilogue(i, j, [DOT_MR, DOT_NR], &sums);
+                            }
+                            (DOT_MR, _) => {
+                                block::<DOT_MR, 1>(wi, pj, len, &p_tail, in_place, &mut sums);
+                                epilogue(i, j, [DOT_MR, 1], &sums);
+                            }
+                            (_, DOT_NR) => {
+                                block::<1, DOT_NR>(wi, pj, len, &p_tail, in_place, &mut sums);
+                                epilogue(i, j, [1, DOT_NR], &sums);
+                            }
+                            _ => {
+                                block::<1, 1>(wi, pj, len, &p_tail, in_place, &mut sums);
+                                epilogue(i, j, [1, 1], &sums);
                             }
                         }
                         i += mr;
@@ -569,13 +593,20 @@ mod tests {
     }
 
     /// [`dot_nt`] collected into a `rows x cols` matrix, checking that
-    /// every element is emitted exactly once.
+    /// every element is handed over in exactly one block, and that blocks
+    /// have the shapes the contract allows.
     fn dot_matrix(tier: KernelTier, w: &[Sm8], x: &[Sm8], dims: [usize; 3]) -> Vec<i64> {
         let [rows, cols, _] = dims;
         let p: Vec<i16> = x.iter().map(|v| v.decode_i16()).collect();
         let mut out = vec![None; rows * cols];
-        dot_nt(tier, w, &p, dims, |i, j, sum| {
-            assert!(out[i * cols + j].replace(sum).is_none(), "({i}, {j}) emitted twice");
+        dot_nt(tier, w, &p, dims, |i, j, [mr, nr], sums| {
+            assert!((1..=DOT_MR).contains(&mr) && (nr == DOT_NR || nr == 1), "block {mr} x {nr}");
+            for (a, sums) in sums.iter().enumerate().take(mr) {
+                for (b, &sum) in sums.iter().enumerate().take(nr) {
+                    let (i, j) = (i + a, j + b);
+                    assert!(out[i * cols + j].replace(sum).is_none(), "({i}, {j}) handed over twice");
+                }
+            }
         });
         out.into_iter().map(|v| v.expect("every element emitted")).collect()
     }

@@ -123,11 +123,11 @@ fn pooled_kernels_match_the_dense_oracle(qw: &QuantConvWeights, input: &Tensor<S
 #[test]
 fn pooled_kernels_are_bit_exact_on_each_side_of_the_split_threshold() {
     // A pool cuts a layer into runs by its estimated time (`ConvPool::new`,
-    // docs/KERNELS.md "Intra-image threads"): 32 MACs a nanosecond plus 6 ns
-    // an output, 131 us a run. These pointwise layers are all epilogue:
-    // 39 200 outputs stay one run on any pool, 45 000 make two, 89 888
-    // make four on a pool that wide.
-    for (hw, workers) in [(70, 2), (75, 2), (75, 3), (106, 7)] {
+    // docs/KERNELS.md "Intra-image threads"): 48 MACs a nanosecond plus 5 ns
+    // an output, 131 us a run. These pointwise layers are all per-output
+    // work: 51 200 outputs stay one run on any pool, 53 792 make two,
+    // 105 800 make four on a pool that wide.
+    for (hw, workers) in [(80, 2), (82, 2), (82, 3), (115, 7)] {
         let qw = synthetic_qw(8, 1, 1, 0.7, hw as u64, true);
         let input = synthetic_input(1, hw, hw, 9);
         pooled_kernels_match_the_dense_oracle(&qw, &input, &ConvPool::new(workers));

@@ -31,17 +31,20 @@ timeout 120 ./target/release/zskip faults --hw 8 --json > /dev/null
 # wall-clock comparison holds even on a noisy box.
 timeout 300 ./target/release/sim_bench --check
 
-# Kernel dispatch matrix: the SIMD bit-exactness property tests must pass
-# both at the host's native tier and pinned to the scalar oracle tier
-# (the tests themselves iterate every reachable tier; pinning the env
-# override exercises the ZSKIP_KERNEL fallback path end to end).
-cargo test -q -p zskip-nn --test kernel_tiers
-ZSKIP_KERNEL=scalar cargo test -q -p zskip-nn --test kernel_tiers
+# Kernel dispatch matrix: the SIMD bit-exactness property tests — and the
+# crate's own exactness suites for the lowering, the block epilogue, the
+# maxpool and the fused join against their oracles — must pass both at
+# the host's native tier and pinned to the scalar oracle tier (the tests
+# themselves iterate every reachable tier; pinning the env override
+# exercises the ZSKIP_KERNEL fallback path end to end).
+cargo test -q -p zskip-nn --lib --test kernel_tiers
+ZSKIP_KERNEL=scalar cargo test -q -p zskip-nn --lib --test kernel_tiers
 
 # ... and every tier must carry a whole network: CI's matrix drives
 # `native` and `scalar` only, so without this the SSE2 and AVX2 bodies are
-# reached by proptests but never by VGG-16 or the ResNet-18 DAG. Golden
-# model and cpu backend run the same GEMM on every tier, the scalar one
+# reached by proptests but never by VGG-16 or the ResNet-18 DAG (nor the
+# block epilogue each tier inlines). Golden model and cpu backend run the
+# same lowering, GEMM, maxpool and join on every tier, the scalar one
 # included, so `infer`'s own bit-exactness assertion checks the driver
 # around it; the pinned cycle counts show the run completed on the right
 # model. A tier the host lacks falls back to the best supported one, so
