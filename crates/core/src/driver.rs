@@ -12,13 +12,14 @@
 //!   scratch arena's plan slots and the walk is the golden model's
 //!   ([`QuantizedNetwork::run_plan`]: FC layers, residual joins and
 //!   softmax on the host (ARM), as in the paper); the driver supplies the
-//!   accelerator steps — geometry checks and the explicit pad pass before
-//!   each padded convolution;
-//! * **backend dispatch**: each accelerator pass goes through
-//!   [`exec::conv_pass`] / [`exec::poolpad_pass`] to the session's
-//!   backend — the transaction-level model, the cycle-exact simulation,
-//!   or the host SIMD path ([`BackendKind`]) — and is tiled only there,
-//!   at the accelerator boundary;
+//!   accelerator steps — geometry checks, then each layer's passes (a
+//!   padded convolution is the pad pass and the conv pass);
+//! * **backend dispatch**: each accelerator step goes through
+//!   [`exec::conv_pass`] / [`exec::poolpad_pass`] to the transaction-level
+//!   model or the cycle-exact simulation, and is tiled only there, at the
+//!   accelerator boundary; the host SIMD backend ([`BackendKind::Cpu`])
+//!   runs the golden walk itself and reads its statistics from a memoized
+//!   stats-only model run (`exec::cpu`);
 //! * **reporting**: per-layer [`PassStats`] roll up into an
 //!   [`InferenceReport`].
 //!
@@ -33,6 +34,7 @@ use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
 use zskip_nn::layer::LayerSpec;
 use zskip_nn::model::{AccelStep, QuantizedNetwork};
+use zskip_nn::par::ConvPool;
 use zskip_nn::scratch::Scratch;
 use zskip_nn::simd::KernelTier;
 use zskip_quant::Sm8;
@@ -371,15 +373,17 @@ impl Driver {
 
     /// [`Driver::run_network`] on a caller-owned [`Scratch`]: the arena's
     /// dense plan slots hold the network's activations and its kernel
-    /// buffers serve the CPU backend's passes. The batch engine keeps one
-    /// arena per worker thread so streaming inference stops re-allocating
-    /// those buffers per image.
+    /// buffers serve the CPU backend's golden walk. The batch engine keeps
+    /// one arena per worker thread so streaming inference stops
+    /// re-allocating those buffers per image.
     ///
     /// The walk is [`QuantizedNetwork::run_plan`] — the golden model's —
     /// with every `Conv` / `MaxPool` step issued to the simulated SoC
     /// instead of the `zskip-nn` kernels; FC layers, residual joins and
     /// global average pooling run on the host (the paper's ARM) inside
-    /// the walk and cost no accelerator cycles.
+    /// the walk and cost no accelerator cycles. On the cpu backend the
+    /// walk *is* the golden model's, and the report is a stats-only model
+    /// run's, memoized per network and configuration (`exec::cpu`).
     ///
     /// # Errors
     /// Same as [`Driver::run_network`].
@@ -389,6 +393,9 @@ impl Driver {
         input: &Tensor<f32>,
         scratch: &mut Scratch,
     ) -> Result<InferenceReport, DriverError> {
+        if self.backend == BackendKind::Cpu {
+            return exec::cpu::run_network(self, qnet, input, scratch);
+        }
         let mut soc = SocHandle::with_plan(self.fault_plan.clone());
         // Attach the intra-image worker pool (a warmup cost on the first
         // image; a no-op when the arena already has this width) and pin
@@ -431,15 +438,15 @@ impl Driver {
     }
 
     /// One `Conv` / `MaxPool` plan step on the simulated SoC: geometry
-    /// checks, the explicit pad pass, then the layer's own pass on this
-    /// driver's backend, slot `src_slot`'s DDR region to `dst_slot`'s.
+    /// checks, then the layer's passes on this driver's executor, slot
+    /// `src_slot`'s DDR region to `dst_slot`'s.
     fn accel_step(&self, soc: &mut SocHandle, step: AccelStep<'_>) -> Result<LayerReport, DriverError> {
-        let AccelStep { layer, weights, src_slot, dst_slot, src, dst, padded, kernel } = step;
+        let AccelStep { layer, weights, src_slot, dst_slot, src, dst, kernel } = step;
         let in_shape = src.shape();
         let out_shape =
             layer.output_shape(in_shape).map_err(|e| DriverError::InvalidNetwork(e.to_string()))?;
-        let mut ctx =
-            PassCtx { driver: self, soc, kernel, src_addr: slot_addr(src_slot), dst_addr: slot_addr(dst_slot) };
+        let (src_addr, dst_addr) = (slot_addr(src_slot), slot_addr(dst_slot));
+        let mut ctx = PassCtx { driver: self, soc, pool: kernel.pool, src_addr, dst_addr };
         let stats = match (layer, weights) {
             (LayerSpec::Conv { name, stride, pad, k, .. }, Some(qw)) => {
                 if *stride != 1 {
@@ -454,26 +461,8 @@ impl Driver {
                         reason: format!("kernel {k}x{k} exceeds the 4x4 weight tile"),
                     });
                 }
-                let mut stats = PassStats::default();
-                let mut src = src;
-                // Explicit pad pass (hardware pad instruction); the
-                // padded intermediate lives in the DDR pad region,
-                // never in a plan slot.
-                if *pad > 0 {
-                    ctx.dst_addr = DDR_FM_PAD;
-                    stats.merge(&exec::poolpad_pass(
-                        &mut ctx,
-                        &format!("{name}/pad"),
-                        src,
-                        PoolPadOp::Pad { amount: narrow("pad", *pad).map_err(|e| DriverError::field_overflow(name, e))? },
-                        Shape::new(in_shape.c, in_shape.h + 2 * pad, in_shape.w + 2 * pad),
-                        padded,
-                    )?);
-                    (ctx.src_addr, ctx.dst_addr) = (DDR_FM_PAD, slot_addr(dst_slot));
-                    src = padded;
-                }
-                stats.merge(&exec::conv_pass(&mut ctx, name, src, qw, out_shape, dst)?);
-                stats
+                let pad = narrow("pad", *pad).map_err(|e| DriverError::field_overflow(name, e))?;
+                exec::conv_pass(&mut ctx, name, src, qw, pad, out_shape, dst)?
             }
             (LayerSpec::MaxPool { name, k, stride }, _) => {
                 let field = |field, value| narrow(field, value).map_err(|e| DriverError::field_overflow(name, e));
@@ -492,10 +481,10 @@ impl Driver {
         })
     }
 
-    /// Single-layer conv entry point for benches/ablations, on this
-    /// driver's backend: tiled in, tiled out. The model and cycle
-    /// backends run the staged pass alone (no layout conversion); the
-    /// cpu backend computes dense, as in a network run.
+    /// Single-layer conv entry point for benches/ablations (`input`
+    /// already padded), on this driver's executor: the staged pass alone,
+    /// tiled in, tiled out. A cpu driver runs the model's functional
+    /// executor, whose output and statistics are the cpu backend's.
     ///
     /// # Errors
     /// See [`Driver::run_network`].
@@ -507,13 +496,9 @@ impl Driver {
         out_shape: Shape,
         soc: &mut SocHandle,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-        let mut scratch = Scratch::with_tier(self.kernel_tier);
-        scratch.set_threads(self.threads);
-        let mut ctx = self.single_pass_ctx(soc, &mut scratch);
-        match exec::staged_exec(self) {
-            Some(exec) => pipeline::conv_pass(&mut ctx, exec, name, input, qw, out_shape),
-            None => exec::on_host(input, |src, dst| exec::conv_pass(&mut ctx, name, src, qw, out_shape, dst)),
-        }
+        let pool = (self.threads > 1).then(|| ConvPool::new(self.threads));
+        let mut ctx = self.single_pass_ctx(soc, pool.as_ref());
+        pipeline::conv_pass(&mut ctx, exec::staged_exec(self), name, input, qw, 0, out_shape)
     }
 
     /// Single-layer pool/pad entry point for benches/ablations, on this
@@ -529,17 +514,13 @@ impl Driver {
         out_shape: Shape,
         soc: &mut SocHandle,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-        let mut scratch = Scratch::with_tier(self.kernel_tier);
-        let mut ctx = self.single_pass_ctx(soc, &mut scratch);
-        match exec::staged_exec(self) {
-            Some(exec) => pipeline::poolpad_pass(&mut ctx, exec, name, input, op, out_shape),
-            None => exec::on_host(input, |src, dst| exec::poolpad_pass(&mut ctx, name, src, op, out_shape, dst)),
-        }
+        let mut ctx = self.single_pass_ctx(soc, None);
+        pipeline::poolpad_pass(&mut ctx, exec::staged_exec(self), name, input, op, out_shape)
     }
 
     /// The context of a single-layer pass: slot 0's DDR region to slot 1's.
-    fn single_pass_ctx<'a>(&'a self, soc: &'a mut SocHandle, scratch: &'a mut Scratch) -> PassCtx<'a> {
-        PassCtx { driver: self, soc, kernel: scratch.kernel_buffers(), src_addr: slot_addr(0), dst_addr: slot_addr(1) }
+    fn single_pass_ctx<'a>(&'a self, soc: &'a mut SocHandle, pool: Option<&'a ConvPool>) -> PassCtx<'a> {
+        PassCtx { driver: self, soc, pool, src_addr: slot_addr(0), dst_addr: slot_addr(1) }
     }
 }
 

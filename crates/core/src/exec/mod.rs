@@ -22,11 +22,12 @@
 //!   cycle-exact simulation of all kernels on the `zskip-sim` engine
 //!   ([`crate::cycle`]; slow; for validation, and the only backend where
 //!   `fifo:*` fault injections have a meaning);
-//! * `cpu` — [`BackendKind::Cpu`]: functional results from the
-//!   `zskip-nn` SIMD `_into` kernels, dense slot to dense slot on the
-//!   per-session `Scratch` arena, cycles estimated by the closed-form
-//!   model — once per (pass, config), then replayed from a process-wide
-//!   memo (the fastest functional path).
+//! * `cpu` — [`BackendKind::Cpu`]: a network run is the golden walk
+//!   (the `zskip-nn` SIMD kernels on the per-session `Scratch` arena) plus
+//!   the model backend's stats-only report — paid once per (network,
+//!   config), then read from a process-wide memo (the fastest functional
+//!   path). It issues no pass of its own: a cpu driver's single-layer
+//!   passes run the model's functional executor.
 //!
 //! All backends are bit-identical in output and DMA-fault behaviour, and
 //! Model/Cpu are cycle-identical — see `tests/backend_equivalence.rs`
@@ -45,7 +46,7 @@ use crate::isa::PoolPadOp;
 use crate::report::PassStats;
 use pipeline::{fm_to_tensor_into, Exec};
 use zskip_nn::conv::QuantConvWeights;
-use zskip_nn::scratch::KernelBuffers;
+use zskip_nn::par::ConvPool;
 use zskip_quant::Sm8;
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
 
@@ -96,14 +97,15 @@ impl std::str::FromStr for BackendKind {
 
 /// Per-pass execution context [`conv_pass`] / [`poolpad_pass`] run against: the
 /// driver configuration, the SoC models (DDR + DMA) shared across the
-/// layers of one inference, and the arena's kernel working set.
+/// layers of one inference, and the arena's worker pool.
 pub struct PassCtx<'a> {
     /// The driver (configuration, flags, fault plan).
     pub driver: &'a Driver,
     /// SoC context: DDR staging + DMA engine, shared across passes.
     pub soc: &'a mut SocHandle,
-    /// The session arena's kernel buffers (CPU-backend compute).
-    pub kernel: KernelBuffers<'a>,
+    /// The session arena's intra-image worker pool, which the cycle
+    /// backend spreads a pass's engine runs over.
+    pub pool: Option<&'a ConvPool>,
     /// DDR address of the region the pass's input feature map is staged
     /// in — the producing plan slot's region during a network run
     /// ([`pipeline::slot_addr`]).
@@ -113,14 +115,15 @@ pub struct PassCtx<'a> {
     pub dst_addr: usize,
 }
 
-/// The instruction executor the driver's backend issues a staged pass to —
-/// `None` on the cpu backend, whose arithmetic runs in host kernels. The
-/// one place a pass is routed to its executor.
-pub(crate) fn staged_exec(driver: &Driver) -> Option<Exec> {
+/// The instruction executor the driver's backend issues a staged pass to:
+/// the one place a pass is routed to its executor. A cpu-backend network
+/// run stages no pass (module `cpu`); a cpu driver's single-layer pass is
+/// the model's functional one, whose output and statistics are the cpu
+/// backend's by contract.
+pub(crate) fn staged_exec(driver: &Driver) -> Exec {
     match driver.backend {
-        BackendKind::Model => Some(Exec::Model { functional: driver.functional }),
-        BackendKind::Cycle => Some(Exec::Cycle),
-        BackendKind::Cpu => None,
+        BackendKind::Model | BackendKind::Cpu => Exec::Model { functional: driver.functional },
+        BackendKind::Cycle => Exec::Cycle,
     }
 }
 
@@ -137,38 +140,20 @@ fn staged(
     Ok(stats)
 }
 
-/// The same boundary crossed the other way, for the driver's tiled
-/// single-layer entry points on the cpu backend: densifies `input`, runs
-/// the dense `pass` and tiles what it produced.
-pub(crate) fn on_host(
-    input: &TiledFeatureMap<Sm8>,
-    pass: impl FnOnce(&Tensor<Sm8>, &mut Tensor<Sm8>) -> Result<PassStats, DriverError>,
-) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    let (mut src, mut dst) = (Tensor::zeros(1, 1, 1), Tensor::zeros(1, 1, 1));
-    fm_to_tensor_into(input, &mut src);
-    let stats = pass(&src, &mut dst)?;
-    Ok((TiledFeatureMap::from_tensor(&dst), stats))
-}
-
-/// Runs one convolution pass (`src` already padded; stride 1) on the
-/// driver's backend, from one dense activation into another.
+/// Runs one convolution layer (stride 1; a `pad > 0` layer is the pad
+/// pass then the conv pass, tiled to tiled — [`pipeline`]) on the
+/// driver's executor, from one dense activation into another.
 ///
 /// The host keeps activations dense (the arena's plan slots); tiling
-/// happens here, at the accelerator boundary, and only where a staged
-/// pass is really issued. Whatever the backend, every arm keeps three
-/// promises:
+/// happens here, at the accelerator boundary. Whatever the executor, a
+/// pass keeps three promises:
 ///
 /// * **Bit-identical outputs.** `dst` equals the golden software
 ///   reference (`QuantizedNetwork::forward_quant`) exactly.
 /// * **Shared pipeline.** Stripe planning, DDR staging and DMA issue go
 ///   through [`pipeline`] so DMA traffic and injected `dma:*` faults
 ///   behave identically across backends (fault detection is
-///   value-independent). Because the statistics are value-independent
-///   too, a backend may replay them from an earlier plan-free execution
-///   of the same pass under the same configuration instead of re-issuing
-///   it (crediting the recorded DDR bytes); any attached fault plan
-///   forces the real pass, so a `dma:*` injection always finds its
-///   descriptor.
+///   value-independent).
 /// * **Honest statistics.** `PassStats` cycles come from an actual
 ///   execution or a validated model of one — never fabricated.
 ///
@@ -181,16 +166,15 @@ pub fn conv_pass(
     name: &str,
     src: &Tensor<Sm8>,
     qw: &QuantConvWeights,
+    pad: u8,
     out_shape: Shape,
     dst: &mut Tensor<Sm8>,
 ) -> Result<PassStats, DriverError> {
-    match staged_exec(ctx.driver) {
-        Some(exec) => staged(src, dst, |fm| pipeline::conv_pass(ctx, exec, name, fm, qw, out_shape)),
-        None => cpu::conv_pass(ctx, name, src, qw, out_shape, dst),
-    }
+    let exec = staged_exec(ctx.driver);
+    staged(src, dst, |fm| pipeline::conv_pass(ctx, exec, name, fm, qw, pad, out_shape))
 }
 
-/// Runs one pad or max-pool pass on the driver's backend, under the same
+/// Runs one pad or max-pool pass on the driver's executor, under the same
 /// contract as [`conv_pass`].
 ///
 /// # Errors
@@ -203,10 +187,8 @@ pub fn poolpad_pass(
     out_shape: Shape,
     dst: &mut Tensor<Sm8>,
 ) -> Result<PassStats, DriverError> {
-    match staged_exec(ctx.driver) {
-        Some(exec) => staged(src, dst, |fm| pipeline::poolpad_pass(ctx, exec, name, fm, op, out_shape)),
-        None => cpu::poolpad_pass(ctx, name, src, op, out_shape, dst),
-    }
+    let exec = staged_exec(ctx.driver);
+    staged(src, dst, |fm| pipeline::poolpad_pass(ctx, exec, name, fm, op, out_shape))
 }
 
 #[cfg(test)]

@@ -106,22 +106,6 @@ impl SocHandle {
         self.ddr.bytes_read() + self.ddr.bytes_written()
     }
 
-    /// DDR traffic so far as `(bytes_read, bytes_written)`.
-    pub(crate) fn ddr_traffic(&self) -> (u64, u64) {
-        (self.ddr.bytes_read(), self.ddr.bytes_written())
-    }
-
-    /// Credits the traffic of a replayed pass to the DDR byte counters
-    /// (see [`DdrModel::credit_traffic`]).
-    pub(crate) fn credit_ddr(&mut self, bytes_read: u64, bytes_written: u64) {
-        self.ddr.credit_traffic(bytes_read, bytes_written);
-    }
-
-    /// Whether a fault plan is attached to the DMA engine.
-    pub(crate) fn has_fault_plan(&self) -> bool {
-        self.dma.has_fault_plan()
-    }
-
     /// Serializes a tiled FM and writes it to DDR at `addr`, reusing the
     /// handle's staging buffer (allocation-free once warmed). The byte
     /// image and DDR traffic are identical to
@@ -321,11 +305,40 @@ impl Exec {
     }
 }
 
-/// Runs one staged convolution pass (input already padded; stride 1).
+/// Runs one staged convolution layer (stride 1), tiled in and tiled out.
 /// `ctx.src_addr`/`ctx.dst_addr` are the DDR regions the input is staged
 /// in and the output is written back to — the plan slots' regions during
 /// a network run ([`slot_addr`]).
+///
+/// A padded layer is the hardware's two instructions back to back: the
+/// pad pass writes the padded map to [`DDR_FM_PAD`] and the conv pass
+/// reads it from there, tiled to tiled — the host never sees the padded
+/// intermediate. Their statistics merge pad first.
 pub(crate) fn conv_pass(
+    ctx: &mut PassCtx<'_>,
+    exec: Exec,
+    name: &str,
+    input: &TiledFeatureMap<Sm8>,
+    qw: &QuantConvWeights,
+    pad: u8,
+    out_shape: Shape,
+) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+    if pad == 0 {
+        return conv_stripes(ctx, exec, name, input, qw, out_shape);
+    }
+    let (s, p) = (input.logical_shape(), usize::from(pad));
+    let dst_addr = std::mem::replace(&mut ctx.dst_addr, DDR_FM_PAD);
+    let padded_shape = Shape::new(s.c, s.h + 2 * p, s.w + 2 * p);
+    let op = PoolPadOp::Pad { amount: pad };
+    let (padded, mut stats) = poolpad_pass(ctx, exec, &format!("{name}/pad"), input, op, padded_shape)?;
+    (ctx.src_addr, ctx.dst_addr) = (DDR_FM_PAD, dst_addr);
+    let (out, conv) = conv_stripes(ctx, exec, name, &padded, qw, out_shape)?;
+    stats.merge(&conv);
+    Ok((out, stats))
+}
+
+/// One staged convolution pass over an already padded input.
+fn conv_stripes(
     ctx: &mut PassCtx<'_>,
     exec: Exec,
     name: &str,
@@ -333,7 +346,7 @@ pub(crate) fn conv_pass(
     qw: &QuantConvWeights,
     out_shape: Shape,
 ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    let (driver, pool, src_addr, dst_addr) = (ctx.driver, ctx.kernel.pool, ctx.src_addr, ctx.dst_addr);
+    let (driver, pool, src_addr, dst_addr) = (ctx.driver, ctx.pool, ctx.src_addr, ctx.dst_addr);
     let soc = &mut *ctx.soc;
     // Optional future-work filter grouping: reorder output channels by
     // non-zero count so lockstep lanes balance; un-permuted on output.
@@ -485,7 +498,7 @@ pub(crate) fn poolpad_pass(
     op: PoolPadOp,
     out_shape: Shape,
 ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    let (driver, pool, src_addr, dst_addr) = (ctx.driver, ctx.kernel.pool, ctx.src_addr, ctx.dst_addr);
+    let (driver, pool, src_addr, dst_addr) = (ctx.driver, ctx.pool, ctx.src_addr, ctx.dst_addr);
     let soc = &mut *ctx.soc;
     let in_rows = input.tiles_y();
     let mut out_fm = TiledFeatureMap::<Sm8>::zeros(out_shape);

@@ -28,8 +28,9 @@
 //!   pipeline (planning under bank capacity, weight packing, instruction
 //!   generation, DMA orchestration, multi-instance scale-out), the
 //!   [`exec::conv_pass`] / [`exec::poolpad_pass`] dispatch onto the
-//!   interchangeable targets — transaction model, cycle simulation, host
-//!   SIMD — and the [`exec::sched`] multi-instance placement scheduler (stripe-,
+//!   transaction model or the cycle simulation, the host SIMD backend
+//!   (the golden walk plus a memoized stats-only model run), and the
+//!   [`exec::sched`] multi-instance placement scheduler (stripe-,
 //!   image- and layer-pipelined sharding with an HLS-derived cost model);
 //! * [`driver`] — the host-side driver: layer walking, geometry checks,
 //!   backend dispatch, host FC/softmax fallback, reporting;

@@ -199,8 +199,8 @@ pub fn render_error(id: Option<&str>, err: &Error) -> String {
 }
 
 /// Renders the `stats` response line: the engine's aggregate counters
-/// plus the process-wide stats-pass memo's (`stats_memo`; a warmed cpu
-/// daemon adds hits only).
+/// plus the process-wide stats memo's (`stats_memo`; a warm cpu request
+/// adds one hit).
 pub fn render_stats(stats: &ServeStats) -> String {
     let memo = crate::stats_memo_stats();
     Json::obj([

@@ -673,7 +673,7 @@ mod tests {
         let full = format!("{}1{}", "[{\"a\":".repeat(MAX_DEPTH / 2), "}]".repeat(MAX_DEPTH / 2));
         assert!(Json::parse(&full).is_ok(), "{MAX_DEPTH} levels parse");
         // Siblings do not add up: the count is of containers open at once.
-        assert!(Json::parse(&format!("[{}]", vec![full.as_str(); 3].join(","))).is_err(), "one level more");
+        assert!(Json::parse(&format!("[{}]", [full.as_str(); 3].join(","))).is_err(), "one level more");
         assert!(Json::parse(&format!("[{}]", vec!["[[1]]"; 500].join(","))).is_ok());
         let err = Json::parse(&"[".repeat(MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(err.offset, MAX_DEPTH);

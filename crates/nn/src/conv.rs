@@ -122,7 +122,7 @@ impl QuantConvWeights {
     /// determines the derived packing and the epilogue. Two instances with
     /// equal content (e.g. clones across batch workers) share one
     /// fingerprint and therefore one entry in every cache keyed by it (the
-    /// driver's packed-group cache and stats-pass memo).
+    /// driver's packed-group cache and stats memo).
     pub fn fingerprint(&self) -> u64 {
         *self.fp.get_or_init(|| {
             // SAFETY: `Sm8` is `#[repr(transparent)]` over `u8`, so the

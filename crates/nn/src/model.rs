@@ -503,8 +503,6 @@ pub struct AccelStep<'a> {
     pub src: &'a Tensor<Sm8>,
     /// Receives the output activation (reshaped in place).
     pub dst: &'a mut Tensor<Sm8>,
-    /// Arena tensor for an explicit pad pass's intermediate.
-    pub padded: &'a mut Tensor<Sm8>,
     /// The arena's kernel working set.
     pub kernel: KernelBuffers<'a>,
 }
@@ -571,7 +569,7 @@ impl QuantizedNetwork {
         scratch.ensure_slots(self.plan.slots.max(1));
         let mut flat_cur: Option<usize> = None;
         {
-            let Scratch { slots, gemm, padded, flat, pool, .. } = scratch;
+            let Scratch { slots, gemm, flat, pool, .. } = scratch;
             // The plan always places the network input in slot 0.
             input.map_into(&mut slots[0], |v| self.input_params.quantize(v));
             let mut convs = self.conv.iter();
@@ -588,7 +586,7 @@ impl QuantizedNetwork {
                             _ => None,
                         };
                         let kernel = KernelBuffers { gemm, tier, pool: pool.as_deref() };
-                        accel(AccelStep { layer, weights, src_slot, dst_slot, src, dst, padded, kernel })?;
+                        accel(AccelStep { layer, weights, src_slot, dst_slot, src, dst, kernel })?;
                     }
                     // A Ref is a pure alias: its plan step re-emits the
                     // source slot (`dst == src`), no data moves.

@@ -9,8 +9,8 @@
 //! accelerator driver walks the plan), plus the kernels' working set: the
 //! GEMM workspace (a conv layer's input decoded into a zero-bordered plane
 //! and the patch matrix lowered from it, or the decoded input of an FC
-//! layer) and the tensor an explicit pad pass lands in — and every `_into`
-//! operator reshapes them in place instead of allocating.
+//! layer) — and every `_into` operator reshapes them in place instead of
+//! allocating.
 //!
 //! # Lifetime rules
 //!
@@ -51,9 +51,6 @@ pub struct Scratch {
     /// Lowered patch matrix of the output-stationary GEMM (every conv
     /// and FC layer).
     pub(crate) gemm: GemmScratch,
-    /// Where the accelerator driver's explicit pad pass puts the padded
-    /// copy of a conv's input (consumed by the conv pass right after).
-    pub(crate) padded: Tensor<Sm8>,
     /// Ping-pong FC activation vectors.
     pub(crate) flat: [Vec<Sm8>; 2],
     tier: KernelTier,
@@ -80,7 +77,6 @@ impl Scratch {
             slots: Vec::new(),
             acc: Vec::new(),
             gemm: GemmScratch::default(),
-            padded: Tensor::zeros(1, 1, 1),
             flat: [Vec::new(), Vec::new()],
             tier,
             grow_events: 0,
@@ -127,7 +123,6 @@ impl Scratch {
     /// Total bytes currently reserved by the arena's buffers.
     pub fn capacity_bytes(&self) -> usize {
         self.slots.iter().map(|t| t.capacity()).sum::<usize>()
-            + self.padded.capacity()
             + self.acc.capacity() * std::mem::size_of::<i64>()
             + self.gemm.capacity_bytes()
             + self.flat.iter().map(|v| v.capacity()).sum::<usize>()
@@ -148,12 +143,6 @@ impl Scratch {
     /// `zskip analyze` as the steady-state allocation indicator.
     pub fn grow_events(&self) -> u64 {
         self.grow_events
-    }
-
-    /// The kernels' working set, for a pass computed outside a plan walk
-    /// (the driver's single-layer entry points).
-    pub fn kernel_buffers(&mut self) -> KernelBuffers<'_> {
-        KernelBuffers { gemm: &mut self.gemm, tier: self.tier, pool: self.pool.as_deref() }
     }
 
     /// Two activation tensors (the first two plan slots), the two-phase

@@ -2,9 +2,10 @@
 //! contract: after a warm-up image, a whole quantized forward pass through
 //! [`zskip_nn::Scratch`] performs **zero** heap allocations.
 //!
-//! This lives in its own integration-test binary (single `#[test]`) so no
-//! concurrent test thread can allocate while the steady-state window is
-//! being measured.
+//! This lives in its own integration-test binary without the libtest
+//! harness (`harness = false`, a plain `fn main`), so the only threads
+//! that can allocate while the steady-state window is measured are this
+//! one and the pool's workers — exactly what the count is about.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +53,11 @@ fn spec() -> NetworkSpec {
     }
 }
 
-#[test]
+fn main() {
+    steady_state_forward_pass_allocates_nothing();
+    println!("alloc_free: a warm forward pass allocates nothing, single-threaded and on 3 workers");
+}
+
 fn steady_state_forward_pass_allocates_nothing() {
     let net = Network::synthetic(spec(), &SyntheticModelConfig::default());
     let inputs: Vec<Tensor<f32>> = (0..3)

@@ -8,7 +8,8 @@ cd "$(dirname "$0")/.."
 # which a root-package build does not produce.
 cargo build --release --workspace
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+# --workspace here too, so the member crates' own tests are linted.
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The end-to-end benchmark harness is its own workspace and imports
 # `zskip::` names directly; a deletion that breaks one must fail here,
@@ -131,6 +132,12 @@ done
 resnet_out=$(timeout 300 ./target/release/zskip infer --network specs/resnet18.json --hw 32 --backend cpu)
 printf '%s\n' "$resnet_out" | grep -q '^212601 cycles' \
   || { echo "verify: resnet18 infer must report 212601 cycles (weight stream or model drifted)"; exit 1; }
+# The same DAG through the model backend's functional executor: every
+# padded conv is the pad pass and the conv pass staged back to back, and
+# infer's bit-exactness assertion holds that fused pair to the golden walk.
+resnet_out=$(timeout 300 ./target/release/zskip infer --network specs/resnet18.json --hw 32 --backend model)
+printf '%s\n' "$resnet_out" | grep -q '^212601 cycles' \
+  || { echo "verify: resnet18 infer --backend model must report 212601 cycles"; exit 1; }
 analyze_out=$(timeout 300 ./target/release/zskip analyze --network specs/resnet18.json)
 printf '%s\n' "$analyze_out" | grep -q 'branch point' \
   || { echo "verify: analyze --network did not report the residual branch points"; exit 1; }

@@ -1031,10 +1031,10 @@ fn analyze(p: &Parsed) {
 
     // Shared caches: drive one image through the cpu backend so the
     // packed-group cache is populated the way `infer`/`batch` populate it,
-    // and a second one so the stats-pass memo shows its steady state (all
-    // hits), then report the process-wide caches (packed scratchpad groups
-    // keyed by weight identity + lane/skip geometry, and the cpu backend's
-    // memoized per-pass statistics).
+    // and a second one so the stats memo shows its steady state (one hit),
+    // then report the process-wide caches (packed scratchpad groups keyed
+    // by weight identity + lane/skip geometry, and the cpu backend's
+    // memoized per-network statistics).
     let cpu_driver = Driver::builder(AccelConfig::for_variant(variant))
         .backend(BackendKind::Cpu)
         .build()
@@ -1051,13 +1051,15 @@ fn analyze(p: &Parsed) {
         gc.hits,
         gc.misses
     );
+    let warm_hits = sm.hits - cold.hits;
     println!(
-        "Stats-pass memo (cpu):     {} entries ({:.1} KiB), {} hits / {} misses; warm image: {} hits / {} misses",
+        "Stats memo (cpu):          {} entries ({:.1} KiB), {} hits / {} misses; warm image: {} hit{} / {} misses",
         sm.entries,
         sm.bytes as f64 / 1024.0,
         sm.hits,
         sm.misses,
-        sm.hits - cold.hits,
+        warm_hits,
+        if warm_hits == 1 { "" } else { "s" },
         sm.misses - cold.misses
     );
 

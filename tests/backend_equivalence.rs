@@ -8,10 +8,11 @@
 //!   closed-form model, so their cycle counts and DDR byte counts are
 //!   *equal*, not merely close; Cycle agrees within the documented
 //!   tolerance.
-//! * **Memoized statistics**: the Cpu backend pays its stats pass once per
-//!   (pass, config) and replays the record on later images; the replayed
-//!   reports must equal Model's in every field, and the memo key must
-//!   separate every configuration knob that moves a statistic.
+//! * **Memoized statistics**: the Cpu backend pays its stats-only model
+//!   run once per (network, config) and reads the recorded report on
+//!   later images; those reports must equal Model's in every field, and
+//!   the memo key must separate every configuration knob that moves a
+//!   statistic and every layer name the report carries.
 //! * **Transient faults**: the staged pipeline issues the same DMA
 //!   descriptor sequence on every backend, and DMA fault detection is
 //!   value-independent — an injected `dma:*` fault must surface as the
@@ -20,7 +21,7 @@
 use proptest::prelude::*;
 use zskip::accel::{
     stats_memo_stats, AccelConfig, BackendKind, Driver, DriverBuilder, DriverError, Error,
-    InferenceReport, Placement, Session,
+    InferenceReport, PassStats, Placement, PoolPadOp, Session, SocHandle,
 };
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
@@ -33,7 +34,7 @@ use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
 use zskip::nn::pool::maxpool_quant;
 use zskip::quant::{DensityProfile, Sm8};
 use zskip::soc::dma::DmaError;
-use zskip::tensor::{Shape, Tensor};
+use zskip::tensor::{Shape, Tensor, TiledFeatureMap};
 
 fn config(bank_tiles: usize, instances: usize) -> AccelConfig {
     AccelConfig::from_arch(&AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles }, 100.0)
@@ -239,32 +240,67 @@ fn assert_same_report(got: &InferenceReport, want: &InferenceReport, what: &str)
     assert_eq!(got.ddr_bytes, want.ddr_bytes, "{what}: ddr_bytes");
     assert_eq!(got.layers.len(), want.layers.len(), "{what}: layer count");
     for (g, w) in got.layers.iter().zip(&want.layers) {
-        let what = format!("{what}: layer {}", w.name);
-        let (g, w) = (&g.stats, &w.stats);
-        assert_eq!(g.per_instance_cycles, w.per_instance_cycles, "{what}");
-        assert_eq!(g.compute_cycles, w.compute_cycles, "{what}");
-        assert_eq!(g.io_dma_cycles, w.io_dma_cycles, "{what}");
-        assert_eq!(g.weight_dma_cycles, w.weight_dma_cycles, "{what}");
-        assert_eq!(g.total_cycles, w.total_cycles, "{what}");
-        assert_eq!(g.stripes, w.stripes, "{what}");
-        assert_eq!(g.striping_factor.to_bits(), w.striping_factor.to_bits(), "{what}");
-        assert_eq!(g.counters.iter().collect::<Vec<_>>(), w.counters.iter().collect::<Vec<_>>(), "{what}");
+        assert_same_stats(&g.stats, &w.stats, &format!("{what}: layer {}", w.name));
     }
 }
 
-/// Layers that issue accelerator passes: each costs a warm cpu image at
-/// least one memo hit.
-fn accel_layers(r: &InferenceReport) -> u64 {
-    r.layers.iter().filter(|l| l.stats.stripes > 0).count() as u64
+/// Every `PassStats` field, down to each activity counter.
+fn assert_same_stats(g: &PassStats, w: &PassStats, what: &str) {
+    assert_eq!(g.per_instance_cycles, w.per_instance_cycles, "{what}");
+    assert_eq!(g.compute_cycles, w.compute_cycles, "{what}");
+    assert_eq!(g.io_dma_cycles, w.io_dma_cycles, "{what}");
+    assert_eq!(g.weight_dma_cycles, w.weight_dma_cycles, "{what}");
+    assert_eq!(g.total_cycles, w.total_cycles, "{what}");
+    assert_eq!(g.stripes, w.stripes, "{what}");
+    assert_eq!(g.striping_factor.to_bits(), w.striping_factor.to_bits(), "{what}");
+    assert_eq!(g.counters.iter().collect::<Vec<_>>(), w.counters.iter().collect::<Vec<_>>(), "{what}");
+}
+
+/// A cpu driver's single-layer entry points run the model's functional
+/// executor: on a conv over a pre-padded input, a pad and a max-pool —
+/// under tiny banks, so every pass is striped — the output and every
+/// `PassStats` field equal a model driver's, and the output the golden
+/// operator's.
+#[test]
+fn cpu_single_layer_passes_equal_the_model_backend() {
+    let (qnet, _) = quantized(0.5, 99);
+    let qw = &qnet.conv[0].weights;
+    let input = Tensor::from_fn(3, 24, 24, |c, y, x| Sm8::from_i32_saturating(((c * 7 + y * 3 + x) % 41) as i32 - 20));
+    let raw = TiledFeatureMap::from_tensor(&input);
+    let padded = TiledFeatureMap::from_tensor(&input.padded(1));
+    let golden = [
+        conv2d_quant_dense(&input, qw, 1, 1),
+        input.padded(1),
+        maxpool_quant(&input, 2, 2),
+    ]
+    .map(|t| TiledFeatureMap::from_tensor(&t));
+    let passes = |backend| {
+        let d = Driver::builder(config(32, 1)).backend(backend).build().expect("valid config");
+        let soc = &mut SocHandle::new();
+        [
+            d.conv_pass("c", &padded, qw, Shape::new(qw.out_c, 24, 24), soc),
+            d.poolpad_pass("p", &raw, PoolPadOp::Pad { amount: 1 }, Shape::new(3, 26, 26), soc),
+            d.poolpad_pass("m", &raw, PoolPadOp::MaxPool { k: 2, stride: 2 }, Shape::new(3, 12, 12), soc),
+        ]
+        .map(|pass| pass.expect("fits"))
+    };
+    let (model, cpu) = (passes(BackendKind::Model), passes(BackendKind::Cpu));
+    for (i, ((m_fm, m_stats), (c_fm, c_stats))) in model.into_iter().zip(cpu).enumerate() {
+        let what = ["conv", "pad", "pool"][i];
+        assert_eq!(m_fm, golden[i], "{what}: model vs golden");
+        assert_eq!(c_fm, m_fm, "{what}: cpu vs model output");
+        assert!(c_stats.stripes > 1, "{what}: striped");
+        assert_same_stats(&c_stats, &m_stats, what);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// The stats-pass memo end to end: two *different* images through one
-    /// cpu session — the first records every pass, the second replays
-    /// them — on random linear and DAG specs. Both reports must equal the
-    /// Model backend's in every statistic, single- and multi-threaded.
+    /// The stats memo end to end: two *different* images through one cpu
+    /// session — the first records the network's report, the second reads
+    /// it back — on random linear and DAG specs. Both reports must equal
+    /// the Model backend's in every statistic, single- and multi-threaded.
     /// (Other tests share the process-wide memo, so its hit counter is
     /// only bounded from below.)
     #[test]
@@ -284,7 +320,7 @@ proptest! {
             let miss = cpu.infer_scratch(&qnet, &first, &mut scratch).expect("fits");
             let hits = stats_memo_stats().hits;
             let hit = cpu.infer_scratch(&qnet, &second, &mut scratch).expect("fits");
-            prop_assert!(stats_memo_stats().hits - hits >= accel_layers(&hit), "the second image replays");
+            prop_assert!(stats_memo_stats().hits > hits, "the second image reads the memo");
             assert_same_report(&miss, &want[0], &format!("first image, {threads} thread(s)"));
             assert_same_report(&hit, &want[1], &format!("second image, {threads} thread(s)"));
         }
@@ -336,13 +372,29 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
             Some(_) => {}
         }
     }
+    // The report carries layer names, so two specs that differ only in
+    // names each read their own: the renamed copy runs after the base
+    // network has recorded, on the same weights and configuration.
+    let mut renamed = qnet.clone();
+    for layer in &mut renamed.spec.layers {
+        if let LayerSpec::Conv { name, .. } | LayerSpec::MaxPool { name, .. } | LayerSpec::Fc { name, .. } = layer {
+            name.insert_str(0, "renamed_");
+        }
+    }
+    let cpu = Driver::builder(config(20, 1)).backend(BackendKind::Cpu).build().expect("valid config");
+    for net in [&qnet, &renamed] {
+        let report = cpu.run_network(net, &input).expect("fits");
+        let names: Vec<&str> = report.layers.iter().map(|l| l.name.as_str()).collect();
+        let want: Vec<&str> = net.spec.layers.iter().map(LayerSpec::name).collect();
+        assert_eq!(names, want, "each spec reports its own layer names");
+    }
 }
 
-/// Sharded execution goes through the same cpu passes: with three images
-/// per placement the later ones replay the memo (stripe placement under
-/// its two-instance key, image/pipeline under the single-instance view),
-/// and every per-image report and the placement timeline still equal the
-/// Model backend's.
+/// Sharded execution goes through the same cpu network runs: with three
+/// images per placement each later one is a memo hit (stripe placement
+/// under its two-instance key, image/pipeline under the single-instance
+/// view), and every per-image report and the placement timeline still
+/// equal the Model backend's.
 #[test]
 fn sharded_placements_replay_the_memo_and_match_model() {
     let (qnet, _) = quantized(0.6, 777);
@@ -362,7 +414,8 @@ fn sharded_placements_replay_the_memo_and_match_model() {
         let hits = stats_memo_stats().hits;
         let cpu = run(BackendKind::Cpu);
         let replayed = stats_memo_stats().hits - hits;
-        assert!(replayed >= 2 * accel_layers(&cpu.items[0]), "{placement}: {replayed} memo hits");
+        // Other tests share the process-wide memo: a lower bound.
+        assert!(replayed >= 2, "{placement}: {replayed} memo hits, want one per later image");
         assert_eq!(cpu.items.len(), model.items.len());
         for (i, (c, m)) in cpu.items.iter().zip(&model.items).enumerate() {
             assert_same_report(c, m, &format!("{placement}, image {i}"));

@@ -146,10 +146,11 @@ fn faulted_run(
     (result, fired)
 }
 
-/// The cpu backend replays memoized per-pass statistics on plan-free
-/// runs; an attached fault plan must force the real staged pass for
-/// every image, never consulting or feeding the memo — otherwise `dma:*` injections would have no descriptor to fire
-/// on once the memo is warm. One test function on purpose: it is the only
+/// The cpu backend reads a network's statistics from a memoized
+/// stats-only run on plan-free runs; an attached fault plan must force
+/// that run for every image, never consulting or feeding the memo —
+/// otherwise `dma:*` injections would have no descriptor to fire on once
+/// the memo is warm. One test function on purpose: it is the only
 /// cpu-backend user in this binary, so the process-wide memo counters it
 /// asserts on are exact.
 #[test]
@@ -163,16 +164,16 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     let golden = qnet.forward_quant(&input);
     let model = build(BackendKind::Model).build().unwrap().run_network(&qnet, &input).unwrap();
 
-    // Plan-free warm-up populates the memo; the second image only hits.
+    // Plan-free warm-up records the network's one report; the second
+    // image is exactly one hit.
     let cpu = build(BackendKind::Cpu).build().unwrap();
     cpu.run_network(&qnet, &input).expect("clean run");
     let warmed = memo();
-    assert!(warmed.0 > 0, "the warm-up image recorded its passes");
+    assert_eq!(warmed, (1, 0, 1), "the warm-up image recorded one report");
     let warm = cpu.run_network(&qnet, &input).expect("clean run");
     assert_eq!((warm.total_cycles, warm.ddr_bytes), (model.total_cycles, model.ddr_bytes));
     let replayed = memo();
-    assert_eq!((replayed.0, replayed.2), (warmed.0, warmed.2), "a warm image inserts nothing");
-    assert!(replayed.1 > warmed.1, "a warm image replays");
+    assert_eq!(replayed, (1, 1, 1), "a warm image is one hit and inserts nothing");
 
     // Descriptors per image: the first ordinal no longer reached.
     let truncate = FaultKind::DmaTruncate { tiles: 1 };
@@ -204,15 +205,15 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     assert_eq!(memo(), replayed, "a bypassing run neither consults nor feeds the memo");
 
     // A faulted run on a network the memo has never seen inserts nothing,
-    // not even the passes that completed before the fault; the following
-    // plan-free run records them and matches the Model backend.
+    // not even the layers that completed before the fault; the following
+    // plan-free run records the network and matches the Model backend.
     let (fresh, fresh_input) = small_net(12);
     let (err, _) = faulted_run(BackendKind::Cpu, &fresh, &fresh_input, total - 1, truncate);
     err.expect_err("late fault");
     assert_eq!(memo(), replayed, "a faulted run inserts nothing");
     let fresh_model = build(BackendKind::Model).build().unwrap().run_network(&fresh, &fresh_input).unwrap();
     let fresh_cpu = cpu.run_network(&fresh, &fresh_input).expect("clean run");
-    assert!(memo().2 > replayed.2, "the plan-free run records the fresh passes");
+    assert_eq!(memo(), (2, 1, 2), "the plan-free run records the fresh network");
     assert_eq!(fresh_cpu.output, fresh_model.output);
     assert_eq!(
         (fresh_cpu.total_cycles, fresh_cpu.ddr_bytes),
@@ -235,6 +236,7 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
             assert_eq!((r.total_cycles, r.ddr_bytes), (model.total_cycles, model.ddr_bytes), "{backend}");
         }
     }
+    assert_eq!(memo(), (2, 1, 2), "a faulted batch and its retries never touch the memo");
 }
 
 /// An Avalon bus timeout is a typed `bus.timeout` error at the SoC layer,
