@@ -15,11 +15,13 @@
 //! Every kernel here is **bit-identical** to its scalar counterpart, not
 //! merely close:
 //!
-//! * `Sm8` values decode branch-free to `i16` ([`Sm8::decode_i16`]); the
-//!   SIMD decode is the same `(mag ^ neg) - neg` dataflow in 16-bit lanes.
+//! * `Sm8` values decode branch-free to `i16` ([`Sm8::decode_i16`]); each
+//!   SIMD tier decodes the same values in 16-bit lanes (negative zero
+//!   `0x80` to 0), the AVX2 and AVX-512 tiers from the sign-extended byte
+//!   in three operations (see `docs/KERNELS.md` "Weight decode").
 //! * A product of two `Sm8` values is at most `127 * 127 = 16129 < 2^15`,
-//!   so `mullo_epi16` computes it exactly — the low half *is* the product —
-//!   and `pmaddwd`'s sum of two adjacent products fits its `i32` lane.
+//!   and `pmaddwd`'s (or `vpdpwssd`'s) sum of two adjacent products fits
+//!   its `i32` lane.
 //! * Accumulation is pure integer addition, which is associative and
 //!   commutative, so any lane/order regrouping leaves the sum unchanged
 //!   (`i32` lanes are flushed into `i64` before they can overflow; see
@@ -52,7 +54,8 @@ pub enum KernelTier {
     Sse2,
     /// 16-lane AVX2 kernels: one IFM tile row per iteration.
     Avx2,
-    /// 32-lane AVX-512 kernels (F + BW): two IFM tile rows per iteration.
+    /// 32-lane AVX-512 kernels (F + BW + VNNI): two IFM tile rows per
+    /// iteration.
     Avx512,
 }
 
@@ -82,23 +85,29 @@ impl KernelTier {
         }
     }
 
+    /// The CPU features the tier's kernels are compiled for, by their
+    /// `is_x86_feature_detected!` names: the tier runs where all of them
+    /// are present.
+    pub fn required_features(self) -> &'static [&'static str] {
+        match self {
+            KernelTier::Scalar => &[],
+            KernelTier::Sse2 => &["sse2"],
+            KernelTier::Avx2 => &["avx2"],
+            // F for the 512-bit registers, BW for the 32-lane i16 ops and
+            // the word sign mask of the weight decode, VNNI for `vpdpwssd`.
+            KernelTier::Avx512 => &["avx512f", "avx512bw", "avx512vnni"],
+        }
+    }
+
+    /// The [`required_features`](Self::required_features) this machine
+    /// lacks: empty exactly when the tier is supported.
+    pub fn missing_features(self) -> Vec<&'static str> {
+        self.required_features().iter().copied().filter(|f| !cpu_has(f)).collect()
+    }
+
     /// Whether this machine can execute the tier.
     pub fn is_supported(self) -> bool {
-        match self {
-            KernelTier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => is_x86_feature_detected!("avx2"),
-            // BW is needed for the 32-lane i16 multiply/shift; F for the
-            // 512-bit integer adds and widening converts.
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx512 => {
-                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
-        }
+        self.required_features().iter().all(|f| cpu_has(f))
     }
 
     /// The tiers this machine can execute, narrowest first. Always
@@ -117,6 +126,25 @@ impl KernelTier {
 impl std::fmt::Display for KernelTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Whether the CPU has `feature`, one of the names
+/// [`KernelTier::required_features`] lists.
+fn cpu_has(feature: &str) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    match feature {
+        "sse2" => is_x86_feature_detected!("sse2"),
+        "avx2" => is_x86_feature_detected!("avx2"),
+        "avx512f" => is_x86_feature_detected!("avx512f"),
+        "avx512bw" => is_x86_feature_detected!("avx512bw"),
+        "avx512vnni" => is_x86_feature_detected!("avx512vnni"),
+        _ => false,
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = feature;
+        false
     }
 }
 
@@ -166,6 +194,14 @@ pub type DotSums = [[i64; DOT_NR]; DOT_MR];
 /// reduction tail is one more step, and a flush first sums a vector's (at
 /// most 16) lanes in `i32` — all of which the assertion below covers, so
 /// the kernel is exact at any reduction length.
+///
+/// On the AVX-512 tier a step is one `vpdpwssd`, which adds the two
+/// products of a lane pair to the accumulator lane with a *wrapping* `i32`
+/// add: the same sum as `vpaddd(vpmaddwd)`, so the same bound holds. Its
+/// saturating sibling `vpdpwssds` must never be used here: a clipped sum
+/// would depend on the order the lanes were added in, so the tiers would
+/// agree only as long as the bound does, with nothing left to show a
+/// broken one.
 pub const DOT_FLUSH_STEPS: usize = 1024;
 const _: () = assert!((DOT_FLUSH_STEPS as i64 + 1) * (2 * 127 * 127) * 16 <= i32::MAX as i64);
 
@@ -191,8 +227,9 @@ const _: () = assert!((DOT_FLUSH_STEPS as i64 + 1) * (2 * 127 * 127) * 16 <= i32
 /// `w` holds raw `Sm8` weights, decoded on the fly; `p` holds *decoded*
 /// `Sm8` values (`|p| <= 127`, what [`Sm8::decode_i16`] returns). Each
 /// block of sums is accumulated to completion in `i32` vector registers
-/// (`pmaddwd` + `paddd`), flushed into `i64` every [`DOT_FLUSH_STEPS`]
-/// steps. Zero weights are multiplied like any other.
+/// (`pmaddwd` + `paddd`, or one `vpdpwssd` on AVX-512), flushed into
+/// `i64` every [`DOT_FLUSH_STEPS`] steps. Zero weights are multiplied like
+/// any other.
 ///
 /// Bit-identical across tiers: products are exact and integer addition
 /// reassociates.
@@ -228,14 +265,16 @@ pub fn dot_nt(
 /// Stamps out one tier's [`dot_nt`] body as a module: the register block
 /// and the loops around it, all under the tier's `#[target_feature]` so
 /// the block inlines and its accumulators never leave registers. A tier
-/// is `LANES` `i16` lanes wide and supplies five operations on its vector
+/// is `LANES` `i16` lanes wide and supplies six operations on its vector
 /// type: `zero()`, `load_w(*const Sm8)` (decoding `LANES` weights to `i16`
 /// lanes), `load_p(*const i16)`, `madd_acc(acc, w, p)` (`acc + pmaddwd(w,
-/// p)` in `i32` lanes) and `hsum(acc) -> i32`.
+/// p)` in wrapping `i32` lanes), `hsum(acc) -> i32` and `hsum_row([acc;
+/// DOT_NR]) -> [i32; DOT_NR]` (the `hsum` of each, done jointly: a full
+/// block's row of accumulators is reduced in one transpose-and-add tree).
 macro_rules! dot_nt_tier {
     ($(#[$feature:meta])? $name:ident, $lanes:literal, $ops:ident) => {
         pub(super) mod $name {
-            use super::$ops::{hsum, load_p, load_w, madd_acc, zero};
+            use super::$ops::{hsum, hsum_row, load_p, load_w, madd_acc, zero};
             use crate::simd::{DotSums, DOT_FLUSH_STEPS, DOT_MR, DOT_NR};
             use zskip_quant::Sm8;
 
@@ -295,8 +334,15 @@ macro_rules! dot_nt_tier {
                         }
                     }
                     for (sums, acc) in sums.iter_mut().zip(acc) {
-                        for (sum, acc) in sums.iter_mut().zip(acc) {
-                            *sum += hsum(acc) as i64;
+                        if NR == DOT_NR {
+                            let row = hsum_row(std::array::from_fn(|j| acc[j]));
+                            for (sum, row) in sums.iter_mut().zip(row) {
+                                *sum += row as i64;
+                            }
+                        } else {
+                            for (sum, acc) in sums.iter_mut().zip(acc) {
+                                *sum += hsum(acc) as i64;
+                            }
                         }
                     }
                     if last {
@@ -396,6 +442,10 @@ mod scalar_ops {
     pub fn hsum(acc: i32) -> i32 {
         acc
     }
+    #[inline(always)]
+    pub fn hsum_row(acc: [i32; crate::simd::DOT_NR]) -> [i32; crate::simd::DOT_NR] {
+        acc
+    }
 }
 
 dot_nt_tier!(dot_scalar, 1, scalar_ops);
@@ -413,28 +463,9 @@ mod x86 {
     use super::Sm8;
     use std::arch::x86_64::*;
 
-    /// Branch-free sign+magnitude decode of 16 zero-extended bytes held in
+    /// Branch-free sign+magnitude decode of 8 zero-extended bytes held in
     /// 16-bit lanes: `(mag ^ neg) - neg`, where `neg` smears bit 7 of each
     /// byte across its lane. Identical per-lane to `Sm8::decode_i16`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn decode16_avx2(b16: __m256i) -> __m256i {
-        let mag = _mm256_and_si256(b16, _mm256_set1_epi16(0x7f));
-        let neg = _mm256_srai_epi16(_mm256_slli_epi16(b16, 8), 15);
-        _mm256_sub_epi16(_mm256_xor_si256(mag, neg), neg)
-    }
-
-    /// Same decode, 32 lanes. The shift/multiply i16 ops are AVX-512BW;
-    /// the bitwise ops are AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn decode32_avx512(b16: __m512i) -> __m512i {
-        let mag = _mm512_and_si512(b16, _mm512_set1_epi16(0x7f));
-        let neg = _mm512_srai_epi16::<15>(_mm512_slli_epi16::<8>(b16));
-        _mm512_sub_epi16(_mm512_xor_si512(mag, neg), neg)
-    }
-
-    /// Same decode, 8 lanes, SSE2-only ops.
     #[inline]
     #[target_feature(enable = "sse2")]
     unsafe fn decode8_sse2(b16: __m128i) -> __m128i {
@@ -449,6 +480,33 @@ mod x86 {
     unsafe fn hsum_i32x4(v: __m128i) -> i32 {
         let v = _mm_add_epi32(v, _mm_shuffle_epi32::<0b01_00_11_10>(v));
         _mm_cvtsi128_si32(_mm_add_epi32(v, _mm_shuffle_epi32::<0b10_11_00_01>(v)))
+    }
+
+    /// `[Σa, Σb, Σc, Σd]` of four vectors' `i32` lanes, in each of the two
+    /// 128-bit lanes separately: a 4x4 transpose folded into its adds —
+    /// six shuffles and three adds for four sums.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose_add_x256([a, b, c, d]: [__m256i; 4]) -> __m256i {
+        let ab = _mm256_add_epi32(_mm256_unpacklo_epi32(a, b), _mm256_unpackhi_epi32(a, b));
+        let cd = _mm256_add_epi32(_mm256_unpacklo_epi32(c, d), _mm256_unpackhi_epi32(c, d));
+        _mm256_add_epi32(_mm256_unpacklo_epi64(ab, cd), _mm256_unpackhi_epi64(ab, cd))
+    }
+
+    /// Same, in each of the four 128-bit lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transpose_add_x512([a, b, c, d]: [__m512i; 4]) -> __m512i {
+        let ab = _mm512_add_epi32(_mm512_unpacklo_epi32(a, b), _mm512_unpackhi_epi32(a, b));
+        let cd = _mm512_add_epi32(_mm512_unpacklo_epi32(c, d), _mm512_unpackhi_epi32(c, d));
+        _mm512_add_epi32(_mm512_unpacklo_epi64(ab, cd), _mm512_unpackhi_epi64(ab, cd))
+    }
+
+    /// The four `i32` lanes as an array.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn lanes_i32x4(v: __m128i) -> [i32; 4] {
+        std::mem::transmute(v)
     }
 
     /// The 8-lane tier of `dot_nt`.
@@ -476,6 +534,13 @@ mod x86 {
             _mm_add_epi32(acc, _mm_madd_epi16(w, p))
         }
         pub(super) use super::hsum_i32x4 as hsum;
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        pub unsafe fn hsum_row(acc: [__m128i; 4]) -> [i32; 4] {
+            // One at a time: the joint tree of the wider tiers runs this
+            // tier's GEMM at half speed (16 registers).
+            acc.map(|v| hsum(v))
+        }
     }
 
     /// The 16-lane tier of `dot_nt`.
@@ -490,7 +555,11 @@ mod x86 {
         #[inline]
         #[target_feature(enable = "avx2")]
         pub unsafe fn load_w(w: *const Sm8) -> __m256i {
-            decode16_avx2(_mm256_cvtepu8_epi16(_mm_loadu_si128(w as *const __m128i)))
+            // Sign-extended, a byte is negative exactly when its sign bit
+            // is set, so `vpsignw` by it negates the magnitude (and keeps
+            // negative zero's zero magnitude zero).
+            let x = _mm256_cvtepi8_epi16(_mm_loadu_si128(w as *const __m128i));
+            _mm256_sign_epi16(_mm256_and_si256(x, _mm256_set1_epi16(0x7f)), x)
         }
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -507,6 +576,12 @@ mod x86 {
         pub unsafe fn hsum(v: __m256i) -> i32 {
             hsum_i32x4(_mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)))
         }
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub unsafe fn hsum_row(acc: [__m256i; 4]) -> [i32; 4] {
+            let v = transpose_add_x256(acc);
+            lanes_i32x4(_mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)))
+        }
     }
 
     /// The 32-lane tier of `dot_nt`.
@@ -514,35 +589,47 @@ mod x86 {
         use super::*;
 
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
         pub unsafe fn zero() -> __m512i {
             _mm512_setzero_si512()
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
         pub unsafe fn load_w(w: *const Sm8) -> __m512i {
-            decode32_avx512(_mm512_cvtepu8_epi16(_mm256_loadu_si256(w as *const __m256i)))
+            // Sign-extended, a sign-set byte reads `mag - 128`; its value
+            // `-mag` is then `-128 - x`, which takes negative zero to 0.
+            let x = _mm512_cvtepi8_epi16(_mm256_loadu_si256(w as *const __m256i));
+            _mm512_mask_sub_epi16(x, _mm512_movepi16_mask(x), _mm512_set1_epi16(-128), x)
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
         pub unsafe fn load_p(p: *const i16) -> __m512i {
             _mm512_loadu_si512(p as *const _)
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
         pub unsafe fn madd_acc(acc: __m512i, w: __m512i, p: __m512i) -> __m512i {
-            _mm512_add_epi32(acc, _mm512_madd_epi16(w, p))
+            // Wrapping, never the saturating `_mm512_dpwssds_epi32`: see
+            // `DOT_FLUSH_STEPS`.
+            _mm512_dpwssd_epi32(acc, w, p)
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
         pub unsafe fn hsum(v: __m512i) -> i32 {
             _mm512_reduce_add_epi32(v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        pub unsafe fn hsum_row(acc: [__m512i; 4]) -> [i32; 4] {
+            let v = transpose_add_x512(acc);
+            let v = _mm256_add_epi32(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
+            lanes_i32x4(_mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)))
         }
     }
 
     dot_nt_tier!(#[target_feature(enable = "sse2")] dot_sse2, 8, sse2_ops);
     dot_nt_tier!(#[target_feature(enable = "avx2")] dot_avx2, 16, avx2_ops);
-    dot_nt_tier!(#[target_feature(enable = "avx512f,avx512bw")] dot_avx512, 32, avx512_ops);
+    dot_nt_tier!(#[target_feature(enable = "avx512f,avx512bw,avx512vnni")] dot_avx512, 32, avx512_ops);
 }
 
 #[cfg(test)]
@@ -568,6 +655,15 @@ mod tests {
         let sup = KernelTier::supported();
         assert_eq!(sup[0], KernelTier::Scalar);
         assert!(sup.contains(&KernelTier::best_supported()));
+    }
+
+    #[test]
+    fn a_tier_is_supported_exactly_when_no_required_feature_is_missing() {
+        assert!(KernelTier::Scalar.required_features().is_empty());
+        for t in KernelTier::ALL {
+            assert_eq!(t.missing_features().is_empty(), t.is_supported(), "tier {t}");
+            assert!(t.missing_features().iter().all(|f| t.required_features().contains(f)), "tier {t}");
+        }
     }
 
     #[test]

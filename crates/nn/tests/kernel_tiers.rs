@@ -8,10 +8,12 @@
 
 use proptest::prelude::*;
 use zskip_nn::conv::{conv2d_quant_dense, QuantConvWeights};
+use zskip_nn::eval::synthetic_inputs;
 use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, GemmScratch};
 use zskip_nn::par::ConvPool;
-use zskip_nn::simd::{KernelTier, DOT_FLUSH_STEPS};
-use zskip_quant::{Requantizer, Sm8};
+use zskip_nn::simd::{dot_nt, KernelTier, DOT_FLUSH_STEPS};
+use zskip_nn::{LayerSpec, Network, NetworkSpec, Scratch, SyntheticModelConfig};
+use zskip_quant::{DensityProfile, Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
 /// Seeded weights with a target fraction of nonzero taps, drawn from the
@@ -205,5 +207,89 @@ fn reused_scratch_buffers_do_not_leak_between_layers() {
         let mut out_b = Tensor::zeros(1, 1, 1);
         conv2d_gemm_quant_into(&mid, &qw_b, 2, 0, tier, None, &mut ws, &mut out_b);
         assert_eq!(out_b, conv2d_quant_dense(&mid, &qw_b, 2, 0), "tier {tier} layer B");
+    }
+}
+
+/// `n` weight or activation bytes in which the values a decode can get
+/// wrong are common: an eighth each of `0`, negative zero `0x80`, `+127`
+/// and `-127`, the other half any bit pattern.
+fn edge_heavy_sm8(n: usize, seed: u64) -> Vec<Sm8> {
+    let mut rng = zskip_fault::SplitMix64::new(seed);
+    (0..n)
+        .map(|_| {
+            let h = rng.next_u64();
+            match h % 8 {
+                0 => Sm8::ZERO,
+                1 => Sm8::NEG_ZERO,
+                2 => Sm8::MAX,
+                3 => Sm8::MIN,
+                _ => Sm8::from_bits((h >> 32) as u8),
+            }
+        })
+        .collect()
+}
+
+/// Every finished sum of [`dot_nt`] at `dims`, row-major.
+fn dot_sums(tier: KernelTier, w: &[Sm8], p: &[i16], dims: [usize; 3]) -> Vec<i64> {
+    let [rows, cols, _] = dims;
+    let mut out = vec![0i64; rows * cols];
+    dot_nt(tier, w, p, dims, |i, j, [mr, nr], sums| {
+        for (a, sums) in sums.iter().enumerate().take(mr) {
+            for (b, &sum) in sums.iter().enumerate().take(nr) {
+                out[(i + a) * cols + j + b] = sum;
+            }
+        }
+    });
+    out
+}
+
+#[test]
+fn vgg16_32_deepest_shapes_are_bit_exact_on_every_tier() {
+    // The GEMMs of VGG-16-32's conv4_2 (512 -> 512 at 4x4), a conv5_x
+    // layer (2x2: four patch columns) and fc7 (4096 x 4096), at their real
+    // reduction lengths, on weights and activations full of the decode's
+    // edge values. The raw sums are compared, not requantized outputs,
+    // which saturation and rounding would let a wrong sum hide in.
+    for (what, [rows, cols, len]) in
+        [("conv4_2", [512, 16, 4608]), ("conv5_x", [512, 4, 4608]), ("fc7", [4096, 1, 4096])]
+    {
+        let w = edge_heavy_sm8(rows * len, 1);
+        let p: Vec<i16> = edge_heavy_sm8(cols * len, 2).iter().map(|v| v.decode_i16()).collect();
+        let want = dot_sums(KernelTier::Scalar, &w, &p, [rows, cols, len]);
+        for tier in KernelTier::supported() {
+            assert!(dot_sums(tier, &w, &p, [rows, cols, len]) == want, "{what} sums, tier {tier}");
+        }
+    }
+}
+
+#[test]
+fn resnet18_network_is_bit_exact_on_every_tier() {
+    // The whole `specs/resnet18.json` DAG as the CLI builds it, with edge
+    // values salted into every conv and FC layer's weights.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/resnet18.json");
+    let spec = NetworkSpec::from_json(&std::fs::read_to_string(path).expect("spec file")).expect("valid spec");
+    let convs = spec.layers.iter().filter(|l| matches!(l, LayerSpec::Conv { .. })).count();
+    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::uniform(convs, 0.35) };
+    let mut qnet = Network::synthetic(spec.clone(), &config).quantize(&synthetic_inputs(2, 1, spec.input));
+    let salt = |w: &mut [Sm8], seed: u64| {
+        let edges = edge_heavy_sm8(w.len(), seed);
+        for (w, e) in w.iter_mut().zip(edges).step_by(5) {
+            *w = e;
+        }
+    };
+    for (n, layer) in qnet.conv.iter_mut().enumerate() {
+        let q = &layer.weights;
+        let mut w = q.w.clone();
+        salt(&mut w, 100 + n as u64);
+        layer.weights = QuantConvWeights::new(q.out_c, q.in_c, q.k, w, q.bias_acc.clone(), q.requant, q.relu);
+    }
+    for (n, fc) in qnet.fc.iter_mut().enumerate() {
+        salt(&mut fc.w, 200 + n as u64);
+    }
+    for input in synthetic_inputs(7, 2, spec.input) {
+        let want = qnet.forward_quant_scratch(&input, &mut Scratch::with_tier(KernelTier::Scalar)).to_vec();
+        for tier in KernelTier::supported() {
+            assert_eq!(qnet.forward_quant_scratch(&input, &mut Scratch::with_tier(tier)), &want[..], "tier {tier}");
+        }
     }
 }

@@ -1002,6 +1002,18 @@ fn analyze(p: &Parsed) {
         host_tiers.join(", "),
         zskip::nn::KERNEL_ENV
     );
+    // What each tier needs, so that a fallback (an AVX-512 host without
+    // VNNI runs avx2) is explained here.
+    for tier in KernelTier::ALL {
+        let needs = tier.required_features();
+        let missing = tier.missing_features();
+        println!(
+            "  {:<7} {}{}",
+            format!("{tier}:"),
+            if needs.is_empty() { "no CPU features".to_string() } else { needs.join("+") },
+            if missing.is_empty() { String::new() } else { format!(" — missing {}", missing.join(", ")) }
+        );
+    }
     let surrogate = zskip::nn::vgg16::vgg16_scaled_spec(32);
     let snet = Network::synthetic(
         surrogate.clone(),
