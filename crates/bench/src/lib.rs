@@ -337,43 +337,6 @@ pub fn make_conv_layer(
     (qw, tiled, zskip_tensor::Shape::new(out_c, hw, hw))
 }
 
-/// Builds the bank image, scratchpad and instruction stream for one conv
-/// layer followed by a 2x2 max-pool on the cycle-exact backend — a VGG-16
-/// conv/pool block at engine level, shared by the scheduler benchmark
-/// (`sim_bench`) and the `zskip analyze` scheduler section.
-pub fn build_engine_workload(
-    cfg: &AccelConfig,
-    qw: &zskip_nn::conv::QuantConvWeights,
-    input: &Tensor<zskip_quant::Sm8>,
-) -> (zskip_core::BankSet, Vec<u8>, Vec<zskip_core::Instruction>) {
-    use zskip_core::{BankSet, ConvInstr, FmLayout, GroupWeights, Instruction, PoolPadInstr, PoolPadOp};
-    use zskip_tensor::{Shape, TiledFeatureMap};
-
-    let (h, w) = (input.shape().h, input.shape().w);
-    let padded = input.padded(1);
-    let tiled_in = TiledFeatureMap::from_tensor(&padded);
-    let in_layout = FmLayout::full(0, padded.shape());
-    let out_shape = Shape::new(qw.out_c, h, w);
-    let out_layout = FmLayout::full(in_layout.end(), out_shape);
-
-    let mut banks = BankSet::new(cfg);
-    in_layout.store(&mut banks, &tiled_in, 0..tiled_in.tiles_y());
-
-    let mut scratchpad = Vec::new();
-    let mut instrs = Vec::new();
-    for g in 0..qw.out_c.div_ceil(cfg.lanes) {
-        let gw = GroupWeights::from_filters(qw, g * cfg.lanes, cfg.lanes);
-        let instr = ConvInstr::for_group(qw, g * cfg.lanes, cfg.lanes, &in_layout, 0, &out_layout, scratchpad.len());
-        instrs.push(Instruction::Conv(instr.expect("workload geometry fits the instruction fields")));
-        scratchpad.extend_from_slice(gw.as_bytes());
-    }
-    // 2x2 max-pool of the conv output, VGG-style.
-    let pool_out = FmLayout::full(out_layout.end(), Shape::new(qw.out_c, h / 2, w / 2));
-    let pool = PoolPadInstr::for_stripe(PoolPadOp::MaxPool { k: 2, stride: 2 }, &out_layout, 0, &pool_out, 0);
-    instrs.push(Instruction::PoolPad(pool.expect("workload geometry fits the instruction fields")));
-    (banks, scratchpad, instrs)
-}
-
 /// Builds a quantized full-size VGG-16 with an explicit density profile
 /// (the `zskip analyze` CLI entry point).
 pub fn build_vgg16_with_density(density: DensityProfile) -> QuantizedNetwork {

@@ -29,9 +29,8 @@ pub struct BankStats {
 ///
 /// Port exclusivity is tracked by stamping each port with the cycle of its
 /// last grant instead of a flag cleared every cycle: a port is busy iff its
-/// stamp equals the current cycle. This removes the need for any per-cycle
-/// maintenance call, so an event-driven simulation can park every kernel
-/// touching the banks without someone having to tick just to reset ports.
+/// stamp equals the current cycle, so no per-cycle maintenance call is
+/// needed to reset the ports.
 #[derive(Debug, Clone)]
 pub struct BankSet {
     banks: Vec<Vec<Tile<Sm8>>>,

@@ -14,7 +14,7 @@ use crate::config::AccelConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
 use zskip_quant::{Requantizer, Sm8};
-use zskip_sim::{Barrier, CounterId, Ctx, FifoId, Horizon, Kernel, Progress};
+use zskip_sim::{Barrier, CounterId, Ctx, FifoId, Kernel, Progress};
 use zskip_tensor::Tile;
 
 #[derive(Debug, Clone, Copy)]
@@ -162,14 +162,6 @@ impl AccumKernel {
 impl Kernel<Msg> for AccumKernel {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn horizon(&self) -> Horizon {
-        // Blocked FIFO paths are pure probes (a refused output push
-        // restores `pending` intact). The barrier-wait path touches no
-        // FIFOs at all, so its Blocked ticks carry an empty watch set and
-        // the scheduler keeps polling — exactly what a spin-wait needs.
-        Horizon::Reactive
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Msg>) -> Progress {

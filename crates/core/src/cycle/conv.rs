@@ -10,7 +10,7 @@
 
 use super::msg::{ConvWork, Msg};
 use std::rc::Rc;
-use zskip_sim::{Ctx, FifoId, Horizon, Kernel, Progress};
+use zskip_sim::{Ctx, FifoId, Kernel, Progress};
 use zskip_tensor::offset_to_dydx;
 
 /// The convolution unit.
@@ -47,11 +47,6 @@ impl ConvKernel {
 impl Kernel<Msg> for ConvKernel {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn horizon(&self) -> Horizon {
-        // Blocked and idle ticks only probe FIFOs (room check + pop).
-        Horizon::Reactive
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Msg>) -> Progress {

@@ -5,14 +5,13 @@
 //! configures the staging, accumulator and write units for each
 //! instruction, and waits for the write units to confirm completion before
 //! dispatching the next. Bank port arbitration is cycle-stamped inside
-//! [`crate::bank::BankSet`], so the controller carries no bank handle and
-//! can park like any other kernel while waiting on completions.
+//! [`crate::bank::BankSet`], so the controller carries no bank handle.
 
 use super::msg::{AccumCfg, Msg};
 use crate::config::AccelConfig;
 use crate::isa::{ConvInstr, Instruction};
 use std::collections::VecDeque;
-use zskip_sim::{Ctx, FifoId, Horizon, Kernel, Progress};
+use zskip_sim::{Ctx, FifoId, Kernel, Progress};
 
 enum State {
     /// Instruction-decode latency countdown.
@@ -32,12 +31,6 @@ enum State {
 pub struct CtrlKernel {
     config: AccelConfig,
     instrs: VecDeque<Instruction>,
-    /// Hosted mode: instructions arrive over this FIFO (from the host
-    /// kernel) instead of being preloaded; a `Msg::Shutdown` token ends
-    /// the stream.
-    instr_in: Option<FifoId>,
-    /// Hosted mode: per-instruction completion notifications to the host.
-    host_done: Option<FifoId>,
     staging_cmds: Vec<FifoId>,
     accum_cfgs: Vec<FifoId>,
     write_cmds: Vec<FifoId>,
@@ -49,7 +42,7 @@ impl CtrlKernel {
     /// Creates the controller with the full instruction stream.
     pub fn new(
         config: AccelConfig,
-        instrs: Vec<Instruction>,
+        instrs: &[Instruction],
         staging_cmds: Vec<FifoId>,
         accum_cfgs: Vec<FifoId>,
         write_cmds: Vec<FifoId>,
@@ -57,33 +50,13 @@ impl CtrlKernel {
     ) -> CtrlKernel {
         CtrlKernel {
             config,
-            instrs: instrs.into(),
-            instr_in: None,
-            host_done: None,
+            instrs: instrs.iter().copied().collect(),
             staging_cmds,
             accum_cfgs,
             write_cmds,
             done_in,
             state: State::Decode(AccelConfig::INSTR_OVERHEAD_CYCLES),
         }
-    }
-
-    /// Creates a host-fed controller: instructions are popped from
-    /// `instr_in` as the host dispatches them, and each completed
-    /// instruction is acknowledged on `host_done`.
-    pub fn new_hosted(
-        config: AccelConfig,
-        instr_in: FifoId,
-        host_done: FifoId,
-        staging_cmds: Vec<FifoId>,
-        accum_cfgs: Vec<FifoId>,
-        write_cmds: Vec<FifoId>,
-        done_in: FifoId,
-    ) -> CtrlKernel {
-        let mut ctrl = CtrlKernel::new(config, Vec::new(), staging_cmds, accum_cfgs, write_cmds, done_in);
-        ctrl.instr_in = Some(instr_in);
-        ctrl.host_done = Some(host_done);
-        ctrl
     }
 
     fn accum_cfg(&self, i: &ConvInstr, lane: usize) -> AccumCfg {
@@ -148,33 +121,11 @@ impl Kernel<Msg> for CtrlKernel {
         "main-ctrl"
     }
 
-    fn horizon(&self) -> Horizon {
-        // The only blocked path is the `WaitDone` pop, a pure FIFO probe.
-        Horizon::Reactive
-    }
-
     fn tick(&mut self, ctx: &mut Ctx<'_, Msg>) -> Progress {
         match &mut self.state {
             State::Finished => Progress::Done,
             State::Decode(left) => {
                 if self.instrs.is_empty() {
-                    if let Some(fi) = self.instr_in {
-                        // Host-fed: fetch the next instruction (or the
-                        // end-of-stream token) from the dispatch FIFO.
-                        return match ctx.fifos.try_pop(fi) {
-                            Some(Msg::Cmd(instr)) => {
-                                self.instrs.push_back(instr);
-                                self.state = State::Decode(AccelConfig::INSTR_OVERHEAD_CYCLES);
-                                Progress::Busy
-                            }
-                            Some(Msg::Shutdown) => {
-                                self.state = State::Shutdown;
-                                Progress::Busy
-                            }
-                            Some(other) => panic!("controller received unexpected message {other:?}"),
-                            None => Progress::Idle,
-                        };
-                    }
                     self.state = State::Shutdown;
                     Progress::Busy
                 } else if *left > 0 {
@@ -192,12 +143,6 @@ impl Kernel<Msg> for CtrlKernel {
                     if *remaining == 0 {
                         self.instrs.pop_front();
                         self.state = State::Decode(AccelConfig::INSTR_OVERHEAD_CYCLES);
-                        if let Some(hd) = self.host_done {
-                            // Completion visible to the host's next poll.
-                            ctx.fifos
-                                .try_push(hd, Msg::Done)
-                                .expect("host completion FIFO sized for the layer");
-                        }
                     }
                     Progress::Busy
                 }

@@ -11,13 +11,10 @@
 pub mod accum;
 pub mod conv;
 pub mod ctrl;
-pub mod host;
 pub mod msg;
 pub mod poolpad_unit;
 pub mod staging;
 pub mod write;
-
-pub use host::{HostLayer, HostModel};
 
 use crate::bank::BankSet;
 use crate::config::AccelConfig;
@@ -25,12 +22,13 @@ use crate::isa::Instruction;
 use msg::Msg;
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::num::NonZeroUsize;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::par::ConvPool;
-use zskip_sim::{Barrier, Counters, Engine, Fifo, RunReport, SchedMode, SimError, Trace};
+use zskip_sim::{Barrier, Counters, Engine, Fifo, RunReport, SimError, Trace};
 
 /// Result of running an instruction stream on the cycle-exact backend.
 #[derive(Debug)]
@@ -50,47 +48,23 @@ pub struct CycleOutcome {
     pub trace: Option<Trace>,
 }
 
-/// How the main controller receives its instruction stream.
-#[derive(Debug, Clone)]
-pub enum Feed {
-    /// The full stream is preloaded into the controller (accelerator-only
-    /// designs; the paper's measurement setup after staging).
-    Preloaded(Vec<Instruction>),
-    /// A [`host::HostKernel`] stages and dispatches the stream layer by
-    /// layer and polls for completion (the paper's §IV-C system view).
-    /// Long host-side staging and polling gaps quiesce the whole design,
-    /// so this is where the event-driven scheduler beats the dense
-    /// stepper by the widest margin.
-    Hosted(HostModel),
-}
-
-/// Everything a [`run`] takes besides the design, its data and its feed.
-/// `RunOptions::default()` is the product configuration: no cycle limit,
-/// no trace, no faults, the event-driven scheduler.
+/// Everything a [`run`] takes besides the design, its data and its
+/// instructions. `RunOptions::default()` is the product configuration: no
+/// cycle limit, no trace, no faults.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Cycle limit; exceeding it is [`SimError::CycleLimit`].
     pub max_cycles: u64,
     /// Record an activity waveform of up to this many cycles into
     /// [`CycleOutcome::trace`].
-    pub trace_cycles: Option<usize>,
+    pub trace_cycles: Option<NonZeroUsize>,
     /// Fault plan whose `fifo:*` injections are armed on the engine.
     pub fault_plan: Option<SharedFaultPlan>,
-    /// The scheduler. [`SchedMode::Dense`] ticks every kernel every cycle
-    /// — slower, but the semantics are defined by inspection, so it is
-    /// the oracle [`SchedMode::EventDriven`] (kernels blocked on a FIFO
-    /// park on its wait list) is pinned bit-identical to.
-    pub sched: SchedMode,
 }
 
 impl Default for RunOptions {
     fn default() -> RunOptions {
-        RunOptions {
-            max_cycles: u64::MAX,
-            trace_cycles: None,
-            fault_plan: None,
-            sched: SchedMode::EventDriven,
-        }
+        RunOptions { max_cycles: u64::MAX, trace_cycles: None, fault_plan: None }
     }
 }
 
@@ -99,20 +73,18 @@ impl Default for RunOptions {
 /// `banks` must hold the resident IFM stripe in the layout the
 /// instructions reference — it may be the set an earlier run handed back,
 /// whose port grants are released here; `scratchpad` holds the packed
-/// weight image (copied: the kernels own what they read).
+/// weight image (copied: the kernels own what they read). The whole
+/// stream is preloaded into the main controller, as after the paper's
+/// instruction DMA.
 ///
 /// # Errors
 /// Propagates [`SimError`] (deadlock or cycle limit) — either indicates a
 /// malformed instruction stream, an RTL-level bug or an injected fault.
-///
-/// # Panics
-/// Panics if `opts` asks for a zero-cycle trace window, which
-/// [`zskip_sim::EngineBuilder`] rejects.
 pub fn run(
     config: &AccelConfig,
     mut banks: BankSet,
     scratchpad: &[u8],
-    feed: Feed,
+    instrs: &[Instruction],
     opts: &RunOptions,
 ) -> Result<CycleOutcome, SimError> {
     assert_eq!(config.units, config.lanes, "accumulator lanes map 1:1 onto write units");
@@ -121,21 +93,14 @@ pub fn run(
     let banks = Rc::new(RefCell::new(banks));
     let scratchpad: Rc<[u8]> = scratchpad.into();
     let barrier = Rc::new(RefCell::new(Barrier::new(config.lanes)));
-    let mut builder = Engine::<Msg>::builder().scheduler(opts.sched);
+    let mut builder = Engine::<Msg>::builder();
     if let Some(capacity) = opts.trace_cycles {
         builder = builder.trace(capacity);
     }
     if let Some(plan) = &opts.fault_plan {
         builder = builder.fault_plan(plan.clone());
     }
-    if let Feed::Hosted(model) = &feed {
-        // The longest legal quiescent stretch is a staging sleep or a
-        // poll gap; give the deadlock detector room beyond both.
-        let longest_gap =
-            model.layers.iter().map(|l| l.staging_cycles).max().unwrap_or(0).max(model.poll_interval);
-        builder = builder.deadlock_window(longest_gap.saturating_add(10_000));
-    }
-    let mut engine: Engine<Msg> = builder.build().expect("nonzero trace window");
+    let mut engine: Engine<Msg> = builder.build().expect("the default deadlock window is nonzero");
 
     // FIFOs. Command/config queues are depth-2 (dispatch is one message
     // deep plus shutdown); data queues use the configured depth.
@@ -191,37 +156,9 @@ pub fn run(
             done,
         )));
     }
-    // Controller last among the accelerator's kernels, matching the
-    // paper's dispatch topology (it feeds every cmd FIFO, so its pushes
-    // land after all consumers ticked). In hosted mode the host CPU
-    // registers after it, outside the accelerator proper.
-    match feed {
-        Feed::Preloaded(instructions) => {
-            engine.add_kernel(Box::new(ctrl::CtrlKernel::new(
-                *config,
-                instructions,
-                staging_cmds,
-                accum_cfgs,
-                write_cmds,
-                done,
-            )));
-        }
-        Feed::Hosted(model) => {
-            let instr_q = engine.add_fifo(Fifo::new("hinstr", 2));
-            let done_cap = model.layers.iter().map(|l| l.instrs.len()).max().unwrap_or(1).max(2);
-            let host_done = engine.add_fifo(Fifo::new("hdone", done_cap));
-            engine.add_kernel(Box::new(ctrl::CtrlKernel::new_hosted(
-                *config,
-                instr_q,
-                host_done,
-                staging_cmds,
-                accum_cfgs,
-                write_cmds,
-                done,
-            )));
-            engine.add_kernel(Box::new(host::HostKernel::new(model, instr_q, host_done)));
-        }
-    }
+    // Controller last, matching the paper's dispatch topology (it feeds
+    // every cmd FIFO, so its pushes land after all consumers ticked).
+    engine.add_kernel(Box::new(ctrl::CtrlKernel::new(*config, instrs, staging_cmds, accum_cfgs, write_cmds, done)));
 
     let report = engine.run(opts.max_cycles)?;
     let trace = engine.trace().cloned();
@@ -309,8 +246,7 @@ pub fn run_items(
         }
         let mut copy = copies[worker].lock().expect("no run panicked holding its banks");
         let own = copy.take().unwrap_or_else(|| ifm.clone());
-        let feed = Feed::Preloaded(items[i].instrs.clone());
-        let result = run(config, own, &items[i].scratchpad, feed, opts).map(|outcome| {
+        let result = run(config, own, &items[i].scratchpad, &items[i].instrs, opts).map(|outcome| {
             *copy = Some(outcome.banks);
             (worker, outcome.cycles, outcome.counters)
         });
@@ -345,9 +281,8 @@ pub fn run_items(
         }
     }
     if items.len() != 1 {
-        let tail_opts = RunOptions { sched: opts.sched, ..RunOptions::default() };
         let no_banks = BankSet::with_geometry(AccelConfig::BANKS, 0);
-        let tail = run(config, no_banks, &[], Feed::Preloaded(Vec::new()), &tail_opts)?.cycles;
+        let tail = run(config, no_banks, &[], &[], &RunOptions::default())?.cycles;
         total.cycles = total.cycles + tail - items.len() as u64 * tail;
     }
     Ok(total)

@@ -10,7 +10,7 @@ use super::msg::Msg;
 use crate::poolpad::apply_micro_op;
 use crate::poolpad::MicroOp;
 use zskip_quant::Sm8;
-use zskip_sim::{CounterId, Ctx, FifoId, Horizon, Kernel, Progress};
+use zskip_sim::{CounterId, Ctx, FifoId, Kernel, Progress};
 use zskip_tensor::Tile;
 
 /// The pool/pad unit.
@@ -41,11 +41,6 @@ impl PoolPadKernel {
 impl Kernel<Msg> for PoolPadKernel {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn horizon(&self) -> Horizon {
-        // Blocked and idle ticks only probe FIFOs (room check + pop).
-        Horizon::Reactive
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Msg>) -> Progress {

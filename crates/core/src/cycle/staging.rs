@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use zskip_quant::pack::index_tiles;
 use zskip_quant::{PackedEntry, PackedTile, Sm8};
-use zskip_sim::{CounterId, Ctx, FifoId, Horizon, Kernel, Progress};
+use zskip_sim::{CounterId, Ctx, FifoId, Kernel, Progress};
 use zskip_tensor::Tile;
 
 /// One (position, IFM) phase of a convolution instruction.
@@ -440,17 +440,6 @@ fn conv_finished(st: &ConvState) -> bool {
 impl Kernel<Msg> for StagingKernel {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn horizon(&self) -> Horizon {
-        // A blocked pool tick charges its bank read *before* the push
-        // attempt (the retry is a second read, like a stalled pipeline
-        // holding its request), so pool stalls must keep ticking. Every
-        // other blocked/idle path is a pure FIFO probe.
-        match self.state {
-            State::Pool(_) => Horizon::Opaque,
-            _ => Horizon::Reactive,
-        }
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Msg>) -> Progress {

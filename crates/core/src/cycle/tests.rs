@@ -44,7 +44,7 @@ fn weights(out_c: usize, in_c: usize, zero_every: usize) -> QuantConvWeights {
 /// layer (pre-padded input resident, single stripe), runs the cycle
 /// backend and returns (output tensor, cycles).
 pub(super) fn run_conv(cfg: &AccelConfig, qw: &QuantConvWeights, input: &Tensor<Sm8>) -> (Tensor<Sm8>, u64) {
-    let (outcome, out_layout) = run_conv_outcome(cfg, qw, input, Feed::Preloaded, &RunOptions::default());
+    let (outcome, out_layout) = run_conv_outcome(cfg, qw, input, &RunOptions::default());
     let (h, w) = (input.shape().h, input.shape().w);
     let out_shape = Shape::new(qw.out_c, h, w);
     let mut got = TiledFeatureMap::zeros(out_shape);
@@ -52,17 +52,16 @@ pub(super) fn run_conv(cfg: &AccelConfig, qw: &QuantConvWeights, input: &Tensor<
     (got.to_tensor().cropped(h, w), outcome.cycles)
 }
 
-/// Like [`run_conv`] but parameterized over the feed and the run options
-/// and returning the full [`CycleOutcome`] for report comparisons.
+/// Like [`run_conv`] but parameterized over the run options and returning
+/// the full [`CycleOutcome`].
 pub(super) fn run_conv_outcome(
     cfg: &AccelConfig,
     qw: &QuantConvWeights,
     input: &Tensor<Sm8>,
-    feed: impl FnOnce(Vec<Instruction>) -> Feed,
     opts: &RunOptions,
 ) -> (CycleOutcome, FmLayout) {
     let (banks, scratchpad, instrs, out_layout) = conv_workload(cfg, qw, input);
-    let outcome = run(cfg, banks, &scratchpad, feed(instrs), opts).expect("run completes");
+    let outcome = run(cfg, banks, &scratchpad, &instrs, opts).expect("run completes");
     (outcome, out_layout)
 }
 
@@ -95,14 +94,20 @@ fn conv_workload(
     (banks, scratchpad, instrs, out_layout)
 }
 
-/// A preloaded stream under the default options.
-fn run_preloaded(cfg: &AccelConfig, banks: BankSet, scratchpad: &[u8], instrs: &[Instruction]) -> CycleOutcome {
-    run(cfg, banks, scratchpad, Feed::Preloaded(instrs.to_vec()), &RunOptions::default()).expect("run completes")
+/// A preloaded stream under `opts`.
+fn run_stream(
+    cfg: &AccelConfig,
+    banks: BankSet,
+    scratchpad: &[u8],
+    instrs: &[Instruction],
+    opts: &RunOptions,
+) -> Result<CycleOutcome, SimError> {
+    run(cfg, banks, scratchpad, instrs, opts)
 }
 
-/// The default options on the dense stepper — the oracle.
-fn dense() -> RunOptions {
-    RunOptions { sched: SchedMode::Dense, ..RunOptions::default() }
+/// A preloaded stream under the default options.
+fn run_preloaded(cfg: &AccelConfig, banks: BankSet, scratchpad: &[u8], instrs: &[Instruction]) -> CycleOutcome {
+    run_stream(cfg, banks, scratchpad, instrs, &RunOptions::default()).expect("run completes")
 }
 
 /// The conv output region of `outcome`'s banks, cropped to 8x8.
@@ -113,140 +118,19 @@ fn output_8x8(outcome: &CycleOutcome, layout: &FmLayout, out_c: usize) -> Tensor
 }
 
 #[test]
-fn event_scheduler_matches_dense_on_vgg16_layer() {
-    // The event-driven scheduler (the `RunOptions` default) must be indistinguishable from the dense oracle on the full
-    // accelerator: same output bits, same cycle count, same per-kernel
-    // stats and counters — with a meaningful number of parks actually
-    // exercised (the controller parks on `done`, write units on their
-    // tile inputs, staging on full work FIFOs).
-    let cfg = config();
-    let qw = weights(64, 3, 4);
-    let input = input_tensor(3, 8, 8);
-    let (dense, layout) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &dense());
-    let (event, _) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &RunOptions::default());
-
-    assert_eq!(dense.cycles, event.cycles, "cycle counts must match");
-    assert_eq!(dense.report, event.report, "kernel stats and counters must match");
-    assert_eq!(dense.counters, event.counters);
-    assert!(event.report.sched.parks > 0, "event run must actually park kernels");
-    assert_eq!(dense.report.sched.parks, 0, "dense run never parks");
-    let extract = |outcome: &CycleOutcome| output_8x8(outcome, &layout, qw.out_c);
-    let out = extract(&dense);
-    assert_eq!(out, extract(&event), "outputs must be bit-identical");
-    assert_eq!(out, conv2d_quant_dense(&input, &qw, 1, 1), "and match the dense oracle");
-}
-
-/// A hosted feed for [`run_conv_outcome`]: splits the instruction stream
-/// into layers with the given staging latencies and wraps it into a
-/// [`HostModel`].
-fn hosted(staging: &'static [u64], poll_interval: u64) -> impl Fn(Vec<Instruction>) -> Feed {
-    move |instrs| {
-        let per_layer = instrs.len().div_ceil(staging.len());
-        let layers = instrs
-            .chunks(per_layer.max(1))
-            .zip(staging)
-            .map(|(chunk, &staging_cycles)| HostLayer { staging_cycles, instrs: chunk.to_vec() })
-            .collect();
-        Feed::Hosted(HostModel { poll_interval, layers })
-    }
-}
-
-#[test]
-fn hosted_event_matches_dense_and_jumps_staging() {
-    // The hosted system design (host kernel staging, dispatching and
-    // polling each layer, §IV-C) under the event scheduler must be
-    // bit-identical to the dense oracle while jumping the long staging
-    // and polling gaps. Staging latencies deliberately exceed the default
-    // 10k-cycle deadlock window — the hosted wiring widens the window to
-    // the longest gap, and both steppers must agree it's not a deadlock.
-    const STAGING: &[u64] = &[30_000, 15_000, 45_000];
-    let cfg = config();
-    let qw = weights(64, 3, 4);
-    let input = input_tensor(3, 8, 8);
-    let (dense, layout) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 200), &dense());
-    let (event, _) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 200), &RunOptions::default());
-
-    assert_eq!(dense.cycles, event.cycles, "cycle counts must match");
-    assert_eq!(dense.report, event.report, "kernel stats and counters must match");
-    assert_eq!(dense.counters, event.counters);
-    assert_eq!(dense.report.sched.parks, 0, "dense run never parks");
-    assert!(event.report.sched.parks > 0, "host and accelerator kernels must park");
-    let total_staging: u64 = STAGING.iter().sum();
-    assert!(
-        event.report.sched.idle_jumped > total_staging / 2,
-        "staging gaps must be jumped, not ground through: {:?}",
-        event.report.sched
-    );
-    assert_eq!(event.report.sched.executed_cycles + event.report.sched.idle_jumped, event.cycles);
-
-    let extract = |outcome: &CycleOutcome| output_8x8(outcome, &layout, qw.out_c);
-    let out = extract(&dense);
-    assert_eq!(out, extract(&event), "outputs must be bit-identical");
-    assert_eq!(out, conv2d_quant_dense(&input, &qw, 1, 1), "and match the dense oracle");
-}
-
-#[test]
-fn hosted_dense_and_event_agree_with_tracing_on() {
-    // Feed, scheduler and trace are independent options of one `run`: a
-    // hosted design traced on the dense oracle and on the event scheduler
-    // yields the same cycles, banks, counters and waveform.
-    const STAGING: &[u64] = &[12_000, 18_000];
-    let cfg = config();
-    let qw = weights(16, 3, 4);
-    let input = input_tensor(3, 8, 8);
-    let traced = |sched| RunOptions { sched, trace_cycles: Some(400), ..RunOptions::default() };
-    let (dense, layout) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 300), &traced(SchedMode::Dense));
-    let (event, _) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 300), &traced(SchedMode::EventDriven));
-
-    assert_eq!(dense.cycles, event.cycles);
-    assert_eq!(dense.report, event.report);
-    assert_eq!(dense.counters, event.counters);
-    assert_eq!(output_8x8(&dense, &layout, qw.out_c), output_8x8(&event, &layout, qw.out_c));
-    assert!(event.report.sched.idle_jumped > 0, "the traced event run still jumps staging gaps");
-    let render = |outcome: &CycleOutcome| outcome.trace.as_ref().expect("tracing was asked for").render(100);
-    assert!(render(&dense).contains("host-cpu"), "the waveform includes the host kernel");
-    assert_eq!(render(&dense), render(&event), "waveforms must be identical");
-}
-
-#[test]
 fn an_injected_stall_costs_cycles_and_no_output_bit() {
-    // A preloaded run with a transient FIFO stall (park-hysteresis
-    // invariance under one is held at engine level by
-    // `crates/sim/tests/event_equivalence.rs`).
+    // A run with a transient FIFO stall: it delays the design and the
+    // output is untouched.
     let cfg = config();
     let qw = weights(16, 3, 4);
     let input = input_tensor(3, 8, 8);
     let plan = FaultPlan::new().inject("fifo:work0:push", 40, FaultKind::FifoStall { cycles: 500 }).shared();
     let opts = RunOptions { fault_plan: Some(plan.clone()), ..RunOptions::default() };
-    let (stalled, layout) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &opts);
+    let (stalled, layout) = run_conv_outcome(&cfg, &qw, &input, &opts);
     assert_eq!(plan.lock().unwrap().fired().len(), 1, "the stall fired");
-    let (clean, _) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &RunOptions::default());
+    let (clean, _) = run_conv_outcome(&cfg, &qw, &input, &RunOptions::default());
     assert!(stalled.cycles > clean.cycles, "the stall must cost cycles: {} vs {}", stalled.cycles, clean.cycles);
     assert_eq!(output_8x8(&stalled, &layout, qw.out_c), conv2d_quant_dense(&input, &qw, 1, 1));
-}
-
-#[test]
-fn hosted_run_pays_staging_over_preloaded() {
-    // Same instruction stream, hosted vs. preloaded: identical output
-    // banks, but the hosted run pays the staging latency and the
-    // poll-interval quantization on top of the compute cycles.
-    const STAGING: &[u64] = &[20_000, 20_000];
-    let cfg = config();
-    let qw = weights(16, 3, 4);
-    let input = input_tensor(3, 8, 8);
-    let (plain, layout) = run_conv_outcome(&cfg, &qw, &input, Feed::Preloaded, &RunOptions::default());
-    let (hosted_out, _) = run_conv_outcome(&cfg, &qw, &input, hosted(STAGING, 500), &RunOptions::default());
-
-    let extract = |outcome: &CycleOutcome| output_8x8(outcome, &layout, qw.out_c);
-    assert_eq!(extract(&plain), extract(&hosted_out), "hosted run computes the same result");
-    let total_staging: u64 = STAGING.iter().sum();
-    assert!(
-        hosted_out.cycles > plain.cycles + total_staging,
-        "hosted run must pay staging on top of compute: {} vs {} + {}",
-        hosted_out.cycles,
-        plain.cycles,
-        total_staging
-    );
 }
 
 #[test]
@@ -459,11 +343,19 @@ fn counters_record_macs_and_bubbles() {
     assert!(outcome.counters.get("ofm_tiles_written") == 16);
 }
 
-/// A mixed stream — pad, conv, pool back to back in one doorbell — runs
-/// in order with correct dataflow between instructions.
-#[test]
-fn mixed_instruction_stream_chains_correctly() {
-    let cfg = config();
+/// A mixed stream — pad, conv, pool back to back in one doorbell — on
+/// [`config`]: the input, the resident banks, the group's packed weights,
+/// the stream, where the pooled output lands and what it must read.
+struct MixedStream {
+    input: Tensor<Sm8>,
+    banks: BankSet,
+    gw: GroupWeights<'static>,
+    stream: Vec<Instruction>,
+    pool_out: FmLayout,
+    want: Tensor<Sm8>,
+}
+
+fn mixed_stream(cfg: &AccelConfig) -> MixedStream {
     let (c_in, h, w) = (4usize, 8usize, 8usize);
     let input = input_tensor(c_in, h, w);
     let qw = weights(4, c_in, 3);
@@ -477,12 +369,11 @@ fn mixed_instruction_stream_chains_correctly() {
     let pool_shape = Shape::new(4, h / 2, w / 2);
     let pool_out = FmLayout::full(conv_out.end(), pool_shape);
 
-    let mut banks = BankSet::new(&cfg);
+    let mut banks = BankSet::new(cfg);
     let tiled = TiledFeatureMap::from_tensor(&input);
     raw.store(&mut banks, &tiled, 0..tiled.tiles_y());
 
     let gw = GroupWeights::from_filters(&qw, 0, cfg.lanes);
-    let scratchpad = gw.as_bytes();
 
     let stream = vec![
         Instruction::PoolPad(PoolPadInstr {
@@ -531,20 +422,114 @@ fn mixed_instruction_stream_chains_correctly() {
     let mut qw_bias = qw.clone();
     qw_bias.bias_acc = vec![1, -2, 3, -4];
     let want = zskip_nn::pool::maxpool_quant(&conv2d_quant_dense(&input, &qw_bias, 1, 1), 2, 2);
+    MixedStream { input, banks, gw, stream, pool_out, want }
+}
 
-    let outcome = run_preloaded(&cfg, banks, scratchpad, &stream);
-    let mut got = TiledFeatureMap::zeros(pool_shape);
-    pool_out.load(&outcome.banks, &mut got, 0..pool_out.tile_rows);
-    assert_eq!(got.to_tensor().cropped(h / 2, w / 2), want);
+/// The pooled output region of `banks`.
+fn pooled(m: &MixedStream, banks: &BankSet) -> Tensor<Sm8> {
+    let shape = m.want.shape();
+    let mut got = TiledFeatureMap::zeros(shape);
+    m.pool_out.load(banks, &mut got, 0..m.pool_out.tile_rows);
+    got.to_tensor().cropped(shape.h, shape.w)
+}
+
+/// The mixed stream runs in order with correct dataflow between
+/// instructions.
+#[test]
+fn mixed_instruction_stream_chains_correctly() {
+    let cfg = config();
+    let m = mixed_stream(&cfg);
+    let outcome = run_preloaded(&cfg, m.banks.clone(), m.gw.as_bytes(), &m.stream);
+    assert_eq!(pooled(&m, &outcome.banks), m.want);
 
     // Same stream on the model backend: identical final banks region.
     let mut model_banks = BankSet::new(&cfg);
-    let tiled = TiledFeatureMap::from_tensor(&input);
-    raw.store(&mut model_banks, &tiled, 0..tiled.tiles_y());
-    crate::model::run(&cfg, &mut model_banks, &stream, &[gw], &mut Counters::new(), true);
-    let mut got2 = TiledFeatureMap::zeros(pool_shape);
-    pool_out.load(&model_banks, &mut got2, 0..pool_out.tile_rows);
-    assert_eq!(got2.to_tensor().cropped(h / 2, w / 2), want);
+    let tiled = TiledFeatureMap::from_tensor(&m.input);
+    FmLayout::full(0, m.input.shape()).store(&mut model_banks, &tiled, 0..tiled.tiles_y());
+    crate::model::run(&cfg, &mut model_banks, &m.stream, std::slice::from_ref(&m.gw), &mut Counters::new(), true);
+    assert_eq!(pooled(&m, &model_banks), m.want);
+}
+
+/// The mixed stream's whole report on the real 21-kernel design, pinned
+/// to the figures the simulator has always produced for it: a change to
+/// how cycles are stepped must not move one cycle, one kernel-state count
+/// or one counter.
+#[test]
+fn mixed_stream_report_is_pinned() {
+    const KERNELS: [(&str, u64, u64, u64, u64); 21] = [
+        // (name, busy, blocked, idle, done)
+        ("staging0", 83, 2, 109, 1),
+        ("staging1", 83, 2, 109, 1),
+        ("staging2", 83, 2, 109, 1),
+        ("staging3", 83, 2, 109, 1),
+        ("conv0", 28, 7, 160, 0),
+        ("conv1", 28, 7, 160, 0),
+        ("conv2", 28, 7, 160, 0),
+        ("conv3", 28, 7, 160, 0),
+        ("accum0", 37, 9, 147, 2),
+        ("accum1", 37, 9, 147, 2),
+        ("accum2", 37, 9, 147, 2),
+        ("accum3", 37, 9, 147, 2),
+        ("poolpad0", 47, 0, 148, 0),
+        ("poolpad1", 47, 0, 148, 0),
+        ("poolpad2", 47, 0, 148, 0),
+        ("poolpad3", 47, 0, 148, 0),
+        ("write0", 20, 82, 91, 2),
+        ("write1", 20, 83, 90, 2),
+        ("write2", 20, 87, 86, 2),
+        ("write3", 20, 90, 83, 2),
+        ("main-ctrl", 91, 101, 0, 3),
+    ];
+    const COUNTERS: [(&str, u64); 7] = [
+        ("accum_adds", 5504),
+        ("bubble_lanes", 40),
+        ("macs", 5504),
+        ("max_ops", 548),
+        ("ofm_tiles_written", 56),
+        ("pool_microops", 188),
+        ("weights_applied", 344),
+    ];
+    let cfg = config();
+    let m = mixed_stream(&cfg);
+    let outcome = run_preloaded(&cfg, m.banks.clone(), m.gw.as_bytes(), &m.stream);
+    assert_eq!(outcome.cycles, 196);
+    let kernels: Vec<_> =
+        outcome.report.kernels.iter().map(|(n, s)| (n.as_str(), s.busy, s.blocked, s.idle, s.done)).collect();
+    assert_eq!(kernels, KERNELS);
+    assert_eq!(outcome.counters.iter().collect::<Vec<_>>(), COUNTERS);
+    assert_eq!(pooled(&m, &outcome.banks), m.want);
+}
+
+/// A permanent `fifo:*:pop` stall on the real design, pinned: the cycle
+/// the deadlock is declared at, the kernels it names as blocked and the
+/// FIFO it blames.
+#[test]
+fn permanent_pop_stall_deadlock_is_pinned() {
+    let cfg = config();
+    let (banks, scratchpad, instrs, _) = conv_workload(&cfg, &weights(16, 3, 4), &input_tensor(3, 8, 8));
+    let plan = FaultPlan::new().inject("fifo:work1:pop", 60, FaultKind::FifoStall { cycles: u64::MAX }).shared();
+    let opts = RunOptions { fault_plan: Some(plan), ..RunOptions::default() };
+    let err = run_stream(&cfg, banks, &scratchpad, &instrs, &opts).expect_err("the stall wedges the design");
+    let SimError::Deadlock { cycle, blocked, .. } = &err else { panic!("expected a deadlock, got {err}") };
+    assert_eq!(*cycle, 10_074);
+    let every_kernel: Vec<String> = ["staging", "conv", "accum", "poolpad", "write"]
+        .iter()
+        .flat_map(|k| (0..4).map(move |i| format!("{k}{i}")))
+        .chain(["main-ctrl".to_string()])
+        .collect();
+    assert_eq!(*blocked, every_kernel);
+    let wedged = err.wedged().expect("a deadlock names a fifo");
+    assert_eq!(
+        *wedged,
+        zskip_sim::FifoSnapshot {
+            name: "work1".into(),
+            occupancy: 4,
+            capacity: 4,
+            stalled: true,
+            push_waiting: true,
+            pop_waiting: true,
+        }
+    );
 }
 
 #[test]
@@ -615,7 +600,7 @@ fn a_failed_item_fails_the_pass_with_its_own_error() {
     let items = chunked(&instrs, &scratchpad, u32::MAX);
     assert_eq!(items.len(), 4);
     let alone = |item: &WorkItem<'_>, opts: &RunOptions| {
-        run(&cfg, banks.clone(), &item.scratchpad, Feed::Preloaded(item.instrs.clone()), opts).map(|o| o.cycles)
+        run(&cfg, banks.clone(), &item.scratchpad, &item.instrs, opts).map(|o| o.cycles)
     };
     let cheap = alone(&items[0], &RunOptions::default()).expect("runs");
     let costly = alone(&items[1], &RunOptions::default()).expect("runs");
@@ -646,12 +631,11 @@ mod split_properties {
         /// One engine run per work item against one run of the whole
         /// stream, for every way to cut the stream into contiguous items:
         /// the same cycles, counters and bank words — on every paper
-        /// geometry, under both schedulers, at any pool width, with a
+        /// geometry, at any pool width, with a
         /// ragged last group and with a fully-pruned (marker-only) one.
         #[test]
         fn items_add_up_to_the_whole_stream(
             variant in prop_oneof![Just(Variant::U16Unopt), Just(Variant::U256Opt), Just(Variant::U512Opt)],
-            sched in prop_oneof![Just(SchedMode::Dense), Just(SchedMode::EventDriven)],
             groups in 1usize..=4,
             ragged in 0usize..4,
             in_c in 1usize..=5,
@@ -669,9 +653,8 @@ mod split_properties {
             qw.w.iter_mut().skip(pruned * per_group).take(per_group).for_each(|w| *w = Sm8::ZERO);
             qw.invalidate_caches();
             let (banks, scratchpad, instrs, _) = conv_workload(&cfg, &qw, &input_tensor(in_c, h, w));
-            let opts = RunOptions { sched, ..RunOptions::default() };
-            let whole = run(&cfg, banks.clone(), &scratchpad, Feed::Preloaded(instrs.clone()), &opts)
-                .expect("the whole stream runs");
+            let opts = RunOptions::default();
+            let whole = run(&cfg, banks.clone(), &scratchpad, &instrs, &opts).expect("the whole stream runs");
             let whole_words = words(&whole.banks);
 
             let pool = ConvPool::new(threads);

@@ -9,7 +9,7 @@ use super::msg::Msg;
 use crate::bank::BankSet;
 use std::cell::RefCell;
 use std::rc::Rc;
-use zskip_sim::{CounterId, Ctx, FifoId, Horizon, Kernel, Progress};
+use zskip_sim::{CounterId, Ctx, FifoId, Kernel, Progress};
 
 /// The write-to-memory unit.
 pub struct WriteKernel {
@@ -52,12 +52,6 @@ impl WriteKernel {
 impl Kernel<Msg> for WriteKernel {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn horizon(&self) -> Horizon {
-        // Bank port B is only touched on the Busy path; blocked and idle
-        // ticks are pure FIFO probes.
-        Horizon::Reactive
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Msg>) -> Progress {

@@ -315,10 +315,9 @@ mod tests {
             .collect()
     }
 
-    /// The cycle backend with default options on a preloaded stream.
+    /// The cycle backend with default options.
     fn run_cycle(cfg: &AccelConfig, banks: BankSet, scratchpad: &[u8], instrs: &[Instruction]) -> cycle::CycleOutcome {
-        cycle::run(cfg, banks, scratchpad, cycle::Feed::Preloaded(instrs.to_vec()), &Default::default())
-            .expect("cycle run completes")
+        cycle::run(cfg, banks, scratchpad, instrs, &Default::default()).expect("cycle run completes")
     }
 
     /// The functional model on the groups parsed from `scratchpad`.
@@ -568,8 +567,7 @@ mod pool_proptests {
                 out_row_start: 0,
                 op: PoolPadOp::MaxPool { k, stride },
             });
-            let feed = cycle::Feed::Preloaded(vec![instr]);
-            let cyc = cycle::run(&cfg, banks.clone(), &[], feed, &Default::default()).unwrap();
+            let cyc = cycle::run(&cfg, banks.clone(), &[], &[instr], &Default::default()).unwrap();
             let mut model_banks = banks;
             let model = run(&cfg, &mut model_banks, &[instr], &[], &mut Counters::new(), true);
 

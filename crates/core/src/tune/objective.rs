@@ -14,9 +14,9 @@
 //! The first three measure the tuning host and carry its noise; `cycles`
 //! is the deterministic objective the byte-identical-artifact contract
 //! is pinned on. It is evaluated through the transaction-level model in
-//! stats-only mode, which is cycle-identical to the event-driven
-//! simulation by the PR-5 differential property tests — a fact the
-//! `tests/tune.rs` suite re-asserts — so scoring a point costs
+//! stats-only mode, whose makespan equals the cycle-exact simulation's on
+//! the backends' differential tests — a fact the `tests/tune.rs` suite
+//! re-asserts — so scoring a point costs
 //! milliseconds instead of minutes.
 
 use std::collections::HashMap;
@@ -214,8 +214,8 @@ impl<'a> Evaluator<'a> {
 
     /// The deterministic hardware objective: simulated seconds for one
     /// image under the config's variant/instances/placement, via the
-    /// transaction model in stats-only mode (cycle-identical to the
-    /// event-driven simulation; see the module docs).
+    /// transaction model in stats-only mode (the cycle-exact
+    /// simulation's makespan; see the module docs).
     fn measure_cycles(&self, config: &TunedConfig) -> Result<f64, crate::Error> {
         let session = config
             .session()

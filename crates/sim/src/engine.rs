@@ -1,26 +1,16 @@
 //! The cycle-stepped simulation engine.
 //!
-//! Two schedulers share one set of semantics (see `docs/SIMULATOR.md`):
-//!
-//! * the **dense stepper** ([`SchedMode::Dense`]) ticks every kernel every
-//!   cycle — simple, obviously correct, kept as the oracle;
-//! * the **event-driven scheduler** ([`SchedMode::EventDriven`]) parks
-//!   kernels that are blocked on FIFO state on those FIFOs' wait lists and
-//!   only re-enqueues them on an occupancy edge (a pop freeing room, a
-//!   staged push committing, an injected stall expiring) or a
-//!   [`Horizon::Sleep`] timer, so per-cycle work collapses to
-//!   O(runnable kernels) and whole quiescent stretches are jumped over.
-//!
-//! Both produce bit-identical [`RunReport`]s, traces, deadlock attribution
-//! and fault behavior (property-tested); only [`SchedStats`] — which
-//! records *how* the run was computed — differs.
+//! Every cycle the engine ticks each unfinished kernel once, in
+//! registration order, then commits every FIFO (staged pushes become
+//! visible, ports free up, occupancy statistics accrue). A kernel that
+//! finished accrues `done` cycles until the run ends. See
+//! `docs/SIMULATOR.md` for the cycle semantics and deadlock detection.
 
 use crate::fifo::{Fifo, FifoId, PushError, StallPort};
-use crate::stats::{CounterId, Counters, KernelStats, SchedStats};
+use crate::stats::{CounterId, Counters, KernelStats};
 use crate::trace::Trace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
+use std::num::NonZeroUsize;
 use zskip_fault::{FaultKind, SharedFaultPlan};
 
 /// What a kernel accomplished in one cycle.
@@ -36,27 +26,6 @@ pub enum Progress {
     Done,
 }
 
-/// How far ahead a kernel's behavior is predictable while its inputs are
-/// unchanged. Drives parking under the event-driven scheduler: only
-/// non-[`Opaque`] kernels may be parked, because their contract
-/// guarantees the skipped ticks would have been pure no-ops.
-///
-/// [`Opaque`]: Horizon::Opaque
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Horizon {
-    /// The engine cannot predict this kernel: tick it every cycle. The
-    /// default — always safe.
-    Opaque,
-    /// The kernel only reacts to FIFO state: while its FIFOs are
-    /// unchanged, its tick returns the same [`Progress`], mutates no
-    /// kernel state, touches no [`Ctx::counters`].
-    Reactive,
-    /// As [`Reactive`](Horizon::Reactive) until the given absolute cycle,
-    /// at which point the kernel may act on its own (e.g. a modeled
-    /// host-polling interval or DMA completion latency).
-    Sleep(u64),
-}
-
 /// A streaming hardware kernel (one synthesized Pthread).
 ///
 /// `M` is the message type carried by the design's FIFOs; a design defines
@@ -68,12 +37,6 @@ pub trait Kernel<M> {
 
     /// Advances the kernel by one clock cycle.
     fn tick(&mut self, ctx: &mut Ctx<'_, M>) -> Progress;
-
-    /// Declares how far the kernel is predictable during quiescence.
-    /// Defaults to [`Horizon::Opaque`] (never parked).
-    fn horizon(&self) -> Horizon {
-        Horizon::Opaque
-    }
 }
 
 /// Receives per-cycle progress events. Monomorphized into the run loop so
@@ -82,19 +45,14 @@ pub trait Kernel<M> {
 pub trait Observer {
     /// One kernel's progress for one cycle.
     fn record(&mut self, kernel: usize, cycle: u64, progress: Progress);
-    /// One kernel's progress for `n` consecutive cycles starting at
-    /// `cycle` (parked stretches and trailing done cycles).
-    fn record_span(&mut self, kernel: usize, cycle: u64, n: u64, progress: Progress);
 }
 
-/// Observer for untraced runs: every hook is an empty inline body.
+/// Observer for untraced runs: the hook is an empty inline body.
 pub struct NullObserver;
 
 impl Observer for NullObserver {
     #[inline(always)]
     fn record(&mut self, _kernel: usize, _cycle: u64, _progress: Progress) {}
-    #[inline(always)]
-    fn record_span(&mut self, _kernel: usize, _cycle: u64, _n: u64, _progress: Progress) {}
 }
 
 /// Observer that records into a waveform [`Trace`].
@@ -108,199 +66,47 @@ impl Observer for TraceObserver<'_> {
     fn record(&mut self, kernel: usize, cycle: u64, progress: Progress) {
         self.trace.record(kernel, cycle, progress);
     }
-    #[inline]
-    fn record_span(&mut self, kernel: usize, cycle: u64, n: u64, progress: Progress) {
-        self.trace.record_span(kernel, cycle, n, progress);
-    }
-}
-
-/// Per-tick / per-cycle FIFO access tracking, reused across cycles.
-///
-/// The event scheduler needs three things from a tick: the *watch set*
-/// (every FIFO the kernel looked at — a parked kernel must wake when any
-/// of them changes), the *success set* (FIFOs whose occupancy edge must
-/// wake waiters), and the *touched set* (FIFOs needing an
-/// [`Fifo::end_cycle`] commit this cycle). The success and touched sets
-/// are stamp-deduped index lists (they are consumed every tick / cycle);
-/// the watch set is stamps only — it is read at most once per tick, at
-/// park time, which is rare enough that a scan over all FIFO stamps beats
-/// maintaining a list on the hot path.
-#[derive(Debug, Default)]
-struct FifoScratch {
-    /// Current tick stamp (bumped per kernel tick).
-    tick: u64,
-    /// Current cycle stamp (bumped per executed cycle).
-    cstamp: u64,
-    /// Tick stamp of each FIFO's last access (read or port op).
-    accessed_stamp: Vec<u64>,
-    /// FIFOs with a successful push/pop in the current tick.
-    succeeded: Vec<u32>,
-    succeeded_stamp: Vec<u64>,
-    /// FIFOs with a port-op attempt this cycle (need `end_cycle`).
-    touched: Vec<u32>,
-    touched_stamp: Vec<u64>,
-    /// Whether the current tick accessed any FIFO at all.
-    any_access: bool,
-    /// Whether the current tick performed any successful push/pop.
-    any_success: bool,
-    /// Whether any tick this cycle performed a successful push/pop.
-    cycle_any_success: bool,
-    /// Cycle stamp of the last successful push/pop per FIFO. The event
-    /// scheduler refuses to park a kernel whose watch set includes a FIFO
-    /// stamped this cycle: the success's waiter pass may already have run,
-    /// so the park would miss its `t + 1` wake. The refused kernel stays
-    /// runnable and re-ticks next cycle — exactly the wake it would have
-    /// received.
-    succ_cycle_stamp: Vec<u64>,
-    /// Tick stamp of the last failed (Full / empty) push and pop per FIFO,
-    /// for recording *why* a kernel parked.
-    push_fail_stamp: Vec<u64>,
-    pop_fail_stamp: Vec<u64>,
-    /// Absolute cycle of the last actually-executed failed push/pop per
-    /// FIFO, for deadlock snapshots (`u64::MAX` = never).
-    push_fail_cycle: Vec<u64>,
-    pop_fail_cycle: Vec<u64>,
-}
-
-impl FifoScratch {
-    fn ensure(&mut self, nfifos: usize) {
-        self.accessed_stamp.resize(nfifos, 0);
-        self.succeeded_stamp.resize(nfifos, 0);
-        self.succ_cycle_stamp.resize(nfifos, 0);
-        self.touched_stamp.resize(nfifos, 0);
-        self.push_fail_stamp.resize(nfifos, 0);
-        self.pop_fail_stamp.resize(nfifos, 0);
-        self.push_fail_cycle.resize(nfifos, u64::MAX);
-        self.pop_fail_cycle.resize(nfifos, u64::MAX);
-        if self.tick == 0 {
-            self.tick = 1;
-            self.cstamp = 1;
-        }
-    }
-
-    #[inline]
-    fn begin_cycle(&mut self) {
-        self.cstamp += 1;
-        self.touched.clear();
-        self.cycle_any_success = false;
-    }
-
-    #[inline]
-    fn begin_tick(&mut self) {
-        self.tick += 1;
-        self.succeeded.clear();
-        self.any_access = false;
-        self.any_success = false;
-    }
-
-    #[inline]
-    fn mark_access(&mut self, f: usize) {
-        self.any_access = true;
-        self.accessed_stamp[f] = self.tick;
-    }
-
-    #[inline]
-    fn mark_touched(&mut self, f: usize) {
-        if self.touched_stamp[f] != self.cstamp {
-            self.touched_stamp[f] = self.cstamp;
-            self.touched.push(f as u32);
-        }
-    }
-
-    #[inline]
-    fn mark_success(&mut self, f: usize) {
-        self.any_success = true;
-        self.cycle_any_success = true;
-        self.succ_cycle_stamp[f] = self.cstamp;
-        if self.succeeded_stamp[f] != self.tick {
-            self.succeeded_stamp[f] = self.tick;
-            self.succeeded.push(f as u32);
-        }
-    }
 }
 
 /// Access to the design's FIFOs during a tick, with port-semantics
-/// enforcement delegated to each [`Fifo`]. Every access — reads included —
-/// is recorded in the engine's watch set so the event scheduler knows
-/// which FIFOs a parked kernel depends on.
+/// enforcement delegated to each [`Fifo`].
 pub struct FifoSet<'a, M> {
     fifos: &'a mut [Fifo<M>],
-    cycle: u64,
-    scratch: &'a mut FifoScratch,
 }
 
-impl<'a, M> FifoSet<'a, M> {
+impl<M> FifoSet<'_, M> {
     /// Attempts to push onto FIFO `id` this cycle.
     ///
     /// # Errors
     /// Propagates the FIFO's [`PushError`].
+    #[inline]
     pub fn try_push(&mut self, id: FifoId, value: M) -> Result<(), PushError> {
-        let i = id.0;
-        self.scratch.mark_access(i);
-        self.scratch.mark_touched(i);
-        let f = &mut self.fifos[i];
-        f.sync(self.cycle);
-        match f.try_push(value) {
-            Ok(()) => {
-                self.scratch.mark_success(i);
-                Ok(())
-            }
-            Err(PushError::Full) => {
-                self.scratch.push_fail_stamp[i] = self.scratch.tick;
-                self.scratch.push_fail_cycle[i] = self.cycle;
-                Err(PushError::Full)
-            }
-            Err(e) => Err(e),
-        }
+        self.fifos[id.0].try_push(value)
     }
 
     /// Attempts to pop from FIFO `id` this cycle.
+    #[inline]
     pub fn try_pop(&mut self, id: FifoId) -> Option<M> {
-        let i = id.0;
-        self.scratch.mark_access(i);
-        self.scratch.mark_touched(i);
-        let f = &mut self.fifos[i];
-        f.sync(self.cycle);
-        let port_was_used = f.pop_port_used();
-        match f.try_pop() {
-            Some(v) => {
-                self.scratch.mark_success(i);
-                Some(v)
-            }
-            None => {
-                // A port conflict is not a stall: the earlier pop this
-                // cycle already counts as the FIFO's activity.
-                if !port_was_used {
-                    self.scratch.pop_fail_stamp[i] = self.scratch.tick;
-                    self.scratch.pop_fail_cycle[i] = self.cycle;
-                }
-                None
-            }
-        }
+        self.fifos[id.0].try_pop()
     }
 
     /// Peeks at FIFO `id` without consuming.
-    pub fn peek(&mut self, id: FifoId) -> Option<&M> {
-        self.scratch.mark_access(id.0);
+    pub fn peek(&self, id: FifoId) -> Option<&M> {
         self.fifos[id.0].peek()
     }
 
     /// Number of poppable elements in FIFO `id`.
-    pub fn len(&mut self, id: FifoId) -> usize {
-        self.scratch.mark_access(id.0);
+    pub fn len(&self, id: FifoId) -> usize {
         self.fifos[id.0].len()
     }
 
     /// Whether FIFO `id` has no poppable elements.
-    #[allow(clippy::wrong_self_convention)] // reads join the watch set
-    pub fn is_empty(&mut self, id: FifoId) -> bool {
-        self.scratch.mark_access(id.0);
+    pub fn is_empty(&self, id: FifoId) -> bool {
         self.fifos[id.0].is_empty()
     }
 
     /// Whether FIFO `id` has room for a push this cycle.
-    pub fn has_room(&mut self, id: FifoId) -> bool {
-        self.scratch.mark_access(id.0);
+    pub fn has_room(&self, id: FifoId) -> bool {
         self.fifos[id.0].occupancy() < self.fifos[id.0].capacity()
     }
 }
@@ -315,18 +121,6 @@ pub struct Ctx<'a, M> {
     pub counters: &'a mut Counters,
 }
 
-/// Which scheduler [`Engine::run`] uses. Both produce bit-identical
-/// results; see the module docs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Tick every kernel every cycle (the oracle). The default.
-    #[default]
-    Dense,
-    /// Park blocked kernels on FIFO wait lists; only tick the runnable
-    /// set; jump over cycles where nothing is runnable.
-    EventDriven,
-}
-
 /// The simulation engine: owns kernels and FIFOs, steps cycles.
 pub struct Engine<M> {
     fifos: Vec<Fifo<M>>,
@@ -339,20 +133,7 @@ pub struct Engine<M> {
     /// `fifo:` injections resolved to indices at run start, pending
     /// application at their trigger cycle.
     armed: Vec<ArmedStall>,
-    sched_mode: SchedMode,
-    sched: SchedStats,
-    scratch: FifoScratch,
-    park_hysteresis: u32,
 }
-
-/// Default consecutive-quiescent-tick threshold before a
-/// [`Horizon::Reactive`] kernel is parked. A park plus its wake costs more
-/// than re-running a handful of pure FIFO probes, so kernels blocked in a
-/// short rhythm (e.g. a consumer waiting out a multi-cycle producer loop)
-/// are cheaper to keep ticking; only stretches that outlast this threshold
-/// are worth the wait-list round trip. Sleep-horizon parks bypass the
-/// threshold — their wake cycle is exact, so they never thrash.
-pub const DEFAULT_PARK_HYSTERESIS: u32 = 8;
 
 /// A resolved `fifo:<name>:push|pop` injection awaiting its trigger cycle.
 #[derive(Clone)]
@@ -368,16 +149,10 @@ struct KernelSlot<M> {
     kernel: Box<dyn Kernel<M>>,
     stats: KernelStats,
     done: bool,
-    /// Progress of the most recent tick, replayed over skipped cycles.
-    last: Progress,
 }
 
 /// Outcome of a completed run.
-///
-/// Equality ignores [`sched`](RunReport::sched): scheduler statistics
-/// describe how the run was computed, and two bit-identical simulations
-/// (dense vs. event-driven) legitimately differ there.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     /// Total cycles simulated.
     pub cycles: u64,
@@ -385,19 +160,7 @@ pub struct RunReport {
     pub kernels: Vec<(String, KernelStats)>,
     /// Aggregated activity counters.
     pub counters: Counters,
-    /// Scheduler accounting (all zero under the dense stepper).
-    pub sched: SchedStats,
 }
-
-impl PartialEq for RunReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycles == other.cycles
-            && self.kernels == other.kernels
-            && self.counters == other.counters
-    }
-}
-
-impl Eq for RunReport {}
 
 impl RunReport {
     /// Stats for the kernel with the given name, if present.
@@ -532,33 +295,23 @@ impl<M> Default for Engine<M> {
 /// configuration instead of panicking or silently clamping.
 #[derive(Debug, Default)]
 pub struct EngineBuilder {
-    trace_capacity: Option<usize>,
+    trace_capacity: Option<NonZeroUsize>,
     deadlock_window: Option<u64>,
     fault_plan: Option<SharedFaultPlan>,
-    scheduler: SchedMode,
-    park_hysteresis: Option<u32>,
 }
 
 /// Invalid engine configuration reported by [`EngineBuilder::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A trace window of zero cycles records nothing.
-    ZeroTraceCapacity,
     /// A zero-cycle deadlock window would flag every idle cycle.
     ZeroDeadlockWindow,
-    /// A zero park threshold would park kernels that never even ticked.
-    ZeroParkHysteresis,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroTraceCapacity => write!(f, "trace capacity must be at least 1 cycle"),
             ConfigError::ZeroDeadlockWindow => {
                 write!(f, "deadlock window must be at least 1 cycle")
-            }
-            ConfigError::ZeroParkHysteresis => {
-                write!(f, "park hysteresis must be at least 1 quiescent tick")
             }
         }
     }
@@ -568,20 +321,14 @@ impl std::error::Error for ConfigError {}
 
 impl EngineBuilder {
     /// Starts from the defaults (`Engine::new()` semantics: no trace,
-    /// dense scheduler, 10 000-cycle deadlock window, no fault plan).
+    /// 10 000-cycle deadlock window, no fault plan).
     pub fn new() -> Self {
         EngineBuilder::default()
     }
 
     /// Records a waveform trace with a window of `capacity` cycles.
-    pub fn trace(mut self, capacity: usize) -> Self {
+    pub fn trace(mut self, capacity: NonZeroUsize) -> Self {
         self.trace_capacity = Some(capacity);
-        self
-    }
-
-    /// Selects the scheduler (dense oracle vs. event-driven).
-    pub fn scheduler(mut self, mode: SchedMode) -> Self {
-        self.scheduler = mode;
         self
     }
 
@@ -599,156 +346,21 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the park hysteresis: the number of consecutive quiescent
-    /// ticks a [`Horizon::Reactive`] kernel must accumulate before the
-    /// event scheduler parks it. `1` parks on the first blocked tick
-    /// (maximum parking, maximum wait-list churn); the default
-    /// [`DEFAULT_PARK_HYSTERESIS`] keeps short blocking rhythms live.
-    /// Purely a scheduling-cost knob — results are bit-identical for
-    /// every value.
-    pub fn park_hysteresis(mut self, ticks: u32) -> Self {
-        self.park_hysteresis = Some(ticks);
-        self
-    }
-
     /// Validates the configuration and builds an empty engine.
     ///
     /// # Errors
-    /// [`ConfigError`] when the trace capacity or deadlock window is zero.
+    /// [`ConfigError`] when the deadlock window is zero.
     pub fn build<M>(self) -> Result<Engine<M>, ConfigError> {
-        if self.trace_capacity == Some(0) {
-            return Err(ConfigError::ZeroTraceCapacity);
-        }
         if self.deadlock_window == Some(0) {
             return Err(ConfigError::ZeroDeadlockWindow);
         }
-        if self.park_hysteresis == Some(0) {
-            return Err(ConfigError::ZeroParkHysteresis);
-        }
         let mut engine = Engine::new();
-        if let Some(capacity) = self.trace_capacity {
-            engine.trace = Some(Trace::new(capacity));
-        }
+        engine.trace = self.trace_capacity.map(Trace::new);
         if let Some(window) = self.deadlock_window {
             engine.deadlock_window = window;
         }
         engine.fault_plan = self.fault_plan;
-        engine.sched_mode = self.scheduler;
-        if let Some(ticks) = self.park_hysteresis {
-            engine.park_hysteresis = ticks;
-        }
         Ok(engine)
-    }
-}
-
-/// Per-run state of the event-driven scheduler.
-struct EvState {
-    /// Bitset of kernels to tick this cycle.
-    runnable: Vec<u64>,
-    parked: Vec<bool>,
-    /// Cycle of a parked kernel's last executed tick.
-    parked_at: Vec<u64>,
-    /// Consecutive quiescent (blocked/idle, no transfer) ticks per kernel,
-    /// reset on any productive tick. A Reactive kernel parks only once
-    /// this reaches the engine's park hysteresis — and is deliberately
-    /// *not* reset by a park or wake, so a spuriously woken kernel that
-    /// quiesces again re-parks on its first tick instead of re-earning
-    /// the threshold.
-    streak: Vec<u32>,
-    /// Bumped on every park *and* wake, invalidating stale wait-list and
-    /// sleep-heap entries (lazy deletion).
-    epoch: Vec<u64>,
-    /// Cycle at which each kernel returned [`Progress::Done`].
-    done_at: Vec<u64>,
-    /// Per-FIFO wait lists of parked kernels.
-    waiters: Vec<Vec<Waiter>>,
-    /// Min-heap of pending `Horizon::Sleep` wake-ups `(cycle, kernel, epoch)`.
-    sleep: BinaryHeap<Reverse<(u64, u32, u64)>>,
-    /// Min-heap of injected-stall expiries `(cycle, fifo)`.
-    expiry: BinaryHeap<Reverse<(u64, u32)>>,
-    /// FIFOs with at least one successful transfer this cycle.
-    succ_cycle: Vec<u32>,
-    succ_stamp: Vec<u64>,
-    cstamp: u64,
-}
-
-/// One wait-list entry: which kernel is parked, under which epoch, and
-/// which port operations failed in its parking tick (for deadlock
-/// snapshots — a parked producer keeps "virtually" failing its push every
-/// cycle, exactly as it would under the dense stepper).
-#[derive(Debug, Clone, Copy)]
-struct Waiter {
-    kernel: u32,
-    epoch: u64,
-    push_fail: bool,
-    pop_fail: bool,
-}
-
-impl EvState {
-    fn new(nkernels: usize, nfifos: usize) -> EvState {
-        EvState {
-            runnable: vec![0u64; nkernels.div_ceil(64).max(1)],
-            parked: vec![false; nkernels],
-            parked_at: vec![0; nkernels],
-            streak: vec![0; nkernels],
-            epoch: vec![0; nkernels],
-            done_at: vec![0; nkernels],
-            waiters: (0..nfifos).map(|_| Vec::new()).collect(),
-            sleep: BinaryHeap::new(),
-            expiry: BinaryHeap::new(),
-            succ_cycle: Vec::new(),
-            succ_stamp: vec![0; nfifos],
-            cstamp: 1,
-        }
-    }
-
-    #[inline]
-    fn mark_cycle_success(&mut self, f: usize) {
-        if self.succ_stamp[f] != self.cstamp {
-            self.succ_stamp[f] = self.cstamp;
-            self.succ_cycle.push(f as u32);
-        }
-    }
-
-    #[inline]
-    fn waiter_valid(&self, w: Waiter) -> bool {
-        let k = w.kernel as usize;
-        self.parked[k] && self.epoch[k] == w.epoch
-    }
-}
-
-#[inline]
-fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1u64 << (i % 64);
-}
-
-#[inline]
-fn clear_bit(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1u64 << (i % 64));
-}
-
-#[inline]
-fn popcount(words: &[u64]) -> u32 {
-    words.iter().map(|w| w.count_ones()).sum()
-}
-
-/// First set bit at index `from` or later, scanning word-wise.
-#[inline]
-fn next_set_bit(words: &[u64], from: usize) -> Option<usize> {
-    let mut w = from / 64;
-    if w >= words.len() {
-        return None;
-    }
-    let mut cur = words[w] & (!0u64 << (from % 64));
-    loop {
-        if cur != 0 {
-            return Some(w * 64 + cur.trailing_zeros() as usize);
-        }
-        w += 1;
-        if w >= words.len() {
-            return None;
-        }
-        cur = words[w];
     }
 }
 
@@ -764,23 +376,13 @@ impl<M> Engine<M> {
             trace: None,
             fault_plan: None,
             armed: Vec::new(),
-            sched_mode: SchedMode::Dense,
-            sched: SchedStats::default(),
-            park_hysteresis: DEFAULT_PARK_HYSTERESIS,
-            scratch: FifoScratch::default(),
         }
     }
 
     /// Starts a validated builder — the one way to configure an engine
-    /// (trace, scheduler, deadlock window, fault plan, park hysteresis).
+    /// (trace, deadlock window, fault plan).
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
-    }
-
-    /// Scheduler accounting for the most recent runs (all zero under the
-    /// dense stepper).
-    pub fn sched_stats(&self) -> SchedStats {
-        self.sched
     }
 
     /// Interns a counter name for string-free hot-path updates via
@@ -807,7 +409,7 @@ impl<M> Engine<M> {
         if let Some(t) = &mut self.trace {
             t.add_kernel(kernel.name());
         }
-        self.kernels.push(KernelSlot { kernel, stats: KernelStats::default(), done: false, last: Progress::Idle });
+        self.kernels.push(KernelSlot { kernel, stats: KernelStats::default(), done: false });
     }
 
     /// Current cycle count.
@@ -827,32 +429,31 @@ impl<M> Engine<M> {
     /// [`SimError::CycleLimit`] when `max_cycles` elapses first.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunReport, SimError> {
         self.arm_fifo_faults();
-        self.scratch.ensure(self.fifos.len());
         // The trace is moved out so the observer can borrow it while the
         // run loop borrows the engine; monomorphizing over the observer
         // compiles the untraced hot path with zero tracing overhead.
         let mut trace = self.trace.take();
-        let result = match (&mut trace, self.sched_mode) {
-            (Some(t), SchedMode::Dense) => self.run_dense(&mut TraceObserver { trace: t }, max_cycles),
-            (None, SchedMode::Dense) => self.run_dense(&mut NullObserver, max_cycles),
-            (Some(t), SchedMode::EventDriven) => self.run_event(&mut TraceObserver { trace: t }, max_cycles),
-            (None, SchedMode::EventDriven) => self.run_event(&mut NullObserver, max_cycles),
+        let result = match &mut trace {
+            Some(t) => self.run_with(&mut TraceObserver { trace: t }, max_cycles),
+            None => self.run_with(&mut NullObserver, max_cycles),
         };
         self.trace = trace;
         result
     }
 
-    /// The dense oracle: ticks every kernel every cycle.
-    fn run_dense<O: Observer>(&mut self, obs: &mut O, max_cycles: u64) -> Result<RunReport, SimError> {
+    /// The run loop: one [`step`](Engine::step) and one commit of every
+    /// FIFO per cycle.
+    fn run_with<O: Observer>(&mut self, obs: &mut O, max_cycles: u64) -> Result<RunReport, SimError> {
         let mut last_activity = self.cycle;
         while self.kernels.iter().any(|k| !k.done) {
             if self.cycle >= max_cycles {
                 return Err(SimError::CycleLimit { limit: max_cycles, unfinished: self.unfinished_names() });
             }
-            self.apply_armed_faults(None);
-            let any_busy = self.step_dense(obs);
-            let fifo_activity = self.fifos.iter().any(Fifo::active_this_cycle);
+            self.apply_armed_faults();
+            let any_busy = self.step(obs);
+            let mut fifo_activity = false;
             for f in self.fifos.iter_mut() {
+                fifo_activity |= f.active_this_cycle();
                 f.end_cycle();
             }
             self.cycle += 1;
@@ -870,7 +471,7 @@ impl<M> Engine<M> {
     }
 
     /// Ticks every unfinished kernel once. Returns whether any was busy.
-    fn step_dense<O: Observer>(&mut self, obs: &mut O) -> bool {
+    fn step<O: Observer>(&mut self, obs: &mut O) -> bool {
         let mut any_busy = false;
         for (k, slot) in self.kernels.iter_mut().enumerate() {
             if slot.done {
@@ -878,14 +479,10 @@ impl<M> Engine<M> {
                 obs.record(k, self.cycle, Progress::Done);
                 continue;
             }
-            let mut ctx = Ctx {
-                cycle: self.cycle,
-                fifos: FifoSet { fifos: &mut self.fifos, cycle: self.cycle, scratch: &mut self.scratch },
-                counters: &mut self.counters,
-            };
+            let mut ctx =
+                Ctx { cycle: self.cycle, fifos: FifoSet { fifos: &mut self.fifos }, counters: &mut self.counters };
             let progress = slot.kernel.tick(&mut ctx);
             obs.record(k, self.cycle, progress);
-            slot.last = progress;
             match progress {
                 Progress::Busy => {
                     slot.stats.busy += 1;
@@ -902,351 +499,12 @@ impl<M> Engine<M> {
         any_busy
     }
 
-    /// The event-driven scheduler: parks blocked kernels, wakes them on
-    /// FIFO occupancy edges, and jumps over cycles with nothing runnable.
-    fn run_event<O: Observer>(&mut self, obs: &mut O, max_cycles: u64) -> Result<RunReport, SimError> {
-        let nk = self.kernels.len();
-        let mut ev = EvState::new(nk, self.fifos.len());
-        let mut alive = 0usize;
-        for (k, slot) in self.kernels.iter().enumerate() {
-            if slot.done {
-                // Pre-finished kernels accrue nothing more at finalize.
-                ev.done_at[k] = self.cycle.saturating_sub(1);
-            } else {
-                alive += 1;
-                set_bit(&mut ev.runnable, k);
-            }
-        }
-        let mut last_activity = self.cycle;
-        let mut to_wake: Vec<u32> = Vec::new();
-
-        while alive > 0 {
-            if self.cycle >= max_cycles {
-                self.finalize_event(&ev, obs);
-                return Err(SimError::CycleLimit { limit: max_cycles, unfinished: self.unfinished_names() });
-            }
-            // Sleep timers due this cycle.
-            while let Some(&Reverse((c, k, ep))) = ev.sleep.peek() {
-                if c > self.cycle {
-                    break;
-                }
-                ev.sleep.pop();
-                let k = k as usize;
-                if ev.parked[k] && ev.epoch[k] == ep {
-                    self.wake_kernel(&mut ev, obs, k, self.cycle);
-                }
-            }
-            // Injected-stall expiries: the port starts accepting transfers
-            // again, so everyone parked on the FIFO must re-run.
-            while let Some(&Reverse((c, f))) = ev.expiry.peek() {
-                if c > self.cycle {
-                    break;
-                }
-                ev.expiry.pop();
-                let f = f as usize;
-                to_wake.clear();
-                for w in &ev.waiters[f] {
-                    if ev.waiter_valid(*w) {
-                        to_wake.push(w.kernel);
-                    }
-                }
-                ev.waiters[f].clear();
-                for &q in &to_wake {
-                    self.wake_kernel(&mut ev, obs, q as usize, self.cycle);
-                }
-            }
-            self.apply_armed_faults(Some(&mut ev.expiry));
-            // Nothing runnable: jump straight to the next event. The
-            // target is provably > the current cycle (due timers and
-            // expiries were just processed; the limit check above and the
-            // deadlock invariant bound the rest).
-            if popcount(&ev.runnable) == 0 {
-                let deadlock_at = last_activity.saturating_add(self.deadlock_window).saturating_add(1);
-                let mut target = deadlock_at.min(max_cycles);
-                while let Some(&Reverse((c, k, ep))) = ev.sleep.peek() {
-                    let ku = k as usize;
-                    if ev.parked[ku] && ev.epoch[ku] == ep {
-                        target = target.min(c);
-                        break;
-                    }
-                    ev.sleep.pop();
-                }
-                if let Some(&Reverse((c, _))) = ev.expiry.peek() {
-                    target = target.min(c);
-                }
-                if let Some(at) = self.armed.iter().map(|a| a.at).min() {
-                    target = target.min(at);
-                }
-                debug_assert!(target > self.cycle);
-                let n = target - self.cycle;
-                self.cycle = target;
-                self.sched.idle_jumped += n;
-                if self.cycle - last_activity > self.deadlock_window {
-                    self.finalize_event(&ev, obs);
-                    let fifos = self.event_fifo_snapshots(&ev);
-                    return Err(SimError::Deadlock { cycle: self.cycle, blocked: self.unfinished_names(), fifos });
-                }
-                continue;
-            }
-
-            // Execute cycle `t` for the runnable set.
-            let t = self.cycle;
-            self.sched.executed_cycles += 1;
-            if (popcount(&ev.runnable) as usize) < nk {
-                self.sched.lean_cycles += 1;
-            }
-            self.scratch.begin_cycle();
-            ev.cstamp = self.scratch.cstamp;
-            let mut any_busy = false;
-            let mut scan = 0usize;
-            // Live bitset scan: a kernel woken by an earlier kernel's pop
-            // this cycle (index above the popper) is picked up in the same
-            // pass, matching the dense in-cycle tick order.
-            while let Some(p) = next_set_bit(&ev.runnable, scan) {
-                scan = p + 1;
-                self.scratch.begin_tick();
-                let progress = {
-                    let slot = &mut self.kernels[p];
-                    let mut ctx = Ctx {
-                        cycle: t,
-                        fifos: FifoSet { fifos: &mut self.fifos, cycle: t, scratch: &mut self.scratch },
-                        counters: &mut self.counters,
-                    };
-                    slot.kernel.tick(&mut ctx)
-                };
-                obs.record(p, t, progress);
-                let slot = &mut self.kernels[p];
-                slot.last = progress;
-                match progress {
-                    Progress::Busy => {
-                        slot.stats.busy += 1;
-                        any_busy = true;
-                    }
-                    Progress::Blocked => slot.stats.blocked += 1,
-                    Progress::Idle => slot.stats.idle += 1,
-                    Progress::Done => {
-                        slot.done = true;
-                        ev.done_at[p] = t;
-                        alive -= 1;
-                        clear_bit(&mut ev.runnable, p);
-                        any_busy = true; // state change counts as progress
-                    }
-                }
-                // Successful transfers: record the occupancy edge and wake
-                // later-indexed waiters immediately — under dense order
-                // they tick after `p` this very cycle and already see a
-                // pop's freed slot. Earlier-indexed waiters (and staged
-                // pushes, which commit at end of cycle) wake at `t + 1`.
-                // FIFOs nobody waits on skip the whole pass: `park`
-                // refuses any later same-cycle park on them (see
-                // `succ_cycle_stamp`), so no wake can be owed.
-                let mut i = 0;
-                while i < self.scratch.succeeded.len() {
-                    let f = self.scratch.succeeded[i] as usize;
-                    i += 1;
-                    if ev.waiters[f].is_empty() {
-                        continue;
-                    }
-                    ev.mark_cycle_success(f);
-                    to_wake.clear();
-                    {
-                        let mut j = 0;
-                        while j < ev.waiters[f].len() {
-                            let w = ev.waiters[f][j];
-                            if !ev.waiter_valid(w) {
-                                ev.waiters[f].swap_remove(j);
-                                continue;
-                            }
-                            if w.kernel as usize > p {
-                                to_wake.push(w.kernel);
-                                ev.waiters[f].swap_remove(j);
-                                continue;
-                            }
-                            j += 1;
-                        }
-                    }
-                    for &q in &to_wake {
-                        self.wake_kernel(&mut ev, obs, q as usize, t);
-                    }
-                }
-                // Park? Only when the tick was a pure failure (no state
-                // mutated: nothing succeeded, progress is Blocked/Idle)
-                // and the kernel's horizon guarantees the skipped re-runs
-                // would be no-ops. An empty watch set with no timer means
-                // nothing could ever wake it — keep it ticking (e.g.
-                // barrier spinners between FIFO interactions). Reactive
-                // kernels additionally wait out the park hysteresis:
-                // short blocking rhythms are cheaper to re-poll than to
-                // route through the wait lists. Sleep parks are exact
-                // (the kernel names its wake cycle) and skip the wait.
-                if !self.scratch.any_success && matches!(progress, Progress::Blocked | Progress::Idle) {
-                    match self.kernels[p].kernel.horizon() {
-                        Horizon::Opaque => {}
-                        Horizon::Reactive => {
-                            if self.scratch.any_access {
-                                ev.streak[p] = ev.streak[p].saturating_add(1);
-                                if ev.streak[p] >= self.park_hysteresis {
-                                    self.park(&mut ev, p, t, None);
-                                }
-                            }
-                        }
-                        Horizon::Sleep(c) if c > t => self.park(&mut ev, p, t, Some(c)),
-                        Horizon::Sleep(_) => {} // expired timer: stay live
-                    }
-                } else {
-                    ev.streak[p] = 0;
-                }
-            }
-            // Commit only the FIFOs that saw a port operation this cycle;
-            // untouched FIFOs settle their statistics lazily via `sync`.
-            {
-                let mut i = 0;
-                while i < self.scratch.touched.len() {
-                    let f = self.scratch.touched[i] as usize;
-                    i += 1;
-                    self.fifos[f].end_cycle();
-                }
-            }
-            let fifo_activity = self.scratch.cycle_any_success;
-            self.cycle = t + 1;
-            // Staged pushes just committed; remaining waiters of every
-            // FIFO with a transfer this cycle re-run from the next cycle.
-            {
-                let mut i = 0;
-                while i < ev.succ_cycle.len() {
-                    let f = ev.succ_cycle[i] as usize;
-                    i += 1;
-                    to_wake.clear();
-                    for w in &ev.waiters[f] {
-                        if ev.waiter_valid(*w) {
-                            to_wake.push(w.kernel);
-                        }
-                    }
-                    ev.waiters[f].clear();
-                    for &q in &to_wake {
-                        self.wake_kernel(&mut ev, obs, q as usize, t + 1);
-                    }
-                }
-                ev.succ_cycle.clear();
-            }
-            if any_busy || fifo_activity {
-                last_activity = self.cycle;
-            } else if self.cycle - last_activity > self.deadlock_window {
-                self.finalize_event(&ev, obs);
-                let fifos = self.event_fifo_snapshots(&ev);
-                return Err(SimError::Deadlock { cycle: self.cycle, blocked: self.unfinished_names(), fifos });
-            }
-        }
-        self.finalize_event(&ev, obs);
-        Ok(self.report())
-    }
-
-    /// Parks kernel `p` after its tick at cycle `t`: it leaves the
-    /// runnable set and joins the wait list of every FIFO it accessed
-    /// (plus the sleep heap when a timer is pending).
-    fn park(&mut self, ev: &mut EvState, p: usize, t: u64, timer: Option<u64>) {
-        // The watch set is enumerated by scanning the per-FIFO access
-        // stamps: parks are rare, so paying O(nfifos) here is cheaper than
-        // keeping an index list current on every hot-path access.
-        //
-        // First pass — refuse when any watched FIFO already transferred
-        // this cycle: the success's waiter pass ran before this kernel
-        // parked (or was skipped because the FIFO had no waiters), so
-        // parking now would miss the `t + 1` wake the dense order owes.
-        // Staying runnable and re-ticking next cycle is that wake, minus
-        // the park/wake churn.
-        let tick = self.scratch.tick;
-        for f in 0..self.scratch.accessed_stamp.len() {
-            if self.scratch.accessed_stamp[f] == tick
-                && self.scratch.succ_cycle_stamp[f] == self.scratch.cstamp
-            {
-                return;
-            }
-        }
-        ev.parked[p] = true;
-        ev.parked_at[p] = t;
-        ev.epoch[p] += 1;
-        let ep = ev.epoch[p];
-        clear_bit(&mut ev.runnable, p);
-        for f in 0..self.scratch.accessed_stamp.len() {
-            if self.scratch.accessed_stamp[f] != tick {
-                continue;
-            }
-            ev.waiters[f].push(Waiter {
-                kernel: p as u32,
-                epoch: ep,
-                push_fail: self.scratch.push_fail_stamp[f] == tick,
-                pop_fail: self.scratch.pop_fail_stamp[f] == tick,
-            });
-        }
-        if let Some(c) = timer {
-            ev.sleep.push(Reverse((c, p as u32, ep)));
-        }
-        self.sched.parks += 1;
-    }
-
-    /// Wakes kernel `q` so it ticks again at cycle `at`, replaying the
-    /// parked stretch (its last [`Progress`], repeated — exactly what the
-    /// dense stepper would have observed, by the [`Horizon::Reactive`]
-    /// contract) into stats and trace.
-    fn wake_kernel<O: Observer>(&mut self, ev: &mut EvState, obs: &mut O, q: usize, at: u64) {
-        if !ev.parked[q] {
-            return;
-        }
-        debug_assert!(at > ev.parked_at[q]);
-        ev.parked[q] = false;
-        ev.epoch[q] += 1;
-        set_bit(&mut ev.runnable, q);
-        let n = at - 1 - ev.parked_at[q];
-        if n > 0 {
-            let slot = &mut self.kernels[q];
-            match slot.last {
-                Progress::Blocked => slot.stats.blocked += n,
-                Progress::Idle => slot.stats.idle += n,
-                _ => debug_assert!(false, "parked kernels are Blocked or Idle"),
-            }
-            obs.record_span(q, ev.parked_at[q] + 1, n, slot.last);
-        }
-        self.sched.wakes += 1;
-    }
-
-    /// Settles everything the event scheduler deferred, up to (but not
-    /// including) `self.cycle`: parked kernels' replayed stretches, done
-    /// kernels' trailing `done` cycles, and untouched FIFOs' occupancy
-    /// statistics. Runs on every exit path (success, deadlock, limit) so
-    /// reports and traces always match the dense oracle.
-    fn finalize_event<O: Observer>(&mut self, ev: &EvState, obs: &mut O) {
-        let end = self.cycle;
-        for (k, slot) in self.kernels.iter_mut().enumerate() {
-            if slot.done {
-                let n = end.saturating_sub(ev.done_at[k].saturating_add(1));
-                if n > 0 {
-                    slot.stats.done += n;
-                    obs.record_span(k, ev.done_at[k] + 1, n, Progress::Done);
-                }
-            } else if ev.parked[k] {
-                let n = end.saturating_sub(ev.parked_at[k].saturating_add(1));
-                if n > 0 {
-                    match slot.last {
-                        Progress::Blocked => slot.stats.blocked += n,
-                        Progress::Idle => slot.stats.idle += n,
-                        _ => debug_assert!(false, "parked kernels are Blocked or Idle"),
-                    }
-                    obs.record_span(k, ev.parked_at[k] + 1, n, slot.last);
-                }
-            }
-        }
-        for f in self.fifos.iter_mut() {
-            f.sync(end);
-        }
-    }
-
     /// Names of kernels not yet done, in registration order.
     fn unfinished_names(&self) -> Vec<String> {
         self.kernels.iter().filter(|k| !k.done).map(|k| k.kernel.name().to_string()).collect()
     }
 
-    /// Captures every FIFO's state for a dense-mode deadlock report.
+    /// Captures every FIFO's state for a deadlock report.
     fn fifo_snapshots(&self) -> Vec<FifoSnapshot> {
         self.fifos
             .iter()
@@ -1259,38 +517,6 @@ impl<M> Engine<M> {
                 pop_waiting: f.last_pop_stalled(),
             })
             .collect()
-    }
-
-    /// Event-mode deadlock snapshots. A waiting producer/consumer is one
-    /// that failed a push/pop in the last executed cycle — either an
-    /// actual attempt one cycle ago, or a parked kernel whose frozen tick
-    /// keeps virtually re-failing (the dense stepper would re-run it every
-    /// cycle with the same outcome).
-    fn event_fifo_snapshots(&mut self, ev: &EvState) -> Vec<FifoSnapshot> {
-        let cycle = self.cycle;
-        let last_exec = cycle.wrapping_sub(1);
-        let scratch = &self.scratch;
-        let mut out = Vec::with_capacity(self.fifos.len());
-        for (i, f) in self.fifos.iter_mut().enumerate() {
-            f.sync(cycle);
-            let mut push_waiting = scratch.push_fail_cycle[i] == last_exec;
-            let mut pop_waiting = scratch.pop_fail_cycle[i] == last_exec;
-            for w in &ev.waiters[i] {
-                if ev.waiter_valid(*w) {
-                    push_waiting |= w.push_fail;
-                    pop_waiting |= w.pop_fail;
-                }
-            }
-            out.push(FifoSnapshot {
-                name: f.name().to_string(),
-                occupancy: f.occupancy(),
-                capacity: f.capacity(),
-                stalled: f.forced_stall_remaining() > 0,
-                push_waiting,
-                pop_waiting,
-            });
-        }
-        out
     }
 
     /// Pulls `fifo:<name>:push|pop` injections out of the fault plan and
@@ -1320,9 +546,8 @@ impl<M> Engine<M> {
     }
 
     /// Applies every armed stall whose trigger cycle has arrived, logging
-    /// it as fired in the shared plan. In event mode (`expiry` present)
-    /// each finite stall also registers its expiry as a wake event.
-    fn apply_armed_faults(&mut self, mut expiry: Option<&mut BinaryHeap<Reverse<(u64, u32)>>>) {
+    /// it as fired in the shared plan.
+    fn apply_armed_faults(&mut self) {
         if self.armed.is_empty() {
             return;
         }
@@ -1337,14 +562,7 @@ impl<M> Engine<M> {
             }
         });
         for a in due {
-            let f = &mut self.fifos[a.fifo];
-            f.sync(cycle);
-            f.inject_stall(a.port, a.cycles);
-            if a.cycles != u64::MAX {
-                if let Some(heap) = expiry.as_deref_mut() {
-                    heap.push(Reverse((cycle.saturating_add(a.cycles), a.fifo as u32)));
-                }
-            }
+            self.fifos[a.fifo].inject_stall(a.port, a.cycles);
             if let Some(plan) = &self.fault_plan {
                 plan.lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -1363,7 +581,6 @@ impl<M> Engine<M> {
                 .map(|k| (k.kernel.name().to_string(), k.stats))
                 .collect(),
             counters: self.counters.clone(),
-            sched: self.sched,
         }
     }
 }
@@ -1505,8 +722,7 @@ mod tests {
         assert!(r.cycles >= 60, "cycles {}", r.cycles);
     }
 
-    /// Pops only every third cycle. Mutates its phase on every tick, so it
-    /// is *not* reactive and must keep the default Opaque horizon.
+    /// Pops only every third cycle.
     struct SlowSink {
         inp: FifoId,
         received: u32,
@@ -1562,80 +778,12 @@ mod tests {
         }
     }
 
-    /// Emits one value every `period` cycles (a modeled host-polling or
-    /// DMA-latency interval), declaring a [`Horizon::Sleep`] so the
-    /// engine can jump the gaps.
-    struct SlowSource {
-        out: FifoId,
-        period: u64,
-        next_emit: u64,
-        emitted: u32,
-        count: u32,
-    }
-
-    impl Kernel<u32> for SlowSource {
-        fn name(&self) -> &str {
-            "slow-source"
-        }
-        fn tick(&mut self, ctx: &mut Ctx<'_, u32>) -> Progress {
-            if self.emitted == self.count {
-                return Progress::Done;
-            }
-            if ctx.cycle < self.next_emit {
-                return Progress::Idle;
-            }
-            match ctx.fifos.try_push(self.out, self.emitted) {
-                Ok(()) => {
-                    self.emitted += 1;
-                    self.next_emit = ctx.cycle + self.period;
-                    ctx.counters.add("emitted", 1);
-                    Progress::Busy
-                }
-                Err(_) => Progress::Blocked,
-            }
-        }
-        fn horizon(&self) -> Horizon {
-            Horizon::Sleep(self.next_emit)
-        }
-    }
-
-    /// A sink that is a pure function of its input FIFO.
-    struct ReactiveSink {
-        inp: FifoId,
-        expect_next: u32,
-        count: u32,
-    }
-
-    impl Kernel<u32> for ReactiveSink {
-        fn name(&self) -> &str {
-            "reactive-sink"
-        }
-        fn tick(&mut self, ctx: &mut Ctx<'_, u32>) -> Progress {
-            if self.expect_next == self.count {
-                return Progress::Done;
-            }
-            match ctx.fifos.try_pop(self.inp) {
-                Some(v) => {
-                    assert_eq!(v, self.expect_next);
-                    self.expect_next += 1;
-                    Progress::Busy
-                }
-                None => Progress::Blocked,
-            }
-        }
-        fn horizon(&self) -> Horizon {
-            Horizon::Reactive
-        }
-    }
-
     #[test]
     fn builder_validates_config() {
-        let bad: Result<Engine<u32>, _> = Engine::<u32>::builder().trace(0).build();
-        assert_eq!(bad.err(), Some(ConfigError::ZeroTraceCapacity));
         let bad: Result<Engine<u32>, _> = Engine::<u32>::builder().deadlock_window(0).build();
         assert_eq!(bad.err(), Some(ConfigError::ZeroDeadlockWindow));
         let ok: Result<Engine<u32>, _> =
-            Engine::<u32>::builder().trace(16).deadlock_window(500).build();
+            Engine::<u32>::builder().trace(NonZeroUsize::new(16).unwrap()).deadlock_window(500).build();
         assert!(ok.is_ok());
     }
 
@@ -1695,205 +843,6 @@ mod tests {
         let source = r.kernel("source").unwrap();
         assert!(source.done > 0, "source finishes before sink and accrues done cycles");
     }
-
-    // ---- event-driven scheduler vs. dense oracle ----
-
-    /// Delegating wrapper that upgrades a kernel's horizon to
-    /// [`Horizon::Reactive`] — valid for the helpers above whose blocked
-    /// and idle paths are pure FIFO reads (`SlowSink` is NOT one: it
-    /// mutates its phase every tick and must stay Opaque).
-    struct Reactivize<K>(K);
-
-    impl<K: Kernel<u32>> Kernel<u32> for Reactivize<K> {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn tick(&mut self, ctx: &mut Ctx<'_, u32>) -> Progress {
-            self.0.tick(ctx)
-        }
-        fn horizon(&self) -> Horizon {
-            Horizon::Reactive
-        }
-    }
-
-    #[test]
-    fn event_matches_dense_on_pipeline() {
-        let run = |mode: SchedMode| {
-            // Startup stalls last only a few cycles: park on the first
-            // quiescent tick so this test exercises the wait lists.
-            let mut e = Engine::<u32>::builder().scheduler(mode).park_hysteresis(1).build().unwrap();
-            let q1 = e.add_fifo(Fifo::new("q1", 2));
-            let q2 = e.add_fifo(Fifo::new("q2", 2));
-            e.add_kernel(Box::new(Reactivize(Source { out: q1, next: 0, count: 50 })));
-            e.add_kernel(Box::new(Reactivize(Stage {
-                inp: q1,
-                out: q2,
-                held: None,
-                forwarded: 0,
-                count: 50,
-            })));
-            e.add_kernel(Box::new(Reactivize(Sink { inp: q2, expect_next: 0, count: 50 })));
-            let r = e.run(10_000).unwrap();
-            (r, e.sched_stats())
-        };
-        let (a, dense_sched) = run(SchedMode::Dense);
-        let (b, sched) = run(SchedMode::EventDriven);
-        assert_eq!(a, b, "event-driven run must be bit-identical");
-        assert_eq!(dense_sched.parks, 0, "dense stepper never parks");
-        assert!(sched.parks > 0, "startup blocking must park: {sched:?}");
-        assert_eq!(sched.executed_cycles + sched.idle_jumped, b.cycles);
-    }
-
-    #[test]
-    fn event_matches_dense_under_backpressure() {
-        let run = |mode: SchedMode| {
-            // The sink pops every other cycle: the producer's stalls are
-            // too short for the default hysteresis, so pin it to 1.
-            let mut e = Engine::<u32>::builder().scheduler(mode).park_hysteresis(1).build().unwrap();
-            let q = e.add_fifo(Fifo::new("q", 1));
-            e.add_kernel(Box::new(Reactivize(Source { out: q, next: 0, count: 20 })));
-            e.add_kernel(Box::new(SlowSink { inp: q, received: 0, count: 20, phase: 0 }));
-            let r = e.run(10_000).unwrap();
-            (r, e.sched_stats())
-        };
-        let (a, _) = run(SchedMode::Dense);
-        let (b, sched) = run(SchedMode::EventDriven);
-        assert_eq!(a, b);
-        assert!(sched.parks > 0, "producer parks while the slow sink drains: {sched:?}");
-        assert!(sched.wakes >= sched.parks, "every park eventually wakes (run completed)");
-    }
-
-    #[test]
-    fn event_trace_matches_dense() {
-        let build = |mode: SchedMode| {
-            let mut e: Engine<u32> =
-                Engine::<u32>::builder().trace(256).scheduler(mode).deadlock_window(100).build().unwrap();
-            let q = e.add_fifo(Fifo::new("q", 2));
-            e.add_kernel(Box::new(SlowSource { out: q, period: 13, next_emit: 0, emitted: 0, count: 4 }));
-            e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 4 }));
-            e.run(10_000).expect("completes");
-            e.trace().expect("tracing on").render(80)
-        };
-        assert_eq!(build(SchedMode::Dense), build(SchedMode::EventDriven));
-    }
-
-    #[test]
-    fn event_jumps_idle_stretches_and_matches_dense() {
-        let run = |mode: SchedMode| {
-            let mut e = Engine::<u32>::builder().scheduler(mode).deadlock_window(10_000).build().unwrap();
-            let q = e.add_fifo(Fifo::new("q", 2));
-            e.add_kernel(Box::new(SlowSource { out: q, period: 5_000, next_emit: 0, emitted: 0, count: 10 }));
-            e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 10 }));
-            let r = e.run(1_000_000).expect("completes");
-            (r, e.sched_stats())
-        };
-        let (a, _) = run(SchedMode::Dense);
-        let (b, sched) = run(SchedMode::EventDriven);
-        assert_eq!(a, b);
-        assert!(sched.idle_jumped > 40_000, "sleep gaps jumped: {sched:?}");
-        assert_eq!(sched.executed_cycles + sched.idle_jumped, b.cycles);
-    }
-
-    #[test]
-    fn event_preserves_deadlock_attribution() {
-        let run = |mode: SchedMode| {
-            let mut e = Engine::<u32>::builder().scheduler(mode).deadlock_window(5_000).build().unwrap();
-            let q = e.add_fifo(Fifo::new("q", 1));
-            e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 1 }));
-            e.run(1_000_000)
-        };
-        let (a, b) = (run(SchedMode::Dense), run(SchedMode::EventDriven));
-        assert!(matches!(a, Err(SimError::Deadlock { .. })));
-        assert_eq!(a, b, "same deadlock cycle, blocked set and FIFO snapshots");
-    }
-
-    #[test]
-    fn event_preserves_cycle_limit() {
-        let run = |mode: SchedMode| {
-            let mut e = Engine::<u32>::builder().scheduler(mode).deadlock_window(2_000_000).build().unwrap();
-            let q = e.add_fifo(Fifo::new("q", 2));
-            e.add_kernel(Box::new(SlowSource { out: q, period: 900_000, next_emit: 0, emitted: 0, count: 5 }));
-            e.add_kernel(Box::new(ReactiveSink { inp: q, expect_next: 0, count: 5 }));
-            e.run(100_000)
-        };
-        let (a, b) = (run(SchedMode::Dense), run(SchedMode::EventDriven));
-        assert!(matches!(a, Err(SimError::CycleLimit { limit: 100_000, .. })));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn event_matches_dense_with_transient_stall() {
-        use zskip_fault::{FaultKind, FaultPlan};
-        let run = |mode: SchedMode| {
-            let plan = FaultPlan::new()
-                .inject("fifo:q:pop", 30, FaultKind::FifoStall { cycles: 50 })
-                .shared();
-            let mut e: Engine<u32> =
-                Engine::<u32>::builder().scheduler(mode).fault_plan(plan).build().unwrap();
-            let q = e.add_fifo(Fifo::new("q", 4));
-            e.add_kernel(Box::new(Reactivize(Source { out: q, next: 0, count: 100 })));
-            e.add_kernel(Box::new(Reactivize(Sink { inp: q, expect_next: 0, count: 100 })));
-            e.run(10_000).expect("transient stall must not be fatal")
-        };
-        // The stall parks both ends; its expiry must wake them on the
-        // exact cycle the dense stepper sees the port reopen.
-        assert_eq!(run(SchedMode::Dense), run(SchedMode::EventDriven));
-    }
-
-    #[test]
-    fn event_matches_dense_with_permanent_stall() {
-        use zskip_fault::{FaultKind, FaultPlan};
-        let run = |mode: SchedMode| {
-            let plan = FaultPlan::new()
-                .inject("fifo:q:pop", 5, FaultKind::FifoStall { cycles: u64::MAX })
-                .shared();
-            let mut e: Engine<u32> = Engine::<u32>::builder()
-                .scheduler(mode)
-                .fault_plan(plan)
-                .deadlock_window(100)
-                .build()
-                .unwrap();
-            let q = e.add_fifo(Fifo::new("q", 4));
-            e.add_kernel(Box::new(Reactivize(Source { out: q, next: 0, count: 100 })));
-            e.add_kernel(Box::new(Reactivize(Sink { inp: q, expect_next: 0, count: 100 })));
-            e.run(100_000)
-        };
-        let (a, b) = (run(SchedMode::Dense), run(SchedMode::EventDriven));
-        assert!(matches!(a, Err(SimError::Deadlock { .. })));
-        assert_eq!(a, b, "wedged-FIFO attribution must survive parking");
-        assert_eq!(a.unwrap_err().wedged().expect("names a fifo").name, "q");
-    }
-
-    #[test]
-    fn event_ticks_barrier_style_spinners() {
-        // A kernel that idles without touching any FIFO (empty watch set)
-        // can never be woken by an occupancy edge, so the event scheduler
-        // must keep ticking it even though it is Reactive-labeled.
-        struct Spinner {
-            countdown: u32,
-        }
-        impl Kernel<u32> for Spinner {
-            fn name(&self) -> &str {
-                "spinner"
-            }
-            fn tick(&mut self, _ctx: &mut Ctx<'_, u32>) -> Progress {
-                if self.countdown == 0 {
-                    return Progress::Done;
-                }
-                self.countdown -= 1;
-                Progress::Busy
-            }
-            fn horizon(&self) -> Horizon {
-                Horizon::Reactive
-            }
-        }
-        let run = |mode: SchedMode| {
-            let mut e = Engine::<u32>::builder().scheduler(mode).build().unwrap();
-            e.add_kernel(Box::new(Spinner { countdown: 100 }));
-            e.run(10_000).unwrap()
-        };
-        assert_eq!(run(SchedMode::Dense), run(SchedMode::EventDriven));
-    }
 }
 
 #[cfg(test)]
@@ -1909,7 +858,6 @@ mod report_tests {
                 ("b".into(), KernelStats { busy: 0, blocked: 0, idle: 0, done: 100 }),
             ],
             counters: Counters::new(),
-            sched: SchedStats::default(),
         };
         let t = report.render_utilization();
         assert!(t.contains("alpha"), "{t}");

@@ -3,11 +3,8 @@
 //! Storage is a fixed-capacity power-of-two ring buffer with an inline
 //! staging slot (the output register), so pushes, pops and cycle commits
 //! are branch-light O(1) operations with no heap traffic after
-//! construction. Occupancy statistics accrue lazily against an internal
-//! cycle counter: the engine only commits the FIFOs that were actually
-//! touched in a cycle, and `Fifo::sync` settles the untouched stretch
-//! in O(1) when the FIFO is next used (the occupancy is constant while
-//! nobody touches it, so the accrual is exact).
+//! construction. The engine commits every FIFO once per cycle
+//! ([`Fifo::end_cycle`]), which is where occupancy statistics accrue.
 
 use crate::stats::FifoStats;
 
@@ -66,7 +63,7 @@ pub struct Fifo<T> {
     /// The output register: this cycle's push, visible next cycle.
     staged: Option<T>,
     /// Cycles committed so far (the next cycle to account). Advanced by
-    /// [`end_cycle`](Fifo::end_cycle) and [`sync`](Fifo::sync).
+    /// [`end_cycle`](Fifo::end_cycle).
     now: u64,
     pushed_this_cycle: bool,
     popped_this_cycle: bool,
@@ -74,15 +71,11 @@ pub struct Fifo<T> {
     /// Injected-fault stall expiry (absolute cycle against `now`): while
     /// `now < until`, the corresponding port refuses transfers (modeling a
     /// wedged upstream/downstream handshake). `u64::MAX` wedges the port
-    /// permanently. Absolute expiries are invariant under event-driven
-    /// cycle jumps.
+    /// permanently.
     push_stall_until: u64,
     pop_stall_until: u64,
     /// Stall attempts observed this cycle, committed into the `last_*`
-    /// pair at [`end_cycle`](Fifo::end_cycle). The committed pair survives
-    /// cycle jumps and parked-kernel stretches (skipped cycles repeat
-    /// the last executed one verbatim), so deadlock snapshots are
-    /// identical with and without skipping.
+    /// pair at [`end_cycle`](Fifo::end_cycle) for deadlock snapshots.
     push_stalled_this_cycle: bool,
     pop_stalled_this_cycle: bool,
     last_push_stalled: bool,
@@ -218,25 +211,8 @@ impl<T> Fifo<T> {
         }
     }
 
-    /// Settles occupancy statistics for the untouched stretch up to
-    /// `cycle`: while nobody pushed or popped, the visible length was
-    /// constant, so the accrual is exact and O(1). Called by the engine
-    /// before the first port operation of a cycle and before snapshots.
-    #[inline]
-    pub(crate) fn sync(&mut self, cycle: u64) {
-        if cycle > self.now {
-            debug_assert!(self.staged.is_none() && !self.pushed_this_cycle && !self.popped_this_cycle);
-            let n = cycle - self.now;
-            self.stats.high_water = self.stats.high_water.max(self.len);
-            self.stats.occupancy_sum += self.len as u64 * n;
-            self.stats.cycles += n;
-            self.now = cycle;
-        }
-    }
-
     /// Commits the cycle: staged pushes become visible, ports free up,
-    /// occupancy statistics update. Called by the engine once per cycle in
-    /// which the FIFO was touched (every cycle under the dense stepper).
+    /// occupancy statistics update. Called by the engine once per cycle.
     pub fn end_cycle(&mut self) {
         if let Some(v) = self.staged.take() {
             let tail = (self.head + self.len) & self.mask;
@@ -268,8 +244,6 @@ impl<T> Fifo<T> {
     }
 
     /// Remaining injected-stall cycles across both ports (0 when healthy).
-    /// The event scheduler treats stall expiry as a wake event for
-    /// re-running parked kernels.
     pub fn forced_stall_remaining(&self) -> u64 {
         let port = |until: u64, now: u64| {
             if until == u64::MAX {
@@ -282,9 +256,7 @@ impl<T> Fifo<T> {
     }
 
     /// Whether a producer failed to push during the most recently committed
-    /// cycle. Stable across cycle jumps and parked stretches (skipped
-    /// cycles replay the last executed one), so deadlock snapshots agree
-    /// with cycle-exact runs.
+    /// cycle.
     pub fn last_push_stalled(&self) -> bool {
         self.last_push_stalled
     }
@@ -304,12 +276,6 @@ impl<T> Fifo<T> {
     /// detection).
     pub(crate) fn active_this_cycle(&self) -> bool {
         self.pushed_this_cycle || self.popped_this_cycle
-    }
-
-    /// Whether the read port was already used this cycle (so a failed pop
-    /// is a port conflict, not an empty/stall condition).
-    pub(crate) fn pop_port_used(&self) -> bool {
-        self.popped_this_cycle
     }
 }
 
@@ -430,23 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_sync_accrues_untouched_cycles_exactly() {
-        let mut f = Fifo::new("q", 4);
-        f.try_push(1).unwrap();
-        f.end_cycle(); // cycle 0 accounted, len 1 afterwards
-        // Nothing touches the FIFO for cycles 1..=9.
-        f.sync(10);
-        let s = f.stats();
-        assert_eq!(s.cycles, 10);
-        assert_eq!(s.occupancy_sum, 1 + 9, "cycle 0 at len 1 post-commit, then 9 at len 1");
-        assert_eq!(s.high_water, 1);
-        // Synced to cycle 10: operations and commits continue from there.
-        assert_eq!(f.try_pop(), Some(1));
-        f.end_cycle();
-        assert_eq!(f.stats().cycles, 11);
-    }
-
-    #[test]
     fn injected_stall_expiry_is_absolute() {
         let mut f = Fifo::new("q", 4);
         f.try_push(1).unwrap();
@@ -455,9 +404,10 @@ mod tests {
         assert_eq!(f.forced_stall_remaining(), 3);
         assert_eq!(f.try_pop(), None, "stalled");
         f.end_cycle(); // now = 2
-        // Skipping ahead must expire the stall at the same cycle as
-        // stepping through it.
-        f.sync(4);
+        f.end_cycle(); // now = 3
+        assert_eq!(f.forced_stall_remaining(), 1);
+        assert_eq!(f.try_pop(), None, "still stalled in its last cycle");
+        f.end_cycle(); // now = 4
         assert_eq!(f.forced_stall_remaining(), 0);
         assert_eq!(f.try_pop(), Some(1));
     }

@@ -63,9 +63,9 @@ pub mod trace;
 
 pub use barrier::Barrier;
 pub use engine::{
-    ConfigError, Ctx, Engine, EngineBuilder, FifoSet, FifoSnapshot, Horizon, Kernel, NullObserver,
-    Observer, Progress, RunReport, SchedMode, SimError, TraceObserver, DEFAULT_PARK_HYSTERESIS,
+    ConfigError, Ctx, Engine, EngineBuilder, FifoSet, FifoSnapshot, Kernel, NullObserver, Observer, Progress,
+    RunReport, SimError, TraceObserver,
 };
 pub use fifo::{Fifo, FifoId, PushError, StallPort};
-pub use stats::{CounterId, Counters, FifoStats, KernelStats, SchedStats};
+pub use stats::{CounterId, Counters, FifoStats, KernelStats};
 pub use trace::Trace;

@@ -1,5 +1,4 @@
-//! Simulation statistics: kernel activity, FIFO occupancy, user counters,
-//! scheduler accounting.
+//! Simulation statistics: kernel activity, FIFO occupancy, user counters.
 
 use std::collections::BTreeMap;
 
@@ -65,27 +64,6 @@ impl FifoStats {
             self.occupancy_sum as f64 / self.cycles as f64
         }
     }
-}
-
-/// Scheduler accounting for the event-driven engine. All counters stay
-/// zero under the dense stepper. These are *diagnostics about how the
-/// simulation was computed*, not architectural state: two bit-identical
-/// runs may legitimately differ here (e.g. dense vs. event-driven), so
-/// [`crate::RunReport`]'s equality ignores this block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Kernels parked on a FIFO wait list (or a sleep timer).
-    pub parks: u64,
-    /// Kernels re-enqueued by a FIFO occupancy edge, stall expiry or
-    /// sleep timer (spurious wakes included).
-    pub wakes: u64,
-    /// Executed cycles in which at least one kernel did not tick
-    /// (runnable set smaller than the kernel count).
-    pub lean_cycles: u64,
-    /// Cycles jumped over entirely because the runnable set was empty.
-    pub idle_jumped: u64,
-    /// Cycles in which at least one kernel actually ticked.
-    pub executed_cycles: u64,
 }
 
 /// Handle to an interned counter name, for string-free hot-path updates

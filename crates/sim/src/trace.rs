@@ -14,6 +14,7 @@
 //! ```
 
 use crate::engine::Progress;
+use std::num::NonZeroUsize;
 
 /// Per-kernel, per-cycle activity recorder with a bounded window.
 #[derive(Debug, Clone)]
@@ -30,12 +31,8 @@ pub struct Trace {
 
 impl Trace {
     /// Creates a recorder retaining at most `capacity` cycles.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Trace {
-        assert!(capacity > 0, "trace capacity must be positive");
-        Trace { names: Vec::new(), rows: Vec::new(), start_cycle: 0, capacity, truncated: false }
+    pub fn new(capacity: NonZeroUsize) -> Trace {
+        Trace { names: Vec::new(), rows: Vec::new(), start_cycle: 0, capacity: capacity.get(), truncated: false }
     }
 
     /// Registers kernel `name`, returning its row index. Called by the
@@ -62,29 +59,6 @@ impl Trace {
             Progress::Idle => b'.',
             Progress::Done => b' ',
         });
-    }
-
-    /// Records kernel `k`'s progress for `n` consecutive cycles starting
-    /// at `cycle` — equivalent to `n` [`record`](Trace::record) calls,
-    /// but O(min(n, capacity)). Used by the event scheduler to replay
-    /// parked and trailing-done stretches.
-    pub fn record_span(&mut self, k: usize, cycle: u64, n: u64, progress: Progress) {
-        let row_len = self.rows[k].len();
-        if row_len == 0 && k == 0 {
-            self.start_cycle = cycle;
-        }
-        let room = self.capacity - row_len.min(self.capacity);
-        let take = usize::try_from(n).unwrap_or(usize::MAX).min(room);
-        let sym = match progress {
-            Progress::Busy => b'#',
-            Progress::Blocked => b'x',
-            Progress::Idle => b'.',
-            Progress::Done => b' ',
-        };
-        self.rows[k].extend(std::iter::repeat_n(sym, take));
-        if n > take as u64 {
-            self.truncated = true;
-        }
     }
 
     /// Cycles recorded (bounded by capacity).
@@ -161,7 +135,7 @@ mod tests {
 
     #[test]
     fn records_symbols_in_order() {
-        let mut t = Trace::new(16);
+        let mut t = Trace::new(NonZeroUsize::new(16).unwrap());
         let a = t.add_kernel("a");
         let b = t.add_kernel("bkern");
         for cy in 0..4 {
@@ -178,7 +152,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_memory() {
-        let mut t = Trace::new(8);
+        let mut t = Trace::new(NonZeroUsize::new(8).unwrap());
         let k = t.add_kernel("k");
         for cy in 0..100 {
             t.record(k, cy, Progress::Busy);
@@ -190,7 +164,7 @@ mod tests {
 
     #[test]
     fn render_wraps_blocks() {
-        let mut t = Trace::new(64);
+        let mut t = Trace::new(NonZeroUsize::new(64).unwrap());
         let k = t.add_kernel("k");
         for cy in 0..25 {
             t.record(k, cy, Progress::Busy);
@@ -198,11 +172,5 @@ mod tests {
         let text = t.render(10);
         // 25 cycles at width 10: three blocks.
         assert_eq!(text.matches("cycle").count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        let _ = Trace::new(0);
     }
 }

@@ -91,15 +91,6 @@ impl HostCpu {
         self.polls
     }
 
-    /// Fabric cycles between consecutive status polls: one software loop
-    /// iteration (driver overhead) plus the bridge crossing for the
-    /// status read. Engine-level hosted designs use this as the poll
-    /// cadence of their host kernel so both system views charge
-    /// quiescence polling identically.
-    pub fn poll_interval_cycles(&self) -> u64 {
-        self.sw_overhead_cycles + self.bridge_cycles
-    }
-
     /// Writes an accelerator CSR.
     ///
     /// # Errors

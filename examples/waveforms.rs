@@ -13,7 +13,8 @@
 //! cargo run --release --example waveforms
 //! ```
 
-use zskip::accel::cycle::{self, CycleOutcome, Feed, RunOptions};
+use std::num::NonZeroUsize;
+use zskip::accel::cycle::{self, CycleOutcome, RunOptions};
 use zskip::accel::{AccelConfig, BankSet, ConvInstr, FmLayout, GroupWeights, Instruction, PoolPadInstr, PoolPadOp};
 use zskip::hls::AccelArch;
 use zskip::nn::conv::QuantConvWeights;
@@ -22,8 +23,8 @@ use zskip::tensor::{Shape, Tensor, TiledFeatureMap};
 
 /// Runs one instruction with a 120-cycle trace window.
 fn run_traced(cfg: &AccelConfig, banks: BankSet, scratchpad: &[u8], instr: Instruction) -> CycleOutcome {
-    let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: Some(120), ..RunOptions::default() };
-    cycle::run(cfg, banks, scratchpad, Feed::Preloaded(vec![instr]), &opts).expect("runs")
+    let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: NonZeroUsize::new(120), ..RunOptions::default() };
+    cycle::run(cfg, banks, scratchpad, &[instr], &opts).expect("runs")
 }
 
 fn config() -> AccelConfig {

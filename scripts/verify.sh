@@ -25,12 +25,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # keeps this a few seconds even on one core.
 timeout 120 ./target/release/zskip faults --hw 8 --json > /dev/null
 
-# Scheduler regression guard: a reduced hosted workload under both
-# steppers. Fails on divergence from the dense oracle, on the event
-# scheduler not engaging (no parks / no idle jumps), or on it timing
-# slower than dense — the win is structural on this workload, so the
-# wall-clock comparison holds even on a noisy box.
-timeout 300 ./target/release/sim_bench --check
+# Waveform pin: `zskip trace` (one conv instruction on the 21-kernel
+# design, waveform plus utilization table) must print exactly the
+# recorded golden — every kernel's state in every traced cycle.
+timeout 120 ./target/release/zskip trace | diff -u tests/golden/trace.txt - \
+  || { echo "verify: zskip trace differs from tests/golden/trace.txt"; exit 1; }
 
 # Kernel dispatch matrix: the SIMD bit-exactness property tests — and the
 # crate's own exactness suites for the lowering, the block epilogue, the

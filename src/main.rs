@@ -911,7 +911,6 @@ fn analyze(p: &Parsed) {
         return;
     }
     let density = parse_density(p, 13);
-    let conv3_density = density.density(4);
     let resolved = resolve_config(p);
     let variant = resolved.config.variant;
     if let Some(path) = &resolved.source {
@@ -957,36 +956,6 @@ fn analyze(p: &Parsed) {
     }
     println!("\n'vs ideal' is lockstep steps over per-lane-independent steps: the bubble");
     println!("cost the paper's future-work filter grouping recovers.");
-
-    // Scheduler engagement: run one representative engine-level block
-    // (conv3-scale, the profile's median-density layer class) under both
-    // steppers and show how the event-driven scheduler spent its cycles.
-    use zskip::accel::cycle::{self, Feed, RunOptions};
-    use zskip::hls::AccelArch;
-    use zskip::quant::Sm8;
-    use zskip::tensor::Tensor;
-    let acfg = AccelConfig::from_arch(&AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 8192 }, 100.0);
-    let (qw, _, _) = zskip_bench::make_conv_layer(64, 64, 16, conv3_density, zskip_bench::HARNESS_SEED);
-    let img = Tensor::from_fn(64, 16, 16, |c, y, x| Sm8::from_i32_saturating(((c * 31 + y * 7 + x) % 200) as i32 - 100));
-    let (banks, scratch, instrs) = zskip_bench::build_engine_workload(&acfg, &qw, &img);
-    let dense_opts = RunOptions { sched: zskip::sim::SchedMode::Dense, ..RunOptions::default() };
-    let dense = cycle::run(&acfg, banks.clone(), &scratch, Feed::Preloaded(instrs.clone()), &dense_opts)
-        .expect("dense block runs");
-    let event = cycle::run(&acfg, banks, &scratch, Feed::Preloaded(instrs), &RunOptions::default())
-        .expect("event block runs");
-    assert_eq!(dense.cycles, event.cycles, "schedulers must agree cycle-exactly");
-    assert_eq!(dense.report, event.report, "schedulers must agree on kernel stats");
-    let s = event.report.sched;
-    println!("\nEvent-driven scheduler on one engine-level block ({} cycles, bit-identical to dense):", event.cycles);
-    println!(
-        "  executed {} ({:.1}% lean), idle-jumped {}, parks {}, wakes {}",
-        s.executed_cycles,
-        if s.executed_cycles > 0 { s.lean_cycles as f64 / s.executed_cycles as f64 * 100.0 } else { 0.0 },
-        s.idle_jumped,
-        s.parks,
-        s.wakes
-    );
-    println!("  ('lean' cycles ticked only runnable kernels; dense ticks all {} every cycle)", dense.report.kernels.len());
 
     // Software datapath: which SIMD kernel tier this host dispatches to,
     // and the golden model's steady-state allocation behaviour (a warmed
@@ -1131,7 +1100,8 @@ fn faults(p: &Parsed) {
 }
 
 fn trace() {
-    use zskip::accel::cycle::{self, Feed, RunOptions};
+    use std::num::NonZeroUsize;
+    use zskip::accel::cycle::{self, RunOptions};
     use zskip::accel::{BankSet, ConvInstr, FmLayout, GroupWeights, Instruction};
     use zskip::hls::AccelArch;
     use zskip::nn::conv::QuantConvWeights;
@@ -1163,9 +1133,8 @@ fn trace() {
     in_layout.store(&mut banks, &tiled, 0..tiled.tiles_y());
     let gw = GroupWeights::from_filters(&qw, 0, 4);
     let instr = ConvInstr::for_group(&qw, 0, 4, &in_layout, 0, &out_layout, 0).expect("fits the instruction fields");
-    let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: Some(160), ..RunOptions::default() };
-    let feed = Feed::Preloaded(vec![Instruction::Conv(instr)]);
-    let outcome = cycle::run(&cfg, banks, gw.as_bytes(), feed, &opts).expect("runs");
+    let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: NonZeroUsize::new(160), ..RunOptions::default() };
+    let outcome = cycle::run(&cfg, banks, gw.as_bytes(), &[Instruction::Conv(instr)], &opts).expect("runs");
     let trace = outcome.trace.as_ref().expect("tracing was asked for");
     println!("cycle-exact waveform of one conv instruction ({} cycles total)", outcome.cycles);
     println!("legend: '#' busy, 'x' blocked on FIFO, '.' idle, ' ' done\n");

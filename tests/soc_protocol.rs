@@ -2,7 +2,7 @@
 //! Avalon bus, CSR doorbells, DMA descriptors, DDR staging, and the
 //! accelerator — wired together the way the real system is.
 
-use zskip::accel::cycle::{self, Feed};
+use zskip::accel::cycle;
 use zskip::accel::{AccelConfig, BankSet, ConvInstr, FmLayout, GroupWeights, Instruction};
 use zskip::hls::AccelArch;
 use zskip::nn::conv::{conv2d_quant_dense, QuantConvWeights};
@@ -97,8 +97,7 @@ fn full_csr_dma_inference_round_trip() {
     let addr = bus.read(ACCEL_CSR_BASE + AccelCsr::InstrAddr as u32).expect("read addr") as usize;
     let (bytes, _) = ddr.read_block(addr, count * zskip::accel::isa::INSTR_BYTES);
     let decoded = Instruction::decode_stream(bytes).expect("well-formed stream");
-    let outcome =
-        cycle::run(&cfg, banks, &scratchpad, Feed::Preloaded(decoded), &Default::default()).expect("executes");
+    let outcome = cycle::run(&cfg, banks, &scratchpad, &decoded, &Default::default()).expect("executes");
     bus.write(ACCEL_CSR_BASE + AccelCsr::Status as u32, status::DONE).expect("post done");
     bus.write(ACCEL_CSR_BASE + AccelCsr::CyclesLo as u32, outcome.cycles as u32).expect("post cycles");
 
