@@ -17,7 +17,7 @@ use zskip_quant::{Requantizer, Sm8};
 use zskip_sim::{Barrier, CounterId, Ctx, FifoId, Kernel, Progress};
 use zskip_tensor::Tile;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Run {
     cfg: AccumCfg,
     acc: [i64; 16],
@@ -43,13 +43,19 @@ enum State {
 /// The accumulator kernel for one filter lane.
 pub struct AccumKernel {
     name: String,
-    lane: usize,
     cfg_in: FifoId,
+    ports: Ports,
+    state: State,
+}
+
+/// Everything a running lane touches besides its [`Run`], kept apart so
+/// a tick borrows the two side by side instead of copying the `Run` out.
+struct Ports {
+    lane: usize,
     /// One products FIFO per convolution unit.
     inputs: Rc<[FifoId]>,
     out: FifoId,
     barrier: Rc<RefCell<Barrier>>,
-    state: State,
     /// Interned `accum_adds` id — fires on every product pop.
     adds_counter: Option<CounterId>,
 }
@@ -65,26 +71,26 @@ impl AccumKernel {
     ) -> AccumKernel {
         AccumKernel {
             name: format!("accum{lane}"),
-            lane,
             cfg_in,
-            inputs,
-            out,
-            barrier,
+            ports: Ports { lane, inputs, out, barrier, adds_counter: None },
             state: State::Idle,
-            adds_counter: None,
         }
     }
+}
 
-    fn finalize(run: &Run, lane: usize) -> Tile<Sm8> {
-        let requant = Requantizer { mult: run.cfg.mult as u32, shift: run.cfg.shift as u32 };
-        let _ = lane;
+impl Run {
+    /// The position's tile: the fused ReLU + requantization epilogue.
+    fn finalize(&self) -> Tile<Sm8> {
+        let requant = Requantizer { mult: self.cfg.mult as u32, shift: self.cfg.shift as u32 };
         let mut t = Tile::zero();
-        for (i, &acc) in run.acc.iter().enumerate() {
-            t.as_mut_array()[i] = if run.cfg.relu { requant.apply_relu(acc) } else { requant.apply(acc) };
+        for (i, &acc) in self.acc.iter().enumerate() {
+            t.as_mut_array()[i] = if self.cfg.relu { requant.apply_relu(acc) } else { requant.apply(acc) };
         }
         t
     }
+}
 
+impl Ports {
     fn tick_run(&mut self, run: &mut Run, ctx: &mut Ctx<'_, Msg>) -> (Progress, bool) {
         // Stage 3: synchronized position handoff.
         if run.at_barrier {
@@ -149,7 +155,7 @@ impl AccumKernel {
             // Position complete: requantize; inactive lanes (ragged final
             // group) skip the write but still hit the barrier.
             if run.cfg.active {
-                run.pending = Some(Self::finalize(run, self.lane));
+                run.pending = Some(run.finalize());
             } else {
                 run.at_barrier = true;
             }
@@ -190,10 +196,10 @@ impl Kernel<Msg> for AccumKernel {
                 None => Progress::Idle,
             },
             State::Run(run) => {
-                // Copied out (plain data) so `tick_run` can borrow `self`.
-                let mut run = *run;
-                let (progress, complete) = self.tick_run(&mut run, ctx);
-                self.state = if complete { State::Idle } else { State::Run(run) };
+                let (progress, complete) = self.ports.tick_run(run, ctx);
+                if complete {
+                    self.state = State::Idle;
+                }
                 progress
             }
         }

@@ -229,10 +229,7 @@ impl StagingKernel {
     fn lane_entries(&self, st: &ConvState, ifm: u32, t: u32) -> [Option<PackedEntry>; 4] {
         let group = &self.scratchpad[st.instr.wgt_base as usize..];
         let tiles = &st.tile_index[ifm as usize * self.lanes..][..self.lanes];
-        std::array::from_fn(|lane| {
-            let tile = PackedTile::at(group, *tiles.get(lane)? as usize);
-            tile.entries().nth(t as usize)
-        })
+        std::array::from_fn(|lane| PackedTile::at(group, *tiles.get(lane)? as usize).entry(t as usize))
     }
 
     fn tick_conv(&mut self, ctx: &mut Ctx<'_, Msg>) -> Progress {

@@ -107,6 +107,7 @@ impl<'a> PackedTile<'a> {
     /// # Panics
     /// Panics if the tile runs past the end of `stream`, which a validated
     /// stream and index rule out.
+    #[inline]
     pub fn at(stream: &'a [u8], start: usize) -> PackedTile<'a> {
         PackedTile { bytes: &stream[start..start + 1 + 2 * stream[start] as usize] }
     }
@@ -120,6 +121,14 @@ impl<'a> PackedTile<'a> {
     /// The packed entries in ascending offset order.
     pub fn entries(&self) -> impl ExactSizeIterator<Item = PackedEntry> + 'a {
         self.bytes[1..].chunks_exact(2).map(|pair| PackedEntry { offset: pair[0], value: Sm8::from_bits(pair[1]) })
+    }
+
+    /// The `t`-th packed entry (`entries().nth(t)` without the walk);
+    /// `None` from `t == nnz()` on.
+    #[inline]
+    pub fn entry(&self, t: usize) -> Option<PackedEntry> {
+        let pair = self.bytes.get(1 + 2 * t..3 + 2 * t)?;
+        Some(PackedEntry { offset: pair[0], value: Sm8::from_bits(pair[1]) })
     }
 
     /// Size in bytes of the tile within its stream.
@@ -280,6 +289,20 @@ mod tests {
             prop_assert_eq!(p.entries().collect::<Vec<_>>(), oracle_entries(&t));
             prop_assert_eq!(p.unpack(), t);
             prop_assert_eq!(p.nnz(), vals.iter().filter(|&&v| v != 0).count());
+        }
+
+        /// Tiles of 0–16 entries, read at every index up to one past the
+        /// fullest tile's count.
+        #[test]
+        fn indexed_entry_reads_match_the_walk(vals in proptest::array::uniform16(-127i32..=127), keep in 0usize..=16) {
+            let mut t = tile_from_i32(vals);
+            // Zero all but the first `keep` slots, so every count 0..=16 occurs.
+            t.as_mut_array()[keep..].fill(Sm8::ZERO);
+            let stream = pack(&t);
+            let p = PackedTile::parse(&stream).unwrap();
+            for i in 0..=17 {
+                prop_assert_eq!(p.entry(i), p.entries().nth(i), "entry {}", i);
+            }
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The cycle-stepped simulation engine.
 //!
 //! Every cycle the engine ticks each unfinished kernel once, in
-//! registration order, then commits every FIFO (staged pushes become
-//! visible, ports free up, occupancy statistics accrue). A kernel that
-//! finished accrues `done` cycles until the run ends. See
+//! registration order, then commits the FIFOs pushed in that cycle
+//! (their staged values become visible). Ports are freed by the clock
+//! itself: a port is busy only in the cycle its stamp names. A kernel
+//! that finished accrues `done` cycles until the run ends. See
 //! `docs/SIMULATOR.md` for the cycle semantics and deadlock detection.
 
 use crate::fifo::{Fifo, FifoId, PushError, StallPort};
@@ -68,10 +69,16 @@ impl Observer for TraceObserver<'_> {
     }
 }
 
-/// Access to the design's FIFOs during a tick, with port-semantics
-/// enforcement delegated to each [`Fifo`].
+/// Access to the design's FIFOs during one cycle, with port-semantics
+/// enforcement delegated to each [`Fifo`]. It records which FIFOs were
+/// pushed, so the end of the cycle commits those and no others.
 pub struct FifoSet<'a, M> {
     fifos: &'a mut [Fifo<M>],
+    cycle: u64,
+    /// FIFOs pushed this cycle, each at most once (one write port).
+    pushed: &'a mut Vec<usize>,
+    /// Whether some pop succeeded this cycle.
+    popped: bool,
 }
 
 impl<M> FifoSet<'_, M> {
@@ -81,13 +88,17 @@ impl<M> FifoSet<'_, M> {
     /// Propagates the FIFO's [`PushError`].
     #[inline]
     pub fn try_push(&mut self, id: FifoId, value: M) -> Result<(), PushError> {
-        self.fifos[id.0].try_push(value)
+        self.fifos[id.0].try_push(self.cycle, value)?;
+        self.pushed.push(id.0);
+        Ok(())
     }
 
     /// Attempts to pop from FIFO `id` this cycle.
     #[inline]
     pub fn try_pop(&mut self, id: FifoId) -> Option<M> {
-        self.fifos[id.0].try_pop()
+        let v = self.fifos[id.0].try_pop(self.cycle);
+        self.popped |= v.is_some();
+        v
     }
 
     /// Peeks at FIFO `id` without consuming.
@@ -109,6 +120,17 @@ impl<M> FifoSet<'_, M> {
     pub fn has_room(&self, id: FifoId) -> bool {
         self.fifos[id.0].occupancy() < self.fifos[id.0].capacity()
     }
+
+    /// Ends the cycle: every pushed FIFO's staged value joins its ring.
+    /// Returns whether any FIFO moved data this cycle.
+    fn commit(&mut self) -> bool {
+        let moved = self.popped || !self.pushed.is_empty();
+        for &i in self.pushed.iter() {
+            self.fifos[i].commit();
+        }
+        self.pushed.clear();
+        moved
+    }
 }
 
 /// Per-tick context handed to kernels.
@@ -125,6 +147,10 @@ pub struct Ctx<'a, M> {
 pub struct Engine<M> {
     fifos: Vec<Fifo<M>>,
     kernels: Vec<KernelSlot<M>>,
+    /// Kernels not yet [`Progress::Done`].
+    live: usize,
+    /// Scratch for [`FifoSet`]'s pushed list, kept across cycles.
+    pushed: Vec<usize>,
     counters: Counters,
     cycle: u64,
     deadlock_window: u64,
@@ -370,6 +396,8 @@ impl<M> Engine<M> {
         Engine {
             fifos: Vec::new(),
             kernels: Vec::new(),
+            live: 0,
+            pushed: Vec::new(),
             counters: Counters::new(),
             cycle: 0,
             deadlock_window: 10_000,
@@ -410,6 +438,7 @@ impl<M> Engine<M> {
             t.add_kernel(kernel.name());
         }
         self.kernels.push(KernelSlot { kernel, stats: KernelStats::default(), done: false });
+        self.live += 1;
     }
 
     /// Current cycle count.
@@ -441,23 +470,17 @@ impl<M> Engine<M> {
         result
     }
 
-    /// The run loop: one [`step`](Engine::step) and one commit of every
-    /// FIFO per cycle.
+    /// The run loop: one [`step`](Engine::step) per cycle.
     fn run_with<O: Observer>(&mut self, obs: &mut O, max_cycles: u64) -> Result<RunReport, SimError> {
         let mut last_activity = self.cycle;
-        while self.kernels.iter().any(|k| !k.done) {
+        while self.live > 0 {
             if self.cycle >= max_cycles {
                 return Err(SimError::CycleLimit { limit: max_cycles, unfinished: self.unfinished_names() });
             }
             self.apply_armed_faults();
-            let any_busy = self.step(obs);
-            let mut fifo_activity = false;
-            for f in self.fifos.iter_mut() {
-                fifo_activity |= f.active_this_cycle();
-                f.end_cycle();
-            }
+            let active = self.step(obs);
             self.cycle += 1;
-            if any_busy || fifo_activity {
+            if active {
                 last_activity = self.cycle;
             } else if self.cycle - last_activity > self.deadlock_window {
                 return Err(SimError::Deadlock {
@@ -470,17 +493,22 @@ impl<M> Engine<M> {
         Ok(self.report())
     }
 
-    /// Ticks every unfinished kernel once. Returns whether any was busy.
+    /// Ticks every unfinished kernel once, then commits the FIFOs pushed
+    /// in the cycle. Returns whether the cycle was active: some kernel
+    /// was busy or finished, or some FIFO moved data.
     fn step<O: Observer>(&mut self, obs: &mut O) -> bool {
         let mut any_busy = false;
+        let mut ctx = Ctx {
+            cycle: self.cycle,
+            fifos: FifoSet { fifos: &mut self.fifos, cycle: self.cycle, pushed: &mut self.pushed, popped: false },
+            counters: &mut self.counters,
+        };
         for (k, slot) in self.kernels.iter_mut().enumerate() {
             if slot.done {
                 slot.stats.done += 1;
                 obs.record(k, self.cycle, Progress::Done);
                 continue;
             }
-            let mut ctx =
-                Ctx { cycle: self.cycle, fifos: FifoSet { fifos: &mut self.fifos }, counters: &mut self.counters };
             let progress = slot.kernel.tick(&mut ctx);
             obs.record(k, self.cycle, progress);
             match progress {
@@ -492,11 +520,13 @@ impl<M> Engine<M> {
                 Progress::Idle => slot.stats.idle += 1,
                 Progress::Done => {
                     slot.done = true;
+                    self.live -= 1;
                     any_busy = true; // state change counts as progress
                 }
             }
         }
-        any_busy
+        let moved = ctx.fifos.commit();
+        any_busy || moved
     }
 
     /// Names of kernels not yet done, in registration order.
@@ -512,9 +542,9 @@ impl<M> Engine<M> {
                 name: f.name().to_string(),
                 occupancy: f.occupancy(),
                 capacity: f.capacity(),
-                stalled: f.forced_stall_remaining() > 0,
-                push_waiting: f.last_push_stalled(),
-                pop_waiting: f.last_pop_stalled(),
+                stalled: f.forced_stall_remaining(self.cycle) > 0,
+                push_waiting: f.last_push_stalled(self.cycle),
+                pop_waiting: f.last_pop_stalled(self.cycle),
             })
             .collect()
     }
@@ -562,7 +592,7 @@ impl<M> Engine<M> {
             }
         });
         for a in due {
-            self.fifos[a.fifo].inject_stall(a.port, a.cycles);
+            self.fifos[a.fifo].inject_stall(cycle, a.port, a.cycles);
             if let Some(plan) = &self.fault_plan {
                 plan.lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -831,6 +861,49 @@ mod tests {
         assert_eq!(wedged.name, "q");
         assert!(wedged.stalled, "the injected stall is the suspect");
         assert!(err.to_string().contains("wedged fifo: q"), "{err}");
+    }
+
+    /// Pushes into a FIFO nobody drains. Once a push is refused it stops
+    /// touching the FIFO, unless `retry`, when it retries every cycle.
+    struct GiveUp {
+        out: FifoId,
+        retry: bool,
+        refused: bool,
+    }
+
+    impl Kernel<u32> for GiveUp {
+        fn name(&self) -> &str {
+            "give-up"
+        }
+        fn tick(&mut self, ctx: &mut Ctx<'_, u32>) -> Progress {
+            if self.refused && !self.retry {
+                return Progress::Blocked;
+            }
+            match ctx.fifos.try_push(self.out, 0) {
+                Ok(()) => Progress::Busy,
+                Err(_) => {
+                    self.refused = true;
+                    Progress::Blocked
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_push_refused_before_the_last_cycle_is_not_a_waiting_producer() {
+        for retry in [false, true] {
+            let mut e = Engine::<u32>::builder().deadlock_window(20).build().unwrap();
+            let q = e.add_fifo(Fifo::new("q", 1));
+            e.add_kernel(Box::new(GiveUp { out: q, retry, refused: false }));
+            // Cycle 0 fills the FIFO, cycle 1's push is refused; without
+            // `retry` nothing touches the FIFO after that.
+            let Err(SimError::Deadlock { fifos, .. }) = e.run(1_000) else {
+                panic!("a producer with no consumer must deadlock");
+            };
+            assert_eq!((fifos[0].occupancy, fifos[0].stalled), (1, false));
+            assert_eq!(fifos[0].push_waiting, retry, "retry = {retry}");
+            assert!(!fifos[0].pop_waiting);
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Hardware FIFO queues with registered-output, single-port semantics.
 //!
 //! Storage is a fixed-capacity power-of-two ring buffer with an inline
-//! staging slot (the output register), so pushes, pops and cycle commits
-//! are branch-light O(1) operations with no heap traffic after
-//! construction. The engine commits every FIFO once per cycle
-//! ([`Fifo::end_cycle`]), which is where occupancy statistics accrue.
-
-use crate::stats::FifoStats;
+//! staging slot (the output register), so pushes, pops and commits are
+//! branch-light O(1) operations with no heap traffic after construction.
+//!
+//! Ports are kept by cycle stamp, as the SRAM banks' are: a port is busy
+//! iff its stamp equals the cycle being executed, so a new cycle frees
+//! every port without touching the FIFO. The engine commits only the
+//! FIFOs pushed in a cycle, moving each staged value into its ring.
 
 /// Handle to a FIFO registered with an [`crate::Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,6 +40,9 @@ impl std::fmt::Display for PushError {
 
 impl std::error::Error for PushError {}
 
+/// The stamp of a port never used.
+const NEVER: u64 = u64::MAX;
+
 /// A bounded hardware FIFO.
 ///
 /// Port semantics per cycle (matching a registered FPGA FIFO):
@@ -62,24 +66,18 @@ pub struct Fifo<T> {
     len: usize,
     /// The output register: this cycle's push, visible next cycle.
     staged: Option<T>,
-    /// Cycles committed so far (the next cycle to account). Advanced by
-    /// [`end_cycle`](Fifo::end_cycle).
-    now: u64,
-    pushed_this_cycle: bool,
-    popped_this_cycle: bool,
-    stats: FifoStats,
-    /// Injected-fault stall expiry (absolute cycle against `now`): while
-    /// `now < until`, the corresponding port refuses transfers (modeling a
-    /// wedged upstream/downstream handshake). `u64::MAX` wedges the port
+    /// Cycle of the last push / pop: the port is busy in that cycle.
+    push_at: u64,
+    pop_at: u64,
+    /// Cycle of the last refused push / empty pop, for deadlock snapshots.
+    push_stall_at: u64,
+    pop_stall_at: u64,
+    /// Injected-fault stall expiry (absolute cycle): before `until`, the
+    /// corresponding port refuses transfers (modeling a wedged
+    /// upstream/downstream handshake). `u64::MAX` wedges the port
     /// permanently.
     push_stall_until: u64,
     pop_stall_until: u64,
-    /// Stall attempts observed this cycle, committed into the `last_*`
-    /// pair at [`end_cycle`](Fifo::end_cycle) for deadlock snapshots.
-    push_stalled_this_cycle: bool,
-    pop_stalled_this_cycle: bool,
-    last_push_stalled: bool,
-    last_pop_stalled: bool,
 }
 
 /// Which FIFO port an injected stall wedges.
@@ -108,16 +106,12 @@ impl<T> Fifo<T> {
             head: 0,
             len: 0,
             staged: None,
-            now: 0,
-            pushed_this_cycle: false,
-            popped_this_cycle: false,
-            stats: FifoStats::default(),
+            push_at: NEVER,
+            pop_at: NEVER,
+            push_stall_at: NEVER,
+            pop_stall_at: NEVER,
             push_stall_until: 0,
             pop_stall_until: 0,
-            push_stalled_this_cycle: false,
-            pop_stalled_this_cycle: false,
-            last_push_stalled: false,
-            last_pop_stalled: false,
         }
     }
 
@@ -146,58 +140,46 @@ impl<T> Fifo<T> {
         self.len + usize::from(self.staged.is_some())
     }
 
-    /// Attempts to push a value this cycle.
+    /// Attempts to push a value in `cycle`. On success the value is
+    /// staged; it reaches the ring when the engine commits the cycle.
     ///
     /// # Errors
     /// [`PushError::PortBusy`] if already pushed this cycle,
-    /// [`PushError::Full`] if at capacity.
-    pub fn try_push(&mut self, value: T) -> Result<(), PushError> {
-        if self.pushed_this_cycle {
-            self.stats.push_port_conflicts += 1;
+    /// [`PushError::Full`] if at capacity or the write port is
+    /// fault-stalled.
+    #[inline]
+    pub fn try_push(&mut self, cycle: u64, value: T) -> Result<(), PushError> {
+        if self.push_at == cycle {
             return Err(PushError::PortBusy);
         }
-        if self.now < self.push_stall_until {
-            // Injected fault: the port looks full to the producer.
-            self.stats.push_stalls += 1;
-            self.push_stalled_this_cycle = true;
-            return Err(PushError::Full);
-        }
-        if self.occupancy() >= self.capacity {
-            self.stats.push_stalls += 1;
-            self.push_stalled_this_cycle = true;
+        // An injected stall makes the port look full to the producer.
+        if cycle < self.push_stall_until || self.occupancy() >= self.capacity {
+            self.push_stall_at = cycle;
             return Err(PushError::Full);
         }
         debug_assert!(self.staged.is_none());
         self.staged = Some(value);
-        self.pushed_this_cycle = true;
-        self.stats.pushes += 1;
+        self.push_at = cycle;
         Ok(())
     }
 
-    /// Attempts to pop a value this cycle. Returns `None` when empty or the
-    /// read port was already used.
-    pub fn try_pop(&mut self) -> Option<T> {
-        if self.popped_this_cycle {
-            self.stats.pop_port_conflicts += 1;
+    /// Attempts to pop a value in `cycle`. Returns `None` when empty,
+    /// fault-stalled or the read port was already used.
+    #[inline]
+    pub fn try_pop(&mut self, cycle: u64) -> Option<T> {
+        if self.pop_at == cycle {
             return None;
         }
-        if self.now < self.pop_stall_until {
-            // Injected fault: the port looks empty to the consumer.
-            self.stats.pop_stalls += 1;
-            self.pop_stalled_this_cycle = true;
-            return None;
-        }
-        if self.len == 0 {
-            self.stats.pop_stalls += 1;
-            self.pop_stalled_this_cycle = true;
+        // An injected stall makes the port look empty to the consumer.
+        if cycle < self.pop_stall_until || self.len == 0 {
+            self.pop_stall_at = cycle;
             return None;
         }
         let v = self.buf[self.head].take();
         debug_assert!(v.is_some());
         self.head = (self.head + 1) & self.mask;
         self.len -= 1;
-        self.popped_this_cycle = true;
-        self.stats.pops += 1;
+        self.pop_at = cycle;
         v
     }
 
@@ -211,71 +193,47 @@ impl<T> Fifo<T> {
         }
     }
 
-    /// Commits the cycle: staged pushes become visible, ports free up,
-    /// occupancy statistics update. Called by the engine once per cycle.
-    pub fn end_cycle(&mut self) {
+    /// Ends the cycle of a push: the staged value joins the ring and is
+    /// poppable from the next cycle on. The engine calls it once per
+    /// pushed FIFO per cycle.
+    #[inline]
+    pub(crate) fn commit(&mut self) {
         if let Some(v) = self.staged.take() {
             let tail = (self.head + self.len) & self.mask;
             debug_assert!(self.buf[tail].is_none());
             self.buf[tail] = Some(v);
             self.len += 1;
         }
-        self.pushed_this_cycle = false;
-        self.popped_this_cycle = false;
-        self.last_push_stalled = self.push_stalled_this_cycle;
-        self.last_pop_stalled = self.pop_stalled_this_cycle;
-        self.push_stalled_this_cycle = false;
-        self.pop_stalled_this_cycle = false;
-        self.stats.high_water = self.stats.high_water.max(self.len);
-        self.stats.occupancy_sum += self.len as u64;
-        self.stats.cycles += 1;
-        self.now += 1;
     }
 
-    /// Injects a `cycles`-long stall on one port (fault injection):
-    /// `u64::MAX` wedges the port permanently. The stall begins with the
-    /// current cycle and expires on its own once `cycles` have elapsed.
-    pub fn inject_stall(&mut self, port: StallPort, cycles: u64) {
-        let until = if cycles == u64::MAX { u64::MAX } else { self.now.saturating_add(cycles) };
+    /// Injects a `cycles`-long stall on one port (fault injection),
+    /// starting in cycle `now` and expiring on its own at `now + cycles`;
+    /// `u64::MAX` wedges the port permanently.
+    pub fn inject_stall(&mut self, now: u64, port: StallPort, cycles: u64) {
+        let until = if cycles == u64::MAX { u64::MAX } else { now.saturating_add(cycles) };
         match port {
             StallPort::Push => self.push_stall_until = self.push_stall_until.max(until),
             StallPort::Pop => self.pop_stall_until = self.pop_stall_until.max(until),
         }
     }
 
-    /// Remaining injected-stall cycles across both ports (0 when healthy).
-    pub fn forced_stall_remaining(&self) -> u64 {
-        let port = |until: u64, now: u64| {
-            if until == u64::MAX {
-                u64::MAX
-            } else {
-                until.saturating_sub(now)
-            }
-        };
-        port(self.push_stall_until, self.now).max(port(self.pop_stall_until, self.now))
+    /// Remaining injected-stall cycles across both ports as of cycle
+    /// `now` (0 when healthy).
+    pub fn forced_stall_remaining(&self, now: u64) -> u64 {
+        let port = |until: u64| if until == u64::MAX { u64::MAX } else { until.saturating_sub(now) };
+        port(self.push_stall_until).max(port(self.pop_stall_until))
     }
 
-    /// Whether a producer failed to push during the most recently committed
-    /// cycle.
-    pub fn last_push_stalled(&self) -> bool {
-        self.last_push_stalled
+    /// Whether a producer failed to push in the cycle before `now` (the
+    /// last one executed when the clock reads `now`).
+    pub fn last_push_stalled(&self, now: u64) -> bool {
+        now.checked_sub(1) == Some(self.push_stall_at)
     }
 
-    /// Whether a consumer failed to pop during the most recently committed
-    /// cycle (see [`last_push_stalled`](Fifo::last_push_stalled)).
-    pub fn last_pop_stalled(&self) -> bool {
-        self.last_pop_stalled
-    }
-
-    /// Activity/stall statistics.
-    pub fn stats(&self) -> &FifoStats {
-        &self.stats
-    }
-
-    /// Whether any transfer happened this cycle (used for deadlock
-    /// detection).
-    pub(crate) fn active_this_cycle(&self) -> bool {
-        self.pushed_this_cycle || self.popped_this_cycle
+    /// Whether a consumer failed to pop in the cycle before `now` (see
+    /// [`last_push_stalled`](Fifo::last_push_stalled)).
+    pub fn last_pop_stalled(&self, now: u64) -> bool {
+        now.checked_sub(1) == Some(self.pop_stall_at)
     }
 }
 
@@ -286,46 +244,47 @@ mod tests {
     #[test]
     fn push_is_visible_next_cycle_only() {
         let mut f = Fifo::new("q", 4);
-        f.try_push(1).unwrap();
-        assert_eq!(f.try_pop(), None, "same-cycle pop must miss");
-        f.end_cycle();
-        assert_eq!(f.try_pop(), Some(1));
+        f.try_push(0, 1).unwrap();
+        assert_eq!(f.try_pop(0), None, "same-cycle pop must miss");
+        f.commit();
+        assert_eq!(f.try_pop(1), Some(1));
     }
 
     #[test]
     fn one_push_per_cycle() {
         let mut f = Fifo::new("q", 4);
-        f.try_push(1).unwrap();
-        assert_eq!(f.try_push(2).unwrap_err(), PushError::PortBusy);
-        f.end_cycle();
-        f.try_push(2).unwrap();
+        f.try_push(0, 1).unwrap();
+        assert_eq!(f.try_push(0, 2).unwrap_err(), PushError::PortBusy);
+        f.commit();
+        f.try_push(1, 2).unwrap();
     }
 
     #[test]
     fn one_pop_per_cycle() {
         let mut f = Fifo::new("q", 4);
-        f.try_push(1).unwrap();
-        f.end_cycle();
-        f.try_push(2).unwrap();
-        f.end_cycle();
-        assert_eq!(f.try_pop(), Some(1));
-        assert_eq!(f.try_pop(), None, "read port busy");
-        f.end_cycle();
-        assert_eq!(f.try_pop(), Some(2));
+        f.try_push(0, 1).unwrap();
+        f.commit();
+        f.try_push(1, 2).unwrap();
+        f.commit();
+        assert_eq!(f.try_pop(2), Some(1));
+        assert_eq!(f.try_pop(2), None, "read port busy");
+        // Popped in cycle 2 and not pushed: nothing commits the FIFO, yet
+        // its read port is free again in cycle 3.
+        assert_eq!(f.try_pop(3), Some(2));
     }
 
     #[test]
     fn capacity_counts_staged_element() {
         let mut f = Fifo::new("q", 1);
-        f.try_push(1).unwrap();
-        f.end_cycle();
-        assert_eq!(f.try_push(2).unwrap_err(), PushError::Full);
+        f.try_push(0, 1).unwrap();
+        f.commit();
+        assert_eq!(f.try_push(1, 2).unwrap_err(), PushError::Full);
         assert_eq!(f.occupancy(), 1);
         // Draining frees space, but only within the same cycle's pop.
-        assert_eq!(f.try_pop(), Some(1));
-        f.try_push(2).unwrap();
-        f.end_cycle();
-        assert_eq!(f.try_pop(), Some(2));
+        assert_eq!(f.try_pop(1), Some(1));
+        f.try_push(1, 2).unwrap();
+        f.commit();
+        assert_eq!(f.try_pop(2), Some(2));
     }
 
     #[test]
@@ -335,43 +294,39 @@ mod tests {
         let mut f = Fifo::new("q", 1);
         let mut received = Vec::new();
         let mut next = 0;
-        for _ in 0..10 {
-            if let Some(v) = f.try_pop() {
+        for cycle in 0..10 {
+            if let Some(v) = f.try_pop(cycle) {
                 received.push(v);
             }
-            if f.try_push(next).is_ok() {
+            if f.try_push(cycle, next).is_ok() {
                 next += 1;
+                f.commit();
             }
-            f.end_cycle();
         }
         assert_eq!(received, vec![0, 1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
-    fn stats_track_stalls_and_high_water() {
-        let mut f = Fifo::new("q", 2);
-        assert!(f.try_pop().is_none()); // pop stall
-        f.try_push(1).unwrap();
-        f.end_cycle();
-        f.try_push(2).unwrap();
-        f.end_cycle();
-        assert_eq!(f.try_push(3).unwrap_err(), PushError::Full); // push stall
-        f.end_cycle();
-        let s = f.stats();
-        assert_eq!(s.pushes, 2);
-        assert_eq!(s.pop_stalls, 1);
-        assert_eq!(s.push_stalls, 1);
-        assert_eq!(s.high_water, 2);
-        assert!(s.mean_occupancy() > 0.0);
+    fn stall_flags_name_only_the_last_executed_cycle() {
+        let mut f = Fifo::new("q", 1);
+        assert!(f.try_pop(0).is_none()); // pop stall in cycle 0
+        f.try_push(0, 1).unwrap();
+        f.commit();
+        assert!(f.last_pop_stalled(1) && !f.last_push_stalled(1));
+        assert_eq!(f.try_push(1, 2).unwrap_err(), PushError::Full); // push stall in cycle 1
+        assert!(f.last_push_stalled(2) && !f.last_pop_stalled(2));
+        // Untouched in cycle 2: by cycle 3 nobody is waiting.
+        assert!(!f.last_push_stalled(3) && !f.last_pop_stalled(3));
+        assert!(!Fifo::<u8>::new("fresh", 1).last_push_stalled(0));
     }
 
     #[test]
     fn peek_does_not_consume() {
         let mut f = Fifo::new("q", 2);
-        f.try_push(7).unwrap();
-        f.end_cycle();
+        f.try_push(0, 7).unwrap();
+        f.commit();
         assert_eq!(f.peek(), Some(&7));
-        assert_eq!(f.try_pop(), Some(7));
+        assert_eq!(f.try_pop(1), Some(7));
     }
 
     #[test]
@@ -381,15 +336,15 @@ mod tests {
         let mut f = Fifo::new("q", 3);
         let mut next = 0u32;
         let mut expect = 0u32;
-        for _ in 0..1000 {
-            if let Some(v) = f.try_pop() {
+        for cycle in 0..1000 {
+            if let Some(v) = f.try_pop(cycle) {
                 assert_eq!(v, expect);
                 expect += 1;
             }
-            if f.try_push(next).is_ok() {
+            if f.try_push(cycle, next).is_ok() {
                 next += 1;
+                f.commit();
             }
-            f.end_cycle();
             assert!(f.occupancy() <= f.capacity());
         }
         assert!(expect > 900, "sustained transfers: {expect}");
@@ -398,18 +353,30 @@ mod tests {
     #[test]
     fn injected_stall_expiry_is_absolute() {
         let mut f = Fifo::new("q", 4);
-        f.try_push(1).unwrap();
-        f.end_cycle(); // now = 1
-        f.inject_stall(StallPort::Pop, 3); // wedged for cycles 1, 2, 3
-        assert_eq!(f.forced_stall_remaining(), 3);
-        assert_eq!(f.try_pop(), None, "stalled");
-        f.end_cycle(); // now = 2
-        f.end_cycle(); // now = 3
-        assert_eq!(f.forced_stall_remaining(), 1);
-        assert_eq!(f.try_pop(), None, "still stalled in its last cycle");
-        f.end_cycle(); // now = 4
-        assert_eq!(f.forced_stall_remaining(), 0);
-        assert_eq!(f.try_pop(), Some(1));
+        f.try_push(0, 1).unwrap();
+        f.commit();
+        f.inject_stall(1, StallPort::Pop, 3); // wedged for cycles 1, 2, 3
+        assert_eq!(f.forced_stall_remaining(1), 3);
+        assert_eq!(f.try_pop(1), None, "stalled");
+        assert_eq!(f.forced_stall_remaining(3), 1);
+        assert_eq!(f.try_pop(3), None, "still stalled in its last cycle");
+        assert_eq!(f.forced_stall_remaining(4), 0);
+        assert_eq!(f.try_pop(4), Some(1));
+    }
+
+    #[test]
+    fn a_stall_expires_on_an_untouched_fifo() {
+        let mut f = Fifo::new("q", 4);
+        f.try_push(0, 1).unwrap();
+        f.commit();
+        f.inject_stall(5, StallPort::Pop, 3);
+        // Nobody touches the FIFO in cycles 5..8; the expiry is against
+        // the clock, not against cycles the FIFO saw.
+        assert_eq!(f.forced_stall_remaining(7), 1);
+        assert_eq!(f.forced_stall_remaining(8), 0);
+        assert_eq!(f.try_pop(8), Some(1));
+        f.inject_stall(9, StallPort::Push, u64::MAX);
+        assert_eq!(f.forced_stall_remaining(1 << 40), u64::MAX, "a permanent stall never expires");
     }
 
     #[test]
@@ -453,11 +420,12 @@ mod proptests {
             let mut staged: Option<u16> = None;
             let mut pushed = false;
             let mut popped = false;
+            let mut cycle = 0u64;
             for a in actions {
                 match a {
                     Action::Push(v) => {
                         let expect_ok = !pushed && reference.len() + usize::from(staged.is_some()) < capacity;
-                        let got = fifo.try_push(v);
+                        let got = fifo.try_push(cycle, v);
                         prop_assert_eq!(got.is_ok(), expect_ok, "push state");
                         if expect_ok {
                             staged = Some(v);
@@ -466,7 +434,7 @@ mod proptests {
                     }
                     Action::Pop => {
                         let expect = if popped { None } else { reference.front().copied() };
-                        let got = fifo.try_pop();
+                        let got = fifo.try_pop(cycle);
                         prop_assert_eq!(got, expect, "pop value");
                         if expect.is_some() {
                             reference.pop_front();
@@ -474,12 +442,16 @@ mod proptests {
                         }
                     }
                     Action::EndCycle => {
-                        fifo.end_cycle();
+                        // As the engine does: commit only a pushed FIFO.
+                        if pushed {
+                            fifo.commit();
+                        }
                         if let Some(v) = staged.take() {
                             reference.push_back(v);
                         }
                         pushed = false;
                         popped = false;
+                        cycle += 1;
                     }
                 }
                 prop_assert_eq!(fifo.len(), reference.len(), "visible length");

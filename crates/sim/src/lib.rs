@@ -7,12 +7,13 @@
 //!
 //! * [`Fifo`] — a bounded queue with hardware port semantics: one push and
 //!   one pop per cycle, pushes visible the *next* cycle (registered
-//!   output), stall accounting;
+//!   output), ports kept by cycle stamp;
 //! * [`Kernel`] — a streaming kernel ticked once per cycle, reporting
 //!   whether it did work, was blocked on a queue, idled, or finished;
 //! * [`Engine`] — owns kernels and FIFOs, advances cycles, detects
-//!   deadlock, and aggregates statistics (busy/stall cycles, FIFO
-//!   high-water marks, user activity counters for the power model);
+//!   deadlock (naming the wedged FIFO), and aggregates statistics
+//!   (per-kernel busy/blocked/idle cycles, user activity counters for the
+//!   power model);
 //! * [`Barrier`] — the Pthreads-barrier analogue used to synchronize the
 //!   four accumulator units at each OFM tile position (paper §III-B1).
 //!
@@ -67,5 +68,5 @@ pub use engine::{
     RunReport, SimError, TraceObserver,
 };
 pub use fifo::{Fifo, FifoId, PushError, StallPort};
-pub use stats::{CounterId, Counters, FifoStats, KernelStats};
+pub use stats::{CounterId, Counters, KernelStats};
 pub use trace::Trace;

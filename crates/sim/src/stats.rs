@@ -1,4 +1,4 @@
-//! Simulation statistics: kernel activity, FIFO occupancy, user counters.
+//! Simulation statistics: kernel activity and user counters.
 
 use std::collections::BTreeMap;
 
@@ -28,40 +28,6 @@ impl KernelStats {
             0.0
         } else {
             self.busy as f64 / alive as f64
-        }
-    }
-}
-
-/// Per-FIFO transfer and stall statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FifoStats {
-    /// Successful pushes.
-    pub pushes: u64,
-    /// Successful pops.
-    pub pops: u64,
-    /// Pushes refused because the FIFO was full.
-    pub push_stalls: u64,
-    /// Pops that found the FIFO empty.
-    pub pop_stalls: u64,
-    /// Pushes refused because the write port was already used this cycle.
-    pub push_port_conflicts: u64,
-    /// Pops refused because the read port was already used this cycle.
-    pub pop_port_conflicts: u64,
-    /// Maximum occupancy ever observed at a cycle boundary.
-    pub high_water: usize,
-    /// Sum of per-cycle occupancies (for the mean).
-    pub occupancy_sum: u64,
-    /// Cycles observed.
-    pub cycles: u64,
-}
-
-impl FifoStats {
-    /// Mean occupancy over the run.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.occupancy_sum as f64 / self.cycles as f64
         }
     }
 }
@@ -153,13 +119,6 @@ mod tests {
         assert_eq!(s.total(), 200);
         assert!((s.utilization() - 0.75).abs() < 1e-12);
         assert_eq!(KernelStats::default().utilization(), 0.0);
-    }
-
-    #[test]
-    fn fifo_stats_mean_occupancy() {
-        let s = FifoStats { occupancy_sum: 30, cycles: 10, ..Default::default() };
-        assert_eq!(s.mean_occupancy(), 3.0);
-        assert_eq!(FifoStats::default().mean_occupancy(), 0.0);
     }
 
     #[test]

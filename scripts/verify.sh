@@ -21,15 +21,22 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # Fault-matrix campaign: every single injected fault must degrade
-# gracefully (no panic, no hang — hence the hard timeout). Small config
-# keeps this a few seconds even on one core.
-timeout 120 ./target/release/zskip faults --hw 8 --json > /dev/null
+# gracefully (no panic, no hang — hence the hard timeout), and the
+# campaign's report must be exactly the recorded golden: each trial's
+# outcome, error code and detail, including the deadlock message that
+# names the wedged FIFO and its waiting peers. Small config keeps this a
+# few seconds even on one core.
+timeout 120 ./target/release/zskip faults --hw 8 --json | diff -u tests/golden/faults_hw8.json - \
+  || { echo "verify: zskip faults --hw 8 --json failed or differs from tests/golden/faults_hw8.json"; exit 1; }
 
-# Waveform pin: `zskip trace` (one conv instruction on the 21-kernel
-# design, waveform plus utilization table) must print exactly the
-# recorded golden — every kernel's state in every traced cycle.
+# Waveform pins: `zskip trace` (one conv instruction on the 21-kernel
+# design, waveform plus utilization table) and the waveforms example
+# (dense, sparse and skewed convs, a max-pool) must print exactly the
+# recorded goldens — every kernel's state in every traced cycle.
 timeout 120 ./target/release/zskip trace | diff -u tests/golden/trace.txt - \
   || { echo "verify: zskip trace differs from tests/golden/trace.txt"; exit 1; }
+timeout 300 cargo run -q --release --example waveforms | diff -u tests/golden/waveforms.txt - \
+  || { echo "verify: the waveforms example differs from tests/golden/waveforms.txt"; exit 1; }
 
 # Kernel dispatch matrix: the SIMD bit-exactness property tests — and the
 # crate's own exactness suites for the lowering, the block epilogue, the
