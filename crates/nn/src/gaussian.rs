@@ -16,19 +16,16 @@
 //! Where a run starts in the *attempt* sequence is fixed by the attempts
 //! before it, never by the weight index alone.
 
+use crate::boxmuller::{self, ATTEMPT_WORDS};
 use crate::par::{self, Split};
 use crate::simd::{self, KernelTier};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::{ChaCha8Rng, Refill};
 
-/// Stream words one Box–Muller attempt consumes (two `next_u64`).
-const ATTEMPT_WORDS: usize = 4;
 /// ChaCha block words per attempt-sized quarter.
 const ATTEMPTS_PER_BLOCK: u64 = 16 / ATTEMPT_WORDS as u64;
 /// Attempts a worker evaluates per refill of its word buffer (16 KiB).
 const BATCH_ATTEMPTS: usize = 1024;
-/// Rough cost of one draw (`ln`, `sqrt`, `cos` and 4 stream words).
-const NS_PER_DRAW: usize = 20;
 
 /// A stream of `u32` words addressable by attempt: the seam that lets the
 /// forced-retry tests script the words an attempt sees.
@@ -69,33 +66,17 @@ impl WordSource for ChaChaWords {
     }
 }
 
-/// `rng.gen::<f32>()` of the `next_u64` whose high word is `word`: the top
-/// 24 bits, uniform in `[0, 1)`.
-#[inline]
-fn unit_f32(word: u32) -> f32 {
-    (word >> 8) as f32 * (1.0 / (1u64 << 24) as f32)
-}
-
 /// Evaluates attempts `first .. first + run.len()`, packing `scale` times
 /// each accepted draw to the front of `run`. Returns how many it accepted;
 /// the tail past that is unspecified.
-fn fill_run(src: &impl WordSource, first: u64, run: &mut [f32], scale: f32) -> usize {
+fn fill_run(src: &impl WordSource, first: u64, run: &mut [f32], scale: f32, tier: KernelTier) -> usize {
     let mut words = [0u32; BATCH_ATTEMPTS * ATTEMPT_WORDS];
     let mut kept = 0;
     for batch in (0..run.len()).step_by(BATCH_ATTEMPTS) {
         let n = BATCH_ATTEMPTS.min(run.len() - batch);
         let words = &mut words[..n * ATTEMPT_WORDS];
         src.words(first + batch as u64, words);
-        for attempt in words.chunks_exact(ATTEMPT_WORDS) {
-            // The two `gen::<f32>()` of one attempt: each takes the high
-            // word of its `next_u64`, words 1 and 3.
-            let u1 = unit_f32(attempt[1]);
-            let u2 = unit_f32(attempt[3]);
-            if u1 > f32::EPSILON {
-                run[kept] = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos() * scale;
-                kept += 1;
-            }
-        }
+        kept += boxmuller::fill(tier, words, scale, &mut run[kept..]);
     }
     kept
 }
@@ -105,15 +86,16 @@ fn fill_run(src: &impl WordSource, first: u64, run: &mut [f32], scale: f32) -> u
 /// the first attempt not consumed — exactly the values and the position a
 /// one-at-a-time Box–Muller loop over `src` produces.
 pub(crate) fn fill_gaussian(src: &impl WordSource, pos: &mut u64, out: &mut [f32], scale: f32, split: Split) {
+    let tier = simd::dispatch();
     let mut filled = 0;
     while filled < out.len() {
         // Evaluate as many attempts as values are missing, in parallel
         // runs. All accepted (nearly always): done in one round.
         let rest = &mut out[filled..];
-        let run_len = split.run_len(rest.len(), NS_PER_DRAW);
+        let run_len = split.run_len(rest.len(), boxmuller::ns_per_draw(tier));
         let first = *pos;
         let kept = par::scoped_map(rest.chunks_mut(run_len).enumerate(), |(r, run)| {
-            fill_run(src, first + (r * run_len) as u64, run, scale)
+            fill_run(src, first + (r * run_len) as u64, run, scale, tier)
         });
         *pos += rest.len() as u64;
         // Compact each run's accepted prefix over the holes rejected

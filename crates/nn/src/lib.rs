@@ -32,6 +32,7 @@
 //! * [`scratch`] — reusable buffer arena making the steady-state forward
 //!   pass allocation-free.
 
+mod boxmuller;
 pub mod conv;
 pub mod eltwise;
 pub mod eval;

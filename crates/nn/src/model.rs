@@ -431,8 +431,9 @@ impl Network {
 
 /// Rough cost of pruning one weight (count, select, sweep).
 const NS_PER_PRUNED_WEIGHT: usize = 3;
-/// Rough cost of scanning and rounding one weight to 8 bits.
-const NS_PER_QUANTIZED_WEIGHT: usize = 6;
+/// Rough cost of scanning (≈ 1 ns) and rounding (≈ 4 ns) one weight to
+/// 8 bits.
+const NS_PER_QUANTIZED_WEIGHT: usize = 5;
 
 /// Max-abs 8-bit quantization of one layer's weights: the scale
 /// [`QuantParams::from_max_abs`] picks and the values

@@ -95,6 +95,7 @@ impl KernelTier {
             KernelTier::Avx2 => &["avx2"],
             // F for the 512-bit registers, BW for the 32-lane i16 ops and
             // the word sign mask of the weight decode, VNNI for `vpdpwssd`.
+            // The Box–Muller draw kernel (`boxmuller::avx512`) needs F alone.
             KernelTier::Avx512 => &["avx512f", "avx512bw", "avx512vnni"],
         }
     }

@@ -9,8 +9,9 @@
 //! `accel_cycles` / `accel_ddr_bytes` of this model to an exact bound;
 //! this fails first, in seconds, and says which stage moved.
 //!
-//! The floats go through the platform's `logf` / `cosf`; the digests hold
-//! for the libm they were recorded with (glibc, x86-64).
+//! The digests were recorded through glibc's x86-64 FMA `logf` / `cosf`;
+//! the draws now go through a bit-exact transcription of those two
+//! functions (`crates/nn/src/boxmuller.rs`), so they hold on any platform.
 
 use zskip_nn::eval::synthetic_inputs;
 use zskip_nn::{Network, NetworkSpec, SyntheticModelConfig};

@@ -28,10 +28,20 @@ impl QuantParams {
         QuantParams { scale }
     }
 
-    /// Quantizes one value (round-to-nearest, saturating).
+    /// Quantizes one value (round half away from zero, saturating; NaN
+    /// to 0).
+    ///
+    /// Exactly `(v / scale).round() as i32`, saturated, but without the
+    /// `roundf` call, so a loop over a slice vectorizes: the quotient is
+    /// clamped to ±256 (everything past ±127.5 saturates alike, and the
+    /// step below cannot overflow), its fraction `d = q − trunc(q)` is
+    /// exact in `f32`, and `|d| ≥ 0.5` steps one away from zero.
     #[inline]
     pub fn quantize(&self, v: f32) -> Sm8 {
-        Sm8::from_i32_saturating((v / self.scale).round() as i32)
+        let q = (v / self.scale).clamp(-256.0, 256.0);
+        let t = q as i32;
+        let d = q - t as f32;
+        Sm8::from_i32_saturating(t + i32::from(d >= 0.5) - i32::from(d <= -0.5))
     }
 
     /// Dequantizes one value.
@@ -235,7 +245,49 @@ mod tests {
         assert!(s > 35.0 && s < 60.0, "sqnr {s}");
     }
 
+    /// What [`QuantParams::quantize`] computed with `roundf`.
+    fn quantize_roundf(q: &QuantParams, v: f32) -> Sm8 {
+        Sm8::from_i32_saturating((v / q.scale).round() as i32)
+    }
+
+    #[test]
+    fn quantize_equals_roundf_at_the_edges() {
+        let ulps = |x: f32| [-2i32, -1, 0, 1, 2].map(|u| f32::from_bits((x.to_bits() as i32 + u) as u32));
+        let mut values = Vec::new();
+        for k in -1200..=1200 {
+            // k/2 ± {0, 1, 2} ulp: every rounding tie and its neighbours.
+            let half = k as f32 / 2.0;
+            if half == 0.0 {
+                values.extend([0.0, -0.0, f32::from_bits(1), -f32::from_bits(1), f32::from_bits(2)]);
+            } else {
+                values.extend(ulps(half));
+            }
+        }
+        let big = [1u64 << 23, 1 << 31].map(|p| p as f32);
+        for x in [f32::INFINITY, f32::NAN, f32::MAX, big[0], big[1]] {
+            values.extend([x, -x]);
+        }
+        // At scale 1 the quotients are these values exactly.
+        for scale in [1.0f32, 0.5, 0.1, 3.0e-3, 7.0] {
+            let q = QuantParams { scale };
+            for &v in &values {
+                let v = v * scale;
+                assert_eq!(q.quantize(v), quantize_roundf(&q, v), "v={v:e} scale={scale}");
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn quantize_equals_roundf(bits in 0u32..=u32::MAX, scale_bits in 0u32..=u32::MAX) {
+            let v = f32::from_bits(bits);
+            // Any finite positive scale, tiny to huge.
+            let scale = f32::from_bits(scale_bits % f32::INFINITY.to_bits()).max(f32::from_bits(1));
+            for q in [QuantParams { scale }, QuantParams { scale: 1.0 }] {
+                prop_assert_eq!(q.quantize(v), quantize_roundf(&q, v));
+            }
+        }
+
         #[test]
         fn requantizer_monotone(a in -100000i64..100000, b in -100000i64..100000, ratio in 0.01f64..10.0) {
             let r = Requantizer::from_ratio(ratio);

@@ -47,6 +47,13 @@ timeout 300 cargo run -q --release --example waveforms | diff -u tests/golden/wa
 cargo test -q -p zskip-nn --lib --test kernel_tiers
 ZSKIP_KERNEL=scalar cargo test -q -p zskip-nn --lib --test kernel_tiers
 
+# The Box–Muller draw's exhaustive checks: the scalar transcription of
+# `logf` / `cosf` against the host's libm on all 2²⁴ `u1` and angles, and
+# the AVX-512 kernel's lanes against the scalar on the same domains. The
+# kernel's check is ignored in debug (intrinsics uninlined: ≈ 9 s); in
+# release all of them take under a second.
+cargo test -q --release -p zskip-nn --lib boxmuller -- --include-ignored
+
 # ... and every tier must carry a whole network: CI's matrix drives
 # `native` and `scalar` only, so without this the SSE2 and AVX2 bodies are
 # reached by proptests but never by VGG-16 or the ResNet-18 DAG (nor the
