@@ -125,15 +125,11 @@ impl QuantConvWeights {
     /// driver's packed-group cache and stats memo).
     pub fn fingerprint(&self) -> u64 {
         *self.fp.get_or_init(|| {
-            // SAFETY: `Sm8` is `#[repr(transparent)]` over `u8`, so the
-            // weight vector's buffer is a valid byte slice.
-            let w_bytes: &[u8] =
-                unsafe { std::slice::from_raw_parts(self.w.as_ptr() as *const u8, self.w.len()) };
             Fingerprint::new()
                 .u64(self.out_c as u64)
                 .u64(self.in_c as u64)
                 .u64(self.k as u64)
-                .bytes(w_bytes)
+                .bytes(Sm8::as_bytes(&self.w))
                 .i64s(&self.bias_acc)
                 .u64(u64::from(self.requant.mult))
                 .u64(u64::from(self.requant.shift))

@@ -89,7 +89,8 @@ pub fn fc_quant_into(input: &[Sm8], weights: &QuantFcWeights, out: &mut Vec<Sm8>
 /// The tier- and pool-aware FC forward of the scratch-arena inference
 /// path: the one-column case of the conv layers' GEMM
 /// (`out[o] = requant(bias[o] + W[o] · x)`, `W`'s rows being contiguous
-/// along the reduction already), with the decoded input borrowed from `ws`
+/// along the reduction already), with the input's patch bytes borrowed
+/// from `ws` when it has a sign-bit byte (`crate::gemm`, "Patch bytes")
 /// and the output rows split over `pool` when one is attached.
 /// Allocation-free once `ws` and `out` have grown to the layer's size;
 /// bit-identical on every tier and at any worker count.
@@ -110,13 +111,14 @@ pub fn fc_quant_pool_into(
         requant: weights.requant,
         relu: weights.relu,
     };
-    gemm_quant_into(tier, pool, gemm, ws.decode(input), 1, out);
+    let (p, gemm) = ws.row_operands(tier, input, gemm);
+    gemm_quant_into(tier, pool, gemm, p, 1, out);
 }
 
 /// The scalar definition of the quantized FC forward — one sign+magnitude
 /// product at a time — kept as the oracle the GEMM form is pinned to.
 #[cfg(test)]
-fn fc_quant_oracle(input: &[Sm8], weights: &QuantFcWeights) -> Vec<Sm8> {
+pub(crate) fn fc_quant_oracle(input: &[Sm8], weights: &QuantFcWeights) -> Vec<Sm8> {
     assert_eq!(input.len(), weights.in_features, "fc input length mismatch");
     (0..weights.out_features)
         .map(|o| {

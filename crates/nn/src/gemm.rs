@@ -14,7 +14,7 @@
 //! contiguous along the reduction `r = (i, ky, kx)`. That is how
 //! [`QuantConvWeights::w`] (and an FC layer's `w`) is laid out already, so
 //! no weight is repacked or copied; the lowering writes the patch matrix
-//! *transposed* — one row per output position — and decoded to `i16`, and
+//! *transposed* — one row per output position — one byte per value, and
 //! [`crate::simd::dot_nt`] keeps a register block of sums to completion
 //! with the vector lanes along `r`. Lane occupancy therefore does not
 //! depend on the plane size: a 2x2 plane, a 32x32 plane and an FC layer
@@ -22,11 +22,26 @@
 //! `gemm_quant_into`, at the caller's [`KernelTier`] (the scalar tier runs
 //! the same blocking with a portable dot).
 //!
+//! # Patch bytes
+//!
+//! `dot_nt` multiplies `Sm8` weights by *unsigned* patch bytes, which a
+//! layer's input becomes in the pass that copies it into the workspace:
+//!
+//! * An input with no sign bit set anywhere — every input produced by a
+//!   ReLU, a max-pool or a join with ReLU, so every layer of VGG-16 and
+//!   ResNet-18 but the first — is its own bytes: each value `0..=127`,
+//!   the zero border 0.
+//! * An input with any sign-bit byte (a negative value or negative zero)
+//!   is stored *offset*: each value `v` as `v + 128` (`1..=255`; negative
+//!   zero and the border as 128), and the call runs its epilogue on
+//!   `bias_acc[o] − 128 · Σ_r W[o][r]`, which takes the offset back out of
+//!   every sum exactly.
+//!
 //! Around the multiply-accumulates, every stage is straight-line slice
 //! code (docs/KERNELS.md, "Lowering" and "Epilogue"):
 //!
-//! * **Lowering** decodes the input once into a zero-bordered `i16` plane,
-//!   then builds each patch row from `c * k` fixed-width copies of `k`
+//! * **Lowering** copies the input once into a bordered byte plane, then
+//!   builds each patch row from `c * k` fixed-width copies of `k`
 //!   contiguous plane values — a 3-wide window moves as one 4-value copy
 //!   whose overhang the next window overwrites, and the last window of
 //!   every channel's block (so of every patch row) is copied exactly, so
@@ -56,45 +71,76 @@ use zskip_tensor::Tensor;
 /// ever grow; the [`crate::scratch::Scratch`] arena owns one set.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
-    /// The layer's input decoded to `i16`: for a conv layer a plane with a
-    /// zero border `pad` wide, what the patch rows are copied out of; for
-    /// an FC layer its one patch row as it stands.
-    decoded: Vec<i16>,
+    /// The layer's input as patch bytes (module docs, "Patch bytes"): for
+    /// a conv layer a plane with a border `pad` wide, what the patch rows
+    /// are copied out of; for an FC layer with a sign-bit byte in its
+    /// input, its one offset patch row.
+    plane: Vec<u8>,
     /// The transposed patch matrix `P[col][r]` of a conv layer.
-    patches: Vec<i16>,
+    patches: Vec<u8>,
+    /// An offset call's correction: a reduction's length of 128s, and
+    /// the per-row bias computed against it.
+    correction: (Vec<u8>, Vec<i64>),
+}
+
+/// The patch byte of the `Sm8` bit pattern `v` in an offset input: `v +
+/// 128`, so `1..=255`, with negative zero (`0x80`) and zero — a border
+/// tap — both 128.
+#[inline(always)]
+fn offset_byte(v: u8) -> u8 {
+    (Sm8::from_bits(v).decode_i16() + 128) as u8
 }
 
 impl GemmScratch {
     /// Total bytes currently reserved by the buffers.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        (self.decoded.capacity() + self.patches.capacity()) * std::mem::size_of::<i16>()
+        let (row, bias) = &self.correction;
+        self.plane.capacity() + self.patches.capacity() + row.capacity() + bias.capacity() * std::mem::size_of::<i64>()
     }
 
-    /// Decodes `input` into the workspace and returns the decoded values.
-    pub(crate) fn decode(&mut self, input: &[Sm8]) -> &[i16] {
-        self.decoded.resize(input.len(), 0);
-        Sm8::decode_slice_i16(input, &mut self.decoded);
-        &self.decoded
-    }
-
-    /// Decodes `input` into a `c x (h + 2 pad) x (w + 2 pad)` plane with a
-    /// zero border. Returns the bordered `(height, width)`.
-    fn decode_bordered(&mut self, input: &Tensor<Sm8>, pad: usize) -> (usize, usize) {
-        let s = input.shape();
-        if pad == 0 {
-            self.decode(input.as_slice());
-            return (s.h, s.w);
+    /// The patch row of an FC layer over `input`, and `gemm` with the bias
+    /// that row needs: `input`'s own bytes when no value has its sign bit
+    /// set, else its offset copy in the plane.
+    pub(crate) fn row_operands<'a>(
+        &'a mut self,
+        tier: KernelTier,
+        input: &'a [Sm8],
+        gemm: GemmWeights<'a>,
+    ) -> (&'a [u8], GemmWeights<'a>) {
+        let bytes = Sm8::as_bytes(input);
+        if bytes.iter().fold(0, |any, &b| any | b) & 0x80 == 0 {
+            return (bytes, gemm);
         }
+        let GemmScratch { plane, correction, .. } = self;
+        plane.clear();
+        plane.extend(bytes.iter().map(|&b| offset_byte(b)));
+        (plane, gemm.offset(tier, correction))
+    }
+
+    /// Copies `input` into a `c x (h + 2 pad) x (w + 2 pad)` plane of patch
+    /// bytes, ORing every byte on the way: when a sign bit turns up, the
+    /// whole plane, border included, is then rewritten offset. Returns the
+    /// bordered `(height, width)` and whether the plane is offset.
+    fn fill_plane(&mut self, input: &Tensor<Sm8>, pad: usize) -> ((usize, usize), bool) {
+        let s = input.shape();
         let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
-        let d = &mut self.decoded;
+        let d = &mut self.plane;
         d.clear();
         d.resize(s.c * hp * wp, 0);
-        for (y, row) in input.as_slice().chunks_exact(s.w).enumerate() {
+        let mut any = 0;
+        for (y, row) in Sm8::as_bytes(input.as_slice()).chunks_exact(s.w).enumerate() {
             // Input row `y` is row `y % h` of channel `y / h`.
             let at = ((y / s.h) * hp + y % s.h + pad) * wp + pad;
-            Sm8::decode_slice_i16(row, &mut d[at..at + s.w]);
+            for (d, &b) in d[at..at + s.w].iter_mut().zip(row) {
+                *d = b;
+                any |= b;
+            }
         }
-        (hp, wp)
+        let offset = any & 0x80 != 0;
+        if offset {
+            d.iter_mut().for_each(|b| *b = offset_byte(*b));
+        }
+        ((hp, wp), offset)
     }
 }
 
@@ -130,12 +176,13 @@ fn for_each_run(pool: Option<&ConvPool>, runs: usize, job: &(dyn Fn(usize) + Syn
     }
 }
 
-/// Lowers `input` for a `k x k` convolution into `ws`: the input decoded
-/// once into a zero-bordered `i16` plane, then the transposed patch
+/// Lowers `input` for a `k x k` convolution into `ws`: the input copied
+/// once into a bordered plane of patch bytes, then the transposed patch
 /// matrix `patches[col * len + r]` — one row of `len = c * k * k` values
 /// `r = (c, ky, kx)` per output position `col = oy * out_w + ox` — copied
 /// out of it, output rows split over `pool`, when one is attached, the way
-/// the `out_c`-row GEMM this feeds will be. Returns `(out_h, out_w)`.
+/// the `out_c`-row GEMM this feeds will be. Returns `(out_h, out_w)` and
+/// whether the patch bytes are offset.
 fn lower_into(
     input: &Tensor<Sm8>,
     out_c: usize,
@@ -144,12 +191,12 @@ fn lower_into(
     pad: usize,
     pool: Option<&ConvPool>,
     ws: &mut GemmScratch,
-) -> (usize, usize) {
+) -> (usize, usize, bool) {
     let c = input.shape().c;
-    let (hp, wp) = ws.decode_bordered(input, pad);
+    let ((hp, wp), offset) = ws.fill_plane(input, pad);
     let (out_h, out_w) = ((hp - k) / stride + 1, (wp - k) / stride + 1);
-    let GemmScratch { decoded, patches } = ws;
-    let plane = Plane { d: decoded, c, hp, wp, stride, out_w };
+    let GemmScratch { plane, patches, .. } = ws;
+    let plane = Plane { d: plane, c, hp, wp, stride, out_w };
     // Sized only: every element is written below.
     let row_len = out_w * c * k * k;
     patches.resize(out_h * row_len, 0);
@@ -169,14 +216,14 @@ fn lower_into(
             _ => plane.lower_rows::<0>(k, oys, rows),
         }
     });
-    (out_h, out_w)
+    (out_h, out_w, offset)
 }
 
 /// The bordered input plane a conv layer's patch rows are copied out of:
-/// `c` channels of `hp x wp` decoded values, sampled every `stride` values
+/// `c` channels of `hp x wp` patch bytes, sampled every `stride` values
 /// for `out_w` output columns.
 struct Plane<'a> {
-    d: &'a [i16],
+    d: &'a [u8],
     c: usize,
     hp: usize,
     wp: usize,
@@ -200,7 +247,7 @@ impl Plane<'_> {
     /// `K == k` makes every offset into a block a constant, so the block's
     /// writes carry no bounds check; `K == 0` takes `k` as it comes, with
     /// exact copies (kernel sizes no network here uses).
-    fn lower_rows<const K: usize>(&self, k: usize, oys: Range<usize>, rows: &mut [i16]) {
+    fn lower_rows<const K: usize>(&self, k: usize, oys: Range<usize>, rows: &mut [u8]) {
         let (k, w) = if K == 0 { (k, k) } else { (K, K.next_power_of_two()) };
         let Plane { d, c, hp, wp, stride, out_w } = *self;
         let (kk, len) = (k * k, c * k * k);
@@ -220,7 +267,7 @@ impl Plane<'_> {
 
     /// The patch rows of a 1x1 layer: row `(oy, ox)` is the `c` values at
     /// `(.., oy * stride, ox * stride)`, gathered a channel at a time.
-    fn transpose_rows(&self, oys: Range<usize>, rows: &mut [i16]) {
+    fn transpose_rows(&self, oys: Range<usize>, rows: &mut [u8]) {
         let Plane { d, c, hp, wp, stride, out_w } = *self;
         for (oy, rows) in oys.zip(rows.chunks_exact_mut(out_w * c)) {
             for ci in 0..c {
@@ -244,6 +291,26 @@ pub(crate) struct GemmWeights<'a> {
     pub bias_acc: &'a [i64],
     pub requant: Requantizer,
     pub relu: bool,
+}
+
+impl<'a> GemmWeights<'a> {
+    /// These weights against an offset patch side: the bias becomes
+    /// `bias_acc[o] − 128 · Σ_r w[o][r]`, so that the `+128` on every patch
+    /// value cancels out of every sum. The correction is the same
+    /// [`simd::dot_nt`] at `tier`, against one column of 128s, into the
+    /// workspace's `(row, bias)`.
+    fn offset(self, tier: KernelTier, (row, bias): &'a mut (Vec<u8>, Vec<i64>)) -> Self {
+        row.clear();
+        row.resize(self.len, 128);
+        bias.clear();
+        bias.extend_from_slice(self.bias_acc);
+        simd::dot_nt(tier, self.w, row, [bias.len(), 1, self.len], |i, _, [mr, _], sums| {
+            for (bias, sums) in bias[i..i + mr].iter_mut().zip(sums) {
+                *bias -= sums[0];
+            }
+        });
+        GemmWeights { bias_acc: bias, ..self }
+    }
 }
 
 /// A layer's [`Requantizer`] and ReLU flag in the branch-free form the
@@ -296,7 +363,7 @@ pub(crate) fn gemm_quant_into(
     tier: KernelTier,
     pool: Option<&ConvPool>,
     weights: GemmWeights<'_>,
-    p: &[i16],
+    p: &[u8],
     cols: usize,
     out: &mut [Sm8],
 ) {
@@ -352,16 +419,20 @@ pub fn conv2d_gemm_quant_into(
     out: &mut Tensor<Sm8>,
 ) {
     assert_eq!(input.shape().c, weights.in_c, "input channels mismatch");
-    let (out_h, out_w) = lower_into(input, weights.out_c, weights.k, stride, pad, pool, ws);
+    let (out_h, out_w, offset) = lower_into(input, weights.out_c, weights.k, stride, pad, pool, ws);
     out.reset(weights.out_c, out_h, out_w);
-    let gemm = GemmWeights {
+    let mut gemm = GemmWeights {
         w: &weights.w,
         len: weights.in_c * weights.k * weights.k,
         bias_acc: &weights.bias_acc,
         requant: weights.requant,
         relu: weights.relu,
     };
-    gemm_quant_into(tier, pool, gemm, &ws.patches, out_h * out_w, out.as_mut_slice());
+    let GemmScratch { patches, correction, .. } = ws;
+    if offset {
+        gemm = gemm.offset(tier, correction);
+    }
+    gemm_quant_into(tier, pool, gemm, patches, out_h * out_w, out.as_mut_slice());
 }
 
 /// [`conv2d_gemm_quant_into`] on the calling thread, allocating its
@@ -422,15 +493,17 @@ mod tests {
     }
 
     /// `P[col][r]` read straight off the definition: tap `(ky, kx)` of
-    /// channel `c` at output `(oy, ox)`, zero in the padding.
-    fn lowered_oracle(input: &Tensor<Sm8>, k: usize, stride: usize, pad: usize) -> Vec<i16> {
+    /// channel `c` at output `(oy, ox)`, zero in the padding — plus 128
+    /// throughout when any input byte has its sign bit set.
+    fn lowered_oracle(input: &Tensor<Sm8>, k: usize, stride: usize, pad: usize) -> Vec<u8> {
+        let offset = if input.as_slice().iter().any(|v| v.to_bits() >= 0x80) { 128 } else { 0 };
         let padded = input.padded(pad);
         let s = padded.shape();
         let (out_h, out_w) = ((s.h - k) / stride + 1, (s.w - k) / stride + 1);
         let mut m = Vec::new();
         for (oy, ox) in (0..out_h).flat_map(|oy| (0..out_w).map(move |ox| (oy, ox))) {
             for (c, ky, kx) in (0..s.c).flat_map(|c| (0..k).flat_map(move |ky| (0..k).map(move |kx| (c, ky, kx)))) {
-                m.push(padded[(c, oy * stride + ky, ox * stride + kx)].decode_i16());
+                m.push((padded[(c, oy * stride + ky, ox * stride + kx)].to_i32() + offset) as u8);
             }
         }
         m
@@ -440,34 +513,39 @@ mod tests {
     fn im2col_shape_and_patch_content() {
         let input = ramp(2, 4, 4);
         let mut ws = GemmScratch::default();
-        assert_eq!(lower_into(&input, 1, 3, 1, 1, None, &mut ws), (4, 4));
+        // The ramp starts at -127: offset patch bytes.
+        assert_eq!(lower_into(&input, 1, 3, 1, 1, None, &mut ws), (4, 4, true));
         let len = 2 * 9;
         assert_eq!(ws.patches.len(), 16 * len);
         // Center kernel tap of channel 0 at output (1,1) is input (1,1).
         let r = 4; // (c=0, ky=1, kx=1)
-        assert_eq!(ws.patches[5 * len + r], input[(0, 1, 1)].decode_i16());
+        assert_eq!(ws.patches[5 * len + r] as i32, input[(0, 1, 1)].to_i32() + 128);
         // Top-left tap at output (0,0) is padding.
-        assert_eq!(ws.patches[0], 0);
+        assert_eq!(ws.patches[0], 128);
         assert_eq!(ws.patches, lowered_oracle(&input, 3, 1, 1));
     }
 
     #[test]
     fn lowering_matches_its_definition_on_a_dirty_workspace_at_any_pool_width() {
-        // One workspace across geometries: a stale, larger plane or matrix
-        // must not leak into a padded border, a strided sample or a 1x1
-        // transpose. No input value is zero — at pad 0 the border taps are
-        // real values — so a window copy that overhung into the next patch
-        // row (another pool run's, when the forced pools cut between rows)
-        // would leave a visible wrong element there. k 2 takes the path of
-        // kernel sizes without a constant one.
+        // One workspace across geometries and both patch-byte forms: a
+        // stale, larger plane or matrix, offset or not, must not leak into
+        // a padded border, a strided sample or a 1x1 transpose. No input
+        // value is zero — at pad 0 the border taps are real values — so a
+        // window copy that overhung into the next patch row (another pool
+        // run's, when the forced pools cut between rows) would leave a
+        // visible wrong element there. k 2 takes the path of kernel sizes
+        // without a constant one.
         let mut ws = GemmScratch::default();
         let pools: Vec<ConvPool> = (1..=4).map(ConvPool::forced).collect();
-        for (c, h, w) in [(3, 7, 9), (2, 5, 5), (4, 2, 3), (1, 1, 1), (2, 9, 4), (5, 11, 13), (1, 8, 1)] {
+        let shapes = [(3, 7, 9), (2, 5, 5), (4, 2, 3), (1, 1, 1), (2, 9, 4), (5, 11, 13), (1, 8, 1)];
+        for ((c, h, w), signed) in shapes.into_iter().flat_map(|s| [(s, true), (s, false)]) {
             let input = Tensor::from_fn(c, h, w, |c, y, x| {
                 let i = (c * h + y) * w + x;
                 let v = (i * 37 % 127 + 1) as i32;
-                Sm8::from_i32_saturating(if i % 2 == 0 { v } else { -v })
+                Sm8::from_i32_saturating(if signed && i % 2 == 1 { -v } else { v })
             });
+            // A one-value input has no odd index to negate.
+            let offset_want = signed && c * h * w > 1;
             for k in [1, 2, 3, 5, 7] {
                 for (stride, pad) in (1..=3).flat_map(|s| (0..=3).map(move |p| (s, p))) {
                     if h + 2 * pad < k || w + 2 * pad < k {
@@ -475,8 +553,10 @@ mod tests {
                     }
                     let want = lowered_oracle(&input, k, stride, pad);
                     for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
-                        lower_into(&input, 1, k, stride, pad, pool, &mut ws);
-                        assert_eq!(ws.patches, want, "{c}x{h}x{w} k={k} stride={stride} pad={pad} pool={pool:?}");
+                        let (.., offset) = lower_into(&input, 1, k, stride, pad, pool, &mut ws);
+                        let what = format!("{c}x{h}x{w} signed {signed} k={k} stride={stride} pad={pad} pool={pool:?}");
+                        assert_eq!(offset, offset_want, "{what}");
+                        assert_eq!(ws.patches, want, "{what}");
                     }
                 }
             }
@@ -540,7 +620,8 @@ mod tests {
     fn block_epilogue_equals_the_requantizer_on_every_tier() {
         // `len = 1` and unit weights make every sum `p[col]`, so output
         // `(o, col)` is the requantized `bias[o] + p[col]`: the edge
-        // accumulators as biases, offset by each column's value. 41 rows
+        // accumulators (both signs) as biases, offset by each column's
+        // patch byte, its extremes included. 41 rows
         // (a ragged last row block) by 7 columns (a full column block and
         // three single columns), then the FC case of one column, on every
         // tier, inline and over a 3-worker pool (which cuts the bias
@@ -551,7 +632,7 @@ mod tests {
             for relu in [false, true] {
                 for chunk in accs.chunks(41) {
                     let w = vec![Sm8::from_i32_saturating(1); chunk.len()];
-                    for p in [&[0i16, 1, -1, 127, -127, 2, -64][..], &[-3]] {
+                    for p in [&[0u8, 1, 255, 127, 128, 2, 64][..], &[3]] {
                         let cols = p.len();
                         let want: Vec<u8> = chunk
                             .iter()
@@ -703,6 +784,118 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `n` non-negative `Sm8` values, zeros among them, but for one
+    /// sign-bit byte at `at` (none when `at >= n`): negative zero, or a
+    /// negative value.
+    fn one_sign_bit_byte(n: usize, at: usize, neg_zero: bool, seed: u64) -> Vec<Sm8> {
+        let mut rng = zskip_fault::SplitMix64::new(seed);
+        (0..n)
+            .map(|i| {
+                let mag = (rng.next_u64() % 128) as u8;
+                Sm8::from_bits(match (i == at, neg_zero) {
+                    (false, _) => mag,
+                    (true, true) => 0x80,
+                    (true, false) => 0x80 | mag.max(1),
+                })
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        // One sign-bit byte is enough to put a whole input on the offset
+        // path, wherever it sits: the first value, the last, one next to
+        // the border (every one of a channel's edge values is tried) or
+        // any other. Checked against the oracles on every tier, inline and
+        // over pools of 1-4, conv (k 1 and 3, stride 1 and 2, pad 0 and 1)
+        // and FC alike — and the same input with no sign-bit byte at all
+        // (`at == n`), which must take neither. An input read without its
+        // offset, or an offset call without its bias correction, fails
+        // here.
+        #[test]
+        fn a_single_sign_bit_byte_anywhere_is_offset_exactly(
+            in_c in 1usize..4,
+            h in 1usize..7,
+            w in 1usize..7,
+            out_c in 1usize..6,
+            k_idx in 0usize..2,
+            stride in 1usize..3,
+            pad in 0usize..2,
+            neg_zero in 0u8..2,
+            seed in 0u64..1000,
+        ) {
+            let k = [1, 3][k_idx];
+            prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let n = in_c * h * w;
+            let channel = seed as usize % in_c * h * w;
+            let mut at: Vec<usize> = vec![n, 0, n - 1, seed as usize * 7919 % n];
+            let edge = |i: &usize| [0, h - 1].contains(&(i / w)) || [0, w - 1].contains(&(i % w));
+            at.extend((0..h * w).filter(edge).map(|i| channel + i));
+            let qw = quant_weights(out_c, in_c, k, seed);
+            let fcw = quant_weights(out_c, n, 1, seed + 1);
+            let fc = crate::fc::QuantFcWeights {
+                out_features: out_c,
+                in_features: n,
+                w: fcw.w.clone(),
+                bias_acc: fcw.bias_acc.clone(),
+                requant: fcw.requant,
+                relu: fcw.relu,
+            };
+            let pools: Vec<ConvPool> = (1..=4).map(ConvPool::forced).collect();
+            let (mut ws, mut out, mut fc_out) = (GemmScratch::default(), Tensor::zeros(1, 1, 1), Vec::new());
+            for at in at {
+                let values = one_sign_bit_byte(n, at, neg_zero == 1, seed);
+                let input = Tensor::from_fn(in_c, h, w, |c, y, x| values[(c * h + y) * w + x]);
+                let conv_want = conv2d_quant_dense(&input, &qw, stride, pad);
+                let fc_want = crate::fc::fc_quant_oracle(&values, &fc);
+                for tier in KernelTier::supported() {
+                    for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                        let what = format!("sign bit at {at}, tier {tier}, pool {pool:?}");
+                        conv2d_gemm_quant_into(&input, &qw, stride, pad, tier, pool, &mut ws, &mut out);
+                        prop_assert_eq!(&conv_want, &out, "conv, {}", what);
+                        crate::fc::fc_quant_pool_into(&values, &fc, tier, pool, &mut ws, &mut fc_out);
+                        prop_assert_eq!(&fc_want, &fc_out, "fc, {}", what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_arena_holds_one_byte_per_plane_and_patch_element() {
+        // VGG-16-32 and ResNet-18-32 through a `Scratch`, then the GEMM
+        // workspace against the largest plane (`c x (h + 2 pad) x (w + 2
+        // pad)`) and patch matrix (`out_h * out_w x c * k * k`) any conv
+        // layer asks for. A buffer grows to what a call asks for or to
+        // twice its old capacity, whichever is more, so a byte buffer ends
+        // at least as large as its largest request and short of twice it,
+        // where an `i16` one would take at least twice as many bytes.
+        use crate::{resnet::resnet18_spec, vgg16::vgg16_scaled_spec, LayerSpec, Network, Scratch};
+        for spec in [vgg16_scaled_spec(32), resnet18_spec()] {
+            let convs = spec.conv_layers();
+            let density = zskip_quant::DensityProfile::uniform(convs.len(), 0.35);
+            let config = crate::SyntheticModelConfig { seed: 1, density };
+            let inputs = crate::eval::synthetic_inputs(2, 2, spec.input);
+            let qnet = Network::synthetic(spec.clone(), &config).quantize(&inputs[..1]);
+            let mut scratch = Scratch::new();
+            qnet.forward_quant_scratch(&inputs[1], &mut scratch);
+            let (plane, patches) = convs.iter().fold((0, 0), |(plane, patches), (_, layer, s)| {
+                let &LayerSpec::Conv { k, stride, pad, .. } = *layer else { unreachable!("a conv layer") };
+                let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
+                let cols = ((hp - k) / stride + 1) * ((wp - k) / stride + 1);
+                (plane.max(s.c * hp * wp), patches.max(cols * s.c * k * k))
+            });
+            let ws = &scratch.gemm;
+            let operand_bytes = ws.plane.capacity() + ws.patches.capacity();
+            let elements = plane + patches;
+            assert!(
+                (elements..2 * elements).contains(&operand_bytes),
+                "{}: {operand_bytes} workspace bytes for {elements} plane and patch elements",
+                spec.name
+            );
         }
     }
 }

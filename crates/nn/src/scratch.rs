@@ -7,10 +7,10 @@
 //! and a ping-pong pair of FC vectors (the one place a network's
 //! activations live on the host, whether the golden model or the
 //! accelerator driver walks the plan), plus the kernels' working set: the
-//! GEMM workspace (a conv layer's input decoded into a zero-bordered plane
-//! and the patch matrix lowered from it, or the decoded input of an FC
-//! layer) — and every `_into` operator reshapes them in place instead of
-//! allocating.
+//! GEMM workspace (a conv layer's input as patch bytes in a bordered plane
+//! and the byte patch matrix lowered from it, or an FC layer's offset
+//! input; see [`crate::gemm`], "Patch bytes") — and every `_into` operator
+//! reshapes them in place instead of allocating.
 //!
 //! # Lifetime rules
 //!

@@ -5,23 +5,26 @@
 //! and applies 4 weights per cycle in 8-bit sign+magnitude arithmetic
 //! (§III-A). The software golden model historically emulated that one
 //! scalar lane at a time; this module supplies the lane-parallel inner
-//! loops — a 32-wide AVX-512 tier (two tile rows per iteration), a 16-wide
-//! AVX2 tier (one whole tile row per iteration) and an 8-wide SSE2 tier —
-//! behind a [`KernelTier`] selector, with the scalar loops kept as the
-//! bit-exactness oracle and unconditional fallback.
+//! loops — a 64-byte AVX-512 tier (`vpdpbusd`, four 8-bit products per
+//! `i32` lane), a 16-wide AVX2 tier (one whole tile row per iteration)
+//! and an 8-wide SSE2 tier — behind a [`KernelTier`] selector, with the
+//! scalar loops kept as the bit-exactness oracle and unconditional
+//! fallback.
 //!
 //! # Exactness
 //!
 //! Every kernel here is **bit-identical** to its scalar counterpart, not
 //! merely close:
 //!
-//! * `Sm8` values decode branch-free to `i16` ([`Sm8::decode_i16`]); each
-//!   SIMD tier decodes the same values in 16-bit lanes (negative zero
-//!   `0x80` to 0), the AVX2 and AVX-512 tiers from the sign-extended byte
-//!   in three operations (see `docs/KERNELS.md` "Weight decode").
-//! * A product of two `Sm8` values is at most `127 * 127 = 16129 < 2^15`,
-//!   and `pmaddwd`'s (or `vpdpwssd`'s) sum of two adjacent products fits
-//!   its `i32` lane.
+//! * The weights are `Sm8` bytes and the patches unsigned bytes (`0..=255`,
+//!   the GEMM's lowered input, see [`crate::gemm`]). `Sm8` values decode
+//!   branch-free ([`Sm8::decode_i16`]); the AVX-512 tier decodes them to
+//!   two's-complement `i8` in byte lanes in two operations, the AVX2 and
+//!   SSE2 tiers to `i16` lanes (negative zero `0x80` to 0 everywhere; see
+//!   `docs/KERNELS.md` "Weight decode").
+//! * A product is at most `255 * 127 = 32385 < 2^15` in magnitude, so
+//!   `pmaddwd`'s sum of two adjacent products and `vpdpbusd`'s sum of four
+//!   both fit an `i32` lane.
 //! * Accumulation is pure integer addition, which is associative and
 //!   commutative, so any lane/order regrouping leaves the sum unchanged
 //!   (`i32` lanes are flushed into `i64` before they can overflow; see
@@ -54,8 +57,8 @@ pub enum KernelTier {
     Sse2,
     /// 16-lane AVX2 kernels: one IFM tile row per iteration.
     Avx2,
-    /// 32-lane AVX-512 kernels (F + BW + VNNI): two IFM tile rows per
-    /// iteration.
+    /// 64-byte AVX-512 kernels (F + BW + VNNI): four IFM tile rows per
+    /// iteration, 16 `i32` lanes of four `u8 x s8` products each.
     Avx512,
 }
 
@@ -93,9 +96,10 @@ impl KernelTier {
             KernelTier::Scalar => &[],
             KernelTier::Sse2 => &["sse2"],
             KernelTier::Avx2 => &["avx2"],
-            // F for the 512-bit registers, BW for the 32-lane i16 ops and
-            // the word sign mask of the weight decode, VNNI for `vpdpwssd`.
-            // The Box–Muller draw kernel (`boxmuller::avx512`) needs F alone.
+            // F for the 512-bit registers; BW for the weight decode's
+            // byte sign mask `vpmovb2m` and byte-lane `vpsubb`; VNNI for
+            // the `u8 x s8` dot `vpdpbusd`. The Box–Muller draw kernel
+            // (`boxmuller::avx512`) needs F alone.
             KernelTier::Avx512 => &["avx512f", "avx512bw", "avx512vnni"],
         }
     }
@@ -190,21 +194,21 @@ pub const DOT_NR: usize = 4;
 /// weight row `i + a` against patch column `j + b`.
 pub type DotSums = [[i64; DOT_NR]; DOT_MR];
 
-/// `pmaddwd` steps an `i32` lane of [`dot_nt`] absorbs between `i64`
-/// flushes. A step adds at most `2 * 127 * 127 = 32258` to a lane; the
-/// reduction tail is one more step, and a flush first sums a vector's (at
-/// most 16) lanes in `i32` — all of which the assertion below covers, so
-/// the kernel is exact at any reduction length.
+/// Vector steps an `i32` lane of [`dot_nt`] absorbs between `i64` flushes.
+/// The binding tier is AVX-512: a step is one `vpdpbusd`, which adds four
+/// `u8 x s8` products of at most `255 * 127 = 32385` each to a lane, so
+/// `4 * 32385 = 129540` a step; the reduction tail is one more step, and a
+/// flush first sums the vector's 16 lanes in `i32` — all of which the
+/// assertion below covers, so the kernel is exact at any reduction
+/// length. The narrower tiers' `pmaddwd` adds two such products a step to
+/// at most 8 lanes, well inside the same bound.
 ///
-/// On the AVX-512 tier a step is one `vpdpwssd`, which adds the two
-/// products of a lane pair to the accumulator lane with a *wrapping* `i32`
-/// add: the same sum as `vpaddd(vpmaddwd)`, so the same bound holds. Its
-/// saturating sibling `vpdpwssds` must never be used here: a clipped sum
-/// would depend on the order the lanes were added in, so the tiers would
-/// agree only as long as the bound does, with nothing left to show a
-/// broken one.
+/// `vpdpbusd` adds with a *wrapping* `i32` add. Its saturating sibling
+/// `vpdpbusds` must never be used here: a clipped sum would depend on the
+/// order the lanes were added in, so the tiers would agree only as long as
+/// the bound does, with nothing left to show a broken one.
 pub const DOT_FLUSH_STEPS: usize = 1024;
-const _: () = assert!((DOT_FLUSH_STEPS as i64 + 1) * (2 * 127 * 127) * 16 <= i32::MAX as i64);
+const _: () = assert!((DOT_FLUSH_STEPS as i64 + 1) * (4 * 255 * 127) * 16 <= i32::MAX as i64);
 
 /// Output-stationary integer GEMM in dot-product ("NT") form, handing each
 /// finished register block to its caller: calls `block(i, j, [mr, nr],
@@ -225,12 +229,12 @@ const _: () = assert!((DOT_FLUSH_STEPS as i64 + 1) * (2 * 127 * 127) * 16 <= i32
 /// 4`) and an FC layer (`cols = 1`) keep the lanes as busy as a 32x32
 /// plane.
 ///
-/// `w` holds raw `Sm8` weights, decoded on the fly; `p` holds *decoded*
-/// `Sm8` values (`|p| <= 127`, what [`Sm8::decode_i16`] returns). Each
-/// block of sums is accumulated to completion in `i32` vector registers
-/// (`pmaddwd` + `paddd`, or one `vpdpwssd` on AVX-512), flushed into
-/// `i64` every [`DOT_FLUSH_STEPS`] steps. Zero weights are multiplied like
-/// any other.
+/// `w` holds raw `Sm8` weights, decoded on the fly; `p` holds unsigned
+/// bytes, each multiplied as its value `0..=255`. Each block of sums is
+/// accumulated to completion in `i32` vector registers (one `vpdpbusd` a
+/// step on AVX-512, `pmaddwd` + `paddd` on the narrower tiers), flushed
+/// into `i64` every [`DOT_FLUSH_STEPS`] steps. Zero weights are
+/// multiplied like any other.
 ///
 /// Bit-identical across tiers: products are exact and integer addition
 /// reassociates.
@@ -240,7 +244,7 @@ const _: () = assert!((DOT_FLUSH_STEPS as i64 + 1) * (2 * 127 * 127) * 16 <= i32
 pub fn dot_nt(
     tier: KernelTier,
     w: &[Sm8],
-    p: &[i16],
+    p: &[u8],
     [rows, cols, len]: [usize; 3],
     block: impl FnMut(usize, usize, [usize; 2], &DotSums),
 ) {
@@ -266,12 +270,14 @@ pub fn dot_nt(
 /// Stamps out one tier's [`dot_nt`] body as a module: the register block
 /// and the loops around it, all under the tier's `#[target_feature]` so
 /// the block inlines and its accumulators never leave registers. A tier
-/// is `LANES` `i16` lanes wide and supplies six operations on its vector
-/// type: `zero()`, `load_w(*const Sm8)` (decoding `LANES` weights to `i16`
-/// lanes), `load_p(*const i16)`, `madd_acc(acc, w, p)` (`acc + pmaddwd(w,
-/// p)` in wrapping `i32` lanes), `hsum(acc) -> i32` and `hsum_row([acc;
-/// DOT_NR]) -> [i32; DOT_NR]` (the `hsum` of each, done jointly: a full
-/// block's row of accumulators is reduced in one transpose-and-add tree).
+/// steps `LANES` reduction values at a time and supplies six operations
+/// on its vector types: `zero()`, `load_w(*const Sm8)` (decoding `LANES`
+/// weights), `load_p(*const u8)` (`LANES` patch bytes, as unsigned
+/// values), `madd_acc(acc, w, p)` (`acc` plus the products of each `i32`
+/// lane's share of `w` and `p`, in wrapping `i32` lanes), `hsum(acc) ->
+/// i32` and `hsum_row([acc; DOT_NR]) -> [i32; DOT_NR]` (the `hsum` of
+/// each, done jointly: a full block's row of accumulators is reduced in
+/// one transpose-and-add tree).
 macro_rules! dot_nt_tier {
     ($(#[$feature:meta])? $name:ident, $lanes:literal, $ops:ident) => {
         pub(super) mod $name {
@@ -294,9 +300,9 @@ macro_rules! dot_nt_tier {
             $(#[$feature])?
             unsafe fn block<const MR: usize, const NR: usize>(
                 w: *const Sm8,
-                p: *const i16,
+                p: *const u8,
                 len: usize,
-                p_tail: &[[i16; LANES]; DOT_NR],
+                p_tail: &[[u8; LANES]; DOT_NR],
                 w_tail_in_place: bool,
                 sums: &mut DotSums,
             ) {
@@ -365,7 +371,7 @@ macro_rules! dot_nt_tier {
             $(#[$feature])?
             pub unsafe fn dot_nt(
                 w: &[Sm8],
-                p: &[i16],
+                p: &[u8],
                 rows: usize,
                 cols: usize,
                 len: usize,
@@ -376,7 +382,7 @@ macro_rules! dot_nt_tier {
                 while j < cols {
                     let nr = if cols - j >= DOT_NR { DOT_NR } else { 1 };
                     let pj = p.as_ptr().add(j * len);
-                    let mut p_tail = [[0i16; LANES]; DOT_NR];
+                    let mut p_tail = [[0u8; LANES]; DOT_NR];
                     for (c, tail) in p_tail.iter_mut().enumerate().take(nr) {
                         std::ptr::copy_nonoverlapping(pj.add(c * len + full), tail.as_mut_ptr(), len - full);
                     }
@@ -432,7 +438,7 @@ mod scalar_ops {
     /// # Safety
     /// `p` must be readable.
     #[inline(always)]
-    pub unsafe fn load_p(p: *const i16) -> i32 {
+    pub unsafe fn load_p(p: *const u8) -> i32 {
         *p as i32
     }
     #[inline(always)]
@@ -464,14 +470,15 @@ mod x86 {
     use super::Sm8;
     use std::arch::x86_64::*;
 
-    /// Branch-free sign+magnitude decode of 8 zero-extended bytes held in
-    /// 16-bit lanes: `(mag ^ neg) - neg`, where `neg` smears bit 7 of each
-    /// byte across its lane. Identical per-lane to `Sm8::decode_i16`.
+    /// Branch-free sign+magnitude decode of 8 bytes, each doubled into its
+    /// 16-bit lane (`unpacklo(b, b)`, so bit 7 lands on the lane's sign
+    /// bit): `(mag ^ neg) - neg`, where `neg` smears that bit across the
+    /// lane. Identical per-lane to `Sm8::decode_i16`.
     #[inline]
     #[target_feature(enable = "sse2")]
     unsafe fn decode8_sse2(b16: __m128i) -> __m128i {
         let mag = _mm_and_si128(b16, _mm_set1_epi16(0x7f));
-        let neg = _mm_srai_epi16(_mm_slli_epi16(b16, 8), 15);
+        let neg = _mm_srai_epi16(b16, 15);
         _mm_sub_epi16(_mm_xor_si128(mag, neg), neg)
     }
 
@@ -522,12 +529,13 @@ mod x86 {
         #[inline]
         #[target_feature(enable = "sse2")]
         pub unsafe fn load_w(w: *const Sm8) -> __m128i {
-            decode8_sse2(_mm_unpacklo_epi8(_mm_loadl_epi64(w as *const __m128i), _mm_setzero_si128()))
+            let b = _mm_loadl_epi64(w as *const __m128i);
+            decode8_sse2(_mm_unpacklo_epi8(b, b))
         }
         #[inline]
         #[target_feature(enable = "sse2")]
-        pub unsafe fn load_p(p: *const i16) -> __m128i {
-            _mm_loadu_si128(p as *const __m128i)
+        pub unsafe fn load_p(p: *const u8) -> __m128i {
+            _mm_unpacklo_epi8(_mm_loadl_epi64(p as *const __m128i), _mm_setzero_si128())
         }
         #[inline]
         #[target_feature(enable = "sse2")]
@@ -564,8 +572,8 @@ mod x86 {
         }
         #[inline]
         #[target_feature(enable = "avx2")]
-        pub unsafe fn load_p(p: *const i16) -> __m256i {
-            _mm256_loadu_si256(p as *const __m256i)
+        pub unsafe fn load_p(p: *const u8) -> __m256i {
+            _mm256_cvtepu8_epi16(_mm_loadu_si128(p as *const __m128i))
         }
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -585,7 +593,8 @@ mod x86 {
         }
     }
 
-    /// The 32-lane tier of `dot_nt`.
+    /// The 64-byte tier of `dot_nt`: 16 `i32` lanes of four `u8 x s8`
+    /// products each.
     mod avx512_ops {
         use super::*;
 
@@ -597,22 +606,23 @@ mod x86 {
         #[inline]
         #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
         pub unsafe fn load_w(w: *const Sm8) -> __m512i {
-            // Sign-extended, a sign-set byte reads `mag - 128`; its value
+            // Read as `i8`, a sign-set byte is `mag - 128`; its value
             // `-mag` is then `-128 - x`, which takes negative zero to 0.
-            let x = _mm512_cvtepi8_epi16(_mm256_loadu_si256(w as *const __m256i));
-            _mm512_mask_sub_epi16(x, _mm512_movepi16_mask(x), _mm512_set1_epi16(-128), x)
+            let x = _mm512_loadu_si512(w as *const _);
+            _mm512_mask_sub_epi8(x, _mm512_movepi8_mask(x), _mm512_set1_epi8(-128), x)
         }
         #[inline]
         #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-        pub unsafe fn load_p(p: *const i16) -> __m512i {
+        pub unsafe fn load_p(p: *const u8) -> __m512i {
             _mm512_loadu_si512(p as *const _)
         }
         #[inline]
         #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
         pub unsafe fn madd_acc(acc: __m512i, w: __m512i, p: __m512i) -> __m512i {
-            // Wrapping, never the saturating `_mm512_dpwssds_epi32`: see
+            // Unsigned patch bytes first, signed weights second. Wrapping,
+            // never the saturating `_mm512_dpbusds_epi32`: see
             // `DOT_FLUSH_STEPS`.
-            _mm512_dpwssd_epi32(acc, w, p)
+            _mm512_dpbusd_epi32(acc, p, w)
         }
         #[inline]
         #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
@@ -630,7 +640,7 @@ mod x86 {
 
     dot_nt_tier!(#[target_feature(enable = "sse2")] dot_sse2, 8, sse2_ops);
     dot_nt_tier!(#[target_feature(enable = "avx2")] dot_avx2, 16, avx2_ops);
-    dot_nt_tier!(#[target_feature(enable = "avx512f,avx512bw,avx512vnni")] dot_avx512, 32, avx512_ops);
+    dot_nt_tier!(#[target_feature(enable = "avx512f,avx512bw,avx512vnni")] dot_avx512, 64, avx512_ops);
 }
 
 #[cfg(test)]
@@ -684,19 +694,22 @@ mod tests {
         assert_eq!(dispatch(), a, "dispatch must be cached");
     }
 
-    fn sm8_vec(seed: u64, n: usize) -> Vec<Sm8> {
+    fn bytes(seed: u64, n: usize) -> Vec<u8> {
         let mut rng = zskip_fault::SplitMix64::new(seed);
-        (0..n).map(|_| Sm8::from_bits(rng.next_u64() as u8)).collect()
+        (0..n).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    fn sm8_vec(seed: u64, n: usize) -> Vec<Sm8> {
+        bytes(seed, n).into_iter().map(Sm8::from_bits).collect()
     }
 
     /// [`dot_nt`] collected into a `rows x cols` matrix, checking that
     /// every element is handed over in exactly one block, and that blocks
     /// have the shapes the contract allows.
-    fn dot_matrix(tier: KernelTier, w: &[Sm8], x: &[Sm8], dims: [usize; 3]) -> Vec<i64> {
+    fn dot_matrix(tier: KernelTier, w: &[Sm8], p: &[u8], dims: [usize; 3]) -> Vec<i64> {
         let [rows, cols, _] = dims;
-        let p: Vec<i16> = x.iter().map(|v| v.decode_i16()).collect();
         let mut out = vec![None; rows * cols];
-        dot_nt(tier, w, &p, dims, |i, j, [mr, nr], sums| {
+        dot_nt(tier, w, p, dims, |i, j, [mr, nr], sums| {
             assert!((1..=DOT_MR).contains(&mr) && (nr == DOT_NR || nr == 1), "block {mr} x {nr}");
             for (a, sums) in sums.iter().enumerate().take(mr) {
                 for (b, &sum) in sums.iter().enumerate().take(nr) {
@@ -708,13 +721,14 @@ mod tests {
         out.into_iter().map(|v| v.expect("every element emitted")).collect()
     }
 
-    /// The independent oracle: sign+magnitude products, one at a time.
-    fn dot_oracle(w: &[Sm8], x: &[Sm8], [rows, cols, len]: [usize; 3]) -> Vec<i64> {
+    /// The independent oracle: sign+magnitude weight times unsigned patch
+    /// byte, one product at a time.
+    fn dot_oracle(w: &[Sm8], p: &[u8], [rows, cols, len]: [usize; 3]) -> Vec<i64> {
         let mut out = Vec::new();
         for i in 0..rows {
             for j in 0..cols {
-                let (w, x) = (&w[i * len..][..len], &x[j * len..][..len]);
-                out.push(w.iter().zip(x).map(|(w, x)| w.mul_exact(*x) as i64).sum());
+                let (w, p) = (&w[i * len..][..len], &p[j * len..][..len]);
+                out.push(w.iter().zip(p).map(|(w, &p)| w.to_i32() as i64 * p as i64).sum());
             }
         }
         out
@@ -724,15 +738,39 @@ mod tests {
     fn dot_tiers_match_the_oracle_at_every_length_and_bit_pattern() {
         // 3 rows = a full row block + a remainder row; 6 columns = a full
         // column block + two single columns. Consecutive bit patterns, so
-        // every one of the 256 (negative zero 0x80 included) meets every
-        // lane position as the length sweeps every lane boundary and tail.
+        // every one of the 256 weight bytes (negative zero 0x80 included)
+        // and patch bytes meets every lane position as the length sweeps
+        // every lane boundary and tail.
         for len in 0..=200usize {
             let dims = [3, 6, len];
             let w: Vec<Sm8> = (0..3 * len).map(|i| Sm8::from_bits((i * 7 + len) as u8)).collect();
-            let x: Vec<Sm8> = (0..6 * len).map(|i| Sm8::from_bits((i * 13 + 5 * len + 0x80) as u8)).collect();
-            let want = dot_oracle(&w, &x, dims);
+            let p: Vec<u8> = (0..6 * len).map(|i| (i * 13 + 5 * len + 0x80) as u8).collect();
+            let want = dot_oracle(&w, &p, dims);
             for tier in KernelTier::supported() {
-                assert_eq!(dot_matrix(tier, &w, &x, dims), want, "tier {tier}, len {len}");
+                assert_eq!(dot_matrix(tier, &w, &p, dims), want, "tier {tier}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn dot_tiers_are_exact_on_every_weight_and_patch_byte_pair_in_every_lane() {
+        // Row `i` is one weight byte throughout, column `j` one patch
+        // byte, so every one of the 256 x 256 pairs meets at every
+        // reduction position. 127 = 2 * 64 - 1 positions fill one whole
+        // vector of every tier and then the longest tail after it, so each
+        // pair lands in every lane of a full step and every lane of a tail
+        // step. The rows run in both orders, so every weight byte is also
+        // read from the last row block, whose tail vector is copied out
+        // instead of loaded in place.
+        let len = 127;
+        let p: Vec<u8> = (0..=255u8).flat_map(|b| vec![b; len]).collect();
+        for order in [0u8, 255] {
+            let w: Vec<Sm8> = (0..=255u8).flat_map(|b| vec![Sm8::from_bits(b ^ order); len]).collect();
+            let want: Vec<i64> = (0..=255u8)
+                .flat_map(|w| (0..=255).map(move |p| Sm8::from_bits(w ^ order).to_i32() as i64 * p * len as i64))
+                .collect();
+            for tier in KernelTier::supported() {
+                assert!(dot_matrix(tier, &w, &p, [256, 256, len]) == want, "tier {tier}, row order {order}");
             }
         }
     }
@@ -742,10 +780,10 @@ mod tests {
         for rows in 0..=2 * DOT_MR + 1 {
             for cols in 0..=2 * DOT_NR + 1 {
                 let dims = [rows, cols, 37];
-                let (w, x) = (sm8_vec(rows as u64, rows * 37), sm8_vec(100 + cols as u64, cols * 37));
-                let want = dot_oracle(&w, &x, dims);
+                let (w, p) = (sm8_vec(rows as u64, rows * 37), bytes(100 + cols as u64, cols * 37));
+                let want = dot_oracle(&w, &p, dims);
                 for tier in KernelTier::supported() {
-                    assert_eq!(dot_matrix(tier, &w, &x, dims), want, "tier {tier}, {rows} x {cols}");
+                    assert_eq!(dot_matrix(tier, &w, &p, dims), want, "tier {tier}, {rows} x {cols}");
                 }
             }
         }
@@ -753,24 +791,24 @@ mod tests {
 
     #[test]
     fn dot_is_exact_at_the_worst_case_around_the_i32_flush() {
-        // Every product +-127 * 127 — the most an `i32` lane can gain per
-        // step — at reduction lengths just below, at and above each tier's
-        // flush point (with the longest tail), two flushes deep, and at
-        // VGG's fc6 length for a 224x224 input.
+        // Every product +-127 * 255 — the most an `i32` lane can gain per
+        // product — at reduction lengths just below, at and above each
+        // tier's flush point (with the longest tail), two flushes deep,
+        // and at VGG's fc6 length for a 224x224 input.
         let mut lens = vec![25_088];
-        for lanes in [1, 8, 16, 32] {
+        for lanes in [1, 8, 16, 64] {
             let chunk = DOT_FLUSH_STEPS * lanes;
             lens.extend([chunk - 1, chunk, chunk + 1, chunk + lanes - 1, 2 * chunk + 1]);
         }
         for len in lens {
             let dims = [DOT_MR + 1, DOT_NR + 1, len];
             let w: Vec<Sm8> = (0..dims[0]).flat_map(|i| vec![if i == 1 { Sm8::MIN } else { Sm8::MAX }; len]).collect();
-            let x = vec![Sm8::MAX; dims[1] * len];
+            let p = vec![255; dims[1] * len];
             let want: Vec<i64> = (0..dims[0])
-                .flat_map(|i| vec![if i == 1 { -16129 } else { 16129 } * len as i64; dims[1]])
+                .flat_map(|i| vec![if i == 1 { -127 * 255 } else { 127 * 255 } * len as i64; dims[1]])
                 .collect();
             for tier in KernelTier::supported() {
-                assert_eq!(dot_matrix(tier, &w, &x, dims), want, "tier {tier}, len {len}");
+                assert_eq!(dot_matrix(tier, &w, &p, dims), want, "tier {tier}, len {len}");
             }
         }
     }
@@ -785,10 +823,10 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let dims = [rows, cols, len];
-            let (w, x) = (sm8_vec(seed, rows * len), sm8_vec(seed + 1000, cols * len));
-            let want = dot_oracle(&w, &x, dims);
+            let (w, p) = (sm8_vec(seed, rows * len), bytes(seed + 1000, cols * len));
+            let want = dot_oracle(&w, &p, dims);
             for tier in KernelTier::supported() {
-                prop_assert_eq!(dot_matrix(tier, &w, &x, dims), &want[..], "tier {}", tier);
+                prop_assert_eq!(dot_matrix(tier, &w, &p, dims), &want[..], "tier {}", tier);
             }
         }
     }
@@ -798,10 +836,10 @@ mod tests {
         // `effective` clamps: calling any tier value is safe and exact,
         // even one the host lacks (regression guard for non-x86 hosts).
         let dims = [3, 5, 37];
-        let (w, x) = (sm8_vec(3, 3 * 37), sm8_vec(4, 5 * 37));
-        let want = dot_matrix(KernelTier::Scalar, &w, &x, dims);
+        let (w, p) = (sm8_vec(3, 3 * 37), bytes(4, 5 * 37));
+        let want = dot_matrix(KernelTier::Scalar, &w, &p, dims);
         for tier in KernelTier::ALL {
-            assert_eq!(dot_matrix(tier, &w, &x, dims), want, "tier {tier}");
+            assert_eq!(dot_matrix(tier, &w, &p, dims), want, "tier {tier}");
         }
     }
 }

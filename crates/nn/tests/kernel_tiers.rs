@@ -49,6 +49,12 @@ fn dirty_workspace() -> GemmScratch {
     ws
 }
 
+/// `x` with its negative values zeroed.
+fn relu(x: &Tensor<Sm8>) -> Tensor<Sm8> {
+    let s = x.shape();
+    Tensor::from_fn(s.c, s.h, s.w, |c, y, i| Sm8::from_i32_saturating(x[(c, y, i)].to_i32().max(0)))
+}
+
 fn synthetic_input(in_c: usize, h: usize, w: usize, seed: u64) -> Tensor<Sm8> {
     Tensor::from_fn(in_c, h, w, |c, y, x| {
         Sm8::from_i32_saturating((((c * 131 + y * 17 + x * 3) as u64 ^ seed) % 255) as i32 - 127)
@@ -72,7 +78,10 @@ proptest! {
         let k = [1usize, 3, 5, 7][k_idx];
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let qw = synthetic_qw(out_c, in_c, k, density_ppt as f64 / 1000.0, seed, seed % 2 == 0);
+        // Every third input is a ReLU output's: patch bytes without the
+        // +128 offset the signed ones take.
         let input = synthetic_input(in_c, h, w, seed);
+        let input = if seed % 3 == 0 { relu(&input) } else { input };
         let oracle = conv2d_quant_dense(&input, &qw, stride, pad);
         let mut ws = dirty_workspace();
         let mut out = Tensor::zeros(1, 1, 1);
@@ -140,12 +149,12 @@ fn pooled_kernels_are_bit_exact_on_each_side_of_the_split_threshold() {
 fn gemm_reduction_longer_than_one_i32_chunk_is_bit_exact_on_every_tier() {
     // Fully dense 3x3 filters over enough input channels that the
     // reduction outruns one i32 chunk of the widest tier (DOT_FLUSH_STEPS
-    // steps of 32 lanes) by a ragged tail: the mid-reduction i32 -> i64
+    // steps of 64 bytes) by a ragged tail: the mid-reduction i32 -> i64
     // flush, the tail step and the final flush all run — several times
     // over on the narrower tiers, the scalar one included (it shares the
     // blocking) — and must lose or double-count nothing.
-    let in_c = DOT_FLUSH_STEPS * 32 / 9 + 3;
-    assert!(in_c * 9 > DOT_FLUSH_STEPS * 32 && !(in_c * 9).is_multiple_of(32));
+    let in_c = DOT_FLUSH_STEPS * 64 / 9 + 3;
+    assert!(in_c * 9 > DOT_FLUSH_STEPS * 64 && !(in_c * 9).is_multiple_of(64));
     // Requantized finely enough that the ~1e6-sized sums do not all
     // saturate: a lost or doubled chunk has to show in the output.
     let w = synthetic_qw(3, in_c, 3, 1.0, 21, false).w;
@@ -230,7 +239,7 @@ fn edge_heavy_sm8(n: usize, seed: u64) -> Vec<Sm8> {
 }
 
 /// Every finished sum of [`dot_nt`] at `dims`, row-major.
-fn dot_sums(tier: KernelTier, w: &[Sm8], p: &[i16], dims: [usize; 3]) -> Vec<i64> {
+fn dot_sums(tier: KernelTier, w: &[Sm8], p: &[u8], dims: [usize; 3]) -> Vec<i64> {
     let [rows, cols, _] = dims;
     let mut out = vec![0i64; rows * cols];
     dot_nt(tier, w, p, dims, |i, j, [mr, nr], sums| {
@@ -247,14 +256,16 @@ fn dot_sums(tier: KernelTier, w: &[Sm8], p: &[i16], dims: [usize; 3]) -> Vec<i64
 fn vgg16_32_deepest_shapes_are_bit_exact_on_every_tier() {
     // The GEMMs of VGG-16-32's conv4_2 (512 -> 512 at 4x4), a conv5_x
     // layer (2x2: four patch columns) and fc7 (4096 x 4096), at their real
-    // reduction lengths, on weights and activations full of the decode's
-    // edge values. The raw sums are compared, not requantized outputs,
-    // which saturation and rounding would let a wrong sum hide in.
+    // reduction lengths, on weights full of the decode's edge values and
+    // patch bytes full of the operand range's (0, 127, 128 and 255: the
+    // same generator's bit patterns). The raw sums are compared, not
+    // requantized outputs, which saturation and rounding would let a wrong
+    // sum hide in.
     for (what, [rows, cols, len]) in
         [("conv4_2", [512, 16, 4608]), ("conv5_x", [512, 4, 4608]), ("fc7", [4096, 1, 4096])]
     {
         let w = edge_heavy_sm8(rows * len, 1);
-        let p: Vec<i16> = edge_heavy_sm8(cols * len, 2).iter().map(|v| v.decode_i16()).collect();
+        let p: Vec<u8> = edge_heavy_sm8(cols * len, 2).iter().map(|v| v.to_bits()).collect();
         let want = dot_sums(KernelTier::Scalar, &w, &p, [rows, cols, len]);
         for tier in KernelTier::supported() {
             assert!(dot_sums(tier, &w, &p, [rows, cols, len]) == want, "{what} sums, tier {tier}");

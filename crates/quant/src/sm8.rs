@@ -121,16 +121,12 @@ impl Sm8 {
         (mag ^ neg) - neg
     }
 
-    /// Bulk branch-free decode of a slice into `i16` lanes.
-    ///
-    /// # Panics
-    /// Panics if `dst` is shorter than `src`.
+    /// The raw bit patterns of a slice, borrowed in place.
     #[inline]
-    pub fn decode_slice_i16(src: &[Sm8], dst: &mut [i16]) {
-        assert!(dst.len() >= src.len(), "decode destination too short");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = s.decode_i16();
-        }
+    pub fn as_bytes(values: &[Sm8]) -> &[u8] {
+        // SAFETY: `Sm8` is `#[repr(transparent)]` over `u8`, so the slice's
+        // buffer is `values.len()` valid, initialized bytes.
+        unsafe { std::slice::from_raw_parts(values.as_ptr() as *const u8, values.len()) }
     }
 
     /// Bulk branch-free decode of a slice, widened to `i32` lanes.
@@ -344,14 +340,12 @@ mod tests {
         #[test]
         fn bulk_decode_matches_elementwise(bytes in proptest::collection::vec(0u8..=255, 0..64)) {
             let src: Vec<Sm8> = bytes.iter().map(|&b| Sm8::from_bits(b)).collect();
-            let mut d16 = vec![0i16; src.len()];
             let mut d32 = vec![0i32; src.len()];
-            Sm8::decode_slice_i16(&src, &mut d16);
             Sm8::decode_slice_i32(&src, &mut d32);
             for (i, s) in src.iter().enumerate() {
-                prop_assert_eq!(d16[i] as i32, s.to_i32());
                 prop_assert_eq!(d32[i], s.to_i32());
             }
+            prop_assert_eq!(Sm8::as_bytes(&src), &bytes[..]);
         }
     }
 }
