@@ -402,14 +402,14 @@ fn bench_shapes() -> Vec<ShapeResult> {
     let mut sm8s = |n: usize| -> Vec<Sm8> {
         (0..n).map(|_| Sm8::from_i32_saturating((rng.next_u64() % 253) as i32 - 126)).collect()
     };
-    let fc = QuantFcWeights {
+    let fc = QuantFcWeights::new(
         out_features,
         in_features,
-        w: sm8s(out_features * in_features),
-        bias_acc: vec![0; out_features],
-        requant: Requantizer::from_ratio(1.0 / 4096.0),
-        relu: true,
-    };
+        sm8s(out_features * in_features),
+        vec![0; out_features],
+        Requantizer::from_ratio(1.0 / 4096.0),
+        true,
+    );
     let input = sm8s(in_features);
     let mut ws = GemmScratch::default();
     let mut out = Vec::new();
@@ -718,15 +718,17 @@ const AVX512_OVER_AVX2_SHAPES: [&str; 2] = ["conv3_2-like", "conv4_2-like"];
 /// `--check` policy: every SIMD tier must beat scalar on every reference
 /// shape — by [`DEEP_GEMM_FLOOR`] on the deep shapes — avx512 must beat
 /// avx2 by [`AVX512_OVER_AVX2_FLOOR`] where the host runs both, and steady
-/// state must not allocate.
-fn check(bench: &Bench) -> Result<(), String> {
+/// state must not allocate. Returns every floor the run missed, so one
+/// failure does not hide the next.
+fn check(bench: &Bench) -> Vec<String> {
+    let mut failed = Vec::new();
     for s in &bench.shapes {
         let ms = |tier: &str| s.gemm.iter().find(|t| t.tier == tier).map(|t| t.ms);
         if let (true, Some(avx2), Some(avx512)) =
             (AVX512_OVER_AVX2_SHAPES.contains(&s.layer.as_str()), ms("avx2"), ms("avx512"))
         {
             if avx2 / avx512 < AVX512_OVER_AVX2_FLOOR {
-                return Err(format!(
+                failed.push(format!(
                     "{}: GEMM tier avx512 is {:.2}x avx2 (need >= {AVX512_OVER_AVX2_FLOOR}x)",
                     s.layer,
                     avx2 / avx512
@@ -735,15 +737,9 @@ fn check(bench: &Bench) -> Result<(), String> {
         }
         for t in s.gemm.iter().filter(|t| t.tier != "scalar") {
             if t.speedup < 1.0 {
-                return Err(format!(
-                    "{}: tier {} is {:.2}x vs scalar (slower)",
-                    s.layer, t.tier, t.speedup
-                ));
-            }
-        }
-        if s.is_deep() {
-            if let Some(t) = s.gemm.iter().find(|t| t.tier != "scalar" && t.speedup < DEEP_GEMM_FLOOR) {
-                return Err(format!(
+                failed.push(format!("{}: tier {} is {:.2}x vs scalar (slower)", s.layer, t.tier, t.speedup));
+            } else if s.is_deep() && t.speedup < DEEP_GEMM_FLOOR {
+                failed.push(format!(
                     "{}: GEMM tier {} is {:.2}x vs scalar (need >= {DEEP_GEMM_FLOOR}x)",
                     s.layer, t.tier, t.speedup
                 ));
@@ -751,13 +747,13 @@ fn check(bench: &Bench) -> Result<(), String> {
         }
     }
     if bench.allocs.scratch_steady_per_image != 0 {
-        return Err(format!(
+        failed.push(format!(
             "steady-state forward pass performed {} allocations",
             bench.allocs.scratch_steady_per_image
         ));
     }
     if bench.cpu_backend.cpu_speedup_vs_model < CPU_VS_MODEL_FLOOR {
-        return Err(format!(
+        failed.push(format!(
             "cpu backend is {:.2}x the model backend's functional sweep (need >= {CPU_VS_MODEL_FLOOR}x)",
             bench.cpu_backend.cpu_speedup_vs_model
         ));
@@ -766,12 +762,12 @@ fn check(bench: &Bench) -> Result<(), String> {
     // (10% tolerance for timer noise; on a single-core host auto == 1 and
     // this compares a config with itself).
     if bench.intra_image.mt_vs_single > 1.10 {
-        return Err(format!(
+        failed.push(format!(
             "multithreaded single-image latency regressed: {:.2}x the single-threaded latency",
             bench.intra_image.mt_vs_single
         ));
     }
-    Ok(())
+    failed
 }
 
 fn main() {
@@ -801,8 +797,11 @@ fn main() {
     write_bench_artifacts("kernel_bench", "BENCH_kernels.json", &text, &bench);
 
     if check_mode {
-        if let Err(msg) = check(&bench) {
+        let failed = check(&bench);
+        for msg in &failed {
             eprintln!("kernel_bench --check FAILED: {msg}");
+        }
+        if !failed.is_empty() {
             std::process::exit(1);
         }
         println!("kernel_bench --check OK");

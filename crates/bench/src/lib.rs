@@ -101,14 +101,14 @@ pub fn requantize_with_scales(net: &Network, scales: &[f32]) -> QuantizedNetwork
             LayerSpec::Fc { relu, .. } => {
                 let w = &net.fc_weights[fc_i];
                 let wq = QuantParams::from_max_abs(&w.w);
-                fc.push(QuantFcWeights {
-                    out_features: w.out_features,
-                    in_features: w.in_features,
-                    w: w.w.iter().map(|&v| wq.quantize(v)).collect(),
-                    bias_acc: w.bias.iter().map(|&b| (b / (s_in * wq.scale)).round() as i64).collect(),
-                    requant: Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
-                    relu: *relu,
-                });
+                fc.push(QuantFcWeights::new(
+                    w.out_features,
+                    w.in_features,
+                    w.w.iter().map(|&v| wq.quantize(v)).collect(),
+                    w.bias.iter().map(|&b| (b / (s_in * wq.scale)).round() as i64).collect(),
+                    Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
+                    *relu,
+                ));
                 fc_i += 1;
             }
             _ => {}

@@ -54,8 +54,8 @@ impl ConvWeights {
 ///
 /// Construct via [`QuantConvWeights::new`]. The data fields stay public for
 /// read access; code that mutates `w` in place after construction must call
-/// [`QuantConvWeights::invalidate_caches`] so the cached nonzero counts and
-/// fingerprint stay truthful.
+/// [`QuantConvWeights::invalidate_caches`] so the cached nonzero counts,
+/// fingerprint and offset bias stay truthful.
 #[derive(Debug, Clone)]
 pub struct QuantConvWeights {
     /// Output channels.
@@ -77,6 +77,9 @@ pub struct QuantConvWeights {
     nnz: OnceLock<Vec<u32>>,
     /// Cached content fingerprint. Ignored by `PartialEq` like `nnz`.
     fp: OnceLock<u64>,
+    /// Cached bias of an offset GEMM call (`crate::gemm`, "Patch bytes"),
+    /// filled on the first one. Ignored by `PartialEq` like `nnz`.
+    pub(crate) offset_bias: OnceLock<Vec<i64>>,
 }
 
 impl PartialEq for QuantConvWeights {
@@ -114,6 +117,7 @@ impl QuantConvWeights {
             relu,
             nnz: OnceLock::new(),
             fp: OnceLock::new(),
+            offset_bias: OnceLock::new(),
         }
     }
 
@@ -159,13 +163,14 @@ impl QuantConvWeights {
         })
     }
 
-    /// Drops this instance's cached nonzero counts and fingerprint. Must be
-    /// called after mutating `w` through the public field (e.g.
-    /// re-sparsifying a layer in place); the next query rescans and
-    /// re-fingerprints the new content.
+    /// Drops this instance's cached nonzero counts, fingerprint and
+    /// offset bias. Must be called after mutating `w` or `bias_acc`
+    /// through the public fields (e.g. re-sparsifying a layer in place);
+    /// the next query rescans and re-fingerprints the new content.
     pub fn invalidate_caches(&mut self) {
         self.nnz = OnceLock::new();
         self.fp = OnceLock::new();
+        self.offset_bias = OnceLock::new();
     }
 
     /// Non-zero weight count of filter `(o, i)` (cached; the driver asks

@@ -9,6 +9,7 @@
 use crate::gemm::{gemm_quant_into, GemmScratch, GemmWeights};
 use crate::par::{self, ConvPool, Split};
 use crate::simd::{self, KernelTier};
+use std::sync::OnceLock;
 use zskip_quant::{Requantizer, Sm8};
 
 /// Float fully connected weights: `w[out][in]` row-major plus bias.
@@ -32,7 +33,12 @@ impl FcWeights {
 }
 
 /// Quantized fully connected weights (host-side integer path).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Construct via [`QuantFcWeights::new`]. Code that mutates `w` or
+/// `bias_acc` in place after construction must call
+/// [`QuantFcWeights::invalidate_caches`] so the cached offset bias stays
+/// truthful.
+#[derive(Debug, Clone)]
 pub struct QuantFcWeights {
     /// Output features.
     pub out_features: usize,
@@ -46,6 +52,43 @@ pub struct QuantFcWeights {
     pub requant: Requantizer,
     /// Whether ReLU is fused.
     pub relu: bool,
+    /// Cached bias of an offset GEMM call (`crate::gemm`, "Patch bytes"),
+    /// filled on the first one. Not part of the logical value: ignored by
+    /// `PartialEq`.
+    pub(crate) offset_bias: OnceLock<Vec<i64>>,
+}
+
+impl PartialEq for QuantFcWeights {
+    fn eq(&self, other: &Self) -> bool {
+        self.out_features == other.out_features
+            && self.in_features == other.in_features
+            && self.w == other.w
+            && self.bias_acc == other.bias_acc
+            && self.requant == other.requant
+            && self.relu == other.relu
+    }
+}
+
+impl QuantFcWeights {
+    /// Builds a quantized FC layer, validating geometry.
+    pub fn new(
+        out_features: usize,
+        in_features: usize,
+        w: Vec<Sm8>,
+        bias_acc: Vec<i64>,
+        requant: Requantizer,
+        relu: bool,
+    ) -> Self {
+        assert_eq!(w.len(), out_features * in_features, "weight count mismatch");
+        assert_eq!(bias_acc.len(), out_features, "bias count mismatch");
+        QuantFcWeights { out_features, in_features, w, bias_acc, requant, relu, offset_bias: OnceLock::new() }
+    }
+
+    /// Drops this instance's cached offset bias. Must be called after
+    /// mutating `w` or `bias_acc` through the public fields.
+    pub fn invalidate_caches(&mut self) {
+        self.offset_bias = OnceLock::new();
+    }
 }
 
 /// Float FC forward: `out = W x + b`, optional ReLU. Output rows are
@@ -108,10 +151,11 @@ pub fn fc_quant_pool_into(
         w: &weights.w,
         len: weights.in_features,
         bias_acc: &weights.bias_acc,
+        offset_bias: &weights.offset_bias,
         requant: weights.requant,
         relu: weights.relu,
     };
-    let (p, gemm) = ws.row_operands(tier, input, gemm);
+    let (p, gemm) = ws.row_operands(input, gemm);
     gemm_quant_into(tier, pool, gemm, p, 1, out);
 }
 
@@ -177,14 +221,14 @@ mod tests {
 
     #[test]
     fn quant_fc_is_integer_exact() {
-        let qw = QuantFcWeights {
-            out_features: 2,
-            in_features: 2,
-            w: [3, -2, 1, 4].iter().map(|&v| Sm8::from_i32_saturating(v)).collect(),
-            bias_acc: vec![10, -10],
-            requant: Requantizer::IDENTITY,
-            relu: false,
-        };
+        let qw = QuantFcWeights::new(
+            2,
+            2,
+            [3, -2, 1, 4].iter().map(|&v| Sm8::from_i32_saturating(v)).collect(),
+            vec![10, -10],
+            Requantizer::IDENTITY,
+            false,
+        );
         let input: Vec<Sm8> = [5, 7].iter().map(|&v| Sm8::from_i32_saturating(v)).collect();
         let out = fc_quant(&input, &qw);
         assert_eq!(out[0].to_i32(), 10 + 3 * 5 - 2 * 7);
@@ -203,14 +247,14 @@ mod tests {
         let mut out = vec![Sm8::MAX; 40];
         for in_features in [1, 7, 8, 31, 33, 100, 4099] {
             for (out_features, relu) in [(1, false), (2, true), (7, true), (7, false)] {
-                let qw = QuantFcWeights {
+                let qw = QuantFcWeights::new(
                     out_features,
                     in_features,
-                    w: sm8s(out_features * in_features),
-                    bias_acc: (0..out_features as i64).map(|o| o * 1000 - 2500).collect(),
-                    requant: Requantizer::from_ratio(1.0 / 512.0),
+                    sm8s(out_features * in_features),
+                    (0..out_features as i64).map(|o| o * 1000 - 2500).collect(),
+                    Requantizer::from_ratio(1.0 / 512.0),
                     relu,
-                };
+                );
                 let input = sm8s(in_features);
                 let want = fc_quant_oracle(&input, &qw);
                 assert_eq!(fc_quant(&input, &qw), want, "{in_features} -> {out_features}");

@@ -35,7 +35,8 @@
 //!   is stored *offset*: each value `v` as `v + 128` (`1..=255`; negative
 //!   zero and the border as 128), and the call runs its epilogue on
 //!   `bias_acc[o] − 128 · Σ_r W[o][r]`, which takes the offset back out of
-//!   every sum exactly.
+//!   every sum exactly. That bias is summed once per weight set, on its
+//!   first offset call, and cached with the weights.
 //!
 //! Around the multiply-accumulates, every stage is straight-line slice
 //! code (docs/KERNELS.md, "Lowering" and "Epilogue"):
@@ -64,6 +65,7 @@ use crate::conv::QuantConvWeights;
 use crate::par::{ConvPool, SendPtr};
 use crate::simd::{self, KernelTier, DOT_NR};
 use std::ops::Range;
+use std::sync::OnceLock;
 use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -78,9 +80,6 @@ pub struct GemmScratch {
     plane: Vec<u8>,
     /// The transposed patch matrix `P[col][r]` of a conv layer.
     patches: Vec<u8>,
-    /// An offset call's correction: a reduction's length of 128s, and
-    /// the per-row bias computed against it.
-    correction: (Vec<u8>, Vec<i64>),
 }
 
 /// The patch byte of the `Sm8` bit pattern `v` in an offset input: `v +
@@ -94,8 +93,7 @@ fn offset_byte(v: u8) -> u8 {
 impl GemmScratch {
     /// Total bytes currently reserved by the buffers.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        let (row, bias) = &self.correction;
-        self.plane.capacity() + self.patches.capacity() + row.capacity() + bias.capacity() * std::mem::size_of::<i64>()
+        self.plane.capacity() + self.patches.capacity()
     }
 
     /// The patch row of an FC layer over `input`, and `gemm` with the bias
@@ -103,7 +101,6 @@ impl GemmScratch {
     /// set, else its offset copy in the plane.
     pub(crate) fn row_operands<'a>(
         &'a mut self,
-        tier: KernelTier,
         input: &'a [Sm8],
         gemm: GemmWeights<'a>,
     ) -> (&'a [u8], GemmWeights<'a>) {
@@ -111,10 +108,9 @@ impl GemmScratch {
         if bytes.iter().fold(0, |any, &b| any | b) & 0x80 == 0 {
             return (bytes, gemm);
         }
-        let GemmScratch { plane, correction, .. } = self;
-        plane.clear();
-        plane.extend(bytes.iter().map(|&b| offset_byte(b)));
-        (plane, gemm.offset(tier, correction))
+        self.plane.clear();
+        self.plane.extend(bytes.iter().map(|&b| offset_byte(b)));
+        (&self.plane, gemm.offset())
     }
 
     /// Copies `input` into a `c x (h + 2 pad) x (w + 2 pad)` plane of patch
@@ -195,7 +191,7 @@ fn lower_into(
     let c = input.shape().c;
     let ((hp, wp), offset) = ws.fill_plane(input, pad);
     let (out_h, out_w) = ((hp - k) / stride + 1, (wp - k) / stride + 1);
-    let GemmScratch { plane, patches, .. } = ws;
+    let GemmScratch { plane, patches } = ws;
     let plane = Plane { d: plane, c, hp, wp, stride, out_w };
     // Sized only: every element is written below.
     let row_len = out_w * c * k * k;
@@ -289,6 +285,9 @@ pub(crate) struct GemmWeights<'a> {
     pub w: &'a [Sm8],
     pub len: usize,
     pub bias_acc: &'a [i64],
+    /// The layer's cell for the bias of an offset call, filled on its
+    /// first one ([`GemmWeights::offset`]).
+    pub offset_bias: &'a OnceLock<Vec<i64>>,
     pub requant: Requantizer,
     pub relu: bool,
 }
@@ -296,18 +295,14 @@ pub(crate) struct GemmWeights<'a> {
 impl<'a> GemmWeights<'a> {
     /// These weights against an offset patch side: the bias becomes
     /// `bias_acc[o] − 128 · Σ_r w[o][r]`, so that the `+128` on every patch
-    /// value cancels out of every sum. The correction is the same
-    /// [`simd::dot_nt`] at `tier`, against one column of 128s, into the
-    /// workspace's `(row, bias)`.
-    fn offset(self, tier: KernelTier, (row, bias): &'a mut (Vec<u8>, Vec<i64>)) -> Self {
-        row.clear();
-        row.resize(self.len, 128);
-        bias.clear();
-        bias.extend_from_slice(self.bias_acc);
-        simd::dot_nt(tier, self.w, row, [bias.len(), 1, self.len], |i, _, [mr, _], sums| {
-            for (bias, sums) in bias[i..i + mr].iter_mut().zip(sums) {
-                *bias -= sums[0];
-            }
+    /// value cancels out of every sum. The weights never change once
+    /// quantized, so the sums are taken once per layer, on its first
+    /// offset call, and kept in its `offset_bias` cell.
+    fn offset(self) -> Self {
+        let GemmWeights { w, len, bias_acc, .. } = self;
+        let bias = self.offset_bias.get_or_init(|| {
+            let sum = |o: usize| w[o * len..][..len].iter().map(|w| w.to_i32() as i64).sum::<i64>();
+            bias_acc.iter().enumerate().map(|(o, b)| b - 128 * sum(o)).collect()
         });
         GemmWeights { bias_acc: bias, ..self }
     }
@@ -367,7 +362,7 @@ pub(crate) fn gemm_quant_into(
     cols: usize,
     out: &mut [Sm8],
 ) {
-    let GemmWeights { w, len, bias_acc, requant, relu } = weights;
+    let GemmWeights { w, len, bias_acc, requant, relu, .. } = weights;
     let rows = bias_acc.len();
     assert_eq!(out.len(), rows * cols, "output is not rows x cols");
     let epilogue = Epilogue::new(requant, relu);
@@ -421,18 +416,16 @@ pub fn conv2d_gemm_quant_into(
     assert_eq!(input.shape().c, weights.in_c, "input channels mismatch");
     let (out_h, out_w, offset) = lower_into(input, weights.out_c, weights.k, stride, pad, pool, ws);
     out.reset(weights.out_c, out_h, out_w);
-    let mut gemm = GemmWeights {
+    let gemm = GemmWeights {
         w: &weights.w,
         len: weights.in_c * weights.k * weights.k,
         bias_acc: &weights.bias_acc,
+        offset_bias: &weights.offset_bias,
         requant: weights.requant,
         relu: weights.relu,
     };
-    let GemmScratch { patches, correction, .. } = ws;
-    if offset {
-        gemm = gemm.offset(tier, correction);
-    }
-    gemm_quant_into(tier, pool, gemm, patches, out_h * out_w, out.as_mut_slice());
+    let gemm = if offset { gemm.offset() } else { gemm };
+    gemm_quant_into(tier, pool, gemm, &ws.patches, out_h * out_w, out.as_mut_slice());
 }
 
 /// [`conv2d_gemm_quant_into`] on the calling thread, allocating its
@@ -642,7 +635,7 @@ mod tests {
                         for tier in KernelTier::supported() {
                             for pool in [None, Some(&pool)] {
                                 let mut out = vec![Sm8::from_bits(0x80); chunk.len() * cols];
-                                let gemm = GemmWeights { w: &w, len: 1, bias_acc: chunk, requant: r, relu };
+                                let gemm = GemmWeights { w: &w, len: 1, bias_acc: chunk, offset_bias: &OnceLock::new(), requant: r, relu };
                                 gemm_quant_into(tier, pool, gemm, p, cols, &mut out);
                                 let got: Vec<u8> = out.iter().map(|v| v.to_bits()).collect();
                                 assert_eq!(got, want, "{r:?} relu {relu} tier {tier} {cols} columns");
@@ -836,14 +829,7 @@ mod tests {
             at.extend((0..h * w).filter(edge).map(|i| channel + i));
             let qw = quant_weights(out_c, in_c, k, seed);
             let fcw = quant_weights(out_c, n, 1, seed + 1);
-            let fc = crate::fc::QuantFcWeights {
-                out_features: out_c,
-                in_features: n,
-                w: fcw.w.clone(),
-                bias_acc: fcw.bias_acc.clone(),
-                requant: fcw.requant,
-                relu: fcw.relu,
-            };
+            let fc = crate::fc::QuantFcWeights::new(out_c, n, fcw.w.clone(), fcw.bias_acc.clone(), fcw.requant, fcw.relu);
             let pools: Vec<ConvPool> = (1..=4).map(ConvPool::forced).collect();
             let (mut ws, mut out, mut fc_out) = (GemmScratch::default(), Tensor::zeros(1, 1, 1), Vec::new());
             for at in at {

@@ -346,18 +346,14 @@ impl Network {
                 LayerSpec::Fc { relu, .. } => {
                     let w = &self.fc_weights[fc_i];
                     let (wq, w_q) = quantize_weights(&w.w, split);
-                    fc.push(QuantFcWeights {
-                        out_features: w.out_features,
-                        in_features: w.in_features,
-                        w: w_q,
-                        bias_acc: w
-                            .bias
-                            .iter()
-                            .map(|&b| (b / (s_in * wq.scale)).round() as i64)
-                            .collect(),
-                        requant: Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
-                        relu: *relu,
-                    });
+                    fc.push(QuantFcWeights::new(
+                        w.out_features,
+                        w.in_features,
+                        w_q,
+                        w.bias.iter().map(|&b| (b / (s_in * wq.scale)).round() as i64).collect(),
+                        Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
+                        *relu,
+                    ));
                     fc_i += 1;
                 }
                 // Ref/Add/GAP carry no weights: their requantizers derive

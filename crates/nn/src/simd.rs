@@ -7,7 +7,7 @@
 //! scalar lane at a time; this module supplies the lane-parallel inner
 //! loops — a 64-byte AVX-512 tier (`vpdpbusd`, four 8-bit products per
 //! `i32` lane), a 16-wide AVX2 tier (one whole tile row per iteration)
-//! and an 8-wide SSE2 tier — behind a [`KernelTier`] selector, with the
+//! and a 16-byte SSE2 tier — behind a [`KernelTier`] selector, with the
 //! scalar loops kept as the bit-exactness oracle and unconditional
 //! fallback.
 //!
@@ -53,7 +53,8 @@ pub const KERNEL_ENV: &str = "ZSKIP_KERNEL";
 pub enum KernelTier {
     /// Portable scalar loops: the oracle and universal fallback.
     Scalar,
-    /// 8-lane `std::arch::x86_64` SSE2 kernels (baseline on x86-64).
+    /// 16-byte `std::arch::x86_64` SSE2 kernels (baseline on x86-64): two
+    /// 8-lane halves per step.
     Sse2,
     /// 16-lane AVX2 kernels: one IFM tile row per iteration.
     Avx2,
@@ -200,8 +201,9 @@ pub type DotSums = [[i64; DOT_NR]; DOT_MR];
 /// `4 * 32385 = 129540` a step; the reduction tail is one more step, and a
 /// flush first sums the vector's 16 lanes in `i32` — all of which the
 /// assertion below covers, so the kernel is exact at any reduction
-/// length. The narrower tiers' `pmaddwd` adds two such products a step to
-/// at most 8 lanes, well inside the same bound.
+/// length. The narrower tiers stay well inside the same bound: a step of
+/// the SSE2 tier adds four such products (two `pmaddwd`) to each of 4
+/// lanes, one of the AVX2 tier two products to each of 8.
 ///
 /// `vpdpbusd` adds with a *wrapping* `i32` add. Its saturating sibling
 /// `vpdpbusds` must never be used here: a clipped sum would depend on the
@@ -312,10 +314,10 @@ macro_rules! dot_nt_tier {
                     let end = full.min(r + DOT_FLUSH_STEPS * LANES);
                     let mut acc = [[zero(); NR]; MR];
                     while r < end {
-                        for (i, acc) in acc.iter_mut().enumerate() {
-                            let wv = load_w(w.add(i * len + r));
-                            for (j, acc) in acc.iter_mut().enumerate() {
-                                *acc = madd_acc(*acc, wv, load_p(p.add(j * len + r)));
+                        for j in 0..NR {
+                            let pv = load_p(p.add(j * len + r));
+                            for (i, acc) in acc.iter_mut().enumerate() {
+                                acc[j] = madd_acc(acc[j], load_w(w.add(i * len + r)), pv);
                             }
                         }
                         r += LANES;
@@ -470,18 +472,6 @@ mod x86 {
     use super::Sm8;
     use std::arch::x86_64::*;
 
-    /// Branch-free sign+magnitude decode of 8 bytes, each doubled into its
-    /// 16-bit lane (`unpacklo(b, b)`, so bit 7 lands on the lane's sign
-    /// bit): `(mag ^ neg) - neg`, where `neg` smears that bit across the
-    /// lane. Identical per-lane to `Sm8::decode_i16`.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn decode8_sse2(b16: __m128i) -> __m128i {
-        let mag = _mm_and_si128(b16, _mm_set1_epi16(0x7f));
-        let neg = _mm_srai_epi16(b16, 15);
-        _mm_sub_epi16(_mm_xor_si128(mag, neg), neg)
-    }
-
     /// Sum of the four `i32` lanes.
     #[inline]
     #[target_feature(enable = "sse2")]
@@ -517,7 +507,10 @@ mod x86 {
         std::mem::transmute(v)
     }
 
-    /// The 8-lane tier of `dot_nt`.
+    /// The 16-byte tier of `dot_nt`: a step is one 16-byte load of each
+    /// operand, widened to two vectors of 16-bit lanes. The weights are
+    /// decoded in byte lanes before they are widened, so one decode serves
+    /// 16 of them.
     mod sse2_ops {
         use super::*;
 
@@ -528,19 +521,26 @@ mod x86 {
         }
         #[inline]
         #[target_feature(enable = "sse2")]
-        pub unsafe fn load_w(w: *const Sm8) -> __m128i {
-            let b = _mm_loadl_epi64(w as *const __m128i);
-            decode8_sse2(_mm_unpacklo_epi8(b, b))
+        pub unsafe fn load_w(w: *const Sm8) -> [__m128i; 2] {
+            // In byte lanes first: the magnitude less twice what a
+            // sign-set byte exceeds 0x80 by, so `-mag`, negative zero 0;
+            // then each value sign-extended into its 16-bit lane.
+            let b = _mm_loadu_si128(w as *const __m128i);
+            let over = _mm_subs_epu8(b, _mm_set1_epi8(-128));
+            let v = _mm_sub_epi8(_mm_sub_epi8(_mm_and_si128(b, _mm_set1_epi8(0x7f)), over), over);
+            let sign = _mm_cmpgt_epi8(_mm_setzero_si128(), v);
+            [_mm_unpacklo_epi8(v, sign), _mm_unpackhi_epi8(v, sign)]
         }
         #[inline]
         #[target_feature(enable = "sse2")]
-        pub unsafe fn load_p(p: *const u8) -> __m128i {
-            _mm_unpacklo_epi8(_mm_loadl_epi64(p as *const __m128i), _mm_setzero_si128())
+        pub unsafe fn load_p(p: *const u8) -> [__m128i; 2] {
+            let b = _mm_loadu_si128(p as *const __m128i);
+            [_mm_unpacklo_epi8(b, _mm_setzero_si128()), _mm_unpackhi_epi8(b, _mm_setzero_si128())]
         }
         #[inline]
         #[target_feature(enable = "sse2")]
-        pub unsafe fn madd_acc(acc: __m128i, w: __m128i, p: __m128i) -> __m128i {
-            _mm_add_epi32(acc, _mm_madd_epi16(w, p))
+        pub unsafe fn madd_acc(acc: __m128i, [w0, w1]: [__m128i; 2], [p0, p1]: [__m128i; 2]) -> __m128i {
+            _mm_add_epi32(acc, _mm_add_epi32(_mm_madd_epi16(w0, p0), _mm_madd_epi16(w1, p1)))
         }
         pub(super) use super::hsum_i32x4 as hsum;
         #[inline]
@@ -638,7 +638,7 @@ mod x86 {
         }
     }
 
-    dot_nt_tier!(#[target_feature(enable = "sse2")] dot_sse2, 8, sse2_ops);
+    dot_nt_tier!(#[target_feature(enable = "sse2")] dot_sse2, 16, sse2_ops);
     dot_nt_tier!(#[target_feature(enable = "avx2")] dot_avx2, 16, avx2_ops);
     dot_nt_tier!(#[target_feature(enable = "avx512f,avx512bw,avx512vnni")] dot_avx512, 64, avx512_ops);
 }
