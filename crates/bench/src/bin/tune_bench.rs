@@ -1,16 +1,15 @@
 //! Autotuner benchmark — emits `BENCH_tune.json`.
 //!
-//! Runs `zskip tune`'s library core once per objective at the default
-//! budget and records what the search found against three baselines:
+//! Runs `zskip tune`'s library core once at the default seed and budget
+//! and records what the search found against three baselines:
 //!
-//! 1. **Default config**: the stock 256-opt session every objective's
-//!    search starts from (the tuner evaluates it first, so
-//!    `best <= default` is structural; the *margin* is the datum).
+//! 1. **Default config**: the stock 256-opt session the search starts
+//!    from (the tuner evaluates it first, so `best <= default` is
+//!    structural; the *margin* is the datum).
 //! 2. **Hand-picked variants**: the paper's four HLS design points,
-//!    scored under the deterministic `cycles` objective. The tuner
-//!    searches a space that embeds all four, so it must match or beat
-//!    the best of them.
-//! 3. **Itself**: the `cycles` search reruns with the same seed and must
+//!    scored the same way. The tuner searches a space that embeds all
+//!    four, so it must match or beat the best of them.
+//! 3. **Itself**: the search reruns with the same seed and must
 //!    reproduce the artifact byte for byte.
 //!
 //! ```sh
@@ -19,18 +18,16 @@
 //! ```
 //!
 //! `--check` runs the same gates on a small network so every evaluation
-//! is cheap: (a) each objective's tuned score <= its default score;
-//! (b) the `cycles` search matches or beats the best hand-picked
-//! variant; (c) at least one software objective improves on the default
-//! by >= 10% (the backend/threads/batch knobs must buy something real);
-//! (d) the same-seed rerun is byte-identical. This is the guard wired
-//! into `scripts/verify.sh`.
+//! is cheap: (a) the tuned score <= the default score; (b) the tuned
+//! score matches or beats the best hand-picked variant; (c) the
+//! same-seed rerun is byte-identical. This is the guard wired into
+//! `scripts/verify.sh`.
 //!
 //! Writes `BENCH_tune.json` at the repository root plus the
 //! `experiments/tune_bench.txt` rendering.
 
 use zskip_bench::write_bench_artifacts;
-use zskip_core::tune::{Evaluator, Objective, SearchSpace, SpaceKind, TunedConfig, Tuner, DEFAULT_BUDGET, DEFAULT_SEED};
+use zskip_core::tune::{Evaluator, SearchSpace, TunedConfig, Tuner, DEFAULT_BUDGET, DEFAULT_SEED};
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
 use zskip_nn::eval::synthetic_inputs;
@@ -40,10 +37,8 @@ use zskip_nn::vgg16::vgg16_scaled_spec;
 use zskip_quant::DensityProfile;
 use zskip_tensor::{Shape, Tensor};
 
-/// One objective's search outcome vs. its default baseline.
-struct ObjectiveResult {
-    objective: &'static str,
-    space: &'static str,
+/// The search outcome vs. its default baseline.
+struct Tuned {
     budget: u64,
     default_score: f64,
     best_score: f64,
@@ -56,11 +51,11 @@ struct ObjectiveResult {
     best: TunedConfig,
 }
 
-impl ToJson for ObjectiveResult {
+impl ToJson for Tuned {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("objective", self.objective.to_json()),
-            ("space", self.space.to_json()),
+            ("objective", "cycles".to_json()),
+            ("space", "hls".to_json()),
             ("budget", self.budget.to_json()),
             ("default_score", self.default_score.to_json()),
             ("best_score", self.best_score.to_json()),
@@ -73,8 +68,9 @@ impl ToJson for ObjectiveResult {
     }
 }
 
-/// The paper's four hand-picked variants scored under `cycles`, and how
-/// the tuned config compares. `tuned_vs_best_variant <= 1` is the gate.
+/// The paper's four hand-picked variants scored in simulated seconds,
+/// and how the tuned config compares. `tuned_vs_best_variant <= 1` is
+/// the gate.
 struct VariantBaseline {
     scores: Vec<(String, f64)>,
     best_variant: String,
@@ -106,13 +102,10 @@ impl ToJson for VariantBaseline {
 struct Bench {
     workload: String,
     seed: u64,
-    objectives: Vec<ObjectiveResult>,
+    tuned: Tuned,
     variants: VariantBaseline,
     /// Same seed + space + budget reran byte-identically.
     rerun_identical: bool,
-    /// Best `speedup` across the software (wall-clock) objectives; the
-    /// `--check` gate requires >= 1.1.
-    best_software_speedup: f64,
 }
 
 impl ToJson for Bench {
@@ -120,29 +113,28 @@ impl ToJson for Bench {
         Json::obj([
             ("workload", self.workload.to_json()),
             ("seed", self.seed.to_json()),
-            ("objectives", self.objectives.to_json()),
+            ("tuned", self.tuned.to_json()),
             ("variants", self.variants.to_json()),
             ("rerun_identical", self.rerun_identical.to_json()),
-            ("best_software_speedup", self.best_software_speedup.to_json()),
         ])
     }
 }
 
-/// The full-mode workload: the scaled VGG-16 the CLI subcommands run.
-fn vgg_workload() -> (QuantizedNetwork, Vec<Tensor<f32>>) {
+/// The full-mode workload: the scaled VGG-16 the CLI subcommands run,
+/// and the one image `zskip tune` simulates.
+fn vgg_workload() -> (QuantizedNetwork, Tensor<f32>) {
     let spec = vgg16_scaled_spec(32);
     let net = Network::synthetic(
         spec.clone(),
         &SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() },
     );
     let qnet = net.quantize(&synthetic_inputs(2, 1, spec.input));
-    let inputs = synthetic_inputs(3, 4, spec.input);
-    (qnet, inputs)
+    (qnet, synthetic_inputs(3, 1, spec.input).remove(0))
 }
 
 /// The `--check` workload: small enough that one evaluation costs
 /// milliseconds, so the full default-budget search stays fast.
-fn small_workload() -> (QuantizedNetwork, Vec<Tensor<f32>>) {
+fn small_workload() -> (QuantizedNetwork, Tensor<f32>) {
     let spec = NetworkSpec {
         name: "tune-check".into(),
         input: Shape::new(3, 16, 16),
@@ -153,36 +145,17 @@ fn small_workload() -> (QuantizedNetwork, Vec<Tensor<f32>>) {
         &SyntheticModelConfig { seed: 29, density: DensityProfile::uniform(2, 0.5) },
     );
     let qnet = net.quantize(&synthetic_inputs(30, 2, spec.input));
-    let inputs = synthetic_inputs(31, 4, spec.input);
-    (qnet, inputs)
+    (qnet, synthetic_inputs(31, 1, spec.input).remove(0))
 }
 
-/// Each objective searches the space where its knobs live: `cycles` is a
-/// hardware property (variant/instances/placement), the wall-clock
-/// objectives are software properties (backend/threads/kernel/batch).
-fn space_for(objective: Objective) -> SpaceKind {
-    match objective {
-        Objective::Cycles => SpaceKind::Hls,
-        _ => SpaceKind::Software,
-    }
-}
-
-fn run_objective(
-    objective: Objective,
-    qnet: &QuantizedNetwork,
-    inputs: &[Tensor<f32>],
-    budget: u64,
-) -> ObjectiveResult {
-    let kind = space_for(objective);
-    let outcome = Tuner::new(SearchSpace::named(kind), objective, qnet, inputs)
+fn tune(qnet: &QuantizedNetwork, input: &Tensor<f32>) -> Tuned {
+    let outcome = Tuner::new(SearchSpace::hls(), qnet, input)
         .seed(DEFAULT_SEED)
-        .budget(budget)
+        .budget(DEFAULT_BUDGET)
         .run();
     let total = outcome.evals + outcome.cache_hits;
-    ObjectiveResult {
-        objective: objective.name(),
-        space: kind.name(),
-        budget,
+    Tuned {
+        budget: DEFAULT_BUDGET,
         default_score: outcome.default_score,
         best_score: outcome.best_score,
         speedup: outcome.speedup(),
@@ -193,14 +166,10 @@ fn run_objective(
     }
 }
 
-/// Scores the four hand-picked variants under `cycles` and compares the
-/// tuned score against the best of them.
-fn variant_baseline(
-    qnet: &QuantizedNetwork,
-    inputs: &[Tensor<f32>],
-    tuned_score: f64,
-) -> VariantBaseline {
-    let mut eval = Evaluator::new(Objective::Cycles, qnet, inputs);
+/// Scores the four hand-picked variants and compares the tuned score
+/// against the best of them.
+fn variant_baseline(qnet: &QuantizedNetwork, input: &Tensor<f32>, tuned_score: f64) -> VariantBaseline {
+    let mut eval = Evaluator::new(qnet, input);
     let scores: Vec<(String, f64)> = Variant::all()
         .into_iter()
         .map(|v| {
@@ -222,65 +191,35 @@ fn variant_baseline(
     }
 }
 
-fn run_bench(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>], workload: &str) -> Bench {
-    let objectives: Vec<ObjectiveResult> = Objective::ALL
-        .into_iter()
-        .map(|o| run_objective(o, qnet, inputs, DEFAULT_BUDGET))
-        .collect();
-    let cycles = objectives
-        .iter()
-        .find(|r| r.objective == Objective::Cycles.name())
-        .expect("cycles objective ran");
-    let variants = variant_baseline(qnet, inputs, cycles.best_score);
-
+fn run_bench(qnet: &QuantizedNetwork, input: &Tensor<f32>, workload: &str) -> Bench {
+    let tuned = tune(qnet, input);
+    let variants = variant_baseline(qnet, input, tuned.best_score);
     // Determinism: the same seed + space + budget must reproduce the
-    // artifact byte for byte (cycles is the deterministic objective).
-    let rerun = run_objective(Objective::Cycles, qnet, inputs, DEFAULT_BUDGET);
-    let rerun_identical = rerun.best.to_json_string() == cycles.best.to_json_string();
-
-    let best_software_speedup = objectives
-        .iter()
-        .filter(|r| r.objective != Objective::Cycles.name())
-        .map(|r| r.speedup)
-        .fold(0.0, f64::max);
-
-    Bench {
-        workload: workload.to_string(),
-        seed: DEFAULT_SEED,
-        objectives,
-        variants,
-        rerun_identical,
-        best_software_speedup,
-    }
+    // artifact byte for byte.
+    let rerun_identical = tune(qnet, input).best.to_json_string() == tuned.best.to_json_string();
+    Bench { workload: workload.to_string(), seed: DEFAULT_SEED, tuned, variants, rerun_identical }
 }
 
 /// The `--check` gates; returns the failures.
 fn gate(bench: &Bench) -> Vec<String> {
     let mut fails = Vec::new();
-    for r in &bench.objectives {
-        if r.best_score > r.default_score {
-            fails.push(format!(
-                "{}: tuned score {:.3e} worse than default {:.3e}",
-                r.objective, r.best_score, r.default_score
-            ));
-        }
+    let tuned = &bench.tuned;
+    if tuned.best_score > tuned.default_score {
+        fails.push(format!(
+            "tuned score {:.3e} worse than default {:.3e}",
+            tuned.best_score, tuned.default_score
+        ));
     }
     if bench.variants.tuned_vs_best_variant > 1.0 {
         fails.push(format!(
-            "cycles: tuned {:.3e} did not match/beat best hand-picked variant {} at {:.3e}",
+            "tuned {:.3e} did not match/beat best hand-picked variant {} at {:.3e}",
             bench.variants.tuned_score,
             bench.variants.best_variant,
             bench.variants.best_variant_score
         ));
     }
-    if bench.best_software_speedup < 1.1 {
-        fails.push(format!(
-            "no software objective improved >= 10% over default (best {:.2}x)",
-            bench.best_software_speedup
-        ));
-    }
     if !bench.rerun_identical {
-        fails.push("same-seed cycles rerun was not byte-identical".into());
+        fails.push("same-seed rerun was not byte-identical".into());
     }
     fails
 }
@@ -288,27 +227,24 @@ fn gate(bench: &Bench) -> Vec<String> {
 fn render(bench: &Bench) -> String {
     let mut text = String::new();
     text.push_str(&format!(
-        "Design-space autotuner on {} (seed {:#x}, budget {} fresh evals/objective)\n\n",
+        "Hardware autotuner on {} (cycles over the hls space, seed {:#x}, budget {} fresh evals)\n\n",
         bench.workload, bench.seed, DEFAULT_BUDGET
     ));
     text.push_str(&format!(
-        "{:<11} {:<9} {:>13} {:>13} {:>8} {:>6} {:>11}\n",
-        "objective", "space", "default s", "best s", "speedup", "evals", "cache hits"
+        "{:>13} {:>13} {:>8} {:>6} {:>11}\n",
+        "default s", "best s", "speedup", "evals", "cache hits"
     ));
-    for r in &bench.objectives {
-        text.push_str(&format!(
-            "{:<11} {:<9} {:>13.3e} {:>13.3e} {:>7.2}x {:>6} {:>4} ({:>3.0}%)\n",
-            r.objective,
-            r.space,
-            r.default_score,
-            r.best_score,
-            r.speedup,
-            r.evals,
-            r.cache_hits,
-            r.cache_hit_rate * 100.0
-        ));
-    }
-    text.push_str("\nhand-picked variants under cycles:\n");
+    let r = &bench.tuned;
+    text.push_str(&format!(
+        "{:>13.3e} {:>13.3e} {:>7.2}x {:>6} {:>4} ({:>3.0}%)\n",
+        r.default_score,
+        r.best_score,
+        r.speedup,
+        r.evals,
+        r.cache_hits,
+        r.cache_hit_rate * 100.0
+    ));
+    text.push_str("\nhand-picked variants:\n");
     for (v, s) in &bench.variants.scores {
         let marker = if *v == bench.variants.best_variant { "  <- best hand-picked" } else { "" };
         text.push_str(&format!("  {v:<11} {s:.3e} s{marker}\n"));
@@ -317,23 +253,20 @@ fn render(bench: &Bench) -> String {
         "  tuned       {:.3e} s ({:.3}x of best hand-picked)\n",
         bench.variants.tuned_score, bench.variants.tuned_vs_best_variant
     ));
-    text.push_str(&format!(
-        "\nsame-seed rerun byte-identical: {}\nbest software-objective speedup: {:.2}x\n",
-        bench.rerun_identical, bench.best_software_speedup
-    ));
+    text.push_str(&format!("\nsame-seed rerun byte-identical: {}\n", bench.rerun_identical));
     text
 }
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-    let (qnet, inputs, workload) = if check {
+    let (qnet, input, workload) = if check {
         let (q, i) = small_workload();
         (q, i, "tune-check (small)")
     } else {
         let (q, i) = vgg_workload();
         (q, i, "vgg16-32")
     };
-    let bench = run_bench(&qnet, &inputs, workload);
+    let bench = run_bench(&qnet, &input, workload);
     print!("{}", render(&bench));
 
     if check {

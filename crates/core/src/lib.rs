@@ -92,7 +92,5 @@ pub use serve::{
     RequestStats, ServeEngine, ServeError, ServeHandle, ServeReply, ServeStats,
 };
 pub use session::{BatchConfig, Session, SessionBuilder};
-pub use tune::{
-    Objective, Provenance, SearchSpace, Searcher, SpaceKind, TuneOutcome, TunedConfig, Tuner,
-};
+pub use tune::{Provenance, SearchSpace, TuneOutcome, TunedConfig, Tuner};
 pub use weights::GroupWeights;

@@ -31,22 +31,23 @@ use zskip_nn::simd::KernelTier;
 pub const ARTIFACT_VERSION: u64 = 4;
 
 /// How a [`TunedConfig`] came to be: the search that produced it and the
-/// score it measured. Scores from wall-clock objectives (latency,
-/// throughput, p99) are measurements of the tuning host; the `cycles`
-/// objective's score is simulated time and fully deterministic.
+/// score it measured. This build's tuner writes objective `cycles`,
+/// searcher `cd` and its space's name (`hls`); the fields stay strings so
+/// a version-4 artifact naming an objective, space or searcher an earlier
+/// build had (`latency`, `full`, `spsa`, ...) still loads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// Seed the searcher ran with.
     pub seed: u64,
     /// Fresh-evaluation budget the search was given.
     pub budget: u64,
-    /// Objective name (see [`Objective::name`](crate::tune::Objective::name)).
+    /// Objective name (`cycles`).
     pub objective: String,
-    /// Search-space name (`software` | `hls` | `full`).
+    /// Search-space name (`hls`, or a custom space's).
     pub space: String,
-    /// Searcher name (`cd` | `spsa`).
+    /// Searcher name (`cd`).
     pub searcher: String,
-    /// Best score found (lower is better; units depend on the objective).
+    /// Best score found (lower is better; simulated seconds under `cycles`).
     pub score: f64,
     /// Fresh evaluations actually spent.
     pub evals: u64,

@@ -1,13 +1,13 @@
 //! The knob table — the single declaration of every run knob — and the
-//! search spaces built from it.
+//! search space built from it.
 //!
 //! [`KNOBS`] has one row per [`TunedConfig`] field: its artifact name, CLI
-//! flag, a getter and a validating setter through [`KnobValue`], and its
-//! candidates in the built-in search spaces. The artifact's JSON
-//! (`artifact.rs`), the spaces below, and the CLI's flag groups, `--help`
-//! defaults, [`resolve`] precedence and knob printout (`src/main.rs`) are
-//! loops over it. Adding a knob is one struct field, its default, its line
-//! in [`TunedConfig::session`] and one row here.
+//! flag, a getter and a validating setter through [`KnobValue`], and, for
+//! the hardware knobs, its candidates in the hls search space. The
+//! artifact's JSON (`artifact.rs`), the space below, and the CLI's flag
+//! groups, `--help` defaults, [`resolve`] precedence and knob printout
+//! (`src/main.rs`) are loops over it. Adding a knob is one struct field,
+//! its default, its line in [`TunedConfig::session`] and one row here.
 //!
 //! A space is an ordered list of [`Axis`] values (a knob plus explicit,
 //! finite candidates — bounds *and* steps in one place); a [`Point`] is
@@ -24,7 +24,6 @@ use zskip_json::{Json, ToJson};
 use zskip_nn::simd::KernelTier;
 use FlagGroup::{Network, Pool, Serve, Session, Shard};
 use KnobValue::{Int, Name, Unset};
-use SpaceKind::{Hls, Software};
 
 /// One knob value in transit between a [`TunedConfig`] field and its
 /// spellings: JSON number / string / null in the artifact, and decimal /
@@ -134,11 +133,12 @@ pub struct Knob {
     pub get: fn(&TunedConfig) -> KnobValue<'static>,
     /// Writes the knob, rejecting values of the wrong kind or range.
     pub set: fn(&mut TunedConfig, KnobValue<'_>) -> Result<(), String>,
-    /// Its built-in space, its position there (seeded search trajectories
-    /// depend on axis order) and its ordered candidates. Adjacent
-    /// candidates should be adjacent in effect (instances 1 → 2 → 4): the
-    /// searchers step by index.
-    pub axis: (SpaceKind, usize, fn() -> Vec<KnobValue<'static>>),
+    /// Its ordered candidates in the hls space, `None` for a knob the
+    /// tuner does not search. The space's axes are the rows that have
+    /// one, in table order (seeded search trajectories depend on it).
+    /// Adjacent candidates should be adjacent in effect (instances
+    /// 1 → 2 → 4): the search steps by index.
+    pub axis: Option<fn() -> Vec<KnobValue<'static>>>,
 }
 
 /// A row with a value always set and one default for library and CLI.
@@ -147,7 +147,7 @@ const fn knob(
     flag: (&'static str, &'static str, FlagGroup, &'static str),
     get: fn(&TunedConfig) -> KnobValue<'static>,
     set: fn(&mut TunedConfig, KnobValue<'_>) -> Result<(), String>,
-    axis: (SpaceKind, usize, fn() -> Vec<KnobValue<'static>>),
+    axis: Option<fn() -> Vec<KnobValue<'static>>>,
 ) -> Knob {
     let flag = KnobFlag { name: flag.0, metavar: flag.1, group: flag.2, help: flag.3 };
     Knob { name, flag, unset: None, cli_default: None, get, set, axis }
@@ -159,7 +159,7 @@ fn ints(candidates: &[u64]) -> Vec<KnobValue<'static>> {
 
 /// The knob table, in artifact field order. Columns: name; flag, metavar,
 /// group, help; getter; setter (the closed name sets come from the value
-/// type's own `ALL` and `name`); (space, position, candidates).
+/// type's own `ALL` and `name`); hls-space candidates.
 pub static KNOBS: [Knob; 8] = [
     knob(
         "variant",
@@ -167,7 +167,7 @@ pub static KNOBS: [Knob; 8] = [
         |c| Name(c.variant.label()),
         |c, v| v.pick(&Variant::all(), |t| t.label()).map(|t| c.variant = t),
         // The paper's Fig. 6 axis.
-        (Hls, 0, || Variant::all().iter().map(|v| Name(v.label())).collect()),
+        Some(|| Variant::all().iter().map(|v| Name(v.label())).collect()),
     ),
     knob(
         "instances",
@@ -187,7 +187,7 @@ pub static KNOBS: [Knob; 8] = [
                 Ok(())
             }
         },
-        (Hls, 1, || ints(&[1, 2, 4])),
+        Some(|| ints(&[1, 2, 4])),
     ),
     knob(
         "backend",
@@ -199,9 +199,7 @@ pub static KNOBS: [Knob; 8] = [
         ),
         |c| Name(c.backend.name()),
         |c, v| v.pick(&BackendKind::ALL, BackendKind::name).map(|b| c.backend = b),
-        // No cycle candidate: it is bit-identical to the model backend and
-        // orders of magnitude slower to evaluate (docs/TUNING.md).
-        (Software, 0, || vec![Name(BackendKind::Model.name()), Name(BackendKind::Cpu.name())]),
+        None,
     ),
     Knob {
         // The CLI runs on every core by default; the library default (the
@@ -217,7 +215,7 @@ pub static KNOBS: [Knob; 8] = [
             ),
             |c| Int(c.threads as u64),
             |c, v| v.int().map(|n| c.threads = n),
-            (Software, 1, || ints(&[1, 2, 4])),
+            None,
         )
     },
     Knob {
@@ -227,7 +225,7 @@ pub static KNOBS: [Knob; 8] = [
             ("--kernel", "K", Session, "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512"),
             |c| c.kernel.map_or(Unset, |t| Name(t.name())),
             |c, v| v.opt(|v| v.pick(&KernelTier::ALL, KernelTier::name)).map(|t| c.kernel = t),
-            (Software, 2, || vec![Unset, Name(KernelTier::Scalar.name())]),
+            None,
         )
     },
     knob(
@@ -235,21 +233,21 @@ pub static KNOBS: [Knob; 8] = [
         ("--placement", "P", Shard, "shard placement: auto | stripe | image | pipeline"),
         |c| Name(c.placement.name()),
         |c, v| v.pick(&Placement::ALL, Placement::name).map(|p| c.placement = p),
-        (Hls, 2, || Placement::ALL.iter().map(|p| Name(p.name())).collect()),
+        Some(|| Placement::ALL.iter().map(|p| Name(p.name())).collect()),
     ),
     knob(
         "batch_workers",
         ("--workers", "N", Pool, "worker threads, one image at a time each (0 = auto)"),
         |c| Int(c.batch_workers as u64),
         |c, v| v.int().map(|n| c.batch_workers = n),
-        (Software, 3, || ints(&[0, 1, 2, 4])),
+        None,
     ),
     knob(
         "queue_depth",
         ("--queue-depth", "N", Serve, "bounded submission-queue depth (admission control)"),
         |c| Int(c.queue_depth as u64),
         |c, v| v.int().map(|n| c.queue_depth = n),
-        (Software, 4, || ints(&[64, 256])),
+        None,
     ),
 ];
 
@@ -338,55 +336,14 @@ pub fn resolve(
 pub struct Axis {
     /// The table row being searched.
     pub knob: &'static Knob,
-    /// The values the searchers may pick, in stepping order.
+    /// The values the search may pick, in stepping order.
     pub candidates: Vec<KnobValue<'static>>,
 }
 
 /// One position in a [`SearchSpace`]: a candidate index per axis.
 pub type Point = Vec<usize>;
 
-/// The named built-in spaces the CLI exposes (`--space`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SpaceKind {
-    /// Host-side knobs: backend, threads, kernel, worker pool.
-    Software,
-    /// Hardware-side knobs: variant, instances, placement — the
-    /// automated Fig. 6/7/8 exploration.
-    Hls,
-    /// Both of the above in one space.
-    Full,
-}
-
-impl SpaceKind {
-    /// All kinds, in documentation order.
-    pub const ALL: [SpaceKind; 3] = [SpaceKind::Software, SpaceKind::Hls, SpaceKind::Full];
-
-    /// The CLI/serialization name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpaceKind::Software => "software",
-            SpaceKind::Hls => "hls",
-            SpaceKind::Full => "full",
-        }
-    }
-}
-
-impl std::str::FromStr for SpaceKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<SpaceKind, String> {
-        let found = SpaceKind::ALL.into_iter().find(|kind| kind.name() == s);
-        found.ok_or_else(|| format!("unknown space '{s}' (use software | hls | full)"))
-    }
-}
-
-impl std::fmt::Display for SpaceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// An ordered set of [`Axis`] values the searchers move through.
+/// An ordered set of [`Axis`] values the search moves through.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     name: String,
@@ -395,7 +352,7 @@ pub struct SearchSpace {
 
 impl SearchSpace {
     /// A custom space from explicit axes (tests and ablations; the CLI
-    /// uses the named constructors).
+    /// uses [`SearchSpace::hls`]).
     ///
     /// # Errors
     /// `config.invalid` when an axis has no candidates, holds one its
@@ -423,33 +380,13 @@ impl SearchSpace {
         Ok(SearchSpace { name, axes })
     }
 
-    /// The built-in space for a [`SpaceKind`]: the table rows placed in it
-    /// (`full` is `software` then `hls`), in their declared positions.
-    pub fn named(kind: SpaceKind) -> SearchSpace {
-        let mut placed: Vec<&Knob> =
-            KNOBS.iter().filter(|k| kind == SpaceKind::Full || k.axis.0 == kind).collect();
-        placed.sort_by_key(|k| (k.axis.0, k.axis.1));
-        let axes = placed.into_iter().map(|knob| Axis { knob, candidates: (knob.axis.2)() });
-        SearchSpace::new(kind.name(), axes.collect()).expect("the table's spaces are valid")
-    }
-
-    /// The software space: every host-side knob of the session, the
-    /// candidates bracketing the defaults with the values the PR-4/6/7
-    /// benchmarks showed matter.
-    pub fn software() -> SearchSpace {
-        SearchSpace::named(SpaceKind::Software)
-    }
-
     /// The hardware space: the paper's four variants crossed with the
     /// scale-out ladder and placements — automated Fig. 6/7/8-style
-    /// exploration.
+    /// exploration. Its axes are the [`KNOBS`] rows with candidates, in
+    /// table order.
     pub fn hls() -> SearchSpace {
-        SearchSpace::named(SpaceKind::Hls)
-    }
-
-    /// The union of [`SearchSpace::software`] and [`SearchSpace::hls`].
-    pub fn full() -> SearchSpace {
-        SearchSpace::named(SpaceKind::Full)
+        let axes = KNOBS.iter().filter_map(|knob| Some(Axis { knob, candidates: knob.axis?() }));
+        SearchSpace::new("hls", axes.collect()).expect("the table's space is valid")
     }
 
     /// The space's name (embedded in artifact provenance).
@@ -473,8 +410,8 @@ impl SearchSpace {
     /// their [`TunedConfig::default`] values.
     ///
     /// # Panics
-    /// When the point's length or an index is out of range (searchers
-    /// only construct in-range points).
+    /// When the point's length or an index is out of range (the search
+    /// only constructs in-range points).
     pub fn config_at(&self, point: &Point) -> TunedConfig {
         assert_eq!(point.len(), self.axes.len(), "point arity matches the space");
         let mut config = TunedConfig::default();
@@ -504,24 +441,17 @@ mod tests {
     }
 
     #[test]
-    fn builtin_spaces_hold_the_default_and_their_documented_size() {
-        for (kind, cardinality) in SpaceKind::ALL.into_iter().zip([96, 48, 4608]) {
-            let space = SearchSpace::named(kind);
-            assert_eq!(space.name(), kind.name());
-            let config = space.config_at(&space.default_point());
-            assert_eq!(config, TunedConfig::default(), "{kind}: default point is the baseline");
-            assert_eq!(space.cardinality(), cardinality, "{kind}");
-        }
+    fn hls_space_holds_the_default_and_its_documented_size() {
+        let space = SearchSpace::hls();
+        assert_eq!(space.name(), "hls");
+        assert_eq!(space.config_at(&space.default_point()), TunedConfig::default());
+        assert_eq!(space.cardinality(), 48);
     }
 
     #[test]
-    fn axis_order_is_pinned_and_full_is_the_union() {
-        // Seeded trajectories (and BENCH_tune.json) depend on this order.
-        let software = ["backend", "threads", "kernel", "batch_workers", "queue_depth"];
-        let hls = ["variant", "instances", "placement"];
-        assert_eq!(names(&SearchSpace::software()), software);
-        assert_eq!(names(&SearchSpace::hls()), hls);
-        assert_eq!(names(&SearchSpace::full()), [&software[..], &hls[..]].concat());
+    fn hls_axis_order_is_pinned() {
+        // Seeded trajectories (and the tune golden) depend on this order.
+        assert_eq!(names(&SearchSpace::hls()), ["variant", "instances", "placement"]);
     }
 
     #[test]
@@ -580,18 +510,13 @@ mod tests {
             }
             assert_eq!(Knob::by_name(knob.name).map(|k| k.name), Some(knob.name));
         }
-        // Each space's positions are distinct, so its axis order is total.
-        let mut placed: Vec<_> = KNOBS.iter().map(|k| (k.axis.0, k.axis.1)).collect();
-        placed.sort();
-        placed.dedup();
-        assert_eq!(placed.len(), KNOBS.len());
     }
 
     #[test]
     fn every_row_round_trips_its_default_and_candidates_through_json_and_cli_text() {
         for knob in KNOBS.iter() {
             let mut values = vec![(knob.get)(&TunedConfig::default()), (knob.get)(&cli_defaults())];
-            values.extend((knob.axis.2)());
+            values.extend(knob.axis.map_or_else(Vec::new, |candidates| candidates()));
             for value in values {
                 let mut config = TunedConfig::default();
                 (knob.set)(&mut config, value).expect("own value is valid");
@@ -702,21 +627,20 @@ mod tests {
             let default = knob.text((knob.get)(&lib));
             let row = format!("| `{}` | {flag} | `{default}` |", knob.name);
             assert!(tuning.contains(&row), "docs/TUNING.md knob table lacks: {row}");
-            let (space, _, candidates) = knob.axis;
-            let list: Vec<String> = candidates().into_iter().map(|c| knob.text(c)).collect();
-            let cell = format!("{} ({})", knob.name, list.join("/"));
-            let line = tuning.lines().find(|l| l.starts_with(&format!("| `{space}`")));
-            assert!(line.is_some_and(|l| l.contains(&cell)), "docs/TUNING.md `{space}` row lacks: {cell}");
+            if let Some(candidates) = knob.axis {
+                let list: Vec<String> = candidates().into_iter().map(|c| knob.text(c)).collect();
+                let cell = format!("{} ({})", knob.name, list.join("/"));
+                let line = tuning.lines().find(|l| l.starts_with("| `hls`"));
+                assert!(line.is_some_and(|l| l.contains(&cell)), "docs/TUNING.md `hls` row lacks: {cell}");
+            }
             if matches!(knob.flag.group, FlagGroup::Pool | FlagGroup::Serve) {
                 let row = format!("| {flag} | `{}` ", knob.text((knob.get)(&cli)));
                 assert!(serving.contains(&row), "docs/SERVING.md flag table lacks: {row}");
             }
         }
-        for kind in SpaceKind::ALL {
-            let cardinality = SearchSpace::named(kind).cardinality().to_string();
-            let spaced: String = tuning.chars().filter(|c| *c != ' ').collect();
-            let line = spaced.lines().find(|l| l.starts_with(&format!("|`{kind}`")));
-            assert!(line.is_some_and(|l| l.ends_with(&format!("|{cardinality}|"))), "{kind}");
-        }
+        let cardinality = SearchSpace::hls().cardinality().to_string();
+        let spaced: String = tuning.chars().filter(|c| *c != ' ').collect();
+        let line = spaced.lines().find(|l| l.starts_with("|`hls`"));
+        assert!(line.is_some_and(|l| l.ends_with(&format!("|{cardinality}|"))), "hls cardinality");
     }
 }

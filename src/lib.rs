@@ -47,9 +47,8 @@ pub mod prelude {
     pub use zskip_core::serve::wire;
     pub use zskip_core::{
         run_sharded, AccelConfig, BackendKind, BatchConfig, CostModel, Driver, DriverBuilder,
-        Error, Objective, Placement, SearchSpace, Searcher, ServeEngine, ServeError, ServeHandle,
-        ServeReply, ServeStats, Session, SessionBuilder, ShardReport, SpaceKind, TuneOutcome,
-        TunedConfig, Tuner,
+        Error, Placement, SearchSpace, ServeEngine, ServeError, ServeHandle, ServeReply,
+        ServeStats, Session, SessionBuilder, ShardReport, TuneOutcome, TunedConfig, Tuner,
     };
     pub use zskip_nn::simd::KernelTier;
 }

@@ -6,7 +6,7 @@
 //! zskip infer [flags]             run inference end to end, verify vs golden model
 //! zskip batch [flags]             run a batch of inferences on a worker pool
 //! zskip serve [flags]             serving daemon: NDJSON requests over stdio or TCP
-//! zskip tune [flags]              seeded design-space autotuner, emits a config artifact
+//! zskip tune [flags]              seeded hardware autotuner (simulated time), emits a config artifact
 //! zskip analyze [flags]           per-layer zero-skip packing analysis
 //! zskip faults [flags]            fault-injection survivability campaign
 //! zskip trace                     cycle-exact waveform of a small convolution
@@ -32,8 +32,8 @@ use zskip::accel::serve::wire;
 use zskip::accel::session::DEFAULT_QUEUE_DEPTH;
 use zskip::accel::tune::{self, FlagGroup, DEFAULT_BUDGET, DEFAULT_SEED, KNOBS};
 use zskip::accel::{
-    AccelConfig, BackendKind, Driver, Objective, Placement, Provenance, SearchSpace, Searcher,
-    ServeEngine, ShardReport, SpaceKind, TunedConfig, Tuner,
+    AccelConfig, BackendKind, Driver, Placement, Provenance, SearchSpace, ServeEngine,
+    ShardReport, TunedConfig, Tuner,
 };
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
@@ -203,21 +203,12 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "tune",
         usage_args: "[flags]",
-        summary: "seeded design-space autotuner; writes a loadable best-config artifact",
+        summary: "seeded hardware autotuner (simulated time); writes a loadable best-config artifact",
         flag_groups: &[
             Flags::Own(&[
-                Flag::val(
-                    "--objective",
-                    "O",
-                    "cycles",
-                    "what to minimize: latency | throughput | p99 | cycles (see docs/TUNING.md)",
-                ),
-                Flag::val("--space", "S", "hls", "search space: software | hls | full"),
-                Flag::val("--searcher", "A", "cd", "search algorithm: cd (coordinate descent) | spsa"),
                 Flag::val("--seed", "S", "0x5acade09", "search seed (decimal or 0x-prefixed hex)"),
                 Flag::val("--budget", "N", "96", "fresh-evaluation budget (cache hits are free)"),
                 Flag::val("--out", "FILE", "tuned.json", "where to write the artifact"),
-                Flag::val("--n", "N", "4", "images driving the throughput/p99 objectives"),
                 Flag::val("--hw", "N", "32", HW_HELP),
             ]),
             Flags::Own(NETWORK_FLAGS),
@@ -758,40 +749,29 @@ fn serve_tcp(handle: &zskip::accel::ServeHandle, shape: zskip::tensor::Shape, ad
     protocol_errors.load(Ordering::Relaxed)
 }
 
-/// `zskip tune`: search a named space for the best config under an
-/// objective, print the trajectory summary, and write the artifact that
-/// `--config <file>` / [`SessionBuilder::from_tuned`] load back.
+/// `zskip tune`: coordinate descent over the hls space for the config
+/// with the fewest simulated seconds per image, print the trajectory
+/// summary, and write the artifact that `--config <file>` /
+/// [`SessionBuilder::from_tuned`] load back.
 ///
 /// [`SessionBuilder::from_tuned`]: zskip::accel::SessionBuilder::from_tuned
 fn tune(p: &Parsed) {
-    let objective: Objective =
-        p.get("--objective").unwrap_or("cycles").parse().unwrap_or_else(|e| fail_invalid(e));
-    let kind: SpaceKind = p.get("--space").unwrap_or("hls").parse().unwrap_or_else(|e| fail_invalid(e));
-    let searcher: Searcher =
-        p.get("--searcher").unwrap_or("cd").parse().unwrap_or_else(|e| fail_invalid(e));
-    let space = SearchSpace::named(kind);
+    let space = SearchSpace::hls();
     let seed = parse_seed(p, "--seed", DEFAULT_SEED);
     let budget: u64 = p.parse_num("--budget", DEFAULT_BUDGET);
     let hw: usize = p.parse_num("--hw", 32);
-    let n: usize = p.parse_num("--n", 4);
     let out = p.get("--out").unwrap_or("tuned.json").to_string();
 
     let qnet = build_network(p, hw, false);
-    let inputs = synthetic_inputs(3, n.max(1), qnet.spec.input);
+    let input = synthetic_inputs(3, 1, qnet.spec.input).remove(0);
     println!(
-        "tuning {} for {} over the '{}' space ({} points) with {} (seed {seed:#x}, budget {budget})",
+        "tuning {} for cycles over the '{}' space ({} points) with cd (seed {seed:#x}, budget {budget})",
         qnet.spec.name,
-        objective,
         space.name(),
         space.cardinality(),
-        searcher,
     );
     let t0 = std::time::Instant::now();
-    let outcome = Tuner::new(space, objective, &qnet, &inputs)
-        .searcher(searcher)
-        .seed(seed)
-        .budget(budget)
-        .run();
+    let outcome = Tuner::new(space, &qnet, &input).seed(seed).budget(budget).run();
     println!(
         "searched {} fresh evaluations (+{} cache hits) in {:.1} s",
         outcome.evals,
