@@ -118,26 +118,30 @@ fn quad_region(banks: &BankSet, i: &ConvInstr, ifm: usize, ty: usize, tx: usize)
     region
 }
 
-/// Closed-form cycle count of one conv instruction (no functional work).
-/// Shared by the functional executor and the driver's planning estimates.
-pub fn conv_instruction_cycles(config: &AccelConfig, i: &ConvInstr, weights: &GroupWeights<'_>) -> u64 {
+/// Closed-form cost of one conv instruction (no functional work): its
+/// cycles and its idle lane-slots (pipeline bubbles) per position.
+///
+/// One pass over the IFMs, each read once off the tile index: unit `u`
+/// takes IFMs `u, u + units, ...`, each costing the larger of the 4-cycle
+/// quad load, its lockstep steps and its weight fetch, and a wholly zero
+/// IFM nothing; every unit then emits its end-of-position marker, and
+/// the slowest unit sets the position's pace.
+fn conv_cost(config: &AccelConfig, i: &ConvInstr, weights: &GroupWeights<'_>) -> (u64, u64) {
     let positions = i.ofm_tile_rows as u64 * i.ofm_tiles_x as u64;
-    let mut worst_unit = 0u64;
-    for s in 0..config.units {
-        let mut work = 0u64;
-        for ifm in (0..i.ifm_count as usize).filter(|c| c % config.units == s) {
-            let steps = weights.steps(ifm) as u64;
-            if steps == 0 {
-                continue; // whole-channel zero skip
+    let (lanes, fetch) = (weights.lanes() as u64, config.weight_bytes_per_cycle as u64);
+    let (mut worst_unit, mut bubbles) = (0u64, 0u64);
+    for unit in 0..config.units {
+        let mut work = 1; // the end-of-position marker; fully-skipped units still emit one
+        for ifm in (unit..i.ifm_count as usize).step_by(config.units) {
+            let w = weights.ifm_work(ifm);
+            if w.steps > 0 {
+                work += 4u64.max(w.steps as u64).max((w.bytes as u64).div_ceil(fetch));
+                bubbles += w.steps as u64 * lanes - w.nnz as u64;
             }
-            let wfetch = (weights.ifm_bytes(ifm) as u64).div_ceil(config.weight_bytes_per_cycle as u64);
-            work += 4u64.max(steps).max(wfetch);
         }
-        // End-of-position marker; fully-skipped units still emit one.
-        work += 1;
         worst_unit = worst_unit.max(work);
     }
-    CONV_FIXED_CYCLES + positions * worst_unit
+    (CONV_FIXED_CYCLES + positions * worst_unit, bubbles)
 }
 
 fn run_conv(
@@ -150,21 +154,16 @@ fn run_conv(
 ) -> u64 {
     let positions = i.ofm_tile_rows as u64 * i.ofm_tiles_x as u64;
     let requant = Requantizer { mult: i.requant_mult as u32, shift: i.requant_shift as u32 };
-    let cycles = conv_instruction_cycles(config, i, weights);
+    let (cycles, bubbles) = conv_cost(config, i, weights);
 
     // Activity counters (same definitions as the cycle kernels; a skipped
     // IFM has neither weights nor bubbles).
     let applied = weights.total_nnz() as u64;
-    let bubbles: u64 = (0..i.ifm_count as usize).map(|ifm| weights.bubbles(ifm) as u64).sum();
     counters.add("weights_applied", applied * positions);
     counters.add("macs", applied * positions * 16);
     counters.add("bubble_lanes", bubbles * positions);
-
+    counters.add("ofm_tiles_written", positions * (i.active_lanes as u64));
     if !functional {
-        counters.add(
-            "ofm_tiles_written",
-            positions * (i.active_lanes as u64),
-        );
         return cycles;
     }
 
@@ -202,7 +201,6 @@ fn run_conv(
             }
             let addr = i.ofm_base as usize + (channel / AccelConfig::BANKS) * out_planes + pos;
             banks.poke(FmLayout::bank_of(channel), addr, tile);
-            counters.add("ofm_tiles_written", 1);
         }
     }
     cycles
@@ -223,41 +221,40 @@ fn run_poolpad(
         tile_rows: i.in_tile_rows as usize,
     };
 
-    // Program lengths are channel-independent; compile once per position.
-    let prog_len: Vec<u64> = (0..positions)
+    // Program lengths are channel-independent, so one channel's sum over
+    // the positions is every channel's. Channel `c` runs on unit
+    // `c % units`: the busiest unit runs `ceil(channels / units)` of them.
+    let channels = i.channels as usize;
+    let per_channel: u64 = (0..positions)
         .map(|pos| {
             let oty_local = pos / i.out_tiles_x as usize;
             let otx = pos % i.out_tiles_x as usize;
             (crate::poolpad::compile_tile_program(i.op, i.out_row_start as usize + oty_local, otx).len() as u64)
                 .max(1)
         })
-        .collect();
-
-    let mut unit_work = vec![0u64; config.units];
-    for c in 0..i.channels as usize {
-        let bank = FmLayout::bank_of(c);
-        for (pos, &plen) in prog_len.iter().enumerate() {
-            unit_work[c % config.units] += plen;
-            counters.add("pool_microops", plen);
-            counters.add("ofm_tiles_written", 1);
-            if !functional {
-                continue;
+        .sum();
+    counters.add("pool_microops", channels as u64 * per_channel);
+    counters.add("ofm_tiles_written", (channels * positions) as u64);
+    if functional {
+        for c in 0..channels {
+            let bank = FmLayout::bank_of(c);
+            for pos in 0..positions {
+                let oty_local = pos / i.out_tiles_x as usize;
+                let otx = pos % i.out_tiles_x as usize;
+                let (tile, _) = run_tile_program(i.op, i.out_row_start as usize + oty_local, otx, |ty, tx| {
+                    let local_ty = ty - i.in_row_start as isize;
+                    if local_ty < 0 || tx < 0 || local_ty >= i.in_tile_rows as isize || tx >= i.in_tiles_x as isize {
+                        Tile::zero()
+                    } else {
+                        banks.peek(bank, layout.addr(c, local_ty as usize, tx as usize))
+                    }
+                });
+                let addr = i.out_base as usize + (c / AccelConfig::BANKS) * positions + pos;
+                banks.poke(bank, addr, tile);
             }
-            let oty_local = pos / i.out_tiles_x as usize;
-            let otx = pos % i.out_tiles_x as usize;
-            let (tile, _) = run_tile_program(i.op, i.out_row_start as usize + oty_local, otx, |ty, tx| {
-                let local_ty = ty - i.in_row_start as isize;
-                if local_ty < 0 || tx < 0 || local_ty >= i.in_tile_rows as isize || tx >= i.in_tiles_x as isize {
-                    Tile::zero()
-                } else {
-                    banks.peek(bank, layout.addr(c, local_ty as usize, tx as usize))
-                }
-            });
-            let addr = i.out_base as usize + (c / AccelConfig::BANKS) * positions + pos;
-            banks.poke(bank, addr, tile);
         }
     }
-    POOL_FIXED_CYCLES + unit_work.iter().copied().max().unwrap_or(0)
+    POOL_FIXED_CYCLES + channels.div_ceil(config.units) as u64 * per_channel
 }
 
 #[cfg(test)]
@@ -445,6 +442,74 @@ mod tests {
         let mut b = banks;
         let model = run_model(&cfg, &mut b, &scratch, &instrs).cycles;
         assert_cycles_close(model, sim, n);
+    }
+
+    /// The per-unit costing the one-pass [`conv_cost`] replaced, as its
+    /// oracle: unit by unit, every IFM filtered to its unit, and each
+    /// lane's count byte read again for steps and again for bubbles.
+    fn oracle_cost(config: &AccelConfig, i: &ConvInstr, weights: &GroupWeights<'_>) -> (u64, u64) {
+        let positions = i.ofm_tile_rows as u64 * i.ofm_tiles_x as u64;
+        let nnz = |ifm: usize| (0..weights.lanes()).map(move |l| weights.lane_tile(ifm, l).nnz() as u64);
+        let steps = |ifm: usize| nnz(ifm).max().unwrap_or(0);
+        let mut worst_unit = 0u64;
+        for s in 0..config.units {
+            let mut work = 0u64;
+            for ifm in (0..i.ifm_count as usize).filter(|c| c % config.units == s) {
+                if steps(ifm) == 0 {
+                    continue;
+                }
+                let wfetch = (weights.ifm_bytes(ifm) as u64).div_ceil(config.weight_bytes_per_cycle as u64);
+                work += 4u64.max(steps(ifm)).max(wfetch);
+            }
+            worst_unit = worst_unit.max(work + 1);
+        }
+        let bubbles = (0..i.ifm_count as usize).map(|ifm| nnz(ifm).map(|n| steps(ifm) - n).sum::<u64>()).sum();
+        (CONV_FIXED_CYCLES + positions * worst_unit, bubbles)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One pass over the IFMs costs a group exactly as the per-unit
+        /// oracle does, cycles and bubbles, for any unit count, lane
+        /// count, weight fetch width and sparsity (wholly zero IFMs
+        /// included).
+        #[test]
+        fn one_pass_cost_equals_the_per_unit_oracle(
+            units in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+            lanes in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8)],
+            fetch in prop_oneof![Just(1usize), Just(2), Just(3), Just(8), Just(16), Just(64)],
+            out_c in 1usize..12,
+            in_c in 1usize..20,
+            density in 0u64..=100,
+            seed in 0u64..1000,
+            rows in 1u16..4,
+            cols in 1u16..4,
+        ) {
+            let config = AccelConfig { units, lanes, weight_bytes_per_cycle: fetch, ..config() };
+            let qw = random_qw(out_c, in_c, seed, density);
+            for first in (0..out_c).step_by(lanes) {
+                let weights = GroupWeights::from_filters(&qw, first, lanes);
+                let i = ConvInstr {
+                    ofm_first: first as u16,
+                    ifm_count: in_c as u16,
+                    ifm_base: 0,
+                    ifm_tiles_x: cols + 1,
+                    ifm_tile_rows: rows + 1,
+                    ifm_row_offset: 0,
+                    ofm_base: 0,
+                    ofm_tiles_x: cols,
+                    ofm_tile_rows: rows,
+                    wgt_base: 0,
+                    bias: [0; 4],
+                    requant_mult: 1,
+                    requant_shift: 0,
+                    relu: false,
+                    active_lanes: lanes.min(out_c - first) as u8,
+                };
+                prop_assert_eq!(conv_cost(&config, &i, &weights), oracle_cost(&config, &i, &weights), "group at {}", first);
+            }
+        }
     }
 
     proptest! {

@@ -12,9 +12,24 @@
 
 use std::borrow::Cow;
 use zskip_nn::conv::QuantConvWeights;
-use zskip_quant::pack::{encode_tile, index_tiles, PackDecodeError, PackedTile};
+use zskip_nn::par::{scoped_map, Split};
+use zskip_quant::pack::{encode_tile, index_tiles, PackDecodeError, PackedTile, TILE_OFFSETS};
 use zskip_quant::Sm8;
 use zskip_tensor::{dydx_to_offset, offset_to_dydx, TILE_DIM, TILE_ELEMS};
+
+/// What one IFM of a group costs the lockstep lanes
+/// ([`GroupWeights::ifm_work`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IfmWork {
+    /// The slowest lane's non-zero count: the IFM's lockstep steps, zero
+    /// when every lane is empty and the IFM is skipped outright.
+    pub steps: usize,
+    /// Non-zero weights over all lanes; `steps * lanes - nnz` lane-slots
+    /// idle (pipeline bubbles).
+    pub nnz: usize,
+    /// Scratchpad bytes of the IFM's lane tiles.
+    pub bytes: usize,
+}
 
 /// Packed weights of one OFM group (up to `lanes` filters) over all IFMs:
 /// the group's scratchpad bytes and the byte offset of each
@@ -33,10 +48,17 @@ pub struct GroupWeights<'a> {
     index: Cow<'a, [u32]>,
 }
 
+/// Rough cost of encoding one weight tile (≈ 10 ns for a 3x3 kernel on
+/// a 2-vCPU AVX-512 Xeon, its index entry included).
+const NS_PER_PACKED_TILE: usize = 10;
+
 /// Packs `groups` consecutive OFM groups, from filter `ofm_first` on, into
 /// one scratchpad image (per group and IFM, one tile per lane; lanes past
 /// `out_c` pack as empty tiles) and its tile index. With `skip_zeros` off
 /// every slot of a real filter's tile is packed, zeros included.
+///
+/// A layer big enough to repay the threads is cut into runs of whole
+/// groups, one per host core, packed side by side and concatenated.
 ///
 /// # Panics
 /// Panics if the kernel does not fit a 4x4 weight tile (`k > 4`), or if
@@ -48,30 +70,91 @@ pub(crate) fn pack_groups(
     lanes: usize,
     skip_zeros: bool,
 ) -> (Vec<u8>, Vec<u32>) {
+    // A lone group is never worth a thread, so it does not ask the host
+    // for its core count (which allocates).
+    let run_len = match groups {
+        0 | 1 => 1,
+        _ => Split::auto().run_len(groups, qw.in_c * lanes * NS_PER_PACKED_TILE),
+    };
+    pack_group_runs(qw, ofm_first, groups, lanes, skip_zeros, run_len)
+}
+
+/// [`pack_groups`] cut into runs of `run_len` groups: each run encodes its
+/// own image and index on a thread of its own, then the pieces are
+/// appended in order, each piece's index rebased to where it lands.
+fn pack_group_runs(
+    qw: &QuantConvWeights,
+    ofm_first: usize,
+    groups: usize,
+    lanes: usize,
+    skip_zeros: bool,
+    run_len: usize,
+) -> (Vec<u8>, Vec<u32>) {
+    assert!(qw.k <= TILE_DIM, "kernel {k}x{k} does not fit a 4x4 weight tile", k = qw.k);
+    let encode = |first: usize, len: usize| encode_groups(qw, ofm_first + first * lanes, len, lanes, skip_zeros);
+    let (mut image, index) = if run_len >= groups {
+        encode(0, groups)
+    } else {
+        let runs = (0..groups).step_by(run_len).map(|first| (first, run_len.min(groups - first)));
+        let mut pieces = scoped_map(runs, |(first, len)| encode(first, len)).into_iter();
+        let (mut image, mut index) = pieces.next().expect("a layer with groups has a run");
+        for (part, part_index) in pieces {
+            let base = index.pop().expect("an index ends with the image's end");
+            u32::try_from(image.len() + part.len()).expect("packed weights stay under 4 GiB");
+            index.extend(part_index.iter().map(|&at| base + at));
+            image.extend_from_slice(&part);
+        }
+        (image, index)
+    };
+    image.shrink_to_fit();
+    debug_assert_eq!(index.last().map(|&end| end as usize), Some(image.len()));
+    (image, index)
+}
+
+/// Encodes `groups` OFM groups from filter `ofm_first` on: the image and
+/// its index, the end included. Every tile goes through [`encode_tile`]
+/// into an image sized for the densest packing, cut to length at the end.
+/// With `skip_zeros` a tile's slots are the filter's `k x k` taps; without,
+/// all 16 slots of the zero-padded weight tile, every one kept.
+fn encode_groups(
+    qw: &QuantConvWeights,
+    ofm_first: usize,
+    groups: usize,
+    lanes: usize,
+    skip_zeros: bool,
+) -> (Vec<u8>, Vec<u32>) {
     let k = qw.k;
-    assert!(k <= TILE_DIM, "kernel {k}x{k} does not fit a 4x4 weight tile");
+    // The scratchpad offset of each tap, in the filter's row-major order.
+    let taps: [u8; TILE_ELEMS] = std::array::from_fn(|i| if i < k * k { dydx_to_offset(i / k, i % k) } else { 0 });
+    let (offsets, slots) = if skip_zeros { (&taps[..k * k], k * k) } else { (&TILE_OFFSETS[..], TILE_ELEMS) };
     let tiles = groups * qw.in_c * lanes;
-    let mut image = Vec::with_capacity(tiles * (1 + 2 * k * k));
+    let mut image = vec![0u8; tiles * (1 + 2 * slots)];
     let mut index = Vec::with_capacity(tiles + 1);
-    let end = |image: &Vec<u8>| u32::try_from(image.len()).expect("packed weights stay under 4 GiB");
+    let mut at = 0;
     for first in (0..groups).map(|group| ofm_first + group * lanes) {
         for ifm in 0..qw.in_c {
             for o in first..first + lanes {
-                index.push(end(&image));
-                if o >= qw.out_c {
-                    encode_tile(&mut image, std::iter::empty());
+                index.push(at as u32);
+                let dense: [Sm8; TILE_ELEMS];
+                let values = if o >= qw.out_c {
+                    &[][..]
                 } else if skip_zeros {
-                    let taps = qw.filter(o, ifm).iter().enumerate().map(|(i, &v)| (dydx_to_offset(i / k, i % k), v));
-                    encode_tile(&mut image, taps.filter(|(_, v)| !v.is_zero()));
+                    qw.filter(o, ifm)
                 } else {
-                    let slot = |(dy, dx)| if dy < k && dx < k { qw.at(o, ifm, dy, dx) } else { Sm8::ZERO };
-                    encode_tile(&mut image, (0..TILE_ELEMS as u8).map(|offset| (offset, slot(offset_to_dydx(offset)))));
-                }
+                    let filter = qw.filter(o, ifm);
+                    dense = std::array::from_fn(|slot| {
+                        let (dy, dx) = offset_to_dydx(slot as u8);
+                        if dy < k && dx < k { filter[dy * k + dx] } else { Sm8::ZERO }
+                    });
+                    &dense[..]
+                };
+                at += encode_tile(&mut image[at..], offsets, values, !skip_zeros);
             }
         }
     }
-    index.push(end(&image));
-    image.shrink_to_fit();
+    // Every offset pushed above is at most the end, so one check covers them.
+    index.push(u32::try_from(at).expect("packed weights stay under 4 GiB"));
+    image.truncate(at);
     (image, index)
 }
 
@@ -138,13 +221,16 @@ impl<'a> GroupWeights<'a> {
     /// Lockstep steps for one IFM: the maximum lane non-zero count. Zero
     /// means every lane is empty and the IFM is skipped outright.
     pub fn steps(&self, ifm: usize) -> usize {
-        (0..self.lanes).map(|l| self.lane_tile(ifm, l).nnz()).max().unwrap_or(0)
+        self.ifm_work(ifm).steps
     }
 
-    /// Idle lane-slots (pipeline bubbles) for one IFM.
-    pub fn bubbles(&self, ifm: usize) -> usize {
-        let steps = self.steps(ifm);
-        (0..self.lanes).map(|l| steps - self.lane_tile(ifm, l).nnz()).sum()
+    /// One IFM's lockstep work, read off the tile index alone (a tile is
+    /// its count byte plus two bytes a weight).
+    pub fn ifm_work(&self, ifm: usize) -> IfmWork {
+        let starts = &self.index[ifm * self.lanes..=(ifm + 1) * self.lanes];
+        let steps = starts.windows(2).map(|t| (t[1] - t[0]) as usize / 2).max().unwrap_or(0);
+        let bytes = (starts[self.lanes] - starts[0]) as usize;
+        IfmWork { steps, nnz: (bytes - self.lanes) / 2, bytes }
     }
 
     /// Total packed weights across the group: every tile is its count
@@ -257,8 +343,8 @@ mod tests {
         let g = GroupWeights::from_filters(&qw, 0, 4);
         for ifm in 0..2 {
             let max = (0..4).map(|l| g.lane_tile(ifm, l).nnz()).max().unwrap();
-            assert_eq!(g.steps(ifm), max);
-            assert_eq!(g.bubbles(ifm), (0..4).map(|l| max - g.lane_tile(ifm, l).nnz()).sum::<usize>());
+            let nnz = (0..4).map(|l| g.lane_tile(ifm, l).nnz()).sum::<usize>();
+            assert_eq!(g.ifm_work(ifm), IfmWork { steps: max, nnz, bytes: g.ifm_bytes(ifm) });
         }
     }
 
@@ -345,11 +431,11 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// A random quantized layer over the kernel sizes residual blocks
-        /// use — including the 1x1 projection convs of skip branches,
+        /// A random quantized layer over every kernel size a weight tile
+        /// holds — including the 1x1 projection convs of skip branches,
         /// whose weight tiles occupy a single offset.
         fn layer_strategy() -> impl Strategy<Value = QuantConvWeights> {
-            (1usize..=9, 1usize..=6, prop_oneof![Just(1usize), Just(2), Just(3)], 0u64..10_000)
+            (1usize..=9, 1usize..=6, 1usize..=TILE_DIM, 0u64..10_000)
                 .prop_map(|(out_c, in_c, k, seed)| {
                     let w: Vec<Sm8> = (0..out_c * in_c * k * k)
                         .map(|i| {
@@ -426,6 +512,32 @@ mod tests {
                     let g = GroupWeights::from_filters_with_skipping(&qw, group * lanes, lanes, skip_zeros);
                     prop_assert_eq!(g.as_bytes(), &oracle_bytes(&qw, group * lanes, lanes, skip_zeros)[..], "group {}", group);
                 }
+            }
+
+            /// The layer packer against the tile-at-a-time oracle, group
+            /// by group: any lane count (dividing `out_c` or not), a first
+            /// filter past 0, skipping on and off, and the layer cut into
+            /// runs of every length — a split at every group boundary
+            /// included — as well as the host's own split. Image and
+            /// index both match.
+            #[test]
+            fn layer_packs_equal_the_oracle_at_every_split(
+                qw in layer_strategy(),
+                lanes in prop_oneof![Just(1usize), Just(2), Just(3), Just(4), Just(8)],
+                first in 0usize..9,
+                skip_zeros in proptest::bool::ANY,
+            ) {
+                let ofm_first = first % qw.out_c;
+                let groups = (qw.out_c - ofm_first).div_ceil(lanes);
+                let image: Vec<u8> =
+                    (0..groups).flat_map(|g| oracle_bytes(&qw, ofm_first + g * lanes, lanes, skip_zeros)).collect();
+                let index = index_tiles(&image, groups * qw.in_c * lanes).expect("the oracle's stream parses");
+                for run_len in 1..=groups {
+                    let packed = pack_group_runs(&qw, ofm_first, groups, lanes, skip_zeros, run_len);
+                    prop_assert_eq!(&packed.0, &image, "runs of {}", run_len);
+                    prop_assert_eq!(&packed.1, &index, "runs of {}", run_len);
+                }
+                prop_assert_eq!(pack_groups(&qw, ofm_first, groups, lanes, skip_zeros), (image, index));
             }
 
             /// Zero-skipping never changes what the tiles decode to — the

@@ -51,6 +51,7 @@ mod setup_oracle;
 pub mod simd;
 pub mod spec_io;
 pub mod vgg16;
+mod weight_quant;
 
 pub use eltwise::BnWeights;
 pub use layer::{LayerRef, LayerSpec, NetworkSpec};

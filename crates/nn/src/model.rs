@@ -20,6 +20,8 @@ use crate::par::{self, Split};
 use crate::plan::{ExecPlan, PlanStep};
 use crate::pool::{maxpool_f32, maxpool_quant_into};
 use crate::scratch::{slot_join, slot_pair, KernelBuffers, Scratch};
+use crate::simd;
+use crate::weight_quant;
 use std::convert::Infallible;
 use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer, Sm8};
 use zskip_tensor::Tensor;
@@ -427,24 +429,20 @@ impl Network {
 
 /// Rough cost of pruning one weight (count, select, sweep).
 const NS_PER_PRUNED_WEIGHT: usize = 3;
-/// Rough cost of scanning (≈ 1 ns) and rounding (≈ 4 ns) one weight to
-/// 8 bits.
-const NS_PER_QUANTIZED_WEIGHT: usize = 5;
-
 /// Max-abs 8-bit quantization of one layer's weights: the scale
 /// [`QuantParams::from_max_abs`] picks and the values
-/// [`QuantParams::quantize`] rounds to, with both passes cut into runs.
-/// `max` is exact and order-free, so the maximum of the per-run maxima is
-/// the serial scan's; rounding is per element.
+/// [`QuantParams::quantize`] rounds to, with both passes cut into runs and
+/// run by the kernel tier's body ([`weight_quant`]). `max` is exact and
+/// order-free, so the maximum of the per-run maxima is the serial scan's;
+/// rounding is per element.
 fn quantize_weights(w: &[f32], split: Split) -> (QuantParams, Vec<Sm8>) {
-    let run_len = split.run_len(w.len(), NS_PER_QUANTIZED_WEIGHT);
-    let maxima = par::scoped_map(w.chunks(run_len), |run| run.iter().fold(0f32, |m, &v| m.max(v.abs())));
+    let tier = simd::dispatch();
+    let run_len = split.run_len(w.len(), weight_quant::ns_per_weight(tier));
+    let maxima = par::scoped_map(w.chunks(run_len), |run| weight_quant::max_abs(tier, run));
     let params = QuantParams::from_max_abs(&maxima);
     let mut q = vec![Sm8::ZERO; w.len()];
     par::scoped_map(q.chunks_mut(run_len).zip(w.chunks(run_len)), |(q, w)| {
-        for (q, &v) in q.iter_mut().zip(w) {
-            *q = params.quantize(v);
-        }
+        weight_quant::quantize(tier, params, w, q)
     });
     (params, q)
 }

@@ -296,11 +296,12 @@ impl<T> SendPtr<T> {
 }
 
 /// How the model set-up (`Network::synthetic` / `quantize` and the float
-/// kernels under them) splits one job over scoped threads. Unlike the
-/// persistent [`ConvPool`] these jobs run a handful of times per process,
-/// so each spawns its threads and joins them before returning.
+/// kernels under them) and the accelerator's weight packer split one job
+/// over scoped threads. Unlike the persistent [`ConvPool`] these jobs run
+/// a handful of times per process, so each spawns its threads and joins
+/// them before returning.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Split {
+pub struct Split {
     workers: usize,
     /// Least work, in rough nanoseconds, worth a thread of its own.
     min_work: usize,
@@ -308,7 +309,7 @@ pub(crate) struct Split {
 
 impl Split {
     /// One run per host core, for jobs big enough to repay a thread spawn.
-    pub(crate) fn auto() -> Split {
+    pub fn auto() -> Split {
         Split { workers: ConvPool::auto_threads(), min_work: 1 << 18 }
     }
 
@@ -321,12 +322,12 @@ impl Split {
 
     /// How many contiguous runs to cut `items` items of about
     /// `ns_per_item` each into (at least 1, at most one per item).
-    pub(crate) fn runs(self, items: usize, ns_per_item: usize) -> usize {
+    pub fn runs(self, items: usize, ns_per_item: usize) -> usize {
         self.workers.min(items.saturating_mul(ns_per_item) / self.min_work).min(items).max(1)
     }
 
     /// Items per run: `items` cut into [`Split::runs`] near-equal runs.
-    pub(crate) fn run_len(self, items: usize, ns_per_item: usize) -> usize {
+    pub fn run_len(self, items: usize, ns_per_item: usize) -> usize {
         items.div_ceil(self.runs(items, ns_per_item)).max(1)
     }
 }
@@ -335,7 +336,7 @@ impl Split {
 /// on a scoped thread of its own — and returns the results in piece order.
 /// Pieces are disjoint borrows (`chunks_mut`, zipped `chunks`), so the
 /// split is safe code and every thread is joined before this returns.
-pub(crate) fn scoped_map<P: Send, R: Send>(
+pub fn scoped_map<P: Send, R: Send>(
     pieces: impl IntoIterator<Item = P>,
     f: impl Fn(P) -> R + Sync,
 ) -> Vec<R> {

@@ -33,43 +33,68 @@ pub struct PackedEntry {
     pub value: Sm8,
 }
 
-/// Appends one packed weight tile to a scratchpad stream: a count byte,
-/// then an `[offset, value-bits]` pair per entry. This is the stream the
-/// DMA writes and the data-staging unit unpacks at some entries/cycle
-/// bandwidth.
+/// Writes one packed weight tile at the head of `dst` — a count byte,
+/// then an `[offset, value-bits]` pair per kept slot — and returns its
+/// length in bytes. This is the stream the DMA writes and the
+/// data-staging unit unpacks at some entries/cycle bandwidth.
 ///
-/// The packer hands over a tile's non-zero weights in ascending offset
-/// order — or all 16 slots, zeros included, for the ablation baseline
-/// that spends a cycle on every weight slot.
+/// `values[i]` sits at intra-tile offset `offsets[i]` (`offsets` may run
+/// longer: an empty lane passes no values). The packer hands
+/// over a filter's taps in ascending offset order, and the zeros among
+/// them are dropped — or all 16 slots of the tile with `keep_zeros`, for
+/// the ablation baseline that spends a cycle on every weight slot.
+///
+/// The loop has no data-dependent branch: every slot's pair is written
+/// where the next kept pair goes, and the cursor moves past it only if it
+/// is kept. A dropped pair is overwritten by the next pair or tile, or
+/// lies past the end of the stream the caller cuts off. Offsets must be
+/// below 16 (checked in debug builds; the reader rejects the stream
+/// otherwise).
 ///
 /// # Panics
-/// Panics on more than 16 entries or an offset above 15 (a packer bug:
-/// the stream would not parse back).
-pub fn encode_tile(out: &mut Vec<u8>, entries: impl Iterator<Item = (u8, Sm8)>) {
-    let head = out.len();
-    out.push(0);
-    for (offset, value) in entries {
-        assert!((offset as usize) < TILE_ELEMS, "packed weight offset {offset} exceeds 15");
-        out.push(offset);
-        out.push(value.to_bits());
+/// Panics on more than 16 values, or if `dst` is shorter than
+/// `1 + 2 * values.len()` bytes.
+#[inline(always)]
+pub fn encode_tile(dst: &mut [u8], offsets: &[u8], values: &[Sm8], keep_zeros: bool) -> usize {
+    assert!(values.len() <= TILE_ELEMS, "packed tile count {} exceeds 16", values.len());
+    debug_assert!(offsets.len() >= values.len(), "every value needs an offset");
+    debug_assert!(offsets.iter().all(|&o| (o as usize) < TILE_ELEMS), "packed weight offsets exceed 15");
+    let dst = &mut dst[..1 + 2 * values.len()];
+    let mut at = 1;
+    for (&offset, &value) in offsets.iter().zip(values) {
+        dst[at] = offset;
+        dst[at + 1] = value.to_bits();
+        at += 2 * usize::from(keep_zeros | !value.is_zero());
     }
-    let count = (out.len() - head - 1) / 2;
-    assert!(count <= TILE_ELEMS, "packed tile count {count} exceeds 16");
-    out[head] = count as u8;
+    dst[0] = (at / 2) as u8;
+    at
 }
+
+/// Every intra-tile offset, in order: the `offsets` of a whole tile's
+/// slots for [`encode_tile`].
+pub const TILE_OFFSETS: [u8; TILE_ELEMS] = {
+    let mut offsets = [0; TILE_ELEMS];
+    let mut i = 0;
+    while i < TILE_ELEMS {
+        offsets[i] = i as u8;
+        i += 1;
+    }
+    offsets
+};
 
 /// One packed weight tile, borrowed from the scratchpad stream it lies in.
 ///
 /// # Example
 /// ```
-/// use zskip_quant::pack::{encode_tile, PackedTile};
+/// use zskip_quant::pack::{encode_tile, PackedTile, TILE_OFFSETS};
 /// use zskip_quant::Sm8;
 /// use zskip_tensor::Tile;
 /// let mut tile = Tile::<Sm8>::zero();
 /// tile[(1, 1)] = Sm8::from_i32_saturating(5);
 /// tile[(2, 3)] = Sm8::from_i32_saturating(-3);
-/// let mut stream = Vec::new();
-/// encode_tile(&mut stream, tile.iter_offsets().filter(|(_, v)| !v.is_zero()));
+/// let mut stream = [0; 33];
+/// let len = encode_tile(&mut stream, &TILE_OFFSETS, tile.as_array(), false);
+/// let stream = &stream[..len];
 /// let packed = PackedTile::parse(&stream).unwrap();
 /// assert_eq!(packed.nnz(), 2);
 /// assert_eq!(packed.byte_len(), stream.len());
@@ -206,11 +231,18 @@ mod tests {
         t
     }
 
+    /// The tile's slots packed into a fresh stream, zeros dropped unless
+    /// `keep_zeros`.
+    fn encode(tile: &Tile<Sm8>, keep_zeros: bool) -> Vec<u8> {
+        let mut out = vec![0; 1 + 2 * TILE_ELEMS];
+        let len = encode_tile(&mut out, &TILE_OFFSETS, tile.as_array(), keep_zeros);
+        out.truncate(len);
+        out
+    }
+
     /// The tile's non-zero weights packed into a fresh stream.
     fn pack(tile: &Tile<Sm8>) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_tile(&mut out, tile.iter_offsets().filter(|(_, v)| !v.is_zero()));
-        out
+        encode(tile, false)
     }
 
     /// The owned form of one tile — the oracle the byte view is held to.
@@ -243,8 +275,7 @@ mod tests {
     #[test]
     fn dense_packing_keeps_every_slot() {
         let t = tile_from_i32([1, 0, -2, 0, 3, 0, -4, 0, 5, 0, -6, 0, 7, 0, -8, 0]);
-        let mut stream = Vec::new();
-        encode_tile(&mut stream, t.iter_offsets());
+        let stream = encode(&t, true);
         let p = PackedTile::parse(&stream).unwrap();
         assert_eq!((p.nnz(), p.byte_len()), (16, 33));
         assert_eq!(p.unpack(), t);
@@ -262,7 +293,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds 16")]
     fn encoder_rejects_a_seventeenth_entry() {
-        encode_tile(&mut Vec::new(), (0..17).map(|_| (0, Sm8::ZERO)));
+        encode_tile(&mut [0; 40], &[0; 17], &[Sm8::ZERO; 17], true);
     }
 
     #[test]

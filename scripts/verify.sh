@@ -51,8 +51,11 @@ ZSKIP_KERNEL=scalar cargo test -q -p zskip-nn --lib --test kernel_tiers
 # `logf` / `cosf` against the host's libm on all 2²⁴ `u1` and angles, and
 # the AVX-512 kernel's lanes against the scalar on the same domains. The
 # kernel's check is ignored in debug (intrinsics uninlined: ≈ 9 s); in
-# release all of them take under a second.
-cargo test -q --release -p zskip-nn --lib boxmuller -- --include-ignored
+# release all of them take under a second. Beside them the weight
+# quantizer's: the AVX-512 kernel against `QuantParams::quantize` on all
+# 2³² `f32` bit patterns at three scales (≈ 35 s on two cores, the scalar
+# oracle's share most of it).
+cargo test -q --release -p zskip-nn --lib -- --include-ignored boxmuller weight_quant
 
 # ... and every tier must carry a whole network: CI's matrix drives
 # `native` and `scalar` only, so without this the SSE2 and AVX2 bodies are
