@@ -10,7 +10,10 @@
 //! 4. packed-weight fetch bandwidth (the deep-layer unpack overhead).
 
 use zskip_bench::{make_conv_layer, write_artifacts};
-use zskip_core::{AccelConfig, Driver, SocHandle};
+use zskip_core::{AccelConfig, PassStats, Session, SessionBuilder, SocHandle};
+use zskip_nn::conv::QuantConvWeights;
+use zskip_quant::Sm8;
+use zskip_tensor::{Shape, TiledFeatureMap};
 use zskip_hls::AccelArch;
 use zskip_json::{Json, ToJson};
 
@@ -37,11 +40,26 @@ impl ToJson for Ablations {
     }
 }
 
-fn driver(bank_tiles: usize, weight_bw: usize) -> Driver {
+fn config(bank_tiles: usize, weight_bw: usize) -> AccelConfig {
     let cfg = AccelConfig::from_arch(&AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles }, 100.0);
-    let mut d = Driver::builder(AccelConfig { weight_bytes_per_cycle: weight_bw, ..cfg }).functional(false).build().unwrap();
-    d.functional = false;
-    d
+    AccelConfig { weight_bytes_per_cycle: weight_bw, ..cfg }
+}
+
+/// A stats-only model session on [`config`].
+fn stats_only(bank_tiles: usize, weight_bw: usize) -> SessionBuilder {
+    Session::builder(config(bank_tiles, weight_bw)).functional(false)
+}
+
+/// One conv pass of `qw` over `input` on a session from `builder`.
+fn conv(
+    builder: SessionBuilder,
+    name: &str,
+    input: &TiledFeatureMap<Sm8>,
+    qw: &QuantConvWeights,
+    out_shape: Shape,
+) -> PassStats {
+    let session = builder.build().unwrap();
+    session.driver().conv_pass(name, input, qw, out_shape, &mut SocHandle::new()).unwrap().1
 }
 
 fn main() {
@@ -53,12 +71,8 @@ fn main() {
     text.push_str("  density   with-skip      no-skip   speedup   (upper bound 16/4 = 4x at density->0)\n");
     for density in [1.0, 0.75, 0.5, 0.35, 0.25, 0.1, 0.05] {
         let (qw, input, out_shape) = make_conv_layer(64, 64, 56, density, 42);
-        let mut skip = driver(32768, 16);
-        skip.zero_skipping = true;
-        let mut noskip = skip.clone();
-        noskip.zero_skipping = false;
-        let a = skip.conv_pass("skip", &input, &qw, out_shape, &mut SocHandle::new()).unwrap().1;
-        let b = noskip.conv_pass("noskip", &input, &qw, out_shape, &mut SocHandle::new()).unwrap().1;
+        let a = conv(stats_only(32768, 16), "skip", &input, &qw, out_shape);
+        let b = conv(stats_only(32768, 16).zero_skipping(false), "noskip", &input, &qw, out_shape);
         let speedup = b.compute_cycles as f64 / a.compute_cycles as f64;
         text.push_str(&format!(
             "  {:>7.2} {:>11} {:>12} {:>8.2}x\n",
@@ -78,16 +92,14 @@ fn main() {
                 let per = 64 * 9;
                 for i in 0..per {
                     if (i * 31 + o) % 10 != 0 {
-                        qw.w[o * per + i] = zskip_quant::Sm8::ZERO;
+                        qw.w[o * per + i] = Sm8::ZERO;
                     }
                 }
             }
         }
         qw.invalidate_caches();
         for (label, grouping) in [("lockstep (paper baseline)", false), ("grouped by nnz (future work)", true)] {
-            let mut d = driver(32768, 16);
-            d.filter_grouping = grouping;
-            let stats = d.conv_pass("g", &input, &qw, out_shape, &mut SocHandle::new()).unwrap().1;
+            let stats = conv(stats_only(32768, 16).filter_grouping(grouping), "g", &input, &qw, out_shape);
             text.push_str(&format!("  {:<30} {:>10} cycles\n", label, stats.compute_cycles));
             out.grouping.push((label.to_string(), stats.compute_cycles));
         }
@@ -98,8 +110,7 @@ fn main() {
     text.push_str("  bank tiles   striping factor   compute cycles\n");
     for bank_tiles in [32768usize, 16384, 8192, 4096, 3000] {
         let (qw, input, out_shape) = make_conv_layer(128, 128, 112, 1.0, 3);
-        let d = driver(bank_tiles, 16);
-        let stats = d.conv_pass("s", &input, &qw, out_shape, &mut SocHandle::new()).unwrap().1;
+        let stats = conv(stats_only(bank_tiles, 16), "s", &input, &qw, out_shape);
         text.push_str(&format!(
             "  {:>10} {:>17.3} {:>16}\n",
             bank_tiles, stats.striping_factor, stats.compute_cycles
@@ -112,8 +123,7 @@ fn main() {
     text.push_str("  bytes/cycle   compute cycles\n");
     for bw in [2usize, 4, 8, 16, 32] {
         let (qw, input, out_shape) = make_conv_layer(512, 512, 16, 1.0, 9);
-        let d = driver(32768, bw);
-        let stats = d.conv_pass("w", &input, &qw, out_shape, &mut SocHandle::new()).unwrap().1;
+        let stats = conv(stats_only(32768, bw), "w", &input, &qw, out_shape);
         text.push_str(&format!("  {:>11} {:>16}\n", bw, stats.compute_cycles));
         out.weight_bandwidth.push((bw, stats.compute_cycles));
     }
@@ -141,16 +151,14 @@ fn main() {
     text.push_str("  depth   cycles\n");
     {
         use zskip_core::{cycle, BankSet, ConvInstr, FmLayout, GroupWeights, Instruction};
-        use zskip_quant::Sm8;
-        use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
+        use zskip_tensor::Tensor;
         let (qw, _, _) = make_conv_layer(8, 8, 16, 0.6, 4);
         let input = Tensor::from_fn(8, 16, 16, |c, y, x| {
             Sm8::from_i32_saturating(((c * 31 + y * 7 + x) % 200) as i32 - 100)
         })
         .padded(1);
         for depth in [1usize, 2, 4, 8, 16] {
-            let base = driver(32768, 16).config;
-            let cfg = zskip_core::AccelConfig { fifo_depth: depth, bank_tiles: 4096, ..base };
+            let cfg = AccelConfig { fifo_depth: depth, ..config(4096, 16) };
             let tiled = TiledFeatureMap::from_tensor(&input);
             let in_layout = FmLayout::full(0, input.shape());
             let out_layout = FmLayout::full(in_layout.end(), Shape::new(8, 16, 16));

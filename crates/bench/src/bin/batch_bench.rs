@@ -49,8 +49,7 @@ use std::time::{Duration, Instant};
 
 use zskip_bench::write_bench_artifacts;
 use zskip_core::{
-    run_batch, run_sharded, AccelConfig, BackendKind, CostModel, Driver, Placement, ServeEngine,
-    ServeReply, Session,
+    AccelConfig, BackendKind, CostModel, Placement, ServeEngine, ServeReply, Session,
 };
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
@@ -242,23 +241,23 @@ fn resnet18_workload(images: usize) -> (Arc<QuantizedNetwork>, Vec<Tensor<f32>>)
     workload(spec, density, images)
 }
 
-fn cpu_driver() -> Driver {
-    Driver::builder(AccelConfig::for_variant(Variant::U256Opt)).backend(BackendKind::Cpu).build().expect("valid config")
+fn cpu_session() -> Session {
+    Session::builder(AccelConfig::for_variant(Variant::U256Opt)).backend(BackendKind::Cpu).build().expect("valid config")
 }
 
 fn bench_batch(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>]) -> BatchResult {
     let images = inputs.len();
-    let driver = cpu_driver();
+    let session = cpu_session();
     // Weight packing and the stats memo are first-image costs of the
     // process, not of either engine.
-    driver.run_network(qnet, &inputs[0]).expect("fits");
+    session.infer(qnet, &inputs[0]).expect("fits");
 
     let t0 = Instant::now();
-    let report = run_batch(&driver, qnet, inputs, 0).expect("fits");
+    let report = session.run_batch(qnet, inputs).expect("fits");
     let wall_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let sequential: Vec<_> = inputs.iter().map(|i| driver.run_network(qnet, i).expect("fits")).collect();
+    let sequential: Vec<_> = inputs.iter().map(|i| session.infer(qnet, i).expect("fits")).collect();
     let sequential_wall_s = t0.elapsed().as_secs_f64();
     for (par, seq) in report.reports.iter().zip(&sequential) {
         assert_eq!(par.output, seq.output, "batch must be bit-identical to sequential");
@@ -353,19 +352,21 @@ fn bench_serve(
 /// the simulated-time scaling. Everything here is deterministic: makespan
 /// is simulated cycles at the cost model's clock, not host wall time.
 fn bench_sharding(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>]) -> ShardingResult {
-    let shard_driver = |n: usize| {
-        Driver::builder(AccelConfig::for_variant_instances(Variant::U256Opt, n))
+    let sharded = |n: usize, placement: Placement, inputs: &[Tensor<f32>]| {
+        let session = Session::builder(AccelConfig::for_variant_instances(Variant::U256Opt, n))
             .backend(BackendKind::Model)
+            .placement(placement)
             .build()
-            .expect("valid config")
+            .expect("valid config");
+        let report = session.run_sharded(qnet, inputs).expect("fits");
+        (report, session.driver().config)
     };
     let mut image_points = Vec::new();
     let mut one_images_per_s = 0.0f64;
     for n in [1usize, 2, 4, 8] {
         let cost = CostModel::for_instances(Variant::U256Opt, n);
-        let driver = shard_driver(n);
-        let report = run_sharded(&driver, qnet, inputs, Placement::Image).expect("fits");
-        let sim_images_per_s = report.images_per_s(&driver.config);
+        let (report, config) = sharded(n, Placement::Image, inputs);
+        let sim_images_per_s = report.images_per_s(&config);
         if n == 1 {
             one_images_per_s = sim_images_per_s;
         }
@@ -384,11 +385,10 @@ fn bench_sharding(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>]) -> ShardingRe
     let scaling_at_4 =
         image_points.iter().find(|p| p.instances == 4).map(|p| p.scaling).unwrap_or(0.0);
 
-    let four = shard_driver(4);
     let single = &inputs[..1];
-    let image_lat = run_sharded(&four, qnet, single, Placement::Image).expect("fits");
-    let pipe_lat = run_sharded(&four, qnet, single, Placement::Pipeline).expect("fits");
-    let pipe_batch = run_sharded(&four, qnet, inputs, Placement::Pipeline).expect("fits");
+    let (image_lat, _) = sharded(4, Placement::Image, single);
+    let (pipe_lat, _) = sharded(4, Placement::Pipeline, single);
+    let (pipe_batch, _) = sharded(4, Placement::Pipeline, inputs);
 
     ShardingResult {
         image_points,
@@ -433,18 +433,18 @@ fn sharding_gate(s: &ShardingResult) -> Vec<String> {
 fn check() -> ! {
     // A burst the default queue depth (64) admits whole.
     let (qnet, inputs) = resnet18_workload(48);
-    let driver = cpu_driver();
+    let session = cpu_session();
     // Warm the shared packed-weight cache and the stats memo so neither
     // side pays them, then interleave ten rounds per side and compare
     // best against best: a round is ~0.1 s, and single rounds on a loaded
     // box swing far more than the 0.9 margin.
-    driver.run_network(&qnet, &inputs[0]).expect("fits");
+    session.infer(&qnet, &inputs[0]).expect("fits");
 
     let mut raw_wall_s = f64::INFINITY;
     let mut point: Option<ServePoint> = None;
     for _ in 0..10 {
         let t0 = Instant::now();
-        run_batch(&driver, &qnet, &inputs, 0).expect("fits");
+        session.run_batch(&qnet, &inputs).expect("fits");
         raw_wall_s = raw_wall_s.min(t0.elapsed().as_secs_f64());
         let p = serve_point(&qnet, &inputs, inputs.len(), f64::INFINITY);
         if point.as_ref().is_none_or(|best| p.images_per_s > best.images_per_s) {

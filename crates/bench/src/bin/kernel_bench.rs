@@ -16,7 +16,7 @@
 //!   warm-up, counted by a counting global allocator. Steady state must
 //!   be zero.
 //! * **Driver backends**: end-to-end images/s through
-//!   `Driver::run_network_scratch` on the scaled VGG-16 spec, per
+//!   `Session::infer_scratch` on the scaled VGG-16 spec, per
 //!   execution backend (model vs cpu). The cpu backend replaces the
 //!   transaction model's per-tile functional sweep with the SIMD `_into`
 //!   kernels and replays its memoized statistics on warm images, so it
@@ -49,8 +49,7 @@ use std::time::Instant;
 
 use zskip_bench::{make_conv_layer, write_bench_artifacts};
 use zskip_core::config::AccelConfig;
-use zskip_core::driver::{BackendKind, Driver};
-use zskip_core::weight_cache_stats;
+use zskip_core::{weight_cache_stats, BackendKind, Session};
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
 use zskip_nn::eval::synthetic_inputs;
@@ -468,19 +467,19 @@ fn vgg_workload(hw: usize) -> (QuantizedNetwork, Vec<Tensor<f32>>, AccelConfig) 
     (qnet, inputs, AccelConfig::for_variant(Variant::U256Opt))
 }
 
-/// Best-of-5 ms/image of `driver` over `inputs` on a warmed scratch,
+/// Best-of-5 ms/image of `session` over `inputs` on a warmed scratch,
 /// returning the warm-up image's output for bit-identity checks.
 fn drive_ms_per_image(
-    driver: &Driver,
+    session: &Session,
     qnet: &QuantizedNetwork,
     inputs: &[Tensor<f32>],
 ) -> (f64, Vec<Sm8>) {
     let mut scratch = Scratch::new();
     // Warm-up image: grows the arena, the worker pool and the caches.
-    let out = driver.run_network_scratch(qnet, &inputs[0], &mut scratch).expect("runs").output;
+    let out = session.infer_scratch(qnet, &inputs[0], &mut scratch).expect("runs").output;
     let (s, ()) = time_best(|| {
         for input in inputs {
-            driver.run_network_scratch(qnet, input, &mut scratch).expect("runs");
+            session.infer_scratch(qnet, input, &mut scratch).expect("runs");
         }
     });
     (s * 1e3 / inputs.len() as f64, out)
@@ -494,8 +493,8 @@ fn bench_cpu_backend(
     let mut backends = Vec::new();
     let mut golden: Option<Vec<Sm8>> = None;
     for backend in [BackendKind::Model, BackendKind::Cpu] {
-        let driver = Driver::builder(config).backend(backend).build().unwrap();
-        let (ms_per_image, out) = drive_ms_per_image(&driver, qnet, inputs);
+        let session = Session::builder(config).backend(backend).build().unwrap();
+        let (ms_per_image, out) = drive_ms_per_image(&session, qnet, inputs);
         match &golden {
             None => golden = Some(out),
             Some(g) => assert_eq!(g, &out, "{backend}: backend diverged from model"),
@@ -526,12 +525,12 @@ fn bench_intra_image(
             timings.push(WorkerTiming { workers, ms_per_image: None });
             continue;
         }
-        let driver = Driver::builder(config)
+        let session = Session::builder(config)
             .backend(BackendKind::Cpu)
             .threads(workers)
             .build()
             .expect("valid config");
-        let (ms_per_image, out) = drive_ms_per_image(&driver, qnet, inputs);
+        let (ms_per_image, out) = drive_ms_per_image(&session, qnet, inputs);
         match &golden {
             None => golden = Some(out),
             Some(g) => assert_eq!(g, &out, "{workers} workers: output diverged from 1 worker"),

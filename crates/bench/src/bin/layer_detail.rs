@@ -4,7 +4,7 @@
 //! layer-resolved data they summarize).
 
 use zskip_bench::{build_vgg16, sweep_point_from_report, ModelKind};
-use zskip_core::{AccelConfig, Driver};
+use zskip_core::{AccelConfig, Session};
 use zskip_hls::Variant;
 use zskip_perf::RooflineMachine;
 use zskip_tensor::Tensor;
@@ -14,8 +14,8 @@ fn main() {
         let qnet = build_vgg16(kind);
         for variant in [Variant::U256Opt, Variant::U512Opt] {
             let config = AccelConfig::for_variant(variant);
-            let report = Driver::builder(config).functional(false).build().unwrap()
-                .run_network(&qnet, &Tensor::<f32>::zeros(3, 224, 224))
+            let report = Session::builder(config).functional(false).build().unwrap()
+                .infer(&qnet, &Tensor::<f32>::zeros(3, 224, 224))
                 .expect("VGG-16 fits");
             let p = sweep_point_from_report(variant, kind, &config, &report);
             let machine = RooflineMachine::new(config.macs_per_cycle(), config.clock_mhz, 32);

@@ -37,9 +37,9 @@ fn main() {
     for variant in [Variant::U256Opt, Variant::U512Opt] {
         let synth = variant.synthesize();
         let config = zskip_core::AccelConfig::for_variant(variant);
-        let driver = zskip_core::Driver::builder(config).functional(false).build().unwrap();
+        let session = zskip_core::Session::builder(config).functional(false).build().unwrap();
         let input = zskip_tensor::Tensor::<f32>::zeros(3, 224, 224);
-        let report = driver.run_network(&qnet, &input).expect("VGG-16 fits");
+        let report = session.infer(&qnet, &input).expect("VGG-16 fits");
         let sweep = zskip_bench::sweep_point_from_report(variant, ModelKind::Pruned, &config, &report);
         // Peak power: worst-case layer keeps every MAC slot switching.
         // Average power: the run's measured MAC-array activity.

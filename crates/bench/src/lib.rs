@@ -11,7 +11,7 @@
 //!   written to `experiments/` as text and JSON.
 
 use zskip_json::{Json, ToJson};
-use zskip_core::{AccelConfig, Driver, InferenceReport};
+use zskip_core::{AccelConfig, InferenceReport, Session};
 use zskip_hls::Variant;
 use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
 use zskip_nn::vgg16_spec;
@@ -212,10 +212,10 @@ impl SweepPoint {
 /// backend (cycle counts are value-independent).
 pub fn run_sweep_point(variant: Variant, kind: ModelKind, qnet: &QuantizedNetwork) -> SweepPoint {
     let config = AccelConfig::for_variant(variant);
-    let driver =
-        Driver::builder(config).functional(false).build().expect("sweep config is valid");
+    let session =
+        Session::builder(config).functional(false).build().expect("sweep config is valid");
     let input = Tensor::<f32>::zeros(3, 224, 224);
-    let report = driver.run_network(qnet, &input).expect("VGG-16 fits the planner");
+    let report = session.infer(qnet, &input).expect("VGG-16 fits the planner");
     sweep_point_from_report(variant, kind, &config, &report)
 }
 

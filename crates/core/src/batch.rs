@@ -8,15 +8,16 @@
 //! worker owns a warm [`Scratch`] arena for its whole life and pulls **one
 //! job at a time** — an idle worker wakes on a push and starts at once,
 //! and hands the outcome back the moment its own image is done, never
-//! waiting for a neighbour's. [`run_batch_resilient`] runs the loop over a
-//! queue filled up front (the caller is worker 0, the others are scoped
-//! threads borrowing its inputs);
+//! waiting for a neighbour's.
+//! [`Session::run_batch_resilient`](crate::session::Session::run_batch_resilient)
+//! runs the loop over a queue filled up front (the caller is worker 0,
+//! the others are scoped threads borrowing its inputs);
 //! [`ServeEngine`](crate::serve::ServeEngine) keeps its workers and their
 //! arenas alive between requests.
 //!
 //! Determinism: a job runs alone on one arena, every job is tagged with
 //! its input index and results are reassembled in submission order, so the
-//! batch output is bit-identical to running [`Driver::run_network`]
+//! batch output is bit-identical to running [`Session::infer`](crate::session::Session::infer)
 //! sequentially over the same inputs — regardless of worker count or of
 //! which worker took which job. A property test in this module pins that
 //! equivalence.
@@ -55,7 +56,8 @@ impl BatchReport {
     }
 }
 
-/// Retry policy for [`run_batch_resilient`].
+/// Retry policy for
+/// [`Session::run_batch_resilient`](crate::session::Session::run_batch_resilient).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts per input (minimum 1; 1 disables retries).
@@ -101,8 +103,10 @@ pub struct BatchItemReport {
     pub result: Result<InferenceReport, DriverError>,
 }
 
-/// Report of a [`run_batch_resilient`] run: per-item outcomes in
-/// submission order plus the same pool telemetry as [`BatchReport`].
+/// Report of a
+/// [`Session::run_batch_resilient`](crate::session::Session::run_batch_resilient)
+/// run: per-item outcomes in submission order plus the same pool
+/// telemetry as [`BatchReport`].
 /// A failing input never aborts the batch — the other inputs complete.
 #[derive(Debug)]
 pub struct ResilientBatchReport {
@@ -114,7 +118,7 @@ pub struct ResilientBatchReport {
     pub per_worker_jobs: Vec<usize>,
     /// Always 0: workers share one queue, so there is nothing to steal.
     /// Read by the frozen `benchmark/` harness (`core.batch.steals`);
-    /// goes when that probe does (ROADMAP item 7).
+    /// goes when that probe does (ROADMAP item 1).
     pub steals: u64,
 }
 
@@ -310,7 +314,7 @@ fn run_job(
 /// # Errors
 /// The failing input's [`DriverError`] — with several failures, the one
 /// with the lowest input index, so the error is deterministic too.
-pub fn run_batch(
+pub(crate) fn run_batch(
     driver: &Driver,
     qnet: &QuantizedNetwork,
     inputs: &[Tensor<f32>],
@@ -328,9 +332,9 @@ pub fn run_batch(
 /// itself: every input gets up to [`RetryPolicy::max_attempts`] tries and
 /// the report carries a per-item `Result` in submission order instead of
 /// aborting. Successful items are bit-identical to a sequential
-/// [`Driver::run_network`] run, regardless of worker count or failures
+/// [`Session::infer`](crate::session::Session::infer) run, regardless of worker count or failures
 /// elsewhere in the batch.
-pub fn run_batch_resilient(
+pub(crate) fn run_batch_resilient(
     driver: &Driver,
     qnet: &QuantizedNetwork,
     inputs: &[Tensor<f32>],
@@ -366,6 +370,7 @@ mod tests {
     use super::*;
     use crate::config::AccelConfig;
     use crate::driver::BackendKind;
+    use crate::session::{Session, SessionBuilder};
     use proptest::prelude::*;
     use zskip_hls::Variant;
     use zskip_nn::eval::synthetic_inputs;
@@ -373,7 +378,15 @@ mod tests {
     use zskip_quant::DensityProfile;
 
     fn driver(cfg: AccelConfig, backend: BackendKind) -> Driver {
-        Driver::builder(cfg).backend(backend).build().expect("test config is valid")
+        build(Session::builder(cfg).backend(backend))
+    }
+
+    fn build(builder: SessionBuilder) -> Driver {
+        builder.build().expect("test config is valid").driver().clone()
+    }
+
+    fn run_one(driver: &Driver, qnet: &QuantizedNetwork, input: &Tensor<f32>) -> Result<InferenceReport, DriverError> {
+        driver.run_network_scratch(qnet, input, &mut Scratch::new())
     }
 
     fn small_qnet(hw: usize) -> QuantizedNetwork {
@@ -436,7 +449,7 @@ mod tests {
         broken.conv[0].weights.w.truncate(1);
         let inputs = synthetic_inputs(13, 3, good.spec.input);
         let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Cpu);
-        let want = driver.run_network(&good, &inputs[0]).expect("runs");
+        let want = run_one(&driver, &good, &inputs[0]).expect("runs");
 
         // One arena across a good image, a panic, and a good image again.
         let mut scratch = Scratch::new();
@@ -466,7 +479,7 @@ mod tests {
         assert_eq!(resilient.succeeded(), 5);
         assert_eq!(resilient.retries(), 0);
         for (item, input) in resilient.items.iter().zip(&inputs) {
-            let want = driver.run_network(&qnet, input).expect("sequential run");
+            let want = run_one(&driver, &qnet, input).expect("sequential run");
             let got = item.result.as_ref().expect("fault-free item succeeds");
             assert_eq!(got.output, want.output);
             assert_eq!(item.attempts, 1);
@@ -489,7 +502,7 @@ mod tests {
         // absorbs it (whichever reaches descriptor 3 first) and recovers
         // on retry because the fault is consumed.
         let plan = FaultPlan::new().inject("dma:xfer", 3, FaultKind::DmaCorrupt { xor: 0x40 }).shared();
-        let driver = Driver::builder(cfg).fault_plan(plan).build().expect("valid config");
+        let driver = build(Session::builder(cfg).fault_plan(plan));
         let report = run_batch_resilient(&driver, &qnet, &inputs, 2, RetryPolicy::default());
 
         assert_eq!(report.succeeded(), 4, "all items complete: {:?}", report.failures());
@@ -512,7 +525,7 @@ mod tests {
             .expect("fault-free reference");
 
         let plan = FaultPlan::new().inject("dma:xfer", 3, FaultKind::DmaTruncate { tiles: 0 }).shared();
-        let driver = Driver::builder(cfg).fault_plan(plan).build().expect("valid config");
+        let driver = build(Session::builder(cfg).fault_plan(plan));
         let report = run_batch_resilient(&driver, &qnet, &inputs, 2, RetryPolicy::none());
 
         assert_eq!(report.succeeded(), 3, "one poisoned item of 4");
@@ -545,7 +558,7 @@ mod tests {
             plan = plan.inject("dma:xfer", at, FaultKind::DmaCorrupt { xor: 0x40 });
         }
         let plan = plan.shared();
-        let driver = Driver::builder(cfg).fault_plan(plan.clone()).build().expect("valid config");
+        let driver = build(Session::builder(cfg).fault_plan(plan.clone()));
         let report = run_batch_resilient(&driver, &qnet, &inputs, 1, policy);
 
         assert_eq!(report.succeeded(), 0, "the hot site must exhaust every retry");
@@ -580,7 +593,7 @@ mod tests {
         for _ in 0..policy.max_attempts {
             plan = plan.inject("dma:xfer", 0, FaultKind::DmaCorrupt { xor: 0x40 });
         }
-        let driver = Driver::builder(cfg).fault_plan(plan.shared()).build().expect("valid config");
+        let driver = build(Session::builder(cfg).fault_plan(plan.shared()));
         let report = run_batch_resilient(&driver, &qnet, &inputs, 1, policy);
 
         let item = &report.items[0];
@@ -616,10 +629,10 @@ mod tests {
             good[1].clone(),
             Tensor::zeros(2, 8, 1600),
         ];
-        let first = driver.run_network(&qnet, &inputs[1]).expect_err("input 1 overflows the banks");
-        let later = driver.run_network(&qnet, &inputs[3]).expect_err("input 3 overflows the banks");
+        let first = run_one(&driver, &qnet, &inputs[1]).expect_err("input 1 overflows the banks");
+        let later = run_one(&driver, &qnet, &inputs[3]).expect_err("input 3 overflows the banks");
         assert_ne!(first, later, "the two failures must be distinguishable");
-        driver.run_network(&qnet, &inputs[0]).expect("input 0 fits");
+        run_one(&driver, &qnet, &inputs[0]).expect("input 0 fits");
 
         for workers in [1, 4] {
             let err = run_batch(&driver, &qnet, &inputs, workers).expect_err("two inputs fail");
@@ -665,8 +678,7 @@ mod tests {
         let cfg = AccelConfig::for_variant(Variant::U256Opt);
         let model = run_batch(&driver(cfg, BackendKind::Model), &qnet, &inputs, 1)
             .expect("model batch runs");
-        let mt_driver =
-            Driver::builder(cfg).backend(BackendKind::Cpu).threads(3).build().expect("valid config");
+        let mt_driver = build(Session::builder(cfg).backend(BackendKind::Cpu).threads(3));
         let mt = run_batch(&mt_driver, &qnet, &inputs, 2).expect("mt cpu batch runs");
         assert_eq!(mt.reports.len(), model.reports.len());
         for (m, c) in model.reports.iter().zip(&mt.reports) {
@@ -707,7 +719,7 @@ mod tests {
             let inputs = synthetic_inputs(seed, batch, qnet.spec.input);
             let parallel = run_batch(&driver, &qnet, &inputs, workers).expect("batch runs");
             for (input, got) in inputs.iter().zip(&parallel.reports) {
-                let want = driver.run_network(&qnet, input).expect("sequential runs");
+                let want = run_one(&driver, &qnet, input).expect("sequential runs");
                 prop_assert_eq!(&got.output, &want.output);
                 prop_assert_eq!(got.total_cycles, want.total_cycles);
                 prop_assert_eq!(got.ddr_bytes, want.ddr_bytes);

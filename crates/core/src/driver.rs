@@ -65,13 +65,14 @@ pub struct Driver {
     /// Intra-image worker count (resolved — never 0; 1 means
     /// single-threaded): the cpu backend's conv panels, the cycle
     /// backend's per-instruction engine runs. See
-    /// [`DriverBuilder::threads`].
+    /// [`SessionBuilder::threads`](crate::session::SessionBuilder::threads).
     pub threads: usize,
     /// SIMD kernel tier this session's forward passes run with (resolved
-    /// — always host-supported). See [`DriverBuilder::kernel`].
+    /// — always host-supported). See
+    /// [`SessionBuilder::kernel`](crate::session::SessionBuilder::kernel).
     pub kernel_tier: KernelTier,
     /// Fault plan threaded into the SoC models and the cycle backend.
-    fault_plan: Option<SharedFaultPlan>,
+    pub(crate) fault_plan: Option<SharedFaultPlan>,
 }
 
 /// Driver-level failure.
@@ -101,7 +102,9 @@ pub enum DriverError {
     },
     /// The network spec is inconsistent (shape propagation failed).
     InvalidNetwork(String),
-    /// The driver configuration is invalid (see [`DriverBuilder::build`]).
+    /// The driver configuration is invalid: an explicit stripe placement
+    /// cannot occupy every instance (see
+    /// [`Session::run_sharded`](crate::session::Session::run_sharded)).
     InvalidConfig(String),
     /// The image panicked on its worker (a bug in this program, or an
     /// input no caller validated); the worker loop caught it — see
@@ -164,218 +167,15 @@ impl From<DmaError> for DriverError {
     }
 }
 
-/// Validating builder for [`Driver`]. This is the preferred construction
-/// path: it rejects degenerate configurations up front instead of letting
-/// them surface as panics deep in a pass.
-///
-/// ```
-/// # use zskip_core::{AccelConfig, BackendKind, Driver};
-/// # use zskip_hls::AccelArch;
-/// let config = AccelConfig::from_arch(
-///     &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 4096 },
-///     100.0,
-/// );
-/// let driver = Driver::builder(config).backend(BackendKind::Cpu).build().unwrap();
-/// assert!(driver.functional);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DriverBuilder {
-    config: AccelConfig,
-    backend: BackendKind,
-    filter_grouping: bool,
-    functional: bool,
-    zero_skipping: bool,
-    threads: usize,
-    instances: Option<usize>,
-    kernel: Option<KernelTier>,
-    fault_plan: Option<SharedFaultPlan>,
-}
-
-impl DriverBuilder {
-    /// Starts a builder from a configuration, with the defaults: model
-    /// backend, functional, zero-skipping on.
-    pub fn new(config: AccelConfig) -> DriverBuilder {
-        DriverBuilder {
-            config,
-            backend: BackendKind::Model,
-            filter_grouping: false,
-            functional: true,
-            zero_skipping: true,
-            threads: 1,
-            instances: None,
-            kernel: None,
-            fault_plan: None,
-        }
-    }
-
-    /// Overrides the configuration's instance count, rescaling bank
-    /// capacity so the total simulated SRAM budget
-    /// (`bank_tiles x instances`) is preserved — the same geometry rule
-    /// `AccelArch::full` applies between the paper's 256-opt and
-    /// 512-opt. How the instances are occupied is the placement
-    /// scheduler's job ([`crate::exec::sched`]).
-    pub fn instances(mut self, instances: usize) -> DriverBuilder {
-        self.instances = Some(instances);
-        self
-    }
-
-    /// Selects the execution backend.
-    pub fn backend(mut self, backend: BackendKind) -> DriverBuilder {
-        self.backend = backend;
-        self
-    }
-
-    /// Enables the future-work filter grouping.
-    pub fn filter_grouping(mut self, on: bool) -> DriverBuilder {
-        self.filter_grouping = on;
-        self
-    }
-
-    /// When `false`, skip functional arithmetic (stats-only sweeps).
-    pub fn functional(mut self, on: bool) -> DriverBuilder {
-        self.functional = on;
-        self
-    }
-
-    /// When `false`, pack every weight slot (the no-skipping ablation).
-    pub fn zero_skipping(mut self, on: bool) -> DriverBuilder {
-        self.zero_skipping = on;
-        self
-    }
-
-    /// Intra-image worker count: `1` (the default) is single-threaded,
-    /// larger values split the work of one image across that many
-    /// threads — on the cpu backend each conv layer's output channels
-    /// (see `zskip-nn`'s `par` module), on the cycle backend each pass's
-    /// instructions, one engine run apiece ([`crate::cycle::run_items`]).
-    /// Either way the report is bit-identical at any width. `0` resolves
-    /// to the host's available parallelism at [`DriverBuilder::build`]
-    /// time. The model backend's closed form has nothing to split and
-    /// ignores this.
-    pub fn threads(mut self, threads: usize) -> DriverBuilder {
-        self.threads = threads;
-        self
-    }
-
-    /// Pins the session's SIMD kernel tier. The default (`None`) is the
-    /// process-wide dispatch choice (`ZSKIP_KERNEL` override, else the
-    /// widest tier the host supports); an explicitly requested tier the
-    /// host cannot execute clamps to the best supported one, mirroring
-    /// [`zskip_nn::simd::select_tier`]'s stale-override policy. Check
-    /// [`Driver::kernel_tier`] after build to see what was resolved.
-    pub fn kernel(mut self, tier: KernelTier) -> DriverBuilder {
-        self.kernel = Some(tier);
-        self
-    }
-
-    /// Attaches a fault plan: the driver threads it into the DMA engine
-    /// and (on the cycle backend) the simulation engine, so `dma:*` and
-    /// `fifo:*` injections fire during [`Driver::run_network`].
-    pub fn fault_plan(mut self, plan: SharedFaultPlan) -> DriverBuilder {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Validates the configuration and builds the driver.
-    ///
-    /// # Errors
-    /// [`DriverError::InvalidConfig`] when a structural parameter is zero,
-    /// when `units != lanes` on the cycle backend (accumulator lanes map
-    /// 1:1 onto write units), when stats-only mode is requested off the
-    /// model backend (the cycle simulation cannot switch its arithmetic
-    /// off, and the CPU backend *is* the arithmetic), or when an
-    /// [`instances`](DriverBuilder::instances) override is zero or leaves
-    /// zero bank capacity after the RAM-preserving rescale.
-    pub fn build(mut self) -> Result<Driver, DriverError> {
-        if self.instances.unwrap_or(self.config.instances) == 0 {
-            return Err(DriverError::InvalidConfig("instances must be nonzero".into()));
-        }
-        if let Some(n) = self.instances {
-            let total = self.config.bank_tiles * self.config.instances;
-            self.config.instances = n;
-            self.config.bank_tiles = total / n;
-            if self.config.bank_tiles == 0 {
-                return Err(DriverError::InvalidConfig(format!(
-                    "{n} instances leave zero bank capacity \
-                     (total budget {total} tile words)"
-                )));
-            }
-        }
-        let c = &self.config;
-        for (name, v) in [
-            ("units", c.units),
-            ("lanes", c.lanes),
-            ("bank_tiles", c.bank_tiles),
-            ("fifo_depth", c.fifo_depth),
-        ] {
-            if v == 0 {
-                return Err(DriverError::InvalidConfig(format!("{name} must be nonzero")));
-            }
-        }
-        if self.backend == BackendKind::Cycle && c.units != c.lanes {
-            return Err(DriverError::InvalidConfig(format!(
-                "cycle backend requires units == lanes (got {} units, {} lanes)",
-                c.units, c.lanes
-            )));
-        }
-        if self.backend != BackendKind::Model && !self.functional {
-            return Err(DriverError::InvalidConfig(
-                "stats-only mode requires the model backend".into(),
-            ));
-        }
-        Ok(Driver {
-            config: self.config,
-            backend: self.backend,
-            filter_grouping: self.filter_grouping,
-            functional: self.functional,
-            zero_skipping: self.zero_skipping,
-            threads: if self.threads == 0 {
-                zskip_nn::par::ConvPool::auto_threads()
-            } else {
-                self.threads
-            },
-            kernel_tier: match self.kernel {
-                Some(t) if t.is_supported() => t,
-                Some(_) => KernelTier::best_supported(),
-                None => zskip_nn::dispatch(),
-            },
-            fault_plan: self.fault_plan,
-        })
-    }
-}
-
 impl Driver {
-    /// Starts a validating [`DriverBuilder`] for this configuration.
-    pub fn builder(config: AccelConfig) -> DriverBuilder {
-        DriverBuilder::new(config)
-    }
-
-    /// The attached fault plan, if any.
-    pub(crate) fn fault_plan(&self) -> Option<&SharedFaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
-    /// Runs full network inference on the simulated SoC.
-    ///
-    /// # Errors
-    /// [`DriverError::LayerTooLarge`] when a layer cannot be striped into
-    /// the banks; [`DriverError::Sim`] on cycle-backend failures;
-    /// [`DriverError::Dma`] on DMA faults; [`DriverError::InvalidNetwork`]
-    /// when the spec's shapes do not propagate.
-    pub fn run_network(
-        &self,
-        qnet: &QuantizedNetwork,
-        input: &Tensor<f32>,
-    ) -> Result<InferenceReport, DriverError> {
-        let mut scratch = Scratch::new();
-        self.run_network_scratch(qnet, input, &mut scratch)
-    }
-
-    /// [`Driver::run_network`] on a caller-owned [`Scratch`]: the arena's
-    /// dense plan slots hold the network's activations and its kernel
-    /// buffers serve the CPU backend's golden walk. The batch engine keeps
-    /// one arena per worker thread so streaming inference stops
-    /// re-allocating those buffers per image.
+    /// Runs full network inference on the simulated SoC, on a
+    /// caller-owned [`Scratch`]: the arena's dense plan slots hold the
+    /// network's activations and its kernel buffers serve the CPU
+    /// backend's golden walk. The batch engine keeps one arena per worker
+    /// thread so streaming inference stops re-allocating those buffers per
+    /// image. [`Session::infer`](crate::session::Session::infer) and
+    /// [`Session::infer_scratch`](crate::session::Session::infer_scratch)
+    /// are the public entry points.
     ///
     /// The walk is [`QuantizedNetwork::run_plan`] — the golden model's —
     /// with every `Conv` / `MaxPool` step issued to the simulated SoC
@@ -386,8 +186,11 @@ impl Driver {
     /// run's, memoized per network and configuration (`exec::cpu`).
     ///
     /// # Errors
-    /// Same as [`Driver::run_network`].
-    pub fn run_network_scratch(
+    /// [`DriverError::LayerTooLarge`] when a layer cannot be striped into
+    /// the banks; [`DriverError::Sim`] on cycle-backend failures;
+    /// [`DriverError::Dma`] on DMA faults; [`DriverError::InvalidNetwork`]
+    /// when the spec's shapes do not propagate.
+    pub(crate) fn run_network_scratch(
         &self,
         qnet: &QuantizedNetwork,
         input: &Tensor<f32>,
@@ -487,7 +290,7 @@ impl Driver {
     /// executor, whose output and statistics are the cpu backend's.
     ///
     /// # Errors
-    /// See [`Driver::run_network`].
+    /// See [`Session::infer`](crate::session::Session::infer).
     pub fn conv_pass(
         &self,
         name: &str,
@@ -505,7 +308,7 @@ impl Driver {
     /// driver's backend (see [`Driver::conv_pass`]).
     ///
     /// # Errors
-    /// See [`Driver::run_network`].
+    /// See [`Session::infer`](crate::session::Session::infer).
     pub fn poolpad_pass(
         &self,
         name: &str,
@@ -521,108 +324,5 @@ impl Driver {
     /// The context of a single-layer pass: slot 0's DDR region to slot 1's.
     fn single_pass_ctx<'a>(&'a self, soc: &'a mut SocHandle, pool: Option<&'a ConvPool>) -> PassCtx<'a> {
         PassCtx { driver: self, soc, pool, src_addr: slot_addr(0), dst_addr: slot_addr(1) }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::error::Error;
-    use zskip_hls::AccelArch;
-
-    fn config(bank_tiles: usize, instances: usize) -> AccelConfig {
-        AccelConfig::from_arch(
-            &AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles },
-            100.0,
-        )
-    }
-
-    #[test]
-    fn builder_validates_configuration() {
-        let err = Driver::builder(config(0, 1)).build().unwrap_err();
-        assert_eq!(err, DriverError::InvalidConfig("bank_tiles must be nonzero".into()));
-        assert_eq!(Error::from(err).code(), "config.invalid");
-
-        let mut cfg = config(4096, 1);
-        cfg.lanes = 2; // units stays 4: illegal on the cycle backend.
-        let err = Driver::builder(cfg).backend(BackendKind::Cycle).build().unwrap_err();
-        assert!(matches!(err, DriverError::InvalidConfig(ref r) if r.contains("units == lanes")));
-        assert_eq!(Error::from(err).code(), "config.invalid");
-        // The same geometry is fine on the model and CPU backends.
-        assert!(Driver::builder(cfg).build().is_ok());
-        assert!(Driver::builder(cfg).backend(BackendKind::Cpu).build().is_ok());
-
-        // Stats-only mode exists only on the model backend: the cycle
-        // simulation cannot switch its arithmetic off, and the CPU
-        // backend is the arithmetic.
-        for backend in [BackendKind::Cycle, BackendKind::Cpu] {
-            let err = Driver::builder(config(4096, 1)).backend(backend).functional(false).build().unwrap_err();
-            assert!(matches!(err, DriverError::InvalidConfig(ref r) if r.contains("stats-only")));
-            assert_eq!(Error::from(err).code(), "config.invalid");
-        }
-    }
-
-    #[test]
-    fn every_zero_parameter_is_named_in_its_error() {
-        for (field, cfg) in [
-            ("units", {
-                let mut c = config(4096, 1);
-                c.units = 0;
-                c
-            }),
-            ("lanes", {
-                let mut c = config(4096, 1);
-                c.lanes = 0;
-                c
-            }),
-            ("instances", config(4096, 0)),
-            ("bank_tiles", config(0, 1)),
-            ("fifo_depth", {
-                let mut c = config(4096, 1);
-                c.fifo_depth = 0;
-                c
-            }),
-        ] {
-            let err = Driver::builder(cfg).build().unwrap_err();
-            assert!(
-                matches!(err, DriverError::InvalidConfig(ref r) if r.contains(field)),
-                "{field}: got {err:?}"
-            );
-            assert_eq!(Error::from(err).code(), "config.invalid");
-        }
-    }
-
-    #[test]
-    fn instances_override_rescales_bank_capacity() {
-        let d = Driver::builder(config(4096, 1)).instances(4).build().unwrap();
-        assert_eq!(d.config.instances, 4);
-        assert_eq!(d.config.bank_tiles, 1024, "RAM budget is preserved, not replicated");
-        // Rescaling down restores the budget.
-        let mut cfg = d.config;
-        cfg.clock_mhz = 100.0;
-        let back = Driver::builder(cfg).instances(1).build().unwrap();
-        assert_eq!(back.config.bank_tiles, 4096);
-
-        let err = Driver::builder(config(4096, 1)).instances(0).build().unwrap_err();
-        assert!(matches!(err, DriverError::InvalidConfig(ref r) if r.contains("instances")));
-        assert_eq!(Error::from(err).code(), "config.invalid");
-
-        let err = Driver::builder(config(2, 1)).instances(4).build().unwrap_err();
-        assert!(matches!(err, DriverError::InvalidConfig(ref r) if r.contains("bank capacity")));
-        assert_eq!(Error::from(err).code(), "config.invalid");
-    }
-
-    #[test]
-    fn kernel_tier_resolves_and_clamps() {
-        use zskip_nn::simd::KernelTier;
-        // Default: the process-wide dispatch choice.
-        let d = Driver::builder(config(4096, 1)).build().unwrap();
-        assert_eq!(d.kernel_tier, zskip_nn::dispatch());
-        // Scalar is supported everywhere and pins exactly.
-        let d = Driver::builder(config(4096, 1)).kernel(KernelTier::Scalar).build().unwrap();
-        assert_eq!(d.kernel_tier, KernelTier::Scalar);
-        // An unsupported request clamps to the best supported tier.
-        let d = Driver::builder(config(4096, 1)).kernel(KernelTier::Avx512).build().unwrap();
-        assert!(d.kernel_tier.is_supported());
     }
 }

@@ -105,6 +105,12 @@ impl Error {
             _ => None,
         }
     }
+
+    /// Whether a retry of the failed run could plausibly succeed (see
+    /// [`DriverError::is_transient`]).
+    pub fn is_transient(&self) -> bool {
+        matches!(self, Error::Driver(e) if e.is_transient())
+    }
 }
 
 impl fmt::Display for Error {

@@ -96,9 +96,9 @@ pub(crate) fn run_network(
     let stats_only = || {
         let mut model = driver.clone();
         (model.backend, model.functional, model.threads) = (BackendKind::Model, false, 1);
-        model.run_network(qnet, input)
+        model.run_network_scratch(qnet, input, &mut Scratch::new())
     };
-    let report = if driver.fault_plan().is_some() {
+    let report = if driver.fault_plan.is_some() {
         Arc::new(stats_only()?)
     } else {
         stats_memo().try_get_or_insert_with(memo_key(driver, qnet, input), stats_only, |r| {

@@ -160,7 +160,7 @@ fn staged(
 /// See `docs/ARCHITECTURE.md` for how to add a backend.
 ///
 /// # Errors
-/// See [`Driver::run_network`](crate::driver::Driver::run_network).
+/// See [`Session::infer`](crate::session::Session::infer).
 pub fn conv_pass(
     ctx: &mut PassCtx<'_>,
     name: &str,
@@ -178,7 +178,7 @@ pub fn conv_pass(
 /// contract as [`conv_pass`].
 ///
 /// # Errors
-/// See [`Driver::run_network`](crate::driver::Driver::run_network).
+/// See [`Session::infer`](crate::session::Session::infer).
 pub fn poolpad_pass(
     ctx: &mut PassCtx<'_>,
     name: &str,

@@ -87,11 +87,6 @@ impl SocHandle {
         SocHandle::with_plan(None)
     }
 
-    /// A SoC context with a fault plan attached to its DMA engine.
-    pub fn with_faults(plan: SharedFaultPlan) -> SocHandle {
-        SocHandle::with_plan(Some(plan))
-    }
-
     pub(crate) fn with_plan(plan: Option<SharedFaultPlan>) -> SocHandle {
         // 1 GiB DDR4 region, default System I timing.
         let mut dma = DmaController::new();
@@ -279,7 +274,7 @@ impl Exec {
                 Ok(model::run(&driver.config, banks, instrs, groups, counters, *functional).cycles)
             }
             Exec::Cycle => {
-                let opts = cycle::RunOptions { fault_plan: driver.fault_plan().cloned(), ..Default::default() };
+                let opts = cycle::RunOptions { fault_plan: driver.fault_plan.clone(), ..Default::default() };
                 let items = if opts.fault_plan.is_some() {
                     let scratchpad = groups.iter().map(GroupWeights::as_bytes).collect::<Vec<_>>().concat();
                     vec![cycle::WorkItem { instrs: instrs.to_vec(), scratchpad: scratchpad.into() }]

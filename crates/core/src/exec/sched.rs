@@ -185,7 +185,7 @@ impl CostModel {
     ///
     /// # Panics
     /// When `instances` is zero (validated upstream by
-    /// [`DriverBuilder::build`](crate::driver::DriverBuilder::build)).
+    /// [`SessionBuilder::build`](crate::session::SessionBuilder::build)).
     pub fn for_instances(variant: Variant, instances: usize) -> CostModel {
         assert!(instances >= 1, "need at least one instance");
         let base = variant.arch();
@@ -409,10 +409,10 @@ fn validate_stripe_coverage(driver: &Driver, qnet: &QuantizedNetwork) -> Result<
 /// simulated timeline. `Auto` resolves per [`Placement::resolve`].
 ///
 /// # Errors
-/// Everything [`Driver::run_network`] surfaces, plus
+/// Everything [`Session::infer`](crate::session::Session::infer) surfaces, plus
 /// [`DriverError::InvalidConfig`] when an explicit stripe placement
 /// cannot occupy every instance on any layer.
-pub fn run_sharded(
+pub(crate) fn run_sharded(
     driver: &Driver,
     qnet: &QuantizedNetwork,
     inputs: &[Tensor<f32>],

@@ -17,10 +17,10 @@
 //! output and no error, is **vulnerable** — [`CampaignReport::survived`]
 //! fails and the CLI exits non-zero.
 
-use crate::batch::{run_batch_resilient, RetryPolicy};
 use crate::config::AccelConfig;
-use crate::driver::{BackendKind, Driver, DriverError};
+use crate::driver::{BackendKind, DriverError};
 use crate::error::Error;
+use crate::session::Session;
 use zskip_fault::{FaultKind, FaultPlan};
 use zskip_hls::AccelArch;
 use zskip_json::Json;
@@ -185,8 +185,8 @@ fn inference_trial(
     clean: &[Sm8],
 ) -> TrialResult {
     let plan = FaultPlan::new().inject(site, at, kind).shared();
-    let driver = match Driver::builder(accel_config()).backend(backend).fault_plan(plan.clone()).build() {
-        Ok(d) => d,
+    let session = match Session::builder(accel_config()).backend(backend).fault_plan(plan.clone()).build() {
+        Ok(s) => s,
         Err(e) => {
             return TrialResult {
                 site: site.into(),
@@ -198,7 +198,7 @@ fn inference_trial(
             }
         }
     };
-    let first = driver.run_network(qnet, input);
+    let first = session.infer(qnet, input);
     let fired = !plan.lock().unwrap_or_else(|e| e.into_inner()).fired().is_empty();
     let (outcome, code, detail) = match first {
         Ok(report) if report.output == clean => {
@@ -209,7 +209,7 @@ fn inference_trial(
             None,
             "completed with WRONG output and no error".to_string(),
         ),
-        Err(e) => classify_failed_attempt(e, &driver, qnet, input, clean),
+        Err(e) => classify_failed_attempt(e, &session, qnet, input, clean),
     };
     TrialResult { site: site.into(), fault: kind.to_string(), outcome, code, detail, fired }
 }
@@ -217,23 +217,23 @@ fn inference_trial(
 /// A first attempt failed with `e`: retry (transient errors only) and
 /// classify.
 fn classify_failed_attempt(
-    e: DriverError,
-    driver: &Driver,
+    e: Error,
+    session: &Session,
     qnet: &QuantizedNetwork,
     input: &Tensor<f32>,
     clean: &[Sm8],
 ) -> (TrialOutcome, Option<&'static str>, String) {
     let wedged = match &e {
-        DriverError::Sim(s @ SimError::Deadlock { .. }) => {
+        Error::Driver(DriverError::Sim(s @ SimError::Deadlock { .. })) => {
             s.wedged().map(|w| format!("; wedged fifo: {}", w.name))
         }
         _ => None,
     };
-    let code = Error::from(e.clone()).code();
+    let code = e.code();
     if !e.is_transient() {
         return (TrialOutcome::StructuredError, Some(code), format!("{e}{}", wedged.unwrap_or_default()));
     }
-    match driver.run_network(qnet, input) {
+    match session.infer(qnet, input) {
         Ok(report) if report.output == clean => (
             TrialOutcome::Recovered,
             Some(code),
@@ -242,7 +242,7 @@ fn classify_failed_attempt(
         Ok(_) => (TrialOutcome::Vulnerable, Some(code), format!("retry after '{e}' produced WRONG output")),
         Err(e2) => (
             TrialOutcome::StructuredError,
-            Some(Error::from(e2.clone()).code()),
+            Some(e2.code()),
             format!("{e}; retry also failed: {e2}{}", wedged.unwrap_or_default()),
         ),
     }
@@ -301,11 +301,12 @@ fn batch_trial(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>], clean: &[Vec<Sm8
     let site = "dma:xfer";
     let kind = FaultKind::DmaCorrupt { xor: 0x20 };
     let plan = FaultPlan::new().inject(site, 4, kind).shared();
-    let driver = Driver::builder(accel_config())
+    let session = Session::builder(accel_config())
         .fault_plan(plan.clone())
+        .batch_workers(2)
         .build()
         .expect("campaign config is valid");
-    let report = run_batch_resilient(&driver, qnet, inputs, 2, RetryPolicy::default());
+    let report = session.run_batch_resilient(qnet, inputs);
     let fired = !plan.lock().unwrap_or_else(|e| e.into_inner()).fired().is_empty();
     let ok = report.succeeded() == inputs.len()
         && report
@@ -344,21 +345,21 @@ fn batch_trial(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>], clean: &[Vec<Sm8
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let (qnet, inputs) = campaign_net(cfg);
     let input = &inputs[0];
-    let clean_driver = Driver::builder(accel_config())
+    let clean_session = Session::builder(accel_config())
         .backend(BackendKind::Model)
         .build()
         .expect("campaign config is valid");
-    let clean = clean_driver.run_network(&qnet, input).expect("fault-free run succeeds").output;
-    let clean_cycle = Driver::builder(accel_config())
+    let clean = clean_session.infer(&qnet, input).expect("fault-free run succeeds").output;
+    let clean_cycle = Session::builder(accel_config())
         .backend(BackendKind::Cycle)
         .build()
         .expect("campaign config is valid")
-        .run_network(&qnet, input)
+        .infer(&qnet, input)
         .expect("fault-free cycle run succeeds")
         .output;
     let clean_batch: Vec<Vec<Sm8>> = inputs
         .iter()
-        .map(|i| clean_driver.run_network(&qnet, i).expect("fault-free run succeeds").output)
+        .map(|i| clean_session.infer(&qnet, i).expect("fault-free run succeeds").output)
         .collect();
 
     let mut trials = Vec::new();

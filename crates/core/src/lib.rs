@@ -36,16 +36,18 @@
 //!   backend dispatch, host FC/softmax fallback, reporting;
 //! * [`session`] — the curated host-facing surface: a validated
 //!   [`Session`] bundling one driver configuration with the shared batch
-//!   knobs, which every CLI subcommand routes through;
+//!   knobs, built by the one builder ([`SessionBuilder`]) and the one way
+//!   to run an image, a batch or a sharded batch; every CLI subcommand
+//!   routes through it;
 //! * [`serve`] — the inference serving daemon: a bounded submission
-//!   queue with adaptive batching over the batch engine, plus the
+//!   queue feeding the batch engine's resident workers, plus the
 //!   newline-delimited JSON wire protocol (`zskip serve`);
 //! * [`rng`] — the workspace-wide seeded [`SplitMix64`](rng::SplitMix64)
 //!   generator, the one idiom behind every "seeded-deterministic"
 //!   contract in the repo;
 //! * [`tune`] — the design-space autotuner (`zskip tune`): typed search
-//!   spaces over the session and HLS-variant knobs, seeded coordinate
-//!   descent and SPSA searchers, cached evaluation, and the versioned
+//!   spaces over the session and HLS-variant knobs, a seeded coordinate
+//!   descent searcher, cached evaluation, and the versioned
 //!   [`TunedConfig`] artifact that
 //!   [`SessionBuilder::from_tuned`](session::SessionBuilder::from_tuned)
 //!   loads.
@@ -72,18 +74,15 @@ pub mod weights;
 
 pub use analysis::LayerPackingStats;
 pub use bank::BankSet;
-pub use batch::{
-    run_batch, run_batch_resilient, BatchItemReport, BatchReport, ResilientBatchReport, RetryPolicy,
-};
+pub use batch::{BatchItemReport, BatchReport, ResilientBatchReport, RetryPolicy};
 pub use config::AccelConfig;
 pub use driver::{
-    BackendKind, Driver, DriverBuilder, DriverError, InferenceReport, LayerReport, PassStats,
-    SocHandle,
+    BackendKind, Driver, DriverError, InferenceReport, LayerReport, PassStats, SocHandle,
 };
 pub use exec::cpu::stats_memo_stats;
 pub use exec::pipeline::weight_cache_stats;
 pub use error::Error;
-pub use exec::sched::{run_sharded, CostModel, Placement, ShardReport};
+pub use exec::sched::{CostModel, Placement, ShardReport};
 pub use exec::PassCtx;
 pub use fault::{run_campaign, CampaignConfig, CampaignReport, TrialOutcome, TrialResult};
 pub use isa::{ConvInstr, Instruction, PoolPadInstr, PoolPadOp};

@@ -405,7 +405,7 @@ mod tests {
         let inputs = synthetic_inputs(6, 5, qnet.spec.input);
         let direct: Vec<_> = inputs
             .iter()
-            .map(|i| session.driver().run_network(&qnet, i).expect("runs").output)
+            .map(|i| session.infer(&qnet, i).expect("runs").output)
             .collect();
         let engine = ServeEngine::start(session, Arc::clone(&qnet));
         let handle = engine.handle();

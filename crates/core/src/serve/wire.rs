@@ -462,10 +462,7 @@ mod tests {
             100.0,
         );
         let session = Session::builder(config).backend(BackendKind::Model).build().unwrap();
-        let want = session
-            .driver()
-            .run_network(&qnet, &synthetic_inputs(3, 1, qnet.spec.input)[0])
-            .expect("runs");
+        let want = session.infer(&qnet, &synthetic_inputs(3, 1, qnet.spec.input)[0]).expect("runs");
         let engine = ServeEngine::start(session, Arc::clone(&qnet));
         let input = r#"{"op":"infer","id":"a","seed":3}
 garbage line

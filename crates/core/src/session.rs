@@ -2,12 +2,15 @@
 //! [`Session`] wrapping one driver configuration plus the worker-pool knobs
 //! every consumer of the accelerator shares.
 //!
-//! The CLI's `infer`, `batch` and `serve` subcommands all route through
-//! this type, so a daemon, a one-shot inference and a benchmark are
-//! guaranteed to configure the stack identically: backend, intra-image
-//! threads, SIMD kernel tier and the worker pool live in exactly one
-//! builder. The serving daemon ([`ServeEngine`](crate::serve::ServeEngine))
-//! is a thin protocol layer over a `Session`.
+//! [`SessionBuilder`] is the only way to configure a run and `Session`'s
+//! methods the only way to run one — an image, a batch or a sharded
+//! batch. The CLI's `infer`, `batch` and `serve` subcommands all route
+//! through this type, so a daemon, a one-shot inference and a benchmark
+//! are guaranteed to configure the stack identically: backend,
+//! intra-image threads, SIMD kernel tier and the worker pool live in
+//! exactly one builder. The serving daemon
+//! ([`ServeEngine`](crate::serve::ServeEngine)) is a thin protocol layer
+//! over a `Session`.
 //!
 //! ```
 //! # use zskip_core::{AccelConfig, BackendKind, Session};
@@ -24,11 +27,12 @@ use crate::batch::{
     run_batch, run_batch_resilient, BatchReport, ResilientBatchReport, RetryPolicy,
 };
 use crate::config::AccelConfig;
-use crate::driver::{BackendKind, Driver, DriverBuilder, InferenceReport};
+use crate::driver::{BackendKind, Driver, InferenceReport};
 use crate::error::Error;
 use crate::exec::sched::{self, Placement, ShardReport};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::model::QuantizedNetwork;
+use zskip_nn::par::ConvPool;
 use zskip_nn::simd::KernelTier;
 use zskip_nn::Scratch;
 use zskip_tensor::Tensor;
@@ -68,19 +72,47 @@ impl Default for BatchConfig {
     }
 }
 
-/// Validating builder for [`Session`]. Mirrors [`DriverBuilder`] and adds
-/// the batch knobs; see the module docs for an example.
+/// The most threads one knob may ask for: `threads` (intra-image) and
+/// `batch_workers` (the worker pool) are each rejected above this, so a
+/// stray count fails as `config.invalid` instead of exhausting the host's
+/// threads at spawn time. `0` (host auto) is always accepted.
+pub const MAX_THREADS: usize = 1024;
+
+/// Validating builder for [`Session`], the one construction path: it
+/// rejects degenerate configurations up front instead of letting them
+/// surface as panics deep in a pass. See the module docs for an example.
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
-    driver: DriverBuilder,
+    config: AccelConfig,
+    backend: BackendKind,
+    filter_grouping: bool,
+    functional: bool,
+    zero_skipping: bool,
+    threads: usize,
+    instances: Option<usize>,
+    kernel: Option<KernelTier>,
+    fault_plan: Option<SharedFaultPlan>,
     batch: BatchConfig,
 }
 
 impl SessionBuilder {
     /// Starts a builder from an accelerator configuration with the
-    /// [`DriverBuilder`] defaults and [`BatchConfig::default`].
+    /// defaults: model backend, functional, zero-skipping on, one
+    /// intra-image thread, the process-wide kernel tier and
+    /// [`BatchConfig::default`].
     pub fn new(config: AccelConfig) -> SessionBuilder {
-        SessionBuilder { driver: DriverBuilder::new(config), batch: BatchConfig::default() }
+        SessionBuilder {
+            config,
+            backend: BackendKind::Model,
+            filter_grouping: false,
+            functional: true,
+            zero_skipping: true,
+            threads: 1,
+            instances: None,
+            kernel: None,
+            fault_plan: None,
+            batch: BatchConfig::default(),
+        }
     }
 
     /// Starts a builder from a [`TunedConfig`](crate::tune::TunedConfig)
@@ -100,28 +132,43 @@ impl SessionBuilder {
 
     /// Selects the execution backend.
     pub fn backend(mut self, backend: BackendKind) -> SessionBuilder {
-        self.driver = self.driver.backend(backend);
+        self.backend = backend;
         self
     }
 
-    /// Intra-image worker threads: the cpu backend's conv panels, the
-    /// cycle backend's per-instruction engine runs; the model backend
-    /// ignores it (see [`DriverBuilder::threads`]).
+    /// Intra-image worker count: `1` (the default) is single-threaded,
+    /// larger values split the work of one image across that many
+    /// threads — on the cpu backend each conv layer's output channels
+    /// (see `zskip-nn`'s `par` module), on the cycle backend each pass's
+    /// instructions, one engine run apiece ([`crate::cycle::run_items`]).
+    /// Either way the report is bit-identical at any width. `0` resolves
+    /// to the host's available parallelism at [`SessionBuilder::build`]
+    /// time; at most [`MAX_THREADS`]. The model backend's closed form has
+    /// nothing to split and ignores this.
     pub fn threads(mut self, threads: usize) -> SessionBuilder {
-        self.driver = self.driver.threads(threads);
+        self.threads = threads;
         self
     }
 
-    /// Pins the session's SIMD kernel tier (see [`DriverBuilder::kernel`]).
+    /// Pins the session's SIMD kernel tier. The default (unset) is the
+    /// process-wide dispatch choice (`ZSKIP_KERNEL` override, else the
+    /// widest tier the host supports); an explicitly requested tier the
+    /// host cannot execute clamps to the best supported one, mirroring
+    /// [`zskip_nn::simd::select_tier`]'s stale-override policy. Check
+    /// [`Session::kernel_tier`] after build to see what was resolved.
     pub fn kernel(mut self, tier: KernelTier) -> SessionBuilder {
-        self.driver = self.driver.kernel(tier);
+        self.kernel = Some(tier);
         self
     }
 
-    /// Overrides the simulated instance count with the RAM-preserving
-    /// bank rescale (see [`DriverBuilder::instances`]).
+    /// Overrides the configuration's instance count, rescaling bank
+    /// capacity so the total simulated SRAM budget
+    /// (`bank_tiles x instances`) is preserved — the same geometry rule
+    /// `AccelArch::full` applies between the paper's 256-opt and
+    /// 512-opt. How the instances are occupied is the placement
+    /// scheduler's job ([`crate::exec::sched`]).
     pub fn instances(mut self, instances: usize) -> SessionBuilder {
-        self.driver = self.driver.instances(instances);
+        self.instances = Some(instances);
         self
     }
 
@@ -132,28 +179,31 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables the future-work filter grouping.
+    /// Enables the paper's future-work filter grouping (sort filters by
+    /// non-zero count before forming lockstep groups).
     pub fn filter_grouping(mut self, on: bool) -> SessionBuilder {
-        self.driver = self.driver.filter_grouping(on);
+        self.filter_grouping = on;
         self
     }
 
     /// When `false`, skip functional arithmetic (stats-only sweeps;
     /// model backend only).
     pub fn functional(mut self, on: bool) -> SessionBuilder {
-        self.driver = self.driver.functional(on);
+        self.functional = on;
         self
     }
 
     /// When `false`, pack every weight slot (the no-skipping ablation).
     pub fn zero_skipping(mut self, on: bool) -> SessionBuilder {
-        self.driver = self.driver.zero_skipping(on);
+        self.zero_skipping = on;
         self
     }
 
-    /// Attaches a fault plan (see [`DriverBuilder::fault_plan`]).
+    /// Attaches a fault plan: the driver threads it into the DMA engine
+    /// and (on the cycle backend) the simulation engine, so `dma:*` and
+    /// `fifo:*` injections fire during [`Session::infer`].
     pub fn fault_plan(mut self, plan: SharedFaultPlan) -> SessionBuilder {
-        self.driver = self.driver.fault_plan(plan);
+        self.fault_plan = Some(plan);
         self
     }
 
@@ -163,7 +213,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Batch-pool worker threads (0 = host auto).
+    /// Batch-pool worker threads (0 = host auto; at most [`MAX_THREADS`]).
     pub fn batch_workers(mut self, workers: usize) -> SessionBuilder {
         self.batch.workers = workers;
         self
@@ -184,13 +234,71 @@ impl SessionBuilder {
     /// Validates the configuration and builds the session.
     ///
     /// # Errors
-    /// Everything [`DriverBuilder::build`] rejects, plus a zero
-    /// `queue_depth` (the daemon would admit nothing).
+    /// [`Error::InvalidConfig`] (`config.invalid`, naming the field) when
+    /// a structural parameter is zero, when an
+    /// [`instances`](SessionBuilder::instances) override leaves zero bank
+    /// capacity after the RAM-preserving rescale, when `units != lanes`
+    /// on the cycle backend (accumulator lanes map 1:1 onto write units),
+    /// when stats-only mode is requested off the model backend (the cycle
+    /// simulation cannot switch its arithmetic off, and the cpu backend
+    /// *is* the arithmetic), when `queue_depth` is zero (the daemon would
+    /// admit nothing), or when `threads` or `batch_workers` exceeds
+    /// [`MAX_THREADS`].
     pub fn build(self) -> Result<Session, Error> {
-        if self.batch.queue_depth == 0 {
-            return Err(Error::InvalidConfig("queue_depth must be nonzero".into()));
+        let invalid = |reason: String| Err(Error::InvalidConfig(reason));
+        let mut config = self.config;
+        if self.instances.unwrap_or(config.instances) == 0 {
+            return invalid("instances must be nonzero".into());
         }
-        let driver = self.driver.build()?;
+        if let Some(n) = self.instances {
+            let total = config.bank_tiles * config.instances;
+            config.instances = n;
+            config.bank_tiles = total / n;
+            if config.bank_tiles == 0 {
+                return invalid(format!(
+                    "{n} instances leave zero bank capacity (total budget {total} tile words)"
+                ));
+            }
+        }
+        for (name, v) in [
+            ("units", config.units),
+            ("lanes", config.lanes),
+            ("bank_tiles", config.bank_tiles),
+            ("fifo_depth", config.fifo_depth),
+            ("queue_depth", self.batch.queue_depth),
+        ] {
+            if v == 0 {
+                return invalid(format!("{name} must be nonzero"));
+            }
+        }
+        for (name, v) in [("threads", self.threads), ("batch_workers", self.batch.workers)] {
+            if v > MAX_THREADS {
+                return invalid(format!("{name} must be at most {MAX_THREADS} (0 = auto), got {v}"));
+            }
+        }
+        if self.backend == BackendKind::Cycle && config.units != config.lanes {
+            return invalid(format!(
+                "cycle backend requires units == lanes (got {} units, {} lanes)",
+                config.units, config.lanes
+            ));
+        }
+        if self.backend != BackendKind::Model && !self.functional {
+            return invalid("stats-only mode requires the model backend".into());
+        }
+        let driver = Driver {
+            config,
+            backend: self.backend,
+            filter_grouping: self.filter_grouping,
+            functional: self.functional,
+            zero_skipping: self.zero_skipping,
+            threads: if self.threads == 0 { ConvPool::auto_threads() } else { self.threads },
+            kernel_tier: match self.kernel {
+                Some(t) if t.is_supported() => t,
+                Some(_) => KernelTier::best_supported(),
+                None => zskip_nn::dispatch(),
+            },
+            fault_plan: self.fault_plan,
+        };
         Ok(Session { driver, batch: self.batch })
     }
 }
@@ -224,22 +332,29 @@ impl Session {
         self.driver.kernel_tier
     }
 
-    /// Runs one inference.
+    /// Runs one inference on a fresh arena.
     ///
     /// # Errors
-    /// See [`Driver::run_network`].
+    /// `driver.layer-too-large` when a layer cannot be striped into the
+    /// banks, `sim.*` on cycle-backend failures, `dma.*` on DMA faults,
+    /// `driver.unsupported` for geometry the datapath lacks and
+    /// `driver.invalid-network` when the spec's shapes do not propagate
+    /// (see [`Error::code`]).
     pub fn infer(
         &self,
         qnet: &QuantizedNetwork,
         input: &Tensor<f32>,
     ) -> Result<InferenceReport, Error> {
-        Ok(self.driver.run_network(qnet, input)?)
+        self.infer_scratch(qnet, input, &mut Scratch::new())
     }
 
-    /// [`Session::infer`] reusing a caller-owned arena (streaming use).
+    /// [`Session::infer`] reusing a caller-owned arena (streaming use):
+    /// the arena's dense plan slots hold the network's activations and its
+    /// kernel buffers serve the cpu backend's golden walk, so a warm
+    /// image re-allocates neither.
     ///
     /// # Errors
-    /// See [`Driver::run_network`].
+    /// See [`Session::infer`].
     pub fn infer_scratch(
         &self,
         qnet: &QuantizedNetwork,
@@ -255,7 +370,7 @@ impl Session {
     ///
     /// # Errors
     /// The failing input's error — the lowest-index one when several
-    /// fail (see [`run_batch`]).
+    /// fail, so the error is deterministic too.
     pub fn run_batch(
         &self,
         qnet: &QuantizedNetwork,
@@ -281,7 +396,9 @@ impl Session {
     /// Outputs are bit-identical to [`Session::infer`] per image.
     ///
     /// # Errors
-    /// See [`crate::exec::sched::run_sharded`].
+    /// Everything [`Session::infer`] surfaces, plus `config.invalid` when
+    /// an explicit stripe placement cannot occupy every instance on any
+    /// layer.
     pub fn run_sharded(
         &self,
         qnet: &QuantizedNetwork,
@@ -322,74 +439,83 @@ pub(crate) mod tests {
         net.quantize(&calib)
     }
 
+    /// The builder is the only construction path, so every rejection, the
+    /// defaults and what `build()` resolves are pinned here, in one table.
     #[test]
-    fn builder_validates_batch_knobs() {
-        let err = Session::builder(config()).queue_depth(0).build().unwrap_err();
-        assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("queue_depth"));
-        // Driver-level validation still applies.
-        let mut cfg = config();
-        cfg.lanes = 0;
-        let err = Session::builder(cfg).build().unwrap_err();
-        assert_eq!(err.code(), "config.invalid");
+    fn builder_rejects_invalid_configs_naming_the_field_and_resolves_the_rest() {
+        let with = |f: fn(&mut AccelConfig)| {
+            let mut c = config();
+            f(&mut c);
+            Session::builder(c)
+        };
+        let b = || Session::builder(config());
+        let cases: Vec<(&str, SessionBuilder)> = vec![
+            ("units", with(|c| c.units = 0)),
+            ("lanes", with(|c| c.lanes = 0)),
+            ("bank_tiles", with(|c| c.bank_tiles = 0)),
+            ("fifo_depth", with(|c| c.fifo_depth = 0)),
+            ("instances", with(|c| c.instances = 0)),
+            ("instances", b().instances(0)),
+            ("bank capacity", with(|c| c.bank_tiles = 2).instances(4)),
+            ("units == lanes", with(|c| c.lanes = 2).backend(BackendKind::Cycle)),
+            ("stats-only", b().backend(BackendKind::Cpu).functional(false)),
+            ("stats-only", b().backend(BackendKind::Cycle).functional(false)),
+            ("queue_depth", b().queue_depth(0)),
+            ("threads", b().threads(MAX_THREADS + 1)),
+            ("threads", b().threads(100_000)),
+            ("batch_workers", b().batch_workers(MAX_THREADS + 1)),
+            ("batch_workers", b().batch_config(BatchConfig { workers: 100_000, ..BatchConfig::default() })),
+        ];
+        for (field, builder) in cases {
+            let err = builder.build().unwrap_err();
+            assert_eq!(err.code(), "config.invalid", "{field}: {err}");
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+
+        // Defaults: model backend, functional, zero-skipping, one thread,
+        // the process-wide kernel tier, the default batch knobs.
+        let d = b().build().unwrap();
+        assert_eq!(d.driver().backend, BackendKind::Model);
+        assert!(d.driver().functional && d.driver().zero_skipping && !d.driver().filter_grouping);
+        assert_eq!(d.driver().threads, 1);
+        assert_eq!(d.kernel_tier(), zskip_nn::dispatch());
+        assert_eq!(*d.batch_config(), BatchConfig::default());
+        // What the rejections leave legal: units != lanes off the cycle
+        // backend, stats-only on the model backend, the caps themselves,
+        // `0` (auto) for both thread counts.
+        assert!(with(|c| c.lanes = 2).backend(BackendKind::Cpu).build().is_ok());
+        assert!(!b().functional(false).build().unwrap().driver().functional);
+        let capped = b().threads(MAX_THREADS).batch_workers(MAX_THREADS).build().unwrap();
+        assert_eq!((capped.driver().threads, capped.batch_config().workers), (MAX_THREADS, MAX_THREADS));
+        assert!(b().threads(0).batch_workers(0).build().unwrap().driver().threads >= 1, "0 resolves to auto");
+
+        // The instance override preserves the RAM budget, both ways.
+        let four = b().instances(4).build().unwrap();
+        assert_eq!((four.driver().config.instances, four.driver().config.bank_tiles), (4, 1024));
+        let back = Session::builder(four.driver().config).instances(1).build().unwrap();
+        assert_eq!(back.driver().config.bank_tiles, 4096);
+
+        // Kernel tier: scalar pins exactly, an unsupported request clamps.
+        assert_eq!(b().kernel(KernelTier::Scalar).build().unwrap().kernel_tier(), KernelTier::Scalar);
+        assert!(b().kernel(KernelTier::Avx512).build().unwrap().kernel_tier().is_supported());
+        let pinned = b().queue_depth(5).batch_workers(2).retry(RetryPolicy::none()).build().unwrap();
+        assert_eq!(
+            *pinned.batch_config(),
+            BatchConfig { workers: 2, queue_depth: 5, retry: RetryPolicy::none(), ..BatchConfig::default() }
+        );
     }
 
     #[test]
-    fn session_infer_matches_driver_and_batch_paths() {
+    fn session_infer_matches_the_batch_paths() {
         let qnet = tiny_qnet(8);
         let inputs = synthetic_inputs(4, 3, qnet.spec.input);
         let session = Session::builder(config()).backend(BackendKind::Model).build().unwrap();
-        let direct: Vec<_> = inputs
-            .iter()
-            .map(|i| session.driver().run_network(&qnet, i).expect("runs"))
-            .collect();
-        for (input, want) in inputs.iter().zip(&direct) {
-            let got = session.infer(&qnet, input).expect("runs");
-            assert_eq!(got.output, want.output);
-        }
+        let direct: Vec<_> = inputs.iter().map(|i| session.infer(&qnet, i).expect("runs")).collect();
         let batch = session.run_batch(&qnet, &inputs).expect("runs");
         let resilient = session.run_batch_resilient(&qnet, &inputs);
         for ((b, r), want) in batch.reports.iter().zip(&resilient.items).zip(&direct) {
             assert_eq!(b.output, want.output);
             assert_eq!(r.result.as_ref().expect("succeeds").output, want.output);
         }
-    }
-
-    // The builder is the only construction path, so the defaults and the
-    // structured rejection of invalid configurations are pinned here.
-    #[test]
-    fn builder_provides_the_legacy_driver_defaults() {
-        let session = Session::builder(config()).backend(BackendKind::Cycle).build().unwrap();
-        assert_eq!(session.driver().backend, BackendKind::Cycle);
-        assert!(session.driver().functional, "functional by default");
-        assert!(session.driver().zero_skipping, "zero-skipping by default");
-
-        let stats = Session::builder(config()).functional(false).build().unwrap();
-        assert!(!stats.driver().functional, "the stats-only shape");
-        assert!(stats.driver().zero_skipping);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_config_instead_of_panicking() {
-        let mut cfg = config();
-        cfg.lanes = 2; // units stays 4: illegal on the cycle backend.
-        let err = Session::builder(cfg).backend(BackendKind::Cycle).build().unwrap_err();
-        assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("units == lanes"), "{err}");
-    }
-
-    #[test]
-    fn session_pins_kernel_tier_and_batch_config() {
-        let session = Session::builder(config())
-            .kernel(KernelTier::Scalar)
-            .queue_depth(5)
-            .batch_workers(2)
-            .retry(RetryPolicy::none())
-            .build()
-            .unwrap();
-        assert_eq!(session.kernel_tier(), KernelTier::Scalar);
-        assert_eq!(session.batch_config().queue_depth, 5);
-        assert_eq!(session.batch_config().workers, 2);
-        assert_eq!(session.batch_config().retry, RetryPolicy::none());
     }
 }

@@ -261,15 +261,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// A uniform sign: `+1` or `-1` (the SPSA perturbation direction).
-    pub fn next_sign(&mut self) -> i64 {
-        if self.next_u64() & 1 == 0 {
-            1
-        } else {
-            -1
-        }
-    }
 }
 
 #[cfg(test)]
@@ -328,13 +319,7 @@ mod tests {
         for _ in 0..256 {
             let f = rng.next_f64();
             assert!((0.0..1.0).contains(&f));
-            let s = rng.next_sign();
-            assert!(s == 1 || s == -1);
         }
-        // Both signs actually occur.
-        let mut rng = SplitMix64::new(1);
-        let signs: Vec<i64> = (0..16).map(|_| rng.next_sign()).collect();
-        assert!(signs.contains(&1) && signs.contains(&-1));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::simd::{self, KernelTier};
 use std::sync::OnceLock;
 use zskip_quant::cache::{CacheStats, Fingerprint};
 use zskip_quant::{Requantizer, Sm8};
-use zskip_tensor::{Shape, Tensor};
+use zskip_tensor::Tensor;
 
 /// Float convolution weights for one layer, `[out_c][in_c][k][k]` row-major.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,12 +33,6 @@ impl ConvWeights {
     #[inline]
     pub fn at(&self, o: usize, i: usize, ky: usize, kx: usize) -> f32 {
         self.w[((o * self.in_c + i) * self.k + ky) * self.k + kx]
-    }
-
-    /// Mutable weight at `[o][i][ky][kx]`.
-    #[inline]
-    pub fn at_mut(&mut self, o: usize, i: usize, ky: usize, kx: usize) -> &mut f32 {
-        &mut self.w[((o * self.in_c + i) * self.k + ky) * self.k + kx]
     }
 
     /// The `k*k` filter slice for `(o, i)`.
@@ -351,13 +345,8 @@ pub fn conv2d_quant_dense(
     out
 }
 
-/// Output shape of [`conv2d_quant`] / [`conv2d_f32`] for an input shape.
-pub fn conv_output_shape(input: Shape, weights_out_c: usize, k: usize, stride: usize, pad: usize) -> Shape {
-    Shape::new(weights_out_c, (input.h + 2 * pad - k) / stride + 1, (input.w + 2 * pad - k) / stride + 1)
-}
-
 // Forwarders for the frozen `benchmark/` harness, which imports these three
-// names; nothing inside the workspace calls them. ROADMAP item 7 deletes
+// names; nothing inside the workspace calls them. ROADMAP item 1 deletes
 // them together with the `quant.tap_cache_*` probes.
 
 /// `benchmark/src/probes.rs`, scalar-tier conv probe without a pool.
@@ -384,6 +373,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use zskip_quant::QuantParams;
+    use zskip_tensor::Shape;
 
     #[test]
     fn identity_kernel_passes_through() {

@@ -1,15 +1,13 @@
 //! Tensor containers and the tiled data layout of the SOCC'17 accelerator.
 //!
 //! The accelerator described in the paper organizes feature maps into 4x4
-//! **tiles** stored in row-major tile order, and groups rows of tiles into
-//! **stripes** that fit the on-FPGA SRAM banks (paper Fig. 2). This crate
-//! provides:
+//! **tiles** stored in row-major tile order (paper Fig. 2); grouping rows
+//! of tiles into **stripes** that fit the on-FPGA SRAM banks is the
+//! striping planner's job in `zskip-core`. This crate provides:
 //!
 //! * [`Tensor`]: a dense CHW tensor over any element type,
 //! * [`Tile`]: one 4x4 tile (16 values, one SRAM word),
-//! * [`TiledFeatureMap`]: a feature map re-laid-out as row-major tiles,
-//! * [`stripe`]: stripe geometry and halo computation used by the striping
-//!   planner in `zskip-core`.
+//! * [`TiledFeatureMap`]: a feature map re-laid-out as row-major tiles.
 //!
 //! # Example
 //!
@@ -23,13 +21,11 @@
 //! ```
 
 pub mod shape;
-pub mod stripe;
 pub mod tensor;
 pub mod tile;
 pub mod tiled;
 
 pub use shape::Shape;
-pub use stripe::{StripeGeometry, StripePlan};
 pub use tensor::Tensor;
 pub use tile::{dydx_to_offset, offset_to_dydx, Tile, TILE_DIM, TILE_ELEMS};
 pub use tiled::TiledFeatureMap;

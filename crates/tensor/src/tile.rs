@@ -63,11 +63,6 @@ impl<T: Copy + Default> Tile<T> {
         Tile(vals)
     }
 
-    /// Builds a tile from a row-major array of 16 values.
-    pub fn from_array(vals: [T; TILE_ELEMS]) -> Self {
-        Tile(vals)
-    }
-
     /// The tile contents as a row-major array reference.
     pub fn as_array(&self) -> &[T; TILE_ELEMS] {
         &self.0

@@ -189,11 +189,6 @@ impl<T: Copy + Default> TiledFeatureMap<T> {
     pub fn as_tiles(&self) -> &[Tile<T>] {
         &self.tiles
     }
-
-    /// Mutable view of all tiles.
-    pub fn as_tiles_mut(&mut self) -> &mut [Tile<T>] {
-        &mut self.tiles
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use zskip::accel::{run_batch, AccelConfig, BackendKind, Driver};
+use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::model::{Network, SyntheticModelConfig};
@@ -29,11 +29,15 @@ fn main() {
 
     let batch = 16;
     let inputs = synthetic_inputs(11, batch, spec.input);
-    let driver = Driver::builder(AccelConfig::for_variant(Variant::U256Opt)).backend(BackendKind::Model).build().unwrap();
+    let session = Session::builder(AccelConfig::for_variant(Variant::U256Opt))
+        .backend(BackendKind::Model)
+        .batch_workers(0)
+        .build()
+        .unwrap();
 
     println!("== batch of {batch} x {} on the worker pool ==", spec.name);
     let t0 = Instant::now();
-    let parallel = run_batch(&driver, &qnet, &inputs, 0).expect("fits");
+    let parallel = session.run_batch(&qnet, &inputs).expect("fits");
     let t_par = t0.elapsed().as_secs_f64();
     println!(
         "parallel:   {:.2} s on {} workers ({:.2} images/s, jobs/worker {:?})",
@@ -45,7 +49,7 @@ fn main() {
 
     let t0 = Instant::now();
     let sequential: Vec<_> =
-        inputs.iter().map(|input| driver.run_network(&qnet, input).expect("fits")).collect();
+        inputs.iter().map(|input| session.infer(&qnet, input).expect("fits")).collect();
     let t_seq = t0.elapsed().as_secs_f64();
     println!("sequential: {:.2} s ({:.2} images/s)", t_seq, batch as f64 / t_seq);
     println!("speedup: {:.2}x", t_seq / t_par);

@@ -12,7 +12,7 @@
 //! cargo run --release --example custom_network
 //! ```
 
-use zskip::accel::{AccelConfig, BackendKind, Driver};
+use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{LayerSpec, NetworkSpec};
@@ -51,8 +51,8 @@ fn main() {
 
     // Run on both backends; the cycle-exact one simulates all 21 kernels.
     let config = AccelConfig::for_variant(Variant::U256Opt);
-    let model = Driver::builder(config).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
-    let cycle = Driver::builder(config).backend(BackendKind::Cycle).build().unwrap().run_network(&qnet, &input).expect("fits");
+    let model = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
+    let cycle = Session::builder(config).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("fits");
     let golden = qnet.forward_quant(&input);
     assert_eq!(model.output, golden, "model backend bit-exact");
     assert_eq!(cycle.output, golden, "cycle backend bit-exact");

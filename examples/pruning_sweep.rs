@@ -11,7 +11,7 @@
 //! cargo run --release --example pruning_sweep
 //! ```
 
-use zskip::accel::{AccelConfig, BackendKind, Driver};
+use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::{compare, synthetic_inputs};
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
@@ -51,11 +51,9 @@ fn main() {
         let calib = synthetic_inputs(6, 4, spec().input);
         let qnet = net.quantize(&calib);
 
-        let driver = Driver::builder(config).backend(BackendKind::Model).build().unwrap();
-        let report = driver.run_network(&qnet, &inputs[0]).expect("fits");
-        let mut grouped = driver.clone();
-        grouped.filter_grouping = true;
-        let greport = grouped.run_network(&qnet, &inputs[0]).expect("fits");
+        let builder = Session::builder(config).backend(BackendKind::Model);
+        let report = builder.clone().build().unwrap().infer(&qnet, &inputs[0]).expect("fits");
+        let greport = builder.filter_grouping(true).build().unwrap().infer(&qnet, &inputs[0]).expect("fits");
 
         let fidelity = compare(&net, &qnet, &inputs);
         let conv_cycles: u64 = report.conv_layers().map(|l| l.stats.total_cycles).sum();

@@ -11,7 +11,7 @@
 //! cargo run --release --example ternary_network
 //! ```
 
-use zskip::accel::{AccelConfig, BackendKind, Driver};
+use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::{compare, synthetic_inputs};
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
@@ -40,11 +40,11 @@ fn main() {
     println!("                    ternary {:?}", round3(&qt.conv_densities()));
 
     let config = AccelConfig::for_variant(Variant::U256Opt);
-    let driver = Driver::builder(config).backend(BackendKind::Model).build().unwrap();
+    let session = Session::builder(config).backend(BackendKind::Model).build().unwrap();
     let input = synthetic_inputs(12, 1, spec.input).pop().expect("one");
 
-    let r8 = driver.run_network(&q8, &input).expect("fits");
-    let rt = driver.run_network(&qt, &input).expect("fits");
+    let r8 = session.infer(&q8, &input).expect("fits");
+    let rt = session.infer(&qt, &input).expect("fits");
     assert_eq!(r8.output, q8.forward_quant(&input), "8-bit bit-exact");
     assert_eq!(rt.output, qt.forward_quant(&input), "ternary bit-exact");
 

@@ -15,7 +15,7 @@
 //! cargo run --release --example vgg16_inference
 //! ```
 
-use zskip::accel::{AccelConfig, BackendKind, Driver};
+use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::{compare, synthetic_inputs};
 use zskip::nn::model::{Network, SyntheticModelConfig};
@@ -34,9 +34,9 @@ fn main() {
     let qnet = net.quantize(&calib);
 
     let config = AccelConfig::for_variant(Variant::U256Opt);
-    let driver = Driver::builder(config).backend(BackendKind::Model).build().unwrap();
+    let session = Session::builder(config).backend(BackendKind::Model).build().unwrap();
     let input = synthetic_inputs(8, 1, spec.input).pop().expect("one input");
-    let report = driver.run_network(&qnet, &input).expect("fits");
+    let report = session.infer(&qnet, &input).expect("fits");
     assert_eq!(report.output, qnet.forward_quant(&input), "bit-exact vs golden model");
     println!("accelerator output bit-exact vs software golden model");
 
@@ -52,9 +52,9 @@ fn main() {
         println!("\n== throughput: VGG-16 224x224, 512-opt, {label} ==");
         let full = zskip_bench_model(density);
         let config = AccelConfig::for_variant(Variant::U512Opt);
-        let driver = Driver::builder(config).functional(false).build().unwrap();
+        let session = Session::builder(config).functional(false).build().unwrap();
         let input = zskip::tensor::Tensor::<f32>::zeros(3, 224, 224);
-        let report = driver.run_network(&full, &input).expect("fits");
+        let report = session.infer(&full, &input).expect("fits");
         println!("  layer      cycles        eff.GOPS");
         for l in report.conv_layers() {
             println!("  {:<9} {:>10} {:>12.1}", l.name, l.stats.total_cycles, l.effective_gops(&config));

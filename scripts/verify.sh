@@ -208,6 +208,16 @@ sed -i -e 's/"version": 4,/"version": 3,/' -e 's/^  "queue_depth"/  "max_batch":
 grep -q '"batch_window_ms": 2' "$bad_cfg" \
   || { echo "verify: the version-3 fixture was not written"; exit 1; }
 expect_invalid infer --hw 32 --config "$bad_cfg"
+# Thread counts are capped (0 still means auto): an absurd one, as a flag
+# or as an artifact field, fails closed before any thread is spawned
+# instead of exhausting the host's threads (a spawn panic, exit 101).
+expect_invalid serve --hw 32 --workers 100000 </dev/null
+expect_invalid infer --hw 32 --threads 100000 </dev/null
+timeout 300 ./target/release/zskip tune --budget 1 --out "$bad_cfg" > /dev/null
+sed -i 's/"batch_workers": 0,/"batch_workers": 100000,/' "$bad_cfg"
+grep -q '"batch_workers": 100000' "$bad_cfg" \
+  || { echo "verify: the batch_workers fixture was not written"; exit 1; }
+expect_invalid serve --hw 32 --config "$bad_cfg" </dev/null
 rm -f "$bad_cfg"
 # A deleted knob's flag is an unknown flag like any other: exit 2.
 for gone in "infer --hw 32 --weight-cache off" "serve --hw 32 --batch-window-ms 0" "serve --hw 32 --max-batch 1" \

@@ -6,7 +6,7 @@
 //! Re-exports every workspace crate under one roof so examples and
 //! integration tests have a single dependency:
 //!
-//! * [`tensor`] — tiles, stripes, CHW tensors (paper Fig. 2)
+//! * [`tensor`] — tiles and CHW tensors (paper Fig. 2)
 //! * [`quant`] — 8-bit sign+magnitude, pruning, packed zero-skip weights
 //! * [`nn`] — software reference CNN and the VGG-16 network
 //! * [`sim`] — cycle-level streaming-kernel simulation framework
@@ -39,16 +39,17 @@ pub use zskip_core::Error;
 /// assert_eq!(session.kernel_tier(), KernelTier::Scalar);
 /// ```
 ///
-/// Construction goes through [`Session`](prelude::Session) or
-/// [`DriverBuilder`](prelude::DriverBuilder), whose `build()` returns
-/// [`prelude::Error`] with the stable code `config.invalid`.
+/// Construction goes through [`Session::builder`](prelude::Session::builder)
+/// alone, whose `build()` returns [`prelude::Error`] with the stable code
+/// `config.invalid`; the session is also the only way to run an image, a
+/// batch or a sharded batch.
 pub mod prelude {
     pub use zskip_core::batch::RetryPolicy;
     pub use zskip_core::serve::wire;
     pub use zskip_core::{
-        run_sharded, AccelConfig, BackendKind, BatchConfig, CostModel, Driver, DriverBuilder,
-        Error, Placement, SearchSpace, ServeEngine, ServeError, ServeHandle, ServeReply,
-        ServeStats, Session, SessionBuilder, ShardReport, TuneOutcome, TunedConfig, Tuner,
+        AccelConfig, BackendKind, BatchConfig, CostModel, Driver, Error, Placement, SearchSpace,
+        ServeEngine, ServeError, ServeHandle, ServeReply, ServeStats, Session, SessionBuilder,
+        ShardReport, TuneOutcome, TunedConfig, Tuner,
     };
     pub use zskip_nn::simd::KernelTier;
 }

@@ -32,7 +32,7 @@ use zskip::accel::serve::wire;
 use zskip::accel::session::DEFAULT_QUEUE_DEPTH;
 use zskip::accel::tune::{self, FlagGroup, DEFAULT_BUDGET, DEFAULT_SEED, KNOBS};
 use zskip::accel::{
-    AccelConfig, BackendKind, Driver, Placement, Provenance, SearchSpace, ServeEngine,
+    AccelConfig, BackendKind, Placement, Provenance, SearchSpace, ServeEngine, Session,
     ShardReport, TunedConfig, Tuner,
 };
 use zskip::hls::Variant;
@@ -996,13 +996,13 @@ fn analyze(p: &Parsed) {
     // then report the process-wide caches (packed scratchpad groups keyed
     // by weight identity + lane/skip geometry, and the cpu backend's
     // memoized per-network statistics).
-    let cpu_driver = Driver::builder(AccelConfig::for_variant(variant))
+    let cpu = Session::builder(AccelConfig::for_variant(variant))
         .backend(BackendKind::Cpu)
         .build()
-        .expect("cpu driver builds");
-    let _ = cpu_driver.run_network(&sq, &probe[0]).expect("surrogate image runs");
+        .expect("cpu session builds");
+    let _ = cpu.infer(&sq, &probe[0]).expect("surrogate image runs");
     let cold = zskip::accel::stats_memo_stats();
-    let _ = cpu_driver.run_network(&sq, &probe[1]).expect("surrogate image runs");
+    let _ = cpu.infer(&sq, &probe[1]).expect("surrogate image runs");
     let gc = zskip::accel::weight_cache_stats();
     let sm = zskip::accel::stats_memo_stats();
     println!(
@@ -1040,13 +1040,13 @@ fn analyze(p: &Parsed) {
         if cost.fits { "" } else { " (DOES NOT FIT)" }
     );
     let shard_config = AccelConfig::for_variant_instances(variant, instances);
-    let shard_driver = Driver::builder(shard_config)
+    let shard_session = Session::builder(shard_config)
         .backend(BackendKind::Model)
+        .placement(placement)
         .build()
-        .expect("model driver builds");
+        .expect("model session builds");
     let shard_inputs = synthetic_inputs(3, (2 * instances).max(4), surrogate.input);
-    let shard = zskip::accel::run_sharded(&shard_driver, &sq, &shard_inputs, placement)
-        .unwrap_or_else(|e| fail_error(&e.into()));
+    let shard = shard_session.run_sharded(&sq, &shard_inputs).unwrap_or_else(|e| fail_error(&e));
     print_shard_summary(&shard, &shard_config);
 
     // Serving limits: what `zskip serve` defaults to on this build, so an

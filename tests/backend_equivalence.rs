@@ -20,8 +20,8 @@
 
 use proptest::prelude::*;
 use zskip::accel::{
-    stats_memo_stats, AccelConfig, BackendKind, Driver, DriverBuilder, DriverError, Error,
-    InferenceReport, PassStats, Placement, PoolPadOp, Session, SocHandle,
+    stats_memo_stats, AccelConfig, BackendKind, DriverError, Error, InferenceReport, PassStats,
+    Placement, PoolPadOp, Session, SessionBuilder, SocHandle,
 };
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
@@ -275,8 +275,8 @@ fn cpu_single_layer_passes_equal_the_model_backend() {
     ]
     .map(|t| TiledFeatureMap::from_tensor(&t));
     let passes = |backend| {
-        let d = Driver::builder(config(32, 1)).backend(backend).build().expect("valid config");
-        let soc = &mut SocHandle::new();
+        let session = Session::builder(config(32, 1)).backend(backend).build().expect("valid config");
+        let (d, soc) = (session.driver(), &mut SocHandle::new());
         [
             d.conv_pass("c", &padded, qw, Shape::new(qw.out_c, 24, 24), soc),
             d.poolpad_pass("p", &raw, PoolPadOp::Pad { amount: 1 }, Shape::new(3, 26, 26), soc),
@@ -340,7 +340,7 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
         f(&mut cfg);
         cfg
     };
-    type Knob = fn(DriverBuilder) -> DriverBuilder;
+    type Knob = fn(SessionBuilder) -> SessionBuilder;
     let plain: Knob = |b| b;
     let variants: [(&str, AccelConfig, Knob); 9] = [
         ("base", config(20, 1), plain),
@@ -356,7 +356,7 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
     ];
     let mut base: Option<InferenceReport> = None;
     for (knob, cfg, apply) in variants {
-        let run = |backend| apply(Driver::builder(cfg).backend(backend)).build().expect("valid config").run_network(&qnet, &input).expect("fits");
+        let run = |backend| apply(Session::builder(cfg).backend(backend)).build().expect("valid config").infer(&qnet, &input).expect("fits");
         let model = run(BackendKind::Model);
         // Twice: the recording run and the replay.
         for pass in ["miss", "hit"] {
@@ -381,9 +381,9 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
             name.insert_str(0, "renamed_");
         }
     }
-    let cpu = Driver::builder(config(20, 1)).backend(BackendKind::Cpu).build().expect("valid config");
+    let cpu = Session::builder(config(20, 1)).backend(BackendKind::Cpu).build().expect("valid config");
     for net in [&qnet, &renamed] {
-        let report = cpu.run_network(net, &input).expect("fits");
+        let report = cpu.infer(net, &input).expect("fits");
         let names: Vec<&str> = report.layers.iter().map(|l| l.name.as_str()).collect();
         let want: Vec<&str> = net.spec.layers.iter().map(LayerSpec::name).collect();
         assert_eq!(names, want, "each spec reports its own layer names");
@@ -440,16 +440,16 @@ proptest! {
     ) {
         let (qnet, input) = quantize_spec(&spec, density, seed);
         let cfg = config(2048, 1);
-        let model = Driver::builder(cfg).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
-        let cpu = Driver::builder(cfg).backend(BackendKind::Cpu).build().unwrap().run_network(&qnet, &input).expect("fits");
+        let model = Session::builder(cfg).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
+        let cpu = Session::builder(cfg).backend(BackendKind::Cpu).build().unwrap().infer(&qnet, &input).expect("fits");
         // Intra-image multithreaded cpu backend: panel decomposition over a
         // 3-worker pool must not change outputs or statistics either.
-        let mt = Driver::builder(cfg)
+        let mt = Session::builder(cfg)
             .backend(BackendKind::Cpu)
             .threads(3)
             .build()
             .expect("valid config")
-            .run_network(&qnet, &input)
+            .infer(&qnet, &input)
             .expect("fits");
         prop_assert_eq!(&model.output, &qnet.forward_quant(&input));
         prop_assert_eq!(&cpu.output, &model.output);
@@ -485,14 +485,14 @@ proptest! {
     ) {
         let (qnet, input) = quantize_spec(&spec, density, seed);
         let cfg = config(2048, 1);
-        let model = Driver::builder(cfg).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
-        let cpu = Driver::builder(cfg).backend(BackendKind::Cpu).build().unwrap().run_network(&qnet, &input).expect("fits");
-        let mt = Driver::builder(cfg)
+        let model = Session::builder(cfg).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
+        let cpu = Session::builder(cfg).backend(BackendKind::Cpu).build().unwrap().infer(&qnet, &input).expect("fits");
+        let mt = Session::builder(cfg)
             .backend(BackendKind::Cpu)
             .threads(3)
             .build()
             .expect("valid config")
-            .run_network(&qnet, &input)
+            .infer(&qnet, &input)
             .expect("fits");
         prop_assert_eq!(&model.output, &qnet.forward_quant(&input));
         prop_assert_eq!(&cpu.output, &model.output);
@@ -544,7 +544,7 @@ proptest! {
         let cfg = config(1024, 1);
         let golden = qnet.forward_quant(&input);
         for backend in BackendKind::ALL {
-            let report = Driver::builder(cfg).backend(backend).build().unwrap().run_network(&qnet, &input).expect("fits");
+            let report = Session::builder(cfg).backend(backend).build().unwrap().infer(&qnet, &input).expect("fits");
             prop_assert_eq!(&report.output, &golden, "backend {}", backend);
         }
     }
@@ -573,7 +573,7 @@ proptest! {
         let golden = qnet.forward_quant(&input);
         let reports: Vec<_> = BackendKind::ALL
             .iter()
-            .map(|&b| Driver::builder(cfg).backend(b).build().unwrap().run_network(&qnet, &input).expect("fits"))
+            .map(|&b| Session::builder(cfg).backend(b).build().unwrap().infer(&qnet, &input).expect("fits"))
             .collect();
         let (model, cycle, cpu) = (&reports[0], &reports[1], &reports[2]);
         for (r, b) in reports.iter().zip(BackendKind::ALL) {
@@ -620,15 +620,15 @@ fn transient_dma_faults_surface_identically_on_dag_networks() {
             let mut codes = Vec::new();
             for backend in BackendKind::ALL {
                 let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
-                let driver = Driver::builder(config(4096, 1))
+                let session = Session::builder(config(4096, 1))
                     .backend(backend)
                     .fault_plan(plan.clone())
                     .build()
                     .expect("valid config");
-                let err = driver.run_network(&qnet, &input).unwrap_err();
+                let err = session.infer(&qnet, &input).unwrap_err();
                 assert!(err.is_transient(), "{backend}: DMA faults are transient");
                 assert_eq!(plan.lock().unwrap().fired().len(), 1, "{backend}: exactly one fault fired");
-                codes.push(Error::from(err).code());
+                codes.push(err.code());
             }
             assert_eq!(codes, vec![want_code; 3], "fault {kind:?} at {at}");
         }
@@ -666,12 +666,12 @@ fn cycle_backend_report_does_not_depend_on_the_thread_count() {
         let (qnet, input) = quantize_spec(&spec, 0.4, 7);
         for instances in [1, 2] {
             let run = |threads| {
-                Driver::builder(config(4096, instances))
+                Session::builder(config(4096, instances))
                     .backend(BackendKind::Cycle)
                     .threads(threads)
                     .build()
                     .expect("valid config")
-                    .run_network(&qnet, &input)
+                    .infer(&qnet, &input)
                     .expect("runs")
             };
             let want = run(1);
@@ -689,7 +689,7 @@ fn every_backend_matches_software_reference_bit_exact() {
     let (qnet, input) = quantized(0.6, 11);
     let golden = qnet.forward_quant(&input);
     for backend in BackendKind::ALL {
-        let report = Driver::builder(config(4096, 1)).backend(backend).build().unwrap().run_network(&qnet, &input).expect("runs");
+        let report = Session::builder(config(4096, 1)).backend(backend).build().unwrap().infer(&qnet, &input).expect("runs");
         assert_eq!(report.output, golden, "backend {backend}");
         assert!(report.total_cycles > 0);
         assert!(report.ddr_bytes > 0);
@@ -700,8 +700,8 @@ fn every_backend_matches_software_reference_bit_exact() {
 #[test]
 fn model_and_cycle_backends_agree_on_cycles_within_tolerance() {
     let (qnet, input) = quantized(0.4, 33);
-    let model = Driver::builder(config(4096, 1)).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).unwrap();
-    let cycle = Driver::builder(config(4096, 1)).backend(BackendKind::Cycle).build().unwrap().run_network(&qnet, &input).unwrap();
+    let model = Session::builder(config(4096, 1)).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).unwrap();
+    let cycle = Session::builder(config(4096, 1)).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).unwrap();
     assert_eq!(model.output, cycle.output, "functional equality");
     let diff = model.total_cycles.abs_diff(cycle.total_cycles) as f64;
     assert!(
@@ -718,9 +718,9 @@ fn striping_preserves_results_on_every_backend() {
     let golden = qnet.forward_quant(&input);
     for backend in [BackendKind::Model, BackendKind::Cpu] {
         // Tiny banks: forces multiple stripes per layer.
-        let striped = Driver::builder(config(20, 1)).backend(backend).build().unwrap().run_network(&qnet, &input).unwrap();
+        let striped = Session::builder(config(20, 1)).backend(backend).build().unwrap().infer(&qnet, &input).unwrap();
         assert_eq!(striped.output, golden, "backend {backend}");
-        let roomy = Driver::builder(config(8192, 1)).backend(backend).build().unwrap().run_network(&qnet, &input).unwrap();
+        let roomy = Session::builder(config(8192, 1)).backend(backend).build().unwrap().infer(&qnet, &input).unwrap();
         let stripes_tight: usize = striped.layers.iter().map(|l| l.stats.stripes).sum();
         let stripes_roomy: usize = roomy.layers.iter().map(|l| l.stats.stripes).sum();
         assert!(stripes_tight > stripes_roomy, "{stripes_tight} vs {stripes_roomy}");
@@ -733,8 +733,8 @@ fn striping_preserves_results_on_every_backend() {
 fn two_instances_cut_compute_on_striped_layers() {
     let (qnet, input) = quantized(1.0, 55);
     for backend in [BackendKind::Model, BackendKind::Cpu] {
-        let one = Driver::builder(config(20, 1)).backend(backend).build().unwrap().run_network(&qnet, &input).unwrap();
-        let two = Driver::builder(config(20, 2)).backend(backend).build().unwrap().run_network(&qnet, &input).unwrap();
+        let one = Session::builder(config(20, 1)).backend(backend).build().unwrap().infer(&qnet, &input).unwrap();
+        let two = Session::builder(config(20, 2)).backend(backend).build().unwrap().infer(&qnet, &input).unwrap();
         assert_eq!(two.output, qnet.forward_quant(&input));
         let c1: u64 = one.conv_layers().map(|l| l.stats.compute_cycles).sum();
         let c2: u64 = two.conv_layers().map(|l| l.stats.compute_cycles).sum();
@@ -746,11 +746,11 @@ fn two_instances_cut_compute_on_striped_layers() {
 fn filter_grouping_keeps_results_and_not_slower() {
     let (qnet, input) = quantized(0.3, 66);
     for backend in [BackendKind::Model, BackendKind::Cpu] {
-        let plain = Driver::builder(config(4096, 1)).backend(backend).build().unwrap();
+        let plain = Session::builder(config(4096, 1)).backend(backend).build().unwrap();
         let grouped =
-            Driver::builder(config(4096, 1)).backend(backend).filter_grouping(true).build().unwrap();
-        let a = plain.run_network(&qnet, &input).unwrap();
-        let b = grouped.run_network(&qnet, &input).unwrap();
+            Session::builder(config(4096, 1)).backend(backend).filter_grouping(true).build().unwrap();
+        let a = plain.infer(&qnet, &input).unwrap();
+        let b = grouped.infer(&qnet, &input).unwrap();
         assert_eq!(a.output, b.output, "grouping must not change results ({backend})");
         let ca: u64 = a.conv_layers().map(|l| l.stats.compute_cycles).sum();
         let cb: u64 = b.conv_layers().map(|l| l.stats.compute_cycles).sum();
@@ -763,9 +763,9 @@ fn pruned_network_runs_faster_than_dense() {
     let (dense, input) = quantized(1.0, 77);
     let (pruned, _) = quantized(0.3, 77);
     for backend in [BackendKind::Model, BackendKind::Cpu] {
-        let driver = Driver::builder(config(4096, 1)).backend(backend).build().unwrap();
-        let d = driver.run_network(&dense, &input).unwrap();
-        let p = driver.run_network(&pruned, &input).unwrap();
+        let session = Session::builder(config(4096, 1)).backend(backend).build().unwrap();
+        let d = session.infer(&dense, &input).unwrap();
+        let p = session.infer(&pruned, &input).unwrap();
         let cd: u64 = d.conv_layers().map(|l| l.stats.compute_cycles).sum();
         let cp: u64 = p.conv_layers().map(|l| l.stats.compute_cycles).sum();
         assert!(cp < cd, "zero-skipping must help: pruned {cp} vs dense {cd}");
@@ -776,9 +776,9 @@ fn pruned_network_runs_faster_than_dense() {
 fn layer_too_large_is_reported_identically() {
     let (qnet, input) = quantized(1.0, 88);
     for backend in BackendKind::ALL {
-        let err = Driver::builder(config(8, 1)).backend(backend).build().unwrap().run_network(&qnet, &input).unwrap_err();
+        let err = Session::builder(config(8, 1)).backend(backend).build().unwrap().infer(&qnet, &input).unwrap_err();
         match err {
-            DriverError::LayerTooLarge { needed, capacity, .. } => {
+            Error::Driver(DriverError::LayerTooLarge { needed, capacity, .. }) => {
                 assert!(needed > capacity);
             }
             other => panic!("expected LayerTooLarge on {backend}, got {other:?}"),
@@ -791,7 +791,7 @@ fn gops_reporting_is_consistent() {
     let (qnet, input) = quantized(1.0, 99);
     let cfg = config(4096, 1);
     for backend in [BackendKind::Model, BackendKind::Cpu] {
-        let report = Driver::builder(cfg).backend(backend).build().unwrap().run_network(&qnet, &input).unwrap();
+        let report = Session::builder(cfg).backend(backend).build().unwrap().infer(&qnet, &input).unwrap();
         let mean = report.mean_gops(&cfg);
         let peak = report.peak_gops(&cfg);
         assert!(peak >= mean && mean > 0.0, "peak {peak} mean {mean}");
@@ -816,15 +816,15 @@ fn transient_dma_faults_surface_identically_across_backends() {
             let mut codes = Vec::new();
             for backend in BackendKind::ALL {
                 let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
-                let driver = Driver::builder(config(4096, 1))
+                let session = Session::builder(config(4096, 1))
                     .backend(backend)
                     .fault_plan(plan.clone())
                     .build()
                     .expect("valid config");
-                let err = driver.run_network(&qnet, &input).unwrap_err();
+                let err = session.infer(&qnet, &input).unwrap_err();
                 assert!(err.is_transient(), "{backend}: DMA faults are transient");
                 assert_eq!(plan.lock().unwrap().fired().len(), 1, "{backend}: exactly one fault fired");
-                codes.push(Error::from(err).code());
+                codes.push(err.code());
             }
             assert_eq!(codes, vec![want_code; 3], "fault {kind:?} at {at}");
         }
@@ -835,11 +835,10 @@ fn transient_dma_faults_surface_identically_across_backends() {
 fn injected_dma_truncation_surfaces_as_structured_error() {
     let (qnet, input) = quantized(0.6, 11);
     let plan = FaultPlan::new().inject("dma:xfer", 2, FaultKind::DmaTruncate { tiles: 1 }).shared();
-    let driver =
-        Driver::builder(config(4096, 1)).fault_plan(plan.clone()).build().expect("valid config");
-    let err = driver.run_network(&qnet, &input).unwrap_err();
+    let session = Session::builder(config(4096, 1)).fault_plan(plan.clone()).build().expect("valid config");
+    let err = session.infer(&qnet, &input).unwrap_err();
     assert!(
-        matches!(err, DriverError::Dma(DmaError::Truncated { .. })),
+        matches!(err, Error::Driver(DriverError::Dma(DmaError::Truncated { .. }))),
         "expected truncation, got {err:?}"
     );
     assert_eq!(plan.lock().unwrap().fired().len(), 1, "exactly one fault fired");

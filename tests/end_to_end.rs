@@ -2,7 +2,7 @@
 //! (driver -> DMA/DDR -> striping -> instruction streams -> accelerator
 //! backends) across architecture variants.
 
-use zskip::accel::{AccelConfig, BackendKind, Driver};
+use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
@@ -38,7 +38,7 @@ fn every_variant_is_bit_exact_on_the_model_backend() {
     let golden = qnet.forward_quant(&input);
     for variant in Variant::all() {
         let config = AccelConfig::for_variant(variant);
-        let report = Driver::builder(config).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
+        let report = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
         assert_eq!(report.output, golden, "{variant} output mismatch");
     }
 }
@@ -49,7 +49,7 @@ fn cycle_backend_matches_on_full_and_single_unit_variants() {
     let golden = qnet.forward_quant(&input);
     for variant in [Variant::U256Opt, Variant::U16Unopt] {
         let config = AccelConfig::for_variant(variant);
-        let report = Driver::builder(config).backend(BackendKind::Cycle).build().unwrap().run_network(&qnet, &input).expect("fits");
+        let report = Session::builder(config).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("fits");
         assert_eq!(report.output, golden, "{variant} cycle-backend mismatch");
     }
 }
@@ -58,8 +58,8 @@ fn cycle_backend_matches_on_full_and_single_unit_variants() {
 fn runs_are_deterministic() {
     let (qnet, input) = testnet(3, 0.6);
     let config = AccelConfig::for_variant(Variant::U256Opt);
-    let a = Driver::builder(config).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
-    let b = Driver::builder(config).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
+    let a = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
+    let b = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
     assert_eq!(a.output, b.output);
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.ddr_bytes, b.ddr_bytes);
@@ -70,8 +70,8 @@ fn wider_datapath_is_faster() {
     let (qnet, input) = testnet(4, 1.0);
     let cycles = |v: Variant| {
         let config = AccelConfig::for_variant(v);
-        Driver::builder(config).backend(BackendKind::Model).build().unwrap()
-            .run_network(&qnet, &input)
+        Session::builder(config).backend(BackendKind::Model).build().unwrap()
+            .infer(&qnet, &input)
             .expect("fits")
             .conv_layers()
             .map(|l| l.stats.compute_cycles)
@@ -87,7 +87,7 @@ fn effective_gops_never_exceeds_peak_for_dense_model() {
     let (qnet, input) = testnet(5, 1.0);
     for variant in Variant::all() {
         let config = AccelConfig::for_variant(variant);
-        let report = Driver::builder(config).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
+        let report = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
         let peak = config.peak_gops();
         for l in report.conv_layers() {
             assert!(
@@ -106,14 +106,14 @@ fn pruned_network_beats_dense_on_every_variant() {
     let (pruned, _) = testnet(6, 0.3);
     for variant in Variant::all() {
         let config = AccelConfig::for_variant(variant);
-        let d: u64 = Driver::builder(config).backend(BackendKind::Model).build().unwrap()
-            .run_network(&dense, &input)
+        let d: u64 = Session::builder(config).backend(BackendKind::Model).build().unwrap()
+            .infer(&dense, &input)
             .expect("fits")
             .conv_layers()
             .map(|l| l.stats.compute_cycles)
             .sum();
-        let p: u64 = Driver::builder(config).backend(BackendKind::Model).build().unwrap()
-            .run_network(&pruned, &input)
+        let p: u64 = Session::builder(config).backend(BackendKind::Model).build().unwrap()
+            .infer(&pruned, &input)
             .expect("fits")
             .conv_layers()
             .map(|l| l.stats.compute_cycles)
@@ -126,11 +126,10 @@ fn pruned_network_beats_dense_on_every_variant() {
 fn zero_skip_ablation_changes_cycles_not_results() {
     let (qnet, input) = testnet(7, 0.3);
     let config = AccelConfig::for_variant(Variant::U256Opt);
-    let with = Driver::builder(config).backend(BackendKind::Model).build().unwrap();
-    let mut without = with.clone();
-    without.zero_skipping = false;
-    let a = with.run_network(&qnet, &input).expect("fits");
-    let b = without.run_network(&qnet, &input).expect("fits");
+    let with = Session::builder(config).backend(BackendKind::Model).build().unwrap();
+    let without = Session::builder(config).backend(BackendKind::Model).zero_skipping(false).build().unwrap();
+    let a = with.infer(&qnet, &input).expect("fits");
+    let b = without.infer(&qnet, &input).expect("fits");
     assert_eq!(a.output, b.output, "zero-skipping must never change results");
     let ca: u64 = a.conv_layers().map(|l| l.stats.compute_cycles).sum();
     let cb: u64 = b.conv_layers().map(|l| l.stats.compute_cycles).sum();
@@ -143,6 +142,6 @@ fn zero_skip_ablation_changes_cycles_not_results() {
 fn five_twelve_opt_cycle_backend_is_bit_exact() {
     let (qnet, input) = testnet(8, 0.5);
     let config = AccelConfig::for_variant(Variant::U512Opt);
-    let report = Driver::builder(config).backend(BackendKind::Cycle).build().unwrap().run_network(&qnet, &input).expect("fits");
+    let report = Session::builder(config).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("fits");
     assert_eq!(report.output, qnet.forward_quant(&input));
 }

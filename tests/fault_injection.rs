@@ -4,10 +4,7 @@
 //! never a hang past the deadlock window.
 
 use proptest::prelude::*;
-use zskip::accel::{
-    run_batch_resilient, stats_memo_stats, AccelConfig, BackendKind, Driver, DriverError,
-    RetryPolicy,
-};
+use zskip::accel::{stats_memo_stats, AccelConfig, BackendKind, Error, Session};
 use zskip::fault::{FaultKind, FaultPlan, FiredFault};
 use zskip::hls::AccelArch;
 use zskip::nn::eval::synthetic_inputs;
@@ -72,15 +69,15 @@ proptest! {
         );
         let stall = FaultKind::FifoStall { cycles: if forever { u64::MAX } else { cycles } };
         let plan = FaultPlan::new().inject(site.clone(), at, stall).shared();
-        let driver = Driver::builder(config())
+        let session = Session::builder(config())
             .backend(BackendKind::Cycle)
             .fault_plan(plan)
             .build()
             .expect("valid config");
-        match driver.run_network(&qnet, &input) {
+        match session.infer(&qnet, &input) {
             Ok(report) => prop_assert_eq!(report.output, golden, "fault at {} corrupted output", site),
             Err(e) => {
-                let code = zskip::Error::from(e).code();
+                let code = e.code();
                 prop_assert!(!code.is_empty(), "error without a stable code at {}", site);
             }
         }
@@ -95,16 +92,16 @@ fn deadlock_error_names_the_wedged_fifo() {
     let plan = FaultPlan::new()
         .inject("fifo:done:pop", 10, FaultKind::FifoStall { cycles: u64::MAX })
         .shared();
-    let driver = Driver::builder(config())
+    let session = Session::builder(config())
         .backend(BackendKind::Cycle)
         .fault_plan(plan)
         .build()
         .expect("valid config");
-    let err = driver.run_network(&qnet, &input).expect_err("permanent stall deadlocks");
+    let err = session.infer(&qnet, &input).expect_err("permanent stall deadlocks");
     let msg = err.to_string();
     assert!(msg.contains("deadlock"), "not a deadlock: {msg}");
     assert!(msg.contains("wedged fifo: done"), "wedged fifo not named: {msg}");
-    assert_eq!(zskip::Error::from(err).code(), "sim.deadlock");
+    assert_eq!(err.code(), "sim.deadlock");
 }
 
 /// DMA truncation surfaces as a typed `dma.truncated` error through the
@@ -115,15 +112,14 @@ fn dma_truncation_is_structured_and_retry_recovers() {
     let (qnet, input) = small_net(8);
     let golden = qnet.forward_quant(&input);
     let plan = FaultPlan::new().inject("dma:xfer", 1, FaultKind::DmaTruncate { tiles: 0 }).shared();
-    let driver =
-        Driver::builder(config()).fault_plan(plan.clone()).build().expect("valid config");
+    let session = Session::builder(config()).fault_plan(plan.clone()).build().expect("valid config");
 
-    let err = driver.run_network(&qnet, &input).expect_err("truncation is an error");
-    assert_eq!(zskip::Error::from(err.clone()).code(), "dma.truncated");
+    let err = session.infer(&qnet, &input).expect_err("truncation is an error");
+    assert_eq!(err.code(), "dma.truncated");
     assert!(err.is_transient(), "DMA faults are retryable");
     assert_eq!(plan.lock().expect("unpoisoned").fired().len(), 1);
 
-    let retry = driver.run_network(&qnet, &input).expect("one-shot fault is consumed");
+    let retry = session.infer(&qnet, &input).expect("one-shot fault is consumed");
     assert_eq!(retry.output, golden);
 }
 
@@ -134,14 +130,14 @@ fn faulted_run(
     input: &Tensor<f32>,
     at: u64,
     kind: FaultKind,
-) -> (Result<(), DriverError>, Vec<FiredFault>) {
+) -> (Result<(), Error>, Vec<FiredFault>) {
     let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
-    let driver = Driver::builder(config())
+    let session = Session::builder(config())
         .backend(backend)
         .fault_plan(plan.clone())
         .build()
         .expect("valid config");
-    let result = driver.run_network(qnet, input).map(|_| ());
+    let result = session.infer(qnet, input).map(|_| ());
     let fired = plan.lock().expect("unpoisoned").fired().to_vec();
     (result, fired)
 }
@@ -155,22 +151,22 @@ fn faulted_run(
 /// asserts on are exact.
 #[test]
 fn cpu_backend_faults_bypass_the_warm_stats_memo() {
-    let build = |backend: BackendKind| Driver::builder(config()).backend(backend);
+    let build = |backend: BackendKind| Session::builder(config()).backend(backend);
     let memo = || {
         let s = stats_memo_stats();
         (s.entries, s.hits, s.misses)
     };
     let (qnet, input) = small_net(8);
     let golden = qnet.forward_quant(&input);
-    let model = build(BackendKind::Model).build().unwrap().run_network(&qnet, &input).unwrap();
+    let model = build(BackendKind::Model).build().unwrap().infer(&qnet, &input).unwrap();
 
     // Plan-free warm-up records the network's one report; the second
     // image is exactly one hit.
     let cpu = build(BackendKind::Cpu).build().unwrap();
-    cpu.run_network(&qnet, &input).expect("clean run");
+    cpu.infer(&qnet, &input).expect("clean run");
     let warmed = memo();
     assert_eq!(warmed, (1, 0, 1), "the warm-up image recorded one report");
-    let warm = cpu.run_network(&qnet, &input).expect("clean run");
+    let warm = cpu.infer(&qnet, &input).expect("clean run");
     assert_eq!((warm.total_cycles, warm.ddr_bytes), (model.total_cycles, model.ddr_bytes));
     let replayed = memo();
     assert_eq!(replayed, (1, 1, 1), "a warm image is one hit and inserts nothing");
@@ -190,7 +186,7 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
             let (c_err, c_fired) = faulted_run(BackendKind::Cpu, &qnet, &input, at, kind);
             let (m_err, c_err) = (m_err.unwrap_err(), c_err.expect_err("the fault must fire on a warm memo"));
             assert_eq!(c_err, m_err, "{kind:?} at {at}");
-            assert_eq!(zskip::Error::from(c_err).code(), code);
+            assert_eq!(c_err.code(), code);
             assert_eq!(c_fired, m_fired, "{kind:?} at {at}");
             assert_eq!(c_fired.len(), 1);
             assert_eq!(c_fired[0].at, at);
@@ -199,8 +195,8 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     // A plan that never fires still forces the real pass and reports
     // Model's numbers.
     let idle = FaultPlan::new().inject("dma:xfer", total + 100, truncate).shared();
-    let driver = build(BackendKind::Cpu).fault_plan(idle).build().unwrap();
-    let r = driver.run_network(&qnet, &input).expect("no fault fires");
+    let session = build(BackendKind::Cpu).fault_plan(idle).build().unwrap();
+    let r = session.infer(&qnet, &input).expect("no fault fires");
     assert_eq!((r.total_cycles, r.ddr_bytes, &r.output), (model.total_cycles, model.ddr_bytes, &golden));
     assert_eq!(memo(), replayed, "a bypassing run neither consults nor feeds the memo");
 
@@ -211,8 +207,8 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     let (err, _) = faulted_run(BackendKind::Cpu, &fresh, &fresh_input, total - 1, truncate);
     err.expect_err("late fault");
     assert_eq!(memo(), replayed, "a faulted run inserts nothing");
-    let fresh_model = build(BackendKind::Model).build().unwrap().run_network(&fresh, &fresh_input).unwrap();
-    let fresh_cpu = cpu.run_network(&fresh, &fresh_input).expect("clean run");
+    let fresh_model = build(BackendKind::Model).build().unwrap().infer(&fresh, &fresh_input).unwrap();
+    let fresh_cpu = cpu.infer(&fresh, &fresh_input).expect("clean run");
     assert_eq!(memo(), (2, 1, 2), "the plan-free run records the fresh network");
     assert_eq!(fresh_cpu.output, fresh_model.output);
     assert_eq!(
@@ -225,8 +221,8 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     let inputs = synthetic_inputs(13, 3, Shape::new(3, 8, 8));
     for backend in [BackendKind::Model, BackendKind::Cpu] {
         let plan = FaultPlan::new().inject("dma:xfer", total / 2, truncate).shared();
-        let driver = build(backend).fault_plan(plan).build().unwrap();
-        let report = run_batch_resilient(&driver, &qnet, &inputs, 1, RetryPolicy::default());
+        let session = build(backend).fault_plan(plan).batch_workers(1).build().unwrap();
+        let report = session.run_batch_resilient(&qnet, &inputs);
         assert_eq!((report.succeeded(), report.retries()), (3, 1), "{backend}");
         let attempts: Vec<_> = report.items.iter().map(|i| (i.attempts, i.backoff_cycles)).collect();
         assert_eq!(attempts, [(2, 1024), (1, 0), (1, 0)], "{backend}");

@@ -3,7 +3,7 @@
 //! on the fast backend, and the two backends must agree with each other.
 
 use proptest::prelude::*;
-use zskip::accel::{AccelConfig, BackendKind, Driver};
+use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::AccelArch;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{LayerSpec, NetworkSpec};
@@ -64,8 +64,8 @@ proptest! {
             &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 2048 },
             100.0,
         );
-        let report = Driver::builder(config).backend(BackendKind::Model).build().unwrap()
-            .run_network(&qnet, &input)
+        let report = Session::builder(config).backend(BackendKind::Model).build().unwrap()
+            .infer(&qnet, &input)
             .expect("small networks always fit");
         prop_assert_eq!(report.output, qnet.forward_quant(&input));
     }
@@ -107,8 +107,8 @@ proptest! {
             &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 1024 },
             100.0,
         );
-        let a = Driver::builder(config).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).expect("fits");
-        let b = Driver::builder(config).backend(BackendKind::Cycle).build().unwrap().run_network(&qnet, &input).expect("fits");
+        let a = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
+        let b = Session::builder(config).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("fits");
         prop_assert_eq!(&a.output, &b.output);
         prop_assert_eq!(a.output, qnet.forward_quant(&input));
     }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use zskip::accel::serve::wire;
-use zskip::accel::{AccelConfig, BackendKind, Driver, GroupWeights};
+use zskip::accel::{AccelConfig, BackendKind, GroupWeights, Session};
 use zskip::hls::AccelArch;
 use zskip::json::Json;
 use zskip::nn::eval::synthetic_inputs;
@@ -44,8 +44,8 @@ fn extreme_striping_pressure_is_bit_exact() {
     let (qnet, input) = net(16, 1);
     let golden = qnet.forward_quant(&input);
     for bank_tiles in [4096, 256, 64, 40, 24] {
-        let driver = Driver::builder(config_with(bank_tiles, 4)).backend(BackendKind::Model).build().unwrap();
-        match driver.run_network(&qnet, &input) {
+        let session = Session::builder(config_with(bank_tiles, 4)).backend(BackendKind::Model).build().unwrap();
+        match session.infer(&qnet, &input) {
             Ok(report) => assert_eq!(report.output, golden, "bank_tiles={bank_tiles}"),
             Err(e) => panic!("bank_tiles={bank_tiles} should stripe, got {e}"),
         }
@@ -58,8 +58,8 @@ fn extreme_striping_pressure_is_bit_exact() {
 fn depth_one_fifos_complete_without_deadlock() {
     let (qnet, input) = net(8, 2);
     let golden = qnet.forward_quant(&input);
-    let fast = Driver::builder(config_with(2048, 4)).backend(BackendKind::Cycle).build().unwrap().run_network(&qnet, &input).expect("runs");
-    let slow = Driver::builder(config_with(2048, 1)).backend(BackendKind::Cycle).build().unwrap().run_network(&qnet, &input).expect("runs");
+    let fast = Session::builder(config_with(2048, 4)).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("runs");
+    let slow = Session::builder(config_with(2048, 1)).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("runs");
     assert_eq!(fast.output, golden);
     assert_eq!(slow.output, golden);
     // Registered FIFOs sustain one transfer per cycle even at depth 1 when
@@ -76,7 +76,7 @@ fn depth_one_fifos_complete_without_deadlock() {
 #[test]
 fn impossible_capacity_is_a_clean_error() {
     let (qnet, input) = net(16, 3);
-    let err = Driver::builder(config_with(4, 4)).backend(BackendKind::Model).build().unwrap().run_network(&qnet, &input).unwrap_err();
+    let err = Session::builder(config_with(4, 4)).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("stripe") && msg.contains("capacity"), "unhelpful error: {msg}");
 }
@@ -98,8 +98,8 @@ fn degenerate_layer_mixes_run() {
         let net = Network::synthetic(spec.clone(), &SyntheticModelConfig::default());
         let qnet = net.quantize(&synthetic_inputs(1, 1, spec.input));
         let input = synthetic_inputs(2, 1, spec.input).pop().expect("one");
-        let report = Driver::builder(config_with(2048, 4)).backend(BackendKind::Model).build().unwrap()
-            .run_network(&qnet, &input)
+        let report = Session::builder(config_with(2048, 4)).backend(BackendKind::Model).build().unwrap()
+            .infer(&qnet, &input)
             .expect("degenerate net runs");
         assert_eq!(report.output, qnet.forward_quant(&input), "{}", spec.name);
     }
@@ -118,7 +118,7 @@ fn single_input_channel_is_correct_despite_imbalance() {
     let qnet = net.quantize(&synthetic_inputs(4, 1, spec.input));
     let input = synthetic_inputs(5, 1, spec.input).pop().expect("one");
     for backend in [BackendKind::Model, BackendKind::Cycle] {
-        let report = Driver::builder(config_with(2048, 4)).backend(backend).build().unwrap().run_network(&qnet, &input).expect("runs");
+        let report = Session::builder(config_with(2048, 4)).backend(backend).build().unwrap().infer(&qnet, &input).expect("runs");
         assert_eq!(report.output, qnet.forward_quant(&input));
     }
 }
@@ -135,7 +135,7 @@ fn one_by_one_kernels_work() {
     let qnet = net.quantize(&synthetic_inputs(6, 1, spec.input));
     let input = synthetic_inputs(7, 1, spec.input).pop().expect("one");
     for backend in [BackendKind::Model, BackendKind::Cycle] {
-        let report = Driver::builder(config_with(2048, 4)).backend(backend).build().unwrap().run_network(&qnet, &input).expect("runs");
+        let report = Session::builder(config_with(2048, 4)).backend(backend).build().unwrap().infer(&qnet, &input).expect("runs");
         assert_eq!(report.output, qnet.forward_quant(&input));
     }
 }
@@ -157,7 +157,7 @@ fn odd_dims_with_overlapping_pool_are_bit_exact() {
     let qnet = net.quantize(&synthetic_inputs(8, 2, spec.input));
     let input = synthetic_inputs(9, 1, spec.input).pop().expect("one");
     for backend in [BackendKind::Model, BackendKind::Cycle] {
-        let report = Driver::builder(config_with(2048, 4)).backend(backend).build().unwrap().run_network(&qnet, &input).expect("runs");
+        let report = Session::builder(config_with(2048, 4)).backend(backend).build().unwrap().infer(&qnet, &input).expect("runs");
         assert_eq!(report.output, qnet.forward_quant(&input));
     }
 }
@@ -184,7 +184,7 @@ fn kernel_sizes_two_and_four_are_bit_exact() {
         let qnet = net.quantize(&synthetic_inputs(k as u64, 1, spec.input));
         let input = synthetic_inputs(k as u64 + 9, 1, spec.input).pop().expect("one");
         for backend in [BackendKind::Model, BackendKind::Cycle] {
-            let report = Driver::builder(config_with(4096, 4)).backend(backend).build().unwrap().run_network(&qnet, &input).expect("runs");
+            let report = Session::builder(config_with(4096, 4)).backend(backend).build().unwrap().infer(&qnet, &input).expect("runs");
             assert_eq!(report.output, qnet.forward_quant(&input), "k={k} {backend:?}");
         }
     }
@@ -210,8 +210,8 @@ fn unsupported_geometry_is_a_typed_error() {
         let net = Network::synthetic(spec.clone(), &SyntheticModelConfig::default());
         let qnet = net.quantize(&synthetic_inputs(1, 1, spec.input));
         let input = synthetic_inputs(2, 1, spec.input).pop().expect("one");
-        let err = Driver::builder(config_with(4096, 4)).backend(BackendKind::Model).build().unwrap()
-            .run_network(&qnet, &input)
+        let err = Session::builder(config_with(4096, 4)).backend(BackendKind::Model).build().unwrap()
+            .infer(&qnet, &input)
             .unwrap_err();
         assert!(err.to_string().contains(needle), "{err}");
     }
@@ -235,10 +235,10 @@ fn geometry_wider_than_an_instruction_field_is_a_typed_error() {
         let qnet = net.quantize(&synthetic_inputs(1, 1, spec.input));
         let input = synthetic_inputs(2, 1, spec.input).pop().expect("one");
         for backend in [BackendKind::Model, BackendKind::Cpu] {
-            let driver = Driver::builder(config_with(32_768, 4)).backend(backend).build().unwrap();
-            let err = driver.run_network(&qnet, &input).unwrap_err();
+            let session = Session::builder(config_with(32_768, 4)).backend(backend).build().unwrap();
+            let err = session.infer(&qnet, &input).unwrap_err();
             assert!(err.to_string().contains("layer c") && err.to_string().contains(needle), "{backend:?}: {err}");
-            assert_eq!(zskip::Error::from(err).code(), "driver.unsupported", "{backend:?}");
+            assert_eq!(err.code(), "driver.unsupported", "{backend:?}");
         }
     }
 }

@@ -181,7 +181,7 @@ fn tcp_clients_round_trip_concurrently() {
     // Golden path: what `zskip infer --seed <s>` computes for each seed.
     let golden = |seed: u64| {
         let input = synthetic_inputs(seed, 1, shape).remove(0);
-        let out = session.driver().run_network(&qnet, &input).expect("clean run").output;
+        let out = session.infer(&qnet, &input).expect("clean run").output;
         out.iter().map(|v| v.to_i32()).collect::<Vec<i32>>()
     };
     let want: Vec<(u64, Vec<i32>)> = (40..46).map(|s| (s, golden(s))).collect();

@@ -15,8 +15,8 @@
 
 use proptest::prelude::*;
 use zskip::accel::{
-    run_sharded, AccelConfig, BackendKind, Driver, DriverError, Error, InferenceReport, Placement,
-    Session,
+    AccelConfig, BackendKind, DriverError, Error, InferenceReport, Placement, Session,
+    SessionBuilder, ShardReport,
 };
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
@@ -28,6 +28,16 @@ use zskip::tensor::{Shape, Tensor};
 
 fn config(bank_tiles: usize, instances: usize) -> AccelConfig {
     AccelConfig::from_arch(&AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles }, 100.0)
+}
+
+/// A batch sharded under `placement` on a session from `builder`.
+fn run_sharded(
+    builder: &SessionBuilder,
+    qnet: &QuantizedNetwork,
+    inputs: &[Tensor<f32>],
+    placement: Placement,
+) -> Result<ShardReport, Error> {
+    builder.clone().placement(placement).build().expect("valid config").run_sharded(qnet, inputs)
 }
 
 fn tiny_spec() -> NetworkSpec {
@@ -144,19 +154,19 @@ proptest! {
         let (qnet, inputs) = quantize_spec(&spec, density, seed, images);
         for backend in [BackendKind::Model, BackendKind::Cpu] {
             let reference: Vec<InferenceReport> = {
-                let d = Driver::builder(config(2048, 1)).backend(backend).build().unwrap();
-                inputs.iter().map(|i| d.run_network(&qnet, i).expect("fits")).collect()
+                let d = Session::builder(config(2048, 1)).backend(backend).build().unwrap();
+                inputs.iter().map(|i| d.infer(&qnet, i).expect("fits")).collect()
             };
-            let sharded = Driver::builder(config(2048, instances)).backend(backend).build().unwrap();
+            let sharded = Session::builder(config(2048, instances)).backend(backend);
             for placement in [Placement::Stripe, Placement::Image, Placement::Pipeline, Placement::Auto] {
                 let report = match run_sharded(&sharded, &qnet, &inputs, placement) {
                     Ok(r) => r,
-                    Err(e @ DriverError::InvalidConfig(_)) => {
+                    Err(e @ Error::Driver(DriverError::InvalidConfig(_))) => {
                         // An explicit stripe placement may reject shallow
                         // specs whose stripes cannot cover every instance
                         // — with the stable config code, never a panic.
                         prop_assert_eq!(placement, Placement::Stripe);
-                        prop_assert_eq!(Error::from(e).code(), "config.invalid");
+                        prop_assert_eq!(e.code(), "config.invalid");
                         continue;
                     }
                     Err(other) => panic!("unexpected error under {placement}: {other}"),
@@ -195,10 +205,10 @@ proptest! {
 fn placements_match_single_instance_on_cycle_backend() {
     let (qnet, inputs) = quantized(0.6, 21, 2);
     let reference: Vec<InferenceReport> = {
-        let d = Driver::builder(config(2048, 1)).backend(BackendKind::Cycle).build().unwrap();
-        inputs.iter().map(|i| d.run_network(&qnet, i).expect("fits")).collect()
+        let d = Session::builder(config(2048, 1)).backend(BackendKind::Cycle).build().unwrap();
+        inputs.iter().map(|i| d.infer(&qnet, i).expect("fits")).collect()
     };
-    let sharded = Driver::builder(config(2048, 2)).backend(BackendKind::Cycle).build().unwrap();
+    let sharded = Session::builder(config(2048, 2)).backend(BackendKind::Cycle);
     for placement in [Placement::Image, Placement::Pipeline] {
         let report = run_sharded(&sharded, &qnet, &inputs, placement).expect("runs");
         for (item, want) in report.items.iter().zip(&reference) {
@@ -215,10 +225,10 @@ fn placements_match_single_instance_on_cycle_backend() {
 fn stripe_placement_distributes_real_stripes() {
     let (qnet, inputs) = quantized(1.0, 55, 2);
     for backend in [BackendKind::Model, BackendKind::Cpu] {
-        let one = Driver::builder(config(20, 1)).backend(backend).build().unwrap();
+        let one = Session::builder(config(20, 1)).backend(backend).build().unwrap();
         let reference: Vec<InferenceReport> =
-            inputs.iter().map(|i| one.run_network(&qnet, i).expect("fits")).collect();
-        let sharded = Driver::builder(config(20, 2)).backend(backend).build().unwrap();
+            inputs.iter().map(|i| one.infer(&qnet, i).expect("fits")).collect();
+        let sharded = Session::builder(config(20, 2)).backend(backend);
         let report = run_sharded(&sharded, &qnet, &inputs, Placement::Stripe).expect("covers");
         assert_eq!(report.placement, Placement::Stripe);
         for (item, want) in report.items.iter().zip(&reference) {
@@ -264,16 +274,16 @@ fn uncoverable_stripe_placement_is_config_invalid() {
         }],
     };
     let (qnet, inputs) = quantize_spec(&spec, 0.8, 3, 2);
-    let driver = Driver::builder(config(4096, 4)).build().unwrap();
-    let err = run_sharded(&driver, &qnet, &inputs, Placement::Stripe).unwrap_err();
+    let shards = Session::builder(config(4096, 4));
+    let err = run_sharded(&shards, &qnet, &inputs, Placement::Stripe).unwrap_err();
     assert!(
-        matches!(err, DriverError::InvalidConfig(ref r)
+        matches!(err, Error::Driver(DriverError::InvalidConfig(ref r))
             if r.contains("cannot cover 4 instances") && r.contains("image | pipeline")),
         "got {err:?}"
     );
-    assert_eq!(Error::from(err).code(), "config.invalid");
+    assert_eq!(err.code(), "config.invalid");
     // Auto picks a covering placement instead of erroring.
-    let auto = run_sharded(&driver, &qnet, &inputs, Placement::Auto).expect("auto never errors");
+    let auto = run_sharded(&shards, &qnet, &inputs, Placement::Auto).expect("auto never errors");
     assert_ne!(auto.placement, Placement::Stripe);
 }
 
@@ -282,8 +292,8 @@ fn uncoverable_stripe_placement_is_config_invalid() {
 #[test]
 fn image_placement_scales_throughput() {
     let (qnet, inputs) = quantized(0.7, 33, 8);
-    let driver = Driver::builder(config(2048, 4)).build().unwrap();
-    let report = run_sharded(&driver, &qnet, &inputs, Placement::Image).expect("runs");
+    let shards = Session::builder(config(2048, 4));
+    let report = run_sharded(&shards, &qnet, &inputs, Placement::Image).expect("runs");
     assert_eq!(report.placement, Placement::Image);
     let total: u64 = report.items.iter().map(|r| r.total_cycles).sum();
     // 8 equal images over 4 lanes: exactly 2 images per lane.
@@ -299,9 +309,9 @@ fn image_placement_scales_throughput() {
 #[test]
 fn pipeline_placement_beats_image_on_single_image_latency() {
     let (qnet, inputs) = quantized(0.7, 44, 1);
-    let driver = Driver::builder(config(2048, 2)).build().unwrap();
-    let image = run_sharded(&driver, &qnet, &inputs, Placement::Image).expect("runs");
-    let pipeline = run_sharded(&driver, &qnet, &inputs, Placement::Pipeline).expect("runs");
+    let shards = Session::builder(config(2048, 2));
+    let image = run_sharded(&shards, &qnet, &inputs, Placement::Image).expect("runs");
+    let pipeline = run_sharded(&shards, &qnet, &inputs, Placement::Pipeline).expect("runs");
     assert!(
         pipeline.makespan_cycles < image.makespan_cycles,
         "pipeline {} vs image {}",
@@ -318,8 +328,8 @@ fn pipeline_placement_beats_image_on_single_image_latency() {
 #[test]
 fn pipeline_placement_hides_weight_staging_across_a_batch() {
     let (qnet, inputs) = quantized(0.7, 66, 6);
-    let driver = Driver::builder(config(2048, 2)).build().unwrap();
-    let report = run_sharded(&driver, &qnet, &inputs, Placement::Pipeline).expect("runs");
+    let shards = Session::builder(config(2048, 2));
+    let report = run_sharded(&shards, &qnet, &inputs, Placement::Pipeline).expect("runs");
     let staged_serial: u64 = report.items.iter().map(weight_dma_total).sum();
     assert_eq!(report.staging_exposed_cycles + report.staging_hidden_cycles, staged_serial);
     assert!(report.staging_hidden_cycles > report.staging_exposed_cycles);
@@ -346,19 +356,15 @@ fn dma_faults_surface_identically_across_placements() {
                 let mut codes = Vec::new();
                 for placement in [Placement::Stripe, Placement::Image, Placement::Pipeline] {
                     let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
-                    let driver = Driver::builder(config(2048, 2))
-                        .backend(backend)
-                        .fault_plan(plan.clone())
-                        .build()
-                        .expect("valid config");
-                    let err = run_sharded(&driver, &qnet, &inputs, placement).unwrap_err();
+                    let shards = Session::builder(config(2048, 2)).backend(backend).fault_plan(plan.clone());
+                    let err = run_sharded(&shards, &qnet, &inputs, placement).unwrap_err();
                     assert!(err.is_transient(), "{backend}/{placement}: DMA faults are transient");
                     assert_eq!(
                         plan.lock().unwrap().fired().len(),
                         1,
                         "{backend}/{placement}: exactly one fault fired"
                     );
-                    codes.push(Error::from(err).code());
+                    codes.push(err.code());
                 }
                 assert_eq!(codes, vec![want_code; 3], "fault {kind:?} at {at} on {backend}");
             }
