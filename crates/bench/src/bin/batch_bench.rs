@@ -259,7 +259,7 @@ fn bench_batch(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>]) -> BatchResult {
     let t0 = Instant::now();
     let sequential: Vec<_> = inputs.iter().map(|i| session.infer(qnet, i).expect("fits")).collect();
     let sequential_wall_s = t0.elapsed().as_secs_f64();
-    for (par, seq) in report.reports.iter().zip(&sequential) {
+    for (par, seq) in report.items.iter().zip(&sequential) {
         assert_eq!(par.output, seq.output, "batch must be bit-identical to sequential");
     }
 
@@ -358,7 +358,7 @@ fn bench_sharding(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>]) -> ShardingRe
             .placement(placement)
             .build()
             .expect("valid config");
-        let report = session.run_sharded(qnet, inputs).expect("fits");
+        let report = session.run_batch(qnet, inputs).expect("fits");
         (report, session.driver().config)
     };
     let mut image_points = Vec::new();

@@ -130,16 +130,6 @@ impl BankSet {
     pub fn stats(&self) -> &[BankStats] {
         &self.stats
     }
-
-    /// Total reads across banks.
-    pub fn total_reads(&self) -> u64 {
-        self.stats.iter().map(|s| s.reads).sum()
-    }
-
-    /// Total writes across banks.
-    pub fn total_writes(&self) -> u64 {
-        self.stats.iter().map(|s| s.writes).sum()
-    }
 }
 
 impl TileStore for BankSet {
@@ -209,8 +199,7 @@ mod tests {
         assert!(!b.write_port_b(0, 2, tile_of(9), 0), "port B busy");
         assert_eq!(b.peek(0, 1), tile_of(9));
         assert_eq!(b.stats()[0].write_conflicts, 1);
-        assert_eq!(b.total_reads(), 1);
-        assert_eq!(b.total_writes(), 1);
+        assert_eq!((b.stats()[0].reads, b.stats()[0].writes), (1, 1));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! waiting for a neighbour's.
 //! [`Session::run_batch_resilient`](crate::session::Session::run_batch_resilient)
 //! runs the loop over a queue filled up front (the caller is worker 0,
-//! the others are scoped threads borrowing its inputs);
+//! the others are scoped threads borrowing its inputs), and
+//! [`Session::run_batch`](crate::session::Session::run_batch) through it,
+//! on one instance or N;
 //! [`ServeEngine`](crate::serve::ServeEngine) keeps its workers and their
 //! arenas alive between requests.
 //!
@@ -32,17 +34,44 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use crate::config::AccelConfig;
 use crate::driver::{Driver, DriverError, InferenceReport};
+use crate::exec::sched::Placement;
 use zskip_nn::model::QuantizedNetwork;
 use zskip_nn::Scratch;
 use zskip_tensor::Tensor;
 
-/// How one batch run went: the per-input reports (in submission order)
-/// plus pool telemetry.
-#[derive(Debug)]
+/// How one batch went: the per-image reports in submission order, the
+/// placement's simulated timeline over the configured instances, and the
+/// worker pool's telemetry. See
+/// [`Session::run_batch`](crate::session::Session::run_batch).
+#[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// One [`InferenceReport`] per input, in submission order.
-    pub reports: Vec<InferenceReport>,
+    /// The placement that was scheduled (never [`Placement::Auto`]).
+    pub placement: Placement,
+    /// Instances scheduled over.
+    pub instances: usize,
+    /// One [`InferenceReport`] per input, in submission order. Outputs
+    /// are bit-identical to an `instances: 1` run of the same
+    /// configuration.
+    pub items: Vec<InferenceReport>,
+    /// Simulated wall cycles for the whole batch under this placement.
+    pub makespan_cycles: u64,
+    /// Reconstructed single-instance serial cycles for the same batch
+    /// (the `instances: 1` wall the speedup is measured against).
+    pub serial_cycles: u64,
+    /// Busy (compute) cycles per instance.
+    pub per_instance_busy: Vec<u64>,
+    /// Idle cycles each pipeline stage spent waiting for upstream,
+    /// attributed to the first layer of the stage's block. Empty for
+    /// non-pipelined placements.
+    pub layer_bubbles: Vec<(String, u64)>,
+    /// Weight-staging cycles left on the critical path.
+    pub staging_exposed_cycles: u64,
+    /// Weight-staging cycles the serial schedule pays that this
+    /// placement hides (resident block weights) — zero for stripe and
+    /// image placements, which re-stage weights per image.
+    pub staging_hidden_cycles: u64,
     /// Worker threads used.
     pub workers: usize,
     /// Jobs completed by each worker (sums to the input count).
@@ -52,7 +81,32 @@ pub struct BatchReport {
 impl BatchReport {
     /// Total simulated accelerator cycles across all inputs.
     pub fn total_cycles(&self) -> u64 {
-        self.reports.iter().map(|r| r.total_cycles).sum()
+        self.items.iter().map(|r| r.total_cycles).sum()
+    }
+
+    /// Mean instance utilization: busy cycles over `instances x makespan`.
+    pub fn utilization(&self) -> f64 {
+        if self.makespan_cycles == 0 || self.instances == 0 {
+            return 0.0;
+        }
+        let busy: u64 = self.per_instance_busy.iter().sum();
+        busy as f64 / (self.instances as f64 * self.makespan_cycles as f64)
+    }
+
+    /// Cycle-count speedup over the reconstructed serial schedule.
+    pub fn speedup(&self) -> f64 {
+        if self.makespan_cycles == 0 {
+            return 1.0;
+        }
+        self.serial_cycles as f64 / self.makespan_cycles as f64
+    }
+
+    /// Simulated images per second at the configuration's clock.
+    pub fn images_per_s(&self, config: &AccelConfig) -> f64 {
+        if self.makespan_cycles == 0 {
+            return 0.0;
+        }
+        self.items.len() as f64 / (self.makespan_cycles as f64 * config.cycle_seconds())
     }
 }
 
@@ -306,26 +360,6 @@ fn run_job(
     Outcome { attempts, backoff_cycles, result }
 }
 
-/// Runs `inputs` through `qnet` on `workers` threads (0 = auto) and
-/// returns per-input reports in submission order:
-/// [`run_batch_resilient`] without retries, folded to all-or-nothing.
-/// Every input runs to completion even when another fails.
-///
-/// # Errors
-/// The failing input's [`DriverError`] — with several failures, the one
-/// with the lowest input index, so the error is deterministic too.
-pub(crate) fn run_batch(
-    driver: &Driver,
-    qnet: &QuantizedNetwork,
-    inputs: &[Tensor<f32>],
-    workers: usize,
-) -> Result<BatchReport, DriverError> {
-    let ResilientBatchReport { items, workers, per_worker_jobs, steals: _ } =
-        run_batch_resilient(driver, qnet, inputs, workers, RetryPolicy::none());
-    let reports = items.into_iter().map(|item| item.result).collect::<Result<_, _>>()?;
-    Ok(BatchReport { reports, workers, per_worker_jobs })
-}
-
 /// The batch engine: runs `inputs` through `qnet` on `workers` threads
 /// (0 = auto, the caller counting as one), each running `worker_loop`
 /// over one queue holding every input. A failing input poisons only
@@ -381,6 +415,11 @@ mod tests {
         build(Session::builder(cfg).backend(backend))
     }
 
+    /// A one-instance session with `workers` batch workers.
+    fn session(cfg: AccelConfig, backend: BackendKind, workers: usize) -> Session {
+        Session::builder(cfg).backend(backend).batch_workers(workers).build().expect("test config is valid")
+    }
+
     fn build(builder: SessionBuilder) -> Driver {
         builder.build().expect("test config is valid").driver().clone()
     }
@@ -409,10 +448,11 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let qnet = small_qnet(8);
-        let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Model);
-        let r = run_batch(&driver, &qnet, &[], 4).expect("empty batch");
-        assert!(r.reports.is_empty());
+        let session = session(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Model, 4);
+        let r = session.run_batch(&qnet, &[]).expect("empty batch");
+        assert!(r.items.is_empty());
         assert_eq!(r.per_worker_jobs, [0]);
+        assert_eq!((r.makespan_cycles, r.serial_cycles), (0, 0));
     }
 
     #[test]
@@ -427,16 +467,16 @@ mod tests {
     fn all_jobs_are_accounted_for() {
         let qnet = small_qnet(8);
         let spec_input = qnet.spec.input;
-        let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Model);
+        let cfg = AccelConfig::for_variant(Variant::U256Opt);
         let inputs = synthetic_inputs(11, 7, spec_input);
-        let r = run_batch(&driver, &qnet, &inputs, 3).expect("runs");
-        assert_eq!(r.reports.len(), 7);
+        let r = session(cfg, BackendKind::Model, 3).run_batch(&qnet, &inputs).expect("runs");
+        assert_eq!(r.items.len(), 7);
         assert_eq!(r.per_worker_jobs.iter().sum::<usize>(), 7);
         assert_eq!(r.workers, 3);
         // Whichever worker took which job, items come back by input.
-        let resilient = run_batch_resilient(&driver, &qnet, &inputs, 3, RetryPolicy::none());
+        let resilient = run_batch_resilient(&driver(cfg, BackendKind::Model), &qnet, &inputs, 3, RetryPolicy::none());
         assert_eq!(resilient.items.iter().map(|i| i.index).collect::<Vec<_>>(), (0..7).collect::<Vec<_>>());
-        for (item, report) in resilient.items.iter().zip(&r.reports) {
+        for (item, report) in resilient.items.iter().zip(&r.items) {
             assert_eq!(item.result.as_ref().expect("runs").output, report.output);
         }
     }
@@ -495,8 +535,7 @@ mod tests {
         let inputs = synthetic_inputs(31, 4, spec_input);
         let cfg = AccelConfig::for_variant(Variant::U256Opt);
 
-        let clean = run_batch(&driver(cfg, BackendKind::Model), &qnet, &inputs, 2)
-            .expect("fault-free reference");
+        let clean = session(cfg, BackendKind::Model, 2).run_batch(&qnet, &inputs).expect("fault-free reference");
 
         // One single-shot DMA parity fault: exactly one item of the batch
         // absorbs it (whichever reaches descriptor 3 first) and recovers
@@ -508,7 +547,7 @@ mod tests {
         assert_eq!(report.succeeded(), 4, "all items complete: {:?}", report.failures());
         assert_eq!(report.retries(), 1, "exactly one item absorbed the fault");
         assert!(report.backoff_cycles() > 0);
-        for (item, want) in report.items.iter().zip(&clean.reports) {
+        for (item, want) in report.items.iter().zip(&clean.items) {
             let got = item.result.as_ref().expect("item succeeds");
             assert_eq!(got.output, want.output, "bit-identical to the fault-free run");
         }
@@ -521,8 +560,7 @@ mod tests {
         let spec_input = qnet.spec.input;
         let inputs = synthetic_inputs(31, 4, spec_input);
         let cfg = AccelConfig::for_variant(Variant::U256Opt);
-        let clean = run_batch(&driver(cfg, BackendKind::Model), &qnet, &inputs, 2)
-            .expect("fault-free reference");
+        let clean = session(cfg, BackendKind::Model, 2).run_batch(&qnet, &inputs).expect("fault-free reference");
 
         let plan = FaultPlan::new().inject("dma:xfer", 3, FaultKind::DmaTruncate { tiles: 0 }).shared();
         let driver = build(Session::builder(cfg).fault_plan(plan));
@@ -533,7 +571,7 @@ mod tests {
         assert_eq!(failures.len(), 1);
         assert!(matches!(failures[0].1, DriverError::Dma(_)), "structured error: {:?}", failures[0].1);
         // The surviving N-1 items are bit-identical to the fault-free run.
-        for (item, want) in report.items.iter().zip(&clean.reports) {
+        for (item, want) in report.items.iter().zip(&clean.items) {
             if let Ok(got) = &item.result {
                 assert_eq!(got.output, want.output);
             }
@@ -635,8 +673,8 @@ mod tests {
         run_one(&driver, &qnet, &inputs[0]).expect("input 0 fits");
 
         for workers in [1, 4] {
-            let err = run_batch(&driver, &qnet, &inputs, workers).expect_err("two inputs fail");
-            assert_eq!(err, first, "workers {workers}: lowest failing index wins");
+            let err = session(cfg, BackendKind::Model, workers).run_batch(&qnet, &inputs).expect_err("two inputs fail");
+            assert_eq!(err, crate::Error::from(first.clone()), "workers {workers}: lowest failing index wins");
         }
     }
 
@@ -645,11 +683,9 @@ mod tests {
         let qnet = small_qnet(8);
         let inputs = synthetic_inputs(51, 5, qnet.spec.input);
         let cfg = AccelConfig::for_variant(Variant::U256Opt);
-        let model = run_batch(&driver(cfg, BackendKind::Model), &qnet, &inputs, 2)
-            .expect("model batch runs");
-        let cpu = run_batch(&driver(cfg, BackendKind::Cpu), &qnet, &inputs, 2)
-            .expect("cpu batch runs");
-        for (m, c) in model.reports.iter().zip(&cpu.reports) {
+        let model = session(cfg, BackendKind::Model, 2).run_batch(&qnet, &inputs).expect("model batch runs");
+        let cpu = session(cfg, BackendKind::Cpu, 2).run_batch(&qnet, &inputs).expect("cpu batch runs");
+        for (m, c) in model.items.iter().zip(&cpu.items) {
             assert_eq!(m.output, c.output, "bit-identical outputs");
             assert_eq!(m.total_cycles, c.total_cycles, "same closed-form cycle model");
         }
@@ -662,7 +698,7 @@ mod tests {
             RetryPolicy::default(),
         );
         assert_eq!(resilient.succeeded(), inputs.len());
-        for (item, want) in resilient.items.iter().zip(&model.reports) {
+        for (item, want) in resilient.items.iter().zip(&model.items) {
             assert_eq!(item.result.as_ref().expect("succeeds").output, want.output);
         }
     }
@@ -676,12 +712,11 @@ mod tests {
         let qnet = small_qnet(8);
         let inputs = synthetic_inputs(61, 6, qnet.spec.input);
         let cfg = AccelConfig::for_variant(Variant::U256Opt);
-        let model = run_batch(&driver(cfg, BackendKind::Model), &qnet, &inputs, 1)
-            .expect("model batch runs");
-        let mt_driver = build(Session::builder(cfg).backend(BackendKind::Cpu).threads(3));
-        let mt = run_batch(&mt_driver, &qnet, &inputs, 2).expect("mt cpu batch runs");
-        assert_eq!(mt.reports.len(), model.reports.len());
-        for (m, c) in model.reports.iter().zip(&mt.reports) {
+        let model = session(cfg, BackendKind::Model, 1).run_batch(&qnet, &inputs).expect("model batch runs");
+        let mt_session = Session::builder(cfg).backend(BackendKind::Cpu).threads(3).batch_workers(2);
+        let mt = mt_session.build().expect("test config is valid").run_batch(&qnet, &inputs).expect("mt cpu batch runs");
+        assert_eq!(mt.items.len(), model.items.len());
+        for (m, c) in model.items.iter().zip(&mt.items) {
             assert_eq!(m.output, c.output, "bit-identical outputs at any worker split");
             assert_eq!(m.total_cycles, c.total_cycles, "same closed-form cycle model");
         }
@@ -715,10 +750,11 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let qnet = small_qnet(8);
-            let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Model);
+            let cfg = AccelConfig::for_variant(Variant::U256Opt);
+            let driver = driver(cfg, BackendKind::Model);
             let inputs = synthetic_inputs(seed, batch, qnet.spec.input);
-            let parallel = run_batch(&driver, &qnet, &inputs, workers).expect("batch runs");
-            for (input, got) in inputs.iter().zip(&parallel.reports) {
+            let parallel = session(cfg, BackendKind::Model, workers).run_batch(&qnet, &inputs).expect("batch runs");
+            for (input, got) in inputs.iter().zip(&parallel.items) {
                 let want = run_one(&driver, &qnet, input).expect("sequential runs");
                 prop_assert_eq!(&got.output, &want.output);
                 prop_assert_eq!(got.total_cycles, want.total_cycles);

@@ -104,7 +104,7 @@ pub enum DriverError {
     InvalidNetwork(String),
     /// The driver configuration is invalid: an explicit stripe placement
     /// cannot occupy every instance (see
-    /// [`Session::run_sharded`](crate::session::Session::run_sharded)).
+    /// [`Session::run_batch`](crate::session::Session::run_batch)).
     InvalidConfig(String),
     /// The image panicked on its worker (a bug in this program, or an
     /// input no caller validated); the worker loop caught it — see

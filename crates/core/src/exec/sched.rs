@@ -22,14 +22,17 @@
 //! * [`Placement::Auto`] — pick one of the above from the instance
 //!   count, batch size and network depth (see [`Placement::resolve`]).
 //!
-//! **Determinism contract.** Every placement is bit-identical to an
-//! `instances: 1` run of the same configuration: image- and
-//! layer-pipelined placements execute each image through a
-//! single-instance view of the driver (same bank capacity, same stripe
-//! plans, same DMA descriptors), and the stripe placement's instance
-//! distribution never changes the arithmetic. Placement only decides
-//! *when* and *where* work runs in simulated time; `tests/sharding.rs`
-//! locks this down differentially across all three backends.
+//! **One batch path.** [`Session::run_batch`](crate::session::Session::run_batch)
+//! runs every image on the batch engine — through the N-instance driver
+//! for the stripe placement, through a single-instance view of it (same
+//! bank capacity, same stripe plans, same DMA descriptors) for image and
+//! pipeline — and a placement is then a pure schedule over the per-image
+//! reports (`schedule`). Every placement is therefore bit-identical to
+//! an `instances: 1` run of the same configuration: the stripe
+//! placement's instance distribution never changes the arithmetic.
+//! Placement only decides *when* and *where* work runs in simulated
+//! time; `tests/sharding.rs` locks this down differentially across all
+//! three backends.
 //!
 //! The per-N cost model ([`CostModel`]) comes from the HLS model's
 //! congestion-derated fmax: N instances are synthesized onto the
@@ -38,14 +41,11 @@
 //! parts) and the resulting operating clock converts the schedule's
 //! makespan cycles into wall time.
 
-use crate::config::AccelConfig;
 use crate::driver::{Driver, DriverError};
-use crate::report::InferenceReport;
+use crate::report::{InferenceReport, LayerReport};
 use zskip_hls::{synthesize, AccelArch, Device, Variant};
 use zskip_nn::layer::LayerSpec;
 use zskip_nn::model::QuantizedNetwork;
-use zskip_nn::scratch::Scratch;
-use zskip_tensor::{Shape, Tensor, TILE_DIM};
 
 /// How work is placed onto the configured accelerator instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,66 +218,21 @@ impl CostModel {
     }
 }
 
-/// The schedule of one sharded batch: per-image reports plus the
-/// placement's simulated timeline.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// The placement that actually ran (never [`Placement::Auto`]).
-    pub placement: Placement,
-    /// Instances scheduled over.
-    pub instances: usize,
-    /// Per-image inference reports, in submission order. Outputs are
-    /// bit-identical to an `instances: 1` run of the same configuration.
-    pub items: Vec<InferenceReport>,
-    /// Simulated wall cycles for the whole batch under this placement.
+/// A placement's simulated timeline over one batch's per-image reports;
+/// the fields mean what the same fields of
+/// [`BatchReport`](crate::batch::BatchReport) do.
+pub(crate) struct Timeline {
     pub makespan_cycles: u64,
-    /// Reconstructed single-instance serial cycles for the same batch
-    /// (the `instances: 1` wall the speedup is measured against).
     pub serial_cycles: u64,
-    /// Busy (compute) cycles per instance.
     pub per_instance_busy: Vec<u64>,
-    /// Idle cycles each pipeline stage spent waiting for upstream,
-    /// attributed to the first layer of the stage's block. Empty for
-    /// non-pipelined placements.
     pub layer_bubbles: Vec<(String, u64)>,
-    /// Weight-staging cycles left on the critical path.
     pub staging_exposed_cycles: u64,
-    /// Weight-staging cycles the serial schedule pays that this
-    /// placement hides (resident block weights) — zero for stripe and
-    /// image placements, which re-stage weights per image.
     pub staging_hidden_cycles: u64,
-}
-
-impl ShardReport {
-    /// Mean instance utilization: busy cycles over `instances x makespan`.
-    pub fn utilization(&self) -> f64 {
-        if self.makespan_cycles == 0 || self.instances == 0 {
-            return 0.0;
-        }
-        let busy: u64 = self.per_instance_busy.iter().sum();
-        busy as f64 / (self.instances as f64 * self.makespan_cycles as f64)
-    }
-
-    /// Cycle-count speedup over the reconstructed serial schedule.
-    pub fn speedup(&self) -> f64 {
-        if self.makespan_cycles == 0 {
-            return 1.0;
-        }
-        self.serial_cycles as f64 / self.makespan_cycles as f64
-    }
-
-    /// Simulated images per second at the configuration's clock.
-    pub fn images_per_s(&self, config: &AccelConfig) -> f64 {
-        if self.makespan_cycles == 0 {
-            return 0.0;
-        }
-        self.items.len() as f64 / (self.makespan_cycles as f64 * config.cycle_seconds())
-    }
 }
 
 /// Accelerator-run layers of a spec (conv + pool; FC and softmax run on
 /// the host ARM).
-fn accel_layer_count(qnet: &QuantizedNetwork) -> usize {
+pub(crate) fn accel_layer_count(qnet: &QuantizedNetwork) -> usize {
     qnet.spec
         .layers
         .iter()
@@ -285,222 +240,101 @@ fn accel_layer_count(qnet: &QuantizedNetwork) -> usize {
         .count()
 }
 
-/// Reconstructs the single-instance wall cycles of an N-instance run:
-/// per layer, compute is the *sum* over instances (one instance would
-/// run every batch itself) under the same `max(compute, io) + weight`
-/// overlap. Only the stripe placement needs this; image and pipeline
-/// items are literal single-instance runs whose totals *are* the serial
-/// cost.
-fn serial_cycles(items: &[InferenceReport]) -> u64 {
-    items
-        .iter()
-        .flat_map(|r| r.layers.iter())
-        .map(|l| {
-            let compute: u64 = l.stats.per_instance_cycles.iter().sum();
-            compute.max(l.stats.io_dma_cycles) + l.stats.weight_dma_cycles
-        })
-        .sum()
-}
-
-/// The exact serial cost of items that already ran single-instance.
-fn serial_cycles_exact(items: &[InferenceReport]) -> u64 {
-    items.iter().map(|r| r.total_cycles).sum()
-}
-
 /// A `Driver` view with the same geometry but a single instance: the
 /// reference schedule image- and layer-pipelined placements execute each
 /// image through. Bank capacity is untouched, so stripe plans, DMA
 /// descriptors, cycle counts and outputs are exactly those of an
 /// `instances: 1` run.
-fn single_instance_view(driver: &Driver) -> Driver {
+pub(crate) fn single_instance_view(driver: &Driver) -> Driver {
     let mut view = driver.clone();
     view.config.instances = 1;
     view
 }
 
-/// How many instances the stripe placement can keep busy on one layer:
-/// round-robin over the stripe plan when it is long enough, otherwise
-/// the OFM-group split (conv only).
-fn layer_stripe_coverage(
-    name: &str,
-    instances: usize,
-    stripes: usize,
-    groups: Option<usize>,
-) -> (String, usize) {
-    let coverage = if stripes >= instances {
-        instances
-    } else {
-        stripes.max(groups.unwrap_or(0)).min(instances)
-    };
-    (name.to_string(), coverage)
-}
-
-/// Validates that an *explicit* stripe placement can occupy every
-/// instance on at least one layer, by re-running the planner's geometry.
+/// Checks that an *explicit* stripe placement kept every one of `n`
+/// instances busy on at least one layer, reading the instance
+/// distribution off the images that ran under it. Which instances a
+/// layer occupies depends on geometry alone, never on values, so the
+/// first image's report decides it for the batch.
 ///
 /// # Errors
-/// [`DriverError::InvalidConfig`] (stable code `config.invalid`) when no
-/// layer's stripe plan or group split reaches `instances`;
-/// [`DriverError::LayerTooLarge`] when a layer cannot be striped at all
-/// (the same error the run itself would surface).
-fn validate_stripe_coverage(driver: &Driver, qnet: &QuantizedNetwork) -> Result<(), DriverError> {
-    let n = driver.config.instances;
-    let bank = driver.config.bank_tiles;
-    let shapes = qnet.spec.shapes().map_err(|e| DriverError::InvalidNetwork(e.to_string()))?;
-    let rows = |h: usize| h.div_ceil(TILE_DIM);
-    let words = |c: usize, w: usize| c.div_ceil(4) * w.div_ceil(TILE_DIM);
-    let mut best: Option<(String, usize)> = None;
-    let mut seen = false;
-    for (li, layer) in qnet.spec.layers.iter().enumerate() {
-        let cov = match layer {
-            LayerSpec::Conv { name, pad, out_c, .. } => {
-                let s = shapes[li];
-                let padded = Shape::new(s.c, s.h + 2 * pad, s.w + 2 * pad);
-                let out = shapes[li + 1];
-                let stripes = super::stripes::plan_stripes(
-                    name,
-                    None,
-                    rows(out.h),
-                    rows(padded.h),
-                    words(padded.c, padded.w),
-                    words(out.c, out.w),
-                    bank,
-                )?
-                .len();
-                let groups = out_c.div_ceil(driver.config.lanes);
-                layer_stripe_coverage(name, n, stripes, Some(groups))
-            }
-            LayerSpec::MaxPool { name, k, stride } => {
-                let s = shapes[li];
-                let out = shapes[li + 1];
-                let op = crate::isa::PoolPadOp::MaxPool { k: *k as u8, stride: *stride as u8 };
-                let stripes = super::stripes::plan_stripes(
-                    name,
-                    Some(op),
-                    rows(out.h),
-                    rows(s.h),
-                    words(s.c, s.w),
-                    words(out.c, out.w),
-                    bank,
-                )?
-                .len();
-                layer_stripe_coverage(name, n, stripes, None)
-            }
-            _ => continue,
-        };
-        seen = true;
-        if best.as_ref().map(|(_, c)| cov.1 > *c).unwrap_or(true) {
-            best = Some(cov);
-        }
-    }
-    match best {
-        _ if !seen => Ok(()), // no accelerator layers: nothing to cover
+/// [`DriverError::InvalidConfig`] (stable code `config.invalid`) naming
+/// the widest layer and how many instances it occupied.
+pub(crate) fn check_stripe_coverage(n: usize, items: &[InferenceReport]) -> Result<(), DriverError> {
+    let occupied = |l: &LayerReport| l.stats.per_instance_cycles.iter().filter(|&&c| c > 0).count();
+    let widest = items
+        .first()
+        .into_iter()
+        .flat_map(|r| r.layers.iter())
+        .map(|l| (l, occupied(l)))
+        .reduce(|best, next| if next.1 > best.1 { next } else { best });
+    match widest {
+        // Nothing ran on the accelerator: nothing to cover.
+        None | Some((_, 0)) => Ok(()),
         Some((_, c)) if c >= n => Ok(()),
-        Some((name, c)) => Err(DriverError::InvalidConfig(format!(
-            "stripe placement cannot cover {n} instances: the widest layer ('{name}') \
-             occupies only {c} (use --placement image | pipeline, or fewer instances)"
+        Some((layer, c)) => Err(DriverError::InvalidConfig(format!(
+            "stripe placement cannot cover {n} instances: the widest layer ('{}') \
+             occupies only {c} (use --placement image | pipeline, or fewer instances)",
+            layer.name
         ))),
-        None => Ok(()),
     }
 }
 
-/// Runs a batch across the driver's configured instances under a
-/// placement, returning the per-image reports plus the placement's
-/// simulated timeline. `Auto` resolves per [`Placement::resolve`].
-///
-/// # Errors
-/// Everything [`Session::infer`](crate::session::Session::infer) surfaces, plus
-/// [`DriverError::InvalidConfig`] when an explicit stripe placement
-/// cannot occupy every instance on any layer.
-pub(crate) fn run_sharded(
-    driver: &Driver,
-    qnet: &QuantizedNetwork,
-    inputs: &[Tensor<f32>],
-    placement: Placement,
-) -> Result<ShardReport, DriverError> {
-    let n = driver.config.instances.max(1);
-    let resolved = placement.resolve(n, inputs.len(), accel_layer_count(qnet));
-    if placement == Placement::Stripe && n > 1 {
-        validate_stripe_coverage(driver, qnet)?;
-    }
-    match resolved {
-        Placement::Stripe => run_stripe(driver, qnet, inputs, n),
-        Placement::Image => run_image(driver, qnet, inputs, n),
-        Placement::Pipeline => run_pipeline(driver, qnet, inputs, n),
+/// Schedules a batch's per-image reports onto `n` instances under a
+/// resolved placement. `items` ran on the `n`-instance driver for
+/// [`Placement::Stripe`] and on [`single_instance_view`] otherwise.
+pub(crate) fn schedule(placement: Placement, n: usize, items: &[InferenceReport]) -> Timeline {
+    match placement {
+        Placement::Stripe => stripe_timeline(items, n),
+        Placement::Image => image_timeline(items, n),
+        Placement::Pipeline => pipeline_timeline(items, n),
         // `Placement::resolve` maps `Auto` to one of the three above.
         Placement::Auto => unreachable!("resolve never returns Auto"),
     }
 }
 
-/// Stripe placement: the existing in-layer instance distribution;
-/// images run back to back.
-fn run_stripe(
-    driver: &Driver,
-    qnet: &QuantizedNetwork,
-    inputs: &[Tensor<f32>],
-    n: usize,
-) -> Result<ShardReport, DriverError> {
-    let mut scratch = Scratch::new();
-    let mut items = Vec::with_capacity(inputs.len());
+/// Stripe placement: the in-layer instance distribution the images ran
+/// with; images run back to back. The serial cost is reconstructed per
+/// layer: compute is the *sum* over instances (one instance would run
+/// every batch itself) under the same `max(compute, io) + weight`
+/// overlap.
+fn stripe_timeline(items: &[InferenceReport], n: usize) -> Timeline {
     let mut busy = vec![0u64; n];
-    let mut makespan = 0u64;
+    let mut serial = 0u64;
     let mut exposed = 0u64;
-    for input in inputs {
-        let rep = driver.run_network_scratch(qnet, input, &mut scratch)?;
-        for l in &rep.layers {
-            for (k, c) in l.stats.per_instance_cycles.iter().enumerate() {
-                busy[k] += c;
-            }
-            exposed += l.stats.weight_dma_cycles;
+    for l in items.iter().flat_map(|r| r.layers.iter()) {
+        for (k, c) in l.stats.per_instance_cycles.iter().enumerate() {
+            busy[k] += c;
         }
-        makespan += rep.total_cycles;
-        items.push(rep);
+        let compute: u64 = l.stats.per_instance_cycles.iter().sum();
+        serial += compute.max(l.stats.io_dma_cycles) + l.stats.weight_dma_cycles;
+        exposed += l.stats.weight_dma_cycles;
     }
-    let serial = serial_cycles(&items);
-    Ok(ShardReport {
-        placement: Placement::Stripe,
-        instances: n,
-        items,
-        makespan_cycles: makespan,
+    Timeline {
+        makespan_cycles: items.iter().map(|r| r.total_cycles).sum(),
         serial_cycles: serial,
         per_instance_busy: busy,
         layer_bubbles: Vec::new(),
         staging_exposed_cycles: exposed,
         staging_hidden_cycles: 0,
-    })
+    }
 }
 
 /// Image placement: image `i` runs whole on instance `i mod n`; the
 /// batch's makespan is the busiest instance's lane.
-fn run_image(
-    driver: &Driver,
-    qnet: &QuantizedNetwork,
-    inputs: &[Tensor<f32>],
-    n: usize,
-) -> Result<ShardReport, DriverError> {
-    let view = single_instance_view(driver);
-    let mut scratch = Scratch::new();
-    let mut items = Vec::with_capacity(inputs.len());
+fn image_timeline(items: &[InferenceReport], n: usize) -> Timeline {
     let mut lane = vec![0u64; n];
-    let mut exposed = 0u64;
-    for (i, input) in inputs.iter().enumerate() {
-        let rep = view.run_network_scratch(qnet, input, &mut scratch)?;
-        lane[i % n] += rep.total_cycles;
-        exposed += rep.layers.iter().map(|l| l.stats.weight_dma_cycles).sum::<u64>();
-        items.push(rep);
+    for (i, r) in items.iter().enumerate() {
+        lane[i % n] += r.total_cycles;
     }
-    let serial = serial_cycles_exact(&items);
-    Ok(ShardReport {
-        placement: Placement::Image,
-        instances: n,
-        items,
+    Timeline {
         makespan_cycles: lane.iter().copied().max().unwrap_or(0),
-        serial_cycles: serial,
+        serial_cycles: items.iter().map(|r| r.total_cycles).sum(),
         per_instance_busy: lane,
         layer_bubbles: Vec::new(),
-        staging_exposed_cycles: exposed,
+        staging_exposed_cycles: items.iter().flat_map(|r| r.layers.iter()).map(|l| l.stats.weight_dma_cycles).sum(),
         staging_hidden_cycles: 0,
-    })
+    }
 }
 
 /// Splits `cycles.len()` layers into `blocks` contiguous blocks balanced
@@ -525,23 +359,46 @@ fn partition_blocks(cycles: &[u64], blocks: usize) -> Vec<usize> {
     assign
 }
 
-/// Simulates the pipeline event schedule for one contiguous partition:
-/// per-block resident-weight preloads (`w`), per-image block compute
-/// (`x`), `images` identical images streamed through. Returns the
-/// makespan.
-fn pipeline_makespan(w: &[u64], x: &[u64], images: usize) -> u64 {
+/// The pipeline's event recurrence over one contiguous partition.
+struct Stream {
+    makespan: u64,
+    /// Compute cycles per block.
+    busy: Vec<u64>,
+    /// Cycles each block sat ready while waiting on its upstream block.
+    bubbles: Vec<u64>,
+    /// Resident-weight preload cycles upstream compute did not cover.
+    exposed: u64,
+}
+
+/// Streams images through the blocks: block `k` preloads its resident
+/// weights (`w[k]`) once, then runs each image's block compute (one
+/// `x[k]` per image) as soon as it is free and block `k - 1` is done
+/// with that image.
+fn stream<'a>(w: &[u64], images: impl IntoIterator<Item = &'a [u64]>) -> Stream {
+    // avail[k] is when block k is next free: after its preload, then
+    // after each image's block.
     let mut avail = w.to_vec();
+    let mut busy = vec![0u64; w.len()];
+    let mut bubbles = vec![0u64; w.len()];
+    let mut exposed = 0u64;
     let mut makespan = 0u64;
-    for _ in 0..images {
+    for (i, x) in images.into_iter().enumerate() {
         let mut upstream = 0u64;
-        for (a, &xk) in avail.iter_mut().zip(x) {
-            let done = upstream.max(*a) + xk;
-            *a = done;
-            upstream = done;
+        for k in 0..w.len() {
+            if i == 0 {
+                // The preload is exposed only where upstream compute
+                // does not already cover the wait.
+                exposed += avail[k].saturating_sub(upstream).min(w[k]);
+            }
+            let start = upstream.max(avail[k]);
+            bubbles[k] += start - avail[k];
+            busy[k] += x[k];
+            avail[k] = start + x[k];
+            upstream = avail[k];
         }
         makespan = upstream;
     }
-    makespan
+    Stream { makespan, busy, bubbles, exposed }
 }
 
 /// Picks the contiguous partition with the smallest simulated makespan,
@@ -565,11 +422,13 @@ fn choose_partition(layer_w: &[u64], layer_x: &[u64], blocks: usize, images: usi
             return fallback;
         }
     }
-    let mut best = fallback.clone();
-    let mut best_span = {
-        let (w, x) = block_sums(layer_w, layer_x, &fallback, blocks);
-        pipeline_makespan(&w, &x, images)
+    let makespan = |assign: &[usize]| {
+        let w = block_sums(layer_w, assign, blocks);
+        let x = block_sums(layer_x, assign, blocks);
+        stream(&w, std::iter::repeat_n(&x[..], images)).makespan
     };
+    let mut best_span = makespan(&fallback);
+    let mut best = fallback;
     // Enumerate boundary sets recursively: bounds[b] is the first layer
     // of block b+1.
     let mut bounds = vec![0usize; blocks - 1];
@@ -592,8 +451,7 @@ fn choose_partition(layer_w: &[u64], layer_x: &[u64], blocks: usize, images: usi
             }
             *a = b;
         }
-        let (w, x) = block_sums(layer_w, layer_x, &assign, blocks);
-        let span = pipeline_makespan(&w, &x, images);
+        let span = makespan(&assign);
         if span < best_span {
             best_span = span;
             best = assign;
@@ -602,126 +460,65 @@ fn choose_partition(layer_w: &[u64], layer_x: &[u64], blocks: usize, images: usi
     best
 }
 
-fn block_sums(
-    layer_w: &[u64],
-    layer_x: &[u64],
-    assign: &[usize],
-    blocks: usize,
-) -> (Vec<u64>, Vec<u64>) {
-    let mut w = vec![0u64; blocks];
-    let mut x = vec![0u64; blocks];
-    for (i, &b) in assign.iter().enumerate() {
-        w[b] += layer_w[i];
-        x[b] += layer_x[i];
+/// Per-block sums of a per-layer quantity under a block assignment.
+fn block_sums(per_layer: &[u64], assign: &[usize], blocks: usize) -> Vec<u64> {
+    let mut sums = vec![0u64; blocks];
+    for (&v, &b) in per_layer.iter().zip(assign) {
+        sums[b] += v;
     }
-    (w, x)
+    sums
 }
 
 /// Layer-pipelined placement: contiguous layer blocks per instance,
-/// images streamed through; block weights loaded once and resident.
-fn run_pipeline(
-    driver: &Driver,
-    qnet: &QuantizedNetwork,
-    inputs: &[Tensor<f32>],
-    n: usize,
-) -> Result<ShardReport, DriverError> {
-    let view = single_instance_view(driver);
-    let mut scratch = Scratch::new();
-    let mut items = Vec::with_capacity(inputs.len());
-    for input in inputs {
-        items.push(view.run_network_scratch(qnet, input, &mut scratch)?);
-    }
-    if items.is_empty() {
-        return Ok(ShardReport {
-            placement: Placement::Pipeline,
-            instances: n,
-            items,
+/// images streamed through; block weights loaded once and resident, so
+/// a block's per-image compute excludes the weight staging the serial
+/// schedule pays.
+fn pipeline_timeline(items: &[InferenceReport], n: usize) -> Timeline {
+    let Some(first) = items.first() else {
+        return Timeline {
             makespan_cycles: 0,
             serial_cycles: 0,
             per_instance_busy: vec![0; n],
             layer_bubbles: Vec::new(),
             staging_exposed_cycles: 0,
             staging_hidden_cycles: 0,
-        });
-    }
+        };
+    };
+    let compute = |r: &InferenceReport| {
+        r.layers.iter().map(|l| l.stats.total_cycles - l.stats.weight_dma_cycles).collect::<Vec<_>>()
+    };
 
     // Partition layers into contiguous blocks by minimizing the
     // simulated makespan over boundary placements (cycle counts are
-    // value-independent, so the first image's weights speak for all).
-    // Compute is balanced *net of weight staging*: block weights are
-    // resident, so steady-state stage time excludes them.
-    let layer_w: Vec<u64> = items[0].layers.iter().map(|l| l.stats.weight_dma_cycles).collect();
-    let layer_x: Vec<u64> =
-        items[0].layers.iter().map(|l| l.stats.total_cycles - l.stats.weight_dma_cycles).collect();
+    // value-independent, so the first image speaks for all).
+    let layer_w: Vec<u64> = first.layers.iter().map(|l| l.stats.weight_dma_cycles).collect();
+    let layer_x = compute(first);
     let active = layer_x.iter().filter(|&&c| c > 0).count();
     let blocks = n.min(active).max(1);
     let assign = choose_partition(&layer_w, &layer_x, blocks, items.len());
 
-    // One-time weight preload per block: block weights stay resident
-    // across images (each instance runs the same layers every image).
-    let mut w = vec![0u64; blocks];
     let mut first_layer = vec![None::<String>; blocks];
-    for (li, l) in items[0].layers.iter().enumerate() {
-        w[assign[li]] += l.stats.weight_dma_cycles;
-        let slot = &mut first_layer[assign[li]];
-        if slot.is_none() && l.stats.total_cycles > 0 {
-            *slot = Some(l.name.clone());
+    for (l, &b) in first.layers.iter().zip(&assign) {
+        if first_layer[b].is_none() && l.stats.total_cycles > 0 {
+            first_layer[b] = Some(l.name.clone());
         }
     }
-
-    // Event schedule: avail[k] is when instance k is next free (after
-    // its one-time preload, then after each image's block).
-    let mut avail = w.clone();
-    let mut busy = vec![0u64; blocks];
-    let mut bubbles = vec![0u64; blocks];
-    let mut exposed = 0u64;
-    let mut makespan = 0u64;
-    let mut per_image_w = 0u64;
-    for (i, item) in items.iter().enumerate() {
-        let mut upstream = 0u64;
-        for k in 0..blocks {
-            // Resident weights: compute excludes the per-image weight
-            // staging the serial schedule pays.
-            let x: u64 = item
-                .layers
-                .iter()
-                .enumerate()
-                .filter(|(li, _)| assign[*li] == k)
-                .map(|(_, l)| l.stats.total_cycles - l.stats.weight_dma_cycles)
-                .sum();
-            if i == 0 {
-                // The preload is exposed only where upstream compute
-                // does not already cover the wait.
-                exposed += avail[k].saturating_sub(upstream).min(w[k]);
-                per_image_w = w.iter().sum();
-            }
-            let start = upstream.max(avail[k]);
-            bubbles[k] += start - avail[k];
-            let done = start + x;
-            busy[k] += x;
-            avail[k] = done;
-            upstream = done;
-        }
-        makespan = upstream;
-    }
-
-    let serial = serial_cycles_exact(&items);
-    let staged_serial = per_image_w * items.len() as u64;
-    Ok(ShardReport {
-        placement: Placement::Pipeline,
-        instances: n,
-        items,
-        makespan_cycles: makespan,
-        serial_cycles: serial,
-        per_instance_busy: busy,
+    let w = block_sums(&layer_w, &assign, blocks);
+    let x: Vec<Vec<u64>> = items.iter().map(|r| block_sums(&compute(r), &assign, blocks)).collect();
+    let s = stream(&w, x.iter().map(Vec::as_slice));
+    let staged_serial = w.iter().sum::<u64>() * items.len() as u64;
+    Timeline {
+        makespan_cycles: s.makespan,
+        serial_cycles: items.iter().map(|r| r.total_cycles).sum(),
+        per_instance_busy: s.busy,
         layer_bubbles: first_layer
             .into_iter()
-            .zip(bubbles)
+            .zip(s.bubbles)
             .map(|(name, b)| (name.unwrap_or_else(|| "host".into()), b))
             .collect(),
-        staging_exposed_cycles: exposed,
-        staging_hidden_cycles: staged_serial.saturating_sub(exposed),
-    })
+        staging_exposed_cycles: s.exposed,
+        staging_hidden_cycles: staged_serial.saturating_sub(s.exposed),
+    }
 }
 
 #[cfg(test)]
@@ -809,16 +606,5 @@ mod tests {
 
         let eight = CostModel::for_instances(Variant::U256Opt, 8);
         assert!(eight.fits, "8x must fit the ladder: {eight:?}");
-    }
-
-    #[test]
-    fn layer_coverage_prefers_stripes_then_groups() {
-        // Enough stripes: full coverage.
-        assert_eq!(layer_stripe_coverage("c", 4, 7, Some(2)).1, 4);
-        // Too few stripes: the group split caps coverage.
-        assert_eq!(layer_stripe_coverage("c", 4, 1, Some(2)).1, 2);
-        assert_eq!(layer_stripe_coverage("c", 4, 1, Some(16)).1, 4);
-        // Pool layers cannot split groups.
-        assert_eq!(layer_stripe_coverage("p", 4, 1, None).1, 1);
     }
 }

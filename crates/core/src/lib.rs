@@ -37,8 +37,8 @@
 //! * [`session`] — the curated host-facing surface: a validated
 //!   [`Session`] bundling one driver configuration with the shared batch
 //!   knobs, built by the one builder ([`SessionBuilder`]) and the one way
-//!   to run an image, a batch or a sharded batch; every CLI subcommand
-//!   routes through it;
+//!   to run an image or a batch, on one instance or N; every CLI
+//!   subcommand routes through it;
 //! * [`serve`] — the inference serving daemon: a bounded submission
 //!   queue feeding the batch engine's resident workers, plus the
 //!   newline-delimited JSON wire protocol (`zskip serve`);
@@ -82,7 +82,7 @@ pub use driver::{
 pub use exec::cpu::stats_memo_stats;
 pub use exec::pipeline::weight_cache_stats;
 pub use error::Error;
-pub use exec::sched::{CostModel, Placement, ShardReport};
+pub use exec::sched::{CostModel, Placement};
 pub use exec::PassCtx;
 pub use fault::{run_campaign, CampaignConfig, CampaignReport, TrialOutcome, TrialResult};
 pub use isa::{ConvInstr, Instruction, PoolPadInstr, PoolPadOp};

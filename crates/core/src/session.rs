@@ -3,8 +3,8 @@
 //! every consumer of the accelerator shares.
 //!
 //! [`SessionBuilder`] is the only way to configure a run and `Session`'s
-//! methods the only way to run one — an image, a batch or a sharded
-//! batch. The CLI's `infer`, `batch` and `serve` subcommands all route
+//! methods the only way to run one — an image or a batch, on one
+//! instance or N. The CLI's `infer`, `batch` and `serve` subcommands all route
 //! through this type, so a daemon, a one-shot inference and a benchmark
 //! are guaranteed to configure the stack identically: backend,
 //! intra-image threads, SIMD kernel tier and the worker pool live in
@@ -23,13 +23,11 @@
 //! assert!(session.driver().functional);
 //! ```
 
-use crate::batch::{
-    run_batch, run_batch_resilient, BatchReport, ResilientBatchReport, RetryPolicy,
-};
+use crate::batch::{run_batch_resilient, BatchReport, ResilientBatchReport, RetryPolicy};
 use crate::config::AccelConfig;
 use crate::driver::{BackendKind, Driver, InferenceReport};
 use crate::error::Error;
-use crate::exec::sched::{self, Placement, ShardReport};
+use crate::exec::sched::{self, Placement};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::model::QuantizedNetwork;
 use zskip_nn::par::ConvPool;
@@ -55,9 +53,8 @@ pub struct BatchConfig {
     pub queue_depth: usize,
     /// Per-request retry policy for transient faults.
     pub retry: RetryPolicy,
-    /// Multi-instance placement for sharded batches
-    /// ([`Session::run_sharded`]); `Auto` resolves per workload
-    /// (see [`Placement::resolve`]).
+    /// Multi-instance placement [`Session::run_batch`] schedules a batch
+    /// under; `Auto` resolves per workload (see [`Placement::resolve`]).
     pub placement: Placement,
 }
 
@@ -172,7 +169,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Multi-instance placement for [`Session::run_sharded`]
+    /// Multi-instance placement for [`Session::run_batch`]
     /// (see [`BatchConfig::placement`]).
     pub fn placement(mut self, placement: Placement) -> SessionBuilder {
         self.batch.placement = placement;
@@ -364,47 +361,69 @@ impl Session {
         Ok(self.driver.run_network_scratch(qnet, input, scratch)?)
     }
 
-    /// Runs a batch on this session's worker count (see
-    /// [`crate::batch`]). Every input runs; the batch succeeds only if all
-    /// of them do.
+    /// Runs a batch — the one way to run many images, on one instance or
+    /// N. Every input runs on the batch engine ([`crate::batch`]) with this
+    /// session's worker count; the reports are then scheduled onto the
+    /// configured instances under [`BatchConfig::placement`] (resolved
+    /// per [`Placement::resolve`]; see [`crate::exec::sched`]). A stripe
+    /// placement runs the images on the N-instance driver, image and
+    /// pipeline placements on a single-instance view of it, so every
+    /// output is bit-identical to [`Session::infer`] on one instance. The
+    /// batch succeeds only if every input does.
     ///
     /// # Errors
     /// The failing input's error — the lowest-index one when several
-    /// fail, so the error is deterministic too.
+    /// fail, so the error is deterministic too — or `config.invalid` when
+    /// an explicit stripe placement left some instance idle on every
+    /// layer.
     pub fn run_batch(
         &self,
         qnet: &QuantizedNetwork,
         inputs: &[Tensor<f32>],
     ) -> Result<BatchReport, Error> {
-        Ok(run_batch(&self.driver, qnet, inputs, self.batch.workers)?)
+        let n = self.driver.config.instances.max(1);
+        let placement = self.batch.placement.resolve(n, inputs.len(), sched::accel_layer_count(qnet));
+        let view = (placement != Placement::Stripe).then(|| sched::single_instance_view(&self.driver));
+        let driver = view.as_ref().unwrap_or(&self.driver);
+        let ResilientBatchReport { items, workers, per_worker_jobs, steals: _ } =
+            run_batch_resilient(driver, qnet, inputs, self.batch.workers, RetryPolicy::none());
+        let items = items.into_iter().map(|item| item.result).collect::<Result<Vec<_>, _>>()?;
+        if self.batch.placement == Placement::Stripe && n > 1 {
+            sched::check_stripe_coverage(n, &items)?;
+        }
+        let sched::Timeline {
+            makespan_cycles,
+            serial_cycles,
+            per_instance_busy,
+            layer_bubbles,
+            staging_exposed_cycles,
+            staging_hidden_cycles,
+        } = sched::schedule(placement, n, &items);
+        Ok(BatchReport {
+            placement,
+            instances: n,
+            items,
+            makespan_cycles,
+            serial_cycles,
+            per_instance_busy,
+            layer_bubbles,
+            staging_exposed_cycles,
+            staging_hidden_cycles,
+            workers,
+            per_worker_jobs,
+        })
     }
 
     /// Runs a batch where each input carries its own `Result`, with this
     /// session's worker count and retry policy — the worker loop the
-    /// serving daemon keeps resident.
+    /// serving daemon keeps resident. Images run on the session's driver
+    /// as configured; no placement is scheduled.
     pub fn run_batch_resilient(
         &self,
         qnet: &QuantizedNetwork,
         inputs: &[Tensor<f32>],
     ) -> ResilientBatchReport {
         run_batch_resilient(&self.driver, qnet, inputs, self.batch.workers, self.batch.retry)
-    }
-
-    /// Runs a batch sharded across the configured simulated instances
-    /// under this session's [`BatchConfig::placement`], returning the
-    /// per-image reports plus the placement's simulated timeline.
-    /// Outputs are bit-identical to [`Session::infer`] per image.
-    ///
-    /// # Errors
-    /// Everything [`Session::infer`] surfaces, plus `config.invalid` when
-    /// an explicit stripe placement cannot occupy every instance on any
-    /// layer.
-    pub fn run_sharded(
-        &self,
-        qnet: &QuantizedNetwork,
-        inputs: &[Tensor<f32>],
-    ) -> Result<ShardReport, Error> {
-        Ok(sched::run_sharded(&self.driver, qnet, inputs, self.batch.placement)?)
     }
 }
 
@@ -513,7 +532,7 @@ pub(crate) mod tests {
         let direct: Vec<_> = inputs.iter().map(|i| session.infer(&qnet, i).expect("runs")).collect();
         let batch = session.run_batch(&qnet, &inputs).expect("runs");
         let resilient = session.run_batch_resilient(&qnet, &inputs);
-        for ((b, r), want) in batch.reports.iter().zip(&resilient.items).zip(&direct) {
+        for ((b, r), want) in batch.items.iter().zip(&resilient.items).zip(&direct) {
             assert_eq!(b.output, want.output);
             assert_eq!(r.result.as_ref().expect("succeeds").output, want.output);
         }

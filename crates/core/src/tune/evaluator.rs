@@ -68,7 +68,7 @@ impl<'a> Evaluator<'a> {
             .backend(BackendKind::Model)
             .functional(false)
             .build()?;
-        let report = session.run_sharded(self.qnet, std::slice::from_ref(self.input))?;
+        let report = session.run_batch(self.qnet, std::slice::from_ref(self.input))?;
         Ok(report.makespan_cycles as f64 * session.driver().config.cycle_seconds())
     }
 

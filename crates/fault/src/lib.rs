@@ -257,10 +257,6 @@ impl SplitMix64 {
         }
     }
 
-    /// A uniform draw in `[0.0, 1.0)` with 53 random bits.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -315,10 +311,6 @@ mod tests {
             for _ in 0..32 {
                 assert!(rng.next_below(bound) < bound);
             }
-        }
-        for _ in 0..256 {
-            let f = rng.next_f64();
-            assert!((0.0..1.0).contains(&f));
         }
     }
 

@@ -132,16 +132,6 @@ fn column_max<'b>(rows: &[Sm8], w: usize, cols: Range<usize>, buf: &'b mut [i8; 
     col_max
 }
 
-/// ReLU over a float tensor (used standalone when not fused into conv).
-pub fn relu_f32(input: &Tensor<f32>) -> Tensor<f32> {
-    input.map(|v| v.max(0.0))
-}
-
-/// ReLU over a quantized tensor.
-pub fn relu_quant(input: &Tensor<Sm8>) -> Tensor<Sm8> {
-    input.map(|v| if v.to_i32() < 0 { Sm8::ZERO } else { v })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,19 +162,6 @@ mod tests {
         let input = Tensor::from_fn(1, 2, 2, |_, y, x| Sm8::from_i32_saturating(-((y * 2 + x) as i32) - 1));
         let out = maxpool_quant(&input, 2, 2);
         assert_eq!(out[(0, 0, 0)].to_i32(), -1);
-    }
-
-    #[test]
-    fn relu_variants_agree() {
-        let f = Tensor::from_fn(1, 2, 2, |_, y, x| (y as f32 - x as f32) * 2.0 - 1.0);
-        let q = f.map(|v| Sm8::from_i32_saturating(v as i32));
-        let rf = relu_f32(&f);
-        let rq = relu_quant(&q);
-        for (a, b) in rf.as_slice().iter().zip(rq.as_slice()) {
-            assert!(*a >= 0.0);
-            assert!(b.to_i32() >= 0);
-            assert_eq!(b.to_i32(), (*a as i32).max(0));
-        }
     }
 
     #[test]

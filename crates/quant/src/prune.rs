@@ -126,11 +126,6 @@ impl DensityProfile {
         }
     }
 
-    /// Creates a profile from explicit per-layer densities.
-    pub fn from_densities(densities: Vec<f64>) -> DensityProfile {
-        DensityProfile { densities, name: "custom" }
-    }
-
     /// Density for conv layer `i`; defaults to 1.0 past the profile's end.
     pub fn density(&self, layer: usize) -> f64 {
         self.densities.get(layer).copied().unwrap_or(1.0)

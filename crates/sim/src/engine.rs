@@ -8,7 +8,7 @@
 //! `docs/SIMULATOR.md` for the cycle semantics and deadlock detection.
 
 use crate::fifo::{Fifo, FifoId, PushError, StallPort};
-use crate::stats::{CounterId, Counters, KernelStats};
+use crate::stats::{Counters, KernelStats};
 use crate::trace::Trace;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -411,12 +411,6 @@ impl<M> Engine<M> {
     /// (trace, deadlock window, fault plan).
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
-    }
-
-    /// Interns a counter name for string-free hot-path updates via
-    /// [`Counters::add_id`]. Kernels should intern at construction time.
-    pub fn intern_counter(&mut self, name: &'static str) -> CounterId {
-        self.counters.intern(name)
     }
 
     /// The recorded trace, if tracing was enabled.

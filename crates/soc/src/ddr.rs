@@ -33,14 +33,6 @@ impl DdrModel {
         }
     }
 
-    /// Overrides the timing parameters.
-    pub fn with_timing(mut self, bytes_per_cycle: u64, burst_latency_cycles: u64) -> DdrModel {
-        assert!(bytes_per_cycle > 0, "bandwidth must be positive");
-        self.bytes_per_cycle = bytes_per_cycle;
-        self.burst_latency_cycles = burst_latency_cycles;
-        self
-    }
-
     /// Memory size in bytes.
     pub fn size(&self) -> usize {
         self.data.len()
@@ -110,7 +102,8 @@ mod tests {
 
     #[test]
     fn burst_timing_has_latency_plus_stream() {
-        let ddr = DdrModel::new(0).with_timing(32, 30);
+        // The defaults: 32 bytes per cycle after a 30-cycle latency.
+        let ddr = DdrModel::new(0);
         assert_eq!(ddr.burst_cycles(0), 0);
         assert_eq!(ddr.burst_cycles(1), 31);
         assert_eq!(ddr.burst_cycles(32), 31);

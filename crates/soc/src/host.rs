@@ -120,29 +120,6 @@ impl HostCpu {
         self.write_csr(bus, AccelCsr::Ctrl, 1)
     }
 
-    /// Polls status until DONE or ERROR, with a poll budget.
-    ///
-    /// Returns the final status word. Each poll charges a bridge crossing.
-    /// Prefer [`wait_quiescent`](HostCpu::wait_quiescent), which turns an
-    /// exhausted budget or ERROR bit into a structured error instead of
-    /// leaving the status word for the caller to decode; kept as a
-    /// compatibility shim.
-    ///
-    /// # Errors
-    /// Propagates bus errors; returns `Ok` with the last status if the
-    /// budget is exhausted (caller distinguishes via the status bits).
-    pub fn wait_done(&mut self, bus: &mut AvalonBus, max_polls: u64) -> Result<u32, BusError> {
-        let mut last = 0;
-        for _ in 0..max_polls {
-            self.polls += 1;
-            last = self.read_csr(bus, AccelCsr::Status)?;
-            if last & (status::DONE | status::ERROR) != 0 {
-                break;
-            }
-        }
-        Ok(last)
-    }
-
     /// Attaches a fault plan: an `accel:quiesce` [`FaultKind::Hang`]
     /// injection makes the device unresponsive (the host burns its whole
     /// poll budget, then reports the failure).
@@ -206,31 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn wait_done_returns_on_done_bit() {
-        let mut bus = system();
-        let mut host = HostCpu::new();
-        // Device side sets DONE directly.
-        bus.write(ACCEL_CSR_BASE + AccelCsr::Status as u32, status::DONE).unwrap();
-        let st = host.wait_done(&mut bus, 100).unwrap();
-        assert_eq!(st, status::DONE);
-        assert_eq!(host.polls(), 1);
-    }
-
-    #[test]
-    fn wait_done_exhausts_budget_when_never_done() {
-        let mut bus = system();
-        let mut host = HostCpu::new();
-        let st = host.wait_done(&mut bus, 5).unwrap();
-        assert_eq!(st, 0);
-        assert_eq!(host.polls(), 5);
-    }
-
-    #[test]
     fn wait_quiescent_returns_done_status() {
         let mut bus = system();
         let mut host = HostCpu::new();
         bus.write(ACCEL_CSR_BASE + AccelCsr::Status as u32, status::DONE).unwrap();
         assert_eq!(host.wait_quiescent(&mut bus, 100), Ok(status::DONE));
+        assert_eq!(host.polls(), 1);
     }
 
     #[test]
@@ -263,69 +221,5 @@ mod tests {
         bus.write(ACCEL_CSR_BASE + AccelCsr::Status as u32, status::DONE).unwrap();
         let err = host.wait_quiescent(&mut bus, 16).unwrap_err();
         assert_eq!(err, HostError::Device(DeviceFault::Unresponsive { polls: 16 }));
-    }
-}
-
-impl HostCpu {
-    /// Interrupt-driven completion wait: charges one interrupt delivery
-    /// plus the acknowledging CSR read, instead of a poll loop. Returns
-    /// the status word read after the interrupt, or `None` if the line
-    /// was not asserted (spurious wakeup).
-    ///
-    /// # Errors
-    /// Propagates bus decode errors.
-    pub fn wait_irq(
-        &mut self,
-        bus: &mut crate::avalon::AvalonBus,
-        irq: &mut crate::irq::InterruptController,
-        line: u8,
-    ) -> Result<Option<u32>, crate::avalon::BusError> {
-        if !irq.is_asserted(line) {
-            return Ok(None);
-        }
-        self.cycles += irq.delivery_cycles();
-        irq.ack(line);
-        let status = self.read_csr(bus, AccelCsr::Status)?;
-        Ok(Some(status))
-    }
-}
-
-#[cfg(test)]
-mod irq_tests {
-    use super::*;
-    use crate::csr::{CsrFile, CSR_BLOCK_LEN};
-    use crate::irq::InterruptController;
-
-    #[test]
-    fn irq_wait_is_cheaper_than_polling() {
-        let mut bus = AvalonBus::new();
-        bus.map("accel-csr", ACCEL_CSR_BASE, CSR_BLOCK_LEN, Box::new(CsrFile::new()));
-        bus.write(ACCEL_CSR_BASE + AccelCsr::Status as u32, status::DONE).unwrap();
-
-        // Polling host: 50 polls before done would cost 50 bridge trips.
-        let mut poller = HostCpu::new();
-        for _ in 0..50 {
-            let _ = poller.read_csr(&mut bus, AccelCsr::Status).unwrap();
-        }
-        let poll_cost = poller.cycles();
-
-        // IRQ host: one delivery + one ack read.
-        let mut irq = InterruptController::new();
-        irq.raise(0);
-        let mut sleeper = HostCpu::new();
-        let st = sleeper.wait_irq(&mut bus, &mut irq, 0).unwrap();
-        assert_eq!(st, Some(status::DONE));
-        assert!(sleeper.cycles() < poll_cost / 10, "{} vs {}", sleeper.cycles(), poll_cost);
-        assert!(!irq.is_asserted(0), "acknowledged");
-    }
-
-    #[test]
-    fn irq_wait_without_assertion_is_spurious() {
-        let mut bus = AvalonBus::new();
-        bus.map("accel-csr", ACCEL_CSR_BASE, CSR_BLOCK_LEN, Box::new(CsrFile::new()));
-        let mut irq = InterruptController::new();
-        let mut host = HostCpu::new();
-        assert_eq!(host.wait_irq(&mut bus, &mut irq, 0).unwrap(), None);
-        assert_eq!(host.cycles(), 0, "no charge without an interrupt");
     }
 }

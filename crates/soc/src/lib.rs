@@ -25,11 +25,9 @@ pub mod csr;
 pub mod ddr;
 pub mod dma;
 pub mod host;
-pub mod irq;
 
 pub use avalon::{AvalonBus, BusError, MmSlave, SlaveHandle, BUS_TIMEOUT_CYCLES};
 pub use csr::{AccelCsr, CsrFile, DMA_CSR_BASE, ACCEL_CSR_BASE};
 pub use ddr::DdrModel;
 pub use dma::{DmaController, DmaDescriptor, DmaDirection, DmaError, TileStore};
 pub use host::{DeviceFault, HostCpu, HostError};
-pub use irq::InterruptController;

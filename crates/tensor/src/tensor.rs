@@ -161,16 +161,6 @@ impl<T: Copy + Default> Tensor<T> {
         }
     }
 
-    /// Iterator over `(c, y, x, value)` in CHW order.
-    pub fn iter_indexed(&self) -> impl Iterator<Item = (usize, usize, usize, T)> + '_ {
-        let s = self.shape;
-        self.data.iter().enumerate().map(move |(i, &v)| {
-            let x = i % s.w;
-            let y = (i / s.w) % s.h;
-            let c = i / (s.w * s.h);
-            (c, y, x, v)
-        })
-    }
 }
 
 impl<T: Copy + Default> Index<(usize, usize, usize)> for Tensor<T> {
@@ -195,10 +185,15 @@ mod tests {
     #[test]
     fn from_fn_and_index_agree() {
         let t = Tensor::from_fn(2, 3, 4, |c, y, x| (c * 12 + y * 4 + x) as i32);
-        for (c, y, x, v) in t.iter_indexed() {
-            assert_eq!(v, (c * 12 + y * 4 + x) as i32);
-            assert_eq!(t[(c, y, x)], v);
+        // CHW order: the flat index is the value itself.
+        for c in 0..2 {
+            for y in 0..3 {
+                for x in 0..4 {
+                    assert_eq!(t[(c, y, x)], (c * 12 + y * 4 + x) as i32);
+                }
+            }
         }
+        assert_eq!(t.as_slice(), (0..24).collect::<Vec<i32>>());
     }
 
     #[test]

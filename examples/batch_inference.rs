@@ -54,7 +54,7 @@ fn main() {
     println!("sequential: {:.2} s ({:.2} images/s)", t_seq, batch as f64 / t_seq);
     println!("speedup: {:.2}x", t_seq / t_par);
 
-    for (par, seq) in parallel.reports.iter().zip(&sequential) {
+    for (par, seq) in parallel.items.iter().zip(&sequential) {
         assert_eq!(par.output, seq.output, "batch output must be bit-identical to sequential");
         assert_eq!(par.total_cycles, seq.total_cycles);
     }

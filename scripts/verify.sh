@@ -105,13 +105,22 @@ if printf 'this is not json\n' | timeout 120 ./target/release/zskip serve --hw 3
   echo "verify: serve must exit non-zero on a protocol error"; exit 1
 fi
 
-# Multi-instance sharding smoke: a 4-instance layer-pipelined batch must
-# run end to end, stay bit-exact vs the golden model (infer asserts it),
-# and report the placement it resolved.
-shard_out=$(timeout 300 ./target/release/zskip batch --hw 32 --n 4 --instances 4 --placement pipeline)
-printf '%s\n' "$shard_out" | grep -q 'pipeline placement' \
-  || { echo "verify: sharded batch did not report pipeline placement"; exit 1; }
-timeout 300 ./target/release/zskip infer --hw 32 --instances 4 --placement pipeline > /dev/null
+# Multi-instance sharding pins: every placement's whole timeline (makespan,
+# per-instance busy cycles, pipeline bubbles, staging split) and per-image
+# lines must be exactly the recorded goldens — on 4 instances under each
+# explicit placement, a single pipelined image (infer asserts bit-exactness
+# vs the golden model) and ResNet-18 on 2 instances under auto.
+for placement in stripe image pipeline; do
+  timeout 300 ./target/release/zskip batch --hw 32 --n 4 --instances 4 --placement "$placement" \
+    | diff -u "tests/golden/shard_batch_$placement.txt" - \
+    || { echo "verify: zskip batch --instances 4 --placement $placement differs from its golden"; exit 1; }
+done
+timeout 300 ./target/release/zskip infer --hw 32 --instances 4 --placement pipeline \
+  | diff -u tests/golden/shard_infer_pipeline.txt - \
+  || { echo "verify: zskip infer --instances 4 --placement pipeline differs from its golden"; exit 1; }
+timeout 300 ./target/release/zskip batch --network specs/resnet18.json --hw 32 --n 3 --instances 2 \
+  | diff -u tests/golden/shard_batch_resnet18_auto.txt - \
+  || { echo "verify: zskip batch --network specs/resnet18.json --instances 2 differs from its golden"; exit 1; }
 
 # Throughput gates: the daemon's queue + resident workers must deliver
 # >= 0.9x the raw batch engine on the same offered burst of cpu-backend

@@ -41,15 +41,15 @@ pub use zskip_core::Error;
 ///
 /// Construction goes through [`Session::builder`](prelude::Session::builder)
 /// alone, whose `build()` returns [`prelude::Error`] with the stable code
-/// `config.invalid`; the session is also the only way to run an image, a
-/// batch or a sharded batch.
+/// `config.invalid`; the session is also the only way to run an image or
+/// a batch, on one instance or N.
 pub mod prelude {
     pub use zskip_core::batch::RetryPolicy;
     pub use zskip_core::serve::wire;
     pub use zskip_core::{
-        AccelConfig, BackendKind, BatchConfig, CostModel, Driver, Error, Placement, SearchSpace,
-        ServeEngine, ServeError, ServeHandle, ServeReply, ServeStats, Session, SessionBuilder,
-        ShardReport, TuneOutcome, TunedConfig, Tuner,
+        AccelConfig, BackendKind, BatchConfig, BatchReport, CostModel, Driver, Error, Placement,
+        SearchSpace, ServeEngine, ServeError, ServeHandle, ServeReply, ServeStats, Session,
+        SessionBuilder, TuneOutcome, TunedConfig, Tuner,
     };
     pub use zskip_nn::simd::KernelTier;
 }

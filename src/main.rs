@@ -32,8 +32,8 @@ use zskip::accel::serve::wire;
 use zskip::accel::session::DEFAULT_QUEUE_DEPTH;
 use zskip::accel::tune::{self, FlagGroup, DEFAULT_BUDGET, DEFAULT_SEED, KNOBS};
 use zskip::accel::{
-    AccelConfig, BackendKind, Placement, Provenance, SearchSpace, ServeEngine, Session,
-    ShardReport, TunedConfig, Tuner,
+    AccelConfig, BackendKind, BatchReport, Placement, Provenance, SearchSpace, ServeEngine,
+    Session, TunedConfig, Tuner,
 };
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
@@ -532,7 +532,7 @@ fn infer(p: &Parsed) {
     arena.set_threads(session.driver().threads);
     let report = if config.instances > 1 {
         let shard = session
-            .run_sharded(&qnet, std::slice::from_ref(&input))
+            .run_batch(&qnet, std::slice::from_ref(&input))
             .unwrap_or_else(|e| fail_error(&e));
         println!(
             "sharded over {} instances ({} placement): makespan {} cycles, {:.2}x vs one instance",
@@ -584,27 +584,22 @@ fn batch(p: &Parsed) {
 
     let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
     println!("running {} x {} on {} ({backend} backend)...", n, qnet.spec.name, variant);
-    if session.driver().config.instances > 1 {
-        let shard = session.run_sharded(&qnet, &inputs).unwrap_or_else(|e| fail_error(&e));
-        print_shard_summary(&shard, &session.driver().config);
-        for (i, r) in shard.items.iter().enumerate() {
-            let top = zskip::nn::fc::argmax(&r.output).expect("non-empty");
-            println!("  image {i}: {} cycles, predicted class {top}", r.total_cycles);
-        }
-        return;
-    }
     let t0 = std::time::Instant::now();
     let report = session.run_batch(&qnet, &inputs).unwrap_or_else(|e| fail_error(&e));
     let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "{} images in {:.2} s on {} workers ({:.2} images/s, {:.1} M simulated cycles/s)",
-        n,
-        wall,
-        report.workers,
-        n as f64 / wall,
-        report.total_cycles() as f64 / wall / 1e6,
-    );
-    for (i, r) in report.reports.iter().enumerate() {
+    if report.instances > 1 {
+        print_shard_summary(&report, &session.driver().config);
+    } else {
+        println!(
+            "{} images in {:.2} s on {} workers ({:.2} images/s, {:.1} M simulated cycles/s)",
+            n,
+            wall,
+            report.workers,
+            n as f64 / wall,
+            report.total_cycles() as f64 / wall / 1e6,
+        );
+    }
+    for (i, r) in report.items.iter().enumerate() {
         let top = zskip::nn::fc::argmax(&r.output).expect("non-empty");
         println!("  image {i}: {} cycles, predicted class {top}", r.total_cycles);
     }
@@ -612,7 +607,7 @@ fn batch(p: &Parsed) {
 
 /// Renders one sharded run's timeline: placement, throughput, and the
 /// per-instance utilization split the scheduler achieved.
-fn print_shard_summary(shard: &ShardReport, config: &AccelConfig) {
+fn print_shard_summary(shard: &BatchReport, config: &AccelConfig) {
     println!(
         "sharded {} images over {} instances ({} placement): makespan {} cycles, \
          {:.2}x vs one instance, {:.1} simulated images/s",
@@ -1046,7 +1041,7 @@ fn analyze(p: &Parsed) {
         .build()
         .expect("model session builds");
     let shard_inputs = synthetic_inputs(3, (2 * instances).max(4), surrogate.input);
-    let shard = shard_session.run_sharded(&sq, &shard_inputs).unwrap_or_else(|e| fail_error(&e));
+    let shard = shard_session.run_batch(&sq, &shard_inputs).unwrap_or_else(|e| fail_error(&e));
     print_shard_summary(&shard, &shard_config);
 
     // Serving limits: what `zskip serve` defaults to on this build, so an

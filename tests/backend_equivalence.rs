@@ -394,7 +394,8 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
 /// images per placement each later one is a memo hit (stripe placement
 /// under its two-instance key, image/pipeline under the single-instance
 /// view), and every per-image report and the placement timeline still
-/// equal the Model backend's.
+/// equal the Model backend's. One batch worker runs the images in order,
+/// so only the first can miss (two workers could both miss a cold memo).
 #[test]
 fn sharded_placements_replay_the_memo_and_match_model() {
     let (qnet, _) = quantized(0.6, 777);
@@ -404,10 +405,11 @@ fn sharded_placements_replay_the_memo_and_match_model() {
             Session::builder(config(20, 2))
                 .backend(backend)
                 .threads(3)
+                .batch_workers(1)
                 .placement(placement)
                 .build()
                 .expect("valid config")
-                .run_sharded(&qnet, &inputs)
+                .run_batch(&qnet, &inputs)
                 .expect("fits")
         };
         let model = run(BackendKind::Model);

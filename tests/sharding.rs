@@ -12,11 +12,15 @@
 //! * **Faults**: an injected `dma:xfer` fault surfaces as the same
 //!   stable `Error::code()` whatever the placement, because placement
 //!   never changes the DMA descriptor prefix of the first image.
+//! * **Coverage**: an explicit stripe placement is accepted only when
+//!   some layer kept every instance busy in the run itself.
+//! * **Workers**: the batch engine's worker count never shows in the
+//!   per-image reports or in the placement's timeline.
 
 use proptest::prelude::*;
 use zskip::accel::{
-    AccelConfig, BackendKind, DriverError, Error, InferenceReport, Placement, Session,
-    SessionBuilder, ShardReport,
+    AccelConfig, BackendKind, BatchReport, DriverError, Error, InferenceReport, Placement, Session,
+    SessionBuilder,
 };
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
@@ -30,14 +34,14 @@ fn config(bank_tiles: usize, instances: usize) -> AccelConfig {
     AccelConfig::from_arch(&AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles }, 100.0)
 }
 
-/// A batch sharded under `placement` on a session from `builder`.
-fn run_sharded(
+/// A batch scheduled under `placement` on a session from `builder`.
+fn run_placed(
     builder: &SessionBuilder,
     qnet: &QuantizedNetwork,
     inputs: &[Tensor<f32>],
     placement: Placement,
-) -> Result<ShardReport, Error> {
-    builder.clone().placement(placement).build().expect("valid config").run_sharded(qnet, inputs)
+) -> Result<BatchReport, Error> {
+    builder.clone().placement(placement).build().expect("valid config").run_batch(qnet, inputs)
 }
 
 fn tiny_spec() -> NetworkSpec {
@@ -159,7 +163,7 @@ proptest! {
             };
             let sharded = Session::builder(config(2048, instances)).backend(backend);
             for placement in [Placement::Stripe, Placement::Image, Placement::Pipeline, Placement::Auto] {
-                let report = match run_sharded(&sharded, &qnet, &inputs, placement) {
+                let report = match run_placed(&sharded, &qnet, &inputs, placement) {
                     Ok(r) => r,
                     Err(e @ Error::Driver(DriverError::InvalidConfig(_))) => {
                         // An explicit stripe placement may reject shallow
@@ -173,6 +177,16 @@ proptest! {
                 };
                 prop_assert_eq!(report.instances, instances);
                 prop_assert_ne!(report.placement, Placement::Auto, "resolve() ran");
+                if placement == Placement::Stripe {
+                    // Accepted only because the run kept every instance
+                    // busy on some layer.
+                    for item in &report.items {
+                        prop_assert!(
+                            item.layers.iter().any(|l| l.stats.per_instance_cycles.iter().filter(|&&c| c > 0).count() == instances),
+                            "stripe placement accepted with an idle instance on every layer"
+                        );
+                    }
+                }
                 prop_assert_eq!(report.items.len(), inputs.len());
                 for (item, want) in report.items.iter().zip(&reference) {
                     prop_assert_eq!(&item.output, &want.output,
@@ -210,7 +224,7 @@ fn placements_match_single_instance_on_cycle_backend() {
     };
     let sharded = Session::builder(config(2048, 2)).backend(BackendKind::Cycle);
     for placement in [Placement::Image, Placement::Pipeline] {
-        let report = run_sharded(&sharded, &qnet, &inputs, placement).expect("runs");
+        let report = run_placed(&sharded, &qnet, &inputs, placement).expect("runs");
         for (item, want) in report.items.iter().zip(&reference) {
             assert_eq!(item.output, want.output, "{placement}");
             assert_eq!(item.total_cycles, want.total_cycles, "{placement}");
@@ -229,7 +243,7 @@ fn stripe_placement_distributes_real_stripes() {
         let reference: Vec<InferenceReport> =
             inputs.iter().map(|i| one.infer(&qnet, i).expect("fits")).collect();
         let sharded = Session::builder(config(20, 2)).backend(backend);
-        let report = run_sharded(&sharded, &qnet, &inputs, Placement::Stripe).expect("covers");
+        let report = run_placed(&sharded, &qnet, &inputs, Placement::Stripe).expect("covers");
         assert_eq!(report.placement, Placement::Stripe);
         for (item, want) in report.items.iter().zip(&reference) {
             assert_eq!(item.output, want.output, "{backend}");
@@ -275,7 +289,7 @@ fn uncoverable_stripe_placement_is_config_invalid() {
     };
     let (qnet, inputs) = quantize_spec(&spec, 0.8, 3, 2);
     let shards = Session::builder(config(4096, 4));
-    let err = run_sharded(&shards, &qnet, &inputs, Placement::Stripe).unwrap_err();
+    let err = run_placed(&shards, &qnet, &inputs, Placement::Stripe).unwrap_err();
     assert!(
         matches!(err, Error::Driver(DriverError::InvalidConfig(ref r))
             if r.contains("cannot cover 4 instances") && r.contains("image | pipeline")),
@@ -283,8 +297,67 @@ fn uncoverable_stripe_placement_is_config_invalid() {
     );
     assert_eq!(err.code(), "config.invalid");
     // Auto picks a covering placement instead of erroring.
-    let auto = run_sharded(&shards, &qnet, &inputs, Placement::Auto).expect("auto never errors");
+    let auto = run_placed(&shards, &qnet, &inputs, Placement::Auto).expect("auto never errors");
     assert_ne!(auto.placement, Placement::Stripe);
+}
+
+/// Coverage is read from the run, not re-planned: a single-stripe conv
+/// whose 5 (or 6) OFM groups split into `div_ceil(groups, 4) = 2`-group
+/// chunks occupies only 3 of 4 instances, so an explicit stripe
+/// placement must be rejected naming that real count.
+#[test]
+fn stripe_coverage_counts_the_instances_the_group_split_really_occupies() {
+    for out_c in [20, 24] {
+        let spec = NetworkSpec {
+            name: "split".into(),
+            input: Shape::new(2, 8, 8),
+            layers: vec![LayerSpec::Conv { name: "wide".into(), in_c: 2, out_c, k: 3, stride: 1, pad: 1, relu: true }],
+        };
+        let (qnet, inputs) = quantize_spec(&spec, 0.8, 5, 2);
+        let shards = Session::builder(config(4096, 4));
+        let err = run_placed(&shards, &qnet, &inputs, Placement::Stripe).unwrap_err();
+        assert_eq!(err.code(), "config.invalid", "{out_c} channels: {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("cannot cover 4 instances") && msg.contains("('wide') occupies only 3"),
+            "{out_c} channels: {msg}"
+        );
+        // The same layer on the image placement runs, on every instance.
+        let image = run_placed(&shards, &qnet, &inputs, Placement::Image).expect("runs");
+        assert_eq!(image.items.len(), inputs.len());
+    }
+}
+
+/// The batch engine's worker count is invisible: under every placement,
+/// one worker and three give the same per-image reports and the same
+/// timeline.
+#[test]
+fn worker_count_never_shows_in_items_or_timeline() {
+    let (qnet, inputs) = quantized(0.7, 88, 5);
+    let timeline = |r: &BatchReport| {
+        (
+            r.placement,
+            r.instances,
+            r.makespan_cycles,
+            r.serial_cycles,
+            r.per_instance_busy.clone(),
+            r.layer_bubbles.clone(),
+            r.staging_exposed_cycles,
+            r.staging_hidden_cycles,
+        )
+    };
+    for backend in [BackendKind::Model, BackendKind::Cpu] {
+        for placement in [Placement::Stripe, Placement::Image, Placement::Pipeline, Placement::Auto] {
+            let run = |workers| {
+                let builder = Session::builder(config(20, 2)).backend(backend).batch_workers(workers);
+                run_placed(&builder, &qnet, &inputs, placement).expect("runs")
+            };
+            let (one, three) = (run(1), run(3));
+            assert_eq!((one.workers, three.workers), (1, 3), "{backend}/{placement}");
+            assert_eq!(format!("{:?}", one.items), format!("{:?}", three.items), "{backend}/{placement}");
+            assert_eq!(timeline(&one), timeline(&three), "{backend}/{placement}");
+        }
+    }
 }
 
 /// Image-parallel throughput: a batch sharded over N instances finishes
@@ -293,7 +366,7 @@ fn uncoverable_stripe_placement_is_config_invalid() {
 fn image_placement_scales_throughput() {
     let (qnet, inputs) = quantized(0.7, 33, 8);
     let shards = Session::builder(config(2048, 4));
-    let report = run_sharded(&shards, &qnet, &inputs, Placement::Image).expect("runs");
+    let report = run_placed(&shards, &qnet, &inputs, Placement::Image).expect("runs");
     assert_eq!(report.placement, Placement::Image);
     let total: u64 = report.items.iter().map(|r| r.total_cycles).sum();
     // 8 equal images over 4 lanes: exactly 2 images per lane.
@@ -310,8 +383,8 @@ fn image_placement_scales_throughput() {
 fn pipeline_placement_beats_image_on_single_image_latency() {
     let (qnet, inputs) = quantized(0.7, 44, 1);
     let shards = Session::builder(config(2048, 2));
-    let image = run_sharded(&shards, &qnet, &inputs, Placement::Image).expect("runs");
-    let pipeline = run_sharded(&shards, &qnet, &inputs, Placement::Pipeline).expect("runs");
+    let image = run_placed(&shards, &qnet, &inputs, Placement::Image).expect("runs");
+    let pipeline = run_placed(&shards, &qnet, &inputs, Placement::Pipeline).expect("runs");
     assert!(
         pipeline.makespan_cycles < image.makespan_cycles,
         "pipeline {} vs image {}",
@@ -329,7 +402,7 @@ fn pipeline_placement_beats_image_on_single_image_latency() {
 fn pipeline_placement_hides_weight_staging_across_a_batch() {
     let (qnet, inputs) = quantized(0.7, 66, 6);
     let shards = Session::builder(config(2048, 2));
-    let report = run_sharded(&shards, &qnet, &inputs, Placement::Pipeline).expect("runs");
+    let report = run_placed(&shards, &qnet, &inputs, Placement::Pipeline).expect("runs");
     let staged_serial: u64 = report.items.iter().map(weight_dma_total).sum();
     assert_eq!(report.staging_exposed_cycles + report.staging_hidden_cycles, staged_serial);
     assert!(report.staging_hidden_cycles > report.staging_exposed_cycles);
@@ -357,7 +430,7 @@ fn dma_faults_surface_identically_across_placements() {
                 for placement in [Placement::Stripe, Placement::Image, Placement::Pipeline] {
                     let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
                     let shards = Session::builder(config(2048, 2)).backend(backend).fault_plan(plan.clone());
-                    let err = run_sharded(&shards, &qnet, &inputs, placement).unwrap_err();
+                    let err = run_placed(&shards, &qnet, &inputs, placement).unwrap_err();
                     assert!(err.is_transient(), "{backend}/{placement}: DMA faults are transient");
                     assert_eq!(
                         plan.lock().unwrap().fired().len(),
@@ -374,7 +447,7 @@ fn dma_faults_surface_identically_across_placements() {
 
 /// The session surface routes placement and instance count end to end.
 #[test]
-fn session_run_sharded_matches_infer() {
+fn session_run_batch_matches_infer() {
     let (qnet, inputs) = quantized(0.5, 77, 3);
     let session = Session::builder(config(2048, 1))
         .instances(2)
@@ -384,7 +457,7 @@ fn session_run_sharded_matches_infer() {
     assert_eq!(session.batch_config().placement, Placement::Pipeline);
     assert_eq!(session.driver().config.instances, 2);
     assert_eq!(session.driver().config.bank_tiles, 1024, "RAM-preserving rescale");
-    let report = session.run_sharded(&qnet, &inputs).expect("runs");
+    let report = session.run_batch(&qnet, &inputs).expect("runs");
     assert_eq!(report.placement, Placement::Pipeline);
     // Bit-identical to the one-at-a-time session surface (which uses
     // the same single-instance geometry after the rescale halves banks).

@@ -9,7 +9,7 @@ use zskip::nn::conv::{conv2d_quant_dense, QuantConvWeights};
 use zskip::quant::{Requantizer, Sm8};
 use zskip::soc::csr::{status, AccelCsr, CsrFile, ACCEL_CSR_BASE, CSR_BLOCK_LEN};
 use zskip::soc::dma::{DmaController, DmaDescriptor, DmaDirection};
-use zskip::soc::{AvalonBus, DdrModel, HostCpu};
+use zskip::soc::{AvalonBus, DdrModel, DeviceFault, HostCpu, HostError};
 use zskip::tensor::{Shape, Tensor, TiledFeatureMap};
 
 fn config() -> AccelConfig {
@@ -102,8 +102,7 @@ fn full_csr_dma_inference_round_trip() {
     bus.write(ACCEL_CSR_BASE + AccelCsr::CyclesLo as u32, outcome.cycles as u32).expect("post cycles");
 
     // --- Host polls DONE, reads the cycle counter.
-    let st = host.wait_done(&mut bus, 100).expect("bus ok");
-    assert_eq!(st & status::DONE, status::DONE);
+    assert_eq!(host.wait_quiescent(&mut bus, 100), Ok(status::DONE));
     let cycles = bus.read(ACCEL_CSR_BASE + AccelCsr::CyclesLo as u32).expect("read cycles");
     assert!(cycles > 0);
 
@@ -162,6 +161,5 @@ fn illegal_instruction_sets_error_status() {
     assert!(decode.is_err(), "garbage must not decode");
     bus.write(ACCEL_CSR_BASE + AccelCsr::Status as u32, status::ERROR).expect("post error");
 
-    let st = host.wait_done(&mut bus, 10).expect("bus ok");
-    assert_eq!(st & status::ERROR, status::ERROR);
+    assert_eq!(host.wait_quiescent(&mut bus, 10), Err(HostError::Device(DeviceFault::ErrorBit)));
 }

@@ -10,7 +10,7 @@
 //!   explicit builder overrides layered on top win — the precedence rule
 //!   the CLI's `--config` + flags combination relies on.
 //! * The evaluator's score equals a direct model-backend
-//!   `run_sharded` and a direct cycle-exact run (re-asserting the
+//!   `run_batch` and a direct cycle-exact run (re-asserting the
 //!   model ≡ cycle equivalence the score's cheapness depends on).
 //! * One artifact drives `infer`, `run_batch` and the serving daemon end
 //!   to end, each bit-identical to the software golden model.
@@ -182,7 +182,7 @@ fn cycles_score_matches_direct_model_and_cycle_runs() {
     // Direct stats-only model run, same knobs: identical simulated time.
     let session =
         config.session().backend(BackendKind::Model).functional(false).build().expect("valid");
-    let report = session.run_sharded(&qnet, &inputs[..1]).expect("runs");
+    let report = session.run_batch(&qnet, &inputs[..1]).expect("runs");
     let direct = report.makespan_cycles as f64 * session.driver().config.cycle_seconds();
     assert_eq!(score, direct, "evaluator is the direct measurement, cached not re-derived");
 
@@ -190,7 +190,7 @@ fn cycles_score_matches_direct_model_and_cycle_runs() {
     // for. This re-pins the model == cycle equivalence the evaluator's
     // speed depends on.
     let cycle_session = config.session().backend(BackendKind::Cycle).build().expect("valid");
-    let cycle_report = cycle_session.run_sharded(&qnet, &inputs[..1]).expect("runs");
+    let cycle_report = cycle_session.run_batch(&qnet, &inputs[..1]).expect("runs");
     assert_eq!(
         report.makespan_cycles, cycle_report.makespan_cycles,
         "transaction model and cycle-exact engine must agree on the makespan"
@@ -223,7 +223,7 @@ fn one_artifact_drives_infer_batch_and_serve_bit_exactly() {
     // batch
     let session = SessionBuilder::from_tuned(&path).expect("loads").build().expect("valid");
     let batch = session.run_batch(&qnet, &inputs).expect("batches");
-    for (r, want) in batch.reports.iter().zip(&golden) {
+    for (r, want) in batch.items.iter().zip(&golden) {
         assert_eq!(&r.output, want, "batch path");
     }
 
