@@ -41,8 +41,9 @@
 //! simulated time, so they are deterministic and strict. This is the
 //! guard wired into `scripts/verify.sh`.
 //!
-//! Writes `BENCH_batch.json` at the repository root plus the
-//! `experiments/batch_bench.txt` rendering.
+//! Writes `BENCH_batch.json` plus the `experiments/batch_bench.txt` rendering under the
+//! working directory: run it from the repository root to update the
+//! committed ones.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};

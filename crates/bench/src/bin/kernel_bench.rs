@@ -6,7 +6,8 @@
 //! * **GEMM**: `conv2d_gemm_quant_into` per tier on five VGG-16-shaped
 //!   conv layers at deep-compression densities — from a 32x32 plane down
 //!   to the 4x4 and 2x2 planes of conv4_x / conv5_x — plus an fc7-shaped
-//!   FC layer through the same body (`fc_quant_pool_into`), with the
+//!   FC layer and one small enough to stay in L2 through the same body
+//!   (`fc_quant_pool_into`), with the
 //!   dense-equivalent GMAC/s of every row. Every tier runs the same
 //!   output-stationary blocking (scalar with a portable dot); all tiers
 //!   must be bit-identical (asserted here and property-tested in
@@ -31,17 +32,19 @@
 //!   quantized residual-add cost relative to that conv.
 //!
 //! `--check` exits nonzero if any SIMD tier is slower than scalar on a
-//! reference shape, any SIMD tier's GEMM is under 3x scalar on the two
-//! deep conv shapes or the FC (the shapes whose columns are too few to
-//! fill a vector), the avx512 tier's GEMM is under 2x the avx2 tier's
+//! reference shape, the avx2 or avx512 GEMM is under 3x scalar on the two
+//! deep conv shapes or the FCs (the shapes whose columns are too few to
+//! fill a vector), the sse2 GEMM is under 0.47x the avx2 tier's
+//! throughput on the L2-resident FC, the avx512 tier's GEMM is under 2x the avx2 tier's
 //! on the conv3_2- and conv4_2-like shapes (when the host has both), the
 //! steady-state pass allocates, the cpu backend is
 //! under the floor against the model backend, or the auto-width
 //! multithreaded latency regresses past the single-threaded one — wired
 //! into `scripts/verify.sh`.
 //!
-//! Writes `BENCH_kernels.json` at the repository root plus the
-//! `experiments/kernel_bench.txt` rendering.
+//! Writes `BENCH_kernels.json` plus the `experiments/kernel_bench.txt` rendering under the
+//! working directory: run it from the repository root to update the
+//! committed ones.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -395,28 +398,34 @@ fn bench_shapes() -> Vec<ShapeResult> {
         })
         .collect();
 
-    // fc7: the conv layers' GEMM body at one column, unpruned weights.
-    let (out_features, in_features) = (4096, 4096);
+    // fc7: the conv layers' GEMM body at one column, unpruned weights;
+    // then an FC whose 512 KiB of weights stay in L2, run 64 times a
+    // round, where no tier waits on memory and each runs at the rate its
+    // weight decode allows (the sse2 gate's row).
     let mut rng = zskip_core::rng::SplitMix64::new(7);
-    let mut sm8s = |n: usize| -> Vec<Sm8> {
-        (0..n).map(|_| Sm8::from_i32_saturating((rng.next_u64() % 253) as i32 - 126)).collect()
-    };
-    let fc = QuantFcWeights::new(
-        out_features,
-        in_features,
-        sm8s(out_features * in_features),
-        vec![0; out_features],
-        Requantizer::from_ratio(1.0 / 4096.0),
-        true,
-    );
-    let input = sm8s(in_features);
-    let mut ws = GemmScratch::default();
-    let mut out = Vec::new();
-    let gemm = time_tiers("fc7-like", out_features * in_features, |tier| {
-        fc_quant_pool_into(&input, &fc, tier, None, &mut ws, &mut out);
-        out.clone()
-    });
-    shapes.push(ShapeResult::new("fc7-like", (out_features, in_features, 1, 1.0), gemm));
+    for (layer, out_features, in_features, calls) in [("fc7-like", 4096, 4096, 1), (SSE2_GATE_SHAPE, 512, 1024, 64)] {
+        let mut sm8s = |n: usize| -> Vec<Sm8> {
+            (0..n).map(|_| Sm8::from_i32_saturating((rng.next_u64() % 253) as i32 - 126)).collect()
+        };
+        let fc = QuantFcWeights::new(
+            out_features,
+            in_features,
+            sm8s(out_features * in_features),
+            vec![0; out_features],
+            Requantizer::from_ratio(1.0 / 4096.0),
+            true,
+        );
+        let input = sm8s(in_features);
+        let mut ws = GemmScratch::default();
+        let mut out = Vec::new();
+        let gemm = time_tiers(layer, calls * out_features * in_features, |tier| {
+            for _ in 0..calls {
+                fc_quant_pool_into(&input, &fc, tier, None, &mut ws, &mut out);
+            }
+            out.clone()
+        });
+        shapes.push(ShapeResult::new(layer, (out_features, in_features, 1, 1.0), gemm));
+    }
     shapes
 }
 
@@ -698,9 +707,28 @@ fn render(bench: &Bench) -> String {
 /// row-panel kernel, 1.74x before the stats-pass memo).
 const CPU_VS_MODEL_FLOOR: f64 = 10.0;
 
-/// `--check` floor on every SIMD tier's GEMM over scalar on the deep
-/// shapes ([`ShapeResult::is_deep`]).
+/// `--check` floor on the avx2 and avx512 tiers' GEMM over scalar on the
+/// deep shapes ([`ShapeResult::is_deep`]). Not on sse2: the scalar tier
+/// is compiled for the same SSE2 baseline, and the compiler vectorizes
+/// its byte loads, so sse2 over scalar measures the compiler as much as
+/// the SSE2 body (2.4-3.1x recorded on the deep rows) — the SSE2 body has
+/// [`SSE2_OVER_AVX2_FLOOR`] instead.
 const DEEP_GEMM_FLOOR: f64 = 3.0;
+
+/// `--check` floor on the sse2 tier's GEMM throughput as a share of the
+/// avx2 tier's on [`SSE2_GATE_SHAPE`], where the host runs both: two
+/// hand-written bodies timed in the same rounds, so neighbour load and
+/// the compiler's treatment of the scalar tier cancel out. A step of 16
+/// weights is two 8-lane `pmaddwd` and a byte-lane decode for sse2, one
+/// 16-lane `vpmaddwd` for avx2, so sse2 sits near half: 0.54-0.59
+/// recorded on the 2-vCPU AVX-512 reference box. The SSE2 body stepping
+/// 8 values instead of 16 reads 0.39-0.44 there, and the scalar body
+/// dispatched as sse2 0.16.
+const SSE2_OVER_AVX2_FLOOR: f64 = 0.47;
+/// The shape [`SSE2_OVER_AVX2_FLOOR`] holds on: an FC whose weights stay
+/// in L2, so both tiers are bound by their own instructions, not by
+/// memory (fc7's 16 MiB stream holds avx2 to memory speed).
+const SSE2_GATE_SHAPE: &str = "fc-l2-like";
 
 /// `--check` floor on the avx512 tier's GEMM over the avx2 tier's on the
 /// [`AVX512_OVER_AVX2_SHAPES`]: a 2x4 block step is 12 vector µops over 64
@@ -715,7 +743,8 @@ const AVX512_OVER_AVX2_FLOOR: f64 = 2.0;
 const AVX512_OVER_AVX2_SHAPES: [&str; 2] = ["conv3_2-like", "conv4_2-like"];
 
 /// `--check` policy: every SIMD tier must beat scalar on every reference
-/// shape — by [`DEEP_GEMM_FLOOR`] on the deep shapes — avx512 must beat
+/// shape — avx2 and avx512 by [`DEEP_GEMM_FLOOR`] on the deep shapes —
+/// sse2 must hold [`SSE2_OVER_AVX2_FLOOR`] of avx2 and avx512 must beat
 /// avx2 by [`AVX512_OVER_AVX2_FLOOR`] where the host runs both, and steady
 /// state must not allocate. Returns every floor the run missed, so one
 /// failure does not hide the next.
@@ -734,10 +763,19 @@ fn check(bench: &Bench) -> Vec<String> {
                 ));
             }
         }
+        if let (true, Some(sse2), Some(avx2)) = (s.layer == SSE2_GATE_SHAPE, ms("sse2"), ms("avx2")) {
+            if avx2 / sse2 < SSE2_OVER_AVX2_FLOOR {
+                failed.push(format!(
+                    "{}: GEMM tier sse2 runs at {:.2}x the avx2 tier's throughput (need >= {SSE2_OVER_AVX2_FLOOR}x)",
+                    s.layer,
+                    avx2 / sse2
+                ));
+            }
+        }
         for t in s.gemm.iter().filter(|t| t.tier != "scalar") {
             if t.speedup < 1.0 {
                 failed.push(format!("{}: tier {} is {:.2}x vs scalar (slower)", s.layer, t.tier, t.speedup));
-            } else if s.is_deep() && t.speedup < DEEP_GEMM_FLOOR {
+            } else if s.is_deep() && t.tier != "sse2" && t.speedup < DEEP_GEMM_FLOOR {
                 failed.push(format!(
                     "{}: GEMM tier {} is {:.2}x vs scalar (need >= {DEEP_GEMM_FLOOR}x)",
                     s.layer, t.tier, t.speedup

@@ -23,8 +23,9 @@
 //! same-seed rerun is byte-identical. This is the guard wired into
 //! `scripts/verify.sh`.
 //!
-//! Writes `BENCH_tune.json` at the repository root plus the
-//! `experiments/tune_bench.txt` rendering.
+//! Writes `BENCH_tune.json` plus the `experiments/tune_bench.txt` rendering under the
+//! working directory: run it from the repository root to update the
+//! committed ones.
 
 use zskip_bench::write_bench_artifacts;
 use zskip_core::tune::{Evaluator, SearchSpace, TunedConfig, Tuner, DEFAULT_BUDGET, DEFAULT_SEED};

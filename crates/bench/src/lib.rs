@@ -271,9 +271,13 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// Creates the `experiments/` output directory and returns its path.
+/// Creates the `experiments/` output directory under the working
+/// directory and returns its path. Outputs land where the bin is run —
+/// the committed ones when run from the repository root — never in the
+/// checkout the bin was built from, so a copy that shares its `target/`
+/// cannot overwrite them.
 pub fn experiments_dir() -> std::path::PathBuf {
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
+    let dir = std::path::PathBuf::from("experiments");
     std::fs::create_dir_all(&dir).expect("can create experiments dir");
     dir
 }
@@ -288,13 +292,11 @@ pub fn write_artifacts<T: ToJson>(name: &str, text: &str, data: &T) {
 
 /// Writes a `*_bench` bin's artifacts once each: the human-readable
 /// rendering as `experiments/<name>.txt` and the machine-readable
-/// trajectory point as `<bench_json>` (a `BENCH_*.json` name) at the
-/// repository root.
+/// trajectory point as `<bench_json>` (a `BENCH_*.json` name), both under
+/// the working directory (see [`experiments_dir`]).
 pub fn write_bench_artifacts<T: ToJson>(name: &str, bench_json: &str, text: &str, data: &T) {
     std::fs::write(experiments_dir().join(format!("{name}.txt")), text).expect("write text artifact");
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(root.join(bench_json), zskip_json::to_string_pretty(data))
-        .expect("write BENCH json artifact");
+    std::fs::write(bench_json, zskip_json::to_string_pretty(data)).expect("write BENCH json artifact");
 }
 
 /// Builds a standalone quantized conv layer with uniform weight density —

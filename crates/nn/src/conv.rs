@@ -193,31 +193,66 @@ impl QuantConvWeights {
 /// Float reference convolution (stride/pad general), with optional ReLU.
 ///
 /// Each output is `bias`, then `+= w * x` tap by tap in `(i, ky, kx)`
-/// order, every step rounded to `f32`: float addition does not
-/// reassociate, and `Network::quantize` derives the activation scales —
+/// order, every step rounded to `f32` (no fused multiply-add, no
+/// reassociation): `Network::quantize` derives the activation scales —
 /// and through them every requantizer of the model — from these values,
 /// so the per-output order is part of the model's definition. What is
-/// free is everything else. Outputs are independent, so the loop runs
-/// tap-outermost over whole output planes: per input channel the `k * k`
-/// shifted (and zero-padded, strided) views of it are laid out once as
-/// contiguous planes, and every filter tap then is one contiguous
-/// `acc += w * view`. On all but the smallest planes zero weights (the
-/// ≈65 % magnitude pruning removed — the paper's own trick) are skipped,
-/// and output channels are split over the host's cores. A skipped tap would have added `±0`, which can
-/// change only the sign of an exactly-zero result; the tests hold this
-/// bit-for-bit, modulo that sign, to the naive per-output scan on finite
-/// data.
+/// free is everything else. The convolution runs as a GEMM whose
+/// reduction is walked in that order: one block of output positions at a
+/// time is lowered into a per-run panel (`K = in_c·k²` rows in `(i, ky,
+/// kx)` order, one column per position), and a register block of output
+/// channels × 16-position lane chunks accumulates down the panel's rows.
+/// On planes of 64 positions and more each filter walks only its non-zero
+/// taps (the ≈65 % magnitude pruning removed — the paper's own trick);
+/// smaller planes run every tap, eight filters at a time. Output
+/// channels are split over the host's cores, and the kernel runs at the
+/// process's [`simd::dispatch`] tier. A skipped tap would have added `±0`,
+/// which can change only the sign of an exactly-zero result; the tests
+/// hold this bit-for-bit, modulo that sign, to the naive per-output scan
+/// on finite data (docs/KERNELS.md, "Float calibration").
 pub fn conv2d_f32(input: &Tensor<f32>, weights: &ConvWeights, stride: usize, pad: usize, relu: bool) -> Tensor<f32> {
-    conv2d_f32_split(input, weights, stride, pad, relu, Split::auto())
+    conv2d_f32_split(input, weights, stride, pad, relu, Split::auto(), simd::dispatch())
 }
 
-/// Output planes up to this many values take zero weights like any other:
-/// on a pruned filter the zero test mispredicts every other tap, which
-/// costs more than the few multiply-adds it would skip (the 4x4 and 2x2
-/// planes of a VGG's deep layers run twice as fast without it).
-const DENSE_PLANE: usize = 16;
+/// Output positions per lane chunk of the float conv's register block.
+const LANES: usize = 16;
+/// Lane chunks of one filter's register block on a sparse plane: four
+/// accumulator chains cover the add latency.
+const SPARSE_CHUNKS: usize = 4;
+/// Output positions of one sparse register block.
+const SPARSE_COLS: usize = LANES * SPARSE_CHUNKS;
+/// Filters per register block on a dense plane: eight accumulator chains
+/// share each loaded lane chunk.
+const DENSE_ROWS: usize = 8;
+/// Taps per reduction chunk on a sparse plane: 128 panel rows of one
+/// register block's 64 positions are 32 KiB, inside L1, and every filter
+/// of the run walks them before the next chunk is touched.
+const TAP_CHUNK: usize = 128;
+/// Floats in one run's lowered panel (512 KiB, inside L2). A column block
+/// is as many positions as fit, whatever the plane's size.
+const PANEL_FLOATS: usize = 1 << 17;
+/// Lane multiply-adds one core retires per nanosecond, roughly (≈ 20
+/// GMAC/s on the 2-vCPU AVX-512 reference box): how [`Split`] weighs a
+/// call's work against a thread's start-up.
+const LANE_MACS_PER_NS: usize = 8;
 
-/// [`conv2d_f32`] with an explicit split of the output channels.
+/// The geometry of one float conv call.
+#[derive(Clone, Copy)]
+struct Geometry {
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    out_w: usize,
+    /// Output positions, `out_h * out_w`.
+    plane: usize,
+    /// The reduction length, `in_c * k * k`.
+    taps: usize,
+}
+
+/// [`conv2d_f32`] with an explicit split of the output channels and an
+/// explicit kernel tier.
 pub(crate) fn conv2d_f32_split(
     input: &Tensor<f32>,
     weights: &ConvWeights,
@@ -225,6 +260,7 @@ pub(crate) fn conv2d_f32_split(
     pad: usize,
     relu: bool,
     split: Split,
+    tier: KernelTier,
 ) -> Tensor<f32> {
     let s = input.shape();
     assert_eq!(s.c, weights.in_c, "input channels mismatch");
@@ -232,64 +268,289 @@ pub(crate) fn conv2d_f32_split(
     let out_h = (s.h + 2 * pad - k) / stride + 1;
     let out_w = (s.w + 2 * pad - k) / stride + 1;
     let mut out = Tensor::zeros(weights.out_c, out_h, out_w);
-    let plane = out_h * out_w;
-    if plane == 0 {
+    let g = Geometry { h: s.h, w: s.w, k, stride, pad, out_w, plane: out_h * out_w, taps: s.c * k * k };
+    if g.plane == 0 {
         return out;
     }
-    let channels = split.run_len(weights.out_c, plane * s.c * k * k);
-    // One set of tap views per run, allocated here rather than by the
-    // workers: memory a short-lived thread frees stays resident in its
-    // allocator arena.
-    let mut views = vec![0f32; weights.out_c.div_ceil(channels) * k * k * plane];
-    let runs = out.as_mut_slice().chunks_mut(channels * plane).zip(views.chunks_mut(k * k * plane));
-    par::scoped_map(runs.enumerate(), |(r, (planes, views))| {
-        let first_o = r * channels;
-        for (acc, &bias) in planes.chunks_mut(plane).zip(&weights.bias[first_o..]) {
-            acc.fill(bias);
-        }
-        // views[tap]: what every output reads through that tap. The
-        // cells that read padding are the same for every input channel:
-        // zero from the start, never written below.
-        for i in 0..s.c {
-            let in_plane = &input.as_slice()[i * s.h * s.w..(i + 1) * s.h * s.w];
-            for (tap, view) in views.chunks_mut(plane).enumerate() {
-                let (ky, kx) = (tap / k, tap % k);
-                let xs = tap_span(kx, pad, stride, s.w, out_w);
-                if xs.is_empty() {
-                    continue;
-                }
-                let first_ix = xs.start * stride + kx - pad;
-                for y in tap_span(ky, pad, stride, s.h, out_h) {
-                    let in_row = &in_plane[(y * stride + ky - pad) * s.w..][..s.w];
-                    let view_row = &mut view[y * out_w..][xs.clone()];
-                    for (v, &x) in view_row.iter_mut().zip(in_row[first_ix..].iter().step_by(stride)) {
-                        *v = x;
-                    }
-                }
-            }
-            for (j, acc) in planes.chunks_mut(plane).enumerate() {
-                for (&w, view) in weights.filter(first_o + j, i).iter().zip(views.chunks(plane)) {
-                    if w != 0.0 || plane <= DENSE_PLANE {
-                        for (a, &x) in acc.iter_mut().zip(view) {
-                            *a += w * x;
-                        }
-                    }
-                }
-            }
-        }
-        if relu {
-            planes.iter_mut().for_each(|a| *a = a.max(0.0));
+    let sparse = g.plane >= SPARSE_COLS;
+    let step = if sparse { SPARSE_COLS } else { LANES };
+    let cols = (PANEL_FLOATS / g.taps / step * step).clamp(step, g.plane.next_multiple_of(step));
+    let channels = split.run_len(weights.out_c, g.plane.next_multiple_of(LANES) * g.taps / LANE_MACS_PER_NS);
+    // One panel and one set of parked sums per run, allocated here rather
+    // than by the workers: memory a short-lived thread frees stays
+    // resident in its allocator arena.
+    let runs = weights.out_c.div_ceil(channels);
+    let mut panels = vec![0f32; runs * g.taps * cols + LANES];
+    // Each run's panel starts on a cache line, so no lane chunk of it
+    // straddles two.
+    let align = panels.as_ptr().align_offset(64);
+    let mut partials: Vec<Acc<1, SPARSE_CHUNKS>> = vec![[[[0.0; LANES]; SPARSE_CHUNKS]]; runs * channels];
+    let runs = out
+        .as_mut_slice()
+        .chunks_mut(channels * g.plane)
+        .zip(panels[align..].chunks_exact_mut(g.taps * cols))
+        .zip(partials.chunks_exact_mut(channels));
+    par::scoped_map(runs.enumerate(), |(r, ((planes, panel), partial))| {
+        let rows = r * channels..r * channels + planes.len() / g.plane;
+        let w = &weights.w[rows.start * g.taps..rows.end * g.taps];
+        let taps = TapLists::new(w, g.taps, sparse);
+        for first in (0..g.plane).step_by(cols) {
+            lower(input.as_slice(), g, first, cols, panel);
+            let block = Block {
+                w,
+                bias: &weights.bias[rows.clone()],
+                taps: &taps,
+                panel,
+                cols,
+                first,
+                valid: cols.min(g.plane - first),
+                g,
+                relu,
+            };
+            block.run(tier, partial, planes);
         }
     });
     out
 }
 
+/// The taps each filter of a run walks, in `(i, ky, kx)` order.
+struct TapLists {
+    /// Sparse: every filter's non-zero taps, filter after filter. Dense:
+    /// every tap, once, for all filters.
+    list: Vec<u32>,
+    /// Sparse: where filter `o`'s taps in reduction chunk `kc` start in
+    /// `list`, at `o * chunks + kc` (one entry past the last filter).
+    starts: Vec<usize>,
+    /// Reduction chunks of [`TAP_CHUNK`] taps (1 when dense).
+    chunks: usize,
+}
+
+impl TapLists {
+    /// The lists of the filters `w` (rows of `taps` weights); on a sparse
+    /// plane a branch-free compaction of each row's non-zero taps.
+    fn new(w: &[f32], taps: usize, sparse: bool) -> TapLists {
+        if !sparse {
+            return TapLists { list: (0..taps as u32).collect(), starts: Vec::new(), chunks: 1 };
+        }
+        let chunks = taps.div_ceil(TAP_CHUNK);
+        let mut list = vec![0u32; w.len() + 1];
+        let mut starts = Vec::with_capacity(w.len() / taps * chunks + 1);
+        let mut n = 0;
+        for row in w.chunks(taps) {
+            for (kc, chunk) in row.chunks(TAP_CHUNK).enumerate() {
+                starts.push(n);
+                for (t, &v) in (kc * TAP_CHUNK..).zip(chunk) {
+                    // SAFETY: `n` counts the non-zero weights before this
+                    // one, so it is below `w.len() + 1`.
+                    unsafe { *list.get_unchecked_mut(n) = t as u32 };
+                    n += usize::from(v != 0.0);
+                }
+            }
+        }
+        starts.push(n);
+        list.truncate(n);
+        TapLists { list, starts, chunks }
+    }
+
+    fn sparse(&self) -> bool {
+        !self.starts.is_empty()
+    }
+
+    /// Filter `o`'s taps in reduction chunk `kc` (sparse only).
+    fn of(&self, o: usize, kc: usize) -> &[u32] {
+        let at = o * self.chunks + kc;
+        &self.list[self.starts[at]..self.starts[at + 1]]
+    }
+}
+
+/// Lowers output positions `first..first + cols` into `panel`: row `t` of
+/// the panel is tap `t = (i, ky, kx)`, column `j` what position
+/// `first + j` reads through it — zero where that lands in the padding
+/// or past the plane. Every value is written once, an output line's
+/// segment at a time.
+fn lower(input: &[f32], g: Geometry, first: usize, cols: usize, panel: &mut [f32]) {
+    let end = (first + cols).min(g.plane);
+    let mut rows = panel.chunks_exact_mut(cols);
+    for in_plane in input.chunks_exact(g.h * g.w) {
+        for ky in 0..g.k {
+            let ys = tap_span(ky, g.pad, g.stride, g.h, g.plane / g.out_w);
+            for kx in 0..g.k {
+                let xs = tap_span(kx, g.pad, g.stride, g.w, g.out_w);
+                let row = rows.next().expect("one panel row per tap");
+                let (segments, past) = row.split_at_mut(end - first);
+                past.fill(0.0);
+                let mut p = first;
+                while p < end {
+                    let (y, lo) = (p / g.out_w, p % g.out_w);
+                    let hi = (g.out_w - lo).min(end - p) + lo;
+                    let dst = &mut segments[p - first..p - first + hi - lo];
+                    p += hi - lo;
+                    if !ys.contains(&y) {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let x0 = xs.start.clamp(lo, hi);
+                    let x1 = xs.end.clamp(x0, hi);
+                    let (head, rest) = dst.split_at_mut(x0 - lo);
+                    let (mid, tail) = rest.split_at_mut(x1 - x0);
+                    head.fill(0.0);
+                    tail.fill(0.0);
+                    if mid.is_empty() {
+                        continue;
+                    }
+                    let src = &in_plane[(y * g.stride + ky - g.pad) * g.w + x0 * g.stride + kx - g.pad..];
+                    if g.stride == 1 {
+                        mid.copy_from_slice(&src[..mid.len()]);
+                    } else {
+                        mid.iter_mut().zip(src.iter().step_by(g.stride)).for_each(|(d, &x)| *d = x);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The output positions `t` whose tap sample `t * stride + tap - pad`
 /// lands inside `0..in_len`.
-pub(crate) fn tap_span(tap: usize, pad: usize, stride: usize, in_len: usize, out_len: usize) -> std::ops::Range<usize> {
+fn tap_span(tap: usize, pad: usize, stride: usize, in_len: usize, out_len: usize) -> std::ops::Range<usize> {
     let first = pad.saturating_sub(tap).div_ceil(stride);
     let end = (in_len + pad).saturating_sub(tap).div_ceil(stride).min(out_len);
     first..end.max(first)
+}
+
+/// One lowered column block of one run: the operands of every register
+/// block the run computes over it.
+struct Block<'a> {
+    /// The run's filters, `g.taps` weights each.
+    w: &'a [f32],
+    bias: &'a [f32],
+    taps: &'a TapLists,
+    /// `g.taps` rows of `cols` values.
+    panel: &'a [f32],
+    cols: usize,
+    /// The block's first output position and how many of its columns are
+    /// positions of the plane.
+    first: usize,
+    valid: usize,
+    g: Geometry,
+    relu: bool,
+}
+
+/// The accumulators of one register block: `MR` filters × `NC` lane chunks.
+type Acc<const MR: usize, const NC: usize> = [[[f32; LANES]; NC]; MR];
+
+impl Block<'_> {
+    /// Accumulates the block into `out` (the run's output planes) on
+    /// `tier`'s instantiation of the one body, [`Block::body`].
+    fn run(&self, tier: KernelTier, partial: &mut [Acc<1, SPARSE_CHUNKS>], out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if tier == KernelTier::Avx512 && tier.is_supported() {
+            // SAFETY: the tier's features (AVX-512F among them) are present.
+            return unsafe { self.body_avx512(partial, out) };
+        }
+        let _ = tier;
+        self.body(partial, out);
+    }
+
+    /// [`Block::body`] on 512-bit registers.
+    ///
+    /// # Safety
+    /// AVX-512F must be present.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn body_avx512(&self, partial: &mut [Acc<1, SPARSE_CHUNKS>], out: &mut [f32]) {
+        self.body(partial, out);
+    }
+
+    /// Every register block of the column block. Sparse: one filter × 64
+    /// positions over its non-zero taps, a reduction chunk at a time for
+    /// every filter of the run, the running sums parked in `partial`
+    /// between chunks (a stored `f32` reloads exactly). Dense:
+    /// [`DENSE_ROWS`] filters × 16 positions over every tap, then the
+    /// leftover filters one at a time.
+    #[inline(always)]
+    fn body(&self, partial: &mut [Acc<1, SPARSE_CHUNKS>], out: &mut [f32]) {
+        let rows = self.bias.len();
+        if self.taps.sparse() {
+            let chunks = self.taps.chunks;
+            for c in (0..self.valid).step_by(SPARSE_COLS) {
+                for kc in 0..chunks {
+                    for (o, partial) in partial[..rows].iter_mut().enumerate() {
+                        let mut acc = if kc == 0 { self.bias_at(o) } else { *partial };
+                        self.tile(self.taps.of(o, kc), o, c, &mut acc);
+                        if kc + 1 == chunks {
+                            self.store(o, c, &acc, out);
+                        } else {
+                            *partial = acc;
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        let full = rows / DENSE_ROWS * DENSE_ROWS;
+        for o in (0..full).step_by(DENSE_ROWS) {
+            for c in (0..self.valid).step_by(LANES) {
+                let mut acc: Acc<DENSE_ROWS, 1> = self.bias_at(o);
+                self.tile(&self.taps.list, o, c, &mut acc);
+                self.store(o, c, &acc, out);
+            }
+        }
+        for o in full..rows {
+            for c in (0..self.valid).step_by(LANES) {
+                let mut acc: Acc<1, 1> = self.bias_at(o);
+                self.tile(&self.taps.list, o, c, &mut acc);
+                self.store(o, c, &acc, out);
+            }
+        }
+    }
+
+    /// Filters `o..o + MR`'s biases in every lane.
+    #[inline(always)]
+    fn bias_at<const MR: usize, const NC: usize>(&self, o: usize) -> Acc<MR, NC> {
+        std::array::from_fn(|r| [[self.bias[o + r]; LANES]; NC])
+    }
+
+    /// Writes the lanes of filters `o..o + MR` at columns `c..` that are
+    /// positions of the plane, through ReLU if fused.
+    #[inline(always)]
+    fn store<const MR: usize, const NC: usize>(&self, o: usize, c: usize, acc: &Acc<MR, NC>, out: &mut [f32]) {
+        let n = (self.valid - c).min(NC * LANES);
+        for (r, acc) in acc.iter().enumerate() {
+            let dst = &mut out[(o + r) * self.g.plane + self.first + c..][..n];
+            for (d, &v) in dst.iter_mut().zip(acc.as_flattened()) {
+                *d = if self.relu { v.max(0.0) } else { v };
+            }
+        }
+    }
+
+    /// The one accumulation: for each tap of `taps` in order, filters
+    /// `o..o + MR` × columns `c..c + NC·16` take `acc += w * x`, every
+    /// product and sum rounded on its own.
+    #[inline(always)]
+    fn tile<const MR: usize, const NC: usize>(&self, taps: &[u32], o: usize, c: usize, acc: &mut Acc<MR, NC>) {
+        let (g, cols) = (self.g, self.cols);
+        assert!((o + MR) * g.taps <= self.w.len() && c + NC * LANES <= cols && g.taps * cols <= self.panel.len());
+        debug_assert!(taps.iter().all(|&t| (t as usize) < g.taps));
+        let (w, panel) = (self.w[o * g.taps..].as_ptr(), self.panel.as_ptr());
+        for &t in taps {
+            let t = t as usize;
+            // SAFETY: a listed tap is below `g.taps` (`TapLists` builds
+            // the lists from row indices), so row `t` of the panel, read
+            // at columns `c..c + NC·16 <= cols`, and tap `t` of the
+            // block's `MR` filters are in bounds (asserted above).
+            let x = unsafe { panel.add(t * cols + c).cast::<[[f32; LANES]; NC]>().read_unaligned() };
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: as above.
+                let w = unsafe { *w.add(r * g.taps + t) };
+                for (acc, x) in acc.iter_mut().zip(&x) {
+                    for (a, &x) in acc.iter_mut().zip(x) {
+                        *a += w * x;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Integer-exact quantized convolution with the fused ReLU + multiply-shift

@@ -91,12 +91,19 @@ impl QuantFcWeights {
     }
 }
 
-/// Float FC forward: `out = W x + b`, optional ReLU. Output rows are
-/// split over the host's cores; each row is one serial dot product, so
-/// the result does not depend on the split.
+/// Float FC forward: `out = W x + b`, optional ReLU. Each output is
+/// `bias + Σ`, the sum one sequential pass down its row from `-0.0` (what
+/// `Iterator::sum` folds from), every step rounded; eight rows
+/// accumulate side by side, so their adds' latencies overlap, and runs of
+/// rows are split over the host's cores. Neither changes a bit. A sum's
+/// order leaves no lanes to vectorize across, so there is no tier: every
+/// tier runs this one body, bound by the stream of weights.
 pub fn fc_f32(input: &[f32], weights: &FcWeights, relu: bool) -> Vec<f32> {
     fc_f32_split(input, weights, relu, Split::auto())
 }
+
+/// Rows of one [`fc_f32`] register block.
+const FC_ROWS: usize = 8;
 
 /// [`fc_f32`] with an explicit split of the output rows.
 pub(crate) fn fc_f32_split(input: &[f32], weights: &FcWeights, relu: bool, split: Split) -> Vec<f32> {
@@ -104,14 +111,32 @@ pub(crate) fn fc_f32_split(input: &[f32], weights: &FcWeights, relu: bool, split
     let mut out = vec![0f32; weights.out_features];
     let rows = split.run_len(weights.out_features, weights.in_features);
     par::scoped_map(out.chunks_mut(rows).enumerate(), |(r, run)| {
-        for (j, out) in run.iter_mut().enumerate() {
-            let o = r * rows + j;
-            let row = &weights.w[o * weights.in_features..(o + 1) * weights.in_features];
-            let acc = weights.bias[o] + row.iter().zip(input).map(|(w, x)| w * x).sum::<f32>();
-            *out = if relu { acc.max(0.0) } else { acc };
+        let full = run.len() / FC_ROWS * FC_ROWS;
+        let (blocks, rest) = run.split_at_mut(full);
+        for (b, out) in blocks.chunks_exact_mut(FC_ROWS).enumerate() {
+            fc_rows::<FC_ROWS>(input, weights, r * rows + b * FC_ROWS, relu, out);
+        }
+        for (j, out) in rest.chunks_exact_mut(1).enumerate() {
+            fc_rows::<1>(input, weights, r * rows + full + j, relu, out);
         }
     });
     out
+}
+
+/// Rows `o..o + R` of [`fc_f32`], each its own sequential sum.
+fn fc_rows<const R: usize>(x: &[f32], weights: &FcWeights, o: usize, relu: bool, out: &mut [f32]) {
+    let n = x.len();
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &weights.w[(o + r) * n..][..n]);
+    let mut acc = [-0.0f32; R];
+    for (j, &x) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += row[j] * x;
+        }
+    }
+    for ((d, &b), a) in out.iter_mut().zip(&weights.bias[o..]).zip(acc) {
+        let v = b + a;
+        *d = if relu { v.max(0.0) } else { v };
+    }
 }
 
 /// Integer-exact quantized FC forward.

@@ -229,6 +229,7 @@ impl Network {
         split: Split,
         mut visit: impl FnMut(usize, &Tensor<f32>),
     ) -> Vec<f32> {
+        let tier = simd::dispatch();
         visit(0, input);
         // The float oracle favours clarity over memory: every boundary
         // activation is kept so `Ref`/`Add` can reach back into the DAG
@@ -247,8 +248,8 @@ impl Network {
                 };
                 match layer {
                     LayerSpec::Conv { stride, pad, relu, .. } => {
-                        let out =
-                            conv2d_f32_split(prev, &self.conv_weights[conv_i], *stride, *pad, *relu, split);
+                        let weights = &self.conv_weights[conv_i];
+                        let out = conv2d_f32_split(prev, weights, *stride, *pad, *relu, split, tier);
                         conv_i += 1;
                         out
                     }
@@ -440,7 +441,7 @@ fn quantize_weights(w: &[f32], split: Split) -> (QuantParams, Vec<Sm8>) {
     let run_len = split.run_len(w.len(), weight_quant::ns_per_weight(tier));
     let maxima = par::scoped_map(w.chunks(run_len), |run| weight_quant::max_abs(tier, run));
     let params = QuantParams::from_max_abs(&maxima);
-    let mut q = vec![Sm8::ZERO; w.len()];
+    let mut q = Sm8::zeroed_vec(w.len());
     par::scoped_map(q.chunks_mut(run_len).zip(w.chunks(run_len)), |(q, w)| {
         weight_quant::quantize(tier, params, w, q)
     });

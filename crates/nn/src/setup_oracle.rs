@@ -15,6 +15,7 @@ use crate::layer::{conv1x1, conv3x3, maxpool2x2, LayerRef, LayerSpec, NetworkSpe
 use crate::model::{Network, QuantizedConvLayer, QuantizedNetwork, SyntheticModelConfig};
 use crate::par::Split;
 use crate::plan::ExecPlan;
+use crate::simd::KernelTier;
 use crate::pool::maxpool_f32;
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
@@ -528,16 +529,53 @@ fn same_bits_mod_zero_sign(a: &Tensor<f32>, b: &Tensor<f32>) -> bool {
         && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits() || (*x == 0.0 && *y == 0.0))
 }
 
+/// `conv2d_f32` equals the naive oracle on shapes built to cross each
+/// edge of the GEMM's blocking at least once, at every reachable tier and
+/// worker count: dense planes cut into two column blocks, sparse planes
+/// into three with a 4-position tail, filter counts off the dense
+/// register block, several reduction chunks, stride 2.
+#[test]
+fn float_conv_crosses_every_blocking_edge() {
+    // (in_c, out_c, h, w, k, stride, pad)
+    let shapes = [
+        (131, 9, 8, 8, 4, 1, 1),   // 2096 taps: dense 7×7 plane, 48-position column blocks
+        (130, 17, 12, 11, 3, 1, 1), // 1170 taps: sparse 12×11 plane, 64-position blocks
+        (20, 8, 9, 9, 3, 1, 1),    // 180 taps: two reduction chunks, one block
+        (3, 10, 17, 16, 3, 2, 1),  // stride 2: a 9×8 sparse plane
+        (5, 3, 4, 4, 3, 1, 0),     // a 2×2 dense plane
+    ];
+    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    for (in_c, out_c, h, w, k, stride, pad) in shapes {
+        let mut weights = ConvWeights::zeros(out_c, in_c, k);
+        for v in weights.w.iter_mut() {
+            *v = if rng.gen::<f32>() < 0.65 { 0.0 } else { rng.gen_range(-1.0f32..1.0) };
+        }
+        weights.bias.iter_mut().for_each(|b| *b = rng.gen_range(-0.1f32..0.1));
+        let input = Tensor::from_fn(in_c, h, w, |_, _, _| rng.gen_range(-1.0f32..1.0));
+        let want = conv2d_f32_naive(&input, &weights, stride, pad, true);
+        for tier in KernelTier::supported() {
+            for workers in WORKERS {
+                let got = conv2d_f32_split(&input, &weights, stride, pad, true, Split::forced(workers), tier);
+                assert!(same_bits_mod_zero_sign(&got, &want), "{in_c}x{h}x{w} -> {out_c}, k {k}: tier {tier}, workers {workers}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `conv2d_f32` equals the naive oracle over strides 1–2, pads 0–2,
     /// k 1 / 3 / 4, 1×1 and non-square planes, pruned weights and
-    /// all-zero filters, at every worker count.
+    /// all-zero filters, at every reachable kernel tier and every worker
+    /// count. Past every blocking edge of the GEMM: output channel counts
+    /// on and off a multiple of the dense register block, planes on both
+    /// sides of the sparse threshold (64 positions), and — with 129–139
+    /// input channels — planes cut into several column blocks.
     #[test]
     fn float_conv_equals_the_naive_oracle(
-        channels in (1usize..4, 1usize..6),
-        plane in (1usize..10, 1usize..10),
+        channels in prop_oneof![(1usize..4, 1usize..20), (129usize..140, 1usize..20)],
+        plane in (1usize..12, 1usize..12),
         k in prop_oneof![Just(1usize), Just(3usize), Just(4usize)],
         stride in 1usize..3,
         pad in 0usize..3,
@@ -561,16 +599,20 @@ proptest! {
         let input = Tensor::from_fn(in_c, h, w, |_, _, _| rng.gen_range(-1.0f32..1.0));
         let want = conv2d_f32_naive(&input, &weights, stride, pad, relu);
         prop_assert!(same_bits_mod_zero_sign(&crate::conv::conv2d_f32(&input, &weights, stride, pad, relu), &want));
-        for workers in WORKERS {
-            let got = conv2d_f32_split(&input, &weights, stride, pad, relu, Split::forced(workers));
-            prop_assert!(same_bits_mod_zero_sign(&got, &want), "workers {}: {:?} vs {:?}", workers, got, want);
+        for tier in KernelTier::supported() {
+            for workers in WORKERS {
+                let got = conv2d_f32_split(&input, &weights, stride, pad, relu, Split::forced(workers), tier);
+                prop_assert!(same_bits_mod_zero_sign(&got, &want), "tier {}, workers {}: {:?} vs {:?}", tier, workers, got, want);
+            }
         }
     }
 
-    /// `fc_f32` equals the row-after-row oracle bit for bit.
+    /// `fc_f32` equals the row-after-row oracle bit for bit at every
+    /// worker count, with row counts on and off a multiple of the row
+    /// block (the FC has one body on every tier).
     #[test]
     fn float_fc_equals_the_sequential_oracle(
-        features in (1usize..40, 1usize..12),
+        features in (1usize..40, 1usize..40),
         relu in proptest::bool::ANY,
         seed in 0u64..u64::MAX,
     ) {

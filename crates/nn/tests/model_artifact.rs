@@ -42,6 +42,28 @@ const CONV_FINGERPRINTS: [u64; 20] = [
     0x1a63_8f93_10c4_39d1,
 ];
 
+// The `activation_scales` bit patterns below were recorded at commit
+// 368fd5d, before the float calibration conv became a blocked GEMM. A
+// cycle pin cannot see a moved scale until it moves a requantizer far
+// enough to flip an activation; these name the first boundary that moved.
+
+/// ResNet-18-32's, one per layer boundary (41).
+const RESNET18_SCALE_BITS: [u32; 41] = [
+    0x3c00fce8, 0x3ce8fd90, 0x3cce5071, 0x3ca89b3d, 0x3cdc900b, 0x3cd1380c, 0x3cdc994c, 0x3d1ce801,
+    0x3d1ce801, 0x3d37e782, 0x3d6bd975, 0x3d1ce801, 0x3d1ce801, 0x3d9fdd87, 0x3d965294, 0x3d7b2b60,
+    0x3d852079, 0x3df261c4, 0x3df261c4, 0x3dcf8dc9, 0x3df6eb73, 0x3df261c4, 0x3df261c4, 0x3e4554fc,
+    0x3e14452e, 0x3df93186, 0x3dfd75fe, 0x3e315197, 0x3e315197, 0x3e5f5b47, 0x3e2e78ff, 0x3e315197,
+    0x3e315197, 0x3e8a4f4e, 0x3eaef0ce, 0x3e637555, 0x3e537e87, 0x3ec861eb, 0x3e8e5735, 0x3e0efc63,
+    0x3bff4178,
+];
+
+/// VGG-16-32's (dc density profile), one per layer boundary (23).
+const VGG16_32_SCALE_BITS: [u32; 23] = [
+    0x3c00fce8, 0x3cfcfd82, 0x3cc8b6fc, 0x3cc8b6fc, 0x3cf5590a, 0x3cfcbc88, 0x3cfcbc88, 0x3d250a1b,
+    0x3ccc5b84, 0x3cd2673f, 0x3cd2673f, 0x3cbff43e, 0x3cb8fb96, 0x3c72af0e, 0x3c72af0e, 0x3c3f96ee,
+    0x3bc15b61, 0x3b8172d3, 0x3b8172d3, 0x3bd62ed6, 0x3bd829f0, 0x3be89bf6, 0x3780ffc8,
+];
+
 fn digest_f32(fp: Fingerprint, values: &[f32]) -> Fingerprint {
     values.iter().fold(fp.u64(values.len() as u64), |fp, v| fp.u64(u64::from(v.to_bits())))
 }
@@ -70,7 +92,21 @@ fn resnet18_cli_recipe_artifact_is_pinned() {
 
     let qnet = net.quantize(&synthetic_inputs(2, 1, spec.input));
     let conv_fps: Vec<u64> = qnet.conv.iter().map(|c| c.weights.fingerprint()).collect();
+    let scale_bits: Vec<u32> = qnet.activation_scales.iter().map(|s| s.to_bits()).collect();
+    assert_eq!(scale_bits, RESNET18_SCALE_BITS, "activation scale bits after Network::quantize, per boundary");
     let scales = qnet.activation_scales.iter().fold(Fingerprint::new(), |fp, s| fp.u64(u64::from(s.to_bits())));
     assert_eq!(scales.finish(), 0x5c74_3bb5_3f01_8a1e, "activation scale bits after Network::quantize");
     assert_eq!(conv_fps, CONV_FINGERPRINTS, "QuantConvWeights::fingerprint() per conv layer after quantize");
+}
+
+/// The CLI recipe (weight seed 1, density `dc`, calibration
+/// `synthetic_inputs(2, 1, …)`) on VGG-16-32: its activation scales.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a VGG-16-32 calibration pass: run with --release (scripts/verify.sh does)")]
+fn vgg16_32_cli_recipe_scales_are_pinned() {
+    let spec = zskip_nn::vgg16::vgg16_scaled_spec(32);
+    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() };
+    let qnet = Network::synthetic(spec.clone(), &config).quantize(&synthetic_inputs(2, 1, spec.input));
+    let scale_bits: Vec<u32> = qnet.activation_scales.iter().map(|s| s.to_bits()).collect();
+    assert_eq!(scale_bits, VGG16_32_SCALE_BITS, "activation scale bits after Network::quantize, per boundary");
 }

@@ -129,6 +129,18 @@ impl Sm8 {
         unsafe { std::slice::from_raw_parts(values.as_ptr() as *const u8, values.len()) }
     }
 
+    /// `n` zeros from a zeroed allocation: a large one maps pages the
+    /// kernel zeroes on first touch, so whoever writes the vector first
+    /// pays its page faults, once, instead of a fill loop before it
+    /// (`vec![Sm8::ZERO; n]` writes every byte).
+    pub fn zeroed_vec(n: usize) -> Vec<Sm8> {
+        let mut bytes = std::mem::ManuallyDrop::new(vec![0u8; n]);
+        // SAFETY: `Sm8` is `#[repr(transparent)]` over `u8` — same size
+        // and alignment, and any byte is a valid `Sm8` — and `bytes` gives
+        // up its buffer, which the new vector owns with the same length
+        // and capacity.
+        unsafe { Vec::from_raw_parts(bytes.as_mut_ptr().cast::<Sm8>(), bytes.len(), bytes.capacity()) }
+    }
 }
 
 impl Default for Sm8 {
@@ -234,6 +246,15 @@ impl fmt::UpperHex for Sm8 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn zeroed_vec_is_n_positive_zeros() {
+        for n in [0, 1, 17, 1 << 20] {
+            let v = Sm8::zeroed_vec(n);
+            assert_eq!(v.len(), n);
+            assert!(v.iter().all(|&x| x.to_bits() == 0), "n {n}");
+        }
+    }
 
     #[test]
     fn round_trips_all_in_range_values() {

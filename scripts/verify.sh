@@ -57,6 +57,10 @@ ZSKIP_KERNEL=scalar cargo test -q -p zskip-nn --lib --test kernel_tiers
 # oracle's share most of it).
 cargo test -q --release -p zskip-nn --lib -- --include-ignored boxmuller weight_quant
 
+# The activation scales of the CLI recipe, bit for bit, on ResNet-18-32
+# and VGG-16-32 (the VGG-16 calibration pass is ignored in debug builds).
+cargo test -q --release -p zskip-nn --test model_artifact -- --include-ignored
+
 # ... and every tier must carry a whole network: CI's matrix drives
 # `native` and `scalar` only, so without this the SSE2 and AVX2 bodies are
 # reached by proptests but never by VGG-16 or the ResNet-18 DAG (nor the
@@ -76,9 +80,10 @@ for tier in scalar sse2 avx2 avx512; do
 done
 
 # Kernel-tier performance gate: every SIMD tier's GEMM must beat scalar
-# on the VGG-shaped reference layers — by 3x on the deep shapes (4x4 and
-# 2x2 planes, FC) — and the scratch arena's steady-state forward pass must
-# perform zero heap allocations.
+# on the VGG-shaped reference layers — avx2 and avx512 by 3x on the deep
+# shapes (4x4 and 2x2 planes, FC) — sse2 must run at 0.47x the avx2
+# tier's throughput on an L2-resident FC, and the scratch arena's
+# steady-state forward pass must perform zero heap allocations.
 timeout 300 ./target/release/kernel_bench --check > /dev/null
 
 # Serving-daemon smoke: a request burst plus shutdown through the wire
