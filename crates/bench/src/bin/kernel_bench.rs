@@ -5,13 +5,17 @@
 //!
 //! * **GEMM**: `conv2d_gemm_quant_into` per tier on five VGG-16-shaped
 //!   conv layers at deep-compression densities — from a 32x32 plane down
-//!   to the 4x4 and 2x2 planes of conv4_x / conv5_x — plus an fc7-shaped
-//!   FC layer and one small enough to stay in L2 through the same body
-//!   (`fc_quant_pool_into`), with the
-//!   dense-equivalent GMAC/s of every row. Every tier runs the same
-//!   output-stationary blocking (scalar with a portable dot); all tiers
-//!   must be bit-identical (asserted here and property-tested in
-//!   `crates/nn`).
+//!   to the 4x4 and 2x2 planes of conv4_x / conv5_x — and four
+//!   ResNet-18-32-shaped ones (the stem, a 16-channel 32x32 block conv, a
+//!   32-channel 16x16 one and the 1x1 projection into it), plus an
+//!   fc7-shaped FC layer and one small enough to stay in L2 through the
+//!   same body (`fc_quant_pool_into`), with the dense-equivalent GMAC/s of
+//!   every row. A network's first layer reads signed activations (the
+//!   +128 patch-byte offset), every other row a ReLU's non-negative ones,
+//!   as in the networks. Every tier but AVX-512 runs the same
+//!   output-stationary blocking (scalar with a portable dot); AVX-512 runs
+//!   the direct kernel on the planes 16 and more wide. All tiers must be
+//!   bit-identical (asserted here and property-tested in `crates/nn`).
 //! * **Allocations per image**: heap allocations of one quantized forward
 //!   pass through the allocating API vs. the [`Scratch`] arena after
 //!   warm-up, counted by a counting global allocator. Steady state must
@@ -56,6 +60,7 @@ use zskip_core::{weight_cache_stats, BackendKind, Session};
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
 use zskip_nn::eval::synthetic_inputs;
+use zskip_nn::conv::QuantConvWeights;
 use zskip_nn::fc::{fc_quant_pool_into, QuantFcWeights};
 use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_tier, GemmScratch};
 use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
@@ -156,6 +161,8 @@ struct ShapeResult {
     in_c: usize,
     /// Output plane edge (1 for the FC row).
     hw: usize,
+    /// Kernel edge (1 for the FC row).
+    k: usize,
     density: f64,
     gemm: Vec<TierTiming>,
     best_tier: &'static str,
@@ -164,10 +171,10 @@ struct ShapeResult {
 }
 
 impl ShapeResult {
-    fn new(layer: &str, (out_c, in_c, hw, density): (usize, usize, usize, f64), gemm: Vec<TierTiming>) -> Self {
+    fn new(layer: &str, (out_c, in_c, hw, k, density): (usize, usize, usize, usize, f64), gemm: Vec<TierTiming>) -> Self {
         let best = gemm.iter().skip(1).min_by(|a, b| a.ms.total_cmp(&b.ms));
         let (best_tier, best_gemm_speedup) = best.map_or(("scalar", 1.0), |t| (t.tier, t.speedup));
-        ShapeResult { layer: layer.to_string(), out_c, in_c, hw, density, gemm, best_tier, best_gemm_speedup }
+        ShapeResult { layer: layer.to_string(), out_c, in_c, hw, k, density, gemm, best_tier, best_gemm_speedup }
     }
 
     /// Whether `--check` holds every SIMD tier's GEMM to
@@ -186,6 +193,7 @@ impl ToJson for ShapeResult {
             ("out_c", self.out_c.to_json()),
             ("in_c", self.in_c.to_json()),
             ("hw", self.hw.to_json()),
+            ("k", self.k.to_json()),
             ("density", self.density.to_json()),
             ("gemm", self.gemm.to_json()),
             ("best_tier", self.best_tier.to_json()),
@@ -373,20 +381,64 @@ fn time_best<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     (best, result.expect("ran at least once"))
 }
 
+/// `x` with its negative values (and negative zeros) zeroed: a layer's
+/// input after a ReLU, the patch bytes every conv but a network's first
+/// reads as they are.
+fn relu(x: &Tensor<Sm8>) -> Tensor<Sm8> {
+    let s = x.shape();
+    Tensor::from_fn(s.c, s.h, s.w, |c, y, i| Sm8::from_i32_saturating(x[(c, y, i)].to_i32().max(0)))
+}
+
+/// A 1x1 projection (no ReLU) like `make_conv_layer`'s 3x3 layers:
+/// `density` of its weights non-zero, and an `in_c x hw x hw` non-negative
+/// input, a ReLU's output as a projection's input is.
+fn pointwise_layer(out_c: usize, in_c: usize, hw: usize, density: f64, seed: u64) -> (QuantConvWeights, Tensor<Sm8>) {
+    let mut rng = zskip_core::rng::SplitMix64::new(seed);
+    let w = (0..out_c * in_c)
+        .map(|_| {
+            let h = rng.next_u64();
+            if (h >> 32) % 1000 < (density * 1000.0) as u64 {
+                Sm8::from_i32_saturating(((h >> 17) % 253) as i32 - 126)
+            } else {
+                Sm8::ZERO
+            }
+        })
+        .collect();
+    let qw = QuantConvWeights::new(out_c, in_c, 1, w, vec![0; out_c], Requantizer::from_ratio(1.0 / 64.0), false);
+    let input = Tensor::from_fn(in_c, hw, hw, |c, y, x| Sm8::from_i32_saturating(((c * 31 + y * 7 + x) % 128) as i32));
+    (qw, input)
+}
+
+/// The mean of the deep-compression profile: the uniform density `--density
+/// dc` gives a network other than VGG-16.
+const RESNET_DENSITY: f64 = 0.35;
+
 fn bench_shapes() -> Vec<ShapeResult> {
-    let layers: [(&str, usize, usize, usize, f64); 5] = [
-        ("conv1_1-like", 64, 3, 32, 0.58),
-        ("conv2_2-like", 128, 128, 16, 0.36),
-        ("conv3_2-like", 256, 256, 8, 0.29),
-        ("conv4_2-like", 512, 512, 4, 0.27),
-        ("conv5_2-like", 512, 512, 2, 0.29),
+    // (name, out_c, in_c, output plane edge, kernel, density, first layer):
+    // a first layer reads the signed quantized image, every other layer a
+    // ReLU's non-negative output.
+    let layers: [(&str, usize, usize, usize, usize, f64, bool); 9] = [
+        ("conv1_1-like", 64, 3, 32, 3, 0.58, true),
+        ("conv2_2-like", 128, 128, 16, 3, 0.36, false),
+        ("conv3_2-like", 256, 256, 8, 3, 0.29, false),
+        ("conv4_2-like", 512, 512, 4, 3, 0.27, false),
+        ("conv5_2-like", 512, 512, 2, 3, 0.29, false),
+        ("resnet-stem-like", 16, 3, 32, 3, RESNET_DENSITY, true),
+        ("resnet-b1-like", 16, 16, 32, 3, RESNET_DENSITY, false),
+        ("resnet-b2-like", 32, 32, 16, 3, RESNET_DENSITY, false),
+        ("resnet-proj-like", 32, 16, 16, 1, RESNET_DENSITY, false),
     ];
     let mut shapes: Vec<ShapeResult> = layers
         .into_iter()
-        .map(|(name, out_c, in_c, hw, density)| {
-            let (qw, tiled, _) = make_conv_layer(out_c, in_c, hw, density, 7);
-            let input = tiled.to_tensor();
-            let macs = out_c * in_c * 9 * hw * hw;
+        .map(|(name, out_c, in_c, hw, k, density, first)| {
+            let (qw, input) = if k == 1 {
+                pointwise_layer(out_c, in_c, hw, density, 7)
+            } else {
+                let (qw, tiled, _) = make_conv_layer(out_c, in_c, hw, density, 7);
+                let input = tiled.to_tensor();
+                (qw, if first { input } else { relu(&input) })
+            };
+            let macs = out_c * in_c * k * k * hw * hw;
             // Into a warm workspace and output, as the network runs a
             // layer: no page faults in the timing.
             let (mut ws, mut out) = (GemmScratch::default(), Tensor::zeros(1, 1, 1));
@@ -394,7 +446,7 @@ fn bench_shapes() -> Vec<ShapeResult> {
                 conv2d_gemm_quant_into(&input, &qw, 1, 0, tier, None, &mut ws, &mut out);
                 out.clone()
             });
-            ShapeResult::new(name, (out_c, in_c, hw, density), gemm)
+            ShapeResult::new(name, (out_c, in_c, hw, k, density), gemm)
         })
         .collect();
 
@@ -415,7 +467,8 @@ fn bench_shapes() -> Vec<ShapeResult> {
             Requantizer::from_ratio(1.0 / 4096.0),
             true,
         );
-        let input = sm8s(in_features);
+        // A ReLU's output, as every FC layer's input is.
+        let input: Vec<Sm8> = sm8s(in_features).iter().map(|v| Sm8::from_i32_saturating(v.to_i32().max(0))).collect();
         let mut ws = GemmScratch::default();
         let mut out = Vec::new();
         let gemm = time_tiers(layer, calls * out_features * in_features, |tier| {
@@ -424,7 +477,7 @@ fn bench_shapes() -> Vec<ShapeResult> {
             }
             out.clone()
         });
-        shapes.push(ShapeResult::new(layer, (out_features, in_features, 1, 1.0), gemm));
+        shapes.push(ShapeResult::new(layer, (out_features, in_features, 1, 1, 1.0), gemm));
     }
     shapes
 }
@@ -560,35 +613,12 @@ fn bench_intra_image(
 }
 
 fn bench_resnet_block() -> ResnetBlockResult {
-    use zskip_core::rng::SplitMix64;
     use zskip_nn::eltwise::add_quant_into;
 
     // Bottleneck-reduce-like 1x1 projection: 256 channels down to 64,
     // the shape where the lowering is largest relative to the GEMM.
     let (out_c, in_c, hw, density) = (64usize, 256usize, 28usize, 0.45);
-    let mut rng = SplitMix64::new(11);
-    let w: Vec<Sm8> = (0..out_c * in_c)
-        .map(|_| {
-            let h = rng.next_u64();
-            if (h >> 32) % 1000 < (density * 1000.0) as u64 {
-                Sm8::from_i32_saturating(((h >> 17) % 253) as i32 - 126)
-            } else {
-                Sm8::ZERO
-            }
-        })
-        .collect();
-    let qw = zskip_nn::conv::QuantConvWeights::new(
-        out_c,
-        in_c,
-        1,
-        w,
-        vec![0; out_c],
-        Requantizer::from_ratio(1.0 / 64.0),
-        false,
-    );
-    let input = Tensor::from_fn(in_c, hw, hw, |c, y, x| {
-        Sm8::from_i32_saturating(((c * 31 + y * 7 + x) % 200) as i32 - 100)
-    });
+    let (qw, input) = pointwise_layer(out_c, in_c, hw, density, 11);
     let tier = zskip_nn::dispatch();
 
     let fast = conv2d_gemm_quant_tier(&input, &qw, 1, 0, tier);
@@ -636,13 +666,13 @@ fn render(bench: &Bench) -> String {
         bench.dispatch_tier
     ));
     text.push_str(&format!(
-        "{:<14} {:>8} {:<8} {:>11} {:>9} {:>8}\n",
+        "{:<17} {:>8} {:<8} {:>11} {:>9} {:>8}\n",
         "layer", "density", "tier", "gemm ms", "speedup", "GMAC/s"
     ));
     for s in &bench.shapes {
         for g in &s.gemm {
             text.push_str(&format!(
-                "{:<14} {:>8.2} {:<8} {:>11.2} {:>8.2}x {:>8.1}\n",
+                "{:<17} {:>8.2} {:<8} {:>11.3} {:>8.2}x {:>8.1}\n",
                 s.layer, s.density, g.tier, g.ms, g.speedup, g.gmacs_per_s
             ));
         }

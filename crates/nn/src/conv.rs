@@ -74,6 +74,10 @@ pub struct QuantConvWeights {
     /// Cached bias of an offset GEMM call (`crate::gemm`, "Patch bytes"),
     /// filled on the first one. Ignored by `PartialEq` like `nnz`.
     pub(crate) offset_bias: OnceLock<Vec<i64>>,
+    /// Cached repack of `w` into the direct kernel's channel-quad groups
+    /// (`crate::gemm`, docs/KERNELS.md "Direct convolution"), filled on
+    /// its first direct call. Ignored by `PartialEq` like `nnz`.
+    pub(crate) quad_w: OnceLock<Vec<u32>>,
 }
 
 impl PartialEq for QuantConvWeights {
@@ -112,6 +116,7 @@ impl QuantConvWeights {
             nnz: OnceLock::new(),
             fp: OnceLock::new(),
             offset_bias: OnceLock::new(),
+            quad_w: OnceLock::new(),
         }
     }
 
@@ -157,14 +162,15 @@ impl QuantConvWeights {
         })
     }
 
-    /// Drops this instance's cached nonzero counts, fingerprint and
-    /// offset bias. Must be called after mutating `w` or `bias_acc`
-    /// through the public fields (e.g. re-sparsifying a layer in place);
-    /// the next query rescans and re-fingerprints the new content.
+    /// Drops this instance's cached nonzero counts, fingerprint, offset
+    /// bias and direct-kernel repack. Must be called after mutating `w` or
+    /// `bias_acc` through the public fields (e.g. re-sparsifying a layer in
+    /// place); the next query rescans and re-fingerprints the new content.
     pub fn invalidate_caches(&mut self) {
         self.nnz = OnceLock::new();
         self.fp = OnceLock::new();
         self.offset_bias = OnceLock::new();
+        self.quad_w = OnceLock::new();
     }
 
     /// Non-zero weight count of filter `(o, i)` (cached; the driver asks

@@ -4,10 +4,13 @@
 //! Every host-side conv — the software golden model's plan walk, the cpu
 //! backend on every [`KernelTier`] and [`crate::conv::conv2d_quant`] — is
 //! the classic lowering: unroll input patches into a matrix and multiply
-//! by the filter matrix. The scalar oracle is the dense scan
-//! [`crate::conv::conv2d_quant_dense`], which shares no loop structure
-//! with it; property tests here and in `tests/kernel_tiers.rs` hold every
-//! tier to it bit for bit.
+//! by the filter matrix; except that on the AVX-512 tier a stride-1 layer
+//! with 16 or more output columns runs as a direct convolution instead,
+//! output columns in the vector lanes and no patch matrix (`direct`,
+//! docs/KERNELS.md "Direct convolution"). The scalar oracle is the dense
+//! scan [`crate::conv::conv2d_quant_dense`], which shares no loop
+//! structure with either; property tests here and in
+//! `tests/kernel_tiers.rs` hold every tier to it bit for bit.
 //!
 //! The GEMM is **output-stationary, in dot-product ("NT") form**:
 //! `out[o][col] = bias[o] + Σ_r W[o][r] · P[col][r]` with both operands
@@ -51,19 +54,23 @@
 //! * **Epilogue**: `dot_nt` hands over each `DOT_MR x DOT_NR` block of
 //!   sums, and `Epilogue` requantizes the block — bias, multiply,
 //!   rounding shift, clamp, ReLU, Sm8 encode — with no branch, inlined into
-//!   the tier's `#[target_feature]` body, `DOT_NR` bytes stored per row.
+//!   the tier's `#[target_feature]` body, `DOT_NR` bytes stored per row;
+//!   on the AVX-512 tier a full block is one vector of the same steps.
 //!
 //! [`conv2d_gemm_quant_into`] is the entry point: the work is done by the
 //! calling thread, or — with a pool — split over its workers (lowering by
-//! output row, GEMM by output-channel range). It writes into a
-//! caller-owned output tensor and borrows the bordered plane and the patch
-//! matrix from a [`GemmScratch`], so a warmed arena runs it
+//! output row, GEMM and direct kernel by output-channel range). It writes
+//! into a caller-owned output tensor and borrows the bordered plane and
+//! the patch matrix from a [`GemmScratch`], so a warmed arena runs it
 //! allocation-free; [`conv2d_gemm_quant_tier`] /
 //! [`conv2d_gemm_quant_pool`] are the allocating conveniences.
 
+#[cfg(target_arch = "x86_64")]
+mod direct;
+
 use crate::conv::QuantConvWeights;
 use crate::par::{ConvPool, SendPtr};
-use crate::simd::{self, KernelTier, DOT_NR};
+use crate::simd::{self, KernelTier, DOT_MR, DOT_NR};
 use std::ops::Range;
 use std::sync::OnceLock;
 use zskip_quant::{Requantizer, Sm8};
@@ -75,8 +82,9 @@ use zskip_tensor::Tensor;
 pub struct GemmScratch {
     /// The layer's input as patch bytes (module docs, "Patch bytes"): for
     /// a conv layer a plane with a border `pad` wide, what the patch rows
-    /// are copied out of; for an FC layer with a sign-bit byte in its
-    /// input, its one offset patch row.
+    /// are copied out of — or, on the direct path, the channel-quad plane
+    /// the direct kernel reads; for an FC layer with a sign-bit byte in
+    /// its input, its one offset patch row.
     plane: Vec<u8>,
     /// The transposed patch matrix `P[col][r]` of a conv layer.
     patches: Vec<u8>,
@@ -279,6 +287,86 @@ impl Plane<'_> {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! The requantize epilogue on AVX-512 lanes, shared by the direct
+    //! kernel and the AVX-512 `dot_nt` blocks. Every function carries the
+    //! tier's `#[target_feature]`s; callers must have checked the tier.
+
+    use super::Epilogue;
+    use crate::simd::{DotSums, DOT_NR};
+    use std::arch::x86_64::*;
+    use zskip_quant::Sm8;
+
+    /// [`Epilogue`] on vector lanes: its fields broadcast once per call.
+    pub(super) struct VecEpilogue {
+        mult: __m512i,
+        half: __m512i,
+        shift: __m128i,
+        /// All lanes when ReLU is fused, none otherwise.
+        relu: __mmask8,
+    }
+
+    impl VecEpilogue {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
+        pub(super) unsafe fn new(e: Epilogue) -> Self {
+            VecEpilogue {
+                mult: _mm512_set1_epi64(e.mult),
+                half: _mm512_set1_epi64(e.half as i64),
+                shift: _mm_cvtsi64_si128(i64::from(e.shift)),
+                relu: if e.relu { 0xff } else { 0 },
+            }
+        }
+
+        /// [`Epilogue::apply`] on each of eight `i64` accumulators, step
+        /// for step: `vpmullq`, the magnitude rounded and shifted, `min
+        /// 127`, zero under the ReLU mask, the sign bit on a negative
+        /// product's non-zero magnitude; the eight Sm8 bytes in the low
+        /// half of the result (`vpmovqb`).
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
+        unsafe fn apply8(&self, acc: __m512i) -> __m128i {
+            let zero = _mm512_setzero_si512();
+            let prod = _mm512_mullo_epi64(acc, self.mult);
+            let mag = _mm512_srl_epi64(_mm512_add_epi64(_mm512_abs_epi64(prod), self.half), self.shift);
+            let mag = _mm512_min_epu64(mag, _mm512_set1_epi64(127));
+            let mag = _mm512_maskz_mov_epi64(!(_mm512_cmplt_epi64_mask(acc, zero) & self.relu), mag);
+            let neg = _mm512_mask_cmplt_epi64_mask(_mm512_test_epi64_mask(mag, mag), prod, zero);
+            _mm512_cvtepi64_epi8(_mm512_mask_or_epi64(mag, neg, mag, _mm512_set1_epi64(0x80)))
+        }
+
+        /// Sixteen outputs: the `i32` sums of `acc` plus `bias`, widened to
+        /// `i64` and requantized, as sixteen Sm8 bytes in column order.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
+        pub(super) unsafe fn apply16(&self, acc: __m512i, bias: i64) -> __m128i {
+            let bias = _mm512_set1_epi64(bias);
+            let lo = _mm512_add_epi64(_mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc)), bias);
+            let hi = _mm512_add_epi64(_mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(acc)), bias);
+            _mm_unpacklo_epi64(self.apply8(lo), self.apply8(hi))
+        }
+    }
+
+    /// A full `dot_nt` block requantized as one vector: the `DOT_MR x
+    /// DOT_NR` sums plus row `a`'s bias `bias[a]`, stored `DOT_NR` bytes to
+    /// `row[a]`.
+    ///
+    /// # Safety
+    /// Each `row[a]` must have room for `DOT_NR` bytes; the CPU must
+    /// support the AVX-512 tier.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
+    pub(super) unsafe fn store_block(e: &VecEpilogue, sums: &DotSums, bias: [i64; 2], row: [*mut Sm8; 2]) {
+        let sums = _mm512_loadu_si512(sums.as_ptr() as *const _);
+        let bias = _mm512_inserti64x4::<1>(_mm512_set1_epi64(bias[0]), _mm256_set1_epi64x(bias[1]));
+        let q = e.apply8(_mm512_add_epi64(sums, bias));
+        const _: () = assert!(DOT_NR == 4);
+        (row[0] as *mut i32).write_unaligned(_mm_cvtsi128_si32(q));
+        (row[1] as *mut i32).write_unaligned(_mm_extract_epi32::<1>(q));
+    }
+}
+
 /// The weight side of one GEMM — `bias_acc.len()` rows of `len` weights —
 /// with its epilogue: a conv layer's filters or an FC layer's rows.
 pub(crate) struct GemmWeights<'a> {
@@ -293,6 +381,18 @@ pub(crate) struct GemmWeights<'a> {
 }
 
 impl<'a> GemmWeights<'a> {
+    /// A conv layer's filters as one GEMM's weight side.
+    fn of(weights: &'a QuantConvWeights) -> Self {
+        GemmWeights {
+            w: &weights.w,
+            len: weights.in_c * weights.k * weights.k,
+            bias_acc: &weights.bias_acc,
+            offset_bias: &weights.offset_bias,
+            requant: weights.requant,
+            relu: weights.relu,
+        }
+    }
+
     /// These weights against an offset patch side: the bias becomes
     /// `bias_acc[o] − 128 · Σ_r w[o][r]`, so that the `+128` on every patch
     /// value cancels out of every sum. The weights never change once
@@ -366,6 +466,9 @@ pub(crate) fn gemm_quant_into(
     let rows = bias_acc.len();
     assert_eq!(out.len(), rows * cols, "output is not rows x cols");
     let epilogue = Epilogue::new(requant, relu);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: built only where the tier runs.
+    let vector = (tier == KernelTier::Avx512 && tier.is_supported()).then(|| unsafe { x86::VecEpilogue::new(epilogue) });
     let (runs, per) = split(pool, rows, [rows, cols, len]);
     let out_ptr = SendPtr::new(out.as_mut_ptr());
     for_each_run(pool, runs, &|run| {
@@ -383,6 +486,14 @@ pub(crate) fn gemm_quant_into(
             [hi - lo, cols, len],
             #[inline(always)]
             |i, j, [mr, nr], sums| {
+                #[cfg(target_arch = "x86_64")]
+                if let (Some(e), DOT_MR, DOT_NR) = (&vector, mr, nr) {
+                    let row = [0, 1].map(|a| out[(i + a) * cols + j..][..DOT_NR].as_mut_ptr());
+                    // SAFETY: `vector` exists only on the AVX-512 tier;
+                    // each row has the block's `DOT_NR` outputs.
+                    unsafe { x86::store_block(e, sums, [bias_acc[i], bias_acc[i + 1]], row) };
+                    return;
+                }
                 for (a, sums) in sums.iter().enumerate().take(mr) {
                     let bias = bias_acc[i + a];
                     let q: [Sm8; DOT_NR] = std::array::from_fn(|b| epilogue.apply(bias + sums[b]));
@@ -394,12 +505,14 @@ pub(crate) fn gemm_quant_into(
 }
 
 /// Integer-exact quantized convolution via lowering + output-stationary
-/// GEMM at an explicit kernel tier, writing into `out` (reshaped in place)
-/// with the patch matrix borrowed from `ws`: allocation-free once both
-/// have grown to the layer's size. With a `pool` the lowering is split by
-/// column range and the GEMM by output-channel range over its workers,
-/// bit-identically at any worker count. Must agree bit-for-bit with
-/// [`crate::conv::conv2d_quant_dense`]. Zero weights are multiplied, not
+/// GEMM at an explicit kernel tier — or, on the AVX-512 tier, for a
+/// stride-1 layer with 16 or more output columns, via the direct kernel
+/// (module docs) — writing into `out` (reshaped in place) with the patch
+/// matrix borrowed from `ws`: allocation-free once both have grown to the
+/// layer's size. With a `pool` the lowering is split by column range and
+/// the GEMM (or the direct kernel) by output-channel range over its
+/// workers, bit-identically at any worker count. Must agree bit-for-bit
+/// with [`crate::conv::conv2d_quant_dense`]. Zero weights are multiplied, not
 /// skipped — the hardware's zero-skipping is modelled by the stats pass,
 /// not by this kernel.
 #[allow(clippy::too_many_arguments)]
@@ -413,17 +526,15 @@ pub fn conv2d_gemm_quant_into(
     ws: &mut GemmScratch,
     out: &mut Tensor<Sm8>,
 ) {
-    assert_eq!(input.shape().c, weights.in_c, "input channels mismatch");
+    let s = input.shape();
+    assert_eq!(s.c, weights.in_c, "input channels mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if direct::applies(tier, s, weights.k, stride, pad) {
+        return direct::conv_into(input, weights, pad, pool, ws, out);
+    }
     let (out_h, out_w, offset) = lower_into(input, weights.out_c, weights.k, stride, pad, pool, ws);
     out.reset(weights.out_c, out_h, out_w);
-    let gemm = GemmWeights {
-        w: &weights.w,
-        len: weights.in_c * weights.k * weights.k,
-        bias_acc: &weights.bias_acc,
-        offset_bias: &weights.offset_bias,
-        requant: weights.requant,
-        relu: weights.relu,
-    };
+    let gemm = GemmWeights::of(weights);
     let gemm = if offset { gemm.offset() } else { gemm };
     gemm_quant_into(tier, pool, gemm, &ws.patches, out_h * out_w, out.as_mut_slice());
 }
@@ -854,11 +965,12 @@ mod tests {
     fn a_warm_arena_holds_one_byte_per_plane_and_patch_element() {
         // VGG-16-32 and ResNet-18-32 through a `Scratch`, then the GEMM
         // workspace against the largest plane (`c x (h + 2 pad) x (w + 2
-        // pad)`) and patch matrix (`out_h * out_w x c * k * k`) any conv
-        // layer asks for. A buffer grows to what a call asks for or to
-        // twice its old capacity, whichever is more, so a byte buffer ends
-        // at least as large as its largest request and short of twice it,
-        // where an `i16` one would take at least twice as many bytes.
+        // pad)`, or `⌈c/4⌉ x 4` channels on the direct path) and patch
+        // matrix (`out_h * out_w x c * k * k`, lowered layers only) any
+        // conv layer asks for. A buffer grows to what a call asks for or
+        // to twice its old capacity, whichever is more, so a byte buffer
+        // ends at least as large as its largest request and short of twice
+        // it, where an `i16` one would take at least twice as many bytes.
         use crate::{resnet::resnet18_spec, vgg16::vgg16_scaled_spec, LayerSpec, Network, Scratch};
         for spec in [vgg16_scaled_spec(32), resnet18_spec()] {
             let convs = spec.conv_layers();
@@ -871,6 +983,10 @@ mod tests {
             let (plane, patches) = convs.iter().fold((0, 0), |(plane, patches), (_, layer, s)| {
                 let &LayerSpec::Conv { k, stride, pad, .. } = *layer else { unreachable!("a conv layer") };
                 let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
+                #[cfg(target_arch = "x86_64")]
+                if direct::applies(scratch.tier(), *s, k, stride, pad) {
+                    return (plane.max(s.c.div_ceil(4) * 4 * hp * wp), patches);
+                }
                 let cols = ((hp - k) / stride + 1) * ((wp - k) / stride + 1);
                 (plane.max(s.c * hp * wp), patches.max(cols * s.c * k * k))
             });

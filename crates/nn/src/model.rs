@@ -1022,6 +1022,49 @@ mod ternary_tests {
     }
 
     #[test]
+    fn a_ternarized_conv_on_the_direct_path_equals_the_dense_scan() {
+        // Two 3x3 layers on a 16-wide plane: the AVX-512 tier runs both
+        // direct. Every weight cache of the 8-bit layers — the direct
+        // kernel's quad repack and the offset bias — is filled first;
+        // `ternarize` then rewrites `w` in place, so a cache it failed to
+        // drop would run the 8-bit weights.
+        use crate::conv::conv2d_quant_dense;
+        use crate::gemm::conv2d_gemm_quant_tier;
+        use crate::simd::KernelTier;
+        let spec = NetworkSpec {
+            name: "t16".into(),
+            input: Shape::new(3, 16, 16),
+            layers: vec![conv3x3("c1", 3, 8), conv3x3("c2", 8, 8)],
+        };
+        let x = Tensor::from_fn(3, 16, 16, |c, y, x| (((c * 256 + y * 16 + x) as f32) * 0.37).sin());
+        let net = Network::synthetic(spec, &SyntheticModelConfig::default());
+        let mut q = net.quantize(&[x]);
+        let inputs = |c: usize| {
+            let v = |c: usize, y: usize, x: usize| ((c * 97 + y * 31 + x * 7) % 255) as i32 - 127;
+            [
+                Tensor::from_fn(c, 16, 16, |c, y, x| Sm8::from_i32_saturating(v(c, y, x))),
+                Tensor::from_fn(c, 16, 16, |c, y, x| Sm8::from_i32_saturating(v(c, y, x).abs())),
+            ]
+        };
+        for layer in &q.conv {
+            for input in inputs(layer.weights.in_c) {
+                for tier in KernelTier::supported() {
+                    conv2d_gemm_quant_tier(&input, &layer.weights, 1, 1, tier);
+                }
+            }
+        }
+        net.ternarize(&mut q);
+        for layer in &q.conv {
+            for input in inputs(layer.weights.in_c) {
+                let want = conv2d_quant_dense(&input, &layer.weights, 1, 1);
+                for tier in KernelTier::supported() {
+                    assert_eq!(conv2d_gemm_quant_tier(&input, &layer.weights, 1, 1, tier), want, "tier {tier}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn ternary_is_sparser_than_eight_bit() {
         let net = Network::synthetic(spec(), &SyntheticModelConfig::default());
         let q8 = net.quantize(&[input(0)]);

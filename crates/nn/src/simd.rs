@@ -58,8 +58,8 @@ pub enum KernelTier {
     Sse2,
     /// 16-lane AVX2 kernels: one IFM tile row per iteration.
     Avx2,
-    /// 64-byte AVX-512 kernels (F + BW + VNNI): four IFM tile rows per
-    /// iteration, 16 `i32` lanes of four `u8 x s8` products each.
+    /// 64-byte AVX-512 kernels (F + BW + VNNI + DQ): four IFM tile rows
+    /// per iteration, 16 `i32` lanes of four `u8 x s8` products each.
     Avx512,
 }
 
@@ -99,9 +99,10 @@ impl KernelTier {
             KernelTier::Avx2 => &["avx2"],
             // F for the 512-bit registers; BW for the weight decode's
             // byte sign mask `vpmovb2m` and byte-lane `vpsubb`; VNNI for
-            // the `u8 x s8` dot `vpdpbusd`. The Box–Muller draw kernel
-            // (`boxmuller::avx512`) needs F alone.
-            KernelTier::Avx512 => &["avx512f", "avx512bw", "avx512vnni"],
+            // the `u8 x s8` dot `vpdpbusd`; DQ for the vector requantize's
+            // 64-bit multiply `vpmullq` (every VNNI part has DQ). The
+            // Box–Muller draw kernel (`boxmuller::avx512`) needs F alone.
+            KernelTier::Avx512 => &["avx512f", "avx512bw", "avx512vnni", "avx512dq"],
         }
     }
 
@@ -144,6 +145,7 @@ fn cpu_has(feature: &str) -> bool {
         "avx2" => is_x86_feature_detected!("avx2"),
         "avx512f" => is_x86_feature_detected!("avx512f"),
         "avx512bw" => is_x86_feature_detected!("avx512bw"),
+        "avx512dq" => is_x86_feature_detected!("avx512dq"),
         "avx512vnni" => is_x86_feature_detected!("avx512vnni"),
         _ => false,
     }
@@ -599,12 +601,12 @@ mod x86 {
         use super::*;
 
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
         pub unsafe fn zero() -> __m512i {
             _mm512_setzero_si512()
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
         pub unsafe fn load_w(w: *const Sm8) -> __m512i {
             // Read as `i8`, a sign-set byte is `mag - 128`; its value
             // `-mag` is then `-128 - x`, which takes negative zero to 0.
@@ -612,12 +614,12 @@ mod x86 {
             _mm512_mask_sub_epi8(x, _mm512_movepi8_mask(x), _mm512_set1_epi8(-128), x)
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
         pub unsafe fn load_p(p: *const u8) -> __m512i {
             _mm512_loadu_si512(p as *const _)
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
         pub unsafe fn madd_acc(acc: __m512i, w: __m512i, p: __m512i) -> __m512i {
             // Unsigned patch bytes first, signed weights second. Wrapping,
             // never the saturating `_mm512_dpbusds_epi32`: see
@@ -625,12 +627,12 @@ mod x86 {
             _mm512_dpbusd_epi32(acc, p, w)
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
         pub unsafe fn hsum(v: __m512i) -> i32 {
             _mm512_reduce_add_epi32(v)
         }
         #[inline]
-        #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+        #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
         pub unsafe fn hsum_row(acc: [__m512i; 4]) -> [i32; 4] {
             let v = transpose_add_x512(acc);
             let v = _mm256_add_epi32(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
@@ -640,7 +642,7 @@ mod x86 {
 
     dot_nt_tier!(#[target_feature(enable = "sse2")] dot_sse2, 16, sse2_ops);
     dot_nt_tier!(#[target_feature(enable = "avx2")] dot_avx2, 16, avx2_ops);
-    dot_nt_tier!(#[target_feature(enable = "avx512f,avx512bw,avx512vnni")] dot_avx512, 64, avx512_ops);
+    dot_nt_tier!(#[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")] dot_avx512, 64, avx512_ops);
 }
 
 #[cfg(test)]

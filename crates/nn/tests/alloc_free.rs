@@ -38,15 +38,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// A 16-wide input, so that on the AVX-512 tier `c1` runs the direct
+/// kernel (its quad plane and repacked weights) and `c2`, on the pooled
+/// 8x8 plane, the lowering and `dot_nt`.
 fn spec() -> NetworkSpec {
     NetworkSpec {
         name: "alloc-probe".into(),
-        input: Shape::new(3, 12, 12),
+        input: Shape::new(3, 16, 16),
         layers: vec![
             LayerSpec::Conv { name: "c1".into(), in_c: 3, out_c: 8, k: 3, stride: 1, pad: 1, relu: true },
             LayerSpec::MaxPool { name: "p1".into(), k: 2, stride: 2 },
             LayerSpec::Conv { name: "c2".into(), in_c: 8, out_c: 12, k: 3, stride: 1, pad: 1, relu: true },
-            LayerSpec::Fc { name: "fc1".into(), in_features: 12 * 6 * 6, out_features: 16, relu: true },
+            LayerSpec::Fc { name: "fc1".into(), in_features: 12 * 8 * 8, out_features: 16, relu: true },
             LayerSpec::Fc { name: "fc2".into(), in_features: 16, out_features: 10, relu: false },
             LayerSpec::Softmax,
         ],
@@ -61,13 +64,14 @@ fn main() {
 fn steady_state_forward_pass_allocates_nothing() {
     let net = Network::synthetic(spec(), &SyntheticModelConfig::default());
     let inputs: Vec<Tensor<f32>> = (0..3)
-        .map(|i| Tensor::from_fn(3, 12, 12, |c, y, x| ((c * 144 + y * 12 + x + i * 7) as f32 * 0.23).sin()))
+        .map(|i| Tensor::from_fn(3, 16, 16, |c, y, x| ((c * 256 + y * 16 + x + i * 7) as f32 * 0.23).sin()))
         .collect();
     let qnet = net.quantize(&inputs[..1]);
 
     let mut scratch = Scratch::new();
-    // Warm-up: grows the arena and fills the lazy weight caches (nnz,
-    // packed taps) — allowed to allocate.
+    // Warm-up: grows the arena and fills the lazy weight caches (the
+    // offset bias, the direct kernel's repacked weights) — allowed to
+    // allocate.
     let warm = qnet.forward_quant_scratch(&inputs[0], &mut scratch).to_vec();
     assert_eq!(scratch.grow_events(), 1);
 

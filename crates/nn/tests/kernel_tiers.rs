@@ -134,12 +134,16 @@ fn pooled_kernels_match_the_dense_oracle(qw: &QuantConvWeights, input: &Tensor<S
 #[test]
 fn pooled_kernels_are_bit_exact_on_each_side_of_the_split_threshold() {
     // A pool cuts a layer into runs by its estimated time (`ConvPool::new`,
-    // docs/KERNELS.md "Intra-image threads"): 48 MACs a nanosecond plus 5 ns
-    // an output, 131 us a run. These pointwise layers are all per-output
-    // work: 51 200 outputs stay one run on any pool, 53 792 make two,
-    // 105 800 make four on a pool that wide.
-    for (hw, workers) in [(80, 2), (82, 2), (82, 3), (115, 7)] {
-        let qw = synthetic_qw(8, 1, 1, 0.7, hw as u64, true);
+    // docs/KERNELS.md "Intra-image threads"), 131 us a run. These pointwise
+    // layers are all per-output work. Lowered (every tier but AVX-512): 48
+    // MACs a nanosecond plus 5 ns an output, so 51 200 outputs stay one run
+    // on any pool, 53 792 make two, 105 800 make four on a pool that wide.
+    // Direct (AVX-512, which runs all of these): 320 MACs a nanosecond plus
+    // half a nanosecond an output, so 500 000 outputs stay one run, 524 288
+    // make two and 1 048 576 four.
+    let cases = [(8, 80, 2), (8, 82, 2), (8, 82, 3), (8, 115, 7), (8, 250, 2), (8, 256, 2), (16, 256, 4)];
+    for (out_c, hw, workers) in cases {
+        let qw = synthetic_qw(out_c, 1, 1, 0.7, hw as u64, true);
         let input = synthetic_input(1, hw, hw, 9);
         pooled_kernels_match_the_dense_oracle(&qw, &input, &ConvPool::new(workers));
     }
