@@ -65,8 +65,7 @@ impl BankSet {
         self.banks.first().map_or(0, Vec::len)
     }
 
-    /// Cycle-free read (host/DMA-side or model backend; no port
-    /// accounting).
+    /// Cycle-free read (host/DMA side; no port accounting).
     ///
     /// # Panics
     /// Panics on out-of-range bank or address.
@@ -74,7 +73,7 @@ impl BankSet {
         self.banks[bank][addr]
     }
 
-    /// Cycle-free write (host/DMA-side or model backend).
+    /// Cycle-free write (host/DMA side).
     pub fn poke(&mut self, bank: usize, addr: usize, tile: Tile<Sm8>) {
         self.banks[bank][addr] = tile;
     }

@@ -344,10 +344,10 @@ fn counters_record_macs_and_bubbles() {
 }
 
 /// A mixed stream — pad, conv, pool back to back in one doorbell — on
-/// [`config`]: the input, the resident banks, the group's packed weights,
-/// the stream, where the pooled output lands and what it must read.
+/// [`config`]: the resident banks holding the input, the group's packed
+/// weights, the stream, where the pooled output lands and what it must
+/// read.
 struct MixedStream {
-    input: Tensor<Sm8>,
     banks: BankSet,
     gw: GroupWeights<'static>,
     stream: Vec<Instruction>,
@@ -422,7 +422,7 @@ fn mixed_stream(cfg: &AccelConfig) -> MixedStream {
     let mut qw_bias = qw.clone();
     qw_bias.bias_acc = vec![1, -2, 3, -4];
     let want = zskip_nn::pool::maxpool_quant(&conv2d_quant_dense(&input, &qw_bias, 1, 1), 2, 2);
-    MixedStream { input, banks, gw, stream, pool_out, want }
+    MixedStream { banks, gw, stream, pool_out, want }
 }
 
 /// The pooled output region of `banks`.
@@ -441,13 +441,6 @@ fn mixed_instruction_stream_chains_correctly() {
     let m = mixed_stream(&cfg);
     let outcome = run_preloaded(&cfg, m.banks.clone(), m.gw.as_bytes(), &m.stream);
     assert_eq!(pooled(&m, &outcome.banks), m.want);
-
-    // Same stream on the model backend: identical final banks region.
-    let mut model_banks = BankSet::new(&cfg);
-    let tiled = TiledFeatureMap::from_tensor(&m.input);
-    FmLayout::full(0, m.input.shape()).store(&mut model_banks, &tiled, 0..tiled.tiles_y());
-    crate::model::run(&cfg, &mut model_banks, &m.stream, std::slice::from_ref(&m.gw), &mut Counters::new(), true);
-    assert_eq!(pooled(&m, &model_banks), m.want);
 }
 
 /// The mixed stream's whole report on the real 21-kernel design, pinned

@@ -14,12 +14,13 @@
 //!   softmax on the host (ARM), as in the paper); the driver supplies the
 //!   accelerator steps — geometry checks, then each layer's passes (a
 //!   padded convolution is the pad pass and the conv pass);
-//! * **backend dispatch**: each accelerator step goes through
-//!   [`exec::conv_pass`] / [`exec::poolpad_pass`] to the transaction-level
-//!   model or the cycle-exact simulation, and is tiled only there, at the
-//!   accelerator boundary; the host SIMD backend ([`BackendKind::Cpu`])
-//!   runs the golden walk itself and reads its statistics from a memoized
-//!   stats-only model run (`exec::cpu`);
+//! * **backend dispatch**: the model and cpu backends (one path) run the
+//!   golden walk itself and read their statistics from a memoized
+//!   stats-only staged walk (`exec::cpu`); in a staged walk each
+//!   accelerator step goes through [`exec::conv_pass`] /
+//!   [`exec::poolpad_pass`] to the transaction-level model (stats-only)
+//!   or the cycle-exact simulation, and is tiled only there, at the
+//!   accelerator boundary;
 //! * **reporting**: per-layer [`PassStats`] roll up into an
 //!   [`InferenceReport`].
 //!
@@ -32,9 +33,11 @@ use crate::exec::{self, PassCtx};
 use crate::isa::{narrow, FieldOverflow, PoolPadOp};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
+use zskip_nn::gemm::conv2d_gemm_quant_tier;
 use zskip_nn::layer::LayerSpec;
 use zskip_nn::model::{AccelStep, QuantizedNetwork};
 use zskip_nn::par::ConvPool;
+use zskip_nn::pool::maxpool_quant_into;
 use zskip_nn::scratch::Scratch;
 use zskip_nn::simd::KernelTier;
 use zskip_quant::Sm8;
@@ -55,9 +58,11 @@ pub struct Driver {
     /// Enable the paper's future-work filter grouping (sort filters by
     /// non-zero count before forming lockstep groups).
     pub filter_grouping: bool,
-    /// When `false`, skip the functional arithmetic and produce cycle
-    /// counts and counters only (cycle counts are value-independent).
-    /// Throughput sweeps over full VGG-16 use this. Model backend only.
+    /// When `false`, skip the golden walk: a run returns its report (cycle
+    /// counts and counters, which are value-independent) with an empty
+    /// `output`, and a single-layer pass the zero map. Throughput sweeps
+    /// over full VGG-16 use this. Model backend only (the cpu name always
+    /// asks for the golden walk).
     pub functional: bool,
     /// When `false`, pack every weight slot (zeros included): the ablation
     /// baseline without the paper's zero-weight skipping.
@@ -177,13 +182,11 @@ impl Driver {
     /// [`Session::infer_scratch`](crate::session::Session::infer_scratch)
     /// are the public entry points.
     ///
-    /// The walk is [`QuantizedNetwork::run_plan`] — the golden model's —
-    /// with every `Conv` / `MaxPool` step issued to the simulated SoC
-    /// instead of the `zskip-nn` kernels; FC layers, residual joins and
-    /// global average pooling run on the host (the paper's ARM) inside
-    /// the walk and cost no accelerator cycles. On the cpu backend the
-    /// walk *is* the golden model's, and the report is a stats-only model
-    /// run's, memoized per network and configuration (`exec::cpu`).
+    /// On the model and cpu backends (one path, `exec::cpu`) the output
+    /// is the golden walk's and the report a stats-only
+    /// [`staged walk`](Driver::run_staged)'s, memoized per network and
+    /// configuration. On the cycle backend the run is the staged walk on
+    /// the cycle engine.
     ///
     /// # Errors
     /// [`DriverError::LayerTooLarge`] when a layer cannot be striped into
@@ -196,15 +199,37 @@ impl Driver {
         input: &Tensor<f32>,
         scratch: &mut Scratch,
     ) -> Result<InferenceReport, DriverError> {
-        if self.backend == BackendKind::Cpu {
-            return exec::cpu::run_network(self, qnet, input, scratch);
+        match self.backend {
+            BackendKind::Model | BackendKind::Cpu => exec::cpu::run_network(self, qnet, input, scratch),
+            BackendKind::Cycle => {
+                // Attach the intra-image worker pool (a warmup cost on the
+                // first image; a no-op when the arena already has this
+                // width) and pin the session's kernel tier on the arena.
+                scratch.set_threads(self.threads);
+                scratch.set_tier(self.kernel_tier);
+                self.run_staged(qnet, input, scratch)
+            }
         }
+    }
+
+    /// The staged plan walk: [`QuantizedNetwork::run_plan`] — the golden
+    /// model's — with every `Conv` / `MaxPool` step issued to the
+    /// simulated SoC on this driver's executor (`exec::staged_exec`: the
+    /// transaction model for model and cpu, which computes statistics
+    /// only, the cycle engine for cycle) instead of the `zskip-nn`
+    /// kernels; FC layers, residual joins and global average pooling run
+    /// on the host (the paper's ARM) inside the walk and cost no
+    /// accelerator cycles. The walk runs at `scratch`'s width and tier.
+    ///
+    /// # Errors
+    /// As [`Driver::run_network_scratch`].
+    pub(crate) fn run_staged(
+        &self,
+        qnet: &QuantizedNetwork,
+        input: &Tensor<f32>,
+        scratch: &mut Scratch,
+    ) -> Result<InferenceReport, DriverError> {
         let mut soc = SocHandle::with_plan(self.fault_plan.clone());
-        // Attach the intra-image worker pool (a warmup cost on the first
-        // image; a no-op when the arena already has this width) and pin
-        // the session's kernel tier on the arena.
-        scratch.set_threads(self.threads);
-        scratch.set_tier(self.kernel_tier);
         // Each plan slot maps to a fixed DDR feature-map region, so a
         // skip-branch activation stays resident across the branch body.
         let plan = &qnet.plan;
@@ -285,9 +310,11 @@ impl Driver {
     }
 
     /// Single-layer conv entry point for benches/ablations (`input`
-    /// already padded), on this driver's executor: the staged pass alone,
-    /// tiled in, tiled out. A cpu driver runs the model's functional
-    /// executor, whose output and statistics are the cpu backend's.
+    /// already padded): the staged pass alone, tiled in, tiled out. On the
+    /// cycle backend the pass is the engine's, output and statistics. On
+    /// model and cpu the statistics are the stats-only pass's and the
+    /// output the golden `zskip-nn` kernel's on the densified input (the
+    /// zero map under [`functional`](Driver::functional) `false`).
     ///
     /// # Errors
     /// See [`Session::infer`](crate::session::Session::infer).
@@ -301,7 +328,8 @@ impl Driver {
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
         let pool = (self.threads > 1).then(|| ConvPool::new(self.threads));
         let mut ctx = self.single_pass_ctx(soc, pool.as_ref());
-        pipeline::conv_pass(&mut ctx, exec::staged_exec(self), name, input, qw, 0, out_shape)
+        let pass = pipeline::conv_pass(&mut ctx, exec::staged_exec(self), name, input, qw, 0, out_shape)?;
+        Ok(self.golden_output(pass, input, |dense| conv2d_gemm_quant_tier(dense, qw, 1, 0, self.kernel_tier)))
     }
 
     /// Single-layer pool/pad entry point for benches/ablations, on this
@@ -318,7 +346,32 @@ impl Driver {
         soc: &mut SocHandle,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
         let mut ctx = self.single_pass_ctx(soc, None);
-        pipeline::poolpad_pass(&mut ctx, exec::staged_exec(self), name, input, op, out_shape)
+        let pass = pipeline::poolpad_pass(&mut ctx, exec::staged_exec(self), name, input, op, out_shape)?;
+        Ok(self.golden_output(pass, input, |dense| match op {
+            PoolPadOp::Pad { amount } => dense.padded(amount.into()),
+            PoolPadOp::MaxPool { k, stride } => {
+                let mut out = Tensor::zeros(1, 1, 1);
+                maxpool_quant_into(dense, k.into(), stride.into(), &mut out);
+                out
+            }
+        }))
+    }
+
+    /// A single-layer pass's result on this driver: the staged `pass` as
+    /// it stands on the cycle engine or with arithmetic off, else its
+    /// statistics with `golden` run on `input`, densified, as the output.
+    fn golden_output(
+        &self,
+        pass: (TiledFeatureMap<Sm8>, PassStats),
+        input: &TiledFeatureMap<Sm8>,
+        golden: impl FnOnce(&Tensor<Sm8>) -> Tensor<Sm8>,
+    ) -> (TiledFeatureMap<Sm8>, PassStats) {
+        if self.backend == BackendKind::Cycle || !self.functional {
+            return pass;
+        }
+        let mut dense = Tensor::zeros(1, 1, 1);
+        pipeline::fm_to_tensor_into(input, &mut dense);
+        (TiledFeatureMap::from_tensor(&golden(&dense)), pass.1)
     }
 
     /// The context of a single-layer pass: slot 0's DDR region to slot 1's.

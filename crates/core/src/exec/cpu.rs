@@ -1,12 +1,14 @@
-//! [`BackendKind::Cpu`]: the golden walk, with modelled statistics.
+//! [`BackendKind::Model`] and [`BackendKind::Cpu`], one path: the golden
+//! walk, with modelled statistics.
 //!
-//! A cpu-backend network run is two independent computations. Its output
-//! is the software golden model's —
+//! A network run on either name is two independent computations. Its
+//! output is the software golden model's —
 //! [`QuantizedNetwork::forward_quant_scratch`] on the caller's
 //! [`Scratch`] arena, at the driver's kernel tier and worker count — so
 //! the backend's arithmetic is the golden walk by construction. Its
 //! report (every layer's cycles and activity counters, the DDR bytes) is
-//! the model backend's with the arithmetic switched off: zero-skipping
+//! a stats-only staged walk's ([`Driver::run_staged`], every pass on the
+//! transaction model, which computes no output bytes): zero-skipping
 //! depends on weights, never on activations, so every statistic is a pure
 //! function of the network's weights, its geometry and the accelerator
 //! configuration.
@@ -14,17 +16,20 @@
 //! The report is therefore paid **once per (network, configuration)**,
 //! not once per image: the first run records it in a process-wide memo
 //! ([`stats_memo_stats`]), and every later image is one lookup plus the
-//! golden walk — no pass is staged and no simulated DDR is created.
+//! golden walk — no pass is staged and no simulated DDR is created. With
+//! [`functional`](Driver::functional) off the golden walk is skipped too:
+//! the run is the report alone, with an empty `output`.
 //!
-//! An attached fault plan bypasses the memo: the stats-only run is issued
-//! for every image, because its DMA descriptor sequence is where `dma:*`
-//! injections fire, and it returns any error before the golden walk
-//! starts. Only `Ok`, fault-plan-free reports are recorded.
+//! An attached fault plan bypasses the memo: the stats-only walk is
+//! issued for every image, because its DMA descriptor sequence is where
+//! `dma:*` injections fire, and it returns any error before the golden
+//! walk starts. Only `Ok`, fault-plan-free reports are recorded.
 //!
+//! [`BackendKind::Model`]: crate::exec::BackendKind::Model
 //! [`BackendKind::Cpu`]: crate::exec::BackendKind::Cpu
 //! [`Scratch`]: zskip_nn::scratch::Scratch
 
-use crate::driver::{BackendKind, Driver, DriverError, InferenceReport, LayerReport};
+use crate::driver::{Driver, DriverError, InferenceReport, LayerReport};
 use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 use zskip_nn::model::QuantizedNetwork;
@@ -40,9 +45,9 @@ fn stats_memo() -> &'static WeightCache<InferenceReport> {
     MEMO.get_or_init(WeightCache::new)
 }
 
-/// Statistics of the cpu backend's process-wide stats memo (entries,
-/// hits, misses, resident bytes) — surfaced by `zskip analyze` and the
-/// serve `stats` op. A warm image is one hit.
+/// Statistics of the process-wide stats memo of the model and cpu
+/// backends (entries, hits, misses, resident bytes) — surfaced by `zskip
+/// analyze` and the serve `stats` op. A warm image is one hit.
 pub fn stats_memo_stats() -> CacheStats {
     stats_memo().stats()
 }
@@ -84,20 +89,17 @@ impl Write for Digest {
     }
 }
 
-/// [`Driver::run_network_scratch`] on the cpu backend (see module docs).
+/// [`Driver::run_network_scratch`] on the model and cpu backends (see
+/// module docs).
 pub(crate) fn run_network(
     driver: &Driver,
     qnet: &QuantizedNetwork,
     input: &Tensor<f32>,
     scratch: &mut Scratch,
 ) -> Result<InferenceReport, DriverError> {
-    // The model backend's stats-only pass on its own throwaway arena; its
+    // The stats-only walk on its own throwaway single-threaded arena: the
     // closed form has nothing to split across threads.
-    let stats_only = || {
-        let mut model = driver.clone();
-        (model.backend, model.functional, model.threads) = (BackendKind::Model, false, 1);
-        model.run_network_scratch(qnet, input, &mut Scratch::new())
-    };
+    let stats_only = || driver.run_staged(qnet, input, &mut Scratch::new());
     let report = if driver.fault_plan.is_some() {
         Arc::new(stats_only()?)
     } else {
@@ -105,9 +107,76 @@ pub(crate) fn run_network(
             std::mem::size_of::<InferenceReport>() + r.layers.capacity() * std::mem::size_of::<LayerReport>()
         })?
     };
-    scratch.set_threads(driver.threads);
-    scratch.set_tier(driver.kernel_tier);
-    let output = qnet.forward_quant_scratch(input, scratch).to_vec();
+    let output = if driver.functional {
+        scratch.set_threads(driver.threads);
+        scratch.set_tier(driver.kernel_tier);
+        qnet.forward_quant_scratch(input, scratch).to_vec()
+    } else {
+        Vec::new()
+    };
     let InferenceReport { layers, total_cycles, ddr_bytes, .. } = &*report;
     Ok(InferenceReport { layers: layers.clone(), output, total_cycles: *total_cycles, ddr_bytes: *ddr_bytes })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AccelConfig;
+    use crate::session::{Session, SessionBuilder};
+    use zskip_hls::AccelArch;
+    use zskip_nn::eval::synthetic_inputs;
+    use zskip_nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
+    use zskip_nn::model::{Network, SyntheticModelConfig};
+    use zskip_quant::DensityProfile;
+    use zskip_tensor::Shape;
+
+    /// The memo's replay is the uncached stats-only walk, field for field.
+    /// Per configuration, two different images run through one driver —
+    /// the first records the report (or replays another test's record of
+    /// the same key), the second replays it — and each run reports what a
+    /// fresh staged walk reports, with the golden walk's output. Tiny
+    /// banks stripe every layer.
+    #[test]
+    fn memo_replay_equals_an_uncached_stats_only_walk() {
+        let spec = NetworkSpec {
+            name: "memo".into(),
+            input: Shape::new(3, 12, 12),
+            layers: vec![
+                conv3x3("c1", 3, 6),
+                maxpool2x2("p1"),
+                conv3x3("c2", 6, 9),
+                LayerSpec::Fc { name: "fc".into(), in_features: 9 * 6 * 6, out_features: 5, relu: false },
+            ],
+        };
+        let density = DensityProfile::uniform(2, 0.5);
+        let net = Network::synthetic(spec.clone(), &SyntheticModelConfig { seed: 5, density });
+        let qnet = net.quantize(&synthetic_inputs(6, 2, spec.input));
+        let inputs = synthetic_inputs(7, 2, spec.input);
+        type Knob = fn(SessionBuilder) -> SessionBuilder;
+        let cases: [(&str, usize, Knob); 5] = [
+            ("plain", 1, |b| b),
+            ("zero skipping off", 1, |b| b.zero_skipping(false)),
+            ("filter grouping", 1, |b| b.filter_grouping(true)),
+            ("two instances", 2, |b| b),
+            ("three threads", 1, |b| b.threads(3)),
+        ];
+        for (what, instances, knob) in cases {
+            let arch = AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles: 24 };
+            let session = knob(Session::builder(AccelConfig::from_arch(&arch, 100.0))).build().expect("valid config");
+            let driver = session.driver();
+            let uncached = driver.run_staged(&qnet, &inputs[0], &mut Scratch::new()).expect("fits");
+            assert!(uncached.layers.iter().any(|l| l.stats.stripes > 1), "{what}: striped");
+            let mut scratch = Scratch::new();
+            for (i, input) in inputs.iter().enumerate() {
+                let hits = stats_memo_stats().hits;
+                let run = run_network(driver, &qnet, input, &mut scratch).expect("fits");
+                // Other tests share the process-wide memo: a lower bound.
+                assert!(i == 0 || stats_memo_stats().hits > hits, "{what}: image {i} reads the memo");
+                assert_eq!(run.output, qnet.forward_quant(input), "{what}: image {i} output");
+                assert_eq!(run.total_cycles, uncached.total_cycles, "{what}: image {i} cycles");
+                assert_eq!(run.ddr_bytes, uncached.ddr_bytes, "{what}: image {i} DDR bytes");
+                assert_eq!(format!("{:?}", run.layers), format!("{:?}", uncached.layers), "{what}: image {i} layers");
+            }
+        }
+    }
 }

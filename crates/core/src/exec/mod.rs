@@ -15,24 +15,22 @@
 //!   pipeline: stripe-parallel, image-parallel and layer-pipelined
 //!   sharding across N instances, with the HLS-derived per-N cost model;
 //! * `stripes` — pure stripe-planning geometry under bank capacity;
-//! * [`BackendKind::Model`] — the pipeline issuing every instruction
-//!   batch to the closed-form cycle model ([`crate::model`]), functional
-//!   arithmetic from the golden reference (fast; the default);
-//! * [`BackendKind::Cycle`] — the pipeline issuing them to the
+//! * `cpu` — [`BackendKind::Model`] and [`BackendKind::Cpu`], two names
+//!   for one path (the default): a network run is the golden walk (the
+//!   `zskip-nn` SIMD kernels on the per-session `Scratch` arena) plus the
+//!   report of a stats-only staged walk, whose passes issue every
+//!   instruction batch to the closed-form cycle model ([`crate::model`],
+//!   cycles and counters, no arithmetic) — paid once per (network,
+//!   config), then read from a process-wide memo;
+//! * [`BackendKind::Cycle`] — the staged walk issuing every batch to the
 //!   cycle-exact simulation of all kernels on the `zskip-sim` engine
-//!   ([`crate::cycle`]; slow; for validation, and the only backend where
-//!   `fifo:*` fault injections have a meaning);
-//! * `cpu` — [`BackendKind::Cpu`]: a network run is the golden walk
-//!   (the `zskip-nn` SIMD kernels on the per-session `Scratch` arena) plus
-//!   the model backend's stats-only report — paid once per (network,
-//!   config), then read from a process-wide memo (the fastest functional
-//!   path). It issues no pass of its own: a cpu driver's single-layer
-//!   passes run the model's functional executor.
+//!   ([`crate::cycle`]; slow; the functional oracle for the accelerator's
+//!   data movement, and the only backend where `fifo:*` fault injections
+//!   have a meaning).
 //!
-//! All backends are bit-identical in output and DMA-fault behaviour, and
-//! Model/Cpu are cycle-identical — see `tests/backend_equivalence.rs`
-//! and `docs/ARCHITECTURE.md` (which also documents how to add a
-//! backend).
+//! Both paths are bit-identical in output and DMA-fault behaviour — see
+//! `tests/backend_equivalence.rs` and `docs/ARCHITECTURE.md` (which also
+//! documents how to add a backend).
 
 pub(crate) mod cpu;
 pub mod pipeline;
@@ -53,12 +51,14 @@ use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
 /// Which execution backend computes each stripe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Transaction-level model: closed-form cycles (fast; default).
+    /// The golden walk for the output, the transaction-level model's
+    /// closed-form cycles for the statistics (the default; the same path
+    /// as [`BackendKind::Cpu`]).
     Model,
     /// Cycle-exact simulation of all kernels (slow; for validation).
     Cycle,
-    /// Host SIMD kernels for the arithmetic, closed-form cycle model for
-    /// the statistics (fastest functional path).
+    /// The golden walk on the host SIMD kernels, with the closed-form
+    /// statistics (the same path as [`BackendKind::Model`]).
     Cpu,
 }
 
@@ -116,13 +116,11 @@ pub struct PassCtx<'a> {
 }
 
 /// The instruction executor the driver's backend issues a staged pass to:
-/// the one place a pass is routed to its executor. A cpu-backend network
-/// run stages no pass (module `cpu`); a cpu driver's single-layer pass is
-/// the model's functional one, whose output and statistics are the cpu
-/// backend's by contract.
+/// the one place a pass is routed to its executor. Model and cpu stage
+/// only the stats-only walk (module `cpu`), on the transaction model.
 pub(crate) fn staged_exec(driver: &Driver) -> Exec {
     match driver.backend {
-        BackendKind::Model | BackendKind::Cpu => Exec::Model { functional: driver.functional },
+        BackendKind::Model | BackendKind::Cpu => Exec::Model,
         BackendKind::Cycle => Exec::Cycle,
     }
 }
@@ -148,8 +146,10 @@ fn staged(
 /// happens here, at the accelerator boundary. Whatever the executor, a
 /// pass keeps three promises:
 ///
-/// * **Bit-identical outputs.** `dst` equals the golden software
-///   reference (`QuantizedNetwork::forward_quant`) exactly.
+/// * **Honest outputs.** On the cycle executor `dst` equals the golden
+///   software reference (`QuantizedNetwork::forward_quant`) exactly; the
+///   transaction model computes no output (`dst` reads zero), so no
+///   caller takes one from it.
 /// * **Shared pipeline.** Stripe planning, DDR staging and DMA issue go
 ///   through [`pipeline`] so DMA traffic and injected `dma:*` faults
 ///   behave identically across backends (fault detection is

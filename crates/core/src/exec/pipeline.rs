@@ -236,14 +236,11 @@ fn packed_groups(driver: &Driver, qw: &QuantConvWeights) -> Arc<PackedLayerWeigh
 /// everything else (staging, striping, DMA) is shared.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Exec {
-    /// Transaction-level model: closed-form cycles. With
-    /// `functional: false` the arithmetic is skipped — cycle counts and
-    /// counters are value-independent, so they are unchanged.
-    Model {
-        /// Run the functional arithmetic alongside the cycle model.
-        functional: bool,
-    },
-    /// Cycle-exact simulation of all kernels.
+    /// Transaction-level model: closed-form cycles and counters only —
+    /// the banks are left as the DMA filled them, so the pass's output
+    /// map reads zero.
+    Model,
+    /// Cycle-exact simulation of all kernels, bank contents included.
     Cycle,
 }
 
@@ -252,7 +249,8 @@ impl Exec {
     /// in, the OFM beside it out), returning its cycles.
     ///
     /// `groups` carries the weights of each conv instruction, in stream
-    /// order. The model reads them in place. The cycle backend simulates
+    /// order. The model costs them in place and leaves `banks` untouched.
+    /// The cycle backend simulates
     /// the batch one instruction per engine run on `pool`'s participants
     /// ([`cycle::run_items`]; bit-identical at any width), each run's
     /// scratchpad its own group's byte stream at `wgt_base` 0, which its
@@ -270,9 +268,7 @@ impl Exec {
         counters: &mut Counters,
     ) -> Result<u64, DriverError> {
         match self {
-            Exec::Model { functional } => {
-                Ok(model::run(&driver.config, banks, instrs, groups, counters, *functional).cycles)
-            }
+            Exec::Model => Ok(model::run(&driver.config, instrs, groups, counters).cycles),
             Exec::Cycle => {
                 let opts = cycle::RunOptions { fault_plan: driver.fault_plan.clone(), ..Default::default() };
                 let items = if opts.fault_plan.is_some() {

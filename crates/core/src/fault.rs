@@ -363,15 +363,14 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         .collect();
 
     let mut trials = Vec::new();
-    // DMA faults on the model and cpu backends (the DMA path is
-    // backend-agnostic, and cpu's functional output is bit-identical to
-    // model's, so the same clean reference serves both).
-    for backend in [BackendKind::Model, BackendKind::Cpu] {
+    // DMA faults on the cpu path (model's too: one path, two names) and
+    // on the cycle backend, whose staged walk moves the bytes the engine
+    // computes on. The DMA path is backend-agnostic, so the same fault
+    // fires at the same descriptor on both.
+    for (backend, clean) in [(BackendKind::Cycle, &clean_cycle), (BackendKind::Cpu, &clean)] {
         for kind in [FaultKind::DmaTruncate { tiles: 1 }, FaultKind::DmaCorrupt { xor: 0x40 }] {
-            let mut trial = inference_trial("dma:xfer", 2, kind, backend, &qnet, input, &clean);
-            if backend != BackendKind::Model {
-                trial.site = format!("dma:xfer ({backend})");
-            }
+            let mut trial = inference_trial("dma:xfer", 2, kind, backend, &qnet, input, clean);
+            trial.site = format!("dma:xfer ({backend})");
             trials.push(trial);
         }
     }
@@ -424,8 +423,11 @@ mod tests {
         let sites: std::collections::BTreeSet<&str> =
             report.trials.iter().map(|t| t.site.as_str()).collect();
         assert!(sites.len() >= 5, "sites: {sites:?}");
-        // The cpu backend is part of the matrix.
-        assert!(sites.contains("dma:xfer (cpu)"), "sites: {sites:?}");
+        // DMA faults land on both executors: the cpu path and the cycle
+        // engine.
+        for site in ["dma:xfer (cpu)", "dma:xfer (cycle)"] {
+            assert!(sites.contains(site), "sites: {sites:?}");
+        }
     }
 
     #[test]

@@ -20,16 +20,17 @@
 //!   (4 each of data-staging/control, convolution, accumulator, pool/pad,
 //!   write-to-memory) plus a main controller, connected by FIFOs on the
 //!   `zskip-sim` engine, synchronized by a Pthreads-style barrier;
-//! * [`model`] — the **transaction-level backend**: closed-form cycle
-//!   costs (validated cycle-for-cycle against [`cycle`] by property tests)
-//!   with functional results from the `zskip-nn` golden reference, fast
-//!   enough for full VGG-16 sweeps;
+//! * [`model`] — the **transaction-level model**: closed-form cycle
+//!   costs and activity counters (validated against [`cycle`] by property
+//!   tests), no arithmetic — the statistics of the default backend, whose
+//!   outputs come from the `zskip-nn` golden walk; fast enough for full
+//!   VGG-16 sweeps;
 //! * [`exec`] — the execution-backend layer: the staged per-layer stripe
 //!   pipeline (planning under bank capacity, weight packing, instruction
 //!   generation, DMA orchestration, multi-instance scale-out), the
 //!   [`exec::conv_pass`] / [`exec::poolpad_pass`] dispatch onto the
-//!   transaction model or the cycle simulation, the host SIMD backend
-//!   (the golden walk plus a memoized stats-only model run), and the
+//!   transaction model or the cycle simulation, the model / cpu path
+//!   (the golden walk plus a memoized stats-only staged walk), and the
 //!   [`exec::sched`] multi-instance placement scheduler (stripe-,
 //!   image- and layer-pipelined sharding with an HLS-derived cost model);
 //! * [`driver`] — the host-side driver: layer walking, geometry checks,

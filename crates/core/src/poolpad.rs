@@ -150,31 +150,31 @@ pub fn compile_tile_program(op: PoolPadOp, oty: usize, otx: usize) -> Vec<MicroO
     ops
 }
 
-/// Executes the full program for one output tile, fetching input tiles via
-/// the closure (the model backend's path; the cycle kernel executes the
-/// same ops against the banks one cycle at a time).
-pub fn run_tile_program(
-    op: PoolPadOp,
-    oty: usize,
-    otx: usize,
-    mut fetch: impl FnMut(isize, isize) -> Tile<Sm8>,
-) -> (Tile<Sm8>, usize) {
-    let program = compile_tile_program(op, oty, otx);
-    let cycles = program.len();
-    let mut out = Tile::zero();
-    for mop in &program {
-        let input = fetch(mop.in_ty, mop.in_tx);
-        apply_micro_op(&mut out, &input, mop);
-    }
-    (out, cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use zskip_nn::pool::maxpool_quant;
     use zskip_tensor::{Tensor, TiledFeatureMap};
+
+    /// Executes the full program for one output tile, fetching input tiles via
+    /// the closure: the micro-op semantics the cycle kernel executes against
+    /// the banks one cycle at a time, held here to `maxpool_quant`.
+    fn run_tile_program(
+        op: PoolPadOp,
+        oty: usize,
+        otx: usize,
+        mut fetch: impl FnMut(isize, isize) -> Tile<Sm8>,
+    ) -> (Tile<Sm8>, usize) {
+        let program = compile_tile_program(op, oty, otx);
+        let cycles = program.len();
+        let mut out = Tile::zero();
+        for mop in &program {
+            let input = fetch(mop.in_ty, mop.in_tx);
+            apply_micro_op(&mut out, &input, mop);
+        }
+        (out, cycles)
+    }
 
     fn quantize(t: &Tensor<i32>) -> Tensor<Sm8> {
         t.map(Sm8::from_i32_saturating)

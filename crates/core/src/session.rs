@@ -135,13 +135,13 @@ impl SessionBuilder {
 
     /// Intra-image worker count: `1` (the default) is single-threaded,
     /// larger values split the work of one image across that many
-    /// threads — on the cpu backend each conv layer's output channels
-    /// (see `zskip-nn`'s `par` module), on the cycle backend each pass's
-    /// instructions, one engine run apiece ([`crate::cycle::run_items`]).
-    /// Either way the report is bit-identical at any width. `0` resolves
-    /// to the host's available parallelism at [`SessionBuilder::build`]
-    /// time; at most [`MAX_THREADS`]. The model backend's closed form has
-    /// nothing to split and ignores this.
+    /// threads — on the model and cpu backends (one path) the golden
+    /// walk's conv layers, split by output channels (see `zskip-nn`'s
+    /// `par` module), on the cycle backend each pass's instructions, one
+    /// engine run apiece ([`crate::cycle::run_items`]). Either way the
+    /// report is bit-identical at any width. `0` resolves to the host's
+    /// available parallelism at [`SessionBuilder::build`] time; at most
+    /// [`MAX_THREADS`].
     pub fn threads(mut self, threads: usize) -> SessionBuilder {
         self.threads = threads;
         self
@@ -183,8 +183,10 @@ impl SessionBuilder {
         self
     }
 
-    /// When `false`, skip functional arithmetic (stats-only sweeps;
-    /// model backend only).
+    /// When `false`, skip the golden walk: a run returns only its report
+    /// (cycles and counters, memoized per network and configuration) with
+    /// an empty `output`, and a single-layer pass the zero map
+    /// (stats-only sweeps; model backend only).
     pub fn functional(mut self, on: bool) -> SessionBuilder {
         self.functional = on;
         self
@@ -237,8 +239,8 @@ impl SessionBuilder {
     /// capacity after the RAM-preserving rescale, when `units != lanes`
     /// on the cycle backend (accumulator lanes map 1:1 onto write units),
     /// when stats-only mode is requested off the model backend (the cycle
-    /// simulation cannot switch its arithmetic off, and the cpu backend
-    /// *is* the arithmetic), when `queue_depth` is zero (the daemon would
+    /// simulation cannot switch its arithmetic off, and the cpu name
+    /// always asks for the golden walk), when `queue_depth` is zero (the daemon would
     /// admit nothing), or when `threads` or `batch_workers` exceeds
     /// [`MAX_THREADS`].
     pub fn build(self) -> Result<Session, Error> {

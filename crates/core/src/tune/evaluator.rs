@@ -2,11 +2,11 @@
 //!
 //! A config scores its *simulated* seconds for one image: the placement
 //! scheduler's makespan in cycles × the variant's cycle time, lower is
-//! better and fully deterministic. It is evaluated through the
-//! transaction-level model in stats-only mode, whose makespan tracks the
-//! cycle-exact simulation's (equal on `tests/tune.rs`'s network, within
-//! 3 % on `tests/backend_equivalence.rs`'s), so scoring a point costs
-//! milliseconds instead of seconds.
+//! better and fully deterministic. It is evaluated in stats-only mode —
+//! the memoized transaction-level report, no golden walk — whose makespan
+//! tracks the cycle-exact simulation's (equal on `tests/tune.rs`'s
+//! network, within 3 % on `tests/backend_equivalence.rs`'s), so scoring a
+//! point costs milliseconds instead of seconds.
 
 use std::collections::HashMap;
 
@@ -56,8 +56,8 @@ impl<'a> Evaluator<'a> {
     /// Scores a config with no caching — the raw measurement
     /// (`tests/tune.rs` compares this against direct
     /// [`Session`](crate::session::Session) runs): simulated seconds for
-    /// one image under the config's variant/instances/placement, via the
-    /// transaction model in stats-only mode.
+    /// one image under the config's variant/instances/placement, from the
+    /// transaction model's report in stats-only mode.
     ///
     /// # Errors
     /// Whatever building or running the session fails with;

@@ -195,7 +195,7 @@ pub static KNOBS: [Knob; 8] = [
             "--backend",
             "B",
             Session,
-            "execution backend: model (transaction-level) | cycle (cycle-exact) | cpu (host SIMD)",
+            "execution backend: model | cpu (one path: golden walk, transaction-level stats) | cycle (cycle-exact)",
         ),
         |c| Name(c.backend.name()),
         |c, v| v.pick(&BackendKind::ALL, BackendKind::name).map(|b| c.backend = b),

@@ -143,11 +143,12 @@ cold_out=$(timeout 300 ./target/release/zskip infer --hw 32 --backend cpu)
 printf '%s\n' "$cold_out" | grep -q '^1603970 cycles' \
   || { echo "verify: vgg16-32 infer must report 1603970 cycles (weight stream or model drifted)"; exit 1; }
 # The two executors that read the packed weight stream itself — the
-# transaction model in place, the cycle backend's staging kernels through
-# their scratchpad copy — at their own pinned counts (infer asserts
-# bit-exactness vs the golden model on both). The cycle backend runs one
-# engine per instruction on `--threads` workers and adds the runs up: the
-# sum must be the whole-stream count at any width (0 = host auto).
+# transaction model in place (the default `model` backend's statistics),
+# the cycle backend's staging kernels through their scratchpad copy — at
+# their own pinned counts (infer asserts bit-exactness vs the golden model
+# on the cycle engine's output). The cycle backend runs one engine per
+# instruction on `--threads` workers and adds the runs up: the sum must be
+# the whole-stream count at any width (0 = host auto).
 for pin in model:1603970:0 cycle:1605470:0 cycle:1605470:1 cycle:1605470:3; do
   IFS=: read -r backend cycles threads <<< "$pin"
   exec_out=$(timeout 300 ./target/release/zskip infer --hw 32 --backend "$backend" --threads "$threads")
@@ -162,12 +163,26 @@ done
 resnet_out=$(timeout 300 ./target/release/zskip infer --network specs/resnet18.json --hw 32 --backend cpu)
 printf '%s\n' "$resnet_out" | grep -q '^212601 cycles' \
   || { echo "verify: resnet18 infer must report 212601 cycles (weight stream or model drifted)"; exit 1; }
-# The same DAG through the model backend's functional executor: every
-# padded conv is the pad pass and the conv pass staged back to back, and
-# infer's bit-exactness assertion holds that fused pair to the golden walk.
+# The same DAG under the default backend name, at the same count, and
+# through the cycle engine, the functional oracle of the accelerator's
+# data movement: every padded conv is the pad pass and the conv pass
+# staged back to back, and infer's bit-exactness assertion holds that
+# fused pair to the golden walk.
 resnet_out=$(timeout 300 ./target/release/zskip infer --network specs/resnet18.json --hw 32 --backend model)
 printf '%s\n' "$resnet_out" | grep -q '^212601 cycles' \
   || { echo "verify: resnet18 infer --backend model must report 212601 cycles"; exit 1; }
+resnet_out=$(timeout 300 ./target/release/zskip infer --network specs/resnet18.json --hw 32 --backend cycle)
+printf '%s\n' "$resnet_out" | grep -q '^214103 cycles' \
+  || { echo "verify: resnet18 infer --backend cycle must report 214103 cycles"; exit 1; }
+
+# Two names, one path: the default `model` backend is the cpu backend's
+# golden walk plus its memoized report, so `infer` prints the same lines
+# on both but for the backend's name.
+for seed in 3 7 11; do
+  diff -u <(timeout 300 ./target/release/zskip infer --hw 32 --seed "$seed" | sed 's/model backend/cpu backend/') \
+    <(timeout 300 ./target/release/zskip infer --hw 32 --seed "$seed" --backend cpu) \
+    || { echo "verify: zskip infer --hw 32 --seed $seed differs between the model and cpu backends"; exit 1; }
+done
 analyze_out=$(timeout 300 ./target/release/zskip analyze --network specs/resnet18.json)
 printf '%s\n' "$analyze_out" | grep -q 'branch point' \
   || { echo "verify: analyze --network did not report the residual branch points"; exit 1; }
@@ -259,6 +274,20 @@ timeout 300 ./target/release/zskip tune --hw 32 --out "$tune_out" > /dev/null
 cmp "$tune_out" tests/golden/tuned_vgg16_32.json \
   || { echo "verify: zskip tune --hw 32 drifted from tests/golden/tuned_vgg16_32.json"; exit 1; }
 rm -f "$tune_out"
+
+# Figure and table artifacts: every sweep bin runs the stats-only path
+# and must print exactly the committed experiments/ files. The bins write
+# under the working directory, so they run in a scratch one.
+fig_dir=$(mktemp -d -t zskip-figs-XXXXXX)
+for bin in fig6_area fig7_efficiency fig8_gops table1_power ablations; do
+  bin_path="$PWD/target/release/$bin"
+  (cd "$fig_dir" && timeout 300 "$bin_path" > /dev/null)
+  for ext in txt json; do
+    diff -u "experiments/$bin.$ext" "$fig_dir/experiments/$bin.$ext" \
+      || { echo "verify: $bin differs from experiments/$bin.$ext"; exit 1; }
+  done
+done
+rm -rf "$fig_dir"
 
 # Autotuner gates: the tuned config must score no worse than the
 # default, match/beat the best hand-picked HLS variant, and the same-seed

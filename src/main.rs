@@ -968,7 +968,7 @@ fn analyze(p: &Parsed) {
     let auto_workers = zskip::nn::ConvPool::auto_threads();
     println!(
         "Intra-image conv workers: {auto_workers} at auto (host parallelism; --threads overrides) — \
-         cpu backend: conv panels; cycle backend: a pass's instructions; model backend: unused"
+         model and cpu backends: the golden walk's conv panels; cycle backend: a pass's instructions"
     );
     let mut arena = Scratch::new();
     arena.set_threads(auto_workers);

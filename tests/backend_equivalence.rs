@@ -1,18 +1,18 @@
 //! Cross-backend differential harness: the Model, Cycle and Cpu backends
-//! must be interchangeable.
+//! must be interchangeable. Model and Cpu are two names for one path (the
+//! golden walk plus the memoized report of a stats-only staged walk), so
+//! the comparisons that mean something are that path against the cycle
+//! engine and against the golden operators.
 //!
 //! * **Outputs**: bit-identical to each other and to the software golden
 //!   model (`forward_quant`) on random `NetworkSpec`s — and the golden
 //!   model, whose plan walk the driver shares, to a plan-free interpreter.
-//! * **Statistics**: Model and Cpu charge cycles with the same
-//!   closed-form model, so their cycle counts and DDR byte counts are
-//!   *equal*, not merely close; Cycle agrees within the documented
-//!   tolerance.
-//! * **Memoized statistics**: the Cpu backend pays its stats-only model
-//!   run once per (network, config) and reads the recorded report on
-//!   later images; those reports must equal Model's in every field, and
-//!   the memo key must separate every configuration knob that moves a
-//!   statistic and every layer name the report carries.
+//! * **Statistics**: Cycle agrees with the closed-form model within the
+//!   documented tolerance, and its DDR byte counts are equal.
+//! * **Memoized statistics**: the memo key must separate every
+//!   configuration knob that moves a statistic and every layer name the
+//!   report carries (the replay itself is held to an uncached walk in
+//!   `exec::cpu`'s unit tests).
 //! * **Transient faults**: the staged pipeline issues the same DMA
 //!   descriptor sequence on every backend, and DMA fault detection is
 //!   value-independent — an injected `dma:*` fault must surface as the
@@ -20,8 +20,8 @@
 
 use proptest::prelude::*;
 use zskip::accel::{
-    stats_memo_stats, AccelConfig, BackendKind, DriverError, Error, InferenceReport, PassStats,
-    Placement, PoolPadOp, Session, SessionBuilder, SocHandle,
+    AccelConfig, BackendKind, DriverError, Error, InferenceReport, PassStats, PoolPadOp, Session,
+    SessionBuilder, SocHandle,
 };
 use zskip::fault::{FaultKind, FaultPlan};
 use zskip::hls::AccelArch;
@@ -256,11 +256,11 @@ fn assert_same_stats(g: &PassStats, w: &PassStats, what: &str) {
     assert_eq!(g.counters.iter().collect::<Vec<_>>(), w.counters.iter().collect::<Vec<_>>(), "{what}");
 }
 
-/// A cpu driver's single-layer entry points run the model's functional
-/// executor: on a conv over a pre-padded input, a pad and a max-pool —
-/// under tiny banks, so every pass is striped — the output and every
-/// `PassStats` field equal a model driver's, and the output the golden
-/// operator's.
+/// The single-layer entry points on every backend: on a conv over a
+/// pre-padded input, a pad and a max-pool — under tiny banks, so every
+/// pass is striped — the model, cpu and cycle outputs all equal the
+/// golden operator's (`conv2d_quant_dense`, the pad, `maxpool_quant`),
+/// and every `PassStats` field of a cpu driver's pass a model driver's.
 #[test]
 fn cpu_single_layer_passes_equal_the_model_backend() {
     let (qnet, _) = quantized(0.5, 99);
@@ -284,46 +284,15 @@ fn cpu_single_layer_passes_equal_the_model_backend() {
         ]
         .map(|pass| pass.expect("fits"))
     };
-    let (model, cpu) = (passes(BackendKind::Model), passes(BackendKind::Cpu));
-    for (i, ((m_fm, m_stats), (c_fm, c_stats))) in model.into_iter().zip(cpu).enumerate() {
+    let [model, cycle, cpu] = [BackendKind::Model, BackendKind::Cycle, BackendKind::Cpu].map(passes);
+    for (i, (((m_fm, m_stats), (y_fm, y_stats)), (c_fm, c_stats))) in model.into_iter().zip(cycle).zip(cpu).enumerate() {
         let what = ["conv", "pad", "pool"][i];
         assert_eq!(m_fm, golden[i], "{what}: model vs golden");
-        assert_eq!(c_fm, m_fm, "{what}: cpu vs model output");
+        assert_eq!(y_fm, golden[i], "{what}: cycle vs golden");
+        assert_eq!(c_fm, golden[i], "{what}: cpu vs golden");
         assert!(c_stats.stripes > 1, "{what}: striped");
+        assert_eq!(y_stats.stripes, m_stats.stripes, "{what}: cycle stripes");
         assert_same_stats(&c_stats, &m_stats, what);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// The stats memo end to end: two *different* images through one cpu
-    /// session — the first records the network's report, the second reads
-    /// it back — on random linear and DAG specs. Both reports must equal
-    /// the Model backend's in every statistic, single- and multi-threaded.
-    /// (Other tests share the process-wide memo, so its hit counter is
-    /// only bounded from below.)
-    #[test]
-    fn memoized_stats_replay_equals_the_model_backend(
-        spec in prop_oneof![network_strategy(), dag_network_strategy()],
-        density in 0.1f64..1.0,
-        seed in 0u64..10_000,
-    ) {
-        let (qnet, first) = quantize_spec(&spec, density, seed);
-        let second = synthetic_inputs(seed ^ 3, 1, spec.input).pop().expect("one");
-        let cfg = config(2048, 1);
-        let model = Session::builder(cfg).backend(BackendKind::Model).build().expect("valid config");
-        let want = [model.infer(&qnet, &first).expect("fits"), model.infer(&qnet, &second).expect("fits")];
-        for threads in [1, 3] {
-            let cpu = Session::builder(cfg).backend(BackendKind::Cpu).threads(threads).build().expect("valid config");
-            let mut scratch = zskip::nn::Scratch::new();
-            let miss = cpu.infer_scratch(&qnet, &first, &mut scratch).expect("fits");
-            let hits = stats_memo_stats().hits;
-            let hit = cpu.infer_scratch(&qnet, &second, &mut scratch).expect("fits");
-            prop_assert!(stats_memo_stats().hits > hits, "the second image reads the memo");
-            assert_same_report(&miss, &want[0], &format!("first image, {threads} thread(s)"));
-            assert_same_report(&hit, &want[1], &format!("second image, {threads} thread(s)"));
-        }
     }
 }
 
@@ -387,131 +356,6 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
         let names: Vec<&str> = report.layers.iter().map(|l| l.name.as_str()).collect();
         let want: Vec<&str> = net.spec.layers.iter().map(LayerSpec::name).collect();
         assert_eq!(names, want, "each spec reports its own layer names");
-    }
-}
-
-/// Sharded execution goes through the same cpu network runs: with three
-/// images per placement each later one is a memo hit (stripe placement
-/// under its two-instance key, image/pipeline under the single-instance
-/// view), and every per-image report and the placement timeline still
-/// equal the Model backend's. One batch worker runs the images in order,
-/// so only the first can miss (two workers could both miss a cold memo).
-#[test]
-fn sharded_placements_replay_the_memo_and_match_model() {
-    let (qnet, _) = quantized(0.6, 777);
-    let inputs = synthetic_inputs(778, 3, tiny_spec().input);
-    for placement in [Placement::Stripe, Placement::Image, Placement::Pipeline] {
-        let run = |backend| {
-            Session::builder(config(20, 2))
-                .backend(backend)
-                .threads(3)
-                .batch_workers(1)
-                .placement(placement)
-                .build()
-                .expect("valid config")
-                .run_batch(&qnet, &inputs)
-                .expect("fits")
-        };
-        let model = run(BackendKind::Model);
-        let hits = stats_memo_stats().hits;
-        let cpu = run(BackendKind::Cpu);
-        let replayed = stats_memo_stats().hits - hits;
-        // Other tests share the process-wide memo: a lower bound.
-        assert!(replayed >= 2, "{placement}: {replayed} memo hits, want one per later image");
-        assert_eq!(cpu.items.len(), model.items.len());
-        for (i, (c, m)) in cpu.items.iter().zip(&model.items).enumerate() {
-            assert_same_report(c, m, &format!("{placement}, image {i}"));
-        }
-        assert_eq!(cpu.makespan_cycles, model.makespan_cycles, "{placement}");
-        assert_eq!(cpu.serial_cycles, model.serial_cycles, "{placement}");
-        assert_eq!(cpu.per_instance_busy, model.per_instance_busy, "{placement}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// Model and Cpu: bit-identical outputs AND identical statistics on
-    /// random specs (both run the same staged pipeline and closed-form
-    /// cycle model; only the functional arithmetic engine differs).
-    #[test]
-    fn cpu_and_model_backends_are_equivalent_on_random_specs(
-        spec in network_strategy(),
-        density in 0.1f64..1.0,
-        seed in 0u64..10_000,
-    ) {
-        let (qnet, input) = quantize_spec(&spec, density, seed);
-        let cfg = config(2048, 1);
-        let model = Session::builder(cfg).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
-        let cpu = Session::builder(cfg).backend(BackendKind::Cpu).build().unwrap().infer(&qnet, &input).expect("fits");
-        // Intra-image multithreaded cpu backend: panel decomposition over a
-        // 3-worker pool must not change outputs or statistics either.
-        let mt = Session::builder(cfg)
-            .backend(BackendKind::Cpu)
-            .threads(3)
-            .build()
-            .expect("valid config")
-            .infer(&qnet, &input)
-            .expect("fits");
-        prop_assert_eq!(&model.output, &qnet.forward_quant(&input));
-        prop_assert_eq!(&cpu.output, &model.output);
-        prop_assert_eq!(&mt.output, &model.output);
-        prop_assert_eq!(cpu.total_cycles, model.total_cycles);
-        prop_assert_eq!(mt.total_cycles, model.total_cycles);
-        prop_assert_eq!(cpu.ddr_bytes, model.ddr_bytes);
-        prop_assert_eq!(mt.ddr_bytes, model.ddr_bytes);
-        prop_assert_eq!(cpu.layers.len(), model.layers.len());
-        for (c, m) in cpu.layers.iter().zip(&model.layers) {
-            prop_assert_eq!(&c.name, &m.name);
-            prop_assert_eq!(c.stats.total_cycles, m.stats.total_cycles);
-            prop_assert_eq!(c.stats.compute_cycles, m.stats.compute_cycles);
-            prop_assert_eq!(c.stats.io_dma_cycles, m.stats.io_dma_cycles);
-            prop_assert_eq!(c.stats.weight_dma_cycles, m.stats.weight_dma_cycles);
-            prop_assert_eq!(c.stats.stripes, m.stats.stripes);
-            prop_assert_eq!(c.stats.counters.get("macs"), m.stats.counters.get("macs"));
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Model and Cpu on random *DAG* specs — skip connections, 1x1
-    /// projections, folded batch-norm, GAP heads: bit-identical outputs
-    /// and identical per-layer statistics, single- and multi-threaded.
-    #[test]
-    fn cpu_and_model_backends_are_equivalent_on_dag_specs(
-        spec in dag_network_strategy(),
-        density in 0.1f64..1.0,
-        seed in 0u64..10_000,
-    ) {
-        let (qnet, input) = quantize_spec(&spec, density, seed);
-        let cfg = config(2048, 1);
-        let model = Session::builder(cfg).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
-        let cpu = Session::builder(cfg).backend(BackendKind::Cpu).build().unwrap().infer(&qnet, &input).expect("fits");
-        let mt = Session::builder(cfg)
-            .backend(BackendKind::Cpu)
-            .threads(3)
-            .build()
-            .expect("valid config")
-            .infer(&qnet, &input)
-            .expect("fits");
-        prop_assert_eq!(&model.output, &qnet.forward_quant(&input));
-        prop_assert_eq!(&cpu.output, &model.output);
-        prop_assert_eq!(&mt.output, &model.output);
-        prop_assert_eq!(cpu.total_cycles, model.total_cycles);
-        prop_assert_eq!(mt.total_cycles, model.total_cycles);
-        prop_assert_eq!(cpu.ddr_bytes, model.ddr_bytes);
-        prop_assert_eq!(cpu.layers.len(), model.layers.len());
-        for (c, m) in cpu.layers.iter().zip(&model.layers) {
-            prop_assert_eq!(&c.name, &m.name);
-            prop_assert_eq!(c.stats.total_cycles, m.stats.total_cycles);
-            prop_assert_eq!(c.stats.compute_cycles, m.stats.compute_cycles);
-            prop_assert_eq!(c.stats.io_dma_cycles, m.stats.io_dma_cycles);
-            prop_assert_eq!(c.stats.weight_dma_cycles, m.stats.weight_dma_cycles);
-            prop_assert_eq!(c.stats.stripes, m.stats.stripes);
-            prop_assert_eq!(c.stats.counters.get("macs"), m.stats.counters.get("macs"));
-        }
     }
 }
 

@@ -142,13 +142,14 @@ fn faulted_run(
     (result, fired)
 }
 
-/// The cpu backend reads a network's statistics from a memoized
-/// stats-only run on plan-free runs; an attached fault plan must force
-/// that run for every image, never consulting or feeding the memo —
+/// The model / cpu path reads a network's statistics from a memoized
+/// stats-only walk on plan-free runs; an attached fault plan must force
+/// that walk for every image, never consulting or feeding the memo —
 /// otherwise `dma:*` injections would have no descriptor to fire on once
 /// the memo is warm. One test function on purpose: it is the only
-/// cpu-backend user in this binary, so the process-wide memo counters it
-/// asserts on are exact.
+/// model / cpu user in this binary, so the process-wide memo counters it
+/// asserts on are exact. A faulted run is held to the cycle backend's,
+/// whose staged walk issues the same descriptor sequence.
 #[test]
 fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     let build = |backend: BackendKind| Session::builder(config()).backend(backend);
@@ -156,9 +157,15 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
         let s = stats_memo_stats();
         (s.entries, s.hits, s.misses)
     };
+    // The uncached reference: a plan that injects nothing still bypasses
+    // the memo, so this is the stats-only walk itself.
+    let uncached = |qnet: &QuantizedNetwork, input: &Tensor<f32>| {
+        let session = build(BackendKind::Model).fault_plan(FaultPlan::new().shared()).build().unwrap();
+        session.infer(qnet, input).unwrap()
+    };
     let (qnet, input) = small_net(8);
     let golden = qnet.forward_quant(&input);
-    let model = build(BackendKind::Model).build().unwrap().infer(&qnet, &input).unwrap();
+    let model = uncached(&qnet, &input);
 
     // Plan-free warm-up records the network's one report; the second
     // image is exactly one hit.
@@ -179,10 +186,10 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     assert!(total > 8, "several layers' worth of descriptors, got {total}");
 
     // First, a middle and the last layer; both fault kinds: same error,
-    // same code, fired at the same descriptor ordinal as the Model backend.
+    // same code, fired at the same descriptor ordinal as the cycle backend.
     for (kind, code) in [(truncate, "dma.truncated"), (FaultKind::DmaCorrupt { xor: 0x40 }, "dma.parity")] {
         for at in [0, total / 2, total - 1] {
-            let (m_err, m_fired) = faulted_run(BackendKind::Model, &qnet, &input, at, kind);
+            let (m_err, m_fired) = faulted_run(BackendKind::Cycle, &qnet, &input, at, kind);
             let (c_err, c_fired) = faulted_run(BackendKind::Cpu, &qnet, &input, at, kind);
             let (m_err, c_err) = (m_err.unwrap_err(), c_err.expect_err("the fault must fire on a warm memo"));
             assert_eq!(c_err, m_err, "{kind:?} at {at}");
@@ -193,7 +200,7 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
         }
     }
     // A plan that never fires still forces the real pass and reports
-    // Model's numbers.
+    // the uncached walk's numbers.
     let idle = FaultPlan::new().inject("dma:xfer", total + 100, truncate).shared();
     let session = build(BackendKind::Cpu).fault_plan(idle).build().unwrap();
     let r = session.infer(&qnet, &input).expect("no fault fires");
@@ -202,12 +209,12 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
 
     // A faulted run on a network the memo has never seen inserts nothing,
     // not even the layers that completed before the fault; the following
-    // plan-free run records the network and matches the Model backend.
+    // plan-free run records the network and matches the uncached walk.
     let (fresh, fresh_input) = small_net(12);
     let (err, _) = faulted_run(BackendKind::Cpu, &fresh, &fresh_input, total - 1, truncate);
     err.expect_err("late fault");
     assert_eq!(memo(), replayed, "a faulted run inserts nothing");
-    let fresh_model = build(BackendKind::Model).build().unwrap().infer(&fresh, &fresh_input).unwrap();
+    let fresh_model = uncached(&fresh, &fresh_input);
     let fresh_cpu = cpu.infer(&fresh, &fresh_input).expect("clean run");
     assert_eq!(memo(), (2, 1, 2), "the plan-free run records the fresh network");
     assert_eq!(fresh_cpu.output, fresh_model.output);

@@ -218,8 +218,7 @@ fn unsupported_geometry_is_a_typed_error() {
 }
 
 /// A value too wide for its instruction field is a typed error naming the
-/// layer and the field — on the model backend, which used to compute a
-/// wrong output from the wrapped field, and on the cpu backend, whose
+/// layer and the field — under both names of the model / cpu path, whose
 /// stats pass used to charge cycles for the truncated stream.
 #[test]
 fn geometry_wider_than_an_instruction_field_is_a_typed_error() {
