@@ -132,29 +132,8 @@ impl BankSet {
 }
 
 impl TileStore for BankSet {
-    fn banks(&self) -> usize {
-        self.bank_count()
-    }
-
-    fn bank_capacity(&self) -> usize {
-        self.capacity()
-    }
-
     fn write_tile_bytes(&mut self, bank: usize, index: usize, bytes: &[u8; TILE_BYTES]) {
-        let mut tile = Tile::zero();
-        for (i, b) in bytes.iter().enumerate() {
-            tile.as_mut_array()[i] = Sm8::from_bits(*b);
-        }
-        self.banks[bank][index] = tile;
-    }
-
-    fn read_tile_bytes(&self, bank: usize, index: usize) -> [u8; TILE_BYTES] {
-        let tile = &self.banks[bank][index];
-        let mut out = [0u8; TILE_BYTES];
-        for (i, v) in tile.as_array().iter().enumerate() {
-            out[i] = v.to_bits();
-        }
-        out
+        *self.banks[bank][index].as_mut_array() = bytes.map(Sm8::from_bits);
     }
 }
 
@@ -239,6 +218,6 @@ mod tests {
         b.write_tile_bytes(1, 2, &bytes);
         assert_eq!(b.peek(1, 2).as_array()[0].to_i32(), -5);
         assert_eq!(b.peek(1, 2).as_array()[15].to_i32(), 127);
-        assert_eq!(b.read_tile_bytes(1, 2), bytes);
+        assert_eq!(b.peek(1, 2).as_array().map(Sm8::to_bits), bytes);
     }
 }

@@ -16,11 +16,11 @@
 //!   padded convolution is the pad pass and the conv pass);
 //! * **backend dispatch**: the model and cpu backends (one path) run the
 //!   golden walk itself and read their statistics from a memoized
-//!   stats-only staged walk (`exec::cpu`); in a staged walk each
-//!   accelerator step goes through [`exec::conv_pass`] /
-//!   [`exec::poolpad_pass`] to the transaction-level model (stats-only)
-//!   or the cycle-exact simulation, and is tiled only there, at the
-//!   accelerator boundary;
+//!   stats-only walk (`exec::cpu`) over the plan's steps by shape, every
+//!   accelerator step on the transaction-level model, which counts DMA
+//!   traffic and costs instructions but moves no bytes; the cycle backend
+//!   walks the plan with data, each accelerator step tiled only at the
+//!   accelerator boundary and run on the cycle-exact simulation;
 //! * **reporting**: per-layer [`PassStats`] roll up into an
 //!   [`InferenceReport`].
 //!
@@ -28,13 +28,13 @@
 //! orchestration, multi-instance scale-out) lives in [`crate::exec`].
 
 use crate::config::AccelConfig;
-use crate::exec::pipeline::{self, slot_addr, DDR_FM_PAD, DDR_FM_STRIDE};
+use crate::exec::pipeline::{self, slot_addr, Exec, DDR_FM_PAD, DDR_FM_STRIDE};
 use crate::exec::{self, PassCtx};
 use crate::isa::{narrow, FieldOverflow, PoolPadOp};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
 use zskip_nn::gemm::conv2d_gemm_quant_tier;
-use zskip_nn::layer::LayerSpec;
+use zskip_nn::layer::{LayerSpec, NetworkSpec};
 use zskip_nn::model::{AccelStep, QuantizedNetwork};
 use zskip_nn::par::ConvPool;
 use zskip_nn::pool::maxpool_quant_into;
@@ -45,7 +45,7 @@ use zskip_sim::SimError;
 use zskip_soc::dma::DmaError;
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
 
-pub use crate::exec::{fm_to_bytes, BackendKind, SocHandle};
+pub use crate::exec::{BackendKind, SocHandle};
 pub use crate::report::{InferenceReport, LayerReport, PassStats};
 
 /// The inference driver.
@@ -207,19 +207,26 @@ impl Driver {
                 // width) and pin the session's kernel tier on the arena.
                 scratch.set_threads(self.threads);
                 scratch.set_tier(self.kernel_tier);
-                self.run_staged(qnet, input, scratch)
+                self.run_staged(qnet, input, Some(scratch))
             }
         }
     }
 
-    /// The staged plan walk: [`QuantizedNetwork::run_plan`] — the golden
-    /// model's — with every `Conv` / `MaxPool` step issued to the
-    /// simulated SoC on this driver's executor (`exec::staged_exec`: the
-    /// transaction model for model and cpu, which computes statistics
-    /// only, the cycle engine for cycle) instead of the `zskip-nn`
+    /// A staged walk: every `Conv` / `MaxPool` plan step issued to the
+    /// simulated SoC ([`Driver::accel_step`]), one report per plan step.
+    ///
+    /// With a `scratch` it is the cycle backend's walk:
+    /// [`QuantizedNetwork::run_plan`] — the golden model's — with each
+    /// accelerator step on the cycle engine instead of the `zskip-nn`
     /// kernels; FC layers, residual joins and global average pooling run
     /// on the host (the paper's ARM) inside the walk and cost no
     /// accelerator cycles. The walk runs at `scratch`'s width and tier.
+    ///
+    /// Without one it is the stats-only walk of the model and cpu
+    /// backends: the plan's steps by shape, each accelerator step on the
+    /// transaction model — the same descriptors, weight reads and
+    /// instruction batches, with no bank, no tiled map and no arithmetic
+    /// — and no host step run. Its report's `output` is empty.
     ///
     /// # Errors
     /// As [`Driver::run_network_scratch`].
@@ -227,7 +234,7 @@ impl Driver {
         &self,
         qnet: &QuantizedNetwork,
         input: &Tensor<f32>,
-        scratch: &mut Scratch,
+        scratch: Option<&mut Scratch>,
     ) -> Result<InferenceReport, DriverError> {
         let mut soc = SocHandle::with_plan(self.fault_plan.clone());
         // Each plan slot maps to a fixed DDR feature-map region, so a
@@ -241,9 +248,30 @@ impl Driver {
             )));
         }
         let mut passes = Vec::with_capacity(plan.steps.len());
-        let output = qnet
-            .run_plan(input, scratch, |step| self.accel_step(&mut soc, step).map(|report| passes.push(report)))?
-            .to_vec();
+        let output = match scratch {
+            Some(scratch) => qnet
+                .run_plan(input, scratch, |step| {
+                    let AccelStep { layer, weights, src_slot, dst_slot, src, dst, kernel } = step;
+                    let mut ctx = self.pass_ctx(&mut soc, kernel.pool, (src_slot, dst_slot));
+                    passes.push(self.accel_step(&mut ctx, layer, weights, src.shape(), Some((src, dst)))?);
+                    Ok::<_, DriverError>(())
+                })?
+                .to_vec(),
+            None => {
+                // The shapes at the input as given, like the golden walk's.
+                let spec = NetworkSpec { input: input.shape(), ..qnet.spec.clone() };
+                let shapes = spec.shapes().map_err(|e| DriverError::InvalidNetwork(e.to_string()))?;
+                let mut convs = qnet.conv.iter().map(|c| &c.weights);
+                for step in plan.steps.iter().filter(|step| qnet.spec.layers[step.layer].on_accelerator()) {
+                    let layer = &qnet.spec.layers[step.layer];
+                    let weights = if matches!(layer, LayerSpec::Conv { .. }) { convs.next() } else { None };
+                    let slots = step.src.zip(step.dst).expect("conv/pool steps read and write slots");
+                    let mut ctx = self.pass_ctx(&mut soc, None, slots);
+                    passes.push(self.accel_step(&mut ctx, layer, weights, shapes[step.layer], None)?);
+                }
+                Vec::new()
+            }
+        };
         // One report per plan step, in plan order: the accelerator's as
         // measured, host steps with zero statistics. Softmax is monotone
         // (argmax unchanged on logits) and reports nothing.
@@ -266,15 +294,20 @@ impl Driver {
     }
 
     /// One `Conv` / `MaxPool` plan step on the simulated SoC: geometry
-    /// checks, then the layer's passes on this driver's executor, slot
-    /// `src_slot`'s DDR region to `dst_slot`'s.
-    fn accel_step(&self, soc: &mut SocHandle, step: AccelStep<'_>) -> Result<LayerReport, DriverError> {
-        let AccelStep { layer, weights, src_slot, dst_slot, src, dst, kernel } = step;
-        let in_shape = src.shape();
+    /// checks, then the layer's passes from `ctx`'s source region to its
+    /// destination — on the transaction model by `in_shape` alone (`io`
+    /// is `None`), else on the cycle engine from the dense slots `io`
+    /// ([`exec::staged`]).
+    fn accel_step(
+        &self,
+        ctx: &mut PassCtx<'_>,
+        layer: &LayerSpec,
+        weights: Option<&QuantConvWeights>,
+        in_shape: Shape,
+        io: Option<(&Tensor<Sm8>, &mut Tensor<Sm8>)>,
+    ) -> Result<LayerReport, DriverError> {
         let out_shape =
             layer.output_shape(in_shape).map_err(|e| DriverError::InvalidNetwork(e.to_string()))?;
-        let (src_addr, dst_addr) = (slot_addr(src_slot), slot_addr(dst_slot));
-        let mut ctx = PassCtx { driver: self, soc, pool: kernel.pool, src_addr, dst_addr };
         let stats = match (layer, weights) {
             (LayerSpec::Conv { name, stride, pad, k, .. }, Some(qw)) => {
                 if *stride != 1 {
@@ -290,16 +323,16 @@ impl Driver {
                     });
                 }
                 let pad = narrow("pad", *pad).map_err(|e| DriverError::field_overflow(name, e))?;
-                exec::conv_pass(&mut ctx, name, src, qw, pad, out_shape, dst)?
+                exec::staged(in_shape, io, |exec| pipeline::conv_pass(ctx, exec, name, qw, pad, out_shape))?
             }
             (LayerSpec::MaxPool { name, k, stride }, _) => {
                 let field = |field, value| narrow(field, value).map_err(|e| DriverError::field_overflow(name, e));
                 let op = PoolPadOp::MaxPool { k: field("k", *k)?, stride: field("stride", *stride)? };
-                exec::poolpad_pass(&mut ctx, name, src, op, out_shape, dst)?
+                exec::staged(in_shape, io, |exec| pipeline::poolpad_pass(ctx, exec, name, op, out_shape))?
             }
-            // `QuantizedNetwork::run_plan` calls back for `on_accelerator()`
-            // layers only: a conv with its weights, or a max-pool.
-            _ => unreachable!("run_plan hands over conv and pool steps only"),
+            // Both walks issue `on_accelerator()` layers only: a conv
+            // with its weights, or a max-pool.
+            _ => unreachable!("only conv and pool steps reach the accelerator"),
         };
         Ok(LayerReport {
             name: layer.name().to_string(),
@@ -326,10 +359,15 @@ impl Driver {
         out_shape: Shape,
         soc: &mut SocHandle,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-        let pool = (self.threads > 1).then(|| ConvPool::new(self.threads));
-        let mut ctx = self.single_pass_ctx(soc, pool.as_ref());
-        let pass = pipeline::conv_pass(&mut ctx, exec::staged_exec(self), name, input, qw, 0, out_shape)?;
-        Ok(self.golden_output(pass, input, |dense| conv2d_gemm_quant_tier(dense, qw, 1, 0, self.kernel_tier)))
+        // Only the cycle engine spreads a pass over workers.
+        let cycle = self.backend == BackendKind::Cycle;
+        let pool = (cycle && self.threads > 1).then(|| ConvPool::new(self.threads));
+        let mut ctx = self.pass_ctx(soc, pool.as_ref(), (0, 1));
+        let exec = if cycle { Exec::Cycle(input) } else { Exec::Model(input.logical_shape()) };
+        let pass = pipeline::conv_pass(&mut ctx, exec, name, qw, 0, out_shape)?;
+        Ok(self.golden_output(pass, input, out_shape, |dense| {
+            conv2d_gemm_quant_tier(dense, qw, 1, 0, self.kernel_tier)
+        }))
     }
 
     /// Single-layer pool/pad entry point for benches/ablations, on this
@@ -345,9 +383,11 @@ impl Driver {
         out_shape: Shape,
         soc: &mut SocHandle,
     ) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-        let mut ctx = self.single_pass_ctx(soc, None);
-        let pass = pipeline::poolpad_pass(&mut ctx, exec::staged_exec(self), name, input, op, out_shape)?;
-        Ok(self.golden_output(pass, input, |dense| match op {
+        let mut ctx = self.pass_ctx(soc, None, (0, 1));
+        let cycle = self.backend == BackendKind::Cycle;
+        let exec = if cycle { Exec::Cycle(input) } else { Exec::Model(input.logical_shape()) };
+        let pass = pipeline::poolpad_pass(&mut ctx, exec, name, op, out_shape)?;
+        Ok(self.golden_output(pass, input, out_shape, |dense| match op {
             PoolPadOp::Pad { amount } => dense.padded(amount.into()),
             PoolPadOp::MaxPool { k, stride } => {
                 let mut out = Tensor::zeros(1, 1, 1);
@@ -357,25 +397,36 @@ impl Driver {
         }))
     }
 
-    /// A single-layer pass's result on this driver: the staged `pass` as
-    /// it stands on the cycle engine or with arithmetic off, else its
-    /// statistics with `golden` run on `input`, densified, as the output.
+    /// A single-layer pass's result on this driver: the cycle engine's
+    /// output as it stands; on the transaction model, which has none,
+    /// `golden` run on `input`, densified — or the zero map of
+    /// `out_shape` with arithmetic off.
     fn golden_output(
         &self,
-        pass: (TiledFeatureMap<Sm8>, PassStats),
+        (out, stats): (Option<TiledFeatureMap<Sm8>>, PassStats),
         input: &TiledFeatureMap<Sm8>,
+        out_shape: Shape,
         golden: impl FnOnce(&Tensor<Sm8>) -> Tensor<Sm8>,
     ) -> (TiledFeatureMap<Sm8>, PassStats) {
-        if self.backend == BackendKind::Cycle || !self.functional {
-            return pass;
-        }
-        let mut dense = Tensor::zeros(1, 1, 1);
-        pipeline::fm_to_tensor_into(input, &mut dense);
-        (TiledFeatureMap::from_tensor(&golden(&dense)), pass.1)
+        let out = out.unwrap_or_else(|| {
+            if !self.functional {
+                return TiledFeatureMap::zeros(out_shape);
+            }
+            let mut dense = Tensor::zeros(1, 1, 1);
+            pipeline::fm_to_tensor_into(input, &mut dense);
+            TiledFeatureMap::from_tensor(&golden(&dense))
+        });
+        (out, stats)
     }
 
-    /// The context of a single-layer pass: slot 0's DDR region to slot 1's.
-    fn single_pass_ctx<'a>(&'a self, soc: &'a mut SocHandle, pool: Option<&'a ConvPool>) -> PassCtx<'a> {
-        PassCtx { driver: self, soc, pool, src_addr: slot_addr(0), dst_addr: slot_addr(1) }
+    /// The context of a pass from plan slot `src`'s DDR region to `dst`'s
+    /// (a single-layer pass: slot 0 to slot 1).
+    fn pass_ctx<'a>(
+        &'a self,
+        soc: &'a mut SocHandle,
+        pool: Option<&'a ConvPool>,
+        (src, dst): (usize, usize),
+    ) -> PassCtx<'a> {
+        PassCtx { driver: self, soc, pool, src_addr: slot_addr(src), dst_addr: slot_addr(dst) }
     }
 }

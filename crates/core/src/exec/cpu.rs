@@ -7,16 +7,17 @@
 //! [`Scratch`] arena, at the driver's kernel tier and worker count — so
 //! the backend's arithmetic is the golden walk by construction. Its
 //! report (every layer's cycles and activity counters, the DDR bytes) is
-//! a stats-only staged walk's ([`Driver::run_staged`], every pass on the
-//! transaction model, which computes no output bytes): zero-skipping
-//! depends on weights, never on activations, so every statistic is a pure
-//! function of the network's weights, its geometry and the accelerator
-//! configuration.
+//! a stats-only walk's ([`Driver::run_staged`] without an arena: the
+//! plan's steps by shape, every pass on the transaction model, which
+//! counts its DMA traffic and costs its instructions but moves no bytes
+//! and computes no output): zero-skipping depends on weights, never on
+//! activations, so every statistic is a pure function of the network's
+//! weights, its geometry and the accelerator configuration.
 //!
 //! The report is therefore paid **once per (network, configuration)**,
 //! not once per image: the first run records it in a process-wide memo
 //! ([`stats_memo_stats`]), and every later image is one lookup plus the
-//! golden walk — no pass is staged and no simulated DDR is created. With
+//! golden walk — no pass is issued and no SoC model is created. With
 //! [`functional`](Driver::functional) off the golden walk is skipped too:
 //! the run is the report alone, with an empty `output`.
 //!
@@ -89,6 +90,18 @@ impl Write for Digest {
     }
 }
 
+/// Bytes a memoized report holds: the report and its layer list, and
+/// each layer's name, per-instance cycles and counters on the heap (its
+/// `output` is empty).
+fn report_bytes(r: &InferenceReport) -> usize {
+    let heap = |l: &LayerReport| {
+        let cycles = l.stats.per_instance_cycles.capacity() * size_of::<u64>();
+        l.name.capacity() + cycles + l.stats.counters.heap_bytes()
+    };
+    let layers = r.layers.capacity() * size_of::<LayerReport>();
+    size_of::<InferenceReport>() + layers + r.layers.iter().map(heap).sum::<usize>()
+}
+
 /// [`Driver::run_network_scratch`] on the model and cpu backends (see
 /// module docs).
 pub(crate) fn run_network(
@@ -97,15 +110,11 @@ pub(crate) fn run_network(
     input: &Tensor<f32>,
     scratch: &mut Scratch,
 ) -> Result<InferenceReport, DriverError> {
-    // The stats-only walk on its own throwaway single-threaded arena: the
-    // closed form has nothing to split across threads.
-    let stats_only = || driver.run_staged(qnet, input, &mut Scratch::new());
+    let stats_only = || driver.run_staged(qnet, input, None);
     let report = if driver.fault_plan.is_some() {
         Arc::new(stats_only()?)
     } else {
-        stats_memo().try_get_or_insert_with(memo_key(driver, qnet, input), stats_only, |r| {
-            std::mem::size_of::<InferenceReport>() + r.layers.capacity() * std::mem::size_of::<LayerReport>()
-        })?
+        stats_memo().try_get_or_insert_with(memo_key(driver, qnet, input), stats_only, report_bytes)?
     };
     let output = if driver.functional {
         scratch.set_threads(driver.threads);
@@ -164,7 +173,7 @@ mod tests {
             let arch = AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles: 24 };
             let session = knob(Session::builder(AccelConfig::from_arch(&arch, 100.0))).build().expect("valid config");
             let driver = session.driver();
-            let uncached = driver.run_staged(&qnet, &inputs[0], &mut Scratch::new()).expect("fits");
+            let uncached = driver.run_staged(&qnet, &inputs[0], None).expect("fits");
             assert!(uncached.layers.iter().any(|l| l.stats.stripes > 1), "{what}: striped");
             let mut scratch = Scratch::new();
             for (i, input) in inputs.iter().enumerate() {
@@ -178,5 +187,35 @@ mod tests {
                 assert_eq!(format!("{:?}", run.layers), format!("{:?}", uncached.layers), "{what}: image {i} layers");
             }
         }
+    }
+
+    /// The memo's size counts what a recorded report holds on the heap,
+    /// not only the report and its layer list. Long layer names on a
+    /// network no other test records make the layers' heap the bulk of
+    /// the record.
+    #[test]
+    fn memo_size_counts_each_layers_heap() {
+        let name = |n: &str| format!("{n}-{}", "x".repeat(200));
+        let spec = NetworkSpec {
+            name: "memo-size".into(),
+            input: Shape::new(3, 8, 8),
+            layers: vec![conv3x3(&name("c1"), 3, 5), maxpool2x2(&name("p1")), conv3x3(&name("c2"), 5, 4)],
+        };
+        let density = DensityProfile::uniform(2, 0.5);
+        let net = Network::synthetic(spec.clone(), &SyntheticModelConfig { seed: 9, density });
+        let qnet = net.quantize(&synthetic_inputs(10, 2, spec.input));
+        let input = &synthetic_inputs(11, 1, spec.input)[0];
+        let arch = AccelArch { conv_units: 4, lanes: 4, instances: 2, bank_tiles: 4096 };
+        let session = Session::builder(AccelConfig::from_arch(&arch, 100.0)).build().expect("valid config");
+        let before = stats_memo_stats();
+        let report = run_network(session.driver(), &qnet, input, &mut Scratch::new()).expect("fits");
+        let recorded = stats_memo_stats().bytes - before.bytes;
+        let heap: usize = report
+            .layers
+            .iter()
+            .map(|l| l.name.capacity() + l.stats.per_instance_cycles.capacity() * 8 + l.stats.counters.heap_bytes())
+            .sum();
+        let least = size_of::<InferenceReport>() + report.layers.len() * size_of::<LayerReport>() + heap;
+        assert!(recorded >= least, "recorded {recorded} bytes for a report holding {least}");
     }
 }

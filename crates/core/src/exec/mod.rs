@@ -1,7 +1,7 @@
 //! Execution backends behind the driver: the staged stripe pipeline and
-//! the [`conv_pass`] / [`poolpad_pass`] dispatch onto its interchangeable
-//! targets. Both take and fill **dense** activations (the arena's plan
-//! slots); a feature map is tiled only where a staged pass is issued.
+//! the accelerator boundary (`staged`) a network walk crosses into it.
+//! A walk keeps activations **dense** (the arena's plan slots); a feature
+//! map is tiled only where a staged pass on the cycle engine is issued.
 //!
 //! The paper's accelerator stack is multi-backend in spirit — the same
 //! per-layer instructions drive a transaction-level model, a cycle-exact
@@ -9,7 +9,7 @@
 //! shape explicit:
 //!
 //! * [`pipeline`] — the staged per-layer pipeline every backend shares:
-//!   stage FM + packed weights in DDR, execute stripes (DMA in →
+//!   account the FM + packed weights into DDR, execute stripes (DMA in →
 //!   instruction batch → DMA out), collect [`PassStats`] and counters;
 //! * [`sched`] — the multi-instance placement scheduler above the
 //!   pipeline: stripe-parallel, image-parallel and layer-pipelined
@@ -18,10 +18,11 @@
 //! * `cpu` — [`BackendKind::Model`] and [`BackendKind::Cpu`], two names
 //!   for one path (the default): a network run is the golden walk (the
 //!   `zskip-nn` SIMD kernels on the per-session `Scratch` arena) plus the
-//!   report of a stats-only staged walk, whose passes issue every
-//!   instruction batch to the closed-form cycle model ([`crate::model`],
-//!   cycles and counters, no arithmetic) — paid once per (network,
-//!   config), then read from a process-wide memo;
+//!   report of a stats-only walk over the plan's steps by shape, whose
+//!   passes issue every DMA descriptor and instruction batch to the
+//!   closed-form cycle model ([`crate::model`], cycles and counters; no
+//!   byte moves, no arithmetic) — paid once per (network, config), then
+//!   read from a process-wide memo;
 //! * [`BackendKind::Cycle`] — the staged walk issuing every batch to the
 //!   cycle-exact simulation of all kernels on the `zskip-sim` engine
 //!   ([`crate::cycle`]; slow; the functional oracle for the accelerator's
@@ -37,13 +38,11 @@ pub mod pipeline;
 pub mod sched;
 pub(crate) mod stripes;
 
-pub use pipeline::{fm_to_bytes, SocHandle};
+pub use pipeline::SocHandle;
 
 use crate::driver::{Driver, DriverError};
-use crate::isa::PoolPadOp;
 use crate::report::PassStats;
-use pipeline::{fm_to_tensor_into, Exec};
-use zskip_nn::conv::QuantConvWeights;
+use pipeline::{fm_to_tensor_into, Exec, PassResult};
 use zskip_nn::par::ConvPool;
 use zskip_quant::Sm8;
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
@@ -95,13 +94,13 @@ impl std::str::FromStr for BackendKind {
     }
 }
 
-/// Per-pass execution context [`conv_pass`] / [`poolpad_pass`] run against: the
-/// driver configuration, the SoC models (DDR + DMA) shared across the
+/// Per-pass execution context the [`pipeline`] runs against: the driver
+/// configuration, the SoC models (DDR traffic + DMA) shared across the
 /// layers of one inference, and the arena's worker pool.
-pub struct PassCtx<'a> {
+pub(crate) struct PassCtx<'a> {
     /// The driver (configuration, flags, fault plan).
     pub driver: &'a Driver,
-    /// SoC context: DDR staging + DMA engine, shared across passes.
+    /// SoC context: DDR accounting + DMA engine, shared across passes.
     pub soc: &'a mut SocHandle,
     /// The session arena's intra-image worker pool, which the cycle
     /// backend spreads a pass's engine runs over.
@@ -115,42 +114,18 @@ pub struct PassCtx<'a> {
     pub dst_addr: usize,
 }
 
-/// The instruction executor the driver's backend issues a staged pass to:
-/// the one place a pass is routed to its executor. Model and cpu stage
-/// only the stats-only walk (module `cpu`), on the transaction model.
-pub(crate) fn staged_exec(driver: &Driver) -> Exec {
-    match driver.backend {
-        BackendKind::Model | BackendKind::Cpu => Exec::Model,
-        BackendKind::Cycle => Exec::Cycle,
-    }
-}
-
-/// The accelerator boundary of a staged pass, the paper's host
-/// pre-processing ("reordering of data into tiled format", §IV-C): tiles
-/// the dense `src`, runs `pass` on it and densifies its output into `dst`.
-fn staged(
-    src: &Tensor<Sm8>,
-    dst: &mut Tensor<Sm8>,
-    pass: impl FnOnce(&TiledFeatureMap<Sm8>) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError>,
-) -> Result<PassStats, DriverError> {
-    let (out, stats) = pass(&TiledFeatureMap::from_tensor(src))?;
-    fm_to_tensor_into(&out, dst);
-    Ok(stats)
-}
-
-/// Runs one convolution layer (stride 1; a `pad > 0` layer is the pad
-/// pass then the conv pass, tiled to tiled — [`pipeline`]) on the
-/// driver's executor, from one dense activation into another.
+/// The accelerator boundary of a staged pass. On the transaction model
+/// (`io` is `None`) the pass runs on `in_shape` alone. On the cycle
+/// engine it is the paper's host pre-processing ("reordering of data
+/// into tiled format", §IV-C): the dense input of `io` is tiled, `pass`
+/// runs on it and its output is densified into the dense output of `io`.
 ///
-/// The host keeps activations dense (the arena's plan slots); tiling
-/// happens here, at the accelerator boundary. Whatever the executor, a
-/// pass keeps three promises:
+/// Whatever the executor, a pass keeps three promises:
 ///
-/// * **Honest outputs.** On the cycle executor `dst` equals the golden
+/// * **Honest outputs.** On the cycle engine the output equals the golden
 ///   software reference (`QuantizedNetwork::forward_quant`) exactly; the
-///   transaction model computes no output (`dst` reads zero), so no
-///   caller takes one from it.
-/// * **Shared pipeline.** Stripe planning, DDR staging and DMA issue go
+///   transaction model computes no output, so no caller takes one from it.
+/// * **Shared pipeline.** Stripe planning, DDR accounting and DMA issue go
 ///   through [`pipeline`] so DMA traffic and injected `dma:*` faults
 ///   behave identically across backends (fault detection is
 ///   value-independent).
@@ -158,37 +133,17 @@ fn staged(
 ///   execution or a validated model of one — never fabricated.
 ///
 /// See `docs/ARCHITECTURE.md` for how to add a backend.
-///
-/// # Errors
-/// See [`Session::infer`](crate::session::Session::infer).
-pub fn conv_pass(
-    ctx: &mut PassCtx<'_>,
-    name: &str,
-    src: &Tensor<Sm8>,
-    qw: &QuantConvWeights,
-    pad: u8,
-    out_shape: Shape,
-    dst: &mut Tensor<Sm8>,
+pub(crate) fn staged(
+    in_shape: Shape,
+    io: Option<(&Tensor<Sm8>, &mut Tensor<Sm8>)>,
+    pass: impl FnOnce(Exec<'_>) -> PassResult,
 ) -> Result<PassStats, DriverError> {
-    let exec = staged_exec(ctx.driver);
-    staged(src, dst, |fm| pipeline::conv_pass(ctx, exec, name, fm, qw, pad, out_shape))
-}
-
-/// Runs one pad or max-pool pass on the driver's executor, under the same
-/// contract as [`conv_pass`].
-///
-/// # Errors
-/// See [`Session::infer`](crate::session::Session::infer).
-pub fn poolpad_pass(
-    ctx: &mut PassCtx<'_>,
-    name: &str,
-    src: &Tensor<Sm8>,
-    op: PoolPadOp,
-    out_shape: Shape,
-    dst: &mut Tensor<Sm8>,
-) -> Result<PassStats, DriverError> {
-    let exec = staged_exec(ctx.driver);
-    staged(src, dst, |fm| pipeline::poolpad_pass(ctx, exec, name, fm, op, out_shape))
+    let Some((src, dst)) = io else {
+        return Ok(pass(Exec::Model(in_shape))?.1);
+    };
+    let (out, stats) = pass(Exec::Cycle(&TiledFeatureMap::from_tensor(src)))?;
+    fm_to_tensor_into(&out.expect("the cycle engine reads its output back"), dst);
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
-//! The staged per-layer pipeline shared by every backend
-//! ([`crate::exec::conv_pass`] routes each pass into it).
+//! The staged per-layer pipeline shared by every backend (the driver's
+//! network walks and its single-layer entry points route each pass into
+//! it).
 //!
 //! One accelerator pass always runs the same stages, whatever executes
 //! the arithmetic:
 //!
-//! 1. **stage** — serialize the tiled input FM and the packed group
-//!    weights into the DDR model;
+//! 1. **stage** — account the writes of the tiled input FM and the packed
+//!    group weights into the DDR model;
 //! 2. **stripe** — for each planned stripe: DMA the IFM rows into banks,
 //!    preload the scratchpad weights, issue the instruction batch to the
 //!    instruction executor, then DMA the OFM rows back out;
@@ -13,12 +14,15 @@
 //!    counters into a [`PassStats`].
 //!
 //! Because stripe plans, DMA descriptor sequences and instruction
-//! streams are value-independent, two backends running this pipeline on
+//! streams are value-independent, two executors running this pipeline on
 //! the same layer observe identical DDR traffic, identical injected DMA
 //! faults and (for the closed-form executor) identical cycle counts —
-//! the invariant `tests/backend_equivalence.rs` locks down.
+//! the invariant `tests/backend_equivalence.rs` locks down. Only the
+//! cycle engine moves bytes (`Exec`): the transaction model issues the
+//! same descriptors by shape alone, with no bank and no output map.
 
 use crate::bank::BankSet;
+use crate::config::AccelConfig;
 use crate::cycle;
 use crate::driver::{Driver, DriverError};
 use crate::exec::PassCtx;
@@ -36,7 +40,8 @@ use zskip_quant::grouping::FilterGrouping;
 use zskip_quant::Sm8;
 use zskip_sim::Counters;
 use zskip_soc::ddr::DdrModel;
-use zskip_soc::dma::{DmaController, TILE_BYTES};
+use zskip_soc::dma::DmaDirection::{self, BankToDdr, DdrToBank};
+use zskip_soc::dma::{BankGeometry, DataPlane, DmaController, DmaDescriptor, TILE_BYTES};
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap, TILE_DIM};
 
 /// DDR feature-map region stride: each execution-plan slot owns one
@@ -68,17 +73,14 @@ pub fn slot_addr(slot: usize) -> usize {
     addr
 }
 
-/// Mutable SoC context threaded through a network run: the DDR model and
-/// the DMA engine the staged pipeline moves feature maps with. Opaque to
-/// callers; created per inference by the driver, or explicitly for the
-/// single-pass benchmarking entry points ([`Driver::conv_pass`]).
+/// Mutable SoC context threaded through a network run: the DDR traffic
+/// and timing model and the DMA engine the staged pipeline issues its
+/// descriptors to. Opaque to callers; created per inference by the
+/// driver, or explicitly for the single-pass benchmarking entry points
+/// ([`Driver::conv_pass`]).
 pub struct SocHandle {
     pub(crate) ddr: DdrModel,
     pub(crate) dma: DmaController,
-    /// Reused serialization buffer for staging FMs into DDR: grows to the
-    /// largest FM of the network on the first image, then stops
-    /// allocating (the DDR-staging analogue of the `Scratch` arena).
-    staging: Vec<u8>,
 }
 
 impl SocHandle {
@@ -93,27 +95,12 @@ impl SocHandle {
         if let Some(plan) = plan {
             dma.set_fault_plan(plan);
         }
-        SocHandle { ddr: DdrModel::new(DDR_BYTES), dma, staging: Vec::new() }
+        SocHandle { ddr: DdrModel::new(DDR_BYTES), dma }
     }
 
     /// Total DDR traffic so far (reads + writes), in bytes.
     pub(crate) fn ddr_bytes(&self) -> u64 {
         self.ddr.bytes_read() + self.ddr.bytes_written()
-    }
-
-    /// Serializes a tiled FM and writes it to DDR at `addr`, reusing the
-    /// handle's staging buffer (allocation-free once warmed). The byte
-    /// image and DDR traffic are identical to
-    /// [`fm_to_bytes`] + `write_block`.
-    fn stage_fm(&mut self, addr: usize, fm: &TiledFeatureMap<Sm8>) {
-        self.staging.clear();
-        self.staging.reserve(fm.tile_count() * TILE_BYTES);
-        for t in fm.as_tiles() {
-            for v in t.as_array() {
-                self.staging.push(v.to_bits());
-            }
-        }
-        self.ddr.write_block(addr, &self.staging);
     }
 }
 
@@ -123,22 +110,10 @@ impl Default for SocHandle {
     }
 }
 
-/// Serializes a tiled FM into the DDR byte image (channel-major,
-/// row-major tiles, 16 bytes per tile).
-pub fn fm_to_bytes(fm: &TiledFeatureMap<Sm8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(fm.tile_count() * TILE_BYTES);
-    for t in fm.as_tiles() {
-        for v in t.as_array() {
-            out.push(v.to_bits());
-        }
-    }
-    out
-}
-
 /// Densifies a tiled FM into `out` at its logical extent, reusing the
 /// allocation (the inverse of [`TiledFeatureMap::from_tensor`], which
 /// re-zeroes the round-up region on the way back): the readback half of
-/// the accelerator boundary in [`crate::exec::conv_pass`].
+/// the accelerator boundary in `exec::staged`.
 pub(crate) fn fm_to_tensor_into(fm: &TiledFeatureMap<Sm8>, out: &mut Tensor<Sm8>) {
     let s = fm.logical_shape();
     out.reset(s.c, s.h, s.w);
@@ -230,71 +205,91 @@ fn packed_groups(driver: &Driver, qw: &QuantConvWeights) -> Arc<PackedLayerWeigh
     )
 }
 
-/// Which instruction executor a staged pass issues its batches to.
+/// Which instruction executor a staged pass issues its batches to, with
+/// the input feature map it reads.
 ///
 /// This is the *only* point where backends diverge inside the pipeline;
-/// everything else (staging, striping, DMA) is shared.
+/// everything else (striping, DDR accounting, DMA descriptors, weight
+/// preloads) is shared.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Exec {
-    /// Transaction-level model: closed-form cycles and counters only —
-    /// the banks are left as the DMA filled them, so the pass's output
-    /// map reads zero.
-    Model,
-    /// Cycle-exact simulation of all kernels, bank contents included.
-    Cycle,
+pub(crate) enum Exec<'a> {
+    /// Transaction-level model, on the input's shape alone: every DMA
+    /// descriptor is validated and counted, every instruction batch
+    /// costed in closed form; no byte moves, no bank is built and the
+    /// pass has no output map.
+    Model(Shape),
+    /// Cycle-exact simulation of all kernels: the input's tiles are DMAed
+    /// into banks, the engine runs on them and the host reads the OFM
+    /// back out of the banks.
+    Cycle(&'a TiledFeatureMap<Sm8>),
 }
 
-impl Exec {
-    /// Executes an instruction batch on `banks` (the resident IFM stripe
-    /// in, the OFM beside it out), returning its cycles.
-    ///
-    /// `groups` carries the weights of each conv instruction, in stream
-    /// order. The model costs them in place and leaves `banks` untouched.
-    /// The cycle backend simulates
-    /// the batch one instruction per engine run on `pool`'s participants
-    /// ([`cycle::run_items`]; bit-identical at any width), each run's
-    /// scratchpad its own group's byte stream at `wgt_base` 0, which its
-    /// data-staging kernels consume like the hardware. Under a fault plan
-    /// the batch stays one run — `fifo:` triggers are cycles of it — over
-    /// the groups' streams back to back, where the batch's `wgt_base`
-    /// fields point.
-    fn run(
-        &self,
-        driver: &Driver,
-        pool: Option<&ConvPool>,
-        banks: &mut BankSet,
-        instrs: &[Instruction],
-        groups: &[GroupWeights<'_>],
-        counters: &mut Counters,
-    ) -> Result<u64, DriverError> {
+impl<'a> Exec<'a> {
+    fn shape(&self) -> Shape {
         match self {
-            Exec::Model => Ok(model::run(&driver.config, instrs, groups, counters).cycles),
-            Exec::Cycle => {
-                let opts = cycle::RunOptions { fault_plan: driver.fault_plan.clone(), ..Default::default() };
-                let items = if opts.fault_plan.is_some() {
-                    let scratchpad = groups.iter().map(GroupWeights::as_bytes).collect::<Vec<_>>().concat();
-                    vec![cycle::WorkItem { instrs: instrs.to_vec(), scratchpad: scratchpad.into() }]
-                } else {
-                    let mut groups = groups.iter();
-                    instrs
-                        .iter()
-                        .map(|instr| match *instr {
-                            Instruction::Conv(conv) => cycle::WorkItem {
-                                instrs: vec![Instruction::Conv(ConvInstr { wgt_base: 0, ..conv })],
-                                scratchpad: groups.next().expect("one group per conv instruction").as_bytes().into(),
-                            },
-                            poolpad => cycle::WorkItem { instrs: vec![poolpad], scratchpad: Default::default() },
-                        })
-                        .collect()
-                };
-                let outcome =
-                    cycle::run_items(&driver.config, banks, &items, pool, &opts).map_err(DriverError::Sim)?;
-                counters.merge(&outcome.counters);
-                Ok(outcome.cycles)
-            }
+            Exec::Model(shape) => *shape,
+            Exec::Cycle(map) => map.logical_shape(),
+        }
+    }
+
+    /// The input map the DMA moves (`None` on the model).
+    fn input(&self) -> Option<&'a TiledFeatureMap<Sm8>> {
+        match self {
+            Exec::Model(_) => None,
+            Exec::Cycle(map) => Some(map),
         }
     }
 }
+
+/// Executes an instruction batch, returning its cycles: on the cycle
+/// engine over `banks` (the resident IFM stripe in, the OFM beside it
+/// out), on the transaction model — `banks` is `None` — in closed form.
+///
+/// `groups` carries the weights of each conv instruction, in stream
+/// order. The model costs them in place. The cycle backend simulates
+/// the batch one instruction per engine run on `pool`'s participants
+/// ([`cycle::run_items`]; bit-identical at any width), each run's
+/// scratchpad its own group's byte stream at `wgt_base` 0, which its
+/// data-staging kernels consume like the hardware. Under a fault plan
+/// the batch stays one run — `fifo:` triggers are cycles of it — over
+/// the groups' streams back to back, where the batch's `wgt_base`
+/// fields point.
+fn execute(
+    driver: &Driver,
+    pool: Option<&ConvPool>,
+    banks: Option<&mut BankSet>,
+    instrs: &[Instruction],
+    groups: &[GroupWeights<'_>],
+    counters: &mut Counters,
+) -> Result<u64, DriverError> {
+    let Some(banks) = banks else {
+        return Ok(model::run(&driver.config, instrs, groups, counters));
+    };
+    let opts = cycle::RunOptions { fault_plan: driver.fault_plan.clone(), ..Default::default() };
+    let items = if opts.fault_plan.is_some() {
+        let scratchpad = groups.iter().map(GroupWeights::as_bytes).collect::<Vec<_>>().concat();
+        vec![cycle::WorkItem { instrs: instrs.to_vec(), scratchpad: scratchpad.into() }]
+    } else {
+        let mut groups = groups.iter();
+        instrs
+            .iter()
+            .map(|instr| match *instr {
+                Instruction::Conv(conv) => cycle::WorkItem {
+                    instrs: vec![Instruction::Conv(ConvInstr { wgt_base: 0, ..conv })],
+                    scratchpad: groups.next().expect("one group per conv instruction").as_bytes().into(),
+                },
+                poolpad => cycle::WorkItem { instrs: vec![poolpad], scratchpad: Default::default() },
+            })
+            .collect()
+    };
+    let outcome = cycle::run_items(&driver.config, banks, &items, pool, &opts).map_err(DriverError::Sim)?;
+    counters.merge(&outcome.counters);
+    Ok(outcome.cycles)
+}
+
+/// A staged pass's result: the output map (the cycle engine's; `None` on
+/// the transaction model) and its statistics.
+pub(crate) type PassResult = Result<(Option<TiledFeatureMap<Sm8>>, PassStats), DriverError>;
 
 /// Runs one staged convolution layer (stride 1), tiled in and tiled out.
 /// `ctx.src_addr`/`ctx.dst_addr` are the DDR regions the input is staged
@@ -307,38 +302,41 @@ impl Exec {
 /// intermediate. Their statistics merge pad first.
 pub(crate) fn conv_pass(
     ctx: &mut PassCtx<'_>,
-    exec: Exec,
+    exec: Exec<'_>,
     name: &str,
-    input: &TiledFeatureMap<Sm8>,
     qw: &QuantConvWeights,
     pad: u8,
     out_shape: Shape,
-) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
+) -> PassResult {
     if pad == 0 {
-        return conv_stripes(ctx, exec, name, input, qw, out_shape);
+        return conv_stripes(ctx, exec, name, qw, out_shape);
     }
-    let (s, p) = (input.logical_shape(), usize::from(pad));
+    let (s, p) = (exec.shape(), usize::from(pad));
     let dst_addr = std::mem::replace(&mut ctx.dst_addr, DDR_FM_PAD);
     let padded_shape = Shape::new(s.c, s.h + 2 * p, s.w + 2 * p);
     let op = PoolPadOp::Pad { amount: pad };
-    let (padded, mut stats) = poolpad_pass(ctx, exec, &format!("{name}/pad"), input, op, padded_shape)?;
+    let (padded, mut stats) = poolpad_pass(ctx, exec, &format!("{name}/pad"), op, padded_shape)?;
     (ctx.src_addr, ctx.dst_addr) = (DDR_FM_PAD, dst_addr);
-    let (out, conv) = conv_stripes(ctx, exec, name, &padded, qw, out_shape)?;
+    let exec = padded.as_ref().map_or(Exec::Model(padded_shape), Exec::Cycle);
+    let (out, conv) = conv_stripes(ctx, exec, name, qw, out_shape)?;
     stats.merge(&conv);
     Ok((out, stats))
+}
+
+/// Tile rows and tile columns of a map of `shape`.
+fn tile_grid(shape: Shape) -> (usize, usize) {
+    (shape.h.div_ceil(TILE_DIM), shape.w.div_ceil(TILE_DIM))
 }
 
 /// One staged convolution pass over an already padded input.
 fn conv_stripes(
     ctx: &mut PassCtx<'_>,
-    exec: Exec,
+    exec: Exec<'_>,
     name: &str,
-    input: &TiledFeatureMap<Sm8>,
     qw: &QuantConvWeights,
     out_shape: Shape,
-) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    let (driver, pool, src_addr, dst_addr) = (ctx.driver, ctx.pool, ctx.src_addr, ctx.dst_addr);
-    let soc = &mut *ctx.soc;
+) -> PassResult {
+    let (driver, pool) = (ctx.driver, ctx.pool);
     // Optional future-work filter grouping: reorder output channels by
     // non-zero count so lockstep lanes balance; un-permuted on output.
     let grouping = if driver.filter_grouping {
@@ -355,11 +353,10 @@ fn conv_stripes(
         qw
     };
 
-    let in_rows = input.tiles_y();
-    let out = TiledFeatureMap::<Sm8>::zeros(out_shape);
-    let out_rows = out.tiles_y();
-    let words_in = input.channels().div_ceil(4) * input.tiles_x();
-    let words_out = out_shape.c.div_ceil(4) * out.tiles_x();
+    let in_shape = exec.shape();
+    let ((in_rows, in_tiles_x), (out_rows, out_tiles_x)) = (tile_grid(in_shape), tile_grid(out_shape));
+    let words_in = in_shape.c.div_ceil(4) * in_tiles_x;
+    let words_out = out_shape.c.div_ceil(4) * out_tiles_x;
     let stripes =
         super::stripes::plan_stripes(name, None, out_rows, in_rows, words_in, words_out, driver.config.bank_tiles)?;
 
@@ -372,16 +369,17 @@ fn conv_stripes(
         return Err(DriverError::Unsupported { layer: name.to_string(), reason });
     }
 
-    // Stage activations and packed weights in DDR. Under a filter
-    // grouping the permuted layer is image-local, so it bypasses the
-    // shared cache (its fingerprint would be recomputed per image anyway).
-    soc.stage_fm(src_addr, input);
+    // Stage activations and packed weights in DDR: the host's writes, as
+    // traffic. Under a filter grouping the permuted layer is image-local,
+    // so it bypasses the shared cache (its fingerprint would be
+    // recomputed per image anyway).
+    ctx.soc.ddr.write_block(ctx.src_addr, in_shape.c * in_rows * in_tiles_x * TILE_BYTES);
     let packed = if grouping.is_some() {
         Arc::new(PackedLayerWeights::build(qw, driver.config.lanes, driver.zero_skipping))
     } else {
         packed_groups(driver, qw)
     };
-    soc.ddr.write_block(DDR_WEIGHTS, &packed.image);
+    ctx.soc.ddr.write_block(DDR_WEIGHTS, packed.image.len());
 
     let mut stats = PassStats {
         per_instance_cycles: vec![0; driver.config.instances],
@@ -390,7 +388,8 @@ fn conv_stripes(
             / in_rows.max(1) as f64,
         ..Default::default()
     };
-    let mut out_fm = out;
+    // The cycle engine's output map and, per stripe part, its banks.
+    let mut out_fm = exec.input().map(|_| TiledFeatureMap::zeros(out_shape));
 
     // Work distribution across instances: multi-stripe layers give each
     // instance separate stripes (the paper's "each instance operates
@@ -402,14 +401,14 @@ fn conv_stripes(
     for (si, stripe) in stripes.iter().enumerate() {
         let in_layout = FmLayout {
             base: 0,
-            channels: input.channels(),
-            tiles_x: input.tiles_x(),
+            channels: in_shape.c,
+            tiles_x: in_tiles_x,
             tile_rows: stripe.in_hi - stripe.in_lo,
         };
         let out_layout = FmLayout {
             base: in_layout.end(),
             channels: out_shape.c,
-            tiles_x: out_fm.tiles_x(),
+            tiles_x: out_tiles_x,
             tile_rows: stripe.out_b - stripe.out_a,
         };
 
@@ -421,12 +420,13 @@ fn conv_stripes(
             if group_range.is_empty() {
                 continue;
             }
-            let mut banks = BankSet::new(&driver.config);
+            let mut banks = exec.input().map(|_| BankSet::new(&driver.config));
 
             // DMA in: one descriptor per channel (replicated per part
             // when groups are split — both instances need the IFMs).
+            let data = exec.input().zip(banks.as_mut());
             stats.io_dma_cycles +=
-                dma_fm_stripe(soc, src_addr, input, stripe.in_lo..stripe.in_hi, &in_layout, &mut banks, true)?;
+                dma_fm_stripe(ctx, DdrToBank, in_shape, stripe.in_lo..stripe.in_hi, &in_layout, data)?;
 
             // Per-group: weight preload + conv instruction; `wgt_base`
             // counts the bytes preloaded before it.
@@ -435,8 +435,7 @@ fn conv_stripes(
             let mut instrs = Vec::with_capacity(group_range.len());
             for gi in group_range {
                 let (start, group) = packed.group(gi);
-                let (_, wcycles) = soc.ddr.read_block(DDR_WEIGHTS + start, group.total_bytes());
-                stats.weight_dma_cycles += wcycles;
+                stats.weight_dma_cycles += ctx.soc.ddr.read_block(DDR_WEIGHTS + start, group.total_bytes());
                 let instr = ConvInstr::for_group(
                     qw,
                     gi * driver.config.lanes,
@@ -452,51 +451,54 @@ fn conv_stripes(
             }
 
             stats.per_instance_cycles[instance] +=
-                exec.run(driver, pool, &mut banks, &instrs, &groups, &mut stats.counters)?;
+                execute(driver, pool, banks.as_mut(), &instrs, &groups, &mut stats.counters)?;
 
-            // DMA out this part's OFM channels.
-            out_layout.load_channels(
-                &banks,
-                &mut out_fm,
-                stripe.out_a..stripe.out_b,
-                (part * chunk * driver.config.lanes)
-                    ..(((part + 1) * chunk * driver.config.lanes).min(out_shape.c)),
-            );
+            // DMA out this part's OFM channels: the host reads them out
+            // of the banks, the descriptors carry the traffic.
+            if let (Some(banks), Some(out)) = (&banks, &mut out_fm) {
+                out_layout.load_channels(
+                    banks,
+                    out,
+                    stripe.out_a..stripe.out_b,
+                    (part * chunk * driver.config.lanes)
+                        ..(((part + 1) * chunk * driver.config.lanes).min(out_shape.c)),
+                );
+            }
             stats.io_dma_cycles +=
-                dma_fm_stripe(soc, dst_addr, &out_fm, stripe.out_a..stripe.out_b, &out_layout, &mut banks, false)?;
+                dma_fm_stripe(ctx, BankToDdr, out_shape, stripe.out_a..stripe.out_b, &out_layout, None)?;
         }
     }
 
     stats.finish();
-    // Tile-aligned compute fills whole tiles; cells beyond the logical
-    // extent are don't-cares that downstream boundary windows must
-    // read as zero.
-    out_fm.zero_round_up_region();
-    // Undo the grouping permutation so downstream layers see model
-    // channel order (host-side relabeling; free at DMA time).
-    if let Some(g) = &grouping {
-        out_fm = unpermute_channels(&out_fm, &g.order);
-    }
+    let out_fm = out_fm.map(|mut out| {
+        // Tile-aligned compute fills whole tiles; cells beyond the logical
+        // extent are don't-cares that downstream boundary windows must
+        // read as zero.
+        out.zero_round_up_region();
+        // Undo the grouping permutation so downstream layers see model
+        // channel order (host-side relabeling; free at DMA time).
+        match &grouping {
+            Some(g) => unpermute_channels(&out, &g.order),
+            None => out,
+        }
+    });
     Ok((out_fm, stats))
 }
 
 /// Runs one staged pad or pool pass (DDR regions as in [`conv_pass`]).
 pub(crate) fn poolpad_pass(
     ctx: &mut PassCtx<'_>,
-    exec: Exec,
+    exec: Exec<'_>,
     name: &str,
-    input: &TiledFeatureMap<Sm8>,
     op: PoolPadOp,
     out_shape: Shape,
-) -> Result<(TiledFeatureMap<Sm8>, PassStats), DriverError> {
-    let (driver, pool, src_addr, dst_addr) = (ctx.driver, ctx.pool, ctx.src_addr, ctx.dst_addr);
-    let soc = &mut *ctx.soc;
-    let in_rows = input.tiles_y();
-    let mut out_fm = TiledFeatureMap::<Sm8>::zeros(out_shape);
-    let out_rows = out_fm.tiles_y();
-    let channels = input.channels();
-    let words_in = channels.div_ceil(4) * input.tiles_x();
-    let words_out = channels.div_ceil(4) * out_fm.tiles_x();
+) -> PassResult {
+    let (driver, pool) = (ctx.driver, ctx.pool);
+    let in_shape = exec.shape();
+    let ((in_rows, in_tiles_x), (out_rows, out_tiles_x)) = (tile_grid(in_shape), tile_grid(out_shape));
+    let channels = in_shape.c;
+    let words_in = channels.div_ceil(4) * in_tiles_x;
+    let words_out = channels.div_ceil(4) * out_tiles_x;
     let stripes = super::stripes::plan_stripes(
         name,
         Some(op),
@@ -507,7 +509,8 @@ pub(crate) fn poolpad_pass(
         driver.config.bank_tiles,
     )?;
 
-    soc.stage_fm(src_addr, input);
+    // The host's write of the tiled input, as traffic.
+    ctx.soc.ddr.write_block(ctx.src_addr, channels * in_rows * in_tiles_x * TILE_BYTES);
 
     let mut stats = PassStats {
         per_instance_cycles: vec![0; driver.config.instances],
@@ -516,67 +519,77 @@ pub(crate) fn poolpad_pass(
             / in_rows.max(1) as f64,
         ..Default::default()
     };
+    let mut out_fm = exec.input().map(|_| TiledFeatureMap::zeros(out_shape));
 
     for (si, stripe) in stripes.iter().enumerate() {
         let instance = si % driver.config.instances;
-        let mut banks = BankSet::new(&driver.config);
-        let in_layout = FmLayout {
-            base: 0,
-            channels,
-            tiles_x: input.tiles_x(),
-            tile_rows: stripe.in_hi - stripe.in_lo,
-        };
+        let mut banks = exec.input().map(|_| BankSet::new(&driver.config));
+        let in_layout = FmLayout { base: 0, channels, tiles_x: in_tiles_x, tile_rows: stripe.in_hi - stripe.in_lo };
         let out_layout = FmLayout {
             base: in_layout.end(),
             channels,
-            tiles_x: out_fm.tiles_x(),
+            tiles_x: out_tiles_x,
             tile_rows: stripe.out_b - stripe.out_a,
         };
+        let data = exec.input().zip(banks.as_mut());
         stats.io_dma_cycles +=
-            dma_fm_stripe(soc, src_addr, input, stripe.in_lo..stripe.in_hi, &in_layout, &mut banks, true)?;
+            dma_fm_stripe(ctx, DdrToBank, in_shape, stripe.in_lo..stripe.in_hi, &in_layout, data)?;
 
         let instr = PoolPadInstr::for_stripe(op, &in_layout, stripe.in_lo, &out_layout, stripe.out_a)
             .map_err(|e| DriverError::field_overflow(name, e))?;
         stats.per_instance_cycles[instance] +=
-            exec.run(driver, pool, &mut banks, &[Instruction::PoolPad(instr)], &[], &mut stats.counters)?;
-        out_layout.load(&banks, &mut out_fm, stripe.out_a..stripe.out_b);
+            execute(driver, pool, banks.as_mut(), &[Instruction::PoolPad(instr)], &[], &mut stats.counters)?;
+        if let (Some(banks), Some(out)) = (&banks, &mut out_fm) {
+            out_layout.load(banks, out, stripe.out_a..stripe.out_b);
+        }
         stats.io_dma_cycles +=
-            dma_fm_stripe(soc, dst_addr, &out_fm, stripe.out_a..stripe.out_b, &out_layout, &mut banks, false)?;
+            dma_fm_stripe(ctx, BankToDdr, out_shape, stripe.out_a..stripe.out_b, &out_layout, None)?;
     }
     stats.finish();
-    out_fm.zero_round_up_region();
+    if let Some(out) = &mut out_fm {
+        out.zero_round_up_region();
+    }
     Ok((out_fm, stats))
 }
 
-/// Moves one FM stripe between DDR and banks via the DMA engine,
-/// returning the cycle cost. `to_banks` selects the direction.
+/// Moves tile rows `rows` of a FM of `shape` between the pass's DDR
+/// region for `direction` and `layout` in the banks, one descriptor per
+/// channel, returning the cycle cost. DDR→bank descriptors move the
+/// tiles of `data` (the cycle engine's input map and banks) when it is
+/// given; the rest is traffic alone — the host reads an OFM out of the
+/// banks itself.
 ///
 /// # Errors
 /// [`DriverError::Dma`]: with a well-planned stripe this only happens
 /// under injected faults (truncation, parity).
 fn dma_fm_stripe(
-    soc: &mut SocHandle,
-    ddr_base: usize,
-    fm: &TiledFeatureMap<Sm8>,
+    ctx: &mut PassCtx<'_>,
+    direction: DmaDirection,
+    shape: Shape,
     rows: std::ops::Range<usize>,
     layout: &FmLayout,
-    banks: &mut BankSet,
-    to_banks: bool,
+    data: Option<(&TiledFeatureMap<Sm8>, &mut BankSet)>,
 ) -> Result<u64, DriverError> {
-    use zskip_soc::dma::{DmaDescriptor, DmaDirection};
+    let ddr_base = match direction {
+        DdrToBank => ctx.src_addr,
+        BankToDdr => ctx.dst_addr,
+    };
+    let (fm, banks) = data.unzip();
+    let tile = |i: usize| fm.expect("a data plane has its map").as_tiles()[i].as_array().map(Sm8::to_bits);
+    let mut plane = banks.map(|banks| DataPlane { base: ddr_base, tile: &tile, banks });
+    let geometry = BankGeometry { banks: AccelConfig::BANKS, capacity: ctx.driver.config.bank_tiles };
+    let (rows_per_channel, tiles_per_row) = tile_grid(shape);
+    let soc = &mut *ctx.soc;
     let mut cycles = 0;
-    let tiles_per_row = fm.tiles_x();
-    let rows_per_channel = fm.tiles_y();
-    for c in 0..fm.channels() {
-        let ddr_addr = ddr_base + (c * rows_per_channel + rows.start) * tiles_per_row * TILE_BYTES;
+    for c in 0..shape.c {
         let desc = DmaDescriptor {
-            direction: if to_banks { DmaDirection::DdrToBank } else { DmaDirection::BankToDdr },
-            ddr_addr,
+            direction,
+            ddr_addr: ddr_base + (c * rows_per_channel + rows.start) * tiles_per_row * TILE_BYTES,
             bank: FmLayout::bank_of(c),
             bank_tile_index: layout.addr(c, 0, 0),
             tiles: rows.len() * tiles_per_row,
         };
-        cycles += soc.dma.run(&desc, &mut soc.ddr, banks).map_err(DriverError::Dma)?;
+        cycles += soc.dma.run(&desc, &mut soc.ddr, geometry, plane.as_mut()).map_err(DriverError::Dma)?;
     }
     Ok(cycles)
 }

@@ -27,10 +27,10 @@
 //!   VGG-16 sweeps;
 //! * [`exec`] — the execution-backend layer: the staged per-layer stripe
 //!   pipeline (planning under bank capacity, weight packing, instruction
-//!   generation, DMA orchestration, multi-instance scale-out), the
-//!   [`exec::conv_pass`] / [`exec::poolpad_pass`] dispatch onto the
-//!   transaction model or the cycle simulation, the model / cpu path
-//!   (the golden walk plus a memoized stats-only staged walk), and the
+//!   generation, DMA orchestration, multi-instance scale-out) on the
+//!   transaction model (shapes and traffic, no bytes) or the cycle
+//!   simulation, the model / cpu path (the golden walk plus a memoized
+//!   stats-only walk), and the
 //!   [`exec::sched`] multi-instance placement scheduler (stripe-,
 //!   image- and layer-pipelined sharding with an HLS-derived cost model);
 //! * [`driver`] — the host-side driver: layer walking, geometry checks,
@@ -84,7 +84,6 @@ pub use exec::cpu::stats_memo_stats;
 pub use exec::pipeline::weight_cache_stats;
 pub use error::Error;
 pub use exec::sched::{CostModel, Placement};
-pub use exec::PassCtx;
 pub use fault::{run_campaign, CampaignConfig, CampaignReport, TrialOutcome, TrialResult};
 pub use isa::{ConvInstr, Instruction, PoolPadInstr, PoolPadOp};
 pub use layout::FmLayout;

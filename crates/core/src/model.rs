@@ -40,15 +40,6 @@ const CONV_FIXED_CYCLES: u64 = AccelConfig::INSTR_OVERHEAD_CYCLES + 2 + 1 + 4 + 
 /// Fixed cycles per pool/pad instruction.
 const POOL_FIXED_CYCLES: u64 = AccelConfig::INSTR_OVERHEAD_CYCLES + 2 + 1 + 6;
 
-/// Outcome of the transaction-level costing of an instruction stream.
-#[derive(Debug, Clone)]
-pub struct ModelOutcome {
-    /// Estimated cycles.
-    pub cycles: u64,
-    /// Activity counters with the same definitions as the cycle backend.
-    pub counters: Counters,
-}
-
 /// Costs an instruction stream at transaction level: its cycles, with
 /// its activity counters added to `counters`. `groups[k]` is the packed
 /// weights of the `k`-th conv instruction in stream order, read in place
@@ -63,7 +54,7 @@ pub fn run(
     instructions: &[Instruction],
     groups: &[GroupWeights<'_>],
     counters: &mut Counters,
-) -> ModelOutcome {
+) -> u64 {
     let mut groups = groups.iter();
     let mut cycles = 0;
     for i in instructions {
@@ -76,8 +67,7 @@ pub fn run(
         };
     }
     // Shared per-run epilogue (shutdown propagation).
-    cycles += 4;
-    ModelOutcome { cycles, counters: counters.clone() }
+    cycles + 4
 }
 
 /// Closed-form cost of one conv instruction: its cycles and its idle
@@ -202,9 +192,11 @@ mod tests {
         cycle::run(cfg, banks, scratchpad, instrs, &Default::default()).expect("cycle run completes")
     }
 
-    /// The model on the groups parsed from `scratchpad`.
-    fn run_model(cfg: &AccelConfig, scratchpad: &[u8], instrs: &[Instruction]) -> ModelOutcome {
-        run(cfg, instrs, &parse_groups(cfg, scratchpad, instrs), &mut Counters::new())
+    /// The model on the groups parsed from `scratchpad`: its cycles and
+    /// the counters it filled.
+    fn run_model(cfg: &AccelConfig, scratchpad: &[u8], instrs: &[Instruction]) -> (u64, Counters) {
+        let mut counters = Counters::new();
+        (run(cfg, instrs, &parse_groups(cfg, scratchpad, instrs), &mut counters), counters)
     }
 
     fn random_qw(out_c: usize, in_c: usize, seed: u64, density_pct: u64) -> QuantConvWeights {
@@ -249,7 +241,7 @@ mod tests {
         let input = random_input(4, 8, 8, 3);
         let (banks, scratch, instrs) = build_conv(&cfg, &qw, &input);
         let cyc = run_cycle(&cfg, banks, &scratch, &instrs);
-        let counters = run_model(&cfg, &scratch, &instrs).counters;
+        let (_, counters) = run_model(&cfg, &scratch, &instrs);
         for key in ["macs", "weights_applied", "bubble_lanes", "ofm_tiles_written"] {
             assert_eq!(counters.get(key), cyc.counters.get(key), "counter {key}");
         }
@@ -267,10 +259,10 @@ mod tests {
         let packed: Vec<GroupWeights<'_>> =
             (0..instrs.len()).map(|g| GroupWeights::from_filters(&qw, g * cfg.lanes, cfg.lanes)).collect();
         let parsed = parse_groups(&cfg, &scratch, &instrs);
-        let from_packed = run(&cfg, &instrs, &packed, &mut Counters::new());
-        let from_parsed = run(&cfg, &instrs, &parsed, &mut Counters::new());
-        assert_eq!(from_packed.cycles, from_parsed.cycles);
-        assert_eq!(from_packed.counters, from_parsed.counters);
+        let (mut from_packed, mut from_parsed) = (Counters::new(), Counters::new());
+        let packed_cycles = run(&cfg, &instrs, &packed, &mut from_packed);
+        assert_eq!(packed_cycles, run(&cfg, &instrs, &parsed, &mut from_parsed));
+        assert_eq!(from_packed, from_parsed);
     }
 
     #[test]
@@ -281,7 +273,7 @@ mod tests {
         let (banks, scratch, instrs) = build_conv(&cfg, &qw, &input);
         let n = instrs.len();
         let sim = run_cycle(&cfg, banks, &scratch, &instrs).cycles;
-        let model = run_model(&cfg, &scratch, &instrs).cycles;
+        let (model, _) = run_model(&cfg, &scratch, &instrs);
         assert_cycles_close(model, sim, n);
     }
 
@@ -294,7 +286,7 @@ mod tests {
         let (banks, scratch, instrs) = build_conv(&cfg, &qw, &input);
         let n = instrs.len();
         let sim = run_cycle(&cfg, banks, &scratch, &instrs).cycles;
-        let model = run_model(&cfg, &scratch, &instrs).cycles;
+        let (model, _) = run_model(&cfg, &scratch, &instrs);
         assert_cycles_close(model, sim, n);
     }
 
@@ -382,12 +374,12 @@ mod tests {
             let input = random_input(in_c, h, h, seed ^ 0x55);
             let (banks, scratch, instrs) = build_conv(&cfg, &qw, &input);
             let cyc = run_cycle(&cfg, banks, &scratch, &instrs);
-            let model = run_model(&cfg, &scratch, &instrs);
+            let (model, _) = run_model(&cfg, &scratch, &instrs);
 
             // Cycle equivalence within tolerance.
-            let diff = model.cycles.abs_diff(cyc.cycles) as f64;
+            let diff = model.abs_diff(cyc.cycles) as f64;
             let tol = 0.02 * cyc.cycles as f64 + 48.0 * instrs.len() as f64;
-            prop_assert!(diff <= tol, "model {} vs sim {} (tol {:.0})", model.cycles, cyc.cycles, tol);
+            prop_assert!(diff <= tol, "model {} vs sim {} (tol {:.0})", model, cyc.cycles, tol);
         }
     }
 
@@ -414,8 +406,8 @@ mod tests {
             op: PoolPadOp::MaxPool { k: 2, stride: 2 },
         });
         let cyc = run_cycle(&cfg, banks, &[], &[instr]);
-        let model = run_model(&cfg, &[], &[instr]);
-        assert_cycles_close(model.cycles, cyc.cycles, 1);
+        let (model, _) = run_model(&cfg, &[], &[instr]);
+        assert_cycles_close(model, cyc.cycles, 1);
     }
 }
 
@@ -483,8 +475,8 @@ mod pool_proptests {
             let want = zskip_nn::pool::maxpool_quant(&input, k as usize, stride as usize);
             prop_assert_eq!(a.to_tensor().cropped(out_hw, out_hw), want);
             // Cycle tolerance.
-            let diff = model.cycles.abs_diff(cyc.cycles) as f64;
-            prop_assert!(diff <= 0.03 * cyc.cycles as f64 + 64.0, "model {} sim {}", model.cycles, cyc.cycles);
+            let diff = model.abs_diff(cyc.cycles) as f64;
+            prop_assert!(diff <= 0.03 * cyc.cycles as f64 + 64.0, "model {} sim {}", model, cyc.cycles);
         }
     }
 }

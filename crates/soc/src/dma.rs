@@ -2,9 +2,12 @@
 //! accelerator's SRAM banks over the 256-bit System I bus.
 //!
 //! In the paper this is the single hand-written RTL module; everything
-//! else is HLS-generated. Its job here is the same: move tile-formatted
-//! data in bulk, with cycle accounting, between the [`crate::DdrModel`]
-//! and whatever implements [`TileStore`] (the accelerator's banks).
+//! else is HLS-generated. Its job here is the same: validate and execute
+//! descriptors over tile-formatted data in bulk, accounting every one
+//! against the [`crate::DdrModel`]'s traffic and timing. The bytes
+//! themselves move only when the caller simulates them and hands
+//! [`DmaController::run`] a [`DataPlane`]; a caller that only counts
+//! traffic hands it none.
 
 use crate::ddr::DdrModel;
 use zskip_fault::{FaultKind, SharedFaultPlan};
@@ -12,24 +15,38 @@ use zskip_fault::{FaultKind, SharedFaultPlan};
 /// Bytes per tile word (16 values x 8-bit).
 pub const TILE_BYTES: usize = 16;
 
-/// A bank-side target for DMA transfers: indexed tile-word storage.
+/// A bank-side sink for DMA transfers: indexed tile-word storage.
 ///
 /// Implemented by the accelerator's SRAM banks in `zskip-core`.
 pub trait TileStore {
-    /// Number of banks.
-    fn banks(&self) -> usize;
-
-    /// Capacity of each bank in tile words.
-    fn bank_capacity(&self) -> usize;
-
     /// Writes one tile word.
     ///
     /// # Panics
     /// Implementations panic on out-of-range bank/index.
     fn write_tile_bytes(&mut self, bank: usize, index: usize, bytes: &[u8; TILE_BYTES]);
+}
 
-    /// Reads one tile word.
-    fn read_tile_bytes(&self, bank: usize, index: usize) -> [u8; TILE_BYTES];
+/// The bank array descriptors are validated against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankGeometry {
+    /// Number of banks.
+    pub banks: usize,
+    /// Capacity of each bank in tile words.
+    pub capacity: usize,
+}
+
+/// The data a DDR→bank descriptor moves, for a caller that simulates it:
+/// the staged DDR region, tile word by tile word, and the banks the
+/// words land in. A bank→DDR descriptor moves nothing: the host reads
+/// results out of the banks itself.
+pub struct DataPlane<'a> {
+    /// DDR address of the staged region's first tile word.
+    pub base: usize,
+    /// Tile word `i` of the staged region: the bytes at
+    /// `base + i * TILE_BYTES`.
+    pub tile: &'a dyn Fn(usize) -> [u8; TILE_BYTES],
+    /// Where the words land.
+    pub banks: &'a mut dyn TileStore,
 }
 
 /// Transfer direction.
@@ -105,12 +122,12 @@ impl std::fmt::Display for DmaError {
 
 impl std::error::Error for DmaError {}
 
-/// The DMA controller: executes descriptors, accounting System I cycles.
+/// The DMA controller: executes descriptors, each one's System I cycles
+/// accounted against the DDR model, and counts them (the `dma:xfer`
+/// fault ordinal).
 #[derive(Debug, Clone, Default)]
 pub struct DmaController {
     descriptors_run: u64,
-    tiles_moved: u64,
-    cycles: u64,
     fault_plan: Option<SharedFaultPlan>,
 }
 
@@ -128,6 +145,8 @@ impl DmaController {
     }
 
     /// Executes one descriptor synchronously, returning its cycle cost.
+    /// With a `plane`, a DDR→bank descriptor writes the plane's tile words
+    /// `(ddr_addr − base) / TILE_BYTES ..` into the banks.
     ///
     /// # Errors
     /// Returns [`DmaError`] for unaligned or out-of-range descriptors
@@ -135,21 +154,26 @@ impl DmaController {
     /// [`DmaError::Parity`] when an injected transfer fault fires (the
     /// partially moved or corrupted data has already landed, as it would
     /// in hardware).
+    ///
+    /// # Panics
+    /// Panics if the transfer exceeds the DDR region, or a DDR→bank
+    /// descriptor reads outside the plane's staged region.
     pub fn run(
         &mut self,
         desc: &DmaDescriptor,
         ddr: &mut DdrModel,
-        banks: &mut dyn TileStore,
+        banks: BankGeometry,
+        plane: Option<&mut DataPlane<'_>>,
     ) -> Result<u64, DmaError> {
         if !desc.ddr_addr.is_multiple_of(TILE_BYTES) {
             return Err(DmaError::Unaligned(desc.ddr_addr));
         }
-        if desc.bank >= banks.banks() {
+        if desc.bank >= banks.banks {
             return Err(DmaError::BadBank(desc.bank));
         }
         let end = desc.bank_tile_index + desc.tiles;
-        if end > banks.bank_capacity() {
-            return Err(DmaError::BankOverflow { index: end - 1, capacity: banks.bank_capacity() });
+        if end > banks.capacity {
+            return Err(DmaError::BankOverflow { index: end - 1, capacity: banks.capacity });
         }
 
         let fault = self.fault_plan.as_ref().and_then(|p| {
@@ -163,33 +187,20 @@ impl DmaController {
 
         let bytes = moved * TILE_BYTES;
         let cycles = match desc.direction {
-            DmaDirection::DdrToBank => {
-                let (block, cycles) = ddr.read_block(desc.ddr_addr, bytes);
-                let mut block = block.to_vec();
-                if let (Some(xor), Some(first)) = (corrupt_xor, block.first_mut()) {
-                    *first ^= xor;
-                }
-                for t in 0..moved {
-                    let mut word = [0u8; TILE_BYTES];
-                    word.copy_from_slice(&block[t * TILE_BYTES..(t + 1) * TILE_BYTES]);
-                    banks.write_tile_bytes(desc.bank, desc.bank_tile_index + t, &word);
-                }
-                cycles
-            }
-            DmaDirection::BankToDdr => {
-                let mut block = Vec::with_capacity(bytes);
-                for t in 0..moved {
-                    block.extend_from_slice(&banks.read_tile_bytes(desc.bank, desc.bank_tile_index + t));
-                }
-                if let (Some(xor), Some(first)) = (corrupt_xor, block.first_mut()) {
-                    *first ^= xor;
-                }
-                ddr.write_block(desc.ddr_addr, &block)
-            }
+            DmaDirection::DdrToBank => ddr.read_block(desc.ddr_addr, bytes),
+            DmaDirection::BankToDdr => ddr.write_block(desc.ddr_addr, bytes),
         };
+        if let (DmaDirection::DdrToBank, Some(plane)) = (desc.direction, plane) {
+            let first = (desc.ddr_addr - plane.base) / TILE_BYTES;
+            for t in 0..moved {
+                let mut word = (plane.tile)(first + t);
+                if let (0, Some(xor)) = (t, corrupt_xor) {
+                    word[0] ^= xor;
+                }
+                plane.banks.write_tile_bytes(desc.bank, desc.bank_tile_index + t, &word);
+            }
+        }
         self.descriptors_run += 1;
-        self.tiles_moved += moved as u64;
-        self.cycles += cycles;
         if moved < desc.tiles {
             return Err(DmaError::Truncated { moved, expected: desc.tiles });
         }
@@ -205,21 +216,13 @@ impl DmaController {
     pub fn descriptors_run(&self) -> u64 {
         self.descriptors_run
     }
-
-    /// Tile words moved.
-    pub fn tiles_moved(&self) -> u64 {
-        self.tiles_moved
-    }
-
-    /// Total System I cycles consumed.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const GEOMETRY: BankGeometry = BankGeometry { banks: 4, capacity: 64 };
 
     /// A simple in-memory TileStore for testing.
     struct TestBanks {
@@ -227,118 +230,68 @@ mod tests {
     }
 
     impl TestBanks {
-        fn new(banks: usize, capacity: usize) -> Self {
-            TestBanks { data: vec![vec![[0; TILE_BYTES]; capacity]; banks] }
+        fn new() -> Self {
+            TestBanks { data: vec![vec![[0; TILE_BYTES]; GEOMETRY.capacity]; GEOMETRY.banks] }
         }
     }
 
     impl TileStore for TestBanks {
-        fn banks(&self) -> usize {
-            self.data.len()
-        }
-        fn bank_capacity(&self) -> usize {
-            self.data[0].len()
-        }
         fn write_tile_bytes(&mut self, bank: usize, index: usize, bytes: &[u8; TILE_BYTES]) {
             self.data[bank][index] = *bytes;
         }
-        fn read_tile_bytes(&self, bank: usize, index: usize) -> [u8; TILE_BYTES] {
-            self.data[bank][index]
-        }
+    }
+
+    /// Tile word `i` of the staged region: every byte `i`.
+    fn ramp(i: usize) -> [u8; TILE_BYTES] {
+        [i as u8; TILE_BYTES]
+    }
+
+    fn to_bank(ddr_addr: usize, bank_tile_index: usize, tiles: usize) -> DmaDescriptor {
+        DmaDescriptor { direction: DmaDirection::DdrToBank, ddr_addr, bank: 2, bank_tile_index, tiles }
     }
 
     #[test]
-    fn ddr_to_bank_and_back_round_trips() {
+    fn ddr_to_bank_moves_the_planes_tiles_and_bank_to_ddr_only_counts() {
         let mut ddr = DdrModel::new(4096);
-        let mut banks = TestBanks::new(4, 64);
+        let mut banks = TestBanks::new();
         let mut dma = DmaController::new();
-        let payload: Vec<u8> = (0..160).map(|i| i as u8).collect();
-        ddr.write_block(0, &payload);
-
-        let c1 = dma
-            .run(
-                &DmaDescriptor {
-                    direction: DmaDirection::DdrToBank,
-                    ddr_addr: 0,
-                    bank: 2,
-                    bank_tile_index: 5,
-                    tiles: 10,
-                },
-                &mut ddr,
-                &mut banks,
-            )
-            .unwrap();
-        assert!(c1 > 0);
-        assert_eq!(banks.read_tile_bytes(2, 5)[0], 0);
-        assert_eq!(banks.read_tile_bytes(2, 6)[0], 16);
-
-        dma.run(
-            &DmaDescriptor {
-                direction: DmaDirection::BankToDdr,
-                ddr_addr: 1024,
-                bank: 2,
-                bank_tile_index: 5,
-                tiles: 10,
-            },
-            &mut ddr,
-            &mut banks,
-        )
-        .unwrap();
-        let (copy, _) = ddr.read_block(1024, 160);
-        assert_eq!(copy, &payload[..]);
+        // The region staged at 0x100; the descriptor starts 3 words in.
+        let mut plane = DataPlane { base: 0x100, tile: &ramp, banks: &mut banks };
+        let c1 = dma.run(&to_bank(0x130, 5, 10), &mut ddr, GEOMETRY, Some(&mut plane)).unwrap();
+        assert_eq!(c1, ddr.burst_cycles(160));
+        let back = DmaDescriptor { direction: DmaDirection::BankToDdr, ..to_bank(1024, 5, 10) };
+        let c2 = dma.run(&back, &mut ddr, GEOMETRY, None).unwrap();
+        assert_eq!(c2, c1);
+        assert_eq!((ddr.bytes_read(), ddr.bytes_written()), (160, 160));
         assert_eq!(dma.descriptors_run(), 2);
-        assert_eq!(dma.tiles_moved(), 20);
+        assert_eq!(banks.data[2][4], [0; TILE_BYTES]);
+        assert_eq!(banks.data[2][5], ramp(3));
+        assert_eq!(banks.data[2][14], ramp(12));
+        assert_eq!(banks.data[2][15], [0; TILE_BYTES]);
+    }
+
+    #[test]
+    fn without_a_plane_a_descriptor_is_traffic_alone() {
+        let mut ddr = DdrModel::new(4096);
+        let mut dma = DmaController::new();
+        let cycles = dma.run(&to_bank(0, 0, 10), &mut ddr, GEOMETRY, None).unwrap();
+        assert_eq!((cycles, ddr.bytes_read(), dma.descriptors_run()), (ddr.burst_cycles(160), 160, 1));
     }
 
     #[test]
     fn validation_happens_before_side_effects() {
         let mut ddr = DdrModel::new(4096);
-        let mut banks = TestBanks::new(2, 8);
         let mut dma = DmaController::new();
-        let err = dma
-            .run(
-                &DmaDescriptor {
-                    direction: DmaDirection::DdrToBank,
-                    ddr_addr: 3, // unaligned
-                    bank: 0,
-                    bank_tile_index: 0,
-                    tiles: 1,
-                },
-                &mut ddr,
-                &mut banks,
-            )
-            .unwrap_err();
+        let geometry = BankGeometry { banks: 2, capacity: 8 };
+        let err = dma.run(&to_bank(3, 0, 1), &mut ddr, geometry, None).unwrap_err();
         assert_eq!(err, DmaError::Unaligned(3));
         assert_eq!(ddr.bytes_read(), 0, "no partial transfer");
 
-        let err = dma
-            .run(
-                &DmaDescriptor {
-                    direction: DmaDirection::DdrToBank,
-                    ddr_addr: 0,
-                    bank: 5,
-                    bank_tile_index: 0,
-                    tiles: 1,
-                },
-                &mut ddr,
-                &mut banks,
-            )
-            .unwrap_err();
+        let err = dma.run(&DmaDescriptor { bank: 5, ..to_bank(0, 0, 1) }, &mut ddr, geometry, None).unwrap_err();
         assert_eq!(err, DmaError::BadBank(5));
 
-        let err = dma
-            .run(
-                &DmaDescriptor {
-                    direction: DmaDirection::DdrToBank,
-                    ddr_addr: 0,
-                    bank: 0,
-                    bank_tile_index: 6,
-                    tiles: 4,
-                },
-                &mut ddr,
-                &mut banks,
-            )
-            .unwrap_err();
+        let err =
+            dma.run(&DmaDescriptor { bank: 0, ..to_bank(0, 6, 4) }, &mut ddr, geometry, None).unwrap_err();
         assert_eq!(err, DmaError::BankOverflow { index: 9, capacity: 8 });
         assert_eq!(dma.descriptors_run(), 0);
     }
@@ -347,76 +300,53 @@ mod tests {
     fn injected_truncation_moves_partial_data_and_errors() {
         use zskip_fault::{FaultKind, FaultPlan};
         let mut ddr = DdrModel::new(4096);
-        let mut banks = TestBanks::new(1, 64);
+        let mut banks = TestBanks::new();
         let mut dma = DmaController::new();
         let plan = FaultPlan::new()
             .inject("dma:xfer", 1, FaultKind::DmaTruncate { tiles: 3 })
             .shared();
         dma.set_fault_plan(plan.clone());
-        let payload: Vec<u8> = (0..160).map(|i| i as u8).collect();
-        ddr.write_block(0, &payload);
-        let desc = DmaDescriptor {
-            direction: DmaDirection::DdrToBank,
-            ddr_addr: 0,
-            bank: 0,
-            bank_tile_index: 0,
-            tiles: 10,
-        };
+        let mut plane = DataPlane { base: 0, tile: &ramp, banks: &mut banks };
+        let desc = to_bank(0, 0, 10);
         // Descriptor 0 is healthy (trigger ordinal is 1).
-        dma.run(&desc, &mut ddr, &mut banks).unwrap();
-        let err = dma.run(&desc, &mut ddr, &mut banks).unwrap_err();
+        dma.run(&desc, &mut ddr, GEOMETRY, None).unwrap();
+        let err = dma.run(&desc, &mut ddr, GEOMETRY, Some(&mut plane)).unwrap_err();
         assert_eq!(err, DmaError::Truncated { moved: 3, expected: 10 });
         // The three moved tiles landed; the device reports the shortfall.
-        assert_eq!(banks.read_tile_bytes(0, 2)[0], 32);
+        assert_eq!(banks.data[2][2], ramp(2));
+        assert_eq!(banks.data[2][3], [0; TILE_BYTES]);
+        assert_eq!(ddr.bytes_read(), 160 + 48, "the short transfer's bytes");
         assert_eq!(dma.descriptors_run(), 2);
         assert_eq!(plan.lock().unwrap().fired().len(), 1);
         // One-shot: the next descriptor is healthy again.
-        dma.run(&desc, &mut ddr, &mut banks).unwrap();
+        dma.run(&desc, &mut ddr, GEOMETRY, None).unwrap();
     }
 
     #[test]
     fn injected_corruption_trips_parity() {
         use zskip_fault::{FaultKind, FaultPlan};
         let mut ddr = DdrModel::new(4096);
-        let mut banks = TestBanks::new(1, 64);
+        let mut banks = TestBanks::new();
         let mut dma = DmaController::new();
         dma.set_fault_plan(
             FaultPlan::new().inject("dma:xfer", 0, FaultKind::DmaCorrupt { xor: 0x80 }).shared(),
         );
-        ddr.write_block(0, &[0x01; 32]);
-        let desc = DmaDescriptor {
-            direction: DmaDirection::DdrToBank,
-            ddr_addr: 0,
-            bank: 0,
-            bank_tile_index: 0,
-            tiles: 2,
-        };
-        let err = dma.run(&desc, &mut ddr, &mut banks).unwrap_err();
+        let mut plane = DataPlane { base: 0, tile: &|_| [0x01; TILE_BYTES], banks: &mut banks };
+        let err = dma.run(&to_bank(0, 0, 2), &mut ddr, GEOMETRY, Some(&mut plane)).unwrap_err();
         assert_eq!(err, DmaError::Parity { tile: 0 });
         // The corrupted byte landed before the parity check rejected it.
-        assert_eq!(banks.read_tile_bytes(0, 0)[0], 0x81);
-        assert_eq!(banks.read_tile_bytes(0, 1)[0], 0x01);
+        assert_eq!(banks.data[2][0][..2], [0x81, 0x01]);
+        assert_eq!(banks.data[2][1][0], 0x01);
     }
 
     #[test]
     fn bulk_transfers_amortize() {
         let mut ddr = DdrModel::new(1 << 20);
-        let mut banks = TestBanks::new(1, 4096);
         let mut dma = DmaController::new();
-        let one = dma
-            .run(
-                &DmaDescriptor { direction: DmaDirection::DdrToBank, ddr_addr: 0, bank: 0, bank_tile_index: 0, tiles: 1 },
-                &mut ddr,
-                &mut banks,
-            )
-            .unwrap();
-        let many = dma
-            .run(
-                &DmaDescriptor { direction: DmaDirection::DdrToBank, ddr_addr: 0, bank: 0, bank_tile_index: 0, tiles: 1000 },
-                &mut ddr,
-                &mut banks,
-            )
-            .unwrap();
+        let geometry = BankGeometry { banks: 1, capacity: 4096 };
+        let desc = |tiles| DmaDescriptor { bank: 0, ..to_bank(0, 0, tiles) };
+        let one = dma.run(&desc(1), &mut ddr, geometry, None).unwrap();
+        let many = dma.run(&desc(1000), &mut ddr, geometry, None).unwrap();
         assert!((many as f64) < (one as f64) * 1000.0 / 10.0, "one={one} many={many}");
     }
 }

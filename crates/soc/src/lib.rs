@@ -14,7 +14,8 @@
 //! * [`avalon`] — the memory-mapped bus: address-ranged slaves, routing,
 //!   transaction/wait-state statistics;
 //! * [`csr`] — the accelerator's and DMA's control/status register maps;
-//! * [`ddr`] — a DDR4 bandwidth/latency model backing the FPGA banks;
+//! * [`ddr`] — a DDR4 traffic and bandwidth/latency model behind the FPGA
+//!   banks (it keeps no bytes);
 //! * [`dma`] — the descriptor-driven DMA engine (the one hand-written RTL
 //!   module in the paper);
 //! * [`host`] — the embedded-ARM host: issues CSR writes, polls status,
@@ -29,5 +30,5 @@ pub mod host;
 pub use avalon::{AvalonBus, BusError, MmSlave, SlaveHandle, BUS_TIMEOUT_CYCLES};
 pub use csr::{AccelCsr, CsrFile, DMA_CSR_BASE, ACCEL_CSR_BASE};
 pub use ddr::DdrModel;
-pub use dma::{DmaController, DmaDescriptor, DmaDirection, DmaError, TileStore};
+pub use dma::{BankGeometry, DataPlane, DmaController, DmaDescriptor, DmaDirection, DmaError, TileStore};
 pub use host::{DeviceFault, HostCpu, HostError};

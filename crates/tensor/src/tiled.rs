@@ -138,23 +138,6 @@ impl<T: Copy + Default> TiledFeatureMap<T> {
         }
     }
 
-    /// Fetches the 2x2 block of tiles anchored at tile `(ty, tx)` as an 8x8
-    /// row-major region. This is exactly the four contiguous IFM tiles the
-    /// convolution unit holds while applying one weight tile (paper Fig. 4a:
-    /// tiles A, B, C, D).
-    pub fn quad_region(&self, c: usize, ty: usize, tx: usize) -> [T; 8 * 8] {
-        let mut out = [T::default(); 64];
-        for (oy, ox) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-            let tile = self.tile_or_zero(c, (ty + oy) as isize, (tx + ox) as isize);
-            for y in 0..TILE_DIM {
-                for x in 0..TILE_DIM {
-                    out[(oy * TILE_DIM + y) * 8 + ox * TILE_DIM + x] = tile[(y, x)];
-                }
-            }
-        }
-        out
-    }
-
     /// Zeroes every cell beyond the logical extent (the round-up region).
     ///
     /// Tile-aligned producers (convolution, pooling) compute whole tiles,
@@ -235,31 +218,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn quad_region_assembles_2x2_block() {
-        // 8x8 single channel: tiles (0,0),(0,1),(1,0),(1,1).
-        let t = Tensor::from_fn(1, 8, 8, |_, y, x| (y * 8 + x) as i32);
-        let tiled = TiledFeatureMap::from_tensor(&t);
-        let region = tiled.quad_region(0, 0, 0);
-        for y in 0..8 {
-            for x in 0..8 {
-                assert_eq!(region[y * 8 + x], (y * 8 + x) as i32);
-            }
-        }
-    }
-
-    #[test]
-    fn quad_region_zero_fills_beyond_edge() {
-        let t = Tensor::from_fn(1, 4, 4, |_, y, x| (y * 4 + x) as i32 + 1);
-        let tiled = TiledFeatureMap::from_tensor(&t);
-        let region = tiled.quad_region(0, 0, 0);
-        // Top-left 4x4 is data; rest is zero-filled.
-        assert_eq!(region[0], 1);
-        assert_eq!(region[3 * 8 + 3], 16);
-        assert_eq!(region[4 * 8], 0);
-        assert_eq!(region[7 * 8 + 7], 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use zskip::accel::{
     AccelConfig, BackendKind, DriverError, Error, InferenceReport, PassStats, PoolPadOp, Session,
     SessionBuilder, SocHandle,
 };
-use zskip::fault::{FaultKind, FaultPlan};
+use zskip::fault::{FaultKind, FaultPlan, FiredFault};
 use zskip::hls::AccelArch;
 use zskip::nn::conv::conv2d_quant_dense;
 use zskip::nn::eltwise::{add_quant, global_avgpool_quant_into};
@@ -454,29 +454,61 @@ fn residual_fixture(seed: u64) -> (QuantizedNetwork, Tensor<f32>) {
 
 /// The DAG plan walk must not change fault equivalence: on a residual
 /// network, one injected DMA fault surfaces as the same structured error
-/// with the same stable code on every backend.
+/// on every backend.
 #[test]
 fn transient_dma_faults_surface_identically_on_dag_networks() {
     let (qnet, input) = residual_fixture(21);
-    for (kind, want_code) in [
-        (FaultKind::DmaTruncate { tiles: 1 }, "dma.truncated"),
-        (FaultKind::DmaCorrupt { xor: 0x40 }, "dma.parity"),
-    ] {
-        for at in [0, 2, 7] {
-            let mut codes = Vec::new();
-            for backend in BackendKind::ALL {
-                let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
-                let session = Session::builder(config(4096, 1))
-                    .backend(backend)
-                    .fault_plan(plan.clone())
-                    .build()
-                    .expect("valid config");
-                let err = session.infer(&qnet, &input).unwrap_err();
+    assert_dma_faults_surface_identically(&qnet, &input);
+}
+
+/// One image on `backend` with a `kind` fault injected at `dma:xfer`
+/// ordinal `at`: its result and the plan's fired log.
+fn faulted_run(
+    backend: BackendKind,
+    qnet: &QuantizedNetwork,
+    input: &Tensor<f32>,
+    at: u64,
+    kind: FaultKind,
+) -> (Result<(), Error>, Vec<FiredFault>) {
+    let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
+    let session = Session::builder(config(4096, 1))
+        .backend(backend)
+        .fault_plan(plan.clone())
+        .build()
+        .expect("valid config");
+    let result = session.infer(qnet, input).map(|_| ());
+    let fired = plan.lock().unwrap().fired().to_vec();
+    (result, fired)
+}
+
+/// Each fault kind at the first descriptors and at the image's last one
+/// (one below the first ordinal a fault no longer reaches): the same
+/// error value — `Truncated { moved, expected }`, `Parity { tile }` — and
+/// the same fired log on every backend.
+fn assert_dma_faults_surface_identically(qnet: &QuantizedNetwork, input: &Tensor<f32>) {
+    let truncate = FaultKind::DmaTruncate { tiles: 1 };
+    let total = (0u64..)
+        .find(|&at| faulted_run(BackendKind::Model, qnet, input, at, truncate).0.is_ok())
+        .expect("finite descriptor sequence");
+    assert!(total > 7, "ordinal 7 is reached, got {total} descriptors");
+    for (kind, want_code) in [(truncate, "dma.truncated"), (FaultKind::DmaCorrupt { xor: 0x40 }, "dma.parity")] {
+        for at in [0, 2, 7, total - 1] {
+            let runs = BackendKind::ALL.map(|backend| faulted_run(backend, qnet, input, at, kind));
+            for (backend, (result, fired)) in BackendKind::ALL.iter().zip(&runs) {
+                let err = result.as_ref().expect_err("the fault fires");
                 assert!(err.is_transient(), "{backend}: DMA faults are transient");
-                assert_eq!(plan.lock().unwrap().fired().len(), 1, "{backend}: exactly one fault fired");
-                codes.push(err.code());
+                assert_eq!(err.code(), want_code, "{backend}: fault {kind:?} at {at}");
+                let dma = match err {
+                    Error::Driver(DriverError::Dma(dma)) => dma,
+                    other => panic!("{backend}: expected a DMA error, got {other:?}"),
+                };
+                assert!(matches!(dma, DmaError::Truncated { moved: 1, .. } | DmaError::Parity { tile: 0 }), "{dma:?}");
+                assert_eq!(fired.len(), 1, "{backend}: exactly one fault fired");
+                assert_eq!(fired[0].at, at, "{backend}");
             }
-            assert_eq!(codes, vec![want_code; 3], "fault {kind:?} at {at}");
+            for (backend, run) in BackendKind::ALL.iter().zip(&runs).skip(1) {
+                assert_eq!(run, &runs[0], "{backend} vs {}: fault {kind:?} at {at}", BackendKind::ALL[0]);
+            }
         }
     }
 }
@@ -647,34 +679,13 @@ fn gops_reporting_is_consistent() {
     }
 }
 
-/// One injected DMA fault must surface as the same structured error with
-/// the same stable code on every backend: the staged pipeline issues the
-/// identical descriptor sequence, and DMA fault detection is
-/// value-independent.
+/// One injected DMA fault must surface as the same structured error on
+/// every backend: the staged pipeline issues the identical descriptor
+/// sequence, and DMA fault detection is value-independent.
 #[test]
 fn transient_dma_faults_surface_identically_across_backends() {
     let (qnet, input) = quantized(0.6, 11);
-    for (kind, want_code) in [
-        (FaultKind::DmaTruncate { tiles: 1 }, "dma.truncated"),
-        (FaultKind::DmaCorrupt { xor: 0x40 }, "dma.parity"),
-    ] {
-        for at in [0, 2, 7] {
-            let mut codes = Vec::new();
-            for backend in BackendKind::ALL {
-                let plan = FaultPlan::new().inject("dma:xfer", at, kind).shared();
-                let session = Session::builder(config(4096, 1))
-                    .backend(backend)
-                    .fault_plan(plan.clone())
-                    .build()
-                    .expect("valid config");
-                let err = session.infer(&qnet, &input).unwrap_err();
-                assert!(err.is_transient(), "{backend}: DMA faults are transient");
-                assert_eq!(plan.lock().unwrap().fired().len(), 1, "{backend}: exactly one fault fired");
-                codes.push(err.code());
-            }
-            assert_eq!(codes, vec![want_code; 3], "fault {kind:?} at {at}");
-        }
-    }
+    assert_dma_faults_surface_identically(&qnet, &input);
 }
 
 #[test]
