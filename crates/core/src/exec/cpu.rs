@@ -31,8 +31,8 @@
 //! [`Scratch`]: zskip_nn::scratch::Scratch
 
 use crate::driver::{Driver, DriverError, InferenceReport, LayerReport};
-use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
+use zskip_nn::layer::{LayerRef, LayerSpec, NetworkSpec};
 use zskip_nn::model::QuantizedNetwork;
 use zskip_nn::scratch::Scratch;
 use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
@@ -75,19 +75,35 @@ fn memo_key(driver: &Driver, qnet: &QuantizedNetwork, input: &Tensor<f32>) -> u6
         s.w,
     ];
     let fp = fields.into_iter().fold(Fingerprint::new(), |fp, v| fp.u64(v as u64));
-    let mut digest = Digest(qnet.conv.iter().fold(fp, |fp, l| fp.u64(l.weights.fingerprint())));
-    write!(digest, "{:?}", qnet.spec).expect("a digest accepts any text");
-    digest.0.finish()
+    let fp = qnet.conv.iter().fold(fp, |fp, l| fp.u64(l.weights.fingerprint()));
+    spec_fingerprint(fp, &qnet.spec).finish()
 }
 
-/// Absorbs formatted text into a [`Fingerprint`] without allocating it.
-struct Digest(Fingerprint);
-
-impl Write for Digest {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 = std::mem::take(&mut self.0).bytes(s.as_bytes());
-        Ok(())
-    }
+/// Absorbs every field of `spec`: its name and input shape, and each
+/// layer's kind, name, geometry, `relu` flag and `from` index. A string
+/// goes in after its length, so no two specs share an encoding.
+fn spec_fingerprint(fp: Fingerprint, spec: &NetworkSpec) -> Fingerprint {
+    let text = |fp: Fingerprint, s: &str| fp.u64(s.len() as u64).bytes(s.as_bytes());
+    let nums = |fp: Fingerprint, vs: &[usize]| vs.iter().fold(fp, |fp, &v| fp.u64(v as u64));
+    let from = |r: &LayerRef| match r {
+        LayerRef::Input => 0,
+        LayerRef::Layer(i) => i + 1,
+    };
+    let input = [spec.input.c, spec.input.h, spec.input.w, spec.layers.len()];
+    spec.layers.iter().fold(nums(text(fp, &spec.name), &input), |fp, layer| match layer {
+        LayerSpec::Conv { name, in_c, out_c, k, stride, pad, relu } => {
+            nums(text(fp.u64(0), name), &[*in_c, *out_c, *k, *stride, *pad, *relu as usize])
+        }
+        LayerSpec::MaxPool { name, k, stride } => nums(text(fp.u64(1), name), &[*k, *stride]),
+        LayerSpec::Fc { name, in_features, out_features, relu } => {
+            nums(text(fp.u64(2), name), &[*in_features, *out_features, *relu as usize])
+        }
+        LayerSpec::Softmax => fp.u64(3),
+        LayerSpec::Ref { name, from: r } => nums(text(fp.u64(4), name), &[from(r)]),
+        LayerSpec::Add { name, from: r, relu } => nums(text(fp.u64(5), name), &[from(r), *relu as usize]),
+        LayerSpec::GlobalAvgPool { name } => text(fp.u64(6), name),
+        LayerSpec::BatchNorm { name, relu } => nums(text(fp.u64(7), name), &[*relu as usize]),
+    })
 }
 
 /// Bytes a memoized report holds: the report and its layer list, and
@@ -186,6 +202,45 @@ mod tests {
                 assert_eq!(run.ddr_bytes, uncached.ddr_bytes, "{what}: image {i} DDR bytes");
                 assert_eq!(format!("{:?}", run.layers), format!("{:?}", uncached.layers), "{what}: image {i} layers");
             }
+        }
+    }
+
+    /// The spec's part of the memo key tells apart specs that differ in one
+    /// layer name, one stride or one `Ref` / `Add` source, and gives equal
+    /// specs equal keys.
+    #[test]
+    fn spec_fingerprint_separates_names_geometry_and_sources() {
+        let key = |spec: &NetworkSpec| spec_fingerprint(Fingerprint::new(), spec).finish();
+        let base = NetworkSpec {
+            name: "keyed".into(),
+            input: Shape::new(3, 8, 8),
+            layers: vec![
+                conv3x3("c1", 3, 4),
+                LayerSpec::Ref { name: "skip".into(), from: LayerRef::Layer(0) },
+                conv3x3("c2", 4, 4),
+                LayerSpec::Add { name: "join".into(), from: LayerRef::Layer(0), relu: true },
+                maxpool2x2("p1"),
+            ],
+        };
+        assert_eq!(key(&base), key(&base.clone()), "equal specs, equal keys");
+        type Mutation = fn(&mut Vec<LayerSpec>);
+        let mutations: [(&str, Mutation); 4] = [
+            ("a layer name", |l| l[4] = maxpool2x2("p2")),
+            ("a stride", |l| {
+                if let LayerSpec::Conv { stride, .. } = &mut l[2] {
+                    *stride = 2;
+                }
+            }),
+            ("a Ref source", |l| l[1] = LayerSpec::Ref { name: "skip".into(), from: LayerRef::Input }),
+            ("an Add source", |l| {
+                l[3] = LayerSpec::Add { name: "join".into(), from: LayerRef::Layer(1), relu: true };
+            }),
+        ];
+        for (what, mutate) in mutations {
+            let mut other = base.clone();
+            mutate(&mut other.layers);
+            assert_ne!(other, base, "{what}: the mutation changes the spec");
+            assert_ne!(key(&other), key(&base), "{what}");
         }
     }
 

@@ -31,7 +31,7 @@ use std::sync::mpsc;
 
 use super::{ServeError, ServeHandle, ServeReply, ServeStats};
 use crate::error::Error;
-use zskip_json::Json;
+use zskip_json::{Cursor, Json};
 use zskip_nn::eval::synthetic_inputs;
 use zskip_tensor::{Shape, Tensor};
 
@@ -72,16 +72,30 @@ pub struct WireError {
     pub error: ServeError,
 }
 
+/// An integer id is echoed as its decimal string, any other number as
+/// `f64` `Display` prints it.
+fn number_id(n: f64) -> String {
+    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
+    }
+}
+
 fn id_string(v: &Json) -> Option<String> {
     match v {
         Json::Str(s) => Some(s.clone()),
-        Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => Some(format!("{}", *n as i64)),
-        Json::Num(n) => Some(format!("{n}")),
+        Json::Num(n) => Some(number_id(*n)),
         _ => None,
     }
 }
 
 /// Parses one request line.
+///
+/// An accepted line builds no [`Json`] tree: one streaming pass over the
+/// request object reads `op`, `id` and `seed` and decodes `image`
+/// straight into the `f32`s of its [`WireInput::Image`]. A line that pass
+/// does not accept is read again into a tree, which names the rejection.
 ///
 /// # Errors
 /// [`ServeError::Protocol`] when the line is not JSON;
@@ -89,6 +103,102 @@ fn id_string(v: &Json) -> Option<String> {
 /// (unknown `op`, missing/ill-typed field, both or neither of
 /// `seed`/`image`).
 pub fn parse_request(line: &str) -> Result<WireRequest, WireError> {
+    match read_request(line) {
+        Some(request) => Ok(request),
+        None => tree_request(line),
+    }
+}
+
+/// The streaming reader: the request `line` encodes, or `None` when
+/// [`tree_request`] rejects it. Duplicate keys keep their last occurrence,
+/// as in [`Json::parse`]; a known field's value of the wrong type is
+/// walked as any JSON value and remembered as unusable.
+fn read_request(line: &str) -> Option<WireRequest> {
+    let mut cursor = Cursor::new(line);
+    cursor.skip_ws();
+    if cursor.peek() != Some(b'{') {
+        return None;
+    }
+    let mut id = None;
+    let mut op = None;
+    // Outer `Some`: the key is present; inner `None`: its value is unusable.
+    let mut seed: Option<Option<u64>> = None;
+    let mut image: Option<Option<Vec<f32>>> = None;
+    cursor
+        .object(|c, key| {
+            match &*key {
+                "id" => {
+                    id = match c.peek() {
+                        Some(b'"') => Some(c.string()?.into_owned()),
+                        Some(b'-' | b'0'..=b'9') => Some(number_id(c.number()?)),
+                        _ => c.value().map(|_| None)?,
+                    }
+                }
+                "op" if c.peek() == Some(b'"') => op = Some(c.string()?),
+                "op" => op = c.value().map(|_| None)?,
+                "seed" if matches!(c.peek(), Some(b'-' | b'0'..=b'9')) => {
+                    seed = Some(Json::Num(c.number()?).as_u64());
+                }
+                "seed" => seed = c.value().map(|_| Some(None))?,
+                "image" => image = Some(read_image(c)?),
+                _ => drop(c.value()?),
+            }
+            Ok(())
+        })
+        .ok()?;
+    cursor.end().ok()?;
+    match &*op? {
+        "infer" => {
+            let input = match (seed, image) {
+                (Some(seed), None) => WireInput::Seed(seed?),
+                (None, Some(image)) => WireInput::Image(image?),
+                _ => return None,
+            };
+            Some(WireRequest::Infer { id: id?, input })
+        }
+        "stats" => Some(WireRequest::Stats),
+        "shutdown" => Some(WireRequest::Shutdown),
+        _ => None,
+    }
+}
+
+/// Decodes an `image` value: its numbers rounded to `f32` (through
+/// `f64`, as a tree's `Json::Num` would be), into a vector sized once by
+/// counting the array's commas; `None` when the value is not an array of
+/// numbers.
+fn read_image(c: &mut Cursor) -> Result<Option<Vec<f32>>, zskip_json::ParseError> {
+    if c.peek() != Some(b'[') {
+        return c.value().map(|_| None);
+    }
+    let mut data = Vec::with_capacity(array_len(c.rest()));
+    let numbers = c.numbers(|v| data.push(v as f32))?;
+    Ok(numbers.then_some(data))
+}
+
+/// How many elements the array at the start of `text` holds, if it is a
+/// non-empty array of numbers: such an array has no `]` before its own,
+/// and its separators are the commas up to the first one. Counted 64
+/// bytes at a time with no early exit, which the compiler vectorizes: on
+/// a 3 072-value line that took ≈ 2 µs, a byte-at-a-time search ≈ 30 µs.
+fn array_len(text: &[u8]) -> usize {
+    // A byte counter: a block's count fits it, and byte lanes vectorize.
+    let count = |bytes: &[u8], b: u8| usize::from(bytes.iter().fold(0u8, |n, &x| n + u8::from(x == b)));
+    let mut commas = 0;
+    for block in text[1..].chunks(64) {
+        if block.iter().fold(false, |seen, &b| seen | (b == b']')) {
+            let end = block.iter().position(|&b| b == b']').unwrap_or(block.len());
+            return commas + count(&block[..end], b',') + 1;
+        }
+        commas += count(block, b',');
+    }
+    commas + 1
+}
+
+/// The tree reading of a request: the whole line into a [`Json`] value,
+/// then the fields out of it. The daemon runs it only on lines
+/// [`read_request`] refused, to name the rejection; the tests hold the
+/// streaming reader to it on every line.
+fn tree_request(line: &str) -> Result<WireRequest, WireError> {
     let json = Json::parse(line)
         .map_err(|e| WireError { id: None, error: ServeError::Protocol { message: e.to_string() } })?;
     let id = json.get("id").and_then(id_string);
@@ -139,8 +249,14 @@ pub fn parse_request(line: &str) -> Result<WireRequest, WireError> {
 /// [`ServeError::BadRequest`] when a raw image's length does not match
 /// the network input shape.
 pub fn request_tensor(input: &WireInput, shape: Shape) -> Result<Tensor<f32>, ServeError> {
+    input_tensor(input.clone(), shape)
+}
+
+/// [`request_tensor`] on an owned payload: a raw image's values move
+/// into the tensor.
+fn input_tensor(input: WireInput, shape: Shape) -> Result<Tensor<f32>, ServeError> {
     match input {
-        WireInput::Seed(seed) => Ok(synthetic_inputs(*seed, 1, shape).remove(0)),
+        WireInput::Seed(seed) => Ok(synthetic_inputs(seed, 1, shape).remove(0)),
         WireInput::Image(data) => {
             if data.len() != shape.len() {
                 return Err(ServeError::BadRequest {
@@ -152,7 +268,7 @@ pub fn request_tensor(input: &WireInput, shape: Shape) -> Result<Tensor<f32>, Se
                     ),
                 });
             }
-            Ok(Tensor::from_vec(shape.c, shape.h, shape.w, data.clone()))
+            Ok(Tensor::from_vec(shape.c, shape.h, shape.w, data))
         }
     }
 }
@@ -319,7 +435,7 @@ pub fn serve_connection<R: BufRead + Send, W: Write>(
                 }
                 match parse_request(line) {
                     Ok(WireRequest::Infer { id, input }) => {
-                        let tensor = match request_tensor(&input, input_shape) {
+                        let tensor = match input_tensor(input, input_shape) {
                             Ok(t) => t,
                             Err(e) => {
                                 summary.protocol_errors += 1;
@@ -360,13 +476,20 @@ pub fn serve_connection<R: BufRead + Send, W: Write>(
             summary
         });
         // Completion-order writer: drains until the reader and every
-        // in-flight completion have dropped their senders. On a write
-        // failure keep draining (sends never block) so the engine's
-        // callbacks stay cheap, then surface the first error.
+        // in-flight completion have dropped their senders. Every reply
+        // already queued goes out in one write. On a write failure keep
+        // draining (sends never block) so the engine's callbacks stay
+        // cheap, then surface the first error.
         let mut io_failure = None;
-        for line in rx {
+        let mut batch = Vec::new();
+        while let Ok(first) = rx.recv() {
+            batch.clear();
+            for line in std::iter::once(first).chain(rx.try_iter()) {
+                batch.extend_from_slice(line.as_bytes());
+                batch.push(b'\n');
+            }
             if io_failure.is_none() {
-                io_failure = writeln!(writer, "{line}").and_then(|()| writer.flush()).err();
+                io_failure = writer.write_all(&batch).and_then(|()| writer.flush()).err();
             }
         }
         // A reader that panicked (a bug: every parser under it is held
@@ -419,6 +542,110 @@ mod tests {
         assert!(matches!(e.error, ServeError::BadRequest { .. }));
         let e = parse_request(r#"[1,2]"#).unwrap_err();
         assert!(matches!(e.error, ServeError::BadRequest { .. }));
+    }
+
+    /// A parse result with every `f32` by its bits (`Debug` prints `-0.0`
+    /// and `0.0` apart, where `PartialEq` calls them equal) and every
+    /// error by its code and message.
+    fn verdict(r: &Result<WireRequest, WireError>) -> String {
+        match r {
+            Ok(request) => format!("{request:?}"),
+            Err(WireError { id, error }) => {
+                let e = Error::Serve(error.clone());
+                format!("{id:?} {} {e}", e.code())
+            }
+        }
+    }
+
+    /// `parse_request` against the tree oracle on one line: the same
+    /// verdict, and the streaming reader accepts exactly what the tree
+    /// accepts (so an accepted line never builds a tree).
+    fn agrees_with_the_tree(line: &str) {
+        let tree = tree_request(line);
+        assert_eq!(verdict(&parse_request(line)), verdict(&tree), "{line:?}");
+        assert_eq!(read_request(line).is_some(), tree.is_ok(), "{line:?}");
+    }
+
+    /// `tests/robustness.rs`'s hostile alphabet, plus the numbers, ids
+    /// and escaped keys a client may legitimately spell.
+    const TOKENS: [&str; 38] = [
+        "{", "}", "[", "]", ":", ",", "\"op\"", "\"infer\"", "\"stats\"", "\"shutdown\"", "\"id\"",
+        "\"seed\"", "\"image\"", "0", "-", "1e999", "18446744073709551616", "0.5", "null", "true", "\"",
+        "\\u", "\\ud800", " ", "-0", "5e-1", "0.50000000000000000001", "4.9e-324", "1E+2", "\"r1\"",
+        "\"\\u0069d\"", "\"im\\u0061ge\"", "12", "\t", "123456789012345678901234", ".", "e", "5",
+    ];
+
+    const KEYS: [&str; 8] =
+        ["op", "id", "image", "seed", "\\u0069d", "im\\u0061ge", "x", "\\u006fp"];
+
+    const VALUES: [&str; 30] = [
+        "\"infer\"", "\"stats\"", "\"shutdown\"", "\"warp\"", "\"r1\"", "\"r\\\"2\"", "12", "-0", "1.5",
+        "1e3", "9007199254740993", "[0.5,-0.25,1e-3]", "[]", "[ ]", "[ 0.5 ,\t-1,2 ]", "[1,-,2]", "[-0,5e-1,0.50000000000000000001]",
+        "[1e999,-1e999]", "[4.9e-324,1e-310,1.17549435e-38]", "[12345678901234567890123,0.1234567890123456789]",
+        "[1,\"x\"]", "[true]", "[[1]]", "[1,]", "null", "{}", "{\"image\":[1]}", "7", "18446744073709551616",
+        "\"\"",
+    ];
+
+    const SPACE: [&str; 4] = ["", " ", "\t", " \r\n "];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        /// Harness-shaped lines, mutated — keys in any order, repeated,
+        /// escaped or unknown, values of every type and spelling, spaced
+        /// out, cut short — and token soup: the streaming reader decides
+        /// what the tree decides.
+        #[test]
+        fn parse_request_matches_the_tree_oracle(
+            fields in proptest::collection::vec((0usize..KEYS.len(), 0usize..VALUES.len(), 0usize..SPACE.len()), 0..7),
+            cut in 0usize..160,
+            truncate in proptest::bool::ANY,
+            soup in proptest::collection::vec(0usize..TOKENS.len(), 0..40),
+        ) {
+            let members: Vec<String> = fields
+                .iter()
+                .map(|&(k, v, w)| format!("{w}\"{}\"{w}:{w}{}{w}", KEYS[k], VALUES[v], w = SPACE[w]))
+                .collect();
+            let mut line = format!("{{{}}}", members.join(","));
+            if truncate {
+                line.truncate(cut.min(line.len()));
+            }
+            agrees_with_the_tree(&line);
+            agrees_with_the_tree(&soup.iter().map(|&t| TOKENS[t]).collect::<String>());
+        }
+    }
+
+    #[test]
+    fn parse_request_matches_the_tree_on_harness_lines() {
+        let shape = Shape::new(3, 32, 32);
+        for seed in 0..4 {
+            let image = &synthetic_inputs(seed, 1, shape)[0];
+            let values: Vec<String> = image.as_slice().iter().map(f32::to_string).collect();
+            let line = format!("{{\"op\":\"infer\",\"id\":\"r{seed}\",\"image\":[{}]}}", values.join(","));
+            agrees_with_the_tree(&line);
+            let Ok(WireRequest::Infer { input: WireInput::Image(data), .. }) = parse_request(&line) else {
+                panic!("the harness's line is an infer request");
+            };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&data), bits(image.as_slice()), "f32 Display round-trips through the reader");
+        }
+    }
+
+    /// Every `k/256`, `k` in −256..256, spelt as `f32::to_string` spells
+    /// it (the harness client's spelling): the image holds the bits of
+    /// `str::parse::<f64>() as f32`.
+    #[test]
+    fn every_k_over_256_reads_to_the_bits_of_f64_parse_then_f32() {
+        let spelt: Vec<String> = (-256..256).map(|k| (k as f32 / 256.0).to_string()).collect();
+        let line = format!("{{\"op\":\"infer\",\"id\":1,\"image\":[{}]}}", spelt.join(","));
+        let Ok(WireRequest::Infer { input: WireInput::Image(data), .. }) = parse_request(&line) else {
+            panic!("an infer request");
+        };
+        assert_eq!(data.len(), spelt.len());
+        for (text, got) in spelt.iter().zip(&data) {
+            let want = text.parse::<f64>().expect("a float") as f32;
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
     }
 
     #[test]
@@ -533,6 +760,86 @@ garbage line
         assert!(rejection.get("error").and_then(Json::as_str).is_some_and(|e| e.contains("4194304 bytes")));
         let reply = lines.iter().find(|j| j.get("id").and_then(Json::as_str) == Some("after"));
         assert_eq!(reply.and_then(|j| j.get("ok")).and_then(Json::as_bool), Some(true), "the next request is served");
+    }
+
+    /// Opened once the connection's reader has read its whole input.
+    type Gate = Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>;
+
+    /// A request stream that opens its gate at end of input: by then the
+    /// reader has queued the reply of every line it read.
+    struct GateAtEnd<'a> {
+        bytes: &'a [u8],
+        gate: Gate,
+    }
+
+    impl std::io::Read for GateAtEnd<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = std::io::Read::read(&mut self.fill_buf()?, buf)?;
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for GateAtEnd<'_> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            if self.bytes.is_empty() {
+                *self.gate.0.lock().unwrap() = true;
+                self.gate.1.notify_all();
+            }
+            Ok(self.bytes)
+        }
+        fn consume(&mut self, n: usize) {
+            self.bytes = &self.bytes[n..];
+        }
+    }
+
+    /// Records every `write` call. The first one waits for the gate, so
+    /// every later reply is queued before the writer looks again.
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+        gate: Gate,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.writes.is_empty() {
+                let (open, opened) = &*self.gate;
+                let wait = opened.wait_timeout_while(open.lock().unwrap(), std::time::Duration::from_secs(30), |o| !*o);
+                assert!(*wait.unwrap().0, "the reader reached the end of its input");
+            }
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn replies_queued_together_leave_in_one_write_of_whole_lines() {
+        const LINES: usize = 8;
+        let qnet = Arc::new(crate::session::tests::tiny_qnet(8));
+        let config = crate::config::AccelConfig::from_arch(
+            &AccelArch { conv_units: 4, lanes: 4, instances: 1, bank_tiles: 4096 },
+            100.0,
+        );
+        let engine = ServeEngine::start(Session::builder(config).build().unwrap(), Arc::clone(&qnet));
+        let input = "{\"op\":\"stats\"}\nnot json\n".repeat(LINES / 2);
+        let gate = Gate::default();
+        let reader = GateAtEnd { bytes: input.as_bytes(), gate: Arc::clone(&gate) };
+        let mut writer = RecordingWriter { writes: Vec::new(), gate };
+        let summary = serve_connection(&engine.handle(), qnet.spec.input, reader, &mut writer).expect("io ok");
+        assert_eq!(summary.protocol_errors, LINES as u64 / 2);
+        engine.join();
+        let writes = writer.writes;
+        assert!(writes.iter().all(|w| w.ends_with(b"\n")), "every write ends on a line boundary");
+        let lines: Vec<Json> = writes
+            .iter()
+            .flat_map(|w| std::str::from_utf8(w).unwrap().lines())
+            .map(|l| Json::parse(l).expect("a whole reply per line"))
+            .collect();
+        assert_eq!(lines.len(), LINES, "one reply per request line");
+        assert!(writes.len() < LINES, "{LINES} replies queued together took {} writes", writes.len());
     }
 
     #[test]

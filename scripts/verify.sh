@@ -110,6 +110,21 @@ if printf 'this is not json\n' | timeout 120 ./target/release/zskip serve --hw 3
   echo "verify: serve must exit non-zero on a protocol error"; exit 1
 fi
 
+# Number spellings at the CLI: one raw 3 072-value image sent three times,
+# as `0.5`, as `5e-1` and as a 20-digit significand that rounds to the same
+# f64 (the request reader's fast path, its exponent path and its fallback
+# to the standard parser), must get three identical `output` arrays.
+spelt_request() {
+  # `yes` ends on SIGPIPE, which pipefail would report.
+  printf '{"op":"infer","id":"%s","image":[%s]}\n' "$1" "$(yes "$2" | head -n 3072 | paste -sd, - || true)"
+}
+spelt_out=$( { spelt_request plain 0.5; spelt_request exponent 5e-1; spelt_request long 0.50000000000000000001;
+  printf '{"op":"shutdown"}\n'; } | timeout 120 ./target/release/zskip serve --hw 32 --backend cpu)
+[ "$(printf '%s\n' "$spelt_out" | grep -c '"ok":true,"argmax"')" -eq 3 ] \
+  || { echo "verify: serve did not answer all three spellings of one image"; exit 1; }
+[ "$(printf '%s\n' "$spelt_out" | grep '"ok":true,"argmax"' | sed 's/.*"output":\(\[[^]]*\]\).*/\1/' | sort -u | wc -l)" -eq 1 ] \
+  || { echo "verify: three spellings of one image got different outputs"; exit 1; }
+
 # Multi-instance sharding pins: every placement's whole timeline (makespan,
 # per-instance busy cycles, pipeline bubbles, staging split) and per-image
 # lines must be exactly the recorded goldens — on 4 instances under each
