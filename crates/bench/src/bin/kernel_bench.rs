@@ -54,6 +54,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use rand::{RngCore, SplitMix64};
 use zskip_bench::{make_conv_layer, write_bench_artifacts};
 use zskip_core::config::AccelConfig;
 use zskip_core::{stats_memo_stats, weight_cache_stats, BackendKind, Session};
@@ -399,7 +400,7 @@ fn relu(x: &Tensor<Sm8>) -> Tensor<Sm8> {
 /// `density` of its weights non-zero, and an `in_c x hw x hw` non-negative
 /// input, a ReLU's output as a projection's input is.
 fn pointwise_layer(out_c: usize, in_c: usize, hw: usize, density: f64, seed: u64) -> (QuantConvWeights, Tensor<Sm8>) {
-    let mut rng = zskip_core::rng::SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let w = (0..out_c * in_c)
         .map(|_| {
             let h = rng.next_u64();
@@ -460,7 +461,7 @@ fn bench_shapes() -> Vec<ShapeResult> {
     // then an FC whose 512 KiB of weights stay in L2, run 64 times a
     // round, where no tier waits on memory and each runs at the rate its
     // weight decode allows (the sse2 gate's row).
-    let mut rng = zskip_core::rng::SplitMix64::new(7);
+    let mut rng = SplitMix64::new(7);
     for (layer, out_features, in_features, calls) in [("fc7-like", 4096, 4096, 1), (SSE2_GATE_SHAPE, 512, 1024, 64)] {
         let mut sm8s = |n: usize| -> Vec<Sm8> {
             (0..n).map(|_| Sm8::from_i32_saturating((rng.next_u64() % 253) as i32 - 126)).collect()

@@ -3,20 +3,20 @@
 //!
 //! Binaries:
 //! * `fig6_area` — ALM usage per accelerator module (paper Fig. 6);
-//! * `fig7_efficiency` — cycle efficiency of each variant vs. the ideal
-//!   (paper Fig. 7);
-//! * `fig8_gops` — absolute effective GOPS across variants (paper Fig. 8);
-//! * `table1_power` — power consumption and GOPS/W (paper Table I);
-//! * `all_experiments` — everything above plus the in-text numbers,
-//!   written to `experiments/` as text and JSON.
+//! * `variant_sweep` — one sweep of the four variants over both VGG-16
+//!   models, rendered as cycle efficiency vs. the ideal (paper Fig. 7),
+//!   absolute effective GOPS (paper Fig. 8) and power consumption with
+//!   GOPS/W (paper Table I);
+//! * `ablations` — the design-choice ablations.
+//!
+//! Each writes its artifacts to `experiments/` as text and JSON.
 
 use zskip_json::{Json, ToJson};
-use zskip_core::{AccelConfig, InferenceReport, Session};
+use zskip_core::{AccelConfig, InferenceReport};
 use zskip_hls::Variant;
 use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
 use zskip_nn::vgg16_spec;
 use zskip_quant::DensityProfile;
-use zskip_tensor::Tensor;
 
 /// Which VGG-16 model variant (paper §IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,17 +208,6 @@ impl SweepPoint {
     }
 }
 
-/// Runs one (variant, model) sweep point: full VGG-16, stats-only model
-/// backend (cycle counts are value-independent).
-pub fn run_sweep_point(variant: Variant, kind: ModelKind, qnet: &QuantizedNetwork) -> SweepPoint {
-    let config = AccelConfig::for_variant(variant);
-    let session =
-        Session::builder(config).functional(false).build().expect("sweep config is valid");
-    let input = Tensor::<f32>::zeros(3, 224, 224);
-    let report = session.infer(qnet, &input).expect("VGG-16 fits the planner");
-    sweep_point_from_report(variant, kind, &config, &report)
-}
-
 /// Converts an inference report into sweep data.
 pub fn sweep_point_from_report(
     variant: Variant,
@@ -251,18 +240,6 @@ pub fn sweep_point_from_report(
         macs_per_cycle: config.macs_per_cycle(),
         layers,
     }
-}
-
-/// Runs the full 4-variant x 2-model sweep of the paper's §V.
-pub fn full_sweep() -> Vec<SweepPoint> {
-    let mut out = Vec::new();
-    for kind in [ModelKind::ReducedPrecision, ModelKind::Pruned] {
-        let qnet = build_vgg16(kind);
-        for variant in Variant::all() {
-            out.push(run_sweep_point(variant, kind, &qnet));
-        }
-    }
-    out
 }
 
 /// Renders a horizontal ASCII bar.
@@ -308,7 +285,7 @@ pub fn make_conv_layer(
     density: f64,
     seed: u64,
 ) -> (zskip_nn::conv::QuantConvWeights, zskip_tensor::TiledFeatureMap<zskip_quant::Sm8>, zskip_tensor::Shape) {
-    use zskip_core::rng::SplitMix64;
+    use rand::{RngCore, SplitMix64};
     use zskip_quant::{Requantizer, Sm8};
     let n = out_c * in_c * 9;
     let mut rng = SplitMix64::new(seed);

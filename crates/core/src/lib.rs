@@ -43,12 +43,9 @@
 //! * [`serve`] — the inference serving daemon: a bounded submission
 //!   queue feeding the batch engine's resident workers, plus the
 //!   newline-delimited JSON wire protocol (`zskip serve`);
-//! * [`rng`] — the workspace-wide seeded [`SplitMix64`](rng::SplitMix64)
-//!   generator, the one idiom behind every "seeded-deterministic"
-//!   contract in the repo;
 //! * [`tune`] — the design-space autotuner (`zskip tune`): typed search
-//!   spaces over the session and HLS-variant knobs, a seeded coordinate
-//!   descent searcher, cached evaluation, and the versioned
+//!   spaces over the session and HLS-variant knobs, a sweep that scores
+//!   every point, and the versioned
 //!   [`TunedConfig`] artifact that
 //!   [`SessionBuilder::from_tuned`](session::SessionBuilder::from_tuned)
 //!   loads.
@@ -67,7 +64,6 @@ pub mod layout;
 pub mod model;
 pub mod poolpad;
 pub mod report;
-pub mod rng;
 pub mod serve;
 pub mod session;
 pub mod tune;
@@ -91,5 +87,5 @@ pub use serve::{
     RequestStats, ServeEngine, ServeError, ServeHandle, ServeReply, ServeStats,
 };
 pub use session::{BatchConfig, Session, SessionBuilder};
-pub use tune::{Provenance, SearchSpace, TuneOutcome, TunedConfig, Tuner};
+pub use tune::{Provenance, SearchSpace, TunedConfig};
 pub use weights::GroupWeights;

@@ -70,7 +70,7 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SplitMix64;
+    use zskip_fault::SplitMix64;
 
     #[test]
     fn every_value_lands_in_a_bucket_whose_midpoint_is_within_a_sixteenth() {

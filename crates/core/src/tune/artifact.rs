@@ -7,7 +7,7 @@
 //! and the CLI's `--config <file>` flag load it, and
 //! `zskip analyze --config` explains it. Serialization is canonical —
 //! field order is fixed, floats render through the shared `zskip-json`
-//! writer — so the determinism contract ("same seed + space + budget →
+//! writer — so the determinism contract ("one workload → one
 //! byte-identical artifact") holds at the byte level, not just
 //! structurally.
 
@@ -27,45 +27,28 @@ use zskip_nn::simd::KernelTier;
 /// `config.invalid` rather than guessing at field semantics. Version 1
 /// carried a `weight_cache` switch, version 2 the cycle simulator's
 /// park-hysteresis knob, version 3 the serve loop's `max_batch` and
-/// `batch_window_ms`.
-pub const ARTIFACT_VERSION: u64 = 4;
+/// `batch_window_ms`, version 4 a seeded search's `seed`, `budget`,
+/// `objective`, `searcher`, `evals` and `cache_hits` in its provenance.
+pub const ARTIFACT_VERSION: u64 = 5;
 
-/// How a [`TunedConfig`] came to be: the search that produced it and the
-/// score it measured. This build's tuner writes objective `cycles`,
-/// searcher `cd` and its space's name (`hls`); the fields stay strings so
-/// a version-4 artifact naming an objective, space or searcher an earlier
-/// build had (`latency`, `full`, `spsa`, ...) still loads.
+/// How a [`TunedConfig`] came to be: the space whose sweep picked it and
+/// the score it measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
-    /// Seed the searcher ran with.
-    pub seed: u64,
-    /// Fresh-evaluation budget the search was given.
-    pub budget: u64,
-    /// Objective name (`cycles`).
-    pub objective: String,
     /// Search-space name (`hls`, or a custom space's).
     pub space: String,
-    /// Searcher name (`cd`).
-    pub searcher: String,
-    /// Best score found (lower is better; simulated seconds under `cycles`).
+    /// The point's score: simulated seconds per image, lower is better.
     pub score: f64,
-    /// Fresh evaluations actually spent.
-    pub evals: u64,
-    /// Evaluations answered by the fingerprint cache.
-    pub cache_hits: u64,
+    /// Points the sweep scored (the space's cardinality).
+    pub points: u64,
 }
 
 impl ToJson for Provenance {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("seed", self.seed.to_json()),
-            ("budget", self.budget.to_json()),
-            ("objective", self.objective.to_json()),
             ("space", self.space.to_json()),
-            ("searcher", self.searcher.to_json()),
             ("score", self.score.to_json()),
-            ("evals", self.evals.to_json()),
-            ("cache_hits", self.cache_hits.to_json()),
+            ("points", self.points.to_json()),
         ])
     }
 }
@@ -92,7 +75,7 @@ pub struct TunedConfig {
     pub batch_workers: usize,
     /// Admission-control queue depth.
     pub queue_depth: usize,
-    /// How the search found this point; `None` for hand-written configs.
+    /// How the sweep found this point; `None` for hand-written configs.
     pub provenance: Option<Provenance>,
 }
 
@@ -134,16 +117,11 @@ impl Provenance {
             value.ok_or_else(|| invalid(format!("provenance {name} must be a string")))
         };
         Ok(Provenance {
-            seed: int("seed")?,
-            budget: int("budget")?,
-            objective: text("objective")?,
             space: text("space")?,
-            searcher: text("searcher")?,
             score: field("score")?
                 .as_f64()
                 .ok_or_else(|| invalid("provenance score must be a number"))?,
-            evals: int("evals")?,
-            cache_hits: int("cache_hits")?,
+            points: int("points")?,
         })
     }
 }
@@ -240,15 +218,6 @@ impl TunedConfig {
         TunedConfig::from_json_str(&text)
     }
 
-    /// The evaluation-cache key: the canonical serialization of every
-    /// knob, excluding provenance (two searches reaching the same point
-    /// must share a cache entry even though their provenance differs).
-    pub fn fingerprint(&self) -> String {
-        let mut bare = self.clone();
-        bare.provenance = None;
-        bare.to_json_string()
-    }
-
     /// A [`SessionBuilder`] configured with every knob of this artifact,
     /// starting from
     /// [`AccelConfig::for_variant_instances`](crate::config::AccelConfig::for_variant_instances)
@@ -279,16 +248,8 @@ mod tests {
     use proptest::prelude::*;
 
     fn provenance() -> Provenance {
-        Provenance {
-            seed: 7,
-            budget: 64,
-            objective: "cycles".into(),
-            space: "hls".into(),
-            searcher: "cd".into(),
-            score: 0.001953125, // dyadic: exact in f64 and in decimal
-            evals: 40,
-            cache_hits: 24,
-        }
+        // Dyadic score: exact in f64 and in decimal.
+        Provenance { space: "hls".into(), score: 0.001953125, points: 48 }
     }
 
     #[test]
@@ -300,13 +261,12 @@ mod tests {
         assert_eq!(back.to_json_string(), text, "canonical form is a fixed point");
     }
 
-    /// The parent commit's `zskip tune` output with `"version": 4` and
-    /// without its `max_batch` / `batch_window_ms` lines: the canonical
-    /// artifact moves by exactly the deleted knobs.
+    /// The knob lines of a provenance-less artifact: version 5 changed
+    /// only what the provenance holds.
     #[test]
     fn default_artifact_text_is_pinned() {
         let golden = r#"{
-  "version": 4,
+  "version": 5,
   "variant": "256-opt",
   "instances": 1,
   "backend": "model",
@@ -327,32 +287,11 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_provenance() {
-        let mut a = TunedConfig::default();
-        let b = TunedConfig {
-            provenance: Some(Provenance {
-                seed: 1,
-                budget: 2,
-                objective: "latency".into(),
-                space: "software".into(),
-                searcher: "spsa".into(),
-                score: 3.0,
-                evals: 4,
-                cache_hits: 5,
-            }),
-            ..TunedConfig::default()
-        };
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        a.threads = 4;
-        assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
     fn rejects_malformed_artifacts() {
         for (text, why) in [
             ("not json", "parse failure"),
             (r#"{"version":99}"#, "future version"),
-            (r#"{"version":4}"#, "missing fields"),
+            (r#"{"version":5}"#, "missing fields"),
         ] {
             let err = TunedConfig::from_json_str(text).unwrap_err();
             assert_eq!(err.code(), "config.invalid", "{why}: {err}");
@@ -385,14 +324,49 @@ mod tests {
         let current = TunedConfig::default().to_json_string();
         let with_knobs = current
             .replace("  \"queue_depth\"", "  \"max_batch\": 8,\n  \"batch_window_ms\": 2,\n  \"queue_depth\"");
-        let v3 = with_knobs.replace("\"version\": 4", "\"version\": 3");
+        let v3 = with_knobs.replace("\"version\": 5", "\"version\": 3");
         let err = TunedConfig::from_json_str(&v3).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("version 3 not supported (this build reads version 4)"), "{err}");
+        assert!(err.to_string().contains("version 3 not supported (this build reads version 5)"), "{err}");
         // Hand-bumping the version does not bring the knobs back.
         let err = TunedConfig::from_json_str(&with_knobs).unwrap_err();
         assert_eq!(err.code(), "config.invalid");
         assert!(err.to_string().contains("unknown field 'max_batch'"), "{err}");
+    }
+
+    /// The golden `zskip tune --hw 32` artifact the previous build wrote,
+    /// verbatim: its seeded search's provenance fields are not read, the
+    /// version is refused first.
+    #[test]
+    fn a_version_4_artifact_is_refused_by_its_version() {
+        let v4 = r#"{
+  "version": 4,
+  "variant": "256-opt",
+  "instances": 4,
+  "backend": "model",
+  "threads": 1,
+  "kernel": null,
+  "placement": "auto",
+  "batch_workers": 0,
+  "queue_depth": 64,
+  "provenance": {
+    "seed": 1523244553,
+    "budget": 96,
+    "objective": "cycles",
+    "space": "hls",
+    "searcher": "cd",
+    "score": 0.008138193333333333,
+    "evals": 12,
+    "cache_hits": 5
+  }
+}"#;
+        let err = TunedConfig::from_json_str(v4).unwrap_err();
+        assert_eq!(err.code(), "config.invalid");
+        assert!(err.to_string().contains("version 4 not supported (this build reads version 5)"), "{err}");
+        // Relabelled version 5 it still fails: its provenance lacks `points`.
+        let err = TunedConfig::from_json_str(&v4.replace("\"version\": 4", "\"version\": 5")).unwrap_err();
+        assert_eq!(err.code(), "config.invalid");
+        assert!(err.to_string().contains("provenance missing field 'points'"), "{err}");
     }
 
     #[test]
@@ -438,8 +412,8 @@ mod tests {
     ];
 
     const TOKENS: [&str; 16] = [
-        "{", "}", "[", "]", ":", ",", "\"version\"", "4", "\"threads\"", "\"kernel\"", "null",
-        "\"provenance\"", "\"seed\"", "-", "\"", "true",
+        "{", "}", "[", "]", ":", ",", "\"version\"", "5", "\"threads\"", "\"kernel\"", "null",
+        "\"provenance\"", "\"points\"", "-", "\"", "true",
     ];
 
     proptest! {
@@ -459,7 +433,7 @@ mod tests {
 
         #[test]
         fn single_field_mutations_never_panic(
-            line in 1usize..19,
+            line in 1usize..15,
             mutant in 0usize..MUTANTS.len(),
             drop in prop::bool::ANY,
         ) {

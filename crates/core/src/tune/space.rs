@@ -135,9 +135,8 @@ pub struct Knob {
     pub set: fn(&mut TunedConfig, KnobValue<'_>) -> Result<(), String>,
     /// Its ordered candidates in the hls space, `None` for a knob the
     /// tuner does not search. The space's axes are the rows that have
-    /// one, in table order (seeded search trajectories depend on it).
-    /// Adjacent candidates should be adjacent in effect (instances
-    /// 1 → 2 → 4): the search steps by index.
+    /// one, in table order: the sweep's order, so of two equal scores
+    /// the tuner keeps the point whose candidates come first.
     pub axis: Option<fn() -> Vec<KnobValue<'static>>>,
 }
 
@@ -336,14 +335,14 @@ pub fn resolve(
 pub struct Axis {
     /// The table row being searched.
     pub knob: &'static Knob,
-    /// The values the search may pick, in stepping order.
+    /// The values the sweep scores, in order.
     pub candidates: Vec<KnobValue<'static>>,
 }
 
 /// One position in a [`SearchSpace`]: a candidate index per axis.
 pub type Point = Vec<usize>;
 
-/// An ordered set of [`Axis`] values the search moves through.
+/// An ordered set of [`Axis`] values the sweep enumerates.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     name: String,
@@ -394,24 +393,17 @@ impl SearchSpace {
         &self.name
     }
 
-    /// The axes, in search order.
+    /// The axes, in sweep order.
     pub fn axes(&self) -> &[Axis] {
         &self.axes
-    }
-
-    /// The point denoting the out-of-the-box session.
-    pub fn default_point(&self) -> Point {
-        let default = TunedConfig::default();
-        let index = |a: &Axis| a.candidates.iter().position(|&c| c == (a.knob.get)(&default));
-        self.axes.iter().map(|a| index(a).expect("validated: holds the default")).collect()
     }
 
     /// The [`TunedConfig`] a point denotes. Knobs outside this space keep
     /// their [`TunedConfig::default`] values.
     ///
     /// # Panics
-    /// When the point's length or an index is out of range (the search
-    /// only constructs in-range points).
+    /// When the point's length or an index is out of range
+    /// ([`SearchSpace::points`] only yields in-range points).
     pub fn config_at(&self, point: &Point) -> TunedConfig {
         assert_eq!(point.len(), self.axes.len(), "point arity matches the space");
         let mut config = TunedConfig::default();
@@ -424,6 +416,19 @@ impl SearchSpace {
     /// Total number of distinct points (the product of candidate counts).
     pub fn cardinality(&self) -> u128 {
         self.axes.iter().map(|a| a.candidates.len() as u128).product()
+    }
+
+    /// Every point, in axis order: the first axis slowest, the last
+    /// fastest.
+    pub fn points(&self) -> impl Iterator<Item = Point> + '_ {
+        (0..self.cardinality()).map(|mut n| {
+            let mut point = vec![0; self.axes.len()];
+            for (index, axis) in point.iter_mut().zip(&self.axes).rev() {
+                let len = axis.candidates.len() as u128;
+                (*index, n) = ((n % len) as usize, n / len);
+            }
+            point
+        })
     }
 }
 
@@ -444,22 +449,35 @@ mod tests {
     fn hls_space_holds_the_default_and_its_documented_size() {
         let space = SearchSpace::hls();
         assert_eq!(space.name(), "hls");
-        assert_eq!(space.config_at(&space.default_point()), TunedConfig::default());
+        assert!(space.points().any(|p| space.config_at(&p) == TunedConfig::default()));
         assert_eq!(space.cardinality(), 48);
     }
 
     #[test]
     fn hls_axis_order_is_pinned() {
-        // Seeded trajectories (and the tune golden) depend on this order.
+        // The sweep's order, and so which of two equal scores the tune
+        // golden keeps, depends on it.
         assert_eq!(names(&SearchSpace::hls()), ["variant", "instances", "placement"]);
+    }
+
+    #[test]
+    fn points_enumerate_the_space_once_with_the_last_axis_fastest() {
+        let space = SearchSpace::hls();
+        let points: Vec<Point> = space.points().collect();
+        assert_eq!(points.len() as u128, space.cardinality());
+        assert_eq!(points[..5], [vec![0, 0, 0], vec![0, 0, 1], vec![0, 0, 2], vec![0, 0, 3], vec![0, 1, 0]]);
+        assert_eq!(points.last(), Some(&vec![3, 2, 3]));
+        let mut sorted = points.clone();
+        sorted.sort();
+        assert_eq!(sorted, points, "lexicographic, so each point once");
+        sorted.dedup();
+        assert_eq!(sorted.len(), points.len());
     }
 
     #[test]
     fn config_at_moves_exactly_the_indexed_knobs() {
         let space = SearchSpace::hls();
-        let mut point = space.default_point();
-        point[0] = 0; // 16-unopt
-        point[2] = 3; // pipeline
+        let point = vec![0, 0, 3]; // 16-unopt, 1 instance, pipeline
         let config = space.config_at(&point);
         assert_eq!(config.variant, Variant::U16Unopt);
         assert_eq!(config.placement, Placement::Pipeline);

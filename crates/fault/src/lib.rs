@@ -223,8 +223,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// The workspace-wide seeded generator: a stateful wrapper around
 /// [`splitmix64`], so "seeded-deterministic" means one idiom everywhere —
-/// fault plans, synthetic test data, and the `tune` searchers all draw
-/// from this. Re-exported as `zskip_core::rng::SplitMix64`.
+/// fault plans and synthetic test data draw from this.
 ///
 /// SplitMix64 passes BigCrush, has a full 2^64 period, and every seed is
 /// a good seed (no zero-state trap), which is all a reproducibility RNG

@@ -3,10 +3,11 @@
 # Artifacts land in experiments/ as text and JSON.
 set -e
 cd "$(dirname "$0")"
+bin="${CARGO_TARGET_DIR:-target}/release"
 cargo build --release -p zskip-bench --bins
-for bin in fig6_area fig7_efficiency fig8_gops table1_power ablations; do
-    echo "== $bin =="
-    ./target/release/$bin
+for fig in fig6_area variant_sweep ablations; do
+    echo "== $fig =="
+    "$bin/$fig"
     echo
 done
 echo "artifacts written to experiments/"

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use zskip_core::{
         AccelConfig, BackendKind, BatchConfig, BatchReport, CostModel, Driver, Error, Placement,
         SearchSpace, ServeEngine, ServeError, ServeHandle, ServeReply, ServeStats, Session,
-        SessionBuilder, TuneOutcome, TunedConfig, Tuner,
+        SessionBuilder, TunedConfig,
     };
     pub use zskip_nn::simd::KernelTier;
 }

@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! zskip synth [variant|all]       HLS synthesis summary and area breakdown
-//! zskip sweep                     full VGG-16 variant/model sweep (Figs. 7-8 data)
 //! zskip infer [flags]             run inference end to end, verify vs golden model
 //! zskip batch [flags]             run a batch of inferences on a worker pool
 //! zskip serve [flags]             serving daemon: NDJSON requests over stdio or TCP
-//! zskip tune [flags]              seeded hardware autotuner (simulated time), emits a config artifact
+//! zskip tune [flags]              hardware autotuner: scores every point (simulated time), emits a config artifact
 //! zskip analyze [flags]           per-layer zero-skip packing analysis
 //! zskip faults [flags]            fault-injection survivability campaign
 //! zskip trace                     cycle-exact waveform of a small convolution
@@ -30,10 +29,10 @@ use std::time::Duration;
 
 use zskip::accel::serve::wire;
 use zskip::accel::session::DEFAULT_QUEUE_DEPTH;
-use zskip::accel::tune::{self, FlagGroup, DEFAULT_BUDGET, DEFAULT_SEED, KNOBS};
+use zskip::accel::tune::{self, FlagGroup, KNOBS};
 use zskip::accel::{
     AccelConfig, BackendKind, BatchReport, Placement, Provenance, SearchSpace, ServeEngine,
-    Session, TunedConfig, Tuner,
+    Session, TunedConfig,
 };
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
@@ -141,13 +140,6 @@ const COMMANDS: &[Command] = &[
         run: |p| synth(p.positional.first().map(String::as_str).unwrap_or("all")),
     },
     Command {
-        name: "sweep",
-        usage_args: "",
-        summary: "full VGG-16 variant/model sweep (paper Figs. 7-8 data)",
-        flag_groups: &[],
-        run: |_| sweep(),
-    },
-    Command {
         name: "infer",
         usage_args: "[flags]",
         summary: "run inference end to end, verify vs the golden model",
@@ -203,11 +195,9 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "tune",
         usage_args: "[flags]",
-        summary: "seeded hardware autotuner (simulated time); writes a loadable best-config artifact",
+        summary: "hardware autotuner: scores every point in simulated time; writes a loadable best-config artifact",
         flag_groups: &[
             Flags::Own(&[
-                Flag::val("--seed", "S", "0x5acade09", "search seed (decimal or 0x-prefixed hex)"),
-                Flag::val("--budget", "N", "96", "fresh-evaluation budget (cache hits are free)"),
                 Flag::val("--out", "FILE", "tuned.json", "where to write the artifact"),
                 Flag::val("--hw", "N", "32", HW_HELP),
             ]),
@@ -376,18 +366,6 @@ fn main() {
     (cmd.run)(&parsed);
 }
 
-/// Parses a `u64` seed flag, accepting decimal or `0x`-prefixed hex (the
-/// default tuner seed reads better in hex).
-fn parse_seed(p: &Parsed, name: &str, default: u64) -> u64 {
-    let Some(v) = p.get(name) else { return default };
-    let (radix, digits) = match v.strip_prefix("0x") {
-        Some(hex) => (16, hex),
-        None => (10, v),
-    };
-    u64::from_str_radix(digits, radix)
-        .unwrap_or_else(|_| fail(&format!("{name} takes a seed (decimal or 0x hex), got '{v}'")))
-}
-
 fn parse_density(p: &Parsed, layers: usize) -> DensityProfile {
     match p.get("--density").unwrap_or("dc") {
         // The deep-compression profile is 13 per-layer entries; a loaded
@@ -440,9 +418,8 @@ fn tuned_knobs(c: &TunedConfig, indent: &str) -> String {
 
 fn print_provenance(pr: &Provenance, indent: &str) {
     println!(
-        "{indent}found by {} over the '{}' space minimizing {} (seed {:#x}, budget {}): \
-         score {:.3e} s, {} fresh evals, {} cache hits",
-        pr.searcher, pr.space, pr.objective, pr.seed, pr.budget, pr.score, pr.evals, pr.cache_hits,
+        "{indent}the first minimum of the '{}' space's {} points: score {:.3e} s",
+        pr.space, pr.points, pr.score,
     );
 }
 
@@ -491,20 +468,6 @@ fn synth(which: &str) {
         if which != "all" {
             print!("{}", AreaBreakdown::from_synthesis(v.label(), &r).render());
         }
-    }
-}
-
-fn sweep() {
-    for p in zskip_bench::full_sweep() {
-        println!(
-            "{:<13} avg {:>6.1} GOPS  peak {:>6.1} GOPS  eff mean {:>4.2} best {:>4.2} worst {:>4.2}",
-            format!("{}{}", p.variant, p.model),
-            p.mean_gops(),
-            p.peak_gops(),
-            p.mean_efficiency(),
-            p.best_efficiency(),
-            p.worst_efficiency()
-        );
     }
 }
 
@@ -744,43 +707,49 @@ fn serve_tcp(handle: &zskip::accel::ServeHandle, shape: zskip::tensor::Shape, ad
     protocol_errors.load(Ordering::Relaxed)
 }
 
-/// `zskip tune`: coordinate descent over the hls space for the config
-/// with the fewest simulated seconds per image, print the trajectory
-/// summary, and write the artifact that `--config <file>` /
-/// [`SessionBuilder::from_tuned`] load back.
+/// `zskip tune`: score every point of the hls space in simulated
+/// seconds per image, print the table, and write the first minimum as
+/// the artifact that `--config <file>` / [`SessionBuilder::from_tuned`]
+/// load back.
 ///
 /// [`SessionBuilder::from_tuned`]: zskip::accel::SessionBuilder::from_tuned
 fn tune(p: &Parsed) {
     let space = SearchSpace::hls();
-    let seed = parse_seed(p, "--seed", DEFAULT_SEED);
-    let budget: u64 = p.parse_num("--budget", DEFAULT_BUDGET);
     let hw: usize = p.parse_num("--hw", 32);
     let out = p.get("--out").unwrap_or("tuned.json").to_string();
 
     let qnet = build_network(p, hw, false);
     let input = synthetic_inputs(3, 1, qnet.spec.input).remove(0);
-    println!(
-        "tuning {} for cycles over the '{}' space ({} points) with cd (seed {seed:#x}, budget {budget})",
-        qnet.spec.name,
-        space.name(),
-        space.cardinality(),
-    );
     let t0 = std::time::Instant::now();
-    let outcome = Tuner::new(space, &qnet, &input).seed(seed).budget(budget).run();
-    println!(
-        "searched {} fresh evaluations (+{} cache hits) in {:.1} s",
-        outcome.evals,
-        outcome.cache_hits,
-        t0.elapsed().as_secs_f64(),
-    );
+    let rows = tune::sweep(&space, &qnet, &input);
+    let elapsed = t0.elapsed().as_secs_f64();
+    let best = tune::first_minimum(&rows);
+    if let Err(e) = &best.result {
+        fail_error(e);
+    }
+    // Written before the table prints, so a closed stdout cannot lose it.
+    let artifact = best.artifact(&space);
+    artifact.save(&out).unwrap_or_else(|e| fail_error(&e));
+    println!("scored {} on the '{}' space's {} points in {elapsed:.2} s", qnet.spec.name, space.name(), rows.len());
+    let default = rows.iter().find(|r| r.config == TunedConfig::default()).expect("spaces hold the default");
+    let mut header: Vec<&str> = space.axes().iter().map(|a| a.knob.name).collect();
+    header.extend(["simulated s", "x default"]);
+    println!("  {}", header.iter().map(|h| format!("{h:<12}")).collect::<String>().trim_end());
+    for row in &rows {
+        let mut cells: Vec<String> = space.axes().iter().map(|a| a.knob.text((a.knob.get)(&row.config))).collect();
+        match &row.result {
+            Ok(_) => cells.extend([format!("{:.3e}", row.score), format!("{:.3}", row.score / default.score)]),
+            Err(e) => cells.push(e.code().to_string()),
+        }
+        println!("  {}", cells.iter().map(|c| format!("{c:<12}")).collect::<String>().trim_end());
+    }
     println!(
         "default {:.3e} s -> best {:.3e} s ({:.2}x)",
-        outcome.default_score,
-        outcome.best_score,
-        outcome.speedup(),
+        default.score,
+        best.score,
+        default.score / best.score,
     );
-    println!("{}", tuned_knobs(&outcome.best, "  "));
-    outcome.best.save(&out).unwrap_or_else(|e| fail_error(&e));
+    println!("{}", tuned_knobs(&artifact, "  "));
     println!("wrote {out} (load with --config {out} or SessionBuilder::from_tuned)");
 }
 
