@@ -1,7 +1,8 @@
 //! SIMD kernel-tier benchmark — emits `BENCH_kernels.json`.
 //!
 //! Measures the quantized datapath kernels at every CPU tier reachable on
-//! this host (scalar / SSE2 / AVX2, see `docs/KERNELS.md`):
+//! this host (scalar / SSE2 / AVX2 / AVX-512 / AMX, see `docs/KERNELS.md`;
+//! a tier the host lacks reads `skipped`):
 //!
 //! * **GEMM**: `conv2d_gemm_quant_into` per tier on five VGG-16-shaped
 //!   conv layers at deep-compression densities — from a 32x32 plane down
@@ -12,14 +13,16 @@
 //!   same body (`fc_quant_pool_into`), with the dense-equivalent GMAC/s of
 //!   every row. A network's first layer reads signed activations (the
 //!   +128 patch-byte offset), every other row a ReLU's non-negative ones,
-//!   as in the networks. Every tier but AVX-512 runs the same
+//!   as in the networks. Every tier but AVX-512 and AMX runs the same
 //!   output-stationary blocking (scalar with a portable dot); AVX-512 runs
-//!   the direct kernel on the planes 16 and more wide. All tiers must be
-//!   bit-identical (asserted here and property-tested in `crates/nn`).
+//!   the direct kernel on the planes 16 and more wide, AMX the tiles on
+//!   every conv of whole 64-channel steps and 16-filter tiles. All tiers
+//!   must be bit-identical (asserted here and property-tested in
+//!   `crates/nn`).
 //! * **Allocations per image**: heap allocations of one quantized forward
 //!   pass through the allocating API vs. the [`Scratch`] arena after
-//!   warm-up, counted by a counting global allocator. Steady state must
-//!   be zero.
+//!   warm-up, at the dispatched tier, counted by a counting global
+//!   allocator. Steady state must be zero.
 //! * **Driver backends**: end-to-end images/s through
 //!   `Session::infer_scratch` on the scaled VGG-16 spec, per
 //!   execution backend name (model and cpu), and the check that the
@@ -36,11 +39,12 @@
 //!   quantized residual-add cost relative to that conv.
 //!
 //! `--check` exits nonzero if any SIMD tier is slower than scalar on a
-//! reference shape, the avx2 or avx512 GEMM is under 3x scalar on the two
+//! reference shape, the avx2, avx512 or amx GEMM is under 3x scalar on the two
 //! deep conv shapes or the FCs (the shapes whose columns are too few to
 //! fill a vector), the sse2 GEMM is under 0.47x the avx2 tier's
 //! throughput on the L2-resident FC, the avx512 tier's GEMM is under 2x the avx2 tier's
-//! on the conv3_2- and conv4_2-like shapes (when the host has both), the
+//! or the amx tier's conv under 1.5x the avx512 tier's on the conv3_2- and
+//! conv4_2-like shapes (when the host has both), the
 //! steady-state pass allocates, a warm model-backend image misses the
 //! stats memo or departs from the cpu backend's output, or the auto-width
 //! multithreaded latency regresses past the single-threaded one — wired
@@ -100,9 +104,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// One kernel × tier timing.
+/// One kernel × tier row: its timing, or `None` — the row reads
+/// `skipped` — where the host lacks the tier.
 struct TierTiming {
     tier: &'static str,
+    timing: Option<Timing>,
+}
+
+struct Timing {
     ms: f64,
     /// Scalar time over this tier's time (1.0 for scalar itself).
     speedup: f64,
@@ -113,12 +122,15 @@ struct TierTiming {
 
 impl ToJson for TierTiming {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("tier", self.tier.to_json()),
-            ("ms", self.ms.to_json()),
-            ("speedup", self.speedup.to_json()),
-            ("gmacs_per_s", self.gmacs_per_s.to_json()),
-        ])
+        match &self.timing {
+            Some(t) => Json::obj([
+                ("tier", self.tier.to_json()),
+                ("ms", t.ms.to_json()),
+                ("speedup", t.speedup.to_json()),
+                ("gmacs_per_s", t.gmacs_per_s.to_json()),
+            ]),
+            None => Json::obj([("tier", self.tier.to_json()), ("skipped", true.to_json())]),
+        }
     }
 }
 
@@ -128,7 +140,8 @@ const TIER_ROUNDS: usize = 25;
 /// Times `run` at every supported tier, asserting each tier's output equal
 /// to the scalar tier's: the best of [`TIER_ROUNDS`] rounds that each call
 /// every tier once, so that a burst of load from elsewhere on the host
-/// hits all tiers alike rather than the one it lands on.
+/// hits all tiers alike rather than the one it lands on. A tier the host
+/// lacks gets a `skipped` row.
 fn time_tiers<T: PartialEq + std::fmt::Debug>(
     what: &str,
     macs: usize,
@@ -149,10 +162,16 @@ fn time_tiers<T: PartialEq + std::fmt::Debug>(
         }
     }
     let scalar_s = best[0];
-    tiers
+    KernelTier::ALL
         .iter()
-        .zip(best)
-        .map(|(tier, s)| TierTiming { tier: tier.name(), ms: s * 1e3, speedup: scalar_s / s, gmacs_per_s: macs as f64 / s / 1e9 })
+        .map(|tier| TierTiming {
+            tier: tier.name(),
+            timing: tiers.iter().position(|t| t == tier).map(|i| Timing {
+                ms: best[i] * 1e3,
+                speedup: scalar_s / best[i],
+                gmacs_per_s: macs as f64 / best[i] / 1e9,
+            }),
+        })
         .collect()
 }
 
@@ -173,8 +192,9 @@ struct ShapeResult {
 
 impl ShapeResult {
     fn new(layer: &str, (out_c, in_c, hw, k, density): (usize, usize, usize, usize, f64), gemm: Vec<TierTiming>) -> Self {
-        let best = gemm.iter().skip(1).min_by(|a, b| a.ms.total_cmp(&b.ms));
-        let (best_tier, best_gemm_speedup) = best.map_or(("scalar", 1.0), |t| (t.tier, t.speedup));
+        let timed = gemm.iter().skip(1).filter_map(|t| Some((t.tier, t.timing.as_ref()?)));
+        let best = timed.min_by(|a, b| a.1.ms.total_cmp(&b.1.ms));
+        let (best_tier, best_gemm_speedup) = best.map_or(("scalar", 1.0), |(tier, t)| (tier, t.speedup));
         ShapeResult { layer: layer.to_string(), out_c, in_c, hw, k, density, gemm, best_tier, best_gemm_speedup }
     }
 
@@ -683,10 +703,13 @@ fn render(bench: &Bench) -> String {
     ));
     for s in &bench.shapes {
         for g in &s.gemm {
-            text.push_str(&format!(
-                "{:<17} {:>8.2} {:<8} {:>11.3} {:>8.2}x {:>8.1}\n",
-                s.layer, s.density, g.tier, g.ms, g.speedup, g.gmacs_per_s
-            ));
+            match &g.timing {
+                Some(t) => text.push_str(&format!(
+                    "{:<17} {:>8.2} {:<8} {:>11.3} {:>8.2}x {:>8.1}\n",
+                    s.layer, s.density, g.tier, t.ms, t.speedup, t.gmacs_per_s
+                )),
+                None => text.push_str(&format!("{:<17} {:>8.2} {:<8} {:>11}\n", s.layer, s.density, g.tier, "skipped")),
+            }
         }
     }
     text.push('\n');
@@ -783,26 +806,32 @@ const AVX512_OVER_AVX2_FLOOR: f64 = 2.0;
 /// long enough reduction that the GEMM's inner loop is the layer's time.
 const AVX512_OVER_AVX2_SHAPES: [&str; 2] = ["conv3_2-like", "conv4_2-like"];
 
+/// `--check` floor on the amx tier's conv over the avx512 tier's on the
+/// [`AVX512_OVER_AVX2_SHAPES`], where the host runs both: the 8x8 and 4x4
+/// planes, whose lowered `dot_nt` the tiles replace. 3.4-5.1x recorded on
+/// the 2-vCPU reference box; the tiles behind a patch matrix (the lowering
+/// kept, its rows loaded as A) read 2.2-2.3x.
+const AMX_OVER_AVX512_FLOOR: f64 = 1.5;
+
 /// `--check` policy: every SIMD tier must beat scalar on every reference
-/// shape — avx2 and avx512 by [`DEEP_GEMM_FLOOR`] on the deep shapes —
-/// sse2 must hold [`SSE2_OVER_AVX2_FLOOR`] of avx2 and avx512 must beat
-/// avx2 by [`AVX512_OVER_AVX2_FLOOR`] where the host runs both, steady
-/// state must not allocate, and the model backend must take the cpu
-/// path. Returns every floor the run missed, so one failure does not
-/// hide the next.
+/// shape — avx2, avx512 and amx by [`DEEP_GEMM_FLOOR`] on the deep shapes
+/// — sse2 must hold [`SSE2_OVER_AVX2_FLOOR`] of avx2, avx512 must beat
+/// avx2 by [`AVX512_OVER_AVX2_FLOOR`] and amx avx512 by
+/// [`AMX_OVER_AVX512_FLOOR`] where the host runs both, steady state must
+/// not allocate, and the model backend must take the cpu path. Returns
+/// every floor the run missed, so one failure does not hide the next.
 fn check(bench: &Bench) -> Vec<String> {
     let mut failed = Vec::new();
     for s in &bench.shapes {
-        let ms = |tier: &str| s.gemm.iter().find(|t| t.tier == tier).map(|t| t.ms);
-        if let (true, Some(avx2), Some(avx512)) =
-            (AVX512_OVER_AVX2_SHAPES.contains(&s.layer.as_str()), ms("avx2"), ms("avx512"))
+        let ms = |tier: &str| s.gemm.iter().find(|t| t.tier == tier).and_then(|t| t.timing.as_ref()).map(|t| t.ms);
+        let gated = AVX512_OVER_AVX2_SHAPES.contains(&s.layer.as_str());
+        for (wide, narrow, floor) in
+            [("avx512", "avx2", AVX512_OVER_AVX2_FLOOR), ("amx", "avx512", AMX_OVER_AVX512_FLOOR)]
         {
-            if avx2 / avx512 < AVX512_OVER_AVX2_FLOOR {
-                failed.push(format!(
-                    "{}: GEMM tier avx512 is {:.2}x avx2 (need >= {AVX512_OVER_AVX2_FLOOR}x)",
-                    s.layer,
-                    avx2 / avx512
-                ));
+            if let (true, Some(n), Some(w)) = (gated, ms(narrow), ms(wide)) {
+                if n / w < floor {
+                    failed.push(format!("{}: GEMM tier {wide} is {:.2}x {narrow} (need >= {floor}x)", s.layer, n / w));
+                }
             }
         }
         if let (true, Some(sse2), Some(avx2)) = (s.layer == SSE2_GATE_SHAPE, ms("sse2"), ms("avx2")) {
@@ -814,13 +843,13 @@ fn check(bench: &Bench) -> Vec<String> {
                 ));
             }
         }
-        for t in s.gemm.iter().filter(|t| t.tier != "scalar") {
+        for (tier, t) in s.gemm.iter().filter(|t| t.tier != "scalar").filter_map(|t| Some((t.tier, t.timing.as_ref()?))) {
             if t.speedup < 1.0 {
-                failed.push(format!("{}: tier {} is {:.2}x vs scalar (slower)", s.layer, t.tier, t.speedup));
-            } else if s.is_deep() && t.tier != "sse2" && t.speedup < DEEP_GEMM_FLOOR {
+                failed.push(format!("{}: tier {tier} is {:.2}x vs scalar (slower)", s.layer, t.speedup));
+            } else if s.is_deep() && tier != "sse2" && t.speedup < DEEP_GEMM_FLOOR {
                 failed.push(format!(
-                    "{}: GEMM tier {} is {:.2}x vs scalar (need >= {DEEP_GEMM_FLOOR}x)",
-                    s.layer, t.tier, t.speedup
+                    "{}: GEMM tier {tier} is {:.2}x vs scalar (need >= {DEEP_GEMM_FLOOR}x)",
+                    s.layer, t.speedup
                 ));
             }
         }

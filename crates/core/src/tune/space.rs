@@ -221,7 +221,7 @@ pub static KNOBS: [Knob; 8] = [
         unset: Some("auto"),
         ..knob(
             "kernel",
-            ("--kernel", "K", Session, "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512"),
+            ("--kernel", "K", Session, "SIMD kernel tier: auto | scalar | sse2 | avx2 | avx512 | amx"),
             |c| c.kernel.map_or(Unset, |t| Name(t.name())),
             |c, v| v.opt(|v| v.pick(&KernelTier::ALL, KernelTier::name)).map(|t| c.kernel = t),
             None,
@@ -553,7 +553,7 @@ mod tests {
         };
         assert_eq!(
             set("kernel", "neon").unwrap_err(),
-            "takes scalar | sse2 | avx2 | avx512 (or auto), got 'neon'"
+            "takes scalar | sse2 | avx2 | avx512 | amx (or auto), got 'neon'"
         );
         assert_eq!(set("variant", "999").unwrap_err(), "takes 16-unopt | 256-unopt | 256-opt | 512-opt, got '999'");
         assert_eq!(set("threads", "-1").unwrap_err(), "takes a number, got '-1'");

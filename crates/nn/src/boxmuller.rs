@@ -211,7 +211,7 @@ pub(crate) fn draw(w1: u32, w3: u32) -> Option<f32> {
 /// (2-vCPU AVX-512 Xeon; 2 ns of either is ChaCha).
 pub(crate) fn ns_per_draw(tier: KernelTier) -> usize {
     match tier {
-        KernelTier::Avx512 => 5,
+        KernelTier::Avx512 | KernelTier::Amx => 5,
         _ => 25,
     }
 }
@@ -224,7 +224,7 @@ pub(crate) fn fill(tier: KernelTier, words: &[u32], scale: f32, out: &mut [f32])
     assert_eq!(words.len() % ATTEMPT_WORDS, 0, "words must be whole attempts");
     assert!(out.len() >= words.len() / ATTEMPT_WORDS, "no room for every attempt");
     #[cfg(target_arch = "x86_64")]
-    if tier == KernelTier::Avx512 && tier.is_supported() {
+    if tier.runs_avx512() {
         let mut kept = 0;
         for block in words.chunks(8 * ATTEMPT_WORDS) {
             // SAFETY: the tier's features (AVX-512F among them) are present,

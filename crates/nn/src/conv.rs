@@ -78,6 +78,10 @@ pub struct QuantConvWeights {
     /// (`crate::gemm`, docs/KERNELS.md "Direct convolution"), filled on
     /// its first direct call. Ignored by `PartialEq` like `nnz`.
     pub(crate) quad_w: OnceLock<Vec<u32>>,
+    /// Cached decode of `w` into AMX tile panels (`crate::gemm`,
+    /// docs/KERNELS.md "AMX tiles"), filled on its first tile call.
+    /// Ignored by `PartialEq` like `nnz`.
+    pub(crate) tile_w: OnceLock<Vec<u8>>,
 }
 
 impl PartialEq for QuantConvWeights {
@@ -117,6 +121,7 @@ impl QuantConvWeights {
             fp: OnceLock::new(),
             offset_bias: OnceLock::new(),
             quad_w: OnceLock::new(),
+            tile_w: OnceLock::new(),
         }
     }
 
@@ -163,14 +168,16 @@ impl QuantConvWeights {
     }
 
     /// Drops this instance's cached nonzero counts, fingerprint, offset
-    /// bias and direct-kernel repack. Must be called after mutating `w` or
-    /// `bias_acc` through the public fields (e.g. re-sparsifying a layer in
-    /// place); the next query rescans and re-fingerprints the new content.
+    /// bias, direct-kernel repack and tile panels. Must be called after
+    /// mutating `w` or `bias_acc` through the public fields (e.g.
+    /// re-sparsifying a layer in place); the next query rescans and
+    /// re-fingerprints the new content.
     pub fn invalidate_caches(&mut self) {
         self.nnz = OnceLock::new();
         self.fp = OnceLock::new();
         self.offset_bias = OnceLock::new();
         self.quad_w = OnceLock::new();
+        self.tile_w = OnceLock::new();
     }
 
     /// Non-zero weight count of filter `(o, i)` (cached; the driver asks
@@ -450,7 +457,7 @@ impl Block<'_> {
     /// `tier`'s instantiation of the one body, [`Block::body`].
     fn run(&self, tier: KernelTier, partial: &mut [Acc<1, SPARSE_CHUNKS>], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
-        if tier == KernelTier::Avx512 && tier.is_supported() {
+        if tier.runs_avx512() {
             // SAFETY: the tier's features (AVX-512F among them) are present.
             return unsafe { self.body_avx512(partial, out) };
         }

@@ -47,7 +47,7 @@ impl ChaChaWords {
     /// `ZSKIP_KERNEL=scalar` runs the scalar block function end to end).
     pub(crate) fn new(seed: u64) -> Self {
         let refill = match simd::dispatch() {
-            KernelTier::Avx512 => Refill::Avx512,
+            KernelTier::Avx512 | KernelTier::Amx => Refill::Avx512,
             KernelTier::Avx2 => Refill::Avx2,
             KernelTier::Sse2 | KernelTier::Scalar => Refill::Portable,
         };

@@ -7,10 +7,13 @@
 //! by the filter matrix; except that on the AVX-512 tier a stride-1 layer
 //! with 16 or more output columns runs as a direct convolution instead,
 //! output columns in the vector lanes and no patch matrix (`direct`,
-//! docs/KERNELS.md "Direct convolution"). The scalar oracle is the dense
-//! scan [`crate::conv::conv2d_quant_dense`], which shares no loop
-//! structure with either; property tests here and in
-//! `tests/kernel_tiers.rs` hold every tier to it bit for bit.
+//! docs/KERNELS.md "Direct convolution"), and that on the AMX tier a layer
+//! of whole 64-channel reduction steps and 16-filter tiles runs on AMX
+//! tiles, again with no patch matrix (`amx`, docs/KERNELS.md "AMX
+//! tiles"). The scalar oracle is the dense scan
+//! [`crate::conv::conv2d_quant_dense`], which shares no loop structure
+//! with any of them; property tests here and in `tests/kernel_tiers.rs`
+//! hold every tier to it bit for bit.
 //!
 //! The GEMM is **output-stationary, in dot-product ("NT") form**:
 //! `out[o][col] = bias[o] + Σ_r W[o][r] · P[col][r]` with both operands
@@ -59,12 +62,14 @@
 //!
 //! [`conv2d_gemm_quant_into`] is the entry point: the work is done by the
 //! calling thread, or — with a pool — split over its workers (lowering by
-//! output row, GEMM and direct kernel by output-channel range). It writes
-//! into a caller-owned output tensor and borrows the bordered plane and
+//! output row, GEMM, direct kernel and tiles by output-channel range). It
+//! writes into a caller-owned output tensor and borrows the bordered plane and
 //! the patch matrix from a [`GemmScratch`], so a warmed arena runs it
 //! allocation-free; [`conv2d_gemm_quant_tier`] /
 //! [`conv2d_gemm_quant_pool`] are the allocating conveniences.
 
+#[cfg(target_arch = "x86_64")]
+mod amx;
 #[cfg(target_arch = "x86_64")]
 mod direct;
 
@@ -83,7 +88,8 @@ pub struct GemmScratch {
     /// The layer's input as patch bytes (module docs, "Patch bytes"): for
     /// a conv layer a plane with a border `pad` wide, what the patch rows
     /// are copied out of — or, on the direct path, the channel-quad plane
-    /// the direct kernel reads; for an FC layer with a sign-bit byte in
+    /// the direct kernel reads, and on the tiles the plane with its
+    /// channels innermost; for an FC layer with a sign-bit byte in
     /// its input, its one offset patch row.
     plane: Vec<u8>,
     /// The transposed patch matrix `P[col][r]` of a conv layer.
@@ -468,7 +474,7 @@ pub(crate) fn gemm_quant_into(
     let epilogue = Epilogue::new(requant, relu);
     #[cfg(target_arch = "x86_64")]
     // SAFETY: built only where the tier runs.
-    let vector = (tier == KernelTier::Avx512 && tier.is_supported()).then(|| unsafe { x86::VecEpilogue::new(epilogue) });
+    let vector = tier.runs_avx512().then(|| unsafe { x86::VecEpilogue::new(epilogue) });
     let (runs, per) = split(pool, rows, [rows, cols, len]);
     let out_ptr = SendPtr::new(out.as_mut_ptr());
     for_each_run(pool, runs, &|run| {
@@ -505,16 +511,17 @@ pub(crate) fn gemm_quant_into(
 }
 
 /// Integer-exact quantized convolution via lowering + output-stationary
-/// GEMM at an explicit kernel tier — or, on the AVX-512 tier, for a
+/// GEMM at an explicit kernel tier — or, on the AMX tier, for a layer the
+/// tiles take, on them, and on the AVX-512 and AMX tiers, for another
 /// stride-1 layer with 16 or more output columns, via the direct kernel
 /// (module docs) — writing into `out` (reshaped in place) with the patch
 /// matrix borrowed from `ws`: allocation-free once both have grown to the
 /// layer's size. With a `pool` the lowering is split by column range and
-/// the GEMM (or the direct kernel) by output-channel range over its
-/// workers, bit-identically at any worker count. Must agree bit-for-bit
-/// with [`crate::conv::conv2d_quant_dense`]. Zero weights are multiplied, not
-/// skipped — the hardware's zero-skipping is modelled by the stats pass,
-/// not by this kernel.
+/// the GEMM (or the direct kernel, or the tiles) by output-channel range
+/// over its workers, bit-identically at any worker count. Must agree
+/// bit-for-bit with [`crate::conv::conv2d_quant_dense`]. Zero weights are
+/// multiplied, not skipped — the hardware's zero-skipping is modelled by
+/// the stats pass, not by this kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_gemm_quant_into(
     input: &Tensor<Sm8>,
@@ -528,6 +535,10 @@ pub fn conv2d_gemm_quant_into(
 ) {
     let s = input.shape();
     assert_eq!(s.c, weights.in_c, "input channels mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if amx::applies(tier, s, weights.out_c, weights.k, stride, pad) {
+        return amx::conv_into(input, weights, stride, pad, pool, ws, out);
+    }
     #[cfg(target_arch = "x86_64")]
     if direct::applies(tier, s, weights.k, stride, pad) {
         return direct::conv_into(input, weights, pad, pool, ws, out);
@@ -965,8 +976,9 @@ mod tests {
     fn a_warm_arena_holds_one_byte_per_plane_and_patch_element() {
         // VGG-16-32 and ResNet-18-32 through a `Scratch`, then the GEMM
         // workspace against the largest plane (`c x (h + 2 pad) x (w + 2
-        // pad)`, or `⌈c/4⌉ x 4` channels on the direct path) and patch
-        // matrix (`out_h * out_w x c * k * k`, lowered layers only) any
+        // pad)` — the same bytes channels innermost on the AMX tiles — or
+        // `⌈c/4⌉ x 4` channels on the direct path) and patch matrix
+        // (`out_h * out_w x c * k * k`, lowered layers only) any
         // conv layer asks for. A buffer grows to what a call asks for or
         // to twice its old capacity, whichever is more, so a byte buffer
         // ends at least as large as its largest request and short of twice
@@ -981,8 +993,12 @@ mod tests {
             let mut scratch = Scratch::new();
             qnet.forward_quant_scratch(&inputs[1], &mut scratch);
             let (plane, patches) = convs.iter().fold((0, 0), |(plane, patches), (_, layer, s)| {
-                let &LayerSpec::Conv { k, stride, pad, .. } = *layer else { unreachable!("a conv layer") };
+                let &LayerSpec::Conv { out_c, k, stride, pad, .. } = *layer else { unreachable!("a conv layer") };
                 let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
+                #[cfg(target_arch = "x86_64")]
+                if amx::applies(scratch.tier(), *s, out_c, k, stride, pad) {
+                    return (plane.max(s.c * hp * wp), patches);
+                }
                 #[cfg(target_arch = "x86_64")]
                 if direct::applies(scratch.tier(), *s, k, stride, pad) {
                     return (plane.max(s.c.div_ceil(4) * 4 * hp * wp), patches);

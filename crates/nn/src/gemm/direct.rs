@@ -50,8 +50,7 @@ const OUTPUTS_PER_NS: usize = 2;
 /// ky, kx)`, which keeps every lane's `i32` sum exact without a flush (a
 /// tap adds at most `4 · 255 · 127` to a lane; `simd` asserts the bound).
 pub(super) fn applies(tier: KernelTier, s: Shape, k: usize, stride: usize, pad: usize) -> bool {
-    tier == KernelTier::Avx512
-        && tier.is_supported()
+    tier.runs_avx512()
         && stride == 1
         && s.h + 2 * pad >= k
         && s.w + 2 * pad >= k + LANES - 1
@@ -148,7 +147,7 @@ unsafe fn interleave(rows: [&[u8]; 4], dst: &mut [u8], offset: bool) {
 /// 128 for negative zero) for a set one; `blendv` picks by that bit.
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
-fn patch_bytes(v: __m128i, offset: bool) -> __m128i {
+pub(super) fn patch_bytes(v: __m128i, offset: bool) -> __m128i {
     if offset {
         _mm_blendv_epi8(_mm_xor_si128(v, _mm_set1_epi8(-128)), _mm_sub_epi8(_mm_setzero_si128(), v), v)
     } else {

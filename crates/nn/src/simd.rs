@@ -61,12 +61,16 @@ pub enum KernelTier {
     /// 64-byte AVX-512 kernels (F + BW + VNNI + DQ): four IFM tile rows
     /// per iteration, 16 `i32` lanes of four `u8 x s8` products each.
     Avx512,
+    /// AVX-512 plus AMX-INT8 tiles: every AVX-512 kernel, except that a
+    /// conv GEMM the tiles can hold exactly runs `tdpbusd` on them
+    /// (`crate::gemm`, docs/KERNELS.md "AMX tiles").
+    Amx,
 }
 
 impl KernelTier {
     /// Every tier, narrowest first.
-    pub const ALL: [KernelTier; 4] =
-        [KernelTier::Scalar, KernelTier::Sse2, KernelTier::Avx2, KernelTier::Avx512];
+    pub const ALL: [KernelTier; 5] =
+        [KernelTier::Scalar, KernelTier::Sse2, KernelTier::Avx2, KernelTier::Avx512, KernelTier::Amx];
 
     /// Stable lower-case name (the `ZSKIP_KERNEL` spelling).
     pub fn name(self) -> &'static str {
@@ -75,6 +79,7 @@ impl KernelTier {
             KernelTier::Sse2 => "sse2",
             KernelTier::Avx2 => "avx2",
             KernelTier::Avx512 => "avx512",
+            KernelTier::Amx => "amx",
         }
     }
 
@@ -85,6 +90,7 @@ impl KernelTier {
             "sse2" => Some(KernelTier::Sse2),
             "avx2" => Some(KernelTier::Avx2),
             "avx512" => Some(KernelTier::Avx512),
+            "amx" => Some(KernelTier::Amx),
             _ => None,
         }
     }
@@ -103,7 +109,17 @@ impl KernelTier {
             // 64-bit multiply `vpmullq` (every VNNI part has DQ). The
             // Box–Muller draw kernel (`boxmuller::avx512`) needs F alone.
             KernelTier::Avx512 => &["avx512f", "avx512bw", "avx512vnni", "avx512dq"],
+            // The AVX-512 tier's features, and the tiles: `amx-tile` also
+            // stands for the OS state a tile needs (XCR0 and the
+            // process's `XTILEDATA` permission, see `amx_state`).
+            KernelTier::Amx => &["avx512f", "avx512bw", "avx512vnni", "avx512dq", "amx-tile", "amx-int8"],
         }
+    }
+
+    /// Whether the tier runs the AVX-512 kernels on this host: the
+    /// AVX-512 tier, and the AMX tier, which is AVX-512 plus tiles.
+    pub(crate) fn runs_avx512(self) -> bool {
+        self >= KernelTier::Avx512 && self.is_supported()
     }
 
     /// The [`required_features`](Self::required_features) this machine
@@ -147,6 +163,8 @@ fn cpu_has(feature: &str) -> bool {
         "avx512bw" => is_x86_feature_detected!("avx512bw"),
         "avx512dq" => is_x86_feature_detected!("avx512dq"),
         "avx512vnni" => is_x86_feature_detected!("avx512vnni"),
+        "amx-tile" => amx_state().tile,
+        "amx-int8" => amx_state().int8,
         _ => false,
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -154,6 +172,81 @@ fn cpu_has(feature: &str) -> bool {
         let _ = feature;
         false
     }
+}
+
+/// What this host offers of AMX, probed once: `int8` is CPUID's AMX-INT8
+/// bit; `tile` holds when CPUID has AMX-TILE, the OS saves the tile
+/// state (XCR0 bits 17 and 18) and this process was granted it.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+struct AmxState {
+    tile: bool,
+    int8: bool,
+}
+
+/// [`AmxState`], cached: `effective` asks for it on every `dot_nt`, so
+/// the CPUID, XGETBV and the permission syscall run once per process.
+#[cfg(target_arch = "x86_64")]
+fn amx_state() -> AmxState {
+    static STATE: OnceLock<AmxState> = OnceLock::new();
+    *STATE.get_or_init(|| {
+        use std::arch::x86_64::{__cpuid, __cpuid_count};
+        // Leaf 7 is read only where leaf 0 says it exists.
+        let edx = if __cpuid(0).eax >= 7 { __cpuid_count(7, 0).edx } else { 0 };
+        let (tile, int8) = (edx >> 24 & 1 == 1, edx >> 25 & 1 == 1);
+        // XTILECFG and XTILEDATA, the two tile state components.
+        const XCR0_TILE: u64 = 0b11 << 17;
+        let tile = tile && is_x86_feature_detected!("xsave") && {
+            // SAFETY: XGETBV exists where CPUID has OSXSAVE, which the
+            // `xsave` feature check above implies.
+            let xcr0 = unsafe { xgetbv0() };
+            xcr0 & XCR0_TILE == XCR0_TILE
+        } && request_tile_data();
+        AmxState { tile, int8 }
+    })
+}
+
+/// XCR0, the OS-enabled state components.
+///
+/// # Safety
+/// The CPU must have XGETBV (CPUID's OSXSAVE bit).
+#[cfg(target_arch = "x86_64")]
+unsafe fn xgetbv0() -> u64 {
+    let (lo, hi): (u32, u32);
+    std::arch::asm!("xgetbv", in("ecx") 0u32, out("eax") lo, out("edx") hi, options(nomem, nostack, preserves_flags));
+    u64::from(hi) << 32 | u64::from(lo)
+}
+
+/// Asks Linux for this process's permission to use the tile data state
+/// (`arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`), which a
+/// thread needs before its first tile instruction; the grant covers every
+/// thread of the process. False on any error, and on every other OS.
+#[cfg(target_arch = "x86_64")]
+fn request_tile_data() -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        const SYS_ARCH_PRCTL: usize = 158;
+        const ARCH_REQ_XCOMP_PERM: usize = 0x1023;
+        const XFEATURE_XTILEDATA: usize = 18;
+        let ret: isize;
+        // SAFETY: `arch_prctl` with this code only records a permission
+        // for the process; it reads and writes no memory of ours. The
+        // kernel clobbers `rcx` and `r11` on `syscall`.
+        unsafe {
+            std::arch::asm!(
+                "syscall",
+                inlateout("rax") SYS_ARCH_PRCTL as isize => ret,
+                in("rdi") ARCH_REQ_XCOMP_PERM,
+                in("rsi") XFEATURE_XTILEDATA,
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        ret == 0
+    }
+    #[cfg(not(target_os = "linux"))]
+    false
 }
 
 /// Pure dispatch policy: the widest supported tier, unless `requested`
@@ -263,8 +356,10 @@ pub fn dot_nt(
             KernelTier::Sse2 => x86::dot_sse2::dot_nt(w, p, rows, cols, len, block),
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx2 => x86::dot_avx2::dot_nt(w, p, rows, cols, len, block),
+            // The tiles run only a conv GEMM (`crate::gemm`); everything
+            // else on the AMX tier is the AVX-512 tier's.
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx512 => x86::dot_avx512::dot_nt(w, p, rows, cols, len, block),
+            KernelTier::Avx512 | KernelTier::Amx => x86::dot_avx512::dot_nt(w, p, rows, cols, len, block),
             #[cfg(not(target_arch = "x86_64"))]
             _ => dot_scalar::dot_nt(w, p, rows, cols, len, block),
         }

@@ -27,14 +27,14 @@ use zskip_quant::{QuantParams, Sm8};
 /// (0.8 ns scan, 4.4 ns round).
 pub(crate) fn ns_per_weight(tier: KernelTier) -> usize {
     match tier {
-        KernelTier::Avx512 => 1,
+        KernelTier::Avx512 | KernelTier::Amx => 1,
         _ => 5,
     }
 }
 
 /// Whether `tier` runs the vector kernel on this host.
 fn vector(tier: KernelTier) -> bool {
-    cfg!(target_arch = "x86_64") && tier == KernelTier::Avx512 && tier.is_supported()
+    cfg!(target_arch = "x86_64") && tier.runs_avx512()
 }
 
 /// The largest magnitude in `w`, NaNs ignored (0 for an empty or all-NaN

@@ -112,6 +112,39 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    // The draws above are too small for the AMX tiles (whole 16-filter
+    // tiles, 64-channel reduction steps, 16 positions): the same check on
+    // layers that reach them, 1x1 and 3x3, at 4x4 to 8x8 and stride 1 or
+    // 2, with signed (offset) and ReLU inputs.
+    #[test]
+    fn tile_shaped_layers_are_bit_exact_at_every_worker_count(
+        filter_tiles in 1usize..4,
+        channel_steps in 1usize..3,
+        h in 4usize..9,
+        w in 4usize..9,
+        k_idx in 0usize..2,
+        stride in 1usize..3,
+        workers in 1usize..5,
+        density_ppt in 0u64..=1000,
+        seed in 0u64..1000,
+    ) {
+        let (k, in_c) = ([1usize, 3][k_idx], 64 * channel_steps);
+        let qw = synthetic_qw(16 * filter_tiles, in_c, k, density_ppt as f64 / 1000.0, seed, seed % 2 == 0);
+        let input = synthetic_input(in_c, h, w, seed);
+        let input = if seed % 3 == 0 { relu(&input) } else { input };
+        let oracle = conv2d_quant_dense(&input, &qw, stride, k / 2);
+        let pool = ConvPool::new(workers);
+        let mut ws = dirty_workspace();
+        let mut out = Tensor::zeros(1, 1, 1);
+        for tier in KernelTier::supported() {
+            conv2d_gemm_quant_into(&input, &qw, stride, k / 2, tier, Some(&pool), &mut ws, &mut out);
+            prop_assert_eq!(&oracle, &out, "tier {}, {} workers", tier, workers);
+        }
+    }
+}
+
 /// `qw` over `input` on `pool`, on every tier, against the dense oracle.
 fn pooled_kernels_match_the_dense_oracle(qw: &QuantConvWeights, input: &Tensor<Sm8>, pool: &ConvPool) {
     let pad = qw.k / 2;

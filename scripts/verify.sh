@@ -48,6 +48,10 @@ timeout 300 cargo run -q --release --example waveforms | diff -u tests/golden/wa
 # exercises the ZSKIP_KERNEL fallback path end to end).
 cargo test -q -p zskip-nn --lib --test kernel_tiers
 ZSKIP_KERNEL=scalar cargo test -q -p zskip-nn --lib --test kernel_tiers
+# On an AMX host the native tier is amx, whose conv layers mostly run on
+# the tiles: pinned to avx512, the same suites run the AVX-512 GEMM and
+# the direct kernel end to end as a host without AMX dispatches them.
+ZSKIP_KERNEL=avx512 cargo test -q -p zskip-nn --lib --test kernel_tiers
 
 # The Box–Muller draw's exhaustive checks: the scalar transcription of
 # `logf` / `cosf` against the host's libm on all 2²⁴ `u1` and angles, and
@@ -72,13 +76,25 @@ cargo test -q --release -p zskip-nn --test model_artifact -- --include-ignored
 # around it; the pinned cycle counts show the run completed on the right
 # model. A tier the host lacks falls back to the best supported one, so
 # the loop is portable.
-for tier in scalar sse2 avx2 avx512; do
+# Each tier's whole printout (the predicted class among it) must also be
+# the scalar tier's, the first run.
+for tier in scalar sse2 avx2 avx512 amx; do
   tier_out=$(ZSKIP_KERNEL=$tier timeout 300 "$bin"/zskip infer --hw 32 --backend cpu)
   printf '%s\n' "$tier_out" | grep -q '^1603970 cycles' \
     || { echo "verify: vgg16-32 infer under ZSKIP_KERNEL=$tier must report 1603970 cycles"; exit 1; }
+  printf '%s\n' "$tier_out" | grep -q '^bit-exact vs the software golden model$' \
+    || { echo "verify: vgg16-32 infer under ZSKIP_KERNEL=$tier must be bit-exact vs the golden model"; exit 1; }
+  [ "$tier" = scalar ] && vgg_scalar_out=$tier_out
+  [ "$tier_out" = "$vgg_scalar_out" ] \
+    || { echo "verify: vgg16-32 infer under ZSKIP_KERNEL=$tier differs from the scalar tier's"; exit 1; }
   tier_out=$(ZSKIP_KERNEL=$tier timeout 300 "$bin"/zskip infer --network specs/resnet18.json --hw 32 --backend cpu)
   printf '%s\n' "$tier_out" | grep -q '^212601 cycles' \
     || { echo "verify: resnet18 infer under ZSKIP_KERNEL=$tier must report 212601 cycles"; exit 1; }
+  printf '%s\n' "$tier_out" | grep -q '^bit-exact vs the software golden model$' \
+    || { echo "verify: resnet18 infer under ZSKIP_KERNEL=$tier must be bit-exact vs the golden model"; exit 1; }
+  [ "$tier" = scalar ] && resnet_scalar_out=$tier_out
+  [ "$tier_out" = "$resnet_scalar_out" ] \
+    || { echo "verify: resnet18 infer under ZSKIP_KERNEL=$tier differs from the scalar tier's"; exit 1; }
 done
 
 # Kernel-tier performance gate: every SIMD tier's GEMM must beat scalar

@@ -40,6 +40,31 @@ use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
 use zskip::perf::AreaBreakdown;
 use zskip::quant::DensityProfile;
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// The one writer of every subcommand's stdout. A reader that went away
+/// (`zskip tune | head -1`) ends the process quietly with exit 0 — what
+/// it asked for it got — where `println!` would panic with exit 101; any
+/// other write error is reported and exits 2, like every other failure
+/// here.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => fail(&format!("cannot write to stdout: {e}")),
+    }
+}
+
 /// One flag a subcommand accepts.
 #[derive(Clone)]
 struct Flag {
@@ -301,18 +326,18 @@ fn print_usage() {
 }
 
 fn print_command_help(cmd: &Command) {
-    println!("usage: zskip {} {}", cmd.name, cmd.usage_args);
-    println!("{}", cmd.summary);
+    outln!("usage: zskip {} {}", cmd.name, cmd.usage_args);
+    outln!("{}", cmd.summary);
     let flags = cmd.flags();
     if !flags.is_empty() {
-        println!("\nflags:");
+        outln!("\nflags:");
         for f in &flags {
             let head = match f.metavar {
                 Some(m) => format!("{} <{}>", f.name, m),
                 None => f.name.to_string(),
             };
             let default = f.default.as_ref().map(|d| format!(" [default: {d}]")).unwrap_or_default();
-            println!("  {head:<24} {}{default}", f.help);
+            outln!("  {head:<24} {}{default}", f.help);
         }
     }
 }
@@ -417,7 +442,7 @@ fn tuned_knobs(c: &TunedConfig, indent: &str) -> String {
 }
 
 fn print_provenance(pr: &Provenance, indent: &str) {
-    println!(
+    outln!(
         "{indent}the first minimum of the '{}' space's {} points: score {:.3e} s",
         pr.space, pr.points, pr.score,
     );
@@ -456,17 +481,17 @@ fn synth(which: &str) {
     }
     for v in variants {
         let r = v.synthesize();
-        println!("== {v} ==");
-        println!(
+        outln!("== {v} ==");
+        outln!(
             "  {} MACs/cycle, achieved {:.1} MHz, operating {:.1} MHz, peak {:.1} GOPS",
             v.macs_per_cycle(),
             r.achieved_fmax_mhz,
             r.operating_mhz,
             r.peak_gops()
         );
-        println!("  {}", r.utilization);
+        outln!("  {}", r.utilization);
         if which != "all" {
-            print!("{}", AreaBreakdown::from_synthesis(v.label(), &r).render());
+            out!("{}", AreaBreakdown::from_synthesis(v.label(), &r).render());
         }
     }
 }
@@ -479,7 +504,7 @@ fn infer(p: &Parsed) {
     let backend = resolved.config.backend;
 
     let qnet = build_network(p, hw, p.has("--ternary"));
-    println!(
+    outln!(
         "running {} on {} ({:.2} GMACs, {backend} backend)...",
         qnet.spec.name,
         variant,
@@ -497,7 +522,7 @@ fn infer(p: &Parsed) {
         let shard = session
             .run_batch(&qnet, std::slice::from_ref(&input))
             .unwrap_or_else(|e| fail_error(&e));
-        println!(
+        outln!(
             "sharded over {} instances ({} placement): makespan {} cycles, {:.2}x vs one instance",
             shard.instances,
             shard.placement,
@@ -511,8 +536,8 @@ fn infer(p: &Parsed) {
     if let Some(diff) = golden_mismatch(&report.output, qnet.forward_quant_scratch(&input, &mut arena)) {
         fail(&format!("not bit-exact vs the software golden model: {diff}"));
     }
-    println!("bit-exact vs the software golden model");
-    println!(
+    outln!("bit-exact vs the software golden model");
+    outln!(
         "{} cycles = {:.2} ms at {:.0} MHz; mean {:.1} / peak {:.1} effective GOPS; DDR {} MiB",
         report.total_cycles,
         report.total_cycles as f64 * config.cycle_seconds() * 1e3,
@@ -522,7 +547,7 @@ fn infer(p: &Parsed) {
         report.ddr_bytes >> 20
     );
     let top = zskip::nn::fc::argmax(&report.output).expect("non-empty");
-    println!("predicted class: {top}");
+    outln!("predicted class: {top}");
 }
 
 /// Where an accelerator output first departs from the golden model's, as
@@ -546,14 +571,14 @@ fn batch(p: &Parsed) {
     let inputs = synthetic_inputs(3, n, qnet.spec.input);
 
     let session = resolved.config.session().build().unwrap_or_else(|e| fail_error(&e));
-    println!("running {} x {} on {} ({backend} backend)...", n, qnet.spec.name, variant);
+    outln!("running {} x {} on {} ({backend} backend)...", n, qnet.spec.name, variant);
     let t0 = std::time::Instant::now();
     let report = session.run_batch(&qnet, &inputs).unwrap_or_else(|e| fail_error(&e));
     let wall = t0.elapsed().as_secs_f64();
     if report.instances > 1 {
         print_shard_summary(&report, &session.driver().config);
     } else {
-        println!(
+        outln!(
             "{} images in {:.2} s on {} workers ({:.2} images/s, {:.1} M simulated cycles/s)",
             n,
             wall,
@@ -564,14 +589,14 @@ fn batch(p: &Parsed) {
     }
     for (i, r) in report.items.iter().enumerate() {
         let top = zskip::nn::fc::argmax(&r.output).expect("non-empty");
-        println!("  image {i}: {} cycles, predicted class {top}", r.total_cycles);
+        outln!("  image {i}: {} cycles, predicted class {top}", r.total_cycles);
     }
 }
 
 /// Renders one sharded run's timeline: placement, throughput, and the
 /// per-instance utilization split the scheduler achieved.
 fn print_shard_summary(shard: &BatchReport, config: &AccelConfig) {
-    println!(
+    outln!(
         "sharded {} images over {} instances ({} placement): makespan {} cycles, \
          {:.2}x vs one instance, {:.1} simulated images/s",
         shard.items.len(),
@@ -587,13 +612,13 @@ fn print_shard_summary(shard: &BatchReport, config: &AccelConfig) {
         } else {
             0.0
         };
-        println!("  instance {k}: {busy} busy cycles ({pct:.0}% of makespan)");
+        outln!("  instance {k}: {busy} busy cycles ({pct:.0}% of makespan)");
     }
     if shard.placement == Placement::Pipeline {
         for (layer, bubbles) in &shard.layer_bubbles {
-            println!("  stage '{layer}': {bubbles} bubble cycles waiting on upstream");
+            outln!("  stage '{layer}': {bubbles} bubble cycles waiting on upstream");
         }
-        println!(
+        outln!(
             "  weight staging: {} cycles hidden behind compute, {} exposed",
             shard.staging_hidden_cycles, shard.staging_exposed_cycles
         );
@@ -629,7 +654,7 @@ fn serve(p: &Parsed) {
 
     // EOF or a shutdown op landed: drain what is queued, then report.
     let stats = engine.join();
-    println!("{}", wire::render_stats(&stats));
+    outln!("{}", wire::render_stats(&stats));
     eprintln!(
         "zskip serve: drained cleanly ({} served, {} failed, {} rejected, p50 {} us, p99 {} us)",
         stats.served,
@@ -656,7 +681,7 @@ fn serve_tcp(handle: &zskip::accel::ServeHandle, shape: zskip::tensor::Shape, ad
     // Announce the bound address on stdout as a JSON line so harnesses
     // binding port 0 can discover the real port.
     use zskip::json::Json;
-    println!(
+    outln!(
         "{}",
         Json::obj([
             ("ok", Json::Bool(true)),
@@ -730,27 +755,27 @@ fn tune(p: &Parsed) {
     // Written before the table prints, so a closed stdout cannot lose it.
     let artifact = best.artifact(&space);
     artifact.save(&out).unwrap_or_else(|e| fail_error(&e));
-    println!("scored {} on the '{}' space's {} points in {elapsed:.2} s", qnet.spec.name, space.name(), rows.len());
+    outln!("scored {} on the '{}' space's {} points in {elapsed:.2} s", qnet.spec.name, space.name(), rows.len());
     let default = rows.iter().find(|r| r.config == TunedConfig::default()).expect("spaces hold the default");
     let mut header: Vec<&str> = space.axes().iter().map(|a| a.knob.name).collect();
     header.extend(["simulated s", "x default"]);
-    println!("  {}", header.iter().map(|h| format!("{h:<12}")).collect::<String>().trim_end());
+    outln!("  {}", header.iter().map(|h| format!("{h:<12}")).collect::<String>().trim_end());
     for row in &rows {
         let mut cells: Vec<String> = space.axes().iter().map(|a| a.knob.text((a.knob.get)(&row.config))).collect();
         match &row.result {
             Ok(_) => cells.extend([format!("{:.3e}", row.score), format!("{:.3}", row.score / default.score)]),
             Err(e) => cells.push(e.code().to_string()),
         }
-        println!("  {}", cells.iter().map(|c| format!("{c:<12}")).collect::<String>().trim_end());
+        outln!("  {}", cells.iter().map(|c| format!("{c:<12}")).collect::<String>().trim_end());
     }
-    println!(
+    outln!(
         "default {:.3e} s -> best {:.3e} s ({:.2}x)",
         default.score,
         best.score,
         default.score / best.score,
     );
-    println!("{}", tuned_knobs(&artifact, "  "));
-    println!("wrote {out} (load with --config {out} or SessionBuilder::from_tuned)");
+    outln!("{}", tuned_knobs(&artifact, "  "));
+    outln!("wrote {out} (load with --config {out} or SessionBuilder::from_tuned)");
 }
 
 /// `zskip analyze --network FILE`: prints the spec's layer DAG — shapes,
@@ -782,7 +807,7 @@ fn analyze_network(path: &str) {
     }
 
     let s = spec.input;
-    println!(
+    outln!(
         "{}: {} layers, input {}x{}x{}, {:.1} MMACs",
         spec.name,
         spec.layers.len(),
@@ -791,13 +816,13 @@ fn analyze_network(path: &str) {
         s.w,
         spec.total_macs() as f64 / 1e6
     );
-    println!(
+    outln!(
         "plan: {} activation slot(s), peak resident {} KiB{}\n",
         plan.slots,
         plan.peak_resident_bytes / 1024,
         plan.output_slot.map(|o| format!(", output in slot {o}")).unwrap_or_default(),
     );
-    println!("{:>4}  {:<16} {:<28} {:>12} {:>6}  notes", "#", "layer", "kind", "shape", "slot");
+    outln!("{:>4}  {:<16} {:<28} {:>12} {:>6}  notes", "#", "layer", "kind", "shape", "slot");
     for (i, layer) in spec.layers.iter().enumerate() {
         let relu_tag = |relu: bool| if relu { " +relu" } else { "" };
         let ref_name = |r: LayerRef| match r {
@@ -832,7 +857,7 @@ fn analyze_network(path: &str) {
             let freed: Vec<String> = step.frees.iter().map(|f| f.to_string()).collect();
             notes.push(format!("frees slot {}", freed.join(", ")));
         }
-        println!(
+        outln!(
             "{:>4}  {:<16} {:<28} {:>12} {:>6}  {}",
             i,
             layer.name(),
@@ -843,9 +868,9 @@ fn analyze_network(path: &str) {
         );
     }
     if fanout[0] > 1 {
-        println!("\nnetwork input is a branch point ({} consumers)", fanout[0]);
+        outln!("\nnetwork input is a branch point ({} consumers)", fanout[0]);
     }
-    println!("\nper-slot high-water marks (KiB): {:?}", plan.slot_elems.iter().map(|e| e / 1024).collect::<Vec<_>>());
+    outln!("\nper-slot high-water marks (KiB): {:?}", plan.slot_elems.iter().map(|e| e / 1024).collect::<Vec<_>>());
 }
 
 fn analyze(p: &Parsed) {
@@ -858,35 +883,35 @@ fn analyze(p: &Parsed) {
     let resolved = resolve_config(p);
     let variant = resolved.config.variant;
     if let Some(path) = &resolved.source {
-        println!("tuned config: {path} (artifact v{})", zskip::accel::tune::ARTIFACT_VERSION);
-        println!("{}", tuned_knobs(&resolved.config, "  "));
+        outln!("tuned config: {path} (artifact v{})", zskip::accel::tune::ARTIFACT_VERSION);
+        outln!("{}", tuned_knobs(&resolved.config, "  "));
         match &resolved.config.provenance {
             Some(pr) => print_provenance(pr, "  "),
-            None => println!("  no provenance recorded (hand-written artifact)"),
+            None => outln!("  no provenance recorded (hand-written artifact)"),
         }
         if resolved.overrides.is_empty() {
-            println!("  no CLI overrides: the artifact's knobs are in effect");
+            outln!("  no CLI overrides: the artifact's knobs are in effect");
         } else {
             for w in &resolved.overrides {
-                println!("  override: {w}");
+                outln!("  override: {w}");
             }
         }
-        println!();
+        outln!();
     }
     let config = AccelConfig::for_variant(variant);
     let qnet = zskip_bench::build_vgg16_with_density(density);
-    println!(
+    outln!(
         "VGG-16 packing analysis ({} lanes, zero-skip floor 4 cycles/weight-tile)\n",
         config.lanes
     );
-    println!(
+    outln!(
         "{:<9} {:>8} {:>10} {:>11} {:>9} {:>9} {:>8} {:>9}",
         "layer", "density", "scratch KB", "steps", "bubbles%", "skipped", "speedup", "vs ideal"
     );
     for (i, layer) in qnet.conv.iter().enumerate() {
         let name = zskip::nn::VGG16_CONV_NAMES.get(i).copied().unwrap_or("conv?");
         let s = LayerPackingStats::analyze(name, &layer.weights, &config);
-        println!(
+        outln!(
             "{:<9} {:>8.3} {:>10} {:>11} {:>8.1}% {:>9} {:>7.2}x {:>8.2}x",
             s.name,
             s.density,
@@ -898,8 +923,8 @@ fn analyze(p: &Parsed) {
             s.lockstep_steps.max(1) as f64 / s.ideal_steps.max(1) as f64,
         );
     }
-    println!("\n'vs ideal' is lockstep steps over per-lane-independent steps: the bubble");
-    println!("cost the paper's future-work filter grouping recovers.");
+    outln!("\n'vs ideal' is lockstep steps over per-lane-independent steps: the bubble");
+    outln!("cost the paper's future-work filter grouping recovers.");
 
     // Software datapath: which SIMD kernel tier this host dispatches to,
     // and the golden model's steady-state allocation behaviour (a warmed
@@ -909,7 +934,7 @@ fn analyze(p: &Parsed) {
     use zskip::nn::simd::KernelTier;
     use zskip::nn::Scratch;
     let host_tiers: Vec<&str> = KernelTier::supported().iter().map(|t| t.name()).collect();
-    println!(
+    outln!(
         "\nSoftware kernel tier: {} (host supports: {}; override with {}=<tier>)",
         zskip::nn::dispatch(),
         host_tiers.join(", "),
@@ -920,7 +945,7 @@ fn analyze(p: &Parsed) {
     for tier in KernelTier::ALL {
         let needs = tier.required_features();
         let missing = tier.missing_features();
-        println!(
+        outln!(
             "  {:<7} {}{}",
             format!("{tier}:"),
             if needs.is_empty() { "no CPU features".to_string() } else { needs.join("+") },
@@ -935,7 +960,7 @@ fn analyze(p: &Parsed) {
     let sq = snet.quantize(&synthetic_inputs(2, 1, surrogate.input));
     let probe = synthetic_inputs(3, 3, surrogate.input);
     let auto_workers = zskip::nn::ConvPool::auto_threads();
-    println!(
+    outln!(
         "Intra-image conv workers: {auto_workers} at auto (host parallelism; --threads overrides) — \
          model and cpu backends: the golden walk's conv panels; cycle backend: a pass's instructions"
     );
@@ -945,7 +970,7 @@ fn analyze(p: &Parsed) {
         let _ = sq.forward_quant_scratch(input, &mut arena);
     }
     let steady = if arena.grow_events() <= 1 { "0" } else { "NONZERO (arena regrew!)" };
-    println!(
+    outln!(
         "Scratch arena ({} images, vgg16-32 surrogate, {} worker(s)): {} grow event(s), {} KiB, steady-state heap allocations/image: {}",
         probe.len(),
         auto_workers,
@@ -969,7 +994,7 @@ fn analyze(p: &Parsed) {
     let _ = cpu.infer(&sq, &probe[1]).expect("surrogate image runs");
     let gc = zskip::accel::weight_cache_stats();
     let sm = zskip::accel::stats_memo_stats();
-    println!(
+    outln!(
         "Packed-group weight cache: {} entries ({:.1} MiB), {} hits / {} misses",
         gc.entries,
         gc.bytes as f64 / (1 << 20) as f64,
@@ -977,7 +1002,7 @@ fn analyze(p: &Parsed) {
         gc.misses
     );
     let warm_hits = sm.hits - cold.hits;
-    println!(
+    outln!(
         "Stats memo (cpu):          {} entries ({:.1} KiB), {} hits / {} misses; warm image: {} hit{} / {} misses",
         sm.entries,
         sm.bytes as f64 / 1024.0,
@@ -995,7 +1020,7 @@ fn analyze(p: &Parsed) {
     let instances = resolved.config.instances;
     let placement = resolved.config.placement;
     let cost = zskip::accel::CostModel::for_instances(variant, instances);
-    println!(
+    outln!(
         "\nSharding at {} instance(s): {} at {:.1} MHz, ALM utilization {:.2}{}",
         cost.instances,
         cost.device,
@@ -1015,8 +1040,8 @@ fn analyze(p: &Parsed) {
 
     // Serving limits: what `zskip serve` defaults to on this build, so an
     // operator can size clients without starting the daemon.
-    println!("\nServe defaults: queue depth {DEFAULT_QUEUE_DEPTH} (admission control), one resident worker per host core");
-    println!("(override with zskip serve --queue-depth/--workers; full wire protocol in docs/SERVING.md)");
+    outln!("\nServe defaults: queue depth {DEFAULT_QUEUE_DEPTH} (admission control), one resident worker per host core");
+    outln!("(override with zskip serve --queue-depth/--workers; full wire protocol in docs/SERVING.md)");
 }
 
 fn faults(p: &Parsed) {
@@ -1024,19 +1049,19 @@ fn faults(p: &Parsed) {
     let cfg = CampaignConfig { hw: p.parse_num("--hw", 8), seed: p.parse_num("--seed", 7) };
     let report = run_campaign(&cfg);
     if p.has("--json") {
-        println!("{}", report.to_json().to_string_pretty());
+        outln!("{}", report.to_json().to_string_pretty());
     } else {
-        println!("fault-injection campaign ({} trials)\n", report.trials.len());
-        println!("{:<20} {:<22} {:<17} detail", "site", "fault", "outcome");
+        outln!("fault-injection campaign ({} trials)\n", report.trials.len());
+        outln!("{:<20} {:<22} {:<17} detail", "site", "fault", "outcome");
         for t in &report.trials {
-            println!("{:<20} {:<22} {:<17} {}", t.site, t.fault, t.outcome.label(), t.detail);
+            outln!("{:<20} {:<22} {:<17} {}", t.site, t.fault, t.outcome.label(), t.detail);
         }
         let (identical, recovered, errors, vulnerable) = report.tally();
-        println!(
+        outln!(
             "\n{} identical, {} recovered by retry, {} structured errors, {} vulnerable",
             identical, recovered, errors, vulnerable
         );
-        println!("verdict: {}", if report.survived() { "SURVIVED" } else { "VULNERABLE" });
+        outln!("verdict: {}", if report.survived() { "SURVIVED" } else { "VULNERABLE" });
     }
     if !report.survived() {
         std::process::exit(1);
@@ -1080,10 +1105,10 @@ fn trace() {
     let opts = RunOptions { max_cycles: 1_000_000, trace_cycles: NonZeroUsize::new(160), ..RunOptions::default() };
     let outcome = cycle::run(&cfg, banks, gw.as_bytes(), &[Instruction::Conv(instr)], &opts).expect("runs");
     let trace = outcome.trace.as_ref().expect("tracing was asked for");
-    println!("cycle-exact waveform of one conv instruction ({} cycles total)", outcome.cycles);
-    println!("legend: '#' busy, 'x' blocked on FIFO, '.' idle, ' ' done\n");
-    print!("{}", trace.render(80));
-    println!("{}", outcome.report.render_utilization());
+    outln!("cycle-exact waveform of one conv instruction ({} cycles total)", outcome.cycles);
+    outln!("legend: '#' busy, 'x' blocked on FIFO, '.' idle, ' ' done\n");
+    out!("{}", trace.render(80));
+    outln!("{}", outcome.report.render_utilization());
 }
 
 #[cfg(test)]

@@ -385,3 +385,59 @@ fn deep_nesting_and_long_lines_never_panic_the_json_and_wire_parsers() {
     }
     assert!(started.elapsed().as_secs() < 60, "a 4 MiB line must parse in time linear in its length");
 }
+
+/// `zskip <args>` with its stdout a pipe whose reader is already gone,
+/// as under `zskip ... | head -1` once `head` has exited: returns the
+/// exit status and what went to stderr.
+fn zskip_into_a_closed_pipe(args: &[&str]) -> (std::process::ExitStatus, String) {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_zskip"))
+        .args(args)
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("zskip runs");
+    (out.status, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn a_closed_stdout_ends_every_printing_subcommand_quietly() {
+    // One subcommand per kind of printing: flag help, a table, a
+    // rendered waveform, and `tune`, which writes its artifact first and
+    // prints its 48-row table after. A panic would exit 101 with
+    // "failed printing to stdout" on stderr.
+    let dir = std::env::temp_dir().join(format!("zskip-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = NetworkSpec {
+        name: "closed-stdout".into(),
+        input: Shape::new(3, 8, 8),
+        layers: vec![conv3x3("c1", 3, 8), maxpool2x2("p1"), conv3x3("c2", 8, 8)],
+    };
+    let (spec_path, artifact) = (dir.join("spec.json"), dir.join("tuned.json"));
+    std::fs::write(&spec_path, spec.to_json()).expect("write spec");
+    let [spec_path, artifact] = [&spec_path, &artifact].map(|p| p.to_str().expect("utf-8 path"));
+    let tune = ["tune", "--density", "0.5", "--network", spec_path, "--out", artifact];
+    for args in [&["infer", "--help"][..], &["synth", "all"], &["trace"], &tune] {
+        let (status, stderr) = zskip_into_a_closed_pipe(args);
+        assert_eq!(status.code(), Some(0), "zskip {args:?}: {status}, stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "zskip {args:?}: {stderr}");
+    }
+    assert!(std::fs::metadata(artifact).is_ok(), "tune wrote its artifact before its table");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}
+
+#[test]
+fn a_failing_stdout_is_a_reported_error_not_a_panic() {
+    // A write error other than a closed pipe (a full device) is still a
+    // failure: a message and exit 2, never the panic's 101.
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else { return };
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_zskip"))
+        .args(["infer", "--help"])
+        .stdout(full)
+        .output()
+        .expect("zskip runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("zskip: cannot write to stdout"), "{stderr}");
+}
