@@ -26,12 +26,13 @@
 //! * **Driver backends**: end-to-end images/s through
 //!   `Session::infer_scratch` on the scaled VGG-16 spec, per
 //!   execution backend name (model and cpu), and the check that the
-//!   default `model` backend takes the cpu path: every warm image on a
-//!   model session reads the stats memo once (one hit an image), and its
-//!   output equals the cpu session's.
+//!   default `model` backend takes the cpu path: every warm image's
+//!   output on a model session equals the cpu session's (that a warm
+//!   image replays the session's one recorded stats walk is a
+//!   `zskip-core` unit test, `exec::cpu`).
 //! * **Intra-image threading**: cpu-backend latency at 1/2/4/8 workers
-//!   (counts above the host's cores are reported `skipped`, not timed)
-//!   plus the packed-group cache's hit/miss counters. Outputs are
+//!   (counts above the host's cores are reported `skipped`, not timed).
+//!   Outputs are
 //!   bit-identical at every width (asserted here; property-tested in
 //!   `tests/kernel_tiers.rs`).
 //! * **ResNet block**: the 1x1 projection conv (its lowering is a
@@ -45,8 +46,8 @@
 //! throughput on the L2-resident FC, the avx512 tier's GEMM is under 2x the avx2 tier's
 //! or the amx tier's conv under 1.5x the avx512 tier's on the conv3_2- and
 //! conv4_2-like shapes (when the host has both), the
-//! steady-state pass allocates, a warm model-backend image misses the
-//! stats memo or departs from the cpu backend's output, or the auto-width
+//! steady-state pass allocates, a warm model-backend image departs from
+//! the cpu backend's output, or the auto-width
 //! multithreaded latency regresses past the single-threaded one — wired
 //! into `scripts/verify.sh`.
 //!
@@ -61,7 +62,7 @@ use std::time::Instant;
 use rand::{RngCore, SplitMix64};
 use zskip_bench::{make_conv_layer, write_bench_artifacts};
 use zskip_core::config::AccelConfig;
-use zskip_core::{stats_memo_stats, weight_cache_stats, BackendKind, Session};
+use zskip_core::{BackendKind, Session};
 use zskip_hls::Variant;
 use zskip_json::{Json, ToJson};
 use zskip_nn::eval::synthetic_inputs;
@@ -72,7 +73,6 @@ use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
 use zskip_nn::simd::KernelTier;
 use zskip_nn::vgg16::vgg16_scaled_spec;
 use zskip_nn::{ConvPool, Scratch};
-use zskip_quant::cache::CacheStats;
 use zskip_quant::{DensityProfile, Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -268,8 +268,6 @@ struct CpuBackendResult {
     backends: Vec<BackendTiming>,
     /// Warm images the one-path check ran on a model session.
     model_images: usize,
-    /// Stats-memo hits those images added (`--check`: one per image).
-    model_memo_hits: u64,
     /// Whether each of those images' output equals the cpu session's
     /// (`--check`: all of them).
     model_outputs_match_cpu: bool,
@@ -281,19 +279,9 @@ impl ToJson for CpuBackendResult {
             ("hw", self.hw.to_json()),
             ("backends", self.backends.to_json()),
             ("model_images", self.model_images.to_json()),
-            ("model_memo_hits", self.model_memo_hits.to_json()),
             ("model_outputs_match_cpu", self.model_outputs_match_cpu.to_json()),
         ])
     }
-}
-
-fn cache_to_json(s: &CacheStats) -> Json {
-    Json::obj([
-        ("entries", s.entries.to_json()),
-        ("hits", s.hits.to_json()),
-        ("misses", s.misses.to_json()),
-        ("bytes", s.bytes.to_json()),
-    ])
 }
 
 /// Cpu-backend latency at one intra-image worker count; `None` when the
@@ -321,7 +309,6 @@ struct IntraImageResult {
     /// Auto-width latency over single-threaded latency; `--check`
     /// requires it to stay within a small noise tolerance of 1.
     mt_vs_single: f64,
-    group_cache: CacheStats,
 }
 
 impl ToJson for IntraImageResult {
@@ -330,7 +317,6 @@ impl ToJson for IntraImageResult {
             ("auto_workers", self.auto_workers.to_json()),
             ("timings", self.timings.to_json()),
             ("mt_vs_single", self.mt_vs_single.to_json()),
-            ("group_cache", cache_to_json(&self.group_cache)),
         ])
     }
 }
@@ -587,21 +573,17 @@ fn bench_cpu_backend(
             BackendTiming { backend: backend.name(), ms_per_image, images_per_s: 1e3 / ms_per_image }
         })
         .into();
-    // The one-path check, on sessions the timing warmed: each model image
-    // is one stats-memo hit (the process runs nothing else meanwhile),
-    // and its output is the cpu session's.
+    // The one-path check, on sessions the timing warmed: each model
+    // image's output is the cpu session's.
     let mut scratch = Scratch::new();
     let mut run = |session: &Session| -> Vec<Vec<Sm8>> {
         inputs.iter().map(|i| session.infer_scratch(qnet, i, &mut scratch).expect("runs").output).collect()
     };
-    let hits = stats_memo_stats().hits;
     let model_outputs = run(&model.1);
-    let model_memo_hits = stats_memo_stats().hits - hits;
     CpuBackendResult {
         hw: 32,
         backends,
         model_images: inputs.len(),
-        model_memo_hits,
         model_outputs_match_cpu: model_outputs == run(&cpu.1),
     }
 }
@@ -640,7 +622,6 @@ fn bench_intra_image(
         auto_workers,
         mt_vs_single: ms_at(auto_workers) / ms_at(1),
         timings,
-        group_cache: weight_cache_stats(),
     }
 }
 
@@ -738,8 +719,7 @@ fn render(bench: &Bench) -> String {
         ));
     }
     text.push_str(&format!(
-        "  model backend on the cpu path: {} stats-memo hits over {} warm images, outputs {} the cpu backend's\n",
-        c.model_memo_hits,
+        "  model backend on the cpu path: {} warm images, outputs {} the cpu backend's\n",
         c.model_images,
         if c.model_outputs_match_cpu { "equal to" } else { "DIFFERENT from" }
     ));
@@ -751,13 +731,6 @@ fn render(bench: &Bench) -> String {
             None => text.push_str(&format!("  {:>2} workers  skipped (more workers than cores)\n", t.workers)),
         }
     }
-    text.push_str(&format!(
-        "  group cache: {} entries, {} hits / {} misses, {} KiB\n",
-        ii.group_cache.entries,
-        ii.group_cache.hits,
-        ii.group_cache.misses,
-        ii.group_cache.bytes / 1024,
-    ));
     let rb = &bench.resnet_block;
     text.push_str(&format!(
         "\nresnet block (1x1 projection {}->{} @ {}x{}, tier {}):\n",
@@ -860,15 +833,8 @@ fn check(bench: &Bench) -> Vec<String> {
             bench.allocs.scratch_steady_per_image
         ));
     }
-    // Two names, one path: a warm model image replays the memoized
-    // report (a staged run would read none) and returns the golden walk.
+    // Two names, one path: a warm model image returns the golden walk.
     let c = &bench.cpu_backend;
-    if c.model_memo_hits != c.model_images as u64 {
-        failed.push(format!(
-            "model backend: {} stats-memo hits over {} warm images (need one per image)",
-            c.model_memo_hits, c.model_images
-        ));
-    }
     if !c.model_outputs_match_cpu {
         failed.push("model backend: a warm image's output differs from the cpu backend's".to_string());
     }

@@ -8,8 +8,9 @@
 //! that explain them. The `zskip analyze` CLI prints the result.
 
 use crate::config::AccelConfig;
-use crate::weights::GroupWeights;
+use crate::weights::{packed_layer, GroupWeights};
 use zskip_nn::conv::QuantConvWeights;
+use zskip_nn::model::QuantizedNetwork;
 
 /// Packing statistics for one conv layer on a given accelerator.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +40,8 @@ pub struct LayerPackingStats {
 }
 
 impl LayerPackingStats {
-    /// Analyzes one quantized conv layer for an accelerator configuration.
+    /// Analyzes one quantized conv layer for an accelerator configuration,
+    /// reading the packed image the driver stages (zero-skipping on).
     pub fn analyze(name: &str, qw: &QuantConvWeights, config: &AccelConfig) -> LayerPackingStats {
         let lanes = config.lanes;
         let mut s = LayerPackingStats {
@@ -54,8 +56,9 @@ impl LayerPackingStats {
             skipped_channels: 0,
             lanes,
         };
+        let packed = packed_layer(qw, lanes, true);
         for g in 0..qw.out_c.div_ceil(lanes) {
-            let gw = GroupWeights::from_filters(qw, g * lanes, lanes);
+            let (_, gw) = GroupWeights::from_packed(&packed, qw.in_c, g);
             s.scratchpad_bytes += gw.total_bytes() as u64;
             for ifm in 0..gw.ifm_count() {
                 let steps = gw.steps(ifm) as u64;
@@ -101,6 +104,17 @@ impl LayerPackingStats {
         let group_ifm_pairs = self.nnz_histogram.iter().sum::<u64>() / self.lanes as u64;
         (group_ifm_pairs.max(1) * 16) as f64 / self.floored_steps as f64
     }
+}
+
+/// Bytes `qnet`'s conv layers hold packed at `config`'s lane count with
+/// zero-skipping — each layer's scratchpad image and tile index, what the
+/// driver stages — packing any layer not packed that way yet.
+pub fn packed_weight_bytes(qnet: &QuantizedNetwork, config: &AccelConfig) -> usize {
+    let bytes = |qw: &QuantConvWeights| {
+        let packed = packed_layer(qw, config.lanes, true);
+        packed.image.len() + packed.index.len() * size_of::<u32>()
+    };
+    qnet.conv.iter().map(|c| bytes(&c.weights)).sum()
 }
 
 #[cfg(test)]

@@ -15,12 +15,13 @@
 //!   accelerator steps — geometry checks, then each layer's passes (a
 //!   padded convolution is the pad pass and the conv pass);
 //! * **backend dispatch**: the model and cpu backends (one path) run the
-//!   golden walk itself and read their statistics from a memoized
-//!   stats-only walk (`exec::cpu`) over the plan's steps by shape, every
-//!   accelerator step on the transaction-level model, which counts DMA
-//!   traffic and costs instructions but moves no bytes; the cycle backend
-//!   walks the plan with data, each accelerator step tiled only at the
-//!   accelerator boundary and run on the cycle-exact simulation;
+//!   golden walk itself and read their statistics from the session's
+//!   recorded stats-only walk (`exec::cpu`) over the plan's steps by
+//!   shape, every accelerator step on the transaction-level model, which
+//!   counts DMA traffic and costs instructions but moves no bytes; the
+//!   cycle backend walks the plan with data, each accelerator step tiled
+//!   only at the accelerator boundary and run on the cycle-exact
+//!   simulation;
 //! * **reporting**: per-layer [`PassStats`] roll up into an
 //!   [`InferenceReport`].
 //!
@@ -29,6 +30,7 @@
 
 use crate::config::AccelConfig;
 use crate::exec::pipeline::{self, slot_addr, Exec, DDR_FM_PAD, DDR_FM_STRIDE};
+use crate::exec::cpu::StatsSlot;
 use crate::exec::{self, PassCtx};
 use crate::isa::{narrow, FieldOverflow, PoolPadOp};
 use zskip_fault::SharedFaultPlan;
@@ -78,6 +80,9 @@ pub struct Driver {
     pub kernel_tier: KernelTier,
     /// Fault plan threaded into the SoC models and the cycle backend.
     pub(crate) fault_plan: Option<SharedFaultPlan>,
+    /// The model and cpu backends' recorded stats-only report
+    /// (`exec::cpu`), shared by this driver's clones.
+    pub(crate) stats: StatsSlot,
 }
 
 /// Driver-level failure.
@@ -184,9 +189,9 @@ impl Driver {
     ///
     /// On the model and cpu backends (one path, `exec::cpu`) the output
     /// is the golden walk's and the report a stats-only
-    /// [`staged walk`](Driver::run_staged)'s, memoized per network and
-    /// configuration. On the cycle backend the run is the staged walk on
-    /// the cycle engine.
+    /// [`staged walk`](Driver::run_staged)'s, recorded on the session
+    /// per network and configuration. On the cycle backend the run is the
+    /// staged walk on the cycle engine.
     ///
     /// # Errors
     /// [`DriverError::LayerTooLarge`] when a layer cannot be striped into

@@ -15,43 +15,39 @@
 //! weights, its geometry and the accelerator configuration.
 //!
 //! The report is therefore paid **once per (network, configuration)**,
-//! not once per image: the first run records it in a process-wide memo
-//! ([`stats_memo_stats`]), and every later image is one lookup plus the
-//! golden walk — no pass is issued and no SoC model is created. With
+//! not once per image: the session records it in its driver's
+//! single-entry slot ([`StatsSlot`], shared by the driver's clones — the
+//! serve workers, say — while the single-instance view a batch's image
+//! and pipeline placements run on keeps a slot of its own), and every
+//! later image of the same network is one key check plus the golden walk
+//! — no pass is issued and no SoC model is created. Another network, or
+//! a clone with another configuration, replaces the entry. The key is
+//! the network's content, not its address, because a caller may pass a
+//! clone, and every driver field that moves a statistic, because a
+//! driver's fields are public. With
 //! [`functional`](Driver::functional) off the golden walk is skipped too:
 //! the run is the report alone, with an empty `output`.
 //!
-//! An attached fault plan bypasses the memo: the stats-only walk is
-//! issued for every image, because its DMA descriptor sequence is where
-//! `dma:*` injections fire, and it returns any error before the golden
-//! walk starts. Only `Ok`, fault-plan-free reports are recorded.
+//! An attached fault plan never reads or writes the slot: the stats-only
+//! walk is issued for every image, because its DMA descriptor sequence is
+//! where `dma:*` injections fire, and it returns any error before the
+//! golden walk starts.
 //!
 //! [`BackendKind::Model`]: crate::exec::BackendKind::Model
 //! [`BackendKind::Cpu`]: crate::exec::BackendKind::Cpu
 //! [`Scratch`]: zskip_nn::scratch::Scratch
 
-use crate::driver::{Driver, DriverError, InferenceReport, LayerReport};
-use std::sync::{Arc, OnceLock};
+use crate::driver::{Driver, DriverError, InferenceReport};
+use std::sync::{Arc, Mutex, PoisonError};
 use zskip_nn::layer::{LayerRef, LayerSpec, NetworkSpec};
 use zskip_nn::model::QuantizedNetwork;
 use zskip_nn::scratch::Scratch;
-use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
+use zskip_quant::cache::Fingerprint;
 use zskip_tensor::Tensor;
 
-/// The process-wide stats memo, keyed by [`memo_key`]. Like the
-/// packed-weight cache it never evicts: it holds one report per distinct
-/// (network, configuration) pair, however many images are served.
-fn stats_memo() -> &'static WeightCache<InferenceReport> {
-    static MEMO: OnceLock<WeightCache<InferenceReport>> = OnceLock::new();
-    MEMO.get_or_init(WeightCache::new)
-}
-
-/// Statistics of the process-wide stats memo of the model and cpu
-/// backends (entries, hits, misses, resident bytes) — surfaced by `zskip
-/// analyze` and the serve `stats` op. A warm image is one hit.
-pub fn stats_memo_stats() -> CacheStats {
-    stats_memo().stats()
-}
+/// A session's recorded stats-only report and its [`memo_key`]: the last
+/// one recorded, shared by the driver's clones.
+pub(crate) type StatsSlot = Arc<Mutex<Option<(u64, Arc<InferenceReport>)>>>;
 
 /// Memo key of one network run: every configuration field that reaches
 /// the cycle model or the stripe planner, the two packing flags, the
@@ -106,16 +102,25 @@ fn spec_fingerprint(fp: Fingerprint, spec: &NetworkSpec) -> Fingerprint {
     })
 }
 
-/// Bytes a memoized report holds: the report and its layer list, and
-/// each layer's name, per-instance cycles and counters on the heap (its
-/// `output` is empty).
-fn report_bytes(r: &InferenceReport) -> usize {
-    let heap = |l: &LayerReport| {
-        let cycles = l.stats.per_instance_cycles.capacity() * size_of::<u64>();
-        l.name.capacity() + cycles + l.stats.counters.heap_bytes()
-    };
-    let layers = r.layers.capacity() * size_of::<LayerReport>();
-    size_of::<InferenceReport>() + layers + r.layers.iter().map(heap).sum::<usize>()
+/// The stats-only report of running `qnet` on `input`: the driver's
+/// recorded one when its key matches, else a fresh walk's, which is then
+/// recorded — or, under a fault plan, a fresh walk's, never recorded.
+/// Concurrent clones wait for one walk rather than each issuing their own.
+fn stats_report(
+    driver: &Driver,
+    qnet: &QuantizedNetwork,
+    input: &Tensor<f32>,
+) -> Result<Arc<InferenceReport>, DriverError> {
+    let stats_only = || driver.run_staged(qnet, input, None).map(Arc::new);
+    if driver.fault_plan.is_some() {
+        return stats_only();
+    }
+    let key = memo_key(driver, qnet, input);
+    let mut slot = driver.stats.lock().unwrap_or_else(PoisonError::into_inner);
+    match &*slot {
+        Some((k, report)) if *k == key => Ok(Arc::clone(report)),
+        _ => Ok(Arc::clone(&slot.insert((key, stats_only()?)).1)),
+    }
 }
 
 /// [`Driver::run_network_scratch`] on the model and cpu backends (see
@@ -126,12 +131,7 @@ pub(crate) fn run_network(
     input: &Tensor<f32>,
     scratch: &mut Scratch,
 ) -> Result<InferenceReport, DriverError> {
-    let stats_only = || driver.run_staged(qnet, input, None);
-    let report = if driver.fault_plan.is_some() {
-        Arc::new(stats_only()?)
-    } else {
-        stats_memo().try_get_or_insert_with(memo_key(driver, qnet, input), stats_only, report_bytes)?
-    };
+    let report = stats_report(driver, qnet, input)?;
     let output = if driver.functional {
         scratch.set_threads(driver.threads);
         scratch.set_tier(driver.kernel_tier);
@@ -148,6 +148,7 @@ mod tests {
     use super::*;
     use crate::config::AccelConfig;
     use crate::session::{Session, SessionBuilder};
+    use zskip_fault::FaultPlan;
     use zskip_hls::AccelArch;
     use zskip_nn::eval::synthetic_inputs;
     use zskip_nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
@@ -155,14 +156,8 @@ mod tests {
     use zskip_quant::DensityProfile;
     use zskip_tensor::Shape;
 
-    /// The memo's replay is the uncached stats-only walk, field for field.
-    /// Per configuration, two different images run through one driver —
-    /// the first records the report (or replays another test's record of
-    /// the same key), the second replays it — and each run reports what a
-    /// fresh staged walk reports, with the golden walk's output. Tiny
-    /// banks stripe every layer.
-    #[test]
-    fn memo_replay_equals_an_uncached_stats_only_walk() {
+    /// A network whose layers all stripe on 24-tile banks, and two images.
+    fn striped_net() -> (QuantizedNetwork, Vec<Tensor<f32>>) {
         let spec = NetworkSpec {
             name: "memo".into(),
             input: Shape::new(3, 12, 12),
@@ -175,8 +170,27 @@ mod tests {
         };
         let density = DensityProfile::uniform(2, 0.5);
         let net = Network::synthetic(spec.clone(), &SyntheticModelConfig { seed: 5, density });
-        let qnet = net.quantize(&synthetic_inputs(6, 2, spec.input));
-        let inputs = synthetic_inputs(7, 2, spec.input);
+        (net.quantize(&synthetic_inputs(6, 2, spec.input)), synthetic_inputs(7, 2, spec.input))
+    }
+
+    fn session(knob: fn(SessionBuilder) -> SessionBuilder, instances: usize) -> Session {
+        let arch = AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles: 24 };
+        knob(Session::builder(AccelConfig::from_arch(&arch, 100.0))).build().expect("valid config")
+    }
+
+    /// The report the driver's slot holds.
+    fn recorded(driver: &Driver) -> Option<Arc<InferenceReport>> {
+        driver.stats.lock().unwrap().as_ref().map(|(_, r)| Arc::clone(r))
+    }
+
+    /// The replay is the uncached stats-only walk, field for field. Per
+    /// configuration, two different images run through one session — the
+    /// first records the report, the second replays that record — and
+    /// each run reports what a fresh staged walk reports, with the golden
+    /// walk's output. Tiny banks stripe every layer.
+    #[test]
+    fn memo_replay_equals_an_uncached_stats_only_walk() {
+        let (qnet, inputs) = striped_net();
         type Knob = fn(SessionBuilder) -> SessionBuilder;
         let cases: [(&str, usize, Knob); 5] = [
             ("plain", 1, |b| b),
@@ -186,22 +200,81 @@ mod tests {
             ("three threads", 1, |b| b.threads(3)),
         ];
         for (what, instances, knob) in cases {
-            let arch = AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles: 24 };
-            let session = knob(Session::builder(AccelConfig::from_arch(&arch, 100.0))).build().expect("valid config");
+            let session = session(knob, instances);
             let driver = session.driver();
             let uncached = driver.run_staged(&qnet, &inputs[0], None).expect("fits");
             assert!(uncached.layers.iter().any(|l| l.stats.stripes > 1), "{what}: striped");
             let mut scratch = Scratch::new();
+            let mut first = None;
             for (i, input) in inputs.iter().enumerate() {
-                let hits = stats_memo_stats().hits;
                 let run = run_network(driver, &qnet, input, &mut scratch).expect("fits");
-                // Other tests share the process-wide memo: a lower bound.
-                assert!(i == 0 || stats_memo_stats().hits > hits, "{what}: image {i} reads the memo");
+                let record = recorded(driver).expect("a plan-free run records its report");
+                let first = first.get_or_insert_with(|| Arc::clone(&record));
+                assert!(Arc::ptr_eq(first, &record), "{what}: image {i} replays image 0's record");
                 assert_eq!(run.output, qnet.forward_quant(input), "{what}: image {i} output");
                 assert_eq!(run.total_cycles, uncached.total_cycles, "{what}: image {i} cycles");
                 assert_eq!(run.ddr_bytes, uncached.ddr_bytes, "{what}: image {i} DDR bytes");
                 assert_eq!(format!("{:?}", run.layers), format!("{:?}", uncached.layers), "{what}: image {i} layers");
             }
+        }
+    }
+
+    /// One session walks once over N warm images, a clone of its driver
+    /// reuses that walk, and a session with a fault plan walks every
+    /// image without touching its slot. A report comes out of a walk or
+    /// out of the slot, so N reports held at once that are one `Arc` are
+    /// one walk, and N pairwise distinct ones are N.
+    #[test]
+    fn one_walk_per_session_and_clone_and_one_per_image_under_a_fault_plan() {
+        const N: usize = 4;
+        let (qnet, inputs) = striped_net();
+        let reports = |driver: &Driver| -> Vec<Arc<InferenceReport>> {
+            (0..N).map(|i| stats_report(driver, &qnet, &inputs[i % 2]).expect("fits")).collect()
+        };
+        let plain = session(|b| b, 1);
+        let warm = reports(plain.driver());
+        assert!(warm.iter().all(|r| Arc::ptr_eq(r, &warm[0])), "{N} warm images, one walk");
+        let clone = plain.driver().clone();
+        assert!(Arc::ptr_eq(&stats_report(&clone, &qnet, &inputs[0]).expect("fits"), &warm[0]), "the clone reuses it");
+
+        let faulted = session(|b| b.fault_plan(FaultPlan::new().shared()), 1);
+        let walks = reports(faulted.driver());
+        for (i, r) in walks.iter().enumerate() {
+            assert!(walks[..i].iter().all(|earlier| !Arc::ptr_eq(earlier, r)), "image {i} walks afresh");
+            assert_eq!(format!("{:?}", r.layers), format!("{:?}", warm[0].layers), "image {i}: the same walk");
+        }
+        assert!(recorded(faulted.driver()).is_none(), "a fault-plan session never records");
+    }
+
+    /// Clones of one driver share its slot, so the key must tell apart
+    /// every configuration field that moves a statistic: each clone
+    /// below differs from the base in one field that moves one on this
+    /// network, and runs between two base runs, all on the slot they
+    /// share. Each run reports its own configuration's uncached walk.
+    #[test]
+    fn the_key_separates_every_knob_on_clones_sharing_the_slot() {
+        let (qnet, inputs) = striped_net();
+        let base = session(|b| b, 1).driver().clone();
+        type Edit = fn(&mut Driver);
+        let edits: [(&str, Edit); 7] = [
+            ("units", |d| d.config.units = 2),
+            ("lanes", |d| d.config.lanes = 2),
+            ("instances", |d| d.config.instances = 2),
+            ("bank_tiles", |d| d.config.bank_tiles = 4096),
+            ("weight_bytes_per_cycle", |d| d.config.weight_bytes_per_cycle = 1),
+            ("zero_skipping", |d| d.zero_skipping = false),
+            ("filter_grouping", |d| d.filter_grouping = true),
+        ];
+        let uncached = |d: &Driver| format!("{:?}", d.run_staged(&qnet, &inputs[0], None).expect("fits").layers);
+        let run = |d: &Driver| format!("{:?}", stats_report(d, &qnet, &inputs[0]).expect("fits").layers);
+        let want = uncached(&base);
+        for (what, edit) in edits {
+            let mut variant = base.clone();
+            edit(&mut variant);
+            assert_ne!(uncached(&variant), want, "{what} moves a statistic");
+            assert_eq!(run(&base), want, "{what}: the base before");
+            assert_eq!(run(&variant), uncached(&variant), "{what}");
+            assert_eq!(run(&base), want, "{what}: the base after");
         }
     }
 
@@ -242,35 +315,5 @@ mod tests {
             assert_ne!(other, base, "{what}: the mutation changes the spec");
             assert_ne!(key(&other), key(&base), "{what}");
         }
-    }
-
-    /// The memo's size counts what a recorded report holds on the heap,
-    /// not only the report and its layer list. Long layer names on a
-    /// network no other test records make the layers' heap the bulk of
-    /// the record.
-    #[test]
-    fn memo_size_counts_each_layers_heap() {
-        let name = |n: &str| format!("{n}-{}", "x".repeat(200));
-        let spec = NetworkSpec {
-            name: "memo-size".into(),
-            input: Shape::new(3, 8, 8),
-            layers: vec![conv3x3(&name("c1"), 3, 5), maxpool2x2(&name("p1")), conv3x3(&name("c2"), 5, 4)],
-        };
-        let density = DensityProfile::uniform(2, 0.5);
-        let net = Network::synthetic(spec.clone(), &SyntheticModelConfig { seed: 9, density });
-        let qnet = net.quantize(&synthetic_inputs(10, 2, spec.input));
-        let input = &synthetic_inputs(11, 1, spec.input)[0];
-        let arch = AccelArch { conv_units: 4, lanes: 4, instances: 2, bank_tiles: 4096 };
-        let session = Session::builder(AccelConfig::from_arch(&arch, 100.0)).build().expect("valid config");
-        let before = stats_memo_stats();
-        let report = run_network(session.driver(), &qnet, input, &mut Scratch::new()).expect("fits");
-        let recorded = stats_memo_stats().bytes - before.bytes;
-        let heap: usize = report
-            .layers
-            .iter()
-            .map(|l| l.name.capacity() + l.stats.per_instance_cycles.capacity() * 8 + l.stats.counters.heap_bytes())
-            .sum();
-        let least = size_of::<InferenceReport>() + report.layers.len() * size_of::<LayerReport>() + heap;
-        assert!(recorded >= least, "recorded {recorded} bytes for a report holding {least}");
     }
 }

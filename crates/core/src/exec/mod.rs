@@ -22,7 +22,7 @@
 //!   passes issue every DMA descriptor and instruction batch to the
 //!   closed-form cycle model ([`crate::model`], cycles and counters; no
 //!   byte moves, no arithmetic) — paid once per (network, config), then
-//!   read from a process-wide memo;
+//!   read from the session's one-entry record of it;
 //! * [`BackendKind::Cycle`] — the staged walk issuing every batch to the
 //!   cycle-exact simulation of all kernels on the `zskip-sim` engine
 //!   ([`crate::cycle`]; slow; the functional oracle for the accelerator's

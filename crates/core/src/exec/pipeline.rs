@@ -30,12 +30,10 @@ use crate::isa::{ConvInstr, Instruction, PoolPadInstr, PoolPadOp};
 use crate::layout::FmLayout;
 use crate::model;
 use crate::report::PassStats;
-use crate::weights::{pack_groups, GroupWeights};
-use std::sync::{Arc, OnceLock};
+use crate::weights::{packed_layer, GroupWeights};
 use zskip_fault::SharedFaultPlan;
 use zskip_nn::conv::QuantConvWeights;
 use zskip_nn::par::ConvPool;
-use zskip_quant::cache::{CacheStats, Fingerprint, WeightCache};
 use zskip_quant::grouping::FilterGrouping;
 use zskip_quant::Sm8;
 use zskip_sim::Counters;
@@ -135,74 +133,6 @@ pub(crate) fn fm_to_tensor_into(fm: &TiledFeatureMap<Sm8>, out: &mut Tensor<Sm8>
             }
         }
     }
-}
-
-/// One conv layer's packed weights, staged once: the scratchpad byte
-/// images of all its OFM groups concatenated in group order — what is
-/// written to DDR as it stands — and the tile index over them (one
-/// offset per `(group, ifm, lane)` tile, then the end). Packing a
-/// VGG-scale layer is value-independent work; a [`WeightCache`] keyed by
-/// the layer's content fingerprint makes it a first-image cost shared by
-/// every driver in the process.
-pub(crate) struct PackedLayerWeights {
-    lanes: usize,
-    ifm_count: usize,
-    image: Vec<u8>,
-    index: Vec<u32>,
-}
-
-impl PackedLayerWeights {
-    fn build(qw: &QuantConvWeights, lanes: usize, zero_skipping: bool) -> PackedLayerWeights {
-        let (image, index) = pack_groups(qw, 0, qw.out_c.div_ceil(lanes), lanes, zero_skipping);
-        PackedLayerWeights { lanes, ifm_count: qw.in_c, image, index }
-    }
-
-    /// Number of OFM groups.
-    fn groups(&self) -> usize {
-        (self.index.len() - 1) / (self.ifm_count * self.lanes)
-    }
-
-    /// Group `gi`'s weights, borrowed, and where they start in the image.
-    fn group(&self, gi: usize) -> (usize, GroupWeights<'_>) {
-        let tiles = self.ifm_count * self.lanes;
-        let index = &self.index[gi * tiles..=(gi + 1) * tiles];
-        let start = index[0] as usize;
-        (start, GroupWeights::from_index(&self.image[start..], index, self.ifm_count, self.lanes))
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.image.capacity() + self.index.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-/// The process-wide packed-group-weight cache. Keyed by the layer's
-/// content fingerprint combined with the packing parameters (lanes,
-/// zero-skipping), so two accelerator configurations never alias.
-fn group_cache() -> &'static WeightCache<PackedLayerWeights> {
-    static CACHE: OnceLock<WeightCache<PackedLayerWeights>> = OnceLock::new();
-    CACHE.get_or_init(WeightCache::new)
-}
-
-/// Statistics of the process-wide packed-group-weight cache (entries,
-/// hits, misses, resident bytes) — surfaced by `zskip analyze`.
-pub fn weight_cache_stats() -> CacheStats {
-    group_cache().stats()
-}
-
-/// Resolves (building on first use) the packed group weights for a conv
-/// layer under the driver's packing parameters.
-fn packed_groups(driver: &Driver, qw: &QuantConvWeights) -> Arc<PackedLayerWeights> {
-    let lanes = driver.config.lanes;
-    let key = Fingerprint::new()
-        .u64(qw.fingerprint())
-        .u64(lanes as u64)
-        .u64(driver.zero_skipping as u64)
-        .finish();
-    group_cache().get_or_insert_with(
-        key,
-        || PackedLayerWeights::build(qw, lanes, driver.zero_skipping),
-        PackedLayerWeights::heap_bytes,
-    )
 }
 
 /// Which instruction executor a staged pass issues its batches to, with
@@ -370,15 +300,11 @@ fn conv_stripes(
     }
 
     // Stage activations and packed weights in DDR: the host's writes, as
-    // traffic. Under a filter grouping the permuted layer is image-local,
-    // so it bypasses the shared cache (its fingerprint would be
-    // recomputed per image anyway).
+    // traffic. The layer's weights hold its packed image (a permuted
+    // layer's is image-local, packed afresh).
     ctx.soc.ddr.write_block(ctx.src_addr, in_shape.c * in_rows * in_tiles_x * TILE_BYTES);
-    let packed = if grouping.is_some() {
-        Arc::new(PackedLayerWeights::build(qw, driver.config.lanes, driver.zero_skipping))
-    } else {
-        packed_groups(driver, qw)
-    };
+    let packed = packed_layer(qw, driver.config.lanes, driver.zero_skipping);
+    let group_count = qw.out_c.div_ceil(driver.config.lanes);
     ctx.soc.ddr.write_block(DDR_WEIGHTS, packed.image.len());
 
     let mut stats = PassStats {
@@ -413,10 +339,10 @@ fn conv_stripes(
         };
 
         let parts = if split_groups { driver.config.instances } else { 1 };
-        let chunk = packed.groups().div_ceil(parts);
+        let chunk = group_count.div_ceil(parts);
         for part in 0..parts {
             let instance = if split_groups { part } else { si % driver.config.instances };
-            let group_range = (part * chunk)..((part + 1) * chunk).min(packed.groups());
+            let group_range = (part * chunk)..((part + 1) * chunk).min(group_count);
             if group_range.is_empty() {
                 continue;
             }
@@ -434,7 +360,7 @@ fn conv_stripes(
             let mut wgt_base = 0;
             let mut instrs = Vec::with_capacity(group_range.len());
             for gi in group_range {
-                let (start, group) = packed.group(gi);
+                let (start, group) = GroupWeights::from_packed(&packed, qw.in_c, gi);
                 stats.weight_dma_cycles += ctx.soc.ddr.read_block(DDR_WEIGHTS + start, group.total_bytes());
                 let instr = ConvInstr::for_group(
                     qw,

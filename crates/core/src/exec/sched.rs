@@ -244,9 +244,14 @@ pub(crate) fn accel_layer_count(qnet: &QuantizedNetwork) -> usize {
 /// reference schedule image- and layer-pipelined placements execute each
 /// image through. Bank capacity is untouched, so stripe plans, DMA
 /// descriptors, cycle counts and outputs are exactly those of an
-/// `instances: 1` run.
+/// `instances: 1` run. The view records its own stats walk, so a session
+/// that runs both placements keeps both records; a one-instance driver
+/// is its own view.
 pub(crate) fn single_instance_view(driver: &Driver) -> Driver {
-    let mut view = driver.clone();
+    if driver.config.instances == 1 {
+        return driver.clone();
+    }
+    let mut view = Driver { stats: Default::default(), ..driver.clone() };
     view.config.instances = 1;
     view
 }

@@ -29,8 +29,8 @@
 //!   pipeline (planning under bank capacity, weight packing, instruction
 //!   generation, DMA orchestration, multi-instance scale-out) on the
 //!   transaction model (shapes and traffic, no bytes) or the cycle
-//!   simulation, the model / cpu path (the golden walk plus a memoized
-//!   stats-only walk), and the
+//!   simulation, the model / cpu path (the golden walk plus a stats-only
+//!   walk the session records once), and the
 //!   [`exec::sched`] multi-instance placement scheduler (stripe-,
 //!   image- and layer-pipelined sharding with an HLS-derived cost model);
 //! * [`driver`] — the host-side driver: layer walking, geometry checks,
@@ -69,15 +69,15 @@ pub mod session;
 pub mod tune;
 pub mod weights;
 
-pub use analysis::LayerPackingStats;
+pub use analysis::{packed_weight_bytes, LayerPackingStats};
 pub use bank::BankSet;
 pub use batch::{BatchItemReport, BatchReport, ResilientBatchReport, RetryPolicy};
 pub use config::AccelConfig;
 pub use driver::{
     BackendKind, Driver, DriverError, InferenceReport, LayerReport, PassStats, SocHandle,
 };
-pub use exec::cpu::stats_memo_stats;
-pub use exec::pipeline::weight_cache_stats;
+#[doc(hidden)]
+pub use zskip_nn::conv::weight_cache_stats;
 pub use error::Error;
 pub use exec::sched::{CostModel, Placement};
 pub use fault::{run_campaign, CampaignConfig, CampaignReport, TrialOutcome, TrialResult};

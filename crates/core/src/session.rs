@@ -184,7 +184,7 @@ impl SessionBuilder {
     }
 
     /// When `false`, skip the golden walk: a run returns only its report
-    /// (cycles and counters, memoized per network and configuration) with
+    /// (cycles and counters, recorded per network and configuration) with
     /// an empty `output`, and a single-layer pass the zero map
     /// (stats-only sweeps; model backend only).
     pub fn functional(mut self, on: bool) -> SessionBuilder {
@@ -297,8 +297,9 @@ impl SessionBuilder {
                 None => zskip_nn::dispatch(),
             },
             fault_plan: self.fault_plan,
+            stats: Default::default(),
         };
-        Ok(Session { driver, batch: self.batch })
+        Ok(Session { view: sched::single_instance_view(&driver), driver, batch: self.batch })
     }
 }
 
@@ -307,6 +308,8 @@ impl SessionBuilder {
 #[derive(Debug, Clone)]
 pub struct Session {
     driver: Driver,
+    /// The single-instance view image and pipeline placements run on.
+    view: Driver,
     batch: BatchConfig,
 }
 
@@ -324,6 +327,12 @@ impl Session {
     /// The session's batch configuration.
     pub fn batch_config(&self) -> &BatchConfig {
         &self.batch
+    }
+
+    /// This session under another batch configuration, on the same
+    /// drivers — so with the same recorded stats walks.
+    pub(crate) fn with_batch(&self, batch: BatchConfig) -> Session {
+        Session { batch, ..self.clone() }
     }
 
     /// The resolved SIMD kernel tier this session computes with.
@@ -385,8 +394,7 @@ impl Session {
     ) -> Result<BatchReport, Error> {
         let n = self.driver.config.instances.max(1);
         let placement = self.batch.placement.resolve(n, inputs.len(), sched::accel_layer_count(qnet));
-        let view = (placement != Placement::Stripe).then(|| sched::single_instance_view(&self.driver));
-        let driver = view.as_ref().unwrap_or(&self.driver);
+        let driver = if placement == Placement::Stripe { &self.driver } else { &self.view };
         let ResilientBatchReport { items, workers, per_worker_jobs, steals: _ } =
             run_batch_resilient(driver, qnet, inputs, self.batch.workers, RetryPolicy::none());
         let items = items.into_iter().map(|item| item.result).collect::<Result<Vec<_>, _>>()?;

@@ -3,14 +3,16 @@
 //! A config scores its *simulated* seconds for one image: the placement
 //! scheduler's makespan in cycles × the session's cycle time, lower is
 //! better and fully deterministic. It is evaluated in stats-only mode —
-//! the memoized transaction-level report, no golden walk — whose makespan
+//! the transaction-level report, no golden walk — whose makespan
 //! tracks the cycle-exact simulation's (equal on `tests/tune.rs`'s
 //! network, within 3 % on `tests/backend_equivalence.rs`'s), so scoring a
 //! point costs milliseconds and every point of a space is scored.
 
 use crate::batch::BatchReport;
+use crate::config::AccelConfig;
 use crate::driver::BackendKind;
 use crate::error::Error;
+use crate::session::Session;
 use crate::tune::{Provenance, SearchSpace, TunedConfig};
 use zskip_nn::model::QuantizedNetwork;
 use zskip_tensor::Tensor;
@@ -50,13 +52,31 @@ impl SweepRow {
 /// accelerator (cycle counts depend on geometry and weights, not on
 /// activations).
 pub fn sweep(space: &SearchSpace, qnet: &QuantizedNetwork, input: &Tensor<f32>) -> Vec<SweepRow> {
-    let run = |config: &TunedConfig| -> Result<(BatchReport, f64), Error> {
-        let session = config.session().backend(BackendKind::Model).functional(false).build()?;
+    // Points whose drivers differ at most in the clock (which only scales
+    // the score) run on the first such point's session, under their own
+    // batch knobs, so they share its recorded stats walks.
+    let mut sessions: Vec<((AccelConfig, TunedConfig), Session)> = Vec::new();
+    let mut run = |config: &TunedConfig| -> Result<(BatchReport, f64), Error> {
+        let built = config.session().backend(BackendKind::Model).functional(false).build()?;
+        let cycle_seconds = built.driver().config.cycle_seconds();
+        let d = TunedConfig::default();
+        let (variant, placement, batch_workers, queue_depth) = (d.variant, d.placement, d.batch_workers, d.queue_depth);
+        let key = (
+            AccelConfig { clock_mhz: 0.0, ..built.driver().config },
+            TunedConfig { variant, placement, batch_workers, queue_depth, ..config.clone() },
+        );
+        let session = match sessions.iter().find(|(k, _)| *k == key) {
+            Some((_, first)) => first.with_batch(*built.batch_config()),
+            None => {
+                sessions.push((key, built.clone()));
+                built
+            }
+        };
         let report = session.run_batch(qnet, std::slice::from_ref(input))?;
-        let score = report.makespan_cycles as f64 * session.driver().config.cycle_seconds();
+        let score = report.makespan_cycles as f64 * cycle_seconds;
         Ok((report, score))
     };
-    let row = |config: TunedConfig| match run(&config) {
+    let mut row = |config: TunedConfig| match run(&config) {
         Ok((report, score)) => SweepRow { config, result: Ok(report), score },
         Err(e) => SweepRow { config, result: Err(e), score: f64::INFINITY },
     };

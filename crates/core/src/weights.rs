@@ -11,7 +11,8 @@
 //! and the staging kernels read it in place.
 
 use std::borrow::Cow;
-use zskip_nn::conv::QuantConvWeights;
+use std::sync::Arc;
+use zskip_nn::conv::{PackedImage, QuantConvWeights};
 use zskip_nn::par::{scoped_map, Split};
 use zskip_quant::pack::{encode_tile, index_tiles, PackDecodeError, PackedTile, TILE_OFFSETS};
 use zskip_quant::Sm8;
@@ -77,6 +78,13 @@ pub(crate) fn pack_groups(
         _ => Split::auto().run_len(groups, qw.in_c * lanes * NS_PER_PACKED_TILE),
     };
     pack_group_runs(qw, ofm_first, groups, lanes, skip_zeros, run_len)
+}
+
+/// `qw`'s packed image at `lanes` lanes, with or without zero-skipping:
+/// the one its weights hold ([`QuantConvWeights::packed`]), every OFM
+/// group [`pack_groups`] packs on first use.
+pub(crate) fn packed_layer(qw: &QuantConvWeights, lanes: usize, zero_skipping: bool) -> Arc<PackedImage> {
+    qw.packed(lanes, zero_skipping, || pack_groups(qw, 0, qw.out_c.div_ceil(lanes), lanes, zero_skipping))
 }
 
 /// [`pack_groups`] cut into runs of `run_len` groups: each run encodes its
@@ -201,6 +209,15 @@ impl<'a> GroupWeights<'a> {
         debug_assert_eq!(index.len(), ifm_count * lanes + 1);
         let len = (index[index.len() - 1] - index[0]) as usize;
         GroupWeights { lanes, ifm_count, image: image[..len].into(), index: index.into() }
+    }
+
+    /// Group `gi` of a layer's packed image over `ifm_count` IFMs,
+    /// borrowed, and where it starts in the image.
+    pub(crate) fn from_packed(packed: &'a PackedImage, ifm_count: usize, gi: usize) -> (usize, GroupWeights<'a>) {
+        let tiles = ifm_count * packed.lanes;
+        let index = &packed.index[gi * tiles..=(gi + 1) * tiles];
+        let start = index[0] as usize;
+        (start, GroupWeights::from_index(&packed.image[start..], index, ifm_count, packed.lanes))
     }
 
     /// Number of filter lanes.

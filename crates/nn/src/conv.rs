@@ -3,7 +3,7 @@
 use crate::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier};
 use crate::par::{self, ConvPool, Split};
 use crate::simd::{self, KernelTier};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use zskip_quant::cache::{CacheStats, Fingerprint};
 use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::Tensor;
@@ -49,7 +49,7 @@ impl ConvWeights {
 /// Construct via [`QuantConvWeights::new`]. The data fields stay public for
 /// read access; code that mutates `w` in place after construction must call
 /// [`QuantConvWeights::invalidate_caches`] so the cached nonzero counts,
-/// fingerprint and offset bias stay truthful.
+/// fingerprint and derived repacks stay truthful.
 #[derive(Debug, Clone)]
 pub struct QuantConvWeights {
     /// Output channels.
@@ -82,6 +82,39 @@ pub struct QuantConvWeights {
     /// docs/KERNELS.md "AMX tiles"), filled on its first tile call.
     /// Ignored by `PartialEq` like `nnz`.
     pub(crate) tile_w: OnceLock<Vec<u8>>,
+    /// The accelerator's packed image of this layer, the last packing
+    /// asked for ([`QuantConvWeights::packed`]). Ignored by `PartialEq`
+    /// like `nnz`.
+    packed: PackedSlot,
+}
+
+/// A conv layer's weights as the accelerator stages them (paper §III-B):
+/// the scratchpad byte images of all its OFM groups of `lanes` filters,
+/// concatenated in group order, and the tile index over them — one
+/// offset per `(group, ifm, lane)` tile, then the end. The host packs
+/// it once (`zskip_core::weights::pack_groups`) and the layer's weights
+/// hold it ([`QuantConvWeights::packed`]).
+#[derive(Debug)]
+pub struct PackedImage {
+    /// Filter lanes per OFM group.
+    pub lanes: usize,
+    /// Whether zero weights were skipped (else every slot is packed).
+    pub zero_skipping: bool,
+    /// The scratchpad bytes, group after group.
+    pub image: Vec<u8>,
+    /// Where each `(group, ifm, lane)` tile starts in `image`, then its end.
+    pub index: Vec<u32>,
+}
+
+/// [`QuantConvWeights`]' one-entry packed-image slot. A clone shares the
+/// image (same content, same packing).
+#[derive(Debug, Default)]
+struct PackedSlot(Mutex<Option<Arc<PackedImage>>>);
+
+impl Clone for PackedSlot {
+    fn clone(&self) -> Self {
+        PackedSlot(Mutex::new(self.0.lock().unwrap_or_else(PoisonError::into_inner).clone()))
+    }
 }
 
 impl PartialEq for QuantConvWeights {
@@ -122,15 +155,16 @@ impl QuantConvWeights {
             offset_bias: OnceLock::new(),
             quad_w: OnceLock::new(),
             tile_w: OnceLock::new(),
+            packed: PackedSlot::default(),
         }
     }
 
     /// The layer's content fingerprint: a stable 64-bit digest of geometry,
     /// weight bits, bias, requantizer, and the ReLU flag — everything that
     /// determines the derived packing and the epilogue. Two instances with
-    /// equal content (e.g. clones across batch workers) share one
-    /// fingerprint and therefore one entry in every cache keyed by it (the
-    /// driver's packed-group cache and stats memo).
+    /// equal content (e.g. a network and its clone) share one fingerprint,
+    /// so the cpu backend's per-session stats report, keyed by it, tells
+    /// networks apart by content, not by address.
     pub fn fingerprint(&self) -> u64 {
         *self.fp.get_or_init(|| {
             Fingerprint::new()
@@ -168,7 +202,7 @@ impl QuantConvWeights {
     }
 
     /// Drops this instance's cached nonzero counts, fingerprint, offset
-    /// bias, direct-kernel repack and tile panels. Must be called after
+    /// bias, direct-kernel repack, tile panels and packed image. Must be called after
     /// mutating `w` or `bias_acc` through the public fields (e.g.
     /// re-sparsifying a layer in place); the next query rescans and
     /// re-fingerprints the new content.
@@ -178,6 +212,27 @@ impl QuantConvWeights {
         self.offset_bias = OnceLock::new();
         self.quad_w = OnceLock::new();
         self.tile_w = OnceLock::new();
+        self.packed = PackedSlot::default();
+    }
+
+    /// The layer's packed image for `lanes` filter lanes with or without
+    /// zero-skipping: the slot's when it holds that packing, else `pack`'s
+    /// (image and tile index), which then replaces it. Concurrent callers
+    /// wait for one `pack` rather than each running their own.
+    pub fn packed(
+        &self,
+        lanes: usize,
+        zero_skipping: bool,
+        pack: impl FnOnce() -> (Vec<u8>, Vec<u32>),
+    ) -> Arc<PackedImage> {
+        let mut slot = self.packed.0.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*slot {
+            Some(p) if (p.lanes, p.zero_skipping) == (lanes, zero_skipping) => Arc::clone(p),
+            _ => {
+                let (image, index) = pack();
+                Arc::clone(slot.insert(Arc::new(PackedImage { lanes, zero_skipping, image, index })))
+            }
+        }
     }
 
     /// Non-zero weight count of filter `(o, i)` (cached; the driver asks
@@ -639,6 +694,13 @@ pub fn conv2d_quant_into_pool(i: &Tensor<Sm8>, w: &QuantConvWeights, s: usize, p
 /// `benchmark/src/cold.rs`, the `quant.tap_cache_*` probes: the cache is gone.
 #[doc(hidden)]
 pub fn tap_cache_stats() -> CacheStats {
+    CacheStats::default()
+}
+
+/// `benchmark/`, the `core.exec.weight_cache_*` probes: the cache is gone
+/// (a layer's packed image lives on its weights, [`QuantConvWeights::packed`]).
+#[doc(hidden)]
+pub fn weight_cache_stats() -> CacheStats {
     CacheStats::default()
 }
 

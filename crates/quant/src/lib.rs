@@ -18,8 +18,7 @@
 //!   encoder, its validating reader and the borrowed tile view over it,
 //! * [`grouping`] — the paper's *future work*: grouping filters by non-zero
 //!   count so concurrently-applied filters have balanced work,
-//! * [`cache`] — a process-wide lock-lite cache so workers and sessions
-//!   share one copy of each derived packing instead of re-deriving it.
+//! * [`cache`] — the content [`Fingerprint`] of a weight set.
 
 pub mod cache;
 pub mod grouping;
@@ -29,7 +28,7 @@ pub mod quantize;
 pub mod sm8;
 pub mod ternary;
 
-pub use cache::{CacheStats, Fingerprint, WeightCache};
+pub use cache::{CacheStats, Fingerprint};
 pub use pack::{PackedEntry, PackedTile};
 pub use prune::{prune_to_density, sparsity, DensityProfile};
 pub use quantize::{QuantParams, Requantizer};

@@ -92,13 +92,6 @@ impl Counters {
         self.index.iter().map(|(&k, &id)| (k, self.values[id as usize]))
     }
 
-    /// Heap bytes held, a lower bound: the values' capacity plus one
-    /// name/id entry per counter (the map's node overhead is not counted).
-    pub fn heap_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<&'static str>() + std::mem::size_of::<u32>();
-        self.values.capacity() * std::mem::size_of::<u64>() + self.index.len() * entry
-    }
-
     /// Merges another counter set into this one.
     pub fn merge(&mut self, other: &Counters) {
         for (k, v) in other.iter() {

@@ -211,7 +211,7 @@ printf '%s\n' "$resnet_out" | grep -q '^214103 cycles' \
   || { echo "verify: resnet18 infer --backend cycle must report 214103 cycles"; exit 1; }
 
 # Two names, one path: the default `model` backend is the cpu backend's
-# golden walk plus its memoized report, so `infer` prints the same lines
+# golden walk plus its recorded report, so `infer` prints the same lines
 # on both but for the backend's name.
 for seed in 3 7 11; do
   diff -u <(timeout 300 "$bin"/zskip infer --hw 32 --seed "$seed" | sed 's/model backend/cpu backend/') \

@@ -979,38 +979,19 @@ fn analyze(p: &Parsed) {
         steady
     );
 
-    // Shared caches: drive one image through the cpu backend so the
-    // packed-group cache is populated the way `infer`/`batch` populate it,
-    // and a second one so the stats memo shows its steady state (one hit),
-    // then report the process-wide caches (packed scratchpad groups keyed
-    // by weight identity + lane/skip geometry, and the cpu backend's
-    // memoized per-network statistics).
+    // Packed weights: one image through the cpu backend packs every conv
+    // layer of the surrogate the way `infer` / `batch` do; the layers
+    // hold their images, which drop with the network.
     let cpu = Session::builder(AccelConfig::for_variant(variant))
         .backend(BackendKind::Cpu)
         .build()
         .expect("cpu session builds");
     let _ = cpu.infer(&sq, &probe[0]).expect("surrogate image runs");
-    let cold = zskip::accel::stats_memo_stats();
-    let _ = cpu.infer(&sq, &probe[1]).expect("surrogate image runs");
-    let gc = zskip::accel::weight_cache_stats();
-    let sm = zskip::accel::stats_memo_stats();
     outln!(
-        "Packed-group weight cache: {} entries ({:.1} MiB), {} hits / {} misses",
-        gc.entries,
-        gc.bytes as f64 / (1 << 20) as f64,
-        gc.hits,
-        gc.misses
-    );
-    let warm_hits = sm.hits - cold.hits;
-    outln!(
-        "Stats memo (cpu):          {} entries ({:.1} KiB), {} hits / {} misses; warm image: {} hit{} / {} misses",
-        sm.entries,
-        sm.bytes as f64 / 1024.0,
-        sm.hits,
-        sm.misses,
-        warm_hits,
-        if warm_hits == 1 { "" } else { "s" },
-        sm.misses - cold.misses
+        "Packed weights resident on the vgg16-32 surrogate: {:.1} MiB at {} lanes \
+         (images and tile indexes, held by its conv layers)",
+        zskip::accel::packed_weight_bytes(&sq, &config) as f64 / (1 << 20) as f64,
+        config.lanes
     );
 
     // Sharding: what the placement scheduler would do with this workload

@@ -20,8 +20,8 @@
 
 use proptest::prelude::*;
 use zskip::accel::{
-    AccelConfig, BackendKind, DriverError, Error, InferenceReport, PassStats, PoolPadOp, Session,
-    SessionBuilder, SocHandle,
+    AccelConfig, BackendKind, DriverError, Error, InferenceReport, PassStats, Placement, PoolPadOp,
+    Session, SessionBuilder, SocHandle,
 };
 use zskip::fault::{FaultKind, FaultPlan, FiredFault};
 use zskip::hls::AccelArch;
@@ -296,11 +296,17 @@ fn cpu_single_layer_passes_equal_the_model_backend() {
     }
 }
 
-/// The memo key must cover every knob that moves a statistic: in one
-/// process, on one set of weights, each variant below differs from the
-/// base configuration in exactly one field. The base runs first, so a
-/// field missing from the key would replay the base's record into the
-/// variant and fail the comparison with the variant's own Model run.
+/// A session records one stats-only report and replays it while its key
+/// — every knob that moves a statistic, the network's weights and spec,
+/// the input shape — stays the same, on the session and on the clones
+/// that share its record. Per knob below (each differs from the base in
+/// exactly one field) one cpu session records and replays, each run equal
+/// to a fresh model session's walk, and the knob really moves a
+/// statistic. Then on one session another network (the same weights
+/// under renamed layers) replaces the record and hands it back — a key
+/// blind to names would replay a stale record into the other's run —
+/// and on another `infer` and image-placed batches take turns on the
+/// two-instance driver and its single-instance view.
 #[test]
 fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
     let (qnet, input) = quantized(0.5, 4242);
@@ -311,7 +317,7 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
     };
     type Knob = fn(SessionBuilder) -> SessionBuilder;
     let plain: Knob = |b| b;
-    let variants: [(&str, AccelConfig, Knob); 9] = [
+    let variants: [(&str, AccelConfig, Knob); 8] = [
         ("base", config(20, 1), plain),
         ("instances", config(20, 2), plain),
         ("bank_tiles", config(4096, 1), plain),
@@ -320,30 +326,26 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
         ("units", with(|c| c.units = 2), plain),
         ("lanes", with(|c| c.lanes = 2), plain),
         ("weight_bytes_per_cycle", with(|c| c.weight_bytes_per_cycle = 4), plain),
-        // Same knobs as the base again, after every variant has recorded.
-        ("base again", config(20, 1), plain),
     ];
     let mut base: Option<InferenceReport> = None;
     for (knob, cfg, apply) in variants {
-        let run = |backend| apply(Session::builder(cfg).backend(backend)).build().expect("valid config").infer(&qnet, &input).expect("fits");
-        let model = run(BackendKind::Model);
-        // Twice: the recording run and the replay.
-        for pass in ["miss", "hit"] {
-            assert_same_report(&run(BackendKind::Cpu), &model, &format!("{knob} ({pass})"));
+        let build = |backend| apply(Session::builder(cfg).backend(backend)).build().expect("valid config");
+        let model = build(BackendKind::Model).infer(&qnet, &input).expect("fits");
+        let cpu = build(BackendKind::Cpu);
+        for pass in ["record", "replay"] {
+            assert_same_report(&cpu.infer(&qnet, &input).expect("fits"), &model, &format!("{knob} ({pass})"));
         }
         match &base {
             None => base = Some(model),
             // The knob really moves something, or this row proves nothing.
-            Some(b) if !knob.starts_with("base") => {
+            Some(b) => {
                 let stats = |r: &InferenceReport| format!("{:?}", r.layers.iter().map(|l| &l.stats).collect::<Vec<_>>());
                 assert_ne!(stats(&model), stats(b), "{knob} changes no statistic on this network");
             }
-            Some(_) => {}
         }
     }
     // The report carries layer names, so two specs that differ only in
-    // names each read their own: the renamed copy runs after the base
-    // network has recorded, on the same weights and configuration.
+    // names each read their own, in turn on one session.
     let mut renamed = qnet.clone();
     for layer in &mut renamed.spec.layers {
         if let LayerSpec::Conv { name, .. } | LayerSpec::MaxPool { name, .. } | LayerSpec::Fc { name, .. } = layer {
@@ -351,11 +353,26 @@ fn stats_memo_key_separates_every_knob_that_moves_a_statistic() {
         }
     }
     let cpu = Session::builder(config(20, 1)).backend(BackendKind::Cpu).build().expect("valid config");
-    for net in [&qnet, &renamed] {
+    for net in [&qnet, &renamed, &qnet] {
         let report = cpu.infer(net, &input).expect("fits");
         let names: Vec<&str> = report.layers.iter().map(|l| l.name.as_str()).collect();
         let want: Vec<&str> = net.spec.layers.iter().map(LayerSpec::name).collect();
         assert_eq!(names, want, "each spec reports its own layer names");
+    }
+    // `infer` runs the two-instance driver, an image-placed batch its
+    // single-instance view.
+    let two = |backend| {
+        let builder = Session::builder(config(20, 2)).backend(backend).placement(Placement::Image);
+        builder.build().expect("valid config")
+    };
+    let batch = |session: &Session| session.run_batch(&qnet, std::slice::from_ref(&input)).expect("fits").items.remove(0);
+    let model = two(BackendKind::Model);
+    let (on_two, on_view) = (model.infer(&qnet, &input).expect("fits"), batch(&model));
+    assert_ne!(on_two.layers[0].stats.per_instance_cycles, on_view.layers[0].stats.per_instance_cycles);
+    let cpu = two(BackendKind::Cpu);
+    for pass in ["record", "replay"] {
+        assert_same_report(&cpu.infer(&qnet, &input).expect("fits"), &on_two, &format!("two instances ({pass})"));
+        assert_same_report(&batch(&cpu), &on_view, &format!("single-instance view ({pass})"));
     }
 }
 

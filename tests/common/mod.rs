@@ -1,7 +1,8 @@
 //! The counting allocator of the `alloc_*` / `serve_alloc` test binaries:
 //! records the size of every allocation above [`BIG`] bytes made while
 //! [`big_allocations`] runs its closure (and counts the allocations of
-//! any size), on any thread that has not called [`exempt_this_thread`].
+//! any size), on any thread that has not called [`exempt_this_thread`],
+//! and keeps the process's live heap bytes ([`live_bytes`]) all along.
 //! Each of those binaries holds a single `#[test]`, so no concurrent test
 //! thread allocates inside the window.
 
@@ -18,6 +19,7 @@ static ARMED: AtomicBool = AtomicBool::new(false);
 static SEEN: AtomicUsize = AtomicUsize::new(0);
 static ALL: AtomicUsize = AtomicUsize::new(0);
 static SIZES: [AtomicUsize; 64] = [const { AtomicUsize::new(0) }; 64];
+static LIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// No destructor, so the allocator may read it at any point of a
@@ -48,17 +50,21 @@ fn note(size: usize) {
 unsafe impl GlobalAlloc for RecordingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        LIVE.fetch_add(new_size.wrapping_sub(layout.size()), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -88,4 +94,11 @@ pub fn allocation_count(f: impl FnOnce()) -> usize {
     f();
     ARMED.store(false, Ordering::Relaxed);
     ALL.load(Ordering::Relaxed)
+}
+
+/// Bytes the process's heap holds now: every allocation's size, less
+/// what was freed.
+#[allow(dead_code)] // only `drop_alloc` reads it
+pub fn live_bytes() -> usize {
+    LIVE.load(Ordering::Relaxed)
 }

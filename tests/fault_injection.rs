@@ -4,7 +4,7 @@
 //! never a hang past the deadlock window.
 
 use proptest::prelude::*;
-use zskip::accel::{stats_memo_stats, AccelConfig, BackendKind, Error, Session};
+use zskip::accel::{AccelConfig, BackendKind, Error, InferenceReport, Session};
 use zskip::fault::{FaultKind, FaultPlan, FiredFault};
 use zskip::hls::AccelArch;
 use zskip::nn::eval::synthetic_inputs;
@@ -142,41 +142,35 @@ fn faulted_run(
     (result, fired)
 }
 
-/// The model / cpu path reads a network's statistics from a memoized
-/// stats-only walk on plan-free runs; an attached fault plan must force
-/// that walk for every image, never consulting or feeding the memo —
-/// otherwise `dma:*` injections would have no descriptor to fire on once
-/// the memo is warm. One test function on purpose: it is the only
-/// model / cpu user in this binary, so the process-wide memo counters it
-/// asserts on are exact. A faulted run is held to the cycle backend's,
+/// The model / cpu path reads a network's statistics from the session's
+/// recorded stats-only walk on plan-free runs; an attached fault plan
+/// must force that walk for every image of a session, however many clean
+/// images warmed it — otherwise `dma:*` injections would have no
+/// descriptor to fire on. A faulted run is held to the cycle backend's,
 /// whose staged walk issues the same descriptor sequence.
 #[test]
 fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     let build = |backend: BackendKind| Session::builder(config()).backend(backend);
-    let memo = || {
-        let s = stats_memo_stats();
-        (s.entries, s.hits, s.misses)
-    };
-    // The uncached reference: a plan that injects nothing still bypasses
-    // the memo, so this is the stats-only walk itself.
+    // The uncached reference: a plan that injects nothing still walks,
+    // so this is the stats-only walk itself.
     let uncached = |qnet: &QuantizedNetwork, input: &Tensor<f32>| {
         let session = build(BackendKind::Model).fault_plan(FaultPlan::new().shared()).build().unwrap();
         session.infer(qnet, input).unwrap()
     };
+    let same = |r: &InferenceReport, want: &InferenceReport, what: &str| {
+        let facts = |r: &InferenceReport| (r.total_cycles, r.ddr_bytes, r.output.clone());
+        assert_eq!(facts(r), facts(want), "{what}");
+    };
     let (qnet, input) = small_net(8);
-    let golden = qnet.forward_quant(&input);
     let model = uncached(&qnet, &input);
+    assert_eq!(model.output, qnet.forward_quant(&input));
 
-    // Plan-free warm-up records the network's one report; the second
-    // image is exactly one hit.
+    // Plan-free: the first image records the network's report, the
+    // second replays it.
     let cpu = build(BackendKind::Cpu).build().unwrap();
-    cpu.infer(&qnet, &input).expect("clean run");
-    let warmed = memo();
-    assert_eq!(warmed, (1, 0, 1), "the warm-up image recorded one report");
-    let warm = cpu.infer(&qnet, &input).expect("clean run");
-    assert_eq!((warm.total_cycles, warm.ddr_bytes), (model.total_cycles, model.ddr_bytes));
-    let replayed = memo();
-    assert_eq!(replayed, (1, 1, 1), "a warm image is one hit and inserts nothing");
+    for pass in ["record", "replay"] {
+        same(&cpu.infer(&qnet, &input).expect("clean run"), &model, pass);
+    }
 
     // Descriptors per image: the first ordinal no longer reached.
     let truncate = FaultKind::DmaTruncate { tiles: 1 };
@@ -185,14 +179,20 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
         .expect("finite descriptor sequence");
     assert!(total > 8, "several layers' worth of descriptors, got {total}");
 
-    // First, a middle and the last layer; both fault kinds: same error,
-    // same code, fired at the same descriptor ordinal as the cycle backend.
+    // One session with a plan: before each injection a clean image warms
+    // it, then the injection set on its plan fires — first, a middle and
+    // the last layer; both fault kinds: same error, same code, fired at
+    // the same descriptor ordinal as the cycle backend.
+    let plan = FaultPlan::new().shared();
+    let faulted = build(BackendKind::Cpu).fault_plan(plan.clone()).build().unwrap();
     for (kind, code) in [(truncate, "dma.truncated"), (FaultKind::DmaCorrupt { xor: 0x40 }, "dma.parity")] {
         for at in [0, total / 2, total - 1] {
+            same(&faulted.infer(&qnet, &input).expect("nothing pending"), &model, "the warm-up image");
+            *plan.lock().expect("unpoisoned") = FaultPlan::new().inject("dma:xfer", at, kind);
+            let c_err = faulted.infer(&qnet, &input).map(|_| ()).expect_err("the fault must fire on a warm session");
+            let c_fired = plan.lock().expect("unpoisoned").fired().to_vec();
             let (m_err, m_fired) = faulted_run(BackendKind::Cycle, &qnet, &input, at, kind);
-            let (c_err, c_fired) = faulted_run(BackendKind::Cpu, &qnet, &input, at, kind);
-            let (m_err, c_err) = (m_err.unwrap_err(), c_err.expect_err("the fault must fire on a warm memo"));
-            assert_eq!(c_err, m_err, "{kind:?} at {at}");
+            assert_eq!(c_err, m_err.unwrap_err(), "{kind:?} at {at}");
             assert_eq!(c_err.code(), code);
             assert_eq!(c_fired, m_fired, "{kind:?} at {at}");
             assert_eq!(c_fired.len(), 1);
@@ -201,30 +201,19 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
     }
     // A plan that never fires still forces the real pass and reports
     // the uncached walk's numbers.
-    let idle = FaultPlan::new().inject("dma:xfer", total + 100, truncate).shared();
-    let session = build(BackendKind::Cpu).fault_plan(idle).build().unwrap();
-    let r = session.infer(&qnet, &input).expect("no fault fires");
-    assert_eq!((r.total_cycles, r.ddr_bytes, &r.output), (model.total_cycles, model.ddr_bytes, &golden));
-    assert_eq!(memo(), replayed, "a bypassing run neither consults nor feeds the memo");
+    *plan.lock().expect("unpoisoned") = FaultPlan::new().inject("dma:xfer", total + 100, truncate);
+    same(&faulted.infer(&qnet, &input).expect("no fault fires"), &model, "an idle plan");
 
-    // A faulted run on a network the memo has never seen inserts nothing,
-    // not even the layers that completed before the fault; the following
-    // plan-free run records the network and matches the uncached walk.
+    // The plan-free session tells networks apart: another network
+    // replaces its record, and the first one's comes back on its next
+    // image.
     let (fresh, fresh_input) = small_net(12);
-    let (err, _) = faulted_run(BackendKind::Cpu, &fresh, &fresh_input, total - 1, truncate);
-    err.expect_err("late fault");
-    assert_eq!(memo(), replayed, "a faulted run inserts nothing");
-    let fresh_model = uncached(&fresh, &fresh_input);
-    let fresh_cpu = cpu.infer(&fresh, &fresh_input).expect("clean run");
-    assert_eq!(memo(), (2, 1, 2), "the plan-free run records the fresh network");
-    assert_eq!(fresh_cpu.output, fresh_model.output);
-    assert_eq!(
-        (fresh_cpu.total_cycles, fresh_cpu.ddr_bytes),
-        (fresh_model.total_cycles, fresh_model.ddr_bytes)
-    );
+    same(&cpu.infer(&fresh, &fresh_input).expect("clean run"), &uncached(&fresh, &fresh_input), "a fresh network");
+    same(&cpu.infer(&qnet, &input).expect("clean run"), &model, "the first network again");
 
-    // Retry semantics on a warm memo: the one-shot fault costs image 0 one
-    // retry with one backoff; every image ends bit-identical to a clean run.
+    // Retry semantics on a warm session: the one-shot fault costs image 0
+    // one retry with one backoff; every image ends bit-identical to a
+    // clean run.
     let inputs = synthetic_inputs(13, 3, Shape::new(3, 8, 8));
     for backend in [BackendKind::Model, BackendKind::Cpu] {
         let plan = FaultPlan::new().inject("dma:xfer", total / 2, truncate).shared();
@@ -239,7 +228,6 @@ fn cpu_backend_faults_bypass_the_warm_stats_memo() {
             assert_eq!((r.total_cycles, r.ddr_bytes), (model.total_cycles, model.ddr_bytes), "{backend}");
         }
     }
-    assert_eq!(memo(), (2, 1, 2), "a faulted batch and its retries never touch the memo");
 }
 
 /// An Avalon bus timeout is a typed `bus.timeout` error at the SoC layer,
