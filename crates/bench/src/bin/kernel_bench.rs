@@ -16,9 +16,18 @@
 //!   as in the networks. Every tier but AVX-512 and AMX runs the same
 //!   output-stationary blocking (scalar with a portable dot); AVX-512 runs
 //!   the direct kernel on the planes 16 and more wide, AMX the tiles on
-//!   every conv of whole 64-channel steps and 16-filter tiles. All tiers
-//!   must be bit-identical (asserted here and property-tested in
-//!   `crates/nn`).
+//!   every conv of whole 64-channel steps and 16-filter tiles, and reads
+//!   a lowered layer's weights compressed. All tiers must be
+//!   bit-identical (asserted here and property-tested in `crates/nn`).
+//!   Every row shows the weight bytes its kernel reads per call
+//!   (`gemm::weight_stream`).
+//! * **Cache flushed**: the conv4_2- and conv5_2-like rows again, with
+//!   64 MiB of other data written between calls, as a whole image leaves
+//!   the cache for its deep layers: the AVX-512 tier's dense weights
+//!   against the AMX tier's stream. No `--check` floor reads them.
+//! * **Conv weight stream**: the bytes the AMX tier reads per VGG-16-32
+//!   image (the CLI's recipe, `--density dc`), per conv layer and in
+//!   total, against the dense weights.
 //! * **Allocations per image**: heap allocations of one quantized forward
 //!   pass through the allocating API vs. the [`Scratch`] arena after
 //!   warm-up, at the dispatched tier, counted by a counting global
@@ -68,11 +77,11 @@ use zskip_json::{Json, ToJson};
 use zskip_nn::eval::synthetic_inputs;
 use zskip_nn::conv::QuantConvWeights;
 use zskip_nn::fc::{fc_quant_pool_into, QuantFcWeights};
-use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_tier, GemmScratch};
+use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_tier, weight_stream, GemmScratch};
 use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
 use zskip_nn::simd::KernelTier;
 use zskip_nn::vgg16::vgg16_scaled_spec;
-use zskip_nn::{ConvPool, Scratch};
+use zskip_nn::{ConvPool, LayerSpec, Scratch};
 use zskip_quant::{DensityProfile, Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -108,6 +117,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// `skipped` — where the host lacks the tier.
 struct TierTiming {
     tier: &'static str,
+    /// Weight bytes the tier's kernel reads per call.
+    weight_bytes: usize,
     timing: Option<Timing>,
 }
 
@@ -125,11 +136,16 @@ impl ToJson for TierTiming {
         match &self.timing {
             Some(t) => Json::obj([
                 ("tier", self.tier.to_json()),
+                ("weight_bytes", self.weight_bytes.to_json()),
                 ("ms", t.ms.to_json()),
                 ("speedup", t.speedup.to_json()),
                 ("gmacs_per_s", t.gmacs_per_s.to_json()),
             ]),
-            None => Json::obj([("tier", self.tier.to_json()), ("skipped", true.to_json())]),
+            None => Json::obj([
+                ("tier", self.tier.to_json()),
+                ("weight_bytes", self.weight_bytes.to_json()),
+                ("skipped", true.to_json()),
+            ]),
         }
     }
 }
@@ -140,11 +156,14 @@ const TIER_ROUNDS: usize = 25;
 /// Times `run` at every supported tier, asserting each tier's output equal
 /// to the scalar tier's: the best of [`TIER_ROUNDS`] rounds that each call
 /// every tier once, so that a burst of load from elsewhere on the host
-/// hits all tiers alike rather than the one it lands on. A tier the host
-/// lacks gets a `skipped` row.
+/// hits all tiers alike rather than the one it lands on; `before` runs
+/// ahead of each call, outside its timing. A tier the host lacks gets a
+/// `skipped` row. `weight_bytes(tier)` is what the tier's kernel reads.
 fn time_tiers<T: PartialEq + std::fmt::Debug>(
     what: &str,
     macs: usize,
+    weight_bytes: impl Fn(KernelTier) -> usize,
+    mut before: impl FnMut(),
     mut run: impl FnMut(KernelTier) -> T,
 ) -> Vec<TierTiming> {
     let tiers = KernelTier::supported();
@@ -152,6 +171,7 @@ fn time_tiers<T: PartialEq + std::fmt::Debug>(
     let mut oracle = None;
     for _ in 0..TIER_ROUNDS {
         for (&tier, best) in tiers.iter().zip(&mut best) {
+            before();
             let t0 = Instant::now();
             let out = run(tier);
             *best = best.min(t0.elapsed().as_secs_f64());
@@ -164,9 +184,10 @@ fn time_tiers<T: PartialEq + std::fmt::Debug>(
     let scalar_s = best[0];
     KernelTier::ALL
         .iter()
-        .map(|tier| TierTiming {
+        .map(|&tier| TierTiming {
             tier: tier.name(),
-            timing: tiers.iter().position(|t| t == tier).map(|i| Timing {
+            weight_bytes: weight_bytes(tier),
+            timing: tiers.iter().position(|&t| t == tier).map(|i| Timing {
                 ms: best[i] * 1e3,
                 speedup: scalar_s / best[i],
                 gmacs_per_s: macs as f64 / best[i] / 1e9,
@@ -184,6 +205,8 @@ struct ShapeResult {
     /// Kernel edge (1 for the FC row).
     k: usize,
     density: f64,
+    /// Timed with 64 MiB of other data written ahead of each call.
+    flushed: bool,
     gemm: Vec<TierTiming>,
     best_tier: &'static str,
     /// Scalar-tier GEMM time over the best SIMD tier's.
@@ -195,7 +218,8 @@ impl ShapeResult {
         let timed = gemm.iter().skip(1).filter_map(|t| Some((t.tier, t.timing.as_ref()?)));
         let best = timed.min_by(|a, b| a.1.ms.total_cmp(&b.1.ms));
         let (best_tier, best_gemm_speedup) = best.map_or(("scalar", 1.0), |(tier, t)| (tier, t.speedup));
-        ShapeResult { layer: layer.to_string(), out_c, in_c, hw, k, density, gemm, best_tier, best_gemm_speedup }
+        let layer = layer.to_string();
+        ShapeResult { layer, out_c, in_c, hw, k, density, flushed: false, gemm, best_tier, best_gemm_speedup }
     }
 
     /// Whether `--check` holds every SIMD tier's GEMM to
@@ -216,6 +240,7 @@ impl ToJson for ShapeResult {
             ("hw", self.hw.to_json()),
             ("k", self.k.to_json()),
             ("density", self.density.to_json()),
+            ("flushed", self.flushed.to_json()),
             ("gemm", self.gemm.to_json()),
             ("best_tier", self.best_tier.to_json()),
             ("best_gemm_speedup", self.best_gemm_speedup.to_json()),
@@ -353,10 +378,48 @@ impl ToJson for ResnetBlockResult {
     }
 }
 
+/// One conv layer's weight stream on the AMX tier: the kernel that takes
+/// it and the bytes it reads per image, against its dense weights.
+struct StreamRow {
+    layer: String,
+    kernel: &'static str,
+    dense_bytes: usize,
+    bytes: usize,
+}
+
+impl ToJson for StreamRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("layer", self.layer.to_json()),
+            ("kernel", self.kernel.to_json()),
+            ("dense_bytes", self.dense_bytes.to_json()),
+            ("bytes", self.bytes.to_json()),
+        ])
+    }
+}
+
+/// [`StreamRow`]s of every conv layer of `qnet`.
+fn conv_stream(qnet: &QuantizedNetwork) -> Vec<StreamRow> {
+    let spec = &qnet.spec;
+    qnet.conv
+        .iter()
+        .zip(spec.conv_layers())
+        .map(|(layer, (_, l, s))| {
+            let &LayerSpec::Conv { ref name, stride, pad, .. } = l else { unreachable!("a conv layer") };
+            let w = &layer.weights;
+            let stream = weight_stream(w, s, stride, pad, KernelTier::Amx);
+            let kernel = stream.kernel.name();
+            StreamRow { layer: name.clone(), kernel, dense_bytes: w.w.len(), bytes: stream.bytes }
+        })
+        .collect()
+}
+
 struct Bench {
     host_tiers: Vec<String>,
     dispatch_tier: String,
     shapes: Vec<ShapeResult>,
+    /// The AMX tier's conv weight stream per VGG-16-32 image.
+    conv_stream: Vec<StreamRow>,
     allocs: AllocResult,
     cpu_backend: CpuBackendResult,
     intra_image: IntraImageResult,
@@ -372,6 +435,14 @@ impl ToJson for Bench {
             ("host_tiers", self.host_tiers.to_json()),
             ("dispatch_tier", self.dispatch_tier.to_json()),
             ("shapes", self.shapes.to_json()),
+            ("conv_stream", self.conv_stream.to_json()),
+            (
+                "conv_stream_total",
+                Json::obj([
+                    ("dense_bytes", self.conv_stream.iter().map(|r| r.dense_bytes).sum::<usize>().to_json()),
+                    ("bytes", self.conv_stream.iter().map(|r| r.bytes).sum::<usize>().to_json()),
+                ]),
+            ),
             ("allocs", self.allocs.to_json()),
             ("cpu_backend", self.cpu_backend.to_json()),
             ("intra_image", self.intra_image.to_json()),
@@ -426,6 +497,53 @@ fn pointwise_layer(out_c: usize, in_c: usize, hw: usize, density: f64, seed: u64
 /// dc` gives a network other than VGG-16.
 const RESNET_DENSITY: f64 = 0.35;
 
+/// The rows timed a second time with the cache flushed.
+const FLUSHED_SHAPES: [&str; 2] = ["conv4_2-like", "conv5_2-like"];
+
+/// Bytes written between the calls of a flushed row: more than this
+/// host's last-level cache keeps for one process.
+const FLUSH_BYTES: usize = 64 << 20;
+
+/// Writes every cache line of `flush`, evicting what the last call left in
+/// the caches.
+fn flush_caches(flush: &mut [u8]) {
+    for (i, line) in flush.iter_mut().step_by(64).enumerate() {
+        *line = line.wrapping_add(i as u8);
+    }
+    std::hint::black_box(flush);
+}
+
+/// One conv row: `(name, out_c, in_c, output plane edge, kernel, density,
+/// first layer)` timed per tier into a warm workspace and output, as the
+/// network runs a layer (no page faults in the timing) — and, when
+/// `flushed`, with [`flush_caches`] ahead of every call.
+fn conv_row(
+    (name, out_c, in_c, hw, k, density, first): (&str, usize, usize, usize, usize, f64, bool),
+    flushed: bool,
+    flush: &mut [u8],
+) -> ShapeResult {
+    let (qw, input) = if k == 1 {
+        pointwise_layer(out_c, in_c, hw, density, 7)
+    } else {
+        let (qw, tiled, _) = make_conv_layer(out_c, in_c, hw, density, 7);
+        let input = tiled.to_tensor();
+        (qw, if first { input } else { relu(&input) })
+    };
+    let macs = out_c * in_c * k * k * hw * hw;
+    let (mut ws, mut out) = (GemmScratch::default(), Tensor::zeros(1, 1, 1));
+    let bytes = |tier| weight_stream(&qw, input.shape(), 1, 0, tier).bytes;
+    let before = || {
+        if flushed {
+            flush_caches(flush);
+        }
+    };
+    let gemm = time_tiers(name, macs, bytes, before, |tier| {
+        conv2d_gemm_quant_into(&input, &qw, 1, 0, tier, None, &mut ws, &mut out);
+        out.clone()
+    });
+    ShapeResult { flushed, ..ShapeResult::new(name, (out_c, in_c, hw, k, density), gemm) }
+}
+
 fn bench_shapes() -> Vec<ShapeResult> {
     // (name, out_c, in_c, output plane edge, kernel, density, first layer):
     // a first layer reads the signed quantized image, every other layer a
@@ -441,27 +559,15 @@ fn bench_shapes() -> Vec<ShapeResult> {
         ("resnet-b2-like", 32, 32, 16, 3, RESNET_DENSITY, false),
         ("resnet-proj-like", 32, 16, 16, 1, RESNET_DENSITY, false),
     ];
+    let mut flush = vec![0u8; FLUSH_BYTES];
     let mut shapes: Vec<ShapeResult> = layers
         .into_iter()
-        .map(|(name, out_c, in_c, hw, k, density, first)| {
-            let (qw, input) = if k == 1 {
-                pointwise_layer(out_c, in_c, hw, density, 7)
-            } else {
-                let (qw, tiled, _) = make_conv_layer(out_c, in_c, hw, density, 7);
-                let input = tiled.to_tensor();
-                (qw, if first { input } else { relu(&input) })
-            };
-            let macs = out_c * in_c * k * k * hw * hw;
-            // Into a warm workspace and output, as the network runs a
-            // layer: no page faults in the timing.
-            let (mut ws, mut out) = (GemmScratch::default(), Tensor::zeros(1, 1, 1));
-            let gemm = time_tiers(name, macs, |tier| {
-                conv2d_gemm_quant_into(&input, &qw, 1, 0, tier, None, &mut ws, &mut out);
-                out.clone()
-            });
-            ShapeResult::new(name, (out_c, in_c, hw, k, density), gemm)
-        })
+        .map(|layer| conv_row(layer, false, &mut flush))
         .collect();
+    // The deep rows again, the cache flushed between calls.
+    for layer in layers.into_iter().filter(|(name, ..)| FLUSHED_SHAPES.contains(name)) {
+        shapes.push(conv_row(layer, true, &mut flush));
+    }
 
     // fc7: the conv layers' GEMM body at one column, unpruned weights;
     // then an FC whose 512 KiB of weights stay in L2, run 64 times a
@@ -484,7 +590,7 @@ fn bench_shapes() -> Vec<ShapeResult> {
         let input: Vec<Sm8> = sm8s(in_features).iter().map(|v| Sm8::from_i32_saturating(v.to_i32().max(0))).collect();
         let mut ws = GemmScratch::default();
         let mut out = Vec::new();
-        let gemm = time_tiers(layer, calls * out_features * in_features, |tier| {
+        let gemm = time_tiers(layer, calls * out_features * in_features, |_| fc.w.len(), || {}, |tier| {
             for _ in 0..calls {
                 fc_quant_pool_into(&input, &fc, tier, None, &mut ws, &mut out);
             }
@@ -678,23 +784,48 @@ fn render(bench: &Bench) -> String {
         bench.host_tiers.join(", "),
         bench.dispatch_tier
     ));
-    text.push_str(&format!(
-        "{:<17} {:>8} {:<8} {:>11} {:>9} {:>8}\n",
-        "layer", "density", "tier", "gemm ms", "speedup", "GMAC/s"
-    ));
-    for s in &bench.shapes {
-        for g in &s.gemm {
-            match &g.timing {
-                Some(t) => text.push_str(&format!(
-                    "{:<17} {:>8.2} {:<8} {:>11.3} {:>8.2}x {:>8.1}\n",
-                    s.layer, s.density, g.tier, t.ms, t.speedup, t.gmacs_per_s
-                )),
-                None => text.push_str(&format!("{:<17} {:>8.2} {:<8} {:>11}\n", s.layer, s.density, g.tier, "skipped")),
+    let header = format!(
+        "{:<17} {:>8} {:<8} {:>11} {:>9} {:>8} {:>12}\n",
+        "layer", "density", "tier", "gemm ms", "speedup", "GMAC/s", "weight KiB"
+    );
+    text.push_str(&header);
+    let rows = |text: &mut String, flushed: bool| {
+        for s in bench.shapes.iter().filter(|s| s.flushed == flushed) {
+            for g in &s.gemm {
+                let kib = g.weight_bytes as f64 / 1024.0;
+                match &g.timing {
+                    Some(t) => text.push_str(&format!(
+                        "{:<17} {:>8.2} {:<8} {:>11.3} {:>8.2}x {:>8.1} {kib:>12.1}\n",
+                        s.layer, s.density, g.tier, t.ms, t.speedup, t.gmacs_per_s
+                    )),
+                    None => text.push_str(&format!(
+                        "{:<17} {:>8.2} {:<8} {:>11} {:>9} {:>8} {kib:>12.1}\n",
+                        s.layer, s.density, g.tier, "skipped", "", ""
+                    )),
+                }
             }
         }
+    };
+    rows(&mut text, false);
+    text.push_str(&format!("\ncache flushed ({} MiB written) ahead of every call:\n{header}", FLUSH_BYTES >> 20));
+    rows(&mut text, true);
+    text.push_str("\nconv weight stream per VGG-16-32 image on the amx tier (density dc):\n");
+    text.push_str(&format!("{:<9} {:<8} {:>12} {:>12} {:>7}\n", "layer", "kernel", "dense bytes", "bytes", "ratio"));
+    let ratio = |bytes: usize, dense: usize| bytes as f64 / dense as f64;
+    for r in &bench.conv_stream {
+        text.push_str(&format!(
+            "{:<9} {:<8} {:>12} {:>12} {:>7.3}\n",
+            r.layer,
+            r.kernel,
+            r.dense_bytes,
+            r.bytes,
+            ratio(r.bytes, r.dense_bytes)
+        ));
     }
+    let (dense, bytes) = bench.conv_stream.iter().fold((0, 0), |(d, b), r| (d + r.dense_bytes, b + r.bytes));
+    text.push_str(&format!("{:<9} {:<8} {dense:>12} {bytes:>12} {:>7.3}\n", "total", "", ratio(bytes, dense)));
     text.push('\n');
-    for s in &bench.shapes {
+    for s in bench.shapes.iter().filter(|s| !s.flushed) {
         text.push_str(&format!(
             "{}: best SIMD GEMM tier {} at {:.2}x over scalar\n",
             s.layer, s.best_tier, s.best_gemm_speedup
@@ -795,7 +926,7 @@ const AMX_OVER_AVX512_FLOOR: f64 = 1.5;
 /// every floor the run missed, so one failure does not hide the next.
 fn check(bench: &Bench) -> Vec<String> {
     let mut failed = Vec::new();
-    for s in &bench.shapes {
+    for s in bench.shapes.iter().filter(|s| !s.flushed) {
         let ms = |tier: &str| s.gemm.iter().find(|t| t.tier == tier).and_then(|t| t.timing.as_ref()).map(|t| t.ms);
         let gated = AVX512_OVER_AVX2_SHAPES.contains(&s.layer.as_str());
         for (wide, narrow, floor) in
@@ -857,6 +988,7 @@ fn main() {
         host_tiers: KernelTier::supported().iter().map(|t| t.name().to_string()).collect(),
         dispatch_tier: zskip_nn::dispatch().name().to_string(),
         shapes: bench_shapes(),
+        conv_stream: conv_stream(&qnet),
         allocs: bench_allocs(),
         cpu_backend: bench_cpu_backend(&qnet, &inputs, config),
         intra_image: bench_intra_image(&qnet, &inputs, config),

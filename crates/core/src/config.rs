@@ -23,7 +23,8 @@ pub struct AccelConfig {
     /// Scratchpad weight-fetch bandwidth in bytes per cycle (how fast the
     /// data-staging unit unpacks weights and offsets).
     pub weight_bytes_per_cycle: usize,
-    /// Scratchpad capacity in bytes for one group's packed weights.
+    /// Scratchpad capacity in bytes for one group's packed weights. Not
+    /// modelled: no executor reads it (docs/ARCHITECTURE.md).
     pub scratchpad_bytes: usize,
 }
 

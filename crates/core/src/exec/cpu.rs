@@ -50,10 +50,13 @@ use zskip_tensor::Tensor;
 pub(crate) type StatsSlot = Arc<Mutex<Option<(u64, Arc<InferenceReport>)>>>;
 
 /// Memo key of one network run: every configuration field that reaches
-/// the cycle model or the stripe planner, the two packing flags, the
-/// input shape, each conv's weight fingerprint and the spec itself —
+/// the transaction model or the stripe planner, the two packing flags,
+/// the input shape, each conv's weight fingerprint and the spec itself —
 /// every layer's geometry and its name, which the report carries. DDR
-/// addresses are absent: they move no cycle and no byte.
+/// addresses are absent: they move no cycle and no byte. So are
+/// `fifo_depth`, which only the cycle engine reads, and
+/// `scratchpad_bytes`, which nothing reads (the scratchpad is not
+/// modelled: a packed image is bounded by the DDR weight window).
 fn memo_key(driver: &Driver, qnet: &QuantizedNetwork, input: &Tensor<f32>) -> u64 {
     let (c, s) = (&driver.config, input.shape());
     let fields = [
@@ -61,9 +64,7 @@ fn memo_key(driver: &Driver, qnet: &QuantizedNetwork, input: &Tensor<f32>) -> u6
         c.lanes,
         c.instances,
         c.bank_tiles,
-        c.fifo_depth,
         c.weight_bytes_per_cycle,
-        c.scratchpad_bytes,
         driver.zero_skipping as usize,
         driver.filter_grouping as usize,
         s.c,
@@ -276,6 +277,23 @@ mod tests {
             assert_eq!(run(&variant), uncached(&variant), "{what}");
             assert_eq!(run(&base), want, "{what}: the base after");
         }
+    }
+
+    /// The fields the key leaves out move no statistic of a stats-only
+    /// walk, so a clone differing only in them replays the base's record:
+    /// the same `Arc`, and what an uncached walk under the clone's own
+    /// configuration reports.
+    #[test]
+    fn a_clone_differing_in_unkeyed_fields_reuses_the_record() {
+        let (qnet, inputs) = striped_net();
+        let base = session(|b| b, 1).driver().clone();
+        let record = stats_report(&base, &qnet, &inputs[0]).expect("fits");
+        let mut clone = base.clone();
+        clone.config.fifo_depth *= 8;
+        clone.config.scratchpad_bytes /= 4;
+        let uncached = clone.run_staged(&qnet, &inputs[0], None).expect("fits");
+        assert_eq!(format!("{:?}", uncached.layers), format!("{:?}", record.layers), "the unkeyed fields move a statistic");
+        assert!(Arc::ptr_eq(&stats_report(&clone, &qnet, &inputs[0]).expect("fits"), &record), "the clone walks again");
     }
 
     /// The spec's part of the memo key tells apart specs that differ in one

@@ -1,6 +1,6 @@
 //! Convolution reference operators: float and integer-exact quantized.
 
-use crate::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier};
+use crate::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, Compressed};
 use crate::par::{self, ConvPool, Split};
 use crate::simd::{self, KernelTier};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -82,6 +82,12 @@ pub struct QuantConvWeights {
     /// docs/KERNELS.md "AMX tiles"), filled on its first tile call.
     /// Ignored by `PartialEq` like `nnz`.
     pub(crate) tile_w: OnceLock<Vec<u8>>,
+    /// Cached compressed form of `w` — the zeros taken out, one stream
+    /// per filter — which the lowered GEMM reads on the AMX tier
+    /// (`crate::gemm`, docs/KERNELS.md "Compressed weight stream"),
+    /// filled on its first lowered call there. Ignored by `PartialEq`
+    /// like `nnz`.
+    pub(crate) z_rows: OnceLock<Compressed>,
     /// The accelerator's packed image of this layer, the last packing
     /// asked for ([`QuantConvWeights::packed`]). Ignored by `PartialEq`
     /// like `nnz`.
@@ -155,6 +161,7 @@ impl QuantConvWeights {
             offset_bias: OnceLock::new(),
             quad_w: OnceLock::new(),
             tile_w: OnceLock::new(),
+            z_rows: OnceLock::new(),
             packed: PackedSlot::default(),
         }
     }
@@ -202,16 +209,17 @@ impl QuantConvWeights {
     }
 
     /// Drops this instance's cached nonzero counts, fingerprint, offset
-    /// bias, direct-kernel repack, tile panels and packed image. Must be called after
-    /// mutating `w` or `bias_acc` through the public fields (e.g.
-    /// re-sparsifying a layer in place); the next query rescans and
-    /// re-fingerprints the new content.
+    /// bias, direct-kernel repack, tile panels, compressed rows and packed
+    /// image. Must be called after mutating `w` or `bias_acc` through the
+    /// public fields (e.g. re-sparsifying a layer in place); the next
+    /// query rescans and re-fingerprints the new content.
     pub fn invalidate_caches(&mut self) {
         self.nnz = OnceLock::new();
         self.fp = OnceLock::new();
         self.offset_bias = OnceLock::new();
         self.quad_w = OnceLock::new();
         self.tile_w = OnceLock::new();
+        self.z_rows = OnceLock::new();
         self.packed = PackedSlot::default();
     }
 

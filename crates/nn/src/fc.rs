@@ -179,6 +179,7 @@ pub fn fc_quant_pool_into(
         offset_bias: &weights.offset_bias,
         requant: weights.requant,
         relu: weights.relu,
+        compressed: None,
     };
     let (p, gemm) = ws.row_operands(input, gemm);
     gemm_quant_into(tier, pool, gemm, p, 1, out);

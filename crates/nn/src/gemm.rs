@@ -10,7 +10,9 @@
 //! docs/KERNELS.md "Direct convolution"), and that on the AMX tier a layer
 //! of whole 64-channel reduction steps and 16-filter tiles runs on AMX
 //! tiles, again with no patch matrix (`amx`, docs/KERNELS.md "AMX
-//! tiles"). The scalar oracle is the dense scan
+//! tiles"). On the AMX tier the lowered GEMM reads the layer's weights
+//! with the zeros taken out (`compressed`, docs/KERNELS.md "Compressed
+//! weight stream"). The scalar oracle is the dense scan
 //! [`crate::conv::conv2d_quant_dense`], which shares no loop structure
 //! with any of them; property tests here and in `tests/kernel_tiers.rs`
 //! hold every tier to it bit for bit.
@@ -71,6 +73,8 @@
 #[cfg(target_arch = "x86_64")]
 mod amx;
 #[cfg(target_arch = "x86_64")]
+mod compressed;
+#[cfg(target_arch = "x86_64")]
 mod direct;
 
 use crate::conv::QuantConvWeights;
@@ -79,7 +83,7 @@ use crate::simd::{self, KernelTier, DOT_MR, DOT_NR};
 use std::ops::Range;
 use std::sync::OnceLock;
 use zskip_quant::{Requantizer, Sm8};
-use zskip_tensor::Tensor;
+use zskip_tensor::{Shape, Tensor};
 
 /// The reusable buffers of the quantized GEMM's patch side. They only
 /// ever grow; the [`crate::scratch::Scratch`] arena owns one set.
@@ -94,6 +98,25 @@ pub struct GemmScratch {
     plane: Vec<u8>,
     /// The transposed patch matrix `P[col][r]` of a conv layer.
     patches: Vec<u8>,
+}
+
+/// A conv layer's weights with the zeros taken out, as the lowered GEMM
+/// streams them on the AMX tier (docs/KERNELS.md, "Compressed weight
+/// stream"): one stream per filter, 64 weights of its row a group, each
+/// group stored as its `u64` non-zero mask — bit `i` for weight `i` —
+/// followed by its non-zero weights, decoded to two's-complement `i8`, in
+/// order. Negative zero is a zero; a row's last group is short when the
+/// row is.
+#[derive(Debug, Clone)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) struct Compressed {
+    /// Groups of every stream.
+    groups: usize,
+    /// Where each stream starts in `bytes`, then where the last ends.
+    starts: Vec<usize>,
+    /// The streams, then 64 zero bytes, so that a whole vector loaded at
+    /// any group's weights stays inside.
+    bytes: Vec<u8>,
 }
 
 /// The patch byte of the `Sm8` bit pattern `v` in an offset input: `v +
@@ -384,6 +407,9 @@ pub(crate) struct GemmWeights<'a> {
     pub offset_bias: &'a OnceLock<Vec<i64>>,
     pub requant: Requantizer,
     pub relu: bool,
+    /// The same rows with the zeros taken out, which the GEMM then reads
+    /// instead of `w`: a conv layer's on the AMX tier, else `None`.
+    pub compressed: Option<&'a Compressed>,
 }
 
 impl<'a> GemmWeights<'a> {
@@ -396,6 +422,7 @@ impl<'a> GemmWeights<'a> {
             offset_bias: &weights.offset_bias,
             requant: weights.requant,
             relu: weights.relu,
+            compressed: None,
         }
     }
 
@@ -455,8 +482,9 @@ impl Epilogue {
 /// `out[o * cols + col] = requant(bias[o] + Σ_r w[o][r] · p[col][r])`: the
 /// one integer GEMM body behind every conv geometry and FC. Output rows
 /// are split over `pool` when one is attached — each run is the same
-/// [`simd::dot_nt`] call over a disjoint slice of `out`, and every sum is
-/// one exact integer dot product, so the result is bit-identical at any
+/// [`simd::dot_nt`] call over a disjoint slice of `out` (or, with
+/// `weights.compressed`, its compressed-row twin), and every sum is one
+/// exact integer dot product, so the result is bit-identical at any
 /// worker count and on any tier. Each register block is requantized as a
 /// whole where `dot_nt` hands it over: `DOT_NR` outputs a row, stored
 /// together.
@@ -468,7 +496,7 @@ pub(crate) fn gemm_quant_into(
     cols: usize,
     out: &mut [Sm8],
 ) {
-    let GemmWeights { w, len, bias_acc, requant, relu, .. } = weights;
+    let GemmWeights { w, len, bias_acc, requant, relu, compressed, .. } = weights;
     let rows = bias_acc.len();
     assert_eq!(out.len(), rows * cols, "output is not rows x cols");
     let epilogue = Epilogue::new(requant, relu);
@@ -485,11 +513,13 @@ pub(crate) fn gemm_quant_into(
         let bias_acc = &bias_acc[lo..hi];
         // Forced inline: left to itself, the compiler calls the full
         // block's epilogue out of line, without the tier's features.
-        simd::dot_nt(
+        dot(
             tier,
-            &w[lo * len..hi * len],
+            w,
+            compressed,
+            lo..hi,
             p,
-            [hi - lo, cols, len],
+            [cols, len],
             #[inline(always)]
             |i, j, [mr, nr], sums| {
                 #[cfg(target_arch = "x86_64")]
@@ -510,6 +540,26 @@ pub(crate) fn gemm_quant_into(
     });
 }
 
+/// [`simd::dot_nt`] of weight rows `rows` of `w` against `p`, or, with
+/// `compressed` rows, its compressed-row twin.
+fn dot(
+    tier: KernelTier,
+    w: &[Sm8],
+    compressed: Option<&Compressed>,
+    rows: Range<usize>,
+    p: &[u8],
+    [cols, len]: [usize; 2],
+    block: impl FnMut(usize, usize, [usize; 2], &simd::DotSums),
+) {
+    match compressed {
+        // SAFETY: only `conv2d_gemm_quant_into` attaches compressed rows —
+        // built from these weights — and only on a supported AMX tier.
+        #[cfg(target_arch = "x86_64")]
+        Some(z) => unsafe { compressed::dot_rows(z, rows, p, [cols, len], block) },
+        _ => simd::dot_nt(tier, &w[rows.start * len..rows.end * len], p, [rows.len(), cols, len], block),
+    }
+}
+
 /// Integer-exact quantized convolution via lowering + output-stationary
 /// GEMM at an explicit kernel tier — or, on the AMX tier, for a layer the
 /// tiles take, on them, and on the AVX-512 and AMX tiers, for another
@@ -519,9 +569,11 @@ pub(crate) fn gemm_quant_into(
 /// layer's size. With a `pool` the lowering is split by column range and
 /// the GEMM (or the direct kernel, or the tiles) by output-channel range
 /// over its workers, bit-identically at any worker count. Must agree
-/// bit-for-bit with [`crate::conv::conv2d_quant_dense`]. Zero weights are
-/// multiplied, not skipped — the hardware's zero-skipping is modelled by
-/// the stats pass, not by this kernel.
+/// bit-for-bit with [`crate::conv::conv2d_quant_dense`]. On the AMX tier
+/// the lowered GEMM never fetches a zero weight (the compressed stream);
+/// everywhere else zero weights are multiplied like any other. The
+/// hardware's zero-skipping is modelled by the stats pass, not by this
+/// kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_gemm_quant_into(
     input: &Tensor<Sm8>,
@@ -535,19 +587,95 @@ pub fn conv2d_gemm_quant_into(
 ) {
     let s = input.shape();
     assert_eq!(s.c, weights.in_c, "input channels mismatch");
+    let supported = tier.is_supported();
     #[cfg(target_arch = "x86_64")]
-    if amx::applies(tier, s, weights.out_c, weights.k, stride, pad) {
-        return amx::conv_into(input, weights, stride, pad, pool, ws, out);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if direct::applies(tier, s, weights.k, stride, pad) {
-        return direct::conv_into(input, weights, pad, pool, ws, out);
+    match kernel(tier, s, weights.out_c, weights.k, stride, pad) {
+        ConvKernel::Tiles if supported => return amx::conv_into(input, weights, stride, pad, pool, ws, out),
+        ConvKernel::Direct if supported => return direct::conv_into(input, weights, pad, pool, ws, out),
+        _ => {}
     }
     let (out_h, out_w, offset) = lower_into(input, weights.out_c, weights.k, stride, pad, pool, ws);
     out.reset(weights.out_c, out_h, out_w);
     let gemm = GemmWeights::of(weights);
     let gemm = if offset { gemm.offset() } else { gemm };
+    #[cfg(target_arch = "x86_64")]
+    let gemm = if tier == KernelTier::Amx && supported {
+        GemmWeights { compressed: Some(weights.z_rows.get_or_init(|| compressed::rows(weights, pool))), ..gemm }
+    } else {
+        gemm
+    };
     gemm_quant_into(tier, pool, gemm, &ws.patches, out_h * out_w, out.as_mut_slice());
+}
+
+/// The kernel [`conv2d_gemm_quant_into`] runs a conv layer on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConvKernel {
+    /// The AMX tiles (`amx`, docs/KERNELS.md "AMX tiles").
+    Tiles,
+    /// The direct convolution (`direct`, docs/KERNELS.md "Direct
+    /// convolution").
+    Direct,
+    /// The lowering and `dot_nt`, or on the AMX tier its compressed-row
+    /// twin (docs/KERNELS.md "Compressed weight stream").
+    Lowered,
+}
+
+impl ConvKernel {
+    /// Lower-case name, as `kernel_bench` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ConvKernel::Tiles => "tiles",
+            ConvKernel::Direct => "direct",
+            ConvKernel::Lowered => "lowered",
+        }
+    }
+}
+
+/// What one call of [`conv2d_gemm_quant_into`] reads of a layer's weights
+/// on `tier`: the kernel that takes the layer and the weight bytes it
+/// streams. The rules are the tier's, whether or not this host runs it,
+/// so the figure is the same on every host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WeightStream {
+    pub kernel: ConvKernel,
+    /// Bytes read per call: on the AMX tier, the lowered GEMM's
+    /// compressed rows (a `u64` mask per 64 weights of a filter's row and
+    /// its non-zero weights; docs/KERNELS.md "Compressed weight stream");
+    /// the repacked channel quads for the direct kernel; the dense
+    /// weights, one byte each, otherwise — the tiles' decoded panels
+    /// included.
+    pub bytes: usize,
+}
+
+/// The [`WeightStream`] of a `weights` layer at `stride` and `pad` over an
+/// input of shape `s` on `tier`.
+pub fn weight_stream(weights: &QuantConvWeights, s: Shape, stride: usize, pad: usize, tier: KernelTier) -> WeightStream {
+    let (out_c, k) = (weights.out_c, weights.k);
+    let len = weights.in_c * k * k;
+    let nonzero = || weights.w.iter().filter(|v| !v.is_zero()).count();
+    let kernel = kernel(tier, s, out_c, k, stride, pad);
+    let bytes = match kernel {
+        ConvKernel::Direct => out_c * weights.in_c.div_ceil(4) * k * k * 4,
+        ConvKernel::Lowered if tier == KernelTier::Amx => out_c * len.div_ceil(64) * 8 + nonzero(),
+        _ => weights.w.len(),
+    };
+    WeightStream { kernel, bytes }
+}
+
+/// The [`ConvKernel`] of a `k x k` layer of `out_c` filters over an input
+/// of shape `s` on `tier`, were the host to run the tier: the tiles on the
+/// AMX tier for a layer they fit, else the direct kernel on the AVX-512
+/// and AMX tiers for a layer it fits, else the lowered GEMM.
+fn kernel(tier: KernelTier, s: Shape, out_c: usize, k: usize, stride: usize, pad: usize) -> ConvKernel {
+    #[cfg(target_arch = "x86_64")]
+    if tier == KernelTier::Amx && amx::applies(s, out_c, k, stride, pad) {
+        return ConvKernel::Tiles;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier >= KernelTier::Avx512 && direct::applies(s, k, stride, pad) {
+        return ConvKernel::Direct;
+    }
+    ConvKernel::Lowered
 }
 
 /// [`conv2d_gemm_quant_into`] on the calling thread, allocating its
@@ -757,7 +885,7 @@ mod tests {
                         for tier in KernelTier::supported() {
                             for pool in [None, Some(&pool)] {
                                 let mut out = vec![Sm8::from_bits(0x80); chunk.len() * cols];
-                                let gemm = GemmWeights { w: &w, len: 1, bias_acc: chunk, offset_bias: &OnceLock::new(), requant: r, relu };
+                                let gemm = GemmWeights { w: &w, len: 1, bias_acc: chunk, offset_bias: &OnceLock::new(), requant: r, relu, compressed: None };
                                 gemm_quant_into(tier, pool, gemm, p, cols, &mut out);
                                 let got: Vec<u8> = out.iter().map(|v| v.to_bits()).collect();
                                 assert_eq!(got, want, "{r:?} relu {relu} tier {tier} {cols} columns");
@@ -995,13 +1123,10 @@ mod tests {
             let (plane, patches) = convs.iter().fold((0, 0), |(plane, patches), (_, layer, s)| {
                 let &LayerSpec::Conv { out_c, k, stride, pad, .. } = *layer else { unreachable!("a conv layer") };
                 let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
-                #[cfg(target_arch = "x86_64")]
-                if amx::applies(scratch.tier(), *s, out_c, k, stride, pad) {
-                    return (plane.max(s.c * hp * wp), patches);
-                }
-                #[cfg(target_arch = "x86_64")]
-                if direct::applies(scratch.tier(), *s, k, stride, pad) {
-                    return (plane.max(s.c.div_ceil(4) * 4 * hp * wp), patches);
+                match kernel(scratch.tier(), *s, out_c, k, stride, pad) {
+                    ConvKernel::Tiles => return (plane.max(s.c * hp * wp), patches),
+                    ConvKernel::Direct => return (plane.max(s.c.div_ceil(4) * 4 * hp * wp), patches),
+                    ConvKernel::Lowered => {}
                 }
                 let cols = ((hp - k) / stride + 1) * ((wp - k) / stride + 1);
                 (plane.max(s.c * hp * wp), patches.max(cols * s.c * k * k))

@@ -32,13 +32,13 @@
 //! and releases the tiles on exit, so no thread holds tile state between
 //! layers. [`applies`] is the shape rule; every function with a
 //! `#[target_feature]` or a tile instruction here is reached only through
-//! [`conv_into`], after it.
+//! [`conv_into`], which `conv2d_gemm_quant_into` calls only on a supported
+//! AMX tier, for a layer [`applies`] holds for.
 
 use super::x86::VecEpilogue;
 use super::{for_each_run, offset_byte, split, Epilogue, GemmScratch, GemmWeights};
 use crate::conv::QuantConvWeights;
 use crate::par::{ConvPool, SendPtr};
-use crate::simd::KernelTier;
 use std::arch::asm;
 use std::arch::x86_64::*;
 use std::ops::Range;
@@ -50,17 +50,15 @@ const TILE: usize = 16;
 /// Bytes of a tile row: the channels of one reduction step.
 const DEPTH: usize = 64;
 
-/// Whether `conv2d_gemm_quant_into` runs a `k x k` layer of `out_c`
-/// filters over an input of shape `s` on the tiles: on the AMX tier, with
-/// whole filter tiles, whole reduction steps (64 channels), at least one
-/// whole position tile, and a sum that cannot leave `i32` — a tile has
-/// no `i64` flush, so each C element adds all `c · k · k` products, each
-/// at most `255 · 127` in magnitude, in one wrapping `i32`.
-pub(super) fn applies(tier: KernelTier, s: Shape, out_c: usize, k: usize, stride: usize, pad: usize) -> bool {
+/// Whether a `k x k` layer of `out_c` filters over an input of shape `s`
+/// fits the tiles, which on the AMX tier then run it: whole filter tiles,
+/// whole reduction steps (64 channels), at least one whole position tile,
+/// and a sum that cannot leave `i32` — a tile has no `i64` flush, so each
+/// C element adds all `c · k · k` products, each at most `255 · 127` in
+/// magnitude, in one wrapping `i32`.
+pub(super) fn applies(s: Shape, out_c: usize, k: usize, stride: usize, pad: usize) -> bool {
     let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
-    tier == KernelTier::Amx
-        && tier.is_supported()
-        && out_c > 0
+    out_c > 0
         && out_c.is_multiple_of(TILE)
         && s.c > 0
         && s.c.is_multiple_of(DEPTH)
@@ -142,8 +140,8 @@ impl GemmScratch {
         d.resize(hp * wp * s.c, if offset { 128 } else { 0 });
         let at = |p: usize| ((p / s.w + pad) * wp + p % s.w + pad) * s.c;
         let whole = pixels / TILE * TILE;
-        // SAFETY: the tiles run only where `applies` found the AMX tier,
-        // AVX-512 among its features.
+        // SAFETY: the tiles run only on a supported AMX tier, AVX-512
+        // among its features.
         unsafe { transpose_pixels(bytes, s.c, whole, &at, d, offset) };
         for (c, channel) in bytes.chunks_exact(pixels).enumerate() {
             for (p, &b) in channel.iter().enumerate().skip(whole) {
@@ -222,7 +220,8 @@ impl Geometry {
 /// as the layer's lowered GEMM would be: each run owns a
 /// contiguous range of output channels — every output of those channels,
 /// computed and stored by the same loop as inline — so the result is
-/// bit-identical at any worker count. The caller has checked [`applies`].
+/// bit-identical at any worker count. The caller has checked [`applies`]
+/// and that the host runs the AMX tier.
 pub(super) fn conv_into(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -251,7 +250,7 @@ pub(super) fn conv_into(
     let out_ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
     for_each_run(pool, runs, &|run| {
         let filters = (run * per).min(weights.out_c)..((run + 1) * per).min(weights.out_c);
-        // SAFETY: `applies` verified the tier's features on this CPU; the
+        // SAFETY: the caller verified the tier's features on this CPU; the
         // plane was filled for this geometry and `wt` / `bias` hold
         // `out_c` filters; runs own disjoint output-channel ranges of
         // `out`, which `reset` sized to `out_c` planes of `outputs`.
@@ -526,6 +525,7 @@ fn transpose16(r: [__m512i; TILE]) -> [__m512i; TILE] {
 mod tests {
     use super::*;
     use crate::conv::conv2d_quant_dense;
+    use crate::simd::KernelTier;
     use crate::gemm::conv2d_gemm_quant_into;
     use zskip_quant::Requantizer;
 
@@ -537,7 +537,7 @@ mod tests {
     /// forced to cut 1-3 runs, against the dense scan; the layer must
     /// reach the tiles.
     fn check(qw: &QuantConvWeights, x: &Tensor<Sm8>, stride: usize, pad: usize, what: &str) {
-        assert!(applies(KernelTier::Amx, x.shape(), qw.out_c, qw.k, stride, pad), "{what} misses the tiles");
+        assert!(applies(x.shape(), qw.out_c, qw.k, stride, pad), "{what} misses the tiles");
         let want = conv2d_quant_dense(x, qw, stride, pad);
         let pools: Vec<ConvPool> = (1..=3).map(ConvPool::forced).collect();
         let (mut ws, mut out) = (GemmScratch::default(), Tensor::from_fn(1, 2, 3, |_, _, _| Sm8::from_bits(0x80)));
@@ -564,7 +564,7 @@ mod tests {
         for out_c in [16, 48] {
             for (h, w) in [(4, 4), (3, 9), (7, 7), (8, 8), (9, 12)] {
                 for (in_c, k, stride, pad) in layers {
-                    if !applies(KernelTier::Amx, Shape::new(in_c, h, w), out_c, k, stride, pad) {
+                    if !applies(Shape::new(in_c, h, w), out_c, k, stride, pad) {
                         continue;
                     }
                     for signed in [false, true] {
@@ -621,7 +621,7 @@ mod tests {
             // step more, a tile would wrap, so the exact answer there
             // shows the call took the AVX-512 path.
             for len in [MAX_LEN, MAX_LEN + DEPTH] {
-                let tiles = applies(KernelTier::Amx, Shape::new(len, 4, 4), 16, 1, 1, 0);
+                let tiles = applies(Shape::new(len, 4, 4), 16, 1, 1, 0);
                 assert_eq!(tiles, len == MAX_LEN, "len {len}");
                 for neg_zero in [false, true] {
                     let qw = QuantConvWeights::new(16, len, 1, vec![weight; 16 * len], bias.clone(), requant, false);

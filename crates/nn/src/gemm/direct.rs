@@ -16,13 +16,14 @@
 //! output columns, and a reduction short enough for `i32` lanes. Every
 //! other layer, and every layer on a narrower tier, lowers and runs
 //! `dot_nt`. Every function with a `#[target_feature]` here is reached
-//! only through [`conv_into`], after [`applies`].
+//! only through [`conv_into`], which `conv2d_gemm_quant_into` calls only
+//! on a supported AVX-512 or AMX tier, for a layer [`applies`] holds for.
 
 use super::x86::VecEpilogue;
 use super::{for_each_run, offset_byte, Epilogue, GemmScratch, GemmWeights};
 use crate::conv::QuantConvWeights;
 use crate::par::{ConvPool, SendPtr};
-use crate::simd::{KernelTier, DOT_FLUSH_STEPS};
+use crate::simd::DOT_FLUSH_STEPS;
 use std::arch::x86_64::*;
 use std::ops::Range;
 use zskip_quant::Sm8;
@@ -44,14 +45,14 @@ const BLOCK_V: usize = 4;
 const MACS_PER_NS: usize = 320;
 const OUTPUTS_PER_NS: usize = 2;
 
-/// Whether `conv2d_gemm_quant_into` runs a `k x k` layer over an input of
-/// shape `s` here: on the AVX-512 tier, at stride 1, with at least
-/// [`LANES`] output columns and at most [`DOT_FLUSH_STEPS`] taps `(quad,
-/// ky, kx)`, which keeps every lane's `i32` sum exact without a flush (a
-/// tap adds at most `4 · 255 · 127` to a lane; `simd` asserts the bound).
-pub(super) fn applies(tier: KernelTier, s: Shape, k: usize, stride: usize, pad: usize) -> bool {
-    tier.runs_avx512()
-        && stride == 1
+/// Whether a `k x k` layer over an input of shape `s` fits the direct
+/// kernel, which on the AVX-512 and AMX tiers then runs it (unless the
+/// tiles take it): stride 1, at least [`LANES`] output columns and at most
+/// [`DOT_FLUSH_STEPS`] taps `(quad, ky, kx)`, which keeps every lane's
+/// `i32` sum exact without a flush (a tap adds at most `4 · 255 · 127` to
+/// a lane; `simd` asserts the bound).
+pub(super) fn applies(s: Shape, k: usize, stride: usize, pad: usize) -> bool {
+    stride == 1
         && s.h + 2 * pad >= k
         && s.w + 2 * pad >= k + LANES - 1
         && s.c.div_ceil(4) * k * k <= DOT_FLUSH_STEPS
@@ -103,8 +104,8 @@ impl GemmScratch {
                     &quad[j * plane + y * s.w..][..s.w]
                 };
                 let dst = &mut d[((q * hp + y + pad) * wp + pad) * 4..][..4 * s.w];
-                // SAFETY: the direct path runs only where `applies` found
-                // the AVX-512 tier supported.
+                // SAFETY: the direct path runs only on a supported
+                // AVX-512 or AMX tier.
                 unsafe { interleave([row(0), row(1), row(2), row(3)], dst, offset) };
             }
         }
@@ -197,7 +198,8 @@ impl Geometry {
 /// blocks split over `pool` when one is attached: each run owns a
 /// contiguous range of output channels — every output of those channels,
 /// computed and stored by the same loop as inline — so the result is
-/// bit-identical at any worker count. The caller has checked [`applies`].
+/// bit-identical at any worker count. The caller has checked [`applies`]
+/// and that the host runs the AVX-512 tier's kernels.
 pub(super) fn conv_into(
     input: &Tensor<Sm8>,
     weights: &QuantConvWeights,
@@ -224,7 +226,7 @@ pub(super) fn conv_into(
     let out_ptr = SendPtr::new(out.as_mut_slice().as_mut_ptr());
     for_each_run(pool, runs, &|run| {
         let filters = (run * per).min(weights.out_c)..((run + 1) * per).min(weights.out_c);
-        // SAFETY: `applies` verified the tier's features on this CPU; the
+        // SAFETY: the caller verified the tier's features on this CPU; the
         // plane was filled for this geometry and `wq` / `bias` hold
         // `out_c` filters; runs own disjoint output-channel ranges of
         // `out`, which `reset` sized to `out_c` planes of `outputs`.
@@ -339,6 +341,7 @@ mod tests {
     use super::*;
     use crate::conv::conv2d_quant_dense;
     use crate::gemm::conv2d_gemm_quant_into;
+    use crate::simd::KernelTier;
     use zskip_quant::Requantizer;
 
     /// One differential case: a layer geometry, whether its input has sign
@@ -399,7 +402,7 @@ mod tests {
         let (qw, x) = (weights(&c, seed), input(&c, seed));
         let want = conv2d_quant_dense(&x, &qw, 1, c.pad);
         assert_eq!((want.shape().h, want.shape().w), (c.out_h, c.out_w), "{c:?}");
-        assert!(applies(KernelTier::Avx512, x.shape(), c.k, 1, c.pad), "{c:?} misses the direct path");
+        assert!(applies(x.shape(), c.k, 1, c.pad), "{c:?} misses the direct path");
         let pools: Vec<ConvPool> = (1..=3).map(ConvPool::forced).collect();
         let mut ws = GemmScratch::default();
         let mut out = Tensor::from_fn(1, 2, 3, |_, _, _| Sm8::from_bits(0x80));

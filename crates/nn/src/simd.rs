@@ -63,7 +63,9 @@ pub enum KernelTier {
     Avx512,
     /// AVX-512 plus AMX-INT8 tiles: every AVX-512 kernel, except that a
     /// conv GEMM the tiles can hold exactly runs `tdpbusd` on them
-    /// (`crate::gemm`, docs/KERNELS.md "AMX tiles").
+    /// (`crate::gemm`, docs/KERNELS.md "AMX tiles"), and that a conv
+    /// `dot_nt` would run reads its weights with the zeros taken out
+    /// (docs/KERNELS.md "Compressed weight stream").
     Amx,
 }
 
@@ -109,10 +111,14 @@ impl KernelTier {
             // 64-bit multiply `vpmullq` (every VNNI part has DQ). The
             // Box–Muller draw kernel (`boxmuller::avx512`) needs F alone.
             KernelTier::Avx512 => &["avx512f", "avx512bw", "avx512vnni", "avx512dq"],
-            // The AVX-512 tier's features, and the tiles: `amx-tile` also
-            // stands for the OS state a tile needs (XCR0 and the
-            // process's `XTILEDATA` permission, see `amx_state`).
-            KernelTier::Amx => &["avx512f", "avx512bw", "avx512vnni", "avx512dq", "amx-tile", "amx-int8"],
+            // The AVX-512 tier's features; VBMI2 for the compressed weight
+            // stream's `vpcompressb` / `vpexpandb` and POPCNT for its group
+            // lengths (every AMX part has both); and the tiles:
+            // `amx-tile` also stands for the OS state a tile needs (XCR0
+            // and the process's `XTILEDATA` permission, see `amx_state`).
+            KernelTier::Amx => {
+                &["avx512f", "avx512bw", "avx512vnni", "avx512dq", "avx512vbmi2", "popcnt", "amx-tile", "amx-int8"]
+            }
         }
     }
 
@@ -128,9 +134,13 @@ impl KernelTier {
         self.required_features().iter().copied().filter(|f| !cpu_has(f)).collect()
     }
 
-    /// Whether this machine can execute the tier.
+    /// Whether this machine can execute the tier: its
+    /// [`missing_features`](Self::missing_features) are none, worked out
+    /// once per process for every tier — the kernels ask on every call,
+    /// some on every register block.
     pub fn is_supported(self) -> bool {
-        self.required_features().iter().all(|f| cpu_has(f))
+        static SUPPORTED: OnceLock<[bool; 5]> = OnceLock::new();
+        SUPPORTED.get_or_init(|| KernelTier::ALL.map(|t| t.missing_features().is_empty()))[self as usize]
     }
 
     /// The tiers this machine can execute, narrowest first. Always
@@ -145,6 +155,16 @@ impl KernelTier {
         Self::ALL.iter().rev().copied().find(|t| t.is_supported()).unwrap_or(KernelTier::Scalar)
     }
 }
+
+// `is_supported` indexes its table by discriminant: `ALL` must list the
+// tiers in declaration order.
+const _: () = {
+    let mut i = 0;
+    while i < KernelTier::ALL.len() {
+        assert!(KernelTier::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 impl std::fmt::Display for KernelTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -163,6 +183,8 @@ fn cpu_has(feature: &str) -> bool {
         "avx512bw" => is_x86_feature_detected!("avx512bw"),
         "avx512dq" => is_x86_feature_detected!("avx512dq"),
         "avx512vnni" => is_x86_feature_detected!("avx512vnni"),
+        "avx512vbmi2" => is_x86_feature_detected!("avx512vbmi2"),
+        "popcnt" => is_x86_feature_detected!("popcnt"),
         "amx-tile" => amx_state().tile,
         "amx-int8" => amx_state().int8,
         _ => false,
@@ -557,7 +579,7 @@ mod scalar_ops {
 dot_nt_tier!(dot_scalar, 1, scalar_ops);
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     //! `std::arch::x86_64` kernel bodies. Every function carries a
     //! `#[target_feature]` attribute; callers must have verified the
     //! feature via `KernelTier::is_supported` (the `effective` clamp in
@@ -691,8 +713,9 @@ mod x86 {
     }
 
     /// The 64-byte tier of `dot_nt`: 16 `i32` lanes of four `u8 x s8`
-    /// products each.
-    mod avx512_ops {
+    /// products each. The compressed-row body (`crate::gemm`) steps with
+    /// the same operations.
+    pub(crate) mod avx512_ops {
         use super::*;
 
         #[inline]

@@ -40,7 +40,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A 16-wide input, so that on the AVX-512 tier `c1` runs the direct
 /// kernel (its quad plane and repacked weights) and `c2`, on the pooled
-/// 8x8 plane, the lowering and `dot_nt`.
+/// 8x8 plane, the lowering and `dot_nt` — on the AMX tier, the default
+/// where the host has it, `dot_nt`'s compressed-row twin over the
+/// layer's compressed weights.
 fn spec() -> NetworkSpec {
     NetworkSpec {
         name: "alloc-probe".into(),
@@ -70,8 +72,8 @@ fn steady_state_forward_pass_allocates_nothing() {
 
     let mut scratch = Scratch::new();
     // Warm-up: grows the arena and fills the lazy weight caches (the
-    // offset bias, the direct kernel's repacked weights) — allowed to
-    // allocate.
+    // offset bias, the direct kernel's repacked weights, the compressed
+    // rows) — allowed to allocate.
     let warm = qnet.forward_quant_scratch(&inputs[0], &mut scratch).to_vec();
     assert_eq!(scratch.grow_events(), 1);
 

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use zskip_nn::conv::{conv2d_quant_dense, QuantConvWeights};
 use zskip_nn::eval::synthetic_inputs;
-use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, GemmScratch};
+use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, ConvKernel, GemmScratch};
 use zskip_nn::par::ConvPool;
 use zskip_nn::simd::{dot_nt, KernelTier, DOT_FLUSH_STEPS};
 use zskip_nn::{LayerSpec, Network, NetworkSpec, Scratch, SyntheticModelConfig};
@@ -340,4 +340,101 @@ fn resnet18_network_is_bit_exact_on_every_tier() {
             assert_eq!(qnet.forward_quant_scratch(&input, &mut Scratch::with_tier(tier)), &want[..], "tier {tier}");
         }
     }
+}
+
+/// `n` weights, each non-zero with probability `density` (any magnitude
+/// but zero, either sign), else a zero that is `0x00` or negative zero
+/// `0x80` alike: the compressed stream must count both as zeros.
+fn weights_with_negative_zeros(n: usize, density: f64, seed: u64) -> Vec<Sm8> {
+    let mut rng = zskip_fault::SplitMix64::new(seed);
+    (0..n)
+        .map(|_| {
+            let h = rng.next_u64();
+            if ((h >> 16) % 1000) as f64 >= density * 1000.0 {
+                if h & 1 == 0 { Sm8::ZERO } else { Sm8::NEG_ZERO }
+            } else {
+                Sm8::from_bits((h >> 40) as u8 | 1)
+            }
+        })
+        .collect()
+}
+
+/// The lowered layers of the AMX tier — fewer than 16 output columns, or
+/// channels that are not whole 64-channel steps — read their weights
+/// compressed (docs/KERNELS.md, "Compressed weight stream"). Held to the
+/// dense scan bit for bit at density 0, sparse and 1.0 with negative
+/// zeros among the zeros; at reduction lengths short of one group (27),
+/// of whole groups (64, 4608) and ragged (333, 1152 + 9); on offset
+/// (signed) and ReLU inputs; over filter counts that leave every row
+/// remainder of the four-row step (1, 2, 3, 5, 7); inline and on 2
+/// workers, which cut the widest layer in two. One dirty workspace
+/// throughout.
+#[test]
+fn compressed_rows_are_bit_exact_at_every_density_and_length() {
+    if !KernelTier::Amx.is_supported() {
+        return;
+    }
+    let pool = ConvPool::new(2);
+    let mut ws = dirty_workspace();
+    let mut out = Tensor::zeros(1, 1, 1);
+    // (in_c, k, h, w, pad): 2x2 to 4x5 planes, none reaching the tiles or
+    // the direct kernel.
+    let layers = [(3, 3, 4, 5, 1), (64, 1, 2, 2, 0), (37, 3, 4, 4, 1), (129, 3, 3, 3, 1), (512, 3, 2, 2, 1)];
+    let mut seed = 0;
+    for (in_c, k, h, w, pad) in layers {
+        // 250 filters of the widest layer are worth two runs on the pool
+        // (docs/KERNELS.md, "Intra-image threading": 250 · 4608 · 6 / 48
+        // ns), each 125 rows: a four-row remainder of one.
+        let wide = if in_c == 512 { &[250][..] } else { &[] };
+        for &out_c in [1, 2, 3, 5, 7].iter().chain(wide) {
+            for density in [0.0, 0.3, 1.0] {
+                for signed in [false, true] {
+                    seed += 1;
+                    let wv = weights_with_negative_zeros(out_c * in_c * k * k, density, seed);
+                    let bias = (0..out_c as i64).map(|o| o * 37 - 60).collect();
+                    let qw = QuantConvWeights::new(out_c, in_c, k, wv, bias, Requantizer::from_ratio(1.0 / 512.0), !signed);
+                    let input = synthetic_input(in_c, h, w, seed);
+                    let input = if signed { input } else { relu(&input) };
+                    let stream = zskip_nn::gemm::weight_stream(&qw, input.shape(), 1, pad, KernelTier::Amx);
+                    assert_eq!(stream.kernel, ConvKernel::Lowered, "{in_c}x{h}x{w}, k {k}");
+                    let want = conv2d_quant_dense(&input, &qw, 1, pad);
+                    for pool in [None, Some(&pool)] {
+                        conv2d_gemm_quant_into(&input, &qw, 1, pad, KernelTier::Amx, pool, &mut ws, &mut out);
+                        let what = format!("{out_c} filters, {in_c}x{h}x{w}, k {k}, density {density}, signed {signed}");
+                        assert_eq!(out, want, "{what}, pool {}", pool.is_some());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The compressed rows are a cache of the weights, like every derived
+/// form: after a warm call on the AMX tier, the layer's weights are
+/// ternarized in place. Until `invalidate_caches` the lowered GEMM still
+/// reads the rows it compressed — the old weights' output — and after
+/// it, the new weights'.
+#[test]
+fn ternarizing_after_a_warm_call_needs_invalidate_caches_to_drop_the_compressed_rows() {
+    if !KernelTier::Amx.is_supported() {
+        return;
+    }
+    let mut qw = synthetic_qw(32, 512, 3, 0.29, 11, true);
+    let input = relu(&synthetic_input(512, 2, 2, 11));
+    let old = conv2d_quant_dense(&input, &qw, 1, 1);
+    let pool = ConvPool::new(2);
+    let (mut ws, mut out) = (GemmScratch::default(), Tensor::zeros(1, 1, 1));
+    conv2d_gemm_quant_into(&input, &qw, 1, 1, KernelTier::Amx, Some(&pool), &mut ws, &mut out);
+    assert_eq!(out, old, "warm call");
+    for w in &mut qw.w {
+        let v = w.to_i32();
+        *w = if v.abs() > 48 { Sm8::from_i32_saturating(v.signum() * 64) } else { Sm8::ZERO };
+    }
+    let new = conv2d_quant_dense(&input, &qw, 1, 1);
+    assert_ne!(new, old, "ternarizing moved no output");
+    conv2d_gemm_quant_into(&input, &qw, 1, 1, KernelTier::Amx, Some(&pool), &mut ws, &mut out);
+    assert_eq!(out, old, "before invalidate_caches: the rows compressed from the old weights");
+    qw.invalidate_caches();
+    conv2d_gemm_quant_into(&input, &qw, 1, 1, KernelTier::Amx, Some(&pool), &mut ws, &mut out);
+    assert_eq!(out, new, "after invalidate_caches: the ternary weights");
 }

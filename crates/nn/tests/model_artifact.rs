@@ -110,3 +110,46 @@ fn vgg16_32_cli_recipe_scales_are_pinned() {
     let scale_bits: Vec<u32> = qnet.activation_scales.iter().map(|s| s.to_bits()).collect();
     assert_eq!(scale_bits, VGG16_32_SCALE_BITS, "activation scale bits after Network::quantize, per boundary");
 }
+
+/// The same recipe's conv weight stream on the AMX tier, per image: the
+/// bytes each conv layer's kernel reads (`zskip_nn::gemm::weight_stream`):
+/// the tiles' dense panels, the direct kernel's channel quads (conv1_1)
+/// and the lowered GEMM's compressed rows (conv5_x), against the layers'
+/// dense weights.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a VGG-16-32 calibration pass: run with --release (scripts/verify.sh does)")]
+fn vgg16_32_amx_conv_weight_stream_is_pinned() {
+    use zskip_nn::gemm::weight_stream;
+    use zskip_nn::simd::KernelTier;
+    let spec = zskip_nn::vgg16::vgg16_scaled_spec(32);
+    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() };
+    let qnet = Network::synthetic(spec.clone(), &config).quantize(&synthetic_inputs(2, 1, spec.input));
+    let (mut dense, mut streams) = (0, Vec::new());
+    for (layer, (_, l, s)) in qnet.conv.iter().zip(spec.conv_layers()) {
+        let &zskip_nn::LayerSpec::Conv { stride, pad, .. } = l else { unreachable!("a conv layer") };
+        let stream = weight_stream(&layer.weights, s, stride, pad, KernelTier::Amx);
+        dense += layer.weights.w.len();
+        streams.push((stream.kernel.name(), stream.bytes));
+    }
+    let want = [
+        ("direct", 2_304),
+        ("tiles", 36_864),
+        ("tiles", 73_728),
+        ("tiles", 147_456),
+        ("tiles", 294_912),
+        ("tiles", 589_824),
+        ("tiles", 589_824),
+        ("tiles", 1_179_648),
+        ("tiles", 2_359_296),
+        ("tiles", 2_359_296),
+        ("lowered", 1_120_666),
+        ("lowered", 979_108),
+        ("lowered", 1_144_259),
+    ];
+    assert_eq!(streams, want, "kernel and weight bytes per conv layer");
+    assert_eq!(dense, 14_710_464, "dense conv weights");
+    assert_eq!(streams.iter().map(|(_, b)| b).sum::<usize>(), 10_877_185, "conv weight bytes per image");
+    // conv5_x: the compressed rows are under half their dense weights.
+    assert_eq!(streams[10..].iter().map(|(_, b)| b).sum::<usize>(), 3_244_033);
+    assert_eq!(qnet.conv[10..].iter().map(|l| l.weights.w.len()).sum::<usize>(), 7_077_888);
+}
