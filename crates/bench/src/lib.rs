@@ -7,14 +7,20 @@
 //!   models, rendered as cycle efficiency vs. the ideal (paper Fig. 7),
 //!   absolute effective GOPS (paper Fig. 8) and power consumption with
 //!   GOPS/W (paper Table I);
-//! * `ablations` — the design-choice ablations.
+//! * `ablations` — the design-choice ablations;
+//! * `layer_detail` — the per-layer cycles, GOPS and efficiency behind
+//!   Figs. 7–8 (printed only);
+//! * `kernel_bench` — the host SIMD kernel tiers, `BENCH_kernels.json`;
+//! * `batch_bench` — the batch engine, the serving daemon and sharding,
+//!   `BENCH_batch.json`.
 //!
-//! Each writes its artifacts to `experiments/` as text and JSON.
+//! The figure bins write their artifacts to `experiments/` as text and
+//! JSON, the `*_bench` bins a `BENCH_*.json` point beside one.
 
 use zskip_json::{Json, ToJson};
 use zskip_core::{AccelConfig, InferenceReport};
 use zskip_hls::Variant;
-use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
+use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig, WeightCode};
 use zskip_nn::vgg16_spec;
 use zskip_quant::DensityProfile;
 
@@ -52,76 +58,16 @@ pub const HARNESS_SEED: u64 = 0x5aca_de01;
 /// weights; see DESIGN.md §2 for the substitution rationale).
 ///
 /// Activation scales are calibrated on a spatially scaled-down surrogate
-/// (same channel structure) because a full 224x224 float forward is
-/// needlessly expensive for scale calibration.
+/// (same channel structure, same seed: its conv weights are the full
+/// model's, since conv weights are drawn before any FC weight) because a
+/// full 224x224 float forward is needlessly expensive for scale
+/// calibration; the full model is quantized with the transferred scales.
 pub fn build_vgg16(kind: ModelKind) -> QuantizedNetwork {
-    build_vgg16_with_density(kind.density())
-}
-
-/// Quantizes `net` with the given per-boundary activation scales (the same
-/// arithmetic as `Network::quantize`, with scales supplied instead of
-/// calibrated).
-pub fn requantize_with_scales(net: &Network, scales: &[f32]) -> QuantizedNetwork {
-    use zskip_nn::conv::QuantConvWeights;
-    use zskip_nn::fc::QuantFcWeights;
-    use zskip_nn::layer::LayerSpec;
-    use zskip_nn::model::QuantizedConvLayer;
-    use zskip_nn::plan::ExecPlan;
-    use zskip_quant::{QuantParams, Requantizer};
-
-    assert_eq!(scales.len(), net.spec.layers.len() + 1, "one scale per layer boundary");
-    let mut conv = Vec::new();
-    let mut fc = Vec::new();
-    let mut conv_i = 0;
-    let mut fc_i = 0;
-    for (li, layer) in net.spec.layers.iter().enumerate() {
-        let s_in = scales[li];
-        let s_out = scales[li + 1];
-        match layer {
-            LayerSpec::Conv { relu, .. } => {
-                let w = &net.conv_weights[conv_i];
-                let wq = QuantParams::from_max_abs(&w.w);
-                conv.push(QuantizedConvLayer {
-                    layer_index: li,
-                    weights: QuantConvWeights::new(
-                        w.out_c,
-                        w.in_c,
-                        w.k,
-                        w.w.iter().map(|&v| wq.quantize(v)).collect(),
-                        w.bias.iter().map(|&b| (b / (s_in * wq.scale)).round() as i64).collect(),
-                        Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
-                        *relu,
-                    ),
-                    in_scale: s_in,
-                    w_scale: wq.scale,
-                    out_scale: s_out,
-                });
-                conv_i += 1;
-            }
-            LayerSpec::Fc { relu, .. } => {
-                let w = &net.fc_weights[fc_i];
-                let wq = QuantParams::from_max_abs(&w.w);
-                fc.push(QuantFcWeights::new(
-                    w.out_features,
-                    w.in_features,
-                    w.w.iter().map(|&v| wq.quantize(v)).collect(),
-                    w.bias.iter().map(|&b| (b / (s_in * wq.scale)).round() as i64).collect(),
-                    Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
-                    *relu,
-                ));
-                fc_i += 1;
-            }
-            _ => {}
-        }
-    }
-    QuantizedNetwork {
-        spec: net.spec.clone(),
-        plan: ExecPlan::build(&net.spec).expect("network must be shape-valid"),
-        input_params: QuantParams { scale: scales[0] },
-        activation_scales: scales.to_vec(),
-        conv,
-        fc,
-    }
+    let config = SyntheticModelConfig { seed: HARNESS_SEED, density: kind.density() };
+    let surrogate = zskip_nn::vgg16::vgg16_scaled_spec(32);
+    let calib = zskip_nn::eval::synthetic_inputs(HARNESS_SEED ^ 7, 1, surrogate.input);
+    let scales = Network::synthetic(surrogate, &config).calibrate(&calib);
+    Network::synthetic(vgg16_spec(), &config).quantize_with_scales(&scales, WeightCode::Int8)
 }
 
 /// One (variant, model) sweep point of the paper's evaluation.
@@ -316,23 +262,9 @@ pub fn make_conv_layer(
     (qw, tiled, zskip_tensor::Shape::new(out_c, hw, hw))
 }
 
-/// Builds a quantized full-size VGG-16 with an explicit density profile
-/// (the `zskip analyze` CLI entry point).
-pub fn build_vgg16_with_density(density: DensityProfile) -> QuantizedNetwork {
-    let spec = vgg16_spec();
-    let net = Network::synthetic(spec, &SyntheticModelConfig { seed: HARNESS_SEED, density: density.clone() });
-    let surrogate = zskip_nn::vgg16::vgg16_scaled_spec(32);
-    let snet = Network::synthetic(surrogate.clone(), &SyntheticModelConfig { seed: HARNESS_SEED, density });
-    let calib = zskip_nn::eval::synthetic_inputs(HARNESS_SEED ^ 7, 1, surrogate.input);
-    let qs = snet.quantize(&calib);
-    requantize_with_scales(&net, &qs.activation_scales)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zskip_nn::eval::synthetic_inputs;
-    use zskip_nn::layer::{conv3x3, NetworkSpec};
     use zskip_tensor::Shape;
 
     #[test]
@@ -353,23 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn requantize_with_scales_matches_calibrated_quantize() {
-        // Quantizing with transferred scales must equal Network::quantize
-        // when the scales come from the same calibration.
-        let spec = NetworkSpec {
-            name: "t".into(),
-            input: Shape::new(3, 8, 8),
-            layers: vec![conv3x3("c", 3, 4)],
-        };
-        let net = Network::synthetic(spec.clone(), &SyntheticModelConfig::default());
-        let calib = synthetic_inputs(1, 2, spec.input);
-        let direct = net.quantize(&calib);
-        let transferred = requantize_with_scales(&net, &direct.activation_scales);
-        assert_eq!(direct.conv[0].weights, transferred.conv[0].weights);
-        assert_eq!(direct.input_params, transferred.input_params);
-    }
-
-    #[test]
     fn make_conv_layer_hits_requested_density() {
         let (qw, input, out_shape) = make_conv_layer(16, 16, 16, 0.3, 5);
         let d = qw.density();
@@ -377,17 +292,5 @@ mod tests {
         assert_eq!(out_shape, Shape::new(16, 16, 16));
         // Input is padded by 1.
         assert_eq!(input.logical_shape(), Shape::new(16, 18, 18));
-    }
-
-    #[test]
-    #[should_panic(expected = "one scale per layer boundary")]
-    fn requantize_validates_scale_count() {
-        let spec = NetworkSpec {
-            name: "t".into(),
-            input: Shape::new(3, 8, 8),
-            layers: vec![conv3x3("c", 3, 4)],
-        };
-        let net = Network::synthetic(spec, &SyntheticModelConfig::default());
-        let _ = requantize_with_scales(&net, &[1.0]);
     }
 }

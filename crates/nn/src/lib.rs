@@ -55,7 +55,7 @@ mod weight_quant;
 
 pub use eltwise::BnWeights;
 pub use layer::{LayerRef, LayerSpec, NetworkSpec};
-pub use model::{AccelStep, Network, QuantizedConvLayer, QuantizedNetwork, SyntheticModelConfig};
+pub use model::{AccelStep, Network, QuantizedConvLayer, QuantizedNetwork, SyntheticModelConfig, WeightCode};
 pub use par::ConvPool;
 pub use plan::{ExecPlan, PlanStep};
 pub use resnet::{resnet18_spec, resnet34_spec};

@@ -22,8 +22,9 @@ use crate::pool::{maxpool_f32, maxpool_quant_into};
 use crate::scratch::{slot_join, slot_pair, KernelBuffers, Scratch};
 use crate::simd;
 use crate::weight_quant;
+use std::borrow::Cow;
 use std::convert::Infallible;
-use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer, Sm8};
+use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer, Sm8, TernaryParams};
 use zskip_tensor::Tensor;
 
 /// A float network: a spec plus per-layer weights.
@@ -159,8 +160,9 @@ impl Network {
     /// disappears from the spec (its fused ReLU moves onto the conv) and
     /// every `Ref`/`Add` reference is remapped to the compacted indices.
     ///
-    /// [`Network::quantize`] calls this first when the spec carries
-    /// batch-norm, which pins the fold order: fold in f32, then quantize.
+    /// [`Network::quantize_with_scales`] calls this first when the spec
+    /// carries batch-norm, which pins the fold order: fold in f32, then
+    /// quantize.
     pub fn fold_batchnorm(&self) -> Network {
         if !self.spec.has_batchnorm() {
             return self.clone();
@@ -284,79 +286,120 @@ impl Network {
         self.forward_f32_with(input, |_, _| {})
     }
 
-    /// Quantizes this network to 8-bit sign+magnitude using the given
-    /// calibration inputs to set activation scales (max-abs calibration).
-    /// With no calibration inputs, all activation scales default to 1.0.
-    ///
-    /// Batch-norm folds **before** quantization ([`Network::fold_batchnorm`]
-    /// runs first when the spec carries BN), so the returned network's
-    /// spec is BN-free; calibration then sees the folded activations.
-    ///
-    /// The calibration passes and each layer's max-abs scan and rounding
-    /// run on all host cores; the result is bit-identical to the
-    /// one-thread, naive-convolution computation the tests keep as oracle.
-    pub fn quantize(&self, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
-        self.quantize_split(calibration, Split::auto())
+    /// This network with batch-norm folded away: itself when the spec
+    /// carries none, so a BN-free network is never copied.
+    fn folded(&self) -> Cow<'_, Network> {
+        if self.spec.has_batchnorm() {
+            Cow::Owned(self.fold_batchnorm())
+        } else {
+            Cow::Borrowed(self)
+        }
     }
 
-    /// [`Network::quantize`] with an explicit split.
-    pub(crate) fn quantize_split(&self, calibration: &[Tensor<f32>], split: Split) -> QuantizedNetwork {
-        if self.spec.has_batchnorm() {
-            return self.fold_batchnorm().quantize_split(calibration, split);
-        }
-        let boundaries = self.spec.layers.len() + 1;
-        let mut max_abs = vec![0f32; boundaries];
+    /// Max-abs activation scales from the calibration inputs: one per
+    /// layer boundary of the batch-norm-folded spec (`m / 127` for a
+    /// boundary whose largest magnitude is `m`; 1.0 where it is 0, and
+    /// everywhere with no calibration inputs). Calibration sees the
+    /// folded activations.
+    pub fn calibrate(&self, calibration: &[Tensor<f32>]) -> Vec<f32> {
+        self.folded().calibrate_split(calibration, Split::auto())
+    }
+
+    /// [`Network::calibrate`] of this BN-free network with an explicit split.
+    fn calibrate_split(&self, calibration: &[Tensor<f32>], split: Split) -> Vec<f32> {
+        let mut max_abs = vec![0f32; self.spec.layers.len() + 1];
         for input in calibration {
             self.forward_f32_split(input, split, |i, act| {
                 let m = act.as_slice().iter().fold(0f32, |m, &v| m.max(v.abs()));
                 max_abs[i] = max_abs[i].max(m);
             });
         }
-        let scales: Vec<f32> =
-            max_abs.iter().map(|&m| if m > 0.0 { m / 127.0 } else { 1.0 }).collect();
+        max_abs.iter().map(|&m| if m > 0.0 { m / 127.0 } else { 1.0 }).collect()
+    }
 
+    /// Quantizes this network to 8-bit sign+magnitude, its activation
+    /// scales calibrated on `calibration` ([`Network::calibrate`], then
+    /// [`Network::quantize_with_scales`]).
+    ///
+    /// The calibration passes and each layer's max-abs scan and rounding
+    /// run on all host cores; the result is bit-identical to the
+    /// one-thread, naive-convolution computation the tests keep as oracle.
+    pub fn quantize(&self, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
+        self.quantize_split(calibration, WeightCode::Int8, Split::auto())
+    }
+
+    /// [`Network::quantize`] with **ternary** conv weights (the paper's
+    /// future-work network style): each conv layer's weights become
+    /// `{-1, 0, +1}` with a per-layer scale, inducing 30-60% sparsity that
+    /// the zero-skipping hardware exploits directly. FC layers stay 8-bit.
+    pub fn quantize_ternary(&self, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
+        self.quantize_split(calibration, WeightCode::Ternary, Split::auto())
+    }
+
+    /// Calibrate, then quantize, with an explicit split.
+    pub(crate) fn quantize_split(
+        &self,
+        calibration: &[Tensor<f32>],
+        code: WeightCode,
+        split: Split,
+    ) -> QuantizedNetwork {
+        let net = self.folded();
+        let scales = net.calibrate_split(calibration, split);
+        net.quantize_folded(&scales, code, split)
+    }
+
+    /// The one quantization pass: folds batch-norm ([`Network::fold_batchnorm`]
+    /// — fold in f32, then quantize, so the returned network's spec is
+    /// BN-free), codes each conv layer's weights as `code` says and each FC
+    /// layer's as 8-bit, and derives every integer bias and requantizer
+    /// from `scales`, one activation scale per boundary of the folded spec
+    /// (what [`Network::calibrate`] returns; the figure bins transfer a
+    /// surrogate's).
+    ///
+    /// # Panics
+    /// If `scales` does not hold one scale per layer boundary.
+    pub fn quantize_with_scales(&self, scales: &[f32], code: WeightCode) -> QuantizedNetwork {
+        self.folded().quantize_folded(scales, code, Split::auto())
+    }
+
+    /// [`Network::quantize_with_scales`] of this BN-free network.
+    fn quantize_folded(&self, scales: &[f32], code: WeightCode, split: Split) -> QuantizedNetwork {
+        assert_eq!(scales.len(), self.spec.layers.len() + 1, "one scale per layer boundary");
+        // A layer's integer bias and output requantizer, from its weight
+        // scale and the scales at its two boundaries.
+        let integer = |bias: &[f32], s_in: f32, s_w: f32, s_out: f32| {
+            let bias_acc = bias.iter().map(|&b| (b / (s_in * s_w)).round() as i64).collect();
+            (bias_acc, Requantizer::from_ratio((s_in * s_w / s_out) as f64))
+        };
         let mut conv = Vec::new();
         let mut fc = Vec::new();
         let mut conv_i = 0;
         let mut fc_i = 0;
         for (li, layer) in self.spec.layers.iter().enumerate() {
-            let s_in = scales[li];
-            let s_out = scales[li + 1];
+            let (s_in, s_out) = (scales[li], scales[li + 1]);
             match layer {
                 LayerSpec::Conv { relu, .. } => {
                     let w = &self.conv_weights[conv_i];
-                    let (wq, w_q) = quantize_weights(&w.w, split);
-                    conv.push(QuantizedConvLayer {
-                        layer_index: li,
-                        weights: QuantConvWeights::new(
-                            w.out_c,
-                            w.in_c,
-                            w.k,
-                            w_q,
-                            w.bias
-                                .iter()
-                                .map(|&b| (b / (s_in * wq.scale)).round() as i64)
-                                .collect(),
-                            Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
-                            *relu,
-                        ),
-                        in_scale: s_in,
-                        w_scale: wq.scale,
-                        out_scale: s_out,
-                    });
+                    let (s_w, w_q) = match code {
+                        WeightCode::Int8 => {
+                            let (wq, w_q) = quantize_weights(&w.w, split);
+                            (wq.scale, w_q)
+                        }
+                        WeightCode::Ternary => {
+                            let t = TernaryParams::from_weights(&w.w);
+                            (t.scale, t.quantize_all(&w.w))
+                        }
+                    };
+                    let (bias_acc, requant) = integer(&w.bias, s_in, s_w, s_out);
+                    let weights = QuantConvWeights::new(w.out_c, w.in_c, w.k, w_q, bias_acc, requant, *relu);
+                    conv.push(QuantizedConvLayer { weights });
                     conv_i += 1;
                 }
                 LayerSpec::Fc { relu, .. } => {
                     let w = &self.fc_weights[fc_i];
                     let (wq, w_q) = quantize_weights(&w.w, split);
-                    fc.push(QuantFcWeights::new(
-                        w.out_features,
-                        w.in_features,
-                        w_q,
-                        w.bias.iter().map(|&b| (b / (s_in * wq.scale)).round() as i64).collect(),
-                        Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
-                        *relu,
-                    ));
+                    let (bias_acc, requant) = integer(&w.bias, s_in, wq.scale, s_out);
+                    fc.push(QuantFcWeights::new(w.out_features, w.in_features, w_q, bias_acc, requant, *relu));
                     fc_i += 1;
                 }
                 // Ref/Add/GAP carry no weights: their requantizers derive
@@ -373,59 +416,22 @@ impl Network {
         QuantizedNetwork {
             spec: self.spec.clone(),
             plan: ExecPlan::build(&self.spec).expect("network must be shape-valid"),
-            input_params: QuantParams { scale: scales[0] },
-            activation_scales: scales,
+            activation_scales: scales.to_vec(),
             conv,
             fc,
         }
     }
 }
 
-impl Network {
-    /// Quantizes this network with **ternary** conv weights (the paper's
-    /// future-work network style): each conv layer's weights become
-    /// `{-1, 0, +1}` with a per-layer scale, inducing 30-60% sparsity that
-    /// the zero-skipping hardware exploits directly. FC layers stay 8-bit.
-    pub fn quantize_ternary(&self, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
-        self.quantize_ternary_split(calibration, Split::auto())
-    }
-
-    /// [`Network::quantize_ternary`] with an explicit split.
-    pub(crate) fn quantize_ternary_split(&self, calibration: &[Tensor<f32>], split: Split) -> QuantizedNetwork {
-        if self.spec.has_batchnorm() {
-            // Fold first so the layer walk below sees the same spec the
-            // 8-bit quantization produced.
-            return self.fold_batchnorm().quantize_ternary_split(calibration, split);
-        }
-        // Start from the 8-bit quantization for activation scales and FC.
-        let mut q = self.quantize_split(calibration, split);
-        self.ternarize(&mut q);
-        q
-    }
-
-    /// Replaces the conv layers of `q` — this (batch-norm-free) network's
-    /// 8-bit quantization — with their ternary form.
-    pub(crate) fn ternarize(&self, q: &mut QuantizedNetwork) {
-        use zskip_quant::TernaryParams;
-        let mut conv_i = 0;
-        for (li, layer) in self.spec.layers.iter().enumerate() {
-            if let LayerSpec::Conv { relu, .. } = layer {
-                let w = &self.conv_weights[conv_i];
-                let s_in = q.activation_scales[li];
-                let s_out = q.activation_scales[li + 1];
-                let t = TernaryParams::from_weights(&w.w);
-                let ql = &mut q.conv[conv_i];
-                ql.weights.w = t.quantize_all(&w.w);
-                ql.weights.bias_acc =
-                    w.bias.iter().map(|&b| (b / (s_in * t.scale)).round() as i64).collect();
-                ql.weights.requant = t.requantizer(s_in, s_out);
-                ql.weights.relu = *relu;
-                ql.weights.invalidate_caches();
-                ql.w_scale = t.scale;
-                conv_i += 1;
-            }
-        }
-    }
+/// How [`Network::quantize_with_scales`] codes conv weights; FC weights
+/// are always 8-bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WeightCode {
+    /// 8-bit sign+magnitude, max-abs scaled per layer (the paper's
+    /// reduced precision, §IV-B).
+    Int8,
+    /// `{-1, 0, +1}` with a per-layer scale (the paper's future work, §VII).
+    Ternary,
 }
 
 /// Rough cost of pruning one weight (count, select, sweep).
@@ -448,19 +454,11 @@ fn quantize_weights(w: &[f32], split: Split) -> (QuantParams, Vec<Sm8>) {
     (params, q)
 }
 
-/// One quantized conv layer with its scale bookkeeping.
+/// One quantized conv layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedConvLayer {
-    /// Index of this layer in the network spec.
-    pub layer_index: usize,
     /// The integer operands (what the accelerator consumes).
     pub weights: QuantConvWeights,
-    /// Input activation scale.
-    pub in_scale: f32,
-    /// Weight scale.
-    pub w_scale: f32,
-    /// Output activation scale.
-    pub out_scale: f32,
 }
 
 /// A fully quantized network: the artifact handed to the accelerator driver.
@@ -472,9 +470,8 @@ pub struct QuantizedNetwork {
     /// The DAG execution plan (slot assignment and liveness) the scratch
     /// forward pass and the accelerator driver both walk.
     pub plan: ExecPlan,
-    /// Quantizer for network inputs.
-    pub input_params: QuantParams,
-    /// Activation scale at every layer boundary (len = layers + 1).
+    /// Activation scale at every layer boundary (len = layers + 1); the
+    /// first is the network input's quantizer.
     pub activation_scales: Vec<f32>,
     /// Quantized conv layers, in order.
     pub conv: Vec<QuantizedConvLayer>,
@@ -567,7 +564,8 @@ impl QuantizedNetwork {
         {
             let Scratch { slots, gemm, flat, pool, .. } = scratch;
             // The plan always places the network input in slot 0.
-            input.map_into(&mut slots[0], |v| self.input_params.quantize(v));
+            let quantizer = QuantParams { scale: self.activation_scales[0] };
+            input.map_into(&mut slots[0], |v| quantizer.quantize(v));
             let mut convs = self.conv.iter();
             let mut fcs = self.fc.iter();
             for step in &self.plan.steps {
@@ -903,6 +901,24 @@ mod tests {
     }
 
     #[test]
+    fn calibrating_then_quantizing_with_the_scales_is_quantize() {
+        // Batch-norm folds inside both calls; the scales index the folded spec.
+        let net = Network::synthetic(residual_spec(), &SyntheticModelConfig { seed: 9, ..Default::default() });
+        let calib: Vec<Tensor<f32>> = (0..2).map(tiny_input).collect();
+        let scales = net.calibrate(&calib);
+        assert_eq!(scales.len(), net.fold_batchnorm().spec.layers.len() + 1);
+        assert_eq!(net.quantize_with_scales(&scales, WeightCode::Int8), net.quantize(&calib));
+        assert_eq!(net.quantize_with_scales(&scales, WeightCode::Ternary), net.quantize_ternary(&calib));
+    }
+
+    #[test]
+    #[should_panic(expected = "one scale per layer boundary")]
+    fn quantize_with_scales_validates_scale_count() {
+        let net = Network::synthetic(tiny_spec(), &SyntheticModelConfig::default());
+        let _ = net.quantize_with_scales(&[1.0], WeightCode::Int8);
+    }
+
+    #[test]
     fn visit_sees_every_boundary() {
         let net = Network::synthetic(tiny_spec(), &SyntheticModelConfig::default());
         let mut seen = Vec::new();
@@ -1022,12 +1038,9 @@ mod ternary_tests {
     }
 
     #[test]
-    fn a_ternarized_conv_on_the_direct_path_equals_the_dense_scan() {
+    fn a_ternary_conv_on_the_direct_path_equals_the_dense_scan() {
         // Two 3x3 layers on a 16-wide plane: the AVX-512 tier runs both
-        // direct. Every weight cache of the 8-bit layers — the direct
-        // kernel's quad repack and the offset bias — is filled first;
-        // `ternarize` then rewrites `w` in place, so a cache it failed to
-        // drop would run the 8-bit weights.
+        // direct, on ternary weights built straight by the one pass.
         use crate::conv::conv2d_quant_dense;
         use crate::gemm::conv2d_gemm_quant_tier;
         use crate::simd::KernelTier;
@@ -1037,25 +1050,14 @@ mod ternary_tests {
             layers: vec![conv3x3("c1", 3, 8), conv3x3("c2", 8, 8)],
         };
         let x = Tensor::from_fn(3, 16, 16, |c, y, x| (((c * 256 + y * 16 + x) as f32) * 0.37).sin());
-        let net = Network::synthetic(spec, &SyntheticModelConfig::default());
-        let mut q = net.quantize(&[x]);
-        let inputs = |c: usize| {
-            let v = |c: usize, y: usize, x: usize| ((c * 97 + y * 31 + x * 7) % 255) as i32 - 127;
-            [
+        let q = Network::synthetic(spec, &SyntheticModelConfig::default()).quantize_ternary(&[x]);
+        let v = |c: usize, y: usize, x: usize| ((c * 97 + y * 31 + x * 7) % 255) as i32 - 127;
+        for layer in &q.conv {
+            let c = layer.weights.in_c;
+            for input in [
                 Tensor::from_fn(c, 16, 16, |c, y, x| Sm8::from_i32_saturating(v(c, y, x))),
                 Tensor::from_fn(c, 16, 16, |c, y, x| Sm8::from_i32_saturating(v(c, y, x).abs())),
-            ]
-        };
-        for layer in &q.conv {
-            for input in inputs(layer.weights.in_c) {
-                for tier in KernelTier::supported() {
-                    conv2d_gemm_quant_tier(&input, &layer.weights, 1, 1, tier);
-                }
-            }
-        }
-        net.ternarize(&mut q);
-        for layer in &q.conv {
-            for input in inputs(layer.weights.in_c) {
+            ] {
                 let want = conv2d_quant_dense(&input, &layer.weights, 1, 1);
                 for tier in KernelTier::supported() {
                     assert_eq!(conv2d_gemm_quant_tier(&input, &layer.weights, 1, 1, tier), want, "tier {tier}");

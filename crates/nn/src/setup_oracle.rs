@@ -12,7 +12,7 @@ use crate::eltwise::{add_f32, batchnorm_f32, global_avgpool_f32, BnWeights};
 use crate::fc::{fc_f32_split, softmax, FcWeights, QuantFcWeights};
 use crate::gaussian::{ChaChaWords, WordSource};
 use crate::layer::{conv1x1, conv3x3, maxpool2x2, LayerRef, LayerSpec, NetworkSpec};
-use crate::model::{Network, QuantizedConvLayer, QuantizedNetwork, SyntheticModelConfig};
+use crate::model::{Network, QuantizedConvLayer, QuantizedNetwork, SyntheticModelConfig, WeightCode};
 use crate::par::Split;
 use crate::plan::ExecPlan;
 use crate::simd::KernelTier;
@@ -20,7 +20,7 @@ use crate::pool::maxpool_f32;
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer};
+use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer, TernaryParams};
 use zskip_tensor::{Shape, Tensor};
 
 /// Worker counts every comparison runs at: inline, the reference box's
@@ -184,11 +184,12 @@ fn forward_f32_sequential(net: &Network, input: &Tensor<f32>, mut visit: impl Fn
     acts.pop().expect("non-empty").into_vec()
 }
 
-/// `Network::quantize`, sequentially: calibration through the oracle
-/// forward pass, serial max-abs scans and rounding.
-fn quantize_sequential(net: &Network, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
+/// `Network::quantize` / `quantize_ternary`, sequentially: calibration
+/// through the oracle forward pass, serial max-abs scans and rounding, and
+/// the ternary coding one weight at a time.
+fn quantize_sequential(net: &Network, calibration: &[Tensor<f32>], code: WeightCode) -> QuantizedNetwork {
     if net.spec.has_batchnorm() {
-        return quantize_sequential(&net.fold_batchnorm(), calibration);
+        return quantize_sequential(&net.fold_batchnorm(), calibration, code);
     }
     let boundaries = net.spec.layers.len() + 1;
     let mut max_abs = vec![0f32; boundaries];
@@ -210,22 +211,26 @@ fn quantize_sequential(net: &Network, calibration: &[Tensor<f32>]) -> QuantizedN
         match layer {
             LayerSpec::Conv { relu, .. } => {
                 let w = &net.conv_weights[conv_i];
-                let wq = QuantParams::from_max_abs(&w.w);
-                conv.push(QuantizedConvLayer {
-                    layer_index: li,
-                    weights: QuantConvWeights::new(
-                        w.out_c,
-                        w.in_c,
-                        w.k,
-                        w.w.iter().map(|&v| wq.quantize(v)).collect(),
-                        w.bias.iter().map(|&b| (b / (s_in * wq.scale)).round() as i64).collect(),
-                        Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
-                        *relu,
-                    ),
-                    in_scale: s_in,
-                    w_scale: wq.scale,
-                    out_scale: s_out,
-                });
+                let (w_q, bias_acc, requant) = match code {
+                    WeightCode::Int8 => {
+                        let wq = QuantParams::from_max_abs(&w.w);
+                        (
+                            w.w.iter().map(|&v| wq.quantize(v)).collect(),
+                            w.bias.iter().map(|&b| (b / (s_in * wq.scale)).round() as i64).collect(),
+                            Requantizer::from_ratio((s_in * wq.scale / s_out) as f64),
+                        )
+                    }
+                    WeightCode::Ternary => {
+                        let t = TernaryParams::from_weights(&w.w);
+                        (
+                            w.w.iter().map(|&v| t.quantize(v)).collect(),
+                            w.bias.iter().map(|&b| (b / (s_in * t.scale)).round() as i64).collect(),
+                            t.requantizer(s_in, s_out),
+                        )
+                    }
+                };
+                let weights = QuantConvWeights::new(w.out_c, w.in_c, w.k, w_q, bias_acc, requant, *relu);
+                conv.push(QuantizedConvLayer { weights });
                 conv_i += 1;
             }
             LayerSpec::Fc { relu, .. } => {
@@ -252,22 +257,10 @@ fn quantize_sequential(net: &Network, calibration: &[Tensor<f32>]) -> QuantizedN
     QuantizedNetwork {
         spec: net.spec.clone(),
         plan: ExecPlan::build(&net.spec).expect("network must be shape-valid"),
-        input_params: QuantParams { scale: scales[0] },
         activation_scales: scales,
         conv,
         fc,
     }
-}
-
-/// `Network::quantize_ternary` over the sequential 8-bit oracle (the
-/// ternary rewrite itself is serial code the set-up did not touch).
-fn quantize_ternary_sequential(net: &Network, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
-    if net.spec.has_batchnorm() {
-        return quantize_ternary_sequential(&net.fold_batchnorm(), calibration);
-    }
-    let mut q = quantize_sequential(net, calibration);
-    net.ternarize(&mut q);
-    q
 }
 
 // ---------------------------------------------------------------------
@@ -407,14 +400,15 @@ proptest! {
         let config = SyntheticModelConfig { seed, density: DensityProfile::uniform(knobs.convs(), density) };
         let net = Network::synthetic(spec.clone(), &config);
         let calib: Vec<Tensor<f32>> = (0..images as u64).map(|i| image(spec.input, seed + i)).collect();
-        let want = quantize_sequential(&net, &calib);
-        let want_ternary = quantize_ternary_sequential(&net, &calib);
+        let want = quantize_sequential(&net, &calib, WeightCode::Int8);
+        let want_ternary = quantize_sequential(&net, &calib, WeightCode::Ternary);
         prop_assert_eq!(&net.quantize(&calib), &want);
         prop_assert_eq!(&net.quantize_ternary(&calib), &want_ternary);
         for workers in WORKERS {
-            prop_assert_eq!(&net.quantize_split(&calib, Split::forced(workers)), &want, "workers {}", workers);
+            let split = Split::forced(workers);
+            prop_assert_eq!(&net.quantize_split(&calib, WeightCode::Int8, split), &want, "workers {}", workers);
             prop_assert_eq!(
-                &net.quantize_ternary_split(&calib, Split::forced(workers)),
+                &net.quantize_split(&calib, WeightCode::Ternary, split),
                 &want_ternary,
                 "ternary, workers {}", workers
             );

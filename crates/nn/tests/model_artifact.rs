@@ -99,6 +99,18 @@ fn resnet18_cli_recipe_artifact_is_pinned() {
     assert_eq!(conv_fps, CONV_FINGERPRINTS, "QuantConvWeights::fingerprint() per conv layer after quantize");
 }
 
+/// Conv weights are drawn before any FC weight, so a VGG-16's conv layers
+/// do not depend on its input size: `zskip analyze` prints the 224x224
+/// model's packing table from VGG-16-32, and the figure bins calibrate
+/// the 224x224 model's scales on VGG-16-32.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "two VGG-16 syntheses: run with --release (scripts/verify.sh does)")]
+fn vgg16_conv_weights_do_not_depend_on_the_input_size() {
+    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() };
+    let at = |hw| Network::synthetic(zskip_nn::vgg16::vgg16_scaled_spec(hw), &config).conv_weights;
+    assert!(at(32) == at(64), "conv weights of VGG-16-32 and VGG-16-64");
+}
+
 /// The CLI recipe (weight seed 1, density `dc`, calibration
 /// `synthetic_inputs(2, 1, …)`) on VGG-16-32: its activation scales.
 #[test]

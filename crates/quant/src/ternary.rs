@@ -61,8 +61,8 @@ impl TernaryParams {
 
     /// The requantizer ratio contribution of the weight scale: a ternary
     /// layer's output requantizer is built from
-    /// `s_in * scale / s_out` exactly like an 8-bit layer with
-    /// `w_scale = scale`.
+    /// `s_in * scale / s_out` exactly like an 8-bit layer whose weight
+    /// scale is `scale`.
     pub fn requantizer(&self, s_in: f32, s_out: f32) -> Requantizer {
         Requantizer::from_ratio((s_in * self.scale / s_out) as f64)
     }

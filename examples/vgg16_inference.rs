@@ -9,7 +9,8 @@
 //!    paper's data-gated ImageNet accuracy.
 //! 2. **Throughput** at full 224x224 scale (stats-only): per-layer cycles
 //!    and effective GOPS on the 512-opt variant, for both the
-//!    reduced-precision and the pruned model.
+//!    reduced-precision and the pruned model — the figure bins' models
+//!    (`zskip_bench::build_vgg16`).
 //!
 //! ```sh
 //! cargo run --release --example vgg16_inference
@@ -21,6 +22,7 @@ use zskip::nn::eval::{compare, synthetic_inputs};
 use zskip::nn::model::{Network, SyntheticModelConfig};
 use zskip::nn::vgg16::vgg16_scaled_spec;
 use zskip::quant::DensityProfile;
+use zskip_bench::{build_vgg16, ModelKind};
 
 fn main() {
     // ---- Part 1: numerics on the scaled VGG-16 ----
@@ -45,12 +47,11 @@ fn main() {
     println!("quantization fidelity (ImageNet substitute): {fidelity}");
 
     // ---- Part 2: full-scale throughput (the paper's Figs. 7-8 data) ----
-    for (label, density) in [
-        ("reduced precision", DensityProfile::dense(13)),
-        ("reduced precision + pruning", DensityProfile::deep_compression_vgg16()),
-    ] {
+    for (label, kind) in
+        [("reduced precision", ModelKind::ReducedPrecision), ("reduced precision + pruning", ModelKind::Pruned)]
+    {
         println!("\n== throughput: VGG-16 224x224, 512-opt, {label} ==");
-        let full = zskip_bench_model(density);
+        let full = build_vgg16(kind);
         let config = AccelConfig::for_variant(Variant::U512Opt);
         let session = Session::builder(config).functional(false).build().unwrap();
         let input = zskip::tensor::Tensor::<f32>::zeros(3, 224, 224);
@@ -69,14 +70,3 @@ fn main() {
     println!("\npaper reference (512-opt): 39.5/61 GOPS unpruned, 53.3/138 GOPS pruned.");
 }
 
-/// Builds the full-size quantized VGG-16 with the given density profile
-/// (scales calibrated on the 32x32 surrogate; see zskip-bench).
-fn zskip_bench_model(density: DensityProfile) -> zskip::nn::model::QuantizedNetwork {
-    let spec = zskip::nn::vgg16_spec();
-    let net = Network::synthetic(spec, &SyntheticModelConfig { seed: 99, density: density.clone() });
-    let surrogate = vgg16_scaled_spec(32);
-    let snet = Network::synthetic(surrogate.clone(), &SyntheticModelConfig { seed: 99, density });
-    let calib = synthetic_inputs(7, 1, surrogate.input);
-    let qs = snet.quantize(&calib);
-    zskip_bench::requantize_with_scales(&net, &qs.activation_scales)
-}

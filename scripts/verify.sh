@@ -218,6 +218,11 @@ for seed in 3 7 11; do
     <(timeout 300 "$bin"/zskip infer --hw 32 --seed "$seed" --backend cpu) \
     || { echo "verify: zskip infer --hw 32 --seed $seed differs between the model and cpu backends"; exit 1; }
 done
+# The packing table of `zskip analyze` (header through the filter-grouping
+# note) is host-independent: it must print exactly the recorded golden.
+timeout 300 "$bin"/zskip analyze | sed -n '1,/future-work filter grouping recovers/p' \
+  | diff -u tests/golden/analyze_vgg16.txt - \
+  || { echo "verify: zskip analyze's packing table differs from tests/golden/analyze_vgg16.txt"; exit 1; }
 analyze_out=$(timeout 300 "$bin"/zskip analyze --network specs/resnet18.json)
 printf '%s\n' "$analyze_out" | grep -q 'branch point' \
   || { echo "verify: analyze --network did not report the residual branch points"; exit 1; }

@@ -873,6 +873,10 @@ fn analyze_network(path: &str) {
     outln!("\nper-slot high-water marks (KiB): {:?}", plan.slot_elems.iter().map(|e| e / 1024).collect::<Vec<_>>());
 }
 
+/// `zskip analyze`: the per-layer packing table, the host's kernel tiers,
+/// the arena, the packed bytes and the sharding summary, all of one
+/// VGG-16-32 model at `--density` (dc by default), so a non-default density
+/// moves every section.
 fn analyze(p: &Parsed) {
     use zskip::accel::LayerPackingStats;
     if let Some(path) = p.get("--network") {
@@ -899,7 +903,12 @@ fn analyze(p: &Parsed) {
         outln!();
     }
     let config = AccelConfig::for_variant(variant);
-    let qnet = zskip_bench::build_vgg16_with_density(density);
+    // One VGG-16-32 model serves every section: conv weights are drawn
+    // before any FC weight, so its conv layers (and the packing table)
+    // are the 224x224 model's at the same seed and density.
+    let spec = zskip::nn::vgg16::vgg16_scaled_spec(32);
+    let qnet = Network::synthetic(spec.clone(), &SyntheticModelConfig { seed: zskip_bench::HARNESS_SEED, density })
+        .quantize(&synthetic_inputs(2, 1, spec.input));
     outln!(
         "VGG-16 packing analysis ({} lanes, zero-skip floor 4 cycles/weight-tile)\n",
         config.lanes
@@ -952,13 +961,7 @@ fn analyze(p: &Parsed) {
             if missing.is_empty() { String::new() } else { format!(" — missing {}", missing.join(", ")) }
         );
     }
-    let surrogate = zskip::nn::vgg16::vgg16_scaled_spec(32);
-    let snet = Network::synthetic(
-        surrogate.clone(),
-        &SyntheticModelConfig { seed: zskip_bench::HARNESS_SEED, density: DensityProfile::deep_compression_vgg16() },
-    );
-    let sq = snet.quantize(&synthetic_inputs(2, 1, surrogate.input));
-    let probe = synthetic_inputs(3, 3, surrogate.input);
+    let probe = synthetic_inputs(3, 3, spec.input);
     let auto_workers = zskip::nn::ConvPool::auto_threads();
     outln!(
         "Intra-image conv workers: {auto_workers} at auto (host parallelism; --threads overrides) — \
@@ -967,7 +970,7 @@ fn analyze(p: &Parsed) {
     let mut arena = Scratch::new();
     arena.set_threads(auto_workers);
     for input in &probe {
-        let _ = sq.forward_quant_scratch(input, &mut arena);
+        let _ = qnet.forward_quant_scratch(input, &mut arena);
     }
     let steady = if arena.grow_events() <= 1 { "0" } else { "NONZERO (arena regrew!)" };
     outln!(
@@ -980,17 +983,17 @@ fn analyze(p: &Parsed) {
     );
 
     // Packed weights: one image through the cpu backend packs every conv
-    // layer of the surrogate the way `infer` / `batch` do; the layers
+    // layer of the model the way `infer` / `batch` do; the layers
     // hold their images, which drop with the network.
     let cpu = Session::builder(AccelConfig::for_variant(variant))
         .backend(BackendKind::Cpu)
         .build()
         .expect("cpu session builds");
-    let _ = cpu.infer(&sq, &probe[0]).expect("surrogate image runs");
+    let _ = cpu.infer(&qnet, &probe[0]).expect("image runs");
     outln!(
         "Packed weights resident on the vgg16-32 surrogate: {:.1} MiB at {} lanes \
          (images and tile indexes, held by its conv layers)",
-        zskip::accel::packed_weight_bytes(&sq, &config) as f64 / (1 << 20) as f64,
+        zskip::accel::packed_weight_bytes(&qnet, &config) as f64 / (1 << 20) as f64,
         config.lanes
     );
 
@@ -1015,8 +1018,8 @@ fn analyze(p: &Parsed) {
         .placement(placement)
         .build()
         .expect("model session builds");
-    let shard_inputs = synthetic_inputs(3, (2 * instances).max(4), surrogate.input);
-    let shard = shard_session.run_batch(&sq, &shard_inputs).unwrap_or_else(|e| fail_error(&e));
+    let shard_inputs = synthetic_inputs(3, (2 * instances).max(4), spec.input);
+    let shard = shard_session.run_batch(&qnet, &shard_inputs).unwrap_or_else(|e| fail_error(&e));
     print_shard_summary(&shard, &shard_config);
 
     // Serving limits: what `zskip serve` defaults to on this build, so an

@@ -726,13 +726,14 @@ fn injected_dma_truncation_surfaces_as_structured_error() {
 /// index, and each operator is the allocating reference one.
 fn interpret_quant(qnet: &QuantizedNetwork, input: &Tensor<f32>) -> Vec<Sm8> {
     use zskip::nn::LayerRef;
-    use zskip::quant::Requantizer;
+    use zskip::quant::{QuantParams, Requantizer};
     let scales = &qnet.activation_scales;
     let boundary = |r: &LayerRef| match r {
         LayerRef::Input => 0,
         LayerRef::Layer(j) => j + 1,
     };
-    let mut acts = vec![input.map(|v| qnet.input_params.quantize(v))];
+    let quantizer = QuantParams { scale: scales[0] };
+    let mut acts = vec![input.map(|v| quantizer.quantize(v))];
     let (mut convs, mut fcs) = (qnet.conv.iter(), qnet.fc.iter());
     for (li, layer) in qnet.spec.layers.iter().enumerate() {
         let prev = &acts[li];
