@@ -79,8 +79,7 @@ fn main() {
         let a = conv(stats_only(32768, 16), "skip", &input, &qw, out_shape);
         let b = conv(stats_only(32768, 16).zero_skipping(false), "noskip", &input, &qw, out_shape);
         let speedup = b.compute_cycles as f64 / a.compute_cycles as f64;
-        let packing = LayerPackingStats::analyze("skip", &qw, &config(32768, 16));
-        let skipped = packing.skipped_channels as f64 / (qw.out_c.div_ceil(packing.lanes) * qw.in_c) as f64;
+        let skipped = LayerPackingStats::analyze("skip", &qw, &config(32768, 16)).skipped_share();
         text.push_str(&format!(
             "  {:>7.2} {:>11} {:>12} {:>8.2}x {:>14.1}%\n",
             density,

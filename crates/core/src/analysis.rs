@@ -92,6 +92,22 @@ impl LayerPackingStats {
         }
     }
 
+    /// (Filter group, IFM) pairs of the layer: one weight-tile application
+    /// each. Histogram entries are per (group, IFM, lane), so this is their
+    /// sum over the lane count.
+    fn group_ifm_pairs(&self) -> u64 {
+        self.nnz_histogram.iter().sum::<u64>() / self.lanes as u64
+    }
+
+    /// Fraction of (filter group, IFM) pairs skipped outright because no
+    /// lane holds a non-zero weight (0 for a layer with no pairs).
+    pub fn skipped_share(&self) -> f64 {
+        match self.group_ifm_pairs() {
+            0 => 0.0,
+            pairs => self.skipped_channels as f64 / pairs as f64,
+        }
+    }
+
     /// Predicted speedup of zero-skipping over the no-skip baseline
     /// (16 cycles per weight tile), after the 4-cycle floor. Fully-skipped
     /// channels count as free under skipping and 16 cycles without it.
@@ -99,10 +115,7 @@ impl LayerPackingStats {
         if self.floored_steps == 0 {
             return 1.0;
         }
-        // Histogram entries are per (group, ifm, lane): divide by the lane
-        // count to recover (group, ifm) weight-tile applications.
-        let group_ifm_pairs = self.nnz_histogram.iter().sum::<u64>() / self.lanes as u64;
-        (group_ifm_pairs.max(1) * 16) as f64 / self.floored_steps as f64
+        (self.group_ifm_pairs().max(1) * 16) as f64 / self.floored_steps as f64
     }
 }
 
@@ -154,6 +167,7 @@ mod tests {
         assert_eq!(s.nnz_histogram[9], 8 * 4 / 4 * 4);
         assert_eq!(s.lockstep_steps, (8 / 4 * 4 * 9) as u64);
         assert_eq!(s.skipped_channels, 0);
+        assert_eq!(s.skipped_share(), 0.0);
     }
 
     #[test]
@@ -174,6 +188,7 @@ mod tests {
         qw.invalidate_caches();
         let s = LayerPackingStats::analyze("zero", &qw, &config());
         assert_eq!(s.skipped_channels, 4);
+        assert_eq!(s.skipped_share(), 1.0);
         assert_eq!(s.lockstep_steps, 0);
         assert_eq!(s.predicted_skip_speedup(), 1.0);
     }

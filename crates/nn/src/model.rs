@@ -1038,26 +1038,50 @@ mod ternary_tests {
     }
 
     #[test]
-    fn a_ternary_conv_on_the_direct_path_equals_the_dense_scan() {
-        // Two 3x3 layers on a 16-wide plane: the AVX-512 tier runs both
-        // direct, on ternary weights built straight by the one pass.
+    fn a_ternarized_conv_on_the_direct_path_equals_the_dense_scan() {
+        // Three 3x3 layers on a 16-wide plane: the AVX-512 tier runs them
+        // direct, the AMX tier runs c3 (64 channels, 16 filters) on tiles.
+        // Every weight cache of the 8-bit layers — the direct kernel's quad
+        // repack, the AMX tile panels and the offset bias — is filled
+        // first; each layer's `w` is then rewritten in place with the
+        // ternary layer of the same net and calibration, so a cache
+        // `invalidate_caches` failed to drop would run the 8-bit weights.
         use crate::conv::conv2d_quant_dense;
         use crate::gemm::conv2d_gemm_quant_tier;
         use crate::simd::KernelTier;
         let spec = NetworkSpec {
             name: "t16".into(),
             input: Shape::new(3, 16, 16),
-            layers: vec![conv3x3("c1", 3, 8), conv3x3("c2", 8, 8)],
+            layers: vec![conv3x3("c1", 3, 8), conv3x3("c2", 8, 64), conv3x3("c3", 64, 16)],
         };
         let x = Tensor::from_fn(3, 16, 16, |c, y, x| (((c * 256 + y * 16 + x) as f32) * 0.37).sin());
-        let q = Network::synthetic(spec, &SyntheticModelConfig::default()).quantize_ternary(&[x]);
-        let v = |c: usize, y: usize, x: usize| ((c * 97 + y * 31 + x * 7) % 255) as i32 - 127;
-        for layer in &q.conv {
-            let c = layer.weights.in_c;
-            for input in [
+        let net = Network::synthetic(spec, &SyntheticModelConfig::default());
+        let mut q = net.quantize(std::slice::from_ref(&x));
+        let ternary = net.quantize_ternary(&[x]);
+        let inputs = |c: usize| {
+            let v = |c: usize, y: usize, x: usize| ((c * 97 + y * 31 + x * 7) % 255) as i32 - 127;
+            [
                 Tensor::from_fn(c, 16, 16, |c, y, x| Sm8::from_i32_saturating(v(c, y, x))),
                 Tensor::from_fn(c, 16, 16, |c, y, x| Sm8::from_i32_saturating(v(c, y, x).abs())),
-            ] {
+            ]
+        };
+        for layer in &q.conv {
+            for input in inputs(layer.weights.in_c) {
+                for tier in KernelTier::supported() {
+                    conv2d_gemm_quant_tier(&input, &layer.weights, 1, 1, tier);
+                }
+            }
+        }
+        for (layer, t) in q.conv.iter_mut().zip(&ternary.conv) {
+            assert_ne!(layer.weights.w, t.weights.w);
+            layer.weights.w.clone_from(&t.weights.w);
+            layer.weights.bias_acc.clone_from(&t.weights.bias_acc);
+            layer.weights.requant = t.weights.requant;
+            layer.weights.relu = t.weights.relu;
+            layer.weights.invalidate_caches();
+        }
+        for layer in &q.conv {
+            for input in inputs(layer.weights.in_c) {
                 let want = conv2d_quant_dense(&input, &layer.weights, 1, 1);
                 for tier in KernelTier::supported() {
                     assert_eq!(conv2d_gemm_quant_tier(&input, &layer.weights, 1, 1, tier), want, "tier {tier}");

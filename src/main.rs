@@ -974,7 +974,7 @@ fn analyze(p: &Parsed) {
     }
     let steady = if arena.grow_events() <= 1 { "0" } else { "NONZERO (arena regrew!)" };
     outln!(
-        "Scratch arena ({} images, vgg16-32 surrogate, {} worker(s)): {} grow event(s), {} KiB, steady-state heap allocations/image: {}",
+        "Scratch arena ({} images, vgg16-32 model, {} worker(s)): {} grow event(s), {} KiB, steady-state heap allocations/image: {}",
         probe.len(),
         auto_workers,
         arena.grow_events(),
@@ -991,7 +991,7 @@ fn analyze(p: &Parsed) {
         .expect("cpu session builds");
     let _ = cpu.infer(&qnet, &probe[0]).expect("image runs");
     outln!(
-        "Packed weights resident on the vgg16-32 surrogate: {:.1} MiB at {} lanes \
+        "Packed weights resident on the vgg16-32 model at --density: {:.1} MiB at {} lanes \
          (images and tile indexes, held by its conv layers)",
         zskip::accel::packed_weight_bytes(&qnet, &config) as f64 / (1 << 20) as f64,
         config.lanes
