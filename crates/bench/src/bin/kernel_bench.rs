@@ -78,10 +78,10 @@ use zskip_nn::eval::synthetic_inputs;
 use zskip_nn::conv::QuantConvWeights;
 use zskip_nn::fc::{fc_quant_pool_into, QuantFcWeights};
 use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_tier, weight_stream, GemmScratch};
-use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
+use zskip_nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
 use zskip_nn::simd::KernelTier;
 use zskip_nn::vgg16::vgg16_scaled_spec;
-use zskip_nn::{ConvPool, LayerSpec, Scratch};
+use zskip_nn::{ConvPool, LayerSpec, NetworkSpec, Scales, Scratch};
 use zskip_quant::{DensityProfile, Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -603,11 +603,7 @@ fn bench_shapes() -> Vec<ShapeResult> {
 
 fn bench_allocs() -> AllocResult {
     let spec = vgg16_scaled_spec(32);
-    let net = Network::synthetic(
-        spec.clone(),
-        &SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() },
-    );
-    let qnet = net.quantize(&synthetic_inputs(2, 1, spec.input));
+    let qnet = cli_recipe(&spec);
     let inputs = synthetic_inputs(3, 4, spec.input);
 
     let mut scratch = Scratch::new();
@@ -636,14 +632,17 @@ fn bench_allocs() -> AllocResult {
     }
 }
 
+/// `spec` as the CLI builds it: weight seed 1, the dc density profile,
+/// one calibration image.
+fn cli_recipe(spec: &NetworkSpec) -> QuantizedNetwork {
+    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() };
+    QuantizedNetwork::synthetic(spec, &config, Scales::Calibrate(&synthetic_inputs(2, 1, spec.input)), WeightCode::Int8)
+}
+
 /// The scaled VGG-16 end-to-end workload shared by the driver benches.
 fn vgg_workload(hw: usize) -> (QuantizedNetwork, Vec<Tensor<f32>>, AccelConfig) {
     let spec = vgg16_scaled_spec(hw);
-    let net = Network::synthetic(
-        spec.clone(),
-        &SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() },
-    );
-    let qnet = net.quantize(&synthetic_inputs(2, 1, spec.input));
+    let qnet = cli_recipe(&spec);
     let inputs = synthetic_inputs(5, 2, spec.input);
     (qnet, inputs, AccelConfig::for_variant(Variant::U256Opt))
 }

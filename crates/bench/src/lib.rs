@@ -20,8 +20,8 @@
 use zskip_json::{Json, ToJson};
 use zskip_core::{AccelConfig, InferenceReport};
 use zskip_hls::Variant;
-use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig, WeightCode};
-use zskip_nn::vgg16_spec;
+use zskip_nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
+use zskip_nn::{vgg16_spec, Scales};
 use zskip_quant::DensityProfile;
 
 /// Which VGG-16 model variant (paper §IV-B).
@@ -62,12 +62,15 @@ pub const HARNESS_SEED: u64 = 0x5aca_de01;
 /// model's, since conv weights are drawn before any FC weight) because a
 /// full 224x224 float forward is needlessly expensive for scale
 /// calibration; the full model is quantized with the transferred scales.
+/// Both are built layer by layer from the seed, so neither float network
+/// is ever held whole.
 pub fn build_vgg16(kind: ModelKind) -> QuantizedNetwork {
     let config = SyntheticModelConfig { seed: HARNESS_SEED, density: kind.density() };
     let surrogate = zskip_nn::vgg16::vgg16_scaled_spec(32);
     let calib = zskip_nn::eval::synthetic_inputs(HARNESS_SEED ^ 7, 1, surrogate.input);
-    let scales = Network::synthetic(surrogate, &config).calibrate(&calib);
-    Network::synthetic(vgg16_spec(), &config).quantize_with_scales(&scales, WeightCode::Int8)
+    let scales =
+        QuantizedNetwork::synthetic(&surrogate, &config, Scales::Calibrate(&calib), WeightCode::Int8).activation_scales;
+    QuantizedNetwork::synthetic(&vgg16_spec(), &config, Scales::Given(&scales), WeightCode::Int8)
 }
 
 /// One (variant, model) sweep point of the paper's evaluation.

@@ -26,7 +26,8 @@ use zskip_hls::AccelArch;
 use zskip_json::Json;
 use zskip_nn::eval::synthetic_inputs;
 use zskip_nn::layer::{conv3x3, maxpool2x2, NetworkSpec};
-use zskip_nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
+use zskip_nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
+use zskip_nn::Scales;
 use zskip_quant::{DensityProfile, Sm8};
 use zskip_sim::SimError;
 use zskip_soc::csr::{status, AccelCsr, CsrFile, ACCEL_CSR_BASE, CSR_BLOCK_LEN};
@@ -158,12 +159,13 @@ fn campaign_net(cfg: &CampaignConfig) -> (QuantizedNetwork, Vec<Tensor<f32>>) {
         input: Shape::new(3, cfg.hw, cfg.hw),
         layers: vec![conv3x3("c1", 3, 6), maxpool2x2("p1"), conv3x3("c2", 6, 4)],
     };
-    let net = Network::synthetic(
-        spec.clone(),
-        &SyntheticModelConfig { seed: cfg.seed, density: DensityProfile::uniform(2, 0.5) },
-    );
     let calib = synthetic_inputs(cfg.seed ^ 1, 2, spec.input);
-    let qnet = net.quantize(&calib);
+    let qnet = QuantizedNetwork::synthetic(
+        &spec,
+        &SyntheticModelConfig { seed: cfg.seed, density: DensityProfile::uniform(2, 0.5) },
+        Scales::Calibrate(&calib),
+        WeightCode::Int8,
+    );
     let inputs = synthetic_inputs(cfg.seed ^ 2, 4, spec.input);
     (qnet, inputs)
 }

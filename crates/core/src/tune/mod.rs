@@ -45,7 +45,8 @@ use zskip_nn::model::QuantizedNetwork;
 pub fn doctest_qnet() -> QuantizedNetwork {
     use zskip_nn::eval::synthetic_inputs;
     use zskip_nn::layer::{LayerSpec, NetworkSpec};
-    use zskip_nn::model::{Network, SyntheticModelConfig};
+    use zskip_nn::model::{SyntheticModelConfig, WeightCode};
+    use zskip_nn::Scales;
     use zskip_quant::DensityProfile;
     use zskip_tensor::Shape;
     let spec = NetworkSpec {
@@ -61,10 +62,11 @@ pub fn doctest_qnet() -> QuantizedNetwork {
             relu: true,
         }],
     };
-    let net = Network::synthetic(
-        spec.clone(),
-        &SyntheticModelConfig { seed: 9, density: DensityProfile::uniform(1, 0.5) },
-    );
     let calib = synthetic_inputs(2, 1, spec.input);
-    net.quantize(&calib)
+    QuantizedNetwork::synthetic(
+        &spec,
+        &SyntheticModelConfig { seed: 9, density: DensityProfile::uniform(1, 0.5) },
+        Scales::Calibrate(&calib),
+        WeightCode::Int8,
+    )
 }

@@ -12,7 +12,9 @@
 //! * [`eltwise`] — host-side elementwise operators: residual add, global
 //!   average pooling and batch-norm folding, float and quantized,
 //! * [`model`] — networks, synthetic seeded weight generation, pruning and
-//!   quantization pipelines (the stand-in for the paper's Caffe flow),
+//!   quantization (the stand-in for the paper's Caffe flow),
+//! * [`setup`] — the one set-up walk that draws (or borrows), folds,
+//!   calibrates and codes a network layer by layer,
 //! * [`plan`] — DAG execution planning: topological walk order, activation
 //!   liveness, and slot assignment, walked by
 //!   [`QuantizedNetwork::run_plan`] for the oracle and the driver alike,
@@ -46,6 +48,7 @@ pub mod plan;
 pub mod pool;
 pub mod resnet;
 pub mod scratch;
+pub mod setup;
 #[cfg(test)]
 mod setup_oracle;
 pub mod simd;
@@ -60,6 +63,7 @@ pub use par::ConvPool;
 pub use plan::{ExecPlan, PlanStep};
 pub use resnet::{resnet18_spec, resnet34_spec};
 pub use scratch::{KernelBuffers, Scratch};
+pub use setup::Scales;
 pub use simd::{dispatch, select_tier, KernelTier, KERNEL_ENV};
 pub use spec_io::SpecError;
 pub use vgg16::{vgg16_spec, VGG16_CONV_NAMES};

@@ -13,18 +13,17 @@ use crate::eltwise::{
     add_f32, add_quant_into, batchnorm_f32, global_avgpool_f32, global_avgpool_quant_into, BnWeights,
 };
 use crate::fc::{fc_f32_split, fc_quant_pool_into, softmax, FcWeights, QuantFcWeights};
-use crate::gaussian::{fill_gaussian, ChaChaWords, WordSource};
+use crate::gaussian::{ChaChaWords, WordSource};
 use crate::gemm::conv2d_gemm_quant_into;
 use crate::layer::{LayerRef, LayerSpec, NetworkSpec};
-use crate::par::{self, Split};
+use crate::par::Split;
 use crate::plan::{ExecPlan, PlanStep};
 use crate::pool::{maxpool_f32, maxpool_quant_into};
 use crate::scratch::{slot_join, slot_pair, KernelBuffers, Scratch};
-use crate::simd;
-use crate::weight_quant;
-use std::borrow::Cow;
+use crate::setup::{self, Borrowed, Drawn, FloatLayers, Scales};
+use crate::simd::{self, KernelTier};
 use std::convert::Infallible;
-use zskip_quant::{prune_to_density, DensityProfile, QuantParams, Requantizer, Sm8, TernaryParams};
+use zskip_quant::{DensityProfile, QuantParams, Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
 /// A float network: a spec plus per-layer weights.
@@ -37,7 +36,7 @@ pub struct Network {
     /// Weights for each FC layer, in layer order.
     pub fc_weights: Vec<FcWeights>,
     /// Weights for each batch-norm layer, in layer order (empty for
-    /// BN-free networks; folded away by [`Network::fold_batchnorm`]).
+    /// BN-free networks; folded away by quantization).
     pub bn_weights: Vec<BnWeights>,
 }
 
@@ -62,10 +61,12 @@ impl Network {
     /// magnitude pruning per the density profile.
     ///
     /// Every value is a draw from one ChaCha8 stream of `config.seed`, in
-    /// layer order. The draws are evaluated on all host cores at once
-    /// (see `gaussian.rs`) and each conv layer is pruned while the
-    /// next one fills; the model is bit-identical to drawing them one by
-    /// one on one thread, which the tests keep as the oracle.
+    /// layer order: the set-up walk's drawn source ([`crate::setup`]) with
+    /// every layer kept. The draws and each conv layer's pruning run on
+    /// all host cores (see `gaussian.rs`); the model is bit-identical to
+    /// drawing them one by one on one thread, which the tests keep as the
+    /// oracle. [`QuantizedNetwork::synthetic`] draws the same layers
+    /// without ever holding them all.
     pub fn synthetic(spec: NetworkSpec, config: &SyntheticModelConfig) -> Network {
         Self::synthetic_from(spec, config, &ChaChaWords::new(config.seed), Split::auto())
     }
@@ -78,78 +79,22 @@ impl Network {
         split: Split,
     ) -> Network {
         let shapes = spec.shapes().expect("network must be shape-valid");
-        // Next unread Box–Muller attempt of the stream.
-        let mut pos = 0u64;
-        let mut draw = |out: &mut [f32], scale: f32| fill_gaussian(words, &mut pos, out, scale, split);
-        let mut fc_weights = Vec::new();
-        let mut bn_weights = Vec::new();
-        let conv_weights = std::thread::scope(|s| {
-            /// A conv layer's weights, or the thread still pruning them.
-            enum Pruned<'s> {
-                Done(ConvWeights),
-                Running(std::thread::ScopedJoinHandle<'s, ConvWeights>),
-            }
-            // One entry per conv layer, in layer order.
-            let mut convs = Vec::new();
-            for (li, layer) in spec.layers.iter().enumerate() {
-                match layer {
-                    LayerSpec::Conv { in_c, out_c, k, .. } => {
-                        let fan_in = in_c * k * k;
-                        let std = (2.0 / fan_in as f32).sqrt();
-                        let mut w = ConvWeights::zeros(*out_c, *in_c, *k);
-                        draw(&mut w.w, std);
-                        draw(&mut w.bias, 0.01);
-                        let density = config.density.density(convs.len());
-                        // Pruning reads no stream words, so a big layer is
-                        // pruned beside the next layer's fill.
-                        convs.push(if split.runs(w.w.len(), NS_PER_PRUNED_WEIGHT) > 1 {
-                            Pruned::Running(s.spawn(move || {
-                                prune_to_density(&mut w.w, density);
-                                w
-                            }))
-                        } else {
-                            prune_to_density(&mut w.w, density);
-                            Pruned::Done(w)
-                        });
-                    }
-                    LayerSpec::Fc { in_features, out_features, .. } => {
-                        let std = (2.0 / *in_features as f32).sqrt();
-                        let mut w = FcWeights::zeros(*out_features, *in_features);
-                        draw(&mut w.w, std);
-                        draw(&mut w.bias, 0.01);
-                        fc_weights.push(w);
-                    }
-                    LayerSpec::BatchNorm { .. } => {
-                        // Realistic inference statistics: gamma near 1, small
-                        // beta/mean, variance strictly positive near 1. The
-                        // stream order is per channel: gamma, beta, mean, var.
-                        let c = shapes[li].c;
-                        let mut g = vec![0f32; 4 * c];
-                        draw(&mut g, 1.0);
-                        let mut bn = BnWeights::identity(c);
-                        for (i, g) in g.chunks_exact(4).enumerate() {
-                            bn.gamma[i] = 1.0 + g[0] * 0.1;
-                            bn.beta[i] = g[1] * 0.05;
-                            bn.mean[i] = g[2] * 0.05;
-                            bn.var[i] = (1.0 + g[3] * 0.25).abs().max(0.05);
-                        }
-                        bn_weights.push(bn);
-                    }
-                    LayerSpec::MaxPool { .. }
-                    | LayerSpec::Softmax
-                    | LayerSpec::Ref { .. }
-                    | LayerSpec::Add { .. }
-                    | LayerSpec::GlobalAvgPool { .. } => {}
+        let mut src = Drawn::new(words, &config.density, split);
+        let (mut conv_weights, mut fc_weights, mut bn_weights) = (Vec::new(), Vec::new(), Vec::new());
+        for (li, layer) in spec.layers.iter().enumerate() {
+            match *layer {
+                LayerSpec::Conv { in_c, out_c, k, .. } => conv_weights.push(src.conv(in_c, out_c, k).into_owned()),
+                LayerSpec::Fc { in_features, out_features, .. } => {
+                    fc_weights.push(src.fc(in_features, out_features).into_owned())
                 }
+                LayerSpec::BatchNorm { .. } => bn_weights.push(src.bn(shapes[li].c).into_owned()),
+                LayerSpec::MaxPool { .. }
+                | LayerSpec::Softmax
+                | LayerSpec::Ref { .. }
+                | LayerSpec::Add { .. }
+                | LayerSpec::GlobalAvgPool { .. } => {}
             }
-            convs
-                .into_iter()
-                .map(|w| match w {
-                    Pruned::Done(w) => w,
-                    Pruned::Running(h) => h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                })
-                .collect()
-        });
+        }
         Network { spec, conv_weights, fc_weights, bn_weights }
     }
 
@@ -160,60 +105,24 @@ impl Network {
     /// disappears from the spec (its fused ReLU moves onto the conv) and
     /// every `Ref`/`Add` reference is remapped to the compacted indices.
     ///
-    /// [`Network::quantize_with_scales`] calls this first when the spec
-    /// carries batch-norm, which pins the fold order: fold in f32, then
-    /// quantize.
-    pub fn fold_batchnorm(&self) -> Network {
-        if !self.spec.has_batchnorm() {
-            return self.clone();
-        }
-        let mut layers: Vec<LayerSpec> = Vec::with_capacity(self.spec.layers.len());
-        // Old layer index -> index of the layer producing the same value
-        // in the folded spec (a BN maps to its host conv).
-        let mut index_map = vec![usize::MAX; self.spec.layers.len()];
-        let mut conv_weights = self.conv_weights.clone();
-        let mut conv_i = 0;
-        let mut bn_i = 0;
-        for (i, layer) in self.spec.layers.iter().enumerate() {
-            match layer {
-                LayerSpec::BatchNorm { relu, .. } => {
-                    let bn = &self.bn_weights[bn_i];
-                    bn_i += 1;
-                    let w = &mut conv_weights[conv_i - 1];
-                    let affine = bn.affine();
-                    assert_eq!(affine.len(), w.out_c, "one affine per conv output channel");
-                    let per_filter = w.in_c * w.k * w.k;
-                    for (o, &(a, b)) in affine.iter().enumerate() {
-                        for v in &mut w.w[o * per_filter..(o + 1) * per_filter] {
-                            *v *= a;
-                        }
-                        w.bias[o] = a * w.bias[o] + b;
-                    }
-                    let host = layers.last_mut().expect("validated: BN follows its conv");
-                    match host {
-                        LayerSpec::Conv { relu: conv_relu, .. } => *conv_relu = *relu,
-                        _ => unreachable!("validated: BN follows its conv"),
-                    }
-                    index_map[i] = layers.len() - 1;
+    /// The whole-network form of what the set-up walk does one conv at a
+    /// time before it quantizes (fold in f32, then quantize): the tests'
+    /// oracles fold with it.
+    #[cfg(test)]
+    pub(crate) fn fold_batchnorm(&self) -> Network {
+        use crate::setup::{fold_bn, fold_spec};
+        let (spec, absorbs_bn) = fold_spec(&self.spec);
+        let mut src = Borrowed::new(self);
+        let mut conv_weights = Vec::new();
+        for (layer, &absorbs) in spec.layers.iter().zip(&absorbs_bn) {
+            if let LayerSpec::Conv { in_c, out_c, k, .. } = *layer {
+                let mut w = src.conv(in_c, out_c, k).into_owned();
+                if absorbs {
+                    fold_bn(&mut w, &src.bn(out_c));
                 }
-                _ => {
-                    let mut l = layer.clone();
-                    match &mut l {
-                        LayerSpec::Ref { from, .. } | LayerSpec::Add { from, .. } => {
-                            if let LayerRef::Layer(j) = from {
-                                *from = LayerRef::Layer(index_map[*j]);
-                            }
-                        }
-                        LayerSpec::Conv { .. } => conv_i += 1,
-                        _ => {}
-                    }
-                    layers.push(l);
-                    index_map[i] = layers.len() - 1;
-                }
+                conv_weights.push(w);
             }
         }
-        let spec = NetworkSpec { name: self.spec.name.clone(), input: self.spec.input, layers };
-        debug_assert!(spec.shapes().is_ok(), "folding preserves validity");
         Network { spec, conv_weights, fc_weights: self.fc_weights.clone(), bn_weights: Vec::new() }
     }
 
@@ -238,43 +147,22 @@ impl Network {
         // (`acts[0]` is the input, `acts[i + 1]` the output of layer `i`).
         let mut acts: Vec<Tensor<f32>> = Vec::with_capacity(self.spec.layers.len() + 1);
         acts.push(input.clone());
-        let mut conv_i = 0;
-        let mut fc_i = 0;
-        let mut bn_i = 0;
+        let (mut convs, mut fcs, mut bns) = (self.conv_weights.iter(), self.fc_weights.iter(), self.bn_weights.iter());
         for (li, layer) in self.spec.layers.iter().enumerate() {
-            let next = {
-                let prev = acts.last().expect("non-empty");
-                let resolve = |r: &LayerRef| match r {
+            let weights = match layer {
+                LayerSpec::Conv { .. } => FloatWeights::Conv(convs.next().expect("one weight set per conv")),
+                LayerSpec::Fc { .. } => FloatWeights::Fc(fcs.next().expect("one weight set per FC")),
+                LayerSpec::BatchNorm { .. } => FloatWeights::Bn(bns.next().expect("statistics per BN")),
+                _ => FloatWeights::None,
+            };
+            let from = match layer {
+                LayerSpec::Ref { from, .. } | LayerSpec::Add { from, .. } => Some(match from {
                     LayerRef::Input => &acts[0],
                     LayerRef::Layer(j) => &acts[j + 1],
-                };
-                match layer {
-                    LayerSpec::Conv { stride, pad, relu, .. } => {
-                        let weights = &self.conv_weights[conv_i];
-                        let out = conv2d_f32_split(prev, weights, *stride, *pad, *relu, split, tier);
-                        conv_i += 1;
-                        out
-                    }
-                    LayerSpec::MaxPool { k, stride, .. } => maxpool_f32(prev, *k, *stride),
-                    LayerSpec::Fc { relu, .. } => {
-                        let out = fc_f32_split(prev.as_slice(), &self.fc_weights[fc_i], *relu, split);
-                        fc_i += 1;
-                        Tensor::from_vec(out.len(), 1, 1, out)
-                    }
-                    LayerSpec::Softmax => {
-                        let out = softmax(prev.as_slice());
-                        Tensor::from_vec(out.len(), 1, 1, out)
-                    }
-                    LayerSpec::Ref { from, .. } => resolve(from).clone(),
-                    LayerSpec::Add { from, relu, .. } => add_f32(prev, resolve(from), *relu),
-                    LayerSpec::GlobalAvgPool { .. } => global_avgpool_f32(prev),
-                    LayerSpec::BatchNorm { relu, .. } => {
-                        let out = batchnorm_f32(prev, &self.bn_weights[bn_i], *relu);
-                        bn_i += 1;
-                        out
-                    }
-                }
+                }),
+                _ => None,
             };
+            let next = float_layer(layer, weights, acts.last().expect("non-empty"), from, split, tier);
             visit(li + 1, &next);
             acts.push(next);
         }
@@ -286,46 +174,14 @@ impl Network {
         self.forward_f32_with(input, |_, _| {})
     }
 
-    /// This network with batch-norm folded away: itself when the spec
-    /// carries none, so a BN-free network is never copied.
-    fn folded(&self) -> Cow<'_, Network> {
-        if self.spec.has_batchnorm() {
-            Cow::Owned(self.fold_batchnorm())
-        } else {
-            Cow::Borrowed(self)
-        }
-    }
-
-    /// Max-abs activation scales from the calibration inputs: one per
-    /// layer boundary of the batch-norm-folded spec (`m / 127` for a
-    /// boundary whose largest magnitude is `m`; 1.0 where it is 0, and
-    /// everywhere with no calibration inputs). Calibration sees the
-    /// folded activations.
-    pub fn calibrate(&self, calibration: &[Tensor<f32>]) -> Vec<f32> {
-        self.folded().calibrate_split(calibration, Split::auto())
-    }
-
-    /// [`Network::calibrate`] of this BN-free network with an explicit split.
-    fn calibrate_split(&self, calibration: &[Tensor<f32>], split: Split) -> Vec<f32> {
-        let mut max_abs = vec![0f32; self.spec.layers.len() + 1];
-        for input in calibration {
-            self.forward_f32_split(input, split, |i, act| {
-                let m = act.as_slice().iter().fold(0f32, |m, &v| m.max(v.abs()));
-                max_abs[i] = max_abs[i].max(m);
-            });
-        }
-        max_abs.iter().map(|&m| if m > 0.0 { m / 127.0 } else { 1.0 }).collect()
-    }
-
     /// Quantizes this network to 8-bit sign+magnitude, its activation
-    /// scales calibrated on `calibration` ([`Network::calibrate`], then
-    /// [`Network::quantize_with_scales`]).
+    /// scales calibrated on `calibration` ([`Scales::Calibrate`]).
     ///
     /// The calibration passes and each layer's max-abs scan and rounding
     /// run on all host cores; the result is bit-identical to the
     /// one-thread, naive-convolution computation the tests keep as oracle.
     pub fn quantize(&self, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
-        self.quantize_split(calibration, WeightCode::Int8, Split::auto())
+        self.quantize_split(Scales::Calibrate(calibration), WeightCode::Int8, Split::auto())
     }
 
     /// [`Network::quantize`] with **ternary** conv weights (the paper's
@@ -333,98 +189,72 @@ impl Network {
     /// `{-1, 0, +1}` with a per-layer scale, inducing 30-60% sparsity that
     /// the zero-skipping hardware exploits directly. FC layers stay 8-bit.
     pub fn quantize_ternary(&self, calibration: &[Tensor<f32>]) -> QuantizedNetwork {
-        self.quantize_split(calibration, WeightCode::Ternary, Split::auto())
+        self.quantize_split(Scales::Calibrate(calibration), WeightCode::Ternary, Split::auto())
     }
 
-    /// Calibrate, then quantize, with an explicit split.
-    pub(crate) fn quantize_split(
-        &self,
-        calibration: &[Tensor<f32>],
-        code: WeightCode,
-        split: Split,
-    ) -> QuantizedNetwork {
-        let net = self.folded();
-        let scales = net.calibrate_split(calibration, split);
-        net.quantize_folded(&scales, code, split)
-    }
-
-    /// The one quantization pass: folds batch-norm ([`Network::fold_batchnorm`]
-    /// — fold in f32, then quantize, so the returned network's spec is
-    /// BN-free), codes each conv layer's weights as `code` says and each FC
-    /// layer's as 8-bit, and derives every integer bias and requantizer
-    /// from `scales`, one activation scale per boundary of the folded spec
-    /// (what [`Network::calibrate`] returns; the figure bins transfer a
-    /// surrogate's).
+    /// Quantizes with given activation scales, one per boundary of the
+    /// batch-norm-folded spec ([`Scales::Given`]): folds batch-norm, codes
+    /// each conv layer's weights as `code` says and each FC layer's as
+    /// 8-bit, and derives every integer bias and requantizer from `scales`.
     ///
     /// # Panics
     /// If `scales` does not hold one scale per layer boundary.
     pub fn quantize_with_scales(&self, scales: &[f32], code: WeightCode) -> QuantizedNetwork {
-        self.folded().quantize_folded(scales, code, Split::auto())
+        self.quantize_split(Scales::Given(scales), code, Split::auto())
     }
 
-    /// [`Network::quantize_with_scales`] of this BN-free network.
-    fn quantize_folded(&self, scales: &[f32], code: WeightCode, split: Split) -> QuantizedNetwork {
-        assert_eq!(scales.len(), self.spec.layers.len() + 1, "one scale per layer boundary");
-        // A layer's integer bias and output requantizer, from its weight
-        // scale and the scales at its two boundaries.
-        let integer = |bias: &[f32], s_in: f32, s_w: f32, s_out: f32| {
-            let bias_acc = bias.iter().map(|&b| (b / (s_in * s_w)).round() as i64).collect();
-            (bias_acc, Requantizer::from_ratio((s_in * s_w / s_out) as f64))
-        };
-        let mut conv = Vec::new();
-        let mut fc = Vec::new();
-        let mut conv_i = 0;
-        let mut fc_i = 0;
-        for (li, layer) in self.spec.layers.iter().enumerate() {
-            let (s_in, s_out) = (scales[li], scales[li + 1]);
-            match layer {
-                LayerSpec::Conv { relu, .. } => {
-                    let w = &self.conv_weights[conv_i];
-                    let (s_w, w_q) = match code {
-                        WeightCode::Int8 => {
-                            let (wq, w_q) = quantize_weights(&w.w, split);
-                            (wq.scale, w_q)
-                        }
-                        WeightCode::Ternary => {
-                            let t = TernaryParams::from_weights(&w.w);
-                            (t.scale, t.quantize_all(&w.w))
-                        }
-                    };
-                    let (bias_acc, requant) = integer(&w.bias, s_in, s_w, s_out);
-                    let weights = QuantConvWeights::new(w.out_c, w.in_c, w.k, w_q, bias_acc, requant, *relu);
-                    conv.push(QuantizedConvLayer { weights });
-                    conv_i += 1;
-                }
-                LayerSpec::Fc { relu, .. } => {
-                    let w = &self.fc_weights[fc_i];
-                    let (wq, w_q) = quantize_weights(&w.w, split);
-                    let (bias_acc, requant) = integer(&w.bias, s_in, wq.scale, s_out);
-                    fc.push(QuantFcWeights::new(w.out_features, w.in_features, w_q, bias_acc, requant, *relu));
-                    fc_i += 1;
-                }
-                // Ref/Add/GAP carry no weights: their requantizers derive
-                // from the activation scales on demand (see
-                // [`QuantizedNetwork::add_requantizers`]).
-                LayerSpec::MaxPool { .. }
-                | LayerSpec::Softmax
-                | LayerSpec::Ref { .. }
-                | LayerSpec::Add { .. }
-                | LayerSpec::GlobalAvgPool { .. } => {}
-                LayerSpec::BatchNorm { .. } => unreachable!("folded above"),
-            }
-        }
-        QuantizedNetwork {
-            spec: self.spec.clone(),
-            plan: ExecPlan::build(&self.spec).expect("network must be shape-valid"),
-            activation_scales: scales.to_vec(),
-            conv,
-            fc,
-        }
+    /// The set-up walk over this network's layers, with an explicit split.
+    pub(crate) fn quantize_split(&self, scales: Scales<'_>, code: WeightCode, split: Split) -> QuantizedNetwork {
+        setup::build(&self.spec, &mut Borrowed::new(self), scales, code, split)
     }
 }
 
-/// How [`Network::quantize_with_scales`] codes conv weights; FC weights
-/// are always 8-bit.
+/// The weights one float layer step reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FloatWeights<'w> {
+    /// A conv layer's.
+    Conv(&'w ConvWeights),
+    /// An FC layer's.
+    Fc(&'w FcWeights),
+    /// A batch-norm layer's statistics.
+    Bn(&'w BnWeights),
+    /// None: the layer carries no weights.
+    None,
+}
+
+/// One layer of the float forward pass: `prev` is the layer's input and
+/// `from` the activation a `Ref` / `Add` reaches back to.
+pub(crate) fn float_layer(
+    layer: &LayerSpec,
+    weights: FloatWeights<'_>,
+    prev: &Tensor<f32>,
+    from: Option<&Tensor<f32>>,
+    split: Split,
+    tier: KernelTier,
+) -> Tensor<f32> {
+    let from = || from.expect("a Ref / Add reads a second activation");
+    match (layer, weights) {
+        (LayerSpec::Conv { stride, pad, relu, .. }, FloatWeights::Conv(w)) => {
+            conv2d_f32_split(prev, w, *stride, *pad, *relu, split, tier)
+        }
+        (LayerSpec::MaxPool { k, stride, .. }, _) => maxpool_f32(prev, *k, *stride),
+        (LayerSpec::Fc { relu, .. }, FloatWeights::Fc(w)) => {
+            let out = fc_f32_split(prev.as_slice(), w, *relu, split);
+            Tensor::from_vec(out.len(), 1, 1, out)
+        }
+        (LayerSpec::Softmax, _) => {
+            let out = softmax(prev.as_slice());
+            Tensor::from_vec(out.len(), 1, 1, out)
+        }
+        (LayerSpec::Ref { .. }, _) => from().clone(),
+        (LayerSpec::Add { relu, .. }, _) => add_f32(prev, from(), *relu),
+        (LayerSpec::GlobalAvgPool { .. }, _) => global_avgpool_f32(prev),
+        (LayerSpec::BatchNorm { relu, .. }, FloatWeights::Bn(bn)) => batchnorm_f32(prev, bn, *relu),
+        _ => unreachable!("a conv, FC or batch-norm layer comes with its weights"),
+    }
+}
+
+/// How the set-up codes conv weights; FC weights are always 8-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightCode {
     /// 8-bit sign+magnitude, max-abs scaled per layer (the paper's
@@ -432,26 +262,6 @@ pub enum WeightCode {
     Int8,
     /// `{-1, 0, +1}` with a per-layer scale (the paper's future work, §VII).
     Ternary,
-}
-
-/// Rough cost of pruning one weight (count, select, sweep).
-const NS_PER_PRUNED_WEIGHT: usize = 3;
-/// Max-abs 8-bit quantization of one layer's weights: the scale
-/// [`QuantParams::from_max_abs`] picks and the values
-/// [`QuantParams::quantize`] rounds to, with both passes cut into runs and
-/// run by the kernel tier's body ([`weight_quant`]). `max` is exact and
-/// order-free, so the maximum of the per-run maxima is the serial scan's;
-/// rounding is per element.
-fn quantize_weights(w: &[f32], split: Split) -> (QuantParams, Vec<Sm8>) {
-    let tier = simd::dispatch();
-    let run_len = split.run_len(w.len(), weight_quant::ns_per_weight(tier));
-    let maxima = par::scoped_map(w.chunks(run_len), |run| weight_quant::max_abs(tier, run));
-    let params = QuantParams::from_max_abs(&maxima);
-    let mut q = Sm8::zeroed_vec(w.len());
-    par::scoped_map(q.chunks_mut(run_len).zip(w.chunks(run_len)), |(q, w)| {
-        weight_quant::quantize(tier, params, w, q)
-    });
-    (params, q)
 }
 
 /// One quantized conv layer.
@@ -501,6 +311,39 @@ pub struct AccelStep<'a> {
 }
 
 impl QuantizedNetwork {
+    /// Builds the quantized network [`Network::synthetic`] followed by
+    /// [`Network::quantize`] (or `quantize_ternary`, or
+    /// `quantize_with_scales`) builds, bit for bit, without ever holding
+    /// the float network: each layer is drawn from the seeded stream when
+    /// the set-up walk reaches it, pruned, folded with a following
+    /// batch-norm, pushed the calibration activations through, coded as
+    /// `code` says, and dropped ([`crate::setup`]). At most the layer in
+    /// hand is alive as floats beside the integer layers already coded.
+    ///
+    /// # Panics
+    /// If `spec` is not shape-valid, or given scales are not one per
+    /// boundary of the batch-norm-folded spec.
+    pub fn synthetic(
+        spec: &NetworkSpec,
+        config: &SyntheticModelConfig,
+        scales: Scales<'_>,
+        code: WeightCode,
+    ) -> QuantizedNetwork {
+        Self::synthetic_from(spec, config, &ChaChaWords::new(config.seed), Split::auto(), scales, code)
+    }
+
+    /// [`QuantizedNetwork::synthetic`] over an explicit word source and split.
+    pub(crate) fn synthetic_from(
+        spec: &NetworkSpec,
+        config: &SyntheticModelConfig,
+        words: &impl WordSource,
+        split: Split,
+        scales: Scales<'_>,
+        code: WeightCode,
+    ) -> QuantizedNetwork {
+        setup::build(spec, &mut Drawn::new(words, &config.density, split), scales, code, split)
+    }
+
     /// Integer-exact forward pass (the software golden model). Returns the
     /// final quantized activations.
     ///
@@ -905,7 +748,7 @@ mod tests {
         // Batch-norm folds inside both calls; the scales index the folded spec.
         let net = Network::synthetic(residual_spec(), &SyntheticModelConfig { seed: 9, ..Default::default() });
         let calib: Vec<Tensor<f32>> = (0..2).map(tiny_input).collect();
-        let scales = net.calibrate(&calib);
+        let scales = net.quantize(&calib).activation_scales;
         assert_eq!(scales.len(), net.fold_batchnorm().spec.layers.len() + 1);
         assert_eq!(net.quantize_with_scales(&scales, WeightCode::Int8), net.quantize(&calib));
         assert_eq!(net.quantize_with_scales(&scales, WeightCode::Ternary), net.quantize_ternary(&calib));

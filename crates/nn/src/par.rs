@@ -295,10 +295,13 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// How the model set-up (`Network::synthetic` / `quantize` and the float
-/// kernels under them) and the accelerator's weight packer split one job
-/// over scoped threads. Unlike the persistent [`ConvPool`] these jobs run
-/// a handful of times per process, so each spawns its threads and joins
+/// How the model set-up and the accelerator's weight packer split one job
+/// over scoped threads. The set-up is one walk over the spec
+/// ([`crate::setup`]) that runs one layer at a time, and each of its steps
+/// on that layer — the Gaussian fill, the pruning passes, the calibration
+/// conv or FC, the max-abs scan and rounding — is one such job, cut into
+/// runs by the same rule. Unlike the persistent [`ConvPool`] these jobs
+/// run a handful of times per layer, so each spawns its threads and joins
 /// them before returning.
 #[derive(Debug, Clone, Copy)]
 pub struct Split {

@@ -1,6 +1,7 @@
 //! The sequential oracles of the model set-up, and the bit-identity suite
-//! that holds [`Network::synthetic`] / [`Network::quantize`] and the float
-//! kernels under them to these oracles.
+//! that holds [`Network::synthetic`] / [`Network::quantize`], the streamed
+//! [`QuantizedNetwork::synthetic`] and the float kernels under them to
+//! these oracles.
 //!
 //! The oracles are the code the set-up ran before it was vectorized and
 //! parallelized, kept word for word: one Box–Muller draw at a time from
@@ -15,6 +16,7 @@ use crate::layer::{conv1x1, conv3x3, maxpool2x2, LayerRef, LayerSpec, NetworkSpe
 use crate::model::{Network, QuantizedConvLayer, QuantizedNetwork, SyntheticModelConfig, WeightCode};
 use crate::par::Split;
 use crate::plan::ExecPlan;
+use crate::setup::Scales;
 use crate::simd::KernelTier;
 use crate::pool::maxpool_f32;
 use proptest::prelude::*;
@@ -185,22 +187,25 @@ fn forward_f32_sequential(net: &Network, input: &Tensor<f32>, mut visit: impl Fn
 }
 
 /// `Network::quantize` / `quantize_ternary`, sequentially: calibration
-/// through the oracle forward pass, serial max-abs scans and rounding, and
-/// the ternary coding one weight at a time.
+/// through the oracle forward pass, then [`quantize_sequential_with`].
 fn quantize_sequential(net: &Network, calibration: &[Tensor<f32>], code: WeightCode) -> QuantizedNetwork {
-    if net.spec.has_batchnorm() {
-        return quantize_sequential(&net.fold_batchnorm(), calibration, code);
-    }
+    let net = net.fold_batchnorm();
     let boundaries = net.spec.layers.len() + 1;
     let mut max_abs = vec![0f32; boundaries];
     for input in calibration {
-        forward_f32_sequential(net, input, |i, act| {
+        forward_f32_sequential(&net, input, |i, act| {
             let m = act.as_slice().iter().fold(0f32, |m, &v| m.max(v.abs()));
             max_abs[i] = max_abs[i].max(m);
         });
     }
     let scales: Vec<f32> = max_abs.iter().map(|&m| if m > 0.0 { m / 127.0 } else { 1.0 }).collect();
+    quantize_sequential_with(&net, &scales, code)
+}
 
+/// `Network::quantize_with_scales`, sequentially: serial max-abs scans and
+/// rounding, and the ternary coding one weight at a time.
+fn quantize_sequential_with(net: &Network, scales: &[f32], code: WeightCode) -> QuantizedNetwork {
+    let net = net.fold_batchnorm();
     let mut conv = Vec::new();
     let mut fc = Vec::new();
     let mut conv_i = 0;
@@ -257,7 +262,7 @@ fn quantize_sequential(net: &Network, calibration: &[Tensor<f32>], code: WeightC
     QuantizedNetwork {
         spec: net.spec.clone(),
         plan: ExecPlan::build(&net.spec).expect("network must be shape-valid"),
-        activation_scales: scales,
+        activation_scales: scales.to_vec(),
         conv,
         fc,
     }
@@ -406,12 +411,58 @@ proptest! {
         prop_assert_eq!(&net.quantize_ternary(&calib), &want_ternary);
         for workers in WORKERS {
             let split = Split::forced(workers);
-            prop_assert_eq!(&net.quantize_split(&calib, WeightCode::Int8, split), &want, "workers {}", workers);
+            let calibrate = Scales::Calibrate(&calib);
+            prop_assert_eq!(&net.quantize_split(calibrate, WeightCode::Int8, split), &want, "workers {}", workers);
             prop_assert_eq!(
-                &net.quantize_split(&calib, WeightCode::Ternary, split),
+                &net.quantize_split(calibrate, WeightCode::Ternary, split),
                 &want_ternary,
                 "ternary, workers {}", workers
             );
+        }
+    }
+}
+
+/// Given scales for a network whose calibrated scales are `calibrated`:
+/// each nudged by a boundary-dependent factor, so no requantizer is the
+/// calibrated network's.
+fn nudged(calibrated: &[f32]) -> Vec<f32> {
+    calibrated.iter().enumerate().map(|(b, s)| s * (1.0 + 0.03 * (b % 5) as f32)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `QuantizedNetwork::synthetic` — the set-up walk drawing each layer
+    /// when it reaches it, pruning, folding, calibrating and coding it
+    /// before the next — is `==` to the sequential quantizer run on the
+    /// sequential oracle's whole float network: on random specs with every
+    /// layer type (batch-norm, `Ref`, `Add`), at densities 0 / 0.35 / 1,
+    /// 8-bit and ternary, calibrated on 0–2 images or with given scales,
+    /// at every worker count.
+    #[test]
+    fn the_streamed_build_equals_the_sequential_oracles(
+        knobs in spec_knobs(),
+        density in density(),
+        seed in 0u64..1000,
+        images in 0usize..3,
+        code in prop_oneof![Just(WeightCode::Int8), Just(WeightCode::Ternary)],
+    ) {
+        let spec = knobs.spec();
+        let config = SyntheticModelConfig { seed, density: DensityProfile::uniform(knobs.convs(), density) };
+        let calib: Vec<Tensor<f32>> = (0..images as u64).map(|i| image(spec.input, seed + i)).collect();
+        let net = synthetic_sequential(spec.clone(), &config, &mut ChaCha8Rng::seed_from_u64(seed));
+        let want = quantize_sequential(&net, &calib, code);
+        let given = nudged(&want.activation_scales);
+        let want_given = quantize_sequential_with(&net, &given, code);
+        prop_assert_eq!(&QuantizedNetwork::synthetic(&spec, &config, Scales::Calibrate(&calib), code), &want);
+        prop_assert_eq!(&QuantizedNetwork::synthetic(&spec, &config, Scales::Given(&given), code), &want_given);
+        let words = ChaChaWords::new(seed);
+        for workers in WORKERS {
+            let split = Split::forced(workers);
+            let got = QuantizedNetwork::synthetic_from(&spec, &config, &words, split, Scales::Calibrate(&calib), code);
+            prop_assert_eq!(&got, &want, "calibrated, workers {}", workers);
+            let got = QuantizedNetwork::synthetic_from(&spec, &config, &words, split, Scales::Given(&given), code);
+            prop_assert_eq!(&got, &want_given, "given scales, workers {}", workers);
         }
     }
 }
@@ -480,7 +531,9 @@ fn retry_spec() -> NetworkSpec {
     }
 }
 
-/// Every placement of one retry, and of two in a row, in that model: inside a run, on either side of every run boundary (the runs
+/// Every placement of one retry, and of two in a row, in that model —
+/// drawn whole, and drawn layer by layer by the streamed build: inside a
+/// run, on either side of every run boundary (the runs
 /// of 54 weights at 2 / 3 / 8 workers are 27 / 18 / 7 long), on a layer's
 /// last weight (the top-up then takes the attempt the bias would have
 /// had), on a bias or batch-norm draw right after a retried weight, and
@@ -492,6 +545,7 @@ fn a_forced_retry_anywhere_matches_the_sequential_oracle() {
     let draws = RETRY_SPEC_DRAWS;
     let clean = ScriptedWords { rejected: vec![] };
     let baseline = synthetic_sequential(spec.clone(), &config, &mut SequentialReader { src: &clean, word: 0 });
+    let calib = [image(spec.input, 3)];
     for first in 0..draws as u64 + 2 {
         for rejected in [vec![first], vec![first, first + 1]] {
             // A scripted rejection costs one more attempt if the stream
@@ -504,9 +558,15 @@ fn a_forced_retry_anywhere_matches_the_sequential_oracle() {
             if attempts > draws as u64 {
                 assert_ne!(want, baseline, "rejected {:?}", words.rejected);
             }
+            let want_q = [WeightCode::Int8, WeightCode::Ternary].map(|code| (code, quantize_sequential(&want, &calib, code)));
             for workers in WORKERS {
-                let got = Network::synthetic_from(spec.clone(), &config, &words, Split::forced(workers));
+                let split = Split::forced(workers);
+                let got = Network::synthetic_from(spec.clone(), &config, &words, split);
                 assert_eq!(got, want, "rejected {:?}, workers {workers}", words.rejected);
+                for (code, want_q) in &want_q {
+                    let got = QuantizedNetwork::synthetic_from(&spec, &config, &words, split, Scales::Calibrate(&calib), *code);
+                    assert_eq!(&got, want_q, "streamed {code:?}, rejected {:?}, workers {workers}", words.rejected);
+                }
             }
         }
     }

@@ -1,7 +1,10 @@
 //! Pins the *artifact* of the model set-up, not just the equivalence of
 //! two ways to compute it: the float weights `Network::synthetic` draws
 //! and the integer model `Network::quantize` derives from them, for the
-//! CLI's own recipe (`src/main.rs::build_network`) on `specs/resnet18.json`.
+//! CLI's own recipe (`src/main.rs::build_network`) on `specs/resnet18.json`
+//! and VGG-16-32 — and the same integer model from the entry point the
+//! CLI calls, `QuantizedNetwork::synthetic`, which draws, calibrates and
+//! codes one layer at a time.
 //!
 //! The digests were recorded before the set-up was vectorized and
 //! parallelized (at commit f8feed6, the scalar ChaCha stream, one thread,
@@ -14,7 +17,7 @@
 //! functions (`crates/nn/src/boxmuller.rs`), so they hold on any platform.
 
 use zskip_nn::eval::synthetic_inputs;
-use zskip_nn::{Network, NetworkSpec, SyntheticModelConfig};
+use zskip_nn::{Network, NetworkSpec, QuantizedNetwork, Scales, SyntheticModelConfig, WeightCode};
 use zskip_quant::cache::Fingerprint;
 use zskip_quant::DensityProfile;
 
@@ -90,13 +93,30 @@ fn resnet18_cli_recipe_artifact_is_pinned() {
     }
     assert_eq!(fp.finish(), 0x6f5d_5143_c1a7_b180, "float weights after Network::synthetic");
 
-    let qnet = net.quantize(&synthetic_inputs(2, 1, spec.input));
-    let conv_fps: Vec<u64> = qnet.conv.iter().map(|c| c.weights.fingerprint()).collect();
-    let scale_bits: Vec<u32> = qnet.activation_scales.iter().map(|s| s.to_bits()).collect();
-    assert_eq!(scale_bits, RESNET18_SCALE_BITS, "activation scale bits after Network::quantize, per boundary");
-    let scales = qnet.activation_scales.iter().fold(Fingerprint::new(), |fp, s| fp.u64(u64::from(s.to_bits())));
-    assert_eq!(scales.finish(), 0x5c74_3bb5_3f01_8a1e, "activation scale bits after Network::quantize");
-    assert_eq!(conv_fps, CONV_FINGERPRINTS, "QuantConvWeights::fingerprint() per conv layer after quantize");
+    let calib = synthetic_inputs(2, 1, spec.input);
+    let streamed = QuantizedNetwork::synthetic(&spec, &config, Scales::Calibrate(&calib), WeightCode::Int8);
+    for (qnet, how) in [(net.quantize(&calib), "Network::quantize"), (streamed, "QuantizedNetwork::synthetic")] {
+        let conv_fps: Vec<u64> = qnet.conv.iter().map(|c| c.weights.fingerprint()).collect();
+        let scale_bits: Vec<u32> = qnet.activation_scales.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(scale_bits, RESNET18_SCALE_BITS, "activation scale bits after {how}, per boundary");
+        let scales = qnet.activation_scales.iter().fold(Fingerprint::new(), |fp, s| fp.u64(u64::from(s.to_bits())));
+        assert_eq!(scales.finish(), 0x5c74_3bb5_3f01_8a1e, "activation scale bits after {how}");
+        assert_eq!(conv_fps, CONV_FINGERPRINTS, "QuantConvWeights::fingerprint() per conv layer after {how}");
+    }
+}
+
+/// The CLI recipe (weight seed 1, density `dc`, calibration
+/// `synthetic_inputs(2, 1, …)`) on VGG-16-32, built both ways: the float
+/// network quantized whole, and layer by layer from the seed. The two
+/// must be equal; the pins below hold either.
+fn vgg16_32_cli_recipe() -> QuantizedNetwork {
+    let spec = zskip_nn::vgg16::vgg16_scaled_spec(32);
+    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() };
+    let calib = synthetic_inputs(2, 1, spec.input);
+    let whole = Network::synthetic(spec.clone(), &config).quantize(&calib);
+    let streamed = QuantizedNetwork::synthetic(&spec, &config, Scales::Calibrate(&calib), WeightCode::Int8);
+    assert!(streamed == whole, "QuantizedNetwork::synthetic differs from Network::synthetic + quantize");
+    streamed
 }
 
 /// Conv weights are drawn before any FC weight, so a VGG-16's conv layers
@@ -111,14 +131,11 @@ fn vgg16_conv_weights_do_not_depend_on_the_input_size() {
     assert!(at(32) == at(64), "conv weights of VGG-16-32 and VGG-16-64");
 }
 
-/// The CLI recipe (weight seed 1, density `dc`, calibration
-/// `synthetic_inputs(2, 1, …)`) on VGG-16-32: its activation scales.
+/// The CLI recipe on VGG-16-32: its activation scales.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "a VGG-16-32 calibration pass: run with --release (scripts/verify.sh does)")]
 fn vgg16_32_cli_recipe_scales_are_pinned() {
-    let spec = zskip_nn::vgg16::vgg16_scaled_spec(32);
-    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() };
-    let qnet = Network::synthetic(spec.clone(), &config).quantize(&synthetic_inputs(2, 1, spec.input));
+    let qnet = vgg16_32_cli_recipe();
     let scale_bits: Vec<u32> = qnet.activation_scales.iter().map(|s| s.to_bits()).collect();
     assert_eq!(scale_bits, VGG16_32_SCALE_BITS, "activation scale bits after Network::quantize, per boundary");
 }
@@ -134,8 +151,7 @@ fn vgg16_32_amx_conv_weight_stream_is_pinned() {
     use zskip_nn::gemm::weight_stream;
     use zskip_nn::simd::KernelTier;
     let spec = zskip_nn::vgg16::vgg16_scaled_spec(32);
-    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::deep_compression_vgg16() };
-    let qnet = Network::synthetic(spec.clone(), &config).quantize(&synthetic_inputs(2, 1, spec.input));
+    let qnet = vgg16_32_cli_recipe();
     let (mut dense, mut streams) = (0, Vec::new());
     for (layer, (_, l, s)) in qnet.conv.iter().zip(spec.conv_layers()) {
         let &zskip_nn::LayerSpec::Conv { stride, pad, .. } = l else { unreachable!("a conv layer") };

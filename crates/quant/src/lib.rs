@@ -30,7 +30,7 @@ pub mod ternary;
 
 pub use cache::{CacheStats, Fingerprint};
 pub use pack::{PackedEntry, PackedTile};
-pub use prune::{prune_to_density, sparsity, DensityProfile};
+pub use prune::{prune_to_density, prune_to_density_in_runs, sparsity, DensityProfile};
 pub use quantize::{QuantParams, Requantizer};
 pub use sm8::Sm8;
 pub use ternary::TernaryParams;

@@ -15,6 +15,14 @@
 /// `density` is clamped to `[0, 1]`. Ties at the threshold are kept, so the
 /// achieved density can slightly exceed the target when values repeat.
 pub fn prune_to_density(weights: &mut [f32], density: f64) -> f32 {
+    prune_to_density_in_runs(weights, density, weights.len())
+}
+
+/// [`prune_to_density`] with each pass over the weights cut into runs of
+/// `run_len`, every run after the first on a scoped thread of its own.
+/// The threshold is the rank-th smallest magnitude of the whole layer
+/// however it is cut, so the result is [`prune_to_density`]'s bit for bit.
+pub fn prune_to_density_in_runs(weights: &mut [f32], density: f64, run_len: usize) -> f32 {
     let density = density.clamp(0.0, 1.0);
     if weights.is_empty() {
         return 0.0;
@@ -27,51 +35,94 @@ pub fn prune_to_density(weights: &mut [f32], density: f64) -> f32 {
         weights.iter_mut().for_each(|w| *w = 0.0);
         return f32::INFINITY;
     }
+    let run_len = run_len.max(1);
     // Threshold = magnitude of the keep-th largest element.
-    let threshold = nth_magnitude(weights, weights.len() - keep);
+    let threshold = nth_magnitude(weights, weights.len() - keep, run_len);
     // An unconditional store: which weights fall below is a coin flip per
     // weight, so a branch here mispredicts its way through the layer.
-    for w in weights.iter_mut() {
-        *w = if w.abs() < threshold { 0.0 } else { *w };
-    }
+    in_runs(weights.chunks_mut(run_len), |run| {
+        for w in run {
+            *w = if w.abs() < threshold { 0.0 } else { *w };
+        }
+    });
     threshold
 }
 
-/// The `rank`-th smallest magnitude of `weights` (0-based, ties counted).
+/// Leading magnitude bits (8 exponent + 4 mantissa) that pick a bucket.
+const BUCKET_BITS: u32 = 12;
+
+/// The magnitude of a non-NaN float, as bits that order like it.
+fn magnitude(w: &f32) -> u32 {
+    w.to_bits() & 0x7fff_ffff
+}
+
+fn bucket(m: u32) -> usize {
+    (m >> (31 - BUCKET_BITS)) as usize
+}
+
+/// The `rank`-th smallest magnitude of `weights` (0-based, ties counted),
+/// each pass cut into runs of `run_len`.
 ///
 /// Magnitudes of non-NaN floats order exactly like their bit patterns, so
 /// instead of partially sorting a full-size copy this counts them by
 /// their leading bits, finds the bucket the rank falls in, and selects
 /// inside that bucket alone: two streaming passes and a buffer a few
-/// percent of the layer's size. (The copy mattered beyond its cost: a
-/// conv layer is pruned on a thread of its own while the next one is
-/// drawn, and a multi-megabyte buffer freed on a short-lived thread stays
-/// resident in that thread's allocator arena.)
-fn nth_magnitude(weights: &[f32], rank: usize) -> f32 {
-    /// Leading magnitude bits (8 exponent + 4 mantissa) that pick a bucket.
-    const BUCKET_BITS: u32 = 12;
-    let magnitude = |w: &f32| w.to_bits() & 0x7fff_ffff;
-    let bucket = |m: u32| (m >> (31 - BUCKET_BITS)) as usize;
-
-    let mut counts = [0usize; 1 << BUCKET_BITS];
-    let mut largest = 0;
-    for m in weights.iter().map(magnitude) {
-        counts[bucket(m)] += 1;
-        largest = largest.max(m);
-    }
+/// percent of the layer's size. The rank-th smallest of a multiset does
+/// not depend on the order its members are gathered in, so neither the
+/// counts nor the selection depend on the cut.
+fn nth_magnitude(weights: &[f32], rank: usize, run_len: usize) -> f32 {
+    let histograms = in_runs(weights.chunks(run_len), |run| {
+        let mut counts = [0usize; 1 << BUCKET_BITS];
+        let mut largest = 0;
+        for m in run.iter().map(magnitude) {
+            counts[bucket(m)] += 1;
+            largest = largest.max(m);
+        }
+        (counts, largest)
+    });
+    let largest = histograms.iter().map(|&(_, l)| l).max().unwrap_or(0);
     assert!(largest <= f32::INFINITY.to_bits(), "weights must not be NaN");
     let mut below = 0;
     let mut target = 0;
-    for (b, &count) in counts.iter().enumerate() {
+    for b in 0..1 << BUCKET_BITS {
+        let count: usize = histograms.iter().map(|(c, _)| c[b]).sum();
         if below + count > rank {
             target = b;
             break;
         }
         below += count;
     }
-    let mut inside: Vec<u32> = weights.iter().map(magnitude).filter(|&m| bucket(m) == target).collect();
+    // The bucket's members, gathered run by run into one buffer allocated
+    // here: memory a short-lived thread frees stays resident in its
+    // allocator arena.
+    let mut inside = vec![0u32; histograms.iter().map(|(c, _)| c[target]).sum()];
+    let mut slots = inside.as_mut_slice();
+    let pieces = histograms.iter().zip(weights.chunks(run_len)).map(|((counts, _), run)| {
+        let (slot, rest) = std::mem::take(&mut slots).split_at_mut(counts[target]);
+        slots = rest;
+        (slot, run)
+    });
+    in_runs(pieces, |(slot, run)| {
+        for (to, m) in slot.iter_mut().zip(run.iter().map(magnitude).filter(|&m| bucket(m) == target)) {
+            *to = m;
+        }
+    });
     let (_, &mut nth, _) = inside.select_nth_unstable(rank - below);
     f32::from_bits(nth)
+}
+
+/// Calls `f` on every piece — the first on the calling thread, each other
+/// on a scoped thread of its own — and returns the results in piece order.
+fn in_runs<P: Send, R: Send>(pieces: impl IntoIterator<Item = P>, f: impl Fn(P) -> R + Sync) -> Vec<R> {
+    let mut pieces = pieces.into_iter();
+    let Some(first) = pieces.next() else { return Vec::new() };
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = pieces.map(|p| s.spawn(move || f(p))).collect();
+        let mut results = vec![f(first)];
+        results.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))));
+        results
+    })
 }
 
 /// Fraction of zero entries in a slice.
@@ -229,7 +280,7 @@ mod tests {
     fn nth_magnitude_handles_zeros_subnormals_infinities_and_ties() {
         let w = [0.0f32, -0.0, f32::MIN_POSITIVE / 4.0, -f32::MIN_POSITIVE, 1.5, -1.5, 1.5, f32::INFINITY, -3.0e38, 2.0e-30];
         for rank in 0..w.len() {
-            let got = nth_magnitude(&w, rank);
+            let got = nth_magnitude(&w, rank, w.len());
             assert_eq!(got.to_bits(), nth_magnitude_by_sorting(&w, rank).to_bits(), "rank {rank}");
         }
     }
@@ -250,6 +301,7 @@ mod tests {
             rank_seed in 0usize..10_000,
             spread in 0u32..3,
             seed in 0u64..1000,
+            runs in 1usize..5,
         ) {
             let w: Vec<f32> = (0..n as u64)
                 .map(|i| {
@@ -263,7 +315,27 @@ mod tests {
                 })
                 .collect();
             let rank = rank_seed % n;
-            prop_assert_eq!(nth_magnitude(&w, rank).to_bits(), nth_magnitude_by_sorting(&w, rank).to_bits());
+            let want = nth_magnitude_by_sorting(&w, rank).to_bits();
+            prop_assert_eq!(nth_magnitude(&w, rank, n.div_ceil(runs)).to_bits(), want, "{} runs", runs);
+        }
+
+        /// Cut into runs, pruning zeroes exactly the weights the one-run
+        /// prune zeroes, with the same threshold.
+        #[test]
+        fn pruning_in_runs_is_pruning_in_one(
+            n in 1usize..300,
+            density in prop_oneof![Just(0.0f64), 0.0f64..1.0, Just(1.0f64)],
+            seed in 0u64..1000,
+            run_len in 1usize..80,
+        ) {
+            let w: Vec<f32> = (0..n as u64)
+                .map(|i| ((i + seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f32 / (1u64 << 23) as f32 - 1.0)
+                .collect();
+            let (mut one, mut cut) = (w.clone(), w);
+            let t_one = prune_to_density(&mut one, density);
+            let t_cut = prune_to_density_in_runs(&mut cut, density, run_len);
+            prop_assert_eq!(t_one.to_bits(), t_cut.to_bits());
+            prop_assert_eq!(one.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), cut.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         }
 
         #[test]

@@ -14,18 +14,20 @@ use std::time::Instant;
 use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
-use zskip::nn::model::{Network, SyntheticModelConfig};
+use zskip::nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
+use zskip::nn::Scales;
 use zskip::nn::vgg16::vgg16_scaled_spec;
 use zskip::quant::DensityProfile;
 
 fn main() {
     let spec = vgg16_scaled_spec(32);
-    let net = Network::synthetic(
-        spec.clone(),
-        &SyntheticModelConfig { seed: 42, density: DensityProfile::deep_compression_vgg16() },
-    );
     let calib = synthetic_inputs(7, 2, spec.input);
-    let qnet = net.quantize(&calib);
+    let qnet = QuantizedNetwork::synthetic(
+        &spec,
+        &SyntheticModelConfig { seed: 42, density: DensityProfile::deep_compression_vgg16() },
+        Scales::Calibrate(&calib),
+        WeightCode::Int8,
+    );
 
     let batch = 16;
     let inputs = synthetic_inputs(11, batch, spec.input);

@@ -16,7 +16,8 @@ use zskip::accel::{AccelConfig, BackendKind, Session};
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{LayerSpec, NetworkSpec};
-use zskip::nn::model::{Network, SyntheticModelConfig};
+use zskip::nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
+use zskip::nn::Scales;
 use zskip::quant::DensityProfile;
 use zskip::tensor::Shape;
 
@@ -42,11 +43,12 @@ fn main() {
         println!("  {:<4} -> {}", layer.name(), shape);
     }
 
-    let net = Network::synthetic(
-        spec.clone(),
+    let qnet = QuantizedNetwork::synthetic(
+        &spec,
         &SyntheticModelConfig { seed: 4, density: DensityProfile::uniform(3, 0.5) },
+        Scales::Calibrate(&synthetic_inputs(1, 3, spec.input)),
+        WeightCode::Int8,
     );
-    let qnet = net.quantize(&synthetic_inputs(1, 3, spec.input));
     let input = synthetic_inputs(2, 1, spec.input).pop().expect("one");
 
     // Run on both backends; the cycle-exact one simulates all 21 kernels.

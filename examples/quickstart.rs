@@ -10,7 +10,8 @@ use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::prelude::*;
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
-use zskip::nn::model::{Network, SyntheticModelConfig};
+use zskip::nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
+use zskip::nn::Scales;
 use zskip::quant::DensityProfile;
 use zskip::tensor::Shape;
 
@@ -31,12 +32,15 @@ fn main() {
 
     // 2. Synthesize float weights (seeded), prune 60%, and quantize with
     //    max-abs calibration — the stand-in for the paper's Caffe flow.
-    let net = Network::synthetic(
-        spec.clone(),
-        &SyntheticModelConfig { seed: 1, density: DensityProfile::uniform(2, 0.4) },
-    );
+    //    The set-up walks the network layer by layer, so the float model
+    //    never exists whole.
     let calib = synthetic_inputs(2, 4, spec.input);
-    let qnet = net.quantize(&calib);
+    let qnet = QuantizedNetwork::synthetic(
+        &spec,
+        &SyntheticModelConfig { seed: 1, density: DensityProfile::uniform(2, 0.4) },
+        Scales::Calibrate(&calib),
+        WeightCode::Int8,
+    );
     println!("network: {} ({} MMACs/inference)", spec.name, spec.total_macs() / 1_000_000);
     println!("conv weight densities after pruning+quantization: {:?}", qnet.conv_densities());
 

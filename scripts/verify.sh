@@ -67,6 +67,12 @@ cargo test -q --release -p zskip-nn --lib -- --include-ignored boxmuller weight_
 # and VGG-16-32 (the VGG-16 calibration pass is ignored in debug builds).
 cargo test -q --release -p zskip-nn --test model_artifact -- --include-ignored
 
+# The set-up's peak live heap, VGG-16-32 included (ignored in debug
+# builds): built layer by layer from the seed, the CLI recipe never holds
+# more than two float layers beside the integer layers already coded,
+# and the whole-float-network path must land past that bound.
+cargo test -q --release --test setup_heap -- --include-ignored
+
 # ... and every tier must carry a whole network: CI's matrix drives
 # `native` and `scalar` only, so without this the SSE2 and AVX2 bodies are
 # reached by proptests but never by VGG-16 or the ResNet-18 DAG (nor the

@@ -36,7 +36,8 @@ use zskip::accel::{
 };
 use zskip::hls::Variant;
 use zskip::nn::eval::synthetic_inputs;
-use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
+use zskip::nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
+use zskip::nn::Scales;
 use zskip::perf::AreaBreakdown;
 use zskip::quant::DensityProfile;
 
@@ -463,13 +464,9 @@ fn build_network(p: &Parsed, hw: usize, ternary: bool) -> QuantizedNetwork {
     let convs =
         spec.layers.iter().filter(|l| matches!(l, zskip::nn::LayerSpec::Conv { .. })).count();
     let density = parse_density(p, convs);
-    let net = Network::synthetic(spec.clone(), &SyntheticModelConfig { seed: 1, density });
     let calib = synthetic_inputs(2, 1, spec.input);
-    if ternary {
-        net.quantize_ternary(&calib)
-    } else {
-        net.quantize(&calib)
-    }
+    let code = if ternary { WeightCode::Ternary } else { WeightCode::Int8 };
+    QuantizedNetwork::synthetic(&spec, &SyntheticModelConfig { seed: 1, density }, Scales::Calibrate(&calib), code)
 }
 
 fn synth(which: &str) {
@@ -907,8 +904,12 @@ fn analyze(p: &Parsed) {
     // before any FC weight, so its conv layers (and the packing table)
     // are the 224x224 model's at the same seed and density.
     let spec = zskip::nn::vgg16::vgg16_scaled_spec(32);
-    let qnet = Network::synthetic(spec.clone(), &SyntheticModelConfig { seed: zskip_bench::HARNESS_SEED, density })
-        .quantize(&synthetic_inputs(2, 1, spec.input));
+    let qnet = QuantizedNetwork::synthetic(
+        &spec,
+        &SyntheticModelConfig { seed: zskip_bench::HARNESS_SEED, density },
+        Scales::Calibrate(&synthetic_inputs(2, 1, spec.input)),
+        WeightCode::Int8,
+    );
     outln!(
         "VGG-16 packing analysis ({} lanes, zero-skip floor 4 cycles/weight-tile)\n",
         config.lanes

@@ -2,7 +2,8 @@
 //! records the size of every allocation above [`BIG`] bytes made while
 //! [`big_allocations`] runs its closure (and counts the allocations of
 //! any size), on any thread that has not called [`exempt_this_thread`],
-//! and keeps the process's live heap bytes ([`live_bytes`]) all along.
+//! and keeps the process's live heap bytes ([`live_bytes`]) and their
+//! high-water mark ([`peak_bytes`]) all along.
 //! Each of those binaries holds a single `#[test]`, so no concurrent test
 //! thread allocates inside the window.
 
@@ -20,6 +21,7 @@ static SEEN: AtomicUsize = AtomicUsize::new(0);
 static ALL: AtomicUsize = AtomicUsize::new(0);
 static SIZES: [AtomicUsize; 64] = [const { AtomicUsize::new(0) }; 64];
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// No destructor, so the allocator may read it at any point of a
@@ -46,21 +48,28 @@ fn note(size: usize) {
     }
 }
 
+/// Adds `bytes` (two's complement for a shrink) to the live heap and
+/// raises the high-water mark to it.
+fn grow_live(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed).wrapping_add(bytes);
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
 // SAFETY: delegates every operation to `System`; only records sizes.
 unsafe impl GlobalAlloc for RecordingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        grow_live(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
+        grow_live(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
-        LIVE.fetch_add(new_size.wrapping_sub(layout.size()), Ordering::Relaxed);
+        grow_live(new_size.wrapping_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -98,7 +107,17 @@ pub fn allocation_count(f: impl FnOnce()) -> usize {
 
 /// Bytes the process's heap holds now: every allocation's size, less
 /// what was freed.
-#[allow(dead_code)] // only `drop_alloc` reads it
+#[allow(dead_code)] // only `drop_alloc` and `setup_heap` read it
 pub fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// The most bytes the process's heap held at once while `f` ran, above
+/// what it held when `f` started.
+#[allow(dead_code)] // only `setup_heap` reads it
+pub fn peak_bytes(f: impl FnOnce()) -> usize {
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    f();
+    PEAK.load(Ordering::Relaxed) - start
 }
