@@ -98,7 +98,7 @@ fn main() {
         let (dense, input, out_shape) = make_conv_layer(64, 64, 28, 1.0, 7);
         // Interleave dense and ~10% filters.
         let per = 64 * 9;
-        let w = dense.w.iter().enumerate()
+        let w = dense.w().iter().enumerate()
             .map(|(j, &v)| {
                 let (o, i) = (j / per, j % per);
                 if o % 2 == 0 && (i * 31 + o) % 10 != 0 {
@@ -108,7 +108,7 @@ fn main() {
                 }
             })
             .collect();
-        let qw = QuantConvWeights::new(64, 64, 3, w, dense.bias_acc.clone(), dense.requant, dense.relu);
+        let qw = QuantConvWeights::new(64, 64, 3, w, dense.bias_acc().to_vec(), dense.requant(), dense.relu());
         for (label, grouping) in [("lockstep (paper baseline)", false), ("grouped by nnz (future work)", true)] {
             let stats = conv(stats_only(32768, 16).filter_grouping(grouping), "g", &input, &qw, out_shape);
             text.push_str(&format!("  {:<30} {:>10} cycles\n", label, stats.compute_cycles));

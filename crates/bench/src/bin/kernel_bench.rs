@@ -409,7 +409,7 @@ fn conv_stream(qnet: &QuantizedNetwork) -> Vec<StreamRow> {
             let w = &layer.weights;
             let stream = weight_stream(w, s, stride, pad, KernelTier::Amx);
             let kernel = stream.kernel.name();
-            StreamRow { layer: name.clone(), kernel, dense_bytes: w.w.len(), bytes: stream.bytes }
+            StreamRow { layer: name.clone(), kernel, dense_bytes: w.w().len(), bytes: stream.bytes }
         })
         .collect()
 }
@@ -590,7 +590,7 @@ fn bench_shapes() -> Vec<ShapeResult> {
         let input: Vec<Sm8> = sm8s(in_features).iter().map(|v| Sm8::from_i32_saturating(v.to_i32().max(0))).collect();
         let mut ws = GemmScratch::default();
         let mut out = Vec::new();
-        let gemm = time_tiers(layer, calls * out_features * in_features, |_| fc.w.len(), || {}, |tier| {
+        let gemm = time_tiers(layer, calls * out_features * in_features, |_| fc.w().len(), || {}, |tier| {
             for _ in 0..calls {
                 fc_quant_pool_into(&input, &fc, tier, None, &mut ws, &mut out);
             }

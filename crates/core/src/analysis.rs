@@ -141,25 +141,22 @@ mod tests {
     }
 
     fn layer(out_c: usize, in_c: usize, keep_mod: usize) -> QuantConvWeights {
-        QuantConvWeights::new(
+        layer_of(
             out_c,
             in_c,
-            3,
             (0..out_c * in_c * 9)
                 .map(|i| if i % keep_mod == 0 { Sm8::from_i32_saturating((i % 13) as i32 - 6) } else { Sm8::ZERO })
                 .collect(),
-            vec![0; out_c],
-            Requantizer::IDENTITY,
-            true,
         )
+    }
+
+    fn layer_of(out_c: usize, in_c: usize, w: Vec<Sm8>) -> QuantConvWeights {
+        QuantConvWeights::new(out_c, in_c, 3, w, vec![0; out_c], Requantizer::IDENTITY, true)
     }
 
     #[test]
     fn dense_layer_has_no_bubbles_and_nine_steps() {
-        // keep_mod 1: every weight non-zero except values that hash to 0.
-        let mut qw = layer(8, 4, 1);
-        qw.w = (0..8 * 4 * 9).map(|_| Sm8::from_i32_saturating(3)).collect();
-        qw.invalidate_caches();
+        let qw = layer_of(8, 4, vec![Sm8::from_i32_saturating(3); 8 * 4 * 9]);
         let s = LayerPackingStats::analyze("dense", &qw, &config());
         assert_eq!(s.density, 1.0);
         assert_eq!(s.bubble_slots, 0);
@@ -183,9 +180,7 @@ mod tests {
 
     #[test]
     fn fully_zero_layer_skips_all_channels() {
-        let mut qw = layer(4, 4, 1);
-        qw.w.iter_mut().for_each(|w| *w = Sm8::ZERO);
-        qw.invalidate_caches();
+        let qw = layer_of(4, 4, vec![Sm8::ZERO; 4 * 4 * 9]);
         let s = LayerPackingStats::analyze("zero", &qw, &config());
         assert_eq!(s.skipped_channels, 4);
         assert_eq!(s.skipped_share(), 1.0);

@@ -408,6 +408,7 @@ mod tests {
     use proptest::prelude::*;
     use zskip_hls::Variant;
     use zskip_nn::eval::synthetic_inputs;
+    use zskip_nn::conv::QuantConvWeights;
     use zskip_nn::model::{Network, SyntheticModelConfig};
     use zskip_quant::DensityProfile;
 
@@ -484,9 +485,13 @@ mod tests {
     #[test]
     fn a_panicking_image_fails_alone_and_its_worker_carries_on_with_a_fresh_arena() {
         let good = small_qnet(8);
-        // Filters cut short: the kernels index past them and panic.
+        // Filters over one input channel more than the image has: the
+        // kernels assert the channel count and panic.
         let mut broken = small_qnet(8);
-        broken.conv[0].weights.w.truncate(1);
+        let c0 = &broken.conv[0].weights;
+        let w = vec![zskip_quant::Sm8::MAX; c0.out_c * (c0.in_c + 1) * c0.k * c0.k];
+        let wider = QuantConvWeights::new(c0.out_c, c0.in_c + 1, c0.k, w, c0.bias_acc().to_vec(), c0.requant(), c0.relu());
+        broken.conv[0].weights = wider;
         let inputs = synthetic_inputs(13, 3, good.spec.input);
         let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Cpu);
         let want = run_one(&driver, &good, &inputs[0]).expect("runs");

@@ -40,6 +40,14 @@ fn weights(out_c: usize, in_c: usize, zero_every: usize) -> QuantConvWeights {
     )
 }
 
+/// `qw` with its weights edited by `edit`: another layer, built through
+/// `new`.
+fn with_weights(qw: &QuantConvWeights, edit: impl FnOnce(&mut [Sm8])) -> QuantConvWeights {
+    let mut w = qw.w().to_vec();
+    edit(&mut w);
+    QuantConvWeights::new(qw.out_c, qw.in_c, qw.k, w, qw.bias_acc().to_vec(), qw.requant(), qw.relu())
+}
+
 /// Builds the bank image, scratchpad and instruction stream for a conv
 /// layer (pre-padded input resident, single stripe), runs the cycle
 /// backend and returns (output tensor, cycles).
@@ -198,21 +206,21 @@ fn four_cycle_floor_limits_sparse_speedup() {
     let cfg = config();
     let input = input_tensor(4, 16, 16);
 
-    let mut nearly_empty = weights(4, 4, usize::MAX);
     // Keep exactly one non-zero weight per (o, i) filter.
-    for o in 0..4 {
-        for i in 0..4 {
-            for ky in 0..3 {
-                for kx in 0..3 {
-                    if !(ky == 1 && kx == 1) {
-                        let idx = ((o * 4 + i) * 3 + ky) * 3 + kx;
-                        nearly_empty.w[idx] = Sm8::ZERO;
+    let nearly_empty = with_weights(&weights(4, 4, usize::MAX), |w| {
+        for o in 0..4 {
+            for i in 0..4 {
+                for ky in 0..3 {
+                    for kx in 0..3 {
+                        if !(ky == 1 && kx == 1) {
+                            let idx = ((o * 4 + i) * 3 + ky) * 3 + kx;
+                            w[idx] = Sm8::ZERO;
+                        }
                     }
                 }
             }
         }
-    }
-    nearly_empty.invalidate_caches();
+    });
     let (out1, one_cycles) = run_conv(&cfg, &nearly_empty, &input);
     assert_eq!(out1, conv2d_quant_dense(&input, &nearly_empty, 1, 1));
 
@@ -227,17 +235,12 @@ fn four_cycle_floor_limits_sparse_speedup() {
 #[test]
 fn fully_pruned_group_writes_bias_only_tiles() {
     let cfg = config();
-    let mut qw = weights(4, 4, 5);
-    qw.w.iter_mut().for_each(|w| *w = Sm8::ZERO);
-    qw.invalidate_caches();
-    qw.relu = false;
-    qw.requant = Requantizer::IDENTITY;
-    qw.bias_acc = vec![7, -3, 0, 120];
+    let qw = QuantConvWeights::new(4, 4, 3, vec![Sm8::ZERO; 4 * 4 * 9], vec![7, -3, 0, 120], Requantizer::IDENTITY, false);
     let input = input_tensor(4, 8, 8);
     let (got, _) = run_conv(&cfg, &qw, &input);
     for o in 0..4 {
         for v in got.channel(o) {
-            assert_eq!(v.to_i32() as i64, qw.bias_acc[o]);
+            assert_eq!(v.to_i32() as i64, qw.bias_acc()[o]);
         }
     }
 }
@@ -330,8 +333,8 @@ fn counters_record_macs_and_bubbles() {
         ofm_tile_rows: 2,
         wgt_base: 0,
         bias: [0; 4],
-        requant_mult: qw.requant.mult as u16,
-        requant_shift: qw.requant.shift as u8,
+        requant_mult: qw.requant().mult as u16,
+        requant_shift: qw.requant().shift as u8,
         relu: true,
         active_lanes: 4,
     });
@@ -400,8 +403,8 @@ fn mixed_stream(cfg: &AccelConfig) -> MixedStream {
             ofm_tile_rows: conv_out.tile_rows as u16,
             wgt_base: 0,
             bias: [1, -2, 3, -4],
-            requant_mult: qw.requant.mult as u16,
-            requant_shift: qw.requant.shift as u8,
+            requant_mult: qw.requant().mult as u16,
+            requant_shift: qw.requant().shift as u8,
             relu: true,
             active_lanes: 4,
         }),
@@ -419,8 +422,7 @@ fn mixed_stream(cfg: &AccelConfig) -> MixedStream {
         }),
     ];
 
-    let mut qw_bias = qw.clone();
-    qw_bias.bias_acc = vec![1, -2, 3, -4];
+    let qw_bias = QuantConvWeights::new(qw.out_c, qw.in_c, qw.k, qw.w().to_vec(), vec![1, -2, 3, -4], qw.requant(), qw.relu());
     let want = zskip_nn::pool::maxpool_quant(&conv2d_quant_dense(&input, &qw_bias, 1, 1), 2, 2);
     MixedStream { banks, gw, stream, pool_out, want }
 }
@@ -581,14 +583,14 @@ fn a_failed_item_fails_the_pass_with_its_own_error() {
     // Four instructions, the second alone over the cycle limit (the
     // others' groups are fully pruned: a marker per position and done).
     let cfg = config();
-    let mut qw = weights(16, 8, usize::MAX);
     let per_group = 4 * 8 * 9;
-    for (i, w) in qw.w.iter_mut().enumerate() {
-        if i / per_group != 1 {
-            *w = Sm8::ZERO;
+    let qw = with_weights(&weights(16, 8, usize::MAX), |w| {
+        for (i, w) in w.iter_mut().enumerate() {
+            if i / per_group != 1 {
+                *w = Sm8::ZERO;
+            }
         }
-    }
-    qw.invalidate_caches();
+    });
     let (banks, scratchpad, instrs, _) = conv_workload(&cfg, &qw, &input_tensor(8, 8, 8));
     let items = chunked(&instrs, &scratchpad, u32::MAX);
     assert_eq!(items.len(), 4);
@@ -640,11 +642,11 @@ mod split_properties {
         ) {
             let cfg = AccelConfig::for_variant(variant);
             let out_c = (groups * cfg.lanes).saturating_sub(ragged % cfg.lanes).max(1);
-            let mut qw = weights(out_c, in_c, zero_every);
             // `pruned` past the last group prunes none.
             let per_group = cfg.lanes * in_c * 9;
-            qw.w.iter_mut().skip(pruned * per_group).take(per_group).for_each(|w| *w = Sm8::ZERO);
-            qw.invalidate_caches();
+            let qw = with_weights(&weights(out_c, in_c, zero_every), |w| {
+                w.iter_mut().skip(pruned * per_group).take(per_group).for_each(|w| *w = Sm8::ZERO)
+            });
             let (banks, scratchpad, instrs, _) = conv_workload(&cfg, &qw, &input_tensor(in_c, h, w));
             let opts = RunOptions::default();
             let whole = run(&cfg, banks.clone(), &scratchpad, &instrs, &opts).expect("the whole stream runs");

@@ -524,13 +524,13 @@ fn dma_fm_stripe(
 fn permute_filters(qw: &QuantConvWeights, order: &[usize]) -> QuantConvWeights {
     let kk = qw.k * qw.k;
     let per_filter = qw.in_c * kk;
-    let mut w = Vec::with_capacity(qw.w.len());
-    let mut bias = Vec::with_capacity(qw.bias_acc.len());
+    let mut w = Vec::with_capacity(qw.w().len());
+    let mut bias = Vec::with_capacity(qw.bias_acc().len());
     for &o in order {
-        w.extend_from_slice(&qw.w[o * per_filter..(o + 1) * per_filter]);
-        bias.push(qw.bias_acc[o]);
+        w.extend_from_slice(&qw.w()[o * per_filter..(o + 1) * per_filter]);
+        bias.push(qw.bias_acc()[o]);
     }
-    QuantConvWeights::new(qw.out_c, qw.in_c, qw.k, w, bias, qw.requant, qw.relu)
+    QuantConvWeights::new(qw.out_c, qw.in_c, qw.k, w, bias, qw.requant(), qw.relu())
 }
 
 /// Un-permutes channels of an FM produced under a filter grouping.

@@ -92,7 +92,7 @@ impl ConvInstr {
     ) -> Result<ConvInstr, FieldOverflow> {
         let active = lanes.min(qw.out_c.saturating_sub(ofm_first));
         let mut bias = [0i32; 4];
-        for (b, &acc) in bias.iter_mut().take(active).zip(qw.bias_acc.iter().skip(ofm_first)) {
+        for (b, &acc) in bias.iter_mut().take(active).zip(qw.bias_acc().iter().skip(ofm_first)) {
             *b = acc.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
         }
         Ok(ConvInstr {
@@ -107,9 +107,9 @@ impl ConvInstr {
             ofm_tile_rows: narrow("ofm_tile_rows", ofm.tile_rows)?,
             wgt_base: narrow("wgt_base", wgt_base)?,
             bias,
-            requant_mult: narrow("requant_mult", qw.requant.mult as usize)?,
-            requant_shift: narrow("requant_shift", qw.requant.shift as usize)?,
-            relu: qw.relu,
+            requant_mult: narrow("requant_mult", qw.requant().mult as usize)?,
+            requant_shift: narrow("requant_shift", qw.requant().shift as usize)?,
+            relu: qw.relu(),
             active_lanes: narrow("active_lanes", active)?,
         })
     }

@@ -1,6 +1,6 @@
 //! Convolution reference operators: float and integer-exact quantized.
 
-use crate::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, Compressed};
+use crate::gemm::{conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, KernelForms};
 use crate::par::{self, ConvPool, Split};
 use crate::simd::{self, KernelTier};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -46,10 +46,10 @@ impl ConvWeights {
 /// Quantized (sign+magnitude) convolution weights plus the integer epilogue
 /// parameters; the exact operands the accelerator consumes.
 ///
-/// Construct via [`QuantConvWeights::new`]. The data fields stay public for
-/// read access; code that mutates `w` in place after construction must call
-/// [`QuantConvWeights::invalidate_caches`] so the cached nonzero counts,
-/// fingerprint and derived repacks stay truthful.
+/// A value: [`QuantConvWeights::new`] is the only way to build one, and
+/// nothing changes it afterwards, so whatever is derived from it — the
+/// nonzero counts, the fingerprint, the packed image and the kernels'
+/// forms — is built once, on first use, and stays true.
 #[derive(Debug, Clone)]
 pub struct QuantConvWeights {
     /// Output channels.
@@ -58,36 +58,18 @@ pub struct QuantConvWeights {
     pub in_c: usize,
     /// Kernel edge length.
     pub k: usize,
-    /// Quantized weights, `[o][i][ky][kx]` row-major.
-    pub w: Vec<Sm8>,
-    /// Bias in accumulator domain (already scaled by `1/(s_in * s_w)`).
-    pub bias_acc: Vec<i64>,
-    /// The multiply-shift requantizer for the output write-back.
-    pub requant: Requantizer,
-    /// Whether ReLU is fused before requantization.
-    pub relu: bool,
+    w: Vec<Sm8>,
+    bias_acc: Vec<i64>,
+    requant: Requantizer,
+    relu: bool,
     /// Cached per-`(o, i)` nonzero counts, one scan of `w` on first use.
     /// Not part of the logical value: ignored by `PartialEq`.
     nnz: OnceLock<Vec<u32>>,
     /// Cached content fingerprint. Ignored by `PartialEq` like `nnz`.
     fp: OnceLock<u64>,
-    /// Cached bias of an offset GEMM call (`crate::gemm`, "Patch bytes"),
-    /// filled on the first one. Ignored by `PartialEq` like `nnz`.
-    pub(crate) offset_bias: OnceLock<Vec<i64>>,
-    /// Cached repack of `w` into the direct kernel's channel-quad groups
-    /// (`crate::gemm`, docs/KERNELS.md "Direct convolution"), filled on
-    /// its first direct call. Ignored by `PartialEq` like `nnz`.
-    pub(crate) quad_w: OnceLock<Vec<u32>>,
-    /// Cached decode of `w` into AMX tile panels (`crate::gemm`,
-    /// docs/KERNELS.md "AMX tiles"), filled on its first tile call.
-    /// Ignored by `PartialEq` like `nnz`.
-    pub(crate) tile_w: OnceLock<Vec<u8>>,
-    /// Cached compressed form of `w` — the zeros taken out, one stream
-    /// per filter — which the lowered GEMM reads on the AMX tier
-    /// (`crate::gemm`, docs/KERNELS.md "Compressed weight stream"),
-    /// filled on its first lowered call there. Ignored by `PartialEq`
-    /// like `nnz`.
-    pub(crate) z_rows: OnceLock<Compressed>,
+    /// The forms of `w` the kernels read (`crate::gemm`). Ignored by
+    /// `PartialEq` like `nnz`.
+    forms: KernelForms,
     /// The accelerator's packed image of this layer, the last packing
     /// asked for ([`QuantConvWeights::packed`]). Ignored by `PartialEq`
     /// like `nnz`.
@@ -158,12 +140,34 @@ impl QuantConvWeights {
             relu,
             nnz: OnceLock::new(),
             fp: OnceLock::new(),
-            offset_bias: OnceLock::new(),
-            quad_w: OnceLock::new(),
-            tile_w: OnceLock::new(),
-            z_rows: OnceLock::new(),
+            forms: KernelForms::default(),
             packed: PackedSlot::default(),
         }
+    }
+
+    /// Quantized weights, `[o][i][ky][kx]` row-major.
+    pub fn w(&self) -> &[Sm8] {
+        &self.w
+    }
+
+    /// Bias in accumulator domain (already scaled by `1/(s_in * s_w)`).
+    pub fn bias_acc(&self) -> &[i64] {
+        &self.bias_acc
+    }
+
+    /// The multiply-shift requantizer for the output write-back.
+    pub fn requant(&self) -> Requantizer {
+        self.requant
+    }
+
+    /// Whether ReLU is fused before requantization.
+    pub fn relu(&self) -> bool {
+        self.relu
+    }
+
+    /// The forms of `w` the kernels read, built on their first use.
+    pub(crate) fn forms(&self) -> &KernelForms {
+        &self.forms
     }
 
     /// The layer's content fingerprint: a stable 64-bit digest of geometry,
@@ -206,21 +210,6 @@ impl QuantConvWeights {
             let kk = self.k * self.k;
             self.w.chunks(kk.max(1)).map(|f| f.iter().filter(|v| !v.is_zero()).count() as u32).collect()
         })
-    }
-
-    /// Drops this instance's cached nonzero counts, fingerprint, offset
-    /// bias, direct-kernel repack, tile panels, compressed rows and packed
-    /// image. Must be called after mutating `w` or `bias_acc` through the
-    /// public fields (e.g. re-sparsifying a layer in place); the next
-    /// query rescans and re-fingerprints the new content.
-    pub fn invalidate_caches(&mut self) {
-        self.nnz = OnceLock::new();
-        self.fp = OnceLock::new();
-        self.offset_bias = OnceLock::new();
-        self.quad_w = OnceLock::new();
-        self.tile_w = OnceLock::new();
-        self.z_rows = OnceLock::new();
-        self.packed = PackedSlot::default();
     }
 
     /// The layer's packed image for `lanes` filter lanes with or without
@@ -859,23 +848,15 @@ mod tests {
     }
 
     #[test]
-    fn nnz_cache_survives_clone_and_invalidation() {
-        let mut qw = QuantConvWeights::new(
-            1,
-            2,
-            3,
-            (0..18).map(|i| Sm8::from_i32_saturating(i % 3)).collect(),
-            vec![0],
-            Requantizer::IDENTITY,
-            false,
-        );
+    fn nnz_cache_survives_a_clone() {
+        let layer = |w: Vec<Sm8>| QuantConvWeights::new(1, 2, 3, w, vec![0], Requantizer::IDENTITY, false);
+        let qw = layer((0..18).map(|i| Sm8::from_i32_saturating(i % 3)).collect());
         assert_eq!(qw.filter_nnz(0, 0), 6);
         assert_eq!(qw.clone().filter_nnz(0, 1), 6);
-        // In-place mutation through the public field requires invalidation.
-        qw.w.iter_mut().for_each(|w| *w = Sm8::ZERO);
-        qw.invalidate_caches();
-        assert_eq!(qw.output_filter_nnz(0), 0);
-        assert_eq!(qw.density(), 0.0);
+        // Other weights are another layer, with counts of its own.
+        let zeros = layer(vec![Sm8::ZERO; 18]);
+        assert_eq!(zeros.output_filter_nnz(0), 0);
+        assert_eq!(zeros.density(), 0.0);
     }
 
     fn synthetic_qw(out_c: usize, in_c: usize, k: usize, seed: u64, relu: bool) -> QuantConvWeights {
@@ -951,3 +932,35 @@ mod tests {
         }
     }
 }
+
+/// A quantized conv layer is a value: no code outside this crate can write
+/// its contents. Each block below assigns or mutably borrows one field of
+/// [`QuantConvWeights`], and must fail to compile on that field's privacy
+/// (E0616).
+///
+/// ```compile_fail,E0616
+/// fn edit(q: &mut zskip_nn::conv::QuantConvWeights) {
+///     q.w = Vec::new();
+/// }
+/// ```
+///
+/// ```compile_fail,E0616
+/// fn edit(q: &mut zskip_nn::conv::QuantConvWeights) {
+///     q.bias_acc.push(0);
+/// }
+/// ```
+///
+/// ```compile_fail,E0616
+/// fn edit(q: &mut zskip_nn::conv::QuantConvWeights) {
+///     q.requant = zskip_quant::Requantizer::IDENTITY;
+/// }
+/// ```
+///
+/// ```compile_fail,E0616
+/// fn edit(q: &mut zskip_nn::conv::QuantConvWeights) {
+///     let relu = &mut q.relu;
+///     *relu = false;
+/// }
+/// ```
+#[cfg(doctest)]
+pub struct ImmutableLayer;

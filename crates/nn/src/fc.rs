@@ -6,10 +6,9 @@
 //! with both a float and an integer-exact quantized path so the end-to-end
 //! quantized pipeline stays self-consistent.
 
-use crate::gemm::{gemm_quant_into, GemmScratch, GemmWeights};
+use crate::gemm::{gemm_quant_into, GemmScratch, GemmWeights, KernelForms};
 use crate::par::{self, ConvPool, Split};
 use crate::simd::{self, KernelTier};
-use std::sync::OnceLock;
 use zskip_quant::{Requantizer, Sm8};
 
 /// Float fully connected weights: `w[out][in]` row-major plus bias.
@@ -32,30 +31,22 @@ impl FcWeights {
     }
 }
 
-/// Quantized fully connected weights (host-side integer path).
-///
-/// Construct via [`QuantFcWeights::new`]. Code that mutates `w` or
-/// `bias_acc` in place after construction must call
-/// [`QuantFcWeights::invalidate_caches`] so the cached offset bias stays
-/// truthful.
+/// Quantized fully connected weights (host-side integer path). A value
+/// like [`crate::conv::QuantConvWeights`]: built by
+/// [`QuantFcWeights::new`] and never changed afterwards.
 #[derive(Debug, Clone)]
 pub struct QuantFcWeights {
     /// Output features.
     pub out_features: usize,
     /// Input features.
     pub in_features: usize,
-    /// Quantized weights.
-    pub w: Vec<Sm8>,
-    /// Bias in accumulator domain.
-    pub bias_acc: Vec<i64>,
-    /// Output requantizer.
-    pub requant: Requantizer,
-    /// Whether ReLU is fused.
-    pub relu: bool,
-    /// Cached bias of an offset GEMM call (`crate::gemm`, "Patch bytes"),
-    /// filled on the first one. Not part of the logical value: ignored by
-    /// `PartialEq`.
-    pub(crate) offset_bias: OnceLock<Vec<i64>>,
+    w: Vec<Sm8>,
+    bias_acc: Vec<i64>,
+    requant: Requantizer,
+    relu: bool,
+    /// The forms of `w` the GEMM reads (`crate::gemm`). Not part of the
+    /// logical value: ignored by `PartialEq`.
+    forms: KernelForms,
 }
 
 impl PartialEq for QuantFcWeights {
@@ -81,13 +72,27 @@ impl QuantFcWeights {
     ) -> Self {
         assert_eq!(w.len(), out_features * in_features, "weight count mismatch");
         assert_eq!(bias_acc.len(), out_features, "bias count mismatch");
-        QuantFcWeights { out_features, in_features, w, bias_acc, requant, relu, offset_bias: OnceLock::new() }
+        QuantFcWeights { out_features, in_features, w, bias_acc, requant, relu, forms: KernelForms::default() }
     }
 
-    /// Drops this instance's cached offset bias. Must be called after
-    /// mutating `w` or `bias_acc` through the public fields.
-    pub fn invalidate_caches(&mut self) {
-        self.offset_bias = OnceLock::new();
+    /// Quantized weights, `[out][in]` row-major.
+    pub fn w(&self) -> &[Sm8] {
+        &self.w
+    }
+
+    /// Bias in accumulator domain.
+    pub fn bias_acc(&self) -> &[i64] {
+        &self.bias_acc
+    }
+
+    /// Output requantizer.
+    pub fn requant(&self) -> Requantizer {
+        self.requant
+    }
+
+    /// Whether ReLU is fused.
+    pub fn relu(&self) -> bool {
+        self.relu
     }
 }
 
@@ -176,32 +181,13 @@ pub fn fc_quant_pool_into(
         w: &weights.w,
         len: weights.in_features,
         bias_acc: &weights.bias_acc,
-        offset_bias: &weights.offset_bias,
+        forms: &weights.forms,
         requant: weights.requant,
         relu: weights.relu,
         compressed: None,
     };
     let (p, gemm) = ws.row_operands(input, gemm);
     gemm_quant_into(tier, pool, gemm, p, 1, out);
-}
-
-/// The scalar definition of the quantized FC forward — one sign+magnitude
-/// product at a time — kept as the oracle the GEMM form is pinned to.
-#[cfg(test)]
-pub(crate) fn fc_quant_oracle(input: &[Sm8], weights: &QuantFcWeights) -> Vec<Sm8> {
-    assert_eq!(input.len(), weights.in_features, "fc input length mismatch");
-    (0..weights.out_features)
-        .map(|o| {
-            let row = &weights.w[o * weights.in_features..(o + 1) * weights.in_features];
-            let acc: i64 = weights.bias_acc[o]
-                + row.iter().zip(input).map(|(w, x)| w.mul_exact(*x) as i64).sum::<i64>();
-            if weights.relu {
-                weights.requant.apply_relu(acc)
-            } else {
-                weights.requant.apply(acc)
-            }
-        })
-        .collect()
 }
 
 /// Numerically-stable softmax.
@@ -231,8 +217,26 @@ pub fn argmax<T: PartialOrd + Copy>(values: &[T]) -> Option<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The scalar definition of the quantized FC forward — one sign+magnitude
+    /// product at a time — kept as the oracle the GEMM form is pinned to.
+    pub(crate) fn fc_quant_oracle(input: &[Sm8], weights: &QuantFcWeights) -> Vec<Sm8> {
+        assert_eq!(input.len(), weights.in_features, "fc input length mismatch");
+        (0..weights.out_features)
+            .map(|o| {
+                let row = &weights.w[o * weights.in_features..(o + 1) * weights.in_features];
+                let acc: i64 = weights.bias_acc[o]
+                    + row.iter().zip(input).map(|(w, x)| w.mul_exact(*x) as i64).sum::<i64>();
+                if weights.relu {
+                    weights.requant.apply_relu(acc)
+                } else {
+                    weights.requant.apply(acc)
+                }
+            })
+            .collect()
+    }
 
     #[test]
     fn fc_computes_matvec_plus_bias() {
@@ -322,3 +326,35 @@ mod tests {
         assert_eq!(argmax(&[5, 5, 1]), Some(0));
     }
 }
+
+/// A quantized FC layer is a value: no code outside this crate can write
+/// its contents. Each block below assigns or mutably borrows one field of
+/// [`QuantFcWeights`], and must fail to compile on that field's privacy
+/// (E0616).
+///
+/// ```compile_fail,E0616
+/// fn edit(q: &mut zskip_nn::fc::QuantFcWeights) {
+///     q.w.clear();
+/// }
+/// ```
+///
+/// ```compile_fail,E0616
+/// fn edit(q: &mut zskip_nn::fc::QuantFcWeights) {
+///     q.bias_acc = vec![0; q.out_features];
+/// }
+/// ```
+///
+/// ```compile_fail,E0616
+/// fn edit(q: &mut zskip_nn::fc::QuantFcWeights) {
+///     let requant = &mut q.requant;
+///     requant.mult = 1;
+/// }
+/// ```
+///
+/// ```compile_fail,E0616
+/// fn edit(q: &mut zskip_nn::fc::QuantFcWeights) {
+///     q.relu = true;
+/// }
+/// ```
+#[cfg(doctest)]
+pub struct ImmutableLayer;

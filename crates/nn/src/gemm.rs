@@ -100,6 +100,24 @@ pub struct GemmScratch {
     patches: Vec<u8>,
 }
 
+/// The forms of a layer's weights that the kernels read in place of its
+/// `w` and `bias_acc`, each built on its first use and kept for the
+/// layer's life: one set per conv or FC layer, a private field of its
+/// weights. A layer never changes once built, so neither does a form; a
+/// clone of the layer keeps the forms already built.
+#[derive(Debug, Clone, Default)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) struct KernelForms {
+    /// The bias of an offset call (module docs, "Patch bytes").
+    offset_bias: OnceLock<Vec<i64>>,
+    /// The direct kernel's channel-quad groups (`direct::repack`).
+    quad_w: OnceLock<Vec<u32>>,
+    /// The AMX tiles' panels (`amx::panels`).
+    tile_w: OnceLock<Vec<u8>>,
+    /// The lowered GEMM's compressed rows on the AMX tier.
+    z_rows: OnceLock<Compressed>,
+}
+
 /// A conv layer's weights with the zeros taken out, as the lowered GEMM
 /// streams them on the AMX tier (docs/KERNELS.md, "Compressed weight
 /// stream"): one stream per filter, 64 weights of its row a group, each
@@ -402,9 +420,8 @@ pub(crate) struct GemmWeights<'a> {
     pub w: &'a [Sm8],
     pub len: usize,
     pub bias_acc: &'a [i64],
-    /// The layer's cell for the bias of an offset call, filled on its
-    /// first one ([`GemmWeights::offset`]).
-    pub offset_bias: &'a OnceLock<Vec<i64>>,
+    /// The layer's derived forms, its offset bias among them.
+    pub forms: &'a KernelForms,
     pub requant: Requantizer,
     pub relu: bool,
     /// The same rows with the zeros taken out, which the GEMM then reads
@@ -416,12 +433,12 @@ impl<'a> GemmWeights<'a> {
     /// A conv layer's filters as one GEMM's weight side.
     fn of(weights: &'a QuantConvWeights) -> Self {
         GemmWeights {
-            w: &weights.w,
+            w: weights.w(),
             len: weights.in_c * weights.k * weights.k,
-            bias_acc: &weights.bias_acc,
-            offset_bias: &weights.offset_bias,
-            requant: weights.requant,
-            relu: weights.relu,
+            bias_acc: weights.bias_acc(),
+            forms: weights.forms(),
+            requant: weights.requant(),
+            relu: weights.relu(),
             compressed: None,
         }
     }
@@ -430,10 +447,10 @@ impl<'a> GemmWeights<'a> {
     /// `bias_acc[o] − 128 · Σ_r w[o][r]`, so that the `+128` on every patch
     /// value cancels out of every sum. The weights never change once
     /// quantized, so the sums are taken once per layer, on its first
-    /// offset call, and kept in its `offset_bias` cell.
+    /// offset call, and kept with its forms.
     fn offset(self) -> Self {
         let GemmWeights { w, len, bias_acc, .. } = self;
-        let bias = self.offset_bias.get_or_init(|| {
+        let bias = self.forms.offset_bias.get_or_init(|| {
             let sum = |o: usize| w[o * len..][..len].iter().map(|w| w.to_i32() as i64).sum::<i64>();
             bias_acc.iter().enumerate().map(|(o, b)| b - 128 * sum(o)).collect()
         });
@@ -600,7 +617,7 @@ pub fn conv2d_gemm_quant_into(
     let gemm = if offset { gemm.offset() } else { gemm };
     #[cfg(target_arch = "x86_64")]
     let gemm = if tier == KernelTier::Amx && supported {
-        GemmWeights { compressed: Some(weights.z_rows.get_or_init(|| compressed::rows(weights, pool))), ..gemm }
+        GemmWeights { compressed: Some(weights.forms().z_rows.get_or_init(|| compressed::rows(weights, pool))), ..gemm }
     } else {
         gemm
     };
@@ -652,12 +669,12 @@ pub struct WeightStream {
 pub fn weight_stream(weights: &QuantConvWeights, s: Shape, stride: usize, pad: usize, tier: KernelTier) -> WeightStream {
     let (out_c, k) = (weights.out_c, weights.k);
     let len = weights.in_c * k * k;
-    let nonzero = || weights.w.iter().filter(|v| !v.is_zero()).count();
+    let nonzero = || (0..out_c).map(|o| weights.output_filter_nnz(o)).sum::<usize>();
     let kernel = kernel(tier, s, out_c, k, stride, pad);
     let bytes = match kernel {
         ConvKernel::Direct => out_c * weights.in_c.div_ceil(4) * k * k * 4,
         ConvKernel::Lowered if tier == KernelTier::Amx => out_c * len.div_ceil(64) * 8 + nonzero(),
-        _ => weights.w.len(),
+        _ => weights.w().len(),
     };
     WeightStream { kernel, bytes }
 }
@@ -885,7 +902,7 @@ mod tests {
                         for tier in KernelTier::supported() {
                             for pool in [None, Some(&pool)] {
                                 let mut out = vec![Sm8::from_bits(0x80); chunk.len() * cols];
-                                let gemm = GemmWeights { w: &w, len: 1, bias_acc: chunk, offset_bias: &OnceLock::new(), requant: r, relu, compressed: None };
+                                let gemm = GemmWeights { w: &w, len: 1, bias_acc: chunk, forms: &KernelForms::default(), requant: r, relu, compressed: None };
                                 gemm_quant_into(tier, pool, gemm, p, cols, &mut out);
                                 let got: Vec<u8> = out.iter().map(|v| v.to_bits()).collect();
                                 assert_eq!(got, want, "{r:?} relu {relu} tier {tier} {cols} columns");
@@ -1079,14 +1096,14 @@ mod tests {
             at.extend((0..h * w).filter(edge).map(|i| channel + i));
             let qw = quant_weights(out_c, in_c, k, seed);
             let fcw = quant_weights(out_c, n, 1, seed + 1);
-            let fc = crate::fc::QuantFcWeights::new(out_c, n, fcw.w.clone(), fcw.bias_acc.clone(), fcw.requant, fcw.relu);
+            let fc = crate::fc::QuantFcWeights::new(out_c, n, fcw.w().to_vec(), fcw.bias_acc().to_vec(), fcw.requant(), fcw.relu());
             let pools: Vec<ConvPool> = (1..=4).map(ConvPool::forced).collect();
             let (mut ws, mut out, mut fc_out) = (GemmScratch::default(), Tensor::zeros(1, 1, 1), Vec::new());
             for at in at {
                 let values = one_sign_bit_byte(n, at, neg_zero == 1, seed);
                 let input = Tensor::from_fn(in_c, h, w, |c, y, x| values[(c * h + y) * w + x]);
                 let conv_want = conv2d_quant_dense(&input, &qw, stride, pad);
-                let fc_want = crate::fc::fc_quant_oracle(&values, &fc);
+                let fc_want = crate::fc::tests::fc_quant_oracle(&values, &fc);
                 for tier in KernelTier::supported() {
                     for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
                         let what = format!("sign bit at {at}, tier {tier}, pool {pool:?}");

@@ -84,8 +84,8 @@ pub(super) fn panels(w: &QuantConvWeights, pool: Option<&ConvPool>) -> Vec<u8> {
     let (c, kk) = (w.in_c, w.k * w.k);
     let filter = c * kk;
     let (tiles, tile_bytes) = (w.out_c / TILE, TILE * filter);
-    let mut out = vec![0u8; w.w.len()];
-    let runs = pool.map_or(1, |pool| pool.runs(tiles, w.w.len() * DECODE_NS));
+    let mut out = vec![0u8; w.w().len()];
+    let runs = pool.map_or(1, |pool| pool.runs(tiles, w.w().len() * DECODE_NS));
     let per = tiles.div_ceil(runs);
     let out_ptr = SendPtr::new(out.as_mut_ptr());
     for_each_run(pool, runs, &|run| {
@@ -93,7 +93,7 @@ pub(super) fn panels(w: &QuantConvWeights, pool: Option<&ConvPool>) -> Vec<u8> {
         // SAFETY: runs own disjoint filter-tile ranges of `out`.
         let out = unsafe { std::slice::from_raw_parts_mut(out_ptr.add(lo), hi - lo) };
         let mut taps = vec![0u8; tile_bytes];
-        for (filters, panel) in w.w[lo..hi].chunks_exact(tile_bytes).zip(out.chunks_exact_mut(tile_bytes)) {
+        for (filters, panel) in w.w()[lo..hi].chunks_exact(tile_bytes).zip(out.chunks_exact_mut(tile_bytes)) {
             for (src, dst) in filters.chunks_exact(filter).zip(taps.chunks_exact_mut(filter)) {
                 for (tap, dst) in dst.chunks_exact_mut(c).enumerate() {
                     for (d, v) in dst.iter_mut().zip(src[tap..].iter().step_by(kk)) {
@@ -238,8 +238,8 @@ pub(super) fn conv_into(
     out.reset(weights.out_c, out_h, out_w);
     let gemm = GemmWeights::of(weights);
     let bias = if offset { gemm.offset() } else { gemm }.bias_acc;
-    let wt = weights.tile_w.get_or_init(|| panels(weights, pool));
-    let epilogue = Epilogue::new(weights.requant, weights.relu);
+    let wt = weights.forms().tile_w.get_or_init(|| panels(weights, pool));
+    let epilogue = Epilogue::new(weights.requant(), weights.relu());
     let plane = &ws.plane[..];
     let outputs = out_h * out_w;
     // Cut where the lowered GEMM of the layer would be: the tiles gain
@@ -632,7 +632,7 @@ mod tests {
                     let mut out = Tensor::zeros(1, 1, 1);
                     conv2d_gemm_quant_into(&x, &qw, 1, 0, KernelTier::Amx, None, &mut GemmScratch::default(), &mut out);
                     assert_eq!(out, want, "len {len}, weight {weight:?}, negative zero {neg_zero}");
-                    assert_eq!(qw.tile_w.get().is_some(), tiles, "len {len}: tile panels decoded");
+                    assert_eq!(qw.forms().tile_w.get().is_some(), tiles, "len {len}: tile panels decoded");
                 }
             }
         }

@@ -53,17 +53,17 @@ pub(super) fn rows(w: &QuantConvWeights, pool: Option<&ConvPool>) -> Compressed 
     starts.push(0);
     for o in 0..w.out_c {
         // SAFETY: the AMX tier's features, checked above, include these.
-        starts.push(starts[o] + groups * MASK + unsafe { nonzero(&w.w[o * len..][..len]) });
+        starts.push(starts[o] + groups * MASK + unsafe { nonzero(&w.w()[o * len..][..len]) });
     }
     let mut bytes = vec![0u8; starts[w.out_c] + GROUP];
-    let runs = pool.map_or(1, |pool| pool.runs(w.out_c, w.w.len() * BUILD_NS));
+    let runs = pool.map_or(1, |pool| pool.runs(w.out_c, w.w().len() * BUILD_NS));
     let per = w.out_c.div_ceil(runs);
     let base = SendPtr::new(bytes.as_mut_ptr());
     for_each_run(pool, runs, &|run| {
         for o in (run * per).min(w.out_c)..((run + 1) * per).min(w.out_c) {
             // SAFETY: as above; stream `o` is `starts[o]..starts[o + 1]`
             // of `bytes`, and runs own disjoint filters.
-            let end = unsafe { write_row(&w.w[o * len..][..len], base.add(starts[o])) };
+            let end = unsafe { write_row(&w.w()[o * len..][..len], base.add(starts[o])) };
             assert!(end == unsafe { base.add(starts[o + 1]) }, "filter {o} was not written as it was counted");
         }
     });
@@ -293,7 +293,7 @@ mod tests {
                 for pool in [None, Some(&ConvPool::forced(3))] {
                     let z = rows(&qw, pool);
                     assert_eq!(z.starts[out_c], want.bytes, "{in_c}x{k}x{k} at density {density}: stream bytes");
-                    for (o, row) in qw.w.chunks_exact(len).enumerate() {
+                    for (o, row) in qw.w().chunks_exact(len).enumerate() {
                         let (mut at, mut got) = (z.starts[o], Vec::new());
                         for _ in 0..z.groups {
                             let mask = u64::from_le_bytes(z.bytes[at..at + MASK].try_into().unwrap());

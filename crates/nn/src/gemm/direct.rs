@@ -67,7 +67,7 @@ fn repack(w: &QuantConvWeights) -> Vec<u32> {
     let (c, kk) = (w.in_c, w.k * w.k);
     let quads = c.div_ceil(4);
     let mut out = vec![0u32; w.out_c * quads * kk];
-    for (oc, filter) in w.w.chunks_exact(c * kk).enumerate() {
+    for (oc, filter) in w.w().chunks_exact(c * kk).enumerate() {
         for (ci, taps) in filter.chunks_exact(kk).enumerate() {
             let group = &mut out[(oc * quads + ci / 4) * kk..][..kk];
             for (g, v) in group.iter_mut().zip(taps) {
@@ -214,8 +214,8 @@ pub(super) fn conv_into(
     out.reset(weights.out_c, g.out_h, g.out_w);
     let gemm = GemmWeights::of(weights);
     let bias = if offset { gemm.offset() } else { gemm }.bias_acc;
-    let wq = weights.quad_w.get_or_init(|| repack(weights));
-    let epilogue = Epilogue::new(weights.requant, weights.relu);
+    let wq = weights.forms().quad_w.get_or_init(|| repack(weights));
+    let epilogue = Epilogue::new(weights.requant(), weights.relu());
     let plane = &ws.plane[..];
     let outputs = g.out_h * g.out_w;
     let all = weights.out_c * outputs;

@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 use zskip_nn::conv::{conv2d_quant_dense, QuantConvWeights};
+use zskip_nn::fc::QuantFcWeights;
 use zskip_nn::eval::synthetic_inputs;
 use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, ConvKernel, GemmScratch};
 use zskip_nn::par::ConvPool;
@@ -194,7 +195,7 @@ fn gemm_reduction_longer_than_one_i32_chunk_is_bit_exact_on_every_tier() {
     assert!(in_c * 9 > DOT_FLUSH_STEPS * 64 && !(in_c * 9).is_multiple_of(64));
     // Requantized finely enough that the ~1e6-sized sums do not all
     // saturate: a lost or doubled chunk has to show in the output.
-    let w = synthetic_qw(3, in_c, 3, 1.0, 21, false).w;
+    let w = synthetic_qw(3, in_c, 3, 1.0, 21, false).w().to_vec();
     let qw = QuantConvWeights::new(3, in_c, 3, w, vec![40_000, -9, 0], Requantizer::from_ratio(1.0 / 32768.0), false);
     let input = synthetic_input(in_c, 4, 5, 21);
     let oracle = conv2d_quant_dense(&input, &qw, 1, 0);
@@ -227,7 +228,7 @@ fn all_zero_weights_yield_bias_only_output_on_every_tier() {
     for tier in KernelTier::supported() {
         conv2d_gemm_quant_into(&input, &qw, 1, 1, tier, None, &mut ws, &mut out);
         for o in 0..3usize {
-            let want = qw.requant.apply(qw.bias_acc[o]).to_i32();
+            let want = qw.requant().apply(qw.bias_acc()[o]).to_i32();
             for &v in out.channel(o) {
                 assert_eq!(v.to_i32(), want, "tier {tier}, channel {o}");
             }
@@ -327,12 +328,14 @@ fn resnet18_network_is_bit_exact_on_every_tier() {
     };
     for (n, layer) in qnet.conv.iter_mut().enumerate() {
         let q = &layer.weights;
-        let mut w = q.w.clone();
+        let mut w = q.w().to_vec();
         salt(&mut w, 100 + n as u64);
-        layer.weights = QuantConvWeights::new(q.out_c, q.in_c, q.k, w, q.bias_acc.clone(), q.requant, q.relu);
+        layer.weights = QuantConvWeights::new(q.out_c, q.in_c, q.k, w, q.bias_acc().to_vec(), q.requant(), q.relu());
     }
     for (n, fc) in qnet.fc.iter_mut().enumerate() {
-        salt(&mut fc.w, 200 + n as u64);
+        let mut w = fc.w().to_vec();
+        salt(&mut w, 200 + n as u64);
+        *fc = QuantFcWeights::new(fc.out_features, fc.in_features, w, fc.bias_acc().to_vec(), fc.requant(), fc.relu());
     }
     for input in synthetic_inputs(7, 2, spec.input) {
         let want = qnet.forward_quant_scratch(&input, &mut Scratch::with_tier(KernelTier::Scalar)).to_vec();
@@ -409,32 +412,65 @@ fn compressed_rows_are_bit_exact_at_every_density_and_length() {
     }
 }
 
-/// The compressed rows are a cache of the weights, like every derived
-/// form: after a warm call on the AMX tier, the layer's weights are
-/// ternarized in place. Until `invalidate_caches` the lowered GEMM still
-/// reads the rows it compressed — the old weights' output — and after
-/// it, the new weights'.
+/// A layer is a value: the forms the kernels derive from its weights —
+/// the offset bias, the direct kernel's quad repack, the tile panels and
+/// the compressed rows — are built on its first call and belong to it.
+/// Three 3x3 layers of an 8-bit net, over a 16x16 plane (direct, and
+/// tiles for the 64-channel, 16-filter third) and a 2x2 one (lowered,
+/// compressed on the AMX tier), on signed (offset) and ReLU inputs, are
+/// run on every tier first; then three kinds of layer that a stale form
+/// would give away are held to the dense scan on every tier, inline and
+/// on 2 workers: the same net's ternary layers, a clone of each warmed
+/// layer, and a layer of each warmed one's geometry, with other weights,
+/// built after the warmed one is dropped.
 #[test]
-fn ternarizing_after_a_warm_call_needs_invalidate_caches_to_drop_the_compressed_rows() {
-    if !KernelTier::Amx.is_supported() {
-        return;
-    }
-    let mut qw = synthetic_qw(32, 512, 3, 0.29, 11, true);
-    let input = relu(&synthetic_input(512, 2, 2, 11));
-    let old = conv2d_quant_dense(&input, &qw, 1, 1);
+fn a_layer_built_after_warm_layers_reads_only_its_own_forms() {
+    let conv = |name: &str, in_c, out_c| LayerSpec::Conv { name: name.into(), in_c, out_c, k: 3, stride: 1, pad: 1, relu: true };
+    let spec = NetworkSpec {
+        name: "t16".into(),
+        input: zskip_tensor::Shape::new(3, 16, 16),
+        layers: vec![conv("c1", 3, 8), conv("c2", 8, 64), conv("c3", 64, 16)],
+    };
+    let x = Tensor::from_fn(3, 16, 16, |c, y, x| (((c * 256 + y * 16 + x) as f32) * 0.37).sin());
+    let net = Network::synthetic(spec, &SyntheticModelConfig::default());
+    let eight = net.quantize(std::slice::from_ref(&x));
+    let ternary = net.quantize_ternary(&[x]);
+    let inputs = |c: usize| {
+        [16, 2].into_iter().flat_map(move |hw| {
+            let signed = synthetic_input(c, hw, hw, hw as u64);
+            [relu(&signed), signed]
+        })
+    };
     let pool = ConvPool::new(2);
-    let (mut ws, mut out) = (GemmScratch::default(), Tensor::zeros(1, 1, 1));
-    conv2d_gemm_quant_into(&input, &qw, 1, 1, KernelTier::Amx, Some(&pool), &mut ws, &mut out);
-    assert_eq!(out, old, "warm call");
-    for w in &mut qw.w {
-        let v = w.to_i32();
-        *w = if v.abs() > 48 { Sm8::from_i32_saturating(v.signum() * 64) } else { Sm8::ZERO };
+    let held = |qw: &QuantConvWeights, what: &str| {
+        for input in inputs(qw.in_c) {
+            let want = conv2d_quant_dense(&input, qw, 1, 1);
+            let hw = input.shape().w;
+            for tier in KernelTier::supported() {
+                assert_eq!(conv2d_gemm_quant_tier(&input, qw, 1, 1, tier), want, "{what}, {hw}x{hw}, tier {tier}");
+                assert_eq!(conv2d_gemm_quant_pool(&input, qw, 1, 1, tier, &pool), want, "{what}, {hw}x{hw}, tier {tier}, pool");
+            }
+        }
+    };
+    for (layer, tiles) in eight.conv.iter().zip([false, false, true]) {
+        let [wide, narrow] = [16, 2].map(|hw| zskip_tensor::Shape::new(layer.weights.in_c, hw, hw));
+        let kernel = |s, tier| zskip_nn::gemm::weight_stream(&layer.weights, s, 1, 1, tier).kernel;
+        assert_eq!(kernel(wide, KernelTier::Amx), if tiles { ConvKernel::Tiles } else { ConvKernel::Direct });
+        assert_eq!(kernel(wide, KernelTier::Avx512), ConvKernel::Direct);
+        assert_eq!(kernel(narrow, KernelTier::Amx), ConvKernel::Lowered);
+        held(&layer.weights, "the warm call");
     }
-    let new = conv2d_quant_dense(&input, &qw, 1, 1);
-    assert_ne!(new, old, "ternarizing moved no output");
-    conv2d_gemm_quant_into(&input, &qw, 1, 1, KernelTier::Amx, Some(&pool), &mut ws, &mut out);
-    assert_eq!(out, old, "before invalidate_caches: the rows compressed from the old weights");
-    qw.invalidate_caches();
-    conv2d_gemm_quant_into(&input, &qw, 1, 1, KernelTier::Amx, Some(&pool), &mut ws, &mut out);
-    assert_eq!(out, new, "after invalidate_caches: the ternary weights");
+    for (layer, t) in eight.conv.iter().zip(&ternary.conv) {
+        assert_ne!(layer.weights.w(), t.weights.w());
+        held(&t.weights, "the same net's ternary layer");
+        held(&layer.weights.clone(), "a clone of a warmed layer");
+    }
+    for layer in eight.conv {
+        let q = layer.weights;
+        let ternarized = q.w().iter().map(|w| w.to_i32()).map(|v| if v.abs() > 48 { v.signum() * 64 } else { 0 });
+        let w = ternarized.map(Sm8::from_i32_saturating).collect();
+        let (out_c, in_c, k, bias, requant, fused) = (q.out_c, q.in_c, q.k, q.bias_acc().to_vec(), q.requant(), q.relu());
+        drop(q);
+        held(&QuantConvWeights::new(out_c, in_c, k, w, bias, requant, fused), "a layer built after a warmed one was dropped");
+    }
 }

@@ -156,7 +156,7 @@ fn vgg16_32_amx_conv_weight_stream_is_pinned() {
     for (layer, (_, l, s)) in qnet.conv.iter().zip(spec.conv_layers()) {
         let &zskip_nn::LayerSpec::Conv { stride, pad, .. } = l else { unreachable!("a conv layer") };
         let stream = weight_stream(&layer.weights, s, stride, pad, KernelTier::Amx);
-        dense += layer.weights.w.len();
+        dense += layer.weights.w().len();
         streams.push((stream.kernel.name(), stream.bytes));
     }
     let want = [
@@ -179,5 +179,5 @@ fn vgg16_32_amx_conv_weight_stream_is_pinned() {
     assert_eq!(streams.iter().map(|(_, b)| b).sum::<usize>(), 10_877_185, "conv weight bytes per image");
     // conv5_x: the compressed rows are under half their dense weights.
     assert_eq!(streams[10..].iter().map(|(_, b)| b).sum::<usize>(), 3_244_033);
-    assert_eq!(qnet.conv[10..].iter().map(|l| l.weights.w.len()).sum::<usize>(), 7_077_888);
+    assert_eq!(qnet.conv[10..].iter().map(|l| l.weights.w().len()).sum::<usize>(), 7_077_888);
 }
