@@ -24,6 +24,12 @@
 //!    layer-pipelined placement's single-image latency and hidden
 //!    weight-staging against image-parallel at N = 4.
 //!
+//! The batch and serve figures are medians over ten pairs of a raw batch
+//! round and a served round, alternating which goes first, each round
+//! repeating its 48-image burst for 0.1 s (and a sequential round behind
+//! each pair): one ≈ 25 ms burst per figure swung by a fifth from run to
+//! run. The paced points are one burst each.
+//!
 //! Kernel-level timings live in `kernel_bench` / `BENCH_kernels.json`.
 //!
 //! ```sh
@@ -125,8 +131,8 @@ struct ServeResult {
     points: Vec<ServePoint>,
     best_images_per_s: f64,
     raw_images_per_s: f64,
-    /// Best served throughput over the raw batch engine's (`--check`
-    /// gates the median of paired rounds instead).
+    /// The median of the paired rounds' served / raw ratios (what
+    /// `--check` gates).
     efficiency: f64,
 }
 
@@ -248,39 +254,32 @@ fn cpu_session() -> Session {
     Session::builder(AccelConfig::for_variant(Variant::U256Opt)).backend(BackendKind::Cpu).build().expect("valid config")
 }
 
-fn bench_batch(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>]) -> BatchResult {
+/// The batch section from the paired rounds: the raw engine's and the
+/// sequential loop's median round, and the one burst's simulated cycles.
+/// The batch's outputs must equal the sequential ones.
+fn bench_batch(qnet: &QuantizedNetwork, inputs: &[Tensor<f32>], rounds: &mut Rounds) -> BatchResult {
     let images = inputs.len();
     let session = cpu_session();
-    // Weight packing and the stats memo are first-image costs of the
-    // process, not of either engine.
-    session.infer(qnet, &inputs[0]).expect("fits");
-
-    let t0 = Instant::now();
     let report = session.run_batch(qnet, inputs).expect("fits");
-    let wall_s = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let sequential: Vec<_> = inputs.iter().map(|i| session.infer(qnet, i).expect("fits")).collect();
-    let sequential_wall_s = t0.elapsed().as_secs_f64();
-    for (par, seq) in report.items.iter().zip(&sequential) {
-        assert_eq!(par.output, seq.output, "batch must be bit-identical to sequential");
+    for (par, input) in report.items.iter().zip(inputs) {
+        assert_eq!(par.output, session.infer(qnet, input).expect("fits").output, "batch must be bit-identical to sequential");
     }
-
+    let images_per_s = median(&mut rounds.raw);
+    let sequential_images_per_s = median(&mut rounds.sequential);
     BatchResult {
         images,
         workers: report.workers,
-        wall_s,
-        images_per_s: images as f64 / wall_s,
-        sim_cycles_per_s: report.total_cycles() as f64 / wall_s,
-        sequential_wall_s,
-        sequential_images_per_s: images as f64 / sequential_wall_s,
-        parallel_speedup: sequential_wall_s / wall_s,
+        wall_s: images as f64 / images_per_s,
+        images_per_s,
+        sim_cycles_per_s: report.total_cycles() as f64 * images_per_s / images as f64,
+        sequential_wall_s: images as f64 / sequential_images_per_s,
+        sequential_images_per_s,
+        parallel_speedup: images_per_s / sequential_images_per_s,
     }
 }
 
-/// Offers `offered` requests to a fresh engine, paced at
-/// `offered_per_s` (infinite = all at once, the saturation point), and
-/// measures served throughput and latency percentiles. Pacing is what
+/// Offers `offered` requests to a fresh engine, paced at `offered_per_s`,
+/// and measures served throughput and latency percentiles. Pacing is what
 /// makes p50/p99 meaningful: a burst submitted in a tight loop makes the
 /// median latency half the burst's wall time, whereas spaced arrivals
 /// measure what each request actually waited (queueing + service).
@@ -290,18 +289,10 @@ fn serve_point(
     offered: usize,
     offered_per_s: f64,
 ) -> ServePoint {
-    let session = Session::builder(AccelConfig::for_variant(Variant::U256Opt))
-        .backend(BackendKind::Cpu)
-        .build()
-        .expect("valid config");
-    let engine = ServeEngine::start(session, Arc::clone(qnet));
+    let engine = ServeEngine::start(cpu_session(), Arc::clone(qnet));
     let handle = engine.handle();
     let (tx, rx) = mpsc::channel();
-    let gap = if offered_per_s.is_finite() {
-        Duration::from_secs_f64(1.0 / offered_per_s)
-    } else {
-        Duration::ZERO
-    };
+    let gap = Duration::from_secs_f64(1.0 / offered_per_s);
     let t0 = Instant::now();
     for i in 0..offered {
         // Pace against the absolute schedule, not the previous submit:
@@ -330,25 +321,25 @@ fn serve_point(
     }
 }
 
-/// Offered-load sweep: paced arrivals at 0.5x and 0.9x of the measured
-/// batch-engine capacity (where latency percentiles measure queueing),
-/// plus one unpaced saturation burst for the efficiency comparison.
-fn bench_serve(
-    qnet: &Arc<QuantizedNetwork>,
-    inputs: &[Tensor<f32>],
-    raw_images_per_s: f64,
-) -> ServeResult {
-    let points: Vec<ServePoint> = [0.5, 0.9, f64::INFINITY]
-        .into_iter()
-        .map(|frac| serve_point(qnet, inputs, inputs.len(), raw_images_per_s * frac))
-        .collect();
+/// Offered-load sweep: paced arrivals at 0.5x and 0.9x of the raw batch
+/// engine's median round (where latency percentiles measure queueing),
+/// plus the saturation point, the served side of the paired rounds
+/// (medians), whose median ratio to the raw side is the efficiency.
+fn bench_serve(qnet: &Arc<QuantizedNetwork>, inputs: &[Tensor<f32>], rounds: &mut Rounds) -> ServeResult {
+    let raw_images_per_s = median(&mut rounds.raw);
+    let mut points: Vec<ServePoint> =
+        [0.5, 0.9].into_iter().map(|frac| serve_point(qnet, inputs, inputs.len(), raw_images_per_s * frac)).collect();
+    let saturated = median(&mut rounds.served);
+    points.push(ServePoint {
+        offered: inputs.len(),
+        offered_per_s: f64::INFINITY,
+        wall_s: inputs.len() as f64 / saturated,
+        images_per_s: saturated,
+        p50_us: median(&mut rounds.p50_us) as u64,
+        p99_us: median(&mut rounds.p99_us) as u64,
+    });
     let best_images_per_s = points.iter().map(|p| p.images_per_s).fold(0.0, f64::max);
-    ServeResult {
-        points,
-        best_images_per_s,
-        raw_images_per_s,
-        efficiency: best_images_per_s / raw_images_per_s,
-    }
+    ServeResult { points, best_images_per_s, raw_images_per_s, efficiency: median(&mut rounds.ratios) }
 }
 
 /// Runs the placement scheduler over N simulated instances and reports
@@ -443,10 +434,10 @@ fn timed_round(images: usize, mut burst: impl FnMut()) -> f64 {
     done as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// One served `--check` round: the whole burst submitted to one resident
-/// engine and drained, again and again for [`ROUND_S`]. Returns the
-/// round's images per second and its p99 request latency.
-fn served_round(qnet: &Arc<QuantizedNetwork>, inputs: &[Tensor<f32>]) -> (f64, u64) {
+/// One served round: the whole burst submitted to one resident engine
+/// and drained, again and again for [`ROUND_S`]. Returns the round's
+/// images per second and its p50 and p99 request latencies.
+fn served_round(qnet: &Arc<QuantizedNetwork>, inputs: &[Tensor<f32>]) -> (f64, u64, u64) {
     let engine = ServeEngine::start(cpu_session(), Arc::clone(qnet));
     let handle = engine.handle();
     let images_per_s = timed_round(inputs.len(), || {
@@ -459,7 +450,67 @@ fn served_round(qnet: &Arc<QuantizedNetwork>, inputs: &[Tensor<f32>]) -> (f64, u
         assert_eq!(replies.len(), inputs.len(), "every submitted request completes");
         assert!(replies.iter().all(|r| r.result.is_ok()), "check requests must succeed");
     });
-    (images_per_s, engine.join().p99_us())
+    let stats = engine.join();
+    (images_per_s, stats.p50_us(), stats.p99_us())
+}
+
+/// Pairs of rounds [`paired_rounds`] runs.
+const PAIRS: usize = 10;
+
+/// Per-round figures of [`paired_rounds`], in pair order.
+#[derive(Default)]
+struct Rounds {
+    /// The raw batch engine's images per second.
+    raw: Vec<f64>,
+    /// The serving daemon's images per second, p50 and p99 latencies.
+    served: Vec<f64>,
+    p50_us: Vec<f64>,
+    p99_us: Vec<f64>,
+    /// Each pair's served / raw.
+    ratios: Vec<f64>,
+    /// The one-image-at-a-time loop's images per second, a round after
+    /// each pair (none under `--check`).
+    sequential: Vec<f64>,
+}
+
+/// [`PAIRS`] pairs of a raw batch round and a served round on `inputs`,
+/// alternating which goes first, each round repeating its burst for
+/// [`ROUND_S`] (and, with `sequential`, a round of one `infer` after
+/// another behind each pair). The two rounds of a pair run back to back,
+/// so a change in the host's speed between pairs moves both sides of a
+/// ratio; the figures recorded are medians over the pairs. The layers'
+/// packed images and the stats record are warmed first, so no round pays
+/// them.
+fn paired_rounds(qnet: &Arc<QuantizedNetwork>, inputs: &[Tensor<f32>], sequential: bool) -> Rounds {
+    let session = cpu_session();
+    session.infer(qnet, &inputs[0]).expect("fits");
+    let raw_round = || {
+        timed_round(inputs.len(), || {
+            session.run_batch(qnet, inputs).expect("fits");
+        })
+    };
+    let mut rounds = Rounds::default();
+    for pair in 0..PAIRS {
+        let ((served, p50, p99), raw) = if pair % 2 == 0 {
+            let raw = raw_round();
+            (served_round(qnet, inputs), raw)
+        } else {
+            (served_round(qnet, inputs), raw_round())
+        };
+        rounds.raw.push(raw);
+        rounds.served.push(served);
+        rounds.p50_us.push(p50 as f64);
+        rounds.p99_us.push(p99 as f64);
+        rounds.ratios.push(served / raw);
+        if sequential {
+            rounds.sequential.push(timed_round(inputs.len(), || {
+                for input in inputs {
+                    session.infer(qnet, input).expect("fits");
+                }
+            }));
+        }
+    }
+    rounds
 }
 
 /// The median of `values`, which it sorts.
@@ -478,36 +529,12 @@ fn median(values: &mut [f64]) -> f64 {
 /// holds is the daemon's own cost per request (the queue, the input
 /// copy, the reply); the sharding floors are deterministic.
 fn check() -> ! {
-    // A burst the default queue depth (64) admits whole.
-    let (qnet, inputs) = resnet18_workload(48);
-    let session = cpu_session();
-    // Warm the layers' packed images and the stats record so neither side
-    // pays them, then run ten pairs of rounds, alternating which side goes
-    // first, and gate on the median of the pairs' served / raw ratios. The
-    // two rounds of a pair run back to back, so a change in the host's
-    // speed between pairs moves both sides of a ratio; best against best
+    // A burst the default queue depth (64) admits whole. Gated on the
+    // median of the pairs' served / raw ratios: best against best
     // compared rounds from different moments, and the raw side's best
     // moves by a third from run to run with the host.
-    session.infer(&qnet, &inputs[0]).expect("fits");
-
-    let raw_round = || {
-        timed_round(inputs.len(), || {
-            session.run_batch(&qnet, &inputs).expect("fits");
-        })
-    };
-    let (mut raw, mut served, mut p99_us, mut ratios) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for pair in 0..10 {
-        let ((served_images_per_s, p99), raw_images_per_s) = if pair % 2 == 0 {
-            let raw = raw_round();
-            (served_round(&qnet, &inputs), raw)
-        } else {
-            (served_round(&qnet, &inputs), raw_round())
-        };
-        raw.push(raw_images_per_s);
-        served.push(served_images_per_s);
-        p99_us.push(p99 as f64);
-        ratios.push(served_images_per_s / raw_images_per_s);
-    }
+    let (qnet, inputs) = resnet18_workload(48);
+    let Rounds { mut raw, mut served, mut p99_us, mut ratios, .. } = paired_rounds(&qnet, &inputs, false);
     let listed: Vec<String> = ratios.iter().map(|r| format!("{r:.2}")).collect();
     println!("check: served / raw batch per pair, raw first in even pairs: {}", listed.join(" "));
     let efficiency = median(&mut ratios);
@@ -548,8 +575,9 @@ fn main() {
     }
 
     let (qnet, inputs) = resnet18_workload(48);
-    let batch = bench_batch(&qnet, &inputs);
-    let serve = bench_serve(&qnet, &inputs, batch.images_per_s);
+    let mut rounds = paired_rounds(&qnet, &inputs, true);
+    let batch = bench_batch(&qnet, &inputs, &mut rounds);
+    let serve = bench_serve(&qnet, &inputs, &mut rounds);
     let (vgg16, images) = vgg16_workload(8);
     let sharding = bench_sharding(&vgg16, &images);
     let bench = Bench { batch, serve, sharding };
@@ -558,7 +586,7 @@ fn main() {
     text.push_str("Batch + serve + sharding throughput\n\n");
     let b = &bench.batch;
     text.push_str(&format!(
-        "batch: {} x resnet18-32 (cpu backend), {} worker(s): {:.1} images/s, {:.1}M sim cycles/s\n",
+        "batch: {} x resnet18-32 (cpu backend), {} worker(s): {:.1} images/s, {:.1}M sim cycles/s (medians of {PAIRS} rounds)\n",
         b.images,
         b.workers,
         b.images_per_s,
@@ -581,7 +609,7 @@ fn main() {
         ));
     }
     text.push_str(&format!(
-        "       saturated best {:.1} images/s = {:.2}x of the raw batch engine\n\n",
+        "       saturated best {:.1} images/s; served / raw batch engine {:.2}x (median of {PAIRS} paired rounds)\n\n",
         bench.serve.best_images_per_s, bench.serve.efficiency
     ));
     text.push_str("sharding: placement scheduler over N instances (vgg16-32, simulated time)\n");

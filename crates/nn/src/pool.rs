@@ -1,14 +1,14 @@
 //! Max-pooling operators (float and quantized).
 //!
-//! The quantized kernel, [`maxpool_quant_into`], is what the golden model
-//! and the cpu backend run: each output row reads its `k` input rows as
-//! slices and takes branch-free signed-byte maxima, down the columns and
-//! then across each window (docs/KERNELS.md, "Maxpool"). It replaced a
-//! loop that indexed the input tensor per element and compared through
-//! `Sm8`'s `Ord`; that loop is kept as the allocating oracle
-//! [`maxpool_quant`].
+//! The quantized kernel, [`maxpool_quant_tier_into`], is what the golden
+//! model and the cpu backend run: a run of output rows reads its input
+//! rows as slices and takes branch-free signed-byte maxima, down the
+//! columns and then across each window, vector on the AVX-512 tiers
+//! (docs/KERNELS.md, "Max-pool and join"). The indexed loop it replaced,
+//! which compared through `Sm8`'s `Ord`, is kept as the allocating
+//! oracle [`maxpool_quant`].
 
-use std::ops::Range;
+use crate::simd::{self, KernelTier};
 use zskip_quant::Sm8;
 use zskip_tensor::Tensor;
 
@@ -58,57 +58,91 @@ pub fn maxpool_quant(input: &Tensor<Sm8>, k: usize, stride: usize) -> Tensor<Sm8
     out
 }
 
-/// Input columns one vertical pass of [`maxpool_quant_into`] covers: the
-/// stack buffer their maxima live in.
+/// Input columns one vertical pass of [`maxpool_quant_tier_into`]
+/// covers: the stack buffer their maxima live in.
 const POOL_COLS: usize = 256;
 
 /// Quantized max pooling into a caller-owned tensor, reshaped in place
-/// and reused across calls (the scratch-arena inference path). Equal to
-/// [`maxpool_quant`] on every input; a zero maximum is always encoded
-/// `+0`.
-///
-/// Works a channel's output row at a time on the slice of the `k` input
-/// rows it reads, in two branch-free passes over signed bytes (Sm8's value
-/// order is `i8`'s): the maximum down each input column the row's windows
-/// cover, then across each window of those column maxima, re-encoded.
+/// and reused across calls, at the process-wide tier
+/// ([`simd::dispatch`]): [`maxpool_quant_tier_into`] for callers without
+/// an arena.
 pub fn maxpool_quant_into(input: &Tensor<Sm8>, k: usize, stride: usize, out: &mut Tensor<Sm8>) {
+    maxpool_quant_tier_into(input, k, stride, simd::dispatch(), out);
+}
+
+/// Quantized max pooling at `tier` (the scratch-arena inference path).
+/// Equal to [`maxpool_quant`] on every input and tier; a zero maximum is
+/// always encoded `+0`.
+///
+/// Works a run of output rows at a time on the slices of the input rows
+/// they read, in two branch-free passes over signed bytes (Sm8's value
+/// order is `i8`'s): the maximum down each input column the rows' windows
+/// cover, then across each window of those column maxima, re-encoded.
+/// Where windows tile the rows (`k == stride`), consecutive rows' column
+/// maxima read as one row, so a pass takes as many short rows as fill its
+/// buffer; where they also tile the planes, the tensor is one plane. On
+/// the AVX-512 tiers the first pass is vector for every `k` and `stride`,
+/// the second for `k = stride = 2` (docs/KERNELS.md, "Max-pool and join").
+pub fn maxpool_quant_tier_into(input: &Tensor<Sm8>, k: usize, stride: usize, tier: KernelTier, out: &mut Tensor<Sm8>) {
+    let vector = cfg!(target_arch = "x86_64") && tier.runs_avx512();
     match k {
-        2 => pool_rows::<2>(input, k, stride, out),
-        3 => pool_rows::<3>(input, k, stride, out),
-        _ => pool_rows::<0>(input, k, stride, out),
+        2 => pool_rows::<2>(input, k, stride, vector, out),
+        3 => pool_rows::<3>(input, k, stride, vector, out),
+        _ => pool_rows::<0>(input, k, stride, vector, out),
     }
 }
 
-/// [`maxpool_quant_into`]'s body. `K == k` makes a window a fixed-size
-/// slice the compiler unrolls; `K == 0` takes `k` as it comes.
-fn pool_rows<const K: usize>(input: &Tensor<Sm8>, k: usize, stride: usize, out: &mut Tensor<Sm8>) {
+/// [`maxpool_quant_tier_into`]'s body. `K == k` makes a window a
+/// fixed-size slice the compiler unrolls; `K == 0` takes `k` as it comes.
+fn pool_rows<const K: usize>(input: &Tensor<Sm8>, k: usize, stride: usize, vector: bool, out: &mut Tensor<Sm8>) {
     let k = if K == 0 { k } else { K };
     let s = input.shape();
     assert!(s.h >= k && s.w >= k, "pool window {k} larger than input {s}");
     let out_h = (s.h - k) / stride + 1;
     let out_w = (s.w - k) / stride + 1;
     out.reset(s.c, out_h, out_w);
-    // Outputs per pass: as many whole windows as the buffer holds.
-    let per = POOL_COLS.saturating_sub(k) / stride + 1;
+    if s.c == 0 {
+        return;
+    }
+    // Windows that tile every plane's rows leave no row between planes:
+    // the tensor is then one plane of `c * h` rows.
+    let plane_h = if k == stride && s.h.is_multiple_of(stride) { s.c * s.h } else { s.h };
+    let plane_out_h = (plane_h - k) / stride + 1;
+    let span = (out_w - 1) * stride + k;
     let mut buf = [0i8; POOL_COLS];
-    let planes = input.as_slice().chunks_exact(s.h * s.w);
-    for (plane, out_plane) in planes.zip(out.as_mut_slice().chunks_exact_mut(out_h * out_w)) {
+    let planes = input.as_slice().chunks_exact(plane_h * s.w);
+    for (plane, out_plane) in planes.zip(out.as_mut_slice().chunks_exact_mut(plane_out_h * out_w)) {
+        if span <= POOL_COLS {
+            // Rows per pass: one, or as many as fill the buffer where
+            // windows tile the rows, so that output `i` of the run reads
+            // column maxima `i * stride..i * stride + k` across row ends.
+            let per = if k == stride { POOL_COLS / span } else { 1 };
+            for (g, outs) in out_plane.chunks_mut(per * out_w).enumerate() {
+                let col_max = &mut buf[..outs.len() / out_w * span];
+                let rows = Rows { w: s.w, k, stride, col: 0, span };
+                column_max(vector, &plane[g * per * stride * s.w..], rows, col_max);
+                window_max::<K>(vector, col_max, k, stride, outs);
+            }
+            continue;
+        }
+        // Rows wider than the buffer: a row's outputs a buffer at a time.
+        let per = POOL_COLS.saturating_sub(k) / stride + 1;
         for (y, out_row) in out_plane.chunks_exact_mut(out_w).enumerate() {
             let rows = &plane[y * stride * s.w..][..k * s.w];
             for (x0, outs) in (0..).step_by(per).zip(out_row.chunks_mut(per)) {
                 let cols = x0 * stride..x0 * stride + (outs.len() - 1) * stride + k;
                 if cols.len() <= POOL_COLS {
-                    let col_max = column_max(rows, s.w, cols, &mut buf);
-                    for (x, o) in outs.iter_mut().enumerate() {
-                        let m = col_max[x * stride..][..k].iter().fold(-127, |m, &v| v.max(m));
-                        *o = Sm8::from_i32_saturating(m as i32);
-                    }
+                    let col_max = &mut buf[..cols.len()];
+                    column_max(vector, rows, Rows { w: s.w, k, stride, col: cols.start, span: cols.len() }, col_max);
+                    window_max::<K>(vector, col_max, k, stride, outs);
                 } else {
                     // One window wider than the buffer (`k > POOL_COLS`):
                     // its columns a buffer at a time.
                     let end = cols.end;
                     let m = cols.step_by(POOL_COLS).fold(-127, |m, c| {
-                        column_max(rows, s.w, c..end.min(c + POOL_COLS), &mut buf).iter().fold(m, |m, &v| v.max(m))
+                        let col_max = &mut buf[..(end - c).min(POOL_COLS)];
+                        column_max(vector, rows, Rows { w: s.w, k, stride, col: c, span: col_max.len() }, col_max);
+                        col_max.iter().fold(m, |m, &v| v.max(m))
                     });
                     outs[0] = Sm8::from_i32_saturating(m as i32);
                 }
@@ -117,19 +151,165 @@ fn pool_rows<const K: usize>(input: &Tensor<Sm8>, k: usize, stride: usize, out: 
     }
 }
 
-/// The maximum down each of columns `cols` of `rows` (rows `w` values
-/// wide), decoded to signed bytes, in the front of `buf`.
-fn column_max<'b>(rows: &[Sm8], w: usize, cols: Range<usize>, buf: &'b mut [i8; POOL_COLS]) -> &'b [i8] {
-    // Reset whole: a fixed-size store, where a fill of `cols.len()` is a
-    // call.
-    *buf = [-127; POOL_COLS];
-    let col_max = &mut buf[..cols.len()];
-    for row in rows.chunks_exact(w) {
-        for (m, v) in col_max.iter_mut().zip(&row[cols.clone()]) {
-            *m = (*m).max(v.decode_i16() as i8);
+/// What a vertical pass reads: input rows `w` values wide, `k` of them
+/// for each output row, output rows `stride` input rows apart, and of
+/// each `span` columns from `col` on.
+#[derive(Clone, Copy)]
+struct Rows {
+    w: usize,
+    k: usize,
+    stride: usize,
+    col: usize,
+    span: usize,
+}
+
+/// The vertical pass: into `col_max`, `span` values per output row, the
+/// maximum down each column the output row's `k` input rows cover,
+/// decoded to signed bytes; the output rows' input rows start at
+/// `input`'s first.
+fn column_max(vector: bool, input: &[Sm8], r: Rows, col_max: &mut [i8]) {
+    #[cfg(target_arch = "x86_64")]
+    if vector {
+        // SAFETY: `vector` holds only where the AVX-512 tier's features
+        // are present, and `input` holds every row the output rows read,
+        // each from `r.col` to `r.col + r.span`.
+        return unsafe { avx512::column_max(input, r, col_max) };
+    }
+    let _ = vector;
+    col_max.fill(-127);
+    for (j, col_max) in col_max.chunks_mut(r.span).enumerate() {
+        for row in input[j * r.stride * r.w..][..r.k * r.w].chunks_exact(r.w) {
+            for (m, v) in col_max.iter_mut().zip(&row[r.col..]) {
+                *m = (*m).max(v.decode_i16() as i8);
+            }
         }
     }
-    col_max
+}
+
+/// The horizontal pass: output `x` is the maximum of
+/// `col_max[x * stride..][..k]`, encoded.
+fn window_max<const K: usize>(vector: bool, col_max: &[i8], k: usize, stride: usize, outs: &mut [Sm8]) {
+    #[cfg(target_arch = "x86_64")]
+    if vector && k == 2 && stride == 2 {
+        // SAFETY: as in `column_max`; `col_max` holds two columns per
+        // output.
+        return unsafe { avx512::pairs_max(col_max, outs) };
+    }
+    let _ = vector;
+    let k = if K == 0 { k } else { K };
+    for (x, o) in outs.iter_mut().enumerate() {
+        let m = col_max[x * stride..][..k].iter().fold(-127, |m, &v| v.max(m));
+        *o = Sm8::from_i32_saturating(m as i32);
+    }
+}
+
+/// The two passes 64 bytes a step on 512-bit registers: AVX-512F + BW.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
+    use crate::simd::x86::decode_i8;
+    use std::arch::x86_64::*;
+
+    /// The byte lanes `0..n` of a 64-byte register (all of them from 64
+    /// on).
+    fn first(n: usize) -> __mmask64 {
+        if n >= 64 {
+            !0
+        } else {
+            (1u64 << n) - 1
+        }
+    }
+
+    /// [`super::column_max`]: rows of a 2x2/2 pool at most 64 wide (and
+    /// even) several row pairs a step, see [`row_pairs_max`]; any other
+    /// geometry an output row at a time, each 64-column step loading the
+    /// step's columns of the `k` rows, decoding them and keeping the
+    /// lane-wise maximum.
+    ///
+    /// # Safety
+    /// AVX-512F and BW must be present, and `input` must hold every row
+    /// the output rows read, each from `r.col` to `r.col + r.span`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn column_max(input: &[Sm8], r: Rows, col_max: &mut [i8]) {
+        if (r.k, r.stride, r.col) == (2, 2, 0) && r.span == r.w && r.w.is_multiple_of(2) && r.w <= 64 {
+            return row_pairs_max(input, r.w, col_max);
+        }
+        for (j, col_max) in col_max.chunks_mut(r.span).enumerate() {
+            let rows = &input[j * r.stride * r.w..][..r.k * r.w];
+            debug_assert!(r.col + col_max.len() <= r.w);
+            for c in (0..col_max.len()).step_by(64) {
+                let lanes = first(col_max.len() - c);
+                let mut m = _mm512_set1_epi8(-127);
+                for row in rows.chunks_exact(r.w) {
+                    let v = _mm512_maskz_loadu_epi8(lanes, row.as_ptr().add(r.col + c).cast());
+                    m = _mm512_max_epi8(m, decode_i8(v));
+                }
+                _mm512_mask_storeu_epi8(col_max.as_mut_ptr().add(c), lanes, m);
+            }
+        }
+    }
+
+    /// The vertical pass of a 2x2/2 pool on rows `w <= 64` wide (`w`
+    /// even, so a column pair is one 16-bit word): a step loads the 128
+    /// bytes of `64 / w` row pairs into two registers, and `vpermi2w`
+    /// gathers the pairs' upper rows into one register and their lower
+    /// rows into another, each the step's `64 / w * w` columns in order;
+    /// both are decoded and their maximum stored — column maxima of
+    /// `64 / w` output rows a step, where a step per output row would
+    /// take 4 of 64 lanes on a 4x4 plane.
+    ///
+    /// # Safety
+    /// As [`column_max`]'s.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn row_pairs_max(input: &[Sm8], w: usize, col_max: &mut [i8]) {
+        let (pairs, half) = (64 / w, w / 2);
+        // Word `i` of a step's output is column pair `i % half` of row
+        // pair `i / half`, whose upper row starts at word `i / half * w`:
+        // word `i + i / half * half` of the step, its lower row's `half`
+        // words on. `i / half` is `2i * ⌈2¹⁵ / half⌉ >> 16`, exact for
+        // `i < 2¹⁰`. Words past the step's last pair read words the
+        // stores mask off.
+        let iota = _mm512_loadu_si512(std::array::from_fn::<u16, 32, _>(|i| i as u16).as_ptr().cast());
+        let reciprocal = _mm512_set1_epi16(32768usize.div_ceil(half) as u16 as i16);
+        let row_pair = _mm512_mulhi_epu16(_mm512_add_epi16(iota, iota), reciprocal);
+        let upper = _mm512_add_epi16(iota, _mm512_mullo_epi16(row_pair, _mm512_set1_epi16(half as i16)));
+        let lower = _mm512_add_epi16(upper, _mm512_set1_epi16(half as i16));
+        let n = col_max.len() / w;
+        debug_assert!(input.len() >= 2 * w * n);
+        for p in (0..n).step_by(pairs) {
+            let bytes = 2 * w * (n - p).min(pairs);
+            let src = input.as_ptr().add(2 * w * p);
+            let a = _mm512_maskz_loadu_epi8(first(bytes), src.cast());
+            // Masked off whole where the step is 64 bytes or fewer: the
+            // pointer is then never read.
+            let b = _mm512_maskz_loadu_epi8(first(bytes.saturating_sub(64)), src.wrapping_add(64).cast());
+            let up = decode_i8(_mm512_permutex2var_epi16(a, upper, b));
+            let down = decode_i8(_mm512_permutex2var_epi16(a, lower, b));
+            _mm512_mask_storeu_epi8(col_max.as_mut_ptr().add(w * p), first(bytes / 2), _mm512_max_epi8(up, down));
+        }
+    }
+
+    /// [`super::window_max`] at `k = stride = 2`: a column pair is one
+    /// 16-bit lane, so its two bytes sign-extend in place to two `i16`
+    /// lanes, the larger is re-encoded (magnitude, sign bit where
+    /// negative, so a zero is `+0`) and narrowed to its output byte —
+    /// 32 outputs a step.
+    ///
+    /// # Safety
+    /// AVX-512F and BW must be present, and `col_max` must hold
+    /// `2 * outs.len()` columns.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn pairs_max(col_max: &[i8], outs: &mut [Sm8]) {
+        debug_assert!(col_max.len() >= 2 * outs.len());
+        for x in (0..outs.len()).step_by(32) {
+            let n = (outs.len() - x).min(32);
+            let v = _mm512_maskz_loadu_epi8(first(2 * n), col_max.as_ptr().add(2 * x));
+            let m = _mm512_max_epi16(_mm512_srai_epi16::<8>(_mm512_slli_epi16::<8>(v)), _mm512_srai_epi16::<8>(v));
+            let mag = _mm512_abs_epi16(m);
+            let bits = _mm512_mask_add_epi16(mag, _mm512_movepi16_mask(m), mag, _mm512_set1_epi16(0x80));
+            _mm512_mask_cvtepi16_storeu_epi8(outs.as_mut_ptr().add(x).cast(), first(n) as __mmask32, bits);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -165,31 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn row_kernel_matches_the_indexed_oracle_over_every_bit_pattern() {
-        // Ragged planes (window rows and columns left over), every k and
-        // stride 1-3, one dirty output reused throughout; the inputs cycle
-        // through all 256 bit patterns (both zeros and -127 included) at
-        // shifting offsets, so every pattern meets every window position.
-        let mut out = Tensor::from_fn(2, 9, 9, |_, _, _| Sm8::from_bits(0x33));
-        for (c, h, w) in [(4, 9, 11), (3, 7, 7), (2, 3, 5), (1, 1, 1), (5, 8, 6)] {
-            for seed in 0..8usize {
-                let input = Tensor::from_fn(c, h, w, |c, y, x| {
-                    Sm8::from_bits(((c * h * w + y * w + x) * (2 * seed + 1) + 37 * seed) as u8)
-                });
-                for (k, stride) in (1..=3).flat_map(|k| (1..=3).map(move |s| (k, s))) {
-                    if h < k || w < k {
-                        continue;
-                    }
-                    let want = maxpool_quant(&input, k, stride);
-                    maxpool_quant_into(&input, k, stride, &mut out);
-                    assert_eq!(out, want, "{c}x{h}x{w} k={k} stride={stride} seed={seed}");
-                    assert!(out.as_slice().iter().all(|v| v.to_bits() != 0x80), "zero encoded 0x80");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn row_kernel_handles_rows_and_windows_wider_than_its_buffer() {
         // Rows of several buffer passes (ragged last pass), and windows
         // wider than the buffer, which are folded a buffer at a time.
@@ -197,8 +352,11 @@ mod tests {
         for (c, h, w, k, stride) in [(2, 5, 600, 2, 2), (1, 4, 700, 3, 1), (1, 260, 300, 258, 20), (1, 300, 300, 300, 300)]
         {
             let input = Tensor::from_fn(c, h, w, |c, y, x| Sm8::from_bits((c * 7 + y * 13 + x * 101) as u8));
-            maxpool_quant_into(&input, k, stride, &mut out);
-            assert_eq!(out, maxpool_quant(&input, k, stride), "{c}x{h}x{w} k={k} stride={stride}");
+            let want = maxpool_quant(&input, k, stride);
+            for tier in KernelTier::supported() {
+                maxpool_quant_tier_into(&input, k, stride, tier, &mut out);
+                assert_eq!(out, want, "{c}x{h}x{w} k={k} stride={stride} tier {tier}");
+            }
         }
     }
 
@@ -206,8 +364,10 @@ mod tests {
     fn row_kernel_encodes_a_zero_maximum_as_positive_zero() {
         let input = Tensor::from_fn(1, 2, 2, |_, y, x| if (y + x) % 2 == 0 { Sm8::NEG_ZERO } else { Sm8::MIN });
         let mut out = Tensor::zeros(1, 1, 1);
-        maxpool_quant_into(&input, 2, 2, &mut out);
-        assert_eq!(out[(0, 0, 0)].to_bits(), 0);
+        for tier in KernelTier::supported() {
+            maxpool_quant_tier_into(&input, 2, 2, tier, &mut out);
+            assert_eq!(out[(0, 0, 0)].to_bits(), 0, "tier {tier}");
+        }
     }
 
     proptest! {

@@ -591,6 +591,16 @@ pub(crate) mod x86 {
     use super::Sm8;
     use std::arch::x86_64::*;
 
+    /// Sm8 bytes decoded to two's-complement `i8` lanes: read as `i8`, a
+    /// sign-set byte is `mag - 128`, and its value `-mag` is `-128 - x`,
+    /// which takes negative zero to 0. Two operations for 64 values; the
+    /// weight loads and the max-pool (`crate::pool`) share it.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(crate) unsafe fn decode_i8(x: __m512i) -> __m512i {
+        _mm512_mask_sub_epi8(x, _mm512_movepi8_mask(x), _mm512_set1_epi8(-128), x)
+    }
+
     /// Sum of the four `i32` lanes.
     #[inline]
     #[target_feature(enable = "sse2")]
@@ -726,10 +736,7 @@ pub(crate) mod x86 {
         #[inline]
         #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]
         pub unsafe fn load_w(w: *const Sm8) -> __m512i {
-            // Read as `i8`, a sign-set byte is `mag - 128`; its value
-            // `-mag` is then `-128 - x`, which takes negative zero to 0.
-            let x = _mm512_loadu_si512(w as *const _);
-            _mm512_mask_sub_epi8(x, _mm512_movepi8_mask(x), _mm512_set1_epi8(-128), x)
+            decode_i8(_mm512_loadu_si512(w as *const _))
         }
         #[inline]
         #[target_feature(enable = "avx512f,avx512bw,avx512vnni,avx512dq")]

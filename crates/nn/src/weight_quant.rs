@@ -1,5 +1,6 @@
 //! The 8-bit weight quantizer behind [`crate::Network::quantize`]: a
-//! layer's max-abs scan and its rounding to sign+magnitude.
+//! layer's max-abs scan and its rounding to sign+magnitude. The plan walk
+//! rounds the network input with the same [`quantize`].
 //!
 //! [`QuantParams::from_max_abs`]'s fold and [`QuantParams::quantize`] are
 //! the one definition of both, the oracle and the body of every tier

@@ -8,12 +8,14 @@
 
 use proptest::prelude::*;
 use zskip_nn::conv::{conv2d_quant_dense, QuantConvWeights};
+use zskip_nn::eltwise::{add_quant_into, add_quant_phase1, add_quant_phase2};
 use zskip_nn::fc::QuantFcWeights;
 use zskip_nn::eval::synthetic_inputs;
 use zskip_nn::gemm::{conv2d_gemm_quant_into, conv2d_gemm_quant_pool, conv2d_gemm_quant_tier, ConvKernel, GemmScratch};
 use zskip_nn::par::ConvPool;
+use zskip_nn::pool::{maxpool_quant, maxpool_quant_tier_into};
 use zskip_nn::simd::{dot_nt, KernelTier, DOT_FLUSH_STEPS};
-use zskip_nn::{LayerSpec, Network, NetworkSpec, Scratch, SyntheticModelConfig};
+use zskip_nn::{LayerSpec, Network, NetworkSpec, QuantizedNetwork, Scales, Scratch, SyntheticModelConfig, WeightCode};
 use zskip_quant::{DensityProfile, Requantizer, Sm8};
 use zskip_tensor::Tensor;
 
@@ -472,5 +474,86 @@ fn a_layer_built_after_warm_layers_reads_only_its_own_forms() {
         let (out_c, in_c, k, bias, requant, fused) = (q.out_c, q.in_c, q.k, q.bias_acc().to_vec(), q.requant(), q.relu());
         drop(q);
         held(&QuantConvWeights::new(out_c, in_c, k, w, bias, requant, fused), "a layer built after a warmed one was dropped");
+    }
+}
+
+/// The max-pool's row kernel on every tier against the indexed oracle
+/// `maxpool_quant`: k and stride 1–3, every width 1–130 (the vector
+/// passes' 64-column steps, their masked tails and the rows a pass packs
+/// side by side), heights that leave window rows over and that tile the
+/// planes (which then run as one plane), on 1 and 3 channels. The inputs
+/// cycle through all 256 bit patterns, negative zero and -127 included,
+/// at a per-shape offset; a zero maximum must come out `+0`, never `0x80`.
+#[test]
+fn maxpool_rows_match_the_oracle_on_every_tier() {
+    let tiers = KernelTier::supported();
+    let mut out = Tensor::from_fn(2, 3, 3, |_, _, _| Sm8::from_bits(0x33));
+    for k in 1..=3 {
+        for stride in 1..=3 {
+            for w in k..=130 {
+                for (c, h) in [(1, k), (3, 2 * stride + k), (3, 3 * k)] {
+                    let input = Tensor::from_fn(c, h, w, |c, y, x| {
+                        Sm8::from_bits(((c * h + y) * w + x + 7 * w + 3 * k) as u8 ^ (y as u8 & 0x80))
+                    });
+                    let want = maxpool_quant(&input, k, stride);
+                    for &tier in &tiers {
+                        maxpool_quant_tier_into(&input, k, stride, tier, &mut out);
+                        assert_eq!(out, want, "{c}x{h}x{w} k={k} stride={stride} tier {tier}");
+                        assert!(out.as_slice().iter().all(|v| v.to_bits() != 0x80), "zero encoded 0x80, tier {tier}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The residual join on every tier against its two-phase definition, on
+/// all 256 × 256 operand bit-pattern pairs, ReLU on and off, for every
+/// pair of requantizers drawn from ratios 2⁻⁸ to 2⁸, the last ratios
+/// whose table fits `i16` (127 · 258 = 32766; 65535 / 2⁸ rounds 127 ·
+/// that to 32512) and the first past it (127 · 259 = 32893; 33026 / 2⁷:
+/// 32768 exactly), and the multiplier's extremes. A pair with one table
+/// past `i16` takes the `i32` path whole.
+#[test]
+fn residual_join_matches_the_two_phases_on_every_tier() {
+    let a = Tensor::from_fn(1, 256, 256, |_, y, _| Sm8::from_bits(y as u8));
+    let b = Tensor::from_fn(1, 256, 256, |_, _, x| Sm8::from_bits(x as u8));
+    let mut requants: Vec<Requantizer> = [-8, -3, -1, 0, 1, 4, 8].map(|e| Requantizer::from_ratio(2f64.powi(e))).into();
+    requants.push(Requantizer::from_ratio(1.37));
+    requants.extend([(258, 0), (65535, 8), (259, 0), (33026, 7), (65535, 0), (65535, 63), (1, 1)].map(|(mult, shift)| Requantizer { mult, shift }));
+    let bits = |t: &Tensor<Sm8>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let tiers = KernelTier::supported();
+    let (mut acc, mut want, mut got) = (Vec::new(), Tensor::zeros(1, 1, 1), Tensor::from_fn(1, 3, 3, |_, _, _| Sm8::MAX));
+    for &ra in &requants {
+        add_quant_phase1(&a, ra, &mut acc);
+        for &rb in &requants {
+            for relu in [false, true] {
+                add_quant_phase2(&b, rb, relu, &acc, &mut want);
+                let want = bits(&want);
+                for &tier in &tiers {
+                    add_quant_into(&a, &b, ra, rb, relu, tier, &mut got);
+                    assert!(bits(&got) == want, "{ra:?} + {rb:?}, relu {relu}, tier {tier}");
+                }
+            }
+        }
+    }
+}
+
+/// VGG-16-32 as the CLI builds it, through `forward_quant_scratch` on
+/// every tier: the input quantizer, GEMMs, pools and FCs of each tier
+/// give the scalar tier's bytes.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a VGG-16-32 synthesis and six forward passes: run with --release (scripts/verify.sh does)")]
+fn vgg16_network_is_bit_exact_on_every_tier() {
+    let spec = zskip_nn::vgg16::vgg16_scaled_spec(32);
+    let convs = spec.layers.iter().filter(|l| matches!(l, LayerSpec::Conv { .. })).count();
+    let config = SyntheticModelConfig { seed: 1, density: DensityProfile::uniform(convs, 0.35) };
+    let calib = synthetic_inputs(2, 1, spec.input);
+    let qnet = QuantizedNetwork::synthetic(&spec, &config, Scales::Calibrate(&calib), WeightCode::Int8);
+    for input in synthetic_inputs(3, 2, spec.input) {
+        let want = qnet.forward_quant_scratch(&input, &mut Scratch::with_tier(KernelTier::Scalar)).to_vec();
+        for tier in KernelTier::supported() {
+            assert_eq!(qnet.forward_quant_scratch(&input, &mut Scratch::with_tier(tier)), &want[..], "tier {tier}");
+        }
     }
 }

@@ -40,9 +40,10 @@ timeout 120 "$bin"/zskip trace | diff -u tests/golden/trace.txt - \
 timeout 300 cargo run -q --release --example waveforms | diff -u tests/golden/waveforms.txt - \
   || { echo "verify: the waveforms example differs from tests/golden/waveforms.txt"; exit 1; }
 
-# Kernel dispatch matrix: the SIMD bit-exactness property tests — and the
-# crate's own exactness suites for the lowering, the block epilogue, the
-# maxpool and the fused join against their oracles — must pass both at
+# Kernel dispatch matrix: the SIMD bit-exactness property tests (the
+# max-pool and the join against their oracles among them) — and the
+# crate's own exactness suites for the lowering and the block epilogue
+# against theirs — must pass both at
 # the host's native tier and pinned to the scalar oracle tier (the tests
 # themselves iterate every reachable tier; pinning the env override
 # exercises the ZSKIP_KERNEL fallback path end to end).
@@ -62,6 +63,11 @@ ZSKIP_KERNEL=avx512 cargo test -q -p zskip-nn --lib --test kernel_tiers
 # 2³² `f32` bit patterns at three scales (≈ 35 s on two cores, the scalar
 # oracle's share most of it).
 cargo test -q --release -p zskip-nn --lib -- --include-ignored boxmuller weight_quant
+
+# VGG-16-32 as the CLI builds it through `forward_quant_scratch` on every
+# tier against the scalar one (input quantizer, GEMMs, pools, FCs; the
+# test is ignored in debug builds).
+cargo test -q --release -p zskip-nn --test kernel_tiers -- --include-ignored vgg16_network
 
 # The activation scales of the CLI recipe, bit for bit, on ResNet-18-32
 # and VGG-16-32 (the VGG-16 calibration pass is ignored in debug builds).
