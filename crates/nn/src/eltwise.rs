@@ -157,10 +157,15 @@ pub fn add_quant_into(
     if tier.runs_avx512() {
         // `apply_raw` is odd in its operand and non-decreasing, so each
         // operand's rescale is a table of the 128 magnitudes, largest at
-        // 127.
+        // 127. Of a magnitude `m` it is `(m · mult + half) >> shift`,
+        // `half` being 0 at shift 0: the form below, without the sign and
+        // clamp branches, so that the compiler vectorizes it.
         let magnitudes = |r: Requantizer| -> Option<[i16; 128]> {
+            (r.shift < 64).then_some(())?;
             i16::try_from(r.apply_raw(127)).ok()?;
-            Some(std::array::from_fn(|m| r.apply_raw(m as i64) as i16))
+            // SAFETY: the tier's features (AVX-512F and BW among them)
+            // are present.
+            Some(unsafe { avx512::magnitudes(r) })
         };
         if let (Some(ta), Some(tb)) = (magnitudes(ra), magnitudes(rb)) {
             // SAFETY: the tier's features (AVX-512F and BW among them)
@@ -196,6 +201,18 @@ mod avx512 {
         let high = _mm512_permutex2var_epi16(t[1][0], bits, t[1][1]);
         let v = _mm512_mask_mov_epi16(low, _mm512_test_epi16_mask(bits, _mm512_set1_epi16(0x40)), high);
         _mm512_mask_sub_epi16(v, _mm512_test_epi16_mask(bits, _mm512_set1_epi16(0x80)), _mm512_setzero_si512(), v)
+    }
+
+    /// `(m · mult + half) >> shift` for the magnitudes `m` 0–127, `half`
+    /// being `2^(shift − 1)` (0 at shift 0), compiled for 512-bit
+    /// registers.
+    ///
+    /// # Safety
+    /// AVX-512F and BW must be present, and `r.shift` below 64.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn magnitudes(r: Requantizer) -> [i16; 128] {
+        let (mult, half) = (u64::from(r.mult), (1u64 << r.shift) >> 1);
+        std::array::from_fn(|m| ((m as u64 * mult + half) >> r.shift) as i16)
     }
 
     /// A 128-entry `i16` table as four 32-lane registers.
