@@ -157,15 +157,10 @@ pub fn add_quant_into(
     if tier.runs_avx512() {
         // `apply_raw` is odd in its operand and non-decreasing, so each
         // operand's rescale is a table of the 128 magnitudes, largest at
-        // 127. Of a magnitude `m` it is `(m · mult + half) >> shift`,
-        // `half` being 0 at shift 0: the form below, without the sign and
-        // clamp branches, so that the compiler vectorizes it.
+        // 127.
         let magnitudes = |r: Requantizer| -> Option<[i16; 128]> {
-            (r.shift < 64).then_some(())?;
             i16::try_from(r.apply_raw(127)).ok()?;
-            // SAFETY: the tier's features (AVX-512F and BW among them)
-            // are present.
-            Some(unsafe { avx512::magnitudes(r) })
+            Some(std::array::from_fn(|m| r.apply_raw(m as i64) as i16))
         };
         if let (Some(ta), Some(tb)) = (magnitudes(ra), magnitudes(rb)) {
             // SAFETY: the tier's features (AVX-512F and BW among them)
@@ -188,6 +183,7 @@ pub fn add_quant_into(
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::*;
+    use crate::simd::x86::{encode_i16, first};
     use std::arch::x86_64::*;
 
     /// An operand's 32 bit patterns (zero-extended to `i16` lanes)
@@ -201,18 +197,6 @@ mod avx512 {
         let high = _mm512_permutex2var_epi16(t[1][0], bits, t[1][1]);
         let v = _mm512_mask_mov_epi16(low, _mm512_test_epi16_mask(bits, _mm512_set1_epi16(0x40)), high);
         _mm512_mask_sub_epi16(v, _mm512_test_epi16_mask(bits, _mm512_set1_epi16(0x80)), _mm512_setzero_si512(), v)
-    }
-
-    /// `(m · mult + half) >> shift` for the magnitudes `m` 0–127, `half`
-    /// being `2^(shift − 1)` (0 at shift 0), compiled for 512-bit
-    /// registers.
-    ///
-    /// # Safety
-    /// AVX-512F and BW must be present, and `r.shift` below 64.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub(super) unsafe fn magnitudes(r: Requantizer) -> [i16; 128] {
-        let (mult, half) = (u64::from(r.mult), (1u64 << r.shift) >> 1);
-        std::array::from_fn(|m| ((m as u64 * mult + half) >> r.shift) as i16)
     }
 
     /// A 128-entry `i16` table as four 32-lane registers.
@@ -241,8 +225,7 @@ mod avx512 {
         let (ta, tb) = (load_table(ta), load_table(tb));
         let (lo, hi) = (_mm512_set1_epi16(lo), _mm512_set1_epi16(127));
         for i in (0..out.len()).step_by(64) {
-            let n = out.len() - i;
-            let lanes = if n >= 64 { !0 } else { (1u64 << n) - 1 };
+            let lanes = first(out.len() - i);
             let va = _mm512_maskz_loadu_epi8(lanes, a.as_ptr().add(i).cast());
             let vb = _mm512_maskz_loadu_epi8(lanes, b.as_ptr().add(i).cast());
             let halves = [
@@ -255,10 +238,8 @@ mod avx512 {
                     rescale(_mm512_cvtepu8_epi16(hb), &tb),
                 );
                 let v = _mm512_min_epi16(_mm512_max_epi16(sum, lo), hi);
-                let mag = _mm512_abs_epi16(v);
-                let bits = _mm512_mask_add_epi16(mag, _mm512_movepi16_mask(v), mag, _mm512_set1_epi16(0x80));
                 let keep = (lanes >> (32 * h)) as __mmask32;
-                _mm512_mask_cvtepi16_storeu_epi8(out.as_mut_ptr().add(i + 32 * h).cast(), keep, bits);
+                _mm512_mask_cvtepi16_storeu_epi8(out.as_mut_ptr().add(i + 32 * h).cast(), keep, encode_i16(v));
             }
         }
     }

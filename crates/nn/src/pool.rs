@@ -207,18 +207,8 @@ fn window_max<const K: usize>(vector: bool, col_max: &[i8], k: usize, stride: us
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::*;
-    use crate::simd::x86::decode_i8;
+    use crate::simd::x86::{decode_i8, encode_i16, first};
     use std::arch::x86_64::*;
-
-    /// The byte lanes `0..n` of a 64-byte register (all of them from 64
-    /// on).
-    fn first(n: usize) -> __mmask64 {
-        if n >= 64 {
-            !0
-        } else {
-            (1u64 << n) - 1
-        }
-    }
 
     /// [`super::column_max`]: rows of a 2x2/2 pool at most 64 wide (and
     /// even) several row pairs a step, see [`row_pairs_max`]; any other
@@ -291,9 +281,8 @@ mod avx512 {
 
     /// [`super::window_max`] at `k = stride = 2`: a column pair is one
     /// 16-bit lane, so its two bytes sign-extend in place to two `i16`
-    /// lanes, the larger is re-encoded (magnitude, sign bit where
-    /// negative, so a zero is `+0`) and narrowed to its output byte —
-    /// 32 outputs a step.
+    /// lanes, the larger is re-encoded (`encode_i16`: a zero is `+0`)
+    /// and narrowed to its output byte — 32 outputs a step.
     ///
     /// # Safety
     /// AVX-512F and BW must be present, and `col_max` must hold
@@ -305,9 +294,7 @@ mod avx512 {
             let n = (outs.len() - x).min(32);
             let v = _mm512_maskz_loadu_epi8(first(2 * n), col_max.as_ptr().add(2 * x));
             let m = _mm512_max_epi16(_mm512_srai_epi16::<8>(_mm512_slli_epi16::<8>(v)), _mm512_srai_epi16::<8>(v));
-            let mag = _mm512_abs_epi16(m);
-            let bits = _mm512_mask_add_epi16(mag, _mm512_movepi16_mask(m), mag, _mm512_set1_epi16(0x80));
-            _mm512_mask_cvtepi16_storeu_epi8(outs.as_mut_ptr().add(x).cast(), first(n) as __mmask32, bits);
+            _mm512_mask_cvtepi16_storeu_epi8(outs.as_mut_ptr().add(x).cast(), first(n) as __mmask32, encode_i16(m));
         }
     }
 }

@@ -601,6 +601,29 @@ pub(crate) mod x86 {
         _mm512_mask_sub_epi8(x, _mm512_movepi8_mask(x), _mm512_set1_epi8(-128), x)
     }
 
+    /// The inverse for `i16` lanes in -127..=127: each lane's Sm8 bit
+    /// pattern (magnitude, plus 0x80 where negative, so a zero is `+0`)
+    /// in its low byte, for `_mm512_mask_cvtepi16_storeu_epi8` to narrow
+    /// to the output bytes. The max-pool and the residual join
+    /// (`crate::eltwise`) share it.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(crate) unsafe fn encode_i16(v: __m512i) -> __m512i {
+        let mag = _mm512_abs_epi16(v);
+        _mm512_mask_add_epi16(mag, _mm512_movepi16_mask(v), mag, _mm512_set1_epi16(0x80))
+    }
+
+    /// The byte lanes `0..n` of a 64-byte register (all of them from 64
+    /// on): the mask of a step's masked loads and stores.
+    #[inline]
+    pub(crate) fn first(n: usize) -> __mmask64 {
+        if n >= 64 {
+            !0
+        } else {
+            (1u64 << n) - 1
+        }
+    }
+
     /// Sum of the four `i32` lanes.
     #[inline]
     #[target_feature(enable = "sse2")]

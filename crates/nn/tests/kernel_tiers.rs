@@ -480,10 +480,12 @@ fn a_layer_built_after_warm_layers_reads_only_its_own_forms() {
 /// The max-pool's row kernel on every tier against the indexed oracle
 /// `maxpool_quant`: k and stride 1–3, every width 1–130 (the vector
 /// passes' 64-column steps, their masked tails and the rows a pass packs
-/// side by side), heights that leave window rows over and that tile the
-/// planes (which then run as one plane), on 1 and 3 channels. The inputs
-/// cycle through all 256 bit patterns, negative zero and -127 included,
-/// at a per-shape offset; a zero maximum must come out `+0`, never `0x80`.
+/// side by side), heights that leave window rows over (at `k == stride`
+/// too, where each plane's leftover rows must be skipped) and that tile
+/// the planes (which then run as one plane), on 1 and 3 channels. The
+/// inputs cycle through all 256 bit patterns, negative zero and -127
+/// included, at a per-shape offset; a zero maximum must come out `+0`,
+/// never `0x80`.
 #[test]
 fn maxpool_rows_match_the_oracle_on_every_tier() {
     let tiers = KernelTier::supported();
@@ -491,10 +493,8 @@ fn maxpool_rows_match_the_oracle_on_every_tier() {
     for k in 1..=3 {
         for stride in 1..=3 {
             for w in k..=130 {
-                for (c, h) in [(1, k), (3, 2 * stride + k), (3, 3 * k)] {
-                    let input = Tensor::from_fn(c, h, w, |c, y, x| {
-                        Sm8::from_bits(((c * h + y) * w + x + 7 * w + 3 * k) as u8 ^ (y as u8 & 0x80))
-                    });
+                for (c, h) in [(1, k), (3, 2 * stride + k), (3, 2 * stride + k + 1), (3, 3 * k)] {
+                    let input = Tensor::from_fn(c, h, w, |c, y, x| Sm8::from_bits(((c * h + y) * w + x + 7 * w + 3 * k) as u8));
                     let want = maxpool_quant(&input, k, stride);
                     for &tier in &tiers {
                         maxpool_quant_tier_into(&input, k, stride, tier, &mut out);
