@@ -144,12 +144,11 @@ fn main() {
     {
         use zskip_hls::bitwidth::conservative_widths;
         use zskip_hls::design::synthesize_with_widths;
-        use zskip_hls::{AccelArch as HArch, Device, HlsConstraints, Variant};
-        let device = Device::arria10_sx660();
-        let c = HlsConstraints::optimized_150mhz();
-        let minimized = Variant::U256Opt.synthesize();
+        use zskip_hls::{Device, Variant};
+        let v = Variant::U256Opt;
+        let minimized = v.synthesize(1);
         let conservative =
-            synthesize_with_widths(&HArch::full(1), &c, &device, &conservative_widths());
+            synthesize_with_widths(&v.arch(1), &v.constraints(), &Device::arria10_sx660(), &conservative_widths());
         for (label, r) in [("range-minimized (paper default)", &minimized), ("conservative 32-bit", &conservative)] {
             text.push_str(&format!("  {:<32} {:>9.0} ALMs  (ALM util {:>4.1}%)\n", label, r.total.alms, r.utilization.alm * 100.0));
             out.bitwidth.push((label.to_string(), r.total.alms));

@@ -251,7 +251,7 @@ fn resnet18_workload(images: usize) -> (Arc<QuantizedNetwork>, Vec<Tensor<f32>>)
 }
 
 fn cpu_session() -> Session {
-    Session::builder(AccelConfig::for_variant(Variant::U256Opt)).backend(BackendKind::Cpu).build().expect("valid config")
+    Session::builder(AccelConfig::for_variant_instances(Variant::U256Opt, 1)).backend(BackendKind::Cpu).build().expect("valid config")
 }
 
 /// The batch section from the paired rounds: the raw engine's and the

@@ -3,16 +3,16 @@
 //! 49% RAM for 256-opt).
 
 use zskip_bench::write_artifacts;
-use zskip_hls::Variant;
+use zskip_hls::{Variant, PAPER_POINTS};
 use zskip_perf::AreaBreakdown;
 
 fn main() {
     let mut all = Vec::new();
     let mut text = String::new();
-    for variant in Variant::all() {
-        let synth = variant.synthesize();
-        let breakdown = AreaBreakdown::from_synthesis(variant.label(), &synth);
-        if variant == Variant::U256Opt {
+    for (label, variant, instances) in PAPER_POINTS {
+        let synth = variant.synthesize(instances);
+        let breakdown = AreaBreakdown::from_synthesis(label, &synth);
+        if (variant, instances) == (Variant::U256Opt, 1) {
             // The paper's Fig. 6 shows the 256-opt design point.
             text.push_str(&breakdown.render());
             text.push('\n');

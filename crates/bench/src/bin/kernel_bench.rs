@@ -668,7 +668,7 @@ fn vgg_workload(hw: usize) -> (QuantizedNetwork, Vec<Tensor<f32>>, AccelConfig) 
     let spec = vgg16_scaled_spec(hw);
     let qnet = cli_recipe(&spec);
     let inputs = synthetic_inputs(5, 2, spec.input);
-    (qnet, inputs, AccelConfig::for_variant(Variant::U256Opt))
+    (qnet, inputs, AccelConfig::for_variant_instances(Variant::U256Opt, 1))
 }
 
 /// Best-of-5 ms/image of `session` over `inputs` on a warmed scratch,

@@ -1,23 +1,26 @@
 //! Per-layer detail behind Figs. 7-8: cycles, effective GOPS, efficiency
-//! and striping factor for every VGG-16 conv layer on the optimized
-//! variants (the figure binaries print the aggregates; this prints the
-//! layer-resolved data they summarize).
+//! and striping factor for every VGG-16 conv layer on the paper's
+//! optimized design points (the figure binaries print the aggregates;
+//! this prints the layer-resolved data they summarize).
 
 use zskip_bench::{build_vgg16, sweep_point_from_report, ModelKind};
 use zskip_core::{AccelConfig, Session};
-use zskip_hls::Variant;
+use zskip_hls::{Variant, PAPER_POINTS};
 use zskip_perf::RooflineMachine;
 use zskip_tensor::Tensor;
 
 fn main() {
     for kind in [ModelKind::ReducedPrecision, ModelKind::Pruned] {
         let qnet = build_vgg16(kind);
-        for variant in [Variant::U256Opt, Variant::U512Opt] {
-            let config = AccelConfig::for_variant(variant);
+        for (label, variant, instances) in PAPER_POINTS {
+            if variant != Variant::U256Opt {
+                continue;
+            }
+            let config = AccelConfig::for_variant_instances(variant, instances);
             let report = Session::builder(config).functional(false).build().unwrap()
                 .infer(&qnet, &Tensor::<f32>::zeros(3, 224, 224))
                 .expect("VGG-16 fits");
-            let p = sweep_point_from_report(variant, kind, &config, &report);
+            let p = sweep_point_from_report(label, kind, &config, &report);
             let machine = RooflineMachine::new(config.macs_per_cycle(), config.clock_mhz, 32);
             println!(
                 "{}{}: mean {:.1} GOPS, peak {:.1} GOPS, eff mean {:.2} best {:.2} worst {:.2}, roofline knee {:.0} ops/B",

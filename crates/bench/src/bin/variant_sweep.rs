@@ -1,7 +1,8 @@
 //! Regenerates paper Fig. 7, Fig. 8 and Table I from one sweep: each
-//! VGG-16 model (reduced precision, and pruned "-pr") is built once, its
-//! four HLS variants are scored by `tune::sweep`, and all three artifacts
-//! render from those eight reports.
+//! VGG-16 model (reduced precision, and pruned "-pr") is built once, the
+//! tuner's hls space is scored by `tune::sweep`, and all three artifacts
+//! render from the eight reports of the paper's four design points with
+//! every layer striped across their instances.
 //!
 //! * Fig. 7 — efficiency of each variant: best / worst / mean conv layer
 //!   against the ideal (dotted line at 1.0).
@@ -16,45 +17,31 @@
 //! under the working directory.
 
 use zskip_bench::{bar, build_vgg16, sweep_point_from_report, write_artifacts, ModelKind, SweepPoint};
-use zskip_core::tune::{self, Axis, Knob, KnobValue::{Int, Name}, SearchSpace};
+use zskip_core::tune::{self, SearchSpace};
 use zskip_core::{AccelConfig, InferenceReport, Placement};
-use zskip_hls::Variant;
+use zskip_hls::{SynthesisResult, Variant, PAPER_POINTS};
 use zskip_json::{Json, ToJson};
 use zskip_perf::power::{gops_per_watt, PowerModel};
 use zskip_tensor::Tensor;
 
-/// The paper's design points: each variant at its own instance count
-/// (512-opt is two 256-wide datapaths) with every layer striped across
-/// them. The tuner's `instances` knob counts datapaths of the variant's
-/// width, so the space crosses variant × instances {1, 2} × placement
-/// {auto, stripe} and the figures keep the four rows that are the paper's.
-fn paper_space() -> SearchSpace {
-    let axis = |name, candidates| Axis { knob: Knob::by_name(name).expect("a knob row"), candidates };
-    let axes = vec![
-        axis("variant", Variant::all().map(|v| Name(v.label())).to_vec()),
-        axis("instances", vec![Int(1), Int(2)]),
-        axis("placement", vec![Name("auto"), Name("stripe")]),
-    ];
-    SearchSpace::new("paper", axes).expect("valid space")
-}
-
 fn main() {
-    let space = paper_space();
+    let space = SearchSpace::hls();
     let input = Tensor::<f32>::zeros(3, 224, 224);
     let mut points = Vec::new();
     let mut power = Vec::new();
     for kind in [ModelKind::ReducedPrecision, ModelKind::Pruned] {
         let qnet = build_vgg16(kind);
         for row in tune::sweep(&space, &qnet, &input) {
-            let variant = row.config.variant;
-            if row.config.instances != variant.arch().instances || row.config.placement != Placement::Stripe {
+            let (variant, instances) = (row.config.variant, row.config.instances);
+            let paper = PAPER_POINTS.iter().find(|&&(_, v, n)| (v, n) == (variant, instances));
+            let Some(&(label, ..)) = paper.filter(|_| row.config.placement == Placement::Stripe) else {
                 continue;
-            }
-            let config = AccelConfig::for_variant(variant);
+            };
+            let config = AccelConfig::for_variant_instances(variant, instances);
             let report = row.result.expect("VGG-16 fits the planner").items.remove(0);
-            let point = sweep_point_from_report(variant, kind, &config, &report);
-            if kind == ModelKind::Pruned && matches!(variant, Variant::U256Opt | Variant::U512Opt) {
-                power_rows(&mut power, variant, &config, &report, &point);
+            let point = sweep_point_from_report(label, kind, &config, &report);
+            if kind == ModelKind::Pruned && variant == Variant::U256Opt {
+                power_rows(&mut power, label, variant.synthesize(instances), &config, &report, &point);
             }
             points.push(point);
         }
@@ -106,13 +93,13 @@ fn fig8(points: &[SweepPoint]) {
 
     // Pruning gains (the paper's ~1.3x average / ~2.2x peak).
     text.push('\n');
-    for variant in Variant::all() {
-        let un = points.iter().find(|p| p.variant == variant.label() && p.model.is_empty());
-        let pr = points.iter().find(|p| p.variant == variant.label() && p.model == "-pr");
+    for (label, ..) in PAPER_POINTS {
+        let un = points.iter().find(|p| p.variant == label && p.model.is_empty());
+        let pr = points.iter().find(|p| p.variant == label && p.model == "-pr");
         if let (Some(u), Some(p)) = (un, pr) {
             text.push_str(&format!(
                 "{:<10} pruning gain: {:.2}x average, {:.2}x peak\n",
-                variant.label(),
+                label,
                 p.mean_gops() / u.mean_gops(),
                 p.peak_gops() / u.peak_gops()
             ));
@@ -150,27 +137,28 @@ impl ToJson for PowerRow {
     }
 }
 
-/// The FPGA and board rows of one variant's pruned-model run.
+/// The FPGA and board rows of one design point's pruned-model run.
 fn power_rows(
     rows: &mut Vec<PowerRow>,
-    variant: Variant,
+    label: &str,
+    synth: SynthesisResult,
     config: &AccelConfig,
     report: &InferenceReport,
     point: &SweepPoint,
 ) {
     let model = PowerModel::default();
-    let synth = variant.synthesize();
+    let macs = synth.arch.macs_per_cycle();
     // Peak power: worst-case layer keeps every MAC slot switching.
     // Average power: the run's measured MAC-array activity.
-    let p = model.estimate(synth.total.alms, variant.macs_per_cycle(), synth.operating_mhz, 1.0);
+    let p = model.estimate(synth.total.alms, macs, synth.operating_mhz, 1.0);
     let activity = report.mean_mac_activity(config);
-    let avg = model.estimate(synth.total.alms, variant.macs_per_cycle(), synth.operating_mhz, activity);
+    let avg = model.estimate(synth.total.alms, macs, synth.operating_mhz, activity);
     for (level, mw, dynamic, avg_mw) in [
         ("FPGA", p.fpga_mw, p.dynamic_mw, avg.fpga_mw),
         ("Board", p.board_mw, p.dynamic_mw, avg.board_mw),
     ] {
         rows.push(PowerRow {
-            variant: variant.label().to_string(),
+            variant: label.to_string(),
             level: level.to_string(),
             peak_power_mw: mw,
             dynamic_mw: dynamic,

@@ -3,7 +3,7 @@
 //!
 //! Binaries:
 //! * `fig6_area` — ALM usage per accelerator module (paper Fig. 6);
-//! * `variant_sweep` — one sweep of the four variants over both VGG-16
+//! * `variant_sweep` — one sweep of the hls space over both VGG-16
 //!   models, rendered as cycle efficiency vs. the ideal (paper Fig. 7),
 //!   absolute effective GOPS (paper Fig. 8) and power consumption with
 //!   GOPS/W (paper Table I);
@@ -19,7 +19,6 @@
 
 use zskip_json::{Json, ToJson};
 use zskip_core::{AccelConfig, InferenceReport};
-use zskip_hls::Variant;
 use zskip_nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
 use zskip_nn::{vgg16_spec, Scales};
 use zskip_quant::DensityProfile;
@@ -76,7 +75,7 @@ pub fn build_vgg16(kind: ModelKind) -> QuantizedNetwork {
 /// One (variant, model) sweep point of the paper's evaluation.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
-    /// Variant label (`"256-opt"` etc.).
+    /// Design-point label (`"256-opt"`, `"512-opt"` etc.).
     pub variant: String,
     /// Model label (`""` or `"-pr"`).
     pub model: String,
@@ -159,7 +158,7 @@ impl SweepPoint {
 
 /// Converts an inference report into sweep data.
 pub fn sweep_point_from_report(
-    variant: Variant,
+    label: &str,
     kind: ModelKind,
     config: &AccelConfig,
     report: &InferenceReport,
@@ -183,7 +182,7 @@ pub fn sweep_point_from_report(
         })
         .collect();
     SweepPoint {
-        variant: variant.label().to_string(),
+        variant: label.to_string(),
         model: kind.suffix().to_string(),
         clock_mhz: config.clock_mhz,
         macs_per_cycle: config.macs_per_cycle(),

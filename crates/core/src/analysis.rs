@@ -133,11 +133,11 @@ pub fn packed_weight_bytes(qnet: &QuantizedNetwork, config: &AccelConfig) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zskip_hls::AccelArch;
+    use zskip_hls::Variant;
     use zskip_quant::{Requantizer, Sm8};
 
     fn config() -> AccelConfig {
-        AccelConfig::from_arch(&AccelArch::full(1), 150.0)
+        AccelConfig::from_arch(&Variant::U256Opt.arch(1), 150.0)
     }
 
     fn layer(out_c: usize, in_c: usize, keep_mod: usize) -> QuantConvWeights {

@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let qnet = small_qnet(8);
-        let session = session(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Model, 4);
+        let session = session(AccelConfig::for_variant_instances(Variant::U256Opt, 1), BackendKind::Model, 4);
         let r = session.run_batch(&qnet, &[]).expect("empty batch");
         assert!(r.items.is_empty());
         assert_eq!(r.per_worker_jobs, [0]);
@@ -468,7 +468,7 @@ mod tests {
     fn all_jobs_are_accounted_for() {
         let qnet = small_qnet(8);
         let spec_input = qnet.spec.input;
-        let cfg = AccelConfig::for_variant(Variant::U256Opt);
+        let cfg = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
         let inputs = synthetic_inputs(11, 7, spec_input);
         let r = session(cfg, BackendKind::Model, 3).run_batch(&qnet, &inputs).expect("runs");
         assert_eq!(r.items.len(), 7);
@@ -493,7 +493,7 @@ mod tests {
         let wider = QuantConvWeights::new(c0.out_c, c0.in_c + 1, c0.k, w, c0.bias_acc().to_vec(), c0.requant(), c0.relu());
         broken.conv[0].weights = wider;
         let inputs = synthetic_inputs(13, 3, good.spec.input);
-        let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Cpu);
+        let driver = driver(AccelConfig::for_variant_instances(Variant::U256Opt, 1), BackendKind::Cpu);
         let want = run_one(&driver, &good, &inputs[0]).expect("runs");
 
         // One arena across a good image, a panic, and a good image again.
@@ -518,7 +518,7 @@ mod tests {
     fn resilient_matches_sequential_when_fault_free() {
         let qnet = small_qnet(8);
         let spec_input = qnet.spec.input;
-        let driver = driver(AccelConfig::for_variant(Variant::U256Opt), BackendKind::Model);
+        let driver = driver(AccelConfig::for_variant_instances(Variant::U256Opt, 1), BackendKind::Model);
         let inputs = synthetic_inputs(21, 5, spec_input);
         let resilient = run_batch_resilient(&driver, &qnet, &inputs, 2, RetryPolicy::default());
         assert_eq!(resilient.succeeded(), 5);
@@ -538,7 +538,7 @@ mod tests {
         let qnet = small_qnet(8);
         let spec_input = qnet.spec.input;
         let inputs = synthetic_inputs(31, 4, spec_input);
-        let cfg = AccelConfig::for_variant(Variant::U256Opt);
+        let cfg = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
 
         let clean = session(cfg, BackendKind::Model, 2).run_batch(&qnet, &inputs).expect("fault-free reference");
 
@@ -564,7 +564,7 @@ mod tests {
         let qnet = small_qnet(8);
         let spec_input = qnet.spec.input;
         let inputs = synthetic_inputs(31, 4, spec_input);
-        let cfg = AccelConfig::for_variant(Variant::U256Opt);
+        let cfg = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
         let clean = session(cfg, BackendKind::Model, 2).run_batch(&qnet, &inputs).expect("fault-free reference");
 
         let plan = FaultPlan::new().inject("dma:xfer", 3, FaultKind::DmaTruncate { tiles: 0 }).shared();
@@ -588,7 +588,7 @@ mod tests {
         use zskip_fault::{FaultKind, FaultPlan};
         let qnet = small_qnet(8);
         let inputs = synthetic_inputs(41, 1, qnet.spec.input);
-        let cfg = AccelConfig::for_variant(Variant::U256Opt);
+        let cfg = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
 
         // Site counters are cumulative across runs sharing a plan, and a
         // fired fault aborts the run right after descriptor 0, 1, 2, ...
@@ -627,7 +627,7 @@ mod tests {
         use zskip_fault::{FaultKind, FaultPlan};
         let qnet = small_qnet(8);
         let inputs = synthetic_inputs(43, 1, qnet.spec.input);
-        let cfg = AccelConfig::for_variant(Variant::U256Opt);
+        let cfg = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
 
         // 80 attempts against a site that stays hot for all of them: the
         // charge before retry 65 would shift a u64 by 64.
@@ -687,7 +687,7 @@ mod tests {
     fn cpu_backend_batch_matches_model_batch_bit_exact() {
         let qnet = small_qnet(8);
         let inputs = synthetic_inputs(51, 5, qnet.spec.input);
-        let cfg = AccelConfig::for_variant(Variant::U256Opt);
+        let cfg = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
         let model = session(cfg, BackendKind::Model, 2).run_batch(&qnet, &inputs).expect("model batch runs");
         let cpu = session(cfg, BackendKind::Cpu, 2).run_batch(&qnet, &inputs).expect("cpu batch runs");
         for (m, c) in model.items.iter().zip(&cpu.items) {
@@ -716,7 +716,7 @@ mod tests {
         // result must still be bit-identical to the sequential model run.
         let qnet = small_qnet(8);
         let inputs = synthetic_inputs(61, 6, qnet.spec.input);
-        let cfg = AccelConfig::for_variant(Variant::U256Opt);
+        let cfg = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
         let model = session(cfg, BackendKind::Model, 1).run_batch(&qnet, &inputs).expect("model batch runs");
         let mt_session = Session::builder(cfg).backend(BackendKind::Cpu).threads(3).batch_workers(2);
         let mt = mt_session.build().expect("test config is valid").run_batch(&qnet, &inputs).expect("mt cpu batch runs");
@@ -755,7 +755,7 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let qnet = small_qnet(8);
-            let cfg = AccelConfig::for_variant(Variant::U256Opt);
+            let cfg = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
             let driver = driver(cfg, BackendKind::Model);
             let inputs = synthetic_inputs(seed, batch, qnet.spec.input);
             let parallel = session(cfg, BackendKind::Model, workers).run_batch(&qnet, &inputs).expect("batch runs");

@@ -2,8 +2,8 @@
 
 use zskip_hls::{AccelArch, Variant};
 
-/// Configuration of one simulated accelerator (one instance of paper
-/// Fig. 3, or its 16-MAC strawman).
+/// Configuration of the simulated accelerators: `instances` copies of one
+/// datapath (paper Fig. 3, or its 16-MAC strawman) sharing one clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelConfig {
     /// Staging/conv unit pairs (4 in the full design, 1 in `16-unopt`).
@@ -11,8 +11,9 @@ pub struct AccelConfig {
     /// Filter lanes per conv unit (4 full, 1 in `16-unopt`).
     pub lanes: usize,
     /// Accelerator instances scheduled over by the placement layer
-    /// (any N >= 1; the paper ships 1 and 2, larger counts model the
-    /// scale-out devices of [`crate::exec::sched::CostModel`]).
+    /// (any N >= 1; the paper ships 1 and 2 — its 512-opt is 256-opt at
+    /// 2 — larger counts model the scale-out devices of
+    /// [`crate::exec::sched::CostModel`]).
     pub instances: usize,
     /// Capacity of each SRAM bank in tile words.
     pub bank_tiles: usize,
@@ -29,20 +30,13 @@ pub struct AccelConfig {
 }
 
 impl AccelConfig {
-    /// Builds the runtime configuration for a named paper variant,
-    /// synthesizing it to obtain the operating clock.
-    pub fn for_variant(variant: Variant) -> AccelConfig {
-        let synth = variant.synthesize();
-        Self::from_arch(&variant.arch(), synth.operating_mhz)
-    }
-
     /// Builds the runtime configuration for `instances` copies of a
-    /// variant's datapath, with bank capacity dividing the fixed RAM
-    /// budget and the operating clock taken from the scale-out cost
-    /// model ([`crate::exec::sched::CostModel`]): the smallest device of
-    /// the ladder that fits, congestion-derated. One and two instances
-    /// reproduce [`AccelConfig::for_variant`] of the matching paper
-    /// variants.
+    /// variant's datapath ([`Variant::arch`]), with the operating clock
+    /// taken from the scale-out cost model
+    /// ([`crate::exec::sched::CostModel`]): the smallest device of the
+    /// ladder that fits, congestion-derated. Every point of the paper's
+    /// [`zskip_hls::PAPER_POINTS`] lands on its SX660, so its clock is
+    /// that of [`Variant::synthesize`].
     ///
     /// # Panics
     /// When `instances` is zero (callers validate first; the driver
@@ -102,28 +96,26 @@ impl AccelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zskip_hls::PAPER_POINTS;
 
     #[test]
-    fn variant_configs_match_paper_macs() {
-        assert_eq!(AccelConfig::for_variant(Variant::U16Unopt).macs_per_cycle(), 16);
-        assert_eq!(AccelConfig::for_variant(Variant::U256Opt).macs_per_cycle(), 256);
-        assert_eq!(AccelConfig::for_variant(Variant::U512Opt).macs_per_cycle(), 512);
+    fn paper_points_match_paper_macs() {
+        let macs: Vec<u64> =
+            PAPER_POINTS.iter().map(|&(_, v, n)| AccelConfig::for_variant_instances(v, n).macs_per_cycle()).collect();
+        assert_eq!(macs, [16, 256, 256, 512]);
     }
 
     #[test]
     fn peak_gops_of_512_opt_near_paper_ideal() {
-        let c = AccelConfig::for_variant(Variant::U512Opt);
+        let c = AccelConfig::for_variant_instances(Variant::U256Opt, 2);
         // 512 MACs x 2 x ~118 MHz ~ 120 GOPS.
         assert!((100.0..=140.0).contains(&c.peak_gops()), "peak {}", c.peak_gops());
     }
 
     #[test]
     fn bank_capacity_divides_across_instances() {
-        // The paper's pair first: 512-opt is two instances on half banks.
-        let one = AccelConfig::for_variant(Variant::U256Opt);
-        let two = AccelConfig::for_variant(Variant::U512Opt);
-        assert_eq!(one.bank_tiles, 2 * two.bank_tiles);
-        // And the generalized geometry: any N divides the same budget.
+        // Any N divides the one instance's RAM budget, the paper's pair included.
+        let one = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
         for n in [1, 2, 4, 8] {
             let c = AccelConfig::for_variant_instances(Variant::U256Opt, n);
             assert_eq!(c.instances, n);
@@ -134,15 +126,15 @@ mod tests {
 
     #[test]
     fn for_variant_instances_reproduces_paper_clocks() {
-        let one = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
-        assert_eq!(one.clock_mhz, AccelConfig::for_variant(Variant::U256Opt).clock_mhz);
-        let two = AccelConfig::for_variant_instances(Variant::U256Opt, 2);
-        assert_eq!(two.clock_mhz, AccelConfig::for_variant(Variant::U512Opt).clock_mhz);
+        for (label, variant, instances) in PAPER_POINTS {
+            let c = AccelConfig::for_variant_instances(variant, instances);
+            assert_eq!(c.clock_mhz, variant.synthesize(instances).operating_mhz, "{label}");
+        }
     }
 
     #[test]
     fn cycle_seconds_inverse_of_clock() {
-        let c = AccelConfig::from_arch(&AccelArch::full(1), 100.0);
+        let c = AccelConfig::from_arch(&Variant::U256Opt.arch(1), 100.0);
         assert!((c.cycle_seconds() - 1e-8).abs() < 1e-15);
     }
 }

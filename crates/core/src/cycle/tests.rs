@@ -6,7 +6,7 @@ use crate::isa::{ConvInstr, PoolPadInstr, PoolPadOp};
 use crate::layout::FmLayout;
 use crate::weights::GroupWeights;
 use zskip_fault::{FaultKind, FaultPlan};
-use zskip_hls::AccelArch;
+use zskip_hls::{AccelArch, Variant};
 use zskip_nn::conv::{conv2d_quant_dense, QuantConvWeights};
 use zskip_quant::{Requantizer, Sm8};
 use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
@@ -162,7 +162,7 @@ fn conv_matches_with_ragged_group() {
 
 #[test]
 fn conv_matches_on_16_unopt_architecture() {
-    let base = AccelConfig::from_arch(&AccelArch::single_submodule(), 55.0);
+    let base = AccelConfig::from_arch(&Variant::U16Unopt.arch(1), 55.0);
     let cfg = AccelConfig { bank_tiles: 4096, ..base };
     let qw = weights(5, 3, 3);
     let input = input_tensor(3, 8, 8);
@@ -618,7 +618,6 @@ fn a_failed_item_fails_the_pass_with_its_own_error() {
 mod split_properties {
     use super::*;
     use proptest::prelude::*;
-    use zskip_hls::Variant;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -630,7 +629,11 @@ mod split_properties {
         /// ragged last group and with a fully-pruned (marker-only) one.
         #[test]
         fn items_add_up_to_the_whole_stream(
-            variant in prop_oneof![Just(Variant::U16Unopt), Just(Variant::U256Opt), Just(Variant::U512Opt)],
+            point in prop_oneof![
+                Just((Variant::U16Unopt, 1)),
+                Just((Variant::U256Opt, 1)),
+                Just((Variant::U256Opt, 2)),
+            ],
             groups in 1usize..=4,
             ragged in 0usize..4,
             in_c in 1usize..=5,
@@ -640,7 +643,8 @@ mod split_properties {
             zero_every in 2usize..=6,
             threads in 1usize..=3,
         ) {
-            let cfg = AccelConfig::for_variant(variant);
+            let (variant, instances): (Variant, usize) = point;
+            let cfg = AccelConfig::for_variant_instances(variant, instances);
             let out_c = (groups * cfg.lanes).saturating_sub(ragged % cfg.lanes).max(1);
             // `pruned` past the last group prunes none.
             let per_group = cfg.lanes * in_c * 9;

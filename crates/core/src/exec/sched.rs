@@ -136,8 +136,6 @@ impl std::str::FromStr for Placement {
 /// clock, never free parallelism.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Instance count this model was synthesized for.
-    pub instances: usize,
     /// The architecture synthesized (variant datapath, N instances,
     /// bank capacity dividing the fixed RAM budget).
     pub arch: AccelArch,
@@ -184,17 +182,9 @@ impl CostModel {
     /// on the ladder and the ceiling sits above its 512-opt utilization.
     ///
     /// # Panics
-    /// When `instances` is zero (validated upstream by
-    /// [`SessionBuilder::build`](crate::session::SessionBuilder::build)).
+    /// When `instances` is zero (the knob's setter rejects it upstream).
     pub fn for_instances(variant: Variant, instances: usize) -> CostModel {
-        assert!(instances >= 1, "need at least one instance");
-        let base = variant.arch();
-        let arch = AccelArch {
-            conv_units: base.conv_units,
-            lanes: base.lanes,
-            instances,
-            bank_tiles: 32_768 / instances,
-        };
+        let arch = variant.arch(instances);
         let constraints = variant.constraints();
         let ladder = device_ladder();
         let mut best = None;
@@ -202,7 +192,6 @@ impl CostModel {
             let r = synthesize(&arch, &constraints, device);
             let fits = r.utilization.fits();
             best = Some(CostModel {
-                instances,
                 arch,
                 clock_mhz: r.operating_mhz,
                 device: device.name,

@@ -137,7 +137,7 @@ mod tests {
     use crate::isa::PoolPadOp;
     use crate::layout::FmLayout;
     use proptest::prelude::*;
-    use zskip_hls::AccelArch;
+    use zskip_hls::{AccelArch, Variant};
     use zskip_nn::conv::QuantConvWeights;
     use zskip_quant::{Requantizer, Sm8};
     use zskip_tensor::{Shape, Tensor, TiledFeatureMap};
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn model_cycles_match_on_16_unopt() {
-        let base = AccelConfig::from_arch(&AccelArch::single_submodule(), 55.0);
+        let base = AccelConfig::from_arch(&Variant::U16Unopt.arch(1), 55.0);
         let cfg = AccelConfig { bank_tiles: 4096, ..base };
         let qw = random_qw(5, 3, 11, 70);
         let input = random_input(3, 8, 8, 2);

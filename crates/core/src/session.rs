@@ -86,7 +86,6 @@ pub struct SessionBuilder {
     functional: bool,
     zero_skipping: bool,
     threads: usize,
-    instances: Option<usize>,
     kernel: Option<KernelTier>,
     fault_plan: Option<SharedFaultPlan>,
     batch: BatchConfig,
@@ -105,7 +104,6 @@ impl SessionBuilder {
             functional: true,
             zero_skipping: true,
             threads: 1,
-            instances: None,
             kernel: None,
             fault_plan: None,
             batch: BatchConfig::default(),
@@ -155,17 +153,6 @@ impl SessionBuilder {
     /// [`Session::kernel_tier`] after build to see what was resolved.
     pub fn kernel(mut self, tier: KernelTier) -> SessionBuilder {
         self.kernel = Some(tier);
-        self
-    }
-
-    /// Overrides the configuration's instance count, rescaling bank
-    /// capacity so the total simulated SRAM budget
-    /// (`bank_tiles x instances`) is preserved — the same geometry rule
-    /// `AccelArch::full` applies between the paper's 256-opt and
-    /// 512-opt. How the instances are occupied is the placement
-    /// scheduler's job ([`crate::exec::sched`]).
-    pub fn instances(mut self, instances: usize) -> SessionBuilder {
-        self.instances = Some(instances);
         self
     }
 
@@ -234,10 +221,8 @@ impl SessionBuilder {
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] (`config.invalid`, naming the field) when
-    /// a structural parameter is zero, when an
-    /// [`instances`](SessionBuilder::instances) override leaves zero bank
-    /// capacity after the RAM-preserving rescale, when `units != lanes`
-    /// on the cycle backend (accumulator lanes map 1:1 onto write units),
+    /// a structural parameter is zero (`instances` included), when
+    /// `units != lanes` on the cycle backend (accumulator lanes map 1:1 onto write units),
     /// when stats-only mode is requested off the model backend (the cycle
     /// simulation cannot switch its arithmetic off, and the cpu name
     /// always asks for the golden walk), when `queue_depth` is zero (the daemon would
@@ -245,21 +230,9 @@ impl SessionBuilder {
     /// [`MAX_THREADS`].
     pub fn build(self) -> Result<Session, Error> {
         let invalid = |reason: String| Err(Error::InvalidConfig(reason));
-        let mut config = self.config;
-        if self.instances.unwrap_or(config.instances) == 0 {
-            return invalid("instances must be nonzero".into());
-        }
-        if let Some(n) = self.instances {
-            let total = config.bank_tiles * config.instances;
-            config.instances = n;
-            config.bank_tiles = total / n;
-            if config.bank_tiles == 0 {
-                return invalid(format!(
-                    "{n} instances leave zero bank capacity (total budget {total} tile words)"
-                ));
-            }
-        }
+        let config = self.config;
         for (name, v) in [
+            ("instances", config.instances),
             ("units", config.units),
             ("lanes", config.lanes),
             ("bank_tiles", config.bank_tiles),
@@ -484,8 +457,6 @@ pub(crate) mod tests {
             ("bank_tiles", with(|c| c.bank_tiles = 0)),
             ("fifo_depth", with(|c| c.fifo_depth = 0)),
             ("instances", with(|c| c.instances = 0)),
-            ("instances", b().instances(0)),
-            ("bank capacity", with(|c| c.bank_tiles = 2).instances(4)),
             ("units == lanes", with(|c| c.lanes = 2).backend(BackendKind::Cycle)),
             ("stats-only", b().backend(BackendKind::Cpu).functional(false)),
             ("stats-only", b().backend(BackendKind::Cycle).functional(false)),
@@ -517,12 +488,6 @@ pub(crate) mod tests {
         let capped = b().threads(MAX_THREADS).batch_workers(MAX_THREADS).build().unwrap();
         assert_eq!((capped.driver().threads, capped.batch_config().workers), (MAX_THREADS, MAX_THREADS));
         assert!(b().threads(0).batch_workers(0).build().unwrap().driver().threads >= 1, "0 resolves to auto");
-
-        // The instance override preserves the RAM budget, both ways.
-        let four = b().instances(4).build().unwrap();
-        assert_eq!((four.driver().config.instances, four.driver().config.bank_tiles), (4, 1024));
-        let back = Session::builder(four.driver().config).instances(1).build().unwrap();
-        assert_eq!(back.driver().config.bank_tiles, 4096);
 
         // Kernel tier: scalar pins exactly, an unsupported request clamps.
         assert_eq!(b().kernel(KernelTier::Scalar).build().unwrap().kernel_tier(), KernelTier::Scalar);

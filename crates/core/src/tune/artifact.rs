@@ -80,10 +80,10 @@ pub struct TunedConfig {
 }
 
 impl Default for TunedConfig {
-    /// The out-of-the-box session: the paper's 256-opt variant with the
-    /// [`SessionBuilder`] defaults — exactly what `Session::builder
-    /// (AccelConfig::for_variant(U256Opt)).build()` gives you. Tuned
-    /// scores are compared against this baseline.
+    /// The out-of-the-box session: the paper's 256-opt variant on one
+    /// instance with the [`SessionBuilder`] defaults — exactly what
+    /// `Session::builder(AccelConfig::for_variant_instances(U256Opt, 1)).build()`
+    /// gives you. Tuned scores are compared against this baseline.
     fn default() -> TunedConfig {
         TunedConfig {
             variant: Variant::U256Opt,
@@ -223,13 +223,13 @@ impl TunedConfig {
     /// [`AccelConfig::for_variant_instances`](crate::config::AccelConfig::for_variant_instances)
     /// of the variant/instances pair. Call `.build()` — which validates —
     /// or layer further overrides first. A zero `instances` (the field is
-    /// public) has no cost-model point: the builder gets it as an explicit
-    /// override, so `.build()` rejects it with `config.invalid`.
+    /// public) has no cost-model point: the config keeps the zero, so
+    /// `.build()` rejects it with `config.invalid`.
     pub fn session(&self) -> SessionBuilder {
-        let config =
+        let mut config =
             crate::config::AccelConfig::for_variant_instances(self.variant, self.instances.max(1));
+        config.instances = self.instances;
         let mut b = SessionBuilder::new(config)
-            .instances(self.instances)
             .backend(self.backend)
             .threads(self.threads)
             .placement(self.placement)
@@ -249,7 +249,7 @@ mod tests {
 
     fn provenance() -> Provenance {
         // Dyadic score: exact in f64 and in decimal.
-        Provenance { space: "hls".into(), score: 0.001953125, points: 48 }
+        Provenance { space: "hls".into(), score: 0.001953125, points: 36 }
     }
 
     #[test]
@@ -296,12 +296,14 @@ mod tests {
             let err = TunedConfig::from_json_str(text).unwrap_err();
             assert_eq!(err.code(), "config.invalid", "{why}: {err}");
         }
-        // An unknown enum name fails even with every field present.
-        let mut text = TunedConfig::default().to_json_string();
-        text = text.replace("\"256-opt\"", "\"999-opt\"");
-        let err = TunedConfig::from_json_str(&text).unwrap_err();
-        assert_eq!(err.code(), "config.invalid");
-        assert!(err.to_string().contains("999-opt"));
+        // An unknown enum name fails even with every field present; the
+        // paper's 512-opt is 256-opt at two instances, not a variant.
+        for name in ["999-opt", "512-opt"] {
+            let text = TunedConfig::default().to_json_string().replace("\"256-opt\"", &format!("\"{name}\""));
+            let err = TunedConfig::from_json_str(&text).unwrap_err();
+            assert_eq!(err.code(), "config.invalid");
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     #[test]
@@ -398,7 +400,7 @@ mod tests {
         assert_eq!(d.backend, BackendKind::Cpu);
         assert_eq!(d.threads, 2);
         assert_eq!(d.kernel_tier, KernelTier::Scalar);
-        assert_eq!(d.config.instances, 4);
+        assert_eq!(d.config, crate::config::AccelConfig::for_variant_instances(Variant::U256Opt, 4));
         let b = session.batch_config();
         assert_eq!(b.placement, Placement::Pipeline);
         assert_eq!(b.workers, 2);

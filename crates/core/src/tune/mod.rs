@@ -1,7 +1,7 @@
 //! The design-space autotuner behind `zskip tune`.
 //!
 //! The paper's Figs. 6–8 are a hand-run exploration over four HLS
-//! variants; this module automates it: [`sweep`] scores every point of
+//! design points; this module automates it: [`sweep`] scores every point of
 //! a [`SearchSpace`] — the [`SearchSpace::hls`] space is variant ×
 //! instances × placement — by its simulated seconds per image, and
 //! [`first_minimum`] picks the point a versioned [`TunedConfig`]
@@ -19,7 +19,7 @@
 //! let best = first_minimum(&rows);
 //! let default = rows.iter().find(|r| r.config == TunedConfig::default()).unwrap();
 //! assert!(best.score <= default.score);
-//! assert_eq!(best.artifact(&space).provenance.unwrap().points, 48);
+//! assert_eq!(best.artifact(&space).provenance.unwrap().points, 36);
 //! ```
 //!
 //! Determinism contract: enumeration, and the first minimum in axis

@@ -162,7 +162,7 @@ fn ints(candidates: &[u64]) -> Vec<KnobValue<'static>> {
 pub static KNOBS: [Knob; 8] = [
     knob(
         "variant",
-        ("--variant", "V", Network, "accelerator variant: 16-unopt | 256-unopt | 256-opt | 512-opt"),
+        ("--variant", "V", Network, "accelerator variant: 16-unopt | 256-unopt | 256-opt (the paper's 512-opt is 256-opt at --instances 2)"),
         |c| Name(c.variant.label()),
         |c, v| v.pick(&Variant::all(), |t| t.label()).map(|t| c.variant = t),
         // The paper's Fig. 6 axis.
@@ -379,9 +379,9 @@ impl SearchSpace {
         Ok(SearchSpace { name, axes })
     }
 
-    /// The hardware space: the paper's four variants crossed with the
+    /// The hardware space: the paper's three variants crossed with the
     /// scale-out ladder and placements — automated Fig. 6/7/8-style
-    /// exploration. Its axes are the [`KNOBS`] rows with candidates, in
+    /// exploration, the paper's four design points included. Its axes are the [`KNOBS`] rows with candidates, in
     /// table order.
     pub fn hls() -> SearchSpace {
         let axes = KNOBS.iter().filter_map(|knob| Some(Axis { knob, candidates: knob.axis?() }));
@@ -450,7 +450,20 @@ mod tests {
         let space = SearchSpace::hls();
         assert_eq!(space.name(), "hls");
         assert!(space.points().any(|p| space.config_at(&p) == TunedConfig::default()));
-        assert_eq!(space.cardinality(), 48);
+        assert_eq!(space.cardinality(), 36);
+    }
+
+    #[test]
+    fn no_two_hls_points_build_the_same_driver() {
+        let space = SearchSpace::hls();
+        let mut seen = Vec::new();
+        for point in space.points() {
+            let config = space.config_at(&point);
+            let session = config.session().build().expect("every hls point builds");
+            let driver = (session.driver().config, config.placement);
+            assert!(!seen.contains(&driver), "{config:?} builds an earlier point's driver");
+            seen.push(driver);
+        }
     }
 
     #[test]
@@ -466,7 +479,7 @@ mod tests {
         let points: Vec<Point> = space.points().collect();
         assert_eq!(points.len() as u128, space.cardinality());
         assert_eq!(points[..5], [vec![0, 0, 0], vec![0, 0, 1], vec![0, 0, 2], vec![0, 0, 3], vec![0, 1, 0]]);
-        assert_eq!(points.last(), Some(&vec![3, 2, 3]));
+        assert_eq!(points.last(), Some(&vec![2, 2, 3]));
         let mut sorted = points.clone();
         sorted.sort();
         assert_eq!(sorted, points, "lexicographic, so each point once");
@@ -555,7 +568,8 @@ mod tests {
             set("kernel", "neon").unwrap_err(),
             "takes scalar | sse2 | avx2 | avx512 | amx (or auto), got 'neon'"
         );
-        assert_eq!(set("variant", "999").unwrap_err(), "takes 16-unopt | 256-unopt | 256-opt | 512-opt, got '999'");
+        assert_eq!(set("variant", "999").unwrap_err(), "takes 16-unopt | 256-unopt | 256-opt, got '999'");
+        assert_eq!(set("variant", "512-opt").unwrap_err(), "takes 16-unopt | 256-unopt | 256-opt, got '512-opt'");
         assert_eq!(set("threads", "-1").unwrap_err(), "takes a number, got '-1'");
         assert_eq!(set("threads", "auto").unwrap_err(), "takes a number, got 'auto'");
         assert_eq!(set("instances", "0").unwrap_err(), "must be at least 1, got '0'");

@@ -1,5 +1,5 @@
 //! Synthesis calibration dump: per-module area/timing of all four paper
-//! variants. Used when tuning the resource-model constants against the
+//! design points. Used when tuning the resource-model constants against the
 //! paper's in-text utilization numbers (44% ALM / 49% RAM for 256-opt).
 //!
 //! ```sh
@@ -8,9 +8,9 @@
 
 use zskip_hls::*;
 fn main() {
-    for v in Variant::all() {
-        let r = v.synthesize();
-        println!("== {} ==", v.label());
+    for (label, v, instances) in PAPER_POINTS {
+        let r = v.synthesize(instances);
+        println!("== {label} ==");
         println!("  util: {}  achieved {:.1} MHz  operating {:.1} MHz", r.utilization, r.achieved_fmax_mhz, r.operating_mhz);
         println!("  total: alms {:.0} dsps {:.0} m20k {:.0}", r.total.alms, r.total.dsps, r.total.m20k);
         for m in &r.modules {

@@ -16,32 +16,18 @@ use crate::schedule::{schedule_ops, HlsConstraints, PipelineSchedule};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccelArch {
     /// Convolution units (and staging units) per accelerator instance:
-    /// 4 in the full design, 1 in the `16-unopt` strawman.
+    /// 4 in the full design of paper Fig. 3, 1 in the `16-unopt` strawman.
     pub conv_units: usize,
     /// Filter lanes per convolution unit (weights applied per cycle from
     /// distinct filters): 4 in the full design, 1 in `16-unopt`.
     pub lanes: usize,
-    /// Accelerator instances (1, or 2 for `512-opt`).
+    /// Accelerator instances (the paper's `512-opt` is `256-opt` at 2).
     pub instances: usize,
     /// Capacity of each on-FPGA SRAM bank, in 16-byte tile words.
     pub bank_tiles: usize,
 }
 
 impl AccelArch {
-    /// The full accelerator of paper Fig. 3 (4 staging + 4 conv + 4 accum +
-    /// 4 pool/pad + 4 write units), replicated `instances` times. Bank
-    /// capacity divides the fixed RAM budget across instances.
-    pub fn full(instances: usize) -> AccelArch {
-        assert!(instances >= 1, "need at least one instance");
-        AccelArch { conv_units: 4, lanes: 4, instances, bank_tiles: 32_768 / instances }
-    }
-
-    /// The `16-unopt` single-sub-module architecture: one staging/conv
-    /// pair, one filter lane, no multi-unit synchronization.
-    pub fn single_submodule() -> AccelArch {
-        AccelArch { conv_units: 1, lanes: 1, instances: 1, bank_tiles: 32_768 }
-    }
-
     /// Peak multiply-accumulates per clock cycle
     /// (`instances x conv_units x lanes x 16`).
     pub fn macs_per_cycle(&self) -> u64 {
@@ -357,23 +343,24 @@ pub fn synthesize_with_widths(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variants::Variant;
 
     #[test]
     fn macs_per_cycle_matches_paper() {
-        assert_eq!(AccelArch::single_submodule().macs_per_cycle(), 16);
-        assert_eq!(AccelArch::full(1).macs_per_cycle(), 256);
-        assert_eq!(AccelArch::full(2).macs_per_cycle(), 512);
+        assert_eq!(Variant::U16Unopt.arch(1).macs_per_cycle(), 16);
+        assert_eq!(Variant::U256Opt.arch(1).macs_per_cycle(), 256);
+        assert_eq!(Variant::U256Opt.arch(2).macs_per_cycle(), 512);
     }
 
     #[test]
     fn full_arch_halves_banks_when_doubled() {
-        assert_eq!(AccelArch::full(1).instance_bank_tiles(), 4 * 32_768);
-        assert_eq!(AccelArch::full(2).instance_bank_tiles(), 4 * 16_384);
+        assert_eq!(Variant::U256Opt.arch(1).instance_bank_tiles(), 4 * 32_768);
+        assert_eq!(Variant::U256Opt.arch(2).instance_bank_tiles(), 4 * 16_384);
     }
 
     #[test]
     fn synthesis_produces_all_modules() {
-        let r = synthesize(&AccelArch::full(1), &HlsConstraints::optimized_150mhz(), &Device::arria10_sx660());
+        let r = synthesize(&Variant::U256Opt.arch(1), &HlsConstraints::optimized_150mhz(), &Device::arria10_sx660());
         for kind in ModuleKind::all() {
             assert!(r.module(kind).is_some(), "missing {kind:?}");
         }
@@ -383,7 +370,7 @@ mod tests {
     #[test]
     fn opt_variant_is_faster_but_larger_than_unopt() {
         let device = Device::arria10_sx660();
-        let arch = AccelArch::full(1);
+        let arch = Variant::U256Opt.arch(1);
         let unopt = synthesize(&arch, &HlsConstraints::unoptimized_55mhz(), &device);
         let opt = synthesize(&arch, &HlsConstraints::optimized_150mhz(), &device);
         assert!(opt.operating_mhz > unopt.operating_mhz);
@@ -393,8 +380,8 @@ mod tests {
     #[test]
     fn doubling_instances_derates_clock() {
         let device = Device::arria10_sx660();
-        let one = synthesize(&AccelArch::full(1), &HlsConstraints::optimized_150mhz(), &device);
-        let two = synthesize(&AccelArch::full(2), &HlsConstraints::optimized_150mhz(), &device);
+        let one = synthesize(&Variant::U256Opt.arch(1), &HlsConstraints::optimized_150mhz(), &device);
+        let two = synthesize(&Variant::U256Opt.arch(2), &HlsConstraints::optimized_150mhz(), &device);
         assert!(two.operating_mhz < one.operating_mhz, "congestion must bite: {} vs {}", two.operating_mhz, one.operating_mhz);
         assert!(two.utilization.alm > one.utilization.alm * 1.6);
         assert!(two.utilization.fits(), "512-opt must still fit: {}", two.utilization);
@@ -404,7 +391,7 @@ mod tests {
     fn conv_accum_staging_dominate_area() {
         // The paper's Fig. 6: convolution, accumulator and
         // data-staging/control take most of the ALMs due to heavy muxing.
-        let r = synthesize(&AccelArch::full(1), &HlsConstraints::optimized_150mhz(), &Device::arria10_sx660());
+        let r = synthesize(&Variant::U256Opt.arch(1), &HlsConstraints::optimized_150mhz(), &Device::arria10_sx660());
         let alms = |k: ModuleKind| r.module(k).unwrap().resources.alms;
         let big = alms(ModuleKind::Conv) + alms(ModuleKind::Accum) + alms(ModuleKind::Staging);
         assert!(big / r.total.alms > 0.55, "big 3 fraction {}", big / r.total.alms);
@@ -415,7 +402,7 @@ mod tests {
     fn utilization_bands_match_paper_256_opt() {
         // In-text: 256-opt uses 44% ALM / 25% DSP / 49% RAM. The model
         // should land in the same bands.
-        let r = synthesize(&AccelArch::full(1), &HlsConstraints::optimized_150mhz(), &Device::arria10_sx660());
+        let r = synthesize(&Variant::U256Opt.arch(1), &HlsConstraints::optimized_150mhz(), &Device::arria10_sx660());
         let u = r.utilization;
         assert!((0.36..=0.52).contains(&u.alm), "ALM {:.2}", u.alm);
         assert!((0.17..=0.33).contains(&u.dsp), "DSP {:.2}", u.dsp);
@@ -425,11 +412,11 @@ mod tests {
     #[test]
     fn operating_clocks_match_paper_bands() {
         let device = Device::arria10_sx660();
-        let opt1 = synthesize(&AccelArch::full(1), &HlsConstraints::optimized_150mhz(), &device);
+        let opt1 = synthesize(&Variant::U256Opt.arch(1), &HlsConstraints::optimized_150mhz(), &device);
         assert!((opt1.operating_mhz - 150.0).abs() < 1.0, "256-opt {:.0} MHz", opt1.operating_mhz);
-        let opt2 = synthesize(&AccelArch::full(2), &HlsConstraints::optimized_150mhz(), &device);
+        let opt2 = synthesize(&Variant::U256Opt.arch(2), &HlsConstraints::optimized_150mhz(), &device);
         assert!((105.0..=135.0).contains(&opt2.operating_mhz), "512-opt {:.0} MHz", opt2.operating_mhz);
-        let unopt = synthesize(&AccelArch::full(1), &HlsConstraints::unoptimized_55mhz(), &device);
+        let unopt = synthesize(&Variant::U256Opt.arch(1), &HlsConstraints::unoptimized_55mhz(), &device);
         assert!((unopt.operating_mhz - 55.0).abs() < 1.0, "256-unopt {:.0} MHz", unopt.operating_mhz);
     }
 
@@ -437,7 +424,7 @@ mod tests {
     fn bitwidth_minimization_saves_area() {
         use crate::bitwidth::conservative_widths;
         let device = Device::arria10_sx660();
-        let arch = AccelArch::full(1);
+        let arch = Variant::U256Opt.arch(1);
         let c = HlsConstraints::optimized_150mhz();
         let minimized = synthesize(&arch, &c, &device);
         let conservative = synthesize_with_widths(&arch, &c, &device, &conservative_widths());
@@ -456,8 +443,8 @@ mod tests {
     #[test]
     fn peak_gops_scales_with_units_and_clock() {
         let device = Device::arria10_sx660();
-        let r512 = synthesize(&AccelArch::full(2), &HlsConstraints::optimized_150mhz(), &device);
-        let r256 = synthesize(&AccelArch::full(1), &HlsConstraints::optimized_150mhz(), &device);
+        let r512 = synthesize(&Variant::U256Opt.arch(2), &HlsConstraints::optimized_150mhz(), &device);
+        let r256 = synthesize(&Variant::U256Opt.arch(1), &HlsConstraints::optimized_150mhz(), &device);
         assert!(r512.peak_gops() > r256.peak_gops() * 1.4);
         // 512 MACs x 2 ops x ~120 MHz ~ 123 GOPS peak arithmetic.
         assert!((100.0..=160.0).contains(&r512.peak_gops()), "peak {}", r512.peak_gops());

@@ -21,7 +21,8 @@
 //!   [`design::synthesize`], producing fmax, per-module area and device
 //!   utilization, including the congestion-derated fmax that capped the
 //!   paper's 512-opt variant at 120 MHz;
-//! * [`variants`] — the paper's four named design points.
+//! * [`variants`] — the paper's three datapath variants and its four
+//!   design points, each a (variant, instances) pair.
 
 pub mod bitwidth;
 pub mod design;
@@ -35,4 +36,4 @@ pub use design::{synthesize, AccelArch, ModuleArea, SynthesisResult};
 pub use ir::{ModuleKind, Op};
 pub use resource::{Device, Resources, Utilization};
 pub use schedule::{schedule_ops, HlsConstraints, PipelineSchedule};
-pub use variants::Variant;
+pub use variants::{Variant, PAPER_POINTS};

@@ -1,10 +1,11 @@
-//! The paper's four architecture variants (§V).
+//! The paper's three datapath variants and its four design points (§V).
 
 use crate::design::{synthesize, AccelArch, SynthesisResult};
 use crate::resource::Device;
 use crate::schedule::HlsConstraints;
 
-/// The four design points evaluated in the paper.
+/// A datapath plus the HLS constraints it is synthesized under. How many
+/// copies run is a separate count: see [`PAPER_POINTS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Variant {
     /// Simplified single conv sub-module, 16 MACs/cycle, 55 MHz.
@@ -14,15 +15,22 @@ pub enum Variant {
     U256Unopt,
     /// One full accelerator, performance optimized, 150 MHz.
     U256Opt,
-    /// Two full accelerator instances on separate stripes, 512 MACs/cycle,
-    /// 120 MHz (congestion-limited).
-    U512Opt,
 }
 
+/// The paper's four design points as (label, variant, instances). Its
+/// 512-opt is two 256-opt accelerators on separate stripes, 120 MHz
+/// (congestion-limited).
+pub const PAPER_POINTS: [(&str, Variant, usize); 4] = [
+    ("16-unopt", Variant::U16Unopt, 1),
+    ("256-unopt", Variant::U256Unopt, 1),
+    ("256-opt", Variant::U256Opt, 1),
+    ("512-opt", Variant::U256Opt, 2),
+];
+
 impl Variant {
-    /// All four variants in the paper's order.
-    pub fn all() -> [Variant; 4] {
-        [Variant::U16Unopt, Variant::U256Unopt, Variant::U256Opt, Variant::U512Opt]
+    /// All three variants in the paper's order.
+    pub fn all() -> [Variant; 3] {
+        [Variant::U16Unopt, Variant::U256Unopt, Variant::U256Opt]
     }
 
     /// The paper's label.
@@ -31,35 +39,35 @@ impl Variant {
             Variant::U16Unopt => "16-unopt",
             Variant::U256Unopt => "256-unopt",
             Variant::U256Opt => "256-opt",
-            Variant::U512Opt => "512-opt",
         }
     }
 
-    /// The architecture parameters.
-    pub fn arch(&self) -> AccelArch {
-        match self {
-            Variant::U16Unopt => AccelArch::single_submodule(),
-            Variant::U256Unopt | Variant::U256Opt => AccelArch::full(1),
-            Variant::U512Opt => AccelArch::full(2),
-        }
+    /// `instances` copies of this variant's datapath, bank capacity
+    /// dividing the fixed RAM budget across them.
+    ///
+    /// # Panics
+    /// When `instances` is zero.
+    pub fn arch(&self, instances: usize) -> AccelArch {
+        assert!(instances >= 1, "need at least one instance");
+        let (conv_units, lanes) = match self {
+            Variant::U16Unopt => (1, 1),
+            Variant::U256Unopt | Variant::U256Opt => (4, 4),
+        };
+        AccelArch { conv_units, lanes, instances, bank_tiles: 32_768 / instances }
     }
 
     /// The HLS/RTL constraints applied.
     pub fn constraints(&self) -> HlsConstraints {
         match self {
             Variant::U16Unopt | Variant::U256Unopt => HlsConstraints::unoptimized_55mhz(),
-            Variant::U256Opt | Variant::U512Opt => HlsConstraints::optimized_150mhz(),
+            Variant::U256Opt => HlsConstraints::optimized_150mhz(),
         }
     }
 
-    /// Synthesizes this variant for the paper's device.
-    pub fn synthesize(&self) -> SynthesisResult {
-        synthesize(&self.arch(), &self.constraints(), &Device::arria10_sx660())
-    }
-
-    /// Peak MACs per cycle.
-    pub fn macs_per_cycle(&self) -> u64 {
-        self.arch().macs_per_cycle()
+    /// Synthesizes `instances` copies of this variant for the paper's
+    /// device.
+    pub fn synthesize(&self, instances: usize) -> SynthesisResult {
+        synthesize(&self.arch(instances), &self.constraints(), &Device::arria10_sx660())
     }
 }
 
@@ -75,15 +83,19 @@ mod tests {
 
     #[test]
     fn labels_and_macs_match_paper() {
-        let macs: Vec<u64> = Variant::all().iter().map(Variant::macs_per_cycle).collect();
+        let macs: Vec<u64> = PAPER_POINTS.iter().map(|(_, v, n)| v.arch(*n).macs_per_cycle()).collect();
         assert_eq!(macs, vec![16, 256, 256, 512]);
         let labels: Vec<&str> = Variant::all().iter().map(Variant::label).collect();
-        assert_eq!(labels, vec!["16-unopt", "256-unopt", "256-opt", "512-opt"]);
+        assert_eq!(labels, vec!["16-unopt", "256-unopt", "256-opt"]);
+        // A single-instance point carries its variant's own label.
+        for (label, variant, instances) in PAPER_POINTS {
+            assert_eq!(instances == 1, label == variant.label(), "{label}");
+        }
     }
 
     #[test]
     fn synthesized_clock_ordering() {
-        let clocks: Vec<f64> = Variant::all().iter().map(|v| v.synthesize().operating_mhz).collect();
+        let clocks: Vec<f64> = PAPER_POINTS.iter().map(|(_, v, n)| v.synthesize(*n).operating_mhz).collect();
         // 55, 55, 150, ~120.
         assert!((clocks[0] - 55.0).abs() < 1.0);
         assert!((clocks[1] - 55.0).abs() < 1.0);
@@ -91,17 +103,17 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_fits_the_device() {
-        for v in Variant::all() {
-            let r = v.synthesize();
-            assert!(r.utilization.fits(), "{v} does not fit: {}", r.utilization);
+    fn every_design_point_fits_the_device() {
+        for (label, v, n) in PAPER_POINTS {
+            let r = v.synthesize(n);
+            assert!(r.utilization.fits(), "{label} does not fit: {}", r.utilization);
         }
     }
 
     #[test]
     fn synthesis_is_deterministic() {
-        let a = Variant::U512Opt.synthesize();
-        let b = Variant::U512Opt.synthesize();
+        let a = Variant::U256Opt.synthesize(2);
+        let b = Variant::U256Opt.synthesize(2);
         assert_eq!(a.total, b.total);
         assert_eq!(a.operating_mhz, b.operating_mhz);
     }
@@ -111,14 +123,8 @@ mod tests {
         // The paper: "on a larger Arria 10 FPGA family member (e.g.
         // GT1150), with nearly double the capacity, software changes alone
         // would allow us to scale out the design further."
-        use crate::design::synthesize;
-        use crate::resource::Device;
-        use crate::schedule::HlsConstraints;
-        let r = synthesize(
-            &crate::design::AccelArch::full(2),
-            &HlsConstraints::optimized_150mhz(),
-            &Device::arria10_gt1150(),
-        );
+        let v = Variant::U256Opt;
+        let r = synthesize(&v.arch(2), &v.constraints(), &Device::arria10_gt1150());
         assert!(r.utilization.fits());
         assert!((r.operating_mhz - 150.0).abs() < 1.0, "no congestion derate at {:.0}%", r.utilization.alm * 100.0);
         assert_eq!(r.arch.macs_per_cycle(), 512);
@@ -136,8 +142,8 @@ mod tests {
                 .map(|m| m.resources.alms)
                 .sum::<f64>()
         };
-        let small = Variant::U16Unopt.synthesize();
-        let big = Variant::U256Unopt.synthesize();
+        let small = Variant::U16Unopt.synthesize(1);
+        let big = Variant::U256Unopt.synthesize(1);
         assert!(compute(&small) < compute(&big) / 3.0, "{} vs {}", compute(&small), compute(&big));
     }
 }

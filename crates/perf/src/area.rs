@@ -119,11 +119,11 @@ impl AreaBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zskip_hls::Variant;
+    use zskip_hls::{Variant, PAPER_POINTS};
 
     #[test]
     fn breakdown_covers_all_modules_and_sums_to_one() {
-        let synth = Variant::U256Opt.synthesize();
+        let synth = Variant::U256Opt.synthesize(1);
         let b = AreaBreakdown::from_synthesis("256-opt", &synth);
         assert_eq!(b.rows.len(), 8);
         let share: f64 = b.rows.iter().map(|r| r.alm_share).sum();
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn render_mentions_dominant_modules() {
-        let synth = Variant::U256Opt.synthesize();
+        let synth = Variant::U256Opt.synthesize(1);
         let text = AreaBreakdown::from_synthesis("256-opt", &synth).render();
         assert!(text.contains("convolution"));
         assert!(text.contains("accumulator"));
@@ -142,9 +142,12 @@ mod tests {
 
     #[test]
     fn utilization_matches_synthesis() {
-        let synth = Variant::U512Opt.synthesize();
-        let b = AreaBreakdown::from_synthesis("512-opt", &synth);
-        assert!((b.alm_utilization - synth.utilization.alm).abs() < 1e-12);
-        assert!(b.alm_utilization > 0.6);
+        for (label, variant, instances) in PAPER_POINTS {
+            let synth = variant.synthesize(instances);
+            let b = AreaBreakdown::from_synthesis(label, &synth);
+            assert!((b.alm_utilization - synth.utilization.alm).abs() < 1e-12, "{label}");
+            // Two instances on the SX660: the paper's 512-opt at ~82 % ALM.
+            assert_eq!(b.alm_utilization > 0.6, instances == 2, "{label}");
+        }
     }
 }

@@ -31,7 +31,7 @@ fn main() {
 
     let batch = 16;
     let inputs = synthetic_inputs(11, batch, spec.input);
-    let session = Session::builder(AccelConfig::for_variant(Variant::U256Opt))
+    let session = Session::builder(AccelConfig::for_variant_instances(Variant::U256Opt, 1))
         .backend(BackendKind::Model)
         .batch_workers(0)
         .build()

@@ -52,7 +52,7 @@ fn main() {
     let input = synthetic_inputs(2, 1, spec.input).pop().expect("one");
 
     // Run on both backends; the cycle-exact one simulates all 21 kernels.
-    let config = AccelConfig::for_variant(Variant::U256Opt);
+    let config = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
     let model = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
     let cycle = Session::builder(config).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("fits");
     let golden = qnet.forward_quant(&input);

@@ -35,7 +35,7 @@ fn spec() -> NetworkSpec {
 }
 
 fn main() {
-    let config = AccelConfig::for_variant(Variant::U256Opt);
+    let config = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
     let inputs = synthetic_inputs(5, 10, spec().input);
 
     println!(

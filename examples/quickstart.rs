@@ -48,7 +48,7 @@ fn main() {
     //    4 conv units x 4 filter lanes x 16 values = 256 MACs/cycle)
     //    through a Session — the same surface `zskip infer/batch/serve`
     //    use.
-    let config = AccelConfig::for_variant(Variant::U256Opt);
+    let config = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
     let session =
         Session::builder(config).backend(BackendKind::Model).build().expect("valid config");
     let input = synthetic_inputs(3, 1, spec.input).pop().expect("one input");

@@ -39,7 +39,7 @@ fn main() {
     println!("conv weight density:  8-bit {:?}", round3(&q8.conv_densities()));
     println!("                    ternary {:?}", round3(&qt.conv_densities()));
 
-    let config = AccelConfig::for_variant(Variant::U256Opt);
+    let config = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
     let session = Session::builder(config).backend(BackendKind::Model).build().unwrap();
     let input = synthetic_inputs(12, 1, spec.input).pop().expect("one");
 

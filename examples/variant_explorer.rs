@@ -12,7 +12,7 @@
 //! cargo run --release --example variant_explorer
 //! ```
 
-use zskip::hls::{synthesize, AccelArch, Device, HlsConstraints};
+use zskip::hls::{synthesize, Device, HlsConstraints, Variant};
 
 fn main() {
     println!("== constraint sweep on Arria 10 SX660 (paper's device) ==");
@@ -24,7 +24,7 @@ fn main() {
     for &instances in &[1usize, 2] {
         for &(mhz, optimized) in &[(55.0, false), (100.0, true), (150.0, true), (200.0, true), (250.0, true)] {
             let constraints = HlsConstraints { target_period_ns: 1000.0 / mhz, performance_optimized: optimized };
-            let arch = AccelArch::full(instances);
+            let arch = Variant::U256Opt.arch(instances);
             let r = synthesize(&arch, &constraints, &device);
             let fits = if r.utilization.fits() { "" } else { "  DOES NOT FIT" };
             println!(
@@ -45,7 +45,7 @@ fn main() {
     println!("\n== scale-out on the larger Arria 10 GT1150 (paper's future-work device) ==");
     let gt = Device::arria10_gt1150();
     for instances in 1..=4 {
-        let r = synthesize(&AccelArch::full(instances), &HlsConstraints::optimized_150mhz(), &gt);
+        let r = synthesize(&Variant::U256Opt.arch(instances), &HlsConstraints::optimized_150mhz(), &gt);
         println!(
             "  {} instance(s): {:>4.0} MACs/cycle, operating {:>5.1} MHz, ALM {:>3.0}%, peak {:>6.1} GOPS{}",
             instances,

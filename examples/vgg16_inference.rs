@@ -8,7 +8,7 @@
 //!    report (float vs. quantized top-1 agreement) substituting for the
 //!    paper's data-gated ImageNet accuracy.
 //! 2. **Throughput** at full 224x224 scale (stats-only): per-layer cycles
-//!    and effective GOPS on the 512-opt variant, for both the
+//!    and effective GOPS on the 512-opt design point, for both the
 //!    reduced-precision and the pruned model — the figure bins' models
 //!    (`zskip_bench::build_vgg16`).
 //!
@@ -35,7 +35,7 @@ fn main() {
     let calib = synthetic_inputs(7, 2, spec.input);
     let qnet = net.quantize(&calib);
 
-    let config = AccelConfig::for_variant(Variant::U256Opt);
+    let config = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
     let session = Session::builder(config).backend(BackendKind::Model).build().unwrap();
     let input = synthetic_inputs(8, 1, spec.input).pop().expect("one input");
     let report = session.infer(&qnet, &input).expect("fits");
@@ -52,7 +52,7 @@ fn main() {
     {
         println!("\n== throughput: VGG-16 224x224, 512-opt, {label} ==");
         let full = build_vgg16(kind);
-        let config = AccelConfig::for_variant(Variant::U512Opt);
+        let config = AccelConfig::for_variant_instances(Variant::U256Opt, 2);
         let session = Session::builder(config).functional(false).build().unwrap();
         let input = zskip::tensor::Tensor::<f32>::zeros(3, 224, 224);
         let report = session.infer(&full, &input).expect("fits");

@@ -39,6 +39,12 @@ timeout 120 "$bin"/zskip trace | diff -u tests/golden/trace.txt - \
   || { echo "verify: zskip trace differs from tests/golden/trace.txt"; exit 1; }
 timeout 300 cargo run -q --release --example waveforms | diff -u tests/golden/waveforms.txt - \
   || { echo "verify: the waveforms example differs from tests/golden/waveforms.txt"; exit 1; }
+# The HLS model's synthesis of the paper's four design points, and the
+# area breakdown of its 512-opt (256-opt at two instances).
+for point in all 512-opt; do
+  timeout 120 "$bin"/zskip synth "$point" | diff -u "tests/golden/synth_$point.txt" - \
+    || { echo "verify: zskip synth $point differs from tests/golden/synth_$point.txt"; exit 1; }
+done
 
 # Kernel dispatch matrix: the SIMD bit-exactness property tests (the
 # max-pool and the join against their oracles among them) — and the
@@ -269,6 +275,8 @@ expect_invalid() {
 }
 bad_cfg=$(mktemp -t zskip-badcfg-XXXXXX.json)
 expect_invalid infer --hw 32 --instances 0
+# The paper's 512-opt is 256-opt at two instances, not a variant name.
+expect_invalid infer --hw 32 --variant 512-opt
 expect_invalid infer --hw 16
 expect_invalid infer --hw 32 --density 7
 printf '{"version": 5, "thread": 4}\n' > "$bad_cfg"
@@ -320,10 +328,11 @@ gone_out=$(timeout 120 "$bin"/zskip sweep 2>&1 >/dev/null </dev/null) || gone_rc
 printf '%s\n' "$gone_out" | grep -q "unknown command 'sweep'" \
   || { echo "verify: zskip sweep must report an unknown command"; exit 1; }
 # ... and what `infer` reports comes from the session it ran: two instances
-# run at the cost model's congestion-derated clock, not the variant's.
-two_out=$(timeout 300 "$bin"/zskip infer --hw 32 --instances 2)
+# run at the cost model's congestion-derated clock, not the variant's —
+# with every layer striped across them, the paper's 512-opt.
+two_out=$(timeout 300 "$bin"/zskip infer --hw 32 --variant 256-opt --instances 2 --placement stripe)
 printf '%s\n' "$two_out" | grep -q ' at 117 MHz' \
-  || { echo "verify: infer --instances 2 must report the derated 117 MHz clock"; exit 1; }
+  || { echo "verify: infer --variant 256-opt --instances 2 --placement stripe must report the derated 117 MHz clock"; exit 1; }
 
 # Autotuner smoke: the default tune of VGG-16-32 — every point of the hls
 # space scored, the first minimum kept — is pinned byte for byte, and

@@ -31,7 +31,7 @@ pub use zskip_core::Error;
 /// ```
 /// use zskip::prelude::*;
 /// # use zskip::hls::Variant;
-/// let session = Session::builder(AccelConfig::for_variant(Variant::U256Opt))
+/// let session = Session::builder(AccelConfig::for_variant_instances(Variant::U256Opt, 1))
 ///     .backend(BackendKind::Cpu)
 ///     .kernel(KernelTier::Scalar)
 ///     .build()

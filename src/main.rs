@@ -1,7 +1,7 @@
 //! `zskip` — command-line front end to the simulated accelerator.
 //!
 //! ```text
-//! zskip synth [variant|all]       HLS synthesis summary and area breakdown
+//! zskip synth [design-point|all]  HLS synthesis summary and area breakdown
 //! zskip infer [flags]             run inference end to end, verify vs golden model
 //! zskip batch [flags]             run a batch of inferences on a worker pool
 //! zskip serve [flags]             serving daemon: NDJSON requests over stdio or TCP
@@ -32,9 +32,9 @@ use zskip::accel::session::DEFAULT_QUEUE_DEPTH;
 use zskip::accel::tune::{self, FlagGroup, KNOBS};
 use zskip::accel::{
     AccelConfig, BackendKind, BatchReport, Placement, Provenance, SearchSpace, ServeEngine,
-    Session, TunedConfig,
+    TunedConfig,
 };
-use zskip::hls::Variant;
+use zskip::hls::PAPER_POINTS;
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::model::{QuantizedNetwork, SyntheticModelConfig, WeightCode};
 use zskip::nn::Scales;
@@ -160,7 +160,7 @@ const CONFIG_FLAGS: &[Flag] = &[Flag::val(
 const COMMANDS: &[Command] = &[
     Command {
         name: "synth",
-        usage_args: "[variant|all]",
+        usage_args: "[design-point|all]",
         summary: "HLS synthesis summary and area breakdown",
         flag_groups: &[],
         run: |p| synth(p.positional.first().map(String::as_str).unwrap_or("all")),
@@ -470,25 +470,24 @@ fn build_network(p: &Parsed, hw: usize, ternary: bool) -> QuantizedNetwork {
 }
 
 fn synth(which: &str) {
-    let variants: Vec<Variant> =
-        Variant::all().into_iter().filter(|v| which == "all" || which == v.label()).collect();
-    if variants.is_empty() {
-        let labels = Variant::all().map(|v| v.label()).join(" | ");
-        fail(&format!("unknown variant {which} (use all | {labels})"));
+    let points: Vec<_> = PAPER_POINTS.into_iter().filter(|(label, ..)| which == "all" || which == *label).collect();
+    if points.is_empty() {
+        let labels = PAPER_POINTS.map(|(label, ..)| label).join(" | ");
+        fail(&format!("unknown design point {which} (use all | {labels})"));
     }
-    for v in variants {
-        let r = v.synthesize();
-        outln!("== {v} ==");
+    for (label, v, instances) in points {
+        let r = v.synthesize(instances);
+        outln!("== {label} ==");
         outln!(
             "  {} MACs/cycle, achieved {:.1} MHz, operating {:.1} MHz, peak {:.1} GOPS",
-            v.macs_per_cycle(),
+            r.arch.macs_per_cycle(),
             r.achieved_fmax_mhz,
             r.operating_mhz,
             r.peak_gops()
         );
         outln!("  {}", r.utilization);
         if which != "all" {
-            out!("{}", AreaBreakdown::from_synthesis(v.label(), &r).render());
+            out!("{}", AreaBreakdown::from_synthesis(label, &r).render());
         }
     }
 }
@@ -882,7 +881,6 @@ fn analyze(p: &Parsed) {
     }
     let density = parse_density(p, 13);
     let resolved = resolve_config(p);
-    let variant = resolved.config.variant;
     if let Some(path) = &resolved.source {
         outln!("tuned config: {path} (artifact v{})", zskip::accel::tune::ARTIFACT_VERSION);
         outln!("{}", tuned_knobs(&resolved.config, "  "));
@@ -899,7 +897,12 @@ fn analyze(p: &Parsed) {
         }
         outln!();
     }
-    let config = AccelConfig::for_variant(variant);
+    // One session path, as `infer` / `batch` / `serve` take: the packing
+    // table reads its lanes, the cpu section packs the weights on it, and
+    // the sharding section schedules on its model-backend twin.
+    let session = |backend| resolved.config.session().backend(backend).build().unwrap_or_else(|e| fail_error(&e));
+    let cpu = session(BackendKind::Cpu);
+    let config = cpu.driver().config;
     // One VGG-16-32 model serves every section: conv weights are drawn
     // before any FC weight, so its conv layers (and the packing table)
     // are the 224x224 model's at the same seed and density.
@@ -986,10 +989,6 @@ fn analyze(p: &Parsed) {
     // Packed weights: one image through the cpu backend packs every conv
     // layer of the model the way `infer` / `batch` do; the layers
     // hold their images, which drop with the network.
-    let cpu = Session::builder(AccelConfig::for_variant(variant))
-        .backend(BackendKind::Cpu)
-        .build()
-        .expect("cpu session builds");
     let _ = cpu.infer(&qnet, &probe[0]).expect("image runs");
     outln!(
         "Packed weights resident on the vgg16-32 model at --density: {:.1} MiB at {} lanes \
@@ -1003,25 +1002,19 @@ fn analyze(p: &Parsed) {
     // derated clock, per-instance utilization, and (for the pipeline)
     // where the inter-stage bubbles sit.
     let instances = resolved.config.instances;
-    let placement = resolved.config.placement;
-    let cost = zskip::accel::CostModel::for_instances(variant, instances);
+    let cost = zskip::accel::CostModel::for_instances(resolved.config.variant, instances);
     outln!(
         "\nSharding at {} instance(s): {} at {:.1} MHz, ALM utilization {:.2}{}",
-        cost.instances,
+        instances,
         cost.device,
         cost.clock_mhz,
         cost.alm_utilization,
         if cost.fits { "" } else { " (DOES NOT FIT)" }
     );
-    let shard_config = AccelConfig::for_variant_instances(variant, instances);
-    let shard_session = Session::builder(shard_config)
-        .backend(BackendKind::Model)
-        .placement(placement)
-        .build()
-        .expect("model session builds");
+    let shard_session = session(BackendKind::Model);
     let shard_inputs = synthetic_inputs(3, (2 * instances).max(4), spec.input);
     let shard = shard_session.run_batch(&qnet, &shard_inputs).unwrap_or_else(|e| fail_error(&e));
-    print_shard_summary(&shard, &shard_config);
+    print_shard_summary(&shard, &shard_session.driver().config);
 
     // Serving limits: what `zskip serve` defaults to on this build, so an
     // operator can size clients without starting the daemon.

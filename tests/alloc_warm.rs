@@ -34,7 +34,7 @@ fn warm_cpu_image_allocates_no_feature_map() {
     let resnet18 = std::fs::read_to_string(resnet18).expect("the in-repo spec");
     let specs =
         [zskip::nn::vgg16::vgg16_scaled_spec(32), NetworkSpec::from_json(&resnet18).expect("a valid spec")];
-    let session = Session::builder(AccelConfig::for_variant(Variant::U256Opt))
+    let session = Session::builder(AccelConfig::for_variant_instances(Variant::U256Opt, 1))
         .backend(BackendKind::Cpu)
         .build()
         .expect("a valid session");

@@ -1,9 +1,9 @@
 //! End-to-end integration: network inference through the full stack
 //! (driver -> DMA/DDR -> striping -> instruction streams -> accelerator
-//! backends) across architecture variants.
+//! backends) across the paper's design points.
 
 use zskip::accel::{AccelConfig, BackendKind, Session};
-use zskip::hls::Variant;
+use zskip::hls::{Variant, PAPER_POINTS};
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{conv3x3, maxpool2x2, LayerSpec, NetworkSpec};
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
@@ -36,10 +36,10 @@ fn testnet(seed: u64, density: f64) -> (QuantizedNetwork, Tensor<f32>) {
 fn every_variant_is_bit_exact_on_the_model_backend() {
     let (qnet, input) = testnet(1, 0.5);
     let golden = qnet.forward_quant(&input);
-    for variant in Variant::all() {
-        let config = AccelConfig::for_variant(variant);
+    for (label, variant, instances) in PAPER_POINTS {
+        let config = AccelConfig::for_variant_instances(variant, instances);
         let report = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
-        assert_eq!(report.output, golden, "{variant} output mismatch");
+        assert_eq!(report.output, golden, "{label} output mismatch");
     }
 }
 
@@ -48,7 +48,7 @@ fn cycle_backend_matches_on_full_and_single_unit_variants() {
     let (qnet, input) = testnet(2, 0.4);
     let golden = qnet.forward_quant(&input);
     for variant in [Variant::U256Opt, Variant::U16Unopt] {
-        let config = AccelConfig::for_variant(variant);
+        let config = AccelConfig::for_variant_instances(variant, 1);
         let report = Session::builder(config).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("fits");
         assert_eq!(report.output, golden, "{variant} cycle-backend mismatch");
     }
@@ -57,7 +57,7 @@ fn cycle_backend_matches_on_full_and_single_unit_variants() {
 #[test]
 fn runs_are_deterministic() {
     let (qnet, input) = testnet(3, 0.6);
-    let config = AccelConfig::for_variant(Variant::U256Opt);
+    let config = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
     let a = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
     let b = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
     assert_eq!(a.output, b.output);
@@ -69,7 +69,7 @@ fn runs_are_deterministic() {
 fn wider_datapath_is_faster() {
     let (qnet, input) = testnet(4, 1.0);
     let cycles = |v: Variant| {
-        let config = AccelConfig::for_variant(v);
+        let config = AccelConfig::for_variant_instances(v, 1);
         Session::builder(config).backend(BackendKind::Model).build().unwrap()
             .infer(&qnet, &input)
             .expect("fits")
@@ -85,14 +85,14 @@ fn wider_datapath_is_faster() {
 #[test]
 fn effective_gops_never_exceeds_peak_for_dense_model() {
     let (qnet, input) = testnet(5, 1.0);
-    for variant in Variant::all() {
-        let config = AccelConfig::for_variant(variant);
+    for (label, variant, instances) in PAPER_POINTS {
+        let config = AccelConfig::for_variant_instances(variant, instances);
         let report = Session::builder(config).backend(BackendKind::Model).build().unwrap().infer(&qnet, &input).expect("fits");
         let peak = config.peak_gops();
         for l in report.conv_layers() {
             assert!(
                 l.effective_gops(&config) <= peak * 1.001,
-                "{variant}/{}: {} > {peak}",
+                "{label}/{}: {} > {peak}",
                 l.name,
                 l.effective_gops(&config)
             );
@@ -104,8 +104,8 @@ fn effective_gops_never_exceeds_peak_for_dense_model() {
 fn pruned_network_beats_dense_on_every_variant() {
     let (dense, input) = testnet(6, 1.0);
     let (pruned, _) = testnet(6, 0.3);
-    for variant in Variant::all() {
-        let config = AccelConfig::for_variant(variant);
+    for (label, variant, instances) in PAPER_POINTS {
+        let config = AccelConfig::for_variant_instances(variant, instances);
         let d: u64 = Session::builder(config).backend(BackendKind::Model).build().unwrap()
             .infer(&dense, &input)
             .expect("fits")
@@ -118,14 +118,14 @@ fn pruned_network_beats_dense_on_every_variant() {
             .conv_layers()
             .map(|l| l.stats.compute_cycles)
             .sum();
-        assert!(p < d, "{variant}: pruned {p} !< dense {d}");
+        assert!(p < d, "{label}: pruned {p} !< dense {d}");
     }
 }
 
 #[test]
 fn zero_skip_ablation_changes_cycles_not_results() {
     let (qnet, input) = testnet(7, 0.3);
-    let config = AccelConfig::for_variant(Variant::U256Opt);
+    let config = AccelConfig::for_variant_instances(Variant::U256Opt, 1);
     let with = Session::builder(config).backend(BackendKind::Model).build().unwrap();
     let without = Session::builder(config).backend(BackendKind::Model).zero_skipping(false).build().unwrap();
     let a = with.infer(&qnet, &input).expect("fits");
@@ -136,12 +136,13 @@ fn zero_skip_ablation_changes_cycles_not_results() {
     assert!(ca < cb, "skipping saves cycles: {ca} vs {cb}");
 }
 
-/// The two-instance variant is bit-exact on the cycle-exact backend too
-/// (each stripe/group batch simulates all 21 kernels).
+/// The paper's 512-opt, 256-opt at two instances, is bit-exact on the
+/// cycle-exact backend too (each stripe/group batch simulates all 21
+/// kernels).
 #[test]
 fn five_twelve_opt_cycle_backend_is_bit_exact() {
     let (qnet, input) = testnet(8, 0.5);
-    let config = AccelConfig::for_variant(Variant::U512Opt);
+    let config = AccelConfig::for_variant_instances(Variant::U256Opt, 2);
     let report = Session::builder(config).backend(BackendKind::Cycle).build().unwrap().infer(&qnet, &input).expect("fits");
     assert_eq!(report.output, qnet.forward_quant(&input));
 }

@@ -36,7 +36,7 @@ fn a_warm_daemon_allocates_nothing_per_request_beyond_the_drivers_own() {
     let images = synthetic_inputs(3, REQUESTS, spec.input);
 
     // Two intra-image threads: a pool per request would show as well.
-    let session = Session::builder(AccelConfig::for_variant(Variant::U256Opt))
+    let session = Session::builder(AccelConfig::for_variant_instances(Variant::U256Opt, 1))
         .backend(BackendKind::Cpu)
         .threads(2)
         .batch_workers(WORKERS)

@@ -449,18 +449,15 @@ fn dma_faults_surface_identically_across_placements() {
 #[test]
 fn session_run_batch_matches_infer() {
     let (qnet, inputs) = quantized(0.5, 77, 3);
-    let session = Session::builder(config(2048, 1))
-        .instances(2)
-        .placement(Placement::Pipeline)
-        .build()
-        .expect("valid config");
+    let session =
+        Session::builder(config(1024, 2)).placement(Placement::Pipeline).build().expect("valid config");
     assert_eq!(session.batch_config().placement, Placement::Pipeline);
     assert_eq!(session.driver().config.instances, 2);
-    assert_eq!(session.driver().config.bank_tiles, 1024, "RAM-preserving rescale");
     let report = session.run_batch(&qnet, &inputs).expect("runs");
     assert_eq!(report.placement, Placement::Pipeline);
-    // Bit-identical to the one-at-a-time session surface (which uses
-    // the same single-instance geometry after the rescale halves banks).
+    assert_eq!(report.instances, 2);
+    // Bit-identical to the one-at-a-time session surface on one instance
+    // of the same banks.
     let single = Session::builder(config(1024, 1)).build().expect("valid config");
     for (item, input) in report.items.iter().zip(&inputs) {
         let want = single.infer(&qnet, input).expect("runs");

@@ -4,7 +4,7 @@
 //!   text **byte-identically** over randomized configs (proptest) — the
 //!   canonical form is a serialization fixed point.
 //! * `zskip tune` writes the first minimum of the sweep's rows, which is
-//!   no worse than the default and than every paper variant, and two runs
+//!   no worse than the default and than each paper design point, and two runs
 //!   on one workload write byte-identical artifacts.
 //! * `SessionBuilder::from_tuned` applies every artifact knob, and
 //!   explicit builder overrides layered on top win — the precedence rule
@@ -19,7 +19,7 @@ use std::sync::{mpsc, Arc};
 
 use proptest::prelude::*;
 use zskip::accel::tune::{first_minimum, sweep, Provenance, SearchSpace, TunedConfig};
-use zskip::hls::Variant;
+use zskip::hls::{Variant, PAPER_POINTS};
 use zskip::nn::eval::synthetic_inputs;
 use zskip::nn::layer::{conv3x3, maxpool2x2, NetworkSpec};
 use zskip::nn::model::{Network, QuantizedNetwork, SyntheticModelConfig};
@@ -53,7 +53,7 @@ fn small_net(hw: usize) -> QuantizedNetwork {
 fn arb_config() -> impl Strategy<Value = TunedConfig> {
     // The vendored proptest has no Option strategy: optional knobs pair a
     // presence bool with the value range.
-    let hardware = (0usize..4, 1usize..5, 0usize..4);
+    let hardware = (0usize..3, 1usize..5, 0usize..4);
     let software = (0usize..3, 0usize..5, (prop::bool::ANY, 0usize..4));
     let pool = (0usize..5, 1usize..129);
     let provenance = (prop::bool::ANY, 0u64..(1 << 20), 1u64..1000);
@@ -112,13 +112,13 @@ fn the_artifact_is_the_first_minimum_and_no_worse_than_the_default_or_any_paper_
     let artifact = best.artifact(&space);
     assert_eq!(TunedConfig { provenance: None, ..artifact.clone() }, best.config);
     let provenance = artifact.provenance.expect("provenance embedded");
-    assert_eq!((provenance.space.as_str(), provenance.score, provenance.points), ("hls", best.score, 48));
+    assert_eq!((provenance.space.as_str(), provenance.score, provenance.points), ("hls", best.score, 36));
     // The paper's hand-picked design points are rows of the space.
     let score_of = |config: &TunedConfig| rows.iter().find(|r| &r.config == config).expect("a row").score;
     assert!(best.score <= score_of(&TunedConfig::default()));
-    for variant in Variant::all() {
-        let hand = score_of(&TunedConfig { variant, ..TunedConfig::default() });
-        assert!(hand.is_finite() && best.score <= hand, "{variant}: tuned {} > hand-picked {hand}", best.score);
+    for (label, variant, instances) in PAPER_POINTS {
+        let hand = score_of(&TunedConfig { variant, instances, ..TunedConfig::default() });
+        assert!(hand.is_finite() && best.score <= hand, "{label}: tuned {} > hand-picked {hand}", best.score);
     }
 }
 
